@@ -1,16 +1,13 @@
 //! `reproduce analyze` — the pre-submission static analyzer run over the real
 //! driver graphs (GROMACS and LULESH IR builds, deployments, and a fleet
-//! wave), emitting every report as JSON, plus the analyzer-overhead
-//! measurement the per-PR snapshot records (nanoseconds per node over a
-//! union graph shaped like the 2,048-request service load).
+//! wave), emitting every report as JSON.
 
 use serde::Serialize;
-use std::time::Instant;
-use xaas::engine::{ActionGraph, AnalysisReport};
+use xaas::engine::AnalysisReport;
 use xaas::prelude::*;
 use xaas_apps::{gromacs, lulesh};
 use xaas_buildsys::OptionAssignment;
-use xaas_container::{ActionCache, BuildKey, ImageStore};
+use xaas_container::{ActionCache, ImageStore};
 use xaas_hpcsim::{SimdLevel, SystemModel};
 
 /// One linted driver graph: the target it came from and the full report.
@@ -130,76 +127,6 @@ pub fn analyze_driver_graphs() -> AnalyzeSection {
     }
 }
 
-/// The analyzer-overhead measurement for the per-PR snapshot.
-#[derive(Debug, Clone, Serialize)]
-pub struct AnalysisOverhead {
-    /// Nodes in the synthetic load-shaped union graph.
-    pub nodes: usize,
-    /// Nanoseconds of analysis per graph node, amortised over enough passes
-    /// to dominate timer noise.
-    pub ns_per_node: f64,
-}
-
-/// Time the full pass pipeline over a union graph shaped like the service
-/// load's 2,048-request mixed phase: 2,048 job-tagged four-stage deploy
-/// pipelines (preprocess → ir-lower → keyed sd-compile → link) sharing keyed
-/// artifacts across jobs, exactly the shape `submit_graph` preflights.
-pub fn analysis_overhead() -> AnalysisOverhead {
-    const JOBS: usize = 2_048;
-    const PASSES: u32 = 8;
-    let engine = Engine::cached(&ActionCache::new(ImageStore::new()));
-    let mut graph: ActionGraph<'static, std::convert::Infallible> = ActionGraph::new();
-    let mut primaries: Vec<ActionId> = Vec::new();
-    for job in 0..JOBS {
-        graph.set_job(Some(job));
-        let pre = graph.add(ActionKind::Preprocess, format!("pre{job}"), &[], |_| {
-            Ok(vec![0])
-        });
-        let lower = graph.add(ActionKind::IrLower, format!("lower{job}"), &[pre], |_| {
-            Ok(vec![0])
-        });
-        // Jobs share 64 distinct artifact identities; repeats alias the first
-        // grafting via an ordering edge, the fleet union-graph pattern.
-        let artifact = job % 64;
-        let key = BuildKey::new(
-            format!("load-artifact-{artifact}"),
-            "x86_64",
-            "O2",
-            "clang-17",
-        );
-        let deps: Vec<ActionId> = match primaries.get(artifact) {
-            Some(&primary) => vec![lower, primary],
-            None => vec![lower],
-        };
-        let compile = graph.add_cached(
-            ActionKind::SdCompile,
-            format!("compile{job}"),
-            key,
-            &deps,
-            |_| Ok(vec![0]),
-        );
-        if primaries.len() == artifact {
-            primaries.push(compile);
-        }
-        graph.add(ActionKind::Link, format!("link{job}"), &[compile], |_| {
-            Ok(vec![0])
-        });
-    }
-    graph.set_job(None);
-
-    let nodes = graph.len();
-    std::hint::black_box(engine.analyze(&graph));
-    let started = Instant::now();
-    for _ in 0..PASSES {
-        std::hint::black_box(engine.analyze(&graph));
-    }
-    let elapsed_ns = started.elapsed().as_nanos() as f64 / f64::from(PASSES);
-    AnalysisOverhead {
-        nodes,
-        ns_per_node: elapsed_ns / nodes as f64,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,12 +145,5 @@ mod tests {
                 .collect::<Vec<_>>()
         );
         assert!(section.graphs.iter().all(|g| g.nodes > 0));
-    }
-
-    #[test]
-    fn the_overhead_probe_covers_the_load_shape() {
-        let overhead = analysis_overhead();
-        assert_eq!(overhead.nodes, 2_048 * 4);
-        assert!(overhead.ns_per_node > 0.0);
     }
 }

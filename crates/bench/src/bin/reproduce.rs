@@ -13,12 +13,10 @@
 //! reproduce fig12-cpu           # IR containers, CPU sweep
 //! reproduce fig12-gpu           # IR containers, GPU
 //! reproduce tu-reduction        # Section 6.4 statistics + ablations
-//! reproduce fleet               # fleet specialization: cold vs shared-cache, union vs sequential (JSON)
+//! reproduce fleet               # fleet specialization: cold vs shared-cache (JSON)
 //! reproduce engine              # action-graph engine: parallel vs serial build (JSON)
-//! reproduce service             # multi-tenant service load: throughput, latency, fairness (JSON)
 //! reproduce restart             # warm restart over the persistent disk tier (JSON)
 //! reproduce analyze             # static analysis of the driver graphs; exits nonzero on any deny (JSON)
-//! reproduce snapshot            # write the per-PR BENCH_<pr>.json performance snapshot
 //! reproduce network             # Section 6.5 bandwidth
 //! reproduce gpu-compat          # Figure 9 compatibility rules
 //! reproduce intersection        # Figure 4(c) feature intersection
@@ -162,15 +160,6 @@ fn run(section: &str) {
                 serde_json::to_string_pretty(&experiment).expect("engine experiment serialises")
             );
         }
-        "service" => {
-            // Banner on stderr so stdout stays machine-readable JSON (`reproduce service | jq .`).
-            eprintln!("== Multi-tenant service: concurrent mixed load from 16 sessions ==");
-            let experiment = experiments::service_load();
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&experiment).expect("service experiment serialises")
-            );
-        }
         "restart" => {
             // Banner on stderr so stdout stays machine-readable JSON (`reproduce restart | jq .`).
             eprintln!("== Warm restart: GROMACS fleet replayed from the disk tier ==");
@@ -195,15 +184,6 @@ fn run(section: &str) {
                 );
                 std::process::exit(1);
             }
-        }
-        "snapshot" => {
-            eprintln!("== Per-PR performance snapshot ==");
-            let snapshot = experiments::bench_snapshot();
-            let json = serde_json::to_string_pretty(&snapshot).expect("bench snapshot serialises");
-            let path = format!("BENCH_{}.json", snapshot.pr);
-            std::fs::write(&path, format!("{json}\n")).expect("snapshot file writes");
-            eprintln!("wrote {path}");
-            println!("{json}");
         }
         "network" => print!("{}", render::render_network(&experiments::network())),
         "gpu-compat" => print!(
@@ -238,7 +218,6 @@ fn main() {
         "tu-reduction",
         "fleet",
         "engine",
-        "service",
         "restart",
         "analyze",
         "network",
@@ -249,8 +228,7 @@ fn main() {
     match args.first().map(String::as_str) {
         None | Some("--help") | Some("-h") => {
             println!("usage: reproduce <section>|all");
-            // `snapshot` is on demand only (writes BENCH_<pr>.json), not part of `all`.
-            println!("sections: {}, snapshot", sections.join(", "));
+            println!("sections: {}", sections.join(", "));
         }
         Some("all") => {
             for section in sections {

@@ -503,8 +503,8 @@ pub struct FleetSystemRow {
 }
 
 /// The fleet-specialization experiment: one IR container served to the four paper
-/// systems, comparing independent cold deployments against the concurrent
-/// [`FleetSpecializer`] with a shared content-addressed action cache.
+/// systems, comparing independent cold deployments against one concurrent
+/// [`FleetRequest`] wave over a shared content-addressed action cache.
 #[derive(Debug, Clone, Serialize)]
 pub struct FleetExperiment {
     /// Per-system breakdown.
@@ -527,42 +527,6 @@ pub struct FleetExperiment {
     pub workers: usize,
     /// Bytes the content-addressed store deduplicated across all deployments.
     pub store_dedup_bytes: u64,
-    /// Union-graph vs per-job-sequential strategy comparison on the same fleet.
-    pub strategies: FleetStrategyComparison,
-}
-
-/// One strategy's side of the union-vs-sequential fleet comparison.
-#[derive(Debug, Clone, Serialize)]
-pub struct FleetStrategyRun {
-    /// Strategy name (`union-graph` or `sequential`).
-    pub strategy: String,
-    /// Engine submissions the wave needed (1 for the union graph, one per job
-    /// sequentially).
-    pub submissions: usize,
-    /// Total trace records of the wave (preprocess through commit, all jobs).
-    pub trace_actions: usize,
-    /// Compile/lower actions executed (cache misses of the wave).
-    pub actions_executed: u64,
-    /// Serial wall-clock stages the wave's submissions impose: the union
-    /// graph's critical-path depth, vs the *sum* of the per-job depths for the
-    /// sequential strategy (each submission is a scheduling barrier). This is
-    /// the deterministic scheduling claim; with the microsecond-scale simulated
-    /// compiler, `wall_ms` is dominated by thread-coordination noise.
-    pub stage_depth: usize,
-    /// Wall-clock of the wave, in milliseconds.
-    pub wall_ms: f64,
-}
-
-/// A/B comparison of [`FleetStrategy`] on the 4-system GROMACS fleet, each
-/// strategy over its own cold shared cache.
-#[derive(Debug, Clone, Serialize)]
-pub struct FleetStrategyComparison {
-    /// The union-graph wave (one engine submission).
-    pub union_graph: FleetStrategyRun,
-    /// The sequential per-job submissions.
-    pub sequential: FleetStrategyRun,
-    /// Whether every per-target image was byte-identical across strategies.
-    pub byte_identical: bool,
 }
 
 /// **Fleet specialization** (the production shape behind Figures 8 and 12): build the
@@ -617,50 +581,21 @@ pub fn fleet_specialization() -> FleetExperiment {
     let cold_actions: u64 = cold.iter().map(|d| d.actions.executed as u64).sum();
 
     // Fleet run: shared cache, parallel workers, deduplicated jobs.
-    let cache = ActionCache::new(store.clone());
-    let specializer = FleetSpecializer::new(cache.clone());
-    let report = specializer.specialize_fleet(&build, &project, &requests);
+    let orch = Orchestrator::with_cache(&ActionCache::new(store.clone()));
+    let fleet = || {
+        FleetRequest::new(&build, &project)
+            .targets(requests.iter().cloned())
+            .submit(&orch)
+    };
+    let report = fleet();
     assert!(report.all_succeeded(), "fleet specialization succeeds");
     let fleet_stats = report.cache;
 
     // Warm rerun: the cache already holds every action of the fleet (report counters
     // are per-run deltas, so no stat reset is needed).
-    let rerun = specializer.specialize_fleet(&build, &project, &requests);
+    let rerun = fleet();
     assert!(rerun.all_succeeded(), "warm rerun succeeds");
     let rerun_stats = rerun.cache;
-
-    // Strategy A/B: the same fleet as one union-graph wave vs per-job sequential
-    // submissions, each over its own cold cache sharing the build's store.
-    let strategy_run = |strategy| {
-        let specializer =
-            FleetSpecializer::new(ActionCache::new(store.clone())).with_strategy(strategy);
-        let started = std::time::Instant::now();
-        let report = specializer.specialize_fleet(&build, &project, &requests);
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        assert!(report.all_succeeded(), "{strategy} fleet succeeds");
-        (report, wall_ms)
-    };
-    let (union_report, union_ms) = strategy_run(FleetStrategy::UnionGraph);
-    let (sequential_report, sequential_ms) = strategy_run(FleetStrategy::Sequential);
-    let byte_identical = union_report
-        .deployments()
-        .zip(sequential_report.deployments())
-        .all(|(u, s)| u.image == s.image && u.reference == s.reference);
-    let strategy_side = |report: &FleetReport, wall_ms: f64| FleetStrategyRun {
-        strategy: report.strategy.as_str().to_string(),
-        submissions: report.submissions,
-        trace_actions: report.trace.len(),
-        actions_executed: report.cache.misses,
-        // The union wave's trace carries the one graph's critical-path depth;
-        // the sequential report's merged trace sums the per-job depths.
-        stage_depth: report.trace.stage_depth,
-        wall_ms,
-    };
-    let strategies = FleetStrategyComparison {
-        union_graph: strategy_side(&union_report, union_ms),
-        sequential: strategy_side(&sequential_report, sequential_ms),
-        byte_identical,
-    };
 
     let systems = requests
         .iter()
@@ -693,7 +628,6 @@ pub fn fleet_specialization() -> FleetExperiment {
         jobs_deduplicated: report.jobs_deduplicated,
         workers: report.workers,
         store_dedup_bytes: store.dedup_bytes(),
-        strategies,
     }
 }
 
@@ -1338,28 +1272,6 @@ mod tests {
             .collect();
         assert_eq!(avx512.len(), 2);
         assert!(avx512.iter().any(|row| row.fleet_actions_cached > 0));
-        // Union-vs-sequential A/B: one submission per wave, never more actions
-        // than the sequential strategy, byte-identical images.
-        let strategies = &experiment.strategies;
-        assert_eq!(strategies.union_graph.submissions, 1);
-        assert_eq!(strategies.sequential.submissions, experiment.jobs_executed);
-        assert!(
-            strategies.union_graph.trace_actions <= strategies.sequential.trace_actions,
-            "union wave must not execute more actions: {} vs {}",
-            strategies.union_graph.trace_actions,
-            strategies.sequential.trace_actions
-        );
-        assert_eq!(
-            strategies.union_graph.actions_executed, strategies.sequential.actions_executed,
-            "strategies execute the same cache misses"
-        );
-        assert!(
-            strategies.union_graph.stage_depth < strategies.sequential.stage_depth,
-            "one wave imposes fewer serial stages than per-job barriers: {} vs {}",
-            strategies.union_graph.stage_depth,
-            strategies.sequential.stage_depth
-        );
-        assert!(strategies.byte_identical);
     }
 
     #[test]

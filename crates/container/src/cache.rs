@@ -53,9 +53,8 @@
 //! failure retry [`CacheBackend::try_begin`] and may become the next owner, so an
 //! error is never cached and progress is guaranteed.
 //!
-//! The blocking [`ActionCache::get_or_compute`] and the deprecated
-//! [`CacheBackend::get_or_compute_action`] are thin shims over this protocol: they park
-//! a channel-backed waker and block the *calling* thread only.
+//! The blocking [`ActionCache::get_or_compute`] is a thin convenience over this
+//! protocol: it parks a channel-backed waker and blocks the *calling* thread only.
 
 pub mod tier;
 
@@ -250,21 +249,6 @@ pub struct CacheReport {
     pub dedup_bytes: u64,
 }
 
-/// Marker error returned by [`CacheBackend::get_or_compute_action`] when the compute
-/// closure fails. The closure is expected to capture the *typed* error on the side (the
-/// `xaas::engine` executor does exactly that), so the trait stays object-safe without
-/// erasing error types through `Box<dyn Any>`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ComputeFailed;
-
-impl std::fmt::Display for ComputeFailed {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "action computation failed")
-    }
-}
-
-impl std::error::Error for ComputeFailed {}
-
 /// Why a flight retired without producing an output. Parked waiters receive this
 /// through [`FlightOutcome::Failed`]; the correct response is to retry
 /// [`CacheBackend::try_begin`] (possibly becoming the next owner), so an error is
@@ -392,11 +376,9 @@ pub enum TryBegin {
 /// entry points used). Both are backed by an [`ImageStore`] so the executor can commit
 /// images through the same handle it routes actions through.
 ///
-/// The backend's primary surface is the *nonblocking* flight protocol
+/// The backend's surface is the *nonblocking* flight protocol
 /// ([`try_begin`](Self::try_begin) / [`complete`](Self::complete) /
-/// [`fail`](Self::fail) / [`park`](Self::park) — see the module docs); the blocking
-/// [`get_or_compute_action`](Self::get_or_compute_action) survives as a deprecated
-/// shim over it.
+/// [`fail`](Self::fail) / [`park`](Self::park) — see the module docs).
 pub trait CacheBackend: Send + Sync {
     /// The content-addressed store backing this cache (also used to commit images).
     fn store(&self) -> &ImageStore;
@@ -437,55 +419,6 @@ pub trait CacheBackend: Send + Sync {
 
     /// A snapshot of the backend's counters (all zeros for backends that do not track).
     fn backend_stats(&self) -> CacheStats;
-
-    /// Return the cached output for `key`, or run `compute` and (for memoizing
-    /// backends) store its output. The boolean is `true` on a cache hit.
-    ///
-    /// **Contract:** `compute` is invoked at most once per call, and an
-    /// implementation may only return `Err(ComputeFailed)` when `compute` itself
-    /// returned it — backend-internal failures (a lost blob, a poisoned flight)
-    /// fall back to running `compute`, never fail the action.
-    #[deprecated(
-        since = "0.8.0",
-        note = "blocks the calling thread on another worker's flight; use the \
-                nonblocking try_begin/complete/fail/park protocol instead"
-    )]
-    fn get_or_compute_action(
-        &self,
-        key: &BuildKey,
-        compute: &mut dyn FnMut() -> Result<Vec<u8>, ComputeFailed>,
-    ) -> Result<(Blob, bool), ComputeFailed> {
-        loop {
-            match self.try_begin(key) {
-                TryBegin::Hit(blob) => return Ok((blob, true)),
-                TryBegin::Owner(ticket) => {
-                    return match compute() {
-                        Ok(bytes) => Ok((self.complete(ticket, bytes), false)),
-                        Err(error) => {
-                            self.fail(ticket, FlightError::Failed);
-                            Err(error)
-                        }
-                    };
-                }
-                TryBegin::InFlight(flight) => {
-                    let (sender, receiver) = std::sync::mpsc::channel();
-                    let outcome = self
-                        .park(
-                            &flight,
-                            Box::new(move |outcome| {
-                                let _ = sender.send(outcome);
-                            }),
-                        )
-                        .unwrap_or_else(|| receiver.recv().expect("a flight always retires"));
-                    if let FlightOutcome::Completed(blob) = outcome {
-                        return Ok((blob, true));
-                    }
-                    // The owner failed or poisoned the flight: retry, possibly
-                    // becoming the next owner (compute has not run yet).
-                }
-            }
-        }
-    }
 }
 
 impl CacheBackend for ActionCache {
@@ -1106,56 +1039,63 @@ mod tests {
         assert_eq!(stats.hits, 7);
     }
 
+    /// One single-threaded action through the flight protocol, the way the
+    /// executor drives a backend: a hit, or own the flight and redeem it with
+    /// `output` (`None` = the compute failed).
+    fn run_action(
+        backend: &dyn CacheBackend,
+        key: &BuildKey,
+        output: Option<Vec<u8>>,
+    ) -> Option<(Blob, bool)> {
+        match backend.try_begin(key) {
+            TryBegin::Hit(blob) => Some((blob, true)),
+            TryBegin::Owner(ticket) => match output {
+                Some(bytes) => Some((backend.complete(ticket, bytes), false)),
+                None => {
+                    backend.fail(ticket, FlightError::Failed);
+                    None
+                }
+            },
+            TryBegin::InFlight(flight) => panic!("no racing owner, got {flight:?}"),
+        }
+    }
+
     #[test]
-    #[allow(deprecated)]
     fn nocache_always_computes_and_counts_misses() {
         let backend = NoCache::new(ImageStore::new());
-        let calls = AtomicUsize::new(0);
         for _ in 0..3 {
-            let (bytes, hit) = backend
-                .get_or_compute_action(&key(1), &mut || {
-                    calls.fetch_add(1, Ordering::SeqCst);
-                    Ok(b"fresh".to_vec())
-                })
-                .unwrap();
+            let (bytes, hit) = run_action(&backend, &key(1), Some(b"fresh".to_vec())).unwrap();
             assert_eq!(bytes, b"fresh");
-            assert!(!hit, "NoCache never reports a hit");
+            assert!(!hit, "NoCache never reports a hit: every action executes");
         }
-        assert_eq!(calls.load(Ordering::SeqCst), 3, "every action executes");
         let stats = backend.backend_stats();
         assert_eq!((stats.hits, stats.misses), (0, 3));
         assert_eq!(stats.hit_rate(), 0.0);
     }
 
     #[test]
-    #[allow(deprecated)]
     fn action_cache_and_nocache_agree_through_the_backend_trait() {
         let store = ImageStore::new();
         let cached: &dyn CacheBackend = &ActionCache::new(store.clone());
         let uncached: &dyn CacheBackend = &NoCache::new(store.clone());
         for backend in [cached, uncached] {
-            let (bytes, hit) = backend
-                .get_or_compute_action(&key(7), &mut || Ok(vec![7, 7]))
-                .unwrap();
+            let (bytes, hit) = run_action(backend, &key(7), Some(vec![7, 7])).unwrap();
             assert_eq!(bytes, vec![7, 7]);
             assert!(!hit);
         }
         // Second round: the memoizing backend hits, the no-op backend recomputes.
-        let (_, hit) = cached
-            .get_or_compute_action(&key(7), &mut || Ok(vec![7, 7]))
-            .unwrap();
+        let (_, hit) = run_action(cached, &key(7), Some(vec![7, 7])).unwrap();
         assert!(hit);
-        let (_, hit) = uncached
-            .get_or_compute_action(&key(7), &mut || Ok(vec![7, 7]))
-            .unwrap();
+        let (_, hit) = run_action(uncached, &key(7), Some(vec![7, 7])).unwrap();
         assert!(!hit);
-        // Failures pass through as the marker error.
-        assert_eq!(
-            uncached
-                .get_or_compute_action(&key(8), &mut || Err(ComputeFailed))
-                .unwrap_err(),
-            ComputeFailed
-        );
+        // Failures retire the flight without caching anything: the next caller
+        // owns a fresh flight on either backend.
+        for backend in [cached, uncached] {
+            assert!(run_action(backend, &key(8), None).is_none());
+            let (bytes, hit) = run_action(backend, &key(8), Some(vec![8])).unwrap();
+            assert_eq!(bytes, vec![8]);
+            assert!(!hit, "a failed flight caches nothing");
+        }
     }
 
     #[test]

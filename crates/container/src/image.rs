@@ -326,15 +326,6 @@ impl ImageStore {
             .ok_or_else(|| ImageError::MissingBlob(digest.clone()))
     }
 
-    /// Fetch a blob by digest as owned bytes.
-    #[deprecated(
-        since = "0.7.0",
-        note = "copies the payload; use `ImageStore::blob` for a zero-copy handle"
-    )]
-    pub fn get_blob(&self, digest: &Digest) -> Result<Vec<u8>, ImageError> {
-        self.blob(digest).map(|b| b.to_vec())
-    }
-
     /// Whether the store holds a blob.
     pub fn has_blob(&self, digest: &Digest) -> bool {
         self.inner.read().blobs.contains_key(digest)

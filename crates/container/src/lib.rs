@@ -47,8 +47,7 @@ pub mod prelude {
     };
     pub use crate::cache::{
         ActionCache, BuildKey, CacheBackend, CacheConfigError, CacheReport, CacheStats, CacheTier,
-        ComputeFailed, FlightError, FlightId, FlightOutcome, FlightTicket, FlightWaker, NoCache,
-        TryBegin,
+        FlightError, FlightId, FlightOutcome, FlightTicket, FlightWaker, NoCache, TryBegin,
     };
     pub use crate::digest::{Digest, Sha256};
     pub use crate::image::{

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use xaas_buildsys::{OptionAssignment, ProjectSpec};
 use xaas_container::{
-    annotation_keys, ActionCache, BuildKey, DeploymentFormat, Image, ImageStore, Layer, Platform,
+    annotation_keys, BuildKey, DeploymentFormat, Image, ImageStore, Layer, Platform,
 };
 use xaas_hpcsim::{BuildProfile, SimdLevel, SystemModel};
 use xaas_xir::{
@@ -130,45 +130,6 @@ pub struct IrDeployment {
     pub trace: ActionTrace,
 }
 
-/// Deploy an IR container over an uncached ([`NoCache`](xaas_container::NoCache)-backed)
-/// orchestrator — every lower/compile action runs.
-#[deprecated(
-    since = "0.2.0",
-    note = "use xaas::orchestrator::IrDeployRequest with Orchestrator::uncached(store)"
-)]
-pub fn deploy_ir_container(
-    build: &IrContainerBuild,
-    project: &ProjectSpec,
-    system: &SystemModel,
-    selection: &OptionAssignment,
-    simd: SimdLevel,
-    store: &ImageStore,
-) -> Result<IrDeployment, DeployError> {
-    crate::orchestrator::IrDeployRequest::new(build, project, system)
-        .selection(selection.clone())
-        .simd(simd)
-        .submit(&crate::orchestrator::Orchestrator::uncached(store))
-}
-
-/// Deploy an IR container, routing every lower/compile action through `cache`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use xaas::orchestrator::IrDeployRequest with Orchestrator::with_cache(cache)"
-)]
-pub fn deploy_ir_container_cached(
-    build: &IrContainerBuild,
-    project: &ProjectSpec,
-    system: &SystemModel,
-    selection: &OptionAssignment,
-    simd: SimdLevel,
-    cache: &ActionCache,
-) -> Result<IrDeployment, DeployError> {
-    crate::orchestrator::IrDeployRequest::new(build, project, system)
-        .selection(selection.clone())
-        .simd(simd)
-        .submit(&crate::orchestrator::Orchestrator::with_cache(cache))
-}
-
 /// One planned deployment action: either lower a stored IR unit or compile a
 /// system-dependent source. `files` lists every manifest unit served by the action
 /// (several units can share one deduplicated artifact).
@@ -182,27 +143,6 @@ enum DeployTask<'plan> {
         content: &'plan str,
         files: Vec<&'plan str>,
     },
-}
-
-/// Deploy an IR container through an explicitly configured `engine`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use xaas::orchestrator::IrDeployRequest with Orchestrator::from_engine(engine)"
-)]
-pub fn deploy_ir_container_with(
-    build: &IrContainerBuild,
-    project: &ProjectSpec,
-    system: &SystemModel,
-    selection: &OptionAssignment,
-    simd: SimdLevel,
-    engine: &Engine,
-) -> Result<IrDeployment, DeployError> {
-    crate::orchestrator::IrDeployRequest::new(build, project, system)
-        .selection(selection.clone())
-        .simd(simd)
-        .submit(&crate::orchestrator::Orchestrator::from_engine(
-            engine.clone(),
-        ))
 }
 
 /// The typed pieces a deployment's Link action assembles for the driver.
@@ -236,9 +176,9 @@ pub(crate) struct DeployPlan<'a> {
 /// one union-graph wave. A job whose artifact identity is already present grafts a
 /// *cache-probe alias* — a keyed node ordered after the identity's first node by a
 /// dependency edge — instead of a second compute node: the expensive closure
-/// exists once per wave, and the alias deterministically replays the cache hit the
-/// sequential strategy would have observed, keeping per-job traces and hit/miss
-/// deltas strategy-independent.
+/// exists once per wave, and the alias deterministically replays the cache hit a
+/// standalone submission of the job would have observed, so per-job traces and
+/// hit/miss deltas equal those of per-job submissions.
 #[derive(Default)]
 pub(crate) struct SharedDeployArtifacts {
     primaries: BTreeMap<String, ActionId>,
@@ -648,23 +588,6 @@ pub(crate) fn finish_ir_deploy(
     })
 }
 
-/// Run one already-validated plan through `engine` as its own single graph
-/// submission: graft ([`graft_ir_deploy`]), run, finish ([`finish_ir_deploy`]).
-/// The sequential fleet strategy calls this after planning so its
-/// [`FleetReport::submissions`](crate::orchestrator::FleetReport::submissions)
-/// counter counts only jobs that actually reached the engine.
-pub(crate) fn run_planned_ir_deploy(
-    plan: DeployPlan<'_>,
-    engine: &Engine,
-) -> Result<IrDeployment, DeployError> {
-    let mut graph: ActionGraph<'_, DeployError> = ActionGraph::new();
-    graft_ir_deploy(&plan, &mut graph, engine.store(), None);
-    engine.preflight(&graph)?;
-    let run = engine.run(graph);
-    let (_, trace) = run.into_outputs()?;
-    finish_ir_deploy(plan, trace)
-}
-
 /// Deploy an IR container through `engine` in **one** graph submission (the driver
 /// behind [`IrDeployRequest`](crate::orchestrator::IrDeployRequest)): plan
 /// ([`plan_ir_deploy`]), graft the subgraph onto a private graph
@@ -678,7 +601,12 @@ pub(crate) fn run_ir_deploy(
     engine: &Engine,
 ) -> Result<IrDeployment, DeployError> {
     let plan = plan_ir_deploy(build, project, system, selection, simd)?;
-    run_planned_ir_deploy(plan, engine)
+    let mut graph: ActionGraph<'_, DeployError> = ActionGraph::new();
+    graft_ir_deploy(&plan, &mut graph, engine.store(), None);
+    engine.preflight(&graph)?;
+    let run = engine.run(graph);
+    let (_, trace) = run.into_outputs()?;
+    finish_ir_deploy(plan, trace)
 }
 
 /// Run the pre-submission static analyzer over the exact graph one deployment
@@ -714,6 +642,7 @@ mod tests {
     use crate::ir_container::IrPipelineConfig;
     use crate::orchestrator::{IrBuildRequest, IrDeployRequest, Orchestrator};
     use xaas_apps::gromacs;
+    use xaas_container::ActionCache;
     use xaas_xir::{Interpreter, Value};
 
     /// Old free-function deployment shape, routed through the orchestrator (uncached).

@@ -25,8 +25,8 @@
 //!
 //! The drivers behind [`ir_container`](crate::ir_container),
 //! [`deploy`](crate::deploy), [`source_container`](crate::source_container), and
-//! [`scheduler`](crate::scheduler) all construct graphs and submit them to one
-//! shared [`Engine`] — owned, in the public API, by an
+//! the fleet wave of [`orchestrator`](crate::orchestrator) all construct graphs
+//! and submit them to one shared [`Engine`] — owned, in the public API, by an
 //! [`Orchestrator`](crate::orchestrator::Orchestrator); intra-build parallelism
 //! (compiling the translation units of a configuration sweep concurrently) falls
 //! out of the executor rather than being special-cased per pipeline.

@@ -26,8 +26,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use xaas_buildsys::{configure, ConfigureError, OptionAssignment, ProjectSpec};
 use xaas_container::{
-    annotation_keys, ActionCache, Architecture, BuildKey, DeploymentFormat, Image, ImageStore,
-    Layer, Platform,
+    annotation_keys, Architecture, BuildKey, DeploymentFormat, Image, Layer, Platform,
 };
 use xaas_specs::from_project;
 use xaas_xir::{bitcode, CompileFlags, Compiler, IrModule};
@@ -350,40 +349,6 @@ fn enumerate_assignments(
     Ok(assignments)
 }
 
-/// Build an IR container for `project`, sweeping the configured specialization points,
-/// over an uncached ([`NoCache`](xaas_container::NoCache)-backed) orchestrator —
-/// every compile action runs.
-#[deprecated(
-    since = "0.2.0",
-    note = "use xaas::orchestrator::IrBuildRequest with Orchestrator::uncached(store)"
-)]
-pub fn build_ir_container(
-    project: &ProjectSpec,
-    config: &IrPipelineConfig,
-    store: &ImageStore,
-    reference: &str,
-) -> Result<IrContainerBuild, IrPipelineError> {
-    crate::orchestrator::IrBuildRequest::new(project, config)
-        .reference(reference)
-        .submit(&crate::orchestrator::Orchestrator::uncached(store))
-}
-
-/// Build an IR container, routing every compile action through `cache`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use xaas::orchestrator::IrBuildRequest with Orchestrator::with_cache(cache)"
-)]
-pub fn build_ir_container_cached(
-    project: &ProjectSpec,
-    config: &IrPipelineConfig,
-    cache: &ActionCache,
-    reference: &str,
-) -> Result<IrContainerBuild, IrPipelineError> {
-    crate::orchestrator::IrBuildRequest::new(project, config)
-        .reference(reference)
-        .submit(&crate::orchestrator::Orchestrator::with_cache(cache))
-}
-
 /// One system-independent translation-unit occurrence discovered during configuration
 /// (the driver's plan entry between the configure stage and the preprocess stage).
 struct TuOccurrence {
@@ -398,24 +363,6 @@ struct TuOccurrence {
     preprocess_action: ActionId,
     /// Index of this unit's OpenMP-detection action, when one was scheduled.
     openmp_action: Option<ActionId>,
-}
-
-/// Build an IR container through an explicitly configured `engine`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use xaas::orchestrator::IrBuildRequest with Orchestrator::from_engine(engine)"
-)]
-pub fn build_ir_container_with(
-    project: &ProjectSpec,
-    config: &IrPipelineConfig,
-    engine: &Engine,
-    reference: &str,
-) -> Result<IrContainerBuild, IrPipelineError> {
-    crate::orchestrator::IrBuildRequest::new(project, config)
-        .reference(reference)
-        .submit(&crate::orchestrator::Orchestrator::from_engine(
-            engine.clone(),
-        ))
 }
 
 /// Every source path the project can legitimately compile: declared sources plus
@@ -949,6 +896,7 @@ mod tests {
     use super::*;
     use crate::orchestrator::{IrBuildRequest, Orchestrator};
     use xaas_apps::{gromacs, lulesh};
+    use xaas_container::{ActionCache, ImageStore};
 
     /// Old free-function shape, routed through the orchestrator (uncached).
     fn build(

@@ -30,8 +30,6 @@
 //!   commit actions, a policy-scheduled worker-pool executor, transparent action-cache
 //!   routing, and a
 //!   deterministic per-build [`ActionTrace`];
-//! * [`scheduler`] — the fleet specializer: one IR container, many systems, a shared
-//!   content-addressed action cache, one shared engine;
 //! * [`gpu_compat`] — CUDA driver/runtime/PTX/cubin compatibility planning (Figure 9);
 //! * [`hypotheses`] — validation of Hypotheses 1 and 2 (Section 4.2);
 //! * [`portability`] — the Table 2 taxonomy;
@@ -61,7 +59,6 @@ pub mod hypotheses;
 pub mod ir_container;
 pub mod orchestrator;
 pub mod portability;
-pub mod scheduler;
 pub mod service;
 pub mod source_container;
 pub mod targets;
@@ -70,13 +67,8 @@ pub mod targets;
 ///
 /// Since the orchestrator redesign this exports the session API — [`Orchestrator`],
 /// its builder, and the typed request types — plus result/error types and the
-/// engine vocabulary. The deprecated free-function entry points
-/// (`build_ir_container`, `deploy_ir_container`, `deploy_source_container`) are
-/// still re-exported for discoverability of the migration notes, but their
-/// `_cached`/`_with` variants are reachable only at their module paths.
+/// engine vocabulary.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use crate::deploy::deploy_ir_container;
     pub use crate::deploy::{DeployError, DeploymentStats, IrDeployment};
     pub use crate::engine::{
         ActionGraph, ActionId, ActionInputs, ActionKind, ActionRecord, ActionTrace, AnalysisMode,
@@ -89,24 +81,19 @@ pub mod prelude {
         RuntimeRequirement,
     };
     pub use crate::hypotheses::{hypothesis1, hypothesis2, Hypothesis1Report, Hypothesis2Report};
-    #[allow(deprecated)]
-    pub use crate::ir_container::build_ir_container;
     pub use crate::ir_container::{
         ActionSummary, ConfigurationManifest, IrContainerBuild, IrPipelineConfig, IrPipelineError,
         IrUnit, PipelineStages, PipelineStats, UnitAssignment, IR_TARGET, TOOLCHAIN_ID,
     };
     pub use crate::orchestrator::{
-        FleetError, FleetOutcome, FleetReport, FleetRequest, FleetStrategy, FleetTarget,
-        IrBuildRequest, IrDeployRequest, Orchestrator, OrchestratorBuilder, SourceDeployRequest,
+        FleetError, FleetOutcome, FleetReport, FleetRequest, FleetTarget, IrBuildRequest,
+        IrDeployRequest, Orchestrator, OrchestratorBuilder, SourceDeployRequest,
     };
     pub use crate::portability::{table2, PortabilityEntry, PortabilityLevel};
-    pub use crate::scheduler::FleetSpecializer;
     pub use crate::service::{
         AdmissionError, OrchestratorService, ServiceError, ServiceLimits, ServiceRequest,
         ServiceStats, Session,
     };
-    #[allow(deprecated)]
-    pub use crate::source_container::deploy_source_container;
     pub use crate::source_container::{
         build_source_container, SelectionPolicy, SourceContainerError, SourceDeployment,
     };

@@ -2,8 +2,8 @@
 //!
 //! The paper's premise is that *one* container representation serves many
 //! deployment decisions made late; this module is the API shape of that premise.
-//! Instead of nine overlapping free functions that each re-wire store + cache +
-//! engine by hand, an `Orchestrator` **owns** the execution stack — the
+//! Instead of entry points that each re-wire store + cache + engine by hand,
+//! an `Orchestrator` **owns** the execution stack — the
 //! [`Engine`], its [`CacheBackend`], the backing [`ImageStore`], and a
 //! [`SchedulingPolicy`] — and every pipeline is a typed request submitted to it:
 //!
@@ -37,9 +37,9 @@
 //! assert!(orch.store().load(&deployment.reference).is_ok());
 //! ```
 //!
-//! Requests return the same result types the historical free functions did
-//! ([`IrContainerBuild`], [`IrDeployment`], [`SourceDeployment`], [`FleetReport`]),
-//! each carrying the run's [`ActionTrace`]. The orchestrator validates its
+//! Requests return typed results ([`IrContainerBuild`], [`IrDeployment`],
+//! [`SourceDeployment`], [`FleetReport`]), each carrying the run's
+//! [`ActionTrace`]. The orchestrator validates its
 //! scheduling policy up front, so an invalid configuration (e.g. a zero
 //! `sd-compile` concurrency cap) surfaces as a typed error before any action runs
 //! — never as a panic or a deadlock.
@@ -68,7 +68,6 @@ use xaas_hpcsim::{SimdLevel, SystemModel};
 #[derive(Debug, Clone)]
 pub struct Orchestrator {
     engine: Engine,
-    fleet_strategy: FleetStrategy,
     /// The tiered backend, when the orchestrator was built with
     /// [`OrchestratorBuilder::cache_tiers`] — kept so callers can reach
     /// per-tier stats and GC without downcasting the engine's backend.
@@ -76,8 +75,7 @@ pub struct Orchestrator {
 }
 
 impl Orchestrator {
-    /// A fully-configured builder (workers, cache choice, scheduling policy,
-    /// fleet strategy).
+    /// A fully-configured builder (workers, cache choice, scheduling policy).
     pub fn builder() -> OrchestratorBuilder {
         OrchestratorBuilder::default()
     }
@@ -102,20 +100,12 @@ impl Orchestrator {
     }
 
     /// Wrap an explicitly-configured [`Engine`] (worker count, cache backend,
-    /// scheduling policy are taken as-is; the fleet strategy stays the default).
+    /// scheduling policy are taken as-is).
     pub fn from_engine(engine: Engine) -> Self {
         Self {
             engine,
-            fleet_strategy: FleetStrategy::default(),
             tiers: None,
         }
-    }
-
-    /// Override how [`FleetRequest`]s execute (default:
-    /// [`FleetStrategy::UnionGraph`]).
-    pub fn with_fleet_strategy(mut self, strategy: FleetStrategy) -> Self {
-        self.fleet_strategy = strategy;
-        self
     }
 
     /// Override what the engine does with the pre-submission static analyzer
@@ -141,7 +131,6 @@ impl Orchestrator {
     pub fn for_tenant(&self, tenant: impl Into<String>) -> Orchestrator {
         Orchestrator {
             engine: self.engine.clone().with_tenant(tenant),
-            fleet_strategy: self.fleet_strategy,
             tiers: self.tiers.clone(),
         }
     }
@@ -150,11 +139,6 @@ impl Orchestrator {
     /// [`for_tenant`](Self::for_tenant) view.
     pub fn tenant(&self) -> Option<&str> {
         self.engine.tenant()
-    }
-
-    /// The strategy [`FleetRequest`]s execute under.
-    pub fn fleet_strategy(&self) -> FleetStrategy {
-        self.fleet_strategy
     }
 
     /// The engine requests execute on.
@@ -231,7 +215,6 @@ pub struct OrchestratorBuilder {
     workers: Option<usize>,
     policy: Option<Arc<dyn SchedulingPolicy>>,
     cache: CacheChoice,
-    fleet_strategy: FleetStrategy,
     analysis: Option<crate::engine::AnalysisMode>,
 }
 
@@ -241,7 +224,6 @@ impl Default for OrchestratorBuilder {
             workers: None,
             policy: None,
             cache: CacheChoice::FreshCached,
-            fleet_strategy: FleetStrategy::default(),
             analysis: None,
         }
     }
@@ -292,14 +274,6 @@ impl OrchestratorBuilder {
         self
     }
 
-    /// How [`FleetRequest`]s execute (default: [`FleetStrategy::UnionGraph`] —
-    /// one union graph per wave; [`FleetStrategy::Sequential`] submits one graph
-    /// per job, kept for A/B benchmarking).
-    pub fn fleet_strategy(mut self, strategy: FleetStrategy) -> Self {
-        self.fleet_strategy = strategy;
-        self
-    }
-
     /// What the engine does with the pre-submission static analyzer (default:
     /// [`AnalysisMode::Strict`](crate::engine::AnalysisMode::Strict) — reject
     /// graphs with deny-level diagnostics before any node executes;
@@ -333,11 +307,7 @@ impl OrchestratorBuilder {
         if let Some(mode) = self.analysis {
             engine = engine.with_analysis(mode);
         }
-        Orchestrator {
-            engine,
-            fleet_strategy: self.fleet_strategy,
-            tiers,
-        }
+        Orchestrator { engine, tiers }
     }
 }
 
@@ -349,41 +319,8 @@ impl fmt::Debug for OrchestratorBuilder {
                 "policy",
                 &self.policy.as_ref().map(|p| p.name().to_string()),
             )
-            .field("fleet_strategy", &self.fleet_strategy)
             .field("analysis", &self.analysis)
             .finish()
-    }
-}
-
-/// How a [`FleetRequest`] turns its deduplicated jobs into engine work.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum FleetStrategy {
-    /// One graph submission per distinct job, in job order — the historical
-    /// shape, kept for A/B benchmarking against the union graph. Parallelism is
-    /// intra-job only; cross-job reuse happens through the shared cache.
-    Sequential,
-    /// One union [`ActionGraph`] per wave, submitted to the engine exactly once:
-    /// every job's subgraph is grafted into it, keyed nodes shared across jobs
-    /// (same [`BuildKey`](xaas_container::BuildKey)) execute once and fan out to
-    /// all consuming jobs, and the executor interleaves actions *across* systems
-    /// instead of finishing one deployment before starting the next.
-    #[default]
-    UnionGraph,
-}
-
-impl FleetStrategy {
-    /// Stable lowercase name (used in reports and JSON).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            FleetStrategy::Sequential => "sequential",
-            FleetStrategy::UnionGraph => "union-graph",
-        }
-    }
-}
-
-impl fmt::Display for FleetStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
     }
 }
 
@@ -686,17 +623,12 @@ pub struct FleetReport {
     /// meaning and stays zero — read
     /// [`Orchestrator::cache_stats`] for the backend view.
     pub cache: CacheStats,
-    /// The strategy the wave executed under.
-    pub strategy: FleetStrategy,
-    /// Engine submissions the wave needed: one under
-    /// [`FleetStrategy::UnionGraph`], one per distinct job that passed
-    /// validation under [`FleetStrategy::Sequential`], zero when no job reached
+    /// Engine submissions the wave needed: one, or zero when no job reached
     /// the engine (an invalid policy, or every job failing at plan time).
     pub submissions: usize,
     /// The wave's [`ActionTrace`]: the single union-graph trace (records carry
-    /// their [`job`](crate::engine::ActionRecord::job) tag) or the merged
-    /// sequential traces in job order. Per-job traces live on each outcome's
-    /// [`IrDeployment::trace`].
+    /// their [`job`](crate::engine::ActionRecord::job) tag). Per-job traces
+    /// live on each outcome's [`IrDeployment::trace`].
     pub trace: ActionTrace,
 }
 
@@ -722,13 +654,12 @@ impl FleetReport {
 /// Typed request: specialize one IR container for a fleet of systems through the
 /// orchestrator's shared cache.
 ///
-/// Duplicate targets are deduplicated up front; under the default
-/// [`FleetStrategy::UnionGraph`] every distinct job's deployment subgraph is
-/// grafted into **one union graph per wave** (a single engine submission, with
-/// cross-job shared [`BuildKey`](xaas_container::BuildKey)s executed once), so
-/// systems sharing an ISA share every lowered artifact and the executor
-/// interleaves actions across systems. A failed job fails only the targets that
-/// map to it.
+/// Duplicate targets are deduplicated up front; every distinct job's deployment
+/// subgraph is grafted into **one union graph per wave** (a single engine
+/// submission, with cross-job shared [`BuildKey`](xaas_container::BuildKey)s
+/// executed once), so systems sharing an ISA share every lowered artifact and
+/// the executor interleaves actions across systems. A failed job fails only the
+/// targets that map to it.
 #[derive(Debug, Clone)]
 pub struct FleetRequest<'a> {
     build: &'a IrContainerBuild,
@@ -805,13 +736,11 @@ impl<'a> FleetRequest<'a> {
     /// which fails every job before any action runs) are reported per outcome, so
     /// the report itself is always produced.
     ///
-    /// Under the default [`FleetStrategy::UnionGraph`] every job's deployment
-    /// subgraph is grafted into **one** union graph and the engine is submitted
-    /// to exactly once per wave; under [`FleetStrategy::Sequential`] each job
-    /// submits its own graph in job order. Both strategies produce byte-identical
-    /// images, per-job traces, and cache deltas — the union graph only changes
-    /// *when* actions run (interleaved across jobs) and how often the engine is
-    /// entered.
+    /// Every job's deployment subgraph is grafted into **one** union graph and
+    /// the engine is submitted to exactly once per wave. Images, per-job traces,
+    /// and cache deltas are byte-identical to submitting each job on its own in
+    /// job order — the union graph only changes *when* actions run (interleaved
+    /// across jobs) and how often the engine is entered.
     pub fn submit(self, orch: &Orchestrator) -> FleetReport {
         // Deduplicate identical targets up front: one job per distinct job key.
         let mut job_of_target: Vec<(usize, bool)> = Vec::with_capacity(self.targets.len());
@@ -830,51 +759,21 @@ impl<'a> FleetRequest<'a> {
             }
         }
 
-        let strategy = orch.fleet_strategy();
-        let mut trace = ActionTrace::default();
-        let mut submissions = 0usize;
-        let results: Vec<Result<Arc<IrDeployment>, FleetError>> = match orch.checked_engine() {
-            Ok(engine) => match strategy {
-                FleetStrategy::Sequential => jobs
-                    .iter()
+        let (results, trace, ran) = match orch.checked_engine() {
+            Ok(engine) => run_union_wave(self.build, self.project, &jobs, engine),
+            Err(policy_error) => (
+                jobs.iter()
                     .map(|job| {
-                        // One single-job wave per job: the same plan/graft/run/
-                        // finish machinery as the union strategy, so failure
-                        // attribution (the `action` field) and per-job traces
-                        // are strategy-independent; only the submission count
-                        // and cross-job interleaving differ.
-                        let (mut results, _, ran) = run_union_wave(
-                            self.build,
-                            self.project,
-                            std::slice::from_ref(job),
-                            engine,
-                        );
-                        submissions += usize::from(ran);
-                        let result = results.pop().expect("one result per job");
-                        if let Ok(deployment) = &result {
-                            trace.merge(deployment.trace.clone());
-                        }
-                        result
+                        Err(FleetError {
+                            system: job.system.name.clone(),
+                            message: policy_error.to_string(),
+                            action: None,
+                        })
                     })
                     .collect(),
-                FleetStrategy::UnionGraph => {
-                    let (results, wave_trace, ran) =
-                        run_union_wave(self.build, self.project, &jobs, engine);
-                    trace = wave_trace;
-                    submissions = usize::from(ran);
-                    results
-                }
-            },
-            Err(policy_error) => jobs
-                .iter()
-                .map(|job| {
-                    Err(FleetError {
-                        system: job.system.name.clone(),
-                        message: policy_error.to_string(),
-                        action: None,
-                    })
-                })
-                .collect(),
+                ActionTrace::default(),
+                false,
+            ),
         };
 
         let outcomes = self
@@ -903,8 +802,7 @@ impl<'a> FleetRequest<'a> {
             jobs_deduplicated: self.targets.len() - jobs.len(),
             workers: orch.workers(),
             cache,
-            strategy,
-            submissions,
+            submissions: usize::from(ran),
             trace,
         }
     }
@@ -1140,5 +1038,123 @@ mod tests {
         let job_trace = &report.outcomes[0].deployment.as_ref().unwrap().trace;
         assert_eq!(report.trace.len(), job_trace.len());
         assert_eq!(report.trace.action_set(), job_trace.action_set());
+    }
+
+    /// The GROMACS IR container (SSE4.1 + AVX-512 sweep) the fleet tests deploy.
+    fn gromacs_fleet_build(orch: &Orchestrator) -> (ProjectSpec, IrContainerBuild) {
+        let project = xaas_apps::gromacs::project();
+        let config = IrPipelineConfig::sweep_options(&project, &["GMX_SIMD"])
+            .with_values("GMX_SIMD", &["SSE4.1", "AVX_512"]);
+        let build = IrBuildRequest::new(&project, &config)
+            .reference("fleet:ir")
+            .submit(orch)
+            .unwrap();
+        (project, build)
+    }
+
+    fn gmx_simd(simd: &str) -> OptionAssignment {
+        OptionAssignment::new().with("GMX_SIMD", simd)
+    }
+
+    #[test]
+    fn fleet_outcomes_keep_request_order_and_dedup_duplicates() {
+        let orch = Orchestrator::builder().workers(3).build();
+        let (project, build) = gromacs_fleet_build(&orch);
+        let targets = vec![
+            FleetTarget::new(
+                SystemModel::ault23(),
+                gmx_simd("AVX_512"),
+                SimdLevel::Avx512,
+            ),
+            // Exact duplicate of the first target: must not become a second job.
+            FleetTarget::new(
+                SystemModel::ault23(),
+                gmx_simd("AVX_512"),
+                SimdLevel::Avx512,
+            ),
+            FleetTarget::new(
+                SystemModel::ault01_04(),
+                gmx_simd("SSE4.1"),
+                SimdLevel::Sse41,
+            ),
+        ];
+        let report = FleetRequest::new(&build, &project)
+            .targets(targets)
+            .submit(&orch);
+        assert!(report.all_succeeded());
+        assert_eq!(report.outcomes.len(), 3);
+        assert_eq!(report.jobs_executed, 2);
+        assert_eq!(report.jobs_deduplicated, 1);
+        assert!(report.outcomes[1].deduplicated);
+        assert!(!report.outcomes[0].deduplicated);
+        // Deduplicated targets share the very same deployment.
+        let first = report.outcomes[0].deployment.as_ref().unwrap();
+        let second = report.outcomes[1].deployment.as_ref().unwrap();
+        assert!(Arc::ptr_eq(first, second));
+        assert_eq!(report.outcomes[0].system, "Ault23");
+        assert_eq!(report.outcomes[2].system, "Ault01-04");
+    }
+
+    #[test]
+    fn fleet_failures_are_isolated_per_job() {
+        let orch = Orchestrator::new();
+        let (project, build) = gromacs_fleet_build(&orch);
+        let targets = vec![
+            FleetTarget::new(
+                SystemModel::ault23(),
+                gmx_simd("AVX_512"),
+                SimdLevel::Avx512,
+            ),
+            // Ault25 (EPYC 7742) has no AVX-512: this job must fail without
+            // affecting the first one.
+            FleetTarget::new(
+                SystemModel::ault25(),
+                gmx_simd("AVX_512"),
+                SimdLevel::Avx512,
+            ),
+        ];
+        let report = FleetRequest::new(&build, &project)
+            .targets(targets)
+            .submit(&orch);
+        assert!(!report.all_succeeded());
+        assert!(report.outcomes[0].deployment.is_ok());
+        let error = report.outcomes[1].deployment.as_ref().unwrap_err();
+        assert_eq!(error.system, "Ault25");
+        assert!(error.message.contains("not supported"), "{error}");
+        assert_eq!(report.deployments().count(), 1);
+    }
+
+    #[test]
+    fn shared_isa_systems_share_every_lower_action() {
+        let orch = Orchestrator::builder().workers(2).build();
+        let (project, build) = gromacs_fleet_build(&orch);
+        // Two different systems, same ISA: the second system's lowering is all hits.
+        let targets = vec![
+            FleetTarget::new(
+                SystemModel::ault23(),
+                gmx_simd("AVX_512"),
+                SimdLevel::Avx512,
+            ),
+            FleetTarget::new(
+                SystemModel::ault01_04(),
+                gmx_simd("AVX_512"),
+                SimdLevel::Avx512,
+            ),
+        ];
+        let report = FleetRequest::new(&build, &project)
+            .targets(targets)
+            .submit(&orch);
+        assert!(report.all_succeeded());
+        let per_system: u64 = report.outcomes[0]
+            .deployment
+            .as_ref()
+            .unwrap()
+            .actions
+            .total() as u64;
+        assert_eq!(
+            report.cache.misses, per_system,
+            "every action of the second system is served from the cache"
+        );
+        assert_eq!(report.cache.hits, per_system);
     }
 }

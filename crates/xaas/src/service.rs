@@ -624,7 +624,7 @@ impl fmt::Debug for OrchestratorService {
 }
 
 /// Fluent construction of an [`OrchestratorService`]: the orchestrator knobs
-/// (workers, cache, policy, fleet strategy) plus [`ServiceLimits`].
+/// (workers, cache, policy) plus [`ServiceLimits`].
 #[derive(Debug, Default)]
 pub struct OrchestratorServiceBuilder {
     orch: crate::orchestrator::OrchestratorBuilder,
@@ -668,13 +668,6 @@ impl OrchestratorServiceBuilder {
     /// for tenant-fair lanes).
     pub fn policy(mut self, policy: impl crate::engine::SchedulingPolicy + 'static) -> Self {
         self.orch = self.orch.policy(policy);
-        self
-    }
-
-    /// How fleet requests execute (default:
-    /// [`FleetStrategy::UnionGraph`](crate::orchestrator::FleetStrategy::UnionGraph)).
-    pub fn fleet_strategy(mut self, strategy: crate::orchestrator::FleetStrategy) -> Self {
-        self.orch = self.orch.fleet_strategy(strategy);
         self
     }
 

@@ -17,8 +17,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use xaas_buildsys::{configure, ConfigureError, OptionAssignment, OptionCategory, ProjectSpec};
 use xaas_container::{
-    annotation_keys, ActionCache, Architecture, BuildKey, DeploymentFormat, Image, ImageStore,
-    Layer, Platform,
+    annotation_keys, Architecture, BuildKey, DeploymentFormat, Image, ImageStore, Layer, Platform,
 };
 use xaas_hpcsim::{discover, BuildProfile, ModuleKind, SimdLevel, SystemModel};
 use xaas_specs::{from_project, intersect, CommonSpecialization, SpecCategory};
@@ -207,67 +206,6 @@ pub enum SelectionPolicy {
     /// Pick the most conservative option (portable SIMD, no GPU) — used in tests and as a
     /// stand-in for the "performance-oblivious" choice.
     Conservative,
-}
-
-/// Deploy a source container onto a system over an uncached
-/// ([`NoCache`](xaas_container::NoCache)-backed) orchestrator — every compile action
-/// runs.
-#[deprecated(
-    since = "0.2.0",
-    note = "use xaas::orchestrator::SourceDeployRequest with Orchestrator::uncached(store)"
-)]
-pub fn deploy_source_container(
-    project: &ProjectSpec,
-    source_image: &Image,
-    system: &SystemModel,
-    preferences: &OptionAssignment,
-    policy: SelectionPolicy,
-    store: &ImageStore,
-) -> Result<SourceDeployment, SourceContainerError> {
-    crate::orchestrator::SourceDeployRequest::new(project, source_image, system)
-        .preferences(preferences.clone())
-        .selection_policy(policy)
-        .submit(&crate::orchestrator::Orchestrator::uncached(store))
-}
-
-/// Deploy a source container, routing every translation-unit compile through `cache`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use xaas::orchestrator::SourceDeployRequest with Orchestrator::with_cache(cache)"
-)]
-pub fn deploy_source_container_cached(
-    project: &ProjectSpec,
-    source_image: &Image,
-    system: &SystemModel,
-    preferences: &OptionAssignment,
-    policy: SelectionPolicy,
-    cache: &ActionCache,
-) -> Result<SourceDeployment, SourceContainerError> {
-    crate::orchestrator::SourceDeployRequest::new(project, source_image, system)
-        .preferences(preferences.clone())
-        .selection_policy(policy)
-        .submit(&crate::orchestrator::Orchestrator::with_cache(cache))
-}
-
-/// Deploy a source container through an explicitly configured `engine`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use xaas::orchestrator::SourceDeployRequest with Orchestrator::from_engine(engine)"
-)]
-pub fn deploy_source_container_with(
-    project: &ProjectSpec,
-    source_image: &Image,
-    system: &SystemModel,
-    preferences: &OptionAssignment,
-    policy: SelectionPolicy,
-    engine: &Engine,
-) -> Result<SourceDeployment, SourceContainerError> {
-    crate::orchestrator::SourceDeployRequest::new(project, source_image, system)
-        .preferences(preferences.clone())
-        .selection_policy(policy)
-        .submit(&crate::orchestrator::Orchestrator::from_engine(
-            engine.clone(),
-        ))
 }
 
 /// Deploy a source container by constructing staged action graphs and submitting them

@@ -1,11 +1,11 @@
 //! Union fleet graphs: one `ActionGraph` per fleet wave.
 //!
-//! These tests pin the acceptance criteria of the union-graph fleet strategy:
-//! byte-identity with the sequential strategy (images, per-job traces, dedup
-//! counts, cache hit/miss deltas — property-tested over random fleets), exactly
-//! one engine submission per wave with cross-job shared `BuildKey`s executed
-//! once, per-job failure isolation with the failing action named, and the
-//! per-job partition of the merged wave trace.
+//! These tests pin the acceptance criteria of the union-graph fleet wave:
+//! byte-identity with sequential per-job submissions (images, per-job traces,
+//! dedup counts, cache hit/miss deltas — property-tested over random fleets),
+//! exactly one engine submission per wave with cross-job shared `BuildKey`s
+//! executed once, per-job failure isolation with the failing action named, and
+//! the per-job partition of the merged wave trace.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -28,18 +28,63 @@ fn systems() -> [SystemModel; 4] {
     ]
 }
 
-/// A fleet session over `cache` running `strategy`.
-fn session(cache: &ActionCache, strategy: FleetStrategy, workers: usize) -> Orchestrator {
+/// A fleet session over `cache`.
+fn session(cache: &ActionCache, workers: usize) -> Orchestrator {
     Orchestrator::builder()
         .action_cache(cache.clone())
         .workers(workers)
-        .fleet_strategy(strategy)
         .build()
 }
 
-/// Submit the same targets under both strategies, each over its own fresh cache
-/// (sharing the IR build's store so images land in one place), and return the
-/// two reports.
+/// The reference the union wave is compared against: one single-target
+/// [`FleetRequest`] per distinct target, submitted in job order, folded into
+/// one report shaped like the wave's (duplicates share their job's outcome,
+/// counters and traces accumulate across the submissions).
+fn submit_per_job(
+    build: &IrContainerBuild,
+    project: &ProjectSpec,
+    orch: &Orchestrator,
+    targets: &[FleetTarget],
+) -> FleetReport {
+    let mut sequential = FleetReport {
+        outcomes: Vec::new(),
+        jobs_executed: 0,
+        jobs_deduplicated: 0,
+        workers: orch.workers(),
+        cache: Default::default(),
+        submissions: 0,
+        trace: Default::default(),
+    };
+    let mut outcome_by_job_key: BTreeMap<String, FleetOutcome> = BTreeMap::new();
+    for target in targets {
+        let job_key = target.job_key();
+        if let Some(outcome) = outcome_by_job_key.get(&job_key) {
+            sequential.jobs_deduplicated += 1;
+            sequential.outcomes.push(FleetOutcome {
+                deduplicated: true,
+                ..outcome.clone()
+            });
+            continue;
+        }
+        let mut report = FleetRequest::new(build, project)
+            .target(target.clone())
+            .submit(orch);
+        let outcome = report.outcomes.remove(0);
+        outcome_by_job_key.insert(job_key, outcome.clone());
+        sequential.outcomes.push(outcome);
+        sequential.jobs_executed += 1;
+        sequential.submissions += report.submissions;
+        sequential.cache.hits += report.cache.hits;
+        sequential.cache.misses += report.cache.misses;
+        sequential.cache.entries = report.cache.entries;
+        sequential.trace.merge(report.trace);
+    }
+    sequential
+}
+
+/// Submit the same targets as one union wave and as per-job submissions, each
+/// over its own fresh cache (sharing the IR build's store so images land in one
+/// place), and return the two reports.
 fn run_both(
     build: &IrContainerBuild,
     project: &ProjectSpec,
@@ -49,38 +94,36 @@ fn run_both(
 ) -> (FleetReport, FleetReport) {
     let union = FleetRequest::new(build, project)
         .targets(targets.iter().cloned())
-        .submit(&session(
-            &ActionCache::new(store.clone()),
-            FleetStrategy::UnionGraph,
-            workers,
-        ));
-    let sequential = FleetRequest::new(build, project)
-        .targets(targets.iter().cloned())
-        .submit(&session(
-            &ActionCache::new(store.clone()),
-            FleetStrategy::Sequential,
-            workers,
-        ));
+        .submit(&session(&ActionCache::new(store.clone()), workers));
+    let sequential = submit_per_job(
+        build,
+        project,
+        &session(&ActionCache::new(store.clone()), workers),
+        targets,
+    );
     (union, sequential)
 }
 
 /// Assert the two reports are observably identical up to scheduling: same
 /// per-target images, per-job traces, dedup counts, and cache hit/miss deltas.
 fn assert_strategy_equivalence(union: &FleetReport, sequential: &FleetReport) {
-    assert_eq!(union.strategy, FleetStrategy::UnionGraph);
-    assert_eq!(sequential.strategy, FleetStrategy::Sequential);
     assert_eq!(union.jobs_executed, sequential.jobs_executed);
     assert_eq!(union.jobs_deduplicated, sequential.jobs_deduplicated);
     // One engine submission per wave vs one per distinct job.
     assert_eq!(union.submissions, 1);
     assert_eq!(sequential.submissions, sequential.jobs_executed);
     // Identical cache deltas: the union's cache-probe aliases replay exactly the
-    // hits the sequential strategy's per-job submissions observe.
+    // hits the sequential per-job submissions observe.
     assert_eq!(union.cache.hits, sequential.cache.hits);
     assert_eq!(union.cache.misses, sequential.cache.misses);
     assert_eq!(union.cache.entries, sequential.cache.entries);
-    // The union wave never runs more actions than the sequential submissions.
+    // The union wave never runs more actions than the sequential submissions,
+    // and one wave imposes fewer serial stages than per-job scheduling barriers
+    // (the merged sequential trace sums the per-job depths).
     assert!(union.trace.len() <= sequential.trace.len());
+    if union.jobs_executed > 1 {
+        assert!(union.trace.stage_depth < sequential.trace.stage_depth);
+    }
     assert_eq!(union.outcomes.len(), sequential.outcomes.len());
     for (u, s) in union.outcomes.iter().zip(&sequential.outcomes) {
         assert_eq!(u.system, s.system);
@@ -102,9 +145,9 @@ fn assert_strategy_equivalence(union: &FleetReport, sequential: &FleetReport) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For random fleets over the GROMACS SIMD sweep, the union-graph and
-    /// sequential strategies produce byte-identical images per target, identical
-    /// dedup counts, and identical cache hit/miss deltas.
+    /// For random fleets over the GROMACS SIMD sweep, the union-graph wave and
+    /// sequential per-job submissions produce byte-identical images per target,
+    /// identical dedup counts, and identical cache hit/miss deltas.
     #[test]
     fn union_and_sequential_strategies_match_on_random_gromacs_fleets(
         picks in proptest::collection::vec(0usize..4, 1..7),
@@ -202,7 +245,7 @@ fn shared_keys_execute_once_per_wave_in_one_submission() {
             selection,
             SimdLevel::Avx512,
         ))
-        .submit(&session(&cache, FleetStrategy::UnionGraph, 4));
+        .submit(&session(&cache, 4));
     assert!(report.all_succeeded());
     assert_eq!(report.submissions, 1, "one engine submission per wave");
     assert_eq!(report.jobs_executed, 2);
@@ -280,7 +323,7 @@ fn poisoned_compile_fails_only_its_job_and_names_the_action() {
             SystemModel::ault25(),
             OptionAssignment::new().with("WITH_MPI", "OFF"),
         ))
-        .submit(&session(&cache, FleetStrategy::UnionGraph, 4));
+        .submit(&session(&cache, 4));
     assert_eq!(report.submissions, 1);
     assert!(!report.all_succeeded());
 
@@ -305,15 +348,15 @@ fn poisoned_compile_fails_only_its_job_and_names_the_action() {
         assert!(cache.store().load(&deployment.reference).is_ok());
     }
 
-    // The sequential strategy attributes the same engine failure identically:
-    // the error shape is strategy-independent, not just the artifacts.
-    let sequential = FleetRequest::new(&build, &project)
+    // The job submitted on its own attributes the same engine failure
+    // identically: the error shape does not depend on the wave around it.
+    let alone = FleetRequest::new(&build, &project)
         .target(FleetTarget::best_for(
             SystemModel::ault23(),
             OptionAssignment::new().with("WITH_MPI", "ON"),
         ))
-        .submit(&session(&cache, FleetStrategy::Sequential, 4));
-    let error = sequential.outcomes[0].deployment.as_ref().unwrap_err();
+        .submit(&session(&cache, 4));
+    let error = alone.outcomes[0].deployment.as_ref().unwrap_err();
     assert_eq!(error.action.as_deref(), Some("src/mpi_bad.ck"));
     assert!(error.message.contains("src/mpi_bad.ck"), "{error}");
 }
@@ -356,7 +399,7 @@ fn plan_time_failures_are_isolated_and_carry_no_action() {
             OptionAssignment::new().with("GMX_SIMD", "AVX_512"),
             SimdLevel::Avx512,
         ))
-        .submit(&session(&cache, FleetStrategy::UnionGraph, 3));
+        .submit(&session(&cache, 3));
     assert!(!report.all_succeeded());
     let ghost = report.outcomes[0].deployment.as_ref().unwrap_err();
     assert!(ghost.message.contains("ghost.ck"), "{ghost}");
@@ -368,24 +411,19 @@ fn plan_time_failures_are_isolated_and_carry_no_action() {
     assert!(healthy.stats.lowered_units > 0);
     assert_eq!(report.submissions, 1);
 
-    // Under the sequential strategy only jobs that pass validation reach the
-    // engine: the unsupported-SIMD job plan-fails, so 1 of 2 jobs submits.
-    let sequential = FleetRequest::new(&build, &project)
+    // A wave whose every job fails at plan time grafts no node and never
+    // reaches the engine.
+    let unplanned = FleetRequest::new(&build, &project)
         .target(FleetTarget::new(
             SystemModel::ault25(),
             OptionAssignment::new().with("GMX_SIMD", "AVX_512"),
             SimdLevel::Avx512,
         ))
-        .target(FleetTarget::new(
-            SystemModel::ault23(),
-            OptionAssignment::new().with("GMX_SIMD", "AVX_512"),
-            SimdLevel::Avx512,
-        ))
-        .submit(&session(&cache, FleetStrategy::Sequential, 3));
-    assert!(!sequential.all_succeeded());
-    assert_eq!(sequential.jobs_executed, 2);
+        .submit(&session(&cache, 3));
+    assert!(!unplanned.all_succeeded());
+    assert_eq!(unplanned.jobs_executed, 1);
     assert_eq!(
-        sequential.submissions, 1,
+        unplanned.submissions, 0,
         "plan-time failures never reach the engine"
     );
 }
@@ -423,8 +461,7 @@ fn wave_trace_partitions_per_job_and_critical_path_first_interleaves_jobs() {
     let submit = |policy: Option<CriticalPathFirst>| {
         let mut builder = Orchestrator::builder()
             .action_cache(ActionCache::new(store.clone()))
-            .workers(1) // deterministic dispatch order
-            .fleet_strategy(FleetStrategy::UnionGraph);
+            .workers(1); // deterministic dispatch order
         if let Some(policy) = policy {
             builder = builder.policy(policy);
         }

@@ -149,9 +149,12 @@ fn fleet_specializer_never_double_builds_and_is_deterministic() {
                 SimdLevel::Sse41,
             ));
         }
-        let report = FleetSpecializer::new(cache.clone())
-            .with_workers(4)
-            .specialize_fleet(&build, &project, &targets);
+        let report = FleetRequest::new(&build, &project).targets(targets).submit(
+            &Orchestrator::builder()
+                .action_cache(cache.clone())
+                .workers(4)
+                .build(),
+        );
         assert!(report.all_succeeded());
         let new_entries = cache.stats().entries - entries_before_fleet;
         (report, cache.stats(), new_entries)

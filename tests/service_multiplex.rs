@@ -262,7 +262,7 @@ fn drain_refuses_new_work_then_resume_reopens() {
         let (project, config) = lulesh_sweep();
         let service = OrchestratorService::builder().workers(2).build();
         let session = service.session("tenant");
-        session
+        let build = session
             .submit(IrBuildRequest::new(&project, &config).reference("drain:before"))
             .unwrap();
 
@@ -274,6 +274,17 @@ fn drain_refuses_new_work_then_resume_reopens() {
             error,
             ServiceError::Admission(AdmissionError::Draining)
         ));
+        // A fleet wave is refused the same typed way, never a panic.
+        let wave = FleetRequest::new(&build, &project).target(FleetTarget::best_for(
+            SystemModel::ault23(),
+            OptionAssignment::new()
+                .with("WITH_MPI", "OFF")
+                .with("WITH_OPENMP", "OFF"),
+        ));
+        assert!(matches!(
+            session.submit_fleet(wave),
+            Err(AdmissionError::Draining)
+        ));
         service.drain_wait();
         assert_eq!(service.stats().in_flight, 0);
         assert!(service.is_draining());
@@ -282,7 +293,7 @@ fn drain_refuses_new_work_then_resume_reopens() {
         session
             .submit(IrBuildRequest::new(&project, &config).reference("drain:after"))
             .unwrap();
-        assert_eq!(service.stats().refused_draining, 1);
+        assert_eq!(service.stats().refused_draining, 2);
     });
 }
 
@@ -298,7 +309,11 @@ fn fleet_specializer_waves_run_as_service_sessions() {
             .submit(&Orchestrator::with_cache(&cache))
             .unwrap();
 
-        let specializer = FleetSpecializer::new(cache).with_workers(2);
+        let service = OrchestratorService::builder()
+            .action_cache(cache)
+            .workers(2)
+            .build();
+        let session = service.session("fleet");
         let targets = vec![
             FleetTarget::best_for(
                 SystemModel::ault23(),
@@ -309,15 +324,17 @@ fn fleet_specializer_waves_run_as_service_sessions() {
                 OptionAssignment::new().with("GMX_SIMD", "SSE4.1"),
             ),
         ];
-        let report = specializer.specialize_fleet(&build, &gromacs, &targets);
+        let report = session
+            .submit_fleet(FleetRequest::new(&build, &gromacs).targets(targets))
+            .unwrap();
         assert!(report.all_succeeded());
         // The wave ran as the service's "fleet" tenant: admitted through the
         // session, tenant-tagged in the wave trace.
         assert_eq!(report.trace.tenant.as_deref(), Some("fleet"));
-        let stats = specializer.service().stats();
+        let stats = service.stats();
         assert_eq!(stats.admitted, 1);
         assert_eq!(stats.in_flight, 0);
-        assert_eq!(specializer.session().tenant(), "fleet");
+        assert_eq!(session.tenant(), "fleet");
     });
 }
 
