@@ -15,7 +15,7 @@
 //! reproduce tu-reduction        # Section 6.4 statistics + ablations
 //! reproduce fleet               # fleet specialization: cold vs shared-cache (JSON)
 //! reproduce engine              # action-graph engine: parallel vs serial build (JSON)
-//! reproduce restart             # warm restart over the persistent disk tier (JSON)
+//! reproduce restart             # warm restart over the disk tier, intact then damaged; exits nonzero unless both replay byte-identically (JSON)
 //! reproduce analyze             # static analysis of the driver graphs; exits nonzero on any deny (JSON)
 //! reproduce network             # Section 6.5 bandwidth
 //! reproduce gpu-compat          # Figure 9 compatibility rules
@@ -168,6 +168,10 @@ fn run(section: &str) {
                 "{}",
                 serde_json::to_string_pretty(&experiment).expect("restart experiment serialises")
             );
+            if !experiment.holds() {
+                eprintln!("the warm restart recomputed or diverged; see the fields above");
+                std::process::exit(1);
+            }
         }
         "analyze" => {
             // Banner on stderr so stdout stays machine-readable JSON (`reproduce analyze | jq .`).

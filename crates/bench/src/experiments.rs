@@ -665,6 +665,25 @@ pub struct WarmRestartExperiment {
     pub disk_entries: usize,
     /// Blob bytes the disk tier held when the cold session exited.
     pub disk_bytes: u64,
+    /// Index entries the damage before the third session can cost: the record
+    /// the journal cut tore, plus every record naming the truncated blob.
+    pub damaged_entries: u64,
+    /// Compile/lower actions the session over the damaged root re-executed.
+    pub damaged_recomputes: u64,
+    /// Whether the damaged session's images still matched the cold session's.
+    pub damaged_byte_identical: bool,
+}
+
+impl WarmRestartExperiment {
+    /// The experiment's claim: an intact root replays byte-identically with zero
+    /// recomputes, and a damaged one byte-identically at the cost of no more
+    /// than what was damaged — never a wrong artifact.
+    pub fn holds(&self) -> bool {
+        self.byte_identical
+            && self.warm_recomputes == 0
+            && self.damaged_byte_identical
+            && self.damaged_recomputes <= self.damaged_entries
+    }
 }
 
 /// **Warm restart** (the tiered-cache claim): specialize the GROMACS fleet on an
@@ -672,7 +691,10 @@ pub struct WarmRestartExperiment {
 /// the orchestrator (drop it — the in-memory L1 dies with it), recreate one over
 /// the same cache root, and replay the identical IR build + fleet. The replay
 /// must produce byte-identical images with zero compile/lower actions
-/// re-executed, every keyed action read through the disk tier.
+/// re-executed, every keyed action read through the disk tier. A third session
+/// then runs over the same root *damaged* — one blob truncated, the journal cut
+/// mid-record — and must still be byte-identical, recomputing only what the
+/// damage cost.
 pub fn warm_restart() -> WarmRestartExperiment {
     let root = scratch_root("warm-restart");
     let project = gromacs::project();
@@ -738,6 +760,25 @@ pub fn warm_restart() -> WarmRestartExperiment {
     let warm_stats = warm_orch.cache_stats();
     let byte_identical = cold_images == warm_images;
     drop(warm_orch);
+
+    // Damage the root the way a crash and a bad disk would: tear the journal's
+    // last record, and cut the blob its first record names down to half.
+    let journal_path = root.join("index.log");
+    let journal = std::fs::read_to_string(&journal_path).expect("the journal is readable");
+    std::fs::write(&journal_path, &journal[..journal.len() - 10]).expect("journal cut");
+    fn content(record: &str) -> Option<&str> {
+        record.split(' ').nth(2)
+    }
+    let victim = journal.lines().next().and_then(content);
+    let blob = victim.expect("a put record").trim_start_matches("sha256:");
+    let blob = root.join("blobs").join(blob);
+    let bytes = std::fs::read(&blob).expect("the blob is readable");
+    std::fs::write(&blob, &bytes[..bytes.len() / 2]).expect("blob truncated");
+    let damaged_entries = 1 + journal.lines().filter(|r| content(r) == victim).count() as u64;
+
+    let (damaged_orch, damaged_images, _) = session("damaged");
+    let damaged_stats = damaged_orch.cache_stats();
+    drop(damaged_orch);
     let _ = std::fs::remove_dir_all(&root);
 
     WarmRestartExperiment {
@@ -751,6 +792,9 @@ pub fn warm_restart() -> WarmRestartExperiment {
         byte_identical,
         disk_entries,
         disk_bytes,
+        damaged_entries,
+        damaged_recomputes: damaged_stats.misses,
+        damaged_byte_identical: cold_images == damaged_images,
     }
 }
 

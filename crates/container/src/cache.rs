@@ -39,7 +39,7 @@
 //! to sleep on another worker's computation:
 //!
 //! ```text
-//! try_begin(key) ──► Hit(blob)            the output already exists
+//! try_begin(key) ──► Hit(blob, tier)      the output already exists (in `tier`)
 //!                ──► Owner(ticket)        caller computes; complete(ticket, bytes)
 //!                │                        or fail(ticket, error) retires the flight
 //!                ──► InFlight(id)         someone else is computing; park(id, waker)
@@ -55,16 +55,21 @@
 //!
 //! The blocking [`ActionCache::get_or_compute`] is a thin convenience over this
 //! protocol: it parks a channel-backed waker and blocks the *calling* thread only.
+//!
+//! An [`ActionCache`] built by [`ActionCache::with_tiers`] also keeps an ordered
+//! list of [`tier::Tier`]s under the flight table and memory index; a flight owner
+//! walks them outside the mutex — see [`tier`].
 
 pub mod tier;
 
 use crate::blob::Blob;
 use crate::digest::Digest;
-use crate::image::{ImageError, ImageStore};
+use crate::image::{ImageError, ImageStore, StoreGcReport};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
+use tier::{Claim, DiskLock, DiskTier, DiskTierStats, Tier, TierConfig, TierError};
 
 /// The identity of one memoizable build action. See the module docs for the derivation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -113,9 +118,9 @@ impl BuildKey {
 /// Counters describing cache effectiveness. Snapshots are cheap copies.
 ///
 /// The per-tier counters (`disk_hits`, `remote_hits`, `promotions`, `writebacks`)
-/// stay zero for single-tier backends; [`tier::TieredCache`] populates them. All are
-/// `#[serde(default)]` so snapshots serialized before the tiered cache existed still
-/// deserialize.
+/// stay zero for a memory-only cache; [`ActionCache::with_tiers`] stacks populate
+/// them. All are `#[serde(default)]` so snapshots serialized before the tiers
+/// existed still deserialize.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Lookups answered from the cache (any tier).
@@ -144,7 +149,9 @@ pub struct CacheStats {
     #[serde(default)]
     pub writebacks: u64,
     /// Index entries evicted because the backing store no longer held their blob
-    /// (stale entries surfaced by store-level GC or a swapped store).
+    /// (stale entries surfaced by store-level GC or a swapped store), plus the
+    /// disk tier's [`stale_drops`](DiskTierStats::stale_drops) and
+    /// [`corrupt_drops`](DiskTierStats::corrupt_drops).
     #[serde(default)]
     pub stale_evictions: u64,
 }
@@ -184,16 +191,15 @@ impl CacheStats {
     }
 }
 
-/// Which tier of a cache stack served a hit. Single-tier backends only ever report
-/// [`CacheTier::Memory`]; [`tier::TieredCache`] reports the tier that actually held
-/// the output before promotion.
+/// Which tier of a cache stack served a hit: [`CacheTier::Memory`], or the
+/// [`Tier::kind`] of the lower tier that actually held the output before promotion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum CacheTier {
-    /// The in-memory [`ActionCache`] index (L1).
+    /// The in-memory [`ActionCache`] index.
     Memory,
-    /// The persistent on-disk CAS tier (L2).
+    /// The persistent on-disk CAS tier ([`DiskTier`]).
     Disk,
-    /// The (simulated) remote cache service (L3).
+    /// A cache service shared between machines, below the disk tier.
     Remote,
 }
 
@@ -234,20 +240,6 @@ impl std::fmt::Display for CacheConfigError {
 }
 
 impl std::error::Error for CacheConfigError {}
-
-/// A cache report combining action-cache counters with the backing store's blob-level
-/// deduplication statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct CacheReport {
-    /// Action-cache counters.
-    pub actions: CacheStats,
-    /// Blobs held by the backing content-addressed store.
-    pub blob_count: usize,
-    /// Bytes held by the backing store (deduplicated by digest).
-    pub stored_bytes: u64,
-    /// Bytes that were offered to the store but already present (duplicate puts).
-    pub dedup_bytes: u64,
-}
 
 /// Why a flight retired without producing an output. Parked waiters receive this
 /// through [`FlightOutcome::Failed`]; the correct response is to retry
@@ -317,6 +309,10 @@ pub struct FlightTicket {
     /// Flight state to poison if the ticket is dropped unredeemed; `None` for
     /// backends without coalescing ([`NoCache`]) and after redemption.
     inner: Option<Arc<Mutex<CacheInner>>>,
+    /// The cross-process claim on the key, when a disk tier took one. It lives
+    /// exactly as long as the ticket: completing, failing or dropping the ticket
+    /// releases the lock file.
+    lock: Option<DiskLock>,
 }
 
 impl FlightTicket {
@@ -328,21 +324,24 @@ impl FlightTicket {
         }
     }
 
-    /// Detach the poison-on-drop guard (redemption disarms the ticket).
-    fn disarm(&mut self) {
-        self.inner = None;
+    /// Retire the flight without an output, waking every parked waiter with
+    /// `error`. A no-op on a disarmed ticket.
+    fn abandon(&mut self, error: FlightError) {
+        // Released before the wake: a woken waiter may claim the key at once.
+        self.lock = None;
+        if let Some(inner) = self.inner.take() {
+            let waiters = inner.lock().retire_flight(&self.digest, self.nonce);
+            // Wake outside the lock: wakers may re-enter the cache or an executor.
+            for waker in waiters {
+                waker(FlightOutcome::Failed(error));
+            }
+        }
     }
 }
 
 impl Drop for FlightTicket {
     fn drop(&mut self) {
-        if let Some(inner) = self.inner.take() {
-            let waiters = inner.lock().retire_flight(&self.digest, self.nonce);
-            // Wake outside the lock: wakers may re-enter the cache or an executor.
-            for waker in waiters {
-                waker(FlightOutcome::Failed(FlightError::Poisoned));
-            }
-        }
+        self.abandon(FlightError::Poisoned);
     }
 }
 
@@ -359,8 +358,9 @@ impl std::fmt::Debug for FlightTicket {
 /// The three answers of [`CacheBackend::try_begin`].
 #[derive(Debug)]
 pub enum TryBegin {
-    /// The output is cached; the handle shares the store's allocation.
-    Hit(Blob),
+    /// The output is cached; the handle shares the store's allocation. The tier is
+    /// the one that held it when the lookup arrived.
+    Hit(Blob, CacheTier),
     /// The caller owns the flight: compute, then redeem the ticket.
     Owner(FlightTicket),
     /// Another owner is computing this key; park a continuation on the id.
@@ -371,7 +371,8 @@ pub enum TryBegin {
 /// artifact storage.
 ///
 /// Two implementations ship with the crate: [`ActionCache`] (content-addressed
-/// memoization with single-flight semantics) and [`NoCache`] (always compute — the
+/// memoization with single-flight semantics, over any stack of [`tier::Tier`]s)
+/// and [`NoCache`] (always compute — the
 /// honest replacement for the old "private empty cache" trick the uncached pipeline
 /// entry points used). Both are backed by an [`ImageStore`] so the executor can commit
 /// images through the same handle it routes actions through.
@@ -388,17 +389,6 @@ pub trait CacheBackend: Send + Sync {
     /// ([`TryBegin::Owner`]), and a key someone else is computing answers
     /// [`TryBegin::InFlight`] for the caller to [`park`](Self::park) on.
     fn try_begin(&self, key: &BuildKey) -> TryBegin;
-
-    /// [`try_begin`](Self::try_begin) plus *tier attribution*: which tier of the
-    /// backend's stack served a [`TryBegin::Hit`] (`None` for `Owner`/`InFlight`).
-    /// Single-tier backends attribute every hit to [`CacheTier::Memory`];
-    /// [`tier::TieredCache`] overrides this to report the tier that actually held
-    /// the output. Executors that record per-action provenance call this variant.
-    fn try_begin_traced(&self, key: &BuildKey) -> (TryBegin, Option<CacheTier>) {
-        let begin = self.try_begin(key);
-        let tier = matches!(begin, TryBegin::Hit(_)).then_some(CacheTier::Memory);
-        (begin, tier)
-    }
 
     /// Redeem an owned flight with its computed output: store the bytes (for
     /// memoizing backends), retire the flight, and wake every parked waiter with
@@ -428,69 +418,69 @@ impl CacheBackend for ActionCache {
 
     fn try_begin(&self, key: &BuildKey) -> TryBegin {
         let digest = key.digest();
-        let mut inner = self.inner.lock();
-        if let Some(blob) = inner.entries.get(&digest).cloned() {
-            if let Ok(bytes) = self.store.blob(&blob) {
+        let mut ticket = {
+            let mut inner = self.inner.lock();
+            if let Some(bytes) = inner.resident(&self.store, &digest) {
                 inner.stats.hits += 1;
-                return TryBegin::Hit(bytes);
+                return TryBegin::Hit(bytes, CacheTier::Memory);
             }
-            // The backing blob disappeared (store swapped/garbage-collected):
-            // drop the stale index entry and start a fresh flight.
-            inner.evict_stale(&digest);
-        }
-        if let Some(flight) = inner.in_flight.get(&digest) {
-            return TryBegin::InFlight(FlightId {
+            if let Some(flight) = inner.in_flight.get(&digest) {
+                return TryBegin::InFlight(FlightId {
+                    digest,
+                    nonce: flight.nonce,
+                });
+            }
+            let nonce = inner.next_nonce;
+            inner.next_nonce += 1;
+            inner.in_flight.insert(
+                digest.clone(),
+                Flight {
+                    nonce,
+                    waiters: Vec::new(),
+                },
+            );
+            FlightTicket {
                 digest,
-                nonce: flight.nonce,
-            });
-        }
-        let nonce = inner.next_nonce;
-        inner.next_nonce += 1;
-        inner.in_flight.insert(
-            digest.clone(),
-            Flight {
                 nonce,
-                waiters: Vec::new(),
-            },
-        );
-        TryBegin::Owner(FlightTicket {
-            digest,
-            nonce,
-            inner: Some(self.inner.clone()),
-        })
+                inner: Some(self.inner.clone()),
+                lock: None,
+            }
+        };
+        // We own the flight, so same-process racers park on it while the lower
+        // tiers are read — outside the mutex.
+        if let Some(hit) = self.read_through(&mut ticket) {
+            return hit;
+        }
+        if let Some(disk) = &self.disk {
+            match disk.claim_or_wait(&ticket.digest) {
+                Claim::Owner(lock) => ticket.lock = lock,
+                Claim::Published => {
+                    if let Some(hit) = self.read_through(&mut ticket) {
+                        return hit;
+                    }
+                }
+            }
+        }
+        TryBegin::Owner(ticket)
     }
 
     fn complete(&self, mut ticket: FlightTicket, bytes: Vec<u8>) -> Blob {
-        ticket.disarm();
         // Convert the computed bytes into a shared handle once; the store keeps a
         // clone of the handle (a refcount bump), not a copy of the payload.
         let bytes = Blob::new(bytes);
-        let blob = self.store.put_blob(bytes.clone());
-        let waiters = {
-            let mut inner = self.inner.lock();
-            let waiters = inner.retire_flight(&ticket.digest, ticket.nonce);
-            inner.stats.misses += 1;
-            // Each coalesced waiter reuses the just-stored output: a hit.
-            inner.stats.hits += waiters.len() as u64;
-            inner.stats.coalesced += waiters.len() as u64;
-            self.record_entry(&mut inner, ticket.digest.clone(), blob);
-            waiters
-        };
-        for waker in waiters {
-            waker(FlightOutcome::Completed(bytes.clone()));
+        let content = Digest::of_bytes(&bytes);
+        for tier in &self.lower {
+            tier.put(&ticket.digest, &content, &bytes);
         }
+        self.land(&mut ticket, content, &bytes, |stats| {
+            stats.misses += 1;
+            stats.writebacks += self.lower.len() as u64;
+        });
         bytes
     }
 
     fn fail(&self, mut ticket: FlightTicket, error: FlightError) {
-        ticket.disarm();
-        let waiters = self
-            .inner
-            .lock()
-            .retire_flight(&ticket.digest, ticket.nonce);
-        for waker in waiters {
-            waker(FlightOutcome::Failed(error));
-        }
+        ticket.abandon(error);
     }
 
     fn park(&self, flight: &FlightId, waker: FlightWaker) -> Option<FlightOutcome> {
@@ -504,12 +494,10 @@ impl CacheBackend for ActionCache {
         // The flight retired (or was superseded) before we parked: resolve from
         // the current cache state instead of registering a waker that could never
         // fire for this generation.
-        if let Some(blob) = inner.entries.get(&flight.digest).cloned() {
-            if let Ok(bytes) = self.store.blob(&blob) {
-                inner.stats.hits += 1;
-                inner.stats.coalesced += 1;
-                return Some(FlightOutcome::Completed(bytes));
-            }
+        if let Some(bytes) = inner.resident(&self.store, &flight.digest) {
+            inner.stats.hits += 1;
+            inner.stats.coalesced += 1;
+            return Some(FlightOutcome::Completed(bytes));
         }
         Some(FlightOutcome::Failed(FlightError::Retired))
     }
@@ -557,6 +545,7 @@ impl CacheBackend for NoCache {
             digest: key.digest(),
             nonce: 0,
             inner: None,
+            lock: None,
         })
     }
 
@@ -620,14 +609,19 @@ impl CacheInner {
         }
     }
 
-    /// Drop an index entry whose backing blob disappeared from the store, keeping
-    /// `entries`, the FIFO `order` queue, and the stale-eviction counter consistent.
-    fn evict_stale(&mut self, digest: &Digest) {
-        if self.entries.remove(digest).is_some() {
+    /// The stored output the index holds for `digest`. An entry whose blob `store`
+    /// no longer holds (store-level GC ran, or the store was swapped) is evicted —
+    /// keeping `entries`, the FIFO `order` queue and the stale-eviction counter
+    /// consistent — instead of lingering as a dead digest.
+    fn resident(&mut self, store: &ImageStore, digest: &Digest) -> Option<Blob> {
+        let bytes = store.blob(self.entries.get(digest)?);
+        if bytes.is_err() {
+            self.entries.remove(digest);
             self.order.retain(|d| d != digest);
             self.stats.stale_evictions += 1;
             self.stats.entries = self.entries.len();
         }
+        bytes.ok()
     }
 }
 
@@ -641,6 +635,12 @@ pub struct ActionCache {
     store: ImageStore,
     capacity: Option<usize>,
     inner: Arc<Mutex<CacheInner>>,
+    /// The tiers below the memory index, fastest first; empty unless built by
+    /// [`ActionCache::with_tiers`].
+    lower: Vec<Arc<dyn Tier>>,
+    /// The disk tier among `lower`, kept typed for its counters and for the
+    /// cross-process claim a miss takes on it.
+    disk: Option<Arc<DiskTier>>,
 }
 
 impl ActionCache {
@@ -650,6 +650,8 @@ impl ActionCache {
             store,
             capacity: None,
             inner: Arc::new(Mutex::new(CacheInner::default())),
+            lower: Vec::new(),
+            disk: None,
         }
     }
 
@@ -676,12 +678,100 @@ impl ActionCache {
         })
     }
 
+    /// Build the whole stack over `store` per `config`: the memory index, then the
+    /// disk tier when one is configured (opened, and its journal replayed, here),
+    /// then every [`TierConfig::tier`] in the order attached.
+    pub fn with_tiers(store: ImageStore, config: TierConfig) -> Result<Self, TierError> {
+        let mut cache = match config.l1_capacity {
+            Some(capacity) => Self::with_capacity(store, capacity).map_err(TierError::Config)?,
+            None => Self::new(store),
+        };
+        cache.disk = config.disk.map(DiskTier::open).transpose()?.map(Arc::new);
+        let disk = cache.disk.iter().map(|disk| disk.clone() as Arc<dyn Tier>);
+        cache.lower = disk.chain(config.below_disk).collect();
+        Ok(cache)
+    }
+
     /// The backing content-addressed store.
     pub fn store(&self) -> &ImageStore {
         &self.store
     }
 
-    /// Look up an action output without running anything. Does not touch hit/miss
+    /// Disk-tier counters, when a disk tier is configured.
+    pub fn disk_stats(&self) -> Option<DiskTierStats> {
+        self.disk.as_ref().map(|disk| disk.stats())
+    }
+
+    /// Run store-level blob GC with every indexed action output pinned, so the
+    /// sweep reclaims orphaned intermediates without invalidating live cache
+    /// entries. The lower tiers are not swept: they bound themselves.
+    pub fn collect_garbage(&self) -> StoreGcReport {
+        self.store.collect_garbage(&self.indexed_blobs())
+    }
+
+    /// Walk the lower tiers in order for the ticket's key. The first that answers
+    /// with bytes matching the digest it recorded is copied into every faster tier
+    /// and landed as the flight's output; a mismatch is discarded from its tier —
+    /// a damaged blob is never served — and the walk continues.
+    fn read_through(&self, ticket: &mut FlightTicket) -> Option<TryBegin> {
+        for (depth, tier) in self.lower.iter().enumerate() {
+            let Some((recorded, bytes)) = tier.get(&ticket.digest) else {
+                continue;
+            };
+            let blob = Blob::new(bytes);
+            // The one hash a promotion pays is also the verification.
+            let content = Digest::of_bytes(&blob);
+            if content != recorded {
+                tier.discard(&ticket.digest);
+                continue;
+            }
+            for faster in &self.lower[..depth] {
+                faster.put(&ticket.digest, &content, &blob);
+            }
+            let kind = tier.kind();
+            self.land(ticket, content, &blob, |stats| {
+                stats.hits += 1;
+                match kind {
+                    CacheTier::Memory => {}
+                    CacheTier::Disk => stats.disk_hits += 1,
+                    CacheTier::Remote => stats.remote_hits += 1,
+                }
+                // One per faster tier written: `depth` lower tiers and the memory index.
+                stats.promotions += depth as u64 + 1;
+            });
+            return Some(TryBegin::Hit(blob, kind));
+        }
+        None
+    }
+
+    /// Redeem the ticket with `blob` (content digest `content`): store and index it,
+    /// retire the flight, and wake every parked waiter — each a coalesced hit —
+    /// once all locks are released. `book` counts the event itself under the lock.
+    fn land(
+        &self,
+        ticket: &mut FlightTicket,
+        content: Digest,
+        blob: &Blob,
+        book: impl FnOnce(&mut CacheStats),
+    ) {
+        ticket.inner = None; // redeemed: nothing left to poison
+        let content = self.store.put_blob_with_digest(content, blob.clone());
+        let waiters = {
+            let mut inner = self.inner.lock();
+            let waiters = inner.retire_flight(&ticket.digest, ticket.nonce);
+            book(&mut inner.stats);
+            inner.stats.hits += waiters.len() as u64;
+            inner.stats.coalesced += waiters.len() as u64;
+            self.record_entry(&mut inner, ticket.digest.clone(), content);
+            waiters
+        };
+        // Wake outside the lock: wakers may re-enter the cache or an executor.
+        for waker in waiters {
+            waker(FlightOutcome::Completed(blob.clone()));
+        }
+    }
+
+    /// Look up an action output in the memory index. Does not touch hit/miss
     /// counters — use [`ActionCache::get_or_compute`] for the accounted path. The
     /// returned handle shares the store's allocation.
     ///
@@ -691,18 +781,10 @@ impl ActionCache {
     /// inflates `entries` and clogs the FIFO order queue.
     pub fn peek(&self, key: &BuildKey) -> Option<Blob> {
         let digest = key.digest();
-        let mut inner = self.inner.lock();
-        let blob = inner.entries.get(&digest).cloned()?;
-        match self.store.blob(&blob) {
-            Ok(bytes) => Some(bytes),
-            Err(_) => {
-                inner.evict_stale(&digest);
-                None
-            }
-        }
+        self.inner.lock().resident(&self.store, &digest)
     }
 
-    /// Whether the cache currently holds an output for `key`.
+    /// Whether the memory index currently holds an output for `key`.
     pub fn contains(&self, key: &BuildKey) -> bool {
         self.inner.lock().entries.contains_key(&key.digest())
     }
@@ -727,7 +809,7 @@ impl ActionCache {
         let mut compute = Some(compute);
         loop {
             match CacheBackend::try_begin(self, key) {
-                TryBegin::Hit(blob) => return Ok((blob, true)),
+                TryBegin::Hit(blob, _) => return Ok((blob, true)),
                 TryBegin::Owner(ticket) => {
                     let compute = compute.take().expect("the owner branch returns");
                     return match compute() {
@@ -758,7 +840,7 @@ impl ActionCache {
         }
     }
 
-    /// Insert an action output directly (used when the output was produced elsewhere).
+    /// Index an action output produced elsewhere (memory index only; no write-through).
     pub fn insert(&self, key: &BuildKey, bytes: impl Into<Blob>) -> Digest {
         let blob = self.store.put_blob(bytes);
         let mut inner = self.inner.lock();
@@ -786,7 +868,11 @@ impl ActionCache {
 
     /// A snapshot of the cache counters.
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().stats
+        let mut stats = self.inner.lock().stats;
+        if let Some(disk) = self.disk_stats() {
+            stats.stale_evictions += disk.stale_drops + disk.corrupt_drops;
+        }
+        stats
     }
 
     /// Reset the counters (entries are kept) — used to separate warm from cold phases
@@ -798,17 +884,6 @@ impl ActionCache {
             entries,
             ..CacheStats::default()
         };
-    }
-
-    /// Combined report: action counters plus the backing store's dedup statistics.
-    pub fn report(&self) -> CacheReport {
-        let store_stats = self.store.stats();
-        CacheReport {
-            actions: self.stats(),
-            blob_count: store_stats.blob_count,
-            stored_bytes: store_stats.total_bytes,
-            dedup_bytes: store_stats.dedup_bytes,
-        }
     }
 
     /// The content digests of every blob the index currently references — the pin
@@ -1048,7 +1123,7 @@ mod tests {
         output: Option<Vec<u8>>,
     ) -> Option<(Blob, bool)> {
         match backend.try_begin(key) {
-            TryBegin::Hit(blob) => Some((blob, true)),
+            TryBegin::Hit(blob, _) => Some((blob, true)),
             TryBegin::Owner(ticket) => match output {
                 Some(bytes) => Some((backend.complete(ticket, bytes), false)),
                 None => {
@@ -1116,7 +1191,10 @@ mod tests {
         assert_eq!(blob, b"flown");
         // Retired flight: the key now hits.
         match cache.try_begin(&key(1)) {
-            TryBegin::Hit(bytes) => assert!(Blob::ptr_eq(&bytes, &blob) || bytes == blob),
+            TryBegin::Hit(bytes, tier) => {
+                assert!(Blob::ptr_eq(&bytes, &blob) || bytes == blob);
+                assert_eq!(tier, CacheTier::Memory);
+            }
             other => panic!("expected Hit, got {other:?}"),
         }
         let stats = cache.stats();
@@ -1153,7 +1231,14 @@ mod tests {
 
     #[test]
     fn dropping_an_unredeemed_ticket_poisons_the_flight() {
-        let cache = ActionCache::new(ImageStore::new());
+        // Over a disk tier, so the flight also holds the key's cross-process lock.
+        let root = tier::tests::TempRoot::new("poisoned-lock");
+        let config = TierConfig::new().disk_root(root.path());
+        let cache = ActionCache::with_tiers(ImageStore::new(), config).unwrap();
+        let lock_file = root
+            .path()
+            .join("locks")
+            .join(format!("{}.lock", key(3).digest().hex()));
         let ticket = match cache.try_begin(&key(3)) {
             TryBegin::Owner(ticket) => ticket,
             other => panic!("expected Owner, got {other:?}"),
@@ -1169,11 +1254,16 @@ mod tests {
                 })
             )
             .is_none());
+        assert!(lock_file.exists(), "the open flight holds the lock file");
         drop(ticket); // The owner unwound without redeeming.
         assert!(matches!(
             woken.lock().take(),
             Some(FlightOutcome::Failed(FlightError::Poisoned))
         ));
+        assert!(
+            !lock_file.exists(),
+            "the lock rides in the ticket: a second process must not wait for nobody"
+        );
         // Nothing was cached and the key is free again: the waiter can own it.
         assert!(!cache.contains(&key(3)));
         assert!(matches!(cache.try_begin(&key(3)), TryBegin::Owner(_)));
@@ -1265,21 +1355,5 @@ mod tests {
             ),
             Some(FlightOutcome::Failed(FlightError::Retired))
         ));
-    }
-
-    #[test]
-    fn report_combines_action_and_store_dedup_stats() {
-        let store = ImageStore::new();
-        let cache = ActionCache::new(store.clone());
-        cache
-            .get_or_compute(&key(1), || -> Result<Vec<u8>, ()> { Ok(vec![1, 2, 3]) })
-            .unwrap();
-        // Same payload offered again directly to the store: dedup_bytes grows.
-        store.put_blob(vec![1, 2, 3]);
-        let report = cache.report();
-        assert_eq!(report.actions.misses, 1);
-        assert_eq!(report.blob_count, 1);
-        assert_eq!(report.stored_bytes, 3);
-        assert_eq!(report.dedup_bytes, 3);
     }
 }

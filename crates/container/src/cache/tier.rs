@@ -1,69 +1,61 @@
-//! Tiered action cache: in-memory L1, persistent on-disk CAS L2, simulated remote L3.
+//! The tiers below the memory index: the [`Tier`] trait and the persistent on-disk CAS.
 //!
 //! The paper's economics rest on specialization work being *reusable*; a memory-only
-//! [`ActionCache`] forfeits that reuse the moment the orchestrator process exits. This
-//! module stacks three tiers behind the one nonblocking [`CacheBackend`] flight
-//! protocol the executor already speaks:
+//! [`ActionCache`](super::ActionCache) forfeits that reuse the moment the orchestrator
+//! process exits. A cache built with
+//! [`ActionCache::with_tiers`](super::ActionCache::with_tiers) therefore keeps an
+//! ordered list of [`Tier`]s under its flight table and memory index, and one walk
+//! serves every lookup:
 //!
 //! ```text
 //!                try_begin(key)
 //!                      │
 //!        ┌─────────────▼──────────────┐
-//!        │  L1  ActionCache (memory)  │── Hit ──────────────► Hit(memory)
+//!        │  memory index + flights    │── Hit ──────────────► Hit(_, Memory)
 //!        └─────────────┬──────────────┘
-//!                Owner │ (miss)                 ▲ promote (store + index + wake)
-//!        ┌─────────────▼──────────────┐         │
-//!        │  L2  DiskTier (blob CAS +  │── hit ──┘───────────► Hit(disk)
-//!        │      index journal)        │
-//!        └─────────────┬──────────────┘         ▲ promote (write-through to disk)
-//!                      │ (miss)                 │
-//!        ┌─────────────▼──────────────┐         │
-//!        │  L3  RemoteCache (latency/ │── hit ──┘───────────► Hit(remote)
-//!        │      bandwidth modeled)    │
-//!        └─────────────┬──────────────┘
-//!                      │ (miss)
-//!                      ▼
-//!             Owner(ticket) — caller computes; complete() writes through
-//!             memory → disk → remote so every tier can serve the next request
+//!                Owner │ (miss; the mutex is released)
+//!        ┌─────────────▼──────────────┐
+//!        │  lower[0]  DiskTier (blob  │── get ─┐
+//!        │            CAS + journal)  │        │ verify: hash == recorded digest,
+//!        ├────────────────────────────┤        │ else discard and keep walking
+//!        │  lower[1…] any other Tier  │── get ─┤
+//!        └─────────────┬──────────────┘        ▼
+//!                      │ (miss)         put into every faster tier, store, index,
+//!                      ▼                retire the flight ─► Hit(_, tier.kind())
+//!             Owner(ticket) — caller computes; complete() hashes once and puts
+//!             the output into every tier so each can serve the next request
 //! ```
 //!
-//! * **Read-through with promotion:** a lower-tier hit is redeemed through the L1
-//!   flight ticket, which stores the blob, indexes the key, and wakes every parked
-//!   waiter — so a disk hit warms memory and a remote hit warms both disk and memory.
-//! * **Write-through:** [`CacheBackend::complete`] lands the computed output in every
-//!   configured tier before retiring the flight.
+//! * **Verification on promotion:** a tier hands back the content digest it
+//!   *recorded* beside the bytes it *read*; the one hash promotion pays anyway is
+//!   compared with it, so a damaged blob is [`discard`](Tier::discard)ed and
+//!   recomputed, never served.
 //! * **Persistence:** the disk tier is a content-addressed blob directory plus an
 //!   append-only index journal (in the style of OxidePM's derivation store and
 //!   Bazel's disk cache). Reopening the same root after a process restart replays
 //!   the journal, so a warm restart serves byte-identical outputs with zero
-//!   recomputes.
+//!   recomputes. Everything read back — journal records, blob files — is treated
+//!   as outside input.
 //! * **Cross-process single-flight:** a true miss takes a `locks/<key>.lock` file
-//!   (atomic `create_new`) before ownership is handed to the caller. A second
-//!   builder process that misses on the same key waits (bounded) for the lock
-//!   holder and then serves the freshly written disk blob instead of recomputing;
-//!   stale locks left by crashed owners are broken after a timeout.
-//! * **Eviction/GC per tier:** L1 keeps its FIFO index bound; the disk tier evicts
-//!   oldest-first beyond a byte budget (deleting unreferenced blob files and
-//!   journaling tombstones); [`TieredCache::collect_garbage`] runs the store-level
-//!   blob sweep ([`ImageStore::collect_garbage`]) with the L1 index pinned.
-//!
-//! Per-tier effectiveness is visible in [`CacheStats`] (`disk_hits`, `remote_hits`,
-//! `promotions`, `writebacks`) and per-action in `ActionTrace` records via
-//! [`CacheBackend::try_begin_traced`].
+//!   (atomic `create_new`) before ownership is handed to the caller; the guard
+//!   rides in the [`FlightTicket`](super::FlightTicket) and is released when the
+//!   ticket is completed, failed or dropped. A second builder process that misses
+//!   on the same key waits (bounded) for the lock holder and then serves the
+//!   freshly written disk blob instead of recomputing; stale locks left by crashed
+//!   owners are broken after a timeout.
+//! * **Eviction per tier:** the memory index keeps its FIFO bound; the disk tier
+//!   evicts oldest-first beyond a byte budget (deleting unreferenced blob files and
+//!   journaling tombstones).
 
-use super::{
-    ActionCache, BuildKey, CacheBackend, CacheConfigError, CacheStats, CacheTier, FlightError,
-    FlightId, FlightOutcome, FlightTicket, FlightWaker, TryBegin,
-};
-use crate::blob::Blob;
+use super::{CacheConfigError, CacheTier};
 use crate::digest::Digest;
-use crate::image::{ImageStore, StoreGcReport};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Errors raised while opening or operating a cache tier.
@@ -100,17 +92,31 @@ impl std::error::Error for TierError {
     }
 }
 
-impl From<CacheConfigError> for TierError {
-    fn from(error: CacheConfigError) -> Self {
-        TierError::Config(error)
-    }
-}
-
 fn io_err(path: &Path, source: std::io::Error) -> TierError {
     TierError::Io {
         path: path.to_path_buf(),
         source,
     }
+}
+
+/// One tier below an [`ActionCache`](super::ActionCache)'s memory index. The cache
+/// walks its tiers in order on a miss and writes through all of them on a
+/// completion; single-flight, promotion, verification and counters live in the
+/// cache, so a tier only stores and fetches. Failures degrade to a miss.
+pub trait Tier: Send + Sync {
+    /// Which [`CacheTier`] hits served by this tier are attributed to.
+    fn kind(&self) -> CacheTier;
+
+    /// The output for `key`: the content digest recorded when it was
+    /// [`put`](Self::put), and the bytes as read back now. The caller verifies
+    /// one against the other.
+    fn get(&self, key: &Digest) -> Option<(Digest, Vec<u8>)>;
+
+    /// Hold `bytes` (content digest `content`) as the output for `key`. Idempotent.
+    fn put(&self, key: &Digest, content: &Digest, bytes: &[u8]);
+
+    /// Drop `key`: what [`get`](Self::get) returned for it failed verification.
+    fn discard(&self, key: &Digest);
 }
 
 /// Configuration of the persistent on-disk tier.
@@ -119,8 +125,10 @@ pub struct DiskTierConfig {
     root: PathBuf,
     capacity_bytes: Option<u64>,
     lock_timeout: Duration,
-    lock_poll: Duration,
 }
+
+/// How often a lookup waiting on another process's lock looks again.
+const LOCK_POLL: Duration = Duration::from_millis(2);
 
 impl DiskTierConfig {
     /// A disk tier rooted at `root` (created if absent), unbounded, with a 2 s
@@ -130,7 +138,6 @@ impl DiskTierConfig {
             root: root.into(),
             capacity_bytes: None,
             lock_timeout: Duration::from_secs(2),
-            lock_poll: Duration::from_millis(2),
         }
     }
 
@@ -146,11 +153,6 @@ impl DiskTierConfig {
         self.lock_timeout = timeout;
         self
     }
-
-    /// The cache root this tier persists under.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
 }
 
 /// Counters for the disk tier.
@@ -165,6 +167,11 @@ pub struct DiskTierStats {
     /// Index entries dropped because their blob file was missing or unreadable
     /// (journal replay after a crash, or files removed behind our back).
     pub stale_drops: u64,
+    /// Entries dropped because the blob read back did not hash to the content
+    /// digest the journal recorded (overwritten or truncated file); the file is
+    /// moved to `quarantine/`.
+    #[serde(default)]
+    pub corrupt_drops: u64,
     /// Misses that were answered by waiting on (and then reading behind) another
     /// process's lock file instead of recomputing.
     pub lock_waits: u64,
@@ -175,7 +182,15 @@ pub struct DiskTierStats {
 #[derive(Clone)]
 struct DiskEntry {
     content: Digest,
-    len: u64,
+    /// Size of the blob file. `None` only inside [`DiskTier::replay`], between a
+    /// journal `put` being applied and its blob file being sized.
+    len: Option<u64>,
+}
+
+impl DiskEntry {
+    fn len(&self) -> u64 {
+        self.len.unwrap_or(0)
+    }
 }
 
 struct DiskState {
@@ -189,10 +204,26 @@ struct DiskState {
     /// up from here (see [`DiskTier::refresh_from_journal`]) is how one builder
     /// process observes entries a concurrent builder published.
     journal_offset: u64,
-    evictions: u64,
-    stale_drops: u64,
-    lock_waits: u64,
-    locks_broken: u64,
+    /// The event counters; `entries` and `bytes` are filled in by [`DiskTier::stats`].
+    stats: DiskTierStats,
+}
+
+impl DiskState {
+    /// Append one record with a single `write`: under `O_APPEND` that is one
+    /// atomic append, so another process sharing the root never observes, or
+    /// interleaves with, part of a line — only a crash leaves a torn tail.
+    fn journal(&mut self, record: std::fmt::Arguments<'_>) {
+        let _ = self.journal.write_all(format!("{record}\n").as_bytes());
+    }
+
+    /// Drop `key` from the index and journal the tombstone; the caller counts why.
+    fn forget(&mut self, key: &str) -> Option<DiskEntry> {
+        let entry = self.index.remove(key)?;
+        self.order.retain(|k| k != key);
+        self.bytes = self.bytes.saturating_sub(entry.len());
+        self.journal(format_args!("del {key}"));
+        Some(entry)
+    }
 }
 
 /// The persistent on-disk CAS tier: digest-named blob files plus an append-only
@@ -204,7 +235,7 @@ pub struct DiskTier {
 
 /// An exclusive cross-process claim on one key, backed by a `locks/<key>.lock`
 /// file. Dropping the guard releases the claim (removes the file).
-struct DiskLock {
+pub(super) struct DiskLock {
     path: PathBuf,
 }
 
@@ -214,12 +245,13 @@ impl Drop for DiskLock {
     }
 }
 
-/// Outcome of a non-blocking lock attempt.
-enum LockAttempt {
-    /// This caller now holds the key's lock.
-    Acquired(DiskLock),
-    /// Another process holds it.
-    Held,
+/// How [`DiskTier::claim_or_wait`] ended.
+pub(super) enum Claim {
+    /// The caller computes the key. The guard is `None` when the holder outlived
+    /// `lock_timeout` without publishing: compute unlocked rather than stall.
+    Owner(Option<DiskLock>),
+    /// Another process published the key to the disk tier while we waited.
+    Published,
 }
 
 impl DiskTier {
@@ -234,56 +266,46 @@ impl DiskTier {
         fs::create_dir_all(&blobs).map_err(|e| io_err(&blobs, e))?;
         fs::create_dir_all(&locks).map_err(|e| io_err(&locks, e))?;
         let journal_path = config.root.join("index.log");
+        let text = fs::read(&journal_path).unwrap_or_default();
         let mut index = BTreeMap::new();
         let mut order = VecDeque::new();
-        let mut stale_drops = 0u64;
-        let mut journal_offset = 0u64;
-        if let Ok(text) = fs::read_to_string(&journal_path) {
-            // Replay complete lines only; a torn tail (crash mid-append) is left
-            // before the offset so a later catch-up re-reads it once finished.
-            let complete = text.rfind('\n').map(|i| i + 1).unwrap_or(0);
-            for line in text[..complete].lines() {
-                Self::apply_journal_line(line, &mut index, &mut order);
-            }
-            journal_offset = complete as u64;
-        }
-        // Drop replayed entries whose blob file went missing (crash between journal
-        // append and file rename, or an external cleanup).
-        let missing: Vec<String> = index
-            .iter()
-            .filter(|(_, entry)| !blobs.join(entry.content.hex()).is_file())
-            .map(|(key, _)| key.clone())
-            .collect();
-        for key in &missing {
-            index.remove(key);
-            order.retain(|k| k != key);
-            stale_drops += 1;
-        }
-        let bytes = index.values().map(|e| e.len).sum();
-        let journal = fs::OpenOptions::new()
+        let stale_drops = Self::replay(&blobs, &text, &mut index, &mut order);
+        let mut journal = fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(&journal_path)
             .map_err(|e| io_err(&journal_path, e))?;
+        // A crash mid-append leaves a fragment with no newline. Terminate it, or
+        // our first append lands on the same line and is lost with it; terminated,
+        // the fragment is one more (usually malformed) line that replay judged.
+        let torn = text.last().is_some_and(|&byte| byte != b'\n');
+        if torn {
+            journal
+                .write_all(b"\n")
+                .map_err(|e| io_err(&journal_path, e))?;
+        }
         Ok(Self {
             config,
             state: Mutex::new(DiskState {
+                bytes: Self::total_bytes(&index),
                 index,
                 order,
-                bytes,
                 journal,
-                journal_offset,
-                evictions: 0,
-                stale_drops,
-                lock_waits: 0,
-                locks_broken: 0,
+                journal_offset: text.len() as u64 + u64::from(torn),
+                stats: DiskTierStats {
+                    stale_drops,
+                    ..DiskTierStats::default()
+                },
             }),
         })
     }
 
     /// Apply one journal line to an index. `put` lines for an already-indexed key
     /// replace the entry without consuming a second FIFO slot; malformed or torn
-    /// lines are skipped.
+    /// lines are skipped. Records are outside input: a `put` is accepted only with
+    /// a 64-hex-character key and a well-formed content digest, and the `len` it
+    /// claims is never used — [`replay`](Self::replay) sizes the entry from the
+    /// blob file itself.
     fn apply_journal_line(
         line: &str,
         index: &mut BTreeMap<String, DiskEntry>,
@@ -297,11 +319,18 @@ impl DiskTier {
                 else {
                     return;
                 };
-                let (Ok(content), Ok(len)) = (Digest::parse(content), len.parse::<u64>()) else {
+                let (Ok(content), Ok(_)) = (Digest::parse(content), len.parse::<u64>()) else {
                     return;
                 };
+                let hex = |b: u8| matches!(b, b'0'..=b'9' | b'a'..=b'f');
+                if key.len() != 64 || !key.bytes().all(hex) {
+                    return;
+                }
+                if index.get(key).is_some_and(|e| e.content == content) {
+                    return; // our own append, re-read by a catch-up
+                }
                 if index
-                    .insert(key.to_string(), DiskEntry { content, len })
+                    .insert(key.to_string(), DiskEntry { content, len: None })
                     .is_none()
                 {
                     order.push_back(key.to_string());
@@ -318,6 +347,39 @@ impl DiskTier {
         }
     }
 
+    /// Apply journal `text` to an index, then size every entry it put from the
+    /// blob file's metadata (one `stat` answers both "is it there" and "how big"),
+    /// dropping entries whose file is gone (crash between journal append and file
+    /// rename, or an external cleanup). Returns how many were dropped.
+    fn replay(
+        blobs: &Path,
+        text: &[u8],
+        index: &mut BTreeMap<String, DiskEntry>,
+        order: &mut VecDeque<String>,
+    ) -> u64 {
+        for line in String::from_utf8_lossy(text).lines() {
+            Self::apply_journal_line(line, index, order);
+        }
+        let mut missing = Vec::new();
+        for (key, entry) in index.iter_mut().filter(|(_, e)| e.len.is_none()) {
+            match fs::metadata(blobs.join(entry.content.hex())) {
+                Ok(file) if file.is_file() => entry.len = Some(file.len()),
+                _ => missing.push(key.clone()),
+            }
+        }
+        for key in &missing {
+            index.remove(key);
+            order.retain(|k| k != key);
+        }
+        missing.len() as u64
+    }
+
+    fn total_bytes(index: &BTreeMap<String, DiskEntry>) -> u64 {
+        index
+            .values()
+            .fold(0, |sum, entry| sum.saturating_add(entry.len()))
+    }
+
     /// Catch up on journal lines appended since this instance last looked —
     /// including by *other processes* sharing the root. Replaying is idempotent:
     /// our own already-applied lines re-apply as no-ops (the put/del sequence in
@@ -331,19 +393,25 @@ impl DiskTier {
         if file.seek(SeekFrom::Start(state.journal_offset)).is_err() {
             return;
         }
-        let mut text = String::new();
-        if file.read_to_string(&mut text).is_err() {
+        let mut text = Vec::new();
+        if file.read_to_end(&mut text).is_err() {
             return;
         }
-        let complete = text.rfind('\n').map(|i| i + 1).unwrap_or(0);
+        // Complete lines only: a tail still being written is left before the
+        // offset so a later catch-up re-reads it once finished.
+        let complete = text.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
         if complete == 0 {
             return;
         }
-        for line in text[..complete].lines() {
-            Self::apply_journal_line(line, &mut state.index, &mut state.order);
-        }
+        let blobs = self.config.root.join("blobs");
+        state.stats.stale_drops += Self::replay(
+            &blobs,
+            &text[..complete],
+            &mut state.index,
+            &mut state.order,
+        );
         state.journal_offset += complete as u64;
-        state.bytes = state.index.values().map(|e| e.len).sum();
+        state.bytes = Self::total_bytes(&state.index);
     }
 
     fn blob_path(&self, content: &Digest) -> PathBuf {
@@ -357,19 +425,15 @@ impl DiskTier {
             .join(format!("{}.lock", key.hex()))
     }
 
-    /// Whether the tier currently indexes `key`.
-    pub fn contains(&self, key: &Digest) -> bool {
-        self.state.lock().index.contains_key(key.hex())
-    }
-
-    /// Read the output for `key`, dropping the entry (a stale drop) when the blob
-    /// file is gone or unreadable. I/O failures degrade to a miss, never an error:
-    /// the caller simply recomputes.
+    /// Read the output for `key` — the content digest the journal recorded and the
+    /// blob file's bytes, for the caller to verify against each other — dropping
+    /// the entry (a stale drop) when the file is gone or unreadable. I/O failures
+    /// degrade to a miss, never an error: the caller simply recomputes.
     ///
     /// A key absent from the in-memory index triggers a journal catch-up first, so
     /// an entry published by a concurrent builder process is found rather than
     /// recomputed.
-    pub fn load(&self, key: &Digest) -> Option<Vec<u8>> {
+    pub fn load(&self, key: &Digest) -> Option<(Digest, Vec<u8>)> {
         let entry = {
             let mut state = self.state.lock();
             if !state.index.contains_key(key.hex()) {
@@ -378,15 +442,11 @@ impl DiskTier {
             state.index.get(key.hex()).cloned()?
         };
         match fs::read(self.blob_path(&entry.content)) {
-            Ok(bytes) => Some(bytes),
+            Ok(bytes) => Some((entry.content, bytes)),
             Err(_) => {
                 let mut state = self.state.lock();
-                if state.index.remove(key.hex()).is_some() {
-                    let hex = key.hex().to_string();
-                    state.order.retain(|k| k != &hex);
-                    state.bytes = state.bytes.saturating_sub(entry.len);
-                    state.stale_drops += 1;
-                    let _ = writeln!(state.journal, "del {hex}");
+                if state.forget(key.hex()).is_some() {
+                    state.stats.stale_drops += 1;
                 }
                 None
             }
@@ -397,7 +457,9 @@ impl DiskTier {
     ///
     /// The blob file is written to a temp name and renamed into place so a crash
     /// never leaves a half-written digest-named file; the journal records the index
-    /// entry afterwards. I/O failures are swallowed — the tier degrades to a miss.
+    /// entry afterwards. A file already there under the name is replaced, not
+    /// trusted: it may be the damaged blob this key was just recomputed for. I/O
+    /// failures are swallowed — the tier degrades to a miss.
     pub fn store(&self, key: &Digest, content: &Digest, bytes: &[u8]) {
         let mut state = self.state.lock();
         if state
@@ -408,29 +470,27 @@ impl DiskTier {
             return; // idempotent re-store
         }
         let path = self.blob_path(content);
-        if !path.is_file() {
-            let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-            if fs::write(&tmp, bytes)
-                .and_then(|()| fs::rename(&tmp, &path))
-                .is_err()
-            {
-                let _ = fs::remove_file(&tmp);
-                return;
-            }
+        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+        if fs::write(&tmp, bytes)
+            .and_then(|()| fs::rename(&tmp, &path))
+            .is_err()
+        {
+            let _ = fs::remove_file(&tmp);
+            return;
         }
         let hex = key.hex().to_string();
         let entry = DiskEntry {
             content: content.clone(),
-            len: bytes.len() as u64,
+            len: Some(bytes.len() as u64),
         };
         if let Some(previous) = state.index.insert(hex.clone(), entry) {
             // Same key, new content: keep the single order slot, adjust the byte count.
-            state.bytes = state.bytes.saturating_sub(previous.len);
+            state.bytes = state.bytes.saturating_sub(previous.len());
         } else {
             state.order.push_back(hex.clone());
         }
-        state.bytes += bytes.len() as u64;
-        let _ = writeln!(state.journal, "put {hex} {content} {}", bytes.len());
+        state.bytes = state.bytes.saturating_add(bytes.len() as u64);
+        state.journal(format_args!("put {hex} {content} {}", bytes.len()));
         self.enforce_capacity(&mut state);
     }
 
@@ -447,9 +507,9 @@ impl DiskTier {
             let Some(entry) = state.index.remove(&oldest) else {
                 continue;
             };
-            state.bytes = state.bytes.saturating_sub(entry.len);
-            state.evictions += 1;
-            let _ = writeln!(state.journal, "del {oldest}");
+            state.bytes = state.bytes.saturating_sub(entry.len());
+            state.stats.evictions += 1;
+            state.journal(format_args!("del {oldest}"));
             let still_referenced = state.index.values().any(|e| e.content == entry.content);
             if !still_referenced {
                 let _ = fs::remove_file(self.blob_path(&entry.content));
@@ -457,10 +517,10 @@ impl DiskTier {
         }
     }
 
-    /// Try to claim the cross-process lock for `key` without waiting. A lock file
-    /// older than `lock_timeout` is treated as abandoned by a crashed owner and
-    /// broken.
-    fn try_lock(&self, key: &Digest) -> LockAttempt {
+    /// Try to claim the cross-process lock for `key` without waiting; `None` when
+    /// another process holds it. A lock file older than `lock_timeout` is treated
+    /// as abandoned by a crashed owner and broken.
+    fn try_lock(&self, key: &Digest) -> Option<DiskLock> {
         let path = self.lock_path(key);
         for _ in 0..2 {
             match fs::OpenOptions::new()
@@ -470,7 +530,7 @@ impl DiskTier {
             {
                 Ok(mut file) => {
                     let _ = writeln!(file, "{}", std::process::id());
-                    return LockAttempt::Acquired(DiskLock { path });
+                    return Some(DiskLock { path });
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
                     let stale = fs::metadata(&path)
@@ -479,16 +539,53 @@ impl DiskTier {
                         .and_then(|t| t.elapsed().ok())
                         .is_some_and(|age| age > self.config.lock_timeout);
                     if !stale {
-                        return LockAttempt::Held;
+                        return None;
                     }
-                    self.state.lock().locks_broken += 1;
+                    self.state.lock().stats.locks_broken += 1;
                     let _ = fs::remove_file(&path);
                     // Retry the create_new once after breaking the stale lock.
                 }
-                Err(_) => return LockAttempt::Held,
+                Err(_) => return None,
             }
         }
-        LockAttempt::Held
+        None
+    }
+
+    /// Whether `key` is indexed after catching up on the journal — i.e. the
+    /// process whose lock we waited on published it. Counted as a lock wait.
+    fn published(&self, key: &Digest) -> bool {
+        let mut state = self.state.lock();
+        self.refresh_from_journal(&mut state);
+        let found = state.index.contains_key(key.hex());
+        state.stats.lock_waits += u64::from(found);
+        found
+    }
+
+    /// On a miss in every tier, claim the cross-process lock before the caller
+    /// computes. If another *process* holds it, wait (bounded by the lock timeout)
+    /// for it to publish the output to disk, so the caller serves that instead of
+    /// recomputing; a lock that never resolves is broken and ownership taken.
+    pub(super) fn claim_or_wait(&self, key: &Digest) -> Claim {
+        if let Some(lock) = self.try_lock(key) {
+            return Claim::Owner(Some(lock));
+        }
+        // Another process is computing this key. Poll for its result: the entry
+        // landing in the journal or the lock dissolving, whichever first.
+        let deadline = Instant::now() + self.config.lock_timeout;
+        loop {
+            std::thread::sleep(LOCK_POLL);
+            if self.published(key) {
+                return Claim::Published;
+            }
+            match self.try_lock(key) {
+                // The other owner released (or its stale lock was broken): one
+                // final probe under our claim, then own the compute.
+                Some(_) if self.published(key) => return Claim::Published,
+                Some(lock) => return Claim::Owner(Some(lock)),
+                None if Instant::now() >= deadline => return Claim::Owner(None),
+                None => {}
+            }
+        }
     }
 
     /// A snapshot of the tier's counters.
@@ -497,152 +594,60 @@ impl DiskTier {
         DiskTierStats {
             entries: state.index.len(),
             bytes: state.bytes,
-            evictions: state.evictions,
-            stale_drops: state.stale_drops,
-            lock_waits: state.lock_waits,
-            locks_broken: state.locks_broken,
+            ..state.stats
         }
     }
 }
 
-/// The cost model of the simulated remote cache: a per-round-trip latency plus a
-/// bandwidth term, accounted (not slept) into [`RemoteStats::simulated_micros`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RemoteModel {
-    /// Fixed cost per GET/PUT round trip, in microseconds.
-    pub round_trip_micros: u64,
-    /// Transfer rate in bytes per microsecond (1 byte/µs = ~0.95 MiB/s).
-    pub bytes_per_micro: u64,
-}
+impl Tier for DiskTier {
+    fn kind(&self) -> CacheTier {
+        CacheTier::Disk
+    }
 
-impl Default for RemoteModel {
-    /// A LAN-ish Bazel-remote-cache profile: 2 ms round trips at ~100 MB/s.
-    fn default() -> Self {
-        Self {
-            round_trip_micros: 2_000,
-            bytes_per_micro: 100,
-        }
+    fn get(&self, key: &Digest) -> Option<(Digest, Vec<u8>)> {
+        self.load(key)
+    }
+
+    fn put(&self, key: &Digest, content: &Digest, bytes: &[u8]) {
+        self.store(key, content, bytes);
+    }
+
+    /// The bytes [`load`](DiskTier::load) returned did not hash to the recorded
+    /// digest: journal the tombstone and move the blob file into `quarantine/`,
+    /// out of the way of a rewrite and kept for inspection.
+    fn discard(&self, key: &Digest) {
+        let mut state = self.state.lock();
+        let Some(entry) = state.forget(key.hex()) else {
+            return;
+        };
+        state.stats.corrupt_drops += 1;
+        let quarantine = self.config.root.join("quarantine");
+        let _ = fs::create_dir_all(&quarantine).and_then(|()| {
+            fs::rename(
+                self.blob_path(&entry.content),
+                quarantine.join(entry.content.hex()),
+            )
+        });
     }
 }
 
-impl RemoteModel {
-    fn transfer_micros(&self, bytes: u64) -> u64 {
-        self.round_trip_micros + bytes / self.bytes_per_micro.max(1)
-    }
-}
-
-/// Counters for the simulated remote tier.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RemoteStats {
-    /// GET requests served from the remote store.
-    pub hits: u64,
-    /// GET requests the remote store could not answer.
-    pub misses: u64,
-    /// PUT requests (write-through uploads).
-    pub puts: u64,
-    /// Payload bytes downloaded by hits.
-    pub bytes_down: u64,
-    /// Payload bytes uploaded by puts.
-    pub bytes_up: u64,
-    /// Modeled wire time of all transfers, per [`RemoteModel`].
-    pub simulated_micros: u64,
-    /// Objects currently held by the remote store.
-    pub objects: usize,
-}
-
-#[derive(Default)]
-struct RemoteInner {
-    objects: BTreeMap<String, Blob>,
-    stats: RemoteStats,
-}
-
-/// A simulated Bazel-style remote action cache.
-///
-/// Cloning shares the underlying object store, so a fleet of builder machines
-/// (multiple [`TieredCache`] stacks) can publish to and read from one remote — the
-/// "acceleration as a service" sharing shape. Transfers are latency/bandwidth
-/// *modeled*: their cost accumulates in [`RemoteStats::simulated_micros`] instead of
-/// sleeping, keeping experiments deterministic and fast.
+/// Configuration of an [`ActionCache::with_tiers`](super::ActionCache::with_tiers)
+/// stack. Every tier below the memory index is optional, so `TierConfig::new()`
+/// alone is just a plain in-memory cache.
 #[derive(Clone, Default)]
-pub struct RemoteCache {
-    inner: std::sync::Arc<Mutex<RemoteInner>>,
-    model: RemoteModel,
-}
-
-impl RemoteCache {
-    /// An empty remote with the given cost model.
-    pub fn new(model: RemoteModel) -> Self {
-        Self {
-            inner: Default::default(),
-            model,
-        }
-    }
-
-    /// Fetch the output for `key`, accounting the modeled transfer.
-    pub fn get(&self, key: &Digest) -> Option<Vec<u8>> {
-        let mut inner = self.inner.lock();
-        match inner.objects.get(key.hex()).cloned() {
-            Some(blob) => {
-                inner.stats.hits += 1;
-                inner.stats.bytes_down += blob.len() as u64;
-                inner.stats.simulated_micros += self.model.transfer_micros(blob.len() as u64);
-                Some(blob.to_vec())
-            }
-            None => {
-                inner.stats.misses += 1;
-                inner.stats.simulated_micros += self.model.round_trip_micros;
-                None
-            }
-        }
-    }
-
-    /// Publish the output for `key`, accounting the modeled transfer.
-    pub fn put(&self, key: &Digest, bytes: &[u8]) {
-        let mut inner = self.inner.lock();
-        inner.stats.puts += 1;
-        inner.stats.bytes_up += bytes.len() as u64;
-        inner.stats.simulated_micros += self.model.transfer_micros(bytes.len() as u64);
-        inner
-            .objects
-            .entry(key.hex().to_string())
-            .or_insert_with(|| Blob::new(bytes.to_vec()));
-    }
-
-    /// A snapshot of the remote counters.
-    pub fn stats(&self) -> RemoteStats {
-        let inner = self.inner.lock();
-        RemoteStats {
-            objects: inner.objects.len(),
-            ..inner.stats
-        }
-    }
-}
-
-impl std::fmt::Debug for RemoteCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RemoteCache")
-            .field("model", &self.model)
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-/// Configuration of a [`TieredCache`] stack. Every tier below L1 is optional, so
-/// `TierConfig::new()` alone is just a plain in-memory cache behind the tiered API.
-#[derive(Debug, Clone, Default)]
 pub struct TierConfig {
-    l1_capacity: Option<usize>,
-    disk: Option<DiskTierConfig>,
-    remote: Option<RemoteCache>,
+    pub(super) l1_capacity: Option<usize>,
+    pub(super) disk: Option<DiskTierConfig>,
+    pub(super) below_disk: Vec<Arc<dyn Tier>>,
 }
 
 impl TierConfig {
-    /// An L1-only stack: no disk root, no remote.
+    /// A memory-only stack: no disk root, no further tier.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Bound the in-memory L1 index to `entries` (FIFO eviction beyond it).
+    /// Bound the in-memory index to `entries` (FIFO eviction beyond it).
     pub fn l1_capacity(mut self, entries: usize) -> Self {
         self.l1_capacity = Some(entries);
         self
@@ -659,299 +664,21 @@ impl TierConfig {
         self
     }
 
-    /// Attach a (shared, simulated) remote tier.
-    pub fn remote(mut self, remote: RemoteCache) -> Self {
-        self.remote = Some(remote);
+    /// Attach `tier` below the disk tier (repeatable; walked in the order given).
+    /// This is the seam for a shared remote cache — and for a test's in-memory
+    /// double of one.
+    pub fn tier(mut self, tier: Arc<dyn Tier>) -> Self {
+        self.below_disk.push(tier);
         self
-    }
-
-    /// Override the disk tier's byte budget, if a disk tier is configured.
-    /// Service-level limits use this to cap a tenant-facing stack.
-    pub fn cap_disk_bytes(mut self, bytes: u64) -> Self {
-        if let Some(disk) = self.disk.take() {
-            self.disk = Some(disk.capacity_bytes(bytes));
-        }
-        self
-    }
-
-    /// Whether this configuration includes a persistent disk tier.
-    pub fn has_disk(&self) -> bool {
-        self.disk.is_some()
-    }
-}
-
-/// What one [`TieredCache::collect_garbage`] sweep did across the tiers.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TierGcReport {
-    /// The store-level blob sweep (L1's backing CAS).
-    pub store: StoreGcReport,
-    /// Disk-tier entries surviving the sweep.
-    pub disk_entries: usize,
-    /// Disk-tier payload bytes surviving the sweep.
-    pub disk_bytes: u64,
-}
-
-#[derive(Default)]
-struct TierCounters {
-    disk_hits: u64,
-    remote_hits: u64,
-    promotions: u64,
-    writebacks: u64,
-}
-
-/// A three-tier [`CacheBackend`]: read-through memory → disk → remote with
-/// write-through completion and promotion on lower-tier hits. See the module docs
-/// for the protocol walk.
-///
-/// All single-flight machinery (tickets, parking, poisoning, coalescing) is
-/// delegated to the L1 [`ActionCache`]; the lower tiers only ever answer
-/// synchronous probes while the L1 flight for the key is held open, so in-process
-/// racers coalesce exactly as they do on a single-tier cache.
-pub struct TieredCache {
-    l1: ActionCache,
-    disk: Option<DiskTier>,
-    remote: Option<RemoteCache>,
-    counters: Mutex<TierCounters>,
-    /// Cross-process lock files held by open flights, released on complete/fail.
-    held_locks: Mutex<BTreeMap<String, DiskLock>>,
-}
-
-impl TieredCache {
-    /// Build the stack over `store` per `config`, opening (and replaying) the disk
-    /// tier when one is configured.
-    pub fn new(store: ImageStore, config: TierConfig) -> Result<Self, TierError> {
-        let l1 = match config.l1_capacity {
-            Some(capacity) => ActionCache::with_capacity(store, capacity)?,
-            None => ActionCache::new(store),
-        };
-        let disk = config.disk.map(DiskTier::open).transpose()?;
-        Ok(Self {
-            l1,
-            disk,
-            remote: config.remote,
-            counters: Mutex::new(TierCounters::default()),
-            held_locks: Mutex::new(BTreeMap::new()),
-        })
-    }
-
-    /// The in-memory L1 cache (shared flight state and counters).
-    pub fn l1(&self) -> &ActionCache {
-        &self.l1
-    }
-
-    /// Disk-tier counters, when a disk tier is configured.
-    pub fn disk_stats(&self) -> Option<DiskTierStats> {
-        self.disk.as_ref().map(|d| d.stats())
-    }
-
-    /// Remote-tier counters, when a remote tier is configured.
-    pub fn remote_stats(&self) -> Option<RemoteStats> {
-        self.remote.as_ref().map(|r| r.stats())
-    }
-
-    /// Run store-level blob GC with every L1-indexed action output pinned, so the
-    /// sweep reclaims orphaned intermediates without invalidating live cache
-    /// entries. Returns what each tier holds afterwards.
-    pub fn collect_garbage(&self) -> TierGcReport {
-        let pinned = self.l1.indexed_blobs();
-        let store = self.l1.store().collect_garbage(&pinned);
-        let disk = self.disk_stats().unwrap_or_default();
-        TierGcReport {
-            store,
-            disk_entries: disk.entries,
-            disk_bytes: disk.bytes,
-        }
-    }
-
-    /// Serve a lower-tier hit through the open L1 ticket: the redeem stores the
-    /// blob, indexes the key, wakes coalesced waiters, and hands back the shared
-    /// handle — the promotion into memory.
-    fn promote(&self, ticket: FlightTicket, bytes: Vec<u8>) -> Blob {
-        self.release_lock(&ticket.digest);
-        self.l1.complete(ticket, bytes)
-    }
-
-    fn release_lock(&self, key: &Digest) {
-        self.held_locks.lock().remove(key.hex());
-    }
-
-    /// On a miss in every tier, claim the cross-process lock before taking
-    /// ownership. If another *process* holds it, wait (bounded by the tier's lock
-    /// timeout) for it to publish the output to disk and serve that instead of
-    /// recomputing; a lock that never resolves is broken and ownership taken.
-    ///
-    /// Returns `Some(bytes)` when the wait ended in another process's freshly
-    /// written output (a disk hit), `None` when this caller now owns the key.
-    fn claim_or_wait(&self, disk: &DiskTier, key: &Digest) -> Option<Vec<u8>> {
-        {
-            let mut held = self.held_locks.lock();
-            if held.contains_key(key.hex()) {
-                // A previous flight of ours (poisoned owner) left the lock in
-                // place; reuse the claim for the retry.
-                return None;
-            }
-            if let LockAttempt::Acquired(lock) = disk.try_lock(key) {
-                held.insert(key.hex().to_string(), lock);
-                return None;
-            }
-        }
-        // Another process is computing this key. Poll for its result: the blob
-        // landing on disk or the lock dissolving, whichever first.
-        let deadline = Instant::now() + disk.config.lock_timeout;
-        loop {
-            std::thread::sleep(disk.config.lock_poll);
-            if let Some(bytes) = disk.load(key) {
-                disk.state.lock().lock_waits += 1;
-                return Some(bytes);
-            }
-            let mut held = self.held_locks.lock();
-            match disk.try_lock(key) {
-                LockAttempt::Acquired(lock) => {
-                    // The other owner released (or its stale lock was broken):
-                    // one final disk probe under our claim, then own the compute.
-                    drop(held.insert(key.hex().to_string(), lock));
-                    drop(held);
-                    if let Some(bytes) = disk.load(key) {
-                        disk.state.lock().lock_waits += 1;
-                        self.release_lock(key);
-                        return Some(bytes);
-                    }
-                    return None;
-                }
-                LockAttempt::Held if Instant::now() >= deadline => {
-                    // The holder outlived our patience and never published:
-                    // compute locally without the lock rather than stall forever.
-                    return None;
-                }
-                LockAttempt::Held => {}
-            }
-        }
-    }
-}
-
-impl CacheBackend for TieredCache {
-    fn store(&self) -> &ImageStore {
-        self.l1.store()
-    }
-
-    fn try_begin(&self, key: &BuildKey) -> TryBegin {
-        self.try_begin_traced(key).0
-    }
-
-    fn try_begin_traced(&self, key: &BuildKey) -> (TryBegin, Option<CacheTier>) {
-        let ticket = match self.l1.try_begin(key) {
-            TryBegin::Hit(blob) => return (TryBegin::Hit(blob), Some(CacheTier::Memory)),
-            TryBegin::InFlight(id) => return (TryBegin::InFlight(id), None),
-            TryBegin::Owner(ticket) => ticket,
-        };
-        let digest = key.digest();
-        if let Some(disk) = &self.disk {
-            if let Some(bytes) = disk.load(&digest) {
-                let mut counters = self.counters.lock();
-                counters.disk_hits += 1;
-                counters.promotions += 1; // disk → memory
-                drop(counters);
-                return (
-                    TryBegin::Hit(self.promote(ticket, bytes)),
-                    Some(CacheTier::Disk),
-                );
-            }
-        }
-        if let Some(remote) = &self.remote {
-            if let Some(bytes) = remote.get(&digest) {
-                let mut promotions = 1; // remote → memory
-                if let Some(disk) = &self.disk {
-                    disk.store(&digest, &Digest::of_bytes(&bytes), &bytes);
-                    promotions += 1; // remote → disk
-                }
-                let mut counters = self.counters.lock();
-                counters.remote_hits += 1;
-                counters.promotions += promotions;
-                drop(counters);
-                return (
-                    TryBegin::Hit(self.promote(ticket, bytes)),
-                    Some(CacheTier::Remote),
-                );
-            }
-        }
-        if let Some(disk) = &self.disk {
-            if let Some(bytes) = self.claim_or_wait(disk, &digest) {
-                // Another process computed the key while we waited on its lock.
-                let mut counters = self.counters.lock();
-                counters.disk_hits += 1;
-                counters.promotions += 1;
-                drop(counters);
-                return (
-                    TryBegin::Hit(self.promote(ticket, bytes)),
-                    Some(CacheTier::Disk),
-                );
-            }
-        }
-        (TryBegin::Owner(ticket), None)
-    }
-
-    fn complete(&self, ticket: FlightTicket, bytes: Vec<u8>) -> Blob {
-        let mut writebacks = 0u64;
-        if self.disk.is_some() || self.remote.is_some() {
-            let content = Digest::of_bytes(&bytes);
-            if let Some(disk) = &self.disk {
-                disk.store(&ticket.digest, &content, &bytes);
-                writebacks += 1;
-            }
-            if let Some(remote) = &self.remote {
-                remote.put(&ticket.digest, &bytes);
-                writebacks += 1;
-            }
-        }
-        if writebacks > 0 {
-            self.counters.lock().writebacks += writebacks;
-        }
-        self.release_lock(&ticket.digest);
-        self.l1.complete(ticket, bytes)
-    }
-
-    fn fail(&self, ticket: FlightTicket, error: FlightError) {
-        self.release_lock(&ticket.digest);
-        self.l1.fail(ticket, error);
-    }
-
-    fn park(&self, flight: &FlightId, waker: FlightWaker) -> Option<FlightOutcome> {
-        self.l1.park(flight, waker)
-    }
-
-    fn backend_stats(&self) -> CacheStats {
-        let mut stats = self.l1.stats();
-        let counters = self.counters.lock();
-        // Lower-tier hits were redeemed through an L1 flight, which counted them as
-        // L1 misses; from the stack's point of view they are hits on their tier.
-        stats.hits += counters.disk_hits + counters.remote_hits;
-        stats.misses = stats
-            .misses
-            .saturating_sub(counters.disk_hits + counters.remote_hits);
-        stats.disk_hits = counters.disk_hits;
-        stats.remote_hits = counters.remote_hits;
-        stats.promotions = counters.promotions;
-        stats.writebacks = counters.writebacks;
-        if let Some(disk) = &self.disk {
-            stats.stale_evictions += disk.stats().stale_drops;
-        }
-        stats
-    }
-}
-
-impl std::fmt::Debug for TieredCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TieredCache")
-            .field("stats", &self.backend_stats())
-            .field("disk", &self.disk_stats())
-            .field("remote", &self.remote_stats())
-            .finish()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
+    use crate::blob::Blob;
+    use crate::cache::{ActionCache, BuildKey, CacheBackend, TryBegin};
+    use crate::image::ImageStore;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn key(n: u32) -> BuildKey {
@@ -964,10 +691,10 @@ mod tests {
     }
 
     /// A unique, self-cleaning temp root per test (no tempfile crate in-tree).
-    struct TempRoot(PathBuf);
+    pub(crate) struct TempRoot(PathBuf);
 
     impl TempRoot {
-        fn new(tag: &str) -> Self {
+        pub(crate) fn new(tag: &str) -> Self {
             static COUNTER: AtomicU64 = AtomicU64::new(0);
             let n = COUNTER.fetch_add(1, Ordering::Relaxed);
             let path =
@@ -976,7 +703,7 @@ mod tests {
             Self(path)
         }
 
-        fn path(&self) -> &Path {
+        pub(crate) fn path(&self) -> &Path {
             &self.0
         }
     }
@@ -987,15 +714,47 @@ mod tests {
         }
     }
 
+    /// The remote cache as a test double: an in-memory [`Tier`] whose clones
+    /// share one object map, the way builder machines share one remote.
+    #[derive(Clone, Default)]
+    struct MemTier(Arc<Mutex<Objects>>);
+
+    /// Key digest (hex) → the recorded content digest and the bytes.
+    type Objects = BTreeMap<String, (Digest, Vec<u8>)>;
+
+    impl Tier for MemTier {
+        fn kind(&self) -> CacheTier {
+            CacheTier::Remote
+        }
+
+        fn get(&self, key: &Digest) -> Option<(Digest, Vec<u8>)> {
+            self.0.lock().get(key.hex()).cloned()
+        }
+
+        fn put(&self, key: &Digest, content: &Digest, bytes: &[u8]) {
+            let object = (content.clone(), bytes.to_vec());
+            self.0.lock().entry(key.hex().to_string()).or_insert(object);
+        }
+
+        fn discard(&self, key: &Digest) {
+            self.0.lock().remove(key.hex());
+        }
+    }
+
+    /// Whether `tier` indexes `key` right now (no journal catch-up).
+    fn indexed(tier: &DiskTier, key: &Digest) -> bool {
+        tier.state.lock().index.contains_key(key.hex())
+    }
+
     fn compute_once(
-        cache: &TieredCache,
+        cache: &ActionCache,
         key: &BuildKey,
         payload: &[u8],
     ) -> (Blob, Option<CacheTier>) {
-        match cache.try_begin_traced(key) {
-            (TryBegin::Hit(blob), tier) => (blob, tier),
-            (TryBegin::Owner(ticket), _) => (cache.complete(ticket, payload.to_vec()), None),
-            (TryBegin::InFlight(_), _) => panic!("no concurrent flights in this test"),
+        match cache.try_begin(key) {
+            TryBegin::Hit(blob, tier) => (blob, Some(tier)),
+            TryBegin::Owner(ticket) => (cache.complete(ticket, payload.to_vec()), None),
+            TryBegin::InFlight(_) => panic!("no concurrent flights in this test"),
         }
     }
 
@@ -1004,21 +763,17 @@ mod tests {
         let root = TempRoot::new("reopen");
         let config = TierConfig::new().disk_root(root.path());
         {
-            let cache = TieredCache::new(ImageStore::new(), config.clone()).unwrap();
+            let cache = ActionCache::with_tiers(ImageStore::new(), config.clone()).unwrap();
             let (_, tier) = compute_once(&cache, &key(1), b"persisted");
             assert_eq!(tier, None, "cold build computes");
-            assert_eq!(
-                cache.backend_stats().writebacks,
-                1,
-                "written through to disk"
-            );
+            assert_eq!(cache.stats().writebacks, 1, "written through to disk");
         }
         // "Process restart": fresh store, fresh L1, same disk root.
-        let cache = TieredCache::new(ImageStore::new(), config).unwrap();
+        let cache = ActionCache::with_tiers(ImageStore::new(), config).unwrap();
         let (blob, tier) = compute_once(&cache, &key(1), b"never-recomputed");
         assert_eq!(tier, Some(CacheTier::Disk));
         assert_eq!(blob, b"persisted", "byte-identical across the restart");
-        let stats = cache.backend_stats();
+        let stats = cache.stats();
         assert_eq!((stats.disk_hits, stats.misses), (1, 0));
         assert_eq!(stats.promotions, 1, "disk hit promoted into memory");
         // Promoted: the next lookup is a pure memory hit.
@@ -1030,19 +785,19 @@ mod tests {
     fn remote_hit_promotes_through_disk_into_memory() {
         let root_a = TempRoot::new("remote-a");
         let root_b = TempRoot::new("remote-b");
-        let remote = RemoteCache::new(RemoteModel::default());
-        let builder_a = TieredCache::new(
+        let remote = MemTier::default();
+        let builder_a = ActionCache::with_tiers(
             ImageStore::new(),
             TierConfig::new()
                 .disk_root(root_a.path())
-                .remote(remote.clone()),
+                .tier(Arc::new(remote.clone())),
         )
         .unwrap();
-        let builder_b = TieredCache::new(
+        let builder_b = ActionCache::with_tiers(
             ImageStore::new(),
             TierConfig::new()
                 .disk_root(root_b.path())
-                .remote(remote.clone()),
+                .tier(Arc::new(remote.clone())),
         )
         .unwrap();
         // Machine A computes and publishes; machine B (distinct disk root) pulls
@@ -1051,23 +806,18 @@ mod tests {
         let (blob, tier) = compute_once(&builder_b, &key(7), b"unused");
         assert_eq!(tier, Some(CacheTier::Remote));
         assert_eq!(blob, b"fleet-artifact");
-        let stats = builder_b.backend_stats();
+        let stats = builder_b.stats();
         assert_eq!(stats.remote_hits, 1);
         assert_eq!(stats.promotions, 2, "remote → disk and remote → memory");
         // The pull warmed B's disk tier too.
         assert_eq!(builder_b.disk_stats().unwrap().entries, 1);
-        let remote_stats = remote.stats();
-        assert_eq!((remote_stats.hits, remote_stats.puts), (1, 1));
-        assert!(
-            remote_stats.simulated_micros > 0,
-            "transfers are cost-modeled"
-        );
+        assert_eq!(remote.0.lock().len(), 1, "one object published upward");
     }
 
     #[test]
     fn disk_capacity_evicts_oldest_and_deletes_blob_files() {
         let root = TempRoot::new("evict");
-        let cache = TieredCache::new(
+        let cache = ActionCache::with_tiers(
             ImageStore::new(),
             TierConfig::new().disk(DiskTierConfig::new(root.path()).capacity_bytes(64)),
         )
@@ -1089,14 +839,14 @@ mod tests {
         let root = TempRoot::new("stale");
         let config = TierConfig::new().disk_root(root.path());
         {
-            let cache = TieredCache::new(ImageStore::new(), config.clone()).unwrap();
+            let cache = ActionCache::with_tiers(ImageStore::new(), config.clone()).unwrap();
             compute_once(&cache, &key(1), b"kept");
             compute_once(&cache, &key(2), b"will-vanish");
         }
         // Simulate a crash that lost one blob file but kept the journal.
         let doomed = Digest::of_bytes(b"will-vanish");
         fs::remove_file(root.path().join("blobs").join(doomed.hex())).unwrap();
-        let cache = TieredCache::new(ImageStore::new(), config).unwrap();
+        let cache = ActionCache::with_tiers(ImageStore::new(), config).unwrap();
         let disk = cache.disk_stats().unwrap();
         assert_eq!(disk.entries, 1, "missing-blob entry dropped on replay");
         assert_eq!(disk.stale_drops, 1);
@@ -1113,8 +863,8 @@ mod tests {
             .disk(DiskTierConfig::new(root.path()).lock_timeout(Duration::from_secs(5)));
         // Two independent stacks (separate L1s and stores) sharing one disk root
         // stand in for two builder processes.
-        let a = TieredCache::new(ImageStore::new(), config.clone()).unwrap();
-        let b = TieredCache::new(ImageStore::new(), config).unwrap();
+        let a = ActionCache::with_tiers(ImageStore::new(), config.clone()).unwrap();
+        let b = ActionCache::with_tiers(ImageStore::new(), config).unwrap();
         let computed = std::sync::Arc::new(AtomicU64::new(0));
         std::thread::scope(|scope| {
             let count_a = computed.clone();
@@ -1131,21 +881,21 @@ mod tests {
             // Give A time to take the lock before B probes.
             std::thread::sleep(Duration::from_millis(20));
             let count_b = computed.clone();
-            let waiter = scope.spawn(move || match b.try_begin_traced(&key(3)) {
-                (TryBegin::Hit(blob), tier) => {
-                    assert_eq!(tier, Some(CacheTier::Disk), "served behind A's lock");
-                    let stats = b.backend_stats();
+            let waiter = scope.spawn(move || match b.try_begin(&key(3)) {
+                TryBegin::Hit(blob, tier) => {
+                    assert_eq!(tier, CacheTier::Disk, "served behind A's lock");
+                    let stats = b.stats();
                     assert_eq!(stats.disk_hits, 1);
                     assert_eq!(b.disk_stats().unwrap().lock_waits, 1);
                     blob
                 }
-                (TryBegin::Owner(ticket), _) => {
+                TryBegin::Owner(ticket) => {
                     // Only acceptable if A somehow finished first — still must not
                     // double-compute.
                     count_b.fetch_add(1, Ordering::SeqCst);
                     b.complete(ticket, b"computed-once".to_vec())
                 }
-                (other, _) => panic!("expected Hit or Owner, got {other:?}"),
+                other => panic!("expected Hit or Owner, got {other:?}"),
             });
             let from_a = slow_owner.join().unwrap();
             let from_b = waiter.join().unwrap();
@@ -1159,7 +909,7 @@ mod tests {
         let root = TempRoot::new("stale-lock");
         let config = TierConfig::new()
             .disk(DiskTierConfig::new(root.path()).lock_timeout(Duration::from_millis(0)));
-        let cache = TieredCache::new(ImageStore::new(), config).unwrap();
+        let cache = ActionCache::with_tiers(ImageStore::new(), config).unwrap();
         // Plant a lock file as if a previous owner crashed mid-compute. With a
         // zero lock timeout it is immediately stale.
         let lock_dir = root.path().join("locks");
@@ -1183,13 +933,15 @@ mod tests {
     fn gc_reclaims_orphans_but_pins_live_cache_outputs() {
         let root = TempRoot::new("gc");
         let cache =
-            TieredCache::new(ImageStore::new(), TierConfig::new().disk_root(root.path())).unwrap();
+            ActionCache::with_tiers(ImageStore::new(), TierConfig::new().disk_root(root.path()))
+                .unwrap();
         compute_once(&cache, &key(1), b"live output");
         let orphan = cache.store().put_blob(b"orphaned intermediate".to_vec());
         let report = cache.collect_garbage();
-        assert_eq!(report.store.blobs_removed, 1, "only the orphan goes");
+        assert_eq!(report.blobs_removed, 1, "only the orphan goes");
         assert!(!cache.store().has_blob(&orphan));
-        assert_eq!(report.disk_entries, 1, "disk tier untouched by store GC");
+        let disk = cache.disk_stats().unwrap();
+        assert_eq!(disk.entries, 1, "disk tier untouched by store GC");
         // The pinned output still hits in memory.
         let (_, tier) = compute_once(&cache, &key(1), b"unused");
         assert_eq!(tier, Some(CacheTier::Memory));
@@ -1197,12 +949,12 @@ mod tests {
 
     #[test]
     fn l1_only_stack_behaves_like_a_plain_action_cache() {
-        let cache = TieredCache::new(ImageStore::new(), TierConfig::new()).unwrap();
+        let cache = ActionCache::with_tiers(ImageStore::new(), TierConfig::new()).unwrap();
         let (_, tier) = compute_once(&cache, &key(1), b"plain");
         assert_eq!(tier, None);
         let (_, tier) = compute_once(&cache, &key(1), b"unused");
         assert_eq!(tier, Some(CacheTier::Memory));
-        let stats = cache.backend_stats();
+        let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!((stats.disk_hits, stats.remote_hits), (0, 0));
         assert_eq!(stats.writebacks, 0, "no lower tiers to write through to");
@@ -1211,8 +963,201 @@ mod tests {
     #[test]
     fn zero_l1_capacity_is_rejected_through_the_stack() {
         assert!(matches!(
-            TieredCache::new(ImageStore::new(), TierConfig::new().l1_capacity(0)),
+            ActionCache::with_tiers(ImageStore::new(), TierConfig::new().l1_capacity(0)),
             Err(TierError::Config(CacheConfigError::ZeroCapacity))
         ));
+    }
+
+    /// Overwrite (`truncate_to: None`) or truncate the blob file holding `payload`.
+    fn damage(root: &Path, payload: &[u8], truncate_to: Option<usize>) {
+        let path = root.join("blobs").join(Digest::of_bytes(payload).hex());
+        let damaged = match truncate_to {
+            Some(len) => payload[..len].to_vec(),
+            None => b"the FAKE artifact".to_vec(),
+        };
+        fs::write(path, damaged).unwrap();
+    }
+
+    #[test]
+    fn a_damaged_blob_is_quarantined_and_recomputed_never_served() {
+        for truncate_to in [None, Some(6)] {
+            // Tier level: `load` hands back the recorded digest beside whatever the
+            // file holds now; `discard` quarantines it.
+            let root = TempRoot::new("damaged-tier");
+            let payload = b"the real artifact";
+            let (k, content) = (key(1).digest(), Digest::of_bytes(payload));
+            DiskTier::open(DiskTierConfig::new(root.path()))
+                .unwrap()
+                .store(&k, &content, payload);
+            damage(root.path(), payload, truncate_to);
+            let tier = DiskTier::open(DiskTierConfig::new(root.path())).unwrap();
+            let (recorded, bytes) = tier.load(&k).expect("still indexed");
+            assert_eq!(recorded, content);
+            assert_ne!(Digest::of_bytes(&bytes), recorded, "the file was damaged");
+            tier.discard(&k);
+            assert!(tier.load(&k).is_none() && !indexed(&tier, &k));
+            assert_eq!((tier.stats().corrupt_drops, tier.stats().entries), (1, 0));
+            assert!(root.path().join("quarantine").join(content.hex()).is_file());
+            assert!(!root.path().join("blobs").join(content.hex()).exists());
+
+            // Stack level: the lookup is a miss (never the damaged bytes), the
+            // recompute heals the root, and a restart serves the real output.
+            let root = TempRoot::new("damaged-stack");
+            let config = TierConfig::new().disk_root(root.path());
+            let cache = ActionCache::with_tiers(ImageStore::new(), config.clone()).unwrap();
+            compute_once(&cache, &key(1), payload);
+            damage(root.path(), payload, truncate_to);
+            let cache = ActionCache::with_tiers(ImageStore::new(), config.clone()).unwrap();
+            let (blob, tier) = compute_once(&cache, &key(1), payload);
+            assert_eq!((blob.as_slice(), tier), (&payload[..], None), "recomputed");
+            let stats = cache.stats();
+            assert_eq!((stats.misses, stats.disk_hits), (1, 0));
+            assert_eq!(stats.stale_evictions, 1, "corrupt drops are folded in");
+            assert_eq!(cache.disk_stats().unwrap().corrupt_drops, 1);
+            let cache = ActionCache::with_tiers(ImageStore::new(), config).unwrap();
+            let (blob, tier) = compute_once(&cache, &key(1), b"unused");
+            assert_eq!(
+                (blob.as_slice(), tier),
+                (&payload[..], Some(CacheTier::Disk))
+            );
+        }
+    }
+
+    #[test]
+    fn a_journal_torn_at_any_byte_loses_only_its_tail() {
+        let root = TempRoot::new("torn");
+        let journal_path = root.path().join("index.log");
+        let keys: Vec<Digest> = (0..4).map(|n| key(n).digest()).collect();
+        let content = Digest::of_bytes(b"payload");
+        {
+            let tier = DiskTier::open(DiskTierConfig::new(root.path())).unwrap();
+            for k in &keys[..3] {
+                tier.store(k, &content, b"payload");
+            }
+        }
+        let journal = fs::read(&journal_path).unwrap();
+        assert_eq!(journal.iter().filter(|&&b| b == b'\n').count(), 3);
+        for cut in 0..=journal.len() {
+            fs::write(&journal_path, &journal[..cut]).unwrap();
+            let tier = DiskTier::open(DiskTierConfig::new(root.path())).unwrap();
+            // What survived is a prefix of the original puts...
+            let survivors = keys[..3].iter().take_while(|k| indexed(&tier, k)).count();
+            assert_eq!(tier.stats().entries, survivors, "cut at byte {cut}");
+            let whole_lines = journal[..cut].iter().filter(|&&b| b == b'\n').count();
+            assert!(survivors >= whole_lines, "cut at byte {cut}");
+            // ...and the torn fragment does not swallow the next record.
+            tier.store(&keys[3], &content, b"payload");
+            drop(tier);
+            let tier = DiskTier::open(DiskTierConfig::new(root.path())).unwrap();
+            assert!(indexed(&tier, &keys[3]), "cut at byte {cut}");
+            assert_eq!(tier.stats().entries, survivors + 1, "cut at byte {cut}");
+        }
+    }
+
+    #[test]
+    fn journal_records_are_outside_input() {
+        let root = TempRoot::new("hostile");
+        let content = Digest::of_bytes(b"payload");
+        fs::create_dir_all(root.path().join("blobs")).unwrap();
+        fs::write(root.path().join("blobs").join(content.hex()), b"payload").unwrap();
+        let keys: Vec<Digest> = (0..3).map(|n| key(n).digest()).collect();
+        let journal = format!(
+            "put {} {content} 99999999999999999999999999\nput ../../etc {content} 7\nput {} {content} 7\n",
+            keys[0].hex(),
+            keys[1].hex(),
+        );
+        fs::write(root.path().join("index.log"), &journal).unwrap();
+        let tier = DiskTier::open(DiskTierConfig::new(root.path())).unwrap();
+        assert!(indexed(&tier, &keys[1]), "the well-formed record survives");
+        let stats = tier.stats();
+        assert_eq!((stats.entries, stats.bytes), (1, 7), "and only that one");
+        drop(tier);
+        // A `len` that parses is still only a claim: sizes come from the files,
+        // and the running total cannot overflow into the eviction budget.
+        let claimed = format!("{journal}put {} {content} {}\n", keys[2].hex(), u64::MAX);
+        fs::write(root.path().join("index.log"), claimed).unwrap();
+        let tier = DiskTier::open(DiskTierConfig::new(root.path())).unwrap();
+        let stats = tier.stats();
+        assert_eq!((stats.entries, stats.bytes), (2, 14));
+    }
+
+    #[test]
+    fn every_tier_honours_the_same_contract() {
+        let root = TempRoot::new("contract");
+        let disk = DiskTier::open(DiskTierConfig::new(root.path())).unwrap();
+        let tiers: [(&dyn Tier, CacheTier); 2] = [
+            (&disk, CacheTier::Disk),
+            (&MemTier::default(), CacheTier::Remote),
+        ];
+        for (tier, kind) in tiers {
+            assert_eq!(tier.kind(), kind);
+            let (k, content) = (key(1).digest(), Digest::of_bytes(b"output"));
+            assert!(tier.get(&k).is_none(), "{kind}: absent key");
+            tier.put(&k, &content, b"output");
+            let held = Some((content.clone(), b"output".to_vec()));
+            assert_eq!(tier.get(&k), held, "{kind}: get after put");
+            tier.put(&k, &content, b"output");
+            assert_eq!(tier.get(&k), held, "{kind}: re-put is idempotent");
+            assert!(tier.get(&key(2).digest()).is_none(), "{kind}: other keys");
+            tier.discard(&k);
+            assert!(tier.get(&k).is_none(), "{kind}: discarded");
+            tier.discard(&k); // discarding an absent key is a no-op
+        }
+    }
+
+    #[test]
+    fn counters_add_up_across_memory_disk_and_remote() {
+        let (root_a, root_b) = (TempRoot::new("sum-a"), TempRoot::new("sum-b"));
+        let remote = MemTier::default();
+        let stack = |root: &TempRoot| {
+            let config = TierConfig::new()
+                .disk_root(root.path())
+                .tier(Arc::new(remote.clone()));
+            ActionCache::with_tiers(ImageStore::new(), config).unwrap()
+        };
+        // Builder A computes keys 0..4 (4 misses, each written to disk + remote).
+        let a = stack(&root_a);
+        for n in 0..4 {
+            compute_once(&a, &key(n), &[n as u8; 8]);
+        }
+        let stats = a.stats();
+        assert_eq!((stats.misses, stats.writebacks, stats.hits), (4, 8, 0));
+        // A restarted A finds 0..2 on its disk; B, on another root, finds 0..4 in
+        // the remote and computes 4..6; then both re-read everything from memory.
+        let (a, b) = (stack(&root_a), stack(&root_b));
+        for n in 0..2 {
+            assert_eq!(
+                compute_once(&a, &key(n), b"unused").1,
+                Some(CacheTier::Disk)
+            );
+            assert_eq!(
+                compute_once(&a, &key(n), b"unused").1,
+                Some(CacheTier::Memory)
+            );
+        }
+        for n in 0..6 {
+            let expected = (n < 4).then_some(CacheTier::Remote);
+            assert_eq!(compute_once(&b, &key(n), &[n as u8; 8]).1, expected);
+            assert_eq!(
+                compute_once(&b, &key(n), b"unused").1,
+                Some(CacheTier::Memory)
+            );
+        }
+        let (a, b) = (a.stats(), b.stats());
+        assert_eq!((a.hits, a.disk_hits, a.remote_hits, a.misses), (4, 2, 0, 0));
+        assert_eq!(a.promotions, 2, "disk → memory");
+        assert_eq!(
+            (b.hits, b.disk_hits, b.remote_hits, b.misses),
+            (10, 0, 4, 2)
+        );
+        assert_eq!(b.promotions, 8, "remote → disk and remote → memory");
+        assert_eq!(b.writebacks, 4);
+        for stats in [a, b] {
+            assert_eq!(
+                stats.hits,
+                stats.memory_hits() + stats.disk_hits + stats.remote_hits
+            );
+        }
+        assert_eq!((a.memory_hits(), b.memory_hits()), (2, 6));
     }
 }

@@ -42,12 +42,11 @@ pub mod runtime;
 pub mod prelude {
     pub use crate::blob::Blob;
     pub use crate::cache::tier::{
-        DiskTier, DiskTierConfig, DiskTierStats, RemoteCache, RemoteModel, RemoteStats, TierConfig,
-        TierError, TierGcReport, TieredCache,
+        DiskTier, DiskTierConfig, DiskTierStats, Tier, TierConfig, TierError,
     };
     pub use crate::cache::{
-        ActionCache, BuildKey, CacheBackend, CacheConfigError, CacheReport, CacheStats, CacheTier,
-        FlightError, FlightId, FlightOutcome, FlightTicket, FlightWaker, NoCache, TryBegin,
+        ActionCache, BuildKey, CacheBackend, CacheConfigError, CacheStats, CacheTier, FlightError,
+        FlightId, FlightOutcome, FlightTicket, FlightWaker, NoCache, TryBegin,
     };
     pub use crate::digest::{Digest, Sha256};
     pub use crate::image::{

@@ -1187,13 +1187,12 @@ impl CoreShared {
         let key_digest = key.as_ref().map(|k| k.digest().hex().to_string());
         let (slot, completed): (Slot, Option<(bool, Option<CacheTier>)>) = match key {
             Some(build_key) => {
-                // `try_begin_traced` also reports *which tier* served a hit, so
-                // a tiered backend's disk/remote promotions show up in the trace.
-                let (begin, hit_tier) = self.cache.try_begin_traced(&build_key);
-                match begin {
+                match self.cache.try_begin(&build_key) {
                     // The backend's Blob handle goes straight into the slot: a hit
-                    // shares the store's allocation with every consumer.
-                    TryBegin::Hit(blob) => (Slot::Output(blob), Some((true, hit_tier))),
+                    // shares the store's allocation with every consumer. The hit
+                    // names the tier that served it, so a stack's disk/remote
+                    // promotions show up in the trace.
+                    TryBegin::Hit(blob, tier) => (Slot::Output(blob), Some((true, Some(tier)))),
                     TryBegin::Owner(ticket) => match self.run_task(&sub, task, &inputs) {
                         Some(Ok(bytes)) => (
                             Slot::Output(self.cache.complete(ticket, bytes)),

@@ -437,7 +437,7 @@ mod tests {
     }
 
     #[test]
-    fn keyed_actions_route_through_the_cache_backend() {
+    fn keyed_actions_route_through_the_cache_backend_trait() {
         let store = ImageStore::new();
         let cache = ActionCache::new(store.clone());
         let engine = Engine::cached(&cache).with_workers(3);

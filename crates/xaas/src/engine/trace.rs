@@ -99,9 +99,9 @@ pub struct ActionRecord {
     /// Whether the action was served from the cache instead of executing.
     pub cached: bool,
     /// Which tier of the cache served the hit ([`CacheTier::Memory`] for plain
-    /// in-memory hits; `Disk`/`Remote` when a
-    /// [`TieredCache`](xaas_container::TieredCache) promoted the blob from a
-    /// lower tier). `None` for executed or cache-exempt actions. Like the
+    /// in-memory hits; `Disk`/`Remote` when an
+    /// [`ActionCache`](xaas_container::ActionCache) stack promoted the blob
+    /// from a lower tier). `None` for executed or cache-exempt actions. Like the
     /// clocks, excluded from equality: *which* tier answers depends on the
     /// cache's starting state, not on what the build ran.
     #[serde(default)]

@@ -3,8 +3,8 @@
 //! The paper's premise is that *one* container representation serves many
 //! deployment decisions made late; this module is the API shape of that premise.
 //! Instead of entry points that each re-wire store + cache + engine by hand,
-//! an `Orchestrator` **owns** the execution stack — the
-//! [`Engine`], its [`CacheBackend`], the backing [`ImageStore`], and a
+//! an `Orchestrator` **owns** the execution stack — the [`Engine`], its
+//! [`CacheBackend`](xaas_container::CacheBackend), the backing [`ImageStore`], and a
 //! [`SchedulingPolicy`] — and every pipeline is a typed request submitted to it:
 //!
 //! * [`IrBuildRequest`] — build a deduplicated IR container (Figure 7);
@@ -52,10 +52,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use xaas_buildsys::{OptionAssignment, ProjectSpec};
-use xaas_container::{
-    ActionCache, CacheBackend, CacheStats, Digest, Image, ImageStore, NoCache, TierConfig,
-    TierError, TieredCache,
-};
+use xaas_container::{ActionCache, CacheStats, Digest, Image, ImageStore, TierConfig, TierError};
 use xaas_hpcsim::{SimdLevel, SystemModel};
 
 /// The session object every pipeline goes through: one engine, one cache backend,
@@ -68,10 +65,10 @@ use xaas_hpcsim::{SimdLevel, SystemModel};
 #[derive(Debug, Clone)]
 pub struct Orchestrator {
     engine: Engine,
-    /// The tiered backend, when the orchestrator was built with
-    /// [`OrchestratorBuilder::cache_tiers`] — kept so callers can reach
-    /// per-tier stats and GC without downcasting the engine's backend.
-    tiers: Option<Arc<TieredCache>>,
+    /// The [`ActionCache`] the engine routes through, when it was built over
+    /// one — kept typed so callers can reach per-tier stats and GC without
+    /// downcasting the engine's backend.
+    cache: Option<ActionCache>,
 }
 
 impl Orchestrator {
@@ -96,7 +93,10 @@ impl Orchestrator {
     /// An orchestrator memoizing every keyed action in `cache` (shared with any
     /// other orchestrator or engine over the same cache).
     pub fn with_cache(cache: &ActionCache) -> Self {
-        Self::from_engine(Engine::cached(cache))
+        Self {
+            engine: Engine::cached(cache),
+            cache: Some(cache.clone()),
+        }
     }
 
     /// Wrap an explicitly-configured [`Engine`] (worker count, cache backend,
@@ -104,7 +104,7 @@ impl Orchestrator {
     pub fn from_engine(engine: Engine) -> Self {
         Self {
             engine,
-            tiers: None,
+            cache: None,
         }
     }
 
@@ -131,7 +131,7 @@ impl Orchestrator {
     pub fn for_tenant(&self, tenant: impl Into<String>) -> Orchestrator {
         Orchestrator {
             engine: self.engine.clone().with_tenant(tenant),
-            tiers: self.tiers.clone(),
+            cache: self.cache.clone(),
         }
     }
 
@@ -156,13 +156,13 @@ impl Orchestrator {
         self.engine.cache_stats()
     }
 
-    /// The persistent tiered backend, when this orchestrator was built with
-    /// [`OrchestratorBuilder::cache_tiers`] — exposes per-tier stats
-    /// ([`TieredCache::disk_stats`], [`TieredCache::remote_stats`]) and
-    /// store-level GC ([`TieredCache::collect_garbage`]). `None` for every
-    /// other cache choice.
-    pub fn tiered_cache(&self) -> Option<&Arc<TieredCache>> {
-        self.tiers.as_ref()
+    /// The cache stack this orchestrator was built over — exposes the disk
+    /// tier's counters ([`ActionCache::disk_stats`], `None` without
+    /// [`OrchestratorBuilder::cache_tiers`]) and store-level GC
+    /// ([`ActionCache::collect_garbage`]). `None` when uncached or wrapped
+    /// [`from_engine`](Self::from_engine).
+    pub fn tiered_cache(&self) -> Option<&ActionCache> {
+        self.cache.as_ref()
     }
 
     /// The scheduling policy requests run under.
@@ -182,19 +182,13 @@ impl Orchestrator {
     }
 }
 
-/// Cache configuration of an [`OrchestratorBuilder`].
+/// Cache configuration of an [`OrchestratorBuilder`]; unset means a fresh
+/// [`ActionCache`] over a fresh store.
 enum CacheChoice {
-    /// Fresh store + fresh [`ActionCache`] (the default).
-    FreshCached,
-    /// Share an existing [`ActionCache`].
+    /// Route keyed actions through this [`ActionCache`].
     Cached(ActionCache),
     /// Never cache; commit into this store.
     Uncached(ImageStore),
-    /// An arbitrary backend (e.g. a future distributed cache).
-    Custom(Arc<dyn CacheBackend>),
-    /// A persistent tiered stack (memory L1 + optional disk CAS + optional
-    /// simulated remote), kept typed so the orchestrator can expose it.
-    Tiered(Arc<TieredCache>),
 }
 
 /// Fluent construction of an [`Orchestrator`]: worker count, cache choice, and
@@ -211,22 +205,12 @@ enum CacheChoice {
 /// assert_eq!(orch.workers(), 4);
 /// assert_eq!(orch.policy().name(), "critical-path-first");
 /// ```
+#[derive(Default)]
 pub struct OrchestratorBuilder {
     workers: Option<usize>,
     policy: Option<Arc<dyn SchedulingPolicy>>,
-    cache: CacheChoice,
+    cache: Option<CacheChoice>,
     analysis: Option<crate::engine::AnalysisMode>,
-}
-
-impl Default for OrchestratorBuilder {
-    fn default() -> Self {
-        Self {
-            workers: None,
-            policy: None,
-            cache: CacheChoice::FreshCached,
-            analysis: None,
-        }
-    }
 }
 
 impl OrchestratorBuilder {
@@ -238,32 +222,24 @@ impl OrchestratorBuilder {
 
     /// Route every keyed action through an existing shared [`ActionCache`].
     pub fn action_cache(mut self, cache: ActionCache) -> Self {
-        self.cache = CacheChoice::Cached(cache);
+        self.cache = Some(CacheChoice::Cached(cache));
         self
     }
 
     /// Never cache: every action executes, artifacts and images land in `store`.
     pub fn uncached(mut self, store: ImageStore) -> Self {
-        self.cache = CacheChoice::Uncached(store);
+        self.cache = Some(CacheChoice::Uncached(store));
         self
     }
 
-    /// Use an arbitrary [`CacheBackend`] (the seam for the distributed-cache
-    /// follow-on).
-    pub fn cache_backend(mut self, backend: Arc<dyn CacheBackend>) -> Self {
-        self.cache = CacheChoice::Custom(backend);
-        self
-    }
-
-    /// Route every keyed action through a persistent [`TieredCache`] built over
-    /// a fresh store from `config`: an in-memory L1, an optional on-disk CAS
-    /// tier that survives restarts (set [`TierConfig::disk_root`]), and an
-    /// optional simulated remote tier (set [`TierConfig::remote`]). Tier
-    /// construction is fallible — an unwritable disk root or a zero L1
-    /// capacity is rejected here, not deferred to [`build`](Self::build).
-    pub fn cache_tiers(mut self, config: TierConfig) -> Result<Self, TierError> {
-        self.cache = CacheChoice::Tiered(Arc::new(TieredCache::new(ImageStore::new(), config)?));
-        Ok(self)
+    /// Route every keyed action through an [`ActionCache::with_tiers`] stack
+    /// built over a fresh store from `config`: the memory index, an optional
+    /// on-disk CAS tier that survives restarts (set [`TierConfig::disk_root`]),
+    /// and any further [`TierConfig::tier`]. Tier construction is fallible — an
+    /// unwritable disk root or a zero L1 capacity is rejected here, not
+    /// deferred to [`build`](Self::build).
+    pub fn cache_tiers(self, config: TierConfig) -> Result<Self, TierError> {
+        Ok(self.action_cache(ActionCache::with_tiers(ImageStore::new(), config)?))
     }
 
     /// Set the scheduling policy (default: [`Fifo`](crate::engine::Fifo)). Invalid
@@ -287,16 +263,10 @@ impl OrchestratorBuilder {
 
     /// Build the orchestrator.
     pub fn build(self) -> Orchestrator {
-        let mut tiers = None;
-        let mut engine = match self.cache {
-            CacheChoice::FreshCached => Engine::cached(&ActionCache::new(ImageStore::new())),
-            CacheChoice::Cached(cache) => Engine::cached(&cache),
-            CacheChoice::Uncached(store) => Engine::new(Arc::new(NoCache::new(store))),
-            CacheChoice::Custom(backend) => Engine::new(backend),
-            CacheChoice::Tiered(tiered) => {
-                tiers = Some(Arc::clone(&tiered));
-                Engine::new(tiered)
-            }
+        let fresh = || CacheChoice::Cached(ActionCache::new(ImageStore::new()));
+        let (mut engine, cache) = match self.cache.unwrap_or_else(fresh) {
+            CacheChoice::Cached(cache) => (Engine::cached(&cache), Some(cache)),
+            CacheChoice::Uncached(store) => (Engine::uncached(&store), None),
         };
         if let Some(workers) = self.workers {
             engine = engine.with_workers(workers);
@@ -307,7 +277,7 @@ impl OrchestratorBuilder {
         if let Some(mode) = self.analysis {
             engine = engine.with_analysis(mode);
         }
-        Orchestrator { engine, tiers }
+        Orchestrator { engine, cache }
     }
 }
 

@@ -64,11 +64,6 @@ pub struct ServiceLimits {
     /// Engine ready-queue depth ([`QueueStats::queued_actions`]) beyond which new
     /// requests are [`AdmissionError::Rejected`] even under the in-flight limits.
     pub max_queued_actions: usize,
-    /// Byte budget for the persistent disk tier when the service is built with
-    /// [`OrchestratorServiceBuilder::cache_tiers`] (applied via
-    /// [`TierConfig::cap_disk_bytes`](xaas_container::TierConfig::cap_disk_bytes)
-    /// at build time); `None` leaves the tier config's own budget in place.
-    pub max_disk_cache_bytes: Option<u64>,
 }
 
 impl Default for ServiceLimits {
@@ -77,7 +72,6 @@ impl Default for ServiceLimits {
             max_in_flight_per_tenant: 8,
             max_in_flight_global: 64,
             max_queued_actions: 4096,
-            max_disk_cache_bytes: None,
         }
     }
 }
@@ -98,13 +92,6 @@ impl ServiceLimits {
     /// Override the ready-queue saturation bound (clamped to at least 1).
     pub fn queued_actions(mut self, limit: usize) -> Self {
         self.max_queued_actions = limit.max(1);
-        self
-    }
-
-    /// Cap the persistent disk tier's byte budget (see
-    /// [`Self::max_disk_cache_bytes`]).
-    pub fn disk_cache_bytes(mut self, bytes: u64) -> Self {
-        self.max_disk_cache_bytes = Some(bytes);
         self
     }
 }
@@ -629,7 +616,6 @@ impl fmt::Debug for OrchestratorService {
 pub struct OrchestratorServiceBuilder {
     orch: crate::orchestrator::OrchestratorBuilder,
     limits: ServiceLimits,
-    tiers: Option<xaas_container::TierConfig>,
 }
 
 impl OrchestratorServiceBuilder {
@@ -652,16 +638,17 @@ impl OrchestratorServiceBuilder {
         self
     }
 
-    /// Route every keyed action through a persistent tiered cache (see
-    /// [`OrchestratorBuilder::cache_tiers`](crate::orchestrator::OrchestratorBuilder::cache_tiers)).
-    /// The stack is constructed at build time so that
-    /// [`ServiceLimits::max_disk_cache_bytes`] — settable before *or* after
-    /// this call — is applied to the disk tier's byte budget; use
-    /// [`try_build`](Self::try_build) to observe tier-construction errors as a
-    /// [`TierError`](xaas_container::TierError) instead of a panic.
-    pub fn cache_tiers(mut self, config: xaas_container::TierConfig) -> Self {
-        self.tiers = Some(config);
-        self
+    /// Route every keyed action through a persistent tiered cache; fallible
+    /// exactly as
+    /// [`OrchestratorBuilder::cache_tiers`](crate::orchestrator::OrchestratorBuilder::cache_tiers)
+    /// is. The disk tier's byte budget is the config's own
+    /// [`DiskTierConfig::capacity_bytes`](xaas_container::DiskTierConfig::capacity_bytes).
+    pub fn cache_tiers(
+        mut self,
+        config: xaas_container::TierConfig,
+    ) -> Result<Self, xaas_container::TierError> {
+        self.orch = self.orch.cache_tiers(config)?;
+        Ok(self)
     }
 
     /// Set the scheduling policy (e.g. [`WeightedFair`](crate::engine::WeightedFair)
@@ -687,32 +674,8 @@ impl OrchestratorServiceBuilder {
     }
 
     /// Build the service.
-    ///
-    /// # Panics
-    ///
-    /// When a tiered stack was requested ([`cache_tiers`](Self::cache_tiers))
-    /// and could not be constructed (unwritable disk root, zero L1 capacity).
-    /// Use [`try_build`](Self::try_build) to handle that case as a value.
     pub fn build(self) -> OrchestratorService {
-        #[allow(clippy::expect_used)]
-        self.try_build()
-            .expect("tiered cache stack failed to initialize")
-    }
-
-    /// Build the service, surfacing tier-construction failures as a
-    /// [`TierError`](xaas_container::TierError). Identical to
-    /// [`build`](Self::build) when no tiered stack was requested.
-    pub fn try_build(mut self) -> Result<OrchestratorService, xaas_container::TierError> {
-        if let Some(mut config) = self.tiers.take() {
-            if let Some(cap) = self.limits.max_disk_cache_bytes {
-                config = config.cap_disk_bytes(cap);
-            }
-            self.orch = self.orch.cache_tiers(config)?;
-        }
-        Ok(OrchestratorService::with_limits(
-            self.orch.build(),
-            self.limits,
-        ))
+        OrchestratorService::with_limits(self.orch.build(), self.limits)
     }
 }
 

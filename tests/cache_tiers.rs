@@ -1,20 +1,58 @@
 //! Persistent tiered action cache, end to end: an orchestrator whose cache
-//! stack persists through an on-disk CAS tier (and optionally a simulated
-//! remote) survives being killed and recreated — the warm restart replays the
-//! same work byte-identically with zero compile/lower actions re-executed,
-//! every keyed action read through the disk tier and visible as such in the
-//! [`ActionTrace`]. Store-level GC reclaims orphans without invalidating live
-//! cache entries, and the service builder threads a disk byte budget through
-//! [`ServiceLimits`].
+//! stack persists through an on-disk CAS tier (and optionally a remote tier —
+//! here an in-memory double of one) survives being killed and recreated — the
+//! warm restart replays the same work byte-identically with zero compile/lower
+//! actions re-executed, every keyed action read through the disk tier and
+//! visible as such in the [`ActionTrace`]. A root damaged between the sessions
+//! costs at most the damaged entries and heals itself. Store-level GC reclaims
+//! orphans without invalidating live cache entries, and the service builder
+//! takes the same tier configuration, disk byte budget included.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 use xaas::prelude::*;
-use xaas::service::{OrchestratorService, ServiceLimits};
+use xaas::service::OrchestratorService;
 use xaas_buildsys::OptionAssignment;
-use xaas_container::{CacheTier, RemoteCache, RemoteModel, TierConfig};
+use xaas_container::{CacheTier, Digest, DiskTierConfig, Tier, TierConfig};
 use xaas_hpcsim::SystemModel;
+
+/// The remote cache as a test double: an in-memory [`Tier`] whose clones share
+/// one object map, the way builder machines share one remote.
+#[derive(Clone, Default)]
+struct MemTier(Arc<Mutex<Objects>>);
+
+/// Key digest (hex) → the recorded content digest and the bytes.
+type Objects = BTreeMap<String, (Digest, Vec<u8>)>;
+
+impl MemTier {
+    fn objects(&self) -> usize {
+        self.0.lock().unwrap().len()
+    }
+}
+
+impl Tier for MemTier {
+    fn kind(&self) -> CacheTier {
+        CacheTier::Remote
+    }
+
+    fn get(&self, key: &Digest) -> Option<(Digest, Vec<u8>)> {
+        self.0.lock().unwrap().get(key.hex()).cloned()
+    }
+
+    fn put(&self, key: &Digest, content: &Digest, bytes: &[u8]) {
+        let object = (content.clone(), bytes.to_vec());
+        let mut objects = self.0.lock().unwrap();
+        objects.entry(key.hex().to_string()).or_insert(object);
+    }
+
+    fn discard(&self, key: &Digest) {
+        self.0.lock().unwrap().remove(key.hex());
+    }
+}
 
 /// A unique scratch directory under the OS temp dir (pid + counter keep
 /// concurrent test processes and threads apart; no `tempfile` dependency).
@@ -127,17 +165,17 @@ fn warm_restart_replays_the_fleet_from_the_disk_tier() {
 fn remote_tier_shares_outputs_across_disjoint_disk_roots() {
     let root_a = ScratchRoot::new("builder-a");
     let root_b = ScratchRoot::new("builder-b");
-    let remote = RemoteCache::new(RemoteModel::default());
+    let remote = MemTier::default();
     let systems = [SystemModel::ault23()];
 
     // Builder A computes everything and write-through publishes to the remote.
     let (orch_a, images_a, _) = session(
         TierConfig::new()
             .disk_root(root_a.path())
-            .remote(remote.clone()),
+            .tier(Arc::new(remote.clone())),
         &systems,
     );
-    assert!(remote.stats().objects > 0, "write-through published upward");
+    assert!(remote.objects() > 0, "write-through published upward");
     drop(orch_a);
 
     // Builder B has a different (empty) disk root but shares the remote: its
@@ -146,7 +184,7 @@ fn remote_tier_shares_outputs_across_disjoint_disk_roots() {
     let (orch_b, images_b, report_b) = session(
         TierConfig::new()
             .disk_root(root_b.path())
-            .remote(remote.clone()),
+            .tier(Arc::new(remote.clone())),
         &systems,
     );
     let stats_b = orch_b.cache_stats();
@@ -170,10 +208,6 @@ fn remote_tier_shares_outputs_across_disjoint_disk_roots() {
         disk_b.entries > 0,
         "remote hits were promoted through builder B's disk tier"
     );
-    assert!(
-        remote.stats().simulated_micros > 0,
-        "remote transfers accrue modeled wire time"
-    );
 }
 
 #[test]
@@ -188,13 +222,12 @@ fn store_gc_reclaims_orphans_but_keeps_the_warm_path_intact() {
     let orphan = store.put_blob(b"orphaned intermediate".to_vec());
     assert!(store.has_blob(&orphan));
 
-    let report = orch
-        .tiered_cache()
-        .expect("tiered backend")
-        .collect_garbage();
-    assert!(report.store.blobs_removed > 0, "orphan blobs reclaimed");
+    let cache = orch.tiered_cache().expect("tiered backend");
+    let report = cache.collect_garbage();
+    assert!(report.blobs_removed > 0, "orphan blobs reclaimed");
     assert!(!store.has_blob(&orphan), "the planted orphan is gone");
-    assert!(report.disk_entries > 0, "disk tier untouched by store GC");
+    let disk = cache.disk_stats().expect("disk tier");
+    assert!(disk.entries > 0, "disk tier untouched by store GC");
 
     // The live cache outputs were pinned: a warm rerun still serves every
     // keyed action from cache and reproduces the same images.
@@ -218,10 +251,9 @@ fn service_limits_cap_the_disk_tier_budget() {
     // A tiny byte budget forces the disk tier to evict; the stack still works.
     let service = OrchestratorService::builder()
         .workers(2)
-        .cache_tiers(TierConfig::new().disk_root(root.path()))
-        .limits(ServiceLimits::default().disk_cache_bytes(256))
-        .try_build()
-        .expect("tier stack initializes");
+        .cache_tiers(TierConfig::new().disk(DiskTierConfig::new(root.path()).capacity_bytes(256)))
+        .expect("tier stack initializes")
+        .build();
     let (project, pipeline) = gromacs_sweep();
     let build = service
         .session("tenant")
@@ -243,15 +275,87 @@ fn service_limits_cap_the_disk_tier_budget() {
     assert!(disk.evictions > 0, "the tiny budget forced evictions");
 }
 
+/// One kind of damage a cache root can meet between two sessions.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    /// A crash mid-append (or a lost tail): `index.log` cut at a byte offset.
+    CutJournal,
+    /// A blob file cut short.
+    TruncateBlob,
+    /// One byte of a blob file flipped.
+    FlipBlobByte,
+    /// A blob file removed behind the tier's back.
+    DeleteBlob,
+    /// A crashed owner's `locks/<key>.lock`, left on every key.
+    StaleLocks,
+}
+
+/// Apply `fault` to the cache root, steering "which byte / which blob" by
+/// `pick`. Returns how many index entries it can cost: an upper bound on the
+/// recomputes the next session may need.
+fn inject(root: &std::path::Path, fault: Fault, pick: usize) -> u64 {
+    let journal_path = root.join("index.log");
+    let journal = std::fs::read_to_string(&journal_path).expect("journal exists");
+    let mut blobs: Vec<PathBuf> = std::fs::read_dir(root.join("blobs"))
+        .expect("blob directory exists")
+        .map(|entry| entry.expect("directory entry").path())
+        .collect();
+    blobs.sort();
+    let blob = &blobs[pick % blobs.len()];
+    let blob_name = blob.file_name().and_then(|n| n.to_str()).expect("hex name");
+    // Index entries whose output is that blob.
+    let content = format!("sha256:{blob_name}");
+    let names_blob = |line: &&str| line.split(' ').nth(2) == Some(&content);
+    let referencing = journal.lines().filter(names_blob).count() as u64;
+    match fault {
+        Fault::CutJournal => {
+            let cut = pick % (journal.len() + 1);
+            std::fs::write(&journal_path, &journal[..cut]).expect("journal rewritten");
+            let whole_lines = journal[..cut].matches('\n').count() as u64;
+            journal.lines().count() as u64 - whole_lines
+        }
+        Fault::TruncateBlob => {
+            let bytes = std::fs::read(blob).expect("blob readable");
+            let keep = (pick / blobs.len()) % bytes.len();
+            std::fs::write(blob, &bytes[..keep]).expect("blob truncated");
+            referencing
+        }
+        Fault::FlipBlobByte => {
+            let mut bytes = std::fs::read(blob).expect("blob readable");
+            let at = (pick / blobs.len()) % bytes.len();
+            bytes[at] ^= 0x40;
+            std::fs::write(blob, bytes).expect("blob rewritten");
+            referencing
+        }
+        Fault::DeleteBlob => {
+            std::fs::remove_file(blob).expect("blob removed");
+            referencing
+        }
+        Fault::StaleLocks => {
+            // (A journal another fault already cut may end in a keyless fragment.)
+            for key in journal.lines().filter_map(|line| line.split(' ').nth(1)) {
+                std::fs::write(root.join("locks").join(format!("{key}.lock")), "dead")
+                    .expect("lock planted");
+            }
+            0
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Crash-restart property: for any subset of the paper's fleet systems, a
     /// cold session followed by a kill + warm restart over the same disk root
-    /// is byte-identical and recomputes nothing.
+    /// is byte-identical and recomputes nothing. When the root is then damaged
+    /// (any set of [`Fault`]s), the next restart still does not panic and is
+    /// byte-identical, recomputes at most what was damaged, and leaves a root
+    /// the restart after it recomputes nothing from.
     #[test]
     fn crash_restart_is_byte_identical_with_zero_recomputes(
         mask in 1usize..16,
+        faults in 0usize..32,
+        pick in any::<usize>(),
     ) {
         let all = [
             SystemModel::ault23(),
@@ -266,17 +370,47 @@ proptest! {
             .map(|(_, s)| s.clone())
             .collect();
         let root = ScratchRoot::new("prop-restart");
+        // A short lock timeout: planted locks are consulted only for damaged
+        // keys, and must then cost milliseconds, not the 2 s default.
+        let config = || {
+            TierConfig::new()
+                .disk(DiskTierConfig::new(root.path()).lock_timeout(Duration::from_millis(10)))
+        };
 
-        let (cold_orch, cold_images, _) =
-            session(TierConfig::new().disk_root(root.path()), &systems);
+        let (cold_orch, cold_images, _) = session(config(), &systems);
         prop_assert!(cold_orch.cache_stats().misses > 0);
         drop(cold_orch);
 
-        let (warm_orch, warm_images, _) =
-            session(TierConfig::new().disk_root(root.path()), &systems);
+        let (warm_orch, warm_images, _) = session(config(), &systems);
         let warm = warm_orch.cache_stats();
-        prop_assert_eq!(cold_images, warm_images);
+        prop_assert_eq!(&cold_images, &warm_images);
         prop_assert_eq!(warm.misses, 0);
         prop_assert!(warm.disk_hits > 0);
+        drop(warm_orch);
+
+        let kinds = [
+            Fault::CutJournal,
+            Fault::TruncateBlob,
+            Fault::FlipBlobByte,
+            Fault::DeleteBlob,
+            Fault::StaleLocks,
+        ];
+        let damaged: u64 = kinds
+            .iter()
+            .enumerate()
+            .filter(|(bit, _)| faults & (1 << bit) != 0)
+            .map(|(bit, &fault)| inject(root.path(), fault, pick.rotate_left(bit as u32 * 7)))
+            .sum();
+        let case = format!("mask={mask} faults={faults:#b} pick={pick} damaged={damaged}");
+
+        let (hurt_orch, hurt_images, _) = session(config(), &systems);
+        let hurt = hurt_orch.cache_stats();
+        prop_assert_eq!(&cold_images, &hurt_images, "{}", case);
+        prop_assert!(hurt.misses <= damaged, "{} recomputes; {case}", hurt.misses);
+        drop(hurt_orch);
+
+        let (healed_orch, healed_images, _) = session(config(), &systems);
+        prop_assert_eq!(cold_images, healed_images, "{}", case);
+        prop_assert_eq!(healed_orch.cache_stats().misses, 0, "the root healed itself; {}", case);
     }
 }
