@@ -137,7 +137,8 @@ impl Image {
     }
 
     /// Derive a new image from an existing one (the `FROM` instruction): layers, runtime
-    /// configuration, and annotations are inherited.
+    /// configuration, and annotations are inherited. Layers are shared handles, so the
+    /// derived image inherits their sealed archives and digests with them.
     pub fn derive_from(base: &Image, reference: impl Into<String>) -> Self {
         Self {
             reference: reference.into(),
@@ -178,12 +179,9 @@ impl Image {
         RootFs::flatten(self.layers.iter())
     }
 
-    /// Total size of all layers in bytes.
+    /// Total size of all layer archives in bytes (sealing layers not yet sealed).
     pub fn size_bytes(&self) -> u64 {
-        self.layers
-            .iter()
-            .map(|l| l.to_archive().len() as u64)
-            .sum()
+        self.layers.iter().map(|l| l.sealed().0.len() as u64).sum()
     }
 
     /// Number of layers.
@@ -243,8 +241,12 @@ pub struct StoreStats {
     pub dedup_hits: u64,
     /// Bytes of those short-circuited puts — storage the content addressing saved.
     pub dedup_bytes: u64,
-    /// SHA-256 digests the store computed over full payloads. Insertions through
-    /// [`ImageStore::put_blob_with_digest`] skip the hash and do not count here.
+    /// SHA-256 digests paid for through the store: one per [`ImageStore::put_blob`],
+    /// and per [`ImageStore::commit`] one for the config, one for the manifest and one
+    /// for each layer that commit had to seal. A layer already sealed — inherited from
+    /// a committed base, loaded or pulled, or being sealed by a concurrent commit —
+    /// costs no hash and is not counted, and neither are insertions through
+    /// [`ImageStore::put_blob_with_digest`].
     pub digests_computed: u64,
     /// Blobs reclaimed by [`ImageStore::collect_garbage`] over the store's lifetime.
     #[serde(default)]
@@ -282,7 +284,7 @@ impl ImageStore {
         let digest = Digest::of_bytes(&blob);
         let mut inner = self.inner.write();
         inner.digests_computed += 1;
-        Self::insert_locked(&mut inner, digest.clone(), blob);
+        Self::insert_locked(&mut inner, &digest, &blob);
         digest
     }
 
@@ -300,19 +302,19 @@ impl ImageStore {
             digest,
             "put_blob_with_digest called with a digest that does not match the payload"
         );
-        let mut inner = self.inner.write();
-        Self::insert_locked(&mut inner, digest.clone(), blob);
+        Self::insert_locked(&mut self.inner.write(), &digest, &blob);
         digest
     }
 
-    /// Shared insertion path: dedup bookkeeping plus the actual map insert.
-    fn insert_locked(inner: &mut StoreInner, digest: Digest, blob: Blob) {
-        if inner.blobs.contains_key(&digest) {
+    /// Shared insertion path: dedup bookkeeping plus the actual map insert. Takes
+    /// handles by reference so a duplicate costs no clone.
+    fn insert_locked(inner: &mut StoreInner, digest: &Digest, blob: &Blob) {
+        if inner.blobs.contains_key(digest) {
             inner.dedup_hits += 1;
             inner.dedup_bytes += blob.len() as u64;
             return;
         }
-        inner.blobs.insert(digest, blob);
+        inner.blobs.insert(digest.clone(), blob.clone());
     }
 
     /// Fetch a blob handle by digest. The returned [`Blob`] shares the store's
@@ -431,47 +433,73 @@ impl ImageStore {
         }
     }
 
-    /// Commit an [`Image`]: serialise layers, config, and manifest into blobs, tag the
-    /// manifest with the image reference, and return the manifest descriptor.
+    /// Commit an [`Image`]: put its layer archives, config, and manifest into the store,
+    /// tag the manifest with the image reference, and return the manifest descriptor.
+    ///
+    /// A layer is serialised and hashed only if nothing sealed it before
+    /// ([`Layer::sealed`]); its digest is both the blob digest and the diff ID, which
+    /// name the same uncompressed archive. Everything is hashed before the store's
+    /// write lock is taken, once, for all blobs and the tag.
     pub fn commit(&self, image: &Image) -> Descriptor {
+        let mut hashed = 2u64; // config + manifest
         let mut layer_descriptors = Vec::with_capacity(image.layers.len());
-        let mut diff_ids = Vec::with_capacity(image.layers.len());
         let mut history = Vec::with_capacity(image.layers.len());
         for layer in &image.layers {
-            let archive = layer.to_archive();
-            let size = archive.len() as u64;
-            let digest = self.put_blob(archive);
-            diff_ids.push(layer.diff_id());
+            let ((archive, digest), sealed_now) = layer.seal();
+            hashed += u64::from(sealed_now);
+            debug_assert_eq!(
+                &Digest::of_bytes(archive),
+                digest,
+                "a sealed layer's digest does not match its archive"
+            );
             history.push(HistoryEntry {
-                created_by: layer.created_by.clone(),
+                created_by: layer.created_by().to_string(),
                 empty_layer: layer.is_empty(),
             });
-            layer_descriptors.push(Descriptor::new(MediaType::Layer, digest, size));
+            layer_descriptors.push(Descriptor::new(
+                MediaType::Layer,
+                digest.clone(),
+                archive.len() as u64,
+            ));
         }
         let config = ImageConfig {
             platform: image.platform.clone(),
             config: image.runtime.clone(),
-            rootfs_diff_ids: diff_ids,
+            rootfs_diff_ids: layer_descriptors.iter().map(|d| d.digest.clone()).collect(),
             history,
         };
-        let config_bytes = serde_json::to_vec(&config).expect("config serialises");
-        let config_size = config_bytes.len() as u64;
-        let config_digest = self.put_blob(config_bytes);
+        let config_blob = Blob::new(serde_json::to_vec(&config).expect("config serialises"));
         let manifest = Manifest {
             media_type: MediaType::ImageManifest,
-            config: Descriptor::new(MediaType::ImageConfig, config_digest, config_size),
+            config: Descriptor::new(
+                MediaType::ImageConfig,
+                Digest::of_bytes(&config_blob),
+                config_blob.len() as u64,
+            ),
             layers: layer_descriptors,
             annotations: image.annotations.clone(),
         };
-        let manifest_bytes = serde_json::to_vec(&manifest).expect("manifest serialises");
-        let manifest_size = manifest_bytes.len() as u64;
-        let manifest_digest = self.put_blob(manifest_bytes);
-        self.inner
-            .write()
-            .tags
-            .insert(image.reference.clone(), manifest_digest.clone());
-        Descriptor::new(MediaType::ImageManifest, manifest_digest, manifest_size)
-            .with_platform(image.platform.clone())
+        let manifest_blob = Blob::new(serde_json::to_vec(&manifest).expect("manifest serialises"));
+        let manifest_digest = Digest::of_bytes(&manifest_blob);
+
+        {
+            let mut inner = self.inner.write();
+            inner.digests_computed += hashed;
+            for (layer, descriptor) in image.layers.iter().zip(&manifest.layers) {
+                Self::insert_locked(&mut inner, &descriptor.digest, layer.sealed().0);
+            }
+            Self::insert_locked(&mut inner, &manifest.config.digest, &config_blob);
+            Self::insert_locked(&mut inner, &manifest_digest, &manifest_blob);
+            inner
+                .tags
+                .insert(image.reference.clone(), manifest_digest.clone());
+        }
+        Descriptor::new(
+            MediaType::ImageManifest,
+            manifest_digest,
+            manifest_blob.len() as u64,
+        )
+        .with_platform(image.platform.clone())
     }
 
     /// Resolve a reference (tag) to its manifest digest.
@@ -506,6 +534,13 @@ impl ImageStore {
         serde_json::from_slice(&bytes).map_err(|e| ImageError::Corrupt(format!("config: {e}")))
     }
 
+    /// Load a layer blob, sealed with the stored archive and the digest it is stored
+    /// under, so committing it again serialises and hashes nothing.
+    pub fn layer(&self, digest: &Digest) -> Result<Layer, ImageError> {
+        Layer::from_archive_blob(self.blob(digest)?, digest.clone())
+            .map_err(|e| ImageError::Corrupt(format!("layer {digest}: {e}")))
+    }
+
     /// Reconstruct a full [`Image`] from a tagged reference.
     pub fn load(&self, reference: &str) -> Result<Image, ImageError> {
         let manifest_digest = self.resolve(reference)?;
@@ -513,10 +548,7 @@ impl ImageStore {
         let config = self.config(&manifest.config.digest)?;
         let mut layers = Vec::with_capacity(manifest.layers.len());
         for desc in &manifest.layers {
-            let bytes = self.blob(&desc.digest)?;
-            let layer = Layer::from_archive(&bytes)
-                .map_err(|e| ImageError::Corrupt(format!("layer {}: {e}", desc.digest)))?;
-            layers.push(layer);
+            layers.push(self.layer(&desc.digest)?);
         }
         Ok(Image {
             reference: reference.to_string(),
@@ -673,6 +705,119 @@ mod tests {
         let d2 = store.commit(&derived);
         assert_ne!(d1.digest, d2.digest);
         assert_eq!(store.load("xaas/app:deployed").unwrap().layer_count(), 3);
+    }
+
+    #[test]
+    fn committing_a_derived_image_hashes_only_what_is_new() {
+        let store = ImageStore::new();
+        let base = toolchain_image();
+        store.commit(&base);
+        assert_eq!(store.digests_computed(), 4, "two layers, config, manifest");
+        let mut derived = Image::derive_from(&base, "xaas/app:deployed");
+        let mut l = Layer::new("RUN build app");
+        l.add_executable("/opt/app/bin/md", b"binary".to_vec());
+        derived.push_layer(l);
+        let before = store.stats();
+        let descriptor = store.commit(&derived);
+        let after = store.stats();
+        assert_eq!(
+            after.digests_computed - before.digests_computed,
+            3,
+            "the new layer, the config and the manifest"
+        );
+        assert_eq!(after.dedup_hits - before.dedup_hits, 2, "inherited layers");
+        // Inherited layers were neither re-serialised nor copied: the store holds the
+        // very archives the base image sealed.
+        let manifest = store.manifest(&descriptor.digest).unwrap();
+        let config = store.config(&manifest.config.digest).unwrap();
+        for (index, layer) in base.layers.iter().enumerate() {
+            let (archive, digest) = layer.sealed();
+            assert_eq!(&manifest.layers[index].digest, digest);
+            assert_eq!(&config.rootfs_diff_ids[index], digest);
+            assert!(Blob::ptr_eq(&store.blob(digest).unwrap(), archive));
+            assert!(Blob::ptr_eq(derived.layers[index].sealed().0, archive));
+        }
+        // Re-committing an image whose layers are all sealed books config + manifest.
+        store.commit(&derived);
+        assert_eq!(store.digests_computed(), after.digests_computed + 2);
+    }
+
+    #[test]
+    fn concurrent_commits_of_a_shared_unsealed_layer_count_one_hash() {
+        for _ in 0..25 {
+            let store = ImageStore::new();
+            let mut shared = Layer::new("COPY shared");
+            shared.add_file("/shared", vec![7u8; 64 * 1024]);
+            let images: Vec<Image> = ["race:a", "race:b"]
+                .into_iter()
+                .map(|reference| {
+                    let mut img = Image::new(reference, Platform::linux(Architecture::Amd64));
+                    img.push_layer(shared.clone());
+                    img.runtime.env.push(format!("REF={reference}"));
+                    img
+                })
+                .collect();
+            assert!(images.iter().all(|img| !img.layers[0].is_sealed()));
+            let start = std::sync::Barrier::new(images.len());
+            std::thread::scope(|scope| {
+                for img in &images {
+                    let (store, start) = (&store, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        store.commit(img);
+                    });
+                }
+            });
+            // One seal for the layer both images share, config + manifest per image.
+            assert_eq!(store.digests_computed(), 1 + 2 * 2);
+            assert_eq!(store.stats().dedup_hits, 1, "the second layer insert");
+        }
+    }
+
+    #[test]
+    fn load_then_commit_hashes_no_layer() {
+        let store = ImageStore::new();
+        store.commit(&toolchain_image());
+        let loaded = store.load("xaas/toolchain:19").unwrap();
+        for layer in &loaded.layers {
+            assert!(layer.is_sealed());
+            let (archive, digest) = layer.sealed();
+            assert!(Blob::ptr_eq(archive, &store.blob(digest).unwrap()));
+        }
+        let before = store.digests_computed();
+        let other = ImageStore::new();
+        store.commit(&loaded);
+        other.commit(&loaded);
+        assert_eq!(store.digests_computed() - before, 2, "config + manifest");
+        assert_eq!(other.digests_computed(), 2, "config + manifest");
+        assert_eq!(loaded.size_bytes(), toolchain_image().size_bytes());
+    }
+
+    #[test]
+    fn loading_a_layer_with_a_saturated_length_field_is_corrupt_not_a_panic() {
+        let store = ImageStore::new();
+        let mut img = Image::new("xaas/corrupt:1", Platform::linux(Architecture::Amd64));
+        let mut layer = Layer::new("x");
+        layer.add_file("/f", b"payload".to_vec());
+        img.push_layer(layer.clone());
+        store.commit(&img);
+        // Damage the stored archive in place: the content-length field of the one file.
+        let (archive, digest) = layer.sealed();
+        let mut corrupt = archive.to_vec();
+        let field = corrupt.len() - b"payload".len() - 8;
+        corrupt[field..field + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        store
+            .inner
+            .write()
+            .blobs
+            .insert(digest.clone(), Blob::new(corrupt));
+        match store.load("xaas/corrupt:1") {
+            Err(ImageError::Corrupt(what)) => {
+                assert!(what.contains("truncated"), "{what}");
+                assert!(what.contains(digest.as_str()), "{what}");
+            }
+            other => panic!("expected ImageError::Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

@@ -140,13 +140,9 @@ impl Registry {
         // Re-tag locally and materialise the image.
         let manifest = self.store.manifest(&digest)?;
         let config = self.store.config(&manifest.config.digest)?;
-        let mut layers = Vec::new();
+        let mut layers = Vec::with_capacity(manifest.layers.len());
         for desc in &manifest.layers {
-            let bytes = local.blob(&desc.digest)?;
-            layers.push(
-                crate::layer::Layer::from_archive(&bytes)
-                    .map_err(|e| RegistryError::Store(ImageError::Corrupt(e.to_string())))?,
-            );
+            layers.push(local.layer(&desc.digest)?);
         }
         let image = Image {
             reference: reference.to_string(),
@@ -155,7 +151,8 @@ impl Registry {
             runtime: config.config,
             annotations: manifest.annotations,
         };
-        // Make the local store able to resolve the reference as well.
+        // Make the local store able to resolve the reference as well. The layers came
+        // back sealed, so this hashes only the config and the manifest.
         local.commit(&image);
         Ok((image, stats))
     }
@@ -277,6 +274,31 @@ mod tests {
             registry.pull_count(&Reference::parse("spcl/app:v1").unwrap()),
             1
         );
+    }
+
+    #[test]
+    fn pull_hashes_no_layer() {
+        let registry = Registry::new();
+        let (local, img) = make_image("spcl/app:v1", "hello");
+        registry.push(&local, "spcl/app:v1").unwrap();
+        assert_eq!(
+            registry.store().digests_computed(),
+            0,
+            "push trusts descriptors"
+        );
+
+        let other = ImageStore::new();
+        let (pulled, _) = registry.pull(&other, "spcl/app:v1").unwrap();
+        // The local re-commit hashes the config and the manifest; the layer came back
+        // sealed with the transferred blob and the descriptor's digest.
+        assert_eq!(other.digests_computed(), 2);
+        assert_eq!(pulled.layers, img.layers);
+        let (archive, digest) = pulled.layers[0].sealed();
+        assert!(crate::blob::Blob::ptr_eq(
+            archive,
+            &other.blob(digest).unwrap()
+        ));
+        assert_eq!(other.resolve("spcl/app:v1"), local.resolve("spcl/app:v1"));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use xaas_buildsys::{OptionAssignment, ProjectSpec};
 use xaas_container::{
-    annotation_keys, BuildKey, DeploymentFormat, Image, ImageStore, Layer, Platform,
+    annotation_keys, Blob, BuildKey, DeploymentFormat, Image, ImageStore, Layer, Platform,
 };
 use xaas_hpcsim::{BuildProfile, SimdLevel, SystemModel};
 use xaas_xir::{
@@ -105,6 +105,10 @@ pub struct DeploymentStats {
 }
 
 /// The result of deploying an IR container.
+///
+/// The deployment path ships artifact bytes and decodes none of them; the typed
+/// views (machine modules, vectorisation report, statistics) are decoded on demand
+/// by [`IrDeployment::lowered`].
 #[derive(Debug, Clone)]
 pub struct IrDeployment {
     /// The new system-specialized image.
@@ -115,12 +119,8 @@ pub struct IrDeployment {
     pub assignment: OptionAssignment,
     /// The SIMD level the IR was lowered for.
     pub simd: SimdLevel,
-    /// Lowered machine modules keyed by source file.
-    pub machine_modules: BTreeMap<String, MachineModule>,
-    /// Aggregated vectorisation report.
-    pub vectorization: VectorizationReport,
-    /// Deployment statistics.
-    pub stats: DeploymentStats,
+    /// One record per deduplicated lower/compile task, in plan order.
+    artifacts: Vec<DeployedArtifact>,
     /// Performance profile of the deployed build.
     pub build_profile: BuildProfile,
     /// Lower/compile actions executed vs served from the action cache. Reported outside
@@ -128,6 +128,65 @@ pub struct IrDeployment {
     pub actions: ActionSummary,
     /// The full, deterministic action trace of the deployment.
     pub trace: ActionTrace,
+}
+
+/// What one lower/compile task contributed to a deployment: the serialised
+/// [`MachineModule`] exactly as the keyed action (or the cache) produced it, shared
+/// with the deployed layer's object files, and the manifest units it serves.
+#[derive(Debug, Clone)]
+struct DeployedArtifact {
+    /// Every manifest unit served by the artifact (several units can share one).
+    files: Vec<String>,
+    /// Lowered from stored IR (`true`) or compiled from a system-dependent source.
+    lowered: bool,
+    /// `serde_json::to_vec(&MachineModule)`.
+    bytes: Blob,
+}
+
+/// The typed views of an [`IrDeployment`], decoded by [`IrDeployment::lowered`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct LoweredDeployment {
+    /// Lowered machine modules keyed by source file.
+    pub machine_modules: BTreeMap<String, MachineModule>,
+    /// Aggregated vectorisation report.
+    pub vectorization: VectorizationReport,
+    /// Deployment statistics.
+    pub stats: DeploymentStats,
+}
+
+impl IrDeployment {
+    /// Decode the deployed artifacts — once per task, however many units share it —
+    /// into machine modules keyed by source file, the aggregated vectorisation report
+    /// and the deployment statistics. Undecodable bytes (action-cache corruption) are
+    /// a [`DeployError::Cache`] naming the file.
+    pub fn lowered(&self) -> Result<LoweredDeployment, DeployError> {
+        let mut machine_modules: BTreeMap<String, MachineModule> = BTreeMap::new();
+        let mut vectorization = VectorizationReport::default();
+        let mut stats = DeploymentStats::default();
+        for artifact in &self.artifacts {
+            let machine: MachineModule = serde_json::from_slice(&artifact.bytes).map_err(|e| {
+                DeployError::Cache(format!("machine module for {}: {e}", artifact.files[0]))
+            })?;
+            for file in &artifact.files {
+                vectorization
+                    .loops
+                    .extend(machine.vectorization.loops.iter().cloned());
+                if artifact.lowered {
+                    stats.lowered_units += 1;
+                } else {
+                    stats.compiled_source_units += 1;
+                }
+                machine_modules.insert(file.clone(), machine.clone());
+            }
+        }
+        stats.vectorized_loops = vectorization.vectorized_count();
+        stats.scalar_loops = vectorization.scalar_count();
+        Ok(LoweredDeployment {
+            machine_modules,
+            vectorization,
+            stats,
+        })
+    }
 }
 
 /// One planned deployment action: either lower a stored IR unit or compile a
@@ -145,12 +204,10 @@ enum DeployTask<'plan> {
     },
 }
 
-/// The typed pieces a deployment's Link action assembles for the driver.
+/// What a deployment's Link action assembles for the driver.
 struct Assembled {
     image: Image,
-    machine_modules: BTreeMap<String, MachineModule>,
-    vectorization: VectorizationReport,
-    stats: DeploymentStats,
+    artifacts: Vec<DeployedArtifact>,
 }
 
 /// The plan phase of one IR deployment: everything validated and owned, but no
@@ -453,37 +510,25 @@ pub(crate) fn graft_ir_deploy<'env>(
             format!("{reference} image"),
             &artifact_actions,
             move |inputs| {
-                let mut machine_modules: BTreeMap<String, MachineModule> = BTreeMap::new();
-                // file → producing dependency output: the artifact actions emit exactly
-                // the serialised machine module, so the layer below reuses those bytes
-                // instead of re-serialising every module a second time.
-                let mut machine_bytes: BTreeMap<String, &xaas_container::Blob> = BTreeMap::new();
-                let mut vectorization = VectorizationReport::default();
-                let mut stats = DeploymentStats::default();
-                for (index, task) in plan.tasks.iter().enumerate() {
-                    let (label, files, lowered) = match task {
-                        DeployTask::Lower { files, .. } => (files[0], files, true),
-                        DeployTask::Compile { path, files, .. } => (*path, files, false),
-                    };
-                    let machine: MachineModule = serde_json::from_slice(inputs.dep(index))
-                        .map_err(|e| {
-                            DeployError::Cache(format!("machine module for {label}: {e}"))
-                        })?;
-                    for file in files {
-                        vectorization
-                            .loops
-                            .extend(machine.vectorization.loops.iter().cloned());
-                        if lowered {
-                            stats.lowered_units += 1;
-                        } else {
-                            stats.compiled_source_units += 1;
+                // The artifact actions emit exactly the serialised machine module, so
+                // Link hands those bytes on — to the layer below and to the deployment
+                // record — and decodes none of them (`IrDeployment::lowered` does).
+                let artifacts: Vec<DeployedArtifact> = plan
+                    .tasks
+                    .iter()
+                    .enumerate()
+                    .map(|(index, task)| {
+                        let (files, lowered) = match task {
+                            DeployTask::Lower { files, .. } => (files, true),
+                            DeployTask::Compile { files, .. } => (files, false),
+                        };
+                        DeployedArtifact {
+                            files: files.iter().map(|file| file.to_string()).collect(),
+                            lowered,
+                            bytes: inputs.dep_blob(index).clone(),
                         }
-                        machine_modules.insert(file.to_string(), machine.clone());
-                        machine_bytes.insert(file.to_string(), inputs.dep_blob(index));
-                    }
-                }
-                stats.vectorized_loops = vectorization.vectorized_count();
-                stats.scalar_loops = vectorization.scalar_count();
+                    })
+                    .collect();
 
                 // Linking and installation: assemble the deployed image from the IR
                 // container image.
@@ -500,11 +545,13 @@ pub(crate) fn graft_ir_deploy<'env>(
 
                 let mut lowered =
                     Layer::new(format!("RUN xaas lower --target {}", plan.target.name));
-                for (file, bytes) in &machine_bytes {
-                    lowered.add_file(
-                        format!("/xaas/obj/{}.o", file.replace('/', "_")),
-                        bytes.to_vec(),
-                    );
+                for artifact in &artifacts {
+                    for file in &artifact.files {
+                        lowered.add_file(
+                            format!("/xaas/obj/{}.o", file.replace('/', "_")),
+                            artifact.bytes.clone(),
+                        );
+                    }
                 }
                 for target_spec in &plan.project.targets {
                     lowered.add_executable(
@@ -524,12 +571,7 @@ pub(crate) fn graft_ir_deploy<'env>(
                     );
                 }
                 image.push_layer(lowered);
-                plan.assembled.put(Assembled {
-                    image,
-                    machine_modules,
-                    vectorization,
-                    stats,
-                });
+                plan.assembled.put(Assembled { image, artifacts });
                 Ok(Vec::new())
             },
         )
@@ -556,12 +598,7 @@ pub(crate) fn finish_ir_deploy(
     plan: DeployPlan<'_>,
     trace: ActionTrace,
 ) -> Result<IrDeployment, DeployError> {
-    let Assembled {
-        image,
-        machine_modules,
-        vectorization,
-        stats,
-    } = plan.assembled.into_inner().expect("link action ran");
+    let Assembled { image, artifacts } = plan.assembled.into_inner().expect("link action ran");
 
     let threads = plan.system.cpu.total_cores().min(36);
     let mut build_profile = derive_build_profile(
@@ -579,9 +616,7 @@ pub(crate) fn finish_ir_deploy(
         reference: plan.reference,
         assignment: plan.manifest.assignment.clone(),
         simd: plan.simd,
-        machine_modules,
-        vectorization,
-        stats,
+        artifacts,
         build_profile,
         actions,
         trace,
@@ -704,11 +739,12 @@ mod tests {
             &store,
         )
         .unwrap();
-        assert!(deployment.stats.lowered_units > 5);
-        assert!(deployment.stats.vectorized_loops > 0);
+        let lowered = deployment.lowered().unwrap();
+        assert!(lowered.stats.lowered_units > 5);
+        assert!(lowered.stats.vectorized_loops > 0);
         assert_eq!(deployment.simd, SimdLevel::Avx512);
         // Vectorised loops use the AVX-512 width.
-        let widths: Vec<u32> = deployment
+        let widths: Vec<u32> = lowered
             .machine_modules
             .values()
             .flat_map(|m| m.functions.iter().flat_map(|f| f.loop_widths.clone()))
@@ -751,7 +787,9 @@ mod tests {
         )
         .unwrap();
         let width_of = |d: &IrDeployment| {
-            d.machine_modules
+            d.lowered()
+                .unwrap()
+                .machine_modules
                 .values()
                 .flat_map(|m| m.functions.iter().flat_map(|f| f.loop_widths.clone()))
                 .max()
@@ -796,9 +834,55 @@ mod tests {
         .unwrap();
         assert_eq!(warm.actions.executed, 0, "warm deployment runs no compiler");
         assert_eq!(warm.actions.cached, cold.actions.executed);
-        assert_eq!(warm.machine_modules, cold.machine_modules);
-        assert_eq!(warm.stats, cold.stats);
+        let (warm_lowered, cold_lowered) = (warm.lowered().unwrap(), cold.lowered().unwrap());
+        assert_eq!(warm_lowered.machine_modules, cold_lowered.machine_modules);
+        assert_eq!(warm_lowered.stats, cold_lowered.stats);
+        assert_eq!(warm_lowered, cold_lowered);
         assert_eq!(warm.image.layers, cold.image.layers);
+    }
+
+    /// Link ships artifact bytes without decoding them, so a corrupt cache entry no
+    /// longer fails the deployment; the decode check lives in `lowered()`.
+    #[test]
+    fn a_poisoned_cache_entry_surfaces_in_lowered_not_in_the_deployment() {
+        let store = ImageStore::new();
+        let (project, build) = gromacs_ir_build(&store);
+        let cache = ActionCache::new(store.clone());
+        let selection = OptionAssignment::new()
+            .with("GMX_SIMD", "AVX_512")
+            .with("GMX_GPU", "OFF");
+        let manifest = build.manifest_for(&selection).unwrap();
+        let poisoned = manifest
+            .units
+            .iter()
+            .find(|unit| unit.file == "src/mdrun/integrator.ck")
+            .unwrap();
+        let id = poisoned.artifact.strip_prefix("ir:").unwrap();
+        let target = target_isa_for(SimdLevel::Avx512);
+        cache.insert(
+            &BuildKey::new(id, &target.name, "lower", TOOLCHAIN_ID),
+            b"not json".to_vec(),
+        );
+        let deployment = deploy_cached(
+            &build,
+            &project,
+            &SystemModel::ault23(),
+            &selection,
+            SimdLevel::Avx512,
+            &cache,
+        )
+        .expect("the deploy path decodes no artifact");
+        assert_eq!(
+            deployment.actions.cached, 1,
+            "the poisoned entry was served"
+        );
+        assert!(store.load(&deployment.reference).is_ok());
+        match deployment.lowered() {
+            Err(DeployError::Cache(detail)) => {
+                assert!(detail.contains("src/mdrun/integrator.ck"), "{detail}")
+            }
+            other => panic!("expected DeployError::Cache, got {other:?}"),
+        }
     }
 
     #[test]
@@ -854,7 +938,8 @@ mod tests {
             &store,
         )
         .unwrap();
-        let machine = deployment
+        let lowered = deployment.lowered().unwrap();
+        let machine = lowered
             .machine_modules
             .get("src/mdrun/integrator.ck")
             .expect("integrator module present");

@@ -121,9 +121,11 @@ impl KeyedActionPlanner {
 
 /// A typed slot a Link action uses to hand its assembled result to the driver.
 ///
-/// Graph nodes exchange bytes; the assembled `Image` (plus whatever typed pieces the
-/// driver needs back — units, machine modules, stats) crosses the graph boundary
-/// through this slot instead of being serialised.
+/// Graph nodes exchange bytes; the assembled `Image` (plus whatever the driver needs
+/// back — IR units, manifests, the deployed artifact blobs) crosses the graph boundary
+/// through this slot instead of being serialised. The Commit action seals the image's
+/// layers in place, so the image the driver takes out carries their archives and
+/// digests, and whatever derives from it later inherits them.
 pub struct LinkSlot<T> {
     inner: Mutex<Option<T>>,
 }

@@ -26,7 +26,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use xaas_buildsys::{configure, ConfigureError, OptionAssignment, ProjectSpec};
 use xaas_container::{
-    annotation_keys, Architecture, BuildKey, DeploymentFormat, Image, Layer, Platform,
+    annotation_keys, Architecture, Blob, BuildKey, DeploymentFormat, Image, Layer, Platform,
 };
 use xaas_specs::from_project;
 use xaas_xir::{bitcode, CompileFlags, Compiler, IrModule};
@@ -755,9 +755,9 @@ pub(crate) fn run_ir_build(
                 let mut manifests = manifests;
                 let mut units: BTreeMap<String, IrUnit> = BTreeMap::new();
                 // id → the producing action's output: the lower actions emit exactly
-                // `bitcode::encode(&module)`, so the IR layer below reuses those bytes
-                // instead of re-encoding every deduplicated unit.
-                let mut unit_bytes: BTreeMap<String, &xaas_container::Blob> = BTreeMap::new();
+                // `bitcode::encode(&module)`, so the IR layer below shares those blobs
+                // instead of re-encoding (or copying) every deduplicated unit.
+                let mut unit_bytes: BTreeMap<String, &Blob> = BTreeMap::new();
                 let mut key_to_id: BTreeMap<String, String> = BTreeMap::new();
                 for (index, key) in ordered_keys.iter().enumerate() {
                     let (file, ..) = &final_keys[*key];
@@ -826,7 +826,7 @@ pub(crate) fn run_ir_build(
 
                 let mut ir_layer = Layer::new(format!("ADD {} deduplicated IR files", units.len()));
                 for (id, bytes) in &unit_bytes {
-                    ir_layer.add_file(format!("{}/{}.xbc", paths::IR_ROOT, id), bytes.to_vec());
+                    ir_layer.add_file(format!("{}/{}.xbc", paths::IR_ROOT, id), Blob::clone(bytes));
                 }
                 image.push_layer(ir_layer);
 

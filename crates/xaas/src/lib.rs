@@ -69,7 +69,7 @@ pub mod targets;
 /// its builder, and the typed request types — plus result/error types and the
 /// engine vocabulary.
 pub mod prelude {
-    pub use crate::deploy::{DeployError, DeploymentStats, IrDeployment};
+    pub use crate::deploy::{DeployError, DeploymentStats, IrDeployment, LoweredDeployment};
     pub use crate::engine::{
         ActionGraph, ActionId, ActionInputs, ActionKind, ActionRecord, ActionTrace, AnalysisMode,
         AnalysisReport, CriticalPathFirst, Diagnostic, DiagnosticCode, Engine, Fifo, GraphAnalyzer,

@@ -33,7 +33,7 @@
 //!     .simd(SimdLevel::Avx512)
 //!     .submit(&orch)
 //!     .unwrap();
-//! assert!(deployment.stats.lowered_units > 0);
+//! assert!(deployment.lowered().unwrap().stats.lowered_units > 0);
 //! assert!(orch.store().load(&deployment.reference).is_ok());
 //! ```
 //!

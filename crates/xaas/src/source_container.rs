@@ -453,7 +453,7 @@ pub(crate) fn run_source_deploy(
                             plan.target,
                             plan.file.replace('/', "_")
                         ),
-                        inputs.dep(position).to_vec(),
+                        inputs.dep_blob(position).clone(),
                     );
                 }
                 for target_spec in &project.targets {

@@ -70,17 +70,18 @@ fn main() {
         let report = engine
             .execute(&workload, &deployment.build_profile)
             .unwrap();
+        let lowered = deployment.lowered().expect("deployed artifacts decode");
         println!(
             "  {:<10} lowered {:>2} IR units, {:>2} loops vectorised, modelled time {:>7.2} s, image {}",
             level.gmx_name(),
-            deployment.stats.lowered_units,
-            deployment.stats.vectorized_loops,
+            lowered.stats.lowered_units,
+            lowered.stats.vectorized_loops,
             report.compute_seconds,
             deployment.reference
         );
 
         // Correctness: the integrator kernel computes identical results at every width.
-        let machine = &deployment.machine_modules["src/mdrun/integrator.ck"];
+        let machine = &lowered.machine_modules["src/mdrun/integrator.ck"];
         let interp = Interpreter::for_machine(machine);
         let result = interp
             .run(

@@ -133,8 +133,9 @@ fn assert_strategy_equivalence(union: &FleetReport, sequential: &FleetReport) {
         // Byte-identical images and artifacts per target.
         assert_eq!(u.reference, s.reference);
         assert_eq!(u.image.layers, s.image.layers);
-        assert_eq!(u.machine_modules, s.machine_modules);
-        assert_eq!(u.stats, s.stats);
+        let (u_lowered, s_lowered) = (u.lowered().unwrap(), s.lowered().unwrap());
+        assert_eq!(u_lowered.machine_modules, s_lowered.machine_modules);
+        assert_eq!(u_lowered.stats, s_lowered.stats);
         // Per-job traces are equal traces: same records (identities and cached
         // flags), same stage depth, same policy.
         assert_eq!(u.trace, s.trace);
@@ -408,7 +409,7 @@ fn plan_time_failures_are_isolated_and_carry_no_action() {
     assert!(simd.message.contains("not supported"), "{simd}");
     // The healthy job delivered despite two failing jobs in the same wave.
     let healthy = report.outcomes[2].deployment.as_ref().unwrap();
-    assert!(healthy.stats.lowered_units > 0);
+    assert!(healthy.lowered().unwrap().stats.lowered_units > 0);
     assert_eq!(report.submissions, 1);
 
     // A wave whose every job fails at plan time grafts no node and never

@@ -302,7 +302,10 @@ fn scheduling_policies_reorder_dispatch_without_changing_artifacts() {
             .build(),
     );
 
-    assert!(cpf.stats.compiled_source_units > 0, "sd-compiles present");
+    assert!(
+        cpf.lowered().unwrap().stats.compiled_source_units > 0,
+        "sd-compiles present"
+    );
     assert_eq!(fifo.trace.policy, "fifo");
     assert_eq!(cpf.trace.policy, "critical-path-first");
     // Different dispatch order (FIFO starts stage B with the manifest-order

@@ -48,7 +48,11 @@ fn one_ir_container_deploys_to_every_system() {
             .simd(simd)
             .submit(&orch)
             .unwrap_or_else(|e| panic!("{}: {e}", system.name));
-        assert!(deployment.stats.lowered_units > 0, "{}", system.name);
+        assert!(
+            deployment.lowered().unwrap().stats.lowered_units > 0,
+            "{}",
+            system.name
+        );
         assert!(store.load(&deployment.reference).is_ok());
         let engine = ExecutionEngine::new(&system);
         let report = engine
@@ -146,10 +150,9 @@ fn lulesh_section_4_3_walkthrough() {
         .simd(SimdLevel::Avx512)
         .submit(&orch)
         .unwrap();
-    assert!(deployment
-        .machine_modules
-        .contains_key("src/lulesh_comm.ck"));
-    assert_eq!(deployment.stats.lowered_units, 5);
+    let lowered = deployment.lowered().unwrap();
+    assert!(lowered.machine_modules.contains_key("src/lulesh_comm.ck"));
+    assert_eq!(lowered.stats.lowered_units, 5);
 }
 
 /// Early optimisation of stored IR (the ablation) caps the vector width achieved at
@@ -178,6 +181,8 @@ fn premature_optimization_hurts_deployment_vectorization() {
             .submit(&orch)
             .unwrap();
         deployment
+            .lowered()
+            .unwrap()
             .machine_modules
             .values()
             .flat_map(|m| m.functions.iter().flat_map(|f| f.loop_widths.clone()))

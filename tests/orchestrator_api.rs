@@ -172,6 +172,6 @@ fn tiny_project_builds_and_deploys_through_one_session() {
     });
     assert_eq!(build.stats.configurations, 1);
     assert_eq!(build.units.len(), 1);
-    assert!(deployment.stats.lowered_units > 0);
+    assert!(deployment.lowered().unwrap().stats.lowered_units > 0);
     assert!(!deployment.trace.is_empty());
 }

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use xaas::prelude::*;
 use xaas_buildsys::OptionAssignment;
 use xaas_container::digest::{sha256, Digest};
-use xaas_container::{Layer, RootFs};
+use xaas_container::{Blob, Layer, RootFs};
 use xaas_hpcsim::{
     BuildProfile, ExecutionEngine, KernelClass, KernelWork, SimdLevel, SystemModel, Workload,
 };
@@ -41,6 +41,117 @@ proptest! {
         prop_assert_eq!(forward.diff_id(), reverse.diff_id());
         let root = RootFs::flatten([&forward]);
         prop_assert!(root.len() <= files.len());
+    }
+
+    /// The sealed archive is a memo, never a second source of truth: after any sequence
+    /// of mutations, clones, seals and diff-ID reads, `sealed()` equals the archive and
+    /// digest recomputed from scratch, on every layer alive, and mutating a clone never
+    /// changes the layer it was cloned from.
+    #[test]
+    fn layer_seal_never_goes_stale(ops in proptest::collection::vec(any::<u32>(), 1..48)) {
+        let from_scratch = |layer: &Layer| {
+            let archive = layer.to_archive();
+            let digest = Digest::of_bytes(&archive);
+            (archive, digest)
+        };
+        // Every layer alive, with the from-scratch archive it must keep until *it* is
+        // the one mutated.
+        let mut layers = vec![Layer::new("prop")];
+        let mut expected = vec![from_scratch(&layers[0])];
+        for op in ops {
+            let index = (op >> 8) as usize % layers.len();
+            let path = format!("/dir{}/f{}", (op >> 16) % 3, (op >> 20) % 4);
+            let content = vec![(op >> 24) as u8; (op >> 12) as usize % 40];
+            let layer = &mut layers[index];
+            match op % 9 {
+                0 => {
+                    layer.add_file(path, content);
+                }
+                1 => {
+                    layer.add_executable(path, Blob::new(content));
+                }
+                2 => {
+                    layer.add_text(path, format!("text {op}"));
+                }
+                3 => {
+                    layer.add_directory(path);
+                }
+                4 => {
+                    layer.add_symlink(path, "/target");
+                }
+                5 => {
+                    layer.add_whiteout(path);
+                }
+                6 => {
+                    let clone = layer.clone();
+                    prop_assert_eq!(clone.is_sealed(), layer.is_sealed());
+                    layers.push(clone);
+                    expected.push(expected[index].clone());
+                }
+                7 => {
+                    layer.sealed();
+                }
+                _ => {
+                    layer.diff_id();
+                }
+            }
+            if op % 9 < 6 {
+                prop_assert!(!layers[index].is_sealed(), "a mutation drops the memo");
+                expected[index] = from_scratch(&layers[index]);
+            }
+            for (layer, (archive, digest)) in layers.iter().zip(&expected) {
+                let was_sealed = layer.is_sealed();
+                prop_assert_eq!(&layer.to_archive(), archive);
+                prop_assert_eq!(layer.is_sealed(), was_sealed, "to_archive never seals");
+                if was_sealed || op.is_multiple_of(2) {
+                    let (sealed_archive, sealed_digest) = layer.sealed();
+                    prop_assert_eq!(sealed_archive, archive);
+                    prop_assert_eq!(sealed_digest, digest);
+                }
+            }
+        }
+    }
+
+    /// Layer archives are outside input (a registry, a disk): whatever bytes of a valid
+    /// archive are damaged, `from_archive` answers with a layer or a typed error, never a
+    /// panic, and a layer it does return re-serialises consistently.
+    #[test]
+    fn from_archive_never_panics_on_a_mutated_archive(
+        files in proptest::collection::btree_map("[a-z]{1,6}(/[a-z]{1,6}){0,1}", "[ -~]{0,24}", 1..6),
+        damage in proptest::collection::vec(any::<u32>(), 1..6),
+        truncate in any::<u16>(),
+    ) {
+        let mut layer = Layer::new("fuzz");
+        for (path, content) in &files {
+            layer.add_text(format!("/{path}"), content.clone());
+        }
+        layer.add_symlink("/link", "/target").add_whiteout("/gone");
+        let mut archive = layer.to_archive();
+        for hit in damage {
+            let at = (hit >> 8) as usize % archive.len();
+            if hit.is_multiple_of(4) {
+                archive[at] = (hit >> 2) as u8;
+            } else {
+                // Saturate a whole field's width: a length of 2^64 - 1 is the value that
+                // overflows `position + length`.
+                let end = (at + 8).min(archive.len());
+                archive[at..end].fill(0xff);
+            }
+        }
+        if truncate.is_multiple_of(3) {
+            archive.truncate(truncate as usize % (archive.len() + 1));
+        }
+        if let Ok(parsed) = Layer::from_archive(&archive) {
+            prop_assert!(!parsed.is_sealed());
+            let digest = Digest::of_bytes(&archive);
+            let adopted = Layer::from_archive_blob(Blob::new(archive.clone()), digest.clone()).unwrap();
+            prop_assert_eq!(&adopted, &parsed);
+            let reserialised = parsed.to_archive();
+            // The memo is seeded exactly when the bytes are what the layer serialises to.
+            prop_assert_eq!(adopted.is_sealed(), reserialised == archive);
+            prop_assert_eq!(adopted.sealed().0, &reserialised);
+            prop_assert_eq!(adopted.sealed().1, &Digest::of_bytes(&reserialised));
+        }
     }
 
     /// The interpreter computes identical results regardless of the vector width chosen at
@@ -304,7 +415,10 @@ proptest! {
                 .policy(CriticalPathFirst::new().with_cap(ActionKind::SdCompile, sd_cap))
                 .build(),
         );
-        prop_assert!(cpf.stats.compiled_source_units > 0, "sd-compiles present");
+        prop_assert!(
+            cpf.lowered().unwrap().stats.compiled_source_units > 0,
+            "sd-compiles present"
+        );
         // Valid trace: same records (node order, identities) under both policies.
         prop_assert_eq!(&cpf.trace.records, &fifo.trace.records);
         prop_assert_eq!(cpf.trace.action_set(), fifo.trace.action_set());
@@ -364,11 +478,12 @@ proptest! {
                 .unwrap();
             prop_assert_eq!(warm.actions.executed, 0, "warm deployment must not compile");
             prop_assert_eq!(warm.actions.cached, primed.actions.total());
-            prop_assert_eq!(&warm.stats, &cold.stats);
-            prop_assert_eq!(&warm.machine_modules, &cold.machine_modules);
+            let (warm_lowered, cold_lowered) = (warm.lowered().unwrap(), cold.lowered().unwrap());
+            prop_assert_eq!(&warm_lowered.stats, &cold_lowered.stats);
+            prop_assert_eq!(&warm_lowered.machine_modules, &cold_lowered.machine_modules);
             prop_assert_eq!(&warm.image.layers, &cold.image.layers);
             prop_assert_eq!(&warm.reference, &cold.reference);
-            prop_assert_eq!(&warm.vectorization, &cold.vectorization);
+            prop_assert_eq!(&warm_lowered.vectorization, &cold_lowered.vectorization);
         }
     }
 }

@@ -113,3 +113,63 @@ fn concurrent_writers_store_and_hash_a_payload_exactly_once() {
         }
     }
 }
+
+/// The deployment tail copies no artifact: every `/xaas/obj/*.o` of a deployed layer
+/// is the very allocation the action cache holds for the unit's lowered module, on
+/// the cold deployment that computes it and on the warm one that is served it, and
+/// the layers the deployment inherits are the IR container's own sealed layers.
+#[test]
+fn deployed_object_files_alias_the_cache_artifacts() {
+    use xaas::ir_container::TOOLCHAIN_ID;
+    use xaas::prelude::*;
+    use xaas_buildsys::OptionAssignment;
+    use xaas_hpcsim::{SimdLevel, SystemModel};
+
+    let project = xaas_apps::lulesh::project();
+    let config = IrPipelineConfig::sweep_options(&project, &["WITH_OPENMP"]);
+    let store = ImageStore::new();
+    let cache = ActionCache::new(store.clone());
+    let orch = Orchestrator::with_cache(&cache);
+    let build = IrBuildRequest::new(&project, &config)
+        .reference("zero-copy/lulesh:ir")
+        .submit(&orch)
+        .unwrap();
+    let selection = OptionAssignment::new().with("WITH_OPENMP", "ON");
+    let manifest = build.manifest_for(&selection).unwrap();
+    let target = target_isa_for(SimdLevel::Avx512);
+    let system = SystemModel::ault23();
+
+    for state in ["cold", "warm"] {
+        let deployment = IrDeployRequest::new(&build, &project, &system)
+            .selection(selection.clone())
+            .simd(SimdLevel::Avx512)
+            .submit(&orch)
+            .unwrap();
+        let (inherited, lowered) = deployment.image.layers.split_at(build.image.layers.len());
+        for (derived, base) in inherited.iter().zip(&build.image.layers) {
+            assert!(
+                Blob::ptr_eq(derived.sealed().0, base.sealed().0),
+                "{state}: inherited layers share the IR container's sealed archive"
+            );
+        }
+        let mut checked = 0;
+        for unit in &manifest.units {
+            let Some(id) = unit.artifact.strip_prefix("ir:") else {
+                continue;
+            };
+            let artifact = cache
+                .peek(&BuildKey::new(id, &target.name, "lower", TOOLCHAIN_ID))
+                .expect("the lowered module is cached");
+            let object = format!("/xaas/obj/{}.o", unit.file.replace('/', "_"));
+            match lowered[0].get(&object) {
+                Some(LayerEntry::File { content, .. }) => assert!(
+                    Blob::ptr_eq(content, &artifact),
+                    "{state}: {object} aliases the cache's artifact"
+                ),
+                other => panic!("{state}: {object} is {other:?}"),
+            }
+            checked += 1;
+        }
+        assert!(checked > 0, "the configuration lowers IR units");
+    }
+}
