@@ -1,11 +1,12 @@
 //! `reproduce analyze` — the pre-submission static analyzer run over the real
-//! driver graphs (GROMACS and LULESH IR builds, deployments, and a fleet
-//! wave), emitting every report as JSON.
+//! driver graphs (GROMACS and LULESH IR builds, IR deployments and a fleet wave,
+//! llama.cpp and GROMACS source deployments), emitting every report as JSON.
 
 use serde::Serialize;
 use xaas::engine::AnalysisReport;
 use xaas::prelude::*;
-use xaas_apps::{gromacs, lulesh};
+use xaas::source_container::architecture_of;
+use xaas_apps::{gromacs, llamacpp, lulesh};
 use xaas_buildsys::OptionAssignment;
 use xaas_container::{ActionCache, ImageStore};
 use xaas_hpcsim::{SimdLevel, SystemModel};
@@ -49,10 +50,11 @@ fn lint(target: &str, report: AnalysisReport) -> LintedGraph {
     }
 }
 
-/// Lint the GROMACS and LULESH driver graphs — IR-build stage-A, a deployment
-/// per application, and a two-system GROMACS fleet wave — under the default
-/// strict engine. The builds themselves execute once (deploy/fleet lints need
-/// a built IR container); every `analyze` call is purely static.
+/// Lint the driver graphs — GROMACS and LULESH IR-build stage-A, an IR deployment
+/// per application, a two-system GROMACS fleet wave, and the llama.cpp/Ault23 and
+/// GROMACS/Clariden source deployments. The builds themselves execute once
+/// (deploy/fleet lints need a built IR container); every `analyze` call is
+/// purely static.
 pub fn analyze_driver_graphs() -> AnalyzeSection {
     let orch = Orchestrator::with_cache(&ActionCache::new(ImageStore::new()));
 
@@ -118,6 +120,28 @@ pub fn analyze_driver_graphs() -> AnalyzeSection {
             .analyze(&orch)
             .expect("fleet wave plans"),
     ));
+
+    for (target, project, system) in [
+        (
+            "llamacpp source-deploy (ault23)",
+            llamacpp::project(),
+            SystemModel::ault23(),
+        ),
+        (
+            "gromacs source-deploy (clariden)",
+            gromacs_project.clone(),
+            SystemModel::clariden(),
+        ),
+    ] {
+        let image =
+            build_source_container(&project, architecture_of(&system), orch.store(), target);
+        graphs.push(lint(
+            target,
+            SourceDeployRequest::new(&project, &image, &system)
+                .analyze(&orch)
+                .expect("source deploy plans"),
+        ));
+    }
 
     let total_denies = graphs.iter().map(|g| g.denies).sum();
     AnalyzeSection {

@@ -252,7 +252,7 @@ pub fn figure10() -> Vec<FigurePanel> {
     for (system, steps_a, steps_b) in cases {
         let source_image = build_source_container(
             &project,
-            crate::experiments::architecture_for(&system),
+            xaas::source_container::architecture_of(&system),
             &store,
             &format!("spcl/mini-gromacs:src-{}", system.name.to_ascii_lowercase()),
         );
@@ -1149,11 +1149,6 @@ fn join(items: Vec<&str>) -> String {
     } else {
         items.join(", ")
     }
-}
-
-/// The container platform architecture matching a system's CPU family.
-pub fn architecture_for(system: &SystemModel) -> xaas_container::Architecture {
-    xaas::source_container::architecture_of(system)
 }
 
 #[cfg(test)]

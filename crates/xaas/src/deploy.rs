@@ -6,19 +6,17 @@
 //! linking and installation, and commits a new, system-specialized image whose tag
 //! encodes the specialization points.
 
-use crate::engine::{
-    add_commit_action, ActionGraph, ActionId, ActionKind, ActionTrace, Engine, LinkSlot,
-    PreprocessPlanner,
-};
+use crate::engine::plan::{SdCompilePlanner, SharedDeployArtifacts};
+use crate::engine::{add_commit_action, ActionGraph, ActionId, ActionKind, ActionTrace, LinkSlot};
 use crate::ir_container::{
-    paths as ir_paths, ActionSummary, ConfigurationManifest, IrContainerBuild, UnitAssignment,
-    TOOLCHAIN_ID,
+    paths as ir_paths, project_compiler, ActionSummary, ConfigurationManifest, IrContainerBuild,
+    UnitAssignment, TOOLCHAIN_ID,
 };
 use crate::targets::{derive_build_profile, target_isa_for};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
-use xaas_buildsys::{OptionAssignment, ProjectSpec};
+use xaas_buildsys::{OptionAssignment, ProjectSpec, SourceSpec};
 use xaas_container::{
     annotation_keys, Blob, BuildKey, DeploymentFormat, Image, ImageStore, Layer, Platform,
 };
@@ -47,8 +45,7 @@ pub enum DeployError {
     /// The orchestrator's scheduling policy is invalid (e.g. a zero concurrency cap).
     Policy(crate::engine::PolicyError),
     /// The pre-submission static analyzer rejected the deployment graph
-    /// (deny-level diagnostics under
-    /// [`AnalysisMode::Strict`](crate::engine::AnalysisMode)); nothing executed.
+    /// (deny-level diagnostics); nothing executed.
     Analysis(Box<crate::engine::AnalysisReport>),
     /// The executor broke its scheduling contract (a node skipped without a
     /// failure, or cancelled mid-run) — not a deployment error.
@@ -198,8 +195,7 @@ enum DeployTask<'plan> {
         files: Vec<&'plan str>,
     },
     Compile {
-        path: &'plan str,
-        content: &'plan str,
+        source: &'plan SourceSpec,
         files: Vec<&'plan str>,
     },
 }
@@ -214,7 +210,7 @@ struct Assembled {
 /// graph built yet. Produced by [`plan_ir_deploy`], turned into graph nodes by
 /// [`graft_ir_deploy`] (into a private graph for a standalone deployment, or into
 /// the fleet's union graph), and consumed by [`finish_ir_deploy`] once the nodes
-/// have run.
+/// have run; the [`orchestrator`](crate::orchestrator) requests drive the phases.
 pub(crate) struct DeployPlan<'a> {
     build: &'a IrContainerBuild,
     project: &'a ProjectSpec,
@@ -227,26 +223,6 @@ pub(crate) struct DeployPlan<'a> {
     tasks: Vec<DeployTask<'a>>,
     reference: String,
     assembled: LinkSlot<Assembled>,
-}
-
-/// Cross-job index of already-grafted keyed artifact nodes, shared by every job of
-/// one union-graph wave. A job whose artifact identity is already present grafts a
-/// *cache-probe alias* — a keyed node ordered after the identity's first node by a
-/// dependency edge — instead of a second compute node: the expensive closure
-/// exists once per wave, and the alias deterministically replays the cache hit a
-/// standalone submission of the job would have observed, so per-job traces and
-/// hit/miss deltas equal those of per-job submissions.
-#[derive(Default)]
-pub(crate) struct SharedDeployArtifacts {
-    primaries: BTreeMap<String, ActionId>,
-}
-
-/// What [`graft_ir_deploy`] reports back about the job's subgraph.
-pub(crate) struct GraftedDeploy {
-    /// Critical-path depth of the job's own nodes (cross-job alias edges
-    /// excluded) — exactly the `stage_depth` the job's standalone submission
-    /// would record, so union-graph per-job traces stay comparable.
-    pub(crate) stage_depth: usize,
 }
 
 /// Validate one deployment and plan its deduplicated tasks (Figure 8's *select*
@@ -273,11 +249,6 @@ pub(crate) fn plan_ir_deploy<'a>(
     }
     let target = target_isa_for(simd);
 
-    let mut compiler = Compiler::new();
-    for (name, content) in &project.headers {
-        compiler.add_header(name.clone(), content.clone());
-    }
-
     // System-dependent sources are compiled with the selected configuration's flags
     // (not a hardcoded set): definitions plus the manifest's non-target compile flags.
     let mut sd_args = manifest.definitions.clone();
@@ -288,42 +259,29 @@ pub(crate) fn plan_ir_deploy<'a>(
     let mut tasks: Vec<DeployTask<'a>> = Vec::new();
     let mut task_by_artifact: BTreeMap<&str, usize> = BTreeMap::new();
     for UnitAssignment { file, artifact, .. } in &manifest.units {
-        if let Some(id) = artifact.strip_prefix("ir:") {
+        let task = if let Some(id) = artifact.strip_prefix("ir:") {
             if !build.units.contains_key(id) {
                 return Err(DeployError::MissingUnit(id.to_string()));
             }
-            match task_by_artifact.get(artifact.as_str()) {
-                Some(&index) => match &mut tasks[index] {
-                    DeployTask::Lower { files, .. } => files.push(file),
-                    DeployTask::Compile { .. } => unreachable!("artifact kinds are disjoint"),
-                },
-                None => {
-                    task_by_artifact.insert(artifact, tasks.len());
-                    tasks.push(DeployTask::Lower {
-                        id,
-                        files: vec![file],
-                    });
-                }
-            }
+            DeployTask::Lower { id, files: vec![] }
         } else if let Some(path) = artifact.strip_prefix("src:") {
             let source = project
                 .source(path)
                 .ok_or_else(|| DeployError::MissingUnit(path.to_string()))?;
-            match task_by_artifact.get(artifact.as_str()) {
-                Some(&index) => match &mut tasks[index] {
-                    DeployTask::Compile { files, .. } => files.push(file),
-                    DeployTask::Lower { .. } => unreachable!("artifact kinds are disjoint"),
-                },
-                None => {
-                    task_by_artifact.insert(artifact, tasks.len());
-                    tasks.push(DeployTask::Compile {
-                        path,
-                        content: source.content.as_str(),
-                        files: vec![file],
-                    });
-                }
+            DeployTask::Compile {
+                source,
+                files: vec![],
             }
-        }
+        } else {
+            continue;
+        };
+        let index = *task_by_artifact.entry(artifact).or_insert_with(|| {
+            tasks.push(task);
+            tasks.len() - 1
+        });
+        let (DeployTask::Lower { files, .. } | DeployTask::Compile { files, .. }) =
+            &mut tasks[index];
+        files.push(file);
     }
 
     let reference = format!(
@@ -340,7 +298,7 @@ pub(crate) fn plan_ir_deploy<'a>(
         manifest,
         simd,
         target,
-        compiler,
+        compiler: project_compiler(project),
         sd_flags,
         tasks,
         reference,
@@ -355,37 +313,35 @@ pub(crate) fn plan_ir_deploy<'a>(
 ///    digests their compile actions are keyed by;
 /// 2. **machine-lower + sd-compile** (parallel, cache-routed): lowering a stored
 ///    IR unit is keyed on (unit content id, target ISA); compiling a
-///    system-dependent source on (preprocessed-content digest, IR-relevant flags,
-///    target ISA) — the `sd-compile` key is *derived* from its preprocess
-///    dependency's output at dispatch time
-///    ([`ActionGraph::add_cached_derived`]), which is what collapses the historic
-///    two-submission deploy into one graph;
+///    system-dependent source is the [`SdCompilePlanner`]'s node, whose key is
+///    *derived* from its preprocess dependency's output at dispatch time
+///    ([`ActionGraph::add_cached_derived`]);
 /// 3. **link + commit**: assemble and commit the system-specialized image.
 ///
-/// With `shared` (the fleet's union-graph wave index), keyed artifacts another job
-/// already planned become cache-probe aliases instead of second compute nodes:
-/// the shared `BuildKey` executes once per wave and fans out to every consuming
-/// job's Link.
+/// Keyed artifacts already in `shared` (the fleet's union-graph wave index; empty
+/// for a standalone deployment) become cache-probe aliases instead of second
+/// compute nodes: the shared `BuildKey` executes once per wave and fans out to
+/// every consuming job's Link.
+///
+/// Returns the critical-path depth of the job's own nodes (cross-job alias edges
+/// excluded) — exactly the `stage_depth` the job's standalone submission would
+/// record, so union-graph per-job traces stay comparable.
 pub(crate) fn graft_ir_deploy<'env>(
     plan: &'env DeployPlan<'env>,
     graph: &mut ActionGraph<'env, DeployError>,
     store: &'env ImageStore,
-    mut shared: Option<&mut SharedDeployArtifacts>,
-) -> GraftedDeploy {
-    // Preprocess nodes first, in task order — the same record layout the
-    // two-submission driver produced (all preprocess records precede artifacts).
-    let mut preprocess = PreprocessPlanner::new();
+    shared: &mut SharedDeployArtifacts,
+) -> usize {
+    let lift = |file, error| DeployError::Compile { file, error };
+    // Preprocess nodes first, in task order: all preprocess records precede the
+    // artifact records.
+    let mut sd_compile = SdCompilePlanner::new(&plan.compiler, &plan.target);
     let mut preprocess_actions: Vec<Option<ActionId>> = Vec::with_capacity(plan.tasks.len());
     for task in &plan.tasks {
         preprocess_actions.push(match task {
-            DeployTask::Compile { path, content, .. } => Some(preprocess.action_for(
-                graph,
-                &plan.compiler,
-                path,
-                content,
-                &plan.sd_flags,
-                |file, error| DeployError::Compile { file, error },
-            )),
+            DeployTask::Compile { source, .. } => {
+                Some(sd_compile.preprocess_for(graph, source, &plan.sd_flags, lift))
+            }
             DeployTask::Lower { .. } => None,
         });
     }
@@ -401,11 +357,8 @@ pub(crate) fn graft_ir_deploy<'env>(
                 // fully determines the lowered artifact.
                 let key = BuildKey::new(*id, &plan.target.name, "lower", TOOLCHAIN_ID);
                 let identity = format!("lower|{}", key.digest().as_str());
-                let primary = shared
-                    .as_ref()
-                    .and_then(|s| s.primaries.get(&identity).copied());
-                let action = match primary {
-                    Some(primary) => graph.add_cached(
+                let action = match shared.get(&identity) {
+                    Some(&primary) => graph.add_cached(
                         ActionKind::MachineLower,
                         unit.source_file.clone(),
                         key,
@@ -426,78 +379,22 @@ pub(crate) fn graft_ir_deploy<'env>(
                                         .expect("machine module serialises"))
                                 },
                             );
-                        if let Some(shared) = shared.as_mut() {
-                            shared.primaries.insert(identity, action);
-                        }
+                        shared.insert(identity, action);
                         action
                     }
                 };
                 artifact_actions.push(action);
                 artifact_depth = artifact_depth.max(1);
             }
-            DeployTask::Compile { path, content, .. } => {
-                let preprocess_action =
-                    preprocess_action.expect("compile tasks plan a preprocess action");
-                // The key folds in the *preprocessed* content digest (the cache
-                // contract): it covers the headers the compiler resolves, so caches
-                // shared across projects can never serve code built against
-                // different header definitions. The digest is the preprocess
-                // dependency's output, so the key is derived at dispatch time.
-                let (_, definitions) = PreprocessPlanner::identity(path, &plan.sd_flags);
-                let identity = format!(
-                    "sd|{path}|{definitions}|{}|{}",
-                    plan.sd_flags.ir_relevant_key(),
-                    plan.target.name
-                );
-                let target = &plan.target;
-                let sd_flags = &plan.sd_flags;
-                let path = *path;
-                let key_of = move |inputs: &crate::engine::ActionInputs| {
-                    BuildKey::new(
-                        String::from_utf8_lossy(inputs.dep(0)).into_owned(),
-                        &target.name,
-                        format!("file={path};{}", sd_flags.ir_relevant_key()),
-                        TOOLCHAIN_ID,
-                    )
-                };
-                let primary = shared
-                    .as_ref()
-                    .and_then(|s| s.primaries.get(&identity).copied());
-                let action = match primary {
-                    Some(primary) => graph.add_cached_derived(
-                        ActionKind::SdCompile,
-                        path.to_string(),
-                        key_of,
-                        &[preprocess_action, primary],
-                        move |inputs| Ok(inputs.dep(1).to_vec()),
-                    ),
-                    None => {
-                        let compiler = &plan.compiler;
-                        let content = *content;
-                        let action =
-                            graph.add_cached_derived(
-                                ActionKind::SdCompile,
-                                path.to_string(),
-                                key_of,
-                                &[preprocess_action],
-                                move |_| {
-                                    let machine = compiler
-                                        .compile_to_machine(path, content, sd_flags, target)
-                                        .map_err(|error| DeployError::Compile {
-                                            file: path.to_string(),
-                                            error,
-                                        })?;
-                                    Ok(serde_json::to_vec(&machine)
-                                        .expect("machine module serialises"))
-                                },
-                            );
-                        if let Some(shared) = shared.as_mut() {
-                            shared.primaries.insert(identity, action);
-                        }
-                        action
-                    }
-                };
-                artifact_actions.push(action);
+            DeployTask::Compile { source, .. } => {
+                artifact_actions.push(sd_compile.action_for(
+                    graph,
+                    shared,
+                    preprocess_action.expect("compile tasks plan a preprocess action"),
+                    source,
+                    &plan.sd_flags,
+                    lift,
+                ));
                 artifact_depth = artifact_depth.max(2);
             }
         }
@@ -585,19 +482,14 @@ pub(crate) fn graft_ir_deploy<'env>(
         link_action,
     );
 
-    GraftedDeploy {
-        stage_depth: artifact_depth + 2,
-    }
+    artifact_depth + 2
 }
 
 /// The finish phase: consume the plan after its subgraph ran, returning the
 /// [`IrDeployment`] carrying `trace` (the job's own trace — the full run for a
 /// standalone submission, the job's split of the wave trace for a union-graph
 /// fleet).
-pub(crate) fn finish_ir_deploy(
-    plan: DeployPlan<'_>,
-    trace: ActionTrace,
-) -> Result<IrDeployment, DeployError> {
+pub(crate) fn finish_ir_deploy(plan: DeployPlan<'_>, trace: ActionTrace) -> IrDeployment {
     let Assembled { image, artifacts } = plan.assembled.into_inner().expect("link action ran");
 
     let threads = plan.system.cpu.total_cores().min(36);
@@ -611,7 +503,7 @@ pub(crate) fn finish_ir_deploy(
     build_profile.simd = plan.simd;
 
     let actions = trace.summary();
-    Ok(IrDeployment {
+    IrDeployment {
         image,
         reference: plan.reference,
         assignment: plan.manifest.assignment.clone(),
@@ -620,45 +512,7 @@ pub(crate) fn finish_ir_deploy(
         build_profile,
         actions,
         trace,
-    })
-}
-
-/// Deploy an IR container through `engine` in **one** graph submission (the driver
-/// behind [`IrDeployRequest`](crate::orchestrator::IrDeployRequest)): plan
-/// ([`plan_ir_deploy`]), graft the subgraph onto a private graph
-/// ([`graft_ir_deploy`]), run it, finish ([`finish_ir_deploy`]).
-pub(crate) fn run_ir_deploy(
-    build: &IrContainerBuild,
-    project: &ProjectSpec,
-    system: &SystemModel,
-    selection: &OptionAssignment,
-    simd: SimdLevel,
-    engine: &Engine,
-) -> Result<IrDeployment, DeployError> {
-    let plan = plan_ir_deploy(build, project, system, selection, simd)?;
-    let mut graph: ActionGraph<'_, DeployError> = ActionGraph::new();
-    graft_ir_deploy(&plan, &mut graph, engine.store(), None);
-    engine.preflight(&graph)?;
-    let run = engine.run(graph);
-    let (_, trace) = run.into_outputs()?;
-    finish_ir_deploy(plan, trace)
-}
-
-/// Run the pre-submission static analyzer over the exact graph one deployment
-/// would submit — plan ([`plan_ir_deploy`]) and graft ([`graft_ir_deploy`])
-/// onto a private graph, then lint it — without executing a single node.
-pub(crate) fn analyze_ir_deploy(
-    build: &IrContainerBuild,
-    project: &ProjectSpec,
-    system: &SystemModel,
-    selection: &OptionAssignment,
-    simd: SimdLevel,
-    engine: &Engine,
-) -> Result<crate::engine::AnalysisReport, DeployError> {
-    let plan = plan_ir_deploy(build, project, system, selection, simd)?;
-    let mut graph: ActionGraph<'_, DeployError> = ActionGraph::new();
-    graft_ir_deploy(&plan, &mut graph, engine.store(), None);
-    Ok(engine.analyze(&graph))
+    }
 }
 
 /// Convenience: list the IR blob paths of an IR container image (used by examples/tests

@@ -24,12 +24,12 @@
 //!
 //! Deny-level diagnostics reject the submission before any node executes:
 //! [`Engine::submit_graph`](crate::engine::Engine::submit_graph) and the
-//! orchestrator's pipeline drivers run the analyzer according to the engine's
-//! [`AnalysisMode`] (configurable on
-//! [`OrchestratorBuilder::analysis`](crate::orchestrator::OrchestratorBuilder::analysis)),
-//! and the service layer surfaces rejected graphs as
+//! orchestrator's pipeline drivers run the analyzer on every submission
+//! ([`Engine::preflight`](crate::engine::Engine::preflight)), and the service
+//! layer surfaces rejected graphs as
 //! [`AdmissionError::Invalid`](crate::service::AdmissionError::Invalid) so they
-//! never consume queue slots.
+//! never consume queue slots. Warnings and notes never reject; read them through
+//! the request types' `analyze(&orch)`.
 #![deny(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::dbg_macro)]
 
@@ -44,8 +44,8 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Severity {
     /// The graph must not execute: submitting it would run into a structural
-    /// contract violation or an unrunnable schedule. Under
-    /// [`AnalysisMode::Strict`] the submission is rejected before any node runs.
+    /// contract violation or an unrunnable schedule. The submission is rejected
+    /// before any node runs.
     Deny,
     /// The graph executes correctly but something about it is suspicious or
     /// slow: a serializing cap, a redundant edge, a scheduling-dependent trace.
@@ -328,45 +328,12 @@ impl fmt::Display for AnalysisReport {
     }
 }
 
-/// What the engine does with the analyzer at submission time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize)]
-pub enum AnalysisMode {
-    /// Run the analyzer and reject submissions whose report carries any
-    /// [`Severity::Deny`] finding, before any node executes. The default.
-    #[default]
-    Strict,
-    /// Run the analyzer and record the report (see
-    /// [`Engine::last_analysis`](crate::engine::Engine::last_analysis)), but
-    /// never reject.
-    WarnOnly,
-    /// Skip analysis entirely.
-    Off,
-}
-
-impl AnalysisMode {
-    /// Stable lowercase name (used in JSON reports).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            AnalysisMode::Strict => "strict",
-            AnalysisMode::WarnOnly => "warn-only",
-            AnalysisMode::Off => "off",
-        }
-    }
-}
-
-impl fmt::Display for AnalysisMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
 /// The static verification pass pipeline over one `(ActionGraph,
 /// SchedulingPolicy, ServiceLimits)` triple.
 ///
 /// Construction is cheap; [`analyze`](Self::analyze) is a single O(nodes +
 /// edges) walk plus per-duplicate-key ancestry probes, so it is safe to run on
-/// every submission (the engine does, under [`AnalysisMode::Strict`] and
-/// [`AnalysisMode::WarnOnly`]).
+/// every submission (the engine does).
 #[derive(Debug, Clone, Copy)]
 pub struct GraphAnalyzer<'a> {
     policy: &'a dyn SchedulingPolicy,

@@ -20,16 +20,20 @@
 //!   counters are derived;
 //! * [`analysis`] — [`GraphAnalyzer`]: the pre-submission static verifier that
 //!   lints a graph against the active policy and rejects structurally broken or
-//!   unrunnable submissions before any worker executes a node (see
-//!   [`AnalysisMode`]).
+//!   unrunnable submissions before any worker executes a node;
+//! * [`plan`] — the graph idioms the drivers share: deduplicated preprocess
+//!   actions, the one definition of an `sd-compile` node, and the link → commit
+//!   tail.
 //!
 //! The drivers behind [`ir_container`](crate::ir_container),
 //! [`deploy`](crate::deploy), [`source_container`](crate::source_container), and
 //! the fleet wave of [`orchestrator`](crate::orchestrator) all construct graphs
 //! and submit them to one shared [`Engine`] — owned, in the public API, by an
-//! [`Orchestrator`](crate::orchestrator::Orchestrator); intra-build parallelism
-//! (compiling the translation units of a configuration sweep concurrently) falls
-//! out of the executor rather than being special-cased per pipeline.
+//! [`Orchestrator`](crate::orchestrator::Orchestrator). Every deployment, IR or
+//! source, is one plan → graft → finish subgraph and one submission; intra-build
+//! parallelism (compiling the translation units of a configuration sweep
+//! concurrently) falls out of the executor rather than being special-cased per
+//! pipeline.
 //!
 //! ```
 //! use xaas::engine::{ActionGraph, ActionKind, Engine};
@@ -54,9 +58,7 @@ pub mod plan;
 pub mod policy;
 pub mod trace;
 
-pub use analysis::{
-    AnalysisMode, AnalysisReport, Diagnostic, DiagnosticCode, GraphAnalyzer, Severity,
-};
+pub use analysis::{AnalysisReport, Diagnostic, DiagnosticCode, GraphAnalyzer, Severity};
 pub use executor::{
     ActionOutputs, GraphFault, GraphHandle, GraphRun, GraphRunError, GraphStatus, JobFailure,
     NodeInfo, NodeOutcome, QueueStats,
@@ -96,14 +98,9 @@ pub struct Engine {
     /// engine still share the pool.
     tenant: Option<String>,
     core: Arc<executor::ExecutorCore>,
-    /// What [`submit_graph`](Self::submit_graph) does with the static analyzer.
-    analysis: AnalysisMode,
     /// The service's queued-action bound, if one applies (the analyzer's
     /// `XA-SVC-001` check). Purely advisory — enforcement stays in admission.
     queue_bound: Option<usize>,
-    /// The most recent analyzer report, kept for observability (shared across
-    /// clones, like the pool).
-    last_report: Arc<std::sync::Mutex<Option<AnalysisReport>>>,
 }
 
 impl Engine {
@@ -122,9 +119,7 @@ impl Engine {
             seq: Arc::new(AtomicU64::new(0)),
             tenant: None,
             core: Arc::new(executor::ExecutorCore::new()),
-            analysis: AnalysisMode::default(),
             queue_bound: None,
-            last_report: Arc::new(std::sync::Mutex::new(None)),
         }
     }
 
@@ -186,21 +181,6 @@ impl Engine {
         self.tenant.as_deref()
     }
 
-    /// Set what [`submit_graph`](Self::submit_graph) (and the orchestrator's
-    /// pipeline drivers) do with the static analyzer: reject deny-level reports
-    /// ([`AnalysisMode::Strict`], the default), record them without rejecting
-    /// ([`AnalysisMode::WarnOnly`]), or skip analysis ([`AnalysisMode::Off`]).
-    /// Does not restart the pool — safe to change on a live engine clone.
-    pub fn with_analysis(mut self, mode: AnalysisMode) -> Self {
-        self.analysis = mode;
-        self
-    }
-
-    /// The configured [`AnalysisMode`].
-    pub fn analysis_mode(&self) -> AnalysisMode {
-        self.analysis
-    }
-
     /// Tell the analyzer about a service-level queued-action bound so reports
     /// include the `XA-SVC-001` queue-saturation check. Advisory only — the
     /// service still enforces the bound at admission. Does not restart the pool.
@@ -210,8 +190,9 @@ impl Engine {
     }
 
     /// Run the static analyzer over `graph` against this engine's policy,
-    /// tenant tag, and queue bound, regardless of [`AnalysisMode`]. Read-only:
-    /// nothing is scheduled and the report is not recorded.
+    /// tenant tag, and queue bound. Read-only: nothing is scheduled. This is
+    /// also how warnings on graphs [`preflight`](Self::preflight) admits are
+    /// read.
     pub fn analyze<E>(&self, graph: &ActionGraph<'_, E>) -> AnalysisReport {
         GraphAnalyzer::new(self.policy.as_ref())
             .tenant(self.tenant.as_deref())
@@ -219,33 +200,15 @@ impl Engine {
             .analyze(graph)
     }
 
-    /// The analyzer's verdict on `graph` under the configured [`AnalysisMode`]:
-    /// `Ok` to proceed, `Err(report)` when the mode is
-    /// [`Strict`](AnalysisMode::Strict) and the report carries deny-level
-    /// findings. Runs (and records) the analysis the mode calls for — the
-    /// pipeline drivers call this before every `engine.run`.
+    /// The analyzer's verdict on `graph`: `Ok` to proceed, `Err(report)` when
+    /// the report carries deny-level findings. The pipeline drivers call this
+    /// before every `engine.run`.
     pub fn preflight<E>(&self, graph: &ActionGraph<'_, E>) -> Result<(), Box<AnalysisReport>> {
-        if self.analysis == AnalysisMode::Off {
-            return Ok(());
-        }
         let report = self.analyze(graph);
-        let rejected = self.analysis == AnalysisMode::Strict && report.is_rejected();
-        let verdict = if rejected {
-            Err(Box::new(report.clone()))
-        } else {
-            Ok(())
-        };
-        if let Ok(mut slot) = self.last_report.lock() {
-            *slot = Some(report);
+        if report.is_rejected() {
+            return Err(Box::new(report));
         }
-        verdict
-    }
-
-    /// The most recent report [`preflight`](Self::preflight) produced on this
-    /// engine (shared across clones), if analysis has run. This is how
-    /// [`WarnOnly`](AnalysisMode::WarnOnly) findings stay observable.
-    pub fn last_analysis(&self) -> Option<AnalysisReport> {
-        self.last_report.lock().ok().and_then(|slot| slot.clone())
+        Ok(())
     }
 
     /// The configured worker count.
@@ -300,10 +263,10 @@ impl Engine {
     /// its environment (`'static`) because execution outlives this call — for
     /// borrowed environments use the blocking [`run`](Self::run).
     ///
-    /// The submission is [`preflight`](Self::preflight)ed first: under
-    /// [`AnalysisMode::Strict`] (the default) a graph with deny-level findings
-    /// is rejected with its [`AnalysisReport`] before any node is enqueued —
-    /// no worker executes, no cache entry is touched, no queue slot is taken.
+    /// The submission is [`preflight`](Self::preflight)ed first: a graph with
+    /// deny-level findings is rejected with its [`AnalysisReport`] before any
+    /// node is enqueued — no worker executes, no cache entry is touched, no
+    /// queue slot is taken.
     pub fn submit_graph<E: Send + 'static>(
         &self,
         graph: ActionGraph<'static, E>,

@@ -1,20 +1,26 @@
 //! Shared planning vocabulary for the pipeline drivers.
 //!
-//! The three drivers (IR build, IR deploy, source deploy) share two graph idioms:
+//! The three drivers (IR build, IR deploy, source deploy) share three graph idioms:
 //! scheduling **deduplicated preprocess actions** (preprocessing depends only on the
 //! (file, definition set) pair, so however many configurations or targets reference a
-//! unit, one action suffices) and the **link → commit tail** (a typed assembled value
-//! crosses the graph boundary through a [`LinkSlot`], and a Commit node publishes the
-//! image to the engine's store). This module hosts both so a change to commit
-//! semantics — e.g. the ROADMAP's registry-streaming follow-on — lands in one place.
+//! unit, one action suffices), the **`sd-compile`** of a system-dependent source on
+//! the deployment target (an IR deployment contains a source deployment, Figures 6
+//! and 8: the `SdCompilePlanner` owns the node's identity, cache key, compile
+//! closure and cross-job alias for both), and the **link → commit tail** (a typed
+//! assembled value crosses the graph boundary through a [`LinkSlot`], and a Commit
+//! node publishes the image to the engine's store). This module hosts all three so a
+//! change to what keys a deployment step (ROADMAP 1(c)) or to commit semantics lands
+//! in one place.
 
 #![deny(clippy::unwrap_used, clippy::dbg_macro)]
-use super::graph::{ActionGraph, ActionId};
+use super::graph::{ActionGraph, ActionId, ActionInputs};
 use super::trace::ActionKind;
+use crate::ir_container::TOOLCHAIN_ID;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use xaas_container::{Image, ImageStore};
-use xaas_xir::{CompileError, CompileFlags, Compiler};
+use xaas_buildsys::SourceSpec;
+use xaas_container::{BuildKey, Image, ImageStore};
+use xaas_xir::{CompileError, CompileFlags, Compiler, TargetIsa};
 
 /// Schedules deduplicated preprocess actions on a graph.
 ///
@@ -73,14 +79,126 @@ impl PreprocessPlanner {
     }
 }
 
+/// The keyed artifact nodes already grafted onto one graph, by static identity: the
+/// index every job of a union-graph wave shares (a standalone deployment starts from
+/// an empty one). A job whose artifact identity is already present grafts a
+/// *cache-probe alias* — a keyed node ordered after the identity's first node by a
+/// dependency edge — instead of a second compute node: the expensive closure
+/// exists once per wave, and the alias deterministically replays the cache hit a
+/// standalone submission of the job would have observed, so per-job traces and
+/// hit/miss deltas equal those of per-job submissions.
+pub(crate) type SharedDeployArtifacts = BTreeMap<String, ActionId>;
+
+/// The one definition of an `sd-compile`: compiling a system-dependent source from
+/// scratch for the deployment `target`, keyed by what its preprocess action outputs.
+pub(crate) struct SdCompilePlanner<'env> {
+    compiler: &'env Compiler,
+    target: &'env TargetIsa,
+    preprocess: PreprocessPlanner,
+}
+
+impl<'env> SdCompilePlanner<'env> {
+    pub(crate) fn new(compiler: &'env Compiler, target: &'env TargetIsa) -> Self {
+        Self {
+            compiler,
+            target,
+            preprocess: PreprocessPlanner::new(),
+        }
+    }
+
+    /// What fixes the artifact before anything ran: the file, the flags that reach the
+    /// IR (the key carries the sorted definitions) and the target. A deployment plans
+    /// one node per identity; a wave aliases on it.
+    pub(crate) fn identity(path: &str, flags: &CompileFlags, target: &TargetIsa) -> String {
+        format!("sd|{path}|{}|{}", flags.ir_relevant_key(), target.name)
+    }
+
+    /// The cache key of the identity once `digest`, the *preprocessed* content digest
+    /// its preprocess dependency outputs, is known. The digest covers the headers the
+    /// compiler resolves (the cache contract), so caches shared across projects can
+    /// never serve code built against different header definitions.
+    pub(crate) fn key(
+        digest: &str,
+        path: &str,
+        flags: &CompileFlags,
+        target: &TargetIsa,
+    ) -> BuildKey {
+        BuildKey::new(
+            digest,
+            &target.name,
+            format!("file={path};{}", flags.ir_relevant_key()),
+            TOOLCHAIN_ID,
+        )
+    }
+
+    /// The (deduplicated) preprocess action of `source` under `flags`. Drivers graft
+    /// these first, so that all preprocess records precede the artifact records.
+    pub(crate) fn preprocess_for<E: 'env>(
+        &mut self,
+        graph: &mut ActionGraph<'env, E>,
+        source: &SourceSpec,
+        flags: &CompileFlags,
+        make_error: fn(String, CompileError) -> E,
+    ) -> ActionId {
+        let SourceSpec { path, content, .. } = source;
+        self.preprocess
+            .action_for(graph, self.compiler, path, content, flags, make_error)
+    }
+
+    /// Graft the `sd-compile` of `source` under `flags`, keyed at dispatch time from
+    /// the output of its `preprocess` action. The first graft of an identity computes
+    /// (`serde_json::to_vec` of the [`MachineModule`](xaas_xir::MachineModule)) and is
+    /// recorded in `shared`; a later one replays it as a cache-probe alias.
+    /// `make_error` lifts a compile failure into the driver's error type.
+    pub(crate) fn action_for<E: 'env>(
+        &self,
+        graph: &mut ActionGraph<'env, E>,
+        shared: &mut SharedDeployArtifacts,
+        preprocess: ActionId,
+        source: &'env SourceSpec,
+        flags: &'env CompileFlags,
+        make_error: fn(String, CompileError) -> E,
+    ) -> ActionId {
+        let (compiler, target) = (self.compiler, self.target);
+        let path = source.path.as_str();
+        let key_of = move |inputs: &ActionInputs| {
+            Self::key(&String::from_utf8_lossy(inputs.dep(0)), path, flags, target)
+        };
+        let identity = Self::identity(path, flags, target);
+        if let Some(&primary) = shared.get(&identity) {
+            return graph.add_cached_derived(
+                ActionKind::SdCompile,
+                path,
+                key_of,
+                &[preprocess, primary],
+                |inputs| Ok(inputs.dep(1).to_vec()),
+            );
+        }
+        let action = graph.add_cached_derived(
+            ActionKind::SdCompile,
+            path,
+            key_of,
+            &[preprocess],
+            move |_| {
+                let machine = compiler
+                    .compile_to_machine(path, &source.content, flags, target)
+                    .map_err(|error| make_error(path.to_string(), error))?;
+                Ok(serde_json::to_vec(&machine).expect("machine module serialises"))
+            },
+        );
+        shared.insert(identity, action);
+        action
+    }
+}
+
 /// Schedules deduplicated cache-keyed actions on a graph.
 ///
 /// The [`ActionGraph`] contract allows at most one node per
-/// [`BuildKey`](xaas_container::BuildKey) per submission, so drivers plan one
+/// [`BuildKey`] per submission, so drivers plan one
 /// representative action per distinct key and remember, for every logical unit,
 /// the *position* of its key's action among the scheduled ones (the index of its
-/// output in a downstream Link node's inputs). Both the IR-build (`ir-lower`) and
-/// source-deploy (`sd-compile`) drivers plan with this.
+/// output in a downstream Link node's inputs). The IR build plans its `ir-lower`
+/// actions with this: their keys need stage-A outputs before the graph exists.
 #[derive(Default)]
 pub struct KeyedActionPlanner {
     position_by_key: BTreeMap<String, usize>,
@@ -207,6 +325,27 @@ mod tests {
         assert_ne!(a, c, "definitions split the identity");
         assert_ne!(a, d, "files split the identity");
         assert_eq!(graph.len(), 3);
+    }
+
+    /// Populated disk tiers outlive the binary: the `sd-compile` key must not drift.
+    /// The hex is what the two pre-planner copies of the format produced.
+    #[test]
+    fn sd_compile_key_is_pinned() {
+        let flags =
+            CompileFlags::parse(["-O2", "-DUSE_MPI=1", "-DA", "-fopenmp"].map(str::to_string));
+        let target = crate::targets::target_isa_for(xaas_hpcsim::SimdLevel::Avx512);
+        let digest = "sha256:0123456789abcdef";
+        let key = SdCompilePlanner::key(digest, "src/comm/halo.ck", &flags, &target);
+        assert_eq!(
+            key.canonical(),
+            "tu=sha256:0123456789abcdef\nisa=x86_64-avx_512\n\
+             opts=file=src/comm/halo.ck;defs=-DA,-DUSE_MPI=1;openmp=true;opt=O2\n\
+             toolchain=xirc-19/xir.v1\n"
+        );
+        assert_eq!(
+            key.digest().as_str(),
+            "sha256:aa8e7673fda38421d262a4b64f9d1104280944180ffda8254ab5368e3550db24"
+        );
     }
 
     #[test]

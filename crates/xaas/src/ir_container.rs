@@ -263,8 +263,7 @@ pub enum IrPipelineError {
     /// The orchestrator's scheduling policy is invalid (e.g. a zero concurrency cap).
     Policy(crate::engine::PolicyError),
     /// The pre-submission static analyzer rejected the build graph (deny-level
-    /// diagnostics under [`AnalysisMode::Strict`](crate::engine::AnalysisMode));
-    /// nothing executed.
+    /// diagnostics); nothing executed.
     Analysis(Box<crate::engine::AnalysisReport>),
     /// The executor broke its scheduling contract (a node skipped without a
     /// failure, or cancelled mid-run) — not a pipeline error.
@@ -402,8 +401,9 @@ pub(crate) struct IrBuildStageA<'env> {
     occurrences: Vec<TuOccurrence>,
 }
 
-/// The compiler every stage-A/B action closes over (project headers loaded).
-pub(crate) fn ir_build_compiler(project: &ProjectSpec) -> Compiler {
+/// The compiler every build and deployment action closes over: `project`'s headers
+/// loaded.
+pub(crate) fn project_compiler(project: &ProjectSpec) -> Compiler {
     let mut compiler = Compiler::new();
     for (name, content) in &project.headers {
         compiler.add_header(name.clone(), content.clone());
@@ -562,7 +562,7 @@ pub(crate) fn analyze_ir_build(
     config: &IrPipelineConfig,
     engine: &Engine,
 ) -> Result<crate::engine::AnalysisReport, IrPipelineError> {
-    let compiler = ir_build_compiler(project);
+    let compiler = project_compiler(project);
     let planned = plan_ir_build_stage_a(project, config, &compiler)?;
     Ok(engine.analyze(&planned.graph))
 }
@@ -592,7 +592,7 @@ pub(crate) fn run_ir_build(
     engine: &Engine,
     reference: &str,
 ) -> Result<IrContainerBuild, IrPipelineError> {
-    let compiler = ir_build_compiler(project);
+    let compiler = project_compiler(project);
     // ---- Stage 1 (driver, serial): configure and plan the stage-A graph ----
     let IrBuildStageA {
         graph: stage_a,
@@ -603,7 +603,6 @@ pub(crate) fn run_ir_build(
         mut unit_key_by_config,
         occurrences,
     } = plan_ir_build_stage_a(project, config, &compiler)?;
-    let _ = (&sd_files, &si_files);
 
     // ---- Stage 2+3 (graph A): preprocess and OpenMP-detect, in parallel ----
     engine.preflight(&stage_a)?;

@@ -44,10 +44,15 @@
 //! `sd-compile` concurrency cap) surfaces as a typed error before any action runs
 //! — never as a panic or a deadlock.
 
-use crate::deploy::{DeployError, DeployPlan, GraftedDeploy, IrDeployment, SharedDeployArtifacts};
-use crate::engine::{ActionGraph, ActionTrace, Engine, SchedulingPolicy};
+use crate::deploy::{finish_ir_deploy, graft_ir_deploy, plan_ir_deploy};
+use crate::deploy::{DeployError, DeployPlan, IrDeployment};
+use crate::engine::plan::SharedDeployArtifacts;
+use crate::engine::{ActionGraph, ActionTrace, AnalysisReport, Engine, SchedulingPolicy};
 use crate::ir_container::{IrContainerBuild, IrPipelineConfig, IrPipelineError};
-use crate::source_container::{SelectionPolicy, SourceContainerError, SourceDeployment};
+use crate::source_container::{
+    finish_source_deploy, graft_source_deploy, plan_source_deploy, SelectionPolicy,
+    SourceContainerError, SourceDeployPlan, SourceDeployment,
+};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -106,13 +111,6 @@ impl Orchestrator {
             engine,
             cache: None,
         }
-    }
-
-    /// Override what the engine does with the pre-submission static analyzer
-    /// (see [`AnalysisMode`](crate::engine::AnalysisMode)).
-    pub fn with_analysis(mut self, mode: crate::engine::AnalysisMode) -> Self {
-        self.engine = self.engine.with_analysis(mode);
-        self
     }
 
     /// Tell the analyzer about a service-level queued-action bound (the
@@ -210,7 +208,6 @@ pub struct OrchestratorBuilder {
     workers: Option<usize>,
     policy: Option<Arc<dyn SchedulingPolicy>>,
     cache: Option<CacheChoice>,
-    analysis: Option<crate::engine::AnalysisMode>,
 }
 
 impl OrchestratorBuilder {
@@ -250,17 +247,6 @@ impl OrchestratorBuilder {
         self
     }
 
-    /// What the engine does with the pre-submission static analyzer (default:
-    /// [`AnalysisMode::Strict`](crate::engine::AnalysisMode::Strict) — reject
-    /// graphs with deny-level diagnostics before any node executes;
-    /// [`WarnOnly`](crate::engine::AnalysisMode::WarnOnly) records reports
-    /// without rejecting, [`Off`](crate::engine::AnalysisMode::Off) skips
-    /// analysis).
-    pub fn analysis(mut self, mode: crate::engine::AnalysisMode) -> Self {
-        self.analysis = Some(mode);
-        self
-    }
-
     /// Build the orchestrator.
     pub fn build(self) -> Orchestrator {
         let fresh = || CacheChoice::Cached(ActionCache::new(ImageStore::new()));
@@ -274,9 +260,6 @@ impl OrchestratorBuilder {
         if let Some(policy) = self.policy {
             engine = engine.with_policy_arc(policy);
         }
-        if let Some(mode) = self.analysis {
-            engine = engine.with_analysis(mode);
-        }
         Orchestrator { engine, cache }
     }
 }
@@ -289,7 +272,6 @@ impl fmt::Debug for OrchestratorBuilder {
                 "policy",
                 &self.policy.as_ref().map(|p| p.name().to_string()),
             )
-            .field("analysis", &self.analysis)
             .finish()
     }
 }
@@ -333,13 +315,10 @@ impl<'a> IrBuildRequest<'a> {
     ///
     /// Unlike [`submit`](Self::submit), this does **not** pre-reject an invalid
     /// policy: policy defects surface as diagnostics in the returned
-    /// [`AnalysisReport`](crate::engine::AnalysisReport) instead. The build's
+    /// [`AnalysisReport`] instead. The build's
     /// stage-B graph is derived from stage-A outputs, so it cannot be linted
     /// ahead of time; it is still analyzed on submission.
-    pub fn analyze(
-        self,
-        orch: &Orchestrator,
-    ) -> Result<crate::engine::AnalysisReport, IrPipelineError> {
+    pub fn analyze(self, orch: &Orchestrator) -> Result<AnalysisReport, IrPipelineError> {
         crate::ir_container::analyze_ir_build(self.project, self.config, orch.engine())
     }
 }
@@ -393,38 +372,35 @@ impl<'a> IrDeployRequest<'a> {
         self
     }
 
-    /// Execute the deployment on the orchestrator's engine.
-    pub fn submit(self, orch: &Orchestrator) -> Result<IrDeployment, DeployError> {
-        let engine = orch.checked_engine().map_err(DeployError::Policy)?;
+    /// The plan phase: the default SIMD level is the system's best.
+    fn plan(&self) -> Result<DeployPlan<'a>, DeployError> {
         let simd = self.simd.unwrap_or_else(|| self.system.cpu.best_simd());
-        crate::deploy::run_ir_deploy(
-            self.build,
-            self.project,
-            self.system,
-            &self.selection,
-            simd,
-            engine,
-        )
+        plan_ir_deploy(self.build, self.project, self.system, &self.selection, simd)
     }
 
-    /// Lint the exact action graph this deployment would submit, without
-    /// executing anything. Policy defects surface as diagnostics in the
-    /// returned [`AnalysisReport`](crate::engine::AnalysisReport) rather than
-    /// as a pre-rejection, so the report covers them alongside the graph's own
-    /// findings.
-    pub fn analyze(
-        self,
-        orch: &Orchestrator,
-    ) -> Result<crate::engine::AnalysisReport, DeployError> {
-        let simd = self.simd.unwrap_or_else(|| self.system.cpu.best_simd());
-        crate::deploy::analyze_ir_deploy(
-            self.build,
-            self.project,
-            self.system,
-            &self.selection,
-            simd,
-            orch.engine(),
-        )
+    /// Execute the deployment on the orchestrator's engine in **one** graph
+    /// submission: plan, graft the subgraph onto a private graph, run it, finish.
+    pub fn submit(self, orch: &Orchestrator) -> Result<IrDeployment, DeployError> {
+        let engine = orch.checked_engine().map_err(DeployError::Policy)?;
+        let plan = self.plan()?;
+        let mut graph = ActionGraph::new();
+        let standalone = &mut SharedDeployArtifacts::default();
+        graft_ir_deploy(&plan, &mut graph, engine.store(), standalone);
+        engine.preflight(&graph)?;
+        let (_, trace) = engine.run(graph).into_outputs()?;
+        Ok(finish_ir_deploy(plan, trace))
+    }
+
+    /// Lint the exact action graph this deployment would submit — planned and
+    /// grafted, not run. Policy defects surface as diagnostics in the returned
+    /// [`AnalysisReport`] rather than as a pre-rejection, so the report covers
+    /// them alongside the graph's own findings.
+    pub fn analyze(self, orch: &Orchestrator) -> Result<AnalysisReport, DeployError> {
+        let plan = self.plan()?;
+        let mut graph = ActionGraph::new();
+        let standalone = &mut SharedDeployArtifacts::default();
+        graft_ir_deploy(&plan, &mut graph, orch.store(), standalone);
+        Ok(orch.engine().analyze(&graph))
     }
 }
 
@@ -473,19 +449,37 @@ impl<'a> SourceDeployRequest<'a> {
         self
     }
 
-    /// Execute the deployment on the orchestrator's engine.
-    pub fn submit(self, orch: &Orchestrator) -> Result<SourceDeployment, SourceContainerError> {
-        let engine = orch
-            .checked_engine()
-            .map_err(SourceContainerError::Policy)?;
-        crate::source_container::run_source_deploy(
+    fn plan(&self) -> Result<SourceDeployPlan<'a>, SourceContainerError> {
+        plan_source_deploy(
             self.project,
             self.source_image,
             self.system,
             &self.preferences,
             self.selection_policy,
-            engine,
         )
+    }
+
+    /// Execute the deployment on the orchestrator's engine in **one** graph
+    /// submission, like an IR deployment: plan, graft, run, finish.
+    pub fn submit(self, orch: &Orchestrator) -> Result<SourceDeployment, SourceContainerError> {
+        let engine = orch
+            .checked_engine()
+            .map_err(SourceContainerError::Policy)?;
+        let plan = self.plan()?;
+        let mut graph = ActionGraph::new();
+        graft_source_deploy(&plan, &mut graph, engine.store());
+        engine.preflight(&graph)?;
+        let (_, trace) = engine.run(graph).into_outputs()?;
+        Ok(finish_source_deploy(plan, trace))
+    }
+
+    /// Lint the exact action graph this deployment would submit, as
+    /// [`IrDeployRequest::analyze`] does.
+    pub fn analyze(self, orch: &Orchestrator) -> Result<AnalysisReport, SourceContainerError> {
+        let plan = self.plan()?;
+        let mut graph = ActionGraph::new();
+        graft_source_deploy(&plan, &mut graph, orch.store());
+        Ok(orch.engine().analyze(&graph))
     }
 }
 
@@ -544,6 +538,17 @@ pub struct FleetError {
     /// artifact another job planned). `None` for plan-time failures (unknown
     /// configuration, unsupported SIMD, missing unit) and invalid policies.
     pub action: Option<String>,
+}
+
+impl FleetError {
+    /// The job for `system` failed with `error` before any of its actions ran.
+    fn before_run(system: &SystemModel, error: impl fmt::Display) -> Self {
+        Self {
+            system: system.name.clone(),
+            message: error.to_string(),
+            action: None,
+        }
+    }
 }
 
 impl fmt::Display for FleetError {
@@ -663,42 +668,15 @@ impl<'a> FleetRequest<'a> {
     /// deduplicated job grafted as a tagged subgraph sharing keyed artifacts —
     /// without executing anything. The first plan-time failure is returned as
     /// a [`FleetError`]; policy defects surface as diagnostics in the returned
-    /// [`AnalysisReport`](crate::engine::AnalysisReport).
-    pub fn analyze(self, orch: &Orchestrator) -> Result<crate::engine::AnalysisReport, FleetError> {
-        let mut seen_job_keys: std::collections::BTreeSet<String> =
-            std::collections::BTreeSet::new();
-        let mut jobs: Vec<&FleetTarget> = Vec::new();
-        for target in &self.targets {
-            if seen_job_keys.insert(target.job_key()) {
-                jobs.push(target);
-            }
+    /// [`AnalysisReport`].
+    pub fn analyze(self, orch: &Orchestrator) -> Result<AnalysisReport, FleetError> {
+        let (jobs, _) = dedup_jobs(&self.targets);
+        let plans = plan_jobs(self.build, self.project, &jobs);
+        if let Some(error) = plans.iter().find_map(|plan| plan.as_ref().err()) {
+            return Err(error.clone());
         }
-        let engine = orch.engine();
-        let plans: Vec<DeployPlan<'_>> = jobs
-            .iter()
-            .map(|job| {
-                crate::deploy::plan_ir_deploy(
-                    self.build,
-                    self.project,
-                    &job.system,
-                    &job.selection,
-                    job.simd,
-                )
-                .map_err(|error| FleetError {
-                    system: job.system.name.clone(),
-                    message: error.to_string(),
-                    action: None,
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        let mut graph: ActionGraph<'_, DeployError> = ActionGraph::new();
-        let mut shared = SharedDeployArtifacts::default();
-        for (job_index, plan) in plans.iter().enumerate() {
-            graph.set_job(Some(job_index));
-            crate::deploy::graft_ir_deploy(plan, &mut graph, engine.store(), Some(&mut shared));
-        }
-        graph.set_job(None);
-        Ok(engine.analyze(&graph))
+        let (graph, _) = graft_jobs(&plans, orch.store());
+        Ok(orch.engine().analyze(&graph))
     }
 
     /// Execute the fleet on the orchestrator's engine. Outcomes are returned in
@@ -712,34 +690,12 @@ impl<'a> FleetRequest<'a> {
     /// job order — the union graph only changes *when* actions run (interleaved
     /// across jobs) and how often the engine is entered.
     pub fn submit(self, orch: &Orchestrator) -> FleetReport {
-        // Deduplicate identical targets up front: one job per distinct job key.
-        let mut job_of_target: Vec<(usize, bool)> = Vec::with_capacity(self.targets.len());
-        let mut job_index_by_key: BTreeMap<String, usize> = BTreeMap::new();
-        let mut jobs: Vec<&FleetTarget> = Vec::new();
-        for target in &self.targets {
-            let key = target.job_key();
-            match job_index_by_key.get(&key) {
-                Some(&index) => job_of_target.push((index, true)),
-                None => {
-                    let index = jobs.len();
-                    job_index_by_key.insert(key, index);
-                    jobs.push(target);
-                    job_of_target.push((index, false));
-                }
-            }
-        }
-
+        let (jobs, job_of_target) = dedup_jobs(&self.targets);
         let (results, trace, ran) = match orch.checked_engine() {
             Ok(engine) => run_union_wave(self.build, self.project, &jobs, engine),
             Err(policy_error) => (
                 jobs.iter()
-                    .map(|job| {
-                        Err(FleetError {
-                            system: job.system.name.clone(),
-                            message: policy_error.to_string(),
-                            action: None,
-                        })
-                    })
+                    .map(|job| Err(FleetError::before_run(&job.system, &policy_error)))
                     .collect(),
                 ActionTrace::default(),
                 false,
@@ -778,6 +734,59 @@ impl<'a> FleetRequest<'a> {
     }
 }
 
+/// Deduplicate identical targets up front: one job per distinct
+/// [`FleetTarget::job_key`], in request order, and per target its job's index and
+/// whether an earlier target already claimed the job.
+fn dedup_jobs(targets: &[FleetTarget]) -> (Vec<&FleetTarget>, Vec<(usize, bool)>) {
+    let mut job_of_target: Vec<(usize, bool)> = Vec::with_capacity(targets.len());
+    let mut job_index_by_key: BTreeMap<String, usize> = BTreeMap::new();
+    let mut jobs: Vec<&FleetTarget> = Vec::new();
+    for target in targets {
+        let fresh = jobs.len();
+        let index = *job_index_by_key.entry(target.job_key()).or_insert(fresh);
+        if index == fresh {
+            jobs.push(target);
+        }
+        job_of_target.push((index, index != fresh));
+    }
+    (jobs, job_of_target)
+}
+
+/// Plan phase of a wave: validate every job; plan-time failures claim no graph
+/// nodes.
+fn plan_jobs<'a>(
+    build: &'a IrContainerBuild,
+    project: &'a ProjectSpec,
+    jobs: &[&'a FleetTarget],
+) -> Vec<Result<DeployPlan<'a>, FleetError>> {
+    jobs.iter()
+        .map(|job| {
+            plan_ir_deploy(build, project, &job.system, &job.selection, job.simd)
+                .map_err(|error| FleetError::before_run(&job.system, error))
+        })
+        .collect()
+}
+
+/// Graft phase of a wave: one union graph, every planned job a tagged subgraph
+/// sharing keyed artifacts through the wave index. Returns the graph and each
+/// grafted job's own stage depth.
+fn graft_jobs<'env>(
+    plans: &'env [Result<DeployPlan<'env>, FleetError>],
+    store: &'env ImageStore,
+) -> (ActionGraph<'env, DeployError>, Vec<Option<usize>>) {
+    let mut graph: ActionGraph<'_, DeployError> = ActionGraph::new();
+    let mut shared = SharedDeployArtifacts::default();
+    let mut stage_depths: Vec<Option<usize>> = Vec::with_capacity(plans.len());
+    for (job_index, plan) in plans.iter().enumerate() {
+        stage_depths.push(plan.as_ref().ok().map(|plan| {
+            graph.set_job(Some(job_index));
+            graft_ir_deploy(plan, &mut graph, store, &mut shared)
+        }));
+    }
+    graph.set_job(None);
+    (graph, stage_depths)
+}
+
 /// The union-graph wave: plan every job, graft all plans into one
 /// [`ActionGraph`] (keyed nodes shared across jobs appear once), submit it to the
 /// engine exactly once, then split the wave trace and outcomes back into per-job
@@ -793,46 +802,17 @@ fn run_union_wave(
     ActionTrace,
     bool,
 ) {
-    // Plan phase: validate every job; plan-time failures claim no graph nodes.
-    let plans: Vec<Result<DeployPlan<'_>, FleetError>> = jobs
-        .iter()
-        .map(|job| {
-            crate::deploy::plan_ir_deploy(build, project, &job.system, &job.selection, job.simd)
-                .map_err(|error| FleetError {
-                    system: job.system.name.clone(),
-                    message: error.to_string(),
-                    action: None,
-                })
-        })
-        .collect();
-
-    // Graft phase: one union graph, every planned job a tagged subgraph sharing
-    // keyed artifacts through the wave index.
-    let mut graph: ActionGraph<'_, DeployError> = ActionGraph::new();
-    let mut shared = SharedDeployArtifacts::default();
-    let mut grafts: Vec<Option<GraftedDeploy>> = Vec::with_capacity(plans.len());
-    for (job_index, plan) in plans.iter().enumerate() {
-        grafts.push(plan.as_ref().ok().map(|plan| {
-            graph.set_job(Some(job_index));
-            crate::deploy::graft_ir_deploy(plan, &mut graph, engine.store(), Some(&mut shared))
-        }));
-    }
-    graph.set_job(None);
+    let plans = plan_jobs(build, project, jobs);
+    let (graph, stage_depths) = graft_jobs(&plans, engine.store());
 
     // Preflight phase: a deny-level analysis verdict fails every planned job
     // before any node executes (plan-time failures already claimed theirs).
     if let Err(report) = engine.preflight(&graph) {
         drop(graph); // the grafted closures borrow the plans consumed below
+        let rejection = DeployError::Analysis(report);
         let results = plans
             .into_iter()
-            .map(|plan| {
-                let plan = plan?;
-                Err(FleetError {
-                    system: plan.system.name.clone(),
-                    message: format!("graph rejected by analysis: {report}"),
-                    action: None,
-                })
-            })
+            .map(|plan| Err(FleetError::before_run(plan?.system, &rejection)))
             .collect();
         return (results, ActionTrace::default(), false);
     }
@@ -862,17 +842,8 @@ fn run_union_wave(
             }
             let mut job_trace = splits.remove(&job_index).unwrap_or_default();
             job_trace.policy = wave_trace.policy.clone();
-            job_trace.stage_depth = grafts[job_index]
-                .as_ref()
-                .map(|graft| graft.stage_depth)
-                .unwrap_or_default();
-            crate::deploy::finish_ir_deploy(plan, job_trace)
-                .map(Arc::new)
-                .map_err(|error| FleetError {
-                    system: jobs[job_index].system.name.clone(),
-                    message: error.to_string(),
-                    action: None,
-                })
+            job_trace.stage_depth = stage_depths[job_index].unwrap_or_default();
+            Ok(Arc::new(finish_ir_deploy(plan, job_trace)))
         })
         .collect();
     (results, wave_trace, ran)

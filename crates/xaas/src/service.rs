@@ -326,17 +326,15 @@ impl ServiceInner {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// One admission decision under the lock. `Err` never mutates counts.
+    /// One admission decision under the lock. `Err` mutates nothing, the refusal
+    /// counters included: a waiting [`admit`](Self::admit) re-runs this on every
+    /// wake, so a refusal is booked only where it is returned to a caller.
     fn try_admit_locked(&self, state: &mut AdmitState, tenant: &str) -> Result<(), AdmissionError> {
         if state.draining {
-            self.counters
-                .refused_draining
-                .fetch_add(1, Ordering::Relaxed);
             return Err(AdmissionError::Draining);
         }
         let queued_actions = self.orch.engine().queue_stats().queued_actions;
         if state.in_flight_global >= self.limits.max_in_flight_global {
-            self.counters.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(AdmissionError::Rejected {
                 in_flight: state.in_flight_global,
                 queued_actions,
@@ -344,7 +342,6 @@ impl ServiceInner {
             });
         }
         if queued_actions >= self.limits.max_queued_actions {
-            self.counters.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(AdmissionError::Rejected {
                 in_flight: state.in_flight_global,
                 queued_actions,
@@ -353,7 +350,6 @@ impl ServiceInner {
         }
         let tenant_in_flight = state.in_flight_by_tenant.get(tenant).copied().unwrap_or(0);
         if tenant_in_flight >= self.limits.max_in_flight_per_tenant {
-            self.counters.backpressured.fetch_add(1, Ordering::Relaxed);
             return Err(AdmissionError::Backpressure {
                 tenant: tenant.to_string(),
                 in_flight: tenant_in_flight,
@@ -369,18 +365,10 @@ impl ServiceInner {
         Ok(())
     }
 
-    fn admit<'a>(&'a self, tenant: &'a str) -> Result<AdmitPermit<'a>, AdmissionError> {
-        let mut state = self.lock_state();
-        self.try_admit_locked(&mut state, tenant)?;
-        Ok(AdmitPermit {
-            inner: self,
-            tenant,
-        })
-    }
-
-    /// Like [`admit`](Self::admit), but blocks through `Backpressure` and
-    /// `Rejected` until a slot frees. Still fails fast on `Draining`.
-    fn admit_wait<'a>(&'a self, tenant: &'a str) -> Result<AdmitPermit<'a>, AdmissionError> {
+    /// Admit `tenant` or return the typed refusal. With `wait`, block through
+    /// `Backpressure` and `Rejected` until a slot frees instead of returning
+    /// them; `Draining` always fails fast.
+    fn admit<'a>(&'a self, tenant: &'a str, wait: bool) -> Result<AdmitPermit<'a>, AdmissionError> {
         let mut state = self.lock_state();
         loop {
             match self.try_admit_locked(&mut state, tenant) {
@@ -390,9 +378,17 @@ impl ServiceInner {
                         tenant,
                     })
                 }
-                Err(AdmissionError::Draining) => return Err(AdmissionError::Draining),
-                Err(_) => {
+                Err(refusal) if wait && refusal != AdmissionError::Draining => {
                     state = self.changed.wait(state).unwrap_or_else(|e| e.into_inner());
+                }
+                Err(refusal) => {
+                    let counter = match refusal {
+                        AdmissionError::Backpressure { .. } => &self.counters.backpressured,
+                        AdmissionError::Rejected { .. } => &self.counters.rejected,
+                        _ => &self.counters.refused_draining,
+                    };
+                    counter.fetch_add(1, Ordering::Relaxed);
+                    return Err(refusal);
                 }
             }
         }
@@ -664,15 +660,6 @@ impl OrchestratorServiceBuilder {
         self
     }
 
-    /// Set the engine's pre-submission analysis mode (default:
-    /// [`AnalysisMode::Strict`](crate::engine::AnalysisMode)). Under `Strict`,
-    /// deny-level diagnostics refuse the request as
-    /// [`AdmissionError::Invalid`] before any of its actions run.
-    pub fn analysis(mut self, mode: crate::engine::AnalysisMode) -> Self {
-        self.orch = self.orch.analysis(mode);
-        self
-    }
-
     /// Build the service.
     pub fn build(self) -> OrchestratorService {
         OrchestratorService::with_limits(self.orch.build(), self.limits)
@@ -720,13 +707,7 @@ impl Session {
         &self,
         request: R,
     ) -> Result<R::Output, ServiceError<R::Error>> {
-        let permit = self
-            .inner
-            .admit(&self.tenant)
-            .map_err(ServiceError::Admission)?;
-        let result = request.execute(&self.orch);
-        drop(permit);
-        result.map_err(Self::classify::<R>)
+        self.run(request, false)
     }
 
     /// Like [`submit`](Self::submit), but blocks through backpressure and
@@ -736,9 +717,17 @@ impl Session {
         &self,
         request: R,
     ) -> Result<R::Output, ServiceError<R::Error>> {
+        self.run(request, true)
+    }
+
+    fn run<R: ServiceRequest>(
+        &self,
+        request: R,
+        wait: bool,
+    ) -> Result<R::Output, ServiceError<R::Error>> {
         let permit = self
             .inner
-            .admit_wait(&self.tenant)
+            .admit(&self.tenant, wait)
             .map_err(ServiceError::Admission)?;
         let result = request.execute(&self.orch);
         drop(permit);
@@ -813,8 +802,8 @@ mod tests {
             .limits(ServiceLimits::default().per_tenant(1).global(2))
             .build();
         // Occupy alice's only slot by hand.
-        let permit = service.inner.admit("alice").unwrap();
-        let error = service.inner.admit("alice").unwrap_err();
+        let permit = service.inner.admit("alice", false).unwrap();
+        let error = service.inner.admit("alice", false).unwrap_err();
         assert_eq!(
             error,
             AdmissionError::Backpressure {
@@ -824,9 +813,9 @@ mod tests {
             }
         );
         // A different tenant still gets in — backpressure is per-lane.
-        let other = service.inner.admit("bob").unwrap();
+        let other = service.inner.admit("bob", false).unwrap();
         // Global limit (2) now reached: even a fresh tenant is rejected.
-        let error = service.inner.admit("carol").unwrap_err();
+        let error = service.inner.admit("carol", false).unwrap_err();
         assert!(matches!(
             error,
             AdmissionError::Rejected {
@@ -875,7 +864,7 @@ mod tests {
             .limits(ServiceLimits::default().per_tenant(1))
             .build();
         let session = service.session("alice");
-        let permit = service.inner.admit("alice").unwrap();
+        let permit = service.inner.admit("alice", false).unwrap();
         let (tx, rx) = mpsc::channel();
         let waiting = {
             let session = session.clone();
@@ -894,5 +883,61 @@ mod tests {
         rx.recv_timeout(Duration::from_secs(30))
             .expect("waiter admitted after the slot freed");
         waiting.join().unwrap().unwrap();
+    }
+
+    /// A request that only occupies its admission slot.
+    struct Noop;
+
+    impl ServiceRequest for Noop {
+        type Output = ();
+        type Error = std::convert::Infallible;
+
+        fn execute(self, _: &Orchestrator) -> Result<(), Self::Error> {
+            Ok(())
+        }
+    }
+
+    /// Every release wakes every waiter, and each wake re-decides admission: a
+    /// refusal counts only when it is returned to a caller, never for a request
+    /// that is then admitted.
+    #[test]
+    fn submit_wait_books_no_refusal_for_a_request_it_admits() {
+        for waiters in [1u64, 3] {
+            let service = OrchestratorService::builder()
+                .workers(1)
+                .limits(ServiceLimits::default().per_tenant(1))
+                .build();
+            let permit = service.inner.admit("alice", false).unwrap();
+            let (started, all_started) = mpsc::channel();
+            let (finished, any_finished) = mpsc::channel();
+            let waiting: Vec<_> = (0..waiters)
+                .map(|_| {
+                    let session = service.session("alice");
+                    let (started, finished) = (started.clone(), finished.clone());
+                    std::thread::spawn(move || {
+                        started.send(()).ok();
+                        let result = session.submit_wait(Noop);
+                        finished.send(()).ok();
+                        result
+                    })
+                })
+                .collect();
+            for _ in 0..waiters {
+                all_started.recv_timeout(Duration::from_secs(30)).unwrap();
+            }
+            // Parked behind the held permit, not refused: nobody finishes.
+            assert!(any_finished
+                .recv_timeout(Duration::from_millis(100))
+                .is_err());
+            drop(permit);
+            for waiter in waiting {
+                waiter.join().unwrap().unwrap();
+            }
+            let stats = service.stats();
+            assert_eq!(
+                (stats.backpressured, stats.rejected, stats.admitted),
+                (0, 0, waiters + 1)
+            );
+        }
     }
 }

@@ -6,22 +6,22 @@
 //! selection, and a full build of the selected configuration, producing a *new*,
 //! system-specific image (Figure 6).
 
-use crate::engine::{
-    add_commit_action, ActionGraph, ActionId, ActionKind, ActionTrace, Engine, KeyedActionPlanner,
-    LinkSlot, PreprocessPlanner,
-};
-use crate::ir_container::{ActionSummary, TOOLCHAIN_ID};
+use crate::engine::plan::{SdCompilePlanner, SharedDeployArtifacts};
+use crate::engine::{add_commit_action, ActionGraph, ActionId, ActionKind, ActionTrace, LinkSlot};
+use crate::ir_container::{project_compiler, ActionSummary};
 use crate::targets::{derive_build_profile, target_isa_for};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use xaas_buildsys::{configure, ConfigureError, OptionAssignment, OptionCategory, ProjectSpec};
+use xaas_buildsys::{
+    configure, ConfigureError, ConfiguredBuild, OptionAssignment, OptionCategory, ProjectSpec,
+};
 use xaas_container::{
-    annotation_keys, Architecture, BuildKey, DeploymentFormat, Image, ImageStore, Layer, Platform,
+    annotation_keys, Architecture, DeploymentFormat, Image, ImageStore, Layer, Platform,
 };
 use xaas_hpcsim::{discover, BuildProfile, ModuleKind, SimdLevel, SystemModel};
 use xaas_specs::{from_project, intersect, CommonSpecialization, SpecCategory};
-use xaas_xir::{CompileFlags, Compiler, MachineModule};
+use xaas_xir::{CompileFlags, Compiler, MachineModule, TargetIsa};
 
 /// Errors during source-container building or deployment.
 #[derive(Debug)]
@@ -51,8 +51,7 @@ pub enum SourceContainerError {
     /// The orchestrator's scheduling policy is invalid (e.g. a zero concurrency cap).
     Policy(crate::engine::PolicyError),
     /// The pre-submission static analyzer rejected the build graph (deny-level
-    /// diagnostics under [`AnalysisMode::Strict`](crate::engine::AnalysisMode));
-    /// nothing executed.
+    /// diagnostics); nothing executed.
     Analysis(Box<crate::engine::AnalysisReport>),
     /// The executor broke its scheduling contract (a node skipped without a
     /// failure, or cancelled mid-run) — not a pipeline error.
@@ -208,25 +207,47 @@ pub enum SelectionPolicy {
     Conservative,
 }
 
-/// Deploy a source container by constructing staged action graphs and submitting them
-/// to `engine` (Figure 6 as a DAG; the driver behind
-/// [`SourceDeployRequest`](crate::orchestrator::SourceDeployRequest)).
-///
-/// Selection and configuration run serially in the driver (they are cheap and
-/// inherently sequential); the full on-target build then executes as two graphs:
-/// **preprocess** every enabled translation unit in parallel, then **sd-compile** each
-/// deduplicated unit (cache keys derive from the preprocessed-content digest, the
-/// IR-relevant flags, and the target ISA, so repeat deployments — including
-/// deployments of *other* configurations whose flags do not change a unit — reuse the
-/// compiled artifact), and finally **link + commit** the system-specialized image.
-pub(crate) fn run_source_deploy(
-    project: &ProjectSpec,
-    source_image: &Image,
-    system: &SystemModel,
+/// One `sd-compile` of a source deployment, by index into the plan's configured
+/// build: its source, and every compile command sharing its
+/// [`SdCompilePlanner::identity`] (two targets can compile the same file with the
+/// same flags), which its object file serves.
+struct SourceUnit {
+    source: usize,
+    flags: CompileFlags,
+    commands: Vec<usize>,
+}
+
+/// The plan phase of one source deployment (Figure 6's discovery → intersection →
+/// selection → configure): everything validated and owned, but no graph built yet.
+/// [`plan_source_deploy`], [`graft_source_deploy`] and [`finish_source_deploy`] are
+/// the three phases of an IR deployment ([`crate::deploy`]), driven by
+/// [`SourceDeployRequest`](crate::orchestrator::SourceDeployRequest).
+pub(crate) struct SourceDeployPlan<'a> {
+    project: &'a ProjectSpec,
+    source_image: &'a Image,
+    system: &'a SystemModel,
+    assignment: OptionAssignment,
+    intersection: CommonSpecialization,
+    build_profile: BuildProfile,
+    notes: Vec<String>,
+    target: TargetIsa,
+    compiler: Compiler,
+    build: ConfiguredBuild,
+    units: Vec<SourceUnit>,
+    reference: String,
+    assembled: LinkSlot<Image>,
+}
+
+/// Select and configure one source deployment, serially (both are cheap and
+/// inherently sequential), and plan one [`SourceUnit`] per distinct `sd-compile`
+/// of the configured build.
+pub(crate) fn plan_source_deploy<'a>(
+    project: &'a ProjectSpec,
+    source_image: &'a Image,
+    system: &'a SystemModel,
     preferences: &OptionAssignment,
     policy: SelectionPolicy,
-    engine: &Engine,
-) -> Result<SourceDeployment, SourceContainerError> {
+) -> Result<SourceDeployPlan<'a>, SourceContainerError> {
     if let Some(file) = crate::ir_container::unknown_target_source(project) {
         return Err(SourceContainerError::UnknownSource { file });
     }
@@ -281,223 +302,183 @@ pub(crate) fn run_source_deploy(
     }
     let build = configure(project, &assignment, paths::BUILD_ROOT, Some(&available))?;
 
-    // 4. Build on the target: compile every enabled translation unit for the selected
-    //    SIMD level and assemble the deployed image.
+    // 4. The on-target build compiles every enabled translation unit for the
+    //    selected SIMD level.
     let threads = system.cpu.total_cores().min(36);
-    let build_profile = derive_build_profile(
+    let mut build_profile = derive_build_profile(
         format!("XaaS Source ({})", system.name),
         &assignment,
         system,
         threads,
     )
     .with_container_overhead(1.01);
-    let simd = if system.cpu.supports(build_profile.simd) {
-        build_profile.simd
-    } else {
+    if !system.cpu.supports(build_profile.simd) {
         notes.push(format!(
             "selected SIMD level {} unsupported on {}; falling back to the best supported level",
             build_profile.simd, system.name
         ));
-        system.cpu.best_simd()
-    };
-    let target = target_isa_for(simd);
-
-    let mut compiler = Compiler::new();
-    for (name, content) in &project.headers {
-        compiler.add_header(name.clone(), content.clone());
+        build_profile.simd = system.cpu.best_simd();
+    }
+    let target = target_isa_for(build_profile.simd);
+    if let Some(base) = &system.recommended_base_image {
+        notes.push(format!(
+            "switching base image to operator-recommended {base}"
+        ));
     }
 
-    let base_reference = match &system.recommended_base_image {
-        Some(base) => {
-            notes.push(format!(
-                "switching base image to operator-recommended {base}"
-            ));
-            base.clone()
-        }
-        None => source_image.reference.clone(),
-    };
+    let mut units: Vec<SourceUnit> = Vec::new();
+    let mut unit_by_identity: BTreeMap<String, usize> = BTreeMap::new();
+    for (index, command) in build.compile_db.commands.iter().enumerate() {
+        let source = build
+            .enabled_sources
+            .iter()
+            .position(|s| s.path == command.file)
+            .ok_or_else(|| SourceContainerError::UnknownSource {
+                file: command.file.clone(),
+            })?;
+        let flags = command.flags();
+        let identity = SdCompilePlanner::identity(&command.file, &flags, &target);
+        let unit = *unit_by_identity.entry(identity).or_insert_with(|| {
+            units.push(SourceUnit {
+                source,
+                flags,
+                commands: Vec::new(),
+            });
+            units.len() - 1
+        });
+        units[unit].commands.push(index);
+    }
+
     let reference = format!(
         "{}:{}-{}",
         project.name,
         system.name.to_ascii_lowercase(),
         assignment_tag(&assignment)
     );
+    Ok(SourceDeployPlan {
+        project,
+        source_image,
+        system,
+        assignment,
+        intersection,
+        build_profile,
+        notes,
+        target,
+        compiler: project_compiler(project),
+        build,
+        units,
+        reference,
+        assembled: LinkSlot::new(),
+    })
+}
 
-    // ---- Graph A: preprocess every enabled translation unit, in parallel ----
-    // Preprocessing depends only on (file, definition set); deduplicate across the
-    // compile commands (two targets can compile the same file with the same flags).
-    struct CommandPlan<'plan> {
-        target: &'plan str,
-        file: &'plan str,
-        content: &'plan str,
-        flags: CompileFlags,
-        preprocess_action: ActionId,
-    }
-    let mut plans: Vec<CommandPlan<'_>> = Vec::new();
-    let mut stage_a: ActionGraph<'_, SourceContainerError> = ActionGraph::new();
-    let mut preprocess = PreprocessPlanner::new();
-    for command in &build.compile_db.commands {
-        let source = build
-            .enabled_sources
-            .iter()
-            .find(|s| s.path == command.file)
-            .ok_or_else(|| SourceContainerError::UnknownSource {
-                file: command.file.clone(),
-            })?;
-        let flags = CompileFlags::parse(command.arguments.iter().cloned());
-        // The preprocess output is the *preprocessed-content* digest (the cache
-        // contract): it folds in the headers the compiler resolves, so caches shared
-        // across projects can never serve code built against different header
-        // definitions.
-        let preprocess_action = preprocess.action_for(
-            &mut stage_a,
-            &compiler,
-            &command.file,
-            &source.content,
-            &flags,
-            |file, error| SourceContainerError::Compile { file, error },
-        );
-        plans.push(CommandPlan {
-            target: command.target.as_str(),
-            file: command.file.as_str(),
-            content: source.content.as_str(),
-            flags,
-            preprocess_action,
-        });
-    }
-    engine.preflight(&stage_a)?;
-    let run_a = engine.run(stage_a);
-    let (outputs_a, mut trace) = run_a.into_outputs()?;
+/// Graft one planned source deployment onto `graph` as a self-contained subgraph
+/// — the full on-target build of Figure 6 as a DAG, in **one** submission:
+///
+/// 1. **preprocess** (parallel): one deduplicated action per (file, definitions);
+/// 2. **sd-compile** (parallel, cache-routed): the [`SdCompilePlanner`]'s node per
+///    unit, so repeat deployments — including deployments of *other*
+///    configurations whose flags do not change a unit — reuse the artifact;
+/// 3. **link + commit**: assemble and commit the system-specialized image.
+pub(crate) fn graft_source_deploy<'env>(
+    plan: &'env SourceDeployPlan<'env>,
+    graph: &mut ActionGraph<'env, SourceContainerError>,
+    store: &'env ImageStore,
+) {
+    let lift = |file, error| SourceContainerError::Compile { file, error };
+    let source_of = |unit: &SourceUnit| &plan.build.enabled_sources[unit.source];
+    // Preprocess nodes first, in unit order: all preprocess records precede the
+    // compile records.
+    let mut sd_compile = SdCompilePlanner::new(&plan.compiler, &plan.target);
+    let preprocess_actions: Vec<ActionId> = plan
+        .units
+        .iter()
+        .map(|unit| sd_compile.preprocess_for(graph, source_of(unit), &unit.flags, lift))
+        .collect();
+    let standalone = &mut SharedDeployArtifacts::default();
+    let compile_actions: Vec<ActionId> = plan
+        .units
+        .iter()
+        .zip(&preprocess_actions)
+        .map(|(unit, &preprocess)| {
+            let source = source_of(unit);
+            sd_compile.action_for(graph, standalone, preprocess, source, &unit.flags, lift)
+        })
+        .collect();
 
-    // ---- Graph B: compile each deduplicated unit, then link + commit ----
-    // Declared before the graph: its closures borrow these.
-    let assembled: LinkSlot<Image> = LinkSlot::new();
-    // Per-command position of its compile action among the planned ones (identical
-    // BuildKeys share one action — the KeyedActionPlanner enforces the graph's
-    // one-node-per-key contract).
-    let mut command_positions: Vec<usize> = Vec::with_capacity(plans.len());
-    // One representative source file per compile action (for decode error messages).
-    let mut representative_files: Vec<&str> = Vec::new();
-    let mut stage_b: ActionGraph<'_, SourceContainerError> = ActionGraph::new();
-    let mut compile_plan = KeyedActionPlanner::new();
-    for plan in &plans {
-        let digest = String::from_utf8_lossy(&outputs_a[plan.preprocess_action]).into_owned();
-        let key = BuildKey::new(
-            digest,
-            &target.name,
-            format!("file={};{}", plan.file, plan.flags.ir_relevant_key()),
-            TOOLCHAIN_ID,
-        );
-        let compiler = &compiler;
-        let target = &target;
-        let (file, content, flags) = (plan.file, plan.content, &plan.flags);
-        let position = compile_plan.position_for(&mut stage_b, key, |graph, key| {
-            graph.add_cached(
-                ActionKind::SdCompile,
-                file.to_string(),
-                key,
-                &[],
-                move |_| {
-                    let machine = compiler
-                        .compile_to_machine(file, content, flags, target)
-                        .map_err(|error| SourceContainerError::Compile {
-                            file: file.to_string(),
-                            error,
-                        })?;
-                    Ok(serde_json::to_vec(&machine).expect("machine module serialises"))
-                },
-            )
-        });
-        if position == representative_files.len() {
-            representative_files.push(plan.file);
-        }
-        command_positions.push(position);
-    }
-    let compile_actions = compile_plan.into_actions();
+    let reference = plan.reference.as_str();
+    let link_action = graph.add(
+        ActionKind::Link,
+        format!("{reference} image"),
+        &compile_actions,
+        move |inputs| {
+            // The cached bytes *are* the canonical object serialisation; decode
+            // only to validate them before shipping.
+            for (index, unit) in plan.units.iter().enumerate() {
+                serde_json::from_slice::<MachineModule>(inputs.dep(index)).map_err(|e| {
+                    let file = &source_of(unit).path;
+                    SourceContainerError::Cache(format!("machine module for {file}: {e}"))
+                })?;
+            }
 
-    let link_action = {
-        let assembled = &assembled;
-        let plans = &plans;
-        let command_positions = &command_positions;
-        let representative_files = &representative_files;
-        let reference = reference.as_str();
-        let assignment = &assignment;
-        let target = &target;
-        stage_b.add(
-            ActionKind::Link,
-            format!("{reference} image"),
-            &compile_actions,
-            move |inputs| {
-                // The cached bytes *are* the canonical object serialisation; decode
-                // only to validate them before shipping.
-                for (position, file) in representative_files.iter().enumerate() {
-                    serde_json::from_slice::<MachineModule>(inputs.dep(position)).map_err(|e| {
-                        SourceContainerError::Cache(format!("machine module for {file}: {e}"))
-                    })?;
+            let (system, assignment) = (plan.system, &plan.assignment);
+            let mut deployed = Image::derive_from(plan.source_image, reference);
+            deployed.platform = Platform::linux(architecture_of(system));
+            deployed.set_deployment_format(DeploymentFormat::Binary);
+            deployed.annotate(annotation_keys::SELECTED_CONFIGURATION, assignment.label());
+            deployed.annotate(annotation_keys::TARGET_SYSTEM, system.name.clone());
+            let base_reference = system
+                .recommended_base_image
+                .as_ref()
+                .unwrap_or(&plan.source_image.reference);
+            deployed.annotate("dev.xaas.base-image", base_reference.clone());
+
+            let mut build_layer = Layer::new(format!("RUN xmake build ({})", assignment.label()));
+            for (index, unit) in plan.units.iter().enumerate() {
+                for &command in &unit.commands {
+                    // Configured under `paths::BUILD_ROOT`: `<root>/<target>/<file>.o`.
+                    let object = &plan.build.compile_db.commands[command].output;
+                    build_layer.add_file(object.clone(), inputs.dep_blob(index).clone());
                 }
-
-                let mut deployed = Image::derive_from(source_image, reference);
-                deployed.platform = Platform::linux(architecture_of(system));
-                deployed.set_deployment_format(DeploymentFormat::Binary);
-                deployed.annotate(annotation_keys::SELECTED_CONFIGURATION, assignment.label());
-                deployed.annotate(annotation_keys::TARGET_SYSTEM, system.name.clone());
-                deployed.annotate("dev.xaas.base-image", base_reference);
-
-                let mut build_layer =
-                    Layer::new(format!("RUN xmake build ({})", assignment.label()));
-                for (plan, &position) in plans.iter().zip(command_positions) {
-                    build_layer.add_file(
-                        format!(
-                            "{}/{}/{}.o",
-                            paths::BUILD_ROOT,
-                            plan.target,
-                            plan.file.replace('/', "_")
-                        ),
-                        inputs.dep_blob(position).clone(),
-                    );
-                }
-                for target_spec in &project.targets {
-                    build_layer.add_executable(
-                        format!("{}/bin/{}", paths::INSTALL_ROOT, target_spec.name),
-                        format!("linked for {} ({})", system.name, target.name).into_bytes(),
-                    );
-                }
-                deployed.push_layer(build_layer);
-                assembled.put(deployed);
-                Ok(Vec::new())
-            },
-        )
-    };
+            }
+            for target_spec in &plan.project.targets {
+                build_layer.add_executable(
+                    format!("{}/bin/{}", paths::INSTALL_ROOT, target_spec.name),
+                    format!("linked for {} ({})", system.name, plan.target.name).into_bytes(),
+                );
+            }
+            deployed.push_layer(build_layer);
+            plan.assembled.put(deployed);
+            Ok(Vec::new())
+        },
+    );
     add_commit_action(
-        &mut stage_b,
+        graph,
         format!("{reference} commit"),
-        engine.store(),
-        &assembled,
+        store,
+        &plan.assembled,
         |image| image,
         link_action,
     );
+}
 
-    engine.preflight(&stage_b)?;
-    let run_b = engine.run(stage_b);
-    let (_, trace_b) = run_b.into_outputs()?;
-    trace.merge(trace_b);
-    let deployed = assembled.into_inner().expect("link action ran");
-    let compiled_units = plans.len();
-
-    let mut final_profile = build_profile;
-    final_profile.simd = simd;
-    let actions = trace.summary();
-    Ok(SourceDeployment {
-        image: deployed,
-        reference,
-        assignment,
-        intersection,
-        compiled_units,
-        build_profile: final_profile,
-        notes,
-        actions,
+/// The finish phase: consume the plan after its subgraph ran, returning the
+/// [`SourceDeployment`] carrying the run's `trace`.
+pub(crate) fn finish_source_deploy(
+    plan: SourceDeployPlan<'_>,
+    trace: ActionTrace,
+) -> SourceDeployment {
+    SourceDeployment {
+        image: plan.assembled.into_inner().expect("link action ran"),
+        reference: plan.reference,
+        assignment: plan.assignment,
+        intersection: plan.intersection,
+        compiled_units: plan.build.compile_db.commands.len(),
+        build_profile: plan.build_profile,
+        notes: plan.notes,
+        actions: trace.summary(),
         trace,
-    })
+    }
 }
 
 /// Choose the best available value for each specialization point (the automatic part of
@@ -758,6 +739,38 @@ mod tests {
             error,
             SourceContainerError::UnsupportedPreference { .. }
         ));
+    }
+
+    /// Link's validation decode: an undecodable `sd-compile` entry (action-cache
+    /// corruption) fails the deployment naming the file, before anything is committed.
+    #[test]
+    fn a_poisoned_sd_compile_entry_is_a_cache_error_and_commits_nothing() {
+        let (project, store, image) = setup();
+        let system = SystemModel::ault23();
+        let cache = xaas_container::ActionCache::new(store.clone());
+        let preferences = OptionAssignment::new();
+        let policy = SelectionPolicy::BestAvailable;
+        let plan = plan_source_deploy(&project, &image, &system, &preferences, policy).unwrap();
+        let unit = &plan.units[1];
+        let source = &plan.build.enabled_sources[unit.source];
+        let digest = plan
+            .compiler
+            .preprocess_only(&source.path, &source.content, &unit.flags)
+            .unwrap()
+            .content_digest();
+        cache.insert(
+            &SdCompilePlanner::key(&digest, &source.path, &unit.flags, &plan.target),
+            b"not json".to_vec(),
+        );
+
+        let request = SourceDeployRequest::new(&project, &image, &system);
+        match request.submit(&Orchestrator::with_cache(&cache)) {
+            Err(SourceContainerError::Cache(detail)) => {
+                assert!(detail.contains(&source.path), "{detail}")
+            }
+            other => panic!("expected SourceContainerError::Cache, got {other:?}"),
+        }
+        assert_eq!(store.references().len(), 1, "only the source image");
     }
 
     #[test]

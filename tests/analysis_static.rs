@@ -1,5 +1,5 @@
-//! Pre-submission static analyzer integration: graphs that pass `Strict`
-//! analysis execute without structural runtime faults; each injectable defect
+//! Pre-submission static analyzer integration: graphs that pass analysis
+//! execute without structural runtime faults; each injectable defect
 //! class is flagged with its specific diagnostic code; and a deny-level
 //! verdict rejects the submission *before any node executes* — no partial
 //! side effects, pinned by an action-side counter and the cache counters.
@@ -11,7 +11,6 @@ use proptest::prelude::*;
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use xaas::engine::AnalysisMode;
 use xaas::prelude::*;
 use xaas::service::{AdmissionError, OrchestratorService, ServiceError};
 use xaas_apps::lulesh;
@@ -58,7 +57,7 @@ const WORK_KINDS: [ActionKind; 6] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any random DAG that passes `Strict` analysis executes to completion
+    /// Any random DAG that passes analysis executes to completion
     /// with every node producing an output — no structural runtime faults.
     #[test]
     fn strict_clean_graphs_execute_without_structural_faults(
@@ -75,7 +74,7 @@ proptest! {
         for id in 0..n {
             // Every node depends on a random subset of its predecessors —
             // backward edges only, so the graph is structurally valid by
-            // construction and `Strict` must admit it.
+            // construction and preflight must admit it.
             let mut deps: Vec<ActionId> = (0..id).filter(|_| next() % 3 == 0).collect();
             deps.dedup();
             let kind = WORK_KINDS[id % WORK_KINDS.len()];
@@ -83,7 +82,7 @@ proptest! {
         }
         let report = engine.analyze(&graph);
         prop_assert!(!report.is_rejected(), "clean-by-construction graph denied: {report}");
-        let run = engine.submit_graph(graph).expect("strict admits it").wait();
+        let run = engine.submit_graph(graph).expect("preflight admits it").wait();
         prop_assert!(run.succeeded());
         let (outputs, _) = run.into_outputs().expect("no faults");
         prop_assert_eq!(outputs.len(), n);
@@ -117,11 +116,6 @@ fn cap_starved_kind_is_denied_with_sch_001() {
         .expect_err("a zero cap on a demanded kind can never execute");
     assert!(report.has_code(DiagnosticCode::ZeroCapKind));
     assert_eq!(report.denies(), 1);
-    assert_eq!(
-        engine.last_analysis().as_ref(),
-        Some(report.as_ref()),
-        "the engine records the verdict it rejected with"
-    );
 }
 
 #[test]
@@ -218,26 +212,6 @@ fn denied_graphs_execute_nothing_and_touch_no_state() {
         (before.hits, before.misses, before.entries)
     );
     assert_eq!(engine.queue_stats().queued_actions, 0);
-}
-
-#[test]
-fn warn_only_mode_admits_a_deny_graph_but_records_the_report() {
-    let engine = engine().with_analysis(AnalysisMode::WarnOnly);
-    let mut graph: ActionGraph<'static, Infallible> = ActionGraph::new();
-    graph.add(ActionKind::Commit, "empty commit", &[], |_| Ok(vec![]));
-    let run = engine.submit_graph(graph).expect("warn-only admits").wait();
-    assert!(run.succeeded());
-    let report = engine.last_analysis().expect("analysis still ran");
-    assert!(report.has_code(DiagnosticCode::CommitNoDeps));
-}
-
-#[test]
-fn off_mode_skips_analysis_entirely() {
-    let engine = engine().with_analysis(AnalysisMode::Off);
-    let mut graph: ActionGraph<'static, Infallible> = ActionGraph::new();
-    graph.add(ActionKind::Commit, "empty commit", &[], |_| Ok(vec![]));
-    assert!(engine.submit_graph(graph).is_ok());
-    assert_eq!(engine.last_analysis(), None);
 }
 
 /// Through the service, a deny-level verdict surfaces as a typed *admission*

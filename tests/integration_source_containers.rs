@@ -182,3 +182,30 @@ fn llamacpp_source_deployment_enables_gpu_on_all_three_systems() {
         assert!(report.used_gpu, "{}", system.name);
     }
 }
+
+/// A source deployment is one graph and one submission, with the record layout the
+/// two-submission driver left: every preprocess record, then every `sd-compile`,
+/// then link and commit. llama.cpp on Ault23 has 9 compile commands but 5 distinct
+/// `sd-compile` identities (two targets share four files); GROMACS has 11 and 11.
+#[test]
+fn a_source_deployment_is_one_graph_with_pinned_node_counts() {
+    let system = SystemModel::ault23();
+    for (project, commands, units) in [(llamacpp::project(), 9, 5), (gromacs::project(), 11, 11)] {
+        let store = ImageStore::new();
+        let orch = Orchestrator::uncached(&store);
+        let image = build_source_container(&project, Architecture::Amd64, &store, "pin:src");
+        let request = SourceDeployRequest::new(&project, &image, &system);
+        let linted = request.clone().analyze(&orch).unwrap();
+        let deployment = request.submit(&orch).unwrap();
+
+        assert_eq!(deployment.compiled_units, commands);
+        let kinds: Vec<ActionKind> = deployment.trace.records.iter().map(|r| r.kind).collect();
+        let mut expected = vec![ActionKind::Preprocess; units];
+        expected.extend(vec![ActionKind::SdCompile; units]);
+        expected.extend([ActionKind::Link, ActionKind::Commit]);
+        assert_eq!(kinds, expected, "{}", project.name);
+        assert_eq!(deployment.trace.stage_depth, 4);
+        assert_eq!(linted.nodes, deployment.trace.len());
+        assert_eq!((linted.denies(), linted.warnings()), (0, 0));
+    }
+}

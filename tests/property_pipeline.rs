@@ -486,4 +486,101 @@ proptest! {
             prop_assert_eq!(&warm_lowered.vectorization, &cold_lowered.vectorization);
         }
     }
+
+    /// A source deployment is one graph, whatever runs it: for llama.cpp and GROMACS
+    /// on a drawn evaluation system, worker count and policy, the uncached, the
+    /// cold-cache and the warm-cache deployment commit the manifest of the serial
+    /// FIFO reference and leave its trace modulo the `cached` flags — and the graph
+    /// `analyze` lints is the graph `submit` ran.
+    #[test]
+    fn source_deployments_are_one_graph_for_any_schedule_and_cache_state(
+        app in 0usize..2,
+        system in 0usize..5,
+        workers in 0u32..3,
+        critical_path in any::<bool>(),
+    ) {
+        let project = [xaas_apps::llamacpp::project, xaas_apps::gromacs::project][app]();
+        let system = SystemModel::all_evaluation_systems().swap_remove(system);
+        let architecture = xaas::source_container::architecture_of(&system);
+        let drawn = |builder: OrchestratorBuilder| {
+            let builder = builder.workers(1 << workers);
+            match critical_path {
+                true => builder.policy(CriticalPathFirst::new()).build(),
+                false => builder.build(),
+            }
+        };
+        let deploy = |orch: &Orchestrator| {
+            let image = build_source_container(&project, architecture, orch.store(), "prop:src");
+            let request = SourceDeployRequest::new(&project, &image, &system);
+            let linted = request.clone().analyze(orch).unwrap();
+            let deployment = request.submit(orch).unwrap();
+            assert_eq!(linted.nodes, deployment.trace.len());
+            assert_eq!(linted.denies(), 0);
+            let manifest = orch.store().resolve(&deployment.reference).unwrap();
+            (deployment, manifest)
+        };
+        let identities = |deployment: &SourceDeployment| -> Vec<String> {
+            deployment.trace.records.iter().map(ActionRecord::identity).collect()
+        };
+
+        let serial = Orchestrator::builder().uncached(ImageStore::new()).workers(1).build();
+        let (reference, reference_manifest) = deploy(&serial);
+        let uncached = deploy(&drawn(Orchestrator::builder().uncached(ImageStore::new())));
+        let cached = drawn(Orchestrator::builder());
+        let (cold, warm) = (deploy(&cached), deploy(&cached));
+        for (deployment, manifest) in [&uncached, &cold, &warm] {
+            prop_assert_eq!(manifest, &reference_manifest);
+            prop_assert_eq!(identities(deployment), identities(&reference));
+            prop_assert_eq!(deployment.trace.stage_depth, reference.trace.stage_depth);
+        }
+        prop_assert_eq!(&cold.0.trace.records, &reference.trace.records);
+        prop_assert_eq!(cold.0.actions.cached, 0);
+        prop_assert_eq!(warm.0.actions.executed, 0);
+        prop_assert_eq!(warm.0.actions.cached, cold.0.actions.executed);
+    }
+
+    /// A failing translation unit fails the one graph the way it failed the two:
+    /// the error is the first failing file's *in node order* — every preprocess
+    /// node precedes every `sd-compile`, so a later file's unresolved include wins
+    /// over an earlier file's syntax error — nothing is committed, and the engine
+    /// is left serving (no worker hangs on the skipped tail).
+    #[test]
+    fn a_failing_translation_unit_fails_the_source_deployment_without_committing(
+        workers in 0u32..3,
+        critical_path in any::<bool>(),
+    ) {
+        let project = xaas_apps::llamacpp::project();
+        let system = SystemModel::ault23();
+        let builder = Orchestrator::builder().workers(1 << workers);
+        let orch = match critical_path {
+            true => builder.policy(CriticalPathFirst::new()).build(),
+            false => builder.build(),
+        };
+        let image = build_source_container(&project, Architecture::Amd64, orch.store(), "prop:src");
+
+        let mut broken = project.clone();
+        for source in &mut broken.sources {
+            match source.path.as_str() {
+                "src/ggml_matmul.ck" => source.content = "kernel void broken( {".into(),
+                "src/ggml_quantize.ck" => source.content.insert_str(0, "#include \"missing.h\"\n"),
+                _ => {}
+            }
+        }
+        let error = SourceDeployRequest::new(&broken, &image, &system)
+            .submit(&orch)
+            .unwrap_err();
+        match error {
+            SourceContainerError::Compile { file, error } => {
+                prop_assert_eq!(file, "src/ggml_quantize.ck");
+                prop_assert!(matches!(error, xaas_xir::CompileError::Preprocess(_)));
+            }
+            other => panic!("expected SourceContainerError::Compile, got {other:?}"),
+        }
+
+        prop_assert_eq!(orch.store().references().len(), 1, "only the source image");
+
+        // The same orchestrator still deploys the intact project.
+        let intact = SourceDeployRequest::new(&project, &image, &system).submit(&orch);
+        prop_assert!(orch.store().resolve(&intact.unwrap().reference).is_ok());
+    }
 }
