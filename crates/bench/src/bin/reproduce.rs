@@ -14,7 +14,6 @@
 //! reproduce fig12-gpu           # IR containers, GPU
 //! reproduce tu-reduction        # Section 6.4 statistics + ablations
 //! reproduce fleet               # fleet specialization: cold vs shared-cache (JSON)
-//! reproduce engine              # action-graph engine: parallel vs serial build (JSON)
 //! reproduce restart             # warm restart over the disk tier, intact then damaged; exits nonzero unless both replay byte-identically (JSON)
 //! reproduce analyze             # static analysis of the driver graphs; exits nonzero on any deny (JSON)
 //! reproduce network             # Section 6.5 bandwidth
@@ -97,6 +96,22 @@ fn print_hypotheses() {
     }
 }
 
+fn print_figure12_cpu() {
+    let (panels, from_ir, from_source) = experiments::figure12_cpu();
+    print!(
+        "{}",
+        render::render_panels("Figure 12 (top): IR containers on CPU", &panels)
+    );
+    // Section 4.3.1's "much faster than a complete compilation", as work done.
+    let count = |trace: &ActionTrace, kind| trace.by_kind().get(&kind).copied().unwrap_or(0);
+    println!(
+        "Deployment work (Section 4.3.1, AVX_512): IR container {} sd-compile + {} machine-lower; source container {} sd-compile (one per TU)",
+        count(&from_ir, ActionKind::SdCompile),
+        count(&from_ir, ActionKind::MachineLower),
+        count(&from_source, ActionKind::SdCompile),
+    );
+}
+
 fn run(section: &str) {
     match section {
         "fig2" => print!(
@@ -127,13 +142,7 @@ fn run(section: &str) {
                 &experiments::figure11()
             )
         ),
-        "fig12-cpu" => print!(
-            "{}",
-            render::render_panels(
-                "Figure 12 (top): IR containers on CPU",
-                &experiments::figure12_cpu()
-            )
-        ),
+        "fig12-cpu" => print_figure12_cpu(),
         "fig12-gpu" => print!(
             "{}",
             render::render_panels(
@@ -149,15 +158,6 @@ fn run(section: &str) {
             println!(
                 "{}",
                 serde_json::to_string_pretty(&experiment).expect("fleet experiment serialises")
-            );
-        }
-        "engine" => {
-            // Banner on stderr so stdout stays machine-readable JSON (`reproduce engine | jq .`).
-            eprintln!("== Action-graph engine: parallel vs serial IR-container build ==");
-            let experiment = experiments::engine_parallelism();
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&experiment).expect("engine experiment serialises")
             );
         }
         "restart" => {
@@ -221,7 +221,6 @@ fn main() {
         "fig12-gpu",
         "tu-reduction",
         "fleet",
-        "engine",
         "restart",
         "analyze",
         "network",

@@ -2,6 +2,7 @@
 
 use serde::Serialize;
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use xaas::prelude::*;
 use xaas_apps::{gromacs, llamacpp, lulesh};
 use xaas_buildsys::OptionAssignment;
@@ -303,7 +304,12 @@ pub fn figure11() -> Vec<FigurePanel> {
 
 /// **Figure 12 (top)**: IR containers on CPU — the SSE4.1→AVX-512 sweep deployed from a
 /// single IR container, compared against a portable and a specialized container.
-pub fn figure12_cpu() -> Vec<FigurePanel> {
+///
+/// Beside the panels it returns the action traces of two deployments of the same
+/// project on the same system: the IR container lowered for AVX-512, and the source
+/// container built from scratch. Their per-kind counts are Section 4.3.1's "much
+/// faster than a complete compilation", stated as work instead of wall-clock.
+pub fn figure12_cpu() -> (Vec<FigurePanel>, ActionTrace, ActionTrace) {
     let project = gromacs::project();
     let store = ImageStore::new();
     let system = SystemModel::ault01_04();
@@ -320,6 +326,14 @@ pub fn figure12_cpu() -> Vec<FigurePanel> {
         SimdLevel::Avx2_256,
         SimdLevel::Avx512,
     ];
+    let deployments: Vec<IrDeployment> = levels
+        .iter()
+        .map(|&level| {
+            let selection = OptionAssignment::new().with("GMX_SIMD", level.gmx_name());
+            ir_deploy(&build, &project, &system, &selection, level, &store)
+                .expect("IR deployment succeeds")
+        })
+        .collect();
     let mut panels = Vec::new();
     for (case, threads, steps) in [("A", 1u32, 200u32), ("B", 36u32, 200u32)] {
         let workload = if case == "A" {
@@ -334,12 +348,9 @@ pub fn figure12_cpu() -> Vec<FigurePanel> {
                 .with_libraries(LibraryQuality::Generic, LibraryQuality::Generic)
                 .with_container_overhead(1.01),
         );
-        for &level in &levels {
-            let selection = OptionAssignment::new().with("GMX_SIMD", level.gmx_name());
-            let deployment = ir_deploy(&build, &project, &system, &selection, level, &store)
-                .expect("IR deployment succeeds");
+        for deployment in &deployments {
             let mut profile = deployment.build_profile.clone();
-            profile.label = format!("XaaS IR {}", level.gmx_name());
+            profile.label = format!("XaaS IR {}", deployment.simd.gmx_name());
             profile.threads = threads;
             profiles.push(profile);
         }
@@ -354,7 +365,17 @@ pub fn figure12_cpu() -> Vec<FigurePanel> {
             bars: run_bars(&system, &workload, &profiles),
         });
     }
-    panels
+    let source_image = build_source_container(
+        &project,
+        xaas::source_container::architecture_of(&system),
+        &store,
+        "spcl/mini-gromacs:src-x86",
+    );
+    let from_source = SourceDeployRequest::new(&project, &source_image, &system)
+        .submit(&Orchestrator::uncached(&store))
+        .expect("source deployment succeeds");
+    let from_ir = deployments.into_iter().last().expect("AVX-512 is deployed");
+    (panels, from_ir.trace, from_source.trace)
 }
 
 /// **Figure 12 (bottom)**: IR containers with CUDA on V100 (Ault23) and A100 (Ault25):
@@ -523,10 +544,31 @@ pub struct FleetExperiment {
     pub jobs_executed: usize,
     /// Requests answered by a deduplicated job.
     pub jobs_deduplicated: usize,
-    /// Worker threads used by the fleet run.
-    pub workers: usize,
     /// Bytes the content-addressed store deduplicated across all deployments.
     pub store_dedup_bytes: u64,
+}
+
+/// The fleet both system experiments specialize: the SIMD sweep of the GROMACS IR
+/// container and the four paper systems, each at its best SIMD level.
+fn gromacs_fleet(project: &xaas_buildsys::ProjectSpec) -> (IrPipelineConfig, Vec<FleetTarget>) {
+    let pipeline = IrPipelineConfig::sweep_options(project, &["GMX_SIMD"]).with_values(
+        "GMX_SIMD",
+        &["SSE4.1", "AVX2_256", "AVX_512", "ARM_NEON_ASIMD"],
+    );
+    let targets = [
+        SystemModel::ault23(),
+        SystemModel::ault25(),
+        SystemModel::ault01_04(),
+        SystemModel::clariden(),
+    ]
+    .into_iter()
+    .map(|system| {
+        let simd = system.cpu.best_simd();
+        let selection = OptionAssignment::new().with("GMX_SIMD", simd.gmx_name());
+        FleetTarget::new(system, selection, simd)
+    })
+    .collect();
+    (pipeline, targets)
 }
 
 /// **Fleet specialization** (the production shape behind Figures 8 and 12): build the
@@ -538,30 +580,9 @@ pub struct FleetExperiment {
 pub fn fleet_specialization() -> FleetExperiment {
     let project = gromacs::project();
     let store = ImageStore::new();
-    let pipeline = IrPipelineConfig::sweep_options(&project, &["GMX_SIMD"]).with_values(
-        "GMX_SIMD",
-        &["SSE4.1", "AVX2_256", "AVX_512", "ARM_NEON_ASIMD"],
-    );
+    let (pipeline, requests) = gromacs_fleet(&project);
     let build = ir_build(&project, &pipeline, &store, "spcl/mini-gromacs:ir-fleet")
         .expect("IR container builds");
-
-    let fleet_systems = [
-        SystemModel::ault23(),
-        SystemModel::ault25(),
-        SystemModel::ault01_04(),
-        SystemModel::clariden(),
-    ];
-    let requests: Vec<FleetTarget> = fleet_systems
-        .iter()
-        .map(|system| {
-            let simd = system.cpu.best_simd();
-            FleetTarget::new(
-                system.clone(),
-                OptionAssignment::new().with("GMX_SIMD", simd.gmx_name()),
-                simd,
-            )
-        })
-        .collect();
 
     // Cold baseline: every system deploys with its own empty action cache.
     let cold: Vec<IrDeployment> = requests
@@ -580,8 +601,12 @@ pub fn fleet_specialization() -> FleetExperiment {
         .collect();
     let cold_actions: u64 = cold.iter().map(|d| d.actions.executed as u64).sum();
 
-    // Fleet run: shared cache, parallel workers, deduplicated jobs.
-    let orch = Orchestrator::with_cache(&ActionCache::new(store.clone()));
+    // Fleet run: shared cache, deduplicated jobs, and a pinned worker count so
+    // nothing the experiment reports depends on the host.
+    let orch = Orchestrator::builder()
+        .action_cache(ActionCache::new(store.clone()))
+        .workers(4)
+        .build();
     let fleet = || {
         FleetRequest::new(&build, &project)
             .targets(requests.iter().cloned())
@@ -626,30 +651,43 @@ pub fn fleet_specialization() -> FleetExperiment {
         warm_rerun_hit_rate: rerun_stats.hit_rate(),
         jobs_executed: report.jobs_executed,
         jobs_deduplicated: report.jobs_deduplicated,
-        workers: report.workers,
         store_dedup_bytes: store.dedup_bytes(),
     }
 }
 
-/// A unique scratch directory under the OS temp dir (no `tempfile` dependency:
-/// pid + process-local counter keep concurrent bench invocations apart).
-fn scratch_root(tag: &str) -> std::path::PathBuf {
+/// A unique scratch path under the OS temp dir (no `tempfile` dependency: pid +
+/// process-local counter keep concurrent invocations apart).
+fn scratch_path(tag: &str) -> PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!("xaas-bench-{tag}-{}-{n}", std::process::id()))
 }
 
+/// A scratch directory that is empty when the guard is created — whatever a killed
+/// run with a recycled pid left at the path is removed — and gone when it drops,
+/// panics included.
+struct ScratchRoot(PathBuf);
+
+impl ScratchRoot {
+    fn at(path: PathBuf) -> Self {
+        let _ = std::fs::remove_dir_all(&path);
+        Self(path)
+    }
+}
+
+impl Drop for ScratchRoot {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// The warm-restart experiment: what the persistent disk tier buys across an
 /// orchestrator's death and rebirth.
 #[derive(Debug, Clone, Serialize)]
 pub struct WarmRestartExperiment {
-    /// Wall-clock of the cold session (IR build + fleet specialization), ms.
-    pub cold_wall_ms: f64,
     /// Compile/lower actions the cold session executed (cache misses).
     pub cold_actions: u64,
-    /// Wall-clock of the warm-restarted session replaying the same work, ms.
-    pub warm_wall_ms: f64,
     /// Compile/lower actions the warm session re-executed — the headline claim
     /// is that this is **zero**: every keyed action is served from disk.
     pub warm_recomputes: u64,
@@ -696,31 +734,14 @@ impl WarmRestartExperiment {
 /// mid-record — and must still be byte-identical, recomputing only what the
 /// damage cost.
 pub fn warm_restart() -> WarmRestartExperiment {
-    let root = scratch_root("warm-restart");
+    let root = ScratchRoot::at(scratch_path("warm-restart"));
+    warm_restart_over(&root.0)
+}
+
+/// [`warm_restart`] over `root`, which it expects empty and leaves populated.
+fn warm_restart_over(root: &Path) -> WarmRestartExperiment {
     let project = gromacs::project();
-    let pipeline = IrPipelineConfig::sweep_options(&project, &["GMX_SIMD"]).with_values(
-        "GMX_SIMD",
-        &["SSE4.1", "AVX2_256", "AVX_512", "ARM_NEON_ASIMD"],
-    );
-    let fleet_systems = [
-        SystemModel::ault23(),
-        SystemModel::ault25(),
-        SystemModel::ault01_04(),
-        SystemModel::clariden(),
-    ];
-    let targets = || -> Vec<FleetTarget> {
-        fleet_systems
-            .iter()
-            .map(|system| {
-                let simd = system.cpu.best_simd();
-                FleetTarget::new(
-                    system.clone(),
-                    OptionAssignment::new().with("GMX_SIMD", simd.gmx_name()),
-                    simd,
-                )
-            })
-            .collect()
-    };
+    let (pipeline, targets) = gromacs_fleet(&project);
 
     // One full session: fresh orchestrator over the shared disk root, IR build,
     // fleet wave. Returns the per-target images and the session's orchestrator
@@ -728,24 +749,22 @@ pub fn warm_restart() -> WarmRestartExperiment {
     let session = |label: &str| {
         let orch = Orchestrator::builder()
             .workers(4)
-            .cache_tiers(xaas_container::TierConfig::new().disk_root(&root))
+            .cache_tiers(xaas_container::TierConfig::new().disk_root(root))
             .expect("tier stack initializes")
             .build();
-        let started = std::time::Instant::now();
         let build = IrBuildRequest::new(&project, &pipeline)
             .reference("spcl/mini-gromacs:ir-restart")
             .submit(&orch)
             .expect("IR container builds");
         let report = FleetRequest::new(&build, &project)
-            .targets(targets())
+            .targets(targets.iter().cloned())
             .submit(&orch);
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         assert!(report.all_succeeded(), "{label} fleet succeeds");
         let images: Vec<_> = report.deployments().map(|d| d.image.clone()).collect();
-        (orch, images, wall_ms)
+        (orch, images)
     };
 
-    let (cold_orch, cold_images, cold_wall_ms) = session("cold");
+    let (cold_orch, cold_images) = session("cold");
     let cold_stats = cold_orch.cache_stats();
     let (disk_entries, disk_bytes) = cold_orch
         .tiered_cache()
@@ -756,7 +775,7 @@ pub fn warm_restart() -> WarmRestartExperiment {
     // disk tier under `root` survives.
     drop(cold_orch);
 
-    let (warm_orch, warm_images, warm_wall_ms) = session("warm");
+    let (warm_orch, warm_images) = session("warm");
     let warm_stats = warm_orch.cache_stats();
     let byte_identical = cold_images == warm_images;
     drop(warm_orch);
@@ -776,15 +795,12 @@ pub fn warm_restart() -> WarmRestartExperiment {
     std::fs::write(&blob, &bytes[..bytes.len() / 2]).expect("blob truncated");
     let damaged_entries = 1 + journal.lines().filter(|r| content(r) == victim).count() as u64;
 
-    let (damaged_orch, damaged_images, _) = session("damaged");
+    let (damaged_orch, damaged_images) = session("damaged");
     let damaged_stats = damaged_orch.cache_stats();
     drop(damaged_orch);
-    let _ = std::fs::remove_dir_all(&root);
 
     WarmRestartExperiment {
-        cold_wall_ms,
         cold_actions: cold_stats.misses,
-        warm_wall_ms,
         warm_recomputes: warm_stats.misses,
         warm_disk_hits: warm_stats.disk_hits,
         warm_memory_hits: warm_stats.memory_hits(),
@@ -796,210 +812,6 @@ pub fn warm_restart() -> WarmRestartExperiment {
         damaged_recomputes: damaged_stats.misses,
         damaged_byte_identical: cold_images == damaged_images,
     }
-}
-
-/// The engine-parallelism experiment: the same multi-configuration IR build executed
-/// by the staged action-graph engine serially (1 worker — the seed path's schedule)
-/// and in parallel.
-#[derive(Debug, Clone, Serialize)]
-pub struct EngineExperiment {
-    /// Configurations in the sweep.
-    pub configurations: usize,
-    /// Total actions the build executed (preprocess through commit).
-    pub actions_total: usize,
-    /// Cache-routed compile actions that executed (cache misses).
-    pub compile_actions_executed: usize,
-    /// Cache-routed compile actions served from the cache.
-    pub compile_actions_cached: usize,
-    /// Actions per pipeline stage.
-    pub actions_by_kind: BTreeMap<String, usize>,
-    /// Serial wall-clock stages of the seed path: every action runs one after the
-    /// other, so this equals `actions_total`.
-    pub serial_stages: usize,
-    /// Serial wall-clock stages the engine's DAG imposes (its critical-path depth):
-    /// with ≥ 2 workers the build completes in this many waves instead.
-    pub parallel_stage_depth: usize,
-    /// Worker threads of the parallel run.
-    pub workers: usize,
-    /// Wall-clock of the single-worker build, in milliseconds.
-    pub serial_ms: f64,
-    /// Wall-clock of the parallel build, in milliseconds.
-    pub parallel_ms: f64,
-    /// `serial_ms / parallel_ms`. With the microsecond-scale simulated compiler,
-    /// thread-coordination overhead can outweigh the parallelism, so the scheduling
-    /// claim is `parallel_stage_depth` vs `serial_stages` (deterministic), not this
-    /// wall-clock ratio (hardware- and load-dependent).
-    pub speedup: f64,
-    /// Whether the parallel image is byte-identical to the serial image (manifest
-    /// digests compared in their respective stores).
-    pub byte_identical: bool,
-    /// Whether the parallel run executed the exact same action set as the serial run.
-    pub same_action_set: bool,
-    /// `Fifo` vs `CriticalPathFirst` on the GROMACS deployment (the graph with mixed
-    /// machine-lower/sd-compile frontiers, where policy effects are visible).
-    pub policy_comparison: Vec<PolicyRun>,
-}
-
-/// One scheduling-policy run of the GROMACS-sweep deployment comparison.
-#[derive(Debug, Clone, Serialize)]
-pub struct PolicyRun {
-    /// Policy name (`fifo`, `critical-path-first`).
-    pub policy: String,
-    /// Bounded `sd-compile` slots (modelling a licensed system toolchain), if any.
-    pub sd_compile_cap: Option<usize>,
-    /// Deployment wall-clock in milliseconds.
-    pub wall_ms: f64,
-    /// Total ready-queue wait per action kind, in microseconds.
-    pub queue_wait_micros_by_kind: BTreeMap<String, u64>,
-    /// Identity of the first dispatched lower/compile action (FIFO starts with the
-    /// manifest-order `sd-compile`; critical-path-first starts with the heaviest
-    /// `machine-lower`).
-    pub first_dispatched: String,
-    /// Whether this run dispatched actions in the same order as the FIFO run.
-    pub same_order_as_fifo: bool,
-    /// Whether the deployed image is byte-identical to the FIFO run's image.
-    pub byte_identical_to_fifo: bool,
-}
-
-/// **Engine parallelism**: build the GROMACS IR container (a 4-configuration
-/// SIMD × GPU sweep) through the staged action-graph engine with one worker (the
-/// serial schedule the pre-engine pipeline was limited to) and with a parallel worker
-/// pool, over fresh uncached orchestrator sessions. The images must be
-/// byte-identical; the parallel run executes the same actions in
-/// `parallel_stage_depth` waves instead of `serial_stages` sequential steps.
-/// `policy_comparison` then deploys a GROMACS SIMD × MPI sweep under `Fifo` and
-/// under `CriticalPathFirst` with a bounded `sd-compile` slot: the dispatch order
-/// differs, the artifacts do not.
-pub fn engine_parallelism() -> EngineExperiment {
-    let project = gromacs::project();
-    let pipeline = IrPipelineConfig::sweep_options(&project, &["GMX_SIMD", "GMX_GPU"])
-        .with_values("GMX_SIMD", &["SSE4.1", "AVX_512"])
-        .with_values("GMX_GPU", &["OFF", "CUDA"]);
-    let reference = "spcl/mini-gromacs:ir-engine";
-
-    let serial_store = ImageStore::new();
-    let serial_orch = Orchestrator::builder()
-        .uncached(serial_store.clone())
-        .workers(1)
-        .build();
-    let serial_start = std::time::Instant::now();
-    let serial = IrBuildRequest::new(&project, &pipeline)
-        .reference(reference)
-        .submit(&serial_orch)
-        .expect("serial engine build succeeds");
-    let serial_ms = serial_start.elapsed().as_secs_f64() * 1e3;
-
-    let workers = 4;
-    let parallel_store = ImageStore::new();
-    let parallel_orch = Orchestrator::builder()
-        .uncached(parallel_store.clone())
-        .workers(workers)
-        .build();
-    let parallel_start = std::time::Instant::now();
-    let parallel = IrBuildRequest::new(&project, &pipeline)
-        .reference(reference)
-        .submit(&parallel_orch)
-        .expect("parallel engine build succeeds");
-    let parallel_ms = parallel_start.elapsed().as_secs_f64() * 1e3;
-
-    let byte_identical = serial_store.resolve(reference).ok()
-        == parallel_store.resolve(reference).ok()
-        && serial.image.layers == parallel.image.layers;
-    let summary = parallel.actions;
-    EngineExperiment {
-        configurations: parallel.stats.configurations,
-        actions_total: parallel.trace.len(),
-        compile_actions_executed: summary.executed,
-        compile_actions_cached: summary.cached,
-        actions_by_kind: parallel
-            .trace
-            .by_kind()
-            .into_iter()
-            .map(|(kind, count)| (kind.as_str().to_string(), count))
-            .collect(),
-        serial_stages: serial.trace.len(),
-        parallel_stage_depth: parallel.trace.stage_depth,
-        workers,
-        serial_ms,
-        parallel_ms,
-        speedup: if parallel_ms > 0.0 {
-            serial_ms / parallel_ms
-        } else {
-            1.0
-        },
-        byte_identical,
-        same_action_set: serial.trace.action_set() == parallel.trace.action_set(),
-        policy_comparison: policy_comparison(),
-    }
-}
-
-/// `Fifo` vs `CriticalPathFirst` (with a bounded `sd-compile` slot) deploying the
-/// same GROMACS SIMD × MPI sweep: the MPI halo file ships as source, so the
-/// deployment graph mixes `machine-lower` and `sd-compile` actions and the two
-/// policies dispatch them in different orders while committing byte-identical
-/// images.
-fn policy_comparison() -> Vec<PolicyRun> {
-    let project = gromacs::project();
-    let pipeline = IrPipelineConfig::sweep_options(&project, &["GMX_SIMD", "GMX_MPI"])
-        .with_values("GMX_SIMD", &["SSE4.1", "AVX_512"]);
-    let build_store = ImageStore::new();
-    let build = ir_build(&project, &pipeline, &build_store, "policy:ir").expect("build succeeds");
-    let system = SystemModel::ault23();
-    let selection = OptionAssignment::new()
-        .with("GMX_SIMD", "AVX_512")
-        .with("GMX_MPI", "ON");
-
-    let sd_cap = 1usize;
-    let mut runs = Vec::new();
-    let mut fifo_order: Vec<String> = Vec::new();
-    let mut fifo_layers = Vec::new();
-    for policy_name in ["fifo", "critical-path-first"] {
-        let mut builder = Orchestrator::builder()
-            .uncached(ImageStore::new())
-            .workers(4);
-        let cap = if policy_name == "fifo" {
-            None
-        } else {
-            builder = builder.policy(
-                CriticalPathFirst::new().with_cap(xaas::engine::ActionKind::SdCompile, sd_cap),
-            );
-            Some(sd_cap)
-        };
-        let orch = builder.build();
-        let start = std::time::Instant::now();
-        let deployment = IrDeployRequest::new(&build, &project, &system)
-            .selection(selection.clone())
-            .simd(SimdLevel::Avx512)
-            .submit(&orch)
-            .expect("policy deployment succeeds");
-        let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        let order = deployment.trace.execution_order();
-        if policy_name == "fifo" {
-            fifo_order = order.clone();
-            fifo_layers = deployment.image.layers.clone();
-        }
-        runs.push(PolicyRun {
-            policy: deployment.trace.policy.clone(),
-            sd_compile_cap: cap,
-            wall_ms,
-            queue_wait_micros_by_kind: deployment
-                .trace
-                .queue_wait_micros_by_kind()
-                .into_iter()
-                .map(|(kind, micros)| (kind.as_str().to_string(), micros))
-                .collect(),
-            first_dispatched: order
-                .iter()
-                .find(|identity| {
-                    identity.starts_with("machine-lower") || identity.starts_with("sd-compile")
-                })
-                .cloned()
-                .unwrap_or_default(),
-            same_order_as_fifo: order == fifo_order,
-            byte_identical_to_fifo: deployment.image.layers == fifo_layers,
-        });
-    }
-    runs
 }
 
 /// One row of the Section 6.5 network comparison.
@@ -1225,7 +1037,7 @@ mod tests {
 
     #[test]
     fn figure12_cpu_specialization_beats_portable_by_about_2x() {
-        let panels = figure12_cpu();
+        let (panels, from_ir, from_source) = figure12_cpu();
         assert_eq!(panels.len(), 2);
         for panel in &panels {
             let portable = panel.bars.first().unwrap();
@@ -1245,6 +1057,17 @@ mod tests {
             let specialized = panel.bars.last().unwrap().compute_seconds;
             assert!((best_ir / specialized - 1.0).abs() < 0.1, "{}", panel.title);
         }
+        // Section 4.3.1: deploying the IR container lowers every TU and compiles none
+        // from source, where the source container compiles each one.
+        let (ir, source) = (from_ir.by_kind(), from_source.by_kind());
+        assert_eq!(
+            (
+                ir.get(&ActionKind::SdCompile),
+                ir[&ActionKind::MachineLower],
+                source[&ActionKind::SdCompile]
+            ),
+            (None, 9, 9)
+        );
     }
 
     #[test]
@@ -1314,24 +1137,18 @@ mod tests {
     }
 
     #[test]
-    fn engine_parallelism_is_byte_identical_with_fewer_serial_stages() {
-        let experiment = engine_parallelism();
-        assert_eq!(experiment.configurations, 4);
-        assert!(experiment.byte_identical, "{experiment:?}");
-        assert!(experiment.same_action_set);
-        assert!(
-            experiment.parallel_stage_depth < experiment.serial_stages,
-            "the DAG must need fewer serial stages than the seed path: {} vs {}",
-            experiment.parallel_stage_depth,
-            experiment.serial_stages
-        );
-        assert!(experiment.compile_actions_executed > 0);
-        assert_eq!(
-            experiment.compile_actions_cached, 0,
-            "uncached engines miss"
-        );
-        assert!(experiment.actions_by_kind.contains_key("ir-lower"));
-        assert_eq!(experiment.actions_by_kind["commit"], 1);
+    fn warm_restart_starts_cold_over_a_root_a_killed_run_left_behind() {
+        // A run killed before its cleanup leaves a populated root at the path.
+        let stale = ScratchRoot::at(scratch_path("killed-run"));
+        assert!(warm_restart_over(&stale.0).holds());
+        assert!(stale.0.join("index.log").exists());
+        // The next run to draw the same path (a recycled pid) must not start warm.
+        let root = ScratchRoot::at(stale.0.clone());
+        let experiment = warm_restart_over(&root.0);
+        assert_eq!(experiment.cold_actions, 36);
+        assert!(experiment.holds(), "{experiment:?}");
+        drop(root);
+        assert!(!stale.0.exists(), "the guard removes the root on drop");
     }
 
     #[test]
