@@ -68,20 +68,21 @@ use crate::image::{ImageError, ImageStore, StoreGcReport};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tier::{Claim, DiskLock, DiskTier, DiskTierStats, Tier, TierConfig, TierError};
 
 /// The identity of one memoizable build action. See the module docs for the derivation.
+///
+/// The components are fixed at construction, so the key digest — asked for by planning,
+/// preflight, the trace and the cache on every request — is computed once per key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct BuildKey {
-    /// Content digest of the preprocessed translation unit or stored IR unit.
-    pub tu_digest: String,
-    /// Code-generation target (`xir.ir` for IR builds, the ISA name for lowering).
-    pub target_isa: String,
-    /// Canonical IR-relevant option assignment (definitions, OpenMP, opt level).
-    pub options: String,
-    /// Toolchain identifier pinning the compiler.
-    pub toolchain: String,
+    tu_digest: String,
+    target_isa: String,
+    options: String,
+    toolchain: String,
+    #[serde(default, skip_serializing_if = "DigestMemo::skip")]
+    digest: DigestMemo,
 }
 
 impl BuildKey {
@@ -97,7 +98,28 @@ impl BuildKey {
             target_isa: target_isa.into(),
             options: options.into(),
             toolchain: toolchain.into(),
+            digest: DigestMemo::default(),
         }
+    }
+
+    /// Content digest of the preprocessed translation unit or stored IR unit.
+    pub fn tu_digest(&self) -> &str {
+        &self.tu_digest
+    }
+
+    /// Code-generation target (`xir.ir` for IR builds, the ISA name for lowering).
+    pub fn target_isa(&self) -> &str {
+        &self.target_isa
+    }
+
+    /// Canonical IR-relevant option assignment (definitions, OpenMP, opt level).
+    pub fn options(&self) -> &str {
+        &self.options
+    }
+
+    /// Toolchain identifier pinning the compiler.
+    pub fn toolchain(&self) -> &str {
+        &self.toolchain
     }
 
     /// Canonical textual rendering (field-tagged so components can never collide by
@@ -109,9 +131,72 @@ impl BuildKey {
         )
     }
 
-    /// The stable SHA-256 digest of the canonical rendering.
+    /// The stable SHA-256 digest of the canonical rendering, hashed on first use.
     pub fn digest(&self) -> Digest {
-        Digest::of_str(&self.canonical())
+        self.digest
+            .0
+            .get_or_init(|| Digest::of_str(&self.canonical()))
+            .clone()
+    }
+}
+
+/// The memoised [`BuildKey::digest`]: a cache, not data. It compares equal to every
+/// other memo, hashes to nothing and is never serialised, so the derived impls on
+/// [`BuildKey`] see the four components only; a deserialised key starts empty.
+#[derive(Clone, Default)]
+struct DigestMemo(OnceLock<Digest>);
+
+impl DigestMemo {
+    /// Always `true`: the `skip_serializing_if` that keeps the memo out of the serde form.
+    fn skip(&self) -> bool {
+        true
+    }
+}
+
+impl PartialEq for DigestMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for DigestMemo {}
+
+impl PartialOrd for DigestMemo {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for DigestMemo {
+    fn cmp(&self, _: &Self) -> std::cmp::Ordering {
+        std::cmp::Ordering::Equal
+    }
+}
+
+impl std::hash::Hash for DigestMemo {
+    fn hash<H: std::hash::Hasher>(&self, _: &mut H) {}
+}
+
+impl std::fmt::Debug for DigestMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0.get() {
+            Some(digest) => f.write_str(digest.as_str()),
+            None => f.write_str("<unhashed>"),
+        }
+    }
+}
+
+impl Serialize for DigestMemo {
+    /// Never reached (the field is always skipped); the derive needs the impl to
+    /// type-check.
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Null
+    }
+}
+
+impl Deserialize for DigestMemo {
+    fn from_value(_: &serde::Value) -> Result<Self, serde::Error> {
+        Ok(Self::default())
     }
 }
 
@@ -933,13 +1018,45 @@ mod tests {
     fn key_digest_is_stable_and_field_sensitive() {
         let a = key(1);
         assert_eq!(a.digest(), key(1).digest());
-        let mut b = key(1);
-        b.target_isa = "x86-avx_512".into();
+        let b = BuildKey::new(a.tu_digest(), "x86-avx_512", a.options(), a.toolchain());
+        assert_eq!(b.target_isa(), "x86-avx_512");
         assert_ne!(a.digest(), b.digest());
         // Field-tagged canonical form: moving bytes between fields changes the digest.
         let c = BuildKey::new("tu1x", "ir", "o", "t");
         let d = BuildKey::new("tu1", "xir", "o", "t");
         assert_ne!(c.digest(), d.digest());
+    }
+
+    #[test]
+    fn memoised_digest_is_not_part_of_the_key() {
+        use std::hash::{Hash, Hasher};
+        let hash_of = |key: &BuildKey| {
+            let mut hasher = std::collections::hash_map::DefaultHasher::new();
+            key.hash(&mut hasher);
+            hasher.finish()
+        };
+        let (hashed, fresh) = (key(1), key(1));
+        let cold_json = serde_json::to_string(&hashed).unwrap();
+        assert!(format!("{hashed:?}").contains("<unhashed>"));
+        let digest = hashed.digest();
+        assert_eq!(digest, Digest::of_str(&hashed.canonical()));
+        assert!(format!("{hashed:?}").contains(digest.as_str()), "held");
+        assert!(format!("{:?}", hashed.clone()).contains(digest.as_str()));
+        assert_eq!(hashed.digest(), digest);
+
+        assert_eq!(hashed, fresh);
+        assert_eq!(hashed.cmp(&fresh), std::cmp::Ordering::Equal);
+        assert_eq!(hash_of(&hashed), hash_of(&fresh));
+        // The serde form is the four components, before and after hashing, and a key
+        // written before the memo existed reads back and hashes the same.
+        assert_eq!(serde_json::to_string(&hashed).unwrap(), cold_json);
+        assert_eq!(
+            cold_json,
+            r#"{"options":"defs=;openmp=false;opt=O2","target_isa":"xir.ir","toolchain":"xirc","tu_digest":"tu1"}"#
+        );
+        let back: BuildKey = serde_json::from_str(&cold_json).unwrap();
+        assert_eq!(back, hashed);
+        assert_eq!(back.digest(), digest);
     }
 
     #[test]

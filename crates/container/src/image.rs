@@ -246,7 +246,9 @@ pub struct StoreStats {
     /// for each layer that commit had to seal. A layer already sealed — inherited from
     /// a committed base, loaded or pulled, or being sealed by a concurrent commit —
     /// costs no hash and is not counted, and neither are insertions through
-    /// [`ImageStore::put_blob_with_digest`].
+    /// [`ImageStore::put_blob_with_digest`]. It counts passes over a payload, not the
+    /// time they take: a faster digest kernel leaves it where it is, a skipped hash
+    /// lowers it.
     pub digests_computed: u64,
     /// Blobs reclaimed by [`ImageStore::collect_garbage`] over the store's lifetime.
     #[serde(default)]

@@ -9,7 +9,7 @@
 //! closure and cross-job alias for both), and the **link → commit tail** (a typed
 //! assembled value crosses the graph boundary through a [`LinkSlot`], and a Commit
 //! node publishes the image to the engine's store). This module hosts all three so a
-//! change to what keys a deployment step (ROADMAP 1(c)) or to commit semantics lands
+//! change to what keys a deployment step (ROADMAP 1(a)/(b)) or to commit semantics lands
 //! in one place.
 
 #![deny(clippy::unwrap_used, clippy::dbg_macro)]
