@@ -42,7 +42,7 @@ pub enum DeployError {
     },
     /// A cached artifact failed to decode (action-cache corruption).
     Cache(String),
-    /// The orchestrator's scheduling policy is invalid (e.g. a zero concurrency cap).
+    /// The orchestrator's scheduling policy is invalid (e.g. a zero tenant weight).
     Policy(crate::engine::PolicyError),
     /// The pre-submission static analyzer rejected the deployment graph
     /// (deny-level diagnostics); nothing executed.

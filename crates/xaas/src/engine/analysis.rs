@@ -11,12 +11,8 @@
 //!   [`split_by_job`](crate::engine::ActionTrace::split_by_job) blast-radius
 //!   attribution, commit fan-in shape, and derived-key nodes with no
 //!   dependencies to derive from;
-//! * **scheduling** — per-[`ActionKind`] width demand against the policy's
-//!   concurrency caps: genuinely unrunnable graphs (a zero cap on a kind the
-//!   graph demands) are deny-level, caps that merely serialize a wave warn with
-//!   an estimated critical-path slowdown computed from the policy's per-kind
-//!   cost table, and weighted-fair-queuing tenant lanes get starvation
-//!   heuristics;
+//! * **scheduling** — a submission that carries no tenant tag under a
+//!   fair-queuing policy, and so shares the untenanted lane;
 //! * **cache/flight** — unordered duplicate [`BuildKey`](xaas_container::BuildKey)s,
 //!   whose `cached` trace flags are scheduling-dependent (the hazard
 //!   [`ActionGraph`] documents: racing duplicates coalesce on one flight, but
@@ -44,11 +40,10 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Severity {
     /// The graph must not execute: submitting it would run into a structural
-    /// contract violation or an unrunnable schedule. The submission is rejected
-    /// before any node runs.
+    /// contract violation. The submission is rejected before any node runs.
     Deny,
-    /// The graph executes correctly but something about it is suspicious or
-    /// slow: a serializing cap, a redundant edge, a scheduling-dependent trace.
+    /// The graph executes correctly but something about it is suspicious: a
+    /// redundant edge, a scheduling-dependent trace.
     Warn,
     /// An observation worth surfacing (dead outputs, untagged submissions under
     /// fair queuing); never affects admission.
@@ -96,20 +91,6 @@ pub enum DiagnosticCode {
     /// dispatch-time key degenerates to a constant with no inputs — a
     /// cache-poisoning hazard.
     DerivedKeyNoDeps,
-    /// `XA-SCH-001` (deny): the graph demands an [`ActionKind`] whose global
-    /// concurrency cap is zero — those nodes are unrunnable.
-    ZeroCapKind,
-    /// `XA-SCH-002` (warn): a concurrency cap is below the graph's peak width
-    /// for that kind, serializing the wave; the message carries the estimated
-    /// critical-path slowdown from the policy's cost table.
-    CapSerialization,
-    /// `XA-SCH-003` (deny): under fair queuing, the submitting tenant's quota
-    /// for a demanded kind is zero — unrunnable for this tenant.
-    ZeroTenantCap,
-    /// `XA-SCH-004` (warn): under fair queuing, the submitting tenant's
-    /// per-kind quota is below the graph's peak width — the tenant's own lane
-    /// serializes the wave even when the pool is idle.
-    TenantLaneSerialization,
     /// `XA-SCH-005` (note): the submission carries no tenant tag under a
     /// fair-queuing policy, so it lands in the shared untenanted lane.
     UntaggedWfqSubmission,
@@ -126,17 +107,13 @@ pub enum DiagnosticCode {
 
 impl DiagnosticCode {
     /// Every code the analyzer can emit, in report order.
-    pub const ALL: [DiagnosticCode; 13] = [
+    pub const ALL: [DiagnosticCode; 9] = [
         DiagnosticCode::DanglingDep,
         DiagnosticCode::DuplicateDep,
         DiagnosticCode::UnreachableOutput,
         DiagnosticCode::CrossJobEdge,
         DiagnosticCode::CommitNoDeps,
         DiagnosticCode::DerivedKeyNoDeps,
-        DiagnosticCode::ZeroCapKind,
-        DiagnosticCode::CapSerialization,
-        DiagnosticCode::ZeroTenantCap,
-        DiagnosticCode::TenantLaneSerialization,
         DiagnosticCode::UntaggedWfqSubmission,
         DiagnosticCode::UnorderedDuplicateKey,
         DiagnosticCode::QueueOverflow,
@@ -151,10 +128,6 @@ impl DiagnosticCode {
             DiagnosticCode::CrossJobEdge => "XA-STR-004",
             DiagnosticCode::CommitNoDeps => "XA-STR-005",
             DiagnosticCode::DerivedKeyNoDeps => "XA-STR-006",
-            DiagnosticCode::ZeroCapKind => "XA-SCH-001",
-            DiagnosticCode::CapSerialization => "XA-SCH-002",
-            DiagnosticCode::ZeroTenantCap => "XA-SCH-003",
-            DiagnosticCode::TenantLaneSerialization => "XA-SCH-004",
             DiagnosticCode::UntaggedWfqSubmission => "XA-SCH-005",
             DiagnosticCode::UnorderedDuplicateKey => "XA-CHE-001",
             DiagnosticCode::QueueOverflow => "XA-SVC-001",
@@ -170,11 +143,7 @@ impl DiagnosticCode {
             | DiagnosticCode::CrossJobEdge
             | DiagnosticCode::CommitNoDeps
             | DiagnosticCode::DerivedKeyNoDeps => "structural",
-            DiagnosticCode::ZeroCapKind
-            | DiagnosticCode::CapSerialization
-            | DiagnosticCode::ZeroTenantCap
-            | DiagnosticCode::TenantLaneSerialization
-            | DiagnosticCode::UntaggedWfqSubmission => "scheduling",
+            DiagnosticCode::UntaggedWfqSubmission => "scheduling",
             DiagnosticCode::UnorderedDuplicateKey => "cache",
             DiagnosticCode::QueueOverflow => "service",
         }
@@ -185,13 +154,9 @@ impl DiagnosticCode {
         match self {
             DiagnosticCode::DanglingDep
             | DiagnosticCode::CommitNoDeps
-            | DiagnosticCode::DerivedKeyNoDeps
-            | DiagnosticCode::ZeroCapKind
-            | DiagnosticCode::ZeroTenantCap => Severity::Deny,
+            | DiagnosticCode::DerivedKeyNoDeps => Severity::Deny,
             DiagnosticCode::DuplicateDep
             | DiagnosticCode::CrossJobEdge
-            | DiagnosticCode::CapSerialization
-            | DiagnosticCode::TenantLaneSerialization
             | DiagnosticCode::UnorderedDuplicateKey
             | DiagnosticCode::QueueOverflow => Severity::Warn,
             DiagnosticCode::UnreachableOutput | DiagnosticCode::UntaggedWfqSubmission => {
@@ -485,98 +450,12 @@ impl<'a> GraphAnalyzer<'a> {
         }
     }
 
-    /// Per-kind width demand vs. the policy's global and tenant concurrency
-    /// caps, with a critical-path slowdown estimate for serializing caps.
+    /// An untagged submission under a fair-queuing policy.
     fn scheduling_pass<E>(&self, graph: &ActionGraph<'_, E>, out: &mut Vec<Diagnostic>) {
-        let nodes = &graph.nodes;
-        if nodes.is_empty() {
+        if graph.nodes.is_empty() {
             return;
         }
-        let fair = self.policy.fair_queuing();
-
-        // Level = longest dependency chain below the node; the per-level,
-        // per-kind node count is the width an unbounded executor would want.
-        let mut level = vec![0usize; nodes.len()];
-        let mut width: BTreeMap<(usize, ActionKind), usize> = BTreeMap::new();
-        let mut demand = [0usize; ActionKind::ALL.len()];
-        for (id, node) in nodes.iter().enumerate() {
-            level[id] = 1 + node
-                .deps
-                .iter()
-                .filter(|&&d| d < id)
-                .map(|&d| level[d])
-                .max()
-                .unwrap_or(0);
-            *width.entry((level[id], node.kind)).or_default() += 1;
-            demand[node.kind.index()] += 1;
-        }
-        let mut peak = [0usize; ActionKind::ALL.len()];
-        for (&(_, kind), &count) in &width {
-            let slot = &mut peak[kind.index()];
-            *slot = (*slot).max(count);
-        }
-
-        let slowdown = self.estimated_slowdown(nodes, &level, &width);
-        for kind in ActionKind::ALL {
-            if demand[kind.index()] == 0 {
-                continue;
-            }
-            match self.policy.concurrency_cap(kind) {
-                Some(0) => out.push(Diagnostic::new(
-                    DiagnosticCode::ZeroCapKind,
-                    None,
-                    None,
-                    format!(
-                        "the graph demands {} `{}` action(s) but the policy caps the \
-                         kind at zero: unrunnable",
-                        demand[kind.index()],
-                        kind.as_str()
-                    ),
-                )),
-                Some(cap) if cap < peak[kind.index()] => out.push(Diagnostic::new(
-                    DiagnosticCode::CapSerialization,
-                    None,
-                    None,
-                    format!(
-                        "`{}` peaks at {} concurrent action(s) but the policy caps it \
-                         at {cap}; estimated critical-path slowdown ~{slowdown:.1}x",
-                        kind.as_str(),
-                        peak[kind.index()]
-                    ),
-                )),
-                _ => {}
-            }
-            if fair {
-                match self.policy.tenant_concurrency_cap(self.tenant, kind) {
-                    Some(0) => out.push(Diagnostic::new(
-                        DiagnosticCode::ZeroTenantCap,
-                        None,
-                        None,
-                        format!(
-                            "tenant `{}` has a zero quota for `{}` action(s) the graph \
-                             demands: unrunnable for this tenant",
-                            self.tenant.unwrap_or(""),
-                            kind.as_str()
-                        ),
-                    )),
-                    Some(quota) if quota < peak[kind.index()] => out.push(Diagnostic::new(
-                        DiagnosticCode::TenantLaneSerialization,
-                        None,
-                        None,
-                        format!(
-                            "tenant `{}` is quota-capped to {quota} in-flight `{}` \
-                             action(s) but the graph peaks at {}: the tenant's lane \
-                             serializes the wave even on an idle pool",
-                            self.tenant.unwrap_or(""),
-                            kind.as_str(),
-                            peak[kind.index()]
-                        ),
-                    )),
-                    _ => {}
-                }
-            }
-        }
-        if fair && self.tenant.is_none() {
+        if self.policy.fair_queuing() && self.tenant.is_none() {
             out.push(Diagnostic::new(
                 DiagnosticCode::UntaggedWfqSubmission,
                 None,
@@ -585,58 +464,6 @@ impl<'a> GraphAnalyzer<'a> {
                  lands in the shared untenanted lane"
                     .to_string(),
             ));
-        }
-    }
-
-    /// Capped-makespan estimate over the ideal critical path, from the policy's
-    /// per-kind cost table (the same one `CriticalPathFirst` dispatches by).
-    fn estimated_slowdown<E>(
-        &self,
-        nodes: &[super::graph::ActionNode<'_, E>],
-        level: &[usize],
-        width: &BTreeMap<(usize, ActionKind), usize>,
-    ) -> f64 {
-        // Ideal: the cost-weighted critical path with unbounded width.
-        let mut path = vec![0u64; nodes.len()];
-        let mut ideal = 0u64;
-        for (id, node) in nodes.iter().enumerate() {
-            let below = node
-                .deps
-                .iter()
-                .filter(|&&d| d < id)
-                .map(|&d| path[d])
-                .max()
-                .unwrap_or(0);
-            path[id] = below + self.policy.action_cost(node.kind);
-            ideal = ideal.max(path[id]);
-        }
-        // Capped: each level costs its slowest kind, a kind costing
-        // ceil(width / effective cap) serialized rounds.
-        let levels = level.iter().copied().max().unwrap_or(0);
-        let mut capped = 0u64;
-        for l in 1..=levels {
-            let mut level_cost = 0u64;
-            for kind in ActionKind::ALL {
-                let Some(&count) = width.get(&(l, kind)) else {
-                    continue;
-                };
-                let mut cap = self.policy.concurrency_cap(kind).unwrap_or(usize::MAX);
-                if self.policy.fair_queuing() {
-                    cap = cap.min(
-                        self.policy
-                            .tenant_concurrency_cap(self.tenant, kind)
-                            .unwrap_or(usize::MAX),
-                    );
-                }
-                let rounds = count.div_ceil(cap.max(1)) as u64;
-                level_cost = level_cost.max(rounds * self.policy.action_cost(kind));
-            }
-            capped += level_cost;
-        }
-        if ideal == 0 {
-            1.0
-        } else {
-            (capped as f64 / ideal as f64).max(1.0)
         }
     }
 
@@ -748,31 +575,13 @@ mod tests {
     use super::*;
     use xaas_container::BuildKey;
 
-    /// A policy with every knob the analyzer consults, defaulting to unbounded.
+    /// A policy with the one knob the analyzer consults.
     #[derive(Debug, Default)]
     struct TestPolicy {
-        caps: [Option<usize>; ActionKind::ALL.len()],
-        tenant_caps: [Option<usize>; ActionKind::ALL.len()],
-        costs: [Option<u64>; ActionKind::ALL.len()],
         fair: bool,
     }
 
     impl TestPolicy {
-        fn cap(mut self, kind: ActionKind, cap: usize) -> Self {
-            self.caps[kind.index()] = Some(cap);
-            self
-        }
-
-        fn tenant_cap(mut self, kind: ActionKind, cap: usize) -> Self {
-            self.tenant_caps[kind.index()] = Some(cap);
-            self
-        }
-
-        fn cost(mut self, kind: ActionKind, cost: u64) -> Self {
-            self.costs[kind.index()] = Some(cost);
-            self
-        }
-
         fn fair(mut self) -> Self {
             self.fair = true;
             self
@@ -784,20 +593,8 @@ mod tests {
             "test-policy"
         }
 
-        fn action_cost(&self, kind: ActionKind) -> u64 {
-            self.costs[kind.index()].unwrap_or(1)
-        }
-
-        fn concurrency_cap(&self, kind: ActionKind) -> Option<usize> {
-            self.caps[kind.index()]
-        }
-
         fn fair_queuing(&self) -> bool {
             self.fair
-        }
-
-        fn tenant_concurrency_cap(&self, _tenant: Option<&str>, kind: ActionKind) -> Option<usize> {
-            self.tenant_caps[kind.index()]
         }
     }
 
@@ -829,6 +626,27 @@ mod tests {
             assert_eq!(code.family(), family);
             assert_eq!(code.severity(), code.severity());
         }
+    }
+
+    /// The README's diagnostics table is the user-facing copy of
+    /// [`DiagnosticCode::ALL`]: same codes, same order, same severities.
+    #[test]
+    fn readme_diagnostics_table_lists_exactly_the_codes_with_their_severities() {
+        let readme = include_str!("../../../../README.md");
+        let rows: Vec<(&str, &str)> = readme
+            .lines()
+            .filter_map(|line| line.strip_prefix("| `XA-"))
+            .map(|row| {
+                let mut cells = row.split('|').map(str::trim);
+                let code = cells.next().unwrap().trim_end_matches('`');
+                (code, cells.next().unwrap())
+            })
+            .collect();
+        let expected: Vec<(&str, &str)> = DiagnosticCode::ALL
+            .iter()
+            .map(|code| (&code.as_str()["XA-".len()..], code.severity().as_str()))
+            .collect();
+        assert_eq!(rows, expected);
     }
 
     #[test]
@@ -990,136 +808,6 @@ mod tests {
         assert_eq!(diagnostic.code.as_str(), "XA-STR-006");
         assert_eq!(diagnostic.severity, Severity::Deny);
         assert_eq!(diagnostic.node, Some(0));
-    }
-
-    #[test]
-    fn zero_cap_on_a_demanded_kind_is_a_deny_sch_001() {
-        let policy = TestPolicy::default().cap(ActionKind::SdCompile, 0);
-        let mut unaffected: ActionGraph<'_, String> = ActionGraph::new();
-        unaffected.add(ActionKind::Preprocess, "pre", &[], |_| Ok(vec![1]));
-        // The zero cap only matters if the graph demands the kind.
-        assert!(report(&policy, &unaffected).diagnostics.is_empty());
-
-        let mut demanding: ActionGraph<'_, String> = ActionGraph::new();
-        demanding.add(ActionKind::SdCompile, "sd", &[], |_| Ok(vec![1]));
-        let report = report(&policy, &demanding);
-        assert!(report.is_rejected());
-        let diagnostic = report
-            .with_code(DiagnosticCode::ZeroCapKind)
-            .next()
-            .unwrap();
-        assert_eq!(diagnostic.code.as_str(), "XA-SCH-001");
-        assert_eq!(diagnostic.severity, Severity::Deny);
-    }
-
-    #[test]
-    fn serializing_cap_is_a_warn_sch_002_with_a_slowdown_estimate() {
-        let policy = TestPolicy::default().cap(ActionKind::Preprocess, 1);
-        let mut graph: ActionGraph<'_, String> = ActionGraph::new();
-        let wave: Vec<_> = (0..4)
-            .map(|i| {
-                graph.add(ActionKind::Preprocess, format!("pre-{i}"), &[], |_| {
-                    Ok(vec![1])
-                })
-            })
-            .collect();
-        graph.add(ActionKind::Link, "link", &wave, |_| Ok(vec![2]));
-        let report = report(&policy, &graph);
-        assert!(!report.is_rejected());
-        let diagnostic = report
-            .with_code(DiagnosticCode::CapSerialization)
-            .next()
-            .unwrap();
-        assert_eq!(diagnostic.code.as_str(), "XA-SCH-002");
-        assert_eq!(diagnostic.severity, Severity::Warn);
-        // Ideal critical path: pre + link = 2. Capped: 4 serialized rounds of
-        // preprocess, then link = 5. Estimated slowdown 2.5x.
-        assert!(
-            diagnostic.message.contains("~2.5x"),
-            "unexpected estimate in {:?}",
-            diagnostic.message
-        );
-    }
-
-    #[test]
-    fn slowdown_estimate_weights_kinds_by_the_policy_cost_table() {
-        // Same shape, but preprocess costs 3: ideal 3 + 1 = 4, capped
-        // 4 * 3 + 1 = 13, slowdown 3.25 -> ~3.2x (banker-free formatting).
-        let policy = TestPolicy::default()
-            .cap(ActionKind::Preprocess, 1)
-            .cost(ActionKind::Preprocess, 3);
-        let mut graph: ActionGraph<'_, String> = ActionGraph::new();
-        let wave: Vec<_> = (0..4)
-            .map(|i| {
-                graph.add(ActionKind::Preprocess, format!("pre-{i}"), &[], |_| {
-                    Ok(vec![1])
-                })
-            })
-            .collect();
-        graph.add(ActionKind::Link, "link", &wave, |_| Ok(vec![2]));
-        let report = report(&policy, &graph);
-        let diagnostic = report
-            .with_code(DiagnosticCode::CapSerialization)
-            .next()
-            .unwrap();
-        assert!(
-            diagnostic.message.contains("~3.2x") || diagnostic.message.contains("~3.3x"),
-            "unexpected estimate in {:?}",
-            diagnostic.message
-        );
-    }
-
-    #[test]
-    fn zero_tenant_quota_is_a_deny_sch_003_under_fair_queuing_only() {
-        let mut graph: ActionGraph<'_, String> = ActionGraph::new();
-        graph.add(ActionKind::Preprocess, "pre", &[], |_| Ok(vec![1]));
-
-        let off = TestPolicy::default().tenant_cap(ActionKind::Preprocess, 0);
-        // Tenant quotas are only consulted under fair queuing.
-        let quiet = GraphAnalyzer::new(&off)
-            .tenant(Some("acme"))
-            .analyze(&graph);
-        assert!(quiet.diagnostics.is_empty(), "{quiet}");
-
-        let fair = TestPolicy::default()
-            .tenant_cap(ActionKind::Preprocess, 0)
-            .fair();
-        let report = GraphAnalyzer::new(&fair)
-            .tenant(Some("acme"))
-            .analyze(&graph);
-        assert!(report.is_rejected());
-        let diagnostic = report
-            .with_code(DiagnosticCode::ZeroTenantCap)
-            .next()
-            .unwrap();
-        assert_eq!(diagnostic.code.as_str(), "XA-SCH-003");
-        assert_eq!(diagnostic.severity, Severity::Deny);
-        assert!(diagnostic.message.contains("acme"));
-        assert_eq!(report.tenant.as_deref(), Some("acme"));
-    }
-
-    #[test]
-    fn quota_below_peak_width_is_a_warn_sch_004() {
-        let fair = TestPolicy::default()
-            .tenant_cap(ActionKind::Preprocess, 1)
-            .fair();
-        let mut graph: ActionGraph<'_, String> = ActionGraph::new();
-        for i in 0..3 {
-            graph.add(ActionKind::Preprocess, format!("pre-{i}"), &[], |_| {
-                Ok(vec![1])
-            });
-        }
-        let report = GraphAnalyzer::new(&fair)
-            .tenant(Some("acme"))
-            .analyze(&graph);
-        assert!(!report.is_rejected());
-        let diagnostic = report
-            .with_code(DiagnosticCode::TenantLaneSerialization)
-            .next()
-            .unwrap();
-        assert_eq!(diagnostic.code.as_str(), "XA-SCH-004");
-        assert_eq!(diagnostic.severity, Severity::Warn);
-        assert!(diagnostic.message.contains("acme"));
     }
 
     #[test]

@@ -13,21 +13,17 @@
 //! through the cache's nonblocking flight protocol
 //! ([`CacheBackend::try_begin`]): a hit finishes immediately, an owner computes,
 //! and a node that finds its key `InFlight` *parks as a continuation* on the
-//! flight — its work is put back, its concurrency slots are freed, and the worker
-//! pops the next ready action. Retiring the flight (complete, fail, or poison)
-//! re-enqueues every parked waiter through the normal ready queue: a completed
-//! flight finishes them as coalesced hits, a failed one lets them retry (and one
-//! becomes the next owner). Cap-deferred nodes ride the same park/wake path: a
-//! freed slot wakes exactly one deferred entry instead of churning the whole list.
+//! flight — its work is put back and the worker pops the next ready action.
+//! Retiring the flight (complete, fail, or poison) re-enqueues every parked
+//! waiter through the normal ready queue: a completed flight finishes them as
+//! coalesced hits, a failed one lets them retry (and one becomes the next owner).
 //!
-//! Scheduling goes through one policy-driven ready queue: finished nodes push
+//! Scheduling goes through one ready queue of FIFO lanes: finished nodes push
 //! their newly-ready dependents, and free workers pop the next node the engine's
-//! [`SchedulingPolicy`] selects — readiness order under
-//! [`Fifo`](super::policy::Fifo), descending critical-path weight under
-//! [`CriticalPathFirst`](super::policy::CriticalPathFirst), weighted fair queuing
-//! across tenants under [`WeightedFair`](super::policy::WeightedFair) — subject to
-//! the policy's per-kind concurrency caps, both global and per tenant (a node
-//! whose kind is at a cap is parked and re-admitted when a slot frees). A failed
+//! [`SchedulingPolicy`] selects — readiness order through one shared lane under
+//! [`Fifo`](super::policy::Fifo), one lane per tenant dispatched by lowest
+//! virtual time under [`WeightedFair`](super::policy::WeightedFair). A lane lives
+//! exactly as long as its tenant has a live submission. A failed
 //! node does **not** cancel its run — independent subgraphs keep executing and
 //! only the failed node's transitive dependents are skipped, which is what lets
 //! the fleet specializer isolate one system's failure from the rest of the fleet.
@@ -45,8 +41,7 @@ use super::policy::SchedulingPolicy;
 use super::trace::{ActionKind, ActionRecord, ActionTrace};
 use parking_lot::Mutex;
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::marker::PhantomData;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -56,9 +51,6 @@ use xaas_container::{
     Blob, BuildKey, CacheBackend, CacheTier, FlightError, FlightId, FlightOutcome, FlightWaker,
     TryBegin,
 };
-
-/// Number of distinct [`ActionKind`]s (dense per-kind accounting arrays).
-const KINDS: usize = ActionKind::ALL.len();
 
 /// The terminal state of one node after a run.
 #[derive(Debug)]
@@ -372,9 +364,7 @@ struct ParkState {
     /// Queue-wait micros accrued by this node's earlier dispatches (a parked node
     /// re-enters the queue; its final record reports the cumulative wait).
     accrued_wait: AtomicU64,
-    /// When the current park began (micros since the core epoch; 0 = not parked).
-    parked_at: AtomicU64,
-    /// Total micros spent parked — as a single-flight waiter or cap-deferred.
+    /// Total micros spent parked as a single-flight waiter.
     parked_micros: AtomicU64,
     /// Times this node parked.
     parks: AtomicU64,
@@ -384,16 +374,14 @@ struct ParkState {
 /// between the worker pool (via queue entries) and the submitter's
 /// [`GraphHandle`] / blocking waiter.
 struct Submission {
-    /// Engine-global submission id (heap tie-breaks, queue-depth accounting).
+    /// Engine-global submission id (queue-depth accounting).
     id: u64,
+    /// The submitter's tenant tag: trace attribution, and under fair queuing the
+    /// lane this submission dispatches through.
     tenant: Option<String>,
-    /// Index of the tenant lane this submission dispatches through.
-    lane: usize,
     policy_name: String,
     stage_depth: usize,
     metas: Vec<NodeMeta>,
-    /// Critical-path weight per node; all zeros unless the policy orders by weight.
-    weights: Vec<u64>,
     tasks: Vec<Mutex<Option<ErasedWork<'static>>>>,
     slots: Vec<Mutex<Slot>>,
     records: Vec<Mutex<Option<ActionRecord>>>,
@@ -416,6 +404,56 @@ struct Submission {
 }
 
 impl Submission {
+    /// Lay out the per-run state of `nodes`: dependents, pending-dependency
+    /// counts, and one task/slot/record/park cell per node.
+    fn new(
+        id: u64,
+        tenant: Option<String>,
+        policy_name: String,
+        stage_depth: usize,
+        nodes: Vec<ErasedNode<'static>>,
+    ) -> Self {
+        let node_count = nodes.len();
+        let mut metas = Vec::with_capacity(node_count);
+        let mut tasks = Vec::with_capacity(node_count);
+        let mut dependents: Vec<Vec<ActionId>> = vec![Vec::new(); node_count];
+        let mut pending = Vec::with_capacity(node_count);
+        for (node_id, node) in nodes.into_iter().enumerate() {
+            for &dep in &node.deps {
+                dependents[dep].push(node_id);
+            }
+            pending.push(AtomicUsize::new(node.deps.len()));
+            metas.push(NodeMeta {
+                kind: node.kind,
+                label: node.label,
+                job: node.job,
+                deps: node.deps,
+            });
+            tasks.push(Mutex::new(Some(node.work)));
+        }
+        Self {
+            id,
+            tenant,
+            policy_name,
+            stage_depth,
+            metas,
+            tasks,
+            slots: (0..node_count).map(|_| Mutex::new(Slot::Pending)).collect(),
+            records: (0..node_count).map(|_| Mutex::new(None)).collect(),
+            park_state: (0..node_count).map(|_| ParkState::default()).collect(),
+            dependents,
+            pending,
+            enqueued_at: (0..node_count).map(|_| AtomicU64::new(0)).collect(),
+            remaining: AtomicUsize::new(node_count),
+            cancelled: AtomicBool::new(false),
+            panic_payload: Mutex::new(None),
+            done: AtomicBool::new(node_count == 0),
+            done_lock: StdMutex::new(node_count == 0),
+            done_cv: Condvar::new(),
+            callback: Mutex::new(None),
+        }
+    }
+
     fn wait_done(&self) {
         let mut done = self.done_lock.lock().unwrap_or_else(|e| e.into_inner());
         while !*done {
@@ -441,191 +479,147 @@ struct Queued {
     node: ActionId,
 }
 
-/// Max-heap entry: heaviest critical-path weight first, then oldest submission,
-/// then lowest node id — deterministic for a single-worker engine.
-struct WeightedEntry {
-    weight: u64,
-    sub_id: Reverse<u64>,
-    node: Reverse<ActionId>,
-    item: Queued,
-}
-
-impl PartialEq for WeightedEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.weight == other.weight && self.sub_id == other.sub_id && self.node == other.node
-    }
-}
-impl Eq for WeightedEntry {}
-impl PartialOrd for WeightedEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for WeightedEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.weight, self.sub_id, self.node).cmp(&(other.weight, other.sub_id, other.node))
-    }
-}
-
-/// The ordering half of one lane: FIFO or priority-by-weight.
-enum LaneOrder {
-    Fifo(VecDeque<Queued>),
-    Weighted(BinaryHeap<WeightedEntry>),
-}
-
-impl LaneOrder {
-    fn push(&mut self, item: Queued, weight: u64) {
-        match self {
-            LaneOrder::Fifo(queue) => queue.push_back(item),
-            LaneOrder::Weighted(heap) => heap.push(WeightedEntry {
-                weight,
-                sub_id: Reverse(item.sub.id),
-                node: Reverse(item.node),
-                item,
-            }),
-        }
-    }
-
-    fn pop(&mut self) -> Option<Queued> {
-        match self {
-            LaneOrder::Fifo(queue) => queue.pop_front(),
-            LaneOrder::Weighted(heap) => heap.pop().map(|entry| entry.item),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        match self {
-            LaneOrder::Fifo(queue) => queue.is_empty(),
-            LaneOrder::Weighted(heap) => heap.is_empty(),
-        }
-    }
-}
-
-/// One tenant's slice of the ready queue. Under a non-fair policy there is a
-/// single anonymous lane; under weighted fair queuing each tenant gets a lane and
-/// the scheduler dispatches from the lane with the lowest virtual time.
-struct TenantLane {
-    order: LaneOrder,
-    /// Weighted-fair virtual time: advanced by `cost * SCALE / weight` per
-    /// dispatched action, so heavier-weighted tenants accumulate time slower and
-    /// are dispatched from more often.
+/// One FIFO slice of the ready queue. Under a non-fair policy there is a single
+/// anonymous lane; under weighted fair queuing each tenant with a live
+/// submission has one, and the scheduler dispatches from the lane with the
+/// lowest virtual time.
+struct Lane {
+    queue: VecDeque<Queued>,
+    /// Weighted-fair virtual time: advanced by `stride` per dispatched action.
     vtime: u64,
-    weight: u64,
-    /// Entries popped while this tenant's kind quota was exhausted, parked in
-    /// FIFO order; a finishing action of the kind wakes exactly one.
-    deferred: [VecDeque<Queued>; KINDS],
-    in_flight: [usize; KINDS],
-    /// Per-tenant per-kind quota from the policy (`usize::MAX` = unbounded).
-    caps: [usize; KINDS],
+    /// `VTIME_SCALE / weight`: heavier-weighted tenants accumulate virtual time
+    /// slower and are dispatched from more often.
+    stride: u64,
+    /// Submissions dispatching through this lane that have not completed yet;
+    /// the lane is dropped when the last one does.
+    live: usize,
 }
 
 /// Virtual-time scale factor (integer fair-queuing arithmetic).
 const VTIME_SCALE: u64 = 1_024;
 
-/// The shared multi-graph ready queue: tenant lanes, per-kind admission (global
-/// and per tenant), queue-wait clocks, and cross-submission depth accounting.
+/// The shared multi-graph ready queue: tenant lanes, the fair-queuing clock, and
+/// cross-submission depth accounting. Plain state — it reads no wall clock and
+/// knows nothing of the worker pool, so lane order is testable single-threaded.
 struct Ready {
-    lanes: Vec<TenantLane>,
-    lane_of: BTreeMap<Option<String>, usize>,
-    /// Whether tenant lanes + virtual-time dispatch are active.
+    /// Lanes by tenant; unless `fair`, only the anonymous `None` lane.
+    lanes: BTreeMap<Option<String>, Lane>,
+    /// Whether submissions lane by tenant (weighted fair queuing) or share one.
     fair: bool,
-    critical_path: bool,
     /// Virtual time of the most recent dispatch; newly active lanes start here so
     /// an idle tenant cannot bank scheduling credit.
     virtual_now: u64,
-    /// Entries popped while their kind was at the *global* concurrency cap,
-    /// parked in FIFO order; a finishing action of the kind wakes exactly one.
-    deferred: [VecDeque<Queued>; KINDS],
-    in_flight: [usize; KINDS],
-    caps: [usize; KINDS],
-    /// Entries waiting (queued or deferred), across all lanes.
+    /// Entries waiting, across all lanes.
     queued_actions: usize,
     /// Waiting entries per submission id — `len()` is the multi-graph queue depth
     /// recorded in [`ActionRecord::ready_submissions`].
     waiting: BTreeMap<u64, usize>,
-    /// Continuations currently parked: single-flight waiters plus cap-deferred
-    /// entries (flight waiters are *not* in `queued_actions` while parked).
+    /// Continuations currently parked on a cache flight (*not* in
+    /// `queued_actions` while parked).
     parked_waiters: usize,
-    /// Cumulative parks since the core started (flight waits + cap deferrals).
+    /// Cumulative parks since the core started.
     parks: u64,
     /// Cumulative wakes since the core started.
     wakeups: u64,
 }
 
 impl Ready {
-    fn lane_for(&mut self, tenant: &Option<String>, policy: &dyn SchedulingPolicy) -> usize {
-        let key = if self.fair { tenant.clone() } else { None };
-        if let Some(&lane) = self.lane_of.get(&key) {
-            return lane;
+    fn new(fair: bool) -> Self {
+        Self {
+            lanes: BTreeMap::new(),
+            fair,
+            virtual_now: 0,
+            queued_actions: 0,
+            waiting: BTreeMap::new(),
+            parked_waiters: 0,
+            parks: 0,
+            wakeups: 0,
         }
-        let mut caps = [usize::MAX; KINDS];
-        if self.fair {
-            for kind in ActionKind::ALL {
-                if let Some(cap) = policy.tenant_concurrency_cap(key.as_deref(), kind) {
-                    // A zero quota would starve the tenant forever; validate()
-                    // rejects it, the executor clamps defensively.
-                    caps[kind.index()] = cap.max(1);
-                }
-            }
-        }
-        let order = if self.critical_path {
-            LaneOrder::Weighted(BinaryHeap::new())
-        } else {
-            LaneOrder::Fifo(VecDeque::new())
-        };
-        let lane = self.lanes.len();
-        self.lanes.push(TenantLane {
-            order,
-            vtime: self.virtual_now,
-            weight: policy.tenant_weight(key.as_deref()).max(1),
-            deferred: std::array::from_fn(|_| VecDeque::new()),
-            in_flight: [0; KINDS],
-            caps,
-        });
-        self.lane_of.insert(key, lane);
-        lane
     }
 
-    /// Enqueue a node that just became ready (first time in the queue).
-    fn enqueue_new(&mut self, item: Queued, weight: u64) {
+    fn lane_key<'a>(&self, tenant: &'a Option<String>) -> &'a Option<String> {
+        if self.fair {
+            tenant
+        } else {
+            &None
+        }
+    }
+
+    /// Count a new live submission of `tenant` against its lane, opening the lane
+    /// at the current virtual time when the tenant had none.
+    fn open(&mut self, tenant: &Option<String>, policy: &dyn SchedulingPolicy) {
+        let key = self.lane_key(tenant);
+        if let Some(lane) = self.lanes.get_mut(key) {
+            lane.live += 1;
+            return;
+        }
+        let lane = Lane {
+            queue: VecDeque::new(),
+            vtime: self.virtual_now,
+            // A zero weight would starve the lane forever (validate() rejects
+            // it), a zero stride everyone else: the executor clamps both.
+            stride: (VTIME_SCALE / policy.tenant_weight(key.as_deref()).max(1)).max(1),
+            live: 1,
+        };
+        self.lanes.insert(key.clone(), lane);
+    }
+
+    /// A submission of `tenant` completed; its lane retires with the last one, so
+    /// dispatch scans only tenants that have work in the system.
+    fn close(&mut self, tenant: &Option<String>) {
+        let key = self.lane_key(tenant);
+        let lane = self
+            .lanes
+            .get_mut(key)
+            .expect("a live submission holds its lane open");
+        lane.live -= 1;
+        if lane.live == 0 {
+            debug_assert!(lane.queue.is_empty(), "completed submissions queue nothing");
+            self.lanes.remove(key);
+        }
+    }
+
+    /// Enqueue a node that just became ready (or was woken from a flight).
+    fn push(&mut self, item: Queued) {
         self.queued_actions += 1;
         *self.waiting.entry(item.sub.id).or_insert(0) += 1;
-        let lane = &mut self.lanes[item.sub.lane];
-        if self.fair && lane.order.is_empty() {
+        let virtual_now = self.virtual_now;
+        let key = self.lane_key(&item.sub.tenant);
+        let lane = self
+            .lanes
+            .get_mut(key)
+            .expect("a live submission holds its lane open");
+        if lane.queue.is_empty() {
             // An idle tenant re-enters at the current virtual time instead of
             // replaying the credit it banked while absent.
-            lane.vtime = lane.vtime.max(self.virtual_now);
+            lane.vtime = lane.vtime.max(virtual_now);
         }
-        lane.order.push(item, weight);
+        lane.queue.push_back(item);
     }
 
-    /// Put a previously deferred entry back in dispatch order (its waiting
-    /// accounting never stopped).
-    fn requeue(&mut self, item: Queued) {
-        let weight = item.sub.weights[item.node];
-        self.lanes[item.sub.lane].order.push(item, weight);
-    }
-
-    fn has_ready_work(&self) -> bool {
-        self.lanes.iter().any(|lane| !lane.order.is_empty())
-    }
-
-    /// The lane to dispatch from: lowest virtual time among non-empty lanes under
-    /// fair queuing, the single anonymous lane otherwise.
-    fn dispatch_lane(&self) -> Option<usize> {
-        if self.fair {
-            self.lanes
-                .iter()
-                .enumerate()
-                .filter(|(_, lane)| !lane.order.is_empty())
-                .min_by_key(|(index, lane)| (lane.vtime, *index))
-                .map(|(index, _)| index)
-        } else {
-            self.lanes
-                .first()
-                .filter(|lane| !lane.order.is_empty())
-                .map(|_| 0)
+    /// Take the next node in policy order: the head of the non-empty lane with
+    /// the lowest virtual time (ties go to the lowest tenant name, the untenanted
+    /// lane first), charging that lane's clock. Returns the node and the number
+    /// of distinct submissions with waiting actions at that moment, its own
+    /// included.
+    fn pop(&mut self) -> Option<(Queued, u64)> {
+        let lane = self
+            .lanes
+            .values_mut()
+            .filter(|lane| !lane.queue.is_empty())
+            .min_by_key(|lane| lane.vtime)?;
+        let item = lane.queue.pop_front().expect("lane is non-empty");
+        lane.vtime = lane.vtime.saturating_add(lane.stride);
+        self.virtual_now = lane.vtime;
+        let ready_submissions = self.waiting.len() as u64;
+        self.queued_actions -= 1;
+        match self.waiting.get_mut(&item.sub.id) {
+            Some(count) if *count > 1 => *count -= 1,
+            _ => {
+                self.waiting.remove(&item.sub.id);
+            }
         }
+        Some((item, ready_submissions))
     }
 }
 
@@ -643,18 +637,16 @@ struct Dispatch {
 /// admission control uses `queued_actions` as its saturation signal.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Actions waiting in the ready queue (including cap-deferred ones; flight
-    /// waiters leave the queue while parked).
+    /// Actions waiting in the ready queue (flight waiters leave the queue while
+    /// parked).
     pub queued_actions: usize,
     /// Distinct submissions with at least one waiting action.
     pub waiting_submissions: usize,
     /// Submissions accepted but not yet completed (waiting or executing).
     pub live_submissions: usize,
-    /// Continuations currently parked: single-flight waiters plus cap-deferred
-    /// entries.
+    /// Continuations currently parked on another action's cache flight.
     pub parked_waiters: usize,
-    /// Cumulative parks since the engine core started (flight waits plus cap
-    /// deferrals).
+    /// Cumulative parks since the engine core started.
     pub parks: u64,
     /// Cumulative wakes since the engine core started.
     pub wakeups: u64,
@@ -692,94 +684,38 @@ impl CoreShared {
         }
     }
 
-    /// Register and seed a submission. The whole initial frontier is seeded under
-    /// one ready-lock acquisition, so no worker can observe (and dispatch from) a
-    /// half-seeded frontier — this is what keeps single-worker dispatch order
-    /// deterministic for the policy tests.
+    /// Register and seed a submission. The lane is opened and the whole initial
+    /// frontier seeded under one ready-lock acquisition, so no worker can observe
+    /// (and dispatch from) a half-seeded frontier — this is what keeps
+    /// single-worker dispatch order deterministic for the policy tests.
     fn submit(
         self: &Arc<Self>,
         nodes: Vec<ErasedNode<'static>>,
         stage_depth: usize,
         tenant: Option<String>,
     ) -> Arc<Submission> {
-        let node_count = nodes.len();
-        let id = self.submission_ids.fetch_add(1, Ordering::Relaxed);
-        let mut metas = Vec::with_capacity(node_count);
-        let mut tasks = Vec::with_capacity(node_count);
-        let mut dependents: Vec<Vec<ActionId>> = vec![Vec::new(); node_count];
-        let mut pending = Vec::with_capacity(node_count);
-        for (node_id, node) in nodes.into_iter().enumerate() {
-            for &dep in &node.deps {
-                dependents[dep].push(node_id);
-            }
-            pending.push(AtomicUsize::new(node.deps.len()));
-            metas.push(NodeMeta {
-                kind: node.kind,
-                label: node.label,
-                job: node.job,
-                deps: node.deps,
-            });
-            tasks.push(Mutex::new(Some(node.work)));
-        }
-        // Critical-path weights: the policy cost of the heaviest chain from each
-        // node to a sink (bottom-up; dependents always have higher ids than deps).
-        let weights = if self.policy.critical_path_first() {
-            let mut weights = vec![0u64; node_count];
-            for node_id in (0..node_count).rev() {
-                let downstream = dependents[node_id]
-                    .iter()
-                    .map(|&d| weights[d])
-                    .max()
-                    .unwrap_or(0);
-                weights[node_id] = self.policy.action_cost(metas[node_id].kind) + downstream;
-            }
-            weights
-        } else {
-            vec![0u64; node_count]
-        };
-
-        let lane = self.ready.lock().lane_for(&tenant, self.policy.as_ref());
-        let sub = Arc::new(Submission {
-            id,
+        let sub = Arc::new(Submission::new(
+            self.submission_ids.fetch_add(1, Ordering::Relaxed),
             tenant,
-            lane,
-            policy_name: self.policy.name().to_string(),
+            self.policy.name().to_string(),
             stage_depth,
-            weights,
-            tasks,
-            slots: (0..node_count).map(|_| Mutex::new(Slot::Pending)).collect(),
-            records: (0..node_count).map(|_| Mutex::new(None)).collect(),
-            park_state: (0..node_count).map(|_| ParkState::default()).collect(),
-            dependents,
-            pending,
-            enqueued_at: (0..node_count).map(|_| AtomicU64::new(0)).collect(),
-            remaining: AtomicUsize::new(node_count),
-            cancelled: AtomicBool::new(false),
-            panic_payload: Mutex::new(None),
-            done: AtomicBool::new(node_count == 0),
-            done_lock: StdMutex::new(node_count == 0),
-            done_cv: Condvar::new(),
-            callback: Mutex::new(None),
-            metas,
-        });
-        if node_count == 0 {
+            nodes,
+        ));
+        if sub.metas.is_empty() {
             return sub;
         }
         self.live_submissions.fetch_add(1, Ordering::AcqRel);
         {
             let mut ready = self.ready.lock();
+            ready.open(&sub.tenant, self.policy.as_ref());
             let now = self.now_micros();
-            for node_id in 0..node_count {
-                if sub.pending[node_id].load(Ordering::Relaxed) == 0 {
-                    sub.enqueued_at[node_id].store(now, Ordering::Relaxed);
-                    let weight = sub.weights[node_id];
-                    ready.enqueue_new(
-                        Queued {
-                            sub: sub.clone(),
-                            node: node_id,
-                        },
-                        weight,
-                    );
+            for (node, pending) in sub.pending.iter().enumerate() {
+                if pending.load(Ordering::Relaxed) == 0 {
+                    sub.enqueued_at[node].store(now, Ordering::Relaxed);
+                    ready.push(Queued {
+                        sub: sub.clone(),
+                        node,
+                    });
                 }
             }
         }
@@ -787,125 +723,27 @@ impl CoreShared {
         sub
     }
 
-    /// Park a popped entry on a cap-deferral list (`lane: None` = the global
-    /// list), stamping the park clocks behind `parked_micros`.
-    fn park_deferred(&self, ready: &mut Ready, item: Queued, kind: usize, lane: Option<usize>) {
-        let state = &item.sub.park_state[item.node];
-        state.parked_at.store(self.now_micros(), Ordering::Relaxed);
-        state.parks.fetch_add(1, Ordering::Relaxed);
-        ready.parks += 1;
-        ready.parked_waiters += 1;
-        match lane {
-            Some(lane) => ready.lanes[lane].deferred[kind].push_back(item),
-            None => ready.deferred[kind].push_back(item),
-        }
-    }
-
-    /// Wake one cap-deferred entry: account its parked time and put it back in
-    /// dispatch order (its `waiting` accounting never stopped).
-    fn wake_deferred(&self, ready: &mut Ready, item: Queued) {
-        let state = &item.sub.park_state[item.node];
-        let parked_at = state.parked_at.swap(0, Ordering::Relaxed);
-        if parked_at != 0 {
-            let parked = self.now_micros().saturating_sub(parked_at);
-            state.parked_micros.fetch_add(parked, Ordering::Relaxed);
-        }
-        ready.wakeups += 1;
-        ready.parked_waiters -= 1;
-        ready.requeue(item);
-    }
-
-    /// Free the global + lane concurrency slots a dispatched `kind` action held
-    /// and wake at most one parked entry the freed slots can admit: the lane's
-    /// own deferred entry can use both, otherwise one globally-deferred entry
-    /// gets its chance (`pop_task` compensates when that entry's tenant turns out
-    /// to still be at its quota). Returns how many entries were made ready.
-    fn release_slots(&self, ready: &mut Ready, kind: usize, lane: usize) -> usize {
-        ready.in_flight[kind] -= 1;
-        ready.lanes[lane].in_flight[kind] -= 1;
-        if let Some(item) = ready.lanes[lane].deferred[kind].pop_front() {
-            self.wake_deferred(ready, item);
-            1
-        } else if let Some(item) = ready.deferred[kind].pop_front() {
-            self.wake_deferred(ready, item);
-            1
-        } else {
-            0
-        }
-    }
-
-    /// Pop the next runnable node per the policy: pick the dispatch lane, park
-    /// (defer) entries whose kind is at a global or tenant cap, and charge the
-    /// lane's virtual time under fair queuing.
+    /// Pop the next runnable node in policy order and stamp its dispatch
+    /// diagnostics (queue wait, engine-global sequence number) while the ready
+    /// lock is held, so `schedule_seq` order equals pop order.
     fn pop_task(&self) -> Option<Dispatch> {
         let mut ready = self.ready.lock();
-        loop {
-            let lane_index = ready.dispatch_lane()?;
-            let item = ready.lanes[lane_index]
-                .order
-                .pop()
-                .expect("dispatch lane has a queued entry");
-            let kind = item.sub.metas[item.node].kind.index();
-            if ready.in_flight[kind] >= ready.caps[kind] {
-                self.park_deferred(&mut ready, item, kind, None);
-                continue;
-            }
-            if ready.lanes[lane_index].in_flight[kind] >= ready.lanes[lane_index].caps[kind] {
-                self.park_deferred(&mut ready, item, kind, Some(lane_index));
-                // The global slot this entry could have used stays free: give the
-                // next globally-deferred entry of the kind its chance now, so a
-                // tenant at its quota can never strand global capacity.
-                if let Some(next) = ready.deferred[kind].pop_front() {
-                    self.wake_deferred(&mut ready, next);
-                }
-                continue;
-            }
-            // Admit.
-            ready.in_flight[kind] += 1;
-            let fair = ready.fair;
-            let ready_submissions = ready.waiting.len() as u64;
-            {
-                let lane = &mut ready.lanes[lane_index];
-                lane.in_flight[kind] += 1;
-                if fair {
-                    let cost = self
-                        .policy
-                        .action_cost(item.sub.metas[item.node].kind)
-                        .max(1);
-                    lane.vtime = lane
-                        .vtime
-                        .saturating_add(cost.saturating_mul(VTIME_SCALE) / lane.weight);
-                }
-            }
-            if fair {
-                ready.virtual_now = ready.lanes[lane_index].vtime;
-            }
-            ready.queued_actions -= 1;
-            match ready.waiting.get_mut(&item.sub.id) {
-                Some(count) if *count > 1 => *count -= 1,
-                _ => {
-                    ready.waiting.remove(&item.sub.id);
-                }
-            }
-            let enqueued = item.sub.enqueued_at[item.node].load(Ordering::Relaxed);
-            let wait_micros = self.now_micros().saturating_sub(enqueued);
-            let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-            return Some(Dispatch {
-                item,
-                wait_micros,
-                seq,
-                ready_submissions,
-            });
-        }
+        let (item, ready_submissions) = ready.pop()?;
+        let enqueued = item.sub.enqueued_at[item.node].load(Ordering::Relaxed);
+        Some(Dispatch {
+            wait_micros: self.now_micros().saturating_sub(enqueued),
+            seq: self.seq.fetch_add(1, Ordering::Relaxed),
+            ready_submissions,
+            item,
+        })
     }
 
     fn has_ready_work(&self) -> bool {
-        self.ready.lock().has_ready_work()
+        self.ready.lock().queued_actions > 0
     }
 
-    /// Retire one node: store its slot/record, free its concurrency slots,
-    /// re-admit deferred entries, enqueue newly-ready dependents, and — when it
-    /// was the submission's last node — complete the submission.
+    /// Retire one node: store its slot/record, enqueue newly-ready dependents,
+    /// and — when it was the submission's last node — complete the submission.
     fn finish(
         &self,
         sub: &Arc<Submission>,
@@ -920,20 +758,14 @@ impl CoreShared {
         let mut made_ready = 0usize;
         {
             let mut ready = self.ready.lock();
-            let kind = sub.metas[node].kind.index();
-            made_ready += self.release_slots(&mut ready, kind, sub.lane);
             let now = self.now_micros();
             for &dependent in &sub.dependents[node] {
                 if sub.pending[dependent].fetch_sub(1, Ordering::AcqRel) == 1 {
                     sub.enqueued_at[dependent].store(now, Ordering::Relaxed);
-                    let weight = sub.weights[dependent];
-                    ready.enqueue_new(
-                        Queued {
-                            sub: sub.clone(),
-                            node: dependent,
-                        },
-                        weight,
-                    );
+                    ready.push(Queued {
+                        sub: sub.clone(),
+                        node: dependent,
+                    });
                     made_ready += 1;
                 }
             }
@@ -951,12 +783,13 @@ impl CoreShared {
     }
 
     /// Complete a submission: drain leftover (skipped/cancelled) closures — the
-    /// step that lets blocking runs borrow caller state soundly — then signal
-    /// waiters and run the completion callback.
+    /// step that lets blocking runs borrow caller state soundly — release its
+    /// lane, then signal waiters and run the completion callback.
     fn complete(&self, sub: &Arc<Submission>) {
         for task in &sub.tasks {
             drop(task.lock().take());
         }
+        self.ready.lock().close(&sub.tenant);
         let callback = {
             let mut callback = sub.callback.lock();
             sub.done.store(true, Ordering::Release);
@@ -996,9 +829,9 @@ impl CoreShared {
     }
 
     /// Park `node` as a continuation on `flight`: restore its one-shot work for
-    /// the wake-side retry, register a waker that re-enqueues the node when the
-    /// flight retires, and free this dispatch's concurrency slots so the worker
-    /// moves on to the next ready action immediately.
+    /// the wake-side retry and register a waker that re-enqueues the node when
+    /// the flight retires, so the worker moves on to the next ready action
+    /// immediately.
     fn park_on_flight(
         self: &Arc<Self>,
         sub: &Arc<Submission>,
@@ -1030,21 +863,10 @@ impl CoreShared {
             let sub = sub.clone();
             Box::new(move |outcome| shared.wake_parked(&sub, node, parked_at, outcome))
         };
-        let kind = sub.metas[node].kind.index();
-        let inline = self.cache.park(&flight, waker);
-        let made_ready = {
-            // Whether parked or resolved inline, this dispatch's slots are free:
-            // the node re-enters through the queue, not this worker.
-            let mut ready = self.ready.lock();
-            self.release_slots(&mut ready, kind, sub.lane)
-        };
-        if let Some(outcome) = inline {
+        if let Some(outcome) = self.cache.park(&flight, waker) {
             // The flight retired between try_begin and park (the waker was
             // dropped unregistered): wake ourselves through the same path.
             self.wake_parked(sub, node, parked_at, outcome);
-        }
-        if made_ready > 0 {
-            self.notify_workers(false);
         }
     }
 
@@ -1069,14 +891,10 @@ impl CoreShared {
             ready.wakeups += 1;
             ready.parked_waiters -= 1;
             sub.enqueued_at[node].store(now, Ordering::Relaxed);
-            let weight = sub.weights[node];
-            ready.enqueue_new(
-                Queued {
-                    sub: sub.clone(),
-                    node,
-                },
-                weight,
-            );
+            ready.push(Queued {
+                sub: sub.clone(),
+                node,
+            });
         }
         self.notify_workers(false);
     }
@@ -1253,11 +1071,10 @@ fn worker_loop(shared: Arc<CoreShared>) {
                 if shared.shutdown.load(Ordering::Acquire) {
                     break;
                 }
-                // Nothing runnable right now: other workers hold the frontier (or
-                // every ready entry's kind is at a cap). Park until new work is
-                // admitted. Re-checking readiness under the idle lock pairs with
-                // finish()/submit() notifying under it, so wakeups are not lost;
-                // the timeout is only a backstop.
+                // Nothing runnable right now: other workers hold the frontier.
+                // Park until new work is admitted. Re-checking readiness under the
+                // idle lock pairs with finish()/submit() notifying under it, so
+                // wakeups are not lost; the timeout is only a backstop.
                 let guard = shared.idle.lock().unwrap_or_else(|e| e.into_inner());
                 if !shared.shutdown.load(Ordering::Acquire) && !shared.has_ready_work() {
                     let _ = shared
@@ -1296,55 +1113,13 @@ impl ExecutorCore {
         workers: usize,
     ) -> &Arc<CoreShared> {
         self.shared.get_or_init(|| {
-            let mut caps = [usize::MAX; KINDS];
-            for kind in ActionKind::ALL {
-                if let Some(cap) = policy.concurrency_cap(kind) {
-                    // A zero cap would deadlock; the Orchestrator rejects it as a
-                    // typed PolicyError, the raw executor clamps defensively.
-                    caps[kind.index()] = cap.max(1);
-                }
-            }
-            let fair = policy.fair_queuing();
-            let critical_path = policy.critical_path_first();
-            let order = if critical_path {
-                LaneOrder::Weighted(BinaryHeap::new())
-            } else {
-                LaneOrder::Fifo(VecDeque::new())
-            };
-            let mut ready = Ready {
-                lanes: Vec::new(),
-                lane_of: BTreeMap::new(),
-                fair,
-                critical_path,
-                virtual_now: 0,
-                deferred: std::array::from_fn(|_| VecDeque::new()),
-                in_flight: [0; KINDS],
-                caps,
-                queued_actions: 0,
-                waiting: BTreeMap::new(),
-                parked_waiters: 0,
-                parks: 0,
-                wakeups: 0,
-            };
-            if !fair {
-                // The single anonymous lane every submission dispatches through.
-                ready.lanes.push(TenantLane {
-                    order,
-                    vtime: 0,
-                    weight: 1,
-                    deferred: std::array::from_fn(|_| VecDeque::new()),
-                    in_flight: [0; KINDS],
-                    caps: [usize::MAX; KINDS],
-                });
-                ready.lane_of.insert(None, 0);
-            }
             let shared = Arc::new(CoreShared {
                 cache: cache.clone(),
                 policy: policy.clone(),
                 epoch: Instant::now(),
                 seq: seq.clone(),
                 submission_ids: AtomicU64::new(0),
-                ready: Mutex::new(ready),
+                ready: Mutex::new(Ready::new(policy.fair_queuing())),
                 idle: StdMutex::new(()),
                 wakeup: Condvar::new(),
                 shutdown: AtomicBool::new(false),
@@ -1609,6 +1384,224 @@ fn sub_total(sub: &Submission) -> usize {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, Fifo, WeightedFair};
+    use xaas_container::ImageStore;
+
+    /// A submission of `nodes` dependency-less no-op nodes, to drive [`Ready`]
+    /// directly: no pool, no clock.
+    fn submission(id: u64, tenant: Option<&str>, nodes: usize) -> Arc<Submission> {
+        let nodes = (0..nodes)
+            .map(|node| ErasedNode {
+                kind: ActionKind::Preprocess,
+                label: format!("n{node}"),
+                job: None,
+                deps: Vec::new(),
+                work: ErasedWork {
+                    run: Box::new(|_| Ok(Vec::new())),
+                    key: ErasedKeySpec::None,
+                },
+            })
+            .collect();
+        let tenant = tenant.map(str::to_string);
+        Arc::new(Submission::new(id, tenant, String::new(), 1, nodes))
+    }
+
+    /// Open `sub`'s lane and queue all of its nodes, as `CoreShared::submit` does.
+    fn admit(ready: &mut Ready, policy: &dyn SchedulingPolicy, sub: &Arc<Submission>) {
+        ready.open(&sub.tenant, policy);
+        push_all(ready, sub);
+    }
+
+    fn push_all(ready: &mut Ready, sub: &Arc<Submission>) {
+        for node in 0..sub.metas.len() {
+            ready.push(Queued {
+                sub: sub.clone(),
+                node,
+            });
+        }
+    }
+
+    /// Pop `count` entries as `tenant/node` (`-` for the untenanted lane).
+    fn pops(ready: &mut Ready, count: usize) -> Vec<String> {
+        (0..count)
+            .map(|_| {
+                let (item, _) = ready.pop().expect("an entry is queued");
+                format!(
+                    "{}/{}",
+                    item.sub.tenant.as_deref().unwrap_or("-"),
+                    item.node
+                )
+            })
+            .collect()
+    }
+
+    fn share(order: &[String], tenant: &str) -> usize {
+        order.iter().filter(|id| id.starts_with(tenant)).count()
+    }
+
+    impl ExecutorCore {
+        fn lane_count(&self) -> usize {
+            self.shared
+                .get()
+                .map_or(0, |shared| shared.ready.lock().lanes.len())
+        }
+    }
+
+    #[test]
+    fn fifo_shares_one_lane_in_push_order_whatever_the_tenant() {
+        let mut ready = Ready::new(Fifo.fair_queuing());
+        let first = submission(0, Some("zed"), 3);
+        let second = submission(1, Some("abe"), 2);
+        admit(&mut ready, &Fifo, &first);
+        admit(&mut ready, &Fifo, &second);
+        assert_eq!(ready.lanes.len(), 1);
+        assert_eq!(
+            pops(&mut ready, 5),
+            ["zed/0", "zed/1", "zed/2", "abe/0", "abe/1"]
+        );
+        assert!(ready.pop().is_none());
+    }
+
+    #[test]
+    fn lowest_virtual_time_lane_wins_and_ties_go_to_the_lowest_tenant_name() {
+        let policy = WeightedFair::new();
+        let mut ready = Ready::new(policy.fair_queuing());
+        // Opened in the order b, a, untenanted: ties are broken by name, not age.
+        for (id, tenant) in [Some("b"), Some("a"), None].into_iter().enumerate() {
+            admit(&mut ready, &policy, &submission(id as u64, tenant, 2));
+        }
+        assert_eq!(
+            pops(&mut ready, 6),
+            ["-/0", "a/0", "b/0", "-/1", "a/1", "b/1"]
+        );
+        // A lane behind on virtual time goes first regardless of its name.
+        let late = submission(3, Some("z"), 1);
+        let early = submission(4, Some("a"), 1);
+        admit(&mut ready, &policy, &late);
+        push_all(&mut ready, &early);
+        ready.lanes.get_mut(&late.tenant).unwrap().vtime = 0;
+        assert_eq!(pops(&mut ready, 2), ["z/0", "a/0"]);
+    }
+
+    #[test]
+    fn weights_three_to_one_give_a_three_to_one_pop_share() {
+        let policy = WeightedFair::new().with_weight("gold", 3);
+        let mut ready = Ready::new(policy.fair_queuing());
+        admit(&mut ready, &policy, &submission(0, Some("gold"), 400));
+        admit(&mut ready, &policy, &submission(1, Some("std"), 400));
+        let order = pops(&mut ready, 400);
+        assert_eq!((share(&order, "gold"), share(&order, "std")), (300, 100));
+        // Within each lane the order stayed FIFO.
+        let gold = order.iter().filter(|id| id.starts_with("gold"));
+        assert!(gold.enumerate().all(|(n, id)| *id == format!("gold/{n}")));
+    }
+
+    #[test]
+    fn an_idle_lane_reenters_at_virtual_now_and_cannot_replay_banked_credit() {
+        let policy = WeightedFair::new();
+        let mut ready = Ready::new(policy.fair_queuing());
+        let idle = submission(0, Some("idle"), 10);
+        let busy = submission(1, Some("busy"), 110);
+        // `idle` holds a lane (a live submission, say parked on a flight) but
+        // queues nothing while `busy` dispatches a hundred actions.
+        ready.open(&idle.tenant, &policy);
+        admit(&mut ready, &policy, &busy);
+        assert_eq!(share(&pops(&mut ready, 100), "busy"), 100);
+        push_all(&mut ready, &idle);
+        // Banked credit would hand `idle` the next ten pops; it gets every other.
+        let order = pops(&mut ready, 10);
+        assert_eq!((share(&order, "idle"), share(&order, "busy")), (5, 5));
+    }
+
+    #[test]
+    fn a_retired_tenant_reenters_mid_run_at_virtual_now() {
+        let policy = WeightedFair::new();
+        let mut ready = Ready::new(policy.fair_queuing());
+        let busy = submission(0, Some("busy"), 55);
+        let first = submission(1, Some("guest"), 1);
+        admit(&mut ready, &policy, &busy);
+        admit(&mut ready, &policy, &first);
+        assert_eq!(pops(&mut ready, 2), ["busy/0", "guest/0"]);
+        ready.close(&first.tenant);
+        assert_eq!(
+            ready.lanes.len(),
+            1,
+            "the guest lane retired with its submission"
+        );
+        assert_eq!(share(&pops(&mut ready, 50), "busy"), 50);
+        // The returning tenant gets a fresh lane at the current virtual time: an
+        // even share from here on, not fifty dispatches of back pay.
+        let second = submission(2, Some("guest"), 4);
+        admit(&mut ready, &policy, &second);
+        let order = pops(&mut ready, 8);
+        assert_eq!((share(&order, "guest"), share(&order, "busy")), (4, 4));
+        ready.close(&second.tenant);
+        ready.close(&busy.tenant);
+        assert!(ready.lanes.is_empty());
+    }
+
+    #[test]
+    fn depth_accounting_returns_to_zero_after_interleaved_push_and_pop() {
+        let policy = WeightedFair::new();
+        let mut ready = Ready::new(policy.fair_queuing());
+        let subs = [
+            submission(0, Some("a"), 3),
+            submission(1, Some("b"), 2),
+            submission(2, Some("a"), 1),
+        ];
+        admit(&mut ready, &policy, &subs[0]);
+        admit(&mut ready, &policy, &subs[1]);
+        assert_eq!((ready.queued_actions, ready.waiting.len()), (5, 2));
+        let (_, depth) = ready.pop().unwrap();
+        assert_eq!(depth, 2, "both submissions had waiting actions");
+        admit(&mut ready, &policy, &subs[2]);
+        assert_eq!((ready.queued_actions, ready.waiting.len()), (5, 3));
+        assert_eq!(
+            ready.lanes.len(),
+            2,
+            "two submissions share tenant a's lane"
+        );
+        let mut depths = Vec::new();
+        while let Some((_, depth)) = ready.pop() {
+            depths.push(depth);
+        }
+        assert_eq!(depths.len(), 5);
+        assert_eq!(depths.last(), Some(&1));
+        assert_eq!((ready.queued_actions, ready.waiting.len()), (0, 0));
+        for sub in &subs {
+            ready.close(&sub.tenant);
+        }
+        assert!(ready.lanes.is_empty());
+    }
+
+    #[test]
+    fn a_thousand_one_shot_tenants_leave_no_lanes_behind() {
+        let engine = Engine::uncached(&ImageStore::new())
+            .with_workers(2)
+            .with_policy(WeightedFair::new());
+        let handles: Vec<_> = (0..1_000u32)
+            .map(|tenant| {
+                let mut graph: ActionGraph<'static, std::convert::Infallible> = ActionGraph::new();
+                let head = graph.add(ActionKind::Preprocess, "head", &[], move |_| {
+                    Ok(tenant.to_le_bytes().to_vec())
+                });
+                graph.add(ActionKind::Link, "tail", &[head], |inputs| {
+                    Ok(inputs.dep(0).to_vec())
+                });
+                engine
+                    .clone()
+                    .with_tenant(format!("tenant-{tenant}"))
+                    .submit_graph(graph)
+                    .expect("analysis-clean graph")
+            })
+            .collect();
+        for (tenant, handle) in handles.into_iter().enumerate() {
+            let run = handle.wait();
+            assert_eq!(run.output(1), Some(&(tenant as u32).to_le_bytes()[..]));
+        }
+        assert_eq!(engine.core.lane_count(), 0, "every tenant's lane retired");
+        assert_eq!(engine.queue_stats().queued_actions, 0);
+    }
 
     fn run_with_outcomes(outcomes: Vec<NodeOutcome<String>>) -> GraphRun<String> {
         let infos = outcomes

@@ -12,15 +12,15 @@
 //!   (an [`ActionCache`] or the always-compute
 //!   [`NoCache`]), and isolates failures to the failed
 //!   node's transitive dependents;
-//! * [`policy`] — pluggable [`SchedulingPolicy`]s deciding dispatch order and
-//!   per-kind concurrency: [`Fifo`] (default) or [`CriticalPathFirst`] (weight
-//!   nodes by per-kind cost, optionally bound e.g. `sd-compile` slots);
+//! * [`policy`] — pluggable [`SchedulingPolicy`]s deciding dispatch order:
+//!   [`Fifo`] (default, one shared lane) or [`WeightedFair`] (one lane per
+//!   tenant, weighted fair queuing across them);
 //! * [`trace`] — [`ActionTrace`]: a deterministic, node-ordered record of what ran
 //!   and what the cache absorbed, from which the historical [`ActionSummary`]
 //!   counters are derived;
 //! * [`analysis`] — [`GraphAnalyzer`]: the pre-submission static verifier that
-//!   lints a graph against the active policy and rejects structurally broken or
-//!   unrunnable submissions before any worker executes a node;
+//!   lints a graph against the active policy and rejects structurally broken
+//!   submissions before any worker executes a node;
 //! * [`plan`] — the graph idioms the drivers share: deduplicated preprocess
 //!   actions, the one definition of an `sd-compile` node, and the link → commit
 //!   tail.
@@ -65,7 +65,7 @@ pub use executor::{
 };
 pub use graph::{ActionGraph, ActionId, ActionInputs};
 pub use plan::{add_commit_action, KeyedActionPlanner, LinkSlot, PreprocessPlanner};
-pub use policy::{CriticalPathFirst, Fifo, PolicyError, SchedulingPolicy, WeightedFair};
+pub use policy::{Fifo, PolicyError, SchedulingPolicy, WeightedFair};
 pub use trace::{ActionKind, ActionRecord, ActionSummary, ActionTrace};
 
 use std::sync::atomic::AtomicU64;
@@ -146,10 +146,10 @@ impl Engine {
         self
     }
 
-    /// Replace the scheduling policy (dispatch order and per-kind concurrency caps
-    /// of the ready queue). The policy changes *when* actions run, never what they
-    /// produce. Note the raw engine clamps zero concurrency caps to one rather than
-    /// deadlock; submit through an
+    /// Replace the scheduling policy (the dispatch order of the ready queue). The
+    /// policy changes *when* actions run, never what they produce. Note the raw
+    /// engine clamps a zero tenant weight to one rather than starve the lane;
+    /// submit through an
     /// [`Orchestrator`](crate::orchestrator::Orchestrator) to have invalid policies
     /// rejected as typed errors instead.
     pub fn with_policy(self, policy: impl SchedulingPolicy + 'static) -> Self {
@@ -453,86 +453,6 @@ mod tests {
     }
 
     #[test]
-    fn critical_path_first_dispatches_heavy_chains_before_light_ones() {
-        // Two chains from an empty frontier: a heavy ir-lower chain added *after* a
-        // cheap preprocess node. FIFO dispatches in node order; critical-path-first
-        // must invert it. One worker keeps the dispatch order fully deterministic.
-        fn build() -> ActionGraph<'static, std::convert::Infallible> {
-            let mut graph = ActionGraph::new();
-            let cheap = graph.add(ActionKind::Preprocess, "cheap", &[], |_| Ok(vec![1]));
-            let heavy = graph.add(ActionKind::IrLower, "heavy", &[], |_| Ok(vec![2]));
-            graph.add(ActionKind::Link, "tail", &[cheap, heavy], |_| Ok(vec![3]));
-            graph
-        }
-        let fifo = Engine::uncached(&ImageStore::new()).with_workers(1);
-        let fifo_run = fifo.run(build());
-        let cpf = Engine::uncached(&ImageStore::new())
-            .with_workers(1)
-            .with_policy(CriticalPathFirst::new());
-        let cpf_run = cpf.run(build());
-        // Same node-ordered trace records and outputs...
-        assert_eq!(fifo_run.trace.records, cpf_run.trace.records);
-        assert_eq!(fifo_run.output(2), cpf_run.output(2));
-        // ...but the observable dispatch order differs and names the policy.
-        assert_eq!(fifo_run.trace.policy, "fifo");
-        assert_eq!(cpf_run.trace.policy, "critical-path-first");
-        let first = |run: &GraphRun<std::convert::Infallible>| {
-            run.trace.execution_order().first().cloned().unwrap()
-        };
-        assert!(first(&fifo_run).starts_with("preprocess|cheap"));
-        assert!(first(&cpf_run).starts_with("ir-lower|heavy"));
-    }
-
-    #[test]
-    fn concurrency_caps_bound_in_flight_actions_without_changing_outputs() {
-        use std::sync::atomic::AtomicUsize;
-        let in_flight = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        let mut graph: ActionGraph<'_, std::convert::Infallible> = ActionGraph::new();
-        for unit in 0..12 {
-            let in_flight = &in_flight;
-            let peak = &peak;
-            graph.add(
-                ActionKind::SdCompile,
-                format!("sd{unit:02}"),
-                &[],
-                move |_| {
-                    let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    std::thread::sleep(std::time::Duration::from_millis(2));
-                    in_flight.fetch_sub(1, Ordering::SeqCst);
-                    Ok(vec![unit as u8])
-                },
-            );
-        }
-        let engine = Engine::uncached(&ImageStore::new())
-            .with_workers(6)
-            .with_policy(CriticalPathFirst::new().with_cap(ActionKind::SdCompile, 2));
-        let run = engine.run(graph);
-        assert!(run.succeeded());
-        assert!(
-            peak.load(Ordering::SeqCst) <= 2,
-            "cap of 2 exceeded: {} sd-compiles in flight",
-            peak.load(Ordering::SeqCst)
-        );
-        assert_eq!(run.trace.len(), 12);
-        // Deferred nodes accumulate queue wait, and every record carries its seq.
-        let waits = run.trace.queue_wait_micros_by_kind();
-        assert!(waits[&ActionKind::SdCompile] > 0);
-    }
-
-    #[test]
-    fn zero_caps_are_clamped_to_one_instead_of_deadlocking() {
-        let mut graph: ActionGraph<'_, std::convert::Infallible> = ActionGraph::new();
-        graph.add(ActionKind::SdCompile, "sd", &[], |_| Ok(vec![1]));
-        let engine = Engine::uncached(&ImageStore::new())
-            .with_workers(2)
-            .with_policy(CriticalPathFirst::new().with_cap(ActionKind::SdCompile, 0));
-        let run = engine.run(graph);
-        assert!(run.succeeded(), "the raw engine must refuse to deadlock");
-    }
-
-    #[test]
     fn parallel_and_serial_runs_produce_identical_outputs_and_traces() {
         fn build_graph(counter: &AtomicUsize) -> ActionGraph<'_, std::convert::Infallible> {
             let mut graph = ActionGraph::new();
@@ -766,42 +686,6 @@ mod tests {
         // Queue-wait accounting is attributed per tenant.
         let waits = heavy_run.trace.queue_wait_micros_by_tenant();
         assert!(waits.contains_key("heavy"));
-    }
-
-    #[test]
-    fn per_tenant_quota_caps_bound_a_tenants_in_flight_actions() {
-        let in_flight = std::sync::Arc::new(AtomicUsize::new(0));
-        let peak = std::sync::Arc::new(AtomicUsize::new(0));
-        let mut graph: ActionGraph<'static, std::convert::Infallible> = ActionGraph::new();
-        for unit in 0..8 {
-            let in_flight = in_flight.clone();
-            let peak = peak.clone();
-            graph.add(ActionKind::SdCompile, format!("sd{unit}"), &[], move |_| {
-                let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-                peak.fetch_max(now, Ordering::SeqCst);
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                in_flight.fetch_sub(1, Ordering::SeqCst);
-                Ok(vec![unit as u8])
-            });
-        }
-        let engine = Engine::uncached(&ImageStore::new())
-            .with_workers(6)
-            .with_policy(WeightedFair::new().with_tenant_cap(ActionKind::SdCompile, 2))
-            .with_tenant("quoted");
-        let run = engine
-            .submit_graph(graph)
-            .expect("analysis-clean graph")
-            .wait();
-        assert!(run.succeeded());
-        assert!(
-            peak.load(Ordering::SeqCst) <= 2,
-            "tenant cap of 2 exceeded: {} in flight",
-            peak.load(Ordering::SeqCst)
-        );
-        assert_eq!(run.trace.len(), 8);
-        for record in &run.trace.records {
-            assert_eq!(record.tenant.as_deref(), Some("quoted"));
-        }
     }
 
     #[test]

@@ -1,22 +1,18 @@
-//! Engine-level scheduling policies: who runs next, and how many at once.
+//! Engine-level scheduling policies: who runs next.
 //!
-//! The executor treats the ready frontier as a policy question. A
-//! [`SchedulingPolicy`] answers it twice per node: *ordering* (which ready action a
-//! free worker dispatches next) and *admission* (how many actions of one
-//! [`ActionKind`] may be in flight simultaneously). Three policies ship:
+//! The executor treats the ready frontier as a policy question with one answer
+//! per dispatch: which ready action a free worker takes next. Two policies ship:
 //!
-//! * [`Fifo`] — the default: dispatch in readiness order, no per-kind caps. This is
-//!   the schedule the engine has always produced.
-//! * [`CriticalPathFirst`] — weight every node by the per-kind cost of the longest
-//!   downstream chain it sits on (preprocess ≪ ir-lower, per the paper's stage
-//!   economics) and dispatch the heaviest first, optionally bounding per-kind
-//!   concurrency — e.g. a small number of `sd-compile` slots to model a licensed
-//!   system toolchain that only admits N concurrent compiles.
-//! * [`WeightedFair`] — the multi-tenant policy: weighted fair queuing across
-//!   tenant lanes (each dispatch charges the tenant's virtual clock inversely to
-//!   its weight; the lane with the lowest clock dispatches next) plus per-tenant
-//!   [`ActionKind`] quota caps layered on the global bounded-slot machinery, so
-//!   one flooding tenant cannot monopolise the pool.
+//! * [`Fifo`] — the default: one shared lane, dispatched in readiness order. This
+//!   is the schedule the engine has always produced.
+//! * [`WeightedFair`] — the multi-tenant policy: one FIFO lane per tenant and
+//!   weighted fair queuing across them (each dispatch charges the tenant's
+//!   virtual clock inversely to its weight; the lane with the lowest clock
+//!   dispatches next), so one flooding tenant cannot monopolise the pool.
+//!
+//! How *much* runs at once is not a policy question: the pool's width is the
+//! engine's worker count, and a tenant's footprint is bounded at admission by
+//! [`ServiceLimits`](crate::service::ServiceLimits).
 //!
 //! Policies change *when* actions run, never *what* they produce: artifacts stay
 //! byte-identical under every policy (the schedule-independence property tests
@@ -25,39 +21,16 @@
 //! [`ActionTrace`](crate::engine::ActionTrace).
 
 #![deny(clippy::unwrap_used, clippy::dbg_macro)]
-use super::trace::ActionKind;
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A pluggable scheduling policy for the engine's ready queue.
 ///
-/// Implementations must be cheap: the executor consults the policy once per node at
-/// graph-admission time (costs) and holds no lock while doing so.
+/// Implementations must be cheap: the executor consults the policy once per
+/// tenant lane it opens and holds the ready lock while doing so.
 pub trait SchedulingPolicy: Send + Sync + fmt::Debug {
     /// Stable policy name, recorded in [`ActionTrace::policy`](crate::engine::ActionTrace::policy).
     fn name(&self) -> &str;
-
-    /// Relative cost of one action of `kind`, used to weight critical paths when
-    /// [`critical_path_first`](Self::critical_path_first) is on. The default treats
-    /// every kind as equally expensive.
-    fn action_cost(&self, _kind: ActionKind) -> u64 {
-        1
-    }
-
-    /// Maximum number of actions of `kind` allowed in flight at once; `None` means
-    /// unbounded. A cap of **zero is invalid**: the
-    /// [`Orchestrator`](crate::orchestrator::Orchestrator) rejects it up front with
-    /// [`PolicyError::ZeroCap`], and the raw executor — which cannot fabricate a
-    /// driver-typed error — clamps it to one rather than deadlock.
-    fn concurrency_cap(&self, _kind: ActionKind) -> Option<usize> {
-        None
-    }
-
-    /// Whether the ready queue dispatches by descending critical-path weight
-    /// (`true`) instead of readiness order (`false`).
-    fn critical_path_first(&self) -> bool {
-        false
-    }
 
     /// Whether the executor should keep one ready-queue lane per tenant and
     /// dispatch by weighted fair queuing across them (`true`), instead of one
@@ -75,24 +48,9 @@ pub trait SchedulingPolicy: Send + Sync + fmt::Debug {
         1
     }
 
-    /// Per-tenant quota on in-flight actions of `kind`; `None` means unbounded.
-    /// Layered *under* the global [`concurrency_cap`](Self::concurrency_cap):
-    /// an action dispatches only when both admit it. Only consulted when
-    /// [`fair_queuing`](Self::fair_queuing) is on. A quota of **zero is invalid**
-    /// ([`PolicyError::ZeroTenantCap`]); the executor clamps it to one.
-    fn tenant_concurrency_cap(&self, _tenant: Option<&str>, _kind: ActionKind) -> Option<usize> {
-        None
-    }
-
     /// Check the policy for configurations the executor cannot honor (currently:
-    /// zero concurrency caps or quotas, which would make nodes of that kind
-    /// unrunnable, and zero tenant weights, which would starve a lane).
+    /// zero tenant weights, which would starve a lane).
     fn validate(&self) -> Result<(), PolicyError> {
-        for kind in ActionKind::ALL {
-            if self.concurrency_cap(kind) == Some(0) {
-                return Err(PolicyError::ZeroCap { kind });
-            }
-        }
         Ok(())
     }
 }
@@ -101,24 +59,10 @@ pub trait SchedulingPolicy: Send + Sync + fmt::Debug {
 /// orchestrator before any action runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PolicyError {
-    /// The policy caps `kind` at zero concurrent actions, which would leave every
-    /// node of that kind unrunnable.
-    ZeroCap {
-        /// The action kind with the zero cap.
-        kind: ActionKind,
-    },
-    /// The policy grants a tenant a per-kind quota of zero, which would leave
-    /// every node of that kind unrunnable for the tenant.
-    ZeroTenantCap {
-        /// The tenant with the zero quota (empty for the untenanted lane).
-        tenant: String,
-        /// The action kind with the zero quota.
-        kind: ActionKind,
-    },
     /// The policy assigns a tenant a fair-queuing weight of zero, which would
     /// starve the tenant's lane forever.
     ZeroWeight {
-        /// The tenant with the zero weight.
+        /// The tenant with the zero weight (empty for the default weight).
         tenant: String,
     },
 }
@@ -126,20 +70,6 @@ pub enum PolicyError {
 impl fmt::Display for PolicyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PolicyError::ZeroCap { kind } => {
-                write!(
-                    f,
-                    "scheduling policy caps `{kind}` at zero concurrent actions; \
-                     a cap must be at least 1"
-                )
-            }
-            PolicyError::ZeroTenantCap { tenant, kind } => {
-                write!(
-                    f,
-                    "scheduling policy grants tenant `{tenant}` a zero `{kind}` quota; \
-                     a quota must be at least 1"
-                )
-            }
             PolicyError::ZeroWeight { tenant } => {
                 write!(
                     f,
@@ -153,8 +83,7 @@ impl fmt::Display for PolicyError {
 
 impl std::error::Error for PolicyError {}
 
-/// The default policy: dispatch ready actions in readiness order, unbounded
-/// per-kind concurrency.
+/// The default policy: dispatch ready actions in readiness order.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Fifo;
 
@@ -164,136 +93,15 @@ impl SchedulingPolicy for Fifo {
     }
 }
 
-/// Critical-path-first scheduling with optional per-kind concurrency caps.
-///
-/// Node priority is the cost-weighted length of the longest chain from the node to
-/// a graph sink, using [`action_cost`](SchedulingPolicy::action_cost) per kind; a
-/// free worker always dispatches the heaviest ready node. The default cost table
-/// reflects the measured shape of the pipeline: preprocessing and OpenMP detection
-/// are cheap AST passes, IR/machine lowering dominate (they run codegen over whole
-/// modules), deployment-time system-dependent compiles sit in between, and
-/// link/commit are cheap tails.
-#[derive(Debug, Clone)]
-pub struct CriticalPathFirst {
-    costs: BTreeMap<ActionKind, u64>,
-    caps: BTreeMap<ActionKind, usize>,
-}
-
-impl CriticalPathFirst {
-    /// The policy with its default cost table and no concurrency caps.
-    pub fn new() -> Self {
-        let costs = [
-            (ActionKind::Preprocess, 1),
-            (ActionKind::OpenMpDetect, 2),
-            (ActionKind::IrLower, 8),
-            (ActionKind::MachineLower, 8),
-            (ActionKind::SdCompile, 6),
-            (ActionKind::Link, 4),
-            (ActionKind::Commit, 2),
-        ]
-        .into_iter()
-        .collect();
-        Self {
-            costs,
-            caps: BTreeMap::new(),
-        }
-    }
-
-    /// Override the relative cost of `kind`.
-    pub fn with_cost(mut self, kind: ActionKind, cost: u64) -> Self {
-        self.costs.insert(kind, cost);
-        self
-    }
-
-    /// Derive the cost table from *measured* behaviour: the per-kind mean of the
-    /// `exec_micros` recorded in `trace` (the ROADMAP refinement over the static
-    /// defaults). Cache-served records are excluded — a hit times the cache
-    /// probe, not the action, so a warm trace must not flatten the table. Means
-    /// are normalised so the cheapest measured *non-zero* kind costs 1 and
-    /// rounded to the nearest integer (never below 1); kinds with no executed
-    /// record — or whose measured mean is zero, i.e. below timer resolution —
-    /// keep their current cost, and a trace with no usable timings (all zeros,
-    /// or fully cache-served) leaves the table untouched.
-    pub fn with_measured_costs(mut self, trace: &super::trace::ActionTrace) -> Self {
-        let mut sums: BTreeMap<ActionKind, (u64, u64)> = BTreeMap::new();
-        for record in trace.records.iter().filter(|record| !record.cached) {
-            let entry = sums.entry(record.kind).or_insert((0, 0));
-            entry.0 += record.exec_micros;
-            entry.1 += 1;
-        }
-        let means: BTreeMap<ActionKind, f64> = sums
-            .into_iter()
-            .map(|(kind, (total, count))| (kind, total as f64 / count as f64))
-            .collect();
-        let Some(base) = means
-            .values()
-            .copied()
-            .filter(|&mean| mean > 0.0)
-            .fold(None, |min: Option<f64>, mean| {
-                Some(min.map_or(mean, |m| m.min(mean)))
-            })
-        else {
-            return self;
-        };
-        for (kind, mean) in means {
-            if mean <= 0.0 {
-                // Below timer resolution: no measurement, keep the current cost.
-                continue;
-            }
-            self.costs
-                .insert(kind, ((mean / base).round() as u64).max(1));
-        }
-        self
-    }
-
-    /// Bound the number of in-flight actions of `kind` (e.g. limited `sd-compile`
-    /// slots modelling a licensed toolchain). A cap of zero is rejected by
-    /// [`SchedulingPolicy::validate`].
-    pub fn with_cap(mut self, kind: ActionKind, cap: usize) -> Self {
-        self.caps.insert(kind, cap);
-        self
-    }
-}
-
-impl Default for CriticalPathFirst {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SchedulingPolicy for CriticalPathFirst {
-    fn name(&self) -> &str {
-        "critical-path-first"
-    }
-
-    fn action_cost(&self, kind: ActionKind) -> u64 {
-        self.costs.get(&kind).copied().unwrap_or(1)
-    }
-
-    fn concurrency_cap(&self, kind: ActionKind) -> Option<usize> {
-        self.caps.get(&kind).copied()
-    }
-
-    fn critical_path_first(&self) -> bool {
-        true
-    }
-}
-
-/// Weighted fair queuing across tenants, with optional per-tenant quotas.
+/// Weighted fair queuing across tenants.
 ///
 /// The executor keeps one ready-queue lane per tenant and a virtual clock per
-/// lane: each dispatched action advances its lane's clock by
-/// `action_cost / weight`, and a free worker always dispatches from the lane with
-/// the lowest clock. A tenant with weight 2 therefore receives twice the dispatch
-/// share of a weight-1 tenant while both have work queued — and a tenant that
-/// floods the queue cannot starve the others, because its lane's clock races
-/// ahead. Idle tenants re-enter at the current clock instead of replaying banked
-/// credit.
-///
-/// Per-tenant [`ActionKind`] quotas (uniform across tenants) bound how many of a
-/// tenant's actions of one kind may be in flight at once, layered under the
-/// global per-kind caps — e.g. "at most 2 concurrent `sd-compile`s per tenant, 6
-/// globally".
+/// lane: each dispatched action advances its lane's clock by `1 / weight`, and a
+/// free worker always dispatches from the lane with the lowest clock. A tenant
+/// with weight 2 therefore receives twice the dispatch share of a weight-1 tenant
+/// while both have work queued — and a tenant that floods the queue cannot starve
+/// the others, because its lane's clock races ahead. Idle tenants re-enter at the
+/// current clock instead of replaying banked credit.
 ///
 /// Like every policy, fairness changes *when* actions run, never what they
 /// produce: images stay byte-identical under FIFO and fair scheduling.
@@ -301,18 +109,14 @@ impl SchedulingPolicy for CriticalPathFirst {
 pub struct WeightedFair {
     weights: BTreeMap<String, u64>,
     default_weight: u64,
-    caps: BTreeMap<ActionKind, usize>,
-    tenant_caps: BTreeMap<ActionKind, usize>,
 }
 
 impl WeightedFair {
-    /// Fair queuing with every tenant at weight 1 and no caps.
+    /// Fair queuing with every tenant at weight 1.
     pub fn new() -> Self {
         Self {
             weights: BTreeMap::new(),
             default_weight: 1,
-            caps: BTreeMap::new(),
-            tenant_caps: BTreeMap::new(),
         }
     }
 
@@ -328,20 +132,6 @@ impl WeightedFair {
         self.default_weight = weight;
         self
     }
-
-    /// Bound the number of in-flight actions of `kind` across *all* tenants
-    /// (the global cap, identical to [`CriticalPathFirst::with_cap`]).
-    pub fn with_cap(mut self, kind: ActionKind, cap: usize) -> Self {
-        self.caps.insert(kind, cap);
-        self
-    }
-
-    /// Bound the number of in-flight actions of `kind` *per tenant* (the quota
-    /// every tenant lane gets).
-    pub fn with_tenant_cap(mut self, kind: ActionKind, cap: usize) -> Self {
-        self.tenant_caps.insert(kind, cap);
-        self
-    }
 }
 
 impl Default for WeightedFair {
@@ -355,10 +145,6 @@ impl SchedulingPolicy for WeightedFair {
         "weighted-fair"
     }
 
-    fn concurrency_cap(&self, kind: ActionKind) -> Option<usize> {
-        self.caps.get(&kind).copied()
-    }
-
     fn fair_queuing(&self) -> bool {
         true
     }
@@ -369,22 +155,7 @@ impl SchedulingPolicy for WeightedFair {
             .unwrap_or(self.default_weight)
     }
 
-    fn tenant_concurrency_cap(&self, _tenant: Option<&str>, kind: ActionKind) -> Option<usize> {
-        self.tenant_caps.get(&kind).copied()
-    }
-
     fn validate(&self) -> Result<(), PolicyError> {
-        for kind in ActionKind::ALL {
-            if self.concurrency_cap(kind) == Some(0) {
-                return Err(PolicyError::ZeroCap { kind });
-            }
-            if self.tenant_caps.get(&kind) == Some(&0) {
-                return Err(PolicyError::ZeroTenantCap {
-                    tenant: String::new(),
-                    kind,
-                });
-            }
-        }
         if self.default_weight == 0 {
             return Err(PolicyError::ZeroWeight {
                 tenant: String::new(),
@@ -410,180 +181,23 @@ mod tests {
     fn fifo_is_unbounded_and_unit_cost() {
         let policy = Fifo;
         assert_eq!(policy.name(), "fifo");
-        assert!(!policy.critical_path_first());
-        for kind in ActionKind::ALL {
-            assert_eq!(policy.action_cost(kind), 1);
-            assert_eq!(policy.concurrency_cap(kind), None);
-        }
+        assert!(!policy.fair_queuing());
+        assert_eq!(policy.tenant_weight(Some("anyone")), 1);
+        assert_eq!(policy.tenant_weight(None), 1);
         assert!(policy.validate().is_ok());
-    }
-
-    #[test]
-    fn critical_path_first_defaults_make_lowering_dominate() {
-        let policy = CriticalPathFirst::new();
-        assert!(policy.critical_path_first());
-        assert!(
-            policy.action_cost(ActionKind::IrLower) > policy.action_cost(ActionKind::Preprocess)
-        );
-        assert!(
-            policy.action_cost(ActionKind::MachineLower)
-                > policy.action_cost(ActionKind::SdCompile),
-            "lowering stored IR outweighs the few system-dependent glue compiles"
-        );
-        assert!(policy.validate().is_ok());
-    }
-
-    #[test]
-    fn builders_override_costs_and_caps() {
-        let policy = CriticalPathFirst::new()
-            .with_cost(ActionKind::SdCompile, 99)
-            .with_cap(ActionKind::SdCompile, 2);
-        assert_eq!(policy.action_cost(ActionKind::SdCompile), 99);
-        assert_eq!(policy.concurrency_cap(ActionKind::SdCompile), Some(2));
-        assert_eq!(policy.concurrency_cap(ActionKind::Link), None);
-    }
-
-    #[test]
-    fn measured_costs_derive_from_per_kind_exec_micros_means() {
-        use crate::engine::trace::{ActionRecord, ActionTrace};
-        let record = |kind: ActionKind, exec_micros: u64| ActionRecord {
-            kind,
-            label: "m".to_string(),
-            key_digest: None,
-            cached: false,
-            hit_tier: None,
-            coalesced: false,
-            queue_wait_micros: 0,
-            exec_micros,
-            schedule_seq: 0,
-            job: None,
-            tenant: None,
-            ready_submissions: 0,
-            parked_micros: 0,
-            parks: 0,
-        };
-        // Measured micros proportional to the default table (137 µs per cost
-        // unit): the derived costs must reproduce the default table exactly, so
-        // a measured policy schedules identically to the shipped defaults.
-        let defaults = CriticalPathFirst::new();
-        let trace = ActionTrace {
-            records: ActionKind::ALL
-                .iter()
-                .map(|&kind| record(kind, defaults.action_cost(kind) * 137))
-                .collect(),
-            stage_depth: 1,
-            policy: String::new(),
-            tenant: None,
-        };
-        let measured = CriticalPathFirst::new()
-            .with_cost(ActionKind::IrLower, 1) // overwritten by the measurement
-            .with_measured_costs(&trace);
-        for kind in ActionKind::ALL {
-            assert_eq!(
-                measured.action_cost(kind),
-                defaults.action_cost(kind),
-                "{kind}"
-            );
-        }
-        // Multiple records of one kind average; absent kinds keep their cost,
-        // and an all-zero trace changes nothing.
-        let skewed = ActionTrace {
-            records: vec![
-                record(ActionKind::Preprocess, 100),
-                record(ActionKind::Preprocess, 300),
-                record(ActionKind::IrLower, 1000),
-            ],
-            stage_depth: 1,
-            policy: String::new(),
-            tenant: None,
-        };
-        let derived = CriticalPathFirst::new().with_measured_costs(&skewed);
-        assert_eq!(derived.action_cost(ActionKind::Preprocess), 1);
-        assert_eq!(derived.action_cost(ActionKind::IrLower), 5, "1000/200");
-        assert_eq!(
-            derived.action_cost(ActionKind::Commit),
-            CriticalPathFirst::new().action_cost(ActionKind::Commit)
-        );
-        // A kind measured at 0 µs (below timer resolution) is no measurement:
-        // it keeps its configured cost instead of collapsing to 1.
-        let sub_resolution = ActionTrace {
-            records: vec![
-                record(ActionKind::SdCompile, 500),
-                record(ActionKind::Link, 0),
-            ],
-            stage_depth: 1,
-            policy: String::new(),
-            tenant: None,
-        };
-        let kept = CriticalPathFirst::new()
-            .with_cost(ActionKind::Link, 4)
-            .with_measured_costs(&sub_resolution);
-        assert_eq!(kept.action_cost(ActionKind::Link), 4);
-        assert_eq!(
-            kept.action_cost(ActionKind::SdCompile),
-            1,
-            "only measured kind"
-        );
-        let empty = CriticalPathFirst::new().with_measured_costs(&ActionTrace::default());
-        for kind in ActionKind::ALL {
-            assert_eq!(empty.action_cost(kind), defaults.action_cost(kind));
-        }
-        // Cache-served records time the probe, not the action: a fully warm
-        // trace must leave the table untouched instead of flattening it.
-        let mut hit = record(ActionKind::IrLower, 3);
-        hit.cached = true;
-        let warm = ActionTrace {
-            records: vec![hit],
-            stage_depth: 1,
-            policy: String::new(),
-            tenant: None,
-        };
-        let unchanged = CriticalPathFirst::new().with_measured_costs(&warm);
-        for kind in ActionKind::ALL {
-            assert_eq!(unchanged.action_cost(kind), defaults.action_cost(kind));
-        }
-    }
-
-    #[test]
-    fn zero_caps_fail_validation_with_the_offending_kind() {
-        let policy = CriticalPathFirst::new().with_cap(ActionKind::SdCompile, 0);
-        let error = policy.validate().unwrap_err();
-        assert_eq!(
-            error,
-            PolicyError::ZeroCap {
-                kind: ActionKind::SdCompile
-            }
-        );
-        assert!(error.to_string().contains("sd-compile"));
     }
 
     #[test]
     fn weighted_fair_reports_tenant_weights_and_quotas() {
         let policy = WeightedFair::new()
             .with_weight("gold", 4)
-            .with_default_weight(2)
-            .with_cap(ActionKind::SdCompile, 6)
-            .with_tenant_cap(ActionKind::SdCompile, 2);
+            .with_default_weight(2);
         assert_eq!(policy.name(), "weighted-fair");
         assert!(policy.fair_queuing());
-        assert!(!policy.critical_path_first());
         assert_eq!(policy.tenant_weight(Some("gold")), 4);
         assert_eq!(policy.tenant_weight(Some("anonymous")), 2);
         assert_eq!(policy.tenant_weight(None), 2);
-        assert_eq!(policy.concurrency_cap(ActionKind::SdCompile), Some(6));
-        assert_eq!(
-            policy.tenant_concurrency_cap(Some("gold"), ActionKind::SdCompile),
-            Some(2)
-        );
-        assert_eq!(
-            policy.tenant_concurrency_cap(Some("gold"), ActionKind::Link),
-            None
-        );
         assert!(policy.validate().is_ok());
-        // The single-tenant policies stay tenant-blind.
-        assert!(!Fifo.fair_queuing());
-        assert!(!CriticalPathFirst::new().fair_queuing());
-        assert_eq!(Fifo.tenant_weight(Some("anyone")), 1);
     }
 
     #[test]
@@ -605,25 +219,5 @@ mod tests {
             zero_default.validate().unwrap_err(),
             PolicyError::ZeroWeight { .. }
         ));
-        let zero_quota = WeightedFair::new().with_tenant_cap(ActionKind::IrLower, 0);
-        assert!(matches!(
-            zero_quota.validate().unwrap_err(),
-            PolicyError::ZeroTenantCap {
-                kind: ActionKind::IrLower,
-                ..
-            }
-        ));
-        assert!(zero_quota
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("ir-lower"));
-        let zero_cap = WeightedFair::new().with_cap(ActionKind::Commit, 0);
-        assert_eq!(
-            zero_cap.validate().unwrap_err(),
-            PolicyError::ZeroCap {
-                kind: ActionKind::Commit
-            }
-        );
     }
 }

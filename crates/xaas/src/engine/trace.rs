@@ -35,8 +35,7 @@ pub enum ActionKind {
 }
 
 impl ActionKind {
-    /// Every action kind, in pipeline order. Scheduling policies iterate this to
-    /// declare per-kind costs and concurrency caps.
+    /// Every action kind, in pipeline order.
     pub const ALL: [ActionKind; 7] = [
         ActionKind::Preprocess,
         ActionKind::OpenMpDetect,
@@ -114,7 +113,7 @@ pub struct ActionRecord {
     pub coalesced: bool,
     /// Microseconds the action spent in the ready queue (from becoming runnable —
     /// dependencies satisfied — to a worker dispatching it). Scheduling-policy
-    /// effects (priorities, per-kind concurrency caps) show up here.
+    /// effects (which tenant lane dispatches first) show up here.
     #[serde(default)]
     pub queue_wait_micros: u64,
     /// Microseconds the action spent executing (or being served from the cache).
@@ -146,15 +145,14 @@ pub struct ActionRecord {
     /// equality.
     #[serde(default)]
     pub ready_submissions: u64,
-    /// Microseconds this action spent *parked* — as a continuation on another
-    /// worker's single-flight computation, or cap-deferred waiting for a
-    /// concurrency slot. A subset of `queue_wait_micros`'s story told separately:
+    /// Microseconds this action spent *parked* as a continuation on another
+    /// worker's single-flight computation of the same key. A subset of
+    /// `queue_wait_micros`'s story told separately:
     /// parked time is contention, plain queue wait is backlog. Scheduling
     /// diagnostic, excluded from equality like the other clocks.
     #[serde(default)]
     pub parked_micros: u64,
-    /// How many times this action parked (flight waits plus cap deferrals)
-    /// before completing. Scheduling diagnostic, excluded from equality.
+    /// How many times this action parked on a cache flight before completing. Scheduling diagnostic, excluded from equality.
     #[serde(default)]
     pub parks: u64,
 }
@@ -217,7 +215,7 @@ pub struct ActionTrace {
     /// `records.len()` serial steps; a parallel one needs only `stage_depth` waves.
     pub stage_depth: usize,
     /// Name of the [`SchedulingPolicy`](crate::engine::SchedulingPolicy) the engine
-    /// scheduled the run under (`"fifo"`, `"critical-path-first"`, …).
+    /// scheduled the run under (`"fifo"`, `"weighted-fair"`, …).
     #[serde(default)]
     pub policy: String,
     /// The tenant the submitting engine was tagged with, if any (attribution
@@ -316,8 +314,8 @@ impl ActionTrace {
     }
 
     /// Total ready-queue wait per [`ActionKind`], in microseconds. This is where
-    /// scheduling-policy effects (per-kind concurrency caps, priority inversion)
-    /// become visible and assertable.
+    /// scheduling-policy effects (one tenant's lane waiting on another's) become
+    /// visible and assertable.
     pub fn queue_wait_micros_by_kind(&self) -> BTreeMap<ActionKind, u64> {
         let mut waits = BTreeMap::new();
         for record in &self.records {
@@ -379,8 +377,8 @@ impl ActionTrace {
     /// Action identities in the order the scheduling policy dispatched them
     /// (ascending [`ActionRecord::schedule_seq`]). Unlike [`records`](Self::records)
     /// — which are always in node order — this order *does* depend on the policy:
-    /// `Fifo` and `CriticalPathFirst` runs of the same graph differ here while
-    /// producing byte-identical artifacts.
+    /// `Fifo` and `WeightedFair` runs of the same tenant-tagged submissions differ
+    /// here while producing byte-identical artifacts.
     pub fn execution_order(&self) -> Vec<String> {
         let mut ordered: Vec<&ActionRecord> = self.records.iter().collect();
         ordered.sort_by_key(|r| r.schedule_seq);

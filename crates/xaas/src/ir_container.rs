@@ -260,7 +260,7 @@ pub enum IrPipelineError {
     UnknownSource { file: String },
     /// A cached artifact failed to decode (action-cache corruption).
     Cache(String),
-    /// The orchestrator's scheduling policy is invalid (e.g. a zero concurrency cap).
+    /// The orchestrator's scheduling policy is invalid (e.g. a zero tenant weight).
     Policy(crate::engine::PolicyError),
     /// The pre-submission static analyzer rejected the build graph (deny-level
     /// diagnostics); nothing executed.

@@ -72,9 +72,9 @@ pub mod prelude {
     pub use crate::deploy::{DeployError, DeploymentStats, IrDeployment, LoweredDeployment};
     pub use crate::engine::{
         ActionGraph, ActionId, ActionInputs, ActionKind, ActionRecord, ActionTrace, AnalysisReport,
-        CriticalPathFirst, Diagnostic, DiagnosticCode, Engine, Fifo, GraphAnalyzer, GraphFault,
-        GraphHandle, GraphRun, GraphRunError, GraphStatus, NodeOutcome, PolicyError, QueueStats,
-        SchedulingPolicy, Severity, WeightedFair,
+        Diagnostic, DiagnosticCode, Engine, Fifo, GraphAnalyzer, GraphFault, GraphHandle, GraphRun,
+        GraphRunError, GraphStatus, NodeOutcome, PolicyError, QueueStats, SchedulingPolicy,
+        Severity, WeightedFair,
     };
     pub use crate::gpu_compat::{
         bundle_compatibility, detect_runtime_requirement, plan_bundle, DeviceCodeBundle,

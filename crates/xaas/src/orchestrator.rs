@@ -41,8 +41,8 @@
 //! [`SourceDeployment`], [`FleetReport`]), each carrying the run's
 //! [`ActionTrace`]. The orchestrator validates its
 //! scheduling policy up front, so an invalid configuration (e.g. a zero
-//! `sd-compile` concurrency cap) surfaces as a typed error before any action runs
-//! — never as a panic or a deadlock.
+//! fair-queuing weight) surfaces as a typed error before any action runs — never
+//! as a panic or a starved lane.
 
 use crate::deploy::{finish_ir_deploy, graft_ir_deploy, plan_ir_deploy};
 use crate::deploy::{DeployError, DeployPlan, IrDeployment};
@@ -193,15 +193,15 @@ enum CacheChoice {
 /// scheduling policy.
 ///
 /// ```
-/// use xaas::engine::{ActionKind, CriticalPathFirst};
+/// use xaas::engine::WeightedFair;
 /// use xaas::orchestrator::Orchestrator;
 ///
 /// let orch = Orchestrator::builder()
 ///     .workers(4)
-///     .policy(CriticalPathFirst::new().with_cap(ActionKind::SdCompile, 2))
+///     .policy(WeightedFair::new().with_weight("alice", 3))
 ///     .build();
 /// assert_eq!(orch.workers(), 4);
-/// assert_eq!(orch.policy().name(), "critical-path-first");
+/// assert_eq!(orch.policy().name(), "weighted-fair");
 /// ```
 #[derive(Default)]
 pub struct OrchestratorBuilder {
@@ -852,7 +852,7 @@ fn run_union_wave(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{ActionKind, CriticalPathFirst};
+    use crate::engine::{ActionKind, PolicyError, WeightedFair};
     use xaas_apps::lulesh;
 
     fn lulesh_sweep() -> (ProjectSpec, IrPipelineConfig) {
@@ -917,12 +917,13 @@ mod tests {
             .unwrap();
 
         let broken = Orchestrator::builder()
-            .policy(CriticalPathFirst::new().with_cap(ActionKind::SdCompile, 0))
+            .policy(WeightedFair::new().with_weight("t", 0))
             .build();
+        let zero_weight = |error: &PolicyError| matches!(error, PolicyError::ZeroWeight { tenant } if tenant == "t");
         let build_error = IrBuildRequest::new(&project, &config)
             .submit(&broken)
             .unwrap_err();
-        assert!(matches!(build_error, IrPipelineError::Policy(_)));
+        assert!(matches!(&build_error, IrPipelineError::Policy(e) if zero_weight(e)));
 
         let system = SystemModel::ault23();
         let deploy_error = IrDeployRequest::new(&build, &project, &system)
@@ -930,7 +931,7 @@ mod tests {
             .select("WITH_OPENMP", "OFF")
             .submit(&broken)
             .unwrap_err();
-        assert!(matches!(deploy_error, DeployError::Policy(_)));
+        assert!(matches!(&deploy_error, DeployError::Policy(e) if zero_weight(e)));
 
         let source_image = crate::source_container::build_source_container(
             &project,
@@ -941,7 +942,7 @@ mod tests {
         let source_error = SourceDeployRequest::new(&project, &source_image, &system)
             .submit(&broken)
             .unwrap_err();
-        assert!(matches!(source_error, SourceContainerError::Policy(_)));
+        assert!(matches!(&source_error, SourceContainerError::Policy(e) if zero_weight(e)));
 
         let report = FleetRequest::new(&build, &project)
             .target(FleetTarget::best_for(

@@ -12,7 +12,7 @@ use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use xaas::prelude::*;
-use xaas::service::{AdmissionError, OrchestratorService, ServiceError};
+use xaas::service::{AdmissionError, OrchestratorService, ServiceError, ServiceRequest};
 use xaas_apps::lulesh;
 use xaas_container::{ActionCache, BuildKey, ImageStore};
 
@@ -24,24 +24,24 @@ fn engine() -> Engine {
     Engine::cached(&ActionCache::new(ImageStore::new())).with_workers(2)
 }
 
-/// A policy whose `validate` lies (reports itself healthy) while starving a
-/// kind with a zero concurrency cap — the only way a zero cap can get past
-/// the orchestrator's up-front policy check and reach the analyzer.
-#[derive(Debug)]
-struct LyingZeroCap(ActionKind);
-
-impl SchedulingPolicy for LyingZeroCap {
-    fn name(&self) -> &'static str {
-        "lying-zero-cap"
+/// Four keyed `Commit` nodes with no dependencies (`XA-STR-005`, deny), each of
+/// which would bump `ran` and insert a cache entry if it ever executed.
+fn denied_graph(ran: &Arc<AtomicUsize>) -> ActionGraph<'static, Infallible> {
+    let mut graph = ActionGraph::new();
+    for i in 0..4 {
+        let ran = Arc::clone(ran);
+        graph.add_cached(
+            ActionKind::Commit,
+            format!("commit{i}"),
+            key(&format!("side-effect-{i}")),
+            &[],
+            move |_| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                Ok(vec![i])
+            },
+        );
     }
-
-    fn concurrency_cap(&self, kind: ActionKind) -> Option<usize> {
-        (kind == self.0).then_some(0)
-    }
-
-    fn validate(&self) -> Result<(), PolicyError> {
-        Ok(())
-    }
+    graph
 }
 
 /// The non-`Commit` kinds, for cycling labels over generated nodes.
@@ -104,18 +104,6 @@ fn cross_job_edge_is_flagged_but_admitted_under_strict() {
         "warnings must not reject a submission"
     );
     assert!(engine.submit_graph(graph).is_ok());
-}
-
-#[test]
-fn cap_starved_kind_is_denied_with_sch_001() {
-    let engine = engine().with_policy(LyingZeroCap(ActionKind::SdCompile));
-    let mut graph: ActionGraph<'static, Infallible> = ActionGraph::new();
-    graph.add(ActionKind::SdCompile, "starved", &[], |_| Ok(vec![0]));
-    let report = engine
-        .submit_graph(graph)
-        .expect_err("a zero cap on a demanded kind can never execute");
-    assert!(report.has_code(DiagnosticCode::ZeroCapKind));
-    assert_eq!(report.denies(), 1);
 }
 
 #[test]
@@ -184,26 +172,13 @@ fn derived_key_without_dependencies_is_denied_with_str_006() {
 #[test]
 fn denied_graphs_execute_nothing_and_touch_no_state() {
     let cache = ActionCache::new(ImageStore::new());
-    let engine = Engine::cached(&cache)
-        .with_workers(2)
-        .with_policy(LyingZeroCap(ActionKind::Link));
+    let engine = Engine::cached(&cache).with_workers(2);
     let ran = Arc::new(AtomicUsize::new(0));
-    let mut graph: ActionGraph<'static, Infallible> = ActionGraph::new();
     let before = engine.cache_stats();
-    for i in 0..4 {
-        let ran = Arc::clone(&ran);
-        graph.add_cached(
-            ActionKind::Link,
-            format!("link{i}"),
-            key(&format!("side-effect-{i}")),
-            &[],
-            move |_| {
-                ran.fetch_add(1, Ordering::SeqCst);
-                Ok(vec![i])
-            },
-        );
-    }
-    let report = engine.submit_graph(graph).expect_err("zero cap denies");
+    let report = engine
+        .submit_graph(denied_graph(&ran))
+        .expect_err("commits of nothing are denied");
+    assert_eq!(report.with_code(DiagnosticCode::CommitNoDeps).count(), 4);
     assert!(report.is_rejected());
     assert_eq!(ran.load(Ordering::SeqCst), 0, "no action may have run");
     let after = engine.cache_stats();
@@ -214,44 +189,72 @@ fn denied_graphs_execute_nothing_and_touch_no_state() {
     assert_eq!(engine.queue_stats().queued_actions, 0);
 }
 
-/// Through the service, a deny-level verdict surfaces as a typed *admission*
-/// refusal — [`AdmissionError::Invalid`] carrying the full report — because
-/// the request was refused before any of its actions ran.
-#[test]
-fn service_surfaces_analysis_rejection_as_admission_invalid() {
-    let service = OrchestratorService::builder()
-        .workers(2)
-        .policy(LyingZeroCap(ActionKind::Preprocess))
-        .build();
-    let session = service.session("tenant-a");
-    let project = lulesh::project();
-    let config = IrPipelineConfig::sweep_options(&project, &["WITH_MPI", "WITH_OPENMP"]);
-    let error = session
-        .submit(IrBuildRequest::new(&project, &config))
-        .expect_err("the stage-A graph demands the starved kind");
-    match error {
-        ServiceError::Admission(AdmissionError::Invalid(report)) => {
-            assert!(report.has_code(DiagnosticCode::ZeroCapKind));
-            assert!(report.is_rejected());
-        }
-        other => panic!("expected AdmissionError::Invalid, got {other:?}"),
+/// A request whose `execute` does what every driver does first — preflight its
+/// graph on the session's engine and return the report as its error.
+struct DeniedRequest(Arc<AtomicUsize>);
+
+impl ServiceRequest for DeniedRequest {
+    type Output = ();
+    type Error = Box<AnalysisReport>;
+
+    fn execute(self, orch: &Orchestrator) -> Result<(), Self::Error> {
+        orch.engine().preflight(&denied_graph(&self.0))
+    }
+
+    fn analysis_rejection(error: Self::Error) -> Result<Box<AnalysisReport>, Self::Error> {
+        Ok(error)
     }
 }
 
-/// The request-level lint reports the same defect without submitting at all.
+/// Through the service, a deny-level verdict surfaces as a typed *admission*
+/// refusal — [`AdmissionError::Invalid`] carrying the full report — because
+/// the request was refused before any of its actions ran. The three driver
+/// error types map their `Analysis` variant onto that path.
+#[test]
+fn service_surfaces_analysis_rejection_as_admission_invalid() {
+    let service = OrchestratorService::builder().workers(2).build();
+    let session = service.session("tenant-a");
+    let ran = Arc::new(AtomicUsize::new(0));
+    let error = session
+        .submit(DeniedRequest(Arc::clone(&ran)))
+        .expect_err("the graph commits images assembled from nothing");
+    let report = match error {
+        ServiceError::Admission(AdmissionError::Invalid(report)) => report,
+        other => panic!("expected AdmissionError::Invalid, got {other:?}"),
+    };
+    assert!(report.has_code(DiagnosticCode::CommitNoDeps));
+    assert!(report.is_rejected());
+    assert_eq!(report.tenant.as_deref(), Some("tenant-a"));
+    assert_eq!(ran.load(Ordering::SeqCst), 0);
+
+    assert_eq!(
+        IrBuildRequest::analysis_rejection(IrPipelineError::Analysis(report.clone())).ok(),
+        Some(report.clone())
+    );
+    assert_eq!(
+        IrDeployRequest::analysis_rejection(DeployError::Analysis(report.clone())).ok(),
+        Some(report.clone())
+    );
+    assert_eq!(
+        SourceDeployRequest::analysis_rejection(SourceContainerError::Analysis(report.clone()))
+            .ok(),
+        Some(report)
+    );
+}
+
+/// The request-level lint plans the graph and reports on it without
+/// submitting anything.
 #[test]
 fn request_analyze_reports_policy_defects_without_executing() {
-    let orch = Orchestrator::builder()
-        .workers(2)
-        .policy(LyingZeroCap(ActionKind::Preprocess))
-        .build();
+    let orch = Orchestrator::builder().workers(2).build();
     let project = lulesh::project();
     let config = IrPipelineConfig::sweep_options(&project, &["WITH_MPI", "WITH_OPENMP"]);
     let before = orch.cache_stats();
     let report = IrBuildRequest::new(&project, &config)
         .analyze(&orch)
         .expect("planning succeeds; the verdict is the report");
-    assert!(report.has_code(DiagnosticCode::ZeroCapKind));
+    assert!(!report.is_rejected(), "{report}");
+    assert_eq!(report.policy, "fifo");
     assert!(report.nodes > 0, "the stage-A graph was actually planned");
     let after = orch.cache_stats();
     assert_eq!(after.misses, before.misses, "analyze must not execute");

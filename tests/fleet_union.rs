@@ -429,18 +429,16 @@ fn plan_time_failures_are_isolated_and_carry_no_action() {
     );
 }
 
-/// The per-job traces partition the merged wave trace (per-kind counts sum to
-/// the union trace), and under `CriticalPathFirst` with a bounded `sd-compile`
-/// slot the wave's dispatch order *interleaves* jobs — extending the PR 4
-/// reorder property to fleets — while images stay byte-identical to FIFO.
+/// The per-job traces partition the merged wave trace: per-kind counts sum to
+/// the union trace, and every record carries its job tag.
 #[test]
-fn wave_trace_partitions_per_job_and_critical_path_first_interleaves_jobs() {
+fn wave_trace_partitions_per_job() {
     let project = xaas_apps::gromacs::project();
     let store = ImageStore::new();
     let pipeline = IrPipelineConfig::sweep_options(&project, &["GMX_SIMD", "GMX_MPI"])
         .with_values("GMX_SIMD", &["SSE4.1", "AVX_512"]);
     let build = IrBuildRequest::new(&project, &pipeline)
-        .reference("union:interleave")
+        .reference("union:partition")
         .submit(&Orchestrator::uncached(&store))
         .unwrap();
     let targets = [
@@ -459,140 +457,21 @@ fn wave_trace_partitions_per_job_and_critical_path_first_interleaves_jobs() {
             SimdLevel::Sse41,
         ),
     ];
-    let submit = |policy: Option<CriticalPathFirst>| {
-        let mut builder = Orchestrator::builder()
-            .action_cache(ActionCache::new(store.clone()))
-            .workers(1); // deterministic dispatch order
-        if let Some(policy) = policy {
-            builder = builder.policy(policy);
+    let report = FleetRequest::new(&build, &project)
+        .targets(targets)
+        .submit(&Orchestrator::with_cache(&ActionCache::new(store.clone())));
+    assert!(report.all_succeeded());
+
+    let mut summed: BTreeMap<ActionKind, usize> = BTreeMap::new();
+    for deployment in report.deployments() {
+        for (kind, count) in deployment.trace.by_kind() {
+            *summed.entry(kind).or_insert(0) += count;
         }
-        FleetRequest::new(&build, &project)
-            .targets(targets.iter().cloned())
-            .submit(&builder.build())
-    };
-    let fifo = submit(None);
-    let cpf = submit(Some(
-        CriticalPathFirst::new().with_cap(ActionKind::SdCompile, 1),
-    ));
-    assert!(fifo.all_succeeded() && cpf.all_succeeded());
-
-    for report in [&fifo, &cpf] {
-        // The per-job traces partition the wave trace: per-kind counts sum up.
-        let mut summed: BTreeMap<ActionKind, usize> = BTreeMap::new();
-        for deployment in report.deployments() {
-            for (kind, count) in deployment.trace.by_kind() {
-                *summed.entry(kind).or_insert(0) += count;
-            }
-        }
-        assert_eq!(summed, report.trace.by_kind());
-        assert_eq!(
-            report.trace.len(),
-            report.deployments().map(|d| d.trace.len()).sum::<usize>()
-        );
-        // Every record carries its job tag.
-        assert!(report.trace.records.iter().all(|r| r.job.is_some()));
     }
-
-    // Dispatch-order job sequence: FIFO visits jobs in grafting blocks
-    // (job 0's frontier first); critical-path-first interleaves the jobs'
-    // heavy machine-lower chains ahead of job 0's cheap preprocess.
-    let job_sequence = |report: &FleetReport| -> Vec<usize> {
-        let mut records: Vec<_> = report.trace.records.iter().collect();
-        records.sort_by_key(|r| r.schedule_seq);
-        records.iter().map(|r| r.job.unwrap()).collect()
-    };
-    let switches = |sequence: &[usize]| sequence.windows(2).filter(|w| w[0] != w[1]).count();
-    let fifo_sequence = job_sequence(&fifo);
-    let cpf_sequence = job_sequence(&cpf);
-    assert_ne!(fifo_sequence, cpf_sequence, "policies reorder the wave");
-    assert!(
-        switches(&cpf_sequence) > switches(&fifo_sequence).max(1),
-        "critical-path-first must interleave jobs: fifo {fifo_sequence:?} vs cpf {cpf_sequence:?}"
-    );
-
-    // ...while producing byte-identical images.
-    for (f, c) in fifo.outcomes.iter().zip(&cpf.outcomes) {
-        let f = f.deployment.as_ref().unwrap();
-        let c = c.deployment.as_ref().unwrap();
-        assert_eq!(f.image.layers, c.image.layers);
-        assert_eq!(f.trace.records, c.trace.records);
-    }
-}
-
-/// The measured-costs scheduling seam on the GROMACS sweep: a cost table derived
-/// from a trace whose per-kind timings mirror the default table reproduces the
-/// default `CriticalPathFirst` dispatch order exactly, and a table derived from
-/// the sweep's *actually recorded* timings still yields byte-identical images.
-#[test]
-fn measured_costs_reproduce_the_default_ordering_on_the_gromacs_sweep() {
-    use xaas::engine::{ActionRecord, ActionTrace, SchedulingPolicy};
-    let project = xaas_apps::gromacs::project();
-    let store = ImageStore::new();
-    let pipeline = IrPipelineConfig::sweep_options(&project, &["GMX_SIMD", "GMX_MPI"])
-        .with_values("GMX_SIMD", &["SSE4.1", "AVX_512"]);
-    let build = IrBuildRequest::new(&project, &pipeline)
-        .reference("union:measured")
-        .submit(&Orchestrator::uncached(&store))
-        .unwrap();
-    let deploy = |policy: CriticalPathFirst| {
-        IrDeployRequest::new(&build, &project, &SystemModel::ault23())
-            .select("GMX_SIMD", "AVX_512")
-            .select("GMX_MPI", "ON")
-            .simd(SimdLevel::Avx512)
-            .submit(
-                &Orchestrator::builder()
-                    .uncached(store.clone())
-                    .workers(1)
-                    .policy(policy)
-                    .build(),
-            )
-            .unwrap()
-    };
-    let default_cpf = deploy(CriticalPathFirst::new());
-
-    // A trace whose per-kind exec_micros are proportional to the default cost
-    // table derives *exactly* the default costs — and therefore the same order.
-    let defaults = CriticalPathFirst::new();
-    let mirrored = ActionTrace {
-        records: ActionKind::ALL
-            .iter()
-            .map(|&kind| ActionRecord {
-                kind,
-                label: "measured".into(),
-                key_digest: None,
-                cached: false,
-                hit_tier: None,
-                coalesced: false,
-                queue_wait_micros: 0,
-                parked_micros: 0,
-                parks: 0,
-                exec_micros: defaults.action_cost(kind) * 250,
-                schedule_seq: 0,
-                job: None,
-                tenant: None,
-                ready_submissions: 0,
-            })
-            .collect(),
-        stage_depth: 1,
-        policy: String::new(),
-        tenant: None,
-    };
-    let measured = CriticalPathFirst::new().with_measured_costs(&mirrored);
-    for kind in ActionKind::ALL {
-        assert_eq!(measured.action_cost(kind), defaults.action_cost(kind));
-    }
-    let measured_run = deploy(measured);
+    assert_eq!(summed, report.trace.by_kind());
     assert_eq!(
-        measured_run.trace.execution_order(),
-        default_cpf.trace.execution_order(),
-        "mirrored measurements reproduce the default dispatch order"
+        report.trace.len(),
+        report.deployments().map(|d| d.trace.len()).sum::<usize>()
     );
-
-    // Costs derived from the *recorded* timings of the sweep deploy are a valid
-    // policy and never change artifacts, only scheduling.
-    let recorded = CriticalPathFirst::new().with_measured_costs(&default_cpf.trace);
-    assert!(recorded.validate().is_ok());
-    let recorded_run = deploy(recorded);
-    assert_eq!(recorded_run.image.layers, default_cpf.image.layers);
-    assert_eq!(recorded_run.trace.records, default_cpf.trace.records);
+    assert!(report.trace.records.iter().all(|r| r.job.is_some()));
 }

@@ -266,10 +266,10 @@ fn ad_hoc_graphs_share_the_pipeline_cache() {
     assert_eq!(cache.peek(&key).unwrap(), b"artifact");
 }
 
-/// Scheduling policies reorder the dispatch of ready actions (observable through
-/// `schedule_seq`) and bound per-kind concurrency, but never change artifacts: a
-/// `CriticalPathFirst` deployment with one bounded `sd-compile` slot commits the
-/// byte-identical image a `Fifo` deployment commits.
+/// Scheduling policies decide the dispatch order of ready actions (observable
+/// through `schedule_seq`) but never change artifacts: a tenant-tagged
+/// `WeightedFair` deployment commits the byte-identical image a `Fifo`
+/// deployment commits.
 #[test]
 fn scheduling_policies_reorder_dispatch_without_changing_artifacts() {
     let project = gromacs::project();
@@ -297,30 +297,35 @@ fn scheduling_policies_reorder_dispatch_without_changing_artifacts() {
             .workers(4)
             .build(),
     );
-    let cpf_store = ImageStore::new();
-    let cpf = deploy(
+    let fair_store = ImageStore::new();
+    let fair = deploy(
         &Orchestrator::builder()
-            .uncached(cpf_store.clone())
+            .uncached(fair_store.clone())
             .workers(4)
-            .policy(CriticalPathFirst::new().with_cap(ActionKind::SdCompile, 1))
-            .build(),
+            .policy(WeightedFair::new().with_weight("alice", 3))
+            .build()
+            .for_tenant("alice"),
     );
 
     assert!(
-        cpf.lowered().unwrap().stats.compiled_source_units > 0,
+        fair.lowered().unwrap().stats.compiled_source_units > 0,
         "sd-compiles present"
     );
     assert_eq!(fifo.trace.policy, "fifo");
-    assert_eq!(cpf.trace.policy, "critical-path-first");
-    // The two policies dispatch the same nodes in different orders (both start with
-    // `machine-lower|src/mdrun/nonbonded.ck`, so only the full `execution_order()`
-    // tells them apart)...
-    assert_ne!(fifo.trace.execution_order(), cpf.trace.execution_order());
-    // ...but identical records, artifacts, and committed digests.
-    assert_eq!(fifo.trace.records, cpf.trace.records);
-    assert_eq!(fifo.image.layers, cpf.image.layers);
+    assert_eq!(fair.trace.policy, "weighted-fair");
+    assert_eq!(fair.trace.tenant.as_deref(), Some("alice"));
+    // The two policies dispatch the same nodes, in whatever order each chose...
+    let dispatched = |deployment: &IrDeployment| {
+        let mut order = deployment.trace.execution_order();
+        order.sort();
+        order
+    };
+    assert_eq!(dispatched(&fifo), dispatched(&fair));
+    // ...with identical records, artifacts, and committed digests.
+    assert_eq!(fifo.trace.records, fair.trace.records);
+    assert_eq!(fifo.image.layers, fair.image.layers);
     assert_eq!(
         fifo_store.resolve(&fifo.reference).unwrap(),
-        cpf_store.resolve(&cpf.reference).unwrap()
+        fair_store.resolve(&fair.reference).unwrap()
     );
 }

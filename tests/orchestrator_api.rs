@@ -5,7 +5,6 @@
 
 use std::collections::BTreeMap;
 use std::time::Duration;
-use xaas::engine::ActionKind;
 use xaas::prelude::*;
 use xaas_buildsys::{ProjectSpec, SourceSpec, TargetKind, TargetSpec};
 use xaas_container::ImageStore;
@@ -102,17 +101,17 @@ fn failing_compile_on_a_nocache_miss_returns_the_typed_compile_error() {
     );
 }
 
-/// A policy with a zero concurrency cap is rejected up front with a typed error on
-/// every request type — the executor is never handed an unrunnable graph.
+/// A policy with a zero tenant weight is rejected up front with a typed error on
+/// every request type — the executor is never handed a lane it would starve.
 #[test]
-fn zero_concurrency_cap_is_rejected_before_any_action_runs() {
+fn zero_tenant_weight_is_rejected_before_any_action_runs() {
     let project = tiny_project(VALID_SOURCE, vec!["src/main.ck".into()]);
     let config = IrPipelineConfig::sweep_options(&project, &[]);
     let broken = Orchestrator::builder()
-        .policy(CriticalPathFirst::new().with_cap(ActionKind::IrLower, 0))
+        .policy(WeightedFair::new().with_weight("t", 0))
         .build();
 
-    let (build_error, deploy_error, fleet_report) = with_timeout(30, move || {
+    let (build_error, deploy_error, source_error, fleet_report) = with_timeout(30, move || {
         let valid = Orchestrator::new();
         let build = IrBuildRequest::new(&project, &config)
             .submit(&valid)
@@ -124,29 +123,43 @@ fn zero_concurrency_cap_is_rejected_before_any_action_runs() {
         let deploy_error = IrDeployRequest::new(&build, &project, &system)
             .submit(&broken)
             .unwrap_err();
+        let source_image = xaas::source_container::build_source_container(
+            &project,
+            xaas_container::Architecture::Amd64,
+            valid.store(),
+            "tiny:src",
+        );
+        let source_error = SourceDeployRequest::new(&project, &source_image, &system)
+            .submit(&broken)
+            .unwrap_err();
         let fleet_report = FleetRequest::new(&build, &project)
             .target(FleetTarget::best_for(
                 system.clone(),
                 xaas_buildsys::OptionAssignment::new(),
             ))
             .submit(&broken);
-        (build_error, deploy_error, fleet_report)
+        (build_error, deploy_error, source_error, fleet_report)
     });
 
+    let zero_weight =
+        |error: &PolicyError| matches!(error, PolicyError::ZeroWeight { tenant } if tenant == "t");
     assert!(
-        matches!(build_error, IrPipelineError::Policy(PolicyError::ZeroCap { kind })
-            if kind == ActionKind::IrLower),
+        matches!(&build_error, IrPipelineError::Policy(error) if zero_weight(error)),
         "got {build_error}"
     );
     assert!(
-        matches!(deploy_error, DeployError::Policy(_)),
+        matches!(&deploy_error, DeployError::Policy(error) if zero_weight(error)),
         "got {deploy_error}"
+    );
+    assert!(
+        matches!(&source_error, SourceContainerError::Policy(error) if zero_weight(error)),
+        "got {source_error}"
     );
     assert!(!fleet_report.all_succeeded());
     assert_eq!(fleet_report.jobs_executed, 1);
     let fleet_error = fleet_report.outcomes[0].deployment.as_ref().unwrap_err();
     assert!(
-        fleet_error.message.contains("zero concurrent actions"),
+        fleet_error.message.contains("weight of zero"),
         "{fleet_error}"
     );
     // Nothing ran: the invalid session never dispatched an action.

@@ -369,20 +369,20 @@ proptest! {
     }
 
     /// Scheduling-policy soundness (the orchestrator acceptance property): for
-    /// arbitrary SIMD sweeps and worker counts, deploying the GROMACS MPI sweep
-    /// under `CriticalPathFirst` with a bounded `sd-compile` slot produces a valid
-    /// `ActionTrace` whose dispatch order differs from `Fifo` (FIFO starts the
-    /// artifact frontier with the manifest-order sd-compile; critical-path-first
-    /// with the heaviest machine-lower) while the final images stay byte-identical.
+    /// arbitrary SIMD sweeps, worker counts and tenant weights, two tenants
+    /// deploying the GROMACS MPI sweep concurrently through one `WeightedFair`
+    /// orchestrator each leave a valid `ActionTrace` — the records of the `Fifo`
+    /// run, dispatched in whatever order the lanes interleaved — while the final
+    /// images stay byte-identical.
     #[test]
-    fn critical_path_first_reorders_dispatch_but_images_stay_byte_identical(
+    fn fair_queuing_may_reorder_dispatch_but_images_stay_byte_identical(
         sweep_simd in proptest::sample::subsequence(vec!["SSE4.1", "AVX_256", "AVX_512"], 1..=3),
         workers in 1usize..6,
-        sd_cap in 1usize..3,
+        weight in 1u64..4,
     ) {
         let project = xaas_apps::gromacs::project();
         // Sweep MPI too: the MPI halo file ships as source, giving the deployment
-        // graph the mixed machine-lower/sd-compile frontier the policies reorder.
+        // graph a mixed machine-lower/sd-compile frontier.
         let config = IrPipelineConfig::sweep_options(&project, &["GMX_SIMD", "GMX_MPI"])
             .with_values("GMX_SIMD", &sweep_simd);
         let build = IrBuildRequest::new(&project, &config)
@@ -407,30 +407,40 @@ proptest! {
                 .workers(workers)
                 .build(),
         );
-        let cpf_store = ImageStore::new();
-        let cpf = deploy(
-            &Orchestrator::builder()
-                .uncached(cpf_store.clone())
-                .workers(workers)
-                .policy(CriticalPathFirst::new().with_cap(ActionKind::SdCompile, sd_cap))
-                .build(),
-        );
-        prop_assert!(
-            cpf.lowered().unwrap().stats.compiled_source_units > 0,
-            "sd-compiles present"
-        );
-        // Valid trace: same records (node order, identities) under both policies.
-        prop_assert_eq!(&cpf.trace.records, &fifo.trace.records);
-        prop_assert_eq!(cpf.trace.action_set(), fifo.trace.action_set());
-        prop_assert_eq!(&cpf.trace.policy, "critical-path-first");
-        // The dispatch order differs...
-        prop_assert_ne!(fifo.trace.execution_order(), cpf.trace.execution_order());
-        // ...but the committed images are byte-identical.
-        prop_assert_eq!(&cpf.image.layers, &fifo.image.layers);
-        prop_assert_eq!(
-            fifo_store.resolve(&fifo.reference).unwrap(),
-            cpf_store.resolve(&cpf.reference).unwrap()
-        );
+        let fair_store = ImageStore::new();
+        let shared = Orchestrator::builder()
+            .uncached(fair_store.clone())
+            .workers(workers)
+            .policy(WeightedFair::new().with_weight("alice", weight))
+            .build();
+        let (alice, bob) = std::thread::scope(|scope| {
+            let alice = scope.spawn(|| deploy(&shared.for_tenant("alice")));
+            let bob = deploy(&shared.for_tenant("bob"));
+            (alice.join().unwrap(), bob)
+        });
+        let mut fifo_order = fifo.trace.execution_order();
+        fifo_order.sort();
+        for (tenant, fair) in [("alice", &alice), ("bob", &bob)] {
+            prop_assert!(
+                fair.lowered().unwrap().stats.compiled_source_units > 0,
+                "sd-compiles present"
+            );
+            // Valid trace: same records (node order, identities) under both policies.
+            prop_assert_eq!(&fair.trace.records, &fifo.trace.records);
+            prop_assert_eq!(fair.trace.action_set(), fifo.trace.action_set());
+            prop_assert_eq!(&fair.trace.policy, "weighted-fair");
+            prop_assert_eq!(fair.trace.tenant.as_deref(), Some(tenant));
+            // The dispatch order may differ, the dispatched set may not...
+            let mut fair_order = fair.trace.execution_order();
+            fair_order.sort();
+            prop_assert_eq!(&fair_order, &fifo_order);
+            // ...and the committed images are byte-identical.
+            prop_assert_eq!(&fair.image.layers, &fifo.image.layers);
+            prop_assert_eq!(
+                fifo_store.resolve(&fifo.reference).unwrap(),
+                fair_store.resolve(&fair.reference).unwrap()
+            );
+        }
     }
 
     /// Action-cache soundness: for arbitrary option sweeps, a warm-cache
@@ -497,15 +507,18 @@ proptest! {
         app in 0usize..2,
         system in 0usize..5,
         workers in 0u32..3,
-        critical_path in any::<bool>(),
+        fair in any::<bool>(),
     ) {
         let project = [xaas_apps::llamacpp::project, xaas_apps::gromacs::project][app]();
         let system = SystemModel::all_evaluation_systems().swap_remove(system);
         let architecture = xaas::source_container::architecture_of(&system);
         let drawn = |builder: OrchestratorBuilder| {
             let builder = builder.workers(1 << workers);
-            match critical_path {
-                true => builder.policy(CriticalPathFirst::new()).build(),
+            match fair {
+                true => builder
+                    .policy(WeightedFair::new())
+                    .build()
+                    .for_tenant("tenant"),
                 false => builder.build(),
             }
         };
@@ -547,13 +560,16 @@ proptest! {
     #[test]
     fn a_failing_translation_unit_fails_the_source_deployment_without_committing(
         workers in 0u32..3,
-        critical_path in any::<bool>(),
+        fair in any::<bool>(),
     ) {
         let project = xaas_apps::llamacpp::project();
         let system = SystemModel::ault23();
         let builder = Orchestrator::builder().workers(1 << workers);
-        let orch = match critical_path {
-            true => builder.policy(CriticalPathFirst::new()).build(),
+        let orch = match fair {
+            true => builder
+                .policy(WeightedFair::new())
+                .build()
+                .for_tenant("tenant"),
             false => builder.build(),
         };
         let image = build_source_container(&project, Architecture::Amd64, orch.store(), "prop:src");
