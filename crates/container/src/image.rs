@@ -901,6 +901,17 @@ mod tests {
     }
 
     #[test]
+    fn collect_garbage_survives_a_deeply_nested_pinned_blob() {
+        // The sweep tries to decode every reachable blob as a manifest and an index;
+        // a blob nested past the parser's depth limit is neither and ends the walk.
+        let store = ImageStore::new();
+        let hostile = store.put_blob("[".repeat(100_000).into_bytes());
+        let report = store.collect_garbage(std::slice::from_ref(&hostile));
+        assert_eq!(report.blobs_removed, 0);
+        assert!(store.has_blob(&hostile), "the pinned blob is kept");
+    }
+
+    #[test]
     fn collect_garbage_walks_image_indexes() {
         let store = ImageStore::new();
         let amd = toolchain_image();

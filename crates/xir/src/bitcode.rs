@@ -95,4 +95,16 @@ mod tests {
         bytes.truncate(10);
         assert!(matches!(decode(&bytes), Err(BitcodeError::Corrupt(_))));
     }
+
+    #[test]
+    fn deeply_nested_payload_is_corrupt_not_a_stack_overflow() {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&[b'['; 100_000]);
+        match decode(&bytes) {
+            Err(BitcodeError::Corrupt(detail)) => {
+                assert!(detail.contains("recursion limit exceeded"), "{detail}")
+            }
+            other => panic!("expected BitcodeError::Corrupt, got {other:?}"),
+        }
+    }
 }

@@ -1,0 +1,514 @@
+//! Byte identity of the direct JSON writer against the `Value` tree.
+//!
+//! `serde_json::to_string` / `to_vec` write typed values straight to text
+//! (`Serialize::write_json`); `serde_json::to_value` builds the tree everything
+//! else — pretty printing, `json!`, reading — works on. Digests are taken over
+//! the direct writer's bytes, so the two must agree byte for byte. This file
+//! holds them to that over the workspace's real documents and over generated
+//! edge cases, checks that every real document reads back equal, and keeps the
+//! per-`char` escaper the tree printer used before as the reference for the
+//! byte-run one.
+
+use proptest::prelude::*;
+use serde::{Deserialize, Serialize};
+use serde_json::Value;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
+use std::fmt::Debug;
+use xaas::prelude::*;
+use xaas_apps::{gromacs, lulesh};
+use xaas_hpcsim::{IsaFamily, SimdLevel, SystemModel};
+use xaas_xir::{lower_to_machine, IrModule};
+
+/// The tree printer's string escaper before the byte-run one, unchanged: the
+/// reference `push_escaped` is checked against.
+fn write_escaped(s: &str, out: &mut impl fmt::Write) -> fmt::Result {
+    out.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
+        }
+    }
+    out.write_char('"')
+}
+
+fn reference_escaped(s: &str) -> String {
+    let mut out = String::new();
+    write_escaped(s, &mut out).unwrap();
+    out
+}
+
+/// The direct writer's text, asserted equal to the tree's.
+fn direct_text<T: Serialize + ?Sized>(value: &T) -> String {
+    let direct = serde_json::to_string(value).unwrap();
+    assert_eq!(
+        direct,
+        serde_json::to_value(value).to_string(),
+        "direct writer and tree printer disagree"
+    );
+    direct
+}
+
+/// Byte identity, then `from_slice(&to_vec(&x)?)? == x`.
+fn assert_round_trip<T: Serialize + Deserialize + PartialEq + Debug>(value: &T) {
+    let bytes = serde_json::to_vec(value).unwrap();
+    assert_eq!(bytes, direct_text(value).into_bytes());
+    let back: T = serde_json::from_slice(&bytes).unwrap();
+    assert_eq!(&back, value);
+}
+
+fn all_simd_levels() -> Vec<SimdLevel> {
+    let mut levels: Vec<SimdLevel> = [IsaFamily::X86_64, IsaFamily::Aarch64]
+        .iter()
+        .flat_map(|family| SimdLevel::levels_for(*family).iter().copied())
+        .collect();
+    levels.sort();
+    levels.dedup();
+    levels
+}
+
+#[test]
+fn real_documents_are_byte_identical_and_round_trip() {
+    let orch = Orchestrator::new();
+    let gromacs_project = gromacs::project();
+    let gromacs_config = IrPipelineConfig::sweep_options(&gromacs_project, &["GMX_SIMD"])
+        .with_values(
+            "GMX_SIMD",
+            &["SSE4.1", "AVX2_256", "AVX_512", "ARM_NEON_ASIMD"],
+        );
+    let gromacs_build = IrBuildRequest::new(&gromacs_project, &gromacs_config)
+        .submit(&orch)
+        .expect("the GROMACS IR container builds");
+    let lulesh_project = lulesh::project();
+    let lulesh_config = IrPipelineConfig::sweep_options(&lulesh_project, &["WITH_OPENMP"]);
+    let lulesh_build = IrBuildRequest::new(&lulesh_project, &lulesh_config)
+        .submit(&orch)
+        .expect("the LULESH IR container builds");
+    let deployment = IrDeployRequest::new(&gromacs_build, &gromacs_project, &SystemModel::ault23())
+        .select("GMX_SIMD", "AVX_512")
+        .simd(SimdLevel::Avx512)
+        .submit(&orch)
+        .expect("the GROMACS deployment succeeds");
+
+    // IR modules and their machine modules for every SIMD target.
+    let modules: Vec<&IrModule> = gromacs_build
+        .units
+        .values()
+        .chain(lulesh_build.units.values())
+        .map(|unit| &unit.module)
+        .collect();
+    assert!(modules.len() > 9, "both applications contribute IR units");
+    let levels = all_simd_levels();
+    assert_eq!(levels.len(), 9);
+    for module in &modules {
+        assert_round_trip(*module);
+        for level in &levels {
+            assert_round_trip(&lower_to_machine(module, &target_isa_for(*level)));
+        }
+    }
+
+    // The committed images' manifests, configs and an index over them, read
+    // back from the store: the stored bytes are the direct writer's.
+    let store = orch.store();
+    let mut descriptors = Vec::new();
+    for reference in [
+        &gromacs_build.reference,
+        &lulesh_build.reference,
+        &deployment.image.reference,
+    ] {
+        let digest = store.resolve(reference).unwrap();
+        let manifest = store.manifest(&digest).unwrap();
+        assert_eq!(
+            &store.blob(&digest).unwrap()[..],
+            &serde_json::to_vec(&manifest).unwrap()[..]
+        );
+        let config = store.config(&manifest.config.digest).unwrap();
+        assert_eq!(
+            &store.blob(&manifest.config.digest).unwrap()[..],
+            &serde_json::to_vec(&config).unwrap()[..]
+        );
+        assert_round_trip(&manifest);
+        assert_round_trip(&config);
+        let size = store.blob(&digest).unwrap().len() as u64;
+        descriptors.push(Descriptor::new(MediaType::ImageManifest, digest, size));
+    }
+    let mut annotations = BTreeMap::new();
+    annotations.insert(
+        "org.opencontainers.image.title".to_string(),
+        "apps".to_string(),
+    );
+    store.commit_index("json-codec/apps:multi", descriptors, annotations);
+    assert_round_trip(&store.load_index("json-codec/apps:multi").unwrap());
+
+    for manifest in gromacs_build
+        .manifests
+        .iter()
+        .chain(&lulesh_build.manifests)
+    {
+        assert_round_trip(manifest);
+    }
+    for system in [
+        SystemModel::ault23(),
+        SystemModel::ault25(),
+        SystemModel::ault01_04(),
+        SystemModel::clariden(),
+        SystemModel::aurora(),
+        SystemModel::local_dev_machine(),
+    ] {
+        assert_round_trip(&system);
+    }
+    let key = BuildKey::new(
+        "sha256:ab",
+        "x86-64-avx512",
+        "-O3 -DGMX_SIMD=AVX_512",
+        TOOLCHAIN_ID,
+    );
+    assert_round_trip(&key);
+    key.digest(); // a filled memo stays out of the text
+    assert_round_trip(&key);
+    let stats = orch.cache_stats();
+    assert!(stats.misses > 0);
+    assert_round_trip(&stats);
+}
+
+// ---------------------------------------------------------------------------
+// Generated edge cases
+// ---------------------------------------------------------------------------
+
+/// One character of every escape class, control bytes, the bytes either side
+/// of them, and one- to four-byte UTF-8.
+const PALETTE: &[char] = &[
+    '"',
+    '\\',
+    '\n',
+    '\r',
+    '\t',
+    '\u{0}',
+    '\u{1}',
+    '\u{8}',
+    '\u{c}',
+    '\u{1b}',
+    '\u{1f}',
+    ' ',
+    '/',
+    'a',
+    'Z',
+    '\u{7f}',
+    '\u{80}',
+    'é',
+    '\u{2028}',
+    '✓',
+    '\u{fffd}',
+    '😀',
+    '\u{10ffff}',
+];
+
+fn palette_string(picks: &[u64]) -> String {
+    picks
+        .iter()
+        .map(|pick| PALETTE[(*pick % PALETTE.len() as u64) as usize])
+        .collect()
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Skips {
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    a: Option<u8>,
+    #[serde(rename = "a0", default, skip_serializing_if = "Option::is_none")]
+    z: Option<String>,
+    #[serde(default, skip_serializing_if = "Vec::is_empty")]
+    b: Vec<i64>,
+    c: u32,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    d: Option<bool>,
+    #[serde(rename = "u")]
+    upper: f64,
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct AllSkippable {
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    x: Option<u8>,
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    y: Option<u8>,
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(transparent)]
+struct Transparent {
+    inner: Vec<String>,
+}
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Newtype(String);
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Pair(u8, Option<String>);
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+struct Unit;
+
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+enum Shape {
+    Unit,
+    Newtype(String),
+    Tuple(i8, Option<u64>, Vec<bool>),
+    Struct {
+        #[serde(rename = "zeta")]
+        alpha: u8,
+        // Struct variants print every field: `to_value` ignores the predicate.
+        #[serde(default, skip_serializing_if = "Option::is_none")]
+        beta: Option<String>,
+    },
+    EmptyStruct {},
+}
+
+/// A map key whose text collides: `Value::Object` keeps the last entry.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+struct Parity(u8);
+
+impl Serialize for Parity {
+    fn to_value(&self) -> Value {
+        let parity = if self.0.is_multiple_of(2) {
+            "even"
+        } else {
+            "odd"
+        };
+        Value::String(parity.to_string())
+    }
+}
+
+fn shape(pick: u64, text: String) -> Shape {
+    match pick % 5 {
+        0 => Shape::Unit,
+        1 => Shape::Newtype(text),
+        2 => Shape::Tuple(
+            pick as i8,
+            pick.is_multiple_of(3).then_some(pick),
+            vec![pick.is_multiple_of(2)],
+        ),
+        3 => Shape::Struct {
+            alpha: pick as u8,
+            beta: pick.is_multiple_of(3).then_some(text),
+        },
+        _ => Shape::EmptyStruct {},
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn strings_escape_like_the_per_char_reference(
+        picks in proptest::collection::vec(any::<u64>(), 0..24),
+    ) {
+        let text = palette_string(&picks);
+        let direct = direct_text(&text);
+        prop_assert_eq!(&direct, &reference_escaped(&text));
+        prop_assert_eq!(&direct_text(text.as_str()), &direct);
+        prop_assert_eq!(serde_json::from_str::<String>(&direct).unwrap(), text.clone());
+        for c in text.chars() {
+            prop_assert_eq!(direct_text(&c), reference_escaped(&c.to_string()));
+        }
+        // As object keys, through the tree printer and `write_pretty` too.
+        let map: BTreeMap<String, String> = [(text.clone(), text.clone())].into();
+        let expected = format!("{{{}:{}}}", reference_escaped(&text), reference_escaped(&text));
+        prop_assert_eq!(direct_text(&map), expected);
+        let pretty = serde_json::to_string_pretty(&map).unwrap();
+        let back: BTreeMap<String, String> = serde_json::from_str(&pretty).unwrap();
+        prop_assert_eq!(back, map);
+    }
+
+    #[test]
+    fn integers_print_in_std_decimal(signed in any::<i64>(), unsigned in any::<u64>(), shift in 0u32..64) {
+        for v in [signed, signed >> shift, (signed >> shift).wrapping_neg()] {
+            prop_assert_eq!(direct_text(&v), v.to_string());
+        }
+        for v in [unsigned, unsigned >> shift] {
+            prop_assert_eq!(direct_text(&v), v.to_string());
+        }
+    }
+
+    #[test]
+    fn floats_print_like_the_tree(bits in any::<u64>(), small in -1e6f64..1e6) {
+        for v in [f64::from_bits(bits), small, small.trunc(), small * 1e12, small * 1e-12] {
+            direct_text(&v);
+            direct_text(&(v as f32));
+        }
+    }
+
+    #[test]
+    fn integer_keyed_and_hashed_maps_print_like_the_tree(
+        keys in proptest::collection::vec(any::<i64>(), 0..12),
+        small in proptest::collection::vec(0u16..40, 0..12),
+        picks in proptest::collection::vec(any::<u64>(), 0..6),
+    ) {
+        let signed: BTreeMap<i64, u8> = keys.iter().map(|k| (*k % 200, 1)).collect();
+        direct_text(&signed);
+        let unsigned: BTreeMap<u16, Vec<u16>> = small.iter().map(|k| (*k, vec![*k])).collect();
+        direct_text(&unsigned);
+        let hashed: HashMap<u16, bool> = small.iter().map(|k| (*k, k.is_multiple_of(2))).collect();
+        direct_text(&hashed);
+        let hashed_text: HashMap<String, i64> = keys
+            .iter()
+            .map(|k| (palette_string(&[*k as u64, picks.len() as u64]), *k))
+            .collect();
+        direct_text(&hashed_text);
+        let colliding: BTreeMap<Parity, u16> =
+            small.iter().map(|k| (Parity(*k as u8), *k)).collect();
+        direct_text(&colliding);
+        let bools: BTreeMap<bool, String> =
+            [(true, palette_string(&picks)), (false, String::new())].into();
+        direct_text(&bools);
+    }
+
+    #[test]
+    fn derived_shapes_print_like_the_tree_and_round_trip(
+        pick in any::<u64>(),
+        picks in proptest::collection::vec(any::<u64>(), 0..8),
+    ) {
+        let text = palette_string(&picks);
+        let flag = |bit: u64| pick & (1 << bit) != 0;
+        assert_round_trip(&Skips {
+            a: flag(0).then_some(pick as u8),
+            z: flag(1).then(|| text.clone()),
+            b: if flag(2) { vec![pick as i64, i64::MIN] } else { Vec::new() },
+            c: pick as u32,
+            d: flag(3).then_some(flag(4)),
+            upper: (pick % 1000) as f64 / 8.0,
+        });
+        assert_round_trip(&AllSkippable {
+            x: flag(5).then_some(1),
+            y: flag(6).then_some(2),
+        });
+        assert_round_trip(&Transparent { inner: vec![text.clone(); (pick % 3) as usize] });
+        assert_round_trip(&Newtype(text.clone()));
+        assert_round_trip(&Pair(pick as u8, flag(7).then(|| text.clone())));
+        assert_round_trip(&Unit);
+        let shapes: Vec<Shape> = picks.iter().map(|p| shape(*p, text.clone())).collect();
+        assert_round_trip(&shapes);
+        assert_round_trip(&shape(pick, text));
+    }
+}
+
+#[test]
+fn every_shape_has_its_pinned_text() {
+    let pinned = [
+        (Shape::Unit, r#""Unit""#),
+        (Shape::Newtype("n".into()), r#"{"Newtype":"n"}"#),
+        (
+            Shape::Tuple(-1, None, vec![true]),
+            r#"{"Tuple":[-1,null,[true]]}"#,
+        ),
+        (
+            Shape::Struct {
+                alpha: 1,
+                beta: None,
+            },
+            r#"{"Struct":{"beta":null,"zeta":1}}"#,
+        ),
+        (Shape::EmptyStruct {}, r#"{"EmptyStruct":{}}"#),
+    ];
+    for (shape, text) in pinned {
+        assert_eq!(direct_text(&shape), text);
+    }
+    let skips = Skips {
+        a: None,
+        z: None,
+        b: Vec::new(),
+        c: 7,
+        d: None,
+        upper: 2.0,
+    };
+    assert_eq!(direct_text(&skips), r#"{"c":7,"u":2.0}"#);
+    assert_eq!(direct_text(&AllSkippable { x: None, y: None }), "{}");
+    assert_eq!(
+        direct_text(&AllSkippable {
+            x: None,
+            y: Some(2)
+        }),
+        r#"{"y":2}"#
+    );
+    assert_eq!(direct_text(&Unit), "null");
+    assert_eq!(direct_text(&Pair(3, None)), "[3,null]");
+    // Integer keys sort as text, and the last of colliding keys wins.
+    let ints: BTreeMap<i32, u8> = [(2, 0), (10, 1), (-1, 2)].into();
+    assert_eq!(direct_text(&ints), r#"{"-1":2,"10":1,"2":0}"#);
+    let colliding: BTreeMap<Parity, u8> = [(Parity(0), 0), (Parity(1), 1), (Parity(2), 2)].into();
+    assert_eq!(direct_text(&colliding), r#"{"even":2,"odd":1}"#);
+}
+
+#[test]
+fn numbers_at_the_edges_print_like_the_tree() {
+    assert_eq!(direct_text(&u64::MAX), "18446744073709551615");
+    assert_eq!(direct_text(&i64::MIN), "-9223372036854775808");
+    assert_eq!(direct_text(&i64::MAX), "9223372036854775807");
+    assert_eq!(direct_text(&0u8), "0");
+    assert_eq!(
+        direct_text(&(i8::MIN, i16::MIN, i32::MIN, isize::MIN)),
+        direct_text(&(
+            i64::from(i8::MIN),
+            i64::from(i16::MIN),
+            i64::from(i32::MIN),
+            isize::MIN as i64
+        ))
+    );
+    assert_eq!(direct_text(&usize::MAX), direct_text(&(usize::MAX as u64)));
+    let pinned = [
+        (0.0, "0.0"),
+        (-0.0, "-0.0"),
+        (1.0, "1.0"),
+        (0.1, "0.1"),
+        (-2.5, "-2.5"),
+        (999_999_999_999_999.0, "999999999999999.0"),
+        (1e15, "1000000000000000"),
+        (1e16, "10000000000000000"),
+        (f64::NAN, "null"),
+        (f64::INFINITY, "null"),
+        (f64::NEG_INFINITY, "null"),
+    ];
+    for (value, text) in pinned {
+        assert_eq!(direct_text(&value), text, "{value:?}");
+    }
+    for value in [
+        1e300,
+        f64::MIN_POSITIVE,
+        5e-324,
+        f64::MAX,
+        f64::MIN,
+        f64::EPSILON,
+    ] {
+        direct_text(&value);
+    }
+}
+
+#[test]
+fn nesting_is_capped_at_128_levels() {
+    let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    let ok: Value = serde_json::from_str(&nested(128)).expect("128 levels parse");
+    assert_eq!(direct_text(&ok), nested(128));
+    let objects = format!("{}1{}", r#"{"k":"#.repeat(128), "}".repeat(128));
+    assert!(serde_json::from_str::<Value>(&objects).is_ok());
+    for too_deep in [
+        nested(129),
+        format!("{}1{}", r#"{"k":"#.repeat(129), "}".repeat(129)),
+    ] {
+        let err = serde_json::from_str::<Value>(&too_deep).unwrap_err();
+        assert!(
+            err.to_string().contains("recursion limit exceeded"),
+            "{err}"
+        );
+    }
+    // Unbalanced input deep enough to overflow a recursive parser's stack.
+    let err = serde_json::from_str::<Value>(&"[".repeat(100_000)).unwrap_err();
+    assert!(
+        err.to_string().contains("recursion limit exceeded"),
+        "{err}"
+    );
+}
