@@ -1,4 +1,4 @@
-//! `reproduce analyze` — the pre-submission static analyzer run over the real
+//! `reproduce analyze` — the advisory static analyzer run over the real
 //! driver graphs (GROMACS and LULESH IR builds, IR deployments and a fleet wave,
 //! llama.cpp and GROMACS source deployments), emitting every report as JSON.
 

@@ -74,7 +74,7 @@ use tier::{Claim, DiskLock, DiskTier, DiskTierStats, Tier, TierConfig, TierError
 /// The identity of one memoizable build action. See the module docs for the derivation.
 ///
 /// The components are fixed at construction, so the key digest — asked for by planning,
-/// preflight, the trace and the cache on every request — is computed once per key.
+/// the trace and the cache on every request — is computed once per key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct BuildKey {
     tu_digest: String,

@@ -44,9 +44,9 @@ pub enum DeployError {
     Cache(String),
     /// The orchestrator's scheduling policy is invalid (e.g. a zero tenant weight).
     Policy(crate::engine::PolicyError),
-    /// The pre-submission static analyzer rejected the deployment graph
-    /// (deny-level diagnostics); nothing executed.
-    Analysis(Box<crate::engine::AnalysisReport>),
+    /// The pipeline built an action graph with a construction defect;
+    /// nothing executed.
+    Graph(crate::engine::GraphError),
     /// The executor broke its scheduling contract (a node skipped without a
     /// failure, or cancelled mid-run) — not a deployment error.
     Engine(crate::engine::GraphFault),
@@ -65,7 +65,7 @@ impl fmt::Display for DeployError {
             DeployError::Compile { file, error } => write!(f, "compiling {file}: {error}"),
             DeployError::Cache(detail) => write!(f, "action cache: {detail}"),
             DeployError::Policy(error) => write!(f, "{error}"),
-            DeployError::Analysis(report) => write!(f, "graph rejected by analysis: {report}"),
+            DeployError::Graph(error) => write!(f, "action graph refused: {error}"),
             DeployError::Engine(fault) => write!(f, "executor fault: {fault}"),
         }
     }
@@ -82,9 +82,9 @@ impl From<crate::engine::GraphRunError<DeployError>> for DeployError {
     }
 }
 
-impl From<Box<crate::engine::AnalysisReport>> for DeployError {
-    fn from(value: Box<crate::engine::AnalysisReport>) -> Self {
-        DeployError::Analysis(value)
+impl From<crate::engine::GraphError> for DeployError {
+    fn from(value: crate::engine::GraphError) -> Self {
+        DeployError::Graph(value)
     }
 }
 

@@ -1,16 +1,14 @@
-//! Pre-submission static analysis of action graphs and scheduling policies.
+//! Advisory static analysis of action graphs and scheduling policies.
 //!
-//! The engine's first correctness tool that runs *before* execution rather than
-//! asserting after it: a [`GraphAnalyzer`] walks one `(ActionGraph,
-//! SchedulingPolicy, ServiceLimits)` triple at submission time and emits a typed
-//! [`AnalysisReport`] of [`Diagnostic`]s, each tagged with a stable
-//! [`DiagnosticCode`] and a [`Severity`]. Three pass families run:
+//! A [`GraphAnalyzer`] walks one `(ActionGraph, SchedulingPolicy,
+//! ServiceLimits)` triple and emits a typed [`AnalysisReport`] of
+//! [`Diagnostic`]s, each tagged with a stable [`DiagnosticCode`] and a
+//! [`Severity`]. Three pass families run:
 //!
-//! * **structural** — dangling or duplicate dependency indices, unreachable
-//!   outputs, cross-job dependency edges that break
-//!   [`split_by_job`](crate::engine::ActionTrace::split_by_job) blast-radius
-//!   attribution, commit fan-in shape, and derived-key nodes with no
-//!   dependencies to derive from;
+//! * **structural** — the graph's recorded construction defect, duplicate
+//!   dependency indices, unreachable outputs, and cross-job dependency edges
+//!   that break [`split_by_job`](crate::engine::ActionTrace::split_by_job)
+//!   blast-radius attribution;
 //! * **scheduling** — a submission that carries no tenant tag under a
 //!   fair-queuing policy, and so shares the untenanted lane;
 //! * **cache/flight** — unordered duplicate [`BuildKey`](xaas_container::BuildKey)s,
@@ -18,14 +16,13 @@
 //!   [`ActionGraph`] documents: racing duplicates coalesce on one flight, but
 //!   *which* record carries the miss depends on the schedule).
 //!
-//! Deny-level diagnostics reject the submission before any node executes:
-//! [`Engine::submit_graph`](crate::engine::Engine::submit_graph) and the
-//! orchestrator's pipeline drivers run the analyzer on every submission
-//! ([`Engine::preflight`](crate::engine::Engine::preflight)), and the service
-//! layer surfaces rejected graphs as
-//! [`AdmissionError::Invalid`](crate::service::AdmissionError::Invalid) so they
-//! never consume queue slots. Warnings and notes never reject; read them through
-//! the request types' `analyze(&orch)`.
+//! No submission runs the analyzer; read its report through the request types'
+//! `analyze(&orch)` or [`Engine::analyze`](crate::engine::Engine::analyze). The
+//! defects a graph must not be run with are refused where it is built:
+//! [`ActionGraph`] records the first one as a
+//! [`GraphError`](crate::engine::GraphError) when the node is added, and the
+//! engine refuses that graph in O(1). The one deny-level code, `XA-STR-001`,
+//! reports that recorded error.
 #![deny(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::dbg_macro)]
 
@@ -35,12 +32,13 @@ use super::trace::ActionKind;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
+use xaas_container::Digest;
 
 /// How bad one [`Diagnostic`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Severity {
-    /// The graph must not execute: submitting it would run into a structural
-    /// contract violation. The submission is rejected before any node runs.
+    /// The graph must not execute: it recorded a construction defect, and the
+    /// engine refuses it before any node runs.
     Deny,
     /// The graph executes correctly but something about it is suspicious: a
     /// redundant edge, a scheduling-dependent trace.
@@ -71,8 +69,9 @@ impl fmt::Display for Severity {
 /// is what JSON reports, CI gates, and the README table key on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum DiagnosticCode {
-    /// `XA-STR-001` (deny): a dependency index points at this node or a
-    /// not-yet-added one — the edge cannot resolve.
+    /// `XA-STR-001` (deny): the graph recorded a construction defect
+    /// ([`ActionGraph::error`]) — a dangling edge, or a commit or derived key
+    /// with no dependencies — so the engine refuses it.
     DanglingDep,
     /// `XA-STR-002` (warn): the same dependency is declared more than once.
     DuplicateDep,
@@ -84,13 +83,6 @@ pub enum DiagnosticCode {
     /// so [`split_by_job`](crate::engine::ActionTrace::split_by_job)
     /// blast-radius attribution crosses jobs.
     CrossJobEdge,
-    /// `XA-STR-005` (deny): a commit node has no dependencies — it would
-    /// commit an image assembled from nothing.
-    CommitNoDeps,
-    /// `XA-STR-006` (deny): a derived-key node has no dependencies, so its
-    /// dispatch-time key degenerates to a constant with no inputs — a
-    /// cache-poisoning hazard.
-    DerivedKeyNoDeps,
     /// `XA-SCH-005` (note): the submission carries no tenant tag under a
     /// fair-queuing policy, so it lands in the shared untenanted lane.
     UntaggedWfqSubmission,
@@ -107,13 +99,11 @@ pub enum DiagnosticCode {
 
 impl DiagnosticCode {
     /// Every code the analyzer can emit, in report order.
-    pub const ALL: [DiagnosticCode; 9] = [
+    pub const ALL: [DiagnosticCode; 7] = [
         DiagnosticCode::DanglingDep,
         DiagnosticCode::DuplicateDep,
         DiagnosticCode::UnreachableOutput,
         DiagnosticCode::CrossJobEdge,
-        DiagnosticCode::CommitNoDeps,
-        DiagnosticCode::DerivedKeyNoDeps,
         DiagnosticCode::UntaggedWfqSubmission,
         DiagnosticCode::UnorderedDuplicateKey,
         DiagnosticCode::QueueOverflow,
@@ -126,8 +116,6 @@ impl DiagnosticCode {
             DiagnosticCode::DuplicateDep => "XA-STR-002",
             DiagnosticCode::UnreachableOutput => "XA-STR-003",
             DiagnosticCode::CrossJobEdge => "XA-STR-004",
-            DiagnosticCode::CommitNoDeps => "XA-STR-005",
-            DiagnosticCode::DerivedKeyNoDeps => "XA-STR-006",
             DiagnosticCode::UntaggedWfqSubmission => "XA-SCH-005",
             DiagnosticCode::UnorderedDuplicateKey => "XA-CHE-001",
             DiagnosticCode::QueueOverflow => "XA-SVC-001",
@@ -140,9 +128,7 @@ impl DiagnosticCode {
             DiagnosticCode::DanglingDep
             | DiagnosticCode::DuplicateDep
             | DiagnosticCode::UnreachableOutput
-            | DiagnosticCode::CrossJobEdge
-            | DiagnosticCode::CommitNoDeps
-            | DiagnosticCode::DerivedKeyNoDeps => "structural",
+            | DiagnosticCode::CrossJobEdge => "structural",
             DiagnosticCode::UntaggedWfqSubmission => "scheduling",
             DiagnosticCode::UnorderedDuplicateKey => "cache",
             DiagnosticCode::QueueOverflow => "service",
@@ -152,9 +138,7 @@ impl DiagnosticCode {
     /// The fixed severity of this rule.
     pub fn severity(&self) -> Severity {
         match self {
-            DiagnosticCode::DanglingDep
-            | DiagnosticCode::CommitNoDeps
-            | DiagnosticCode::DerivedKeyNoDeps => Severity::Deny,
+            DiagnosticCode::DanglingDep => Severity::Deny,
             DiagnosticCode::DuplicateDep
             | DiagnosticCode::CrossJobEdge
             | DiagnosticCode::UnorderedDuplicateKey
@@ -297,8 +281,8 @@ impl fmt::Display for AnalysisReport {
 /// SchedulingPolicy, ServiceLimits)` triple.
 ///
 /// Construction is cheap; [`analyze`](Self::analyze) is a single O(nodes +
-/// edges) walk plus per-duplicate-key ancestry probes, so it is safe to run on
-/// every submission (the engine does).
+/// edges) walk plus per-duplicate-key ancestry probes. It is advisory: no
+/// submission runs it.
 #[derive(Debug, Clone, Copy)]
 pub struct GraphAnalyzer<'a> {
     policy: &'a dyn SchedulingPolicy,
@@ -350,28 +334,25 @@ impl<'a> GraphAnalyzer<'a> {
         }
     }
 
-    /// Dangling/duplicate dependency indices, cross-job edges, commit fan-in,
-    /// derived keys without inputs, and unreachable outputs.
+    /// The recorded construction defect, duplicate dependency indices,
+    /// cross-job edges, and unreachable outputs. Stored edges always point
+    /// backwards, so every `nodes[dep]` resolves.
     fn structural_pass<E>(&self, graph: &ActionGraph<'_, E>, out: &mut Vec<Diagnostic>) {
         let nodes = &graph.nodes;
+        if let Some(error) = graph.error() {
+            let node = &nodes[error.node()];
+            out.push(Diagnostic::new(
+                DiagnosticCode::DanglingDep,
+                Some(error.node()),
+                node.job,
+                format!("`{}`: {error}", node.label),
+            ));
+        }
         let mut feeds_someone = vec![false; nodes.len()];
         let mut has_commit = false;
         for (id, node) in nodes.iter().enumerate() {
             let mut seen: Vec<ActionId> = Vec::with_capacity(node.deps.len());
             for &dep in &node.deps {
-                if dep >= id {
-                    out.push(Diagnostic::new(
-                        DiagnosticCode::DanglingDep,
-                        Some(id),
-                        node.job,
-                        format!(
-                            "`{}` depends on node {dep}, which is not added before it \
-                             (the edge cannot resolve)",
-                            node.label
-                        ),
-                    ));
-                    continue;
-                }
                 if seen.contains(&dep) {
                     out.push(Diagnostic::new(
                         DiagnosticCode::DuplicateDep,
@@ -402,33 +383,7 @@ impl<'a> GraphAnalyzer<'a> {
                     }
                 }
             }
-            if node.kind == ActionKind::Commit {
-                has_commit = true;
-                if node.deps.is_empty() {
-                    out.push(Diagnostic::new(
-                        DiagnosticCode::CommitNoDeps,
-                        Some(id),
-                        node.job,
-                        format!(
-                            "commit node `{}` has no dependencies: it would commit an \
-                             image assembled from nothing",
-                            node.label
-                        ),
-                    ));
-                }
-            }
-            if matches!(node.key, KeySpec::Derived(_)) && node.deps.is_empty() {
-                out.push(Diagnostic::new(
-                    DiagnosticCode::DerivedKeyNoDeps,
-                    Some(id),
-                    node.job,
-                    format!(
-                        "`{}` derives its BuildKey from its dependency outputs but \
-                         declares no dependencies: the key degenerates to a constant",
-                        node.label
-                    ),
-                ));
-            }
+            has_commit |= node.kind == ActionKind::Commit;
         }
         // Dead outputs only make sense in a graph that actually commits an
         // image; ad-hoc stage graphs hand every output back to the driver.
@@ -471,13 +426,10 @@ impl<'a> GraphAnalyzer<'a> {
     /// path between them, whose `cached` trace flags are scheduling-dependent.
     fn cache_pass<E>(&self, graph: &ActionGraph<'_, E>, out: &mut Vec<Diagnostic>) {
         let nodes = &graph.nodes;
-        let mut by_key: BTreeMap<String, Vec<ActionId>> = BTreeMap::new();
+        let mut by_key: BTreeMap<Digest, Vec<ActionId>> = BTreeMap::new();
         for (id, node) in nodes.iter().enumerate() {
             if let KeySpec::Static(key) = &node.key {
-                by_key
-                    .entry(key.digest().as_str().to_string())
-                    .or_default()
-                    .push(id);
+                by_key.entry(key.digest()).or_default().push(id);
             }
         }
         for (digest, members) in by_key {
@@ -502,7 +454,7 @@ impl<'a> GraphAnalyzer<'a> {
                              the key)",
                             nodes[earlier].label,
                             nodes[later].label,
-                            &digest[..digest.len().min(12)],
+                            digest.short(),
                             members.len()
                         ),
                     ));
@@ -545,8 +497,7 @@ fn same_static_key<E>(
     }
 }
 
-/// Whether `ancestor` is reachable from `from` by walking dependency edges
-/// (backwards indices only, so the walk terminates on any input).
+/// Whether `ancestor` is reachable from `from` by walking dependency edges.
 fn is_ancestor<E>(
     nodes: &[super::graph::ActionNode<'_, E>],
     ancestor: ActionId,
@@ -563,7 +514,7 @@ fn is_ancestor<E>(
             // ancestor, no path can climb back up.
             continue;
         }
-        stack.extend(nodes[id].deps.iter().copied().filter(|&d| d < id));
+        stack.extend(nodes[id].deps.iter().copied());
     }
     false
 }
@@ -571,7 +522,7 @@ fn is_ancestor<E>(
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
-    use super::super::graph::{ActionGraph, ActionNode, KeySpec};
+    use super::super::graph::{ActionGraph, GraphError};
     use super::*;
     use xaas_container::BuildKey;
 
@@ -668,26 +619,19 @@ mod tests {
     #[test]
     fn dangling_dep_is_a_deny_str_001() {
         let mut graph: ActionGraph<'_, String> = ActionGraph::new();
-        graph.add(ActionKind::Preprocess, "pre", &[], |_| Ok(vec![1]));
-        // Only constructible in-crate: the public `add` asserts on forward
-        // edges, so inject the defect at the node level.
-        graph.nodes.push(ActionNode {
-            kind: ActionKind::Link,
-            label: "forward".to_string(),
-            key: KeySpec::None,
-            deps: vec![2],
-            run: Box::new(|_| Ok(vec![2])),
-            job: None,
-        });
+        let pre = graph.add(ActionKind::Preprocess, "pre", &[], |_| Ok(vec![1]));
+        graph.set_job(Some(7));
+        graph.add(ActionKind::Link, "forward", &[pre, 5], |_| Ok(vec![2]));
+        graph.add(ActionKind::Commit, "empty", &[], |_| Ok(vec![3]));
         let report = report(&TestPolicy::default(), &graph);
         assert!(report.is_rejected());
-        let diagnostic = report
-            .with_code(DiagnosticCode::DanglingDep)
-            .next()
-            .unwrap();
+        assert_eq!(report.denies(), 1, "only the first defect is recorded");
+        let diagnostic = &report.diagnostics[0];
         assert_eq!(diagnostic.code.as_str(), "XA-STR-001");
         assert_eq!(diagnostic.severity, Severity::Deny);
-        assert_eq!(diagnostic.node, Some(1));
+        assert_eq!((diagnostic.node, diagnostic.job), (Some(1), Some(7)));
+        let error = GraphError::ForwardEdge { node: 1, dep: 5 };
+        assert_eq!(diagnostic.message, format!("`forward`: {error}"));
     }
 
     #[test]
@@ -775,42 +719,6 @@ mod tests {
     }
 
     #[test]
-    fn commit_with_no_deps_is_a_deny_str_005() {
-        let mut graph: ActionGraph<'_, String> = ActionGraph::new();
-        graph.add(ActionKind::Commit, "commit", &[], |_| Ok(vec![1]));
-        let report = report(&TestPolicy::default(), &graph);
-        assert!(report.is_rejected());
-        let diagnostic = report
-            .with_code(DiagnosticCode::CommitNoDeps)
-            .next()
-            .unwrap();
-        assert_eq!(diagnostic.code.as_str(), "XA-STR-005");
-        assert_eq!(diagnostic.severity, Severity::Deny);
-        assert_eq!(diagnostic.node, Some(0));
-    }
-
-    #[test]
-    fn derived_key_with_no_deps_is_a_deny_str_006() {
-        let mut graph: ActionGraph<'_, String> = ActionGraph::new();
-        graph.add_cached_derived(
-            ActionKind::SdCompile,
-            "derived",
-            |_| key("constant"),
-            &[],
-            |_| Ok(vec![1]),
-        );
-        let report = report(&TestPolicy::default(), &graph);
-        assert!(report.is_rejected());
-        let diagnostic = report
-            .with_code(DiagnosticCode::DerivedKeyNoDeps)
-            .next()
-            .unwrap();
-        assert_eq!(diagnostic.code.as_str(), "XA-STR-006");
-        assert_eq!(diagnostic.severity, Severity::Deny);
-        assert_eq!(diagnostic.node, Some(0));
-    }
-
-    #[test]
     fn untagged_submission_under_fair_queuing_is_a_note_sch_005() {
         let fair = TestPolicy::default().fair();
         let mut graph: ActionGraph<'_, String> = ActionGraph::new();
@@ -845,6 +753,11 @@ mod tests {
         let diagnostic = &report.diagnostics[0];
         assert_eq!(diagnostic.code.as_str(), "XA-CHE-001");
         assert_eq!(diagnostic.severity, Severity::Warn);
+        let short = key("same").digest().short().to_string();
+        assert!(
+            diagnostic.message.contains(&format!("BuildKey {short} ")),
+            "{diagnostic}"
+        );
         assert!(!report.is_rejected());
     }
 
@@ -907,7 +820,7 @@ mod tests {
         let report = report(&TestPolicy::default(), &graph);
         let rendered = report.to_string();
         assert!(rendered.contains("1 deny"), "{rendered}");
-        assert!(rendered.contains("XA-STR-005"), "{rendered}");
+        assert!(rendered.contains("XA-STR-001"), "{rendered}");
         assert!(rendered.contains("test-policy"), "{rendered}");
     }
 }

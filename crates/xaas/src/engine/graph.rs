@@ -5,7 +5,9 @@
 //! dependency edges, then submit it to the [`Engine`](crate::engine::Engine). Nodes
 //! are added in topological order (an edge may only point at an already-added node),
 //! which keeps cycle detection trivial and the executor allocation-free on the hot
-//! path.
+//! path. A node that breaks that contract — a forward edge, or a commit or derived
+//! key with nothing to depend on — is recorded as a [`GraphError`] when it is added;
+//! no `add*` call panics, and the offending edge is never stored.
 
 #![deny(clippy::unwrap_used, clippy::dbg_macro)]
 use super::trace::ActionKind;
@@ -69,6 +71,67 @@ pub(crate) enum KeySpec<'env> {
     Derived(KeyFn<'env>),
 }
 
+/// The first construction defect an [`ActionGraph`] recorded. A graph that holds
+/// one is refused by [`Engine::run`](crate::engine::Engine::run) and
+/// [`Engine::submit_graph`](crate::engine::Engine::submit_graph) before any node
+/// is enqueued.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum GraphError {
+    /// `node` declared a dependency on itself or on a node not yet added; the
+    /// edge was dropped.
+    ForwardEdge {
+        /// The node that declared the edge.
+        node: ActionId,
+        /// The dependency index it named.
+        dep: ActionId,
+    },
+    /// A commit node with no dependencies: it would commit an image assembled
+    /// from nothing.
+    CommitWithoutDeps {
+        /// The commit node.
+        node: ActionId,
+    },
+    /// A derived-key node with no dependencies: its dispatch-time key would be
+    /// a constant derived from no inputs.
+    DerivedKeyWithoutDeps {
+        /// The derived-key node.
+        node: ActionId,
+    },
+}
+
+impl GraphError {
+    /// The node whose `add*` call recorded the defect.
+    pub fn node(&self) -> ActionId {
+        match *self {
+            GraphError::ForwardEdge { node, .. }
+            | GraphError::CommitWithoutDeps { node }
+            | GraphError::DerivedKeyWithoutDeps { node } => node,
+        }
+    }
+}
+
+impl std::fmt::Display for GraphError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GraphError::ForwardEdge { node, dep } => write!(
+                f,
+                "action {node} depends on node {dep}, which is not added before it"
+            ),
+            GraphError::CommitWithoutDeps { node } => write!(
+                f,
+                "commit action {node} has no dependencies: nothing to commit"
+            ),
+            GraphError::DerivedKeyWithoutDeps { node } => write!(
+                f,
+                "action {node} derives its BuildKey from its dependency outputs but \
+                 declares no dependencies"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for GraphError {}
+
 pub(crate) struct ActionNode<'env, E> {
     pub(crate) kind: ActionKind,
     pub(crate) label: String,
@@ -99,6 +162,8 @@ pub struct ActionGraph<'env, E> {
     pub(crate) nodes: Vec<ActionNode<'env, E>>,
     /// Job tag applied to subsequently added nodes (see [`ActionGraph::set_job`]).
     current_job: Option<usize>,
+    /// The first construction defect (see [`ActionGraph::error`]).
+    error: Option<GraphError>,
 }
 
 impl<'env, E> Default for ActionGraph<'env, E> {
@@ -113,6 +178,7 @@ impl<'env, E> ActionGraph<'env, E> {
         Self {
             nodes: Vec::new(),
             current_job: None,
+            error: None,
         }
     }
 
@@ -129,9 +195,10 @@ impl<'env, E> ActionGraph<'env, E> {
 
     /// Add an uncached action: it always executes, and its record carries no key.
     ///
-    /// # Panics
-    /// If a dependency refers to a node that has not been added yet (graphs are
-    /// built in topological order; a forward edge is a driver bug).
+    /// Graphs are built in topological order: a dependency on a node not yet
+    /// added is dropped and recorded as [`GraphError::ForwardEdge`], and a
+    /// [`Commit`](ActionKind::Commit) with no dependencies as
+    /// [`GraphError::CommitWithoutDeps`] (see [`error`](Self::error)).
     pub fn add(
         &mut self,
         kind: ActionKind,
@@ -143,10 +210,8 @@ impl<'env, E> ActionGraph<'env, E> {
     }
 
     /// Add a cache-routed action: the executor consults the engine's cache backend
-    /// for `key` and only runs the closure on a miss.
-    ///
-    /// # Panics
-    /// If a dependency refers to a node that has not been added yet.
+    /// for `key` and only runs the closure on a miss. Defects are recorded as in
+    /// [`add`](Self::add).
     pub fn add_cached(
         &mut self,
         kind: ActionKind,
@@ -171,10 +236,10 @@ impl<'env, E> ActionGraph<'env, E> {
     /// `sd-compile` is keyed on the preprocessed-content digest its preprocess
     /// dependency produces, so the key cannot exist at graph-construction time.
     /// `key_of` must be deterministic in the dependency outputs — it becomes part
-    /// of the action's cache identity and recorded `key_digest`.
-    ///
-    /// # Panics
-    /// If a dependency refers to a node that has not been added yet.
+    /// of the action's cache identity and recorded `key_digest`. A derived key
+    /// with no dependencies to derive from is recorded as
+    /// [`GraphError::DerivedKeyWithoutDeps`]; other defects as in
+    /// [`add`](Self::add).
     pub fn add_cached_derived(
         &mut self,
         kind: ActionKind,
@@ -201,21 +266,37 @@ impl<'env, E> ActionGraph<'env, E> {
         run: ActionFn<'env, E>,
     ) -> ActionId {
         let id = self.nodes.len();
+        let mut defect = if deps.is_empty() && kind == ActionKind::Commit {
+            Some(GraphError::CommitWithoutDeps { node: id })
+        } else if deps.is_empty() && matches!(key, KeySpec::Derived(_)) {
+            Some(GraphError::DerivedKeyWithoutDeps { node: id })
+        } else {
+            None
+        };
+        let mut kept = Vec::with_capacity(deps.len());
         for &dep in deps {
-            assert!(
-                dep < id,
-                "action {id} ({label}) depends on not-yet-added node {dep}"
-            );
+            if dep < id {
+                kept.push(dep);
+            } else {
+                defect = defect.or(Some(GraphError::ForwardEdge { node: id, dep }));
+            }
         }
+        self.error = self.error.or(defect);
         self.nodes.push(ActionNode {
             kind,
             label,
             key,
-            deps: deps.to_vec(),
+            deps: kept,
             run,
             job: self.current_job,
         });
         id
+    }
+
+    /// The first construction defect an `add*` call recorded, if any. Every
+    /// stored edge points backwards whether or not one was recorded.
+    pub fn error(&self) -> Option<GraphError> {
+        self.error
     }
 
     /// Number of nodes in the graph.
@@ -244,6 +325,7 @@ impl<E> std::fmt::Debug for ActionGraph<'_, E> {
         f.debug_struct("ActionGraph")
             .field("nodes", &self.nodes.len())
             .field("depth", &self.depth())
+            .field("error", &self.error)
             .finish()
     }
 }
@@ -265,10 +347,63 @@ mod tests {
         assert_eq!(ActionGraph::<()>::new().depth(), 0);
     }
 
+    /// Adds defect `which` to `graph`: a `usize::MAX` edge (beside a valid one),
+    /// a self edge, a commit with no dependencies, a derived key with none.
+    fn add_defect(graph: &mut ActionGraph<'static, ()>, which: usize) -> ActionId {
+        let key = || BuildKey::new("k", "xir.ir", "opts", "toolchain-test");
+        let run = |_: &ActionInputs| Ok(vec![]);
+        match which {
+            0 => graph.add(ActionKind::Link, "far", &[0, usize::MAX], run),
+            1 => graph.add(ActionKind::Link, "self", &[graph.len()], run),
+            2 => graph.add_cached(ActionKind::Commit, "commit", key(), &[], run),
+            _ => {
+                graph.add_cached_derived(ActionKind::SdCompile, "derived", move |_| key(), &[], run)
+            }
+        }
+    }
+
+    /// Every defect is recorded, never panicked on: the offending edge is
+    /// dropped, `len`/`depth` stay total, and `error` keeps the *first* defect.
     #[test]
-    #[should_panic(expected = "depends on not-yet-added node")]
-    fn forward_edges_are_rejected() {
-        let mut graph: ActionGraph<'_, ()> = ActionGraph::new();
-        graph.add(ActionKind::Link, "broken", &[3], |_| Ok(vec![]));
+    fn construction_defects_are_recorded_without_panicking() {
+        let seeded = || {
+            let mut graph: ActionGraph<'static, ()> = ActionGraph::new();
+            graph.add(ActionKind::Preprocess, "pre", &[], |_| Ok(vec![]));
+            assert_eq!(graph.error(), None);
+            graph
+        };
+        // Each defect alone: recorded against the node that declared it.
+        let expected = [
+            (
+                GraphError::ForwardEdge {
+                    node: 1,
+                    dep: usize::MAX,
+                },
+                2,
+            ),
+            (GraphError::ForwardEdge { node: 1, dep: 1 }, 1),
+            (GraphError::CommitWithoutDeps { node: 1 }, 1),
+            (GraphError::DerivedKeyWithoutDeps { node: 1 }, 1),
+        ];
+        for (which, (error, depth)) in expected.into_iter().enumerate() {
+            let mut graph = seeded();
+            assert_eq!(add_defect(&mut graph, which), 1);
+            assert_eq!(graph.error(), Some(error));
+            assert_eq!(error.node(), 1);
+            assert_eq!((graph.len(), graph.depth()), (2, depth));
+        }
+
+        // All of them in one graph: the first is the one kept, and every stored
+        // edge points backwards (`far` keeps its edge to node 0).
+        let mut graph = seeded();
+        for which in 0..expected.len() {
+            add_defect(&mut graph, which);
+        }
+        assert_eq!(graph.error(), Some(expected[0].0));
+        assert_eq!((graph.len(), graph.depth()), (5, 2));
+        assert_eq!(graph.nodes[1].deps, vec![0]);
+        for (id, node) in graph.nodes.iter().enumerate() {
+            assert!(node.deps.iter().all(|&dep| dep < id));
+        }
     }
 }

@@ -6,7 +6,9 @@
 //! near-duplicate monolithic functions. The pieces:
 //!
 //! * [`graph`] — [`ActionGraph`]: a DAG of [`ActionKind`]-tagged nodes with explicit
-//!   dependency edges, built stage by stage by the pipeline drivers;
+//!   dependency edges, built stage by stage by the pipeline drivers; a node that
+//!   breaks the construction contract is recorded as a [`GraphError`] at `add`,
+//!   and the engine refuses that graph before enqueuing anything;
 //! * [`executor`] — a worker pool that runs the ready frontier across threads,
 //!   routes keyed nodes through a [`CacheBackend`]
 //!   (an [`ActionCache`] or the always-compute
@@ -18,9 +20,8 @@
 //! * [`trace`] — [`ActionTrace`]: a deterministic, node-ordered record of what ran
 //!   and what the cache absorbed, from which the historical [`ActionSummary`]
 //!   counters are derived;
-//! * [`analysis`] — [`GraphAnalyzer`]: the pre-submission static verifier that
-//!   lints a graph against the active policy and rejects structurally broken
-//!   submissions before any worker executes a node;
+//! * [`analysis`] — [`GraphAnalyzer`]: the advisory static linter, run on
+//!   request ([`Engine::analyze`]) rather than on every submission;
 //! * [`plan`] — the graph idioms the drivers share: deduplicated preprocess
 //!   actions, the one definition of an `sd-compile` node, and the link → commit
 //!   tail.
@@ -46,8 +47,9 @@
 //! let shout = graph.add(ActionKind::Link, "shout", &[hello], |inputs| {
 //!     Ok(inputs.dep(0).to_ascii_uppercase())
 //! });
-//! let run = engine.run(graph);
+//! let run = engine.run(graph)?;
 //! assert_eq!(run.output(shout), Some(&b"HI"[..]));
+//! # Ok::<(), xaas::engine::GraphError>(())
 //! ```
 
 #![deny(clippy::unwrap_used, clippy::dbg_macro)]
@@ -63,7 +65,7 @@ pub use executor::{
     ActionOutputs, GraphFault, GraphHandle, GraphRun, GraphRunError, GraphStatus, JobFailure,
     NodeInfo, NodeOutcome, QueueStats,
 };
-pub use graph::{ActionGraph, ActionId, ActionInputs};
+pub use graph::{ActionGraph, ActionId, ActionInputs, GraphError};
 pub use plan::{add_commit_action, KeyedActionPlanner, LinkSlot, PreprocessPlanner};
 pub use policy::{Fifo, PolicyError, SchedulingPolicy, WeightedFair};
 pub use trace::{ActionKind, ActionRecord, ActionSummary, ActionTrace};
@@ -189,26 +191,14 @@ impl Engine {
         self
     }
 
-    /// Run the static analyzer over `graph` against this engine's policy,
-    /// tenant tag, and queue bound. Read-only: nothing is scheduled. This is
-    /// also how warnings on graphs [`preflight`](Self::preflight) admits are
-    /// read.
+    /// Run the advisory static analyzer over `graph` against this engine's
+    /// policy, tenant tag, and queue bound. Read-only: nothing is scheduled, and
+    /// no submission runs it.
     pub fn analyze<E>(&self, graph: &ActionGraph<'_, E>) -> AnalysisReport {
         GraphAnalyzer::new(self.policy.as_ref())
             .tenant(self.tenant.as_deref())
             .queue_bound(self.queue_bound)
             .analyze(graph)
-    }
-
-    /// The analyzer's verdict on `graph`: `Ok` to proceed, `Err(report)` when
-    /// the report carries deny-level findings. The pipeline drivers call this
-    /// before every `engine.run`.
-    pub fn preflight<E>(&self, graph: &ActionGraph<'_, E>) -> Result<(), Box<AnalysisReport>> {
-        let report = self.analyze(graph);
-        if report.is_rejected() {
-            return Err(Box::new(report));
-        }
-        Ok(())
     }
 
     /// The configured worker count.
@@ -245,15 +235,24 @@ impl Engine {
     /// the same queue, the same workers, the same interleaving with concurrent
     /// submissions — only the caller waits in place instead of holding a
     /// [`GraphHandle`].
-    pub fn run<'env, E: Send + 'static>(&self, graph: ActionGraph<'env, E>) -> GraphRun<E> {
-        self.core.run_blocking(
+    ///
+    /// A graph that recorded a construction defect ([`ActionGraph::error`]) is
+    /// refused with that [`GraphError`] before any node is enqueued.
+    pub fn run<'env, E: Send + 'static>(
+        &self,
+        graph: ActionGraph<'env, E>,
+    ) -> Result<GraphRun<E>, GraphError> {
+        if let Some(error) = graph.error() {
+            return Err(error);
+        }
+        Ok(self.core.run_blocking(
             &self.cache,
             &self.policy,
             &self.seq,
             self.workers,
             graph,
             self.tenant.clone(),
-        )
+        ))
     }
 
     /// Submit `graph` without blocking and get a [`GraphHandle`] back. The
@@ -263,15 +262,16 @@ impl Engine {
     /// its environment (`'static`) because execution outlives this call — for
     /// borrowed environments use the blocking [`run`](Self::run).
     ///
-    /// The submission is [`preflight`](Self::preflight)ed first: a graph with
-    /// deny-level findings is rejected with its [`AnalysisReport`] before any
-    /// node is enqueued — no worker executes, no cache entry is touched, no
-    /// queue slot is taken.
+    /// A graph that recorded a construction defect is refused with its
+    /// [`GraphError`], as by [`run`](Self::run): no worker executes, no cache
+    /// entry is touched, no queue slot is taken.
     pub fn submit_graph<E: Send + 'static>(
         &self,
         graph: ActionGraph<'static, E>,
-    ) -> Result<GraphHandle<E>, Box<AnalysisReport>> {
-        self.preflight(&graph)?;
+    ) -> Result<GraphHandle<E>, GraphError> {
+        if let Some(error) = graph.error() {
+            return Err(error);
+        }
         Ok(self.core.submit_graph(
             &self.cache,
             &self.policy,
@@ -327,7 +327,7 @@ mod tests {
             assert_eq!(inputs.len(), 1);
             Ok(inputs.dep(0).to_vec())
         });
-        let run = engine.run(graph);
+        let run = engine.run(graph).unwrap();
         assert!(run.succeeded());
         assert_eq!(run.output(commit), Some(&b"LR"[..]));
         // Trace is in node order with the declared kinds, regardless of scheduling.
@@ -355,7 +355,7 @@ mod tests {
         let independent = graph.add(ActionKind::Preprocess, "independent", &[], |_| {
             Ok(b"fine".to_vec())
         });
-        let run = engine.run(graph);
+        let run = engine.run(graph).unwrap();
         assert!(!run.succeeded());
         assert!(matches!(&run.outcomes[bad], NodeOutcome::Failed(e) if e == "boom"));
         assert!(matches!(
@@ -425,7 +425,7 @@ mod tests {
             }
             graph
         }
-        let cold = engine.run(build("cold", &calls));
+        let cold = engine.run(build("cold", &calls)).unwrap();
         assert!(cold.succeeded());
         assert_eq!(
             cold.trace.summary(),
@@ -434,7 +434,7 @@ mod tests {
                 cached: 0
             }
         );
-        let warm = engine.run(build("warm", &calls));
+        let warm = engine.run(build("warm", &calls)).unwrap();
         assert_eq!(
             warm.trace.summary(),
             ActionSummary {
@@ -475,10 +475,12 @@ mod tests {
         let counter = AtomicUsize::new(0);
         let serial = Engine::uncached(&ImageStore::new())
             .with_workers(1)
-            .run(build_graph(&counter));
+            .run(build_graph(&counter))
+            .unwrap();
         let parallel = Engine::uncached(&ImageStore::new())
             .with_workers(8)
-            .run(build_graph(&counter));
+            .run(build_graph(&counter))
+            .unwrap();
         assert_eq!(counter.load(Ordering::SeqCst), 2);
         assert_eq!(serial.trace, parallel.trace);
         assert_eq!(serial.output(24), parallel.output(24));
@@ -508,7 +510,7 @@ mod tests {
         graph.add(ActionKind::Link, "tail", &[held], |inputs| {
             Ok(inputs.iter().next().expect("held output").to_vec())
         });
-        let handle = engine.submit_graph(graph).expect("analysis-clean graph");
+        let handle = engine.submit_graph(graph).unwrap();
         let status = handle.poll();
         assert_eq!(status.total, 2);
         assert!(!status.done);
@@ -530,9 +532,7 @@ mod tests {
         // new callbacks immediately on the caller.
         let mut done_graph: ActionGraph<'static, std::convert::Infallible> = ActionGraph::new();
         done_graph.add(ActionKind::Preprocess, "p", &[], |_| Ok(vec![2]));
-        let handle = engine
-            .submit_graph(done_graph)
-            .expect("analysis-clean graph");
+        let handle = engine.submit_graph(done_graph).unwrap();
         while !handle.is_done() {
             std::thread::yield_now();
         }
@@ -556,12 +556,12 @@ mod tests {
             blocked.lock().unwrap().recv().ok();
             Ok(vec![1])
         });
-        let first_handle = engine.submit_graph(first).expect("analysis-clean graph");
+        let first_handle = engine.submit_graph(first).unwrap();
 
         let mut second: ActionGraph<'static, std::convert::Infallible> = ActionGraph::new();
         let a = second.add(ActionKind::Preprocess, "a", &[], |_| Ok(vec![2]));
         second.add(ActionKind::Link, "b", &[a], |_| Ok(vec![3]));
-        let second_handle = engine.submit_graph(second).expect("analysis-clean graph");
+        let second_handle = engine.submit_graph(second).unwrap();
         second_handle.cancel();
         release.send(()).unwrap();
 
@@ -593,11 +593,11 @@ mod tests {
             Ok(vec![1])
         });
         first.add(ActionKind::Preprocess, "sibling", &[], |_| Ok(vec![2]));
-        let first_handle = engine.submit_graph(first).expect("analysis-clean graph");
+        let first_handle = engine.submit_graph(first).unwrap();
 
         let mut second: ActionGraph<'static, std::convert::Infallible> = ActionGraph::new();
         second.add(ActionKind::Preprocess, "other", &[], |_| Ok(vec![3]));
-        let second_handle = engine.submit_graph(second).expect("analysis-clean graph");
+        let second_handle = engine.submit_graph(second).unwrap();
         // Both submissions now have queued work; release the worker.
         while engine.queue_stats().waiting_submissions < 2 {
             std::thread::yield_now();
@@ -636,7 +636,7 @@ mod tests {
             blocked.lock().unwrap().recv().ok();
             Ok(vec![0])
         });
-        let gate_handle = base.submit_graph(gate_graph).expect("analysis-clean graph");
+        let gate_handle = base.submit_graph(gate_graph).unwrap();
 
         let tenant_graph = |name: &'static str| {
             let mut graph: ActionGraph<'static, std::convert::Infallible> = ActionGraph::new();
@@ -652,12 +652,8 @@ mod tests {
         };
         let heavy = base.clone().with_tenant("heavy");
         let light = base.clone().with_tenant("light");
-        let heavy_handle = heavy
-            .submit_graph(tenant_graph("h"))
-            .expect("analysis-clean");
-        let light_handle = light
-            .submit_graph(tenant_graph("l"))
-            .expect("analysis-clean");
+        let heavy_handle = heavy.submit_graph(tenant_graph("h")).unwrap();
+        let light_handle = light.submit_graph(tenant_graph("l")).unwrap();
         while base.queue_stats().waiting_submissions < 2 {
             std::thread::yield_now();
         }
@@ -695,7 +691,7 @@ mod tests {
             .with_tenant("acme");
         let mut graph: ActionGraph<'_, std::convert::Infallible> = ActionGraph::new();
         graph.add(ActionKind::Preprocess, "p", &[], |_| Ok(vec![1]));
-        let run = engine.run(graph);
+        let run = engine.run(graph).unwrap();
         assert!(run.succeeded());
         assert_eq!(run.trace.tenant.as_deref(), Some("acme"));
         assert_eq!(run.trace.records[0].tenant.as_deref(), Some("acme"));

@@ -372,7 +372,7 @@ mod tests {
             |image| image,
             link,
         );
-        let run = engine.run(graph);
+        let run = engine.run(graph).unwrap();
         assert!(run.succeeded());
         let digest = String::from_utf8(run.output(commit).unwrap().to_vec()).unwrap();
         assert_eq!(store.resolve("plan:commit").unwrap().as_str(), digest);

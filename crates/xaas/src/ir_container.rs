@@ -262,9 +262,9 @@ pub enum IrPipelineError {
     Cache(String),
     /// The orchestrator's scheduling policy is invalid (e.g. a zero tenant weight).
     Policy(crate::engine::PolicyError),
-    /// The pre-submission static analyzer rejected the build graph (deny-level
-    /// diagnostics); nothing executed.
-    Analysis(Box<crate::engine::AnalysisReport>),
+    /// The pipeline built an action graph with a construction defect;
+    /// nothing executed.
+    Graph(crate::engine::GraphError),
     /// The executor broke its scheduling contract (a node skipped without a
     /// failure, or cancelled mid-run) — not a pipeline error.
     Engine(crate::engine::GraphFault),
@@ -286,7 +286,7 @@ impl fmt::Display for IrPipelineError {
             }
             IrPipelineError::Cache(detail) => write!(f, "action cache: {detail}"),
             IrPipelineError::Policy(error) => write!(f, "{error}"),
-            IrPipelineError::Analysis(report) => write!(f, "graph rejected by analysis: {report}"),
+            IrPipelineError::Graph(error) => write!(f, "action graph refused: {error}"),
             IrPipelineError::Engine(fault) => write!(f, "executor fault: {fault}"),
         }
     }
@@ -309,9 +309,9 @@ impl From<crate::engine::GraphRunError<IrPipelineError>> for IrPipelineError {
     }
 }
 
-impl From<Box<crate::engine::AnalysisReport>> for IrPipelineError {
-    fn from(value: Box<crate::engine::AnalysisReport>) -> Self {
-        IrPipelineError::Analysis(value)
+impl From<crate::engine::GraphError> for IrPipelineError {
+    fn from(value: crate::engine::GraphError) -> Self {
+        IrPipelineError::Graph(value)
     }
 }
 
@@ -552,11 +552,10 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
     })
 }
 
-/// Run the pre-submission static analyzer over the build's stage-A graph
+/// Run the advisory static analyzer over the build's stage-A graph
 /// (preprocess + OpenMP detection) without executing anything. The stage-B
 /// graph (ir-lower/link/commit) is derived from stage-A *outputs*, so it
-/// cannot be constructed statically; its shape is a planner-generated
-/// fan-in the same passes vet on submission.
+/// cannot be constructed statically.
 pub(crate) fn analyze_ir_build(
     project: &ProjectSpec,
     config: &IrPipelineConfig,
@@ -605,9 +604,7 @@ pub(crate) fn run_ir_build(
     } = plan_ir_build_stage_a(project, config, &compiler)?;
 
     // ---- Stage 2+3 (graph A): preprocess and OpenMP-detect, in parallel ----
-    engine.preflight(&stage_a)?;
-    let run_a = engine.run(stage_a);
-    let (outputs_a, mut trace) = run_a.into_outputs()?;
+    let (outputs_a, mut trace) = engine.run(stage_a)?.into_outputs()?;
     let digest_of =
         |id: ActionId| -> String { String::from_utf8_lossy(&outputs_a[id]).into_owned() };
     let matters_of = |id: ActionId| -> bool { outputs_a[id].first().copied().unwrap_or(1) != 0 };
@@ -861,9 +858,7 @@ pub(crate) fn run_ir_build(
         link_action,
     );
 
-    engine.preflight(&stage_b)?;
-    let run_b = engine.run(stage_b);
-    let (_, trace_b) = run_b.into_outputs()?;
+    let (_, trace_b) = engine.run(stage_b)?.into_outputs()?;
     trace.merge(trace_b);
     let Assembled {
         image,

@@ -317,7 +317,7 @@ impl<'a> IrBuildRequest<'a> {
     /// policy: policy defects surface as diagnostics in the returned
     /// [`AnalysisReport`] instead. The build's
     /// stage-B graph is derived from stage-A outputs, so it cannot be linted
-    /// ahead of time; it is still analyzed on submission.
+    /// ahead of time.
     pub fn analyze(self, orch: &Orchestrator) -> Result<AnalysisReport, IrPipelineError> {
         crate::ir_container::analyze_ir_build(self.project, self.config, orch.engine())
     }
@@ -386,8 +386,7 @@ impl<'a> IrDeployRequest<'a> {
         let mut graph = ActionGraph::new();
         let standalone = &mut SharedDeployArtifacts::default();
         graft_ir_deploy(&plan, &mut graph, engine.store(), standalone);
-        engine.preflight(&graph)?;
-        let (_, trace) = engine.run(graph).into_outputs()?;
+        let (_, trace) = engine.run(graph)?.into_outputs()?;
         Ok(finish_ir_deploy(plan, trace))
     }
 
@@ -468,8 +467,7 @@ impl<'a> SourceDeployRequest<'a> {
         let plan = self.plan()?;
         let mut graph = ActionGraph::new();
         graft_source_deploy(&plan, &mut graph, engine.store());
-        engine.preflight(&graph)?;
-        let (_, trace) = engine.run(graph).into_outputs()?;
+        let (_, trace) = engine.run(graph)?.into_outputs()?;
         Ok(finish_source_deploy(plan, trace))
     }
 
@@ -805,21 +803,21 @@ fn run_union_wave(
     let plans = plan_jobs(build, project, jobs);
     let (graph, stage_depths) = graft_jobs(&plans, engine.store());
 
-    // Preflight phase: a deny-level analysis verdict fails every planned job
-    // before any node executes (plan-time failures already claimed theirs).
-    if let Err(report) = engine.preflight(&graph) {
-        drop(graph); // the grafted closures borrow the plans consumed below
-        let rejection = DeployError::Analysis(report);
-        let results = plans
-            .into_iter()
-            .map(|plan| Err(FleetError::before_run(plan?.system, &rejection)))
-            .collect();
-        return (results, ActionTrace::default(), false);
-    }
-
-    // Run phase: exactly one engine submission for the whole wave.
+    // Run phase: exactly one engine submission for the whole wave. A graph
+    // the engine refuses fails every planned job before any node executes
+    // (plan-time failures already claimed theirs).
     let ran = !graph.is_empty();
-    let run = engine.run(graph);
+    let run = match engine.run(graph) {
+        Ok(run) => run,
+        Err(error) => {
+            let rejection = DeployError::Graph(error);
+            let results = plans
+                .into_iter()
+                .map(|plan| Err(FleetError::before_run(plan?.system, &rejection)))
+                .collect();
+            return (results, ActionTrace::default(), false);
+        }
+    };
     let wave_trace = run.trace.clone();
     let mut splits = run.trace.split_by_job();
 

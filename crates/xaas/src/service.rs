@@ -123,12 +123,6 @@ pub enum AdmissionError {
     /// The service is draining: no new requests are admitted, in-flight
     /// requests are finishing.
     Draining,
-    /// The engine's pre-submission static analyzer rejected the request's
-    /// action graph with deny-level diagnostics before any of its actions ran
-    /// (see [`GraphAnalyzer`](crate::engine::GraphAnalyzer)). The report lists
-    /// every finding; resubmitting the same graph under the same policy will
-    /// fail the same way.
-    Invalid(Box<crate::engine::AnalysisReport>),
 }
 
 impl fmt::Display for AdmissionError {
@@ -151,9 +145,6 @@ impl fmt::Display for AdmissionError {
                 "service saturated ({in_flight} requests in flight, {queued_actions} actions queued, limit {limit})"
             ),
             AdmissionError::Draining => f.write_str("service is draining; no new requests admitted"),
-            AdmissionError::Invalid(report) => {
-                write!(f, "request graph rejected by pre-submission analysis: {report}")
-            }
         }
     }
 }
@@ -220,17 +211,6 @@ pub trait ServiceRequest {
     /// Execute on the session's tenant-tagged orchestrator. Called only after
     /// admission succeeded.
     fn execute(self, orch: &Orchestrator) -> Result<Self::Output, Self::Error>;
-
-    /// If `error` is the engine's pre-submission analyzer rejecting the
-    /// request's graph, extract the report so the service surfaces it as
-    /// [`AdmissionError::Invalid`] — the refusal happened before any of the
-    /// request's actions ran, exactly like the other admission errors.
-    /// Default: not an analysis rejection.
-    fn analysis_rejection(
-        error: Self::Error,
-    ) -> Result<Box<crate::engine::AnalysisReport>, Self::Error> {
-        Err(error)
-    }
 }
 
 impl ServiceRequest for IrBuildRequest<'_> {
@@ -239,15 +219,6 @@ impl ServiceRequest for IrBuildRequest<'_> {
 
     fn execute(self, orch: &Orchestrator) -> Result<Self::Output, Self::Error> {
         self.submit(orch)
-    }
-
-    fn analysis_rejection(
-        error: Self::Error,
-    ) -> Result<Box<crate::engine::AnalysisReport>, Self::Error> {
-        match error {
-            crate::ir_container::IrPipelineError::Analysis(report) => Ok(report),
-            other => Err(other),
-        }
     }
 }
 
@@ -258,15 +229,6 @@ impl ServiceRequest for IrDeployRequest<'_> {
     fn execute(self, orch: &Orchestrator) -> Result<Self::Output, Self::Error> {
         self.submit(orch)
     }
-
-    fn analysis_rejection(
-        error: Self::Error,
-    ) -> Result<Box<crate::engine::AnalysisReport>, Self::Error> {
-        match error {
-            crate::deploy::DeployError::Analysis(report) => Ok(report),
-            other => Err(other),
-        }
-    }
 }
 
 impl ServiceRequest for SourceDeployRequest<'_> {
@@ -275,15 +237,6 @@ impl ServiceRequest for SourceDeployRequest<'_> {
 
     fn execute(self, orch: &Orchestrator) -> Result<Self::Output, Self::Error> {
         self.submit(orch)
-    }
-
-    fn analysis_rejection(
-        error: Self::Error,
-    ) -> Result<Box<crate::engine::AnalysisReport>, Self::Error> {
-        match error {
-            crate::source_container::SourceContainerError::Analysis(report) => Ok(report),
-            other => Err(other),
-        }
     }
 }
 
@@ -385,7 +338,7 @@ impl ServiceInner {
                     let counter = match refusal {
                         AdmissionError::Backpressure { .. } => &self.counters.backpressured,
                         AdmissionError::Rejected { .. } => &self.counters.rejected,
-                        _ => &self.counters.refused_draining,
+                        AdmissionError::Draining => &self.counters.refused_draining,
                     };
                     counter.fetch_add(1, Ordering::Relaxed);
                     return Err(refusal);
@@ -484,10 +437,10 @@ impl OrchestratorService {
         Self::with_limits(orch, ServiceLimits::default())
     }
 
-    /// A service over `orch` with explicit limits. The engine's pre-submission
-    /// analyzer is told the queued-action bound, so graphs that alone would
-    /// overflow it are flagged ([`DiagnosticCode::QueueOverflow`](crate::engine::DiagnosticCode))
-    /// at analysis time instead of only tripping admission at run time.
+    /// A service over `orch` with explicit limits. The engine's analyzer is
+    /// told the queued-action bound, so a request's `analyze` flags graphs that
+    /// alone would overflow it ([`DiagnosticCode::QueueOverflow`](crate::engine::DiagnosticCode))
+    /// instead of their only tripping admission at run time.
     pub fn with_limits(orch: Orchestrator, limits: ServiceLimits) -> Self {
         let orch = orch.with_queue_bound(Some(limits.max_queued_actions));
         Self {
@@ -731,18 +684,7 @@ impl Session {
             .map_err(ServiceError::Admission)?;
         let result = request.execute(&self.orch);
         drop(permit);
-        result.map_err(Self::classify::<R>)
-    }
-
-    /// Fold a pipeline error back into the service's error taxonomy: a
-    /// pre-submission analysis rejection is an *admission* refusal
-    /// ([`AdmissionError::Invalid`] — no action of the request ran), anything
-    /// else a pipeline failure.
-    fn classify<R: ServiceRequest>(error: R::Error) -> ServiceError<R::Error> {
-        match R::analysis_rejection(error) {
-            Ok(report) => ServiceError::Admission(AdmissionError::Invalid(report)),
-            Err(error) => ServiceError::Request(error),
-        }
+        result.map_err(ServiceError::Request)
     }
 
     /// Convenience for fleet requests, whose reports are always produced (per-

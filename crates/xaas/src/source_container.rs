@@ -50,9 +50,9 @@ pub enum SourceContainerError {
     Cache(String),
     /// The orchestrator's scheduling policy is invalid (e.g. a zero tenant weight).
     Policy(crate::engine::PolicyError),
-    /// The pre-submission static analyzer rejected the build graph (deny-level
-    /// diagnostics); nothing executed.
-    Analysis(Box<crate::engine::AnalysisReport>),
+    /// The pipeline built an action graph with a construction defect;
+    /// nothing executed.
+    Graph(crate::engine::GraphError),
     /// The executor broke its scheduling contract (a node skipped without a
     /// failure, or cancelled mid-run) — not a pipeline error.
     Engine(crate::engine::GraphFault),
@@ -79,9 +79,7 @@ impl fmt::Display for SourceContainerError {
             }
             SourceContainerError::Cache(detail) => write!(f, "action cache: {detail}"),
             SourceContainerError::Policy(error) => write!(f, "{error}"),
-            SourceContainerError::Analysis(report) => {
-                write!(f, "graph rejected by analysis: {report}")
-            }
+            SourceContainerError::Graph(error) => write!(f, "action graph refused: {error}"),
             SourceContainerError::Engine(fault) => write!(f, "executor fault: {fault}"),
         }
     }
@@ -98,9 +96,9 @@ impl From<crate::engine::GraphRunError<SourceContainerError>> for SourceContaine
     }
 }
 
-impl From<Box<crate::engine::AnalysisReport>> for SourceContainerError {
-    fn from(value: Box<crate::engine::AnalysisReport>) -> Self {
-        SourceContainerError::Analysis(value)
+impl From<crate::engine::GraphError> for SourceContainerError {
+    fn from(value: crate::engine::GraphError) -> Self {
+        SourceContainerError::Graph(value)
     }
 }
 

@@ -1,18 +1,17 @@
-//! Pre-submission static analyzer integration: graphs that pass analysis
-//! execute without structural runtime faults; each injectable defect
-//! class is flagged with its specific diagnostic code; and a deny-level
-//! verdict rejects the submission *before any node executes* — no partial
-//! side effects, pinned by an action-side counter and the cache counters.
-//! (Dangling-dependency injection is impossible through the public
-//! [`ActionGraph`] API — `add` panics on forward edges — so `XA-STR-001` is
-//! pinned by the in-crate unit tests instead.)
+//! Graph construction defects and the advisory analyzer, end to end: a graph
+//! built without a defect executes without structural runtime faults; each
+//! lint is flagged with its own diagnostic code and never refuses anything;
+//! and a graph that recorded a [`GraphError`] is refused by `Engine::run`,
+//! `Engine::submit_graph` and a service session *before any node executes* —
+//! no partial side effects, pinned by an action-side counter, the cache
+//! counters and the queue.
 
 use proptest::prelude::*;
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use xaas::prelude::*;
-use xaas::service::{AdmissionError, OrchestratorService, ServiceError, ServiceRequest};
+use xaas::service::{OrchestratorService, ServiceError, ServiceRequest};
 use xaas_apps::lulesh;
 use xaas_container::{ActionCache, BuildKey, ImageStore};
 
@@ -24,22 +23,36 @@ fn engine() -> Engine {
     Engine::cached(&ActionCache::new(ImageStore::new())).with_workers(2)
 }
 
-/// Four keyed `Commit` nodes with no dependencies (`XA-STR-005`, deny), each of
-/// which would bump `ran` and insert a cache entry if it ever executed.
-fn denied_graph(ran: &Arc<AtomicUsize>) -> ActionGraph<'static, Infallible> {
+/// The three construction defects, each declared by node 1 of [`denied_graph`].
+const DEFECTS: [GraphError; 3] = [
+    GraphError::CommitWithoutDeps { node: 1 },
+    GraphError::DerivedKeyWithoutDeps { node: 1 },
+    GraphError::ForwardEdge { node: 1, dep: 3 },
+];
+
+/// Four keyed nodes, each of which would bump `ran` and insert a cache entry if
+/// it ever executed; node 1 declares `defect`.
+fn denied_graph(ran: &Arc<AtomicUsize>, defect: GraphError) -> ActionGraph<'static, Infallible> {
     let mut graph = ActionGraph::new();
-    for i in 0..4 {
+    for i in 0..4u8 {
         let ran = Arc::clone(ran);
-        graph.add_cached(
-            ActionKind::Commit,
-            format!("commit{i}"),
-            key(&format!("side-effect-{i}")),
-            &[],
-            move |_| {
-                ran.fetch_add(1, Ordering::SeqCst);
-                Ok(vec![i])
-            },
-        );
+        let run = move |_: &ActionInputs| {
+            ran.fetch_add(1, Ordering::SeqCst);
+            Ok(vec![i])
+        };
+        let (label, key) = (format!("node{i}"), key(&format!("side-effect-{i}")));
+        match (i, defect) {
+            (1, GraphError::CommitWithoutDeps { .. }) => {
+                graph.add_cached(ActionKind::Commit, label, key, &[], run)
+            }
+            (1, GraphError::DerivedKeyWithoutDeps { .. }) => {
+                graph.add_cached_derived(ActionKind::SdCompile, label, |_| key, &[], run)
+            }
+            (1, GraphError::ForwardEdge { dep, .. }) => {
+                graph.add_cached(ActionKind::Link, label, key, &[0, dep], run)
+            }
+            _ => graph.add_cached(ActionKind::Preprocess, label, key, &[], run),
+        };
     }
     graph
 }
@@ -73,16 +86,17 @@ proptest! {
         };
         for id in 0..n {
             // Every node depends on a random subset of its predecessors —
-            // backward edges only, so the graph is structurally valid by
-            // construction and preflight must admit it.
+            // backward edges only, so the graph records no defect and the
+            // engine must run it.
             let mut deps: Vec<ActionId> = (0..id).filter(|_| next() % 3 == 0).collect();
             deps.dedup();
             let kind = WORK_KINDS[id % WORK_KINDS.len()];
             graph.add(kind, format!("n{id}"), &deps, move |_| Ok(vec![id as u8]));
         }
+        prop_assert_eq!(graph.error(), None);
         let report = engine.analyze(&graph);
         prop_assert!(!report.is_rejected(), "clean-by-construction graph denied: {report}");
-        let run = engine.submit_graph(graph).expect("preflight admits it").wait();
+        let run = engine.submit_graph(graph).expect("no construction defect").wait();
         prop_assert!(run.succeeded());
         let (outputs, _) = run.into_outputs().expect("no faults");
         prop_assert_eq!(outputs.len(), n);
@@ -140,46 +154,23 @@ fn ordered_duplicate_key_is_clean() {
     assert!(!report.has_code(DiagnosticCode::UnorderedDuplicateKey));
 }
 
-#[test]
-fn commit_without_dependencies_is_denied_with_str_005() {
-    let engine = engine();
-    let mut graph: ActionGraph<'static, Infallible> = ActionGraph::new();
-    graph.add(ActionKind::Commit, "empty commit", &[], |_| Ok(vec![]));
-    let report = engine.submit_graph(graph).expect_err("nothing to commit");
-    assert!(report.has_code(DiagnosticCode::CommitNoDeps));
-}
-
-#[test]
-fn derived_key_without_dependencies_is_denied_with_str_006() {
-    let engine = engine();
-    let mut graph: ActionGraph<'static, Infallible> = ActionGraph::new();
-    graph.add_cached_derived(
-        ActionKind::SdCompile,
-        "keyless",
-        |_| key("derived"),
-        &[],
-        |_| Ok(vec![0]),
-    );
-    let report = engine
-        .submit_graph(graph)
-        .expect_err("no inputs to derive from");
-    assert!(report.has_code(DiagnosticCode::DerivedKeyNoDeps));
-}
-
-/// The deny-before-execution pin: a rejected submission runs *zero* actions —
-/// the side-effect counter stays at zero and the shared cache observes no
-/// lookups, no entries, and no flights.
+/// The refuse-before-execution pin, for each defect and both entrances: the
+/// engine returns the recorded [`GraphError`] and runs *zero* actions — the
+/// side-effect counter stays at zero, the shared cache observes no lookups and
+/// no entries, and nothing is queued.
 #[test]
 fn denied_graphs_execute_nothing_and_touch_no_state() {
     let cache = ActionCache::new(ImageStore::new());
     let engine = Engine::cached(&cache).with_workers(2);
     let ran = Arc::new(AtomicUsize::new(0));
     let before = engine.cache_stats();
-    let report = engine
-        .submit_graph(denied_graph(&ran))
-        .expect_err("commits of nothing are denied");
-    assert_eq!(report.with_code(DiagnosticCode::CommitNoDeps).count(), 4);
-    assert!(report.is_rejected());
+    for defect in DEFECTS {
+        let graph = denied_graph(&ran, defect);
+        assert_eq!(graph.error(), Some(defect));
+        assert_eq!(engine.run(graph).err(), Some(defect));
+        let graph = denied_graph(&ran, defect);
+        assert_eq!(engine.submit_graph(graph).err(), Some(defect));
+    }
     assert_eq!(ran.load(Ordering::SeqCst), 0, "no action may have run");
     let after = engine.cache_stats();
     assert_eq!(
@@ -189,27 +180,23 @@ fn denied_graphs_execute_nothing_and_touch_no_state() {
     assert_eq!(engine.queue_stats().queued_actions, 0);
 }
 
-/// A request whose `execute` does what every driver does first — preflight its
-/// graph on the session's engine and return the report as its error.
+/// A request whose `execute` does what every driver does: run its graph on the
+/// session's engine.
 struct DeniedRequest(Arc<AtomicUsize>);
 
 impl ServiceRequest for DeniedRequest {
     type Output = ();
-    type Error = Box<AnalysisReport>;
+    type Error = GraphError;
 
     fn execute(self, orch: &Orchestrator) -> Result<(), Self::Error> {
-        orch.engine().preflight(&denied_graph(&self.0))
-    }
-
-    fn analysis_rejection(error: Self::Error) -> Result<Box<AnalysisReport>, Self::Error> {
-        Ok(error)
+        orch.engine()
+            .run(denied_graph(&self.0, DEFECTS[0]))
+            .map(drop)
     }
 }
 
-/// Through the service, a deny-level verdict surfaces as a typed *admission*
-/// refusal — [`AdmissionError::Invalid`] carrying the full report — because
-/// the request was refused before any of its actions ran. The three driver
-/// error types map their `Analysis` variant onto that path.
+/// Through the service, a refused graph is the request's own typed error: the
+/// request was admitted, none of its actions ran, and no refusal is counted.
 #[test]
 fn service_surfaces_analysis_rejection_as_admission_invalid() {
     let service = OrchestratorService::builder().workers(2).build();
@@ -217,29 +204,12 @@ fn service_surfaces_analysis_rejection_as_admission_invalid() {
     let ran = Arc::new(AtomicUsize::new(0));
     let error = session
         .submit(DeniedRequest(Arc::clone(&ran)))
-        .expect_err("the graph commits images assembled from nothing");
-    let report = match error {
-        ServiceError::Admission(AdmissionError::Invalid(report)) => report,
-        other => panic!("expected AdmissionError::Invalid, got {other:?}"),
-    };
-    assert!(report.has_code(DiagnosticCode::CommitNoDeps));
-    assert!(report.is_rejected());
-    assert_eq!(report.tenant.as_deref(), Some("tenant-a"));
+        .expect_err("the graph commits an image assembled from nothing");
+    assert_eq!(error, ServiceError::Request(DEFECTS[0]));
     assert_eq!(ran.load(Ordering::SeqCst), 0);
-
-    assert_eq!(
-        IrBuildRequest::analysis_rejection(IrPipelineError::Analysis(report.clone())).ok(),
-        Some(report.clone())
-    );
-    assert_eq!(
-        IrDeployRequest::analysis_rejection(DeployError::Analysis(report.clone())).ok(),
-        Some(report.clone())
-    );
-    assert_eq!(
-        SourceDeployRequest::analysis_rejection(SourceContainerError::Analysis(report.clone()))
-            .ok(),
-        Some(report)
-    );
+    let stats = service.stats();
+    let refusals = stats.backpressured + stats.rejected + stats.refused_draining;
+    assert_eq!((stats.admitted, refusals), (1, 0));
 }
 
 /// The request-level lint plans the graph and reports on it without

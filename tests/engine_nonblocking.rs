@@ -63,7 +63,7 @@ fn one_worker_engine_keeps_executing_while_a_flight_is_held_externally() {
         &[],
         |_| Ok(b"free".to_vec()),
     );
-    let handle = engine.submit_graph(graph).expect("analysis-clean graph");
+    let handle = engine.submit_graph(graph).expect("a well-formed graph");
 
     // The unkeyed node retires while the keyed node is still parked: the single
     // worker was not blocked inside the cache waiting for the flight.
@@ -120,7 +120,7 @@ fn duplicate_unordered_keys_on_one_worker_compute_once_and_complete() {
         })
         .collect();
 
-    let run = engine.run(graph);
+    let run = engine.run(graph).expect("a well-formed graph");
     assert!(run.succeeded());
     for &id in &ids {
         assert_eq!(run.output(id), Some(&b"dup bytes"[..]));
@@ -148,7 +148,7 @@ fn failed_flight_wakes_the_parked_waiter_which_retries_and_computes() {
     let keyed = graph.add_cached(ActionKind::SdCompile, "retry", shared, &[], |_| {
         Ok(b"retried".to_vec())
     });
-    let handle = engine.submit_graph(graph).expect("analysis-clean graph");
+    let handle = engine.submit_graph(graph).expect("a well-formed graph");
 
     wait_until(30, || engine.queue_stats().parked_waiters == 1);
     CacheBackend::fail(&cache, ticket, FlightError::Failed);
@@ -188,7 +188,7 @@ fn poisoned_flights_wake_parked_jobs_and_blast_radius_stays_per_job() {
         Ok(b"job1 bytes".to_vec())
     });
 
-    let handle = engine.submit_graph(graph).expect("analysis-clean graph");
+    let handle = engine.submit_graph(graph).expect("a well-formed graph");
     wait_until(30, || engine.queue_stats().parked_waiters == 2);
 
     // Dropping the unredeemed tickets poisons both flights: each parked waiter
@@ -270,7 +270,11 @@ fn run_spec(spec: &[NodeSpec], workers: usize) -> (Vec<Vec<u8>>, ActionTrace) {
             bytes.push(i as u8);
             Ok(bytes)
         };
-        let kind = ActionKind::ALL[node.kind];
+        let kind = match ActionKind::ALL[node.kind] {
+            // A commit needs something to commit; the engine refuses one without.
+            ActionKind::Commit if deps.is_empty() => ActionKind::Link,
+            kind => kind,
+        };
         if node.keyed {
             // Keys are unique per node, so hit/miss flags are deterministic and
             // full trace equality across worker counts is well-defined.
@@ -280,7 +284,8 @@ fn run_spec(spec: &[NodeSpec], workers: usize) -> (Vec<Vec<u8>>, ActionTrace) {
             graph.add(kind, format!("n{i}"), &deps, run);
         }
     }
-    let (outputs, trace) = engine.run(graph).into_outputs().expect("infallible nodes");
+    let run = engine.run(graph).expect("a well-formed graph");
+    let (outputs, trace) = run.into_outputs().expect("infallible nodes");
     (outputs.iter().map(|blob| blob.to_vec()).collect(), trace)
 }
 
@@ -341,7 +346,7 @@ proptest! {
             }
             engine
                 .submit_graph(graph)
-                .expect("analysis-clean graph")
+                .expect("a well-formed graph")
         };
         let first = submit("a");
         let second = submit("b");

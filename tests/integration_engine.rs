@@ -259,7 +259,7 @@ fn ad_hoc_graphs_share_the_pipeline_cache() {
     let first = graph.add_cached(ActionKind::IrLower, "adhoc", key.clone(), &[], |_| {
         Ok(b"artifact".to_vec())
     });
-    let run = engine.run(graph);
+    let run = engine.run(graph).expect("a well-formed graph");
     assert_eq!(run.output(first), Some(&b"artifact"[..]));
     // The artifact is now visible to any pipeline sharing the cache.
     assert!(cache.contains(&key));

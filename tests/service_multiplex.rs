@@ -51,7 +51,7 @@ fn occupy_engine(
         .orchestrator()
         .engine()
         .submit_graph(graph)
-        .expect("analysis-clean graph");
+        .expect("a well-formed graph");
     (release, handle)
 }
 
