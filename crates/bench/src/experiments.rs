@@ -44,7 +44,7 @@ fn ir_build(
     config: &IrPipelineConfig,
     store: &ImageStore,
     reference: &str,
-) -> Result<IrContainerBuild, IrPipelineError> {
+) -> Result<IrContainerBuild, PipelineError> {
     IrBuildRequest::new(project, config)
         .reference(reference)
         .submit(&Orchestrator::uncached(store))
@@ -58,7 +58,7 @@ fn ir_deploy(
     selection: &OptionAssignment,
     simd: SimdLevel,
     store: &ImageStore,
-) -> Result<IrDeployment, DeployError> {
+) -> Result<IrDeployment, PipelineError> {
     IrDeployRequest::new(build, project, system)
         .selection(selection.clone())
         .simd(simd)

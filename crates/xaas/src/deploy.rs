@@ -8,6 +8,7 @@
 
 use crate::engine::plan::{SdCompilePlanner, SharedDeployArtifacts};
 use crate::engine::{add_commit_action, ActionGraph, ActionId, ActionKind, ActionTrace, LinkSlot};
+use crate::error::PipelineError;
 use crate::ir_container::{
     paths as ir_paths, project_compiler, ActionSummary, ConfigurationManifest, IrContainerBuild,
     UnitAssignment, TOOLCHAIN_ID,
@@ -15,7 +16,6 @@ use crate::ir_container::{
 use crate::targets::{derive_build_profile, target_isa_for};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::fmt;
 use xaas_buildsys::{OptionAssignment, ProjectSpec, SourceSpec};
 use xaas_container::{
     annotation_keys, Blob, BuildKey, DeploymentFormat, Image, ImageStore, Layer, Platform,
@@ -24,69 +24,6 @@ use xaas_hpcsim::{BuildProfile, SimdLevel, SystemModel};
 use xaas_xir::{
     lower_to_machine, CompileFlags, Compiler, MachineModule, TargetIsa, VectorizationReport,
 };
-
-/// Errors during IR-container deployment.
-#[derive(Debug)]
-#[allow(missing_docs)] // variant payload fields are documented by the Display impl
-pub enum DeployError {
-    /// No manifest matches the requested configuration.
-    UnknownConfiguration(String),
-    /// The requested SIMD level cannot execute on the target system.
-    UnsupportedSimd { level: SimdLevel, system: String },
-    /// A referenced IR unit is missing from the container.
-    MissingUnit(String),
-    /// A system-dependent source failed to compile at deployment.
-    Compile {
-        file: String,
-        error: xaas_xir::CompileError,
-    },
-    /// A cached artifact failed to decode (action-cache corruption).
-    Cache(String),
-    /// The orchestrator's scheduling policy is invalid (e.g. a zero tenant weight).
-    Policy(crate::engine::PolicyError),
-    /// The pipeline built an action graph with a construction defect;
-    /// nothing executed.
-    Graph(crate::engine::GraphError),
-    /// The executor broke its scheduling contract (a node skipped without a
-    /// failure, or cancelled mid-run) — not a deployment error.
-    Engine(crate::engine::GraphFault),
-}
-
-impl fmt::Display for DeployError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DeployError::UnknownConfiguration(label) => {
-                write!(f, "no configuration matches `{label}`")
-            }
-            DeployError::UnsupportedSimd { level, system } => {
-                write!(f, "SIMD level {level} is not supported on {system}")
-            }
-            DeployError::MissingUnit(id) => write!(f, "IR unit {id} missing from the container"),
-            DeployError::Compile { file, error } => write!(f, "compiling {file}: {error}"),
-            DeployError::Cache(detail) => write!(f, "action cache: {detail}"),
-            DeployError::Policy(error) => write!(f, "{error}"),
-            DeployError::Graph(error) => write!(f, "action graph refused: {error}"),
-            DeployError::Engine(fault) => write!(f, "executor fault: {fault}"),
-        }
-    }
-}
-
-impl std::error::Error for DeployError {}
-
-impl From<crate::engine::GraphRunError<DeployError>> for DeployError {
-    fn from(value: crate::engine::GraphRunError<DeployError>) -> Self {
-        match value.into_action() {
-            Ok(error) => error,
-            Err(fault) => DeployError::Engine(fault),
-        }
-    }
-}
-
-impl From<crate::engine::GraphError> for DeployError {
-    fn from(value: crate::engine::GraphError) -> Self {
-        DeployError::Graph(value)
-    }
-}
 
 /// Statistics of one deployment.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -155,14 +92,14 @@ impl IrDeployment {
     /// Decode the deployed artifacts — once per task, however many units share it —
     /// into machine modules keyed by source file, the aggregated vectorisation report
     /// and the deployment statistics. Undecodable bytes (action-cache corruption) are
-    /// a [`DeployError::Cache`] naming the file.
-    pub fn lowered(&self) -> Result<LoweredDeployment, DeployError> {
+    /// a [`PipelineError::Cache`] naming the file.
+    pub fn lowered(&self) -> Result<LoweredDeployment, PipelineError> {
         let mut machine_modules: BTreeMap<String, MachineModule> = BTreeMap::new();
         let mut vectorization = VectorizationReport::default();
         let mut stats = DeploymentStats::default();
         for artifact in &self.artifacts {
             let machine: MachineModule = serde_json::from_slice(&artifact.bytes).map_err(|e| {
-                DeployError::Cache(format!("machine module for {}: {e}", artifact.files[0]))
+                PipelineError::Cache(format!("machine module for {}: {e}", artifact.files[0]))
             })?;
             for file in &artifact.files {
                 vectorization
@@ -237,12 +174,12 @@ pub(crate) fn plan_ir_deploy<'a>(
     system: &'a SystemModel,
     selection: &OptionAssignment,
     simd: SimdLevel,
-) -> Result<DeployPlan<'a>, DeployError> {
+) -> Result<DeployPlan<'a>, PipelineError> {
     let manifest = build
         .manifest_for(selection)
-        .ok_or_else(|| DeployError::UnknownConfiguration(selection.label()))?;
+        .ok_or_else(|| PipelineError::UnknownConfiguration(selection.label()))?;
     if !system.cpu.supports(simd) {
-        return Err(DeployError::UnsupportedSimd {
+        return Err(PipelineError::UnsupportedSimd {
             level: simd,
             system: system.name.clone(),
         });
@@ -261,13 +198,13 @@ pub(crate) fn plan_ir_deploy<'a>(
     for UnitAssignment { file, artifact, .. } in &manifest.units {
         let task = if let Some(id) = artifact.strip_prefix("ir:") {
             if !build.units.contains_key(id) {
-                return Err(DeployError::MissingUnit(id.to_string()));
+                return Err(PipelineError::MissingUnit(id.to_string()));
             }
             DeployTask::Lower { id, files: vec![] }
         } else if let Some(path) = artifact.strip_prefix("src:") {
             let source = project
                 .source(path)
-                .ok_or_else(|| DeployError::MissingUnit(path.to_string()))?;
+                .ok_or_else(|| PipelineError::MissingUnit(path.to_string()))?;
             DeployTask::Compile {
                 source,
                 files: vec![],
@@ -328,11 +265,10 @@ pub(crate) fn plan_ir_deploy<'a>(
 /// record, so union-graph per-job traces stay comparable.
 pub(crate) fn graft_ir_deploy<'env>(
     plan: &'env DeployPlan<'env>,
-    graph: &mut ActionGraph<'env, DeployError>,
+    graph: &mut ActionGraph<'env, PipelineError>,
     store: &'env ImageStore,
     shared: &mut SharedDeployArtifacts,
 ) -> usize {
-    let lift = |file, error| DeployError::Compile { file, error };
     // Preprocess nodes first, in task order: all preprocess records precede the
     // artifact records.
     let mut sd_compile = SdCompilePlanner::new(&plan.compiler, &plan.target);
@@ -340,7 +276,7 @@ pub(crate) fn graft_ir_deploy<'env>(
     for task in &plan.tasks {
         preprocess_actions.push(match task {
             DeployTask::Compile { source, .. } => {
-                Some(sd_compile.preprocess_for(graph, source, &plan.sd_flags, lift))
+                Some(sd_compile.preprocess_for(graph, source, &plan.sd_flags))
             }
             DeployTask::Lower { .. } => None,
         });
@@ -393,7 +329,6 @@ pub(crate) fn graft_ir_deploy<'env>(
                     preprocess_action.expect("compile tasks plan a preprocess action"),
                     source,
                     &plan.sd_flags,
-                    lift,
                 ));
                 artifact_depth = artifact_depth.max(2);
             }
@@ -542,7 +477,7 @@ mod tests {
         selection: &OptionAssignment,
         simd: SimdLevel,
         store: &ImageStore,
-    ) -> Result<IrDeployment, DeployError> {
+    ) -> Result<IrDeployment, PipelineError> {
         IrDeployRequest::new(build, project, system)
             .selection(selection.clone())
             .simd(simd)
@@ -557,7 +492,7 @@ mod tests {
         selection: &OptionAssignment,
         simd: SimdLevel,
         cache: &ActionCache,
-    ) -> Result<IrDeployment, DeployError> {
+    ) -> Result<IrDeployment, PipelineError> {
         IrDeployRequest::new(build, project, system)
             .selection(selection.clone())
             .simd(simd)
@@ -732,10 +667,10 @@ mod tests {
         );
         assert!(store.load(&deployment.reference).is_ok());
         match deployment.lowered() {
-            Err(DeployError::Cache(detail)) => {
+            Err(PipelineError::Cache(detail)) => {
                 assert!(detail.contains("src/mdrun/integrator.ck"), "{detail}")
             }
-            other => panic!("expected DeployError::Cache, got {other:?}"),
+            other => panic!("expected PipelineError::Cache, got {other:?}"),
         }
     }
 
@@ -755,7 +690,7 @@ mod tests {
             &store,
         )
         .unwrap_err();
-        assert!(matches!(error, DeployError::UnsupportedSimd { .. }));
+        assert!(matches!(error, PipelineError::UnsupportedSimd { .. }));
     }
 
     #[test]
@@ -772,7 +707,7 @@ mod tests {
             &store,
         )
         .unwrap_err();
-        assert!(matches!(error, DeployError::UnknownConfiguration(_)));
+        assert!(matches!(error, PipelineError::UnknownConfiguration(_)));
     }
 
     #[test]

@@ -179,8 +179,9 @@ impl<E> GraphRun<E> {
     /// ([`GraphRunError::Action`]), a cache-backend contract violation
     /// ([`GraphRunError::ContractViolation`]), or a cancelled submission
     /// ([`GraphRunError::Cancelled`]). The non-action cases were historically
-    /// `panic!` escape hatches; they now surface through the orchestrator's
-    /// driver errors instead of tearing the caller down.
+    /// `panic!` escape hatches; they now surface as
+    /// [`PipelineError::Engine`](crate::error::PipelineError::Engine) instead of
+    /// tearing the caller down.
     pub fn into_outputs(self) -> Result<(ActionOutputs, ActionTrace), GraphRunError<E>> {
         let mut outputs = Vec::with_capacity(self.outcomes.len());
         for (id, outcome) in self.outcomes.into_iter().enumerate() {
@@ -209,8 +210,8 @@ impl<E> GraphRun<E> {
 /// *engine-level faults* that carry no driver error — a cache backend breaking
 /// its contract, or a submission cancelled via
 /// [`GraphHandle::cancel`]. Use [`into_action`](Self::into_action) to split the
-/// two classes; [`GraphFault`] is the fault-only shape the orchestrator's driver
-/// errors embed.
+/// two classes; [`GraphFault`] is the fault-only shape
+/// [`PipelineError::Engine`](crate::error::PipelineError::Engine) embeds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GraphRunError<E> {
     /// The first failing node's own typed error.
@@ -231,7 +232,8 @@ pub enum GraphRunError<E> {
 }
 
 /// An engine-level run fault with the action-error case ruled out — the shape
-/// driver error enums embed (their own error fills the `Action` role).
+/// [`PipelineError::Engine`](crate::error::PipelineError::Engine) embeds (the
+/// pipeline error itself fills the `Action` role).
 pub type GraphFault = GraphRunError<std::convert::Infallible>;
 
 impl<E> GraphRunError<E> {

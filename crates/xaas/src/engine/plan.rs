@@ -15,12 +15,13 @@
 #![deny(clippy::unwrap_used, clippy::dbg_macro)]
 use super::graph::{ActionGraph, ActionId, ActionInputs};
 use super::trace::ActionKind;
+use crate::error::PipelineError;
 use crate::ir_container::TOOLCHAIN_ID;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use xaas_buildsys::SourceSpec;
 use xaas_container::{BuildKey, Image, ImageStore};
-use xaas_xir::{CompileError, CompileFlags, Compiler, TargetIsa};
+use xaas_xir::{CompileFlags, Compiler, TargetIsa};
 
 /// Schedules deduplicated preprocess actions on a graph.
 ///
@@ -49,17 +50,16 @@ impl PreprocessPlanner {
     }
 
     /// The action producing `file`'s preprocessed-content digest under `flags`,
-    /// scheduling it on `graph` at first use. `make_error` lifts a preprocessor
-    /// failure into the driver's error type. The source `content` is copied only
+    /// scheduling it on `graph` at first use. A preprocessor failure is a
+    /// [`PipelineError::Compile`] naming `file`. The source `content` is copied only
     /// when a new action is actually scheduled, never for deduplicated repeats.
-    pub fn action_for<'env, E: 'env>(
+    pub fn action_for<'env>(
         &mut self,
-        graph: &mut ActionGraph<'env, E>,
+        graph: &mut ActionGraph<'env, PipelineError>,
         compiler: &'env Compiler,
         file: &str,
         content: &str,
         flags: &CompileFlags,
-        make_error: fn(String, CompileError) -> E,
     ) -> ActionId {
         let dedup_key = Self::identity(file, flags);
         if let Some(&id) = self.actions.get(&dedup_key) {
@@ -69,9 +69,13 @@ impl PreprocessPlanner {
         let content = content.to_string();
         let flags = flags.clone();
         let id = graph.add(ActionKind::Preprocess, file.clone(), &[], move |_| {
-            let preprocessed = compiler
-                .preprocess_only(&file, &content, &flags)
-                .map_err(|error| make_error(file.clone(), error))?;
+            let preprocessed =
+                compiler
+                    .preprocess_only(&file, &content, &flags)
+                    .map_err(|error| PipelineError::Compile {
+                        file: file.clone(),
+                        error,
+                    })?;
             Ok(preprocessed.content_digest().into_bytes())
         });
         self.actions.insert(dedup_key, id);
@@ -133,31 +137,28 @@ impl<'env> SdCompilePlanner<'env> {
 
     /// The (deduplicated) preprocess action of `source` under `flags`. Drivers graft
     /// these first, so that all preprocess records precede the artifact records.
-    pub(crate) fn preprocess_for<E: 'env>(
+    pub(crate) fn preprocess_for(
         &mut self,
-        graph: &mut ActionGraph<'env, E>,
+        graph: &mut ActionGraph<'env, PipelineError>,
         source: &SourceSpec,
         flags: &CompileFlags,
-        make_error: fn(String, CompileError) -> E,
     ) -> ActionId {
         let SourceSpec { path, content, .. } = source;
         self.preprocess
-            .action_for(graph, self.compiler, path, content, flags, make_error)
+            .action_for(graph, self.compiler, path, content, flags)
     }
 
     /// Graft the `sd-compile` of `source` under `flags`, keyed at dispatch time from
     /// the output of its `preprocess` action. The first graft of an identity computes
     /// (`serde_json::to_vec` of the [`MachineModule`](xaas_xir::MachineModule)) and is
     /// recorded in `shared`; a later one replays it as a cache-probe alias.
-    /// `make_error` lifts a compile failure into the driver's error type.
-    pub(crate) fn action_for<E: 'env>(
+    pub(crate) fn action_for(
         &self,
-        graph: &mut ActionGraph<'env, E>,
+        graph: &mut ActionGraph<'env, PipelineError>,
         shared: &mut SharedDeployArtifacts,
         preprocess: ActionId,
         source: &'env SourceSpec,
         flags: &'env CompileFlags,
-        make_error: fn(String, CompileError) -> E,
     ) -> ActionId {
         let (compiler, target) = (self.compiler, self.target);
         let path = source.path.as_str();
@@ -182,7 +183,10 @@ impl<'env> SdCompilePlanner<'env> {
             move |_| {
                 let machine = compiler
                     .compile_to_machine(path, &source.content, flags, target)
-                    .map_err(|error| make_error(path.to_string(), error))?;
+                    .map_err(|error| PipelineError::Compile {
+                        file: path.to_string(),
+                        error,
+                    })?;
                 Ok(serde_json::to_vec(&machine).expect("machine module serialises"))
             },
         );
@@ -311,16 +315,15 @@ mod tests {
     fn preprocess_planner_deduplicates_by_file_and_definitions() {
         let compiler = Compiler::new();
         let mut planner = PreprocessPlanner::new();
-        let mut graph: ActionGraph<'_, String> = ActionGraph::new();
+        let mut graph: ActionGraph<'_, PipelineError> = ActionGraph::new();
         let source =
             "kernel void f(float* x, int n) { for (int i = 0; i < n; i = i + 1) { x[i] = 0.0; } }";
         let plain = CompileFlags::parse(["-O2".to_string()]);
         let defined = CompileFlags::parse(["-O2".to_string(), "-DX=1".to_string()]);
-        let err = |file: String, error: CompileError| format!("{file}: {error}");
-        let a = planner.action_for(&mut graph, &compiler, "f.ck", source, &plain, err);
-        let b = planner.action_for(&mut graph, &compiler, "f.ck", source, &plain, err);
-        let c = planner.action_for(&mut graph, &compiler, "f.ck", source, &defined, err);
-        let d = planner.action_for(&mut graph, &compiler, "g.ck", source, &plain, err);
+        let a = planner.action_for(&mut graph, &compiler, "f.ck", source, &plain);
+        let b = planner.action_for(&mut graph, &compiler, "f.ck", source, &plain);
+        let c = planner.action_for(&mut graph, &compiler, "f.ck", source, &defined);
+        let d = planner.action_for(&mut graph, &compiler, "g.ck", source, &plain);
         assert_eq!(a, b, "same (file, defs) shares one action");
         assert_ne!(a, c, "definitions split the identity");
         assert_ne!(a, d, "files split the identity");

@@ -21,10 +21,10 @@ use crate::engine::{
     add_commit_action, ActionGraph, ActionId, ActionKind, ActionTrace, Engine, KeyedActionPlanner,
     LinkSlot, PreprocessPlanner,
 };
+use crate::error::PipelineError;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
-use xaas_buildsys::{configure, ConfigureError, OptionAssignment, ProjectSpec};
+use xaas_buildsys::{configure, OptionAssignment, ProjectSpec};
 use xaas_container::{
     annotation_keys, Architecture, Blob, BuildKey, DeploymentFormat, Image, Layer, Platform,
 };
@@ -241,80 +241,6 @@ impl IrContainerBuild {
     }
 }
 
-/// Errors from the IR pipeline.
-#[derive(Debug)]
-#[allow(missing_docs)] // variant payload fields are documented by the Display impl
-pub enum IrPipelineError {
-    /// A configuration could not be generated.
-    Configure(ConfigureError),
-    /// Compilation of a representative unit failed.
-    Compile {
-        file: String,
-        error: xaas_xir::CompileError,
-    },
-    /// The sweep referenced an unknown option.
-    UnknownOption(String),
-    /// A target (or the generated compile database) references a source file the
-    /// project does not provide — neither as a source spec nor as a custom-target
-    /// product (a malformed project).
-    UnknownSource { file: String },
-    /// A cached artifact failed to decode (action-cache corruption).
-    Cache(String),
-    /// The orchestrator's scheduling policy is invalid (e.g. a zero tenant weight).
-    Policy(crate::engine::PolicyError),
-    /// The pipeline built an action graph with a construction defect;
-    /// nothing executed.
-    Graph(crate::engine::GraphError),
-    /// The executor broke its scheduling contract (a node skipped without a
-    /// failure, or cancelled mid-run) — not a pipeline error.
-    Engine(crate::engine::GraphFault),
-}
-
-impl fmt::Display for IrPipelineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IrPipelineError::Configure(e) => write!(f, "configure: {e}"),
-            IrPipelineError::Compile { file, error } => write!(f, "compiling {file}: {error}"),
-            IrPipelineError::UnknownOption(name) => {
-                write!(f, "sweep references unknown option {name}")
-            }
-            IrPipelineError::UnknownSource { file } => {
-                write!(
-                    f,
-                    "compile database references {file}, which is not an enabled source"
-                )
-            }
-            IrPipelineError::Cache(detail) => write!(f, "action cache: {detail}"),
-            IrPipelineError::Policy(error) => write!(f, "{error}"),
-            IrPipelineError::Graph(error) => write!(f, "action graph refused: {error}"),
-            IrPipelineError::Engine(fault) => write!(f, "executor fault: {fault}"),
-        }
-    }
-}
-
-impl std::error::Error for IrPipelineError {}
-
-impl From<ConfigureError> for IrPipelineError {
-    fn from(value: ConfigureError) -> Self {
-        IrPipelineError::Configure(value)
-    }
-}
-
-impl From<crate::engine::GraphRunError<IrPipelineError>> for IrPipelineError {
-    fn from(value: crate::engine::GraphRunError<IrPipelineError>) -> Self {
-        match value.into_action() {
-            Ok(error) => error,
-            Err(fault) => IrPipelineError::Engine(fault),
-        }
-    }
-}
-
-impl From<crate::engine::GraphError> for IrPipelineError {
-    fn from(value: crate::engine::GraphError) -> Self {
-        IrPipelineError::Graph(value)
-    }
-}
-
 /// Paths used inside IR containers.
 pub mod paths {
     /// Root of the IR blobs.
@@ -331,11 +257,11 @@ pub mod paths {
 fn enumerate_assignments(
     project: &ProjectSpec,
     config: &IrPipelineConfig,
-) -> Result<Vec<OptionAssignment>, IrPipelineError> {
+) -> Result<Vec<OptionAssignment>, PipelineError> {
     let mut assignments = vec![OptionAssignment::new()];
     for (name, values) in &config.sweep {
         if project.option(name).is_none() {
-            return Err(IrPipelineError::UnknownOption(name.clone()));
+            return Err(PipelineError::UnknownOption(name.clone()));
         }
         let mut next = Vec::with_capacity(assignments.len() * values.len());
         for assignment in &assignments {
@@ -392,7 +318,7 @@ type UnitKeys = Vec<(String, String, String)>;
 /// later serial stages fold over. Building it runs no actions — this is the
 /// graph [`analyze_ir_build`] lints without executing anything.
 pub(crate) struct IrBuildStageA<'env> {
-    pub(crate) graph: ActionGraph<'env, IrPipelineError>,
+    pub(crate) graph: ActionGraph<'env, PipelineError>,
     stats: PipelineStats,
     manifests: Vec<ConfigurationManifest>,
     sd_files: BTreeSet<String>,
@@ -418,9 +344,9 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
     project: &ProjectSpec,
     config: &IrPipelineConfig,
     compiler: &'env Compiler,
-) -> Result<IrBuildStageA<'env>, IrPipelineError> {
+) -> Result<IrBuildStageA<'env>, PipelineError> {
     if let Some(file) = unknown_target_source(project) {
-        return Err(IrPipelineError::UnknownSource { file });
+        return Err(PipelineError::UnknownSource { file });
     }
     let assignments = enumerate_assignments(project, config)?;
 
@@ -436,7 +362,7 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
     // Source text shared per file: every configuration re-lists the same content.
     let mut content_by_file: BTreeMap<String, std::sync::Arc<str>> = BTreeMap::new();
 
-    let mut stage_a: ActionGraph<'env, IrPipelineError> = ActionGraph::new();
+    let mut stage_a: ActionGraph<'env, PipelineError> = ActionGraph::new();
     // Preprocessing and OpenMP detection depend only on (file, definition set):
     // deduplicate the actions across configurations so the graph does each distinct
     // piece of work once.
@@ -451,7 +377,7 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
                 .enabled_sources
                 .iter()
                 .find(|s| s.path == command.file)
-                .ok_or_else(|| IrPipelineError::UnknownSource {
+                .ok_or_else(|| PipelineError::UnknownSource {
                     file: command.file.clone(),
                 })?;
             let is_system_dependent = source.required_tags.iter().any(|t| t == "mpi");
@@ -475,14 +401,8 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
             let generation_key = command.canonical_key(config.stages.normalize_build_dir);
             let dedup_key = PreprocessPlanner::identity(&command.file, &flags);
 
-            let preprocess_action = preprocess.action_for(
-                &mut stage_a,
-                compiler,
-                &command.file,
-                &content,
-                &flags,
-                |file, error| IrPipelineError::Compile { file, error },
-            );
+            let preprocess_action =
+                preprocess.action_for(&mut stage_a, compiler, &command.file, &content, &flags);
             // OpenMP detection only matters for units carrying `-fopenmp`: units
             // without it can never have OpenMP in effect, whatever the AST says.
             let openmp_action = if config.stages.openmp_detection && flags.openmp {
@@ -560,7 +480,7 @@ pub(crate) fn analyze_ir_build(
     project: &ProjectSpec,
     config: &IrPipelineConfig,
     engine: &Engine,
-) -> Result<crate::engine::AnalysisReport, IrPipelineError> {
+) -> Result<crate::engine::AnalysisReport, PipelineError> {
     let compiler = project_compiler(project);
     let planned = plan_ir_build_stage_a(project, config, &compiler)?;
     Ok(engine.analyze(&planned.graph))
@@ -590,7 +510,7 @@ pub(crate) fn run_ir_build(
     config: &IrPipelineConfig,
     engine: &Engine,
     reference: &str,
-) -> Result<IrContainerBuild, IrPipelineError> {
+) -> Result<IrContainerBuild, PipelineError> {
     let compiler = project_compiler(project);
     // ---- Stage 1 (driver, serial): configure and plan the stage-A graph ----
     let IrBuildStageA {
@@ -698,7 +618,7 @@ pub(crate) fn run_ir_build(
     // share one action (the KeyedActionPlanner enforces this).
     let mut key_positions: Vec<usize> = Vec::with_capacity(final_keys.len());
     let ordered_keys: Vec<&String> = final_keys.keys().collect();
-    let mut stage_b: ActionGraph<'_, IrPipelineError> = ActionGraph::new();
+    let mut stage_b: ActionGraph<'_, PipelineError> = ActionGraph::new();
     let mut lower_plan = KeyedActionPlanner::new();
     for (file, content, flags, tu_digest) in final_keys.values() {
         // The IR is compiled without the delayed ISA flags; OpenMP stays as classified.
@@ -720,7 +640,7 @@ pub(crate) fn run_ir_build(
                 let mut module =
                     compiler
                         .compile_to_ir(file, content, &ir_flags)
-                        .map_err(|error| IrPipelineError::Compile {
+                        .map_err(|error| PipelineError::Compile {
                             file: file.clone(),
                             error,
                         })?;
@@ -758,7 +678,7 @@ pub(crate) fn run_ir_build(
                 for (index, key) in ordered_keys.iter().enumerate() {
                     let (file, ..) = &final_keys[*key];
                     let module = bitcode::decode(inputs.dep(key_positions[index]))
-                        .map_err(|e| IrPipelineError::Cache(format!("bitcode for {file}: {e}")))?;
+                        .map_err(|e| PipelineError::Cache(format!("bitcode for {file}: {e}")))?;
                     let id = bitcode::content_id(&module);
                     key_to_id.insert((*key).clone(), id.clone());
                     unit_bytes
@@ -898,7 +818,7 @@ mod tests {
         config: &IrPipelineConfig,
         store: &ImageStore,
         reference: &str,
-    ) -> Result<IrContainerBuild, IrPipelineError> {
+    ) -> Result<IrContainerBuild, PipelineError> {
         IrBuildRequest::new(project, config)
             .reference(reference)
             .submit(&Orchestrator::uncached(store))
@@ -910,7 +830,7 @@ mod tests {
         config: &IrPipelineConfig,
         cache: &ActionCache,
         reference: &str,
-    ) -> Result<IrContainerBuild, IrPipelineError> {
+    ) -> Result<IrContainerBuild, PipelineError> {
         IrBuildRequest::new(project, config)
             .reference(reference)
             .submit(&Orchestrator::with_cache(cache))
@@ -1089,7 +1009,7 @@ mod tests {
         };
         assert!(matches!(
             build(&project, &config, &store, "x:1"),
-            Err(IrPipelineError::UnknownOption(_))
+            Err(PipelineError::UnknownOption(_))
         ));
     }
 }

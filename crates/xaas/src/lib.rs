@@ -25,6 +25,8 @@
 //! * [`deploy`] — deployment of IR containers (Figure 8): lower the selected subset for
 //!   the chosen ISA, compile system-dependent sources, link, install, and commit the
 //!   system-specialized image;
+//! * [`error`] — [`PipelineError`], the one error every build, deployment and
+//!   fleet job returns (a [`FleetError`] carries it beside the job's system);
 //! * [`engine`] — the staged action-graph engine all of the above execute through: an
 //!   explicit DAG of preprocess/openmp-detect/ir-lower/machine-lower/sd-compile/link/
 //!   commit actions, a policy-scheduled worker-pool executor, transparent action-cache
@@ -54,6 +56,7 @@
 
 pub mod deploy;
 pub mod engine;
+pub mod error;
 pub mod gpu_compat;
 pub mod hypotheses;
 pub mod ir_container;
@@ -66,24 +69,25 @@ pub mod targets;
 /// Commonly used types re-exported together.
 ///
 /// Since the orchestrator redesign this exports the session API — [`Orchestrator`],
-/// its builder, and the typed request types — plus result/error types and the
-/// engine vocabulary.
+/// its builder, and the typed request types — plus the result types, the one
+/// [`PipelineError`] every request returns, and the engine vocabulary.
 pub mod prelude {
-    pub use crate::deploy::{DeployError, DeploymentStats, IrDeployment, LoweredDeployment};
+    pub use crate::deploy::{DeploymentStats, IrDeployment, LoweredDeployment};
     pub use crate::engine::{
         ActionGraph, ActionId, ActionInputs, ActionKind, ActionRecord, ActionTrace, AnalysisReport,
         Diagnostic, DiagnosticCode, Engine, Fifo, GraphAnalyzer, GraphError, GraphFault,
         GraphHandle, GraphRun, GraphRunError, GraphStatus, NodeOutcome, PolicyError, QueueStats,
         SchedulingPolicy, Severity, WeightedFair,
     };
+    pub use crate::error::PipelineError;
     pub use crate::gpu_compat::{
         bundle_compatibility, detect_runtime_requirement, plan_bundle, DeviceCodeBundle,
         RuntimeRequirement,
     };
     pub use crate::hypotheses::{hypothesis1, hypothesis2, Hypothesis1Report, Hypothesis2Report};
     pub use crate::ir_container::{
-        ActionSummary, ConfigurationManifest, IrContainerBuild, IrPipelineConfig, IrPipelineError,
-        IrUnit, PipelineStages, PipelineStats, UnitAssignment, IR_TARGET, TOOLCHAIN_ID,
+        ActionSummary, ConfigurationManifest, IrContainerBuild, IrPipelineConfig, IrUnit,
+        PipelineStages, PipelineStats, UnitAssignment, IR_TARGET, TOOLCHAIN_ID,
     };
     pub use crate::orchestrator::{
         FleetError, FleetOutcome, FleetReport, FleetRequest, FleetTarget, IrBuildRequest,
@@ -94,9 +98,7 @@ pub mod prelude {
         AdmissionError, OrchestratorService, ServiceError, ServiceLimits, ServiceRequest,
         ServiceStats, Session,
     };
-    pub use crate::source_container::{
-        build_source_container, SelectionPolicy, SourceContainerError, SourceDeployment,
-    };
+    pub use crate::source_container::{build_source_container, SelectionPolicy, SourceDeployment};
     pub use crate::targets::{derive_build_profile, library_quality_of, target_isa_for};
     pub use xaas_container::prelude::*;
 }

@@ -41,17 +41,24 @@
 //! [`SourceDeployment`], [`FleetReport`]), each carrying the run's
 //! [`ActionTrace`]. The orchestrator validates its
 //! scheduling policy up front, so an invalid configuration (e.g. a zero
-//! fair-queuing weight) surfaces as a typed error before any action runs — never
-//! as a panic or a starved lane.
+//! fair-queuing weight) surfaces as [`PipelineError::Policy`] before any action
+//! runs — never as a panic or a starved lane.
+
+// A `FleetError` holds its job's `PipelineError` inline (136 bytes). It is built
+// once per failed job, off the request's hot path, so it is not boxed.
+#![allow(clippy::result_large_err)]
 
 use crate::deploy::{finish_ir_deploy, graft_ir_deploy, plan_ir_deploy};
-use crate::deploy::{DeployError, DeployPlan, IrDeployment};
+use crate::deploy::{DeployPlan, IrDeployment};
 use crate::engine::plan::SharedDeployArtifacts;
-use crate::engine::{ActionGraph, ActionTrace, AnalysisReport, Engine, SchedulingPolicy};
-use crate::ir_container::{IrContainerBuild, IrPipelineConfig, IrPipelineError};
+use crate::engine::{
+    ActionGraph, ActionTrace, AnalysisReport, Engine, GraphRunError, SchedulingPolicy,
+};
+use crate::error::PipelineError;
+use crate::ir_container::{IrContainerBuild, IrPipelineConfig};
 use crate::source_container::{
     finish_source_deploy, graft_source_deploy, plan_source_deploy, SelectionPolicy,
-    SourceContainerError, SourceDeployPlan, SourceDeployment,
+    SourceDeployPlan, SourceDeployment,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -173,7 +180,8 @@ impl Orchestrator {
         self.engine.workers()
     }
 
-    /// Validate the scheduling policy; called by every request before running.
+    /// Validate the scheduling policy; called by every request before it runs
+    /// or lints anything.
     fn checked_engine(&self) -> Result<&Engine, crate::engine::PolicyError> {
         self.engine.policy().validate()?;
         Ok(&self.engine)
@@ -305,21 +313,19 @@ impl<'a> IrBuildRequest<'a> {
     }
 
     /// Execute the build on the orchestrator's engine.
-    pub fn submit(self, orch: &Orchestrator) -> Result<IrContainerBuild, IrPipelineError> {
-        let engine = orch.checked_engine().map_err(IrPipelineError::Policy)?;
+    pub fn submit(self, orch: &Orchestrator) -> Result<IrContainerBuild, PipelineError> {
+        let engine = orch.checked_engine()?;
         crate::ir_container::run_ir_build(self.project, self.config, engine, &self.reference)
     }
 
     /// Lint the build's stage-A action graph (preprocess + OpenMP detection)
     /// under the orchestrator's scheduling policy without executing anything.
     ///
-    /// Unlike [`submit`](Self::submit), this does **not** pre-reject an invalid
-    /// policy: policy defects surface as diagnostics in the returned
-    /// [`AnalysisReport`] instead. The build's
-    /// stage-B graph is derived from stage-A outputs, so it cannot be linted
-    /// ahead of time.
-    pub fn analyze(self, orch: &Orchestrator) -> Result<AnalysisReport, IrPipelineError> {
-        crate::ir_container::analyze_ir_build(self.project, self.config, orch.engine())
+    /// An invalid policy is refused as [`submit`](Self::submit) refuses it, with
+    /// [`PipelineError::Policy`]. The build's stage-B graph is derived from
+    /// stage-A outputs, so it cannot be linted ahead of time.
+    pub fn analyze(self, orch: &Orchestrator) -> Result<AnalysisReport, PipelineError> {
+        crate::ir_container::analyze_ir_build(self.project, self.config, orch.checked_engine()?)
     }
 }
 
@@ -373,15 +379,15 @@ impl<'a> IrDeployRequest<'a> {
     }
 
     /// The plan phase: the default SIMD level is the system's best.
-    fn plan(&self) -> Result<DeployPlan<'a>, DeployError> {
+    fn plan(&self) -> Result<DeployPlan<'a>, PipelineError> {
         let simd = self.simd.unwrap_or_else(|| self.system.cpu.best_simd());
         plan_ir_deploy(self.build, self.project, self.system, &self.selection, simd)
     }
 
     /// Execute the deployment on the orchestrator's engine in **one** graph
     /// submission: plan, graft the subgraph onto a private graph, run it, finish.
-    pub fn submit(self, orch: &Orchestrator) -> Result<IrDeployment, DeployError> {
-        let engine = orch.checked_engine().map_err(DeployError::Policy)?;
+    pub fn submit(self, orch: &Orchestrator) -> Result<IrDeployment, PipelineError> {
+        let engine = orch.checked_engine()?;
         let plan = self.plan()?;
         let mut graph = ActionGraph::new();
         let standalone = &mut SharedDeployArtifacts::default();
@@ -391,15 +397,15 @@ impl<'a> IrDeployRequest<'a> {
     }
 
     /// Lint the exact action graph this deployment would submit — planned and
-    /// grafted, not run. Policy defects surface as diagnostics in the returned
-    /// [`AnalysisReport`] rather than as a pre-rejection, so the report covers
-    /// them alongside the graph's own findings.
-    pub fn analyze(self, orch: &Orchestrator) -> Result<AnalysisReport, DeployError> {
+    /// grafted, not run. An invalid policy is refused as
+    /// [`submit`](Self::submit) refuses it, with [`PipelineError::Policy`].
+    pub fn analyze(self, orch: &Orchestrator) -> Result<AnalysisReport, PipelineError> {
+        let engine = orch.checked_engine()?;
         let plan = self.plan()?;
         let mut graph = ActionGraph::new();
         let standalone = &mut SharedDeployArtifacts::default();
-        graft_ir_deploy(&plan, &mut graph, orch.store(), standalone);
-        Ok(orch.engine().analyze(&graph))
+        graft_ir_deploy(&plan, &mut graph, engine.store(), standalone);
+        Ok(engine.analyze(&graph))
     }
 }
 
@@ -448,7 +454,7 @@ impl<'a> SourceDeployRequest<'a> {
         self
     }
 
-    fn plan(&self) -> Result<SourceDeployPlan<'a>, SourceContainerError> {
+    fn plan(&self) -> Result<SourceDeployPlan<'a>, PipelineError> {
         plan_source_deploy(
             self.project,
             self.source_image,
@@ -460,10 +466,8 @@ impl<'a> SourceDeployRequest<'a> {
 
     /// Execute the deployment on the orchestrator's engine in **one** graph
     /// submission, like an IR deployment: plan, graft, run, finish.
-    pub fn submit(self, orch: &Orchestrator) -> Result<SourceDeployment, SourceContainerError> {
-        let engine = orch
-            .checked_engine()
-            .map_err(SourceContainerError::Policy)?;
+    pub fn submit(self, orch: &Orchestrator) -> Result<SourceDeployment, PipelineError> {
+        let engine = orch.checked_engine()?;
         let plan = self.plan()?;
         let mut graph = ActionGraph::new();
         graft_source_deploy(&plan, &mut graph, engine.store());
@@ -473,11 +477,12 @@ impl<'a> SourceDeployRequest<'a> {
 
     /// Lint the exact action graph this deployment would submit, as
     /// [`IrDeployRequest::analyze`] does.
-    pub fn analyze(self, orch: &Orchestrator) -> Result<AnalysisReport, SourceContainerError> {
+    pub fn analyze(self, orch: &Orchestrator) -> Result<AnalysisReport, PipelineError> {
+        let engine = orch.checked_engine()?;
         let plan = self.plan()?;
         let mut graph = ActionGraph::new();
-        graft_source_deploy(&plan, &mut graph, orch.store());
-        Ok(orch.engine().analyze(&graph))
+        graft_source_deploy(&plan, &mut graph, engine.store());
+        Ok(engine.analyze(&graph))
     }
 }
 
@@ -525,12 +530,12 @@ impl FleetTarget {
 }
 
 /// A failed fleet job (cloneable so deduplicated targets can share it).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetError {
     /// The system the job targeted.
     pub system: String,
-    /// Rendered deployment error.
-    pub message: String,
+    /// Why the job failed.
+    pub error: PipelineError,
     /// Label of the failing action, when the failure happened inside the engine
     /// (a union-graph wave attributes the poisoning node — possibly a shared
     /// artifact another job planned). `None` for plan-time failures (unknown
@@ -540,10 +545,10 @@ pub struct FleetError {
 
 impl FleetError {
     /// The job for `system` failed with `error` before any of its actions ran.
-    fn before_run(system: &SystemModel, error: impl fmt::Display) -> Self {
+    fn before_run(system: &SystemModel, error: PipelineError) -> Self {
         Self {
             system: system.name.clone(),
-            message: error.to_string(),
+            error,
             action: None,
         }
     }
@@ -551,7 +556,7 @@ impl FleetError {
 
 impl fmt::Display for FleetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "specializing for {}: {}", self.system, self.message)?;
+        write!(f, "specializing for {}: {}", self.system, self.error)?;
         if let Some(action) = &self.action {
             write!(f, " (action `{action}`)")?;
         }
@@ -665,10 +670,13 @@ impl<'a> FleetRequest<'a> {
     /// Lint the union graph one wave of this fleet would submit — every
     /// deduplicated job grafted as a tagged subgraph sharing keyed artifacts —
     /// without executing anything. The first plan-time failure is returned as
-    /// a [`FleetError`]; policy defects surface as diagnostics in the returned
-    /// [`AnalysisReport`].
+    /// a [`FleetError`]; an invalid policy fails the first job with
+    /// [`PipelineError::Policy`], as [`submit`](Self::submit) fails every job.
     pub fn analyze(self, orch: &Orchestrator) -> Result<AnalysisReport, FleetError> {
         let (jobs, _) = dedup_jobs(&self.targets);
+        if let (Err(error), Some(job)) = (orch.checked_engine(), jobs.first()) {
+            return Err(FleetError::before_run(&job.system, error.into()));
+        }
         let plans = plan_jobs(self.build, self.project, &jobs);
         if let Some(error) = plans.iter().find_map(|plan| plan.as_ref().err()) {
             return Err(error.clone());
@@ -693,7 +701,12 @@ impl<'a> FleetRequest<'a> {
             Ok(engine) => run_union_wave(self.build, self.project, &jobs, engine),
             Err(policy_error) => (
                 jobs.iter()
-                    .map(|job| Err(FleetError::before_run(&job.system, &policy_error)))
+                    .map(|job| {
+                        Err(FleetError::before_run(
+                            &job.system,
+                            policy_error.clone().into(),
+                        ))
+                    })
                     .collect(),
                 ActionTrace::default(),
                 false,
@@ -771,8 +784,8 @@ fn plan_jobs<'a>(
 fn graft_jobs<'env>(
     plans: &'env [Result<DeployPlan<'env>, FleetError>],
     store: &'env ImageStore,
-) -> (ActionGraph<'env, DeployError>, Vec<Option<usize>>) {
-    let mut graph: ActionGraph<'_, DeployError> = ActionGraph::new();
+) -> (ActionGraph<'env, PipelineError>, Vec<Option<usize>>) {
+    let mut graph: ActionGraph<'_, PipelineError> = ActionGraph::new();
     let mut shared = SharedDeployArtifacts::default();
     let mut stage_depths: Vec<Option<usize>> = Vec::with_capacity(plans.len());
     for (job_index, plan) in plans.iter().enumerate() {
@@ -810,10 +823,9 @@ fn run_union_wave(
     let run = match engine.run(graph) {
         Ok(run) => run,
         Err(error) => {
-            let rejection = DeployError::Graph(error);
             let results = plans
                 .into_iter()
-                .map(|plan| Err(FleetError::before_run(plan?.system, &rejection)))
+                .map(|plan| Err(FleetError::before_run(plan?.system, error.into())))
                 .collect();
             return (results, ActionTrace::default(), false);
         }
@@ -829,12 +841,15 @@ fn run_union_wave(
         .map(|(job_index, plan)| {
             let plan = plan?;
             if let Some(failure) = run.job_failure(job_index) {
+                // A root that failed without a typed error broke the cache
+                // contract: what `into_outputs` reports for the same run.
+                let fault = GraphRunError::ContractViolation { node: failure.node };
                 return Err(FleetError {
                     system: plan.system.name.clone(),
-                    message: match failure.error {
-                        Some(error) => error.to_string(),
-                        None => format!("action `{}` did not complete", failure.info.label),
-                    },
+                    error: failure
+                        .error
+                        .cloned()
+                        .unwrap_or(PipelineError::Engine(fault)),
                     action: Some(failure.info.label.clone()),
                 });
             }
@@ -850,7 +865,7 @@ fn run_union_wave(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{ActionKind, PolicyError, WeightedFair};
+    use crate::engine::ActionKind;
     use xaas_apps::lulesh;
 
     fn lulesh_sweep() -> (ProjectSpec, IrPipelineConfig) {
@@ -904,55 +919,6 @@ mod tests {
             .unwrap();
         assert_eq!(deployment.simd, system.cpu.best_simd());
         assert!(deployment.trace.by_kind()[&ActionKind::MachineLower] > 0);
-    }
-
-    #[test]
-    fn zero_cap_policy_is_a_typed_error_on_every_request_type() {
-        let (project, config) = lulesh_sweep();
-        let valid = Orchestrator::new();
-        let build = IrBuildRequest::new(&project, &config)
-            .submit(&valid)
-            .unwrap();
-
-        let broken = Orchestrator::builder()
-            .policy(WeightedFair::new().with_weight("t", 0))
-            .build();
-        let zero_weight = |error: &PolicyError| matches!(error, PolicyError::ZeroWeight { tenant } if tenant == "t");
-        let build_error = IrBuildRequest::new(&project, &config)
-            .submit(&broken)
-            .unwrap_err();
-        assert!(matches!(&build_error, IrPipelineError::Policy(e) if zero_weight(e)));
-
-        let system = SystemModel::ault23();
-        let deploy_error = IrDeployRequest::new(&build, &project, &system)
-            .select("WITH_MPI", "OFF")
-            .select("WITH_OPENMP", "OFF")
-            .submit(&broken)
-            .unwrap_err();
-        assert!(matches!(&deploy_error, DeployError::Policy(e) if zero_weight(e)));
-
-        let source_image = crate::source_container::build_source_container(
-            &project,
-            xaas_container::Architecture::Amd64,
-            valid.store(),
-            "orch:src",
-        );
-        let source_error = SourceDeployRequest::new(&project, &source_image, &system)
-            .submit(&broken)
-            .unwrap_err();
-        assert!(matches!(&source_error, SourceContainerError::Policy(e) if zero_weight(e)));
-
-        let report = FleetRequest::new(&build, &project)
-            .target(FleetTarget::best_for(
-                system.clone(),
-                OptionAssignment::new()
-                    .with("WITH_MPI", "OFF")
-                    .with("WITH_OPENMP", "OFF"),
-            ))
-            .submit(&broken);
-        assert!(!report.all_succeeded());
-        let error = report.outcomes[0].deployment.as_ref().unwrap_err();
-        assert!(error.message.contains("zero"), "{error}");
     }
 
     #[test]
@@ -1060,7 +1026,11 @@ mod tests {
         assert!(report.outcomes[0].deployment.is_ok());
         let error = report.outcomes[1].deployment.as_ref().unwrap_err();
         assert_eq!(error.system, "Ault25");
-        assert!(error.message.contains("not supported"), "{error}");
+        assert!(
+            matches!(&error.error, PipelineError::UnsupportedSimd { level: SimdLevel::Avx512, system } if system == "Ault25"),
+            "{error:?}"
+        );
+        assert!(error.to_string().contains("not supported"), "{error}");
         assert_eq!(report.deployments().count(), 1);
     }
 

@@ -215,7 +215,7 @@ pub trait ServiceRequest {
 
 impl ServiceRequest for IrBuildRequest<'_> {
     type Output = crate::ir_container::IrContainerBuild;
-    type Error = crate::ir_container::IrPipelineError;
+    type Error = crate::error::PipelineError;
 
     fn execute(self, orch: &Orchestrator) -> Result<Self::Output, Self::Error> {
         self.submit(orch)
@@ -224,7 +224,7 @@ impl ServiceRequest for IrBuildRequest<'_> {
 
 impl ServiceRequest for IrDeployRequest<'_> {
     type Output = crate::deploy::IrDeployment;
-    type Error = crate::deploy::DeployError;
+    type Error = crate::error::PipelineError;
 
     fn execute(self, orch: &Orchestrator) -> Result<Self::Output, Self::Error> {
         self.submit(orch)
@@ -233,7 +233,7 @@ impl ServiceRequest for IrDeployRequest<'_> {
 
 impl ServiceRequest for SourceDeployRequest<'_> {
     type Output = crate::source_container::SourceDeployment;
-    type Error = crate::source_container::SourceContainerError;
+    type Error = crate::error::PipelineError;
 
     fn execute(self, orch: &Orchestrator) -> Result<Self::Output, Self::Error> {
         self.submit(orch)

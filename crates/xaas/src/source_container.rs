@@ -8,110 +8,18 @@
 
 use crate::engine::plan::{SdCompilePlanner, SharedDeployArtifacts};
 use crate::engine::{add_commit_action, ActionGraph, ActionId, ActionKind, ActionTrace, LinkSlot};
+use crate::error::PipelineError;
 use crate::ir_container::{project_compiler, ActionSummary};
 use crate::targets::{derive_build_profile, target_isa_for};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
-use xaas_buildsys::{
-    configure, ConfigureError, ConfiguredBuild, OptionAssignment, OptionCategory, ProjectSpec,
-};
+use xaas_buildsys::{configure, ConfiguredBuild, OptionAssignment, OptionCategory, ProjectSpec};
 use xaas_container::{
     annotation_keys, Architecture, DeploymentFormat, Image, ImageStore, Layer, Platform,
 };
 use xaas_hpcsim::{discover, BuildProfile, ModuleKind, SimdLevel, SystemModel};
 use xaas_specs::{from_project, intersect, CommonSpecialization, SpecCategory};
 use xaas_xir::{CompileFlags, Compiler, MachineModule, TargetIsa};
-
-/// Errors during source-container building or deployment.
-#[derive(Debug)]
-#[allow(missing_docs)] // variant payload fields are documented by the Display impl
-pub enum SourceContainerError {
-    /// The selected configuration could not be configured.
-    Configure(ConfigureError),
-    /// A translation unit failed to compile on the target.
-    Compile {
-        file: String,
-        error: xaas_xir::CompileError,
-    },
-    /// The user preference conflicts with the system's capabilities.
-    UnsupportedPreference {
-        option: String,
-        value: String,
-        reason: String,
-    },
-    /// Container store failure.
-    Store(xaas_container::ImageError),
-    /// A target (or the generated compile database) references a source file the
-    /// project does not provide — neither as a source spec nor as a custom-target
-    /// product (a malformed project).
-    UnknownSource { file: String },
-    /// A cached artifact failed to decode (action-cache corruption).
-    Cache(String),
-    /// The orchestrator's scheduling policy is invalid (e.g. a zero tenant weight).
-    Policy(crate::engine::PolicyError),
-    /// The pipeline built an action graph with a construction defect;
-    /// nothing executed.
-    Graph(crate::engine::GraphError),
-    /// The executor broke its scheduling contract (a node skipped without a
-    /// failure, or cancelled mid-run) — not a pipeline error.
-    Engine(crate::engine::GraphFault),
-}
-
-impl fmt::Display for SourceContainerError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SourceContainerError::Configure(e) => write!(f, "configuration failed: {e}"),
-            SourceContainerError::Compile { file, error } => write!(f, "compiling {file}: {error}"),
-            SourceContainerError::UnsupportedPreference {
-                option,
-                value,
-                reason,
-            } => {
-                write!(f, "preference {option}={value} is not deployable: {reason}")
-            }
-            SourceContainerError::Store(e) => write!(f, "image store: {e}"),
-            SourceContainerError::UnknownSource { file } => {
-                write!(
-                    f,
-                    "compile database references {file}, which is not an enabled source"
-                )
-            }
-            SourceContainerError::Cache(detail) => write!(f, "action cache: {detail}"),
-            SourceContainerError::Policy(error) => write!(f, "{error}"),
-            SourceContainerError::Graph(error) => write!(f, "action graph refused: {error}"),
-            SourceContainerError::Engine(fault) => write!(f, "executor fault: {fault}"),
-        }
-    }
-}
-
-impl std::error::Error for SourceContainerError {}
-
-impl From<crate::engine::GraphRunError<SourceContainerError>> for SourceContainerError {
-    fn from(value: crate::engine::GraphRunError<SourceContainerError>) -> Self {
-        match value.into_action() {
-            Ok(error) => error,
-            Err(fault) => SourceContainerError::Engine(fault),
-        }
-    }
-}
-
-impl From<crate::engine::GraphError> for SourceContainerError {
-    fn from(value: crate::engine::GraphError) -> Self {
-        SourceContainerError::Graph(value)
-    }
-}
-
-impl From<ConfigureError> for SourceContainerError {
-    fn from(value: ConfigureError) -> Self {
-        SourceContainerError::Configure(value)
-    }
-}
-impl From<xaas_container::ImageError> for SourceContainerError {
-    fn from(value: xaas_container::ImageError) -> Self {
-        SourceContainerError::Store(value)
-    }
-}
 
 /// Paths used inside source containers.
 pub mod paths {
@@ -245,9 +153,9 @@ pub(crate) fn plan_source_deploy<'a>(
     system: &'a SystemModel,
     preferences: &OptionAssignment,
     policy: SelectionPolicy,
-) -> Result<SourceDeployPlan<'a>, SourceContainerError> {
+) -> Result<SourceDeployPlan<'a>, PipelineError> {
     if let Some(file) = crate::ir_container::unknown_target_source(project) {
-        return Err(SourceContainerError::UnknownSource { file });
+        return Err(PipelineError::UnknownSource { file });
     }
     let mut notes = Vec::new();
 
@@ -264,7 +172,7 @@ pub(crate) fn plan_source_deploy<'a>(
     for (option, value) in preferences.iter() {
         if let Some(build_option) = project.option(option) {
             if !build_option.accepts(value) {
-                return Err(SourceContainerError::UnsupportedPreference {
+                return Err(PipelineError::UnsupportedPreference {
                     option: option.to_string(),
                     value: value.to_string(),
                     reason: "value is not offered by the build system".to_string(),
@@ -331,7 +239,7 @@ pub(crate) fn plan_source_deploy<'a>(
             .enabled_sources
             .iter()
             .position(|s| s.path == command.file)
-            .ok_or_else(|| SourceContainerError::UnknownSource {
+            .ok_or_else(|| PipelineError::UnknownSource {
                 file: command.file.clone(),
             })?;
         let flags = command.flags();
@@ -380,10 +288,9 @@ pub(crate) fn plan_source_deploy<'a>(
 /// 3. **link + commit**: assemble and commit the system-specialized image.
 pub(crate) fn graft_source_deploy<'env>(
     plan: &'env SourceDeployPlan<'env>,
-    graph: &mut ActionGraph<'env, SourceContainerError>,
+    graph: &mut ActionGraph<'env, PipelineError>,
     store: &'env ImageStore,
 ) {
-    let lift = |file, error| SourceContainerError::Compile { file, error };
     let source_of = |unit: &SourceUnit| &plan.build.enabled_sources[unit.source];
     // Preprocess nodes first, in unit order: all preprocess records precede the
     // compile records.
@@ -391,7 +298,7 @@ pub(crate) fn graft_source_deploy<'env>(
     let preprocess_actions: Vec<ActionId> = plan
         .units
         .iter()
-        .map(|unit| sd_compile.preprocess_for(graph, source_of(unit), &unit.flags, lift))
+        .map(|unit| sd_compile.preprocess_for(graph, source_of(unit), &unit.flags))
         .collect();
     let standalone = &mut SharedDeployArtifacts::default();
     let compile_actions: Vec<ActionId> = plan
@@ -400,7 +307,7 @@ pub(crate) fn graft_source_deploy<'env>(
         .zip(&preprocess_actions)
         .map(|(unit, &preprocess)| {
             let source = source_of(unit);
-            sd_compile.action_for(graph, standalone, preprocess, source, &unit.flags, lift)
+            sd_compile.action_for(graph, standalone, preprocess, source, &unit.flags)
         })
         .collect();
 
@@ -415,7 +322,7 @@ pub(crate) fn graft_source_deploy<'env>(
             for (index, unit) in plan.units.iter().enumerate() {
                 serde_json::from_slice::<MachineModule>(inputs.dep(index)).map_err(|e| {
                     let file = &source_of(unit).path;
-                    SourceContainerError::Cache(format!("machine module for {file}: {e}"))
+                    PipelineError::Cache(format!("machine module for {file}: {e}"))
                 })?;
             }
 
@@ -598,7 +505,7 @@ mod tests {
         preferences: &OptionAssignment,
         policy: SelectionPolicy,
         store: &ImageStore,
-    ) -> Result<SourceDeployment, SourceContainerError> {
+    ) -> Result<SourceDeployment, PipelineError> {
         SourceDeployRequest::new(project, source_image, system)
             .preferences(preferences.clone())
             .selection_policy(policy)
@@ -733,10 +640,7 @@ mod tests {
             &store,
         )
         .unwrap_err();
-        assert!(matches!(
-            error,
-            SourceContainerError::UnsupportedPreference { .. }
-        ));
+        assert!(matches!(error, PipelineError::UnsupportedPreference { .. }));
     }
 
     /// Link's validation decode: an undecodable `sd-compile` entry (action-cache
@@ -763,10 +667,10 @@ mod tests {
 
         let request = SourceDeployRequest::new(&project, &image, &system);
         match request.submit(&Orchestrator::with_cache(&cache)) {
-            Err(SourceContainerError::Cache(detail)) => {
+            Err(PipelineError::Cache(detail)) => {
                 assert!(detail.contains(&source.path), "{detail}")
             }
-            other => panic!("expected SourceContainerError::Cache, got {other:?}"),
+            other => panic!("expected PipelineError::Cache, got {other:?}"),
         }
         assert_eq!(store.references().len(), 1, "only the source image");
     }

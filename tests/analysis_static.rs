@@ -212,10 +212,11 @@ fn service_surfaces_analysis_rejection_as_admission_invalid() {
     assert_eq!((stats.admitted, refusals), (1, 0));
 }
 
-/// The request-level lint plans the graph and reports on it without
-/// submitting anything.
+/// The request-level lint plans the graph under a valid policy and reports on
+/// it without submitting anything (an invalid policy is refused instead; see
+/// `orchestrator_api.rs`).
 #[test]
-fn request_analyze_reports_policy_defects_without_executing() {
+fn request_analyze_reports_on_the_planned_graph_without_executing() {
     let orch = Orchestrator::builder().workers(2).build();
     let project = lulesh::project();
     let config = IrPipelineConfig::sweep_options(&project, &["WITH_MPI", "WITH_OPENMP"]);

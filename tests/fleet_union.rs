@@ -332,7 +332,14 @@ fn poisoned_compile_fails_only_its_job_and_names_the_action() {
     let error = report.outcomes[1].deployment.as_ref().unwrap_err();
     assert_eq!(error.system, "Ault23");
     assert_eq!(error.action.as_deref(), Some("src/mpi_bad.ck"));
-    assert!(error.message.contains("src/mpi_bad.ck"), "{error}");
+    assert!(
+        matches!(&error.error, PipelineError::Compile { file, .. } if file == "src/mpi_bad.ck"),
+        "{error:?}"
+    );
+    assert!(
+        error.to_string().contains("compiling src/mpi_bad.ck"),
+        "{error}"
+    );
     assert!(error.to_string().contains("action `src/mpi_bad.ck`"));
 
     // Every other job delivered, with a complete trace (preprocessing through
@@ -359,7 +366,14 @@ fn poisoned_compile_fails_only_its_job_and_names_the_action() {
         .submit(&session(&cache, 4));
     let error = alone.outcomes[0].deployment.as_ref().unwrap_err();
     assert_eq!(error.action.as_deref(), Some("src/mpi_bad.ck"));
-    assert!(error.message.contains("src/mpi_bad.ck"), "{error}");
+    assert!(
+        matches!(&error.error, PipelineError::Compile { file, .. } if file == "src/mpi_bad.ck"),
+        "{error:?}"
+    );
+    assert!(
+        error.to_string().contains("compiling src/mpi_bad.ck"),
+        "{error}"
+    );
 }
 
 /// Plan-time failures — a manifest referencing a source the project does not
@@ -403,10 +417,21 @@ fn plan_time_failures_are_isolated_and_carry_no_action() {
         .submit(&session(&cache, 3));
     assert!(!report.all_succeeded());
     let ghost = report.outcomes[0].deployment.as_ref().unwrap_err();
-    assert!(ghost.message.contains("ghost.ck"), "{ghost}");
+    assert!(
+        matches!(&ghost.error, PipelineError::MissingUnit(unit) if unit == "ghost.ck"),
+        "{ghost:?}"
+    );
+    assert!(ghost.to_string().contains("ghost.ck"), "{ghost}");
     assert_eq!(ghost.action, None, "plan-time failures name no action");
     let simd = report.outcomes[1].deployment.as_ref().unwrap_err();
-    assert!(simd.message.contains("not supported"), "{simd}");
+    assert!(
+        matches!(
+            &simd.error,
+            PipelineError::UnsupportedSimd { level: SimdLevel::Avx512, system } if system == "Ault25"
+        ),
+        "{simd:?}"
+    );
+    assert!(simd.to_string().contains("not supported"), "{simd}");
     // The healthy job delivered despite two failing jobs in the same wave.
     let healthy = report.outcomes[2].deployment.as_ref().unwrap();
     assert!(healthy.lowered().unwrap().stats.lowered_units > 0);

@@ -57,7 +57,7 @@ fn malformed_target_source_is_a_typed_unknown_source_error() {
     })
     .unwrap_err();
     match &error {
-        IrPipelineError::UnknownSource { file } => assert_eq!(file, "src/typo.ck"),
+        PipelineError::UnknownSource { file } => assert_eq!(file, "src/typo.ck"),
         other => panic!("expected UnknownSource, got {other}"),
     }
     assert!(error.to_string().contains("src/typo.ck"));
@@ -74,7 +74,7 @@ fn malformed_target_source_fails_source_deployment_the_same_way() {
     })
     .unwrap_err();
     match &error {
-        SourceContainerError::UnknownSource { file } => assert_eq!(file, "src/ghost.ck"),
+        PipelineError::UnknownSource { file } => assert_eq!(file, "src/ghost.ck"),
         other => panic!("expected UnknownSource, got {other}"),
     }
 }
@@ -96,13 +96,14 @@ fn failing_compile_on_a_nocache_miss_returns_the_typed_compile_error() {
     })
     .unwrap_err();
     assert!(
-        matches!(error, IrPipelineError::Compile { ref file, .. } if file == "src/main.ck"),
+        matches!(error, PipelineError::Compile { ref file, .. } if file == "src/main.ck"),
         "expected a typed Compile error for src/main.ck, got {error}"
     );
 }
 
 /// A policy with a zero tenant weight is rejected up front with a typed error on
-/// every request type — the executor is never handed a lane it would starve.
+/// every request type — the executor is never handed a lane it would starve —
+/// and every request's `analyze` refuses it the same way `submit` does.
 #[test]
 fn zero_tenant_weight_is_rejected_before_any_action_runs() {
     let project = tiny_project(VALID_SOURCE, vec!["src/main.ck".into()]);
@@ -111,55 +112,59 @@ fn zero_tenant_weight_is_rejected_before_any_action_runs() {
         .policy(WeightedFair::new().with_weight("t", 0))
         .build();
 
-    let (build_error, deploy_error, source_error, fleet_report) = with_timeout(30, move || {
+    let (submitted, analyzed, fleet_report) = with_timeout(30, move || {
         let valid = Orchestrator::new();
         let build = IrBuildRequest::new(&project, &config)
             .submit(&valid)
             .expect("valid session builds");
-        let build_error = IrBuildRequest::new(&project, &config)
-            .submit(&broken)
-            .unwrap_err();
         let system = SystemModel::ault23();
-        let deploy_error = IrDeployRequest::new(&build, &project, &system)
-            .submit(&broken)
-            .unwrap_err();
         let source_image = xaas::source_container::build_source_container(
             &project,
             xaas_container::Architecture::Amd64,
             valid.store(),
             "tiny:src",
         );
-        let source_error = SourceDeployRequest::new(&project, &source_image, &system)
-            .submit(&broken)
-            .unwrap_err();
-        let fleet_report = FleetRequest::new(&build, &project)
-            .target(FleetTarget::best_for(
-                system.clone(),
-                xaas_buildsys::OptionAssignment::new(),
-            ))
-            .submit(&broken);
-        (build_error, deploy_error, source_error, fleet_report)
+        let fleet = FleetRequest::new(&build, &project).target(FleetTarget::best_for(
+            system.clone(),
+            xaas_buildsys::OptionAssignment::new(),
+        ));
+        let submitted = [
+            IrBuildRequest::new(&project, &config)
+                .submit(&broken)
+                .unwrap_err(),
+            IrDeployRequest::new(&build, &project, &system)
+                .submit(&broken)
+                .unwrap_err(),
+            SourceDeployRequest::new(&project, &source_image, &system)
+                .submit(&broken)
+                .unwrap_err(),
+        ];
+        let analyzed = [
+            IrBuildRequest::new(&project, &config)
+                .analyze(&broken)
+                .unwrap_err(),
+            IrDeployRequest::new(&build, &project, &system)
+                .analyze(&broken)
+                .unwrap_err(),
+            SourceDeployRequest::new(&project, &source_image, &system)
+                .analyze(&broken)
+                .unwrap_err(),
+            fleet.clone().analyze(&broken).unwrap_err().error,
+        ];
+        (submitted, analyzed, fleet.submit(&broken))
     });
 
-    let zero_weight =
-        |error: &PolicyError| matches!(error, PolicyError::ZeroWeight { tenant } if tenant == "t");
-    assert!(
-        matches!(&build_error, IrPipelineError::Policy(error) if zero_weight(error)),
-        "got {build_error}"
-    );
-    assert!(
-        matches!(&deploy_error, DeployError::Policy(error) if zero_weight(error)),
-        "got {deploy_error}"
-    );
-    assert!(
-        matches!(&source_error, SourceContainerError::Policy(error) if zero_weight(error)),
-        "got {source_error}"
-    );
+    let zero_weight = |error: &PipelineError| matches!(error, PipelineError::Policy(PolicyError::ZeroWeight { tenant }) if tenant == "t");
+    for error in submitted.iter().chain(&analyzed) {
+        assert!(zero_weight(error), "got {error}");
+        assert!(error.to_string().contains("weight of zero"), "{error}");
+    }
     assert!(!fleet_report.all_succeeded());
     assert_eq!(fleet_report.jobs_executed, 1);
     let fleet_error = fleet_report.outcomes[0].deployment.as_ref().unwrap_err();
+    assert!(zero_weight(&fleet_error.error), "{fleet_error:?}");
     assert!(
-        fleet_error.message.contains("weight of zero"),
+        fleet_error.to_string().contains("weight of zero"),
         "{fleet_error}"
     );
     // Nothing ran: the invalid session never dispatched an action.

@@ -586,11 +586,11 @@ proptest! {
             .submit(&orch)
             .unwrap_err();
         match error {
-            SourceContainerError::Compile { file, error } => {
+            PipelineError::Compile { file, error } => {
                 prop_assert_eq!(file, "src/ggml_quantize.ck");
                 prop_assert!(matches!(error, xaas_xir::CompileError::Preprocess(_)));
             }
-            other => panic!("expected SourceContainerError::Compile, got {other:?}"),
+            other => panic!("expected PipelineError::Compile, got {other:?}"),
         }
 
         prop_assert_eq!(orch.store().references().len(), 1, "only the source image");
