@@ -16,6 +16,7 @@
 //!   Spack, specialized containers, modules, XaaS source).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod baselines;
 pub mod gromacs;

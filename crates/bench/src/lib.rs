@@ -8,6 +8,8 @@
 //! paper's evaluation" in the repository's `README.md` for the paper-vs-measured
 //! comparison.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod experiments;
 pub mod render;

@@ -15,6 +15,7 @@
 //! * [`script`] — the mini build-script format that specialization discovery parses.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod compiledb;
 pub mod configure;

@@ -934,7 +934,7 @@ impl ActionCache {
     }
 
     /// Register `digest → blob` in the index and enforce the capacity bound (shared by
-    /// [`ActionCache::get_or_compute`] and [`ActionCache::insert`]).
+    /// `land`, where every completed flight is booked, and [`ActionCache::insert`]).
     fn record_entry(&self, inner: &mut CacheInner, digest: Digest, blob: Digest) {
         if inner.entries.insert(digest.clone(), blob).is_none() {
             inner.order.push_back(digest);

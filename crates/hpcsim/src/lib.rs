@@ -15,6 +15,7 @@
 //!   Section 6.5 bandwidth comparison).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cpu;
 pub mod discovery;

@@ -14,6 +14,7 @@
 //! * [`catalog`] — the Table 1 application catalogue.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod catalog;
 pub mod extract;

@@ -26,7 +26,7 @@
 #![deny(missing_docs)]
 #![deny(clippy::unwrap_used, clippy::dbg_macro)]
 
-use super::graph::{ActionGraph, ActionId, KeySpec};
+use super::graph::{ActionGraph, ActionId, ActionNode, KeySpec};
 use super::policy::SchedulingPolicy;
 use super::trace::ActionKind;
 use serde::Serialize;
@@ -344,8 +344,8 @@ impl<'a> GraphAnalyzer<'a> {
             out.push(Diagnostic::new(
                 DiagnosticCode::DanglingDep,
                 Some(error.node()),
-                node.job,
-                format!("`{}`: {error}", node.label),
+                node.info.job,
+                format!("`{}`: {error}", node.info.label),
             ));
         }
         let mut feeds_someone = vec![false; nodes.len()];
@@ -357,47 +357,47 @@ impl<'a> GraphAnalyzer<'a> {
                     out.push(Diagnostic::new(
                         DiagnosticCode::DuplicateDep,
                         Some(id),
-                        node.job,
+                        node.info.job,
                         format!(
                             "`{}` declares node {dep} (`{}`) as a dependency more than once",
-                            node.label, nodes[dep].label
+                            node.info.label, nodes[dep].info.label
                         ),
                     ));
                     continue;
                 }
                 seen.push(dep);
                 feeds_someone[dep] = true;
-                if let (Some(a), Some(b)) = (node.job, nodes[dep].job) {
+                if let (Some(a), Some(b)) = (node.info.job, nodes[dep].info.job) {
                     if a != b && !same_static_key(node, &nodes[dep]) {
                         out.push(Diagnostic::new(
                             DiagnosticCode::CrossJobEdge,
                             Some(id),
-                            node.job,
+                            node.info.job,
                             format!(
                                 "`{}` (job {a}) depends on `{}` (job {b}) without sharing \
                                  its BuildKey: split_by_job blast-radius attribution \
                                  crosses jobs",
-                                node.label, nodes[dep].label
+                                node.info.label, nodes[dep].info.label
                             ),
                         ));
                     }
                 }
             }
-            has_commit |= node.kind == ActionKind::Commit;
+            has_commit |= node.info.kind == ActionKind::Commit;
         }
         // Dead outputs only make sense in a graph that actually commits an
         // image; ad-hoc stage graphs hand every output back to the driver.
         if has_commit {
             for (id, node) in nodes.iter().enumerate() {
-                if node.kind != ActionKind::Commit && !feeds_someone[id] {
+                if node.info.kind != ActionKind::Commit && !feeds_someone[id] {
                     out.push(Diagnostic::new(
                         DiagnosticCode::UnreachableOutput,
                         Some(id),
-                        node.job,
+                        node.info.job,
                         format!(
                             "`{}` feeds no other node in a committing graph: \
                              likely dead work",
-                            node.label
+                            node.info.label
                         ),
                     ));
                 }
@@ -446,14 +446,14 @@ impl<'a> GraphAnalyzer<'a> {
                     out.push(Diagnostic::new(
                         DiagnosticCode::UnorderedDuplicateKey,
                         Some(later),
-                        nodes[later].job,
+                        nodes[later].info.job,
                         format!(
                             "`{}` and `{}` share BuildKey {} with no ordering edge: \
                              the bytes are deterministic but which record carries \
                              `cached: false` is scheduling-dependent ({} node(s) on \
                              the key)",
-                            nodes[earlier].label,
-                            nodes[later].label,
+                            nodes[earlier].info.label,
+                            nodes[later].info.label,
                             digest.short(),
                             members.len()
                         ),
@@ -487,10 +487,7 @@ impl<'a> GraphAnalyzer<'a> {
 /// Whether both nodes carry the same static [`BuildKey`] — the fleet grafter's
 /// cache-probe alias shape, where a cross-job edge is the *point* (the
 /// dependent replays the dependency's artifact as a deterministic hit).
-fn same_static_key<E>(
-    a: &super::graph::ActionNode<'_, E>,
-    b: &super::graph::ActionNode<'_, E>,
-) -> bool {
+fn same_static_key(a: &ActionNode<'_>, b: &ActionNode<'_>) -> bool {
     match (&a.key, &b.key) {
         (KeySpec::Static(ka), KeySpec::Static(kb)) => ka.digest() == kb.digest(),
         _ => false,
@@ -498,11 +495,7 @@ fn same_static_key<E>(
 }
 
 /// Whether `ancestor` is reachable from `from` by walking dependency edges.
-fn is_ancestor<E>(
-    nodes: &[super::graph::ActionNode<'_, E>],
-    ancestor: ActionId,
-    from: ActionId,
-) -> bool {
+fn is_ancestor(nodes: &[ActionNode<'_>], ancestor: ActionId, from: ActionId) -> bool {
     let mut visited = vec![false; nodes.len()];
     let mut stack = vec![from];
     while let Some(id) = stack.pop() {

@@ -34,9 +34,18 @@
 //! observable (and policy-dependent) through each record's `schedule_seq`,
 //! `queue_wait_micros`, and `ready_submissions` diagnostics, which are
 //! deliberately excluded from trace equality.
+//!
+//! A submission holds one cell per node: the node's static part (its
+//! [`NodeInfo`], dependencies and dependents), its count of dependencies still
+//! to retire, and one lock over everything that changes while it runs — its
+//! one-shot work, outcome, trace record, the flight outcome a waker stashed for
+//! it, and its wait and park clocks. Lock order is ready queue → node, never the
+//! reverse, and no node lock is held across a cache call or while a closure runs.
 
 #![deny(clippy::unwrap_used, clippy::dbg_macro)]
-use super::graph::{ActionGraph, ActionId, ActionInputs, KeySpec};
+use super::graph::{
+    ActionFn, ActionGraph, ActionId, ActionInputs, ActionNode, ErasedError, KeySpec,
+};
 use super::policy::SchedulingPolicy;
 use super::trace::{ActionKind, ActionRecord, ActionTrace};
 use parking_lot::Mutex;
@@ -45,7 +54,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::marker::PhantomData;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, OnceLock};
 use std::time::Instant;
 use xaas_container::{
     Blob, BuildKey, CacheBackend, CacheTier, FlightError, FlightId, FlightOutcome, FlightWaker,
@@ -269,110 +278,60 @@ impl<E: std::fmt::Display> std::fmt::Display for GraphRunError<E> {
 
 impl<E: std::fmt::Debug + std::fmt::Display> std::error::Error for GraphRunError<E> {}
 
-/// A driver error, type-erased so submissions of every error type can share one
-/// worker pool; downcast back to `E` when the run is assembled.
-type ErasedError = Box<dyn Any + Send>;
-
-type ErasedRunFn<'env> =
-    Box<dyn FnOnce(&ActionInputs) -> Result<Vec<u8>, ErasedError> + Send + 'env>;
-type ErasedKeyFn<'env> = Box<dyn FnOnce(&ActionInputs) -> BuildKey + Send + 'env>;
-
-enum ErasedKeySpec<'env> {
-    None,
-    Static(BuildKey),
-    Derived(ErasedKeyFn<'env>),
-}
-
-/// A node's one-shot work: the run closure plus its cache-key specification
-/// (static, derived from inputs, or none). Taken exactly once at dispatch.
-struct ErasedWork<'env> {
-    run: ErasedRunFn<'env>,
-    key: ErasedKeySpec<'env>,
-}
-
-/// One node of a submission with its driver error type (and, for blocking runs,
-/// its borrow lifetime) erased.
-struct ErasedNode<'env> {
-    kind: ActionKind,
-    label: String,
-    job: Option<usize>,
-    deps: Vec<ActionId>,
-    work: ErasedWork<'env>,
-}
-
-/// Erase a typed graph's error type, keeping the borrow lifetime.
-fn erase_nodes<'env, E: Send + 'static>(graph: ActionGraph<'env, E>) -> Vec<ErasedNode<'env>> {
-    graph
-        .nodes
-        .into_iter()
-        .map(|node| {
-            let run = node.run;
-            ErasedNode {
-                kind: node.kind,
-                label: node.label,
-                job: node.job,
-                deps: node.deps,
-                work: ErasedWork {
-                    run: Box::new(move |inputs| {
-                        run(inputs).map_err(|error| Box::new(error) as ErasedError)
-                    }),
-                    key: match node.key {
-                        KeySpec::None => ErasedKeySpec::None,
-                        KeySpec::Static(key) => ErasedKeySpec::Static(key),
-                        KeySpec::Derived(key_of) => ErasedKeySpec::Derived(key_of),
-                    },
-                },
-            }
-        })
-        .collect()
-}
-
-/// Pretend a set of erased nodes borrows nothing.
+/// Pretend a graph's nodes borrow nothing.
 ///
 /// # Safety
-/// The caller must guarantee every contained closure is **executed or dropped
-/// before `'env` ends**. The blocking-run path upholds this by (a) waiting for the
+/// The caller must guarantee every contained closure is **run or dropped before
+/// `'env` ends**. The blocking-run path upholds this by (a) waiting for the
 /// submission to complete before returning — including on unwind, via
-/// [`WaitOnDrop`] — and (b) the completing worker draining every un-executed
-/// closure ([`Submission`] leftover tasks) *before* signalling completion.
-unsafe fn assume_static(nodes: Vec<ErasedNode<'_>>) -> Vec<ErasedNode<'static>> {
-    // SAFETY: `ErasedNode<'a>` and `ErasedNode<'static>` are the same type up to
+/// [`WaitOnDrop`] — and (b) a submission completing only once every node has
+/// retired, each having run or dropped its closures first (see
+/// [`CoreShared::step`]).
+#[allow(unsafe_code)]
+unsafe fn assume_static(nodes: Vec<ActionNode<'_>>) -> Vec<ActionNode<'static>> {
+    // SAFETY: `ActionNode<'a>` and `ActionNode<'static>` are the same type up to
     // the trait-object lifetime bound; the caller upholds the outlives contract.
-    unsafe { std::mem::transmute(nodes) }
+    std::mem::transmute(nodes)
 }
 
-enum Slot {
-    Pending,
-    Output(Blob),
-    Failed(ErasedError),
-    Skipped { root: ActionId },
-    Cancelled,
-}
+/// A node's one-shot work: its run closure and cache-key specification.
+type Work = (ActionFn<'static>, KeySpec<'static>);
 
-struct NodeMeta {
-    kind: ActionKind,
-    label: String,
-    job: Option<usize>,
+/// One node of a submission: the static part fixed at submission, the count of
+/// dependencies still to retire, and one lock over everything that changes.
+struct Node {
+    info: NodeInfo,
     deps: Vec<ActionId>,
+    dependents: Vec<ActionId>,
+    /// Dependencies not yet retired; the node is queued when this reaches zero.
+    pending: AtomicUsize,
+    state: Mutex<NodeState>,
 }
 
-/// Per-node park/wake state: the pending flight outcome a waker stored for the
-/// node's re-dispatch, plus the diagnostics clocks behind
-/// [`ActionRecord::parked_micros`] / [`ActionRecord::parks`].
+/// What changes while a node runs. Its lock is never held across a cache call,
+/// while a closure runs or drops, or while the ready lock is taken.
 #[derive(Default)]
-struct ParkState {
-    /// Outcome stored by a flight waker, consumed by the node's next dispatch.
-    wake: Mutex<Option<FlightOutcome>>,
-    /// Queue-wait micros accrued by this node's earlier dispatches (a parked node
-    /// re-enters the queue; its final record reports the cumulative wait).
-    accrued_wait: AtomicU64,
-    /// Total micros spent parked as a single-flight waiter.
-    parked_micros: AtomicU64,
-    /// Times this node parked.
-    parks: AtomicU64,
+struct NodeState {
+    /// Taken at every dispatch; a node parking on a flight puts it back, its key
+    /// resolved, for the re-dispatch its waker queues.
+    work: Option<Work>,
+    /// `None` until the node retires.
+    outcome: Option<NodeOutcome<ErasedError>>,
+    record: Option<ActionRecord>,
+    /// The flight outcome a waker stashed for the node's re-dispatch.
+    wake: Option<FlightOutcome>,
+    /// Queue-wait micros of earlier dispatches (a parked node re-enters the
+    /// queue; its final record reports the cumulative wait).
+    accrued_wait: u64,
+    /// Micros spent parked as a single-flight waiter, and how many times.
+    parked_micros: u64,
+    parks: u64,
 }
 
-/// One submitted graph: erased nodes plus all per-run execution state. Shared
+/// Whether a submission completed, and the callback to run when it does.
+type Completion = (bool, Option<Box<dyn FnOnce() + Send>>);
+
+/// One submitted graph: a [`Node`] cell per node plus the run-wide state. Shared
 /// between the worker pool (via queue entries) and the submitter's
 /// [`GraphHandle`] / blocking waiter.
 struct Submission {
@@ -383,84 +342,105 @@ struct Submission {
     tenant: Option<String>,
     policy_name: String,
     stage_depth: usize,
-    metas: Vec<NodeMeta>,
-    tasks: Vec<Mutex<Option<ErasedWork<'static>>>>,
-    slots: Vec<Mutex<Slot>>,
-    records: Vec<Mutex<Option<ActionRecord>>>,
-    park_state: Vec<ParkState>,
-    dependents: Vec<Vec<ActionId>>,
-    pending: Vec<AtomicUsize>,
-    /// Micros-since-core-epoch each node entered the ready queue (0 = not yet).
-    enqueued_at: Vec<AtomicU64>,
+    nodes: Vec<Node>,
     remaining: AtomicUsize,
     cancelled: AtomicBool,
     /// The first caught action panic; re-raised on the waiting thread, so a
     /// panicking action behaves like it would on a serial executor instead of
     /// killing a pool worker.
     panic_payload: Mutex<Option<Box<dyn Any + Send>>>,
-    done: AtomicBool,
-    done_lock: StdMutex<bool>,
+    /// Set, and the callback taken, by the worker that retires the last node.
+    done: StdMutex<Completion>,
     done_cv: Condvar,
-    /// Completion callback, invoked once by the worker that retires the last node.
-    callback: Mutex<Option<Box<dyn FnOnce() + Send>>>,
 }
 
 impl Submission {
-    /// Lay out the per-run state of `nodes`: dependents, pending-dependency
-    /// counts, and one task/slot/record/park cell per node.
+    /// Lay out one cell per node, wiring each dependency to its dependents.
     fn new(
         id: u64,
         tenant: Option<String>,
         policy_name: String,
         stage_depth: usize,
-        nodes: Vec<ErasedNode<'static>>,
+        nodes: Vec<ActionNode<'static>>,
     ) -> Self {
-        let node_count = nodes.len();
-        let mut metas = Vec::with_capacity(node_count);
-        let mut tasks = Vec::with_capacity(node_count);
-        let mut dependents: Vec<Vec<ActionId>> = vec![Vec::new(); node_count];
-        let mut pending = Vec::with_capacity(node_count);
-        for (node_id, node) in nodes.into_iter().enumerate() {
+        let mut dependents: Vec<Vec<ActionId>> = vec![Vec::new(); nodes.len()];
+        for (node_id, node) in nodes.iter().enumerate() {
             for &dep in &node.deps {
                 dependents[dep].push(node_id);
             }
-            pending.push(AtomicUsize::new(node.deps.len()));
-            metas.push(NodeMeta {
-                kind: node.kind,
-                label: node.label,
-                job: node.job,
-                deps: node.deps,
-            });
-            tasks.push(Mutex::new(Some(node.work)));
         }
+        let nodes: Vec<Node> = nodes
+            .into_iter()
+            .zip(dependents)
+            .map(|(node, dependents)| Node {
+                pending: AtomicUsize::new(node.deps.len()),
+                info: node.info,
+                deps: node.deps,
+                dependents,
+                state: Mutex::new(NodeState {
+                    work: Some((node.run, node.key)),
+                    ..NodeState::default()
+                }),
+            })
+            .collect();
         Self {
             id,
             tenant,
             policy_name,
             stage_depth,
-            metas,
-            tasks,
-            slots: (0..node_count).map(|_| Mutex::new(Slot::Pending)).collect(),
-            records: (0..node_count).map(|_| Mutex::new(None)).collect(),
-            park_state: (0..node_count).map(|_| ParkState::default()).collect(),
-            dependents,
-            pending,
-            enqueued_at: (0..node_count).map(|_| AtomicU64::new(0)).collect(),
-            remaining: AtomicUsize::new(node_count),
+            remaining: AtomicUsize::new(nodes.len()),
             cancelled: AtomicBool::new(false),
             panic_payload: Mutex::new(None),
-            done: AtomicBool::new(node_count == 0),
-            done_lock: StdMutex::new(node_count == 0),
+            done: StdMutex::new((nodes.is_empty(), None)),
             done_cv: Condvar::new(),
-            callback: Mutex::new(None),
+            nodes,
         }
     }
 
+    fn lock_done(&self) -> MutexGuard<'_, Completion> {
+        self.done.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn is_done(&self) -> bool {
+        self.lock_done().0
+    }
+
     fn wait_done(&self) {
-        let mut done = self.done_lock.lock().unwrap_or_else(|e| e.into_inner());
-        while !*done {
+        let mut done = self.lock_done();
+        while !done.0 {
             done = self.done_cv.wait(done).unwrap_or_else(|e| e.into_inner());
         }
+    }
+
+    /// Run `f`, recording a panic as the submission's payload (the first one
+    /// wins) instead of unwinding the worker; `None` when it panicked.
+    fn catch<T>(&self, f: impl FnOnce() -> T) -> Option<T> {
+        match std::panic::catch_unwind(AssertUnwindSafe(f)) {
+            Ok(value) => Some(value),
+            Err(payload) => {
+                self.panic_payload.lock().get_or_insert(payload);
+                None
+            }
+        }
+    }
+
+    /// The outputs of `node`'s dependencies, or the outcome the first failed,
+    /// skipped or cancelled one passes on to it.
+    fn inputs(&self, node: ActionId) -> Result<ActionInputs, NodeOutcome<ErasedError>> {
+        let deps = &self.nodes[node].deps;
+        let mut inputs = Vec::with_capacity(deps.len());
+        for &dep in deps {
+            match &self.nodes[dep].state.lock().outcome {
+                Some(NodeOutcome::Output(blob)) => inputs.push(blob.clone()),
+                Some(NodeOutcome::Failed(_)) => return Err(NodeOutcome::Skipped { root: dep }),
+                Some(NodeOutcome::Skipped { root }) => {
+                    return Err(NodeOutcome::Skipped { root: *root })
+                }
+                Some(NodeOutcome::Cancelled) => return Err(NodeOutcome::Cancelled),
+                None => unreachable!("node scheduled before dependency finished"),
+            }
+        }
+        Ok(ActionInputs::new(inputs))
     }
 }
 
@@ -475,10 +455,12 @@ impl Drop for WaitOnDrop<'_> {
     }
 }
 
-/// One ready-queue entry: a node of a specific submission.
+/// One ready-queue entry: a node of a specific submission, and when it entered
+/// the queue (micros since the core's epoch).
 struct Queued {
     sub: Arc<Submission>,
     node: ActionId,
+    enqueued_at: u64,
 }
 
 /// One FIFO slice of the ready queue. Under a non-fair policy there is a single
@@ -692,7 +674,7 @@ impl CoreShared {
     /// single-worker dispatch order deterministic for the policy tests.
     fn submit(
         self: &Arc<Self>,
-        nodes: Vec<ErasedNode<'static>>,
+        nodes: Vec<ActionNode<'static>>,
         stage_depth: usize,
         tenant: Option<String>,
     ) -> Arc<Submission> {
@@ -703,20 +685,20 @@ impl CoreShared {
             stage_depth,
             nodes,
         ));
-        if sub.metas.is_empty() {
+        if sub.nodes.is_empty() {
             return sub;
         }
         self.live_submissions.fetch_add(1, Ordering::AcqRel);
         {
             let mut ready = self.ready.lock();
             ready.open(&sub.tenant, self.policy.as_ref());
-            let now = self.now_micros();
-            for (node, pending) in sub.pending.iter().enumerate() {
-                if pending.load(Ordering::Relaxed) == 0 {
-                    sub.enqueued_at[node].store(now, Ordering::Relaxed);
+            let enqueued_at = self.now_micros();
+            for (node, cell) in sub.nodes.iter().enumerate() {
+                if cell.pending.load(Ordering::Relaxed) == 0 {
                     ready.push(Queued {
                         sub: sub.clone(),
                         node,
+                        enqueued_at,
                     });
                 }
             }
@@ -731,9 +713,8 @@ impl CoreShared {
     fn pop_task(&self) -> Option<Dispatch> {
         let mut ready = self.ready.lock();
         let (item, ready_submissions) = ready.pop()?;
-        let enqueued = item.sub.enqueued_at[item.node].load(Ordering::Relaxed);
         Some(Dispatch {
-            wait_micros: self.now_micros().saturating_sub(enqueued),
+            wait_micros: self.now_micros().saturating_sub(item.enqueued_at),
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
             ready_submissions,
             item,
@@ -744,29 +725,32 @@ impl CoreShared {
         self.ready.lock().queued_actions > 0
     }
 
-    /// Retire one node: store its slot/record, enqueue newly-ready dependents,
-    /// and — when it was the submission's last node — complete the submission.
+    /// Retire one node: store its outcome and record, enqueue newly-ready
+    /// dependents, and — when it was the submission's last node — complete the
+    /// submission.
     fn finish(
         &self,
         sub: &Arc<Submission>,
         node: ActionId,
-        slot: Slot,
+        outcome: NodeOutcome<ErasedError>,
         record: Option<ActionRecord>,
     ) {
-        *sub.slots[node].lock() = slot;
-        if let Some(record) = record {
-            *sub.records[node].lock() = Some(record);
+        let cell = &sub.nodes[node];
+        {
+            let mut state = cell.state.lock();
+            state.outcome = Some(outcome);
+            state.record = record;
         }
         let mut made_ready = 0usize;
         {
             let mut ready = self.ready.lock();
-            let now = self.now_micros();
-            for &dependent in &sub.dependents[node] {
-                if sub.pending[dependent].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    sub.enqueued_at[dependent].store(now, Ordering::Relaxed);
+            let enqueued_at = self.now_micros();
+            for &dependent in &cell.dependents {
+                if sub.nodes[dependent].pending.fetch_sub(1, Ordering::AcqRel) == 1 {
                     ready.push(Queued {
                         sub: sub.clone(),
                         node: dependent,
+                        enqueued_at,
                     });
                     made_ready += 1;
                 }
@@ -784,49 +768,23 @@ impl CoreShared {
         }
     }
 
-    /// Complete a submission: drain leftover (skipped/cancelled) closures — the
-    /// step that lets blocking runs borrow caller state soundly — release its
-    /// lane, then signal waiters and run the completion callback.
+    /// Complete a submission: release its lane, then signal waiters and run the
+    /// completion callback. Every node has retired, so every closure has already
+    /// run or been dropped — the step that lets blocking runs borrow caller
+    /// state soundly.
     fn complete(&self, sub: &Arc<Submission>) {
-        for task in &sub.tasks {
-            drop(task.lock().take());
-        }
         self.ready.lock().close(&sub.tenant);
         let callback = {
-            let mut callback = sub.callback.lock();
-            sub.done.store(true, Ordering::Release);
-            callback.take()
+            let mut done = sub.lock_done();
+            done.0 = true;
+            done.1.take()
         };
-        {
-            let mut done = sub.done_lock.lock().unwrap_or_else(|e| e.into_inner());
-            *done = true;
-        }
         sub.done_cv.notify_all();
         self.live_submissions.fetch_sub(1, Ordering::AcqRel);
         // Wake the pool (and a core waiting to shut down in Drop).
         self.notify_workers(true);
         if let Some(callback) = callback {
             callback();
-        }
-    }
-
-    /// Run one node's closure, converting a panic into a recorded payload (first
-    /// panic wins). Returns `None` when the closure panicked.
-    fn run_task(
-        &self,
-        sub: &Submission,
-        task: ErasedRunFn<'static>,
-        inputs: &ActionInputs,
-    ) -> Option<Result<Vec<u8>, ErasedError>> {
-        match std::panic::catch_unwind(AssertUnwindSafe(|| task(inputs))) {
-            Ok(result) => Some(result),
-            Err(payload) => {
-                let mut slot = sub.panic_payload.lock();
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-                None
-            }
         }
     }
 
@@ -838,20 +796,19 @@ impl CoreShared {
         self: &Arc<Self>,
         sub: &Arc<Submission>,
         node: ActionId,
-        task: ErasedRunFn<'static>,
+        run: ActionFn<'static>,
         key: BuildKey,
         flight: FlightId,
         wait_micros: u64,
     ) {
-        let state = &sub.park_state[node];
-        // Restore the work (key resolved to its static form) *before* the waker
-        // can fire: a woken re-dispatch takes it back out.
-        *sub.tasks[node].lock() = Some(ErasedWork {
-            run: task,
-            key: ErasedKeySpec::Static(key),
-        });
-        state.accrued_wait.fetch_add(wait_micros, Ordering::Relaxed);
-        state.parks.fetch_add(1, Ordering::Relaxed);
+        {
+            // Restore the work (key resolved to its static form) *before* the
+            // waker can fire: a woken re-dispatch takes it back out.
+            let mut state = sub.nodes[node].state.lock();
+            state.work = Some((run, KeySpec::Static(key)));
+            state.accrued_wait += wait_micros;
+            state.parks += 1;
+        }
         let parked_at = self.now_micros();
         {
             // Count the park before registering the waker, so a waker firing
@@ -882,186 +839,158 @@ impl CoreShared {
         parked_at: u64,
         outcome: FlightOutcome,
     ) {
-        let state = &sub.park_state[node];
         let now = self.now_micros();
-        state
-            .parked_micros
-            .fetch_add(now.saturating_sub(parked_at), Ordering::Relaxed);
-        *state.wake.lock() = Some(outcome);
+        {
+            let mut state = sub.nodes[node].state.lock();
+            state.parked_micros += now.saturating_sub(parked_at);
+            state.wake = Some(outcome);
+        }
         {
             let mut ready = self.ready.lock();
             ready.wakeups += 1;
             ready.parked_waiters -= 1;
-            sub.enqueued_at[node].store(now, Ordering::Relaxed);
             ready.push(Queued {
                 sub: sub.clone(),
                 node,
+                enqueued_at: now,
             });
         }
         self.notify_workers(false);
     }
 
     fn execute(self: &Arc<Self>, dispatch: Dispatch) {
-        let Dispatch {
-            item: Queued { sub, node },
-            wait_micros,
-            seq,
-            ready_submissions,
-        } = dispatch;
-        if sub.cancelled.load(Ordering::Relaxed) {
-            self.finish(&sub, node, Slot::Cancelled, None);
-            return;
+        let (sub, node) = (&dispatch.item.sub, dispatch.item.node);
+        if let Some((outcome, record)) = self.step(sub, node, &dispatch) {
+            self.finish(sub, node, outcome, record);
         }
-        // A parked node re-dispatched after its flight retired: a completed
-        // flight short-circuits to a coalesced hit; a failed or poisoned one
-        // falls through and retries the keyed path (possibly becoming the next
-        // owner), so an upstream failure never strands a waiter.
-        if let Some(FlightOutcome::Completed(blob)) = sub.park_state[node].wake.lock().take() {
-            let key_digest = sub.tasks[node]
-                .lock()
-                .take()
-                .and_then(|work| match work.key {
-                    ErasedKeySpec::Static(key) => Some(key.digest().hex().to_string()),
-                    _ => None,
-                });
-            let meta = &sub.metas[node];
-            let state = &sub.park_state[node];
-            let record = ActionRecord {
-                kind: meta.kind,
-                label: meta.label.clone(),
-                key_digest,
-                cached: true,
-                // A coalesced waiter is served from the retired flight — the
-                // blob is resident in memory by the time the waker fires.
-                hit_tier: Some(CacheTier::Memory),
-                coalesced: true,
-                queue_wait_micros: wait_micros + state.accrued_wait.load(Ordering::Relaxed),
-                exec_micros: 0,
-                schedule_seq: seq,
-                job: meta.job,
-                tenant: sub.tenant.clone(),
-                ready_submissions,
-                parked_micros: state.parked_micros.load(Ordering::Relaxed),
-                parks: state.parks.load(Ordering::Relaxed),
-            };
-            self.finish(&sub, node, Slot::Output(blob), Some(record));
-            return;
-        }
-        let meta = &sub.metas[node];
-        // Gather dependency outputs; a poisoned dependency skips this node.
-        let mut inputs = Vec::with_capacity(meta.deps.len());
-        let mut poisoned: Option<Slot> = None;
-        for &dep in &meta.deps {
-            match &*sub.slots[dep].lock() {
-                Slot::Output(bytes) => inputs.push(bytes.clone()),
-                Slot::Failed(_) => {
-                    poisoned = Some(Slot::Skipped { root: dep });
-                    break;
-                }
-                Slot::Skipped { root } => {
-                    poisoned = Some(Slot::Skipped { root: *root });
-                    break;
-                }
-                Slot::Cancelled => {
-                    poisoned = Some(Slot::Cancelled);
-                    break;
-                }
-                Slot::Pending => unreachable!("node scheduled before dependency finished"),
-            }
-        }
-        if let Some(slot) = poisoned {
-            self.finish(&sub, node, slot, None);
-            return;
-        }
+    }
 
-        let ErasedWork { run: task, key } = sub.tasks[node]
-            .lock()
-            .take()
-            .expect("every node executes exactly once");
-        let inputs = ActionInputs::new(inputs);
-        let started = Instant::now();
-
-        // Resolve the cache key: static keys pass through; derived keys are
-        // computed from the dependency outputs now that they exist. A panicking
-        // key derivation behaves like a panicking action (payload recorded,
-        // dependents poisoned).
-        let key = match key {
-            ErasedKeySpec::None => None,
-            ErasedKeySpec::Static(key) => Some(key),
-            ErasedKeySpec::Derived(key_of) => {
-                match std::panic::catch_unwind(AssertUnwindSafe(|| key_of(&inputs))) {
-                    Ok(key) => Some(key),
-                    Err(payload) => {
-                        let mut slot = sub.panic_payload.lock();
-                        if slot.is_none() {
-                            *slot = Some(payload);
-                        }
-                        drop(slot);
-                        self.finish(&sub, node, Slot::Skipped { root: node }, None);
-                        return;
-                    }
-                }
-            }
+    /// Run one dispatched node to its outcome and trace record, or to `None`
+    /// when it parked on a flight. The node's work is taken on every dispatch,
+    /// and by the time this returns its closures have run, been dropped, or been
+    /// put back for the parked node's re-dispatch: a node retires only after its
+    /// closures are gone.
+    fn step(
+        self: &Arc<Self>,
+        sub: &Arc<Submission>,
+        node: ActionId,
+        dispatch: &Dispatch,
+    ) -> Option<(NodeOutcome<ErasedError>, Option<ActionRecord>)> {
+        let cell = &sub.nodes[node];
+        let (wake, work) = {
+            let mut state = cell.state.lock();
+            (state.wake.take(), state.work.take())
         };
-
-        let key_digest = key.as_ref().map(|k| k.digest().hex().to_string());
-        let (slot, completed): (Slot, Option<(bool, Option<CacheTier>)>) = match key {
-            Some(build_key) => {
-                match self.cache.try_begin(&build_key) {
-                    // The backend's Blob handle goes straight into the slot: a hit
-                    // shares the store's allocation with every consumer. The hit
-                    // names the tier that served it, so a stack's disk/remote
-                    // promotions show up in the trace.
-                    TryBegin::Hit(blob, tier) => (Slot::Output(blob), Some((true, Some(tier)))),
-                    TryBegin::Owner(ticket) => match self.run_task(&sub, task, &inputs) {
-                        Some(Ok(bytes)) => (
-                            Slot::Output(self.cache.complete(ticket, bytes)),
-                            Some((false, None)),
-                        ),
-                        Some(Err(error)) => {
-                            self.cache.fail(ticket, FlightError::Failed);
-                            (Slot::Failed(error), None)
+        let (run, key) = work.expect("a queued node holds its work");
+        if sub.cancelled.load(Ordering::Relaxed) {
+            return Some((NodeOutcome::Cancelled, None));
+        }
+        let started = Instant::now();
+        // A served node's `(cached, hit_tier, coalesced)`.
+        let (key_digest, outcome, served) = match wake {
+            // A parked node re-dispatched after its flight retired: a completed
+            // flight short-circuits to a coalesced hit, served from the retired
+            // flight — the blob is resident in memory by the time the waker
+            // fires. A failed or poisoned one falls through and retries the keyed
+            // path (possibly becoming the next owner), so an upstream failure
+            // never strands a waiter.
+            Some(FlightOutcome::Completed(blob)) => {
+                let key_digest = match key {
+                    KeySpec::Static(key) => Some(key.digest().hex().to_string()),
+                    _ => None,
+                };
+                let served = (true, Some(CacheTier::Memory), true);
+                (key_digest, NodeOutcome::Output(blob), Some(served))
+            }
+            _ => {
+                // A poisoned dependency skips this node.
+                let inputs = match sub.inputs(node) {
+                    Ok(inputs) => inputs,
+                    Err(outcome) => return Some((outcome, None)),
+                };
+                // Resolve the cache key: static keys pass through; derived keys
+                // are computed from the dependency outputs now that they exist. A
+                // panicking key derivation behaves like a panicking action
+                // (payload recorded, dependents poisoned).
+                let key = match key {
+                    KeySpec::None => None,
+                    KeySpec::Static(key) => Some(key),
+                    KeySpec::Derived(key_of) => match sub.catch(|| key_of(&inputs)) {
+                        Some(key) => Some(key),
+                        None => return Some((NodeOutcome::Skipped { root: node }, None)),
+                    },
+                };
+                let key_digest = key.as_ref().map(|key| key.digest().hex().to_string());
+                let (outcome, served) = match key {
+                    Some(key) => match self.cache.try_begin(&key) {
+                        // The backend's Blob handle becomes the outcome: a hit
+                        // shares the store's allocation with every consumer. The
+                        // hit names the tier that served it, so a stack's
+                        // disk/remote promotions show up in the trace.
+                        TryBegin::Hit(blob, tier) => {
+                            (NodeOutcome::Output(blob), Some((true, Some(tier), false)))
                         }
-                        // Panicked: the payload is recorded, re-raised at wait. Failing
-                        // the ticket (it would poison on drop anyway) wakes parked
-                        // waiters deliberately; the node poisons its own dependents.
-                        None => {
-                            self.cache.fail(ticket, FlightError::Poisoned);
-                            (Slot::Skipped { root: node }, None)
+                        TryBegin::Owner(ticket) => match sub.catch(|| run(&inputs)) {
+                            Some(Ok(bytes)) => (
+                                NodeOutcome::Output(self.cache.complete(ticket, bytes)),
+                                Some((false, None, false)),
+                            ),
+                            Some(Err(error)) => {
+                                self.cache.fail(ticket, FlightError::Failed);
+                                (NodeOutcome::Failed(error), None)
+                            }
+                            // Panicked: the payload is recorded, re-raised at wait.
+                            // Failing the ticket (it would poison on drop anyway)
+                            // wakes parked waiters deliberately; the node poisons
+                            // its own dependents.
+                            None => {
+                                self.cache.fail(ticket, FlightError::Poisoned);
+                                (NodeOutcome::Skipped { root: node }, None)
+                            }
+                        },
+                        TryBegin::InFlight(flight) => {
+                            // Another owner is computing this key: park as a
+                            // continuation and hand the worker back to the queue.
+                            self.park_on_flight(sub, node, run, key, flight, dispatch.wait_micros);
+                            return None;
                         }
                     },
-                    TryBegin::InFlight(flight) => {
-                        // Another owner is computing this key: park as a continuation
-                        // and hand the worker straight back to the queue.
-                        self.park_on_flight(&sub, node, task, build_key, flight, wait_micros);
-                        return;
-                    }
-                }
+                    None => match sub.catch(|| run(&inputs)) {
+                        Some(Ok(bytes)) => (
+                            NodeOutcome::Output(Blob::new(bytes)),
+                            Some((false, None, false)),
+                        ),
+                        Some(Err(error)) => (NodeOutcome::Failed(error), None),
+                        None => (NodeOutcome::Skipped { root: node }, None),
+                    },
+                };
+                (key_digest, outcome, served)
             }
-            None => match self.run_task(&sub, task, &inputs) {
-                Some(Ok(bytes)) => (Slot::Output(Blob::new(bytes)), Some((false, None))),
-                Some(Err(error)) => (Slot::Failed(error), None),
-                None => (Slot::Skipped { root: node }, None),
-            },
         };
-        let state = &sub.park_state[node];
-        let record = completed.map(|(cached, hit_tier)| ActionRecord {
-            kind: meta.kind,
-            label: meta.label.clone(),
-            key_digest,
-            cached,
-            hit_tier,
-            coalesced: false,
-            queue_wait_micros: wait_micros + state.accrued_wait.load(Ordering::Relaxed),
-            exec_micros: started.elapsed().as_micros() as u64,
-            schedule_seq: seq,
-            job: meta.job,
-            tenant: sub.tenant.clone(),
-            ready_submissions,
-            parked_micros: state.parked_micros.load(Ordering::Relaxed),
-            parks: state.parks.load(Ordering::Relaxed),
+        let record = served.map(|(cached, hit_tier, coalesced)| {
+            let state = cell.state.lock();
+            ActionRecord {
+                kind: cell.info.kind,
+                label: cell.info.label.clone(),
+                key_digest,
+                cached,
+                hit_tier,
+                coalesced,
+                queue_wait_micros: dispatch.wait_micros + state.accrued_wait,
+                exec_micros: if coalesced {
+                    0
+                } else {
+                    started.elapsed().as_micros() as u64
+                },
+                schedule_seq: dispatch.seq,
+                job: cell.info.job,
+                tenant: sub.tenant.clone(),
+                ready_submissions: dispatch.ready_submissions,
+                parked_micros: state.parked_micros,
+                parks: state.parks,
+            }
         });
-        self.finish(&sub, node, slot, record);
+        Some((outcome, record))
     }
 }
 
@@ -1088,47 +1017,63 @@ fn worker_loop(shared: Arc<CoreShared>) {
     }
 }
 
-/// The engine's persistent execution core: a lazily spawned worker pool plus the
+/// The engine's persistent execution core: the cache, policy, dispatch counter
+/// and worker count it was built with, a lazily spawned worker pool, and the
 /// shared ready queue. Owned (behind `Arc`) by the [`Engine`](super::Engine) and
 /// its clones; dropping the last owner waits for in-flight submissions to retire,
 /// then shuts the pool down and joins it.
 pub(crate) struct ExecutorCore {
+    pub(crate) cache: Arc<dyn CacheBackend>,
+    pub(crate) policy: Arc<dyn SchedulingPolicy>,
+    /// Dispatch counter shared with every core [`reconfigured`](Self::reconfigured)
+    /// from this one, so `schedule_seq` values in merged traces preserve the
+    /// global execution order.
+    seq: Arc<AtomicU64>,
+    pub(crate) workers: usize,
     shared: OnceLock<Arc<CoreShared>>,
     threads: StdMutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl ExecutorCore {
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(
+        cache: Arc<dyn CacheBackend>,
+        policy: Arc<dyn SchedulingPolicy>,
+        seq: Arc<AtomicU64>,
+        workers: usize,
+    ) -> Self {
         Self {
+            cache,
+            policy,
+            seq,
+            workers,
             shared: OnceLock::new(),
             threads: StdMutex::new(Vec::new()),
         }
     }
 
+    /// A fresh core (no pool yet) over the same cache and dispatch counter.
+    pub(crate) fn reconfigured(&self, policy: Arc<dyn SchedulingPolicy>, workers: usize) -> Self {
+        Self::new(self.cache.clone(), policy, self.seq.clone(), workers)
+    }
+
     /// The shared state, spawning the worker pool on first use (so merely
     /// constructing an `Engine` costs no threads).
-    fn shared_or_init(
-        &self,
-        cache: &Arc<dyn CacheBackend>,
-        policy: &Arc<dyn SchedulingPolicy>,
-        seq: &Arc<AtomicU64>,
-        workers: usize,
-    ) -> &Arc<CoreShared> {
+    fn shared(&self) -> &Arc<CoreShared> {
         self.shared.get_or_init(|| {
             let shared = Arc::new(CoreShared {
-                cache: cache.clone(),
-                policy: policy.clone(),
+                cache: self.cache.clone(),
+                policy: self.policy.clone(),
                 epoch: Instant::now(),
-                seq: seq.clone(),
+                seq: self.seq.clone(),
                 submission_ids: AtomicU64::new(0),
-                ready: Mutex::new(Ready::new(policy.fair_queuing())),
+                ready: Mutex::new(Ready::new(self.policy.fair_queuing())),
                 idle: StdMutex::new(()),
                 wakeup: Condvar::new(),
                 shutdown: AtomicBool::new(false),
                 live_submissions: AtomicUsize::new(0),
             });
             let mut threads = self.threads.lock().unwrap_or_else(|e| e.into_inner());
-            for index in 0..workers.max(1) {
+            for index in 0..self.workers.max(1) {
                 let shared = shared.clone();
                 let handle = std::thread::Builder::new()
                     .name(format!("xaas-engine-{index}"))
@@ -1160,44 +1105,30 @@ impl ExecutorCore {
     /// Nonblocking submission of an owned (`'static`) graph.
     pub(crate) fn submit_graph<E: Send + 'static>(
         &self,
-        cache: &Arc<dyn CacheBackend>,
-        policy: &Arc<dyn SchedulingPolicy>,
-        seq: &Arc<AtomicU64>,
-        workers: usize,
         graph: ActionGraph<'static, E>,
         tenant: Option<String>,
     ) -> GraphHandle<E> {
-        let shared = self.shared_or_init(cache, policy, seq, workers).clone();
         let stage_depth = graph.depth();
-        let nodes = erase_nodes(graph);
-        // No `assume_static` needed: the graph really is 'static.
-        let nodes: Vec<ErasedNode<'static>> = nodes;
-        let sub = shared.submit(nodes, stage_depth, tenant);
         GraphHandle {
-            sub,
+            sub: self.shared().submit(graph.nodes, stage_depth, tenant),
             _error: PhantomData,
         }
     }
 
     /// Blocking execution of a graph whose closures may borrow the caller's frame.
-    pub(crate) fn run_blocking<'env, E: Send + 'static>(
+    pub(crate) fn run_blocking<E: Send + 'static>(
         &self,
-        cache: &Arc<dyn CacheBackend>,
-        policy: &Arc<dyn SchedulingPolicy>,
-        seq: &Arc<AtomicU64>,
-        workers: usize,
-        graph: ActionGraph<'env, E>,
+        graph: ActionGraph<'_, E>,
         tenant: Option<String>,
     ) -> GraphRun<E> {
-        let shared = self.shared_or_init(cache, policy, seq, workers).clone();
         let stage_depth = graph.depth();
-        let nodes = erase_nodes(graph);
         // SAFETY: this frame waits for the submission to complete before
-        // returning (`wait_done`, backstopped by `WaitOnDrop` on unwind), and
-        // `complete()` drops every un-executed closure before signalling done —
-        // so no borrowed closure outlives `'env`.
-        let nodes = unsafe { assume_static(nodes) };
-        let sub = shared.submit(nodes, stage_depth, tenant);
+        // returning (`wait_done`, backstopped by `WaitOnDrop` on unwind), and a
+        // submission completes only once every node has retired, each having run
+        // or dropped its closures first — so no borrowed closure outlives `'env`.
+        #[allow(unsafe_code)]
+        let nodes = unsafe { assume_static(graph.nodes) };
+        let sub = self.shared().submit(nodes, stage_depth, tenant);
         let _wait_guard = WaitOnDrop(&sub);
         sub.wait_done();
         take_run::<E>(&sub)
@@ -1238,52 +1169,39 @@ impl Drop for ExecutorCore {
         }
     }
 }
-
 /// Assemble the typed [`GraphRun`] of a completed submission, re-raising the
 /// first action panic on the calling thread.
 fn take_run<E: Send + 'static>(sub: &Submission) -> GraphRun<E> {
-    debug_assert!(sub.done.load(Ordering::Acquire));
+    debug_assert!(sub.is_done());
     if let Some(payload) = sub.panic_payload.lock().take() {
         // Re-raise the first action panic on the waiting thread, as a serial
         // executor would have.
         std::panic::resume_unwind(payload);
     }
-    let outcomes = sub
-        .slots
-        .iter()
-        .map(
-            |slot| match std::mem::replace(&mut *slot.lock(), Slot::Pending) {
-                Slot::Output(bytes) => NodeOutcome::Output(bytes),
-                Slot::Failed(error) => NodeOutcome::Failed(
-                    *error
-                        .downcast::<E>()
-                        .expect("submission error type matches the graph's"),
-                ),
-                Slot::Skipped { root } => NodeOutcome::Skipped { root },
-                Slot::Cancelled => NodeOutcome::Cancelled,
-                Slot::Pending => unreachable!("executor drained every node"),
-            },
-        )
-        .collect();
+    let mut outcomes = Vec::with_capacity(sub.nodes.len());
+    let mut records = Vec::with_capacity(sub.nodes.len());
+    let mut infos = Vec::with_capacity(sub.nodes.len());
+    for node in &sub.nodes {
+        let mut state = node.state.lock();
+        outcomes.push(match state.outcome.take().expect("every node retired") {
+            NodeOutcome::Output(bytes) => NodeOutcome::Output(bytes),
+            NodeOutcome::Failed(error) => NodeOutcome::Failed(
+                *error
+                    .downcast::<E>()
+                    .expect("submission error type matches the graph's"),
+            ),
+            NodeOutcome::Skipped { root } => NodeOutcome::Skipped { root },
+            NodeOutcome::Cancelled => NodeOutcome::Cancelled,
+        });
+        records.extend(state.record.take());
+        infos.push(node.info.clone());
+    }
     let trace = ActionTrace {
-        records: sub
-            .records
-            .iter()
-            .filter_map(|record| record.lock().take())
-            .collect(),
+        records,
         stage_depth: sub.stage_depth,
         policy: sub.policy_name.clone(),
         tenant: sub.tenant.clone(),
     };
-    let infos = sub
-        .metas
-        .iter()
-        .map(|meta| NodeInfo {
-            kind: meta.kind,
-            label: meta.label.clone(),
-            job: meta.job,
-        })
-        .collect();
     GraphRun {
         outcomes,
         trace,
@@ -1318,12 +1236,12 @@ pub struct GraphHandle<E> {
 impl<E: Send + 'static> GraphHandle<E> {
     /// Current progress, without blocking.
     pub fn poll(&self) -> GraphStatus {
-        let total = sub_total(&self.sub);
+        let total = self.sub.nodes.len();
         let remaining = self.sub.remaining.load(Ordering::Acquire);
         GraphStatus {
             total,
             finished: total - remaining.min(total),
-            done: self.sub.done.load(Ordering::Acquire),
+            done: self.sub.is_done(),
             cancelled: self.sub.cancelled.load(Ordering::Relaxed),
         }
     }
@@ -1331,7 +1249,7 @@ impl<E: Send + 'static> GraphHandle<E> {
     /// Whether every node has retired (the run can be [`wait`](Self::wait)ed
     /// without blocking).
     pub fn is_done(&self) -> bool {
-        self.sub.done.load(Ordering::Acquire)
+        self.sub.is_done()
     }
 
     /// Request cancellation: nodes not yet dispatched retire as
@@ -1348,9 +1266,9 @@ impl<E: Send + 'static> GraphHandle<E> {
     /// [`wait`](Self::wait).
     pub fn on_complete(&self, callback: impl FnOnce() + Send + 'static) {
         {
-            let mut slot = self.sub.callback.lock();
-            if !self.sub.done.load(Ordering::Acquire) {
-                *slot = Some(Box::new(callback));
+            let mut done = self.sub.lock_done();
+            if !done.0 {
+                done.1 = Some(Box::new(callback));
                 return;
             }
         }
@@ -1371,15 +1289,11 @@ impl<E> std::fmt::Debug for GraphHandle<E> {
         f.debug_struct("GraphHandle")
             .field("submission", &self.sub.id)
             .field("tenant", &self.sub.tenant)
-            .field("total", &sub_total(&self.sub))
+            .field("total", &self.sub.nodes.len())
             .field("remaining", &self.sub.remaining.load(Ordering::Relaxed))
-            .field("done", &self.sub.done.load(Ordering::Relaxed))
+            .field("done", &self.sub.is_done())
             .finish()
     }
-}
-
-fn sub_total(sub: &Submission) -> usize {
-    sub.metas.len()
 }
 
 #[cfg(test)]
@@ -1392,20 +1306,14 @@ mod tests {
     /// A submission of `nodes` dependency-less no-op nodes, to drive [`Ready`]
     /// directly: no pool, no clock.
     fn submission(id: u64, tenant: Option<&str>, nodes: usize) -> Arc<Submission> {
-        let nodes = (0..nodes)
-            .map(|node| ErasedNode {
-                kind: ActionKind::Preprocess,
-                label: format!("n{node}"),
-                job: None,
-                deps: Vec::new(),
-                work: ErasedWork {
-                    run: Box::new(|_| Ok(Vec::new())),
-                    key: ErasedKeySpec::None,
-                },
-            })
-            .collect();
+        let mut graph: ActionGraph<'static, ()> = ActionGraph::new();
+        for node in 0..nodes {
+            graph.add(ActionKind::Preprocess, format!("n{node}"), &[], |_| {
+                Ok(Vec::new())
+            });
+        }
         let tenant = tenant.map(str::to_string);
-        Arc::new(Submission::new(id, tenant, String::new(), 1, nodes))
+        Arc::new(Submission::new(id, tenant, String::new(), 1, graph.nodes))
     }
 
     /// Open `sub`'s lane and queue all of its nodes, as `CoreShared::submit` does.
@@ -1415,10 +1323,11 @@ mod tests {
     }
 
     fn push_all(ready: &mut Ready, sub: &Arc<Submission>) {
-        for node in 0..sub.metas.len() {
+        for node in 0..sub.nodes.len() {
             ready.push(Queued {
                 sub: sub.clone(),
                 node,
+                enqueued_at: 0,
             });
         }
     }

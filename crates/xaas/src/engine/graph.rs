@@ -4,13 +4,16 @@
 //! one stage of their pipeline as a graph of [`ActionKind`]-tagged nodes with explicit
 //! dependency edges, then submit it to the [`Engine`](crate::engine::Engine). Nodes
 //! are added in topological order (an edge may only point at an already-added node),
-//! which keeps cycle detection trivial and the executor allocation-free on the hot
-//! path. A node that breaks that contract — a forward edge, or a commit or derived
-//! key with nothing to depend on — is recorded as a [`GraphError`] when it is added;
-//! no `add*` call panics, and the offending edge is never stored.
+//! which keeps cycle detection trivial. A node that breaks that contract — a forward
+//! edge, or a commit or derived key with nothing to depend on — is recorded as a
+//! [`GraphError`] when it is added; no `add*` call panics, and the offending edge is
+//! never stored.
 
 #![deny(clippy::unwrap_used, clippy::dbg_macro)]
+use super::executor::NodeInfo;
 use super::trace::ActionKind;
+use std::any::Any;
+use std::marker::PhantomData;
 use xaas_container::{Blob, BuildKey};
 
 /// Index of a node inside one [`ActionGraph`] (valid only for that graph).
@@ -54,8 +57,12 @@ impl ActionInputs {
     }
 }
 
-pub(crate) type ActionFn<'env, E> =
-    Box<dyn FnOnce(&ActionInputs) -> Result<Vec<u8>, E> + Send + 'env>;
+/// A driver error with its type erased, so graphs of every error type share one
+/// worker pool; the run downcasts it back to `E` when it is assembled.
+pub(crate) type ErasedError = Box<dyn Any + Send>;
+
+pub(crate) type ActionFn<'env> =
+    Box<dyn FnOnce(&ActionInputs) -> Result<Vec<u8>, ErasedError> + Send + 'env>;
 
 pub(crate) type KeyFn<'env> = Box<dyn FnOnce(&ActionInputs) -> BuildKey + Send + 'env>;
 
@@ -132,20 +139,22 @@ impl std::fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-pub(crate) struct ActionNode<'env, E> {
-    pub(crate) kind: ActionKind,
-    pub(crate) label: String,
+/// One node as the executor runs it: its error type was erased when it was added.
+pub(crate) struct ActionNode<'env> {
+    pub(crate) info: NodeInfo,
     pub(crate) key: KeySpec<'env>,
     pub(crate) deps: Vec<ActionId>,
-    pub(crate) run: ActionFn<'env, E>,
-    pub(crate) job: Option<usize>,
+    pub(crate) run: ActionFn<'env>,
 }
 
 /// A DAG of actions to submit to the [`Engine`](crate::engine::Engine).
 ///
 /// `'env` is the lifetime of the data the node closures borrow (project specs, the
-/// compiler, manifest state); the executor runs the closures on scoped threads, so
-/// borrowing driver locals is free. `E` is the driver's typed error.
+/// compiler, manifest state). The executor runs the closures on its persistent
+/// worker pool; [`Engine::run`](crate::engine::Engine::run) returns only once every
+/// closure has run or been dropped, so borrowing driver locals is free, while
+/// [`Engine::submit_graph`](crate::engine::Engine::submit_graph) needs `'static`.
+/// `E` is the driver's typed error.
 ///
 /// Duplicate [`BuildKey`]s are safe, including *unordered* duplicates: the
 /// executor routes keyed nodes through the cache backend's nonblocking flight
@@ -159,11 +168,12 @@ pub(crate) struct ActionNode<'env, E> {
 /// "alias" that fans a shared artifact out into another job's subgraph as a
 /// deterministic hit).
 pub struct ActionGraph<'env, E> {
-    pub(crate) nodes: Vec<ActionNode<'env, E>>,
+    pub(crate) nodes: Vec<ActionNode<'env>>,
     /// Job tag applied to subsequently added nodes (see [`ActionGraph::set_job`]).
     current_job: Option<usize>,
     /// The first construction defect (see [`ActionGraph::error`]).
     error: Option<GraphError>,
+    _error: PhantomData<fn() -> E>,
 }
 
 impl<'env, E> Default for ActionGraph<'env, E> {
@@ -179,6 +189,7 @@ impl<'env, E> ActionGraph<'env, E> {
             nodes: Vec::new(),
             current_job: None,
             error: None,
+            _error: PhantomData,
         }
     }
 
@@ -187,110 +198,10 @@ impl<'env, E> ActionGraph<'env, E> {
     /// Job tags let one graph carry several logical subgraphs — the fleet request
     /// grafts every deployment job into one union graph per wave — and flow into
     /// [`ActionRecord::job`](crate::engine::ActionRecord::job) and the per-node
-    /// [`NodeInfo`](crate::engine::NodeInfo) of the run, so failures and trace
+    /// [`NodeInfo`] of the run, so failures and trace
     /// records attribute back to the job that planned them.
     pub fn set_job(&mut self, job: Option<usize>) {
         self.current_job = job;
-    }
-
-    /// Add an uncached action: it always executes, and its record carries no key.
-    ///
-    /// Graphs are built in topological order: a dependency on a node not yet
-    /// added is dropped and recorded as [`GraphError::ForwardEdge`], and a
-    /// [`Commit`](ActionKind::Commit) with no dependencies as
-    /// [`GraphError::CommitWithoutDeps`] (see [`error`](Self::error)).
-    pub fn add(
-        &mut self,
-        kind: ActionKind,
-        label: impl Into<String>,
-        deps: &[ActionId],
-        run: impl FnOnce(&ActionInputs) -> Result<Vec<u8>, E> + Send + 'env,
-    ) -> ActionId {
-        self.push(kind, label.into(), KeySpec::None, deps, Box::new(run))
-    }
-
-    /// Add a cache-routed action: the executor consults the engine's cache backend
-    /// for `key` and only runs the closure on a miss. Defects are recorded as in
-    /// [`add`](Self::add).
-    pub fn add_cached(
-        &mut self,
-        kind: ActionKind,
-        label: impl Into<String>,
-        key: BuildKey,
-        deps: &[ActionId],
-        run: impl FnOnce(&ActionInputs) -> Result<Vec<u8>, E> + Send + 'env,
-    ) -> ActionId {
-        self.push(
-            kind,
-            label.into(),
-            KeySpec::Static(key),
-            deps,
-            Box::new(run),
-        )
-    }
-
-    /// Add a cache-routed action whose [`BuildKey`] is *derived from its dependency
-    /// outputs* when the node is dispatched, instead of being known up front.
-    ///
-    /// This is what lets a whole deployment pipeline run as one submission: an
-    /// `sd-compile` is keyed on the preprocessed-content digest its preprocess
-    /// dependency produces, so the key cannot exist at graph-construction time.
-    /// `key_of` must be deterministic in the dependency outputs — it becomes part
-    /// of the action's cache identity and recorded `key_digest`. A derived key
-    /// with no dependencies to derive from is recorded as
-    /// [`GraphError::DerivedKeyWithoutDeps`]; other defects as in
-    /// [`add`](Self::add).
-    pub fn add_cached_derived(
-        &mut self,
-        kind: ActionKind,
-        label: impl Into<String>,
-        key_of: impl FnOnce(&ActionInputs) -> BuildKey + Send + 'env,
-        deps: &[ActionId],
-        run: impl FnOnce(&ActionInputs) -> Result<Vec<u8>, E> + Send + 'env,
-    ) -> ActionId {
-        self.push(
-            kind,
-            label.into(),
-            KeySpec::Derived(Box::new(key_of)),
-            deps,
-            Box::new(run),
-        )
-    }
-
-    fn push(
-        &mut self,
-        kind: ActionKind,
-        label: String,
-        key: KeySpec<'env>,
-        deps: &[ActionId],
-        run: ActionFn<'env, E>,
-    ) -> ActionId {
-        let id = self.nodes.len();
-        let mut defect = if deps.is_empty() && kind == ActionKind::Commit {
-            Some(GraphError::CommitWithoutDeps { node: id })
-        } else if deps.is_empty() && matches!(key, KeySpec::Derived(_)) {
-            Some(GraphError::DerivedKeyWithoutDeps { node: id })
-        } else {
-            None
-        };
-        let mut kept = Vec::with_capacity(deps.len());
-        for &dep in deps {
-            if dep < id {
-                kept.push(dep);
-            } else {
-                defect = defect.or(Some(GraphError::ForwardEdge { node: id, dep }));
-            }
-        }
-        self.error = self.error.or(defect);
-        self.nodes.push(ActionNode {
-            kind,
-            label,
-            key,
-            deps: kept,
-            run,
-            job: self.current_job,
-        });
-        id
     }
 
     /// The first construction defect an `add*` call recorded, if any. Every
@@ -317,6 +228,109 @@ impl<'env, E> ActionGraph<'env, E> {
             depth[id] = 1 + node.deps.iter().map(|&d| depth[d]).max().unwrap_or(0);
         }
         depth.into_iter().max().unwrap_or(0)
+    }
+}
+
+/// Adding nodes: a node's error is boxed as `dyn Any`, hence the bound on `E`.
+impl<'env, E: Send + 'static> ActionGraph<'env, E> {
+    /// Add an uncached action: it always executes, and its record carries no key.
+    ///
+    /// Graphs are built in topological order: a dependency on a node not yet
+    /// added is dropped and recorded as [`GraphError::ForwardEdge`], and a
+    /// [`Commit`](ActionKind::Commit) with no dependencies as
+    /// [`GraphError::CommitWithoutDeps`] (see [`error`](Self::error)).
+    pub fn add(
+        &mut self,
+        kind: ActionKind,
+        label: impl Into<String>,
+        deps: &[ActionId],
+        run: impl FnOnce(&ActionInputs) -> Result<Vec<u8>, E> + Send + 'env,
+    ) -> ActionId {
+        self.push(kind, label.into(), KeySpec::None, deps, run)
+    }
+
+    /// Add a cache-routed action: the executor consults the engine's cache backend
+    /// for `key` and only runs the closure on a miss. Defects are recorded as in
+    /// [`add`](Self::add).
+    pub fn add_cached(
+        &mut self,
+        kind: ActionKind,
+        label: impl Into<String>,
+        key: BuildKey,
+        deps: &[ActionId],
+        run: impl FnOnce(&ActionInputs) -> Result<Vec<u8>, E> + Send + 'env,
+    ) -> ActionId {
+        self.push(kind, label.into(), KeySpec::Static(key), deps, run)
+    }
+
+    /// Add a cache-routed action whose [`BuildKey`] is *derived from its dependency
+    /// outputs* when the node is dispatched, instead of being known up front.
+    ///
+    /// This is what lets a whole deployment pipeline run as one submission: an
+    /// `sd-compile` is keyed on the preprocessed-content digest its preprocess
+    /// dependency produces, so the key cannot exist at graph-construction time.
+    /// `key_of` must be deterministic in the dependency outputs — it becomes part
+    /// of the action's cache identity and recorded `key_digest`. A derived key
+    /// with no dependencies to derive from is recorded as
+    /// [`GraphError::DerivedKeyWithoutDeps`]; other defects as in
+    /// [`add`](Self::add).
+    pub fn add_cached_derived(
+        &mut self,
+        kind: ActionKind,
+        label: impl Into<String>,
+        key_of: impl FnOnce(&ActionInputs) -> BuildKey + Send + 'env,
+        deps: &[ActionId],
+        run: impl FnOnce(&ActionInputs) -> Result<Vec<u8>, E> + Send + 'env,
+    ) -> ActionId {
+        self.push(
+            kind,
+            label.into(),
+            KeySpec::Derived(Box::new(key_of)),
+            deps,
+            run,
+        )
+    }
+
+    /// Record `run` with its error type erased (boxed once, here), and its
+    /// defects as [`add`](Self::add) documents.
+    fn push(
+        &mut self,
+        kind: ActionKind,
+        label: String,
+        key: KeySpec<'env>,
+        deps: &[ActionId],
+        run: impl FnOnce(&ActionInputs) -> Result<Vec<u8>, E> + Send + 'env,
+    ) -> ActionId {
+        let id = self.nodes.len();
+        let mut defect = if deps.is_empty() && kind == ActionKind::Commit {
+            Some(GraphError::CommitWithoutDeps { node: id })
+        } else if deps.is_empty() && matches!(key, KeySpec::Derived(_)) {
+            Some(GraphError::DerivedKeyWithoutDeps { node: id })
+        } else {
+            None
+        };
+        let mut kept = Vec::with_capacity(deps.len());
+        for &dep in deps {
+            if dep < id {
+                kept.push(dep);
+            } else {
+                defect = defect.or(Some(GraphError::ForwardEdge { node: id, dep }));
+            }
+        }
+        self.error = self.error.or(defect);
+        self.nodes.push(ActionNode {
+            info: NodeInfo {
+                kind,
+                label,
+                job: self.current_job,
+            },
+            key,
+            deps: kept,
+            run: Box::new(move |inputs| {
+                run(inputs).map_err(|error| Box::new(error) as ErasedError)
+            }),
+        });
+        id
     }
 }
 

@@ -70,7 +70,6 @@ pub use plan::{add_commit_action, KeyedActionPlanner, LinkSlot, PreprocessPlanne
 pub use policy::{Fifo, PolicyError, SchedulingPolicy, WeightedFair};
 pub use trace::{ActionKind, ActionRecord, ActionSummary, ActionTrace};
 
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use xaas_container::{ActionCache, CacheBackend, CacheStats, ImageStore, NoCache};
 
@@ -89,17 +88,13 @@ use xaas_container::{ActionCache, CacheBackend, CacheStats, ImageStore, NoCache}
 /// clone drops (after waiting for in-flight submissions to retire).
 #[derive(Clone)]
 pub struct Engine {
-    cache: Arc<dyn CacheBackend>,
-    workers: usize,
-    policy: Arc<dyn SchedulingPolicy>,
-    /// Dispatch counter shared across runs (and clones), so `schedule_seq` values in
-    /// merged traces preserve the global execution order.
-    seq: Arc<AtomicU64>,
+    /// The pool, with the cache, policy, dispatch counter and worker count it
+    /// was built with.
+    core: Arc<executor::ExecutorCore>,
     /// The tenant tag stamped on this clone's submissions (scheduling identity
     /// under fair queuing, attribution in traces). Per-clone: tenant clones of one
     /// engine still share the pool.
     tenant: Option<String>,
-    core: Arc<executor::ExecutorCore>,
     /// The service's queued-action bound, if one applies (the analyzer's
     /// `XA-SVC-001` check). Purely advisory — enforcement stays in admission.
     queue_bound: Option<usize>,
@@ -115,12 +110,13 @@ impl Engine {
             .unwrap_or(4)
             .clamp(2, 8);
         Self {
-            cache,
-            workers,
-            policy: Arc::new(Fifo),
-            seq: Arc::new(AtomicU64::new(0)),
+            core: Arc::new(executor::ExecutorCore::new(
+                cache,
+                Arc::new(Fifo),
+                Arc::default(),
+                workers,
+            )),
             tenant: None,
-            core: Arc::new(executor::ExecutorCore::new()),
             queue_bound: None,
         }
     }
@@ -143,8 +139,8 @@ impl Engine {
     /// order; outputs and traces are assembled in node order regardless of
     /// schedule.) Starts a fresh pool: configure before submitting work.
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
-        self.core = Arc::new(executor::ExecutorCore::new());
+        let policy = self.core.policy.clone();
+        self.core = Arc::new(self.core.reconfigured(policy, workers.max(1)));
         self
     }
 
@@ -161,8 +157,7 @@ impl Engine {
     /// [`with_policy`](Self::with_policy) for an already-shared policy. Starts a
     /// fresh pool: configure before submitting work.
     pub fn with_policy_arc(mut self, policy: Arc<dyn SchedulingPolicy>) -> Self {
-        self.policy = policy;
-        self.core = Arc::new(executor::ExecutorCore::new());
+        self.core = Arc::new(self.core.reconfigured(policy, self.core.workers));
         self
     }
 
@@ -195,7 +190,7 @@ impl Engine {
     /// policy, tenant tag, and queue bound. Read-only: nothing is scheduled, and
     /// no submission runs it.
     pub fn analyze<E>(&self, graph: &ActionGraph<'_, E>) -> AnalysisReport {
-        GraphAnalyzer::new(self.policy.as_ref())
+        GraphAnalyzer::new(self.core.policy.as_ref())
             .tenant(self.tenant.as_deref())
             .queue_bound(self.queue_bound)
             .analyze(graph)
@@ -203,27 +198,27 @@ impl Engine {
 
     /// The configured worker count.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.core.workers
     }
 
     /// The scheduling policy runs execute under.
     pub fn policy(&self) -> &dyn SchedulingPolicy {
-        self.policy.as_ref()
+        self.core.policy.as_ref()
     }
 
     /// The cache backend every keyed action routes through.
     pub fn cache(&self) -> &dyn CacheBackend {
-        self.cache.as_ref()
+        self.core.cache.as_ref()
     }
 
     /// The backend's counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.backend_stats()
+        self.core.cache.backend_stats()
     }
 
     /// The content-addressed store behind the cache (images are committed here).
     pub fn store(&self) -> &ImageStore {
-        self.cache.store()
+        self.core.cache.store()
     }
 
     /// Execute `graph` to completion: enqueue its ready frontier on the shared
@@ -245,14 +240,7 @@ impl Engine {
         if let Some(error) = graph.error() {
             return Err(error);
         }
-        Ok(self.core.run_blocking(
-            &self.cache,
-            &self.policy,
-            &self.seq,
-            self.workers,
-            graph,
-            self.tenant.clone(),
-        ))
+        Ok(self.core.run_blocking(graph, self.tenant.clone()))
     }
 
     /// Submit `graph` without blocking and get a [`GraphHandle`] back. The
@@ -272,14 +260,7 @@ impl Engine {
         if let Some(error) = graph.error() {
             return Err(error);
         }
-        Ok(self.core.submit_graph(
-            &self.cache,
-            &self.policy,
-            &self.seq,
-            self.workers,
-            graph,
-            self.tenant.clone(),
-        ))
+        Ok(self.core.submit_graph(graph, self.tenant.clone()))
     }
 
     /// A snapshot of the shared ready queue: how many actions are queued, how
@@ -294,9 +275,9 @@ impl Engine {
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("workers", &self.workers)
-            .field("policy", &self.policy.name())
-            .field("cache", &self.cache.backend_stats())
+            .field("workers", &self.core.workers)
+            .field("policy", &self.core.policy.name())
+            .field("cache", &self.core.cache.backend_stats())
             .finish()
     }
 }
@@ -695,5 +676,136 @@ mod tests {
         assert!(run.succeeded());
         assert_eq!(run.trace.tenant.as_deref(), Some("acme"));
         assert_eq!(run.trace.records[0].tenant.as_deref(), Some("acme"));
+    }
+
+    /// Counts its own drop: a closure that owns one has run or been dropped.
+    struct Dropped<'a>(&'a AtomicUsize);
+
+    impl Drop for Dropped<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// A node closure that owns a [`Dropped`] guard on `drops` and runs `body`.
+    fn guarded<'a>(
+        drops: &'a AtomicUsize,
+        body: impl FnOnce() -> Result<Vec<u8>, String> + Send + 'a,
+    ) -> impl FnOnce(&ActionInputs) -> Result<Vec<u8>, String> + Send + 'a {
+        let guard = Dropped(drops);
+        move |_| {
+            let _guard = guard;
+            body()
+        }
+    }
+
+    /// The contract the lifetime erasure of `Engine::run` rests on: when control
+    /// returns to the caller, every node's closure has run or been dropped —
+    /// whether the node failed, was skipped behind a failure, panicked, was
+    /// served from the cache without running, or was cancelled.
+    #[test]
+    fn every_closure_has_run_or_been_dropped_when_control_returns() {
+        let engine = Engine::uncached(&ImageStore::new()).with_workers(2);
+
+        // A failed root and the chain of dependents it skips.
+        let drops = AtomicUsize::new(0);
+        let mut graph: ActionGraph<'_, String> = ActionGraph::new();
+        let mut last = graph.add(
+            ActionKind::Preprocess,
+            "root",
+            &[],
+            guarded(&drops, || Err("root failed".to_string())),
+        );
+        for link in 0..3 {
+            let run = guarded(&drops, || Ok(vec![]));
+            last = graph.add(ActionKind::Link, format!("link{link}"), &[last], run);
+        }
+        let run = engine.run(graph).unwrap();
+        assert_eq!(drops.load(Ordering::SeqCst), 4);
+        assert!(matches!(
+            run.outcomes[last],
+            NodeOutcome::Skipped { root: 0 }
+        ));
+
+        // A panicking action, its dependent and an independent node.
+        let drops = AtomicUsize::new(0);
+        let mut graph: ActionGraph<'_, String> = ActionGraph::new();
+        let boom = graph.add(
+            ActionKind::Preprocess,
+            "boom",
+            &[],
+            guarded(&drops, || panic!("kaboom")),
+        );
+        graph.add(
+            ActionKind::Link,
+            "after",
+            &[boom],
+            guarded(&drops, || Ok(vec![])),
+        );
+        graph.add(
+            ActionKind::Preprocess,
+            "fine",
+            &[],
+            guarded(&drops, || Ok(vec![])),
+        );
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| engine.run(graph)));
+        assert!(
+            panicked.is_err(),
+            "the action panic re-raises on the caller"
+        );
+        assert_eq!(drops.load(Ordering::SeqCst), 3);
+
+        // A warm rerun: every keyed node is a cache hit, so no closure runs.
+        let cache = ActionCache::new(ImageStore::new());
+        let cached = Engine::cached(&cache).with_workers(2);
+        for _ in 0..2 {
+            let drops = AtomicUsize::new(0);
+            let mut graph: ActionGraph<'_, String> = ActionGraph::new();
+            for unit in ["a", "b", "c"] {
+                let run = guarded(&drops, || Ok(vec![1]));
+                graph.add_cached(ActionKind::IrLower, unit, key(unit), &[], run);
+            }
+            assert!(cached.run(graph).unwrap().succeeded());
+            assert_eq!(drops.load(Ordering::SeqCst), 3);
+        }
+
+        // A cancelled submission, queued behind a gate on a one-worker engine.
+        // The live handle keeps the submission alive, so a closure still held
+        // in it when the handle reports done would go uncounted.
+        static CANCELLED: AtomicUsize = AtomicUsize::new(0);
+        let engine = Engine::uncached(&ImageStore::new()).with_workers(1);
+        let (release, blocked) = gate();
+        let mut first: ActionGraph<'static, String> = ActionGraph::new();
+        first.add(ActionKind::Preprocess, "held", &[], move |_| {
+            blocked.lock().unwrap().recv().ok();
+            Ok(vec![1])
+        });
+        let first = engine.submit_graph(first).unwrap();
+        let mut second: ActionGraph<'static, String> = ActionGraph::new();
+        let head = second.add(
+            ActionKind::Preprocess,
+            "a",
+            &[],
+            guarded(&CANCELLED, || Ok(vec![])),
+        );
+        second.add(
+            ActionKind::Link,
+            "b",
+            &[head],
+            guarded(&CANCELLED, || Ok(vec![])),
+        );
+        let handle = engine.submit_graph(second).unwrap();
+        handle.cancel();
+        release.send(()).unwrap();
+        while !handle.is_done() {
+            std::thread::yield_now();
+        }
+        assert_eq!(CANCELLED.load(Ordering::SeqCst), 2);
+        let run = handle.wait();
+        assert!(run
+            .outcomes
+            .iter()
+            .all(|o| matches!(o, NodeOutcome::Cancelled)));
+        assert!(first.wait().succeeded());
     }
 }

@@ -285,7 +285,7 @@ impl<T> LinkSlot<T> {
 /// Append the standard commit tail: a [`ActionKind::Commit`] node depending on
 /// `link` that commits the image the link action stored in `slot` (located via
 /// `image_of`) to `store`, outputting the committed manifest digest.
-pub fn add_commit_action<'env, T: Send, E>(
+pub fn add_commit_action<'env, T: Send, E: Send + 'static>(
     graph: &mut ActionGraph<'env, E>,
     label: String,
     store: &'env ImageStore,

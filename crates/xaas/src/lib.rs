@@ -53,6 +53,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod deploy;
 pub mod engine;

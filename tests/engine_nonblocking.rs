@@ -216,6 +216,45 @@ fn poisoned_flights_wake_parked_jobs_and_blast_radius_stays_per_job() {
     );
 }
 
+/// Cancelling a submission while its keyed node is parked on an externally held
+/// flight: once the flight retires, the parked node and its dependent retire as
+/// cancelled without running, and the park is matched by exactly one wake.
+#[test]
+fn cancel_while_parked_retires_every_node_once_the_flight_retires() {
+    let cache = ActionCache::new(ImageStore::new());
+    let shared = key("cancelled-while-parked");
+    let ticket = hold_flight(&cache, &shared);
+
+    let engine = Engine::cached(&cache).with_workers(1);
+    let mut graph: ActionGraph<'static, Infallible> = ActionGraph::new();
+    let parked = graph.add_cached(ActionKind::SdCompile, "parked", shared, &[], |_| {
+        panic!("the external owner completes this flight; the engine must not compute it")
+    });
+    graph.add(ActionKind::Link, "dependent", &[parked], |_| {
+        panic!("a cancelled submission runs nothing")
+    });
+    let handle = engine.submit_graph(graph).expect("a well-formed graph");
+
+    wait_until(30, || engine.queue_stats().parked_waiters == 1);
+    handle.cancel();
+    CacheBackend::complete(&cache, ticket, b"external bytes".to_vec());
+    let run = handle.wait();
+    assert!(run
+        .outcomes
+        .iter()
+        .all(|outcome| matches!(outcome, NodeOutcome::Cancelled)));
+    assert!(
+        run.trace.records.is_empty(),
+        "nothing ran, nothing recorded"
+    );
+    // The last node's worker counts the submission out just after waking us.
+    wait_until(30, || engine.queue_stats().live_submissions == 0);
+    let stats = engine.queue_stats();
+    assert_eq!(stats.parks, 1);
+    assert_eq!(stats.parks, stats.wakeups);
+    assert_eq!(stats.parked_waiters, 0);
+}
+
 /// One node of a small random DAG: stage, payload, whether it is cache-keyed,
 /// and raw dependency picks (each resolved modulo the node's id, so edges only
 /// ever point backwards).
