@@ -677,9 +677,10 @@ pub(crate) fn run_ir_build(
                 let mut key_to_id: BTreeMap<String, String> = BTreeMap::new();
                 for (index, key) in ordered_keys.iter().enumerate() {
                     let (file, ..) = &final_keys[*key];
-                    let module = bitcode::decode(inputs.dep(key_positions[index]))
+                    let bytes = inputs.dep(key_positions[index]);
+                    let module = bitcode::decode(bytes)
                         .map_err(|e| PipelineError::Cache(format!("bitcode for {file}: {e}")))?;
-                    let id = bitcode::content_id(&module);
+                    let id = bitcode::content_id_of(bytes);
                     key_to_id.insert((*key).clone(), id.clone());
                     unit_bytes
                         .entry(id.clone())

@@ -50,7 +50,13 @@ pub fn decode(bytes: &[u8]) -> Result<IrModule, BitcodeError> {
 
 /// A stable 64-bit content identity for a module (hex-encoded FNV-1a of its bitcode).
 pub fn content_id(module: &IrModule) -> String {
-    format!("{:016x}", fnv1a(&encode(module)))
+    content_id_of(&encode(module))
+}
+
+/// [`content_id`] of the module `bytes` encode, taken from the bytes themselves:
+/// for a holder of bitcode, no re-encode of what it has just decoded.
+pub fn content_id_of(bytes: &[u8]) -> String {
+    format!("{:016x}", fnv1a(bytes))
 }
 
 #[cfg(test)]

@@ -1,13 +1,14 @@
-//! Byte identity of the direct JSON writer against the `Value` tree.
+//! The direct JSON paths against the `Value` tree.
 //!
 //! `serde_json::to_string` / `to_vec` write typed values straight to text
-//! (`Serialize::write_json`); `serde_json::to_value` builds the tree everything
-//! else — pretty printing, `json!`, reading — works on. Digests are taken over
-//! the direct writer's bytes, so the two must agree byte for byte. This file
-//! holds them to that over the workspace's real documents and over generated
-//! edge cases, checks that every real document reads back equal, and keeps the
-//! per-`char` escaper the tree printer used before as the reference for the
-//! byte-run one.
+//! (`Serialize::write_json`), and `from_str` / `from_slice` read them straight
+//! from text (`Deserialize::read_json`); `serde_json::to_value` and
+//! `serde_json::parse` + `from_value` go through the tree. Digests are taken
+//! over the direct writer's bytes, so the writers must agree byte for byte; a
+//! typed read must give the value the tree gives, and fail exactly when it
+//! fails. This file holds them to that over the workspace's real documents, over
+//! mutations of them and over generated edge cases, and keeps the per-`char`
+//! escaper the tree printer used before as the reference for the byte-run one.
 
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -15,10 +16,11 @@ use serde_json::Value;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fmt::Debug;
+use std::sync::LazyLock;
 use xaas::prelude::*;
 use xaas_apps::{gromacs, lulesh};
-use xaas_hpcsim::{IsaFamily, SimdLevel, SystemModel};
-use xaas_xir::{lower_to_machine, IrModule};
+use xaas_hpcsim::{discover, IsaFamily, SimdLevel, SystemFeatures, SystemModel};
+use xaas_xir::{bitcode, lower_to_machine, IrModule, MachineModule};
 
 /// The tree printer's string escaper before the byte-run one, unchanged: the
 /// reference `push_escaped` is checked against.
@@ -55,12 +57,31 @@ fn direct_text<T: Serialize + ?Sized>(value: &T) -> String {
     direct
 }
 
-/// Byte identity, then `from_slice(&to_vec(&x)?)? == x`.
+/// Byte identity, then `from_slice(&to_vec(&x)?)? == x`, read both ways.
 fn assert_round_trip<T: Serialize + Deserialize + PartialEq + Debug>(value: &T) {
     let bytes = serde_json::to_vec(value).unwrap();
     assert_eq!(bytes, direct_text(value).into_bytes());
-    let back: T = serde_json::from_slice(&bytes).unwrap();
-    assert_eq!(&back, value);
+    assert_eq!(read_both_ways::<T>(&bytes).as_ref(), Some(value));
+}
+
+/// `bytes` read as a `T` by the typed reader and through the tree, asserted to
+/// agree: the same value, or both an error — the same error when the text is
+/// not JSON. The value, if any.
+fn read_both_ways<T: Deserialize + PartialEq + Debug>(bytes: &[u8]) -> Option<T> {
+    let typed = serde_json::from_slice::<T>(bytes);
+    match std::str::from_utf8(bytes).map(serde_json::parse) {
+        Err(_) => assert!(typed.is_err(), "invalid UTF-8 read as a value"),
+        Ok(Err(syntax)) => assert_eq!(typed.as_ref().err(), Some(&syntax)),
+        Ok(Ok(tree)) => {
+            let from_tree = serde_json::from_value::<T>(&tree);
+            assert_eq!(
+                typed.as_ref().ok(),
+                from_tree.as_ref().ok(),
+                "typed read {typed:?}, tree read {from_tree:?}"
+            );
+        }
+    }
+    typed.ok()
 }
 
 fn all_simd_levels() -> Vec<SimdLevel> {
@@ -111,6 +132,17 @@ fn real_documents_are_byte_identical_and_round_trip() {
         for level in &levels {
             assert_round_trip(&lower_to_machine(module, &target_isa_for(*level)));
         }
+    }
+    // A unit's id is the content identity of the bytes that encode it, so the
+    // IR-build Link can take it from the bitcode it holds without re-encoding.
+    for (id, unit) in gromacs_build.units.iter().chain(&lulesh_build.units) {
+        let bytes = bitcode::encode(&unit.module);
+        let decoded = bitcode::decode(&bytes).unwrap();
+        assert_eq!(
+            bitcode::content_id_of(&bytes),
+            bitcode::content_id(&decoded)
+        );
+        assert_eq!(&bitcode::content_id_of(&bytes), id);
     }
 
     // The committed images' manifests, configs and an index over them, read
@@ -175,6 +207,194 @@ fn real_documents_are_byte_identical_and_round_trip() {
     let stats = orch.cache_stats();
     assert!(stats.misses > 0);
     assert_round_trip(&stats);
+    let features = discover(&SystemModel::clariden());
+    assert!(!features.gpu_backends.is_empty());
+    assert_eq!(
+        read_both_ways::<SystemFeatures>(features.to_json().as_bytes()),
+        Some(features)
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Mutated real documents
+// ---------------------------------------------------------------------------
+
+/// Reads bytes as one type both ways; see [`read_both_ways`].
+type Check = fn(&[u8]);
+
+fn check<T: Deserialize + PartialEq + Debug>(bytes: &[u8]) {
+    read_both_ways::<T>(bytes);
+}
+
+/// One real document of each kind the pipeline reads back, each with the check
+/// that reads it as its own type.
+static DOCUMENTS: LazyLock<Vec<(String, Check)>> = LazyLock::new(|| {
+    let orch = Orchestrator::new();
+    let project = lulesh::project();
+    let config = IrPipelineConfig::sweep_options(&project, &["WITH_OPENMP"]);
+    let build = IrBuildRequest::new(&project, &config)
+        .submit(&orch)
+        .expect("the LULESH IR container builds");
+    let module = &build.units.values().next().unwrap().module;
+    let machine = lower_to_machine(module, &target_isa_for(SimdLevel::Avx512));
+    let store = orch.store();
+    let manifest = store
+        .manifest(&store.resolve(&build.reference).unwrap())
+        .unwrap();
+    vec![
+        (
+            serde_json::to_string(module).unwrap(),
+            check::<IrModule> as Check,
+        ),
+        (
+            serde_json::to_string(&machine).unwrap(),
+            check::<MachineModule>,
+        ),
+        (serde_json::to_string(&manifest).unwrap(), check::<Manifest>),
+        (
+            serde_json::to_string(&SystemModel::ault23()).unwrap(),
+            check::<SystemModel>,
+        ),
+        (
+            discover(&SystemModel::clariden()).to_json(),
+            check::<SystemFeatures>,
+        ),
+    ]
+});
+
+/// The byte spans of the object keys in `text`: every `"…"` followed by `:`.
+fn key_spans(text: &[u8]) -> Vec<(usize, usize)> {
+    (1..text.len().saturating_sub(1))
+        .filter(|&end| text[end] == b'"' && text[end + 1] == b':')
+        .filter_map(|end| {
+            let start = text[..end].iter().rposition(|&b| b == b'"')?;
+            Some((start + 1, end))
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn mutated_documents_read_alike_both_ways(
+        cut in any::<u64>(),
+        bit in any::<u64>(),
+        from in any::<u64>(),
+        to in any::<u64>(),
+    ) {
+        for (text, check) in DOCUMENTS.iter() {
+            let bytes = text.as_bytes();
+            let len = bytes.len() as u64;
+            check(&bytes[..(cut % (len + 1)) as usize]);
+            let mut flipped = bytes.to_vec();
+            let bit = bit % (len * 8);
+            flipped[(bit / 8) as usize] ^= 1 << (bit % 8);
+            check(&flipped);
+            // One key renamed to another key of the document (often a repeat
+            // within its object), and one renamed to a key no type has.
+            let spans = key_spans(bytes);
+            let (start, end) = spans[(from % spans.len() as u64) as usize];
+            let (other_start, other_end) = spans[(to % spans.len() as u64) as usize];
+            check(&[&bytes[..start], &bytes[other_start..other_end], &bytes[end..]].concat());
+            check(&[&bytes[..end], b"_".as_slice(), &bytes[end..]].concat());
+        }
+    }
+}
+
+/// Arrays of arrays, read by the derive's newtype path: one level per `Vec`.
+#[derive(Debug, PartialEq, Deserialize)]
+struct Nest(Vec<Nest>);
+
+#[test]
+fn typed_reads_and_skipped_fields_are_capped_at_128_levels() {
+    let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    let recursion_error = |result: Result<_, serde_json::Error>| {
+        let err = result.map(|_: ()| ()).unwrap_err().to_string();
+        assert!(err.contains("recursion limit exceeded"), "{err}");
+    };
+    assert!(read_both_ways::<Nest>(nested(128).as_bytes()).is_some());
+    for too_deep in [nested(129), "[".repeat(100_000)] {
+        recursion_error(serde_json::from_str::<Nest>(&too_deep).map(drop));
+        assert_eq!(read_both_ways::<Nest>(too_deep.as_bytes()), None);
+    }
+    // In a field no struct has: the object is one level, so 127 more fit.
+    let with_unknown = |value: &str| format!(r#"{{"c":7,"u":2.0,"extra":{value}}}"#);
+    assert!(read_both_ways::<Skips>(with_unknown(&nested(127)).as_bytes()).is_some());
+    for too_deep in [nested(128), "[".repeat(100_000)] {
+        let text = with_unknown(&too_deep);
+        recursion_error(serde_json::from_str::<Skips>(&text).map(drop));
+        assert_eq!(read_both_ways::<Skips>(text.as_bytes()), None);
+    }
+}
+
+#[test]
+fn a_repeated_key_is_rejected_on_both_paths() {
+    for text in [
+        r#"{"c":7,"c":8,"u":2.0}"#,
+        r#"{"c":7,"u":2.0,"a0":"s","a0":null}"#,
+        r#"{"c":7,"u":2.0,"x":1,"x":1}"#,
+        r#"{"c":7,"u":2.0,"x":{"k":1,"k":1}}"#,
+    ] {
+        let err = serde_json::from_str::<Skips>(text).unwrap_err();
+        assert!(err.to_string().contains("duplicate key"), "{text}: {err}");
+        assert!(serde_json::parse(text).is_err(), "{text}");
+        assert_eq!(read_both_ways::<Skips>(text.as_bytes()), None);
+    }
+    assert_eq!(
+        read_both_ways::<BTreeMap<String, u8>>(br#"{"a":1,"a":1}"#),
+        None
+    );
+    // Two spellings of one integer key are one key twice.
+    let tree = serde_json::parse(r#"{"1":1,"01":2}"#).unwrap();
+    assert!(serde_json::from_value::<BTreeMap<u8, u8>>(&tree).is_err());
+    assert_eq!(
+        read_both_ways::<BTreeMap<u8, u8>>(br#"{"1":1,"01":2}"#),
+        None
+    );
+    assert_eq!(
+        read_both_ways::<Shape>(br#"{"Newtype":"a","Newtype":"b"}"#),
+        None
+    );
+}
+
+#[test]
+fn surrogate_pairs_decode_to_one_char_and_escapes_take_four_hex_digits() {
+    for (text, expected) in [
+        (r#""\ud83d\ude00""#, "😀"),
+        (r#""\uD83D\uDE00!""#, "😀!"),
+        (r#""\ud83d""#, "\u{fffd}"),
+        (r#""\ude00""#, "\u{fffd}"),
+        (r#""\ud83dA""#, "\u{fffd}A"),
+        (r#""\ud83d\u0041""#, "\u{fffd}A"),
+        (r#""\ud83d\ud83d\ude00""#, "\u{fffd}😀"),
+        (r#""\u00e9\u2028""#, "é\u{2028}"),
+    ] {
+        let read = read_both_ways::<String>(text.as_bytes());
+        assert_eq!(read.as_deref(), Some(expected), "{text}");
+    }
+    for text in [
+        r#""\u+041""#,
+        r#""\u-041""#,
+        r#""\u 041""#,
+        r#""\u00G1""#,
+        r#""\u04""#,
+        r#""\ud83d\u+e00""#,
+    ] {
+        assert!(serde_json::from_str::<String>(text).is_err(), "{text}");
+        assert_eq!(read_both_ways::<String>(text.as_bytes()), None);
+    }
+    // A system feature document — LLM-written text in the paper — reads through
+    // the same lexer.
+    let features = discover(&SystemModel::ault23());
+    let named = |name: &str| {
+        let text = features.to_json();
+        let named = text.replacen(&format!("\"{}\"", features.system), name, 1);
+        assert_ne!(named, text);
+        SystemFeatures::from_json(&named)
+    };
+    assert_eq!(named(r#""Ault\ud83d\ude00""#).unwrap().system, "Ault😀");
+    assert!(named(r#""Ault\u+041""#).is_err());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,0 +1,98 @@
+//! Budget guard for the warm source deployment.
+//!
+//! A warm llama.cpp source deployment on Ault23 hits the cache for every
+//! `sd-compile` node, but its Link still reads every compiled object back as a
+//! `MachineModule` to validate it before shipping. That read is JSON text straight
+//! into typed values; this test keeps it so: bytes allocated per request stay under
+//! a budget that a read through a `Value` tree exceeds.
+//!
+//! The file holds a single test on purpose: the counting allocator is process-wide,
+//! and a second test running beside it would be counted too.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use xaas::prelude::*;
+use xaas::source_container::architecture_of;
+use xaas_apps::llamacpp;
+use xaas_hpcsim::SystemModel;
+
+/// The system allocator with a relaxed byte counter in front of it. The counter
+/// publishes no other data, so `Relaxed` is enough.
+struct CountingAllocator;
+
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards to `System` with the caller's arguments unchanged,
+// so `System`'s guarantees are this allocator's; the counter touches no allocator
+// state.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System` for this `layout` (see `alloc`).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // Only growth is new memory asked of the system.
+        ALLOC_BYTES.fetch_add(
+            new_size.saturating_sub(layout.size()) as u64,
+            Ordering::Relaxed,
+        );
+        // SAFETY: `ptr`/`layout` describe a live `System` block; the caller upholds
+        // `GlobalAlloc::realloc`'s contract for `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+const REQUESTS: u64 = 16;
+/// With the five objects read through a `Value` tree this deployment allocated
+/// 233 KB per request (232,985 B); read straight into typed values, 141 KB
+/// (140,878 B).
+const ALLOC_BUDGET_BYTES: u64 = 180 * 1024;
+
+#[test]
+fn warm_llamacpp_source_deployments_stay_inside_the_allocation_budget() {
+    let project = llamacpp::project();
+    let system = SystemModel::ault23();
+    let orch = Orchestrator::builder().workers(1).build();
+    let image = build_source_container(
+        &project,
+        architecture_of(&system),
+        orch.store(),
+        "llama.cpp:src",
+    );
+    let deploy = || {
+        SourceDeployRequest::new(&project, &image, &system)
+            .submit(&orch)
+            .expect("the source deployment succeeds")
+    };
+    let cold = deploy();
+    assert!(cold.actions.executed > 0);
+
+    let bytes_before = ALLOC_BYTES.load(Ordering::Relaxed);
+    for request in 0..REQUESTS {
+        let warm = deploy();
+        assert_eq!(warm.actions.executed, 0, "request {request} is warm");
+    }
+    let per_request = (ALLOC_BYTES.load(Ordering::Relaxed) - bytes_before) / REQUESTS;
+    assert!(
+        per_request <= ALLOC_BUDGET_BYTES,
+        "a warm llama.cpp source deployment allocated {per_request} bytes per request \
+         (budget {ALLOC_BUDGET_BYTES}): its Link's validation read is building a tree again"
+    );
+    println!("warm llama.cpp source deployment: {per_request} bytes allocated per request");
+}
