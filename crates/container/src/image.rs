@@ -6,6 +6,8 @@
 //! the paper discusses when it points out that deployment-time rebuilds necessarily
 //! produce a *new* image with a new digest (Section 5.2).
 
+#![deny(clippy::unwrap_used, clippy::dbg_macro)]
+
 use crate::blob::Blob;
 use crate::digest::Digest;
 use crate::layer::{Layer, RootFs};
@@ -14,7 +16,7 @@ use crate::oci::{
 };
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{btree_map::Entry, BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -222,12 +224,47 @@ pub struct ImageStore {
 #[derive(Default)]
 struct StoreInner {
     blobs: BTreeMap<Digest, Blob>,
+    /// The children of every manifest (config + layers) and index (member manifests)
+    /// the store committed, recorded at insertion. The only edges reachability follows.
+    edges: BTreeMap<Digest, Arc<[Digest]>>,
     tags: BTreeMap<String, Digest>,
     dedup_hits: u64,
     dedup_bytes: u64,
     digests_computed: u64,
     gc_blobs_removed: u64,
     gc_bytes_reclaimed: u64,
+}
+
+impl StoreInner {
+    /// Bytes held, deduplicated by digest.
+    fn bytes(&self) -> u64 {
+        self.blobs.values().map(|b| b.len() as u64).sum()
+    }
+
+    /// Dedup bookkeeping plus the actual map insert. Takes handles by reference so a
+    /// duplicate costs no clone.
+    fn insert(&mut self, digest: &Digest, blob: &Blob) {
+        if self.blobs.contains_key(digest) {
+            self.dedup_hits += 1;
+            self.dedup_bytes += blob.len() as u64;
+            return;
+        }
+        self.blobs.insert(digest.clone(), blob.clone());
+    }
+
+    /// Insert a manifest or index blob and tag it. Its children are recorded only if
+    /// none are recorded for that digest yet, so a repeated commit clones nothing.
+    fn insert_tagged<'a, I>(&mut self, tag: &str, digest: &Digest, blob: &Blob, children: I)
+    where
+        I: IntoIterator<Item = &'a Descriptor>,
+    {
+        self.insert(digest, blob);
+        if !self.edges.contains_key(digest) {
+            let children = children.into_iter().map(|d| d.digest.clone()).collect();
+            self.edges.insert(digest.clone(), children);
+        }
+        self.tags.insert(tag.to_string(), digest.clone());
+    }
 }
 
 /// Blob-level statistics of an [`ImageStore`].
@@ -269,6 +306,32 @@ pub struct StoreGcReport {
     pub blobs_live: usize,
 }
 
+/// Transfer statistics of one [`ImageStore::copy_from`]: a registry push or pull.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TransferStats {
+    /// Distinct blobs of the closure the destination did not hold.
+    pub blobs_transferred: usize,
+    /// Distinct blobs of the closure already present at the destination (layer reuse).
+    pub blobs_reused: usize,
+    /// Bytes transferred.
+    pub bytes_transferred: u64,
+}
+
+/// Every digest reachable from `roots` over the recorded edges, roots included.
+fn reachable<'a>(
+    edges: &'a BTreeMap<Digest, Arc<[Digest]>>,
+    roots: impl IntoIterator<Item = &'a Digest>,
+) -> BTreeSet<&'a Digest> {
+    let mut live = BTreeSet::new();
+    let mut stack: Vec<&Digest> = roots.into_iter().collect();
+    while let Some(digest) = stack.pop() {
+        if live.insert(digest) {
+            stack.extend(edges.get(digest).into_iter().flat_map(|c| c.iter()));
+        }
+    }
+    live
+}
+
 impl ImageStore {
     /// Create an empty store.
     pub fn new() -> Self {
@@ -286,7 +349,7 @@ impl ImageStore {
         let digest = Digest::of_bytes(&blob);
         let mut inner = self.inner.write();
         inner.digests_computed += 1;
-        Self::insert_locked(&mut inner, &digest, &blob);
+        inner.insert(&digest, &blob);
         digest
     }
 
@@ -304,19 +367,8 @@ impl ImageStore {
             digest,
             "put_blob_with_digest called with a digest that does not match the payload"
         );
-        Self::insert_locked(&mut self.inner.write(), &digest, &blob);
+        self.inner.write().insert(&digest, &blob);
         digest
-    }
-
-    /// Shared insertion path: dedup bookkeeping plus the actual map insert. Takes
-    /// handles by reference so a duplicate costs no clone.
-    fn insert_locked(inner: &mut StoreInner, digest: &Digest, blob: &Blob) {
-        if inner.blobs.contains_key(digest) {
-            inner.dedup_hits += 1;
-            inner.dedup_bytes += blob.len() as u64;
-            return;
-        }
-        inner.blobs.insert(digest.clone(), blob.clone());
     }
 
     /// Fetch a blob handle by digest. The returned [`Blob`] shares the store's
@@ -342,12 +394,7 @@ impl ImageStore {
 
     /// Total stored bytes (deduplicated by digest).
     pub fn total_bytes(&self) -> u64 {
-        self.inner
-            .read()
-            .blobs
-            .values()
-            .map(|b| b.len() as u64)
-            .sum()
+        self.inner.read().bytes()
     }
 
     /// Bytes that were offered via [`ImageStore::put_blob`] but already present.
@@ -365,7 +412,7 @@ impl ImageStore {
         let inner = self.inner.read();
         StoreStats {
             blob_count: inner.blobs.len(),
-            total_bytes: inner.blobs.values().map(|b| b.len() as u64).sum(),
+            total_bytes: inner.bytes(),
             dedup_hits: inner.dedup_hits,
             dedup_bytes: inner.dedup_bytes,
             digests_computed: inner.digests_computed,
@@ -376,10 +423,11 @@ impl ImageStore {
 
     /// Reclaim every blob that is neither reachable from a tag nor in `pinned`.
     ///
-    /// Reachability starts at the tag table: each tagged digest is walked as a
-    /// manifest (config + layer blobs) or an image index (member manifests,
-    /// transitively). `pinned` carries roots the store cannot see — typically the
-    /// action outputs an [`ActionCache`](crate::cache::ActionCache) index still
+    /// Reachability starts at the tag table and follows only the edges recorded when a
+    /// manifest (config + layer blobs) or an image index (member manifests) was
+    /// committed: no blob is parsed, so a [`put_blob`](Self::put_blob) has no children
+    /// whatever its bytes say. `pinned` carries roots the store cannot see — typically
+    /// the action outputs an [`ActionCache`](crate::cache::ActionCache) index still
     /// references ([`indexed_blobs`](crate::cache::ActionCache::indexed_blobs)).
     ///
     /// This is the store-level blob GC the action cache's capacity bound defers to:
@@ -387,49 +435,19 @@ impl ImageStore {
     /// Cache indexes that still point at a reclaimed blob self-heal on the next
     /// lookup (counted as [`stale_evictions`](crate::cache::CacheStats::stale_evictions)).
     pub fn collect_garbage(&self, pinned: &[Digest]) -> StoreGcReport {
-        let mut inner = self.inner.write();
-        let mut live: BTreeSet<Digest> = BTreeSet::new();
-        let mut stack: Vec<Digest> = pinned.to_vec();
-        stack.extend(inner.tags.values().cloned());
-        while let Some(digest) = stack.pop() {
-            if !live.insert(digest.clone()) {
-                continue;
-            }
-            let Some(blob) = inner.blobs.get(&digest) else {
-                continue;
-            };
-            // A reachable blob may itself be a manifest or an index whose children
-            // are live too. Layer archives and action outputs fail both decodes and
-            // simply terminate the walk.
-            if let Ok(manifest) = serde_json::from_slice::<Manifest>(blob) {
-                if manifest.media_type == MediaType::ImageManifest {
-                    stack.push(manifest.config.digest.clone());
-                    stack.extend(manifest.layers.iter().map(|d| d.digest.clone()));
-                    continue;
-                }
-            }
-            if let Ok(index) = serde_json::from_slice::<ImageIndex>(blob) {
-                if index.media_type == MediaType::ImageIndex {
-                    stack.extend(index.manifests.iter().map(|d| d.digest.clone()));
-                }
-            }
-        }
-        let doomed: Vec<Digest> = inner
-            .blobs
-            .keys()
-            .filter(|d| !live.contains(*d))
-            .cloned()
-            .collect();
-        let mut bytes_reclaimed = 0u64;
-        for digest in &doomed {
-            if let Some(blob) = inner.blobs.remove(digest) {
-                bytes_reclaimed += blob.len() as u64;
-            }
-        }
-        inner.gc_blobs_removed += doomed.len() as u64;
+        let mut guard = self.inner.write();
+        let inner = &mut *guard;
+        let (count, bytes) = (inner.blobs.len(), inner.bytes());
+        let live = reachable(&inner.edges, pinned.iter().chain(inner.tags.values()));
+        inner.blobs.retain(|digest, _| live.contains(digest));
+        inner
+            .edges
+            .retain(|digest, _| inner.blobs.contains_key(digest));
+        let (blobs_removed, bytes_reclaimed) = (count - inner.blobs.len(), bytes - inner.bytes());
+        inner.gc_blobs_removed += blobs_removed as u64;
         inner.gc_bytes_reclaimed += bytes_reclaimed;
         StoreGcReport {
-            blobs_removed: doomed.len(),
+            blobs_removed,
             bytes_reclaimed,
             blobs_live: inner.blobs.len(),
         }
@@ -483,18 +501,15 @@ impl ImageStore {
         };
         let manifest_blob = Blob::new(serde_json::to_vec(&manifest).expect("manifest serialises"));
         let manifest_digest = Digest::of_bytes(&manifest_blob);
-
+        let children = std::iter::once(&manifest.config).chain(&manifest.layers);
         {
             let mut inner = self.inner.write();
             inner.digests_computed += hashed;
             for (layer, descriptor) in image.layers.iter().zip(&manifest.layers) {
-                Self::insert_locked(&mut inner, &descriptor.digest, layer.sealed().0);
+                inner.insert(&descriptor.digest, layer.sealed().0);
             }
-            Self::insert_locked(&mut inner, &manifest.config.digest, &config_blob);
-            Self::insert_locked(&mut inner, &manifest_digest, &manifest_blob);
-            inner
-                .tags
-                .insert(image.reference.clone(), manifest_digest.clone());
+            inner.insert(&manifest.config.digest, &config_blob);
+            inner.insert_tagged(&image.reference, &manifest_digest, &manifest_blob, children);
         }
         Descriptor::new(
             MediaType::ImageManifest,
@@ -561,7 +576,8 @@ impl ImageStore {
         })
     }
 
-    /// Commit a multi-platform image index from per-platform manifest descriptors.
+    /// Commit a multi-platform image index from per-platform manifest descriptors. The
+    /// index is hashed before the write lock is taken, once, for the blob and the tag.
     pub fn commit_index(
         &self,
         reference: &str,
@@ -573,14 +589,56 @@ impl ImageStore {
             manifests,
             annotations,
         };
-        let bytes = serde_json::to_vec(&index).expect("index serialises");
-        let size = bytes.len() as u64;
-        let digest = self.put_blob(bytes);
-        self.inner
-            .write()
-            .tags
-            .insert(reference.to_string(), digest.clone());
-        Descriptor::new(MediaType::ImageIndex, digest, size)
+        let blob = Blob::new(serde_json::to_vec(&index).expect("index serialises"));
+        let digest = Digest::of_bytes(&blob);
+        {
+            let mut inner = self.inner.write();
+            inner.digests_computed += 1;
+            inner.insert_tagged(reference, &digest, &blob, &index.manifests);
+        }
+        Descriptor::new(MediaType::ImageIndex, digest, blob.len() as u64)
+    }
+
+    /// Copy `from`'s tag `reference` and everything reachable from it over recorded
+    /// edges into this store, edges included, and tag it `tag` here: `from` is read
+    /// under its read lock, then blobs, edges and tag go in under one write lock of
+    /// this store. Blobs move as shared handles; nothing is parsed, hashed or copied.
+    pub fn copy_from(
+        &self,
+        from: &ImageStore,
+        reference: &str,
+        tag: &str,
+    ) -> Result<TransferStats, ImageError> {
+        let (root, closure) = {
+            let source = from.inner.read();
+            let root = source.tags.get(reference);
+            let root = root.ok_or_else(|| ImageError::UnknownReference(reference.to_string()))?;
+            let mut closure = Vec::new();
+            for digest in reachable(&source.edges, [root]) {
+                let Some(blob) = source.blobs.get(digest) else {
+                    return Err(ImageError::MissingBlob(digest.clone()));
+                };
+                let children = source.edges.get(digest).cloned();
+                closure.push((digest.clone(), blob.clone(), children));
+            }
+            (root.clone(), closure)
+        };
+        let mut stats = TransferStats::default();
+        let mut inner = self.inner.write();
+        for (digest, blob, children) in closure {
+            if let Some(children) = children {
+                inner.edges.entry(digest.clone()).or_insert(children);
+            }
+            match inner.blobs.entry(digest) {
+                Entry::Occupied(_) => stats.blobs_reused += 1,
+                Entry::Vacant(slot) => {
+                    stats.blobs_transferred += 1;
+                    stats.bytes_transferred += slot.insert(blob).len() as u64;
+                }
+            }
+        }
+        inner.tags.insert(tag.to_string(), root);
+        Ok(stats)
     }
 
     /// Load an image index by reference.
@@ -592,6 +650,7 @@ impl ImageStore {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
@@ -901,14 +960,52 @@ mod tests {
     }
 
     #[test]
-    fn collect_garbage_survives_a_deeply_nested_pinned_blob() {
-        // The sweep tries to decode every reachable blob as a manifest and an index;
-        // a blob nested past the parser's depth limit is neither and ends the walk.
+    fn collect_garbage_follows_only_recorded_edges_from_pinned_blobs() {
+        // The sweep parses no blob: a pinned `put_blob` has no children, whether its
+        // bytes are nested past any parser's depth limit or spell a manifest.
         let store = ImageStore::new();
         let hostile = store.put_blob("[".repeat(100_000).into_bytes());
-        let report = store.collect_garbage(std::slice::from_ref(&hostile));
-        assert_eq!(report.blobs_removed, 0);
+        let orphan = store.put_blob(b"not a config".to_vec());
+        let lookalike = Manifest {
+            media_type: MediaType::ImageManifest,
+            config: Descriptor::new(MediaType::ImageConfig, orphan.clone(), 12),
+            layers: Vec::new(),
+            annotations: BTreeMap::new(),
+        };
+        let lookalike = store.put_blob(serde_json::to_vec(&lookalike).unwrap());
+        assert!(
+            store.manifest(&lookalike).is_ok(),
+            "the blob reads as a manifest"
+        );
+        let report = store.collect_garbage(&[hostile.clone(), lookalike.clone()]);
+        assert_eq!(report.blobs_removed, 1);
         assert!(store.has_blob(&hostile), "the pinned blob is kept");
+        assert!(store.has_blob(&lookalike), "the pinned blob is kept");
+        assert!(!store.has_blob(&orphan), "its \"config\" is not followed");
+    }
+
+    #[test]
+    fn commit_index_tags_under_the_lock_a_sweep_takes() {
+        // One thread sweeps with no pins while the other commits and loads indexes:
+        // the index blob and its tag land together, so a sweep never sees one
+        // without the other and the tag never dangles.
+        let store = ImageStore::new();
+        let member = store.commit(&toolchain_image());
+        std::thread::scope(|scope| {
+            let committer = scope.spawn(|| {
+                for round in 0..2_000 {
+                    let mut annotations = BTreeMap::new();
+                    annotations.insert("round".to_string(), round.to_string());
+                    store.commit_index("xaas/toolchain:multi", vec![member.clone()], annotations);
+                    let index = store.load_index("xaas/toolchain:multi").unwrap();
+                    assert_eq!(index.manifests, vec![member.clone()]);
+                }
+            });
+            while !committer.is_finished() {
+                store.collect_garbage(&[]);
+            }
+        });
+        assert_eq!(store.load("xaas/toolchain:19").unwrap().layer_count(), 2);
     }
 
     #[test]

@@ -50,7 +50,8 @@ pub mod prelude {
     };
     pub use crate::digest::{Digest, Sha256};
     pub use crate::image::{
-        Image, ImageConfig, ImageError, ImageIndex, ImageStore, Manifest, StoreGcReport, StoreStats,
+        Image, ImageConfig, ImageError, ImageIndex, ImageStore, Manifest, StoreGcReport,
+        StoreStats, TransferStats,
     };
     pub use crate::layer::{Layer, LayerEntry, RootFs};
     pub use crate::oci::{
@@ -60,7 +61,7 @@ pub mod prelude {
         BuildError, FnRunHandler, Instruction, NoRunHandler, Recipe, RecipeBuilder, RunHandler,
         RunOutput,
     };
-    pub use crate::registry::{Reference, Registry, RegistryError, TransferStats};
+    pub use crate::registry::{Reference, Registry, RegistryError};
     pub use crate::runtime::{
         ContainerAbiInfo, ContainerRuntime, Hook, HostLibrary, PreparedContainer, RuntimeError,
         RuntimeKind,

@@ -2,9 +2,9 @@
 //! between stores, and pull statistics (the paper's deployment flow pulls a source or IR
 //! container once per system and then pushes the system-specialized image back).
 
-use crate::digest::Digest;
-use crate::image::{Image, ImageError, ImageStore};
-use crate::oci::Descriptor;
+#![deny(clippy::unwrap_used, clippy::dbg_macro)]
+
+use crate::image::{Image, ImageError, ImageStore, TransferStats};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -79,22 +79,11 @@ impl From<ImageError> for RegistryError {
     }
 }
 
-/// Transfer statistics for a push or pull.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TransferStats {
-    /// Blobs that had to be transferred.
-    pub blobs_transferred: usize,
-    /// Blobs already present at the destination (layer reuse).
-    pub blobs_reused: usize,
-    /// Bytes transferred.
-    pub bytes_transferred: u64,
-}
-
-/// An in-memory registry backed by an [`ImageStore`].
+/// An in-memory registry backed by an [`ImageStore`]. Its tags live in that store,
+/// under each reference's full `repo:tag` form.
 #[derive(Clone, Default)]
 pub struct Registry {
     store: ImageStore,
-    tags: Arc<RwLock<BTreeMap<Reference, Digest>>>,
     pulls: Arc<RwLock<BTreeMap<Reference, u64>>>,
 }
 
@@ -115,46 +104,24 @@ impl Registry {
         local: &ImageStore,
         reference: &str,
     ) -> Result<TransferStats, RegistryError> {
-        let reference_parsed = Reference::parse(reference)?;
-        let manifest_digest = local.resolve(reference)?;
-        let stats = self.copy_manifest_chain(local, &self.store, &manifest_digest)?;
-        self.tags.write().insert(reference_parsed, manifest_digest);
-        Ok(stats)
+        let tag = Reference::parse(reference)?.to_string_full();
+        Ok(self.store.copy_from(local, reference, &tag)?)
     }
 
-    /// Pull an image from the registry into a local store, recording pull statistics.
+    /// Pull an image from the registry into a local store, tag it there under
+    /// `reference`, and load it, recording pull statistics. The layers come back
+    /// sealed with the transferred blobs, and nothing is hashed.
     pub fn pull(
         &self,
         local: &ImageStore,
         reference: &str,
     ) -> Result<(Image, TransferStats), RegistryError> {
-        let reference_parsed = Reference::parse(reference)?;
-        let digest = self
-            .tags
-            .read()
-            .get(&reference_parsed)
-            .cloned()
-            .ok_or_else(|| RegistryError::NotFound(reference.to_string()))?;
-        let stats = self.copy_manifest_chain(&self.store, local, &digest)?;
-        *self.pulls.write().entry(reference_parsed).or_insert(0) += 1;
-        // Re-tag locally and materialise the image.
-        let manifest = self.store.manifest(&digest)?;
-        let config = self.store.config(&manifest.config.digest)?;
-        let mut layers = Vec::with_capacity(manifest.layers.len());
-        for desc in &manifest.layers {
-            layers.push(local.layer(&desc.digest)?);
-        }
-        let image = Image {
-            reference: reference.to_string(),
-            platform: config.platform,
-            layers,
-            runtime: config.config,
-            annotations: manifest.annotations,
-        };
-        // Make the local store able to resolve the reference as well. The layers came
-        // back sealed, so this hashes only the config and the manifest.
-        local.commit(&image);
-        Ok((image, stats))
+        let parsed = Reference::parse(reference)?;
+        let stats = local
+            .copy_from(&self.store, &parsed.to_string_full(), reference)
+            .map_err(not_found(reference))?;
+        *self.pulls.write().entry(parsed).or_insert(0) += 1;
+        Ok((local.load(reference)?, stats))
     }
 
     /// How many times a reference has been pulled. Takes a parsed [`Reference`] so
@@ -164,19 +131,21 @@ impl Registry {
         self.pulls.read().get(reference).copied().unwrap_or(0)
     }
 
-    /// List repositories and tags.
+    /// List repositories and tags, sorted by [`Reference`].
     pub fn list(&self) -> Vec<Reference> {
-        self.tags.read().keys().cloned().collect()
+        let mut references = Vec::new();
+        for (tag, _) in self.store.references() {
+            references.extend(Reference::parse(&tag).ok());
+        }
+        references.sort();
+        references
     }
 
     /// List tags within one repository.
     pub fn tags_of(&self, repository: &str) -> Vec<String> {
-        self.tags
-            .read()
-            .keys()
-            .filter(|r| r.repository == repository)
-            .map(|r| r.tag.clone())
-            .collect()
+        let mut references = self.list();
+        references.retain(|r| r.repository == repository);
+        references.into_iter().map(|r| r.tag).collect()
     }
 
     /// Read manifest annotations without pulling layer blobs — this is the query path the
@@ -185,51 +154,22 @@ impl Registry {
         &self,
         reference: &str,
     ) -> Result<BTreeMap<String, String>, RegistryError> {
-        let reference_parsed = Reference::parse(reference)?;
-        let digest = self
-            .tags
-            .read()
-            .get(&reference_parsed)
-            .cloned()
-            .ok_or_else(|| RegistryError::NotFound(reference.to_string()))?;
+        let tag = Reference::parse(reference)?.to_string_full();
+        let digest = self.store.resolve(&tag).map_err(not_found(reference))?;
         Ok(self.store.manifest(&digest)?.annotations)
     }
+}
 
-    fn copy_manifest_chain(
-        &self,
-        from: &ImageStore,
-        to: &ImageStore,
-        manifest_digest: &Digest,
-    ) -> Result<TransferStats, RegistryError> {
-        let mut stats = TransferStats::default();
-        let manifest_bytes = from.blob(manifest_digest)?;
-        let manifest = from.manifest(manifest_digest)?;
-        let mut referenced: Vec<Descriptor> = vec![manifest.config.clone()];
-        referenced.extend(manifest.layers.iter().cloned());
-        // Every descriptor carries its digest, so the destination store never
-        // re-hashes the payload, and the transferred "bytes" are shared handles.
-        for desc in referenced {
-            if to.has_blob(&desc.digest) {
-                stats.blobs_reused += 1;
-                continue;
-            }
-            let bytes = from.blob(&desc.digest)?;
-            stats.bytes_transferred += bytes.len() as u64;
-            stats.blobs_transferred += 1;
-            to.put_blob_with_digest(desc.digest, bytes);
-        }
-        if !to.has_blob(manifest_digest) {
-            stats.bytes_transferred += manifest_bytes.len() as u64;
-            stats.blobs_transferred += 1;
-            to.put_blob_with_digest(manifest_digest.clone(), manifest_bytes);
-        } else {
-            stats.blobs_reused += 1;
-        }
-        Ok(stats)
+/// A registry tag that does not resolve is [`RegistryError::NotFound`].
+fn not_found(reference: &str) -> impl FnOnce(ImageError) -> RegistryError + '_ {
+    move |error| match error {
+        ImageError::UnknownReference(_) => RegistryError::NotFound(reference.to_string()),
+        other => RegistryError::Store(other),
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::layer::Layer;
@@ -288,17 +228,38 @@ mod tests {
         );
 
         let other = ImageStore::new();
-        let (pulled, _) = registry.pull(&other, "spcl/app:v1").unwrap();
-        // The local re-commit hashes the config and the manifest; the layer came back
-        // sealed with the transferred blob and the descriptor's digest.
-        assert_eq!(other.digests_computed(), 2);
+        let (pulled, stats) = registry.pull(&other, "spcl/app:v1").unwrap();
+        // The transferred manifest is tagged as it is: nothing is re-committed, and
+        // the layer comes back sealed with the transferred blob and its digest.
+        assert_eq!(other.digests_computed(), 0);
+        assert_eq!(stats.blobs_transferred, 3, "layer + config + manifest");
+        assert!(pulled.layers[0].is_sealed());
         assert_eq!(pulled.layers, img.layers);
         let (archive, digest) = pulled.layers[0].sealed();
         assert!(crate::blob::Blob::ptr_eq(
             archive,
             &other.blob(digest).unwrap()
         ));
+        assert!(crate::blob::Blob::ptr_eq(
+            archive,
+            &registry.store().blob(digest).unwrap()
+        ));
         assert_eq!(other.resolve("spcl/app:v1"), local.resolve("spcl/app:v1"));
+    }
+
+    #[test]
+    fn a_sweep_of_the_registry_store_keeps_pushed_images() {
+        let registry = Registry::new();
+        let (local, _) = make_image("spcl/app:v1", "hello");
+        registry.push(&local, "spcl/app:v1").unwrap();
+        let report = registry.store().collect_garbage(&[]);
+        assert_eq!(
+            report.blobs_removed, 0,
+            "the registry's tags are store roots"
+        );
+        assert_eq!(report.blobs_live, 3);
+        let (pulled, _) = registry.pull(&ImageStore::new(), "spcl/app:v1").unwrap();
+        assert_eq!(pulled.rootfs().read_text("/payload").unwrap(), "hello");
     }
 
     #[test]
@@ -323,7 +284,15 @@ mod tests {
         v2.runtime.env.push("X=1".into());
         local.commit(&v2);
         let s2 = registry.push(&local, "spcl/app:v2").unwrap();
-        assert!(s2.blobs_reused >= 1, "layer blob should be reused: {s2:?}");
+        assert_eq!(s2.blobs_reused, 1, "layer blob should be reused: {s2:?}");
+        assert_eq!(s2.blobs_transferred, 2, "config + manifest: {s2:?}");
+
+        // A layer the image holds twice is one blob of the closure.
+        let mut v3 = Image::derive_from(&base, "spcl/app:v3");
+        v3.push_layer(base.layers[0].clone());
+        local.commit(&v3);
+        let s3 = Registry::new().push(&local, "spcl/app:v3").unwrap();
+        assert_eq!((s3.blobs_transferred, s3.blobs_reused), (3, 0), "{s3:?}");
     }
 
     #[test]
@@ -355,7 +324,20 @@ mod tests {
         let (local3, _) = make_image("other/tool:latest", "c");
         registry.push(&local3, "other/tool:latest").unwrap();
 
-        assert_eq!(registry.list().len(), 3);
+        // Sorted by `Reference` (repository, then tag), not by the `repo:tag` text,
+        // in which `spcl/app-x` would precede `spcl/app`.
+        let (local4, _) = make_image("spcl/app-x:v0", "d");
+        registry.push(&local4, "spcl/app-x:v0").unwrap();
+        let listed: Vec<String> = registry.list().iter().map(|r| r.to_string()).collect();
+        assert_eq!(
+            listed,
+            [
+                "other/tool:latest",
+                "spcl/app:v1",
+                "spcl/app:v2",
+                "spcl/app-x:v0"
+            ]
+        );
         let mut tags = registry.tags_of("spcl/app");
         tags.sort();
         assert_eq!(tags, vec!["v1", "v2"]);
