@@ -1,6 +1,6 @@
-//! `reproduce analyze` — the advisory static analyzer run over the real
-//! driver graphs (GROMACS and LULESH IR builds, IR deployments and a fleet wave,
-//! llama.cpp and GROMACS source deployments), emitting every report as JSON.
+//! `reproduce analyze` — the plan-only report on every real driver graph
+//! (GROMACS and LULESH IR builds, IR deployments and a fleet wave, llama.cpp
+//! and GROMACS source deployments), emitted as JSON.
 
 use serde::Serialize;
 use xaas::engine::AnalysisReport;
@@ -18,12 +18,8 @@ pub struct LintedGraph {
     pub target: String,
     /// Nodes in the analyzed graph.
     pub nodes: usize,
-    /// Deny-level diagnostics (nonzero fails `reproduce analyze`).
+    /// Recorded construction defects (nonzero fails `reproduce analyze`).
     pub denies: usize,
-    /// Warn-level diagnostics.
-    pub warnings: usize,
-    /// Note-level diagnostics.
-    pub notes: usize,
     /// The full typed report.
     pub report: AnalysisReport,
 }
@@ -33,9 +29,9 @@ pub struct LintedGraph {
 pub struct AnalyzeSection {
     /// Per-graph reports.
     pub graphs: Vec<LintedGraph>,
-    /// Deny-level diagnostics across all graphs.
+    /// Recorded construction defects across all graphs.
     pub total_denies: usize,
-    /// Whether every driver graph is free of deny-level diagnostics.
+    /// Whether every driver graph was built without a defect.
     pub clean: bool,
 }
 
@@ -44,8 +40,6 @@ fn lint(target: &str, report: AnalysisReport) -> LintedGraph {
         target: target.to_string(),
         nodes: report.nodes,
         denies: report.denies(),
-        warnings: report.warnings(),
-        notes: report.notes(),
         report,
     }
 }

@@ -15,7 +15,7 @@
 //! reproduce tu-reduction        # Section 6.4 statistics + ablations
 //! reproduce fleet               # fleet specialization: cold vs shared-cache (JSON)
 //! reproduce restart             # warm restart over the disk tier, intact then damaged; exits nonzero unless both replay byte-identically (JSON)
-//! reproduce analyze             # static analysis of the driver graphs; exits nonzero on any deny (JSON)
+//! reproduce analyze             # plan-only report on the driver graphs; exits nonzero on any construction defect (JSON)
 //! reproduce network             # Section 6.5 bandwidth
 //! reproduce gpu-compat          # Figure 9 compatibility rules
 //! reproduce intersection        # Figure 4(c) feature intersection
@@ -183,7 +183,7 @@ fn run(section: &str) {
             );
             if !section.clean {
                 eprintln!(
-                    "{} deny-level diagnostic(s) in the driver graphs",
+                    "{} construction defect(s) in the driver graphs",
                     section.total_denies
                 );
                 std::process::exit(1);

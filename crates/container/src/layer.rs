@@ -312,8 +312,9 @@ impl Layer {
 
     /// Decode `bytes`; the flag says whether they are the canonical serialisation of
     /// the decoded layer (paths strictly ascending, nothing trailing).
+    #[deny(clippy::indexing_slicing, clippy::unwrap_used)]
     fn parse(bytes: &[u8]) -> Result<(Self, bool), LayerError> {
-        let mut cur = Cursor { bytes, pos: 0 };
+        let mut cur = Cursor { rest: bytes };
         if cur.take(MAGIC.len())? != MAGIC {
             return Err(LayerError::BadMagic);
         }
@@ -342,7 +343,7 @@ impl Layer {
             canonical &= entries.keys().next_back().is_none_or(|last| *last < path);
             entries.insert(path, entry);
         }
-        canonical &= cur.pos == bytes.len();
+        canonical &= cur.rest.is_empty();
         let layer = Layer {
             inner: Arc::new(LayerInner {
                 created_by,
@@ -474,34 +475,35 @@ fn write_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// Reads an archive front to back. Every read goes through a checked split, so
+/// no length the archive declares can index past its end.
 struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+    rest: &'a [u8],
 }
 
+#[deny(clippy::indexing_slicing, clippy::unwrap_used)]
 impl<'a> Cursor<'a> {
-    /// The next `n` bytes. `n` comes from the archive, so it is compared with what
-    /// is left rather than added to the position (which a saturated length overflows).
+    /// The next `n` bytes; `n` comes from the archive, so it may be anything.
     fn take(&mut self, n: usize) -> Result<&'a [u8], LayerError> {
-        if n > self.bytes.len() - self.pos {
-            return Err(LayerError::Truncated);
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        let (head, rest) = self.rest.split_at_checked(n).ok_or(LayerError::Truncated)?;
+        self.rest = rest;
+        Ok(head)
+    }
+    /// The next `N` bytes, by value.
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], LayerError> {
+        let (head, rest) = self.rest.split_first_chunk().ok_or(LayerError::Truncated)?;
+        self.rest = rest;
+        Ok(*head)
     }
     fn read_u8(&mut self) -> Result<u8, LayerError> {
-        Ok(self.take(1)?[0])
+        let [byte] = self.take_array()?;
+        Ok(byte)
     }
     fn read_u32(&mut self) -> Result<u32, LayerError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
     fn read_u64(&mut self) -> Result<u64, LayerError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
     /// A length field: one that does not fit `usize` cannot be satisfied either.
     fn read_len(&mut self) -> Result<usize, LayerError> {

@@ -5,8 +5,8 @@
 //! The crate models the parts of the container ecosystem the paper's pipeline interacts
 //! with: content-addressed blobs and digests, deterministic filesystem layers, images
 //! (config + manifest + index with platforms and annotations), a registry with push/pull
-//! and annotation peeking, Dockerfile-like build recipes, and a runtime that applies
-//! OCI-style hooks (MPI/GPU/libfabric injection) subject to ABI-compatibility checks.
+//! and annotation peeking, and a runtime that applies OCI-style hooks
+//! (MPI/GPU/libfabric injection) subject to ABI-compatibility checks.
 //!
 //! Nothing here shells out to a real container engine — images live in memory — but the
 //! data model mirrors the OCI image spec closely enough that the XaaS arguments about
@@ -34,7 +34,6 @@ pub mod digest;
 pub mod image;
 pub mod layer;
 pub mod oci;
-pub mod recipe;
 pub mod registry;
 pub mod runtime;
 
@@ -56,10 +55,6 @@ pub mod prelude {
     pub use crate::layer::{Layer, LayerEntry, RootFs};
     pub use crate::oci::{
         annotation_keys, Architecture, DeploymentFormat, Descriptor, MediaType, Platform,
-    };
-    pub use crate::recipe::{
-        BuildError, FnRunHandler, Instruction, NoRunHandler, Recipe, RecipeBuilder, RunHandler,
-        RunOutput,
     };
     pub use crate::registry::{Reference, Registry, RegistryError};
     pub use crate::runtime::{

@@ -12,6 +12,7 @@
 #![deny(clippy::unwrap_used, clippy::dbg_macro)]
 use super::executor::NodeInfo;
 use super::trace::ActionKind;
+use serde::Serialize;
 use std::any::Any;
 use std::marker::PhantomData;
 use xaas_container::{Blob, BuildKey};
@@ -82,7 +83,7 @@ pub(crate) enum KeySpec<'env> {
 /// one is refused by [`Engine::run`](crate::engine::Engine::run) and
 /// [`Engine::submit_graph`](crate::engine::Engine::submit_graph) before any node
 /// is enqueued.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum GraphError {
     /// `node` declared a dependency on itself or on a node not yet added; the
     /// edge was dropped.

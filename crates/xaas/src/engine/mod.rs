@@ -20,8 +20,9 @@
 //! * [`trace`] — [`ActionTrace`]: a deterministic, node-ordered record of what ran
 //!   and what the cache absorbed, from which the historical [`ActionSummary`]
 //!   counters are derived;
-//! * [`analysis`] — [`GraphAnalyzer`]: the advisory static linter, run on
-//!   request ([`Engine::analyze`]) rather than on every submission;
+//! * [`analysis`] — [`AnalysisReport`]: the plan-only report on a graph, its
+//!   size and recorded construction defect, read on request
+//!   ([`Engine::analyze`]) rather than on every submission;
 //! * [`plan`] — the graph idioms the drivers share: deduplicated preprocess
 //!   actions, the one definition of an `sd-compile` node, and the link → commit
 //!   tail.
@@ -60,7 +61,7 @@ pub mod plan;
 pub mod policy;
 pub mod trace;
 
-pub use analysis::{AnalysisReport, Diagnostic, DiagnosticCode, GraphAnalyzer, Severity};
+pub use analysis::AnalysisReport;
 pub use executor::{
     ActionOutputs, GraphFault, GraphHandle, GraphRun, GraphRunError, GraphStatus, JobFailure,
     NodeInfo, NodeOutcome, QueueStats,
@@ -95,9 +96,6 @@ pub struct Engine {
     /// under fair queuing, attribution in traces). Per-clone: tenant clones of one
     /// engine still share the pool.
     tenant: Option<String>,
-    /// The service's queued-action bound, if one applies (the analyzer's
-    /// `XA-SVC-001` check). Purely advisory — enforcement stays in admission.
-    queue_bound: Option<usize>,
 }
 
 impl Engine {
@@ -117,7 +115,6 @@ impl Engine {
                 workers,
             )),
             tenant: None,
-            queue_bound: None,
         }
     }
 
@@ -178,22 +175,16 @@ impl Engine {
         self.tenant.as_deref()
     }
 
-    /// Tell the analyzer about a service-level queued-action bound so reports
-    /// include the `XA-SVC-001` queue-saturation check. Advisory only — the
-    /// service still enforces the bound at admission. Does not restart the pool.
-    pub fn with_queue_bound(mut self, bound: Option<usize>) -> Self {
-        self.queue_bound = bound;
-        self
-    }
-
-    /// Run the advisory static analyzer over `graph` against this engine's
-    /// policy, tenant tag, and queue bound. Read-only: nothing is scheduled, and
-    /// no submission runs it.
+    /// Report on `graph` under this engine's policy and tenant tag: its size
+    /// and its recorded construction defect. Read-only: nothing is scheduled,
+    /// and no submission runs it.
     pub fn analyze<E>(&self, graph: &ActionGraph<'_, E>) -> AnalysisReport {
-        GraphAnalyzer::new(self.core.policy.as_ref())
-            .tenant(self.tenant.as_deref())
-            .queue_bound(self.queue_bound)
-            .analyze(graph)
+        AnalysisReport {
+            policy: self.core.policy.name().to_string(),
+            tenant: self.tenant.clone(),
+            nodes: graph.len(),
+            error: graph.error(),
+        }
     }
 
     /// The configured worker count.

@@ -316,7 +316,7 @@ type UnitKeys = Vec<(String, String, String)>;
 /// The serial stage-1 plan: the stage-A action graph (preprocess + OpenMP
 /// detection, deduplicated across configurations) plus the bookkeeping the
 /// later serial stages fold over. Building it runs no actions — this is the
-/// graph [`analyze_ir_build`] lints without executing anything.
+/// graph [`analyze_ir_build`] reports on without executing anything.
 pub(crate) struct IrBuildStageA<'env> {
     pub(crate) graph: ActionGraph<'env, PipelineError>,
     stats: PipelineStats,
@@ -472,8 +472,8 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
     })
 }
 
-/// Run the advisory static analyzer over the build's stage-A graph
-/// (preprocess + OpenMP detection) without executing anything. The stage-B
+/// Plan the build's stage-A graph (preprocess + OpenMP detection) and report
+/// on it without executing anything. The stage-B
 /// graph (ir-lower/link/commit) is derived from stage-A *outputs*, so it
 /// cannot be constructed statically.
 pub(crate) fn analyze_ir_build(

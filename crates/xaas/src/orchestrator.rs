@@ -120,14 +120,6 @@ impl Orchestrator {
         }
     }
 
-    /// Tell the analyzer about a service-level queued-action bound (the
-    /// `XA-SVC-001` check); the service layer wires its
-    /// [`ServiceLimits`](crate::service::ServiceLimits) through here.
-    pub(crate) fn with_queue_bound(mut self, bound: Option<usize>) -> Self {
-        self.engine = self.engine.with_queue_bound(bound);
-        self
-    }
-
     /// A tenant-tagged view of this orchestrator: the clone shares the whole
     /// stack (engine pool, cache, store, policy, dispatch counter), but every
     /// request it runs is submitted as `tenant` — laned by fair-queuing
@@ -181,7 +173,7 @@ impl Orchestrator {
     }
 
     /// Validate the scheduling policy; called by every request before it runs
-    /// or lints anything.
+    /// or analyzes anything.
     fn checked_engine(&self) -> Result<&Engine, crate::engine::PolicyError> {
         self.engine.policy().validate()?;
         Ok(&self.engine)
@@ -318,12 +310,13 @@ impl<'a> IrBuildRequest<'a> {
         crate::ir_container::run_ir_build(self.project, self.config, engine, &self.reference)
     }
 
-    /// Lint the build's stage-A action graph (preprocess + OpenMP detection)
-    /// under the orchestrator's scheduling policy without executing anything.
+    /// Report on the build's stage-A action graph (preprocess + OpenMP
+    /// detection) under the orchestrator's scheduling policy without executing
+    /// anything.
     ///
     /// An invalid policy is refused as [`submit`](Self::submit) refuses it, with
     /// [`PipelineError::Policy`]. The build's stage-B graph is derived from
-    /// stage-A outputs, so it cannot be linted ahead of time.
+    /// stage-A outputs, so it cannot be planned ahead of time.
     pub fn analyze(self, orch: &Orchestrator) -> Result<AnalysisReport, PipelineError> {
         crate::ir_container::analyze_ir_build(self.project, self.config, orch.checked_engine()?)
     }
@@ -396,8 +389,8 @@ impl<'a> IrDeployRequest<'a> {
         Ok(finish_ir_deploy(plan, trace))
     }
 
-    /// Lint the exact action graph this deployment would submit — planned and
-    /// grafted, not run. An invalid policy is refused as
+    /// Report on the exact action graph this deployment would submit — planned
+    /// and grafted, not run. An invalid policy is refused as
     /// [`submit`](Self::submit) refuses it, with [`PipelineError::Policy`].
     pub fn analyze(self, orch: &Orchestrator) -> Result<AnalysisReport, PipelineError> {
         let engine = orch.checked_engine()?;
@@ -475,7 +468,7 @@ impl<'a> SourceDeployRequest<'a> {
         Ok(finish_source_deploy(plan, trace))
     }
 
-    /// Lint the exact action graph this deployment would submit, as
+    /// Report on the exact action graph this deployment would submit, as
     /// [`IrDeployRequest::analyze`] does.
     pub fn analyze(self, orch: &Orchestrator) -> Result<AnalysisReport, PipelineError> {
         let engine = orch.checked_engine()?;
@@ -667,7 +660,7 @@ impl<'a> FleetRequest<'a> {
         self
     }
 
-    /// Lint the union graph one wave of this fleet would submit — every
+    /// Report on the union graph one wave of this fleet would submit — every
     /// deduplicated job grafted as a tagged subgraph sharing keyed artifacts —
     /// without executing anything. The first plan-time failure is returned as
     /// a [`FleetError`]; an invalid policy fails the first job with

@@ -54,7 +54,9 @@ use xaas_container::{CacheStats, ImageStore};
 ///
 /// The defaults (8 in-flight requests per tenant, 64 globally, 4096 queued
 /// actions) are sized for the simulated pipelines in this repository; a real
-/// deployment would derive them from worker count and memory budget.
+/// deployment would derive them from worker count and memory budget. The
+/// service clamps each bound to at least 1
+/// ([`OrchestratorService::with_limits`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceLimits {
     /// In-flight requests allowed per tenant before [`AdmissionError::Backpressure`].
@@ -77,21 +79,21 @@ impl Default for ServiceLimits {
 }
 
 impl ServiceLimits {
-    /// Override the per-tenant in-flight bound (clamped to at least 1).
+    /// Override the per-tenant in-flight bound.
     pub fn per_tenant(mut self, limit: usize) -> Self {
-        self.max_in_flight_per_tenant = limit.max(1);
+        self.max_in_flight_per_tenant = limit;
         self
     }
 
-    /// Override the global in-flight bound (clamped to at least 1).
+    /// Override the global in-flight bound.
     pub fn global(mut self, limit: usize) -> Self {
-        self.max_in_flight_global = limit.max(1);
+        self.max_in_flight_global = limit;
         self
     }
 
-    /// Override the ready-queue saturation bound (clamped to at least 1).
+    /// Override the ready-queue saturation bound.
     pub fn queued_actions(mut self, limit: usize) -> Self {
-        self.max_queued_actions = limit.max(1);
+        self.max_queued_actions = limit;
         self
     }
 }
@@ -437,12 +439,14 @@ impl OrchestratorService {
         Self::with_limits(orch, ServiceLimits::default())
     }
 
-    /// A service over `orch` with explicit limits. The engine's analyzer is
-    /// told the queued-action bound, so a request's `analyze` flags graphs that
-    /// alone would overflow it ([`DiagnosticCode::QueueOverflow`](crate::engine::DiagnosticCode))
-    /// instead of their only tripping admission at run time.
+    /// A service over `orch` with explicit limits, each clamped to at least 1:
+    /// a zero bound would refuse every request.
     pub fn with_limits(orch: Orchestrator, limits: ServiceLimits) -> Self {
-        let orch = orch.with_queue_bound(Some(limits.max_queued_actions));
+        let limits = ServiceLimits {
+            max_in_flight_per_tenant: limits.max_in_flight_per_tenant.max(1),
+            max_in_flight_global: limits.max_in_flight_global.max(1),
+            max_queued_actions: limits.max_queued_actions.max(1),
+        };
         Self {
             inner: Arc::new(ServiceInner {
                 orch,
@@ -773,6 +777,28 @@ mod tests {
         assert_eq!(stats.backpressured, 1);
         assert_eq!(stats.rejected, 1);
         assert_eq!(stats.in_flight, 0);
+    }
+
+    /// The fields are public, so a struct literal can hold zero bounds; the
+    /// service clamps them rather than refuse every request.
+    #[test]
+    fn zero_limits_are_clamped_to_one_and_admit() {
+        let service = OrchestratorService::builder()
+            .workers(1)
+            .limits(ServiceLimits {
+                max_in_flight_per_tenant: 0,
+                max_in_flight_global: 0,
+                max_queued_actions: 0,
+            })
+            .build();
+        service.session("alice").submit(Noop).unwrap();
+        assert_eq!(service.stats().admitted, 1);
+        let one = ServiceLimits {
+            max_in_flight_per_tenant: 1,
+            max_in_flight_global: 1,
+            max_queued_actions: 1,
+        };
+        assert_eq!(service.limits(), one);
     }
 
     #[test]

@@ -3,6 +3,11 @@
 //! The encoding is deterministic (same module → same bytes), which is what lets the XaaS
 //! pipeline deduplicate IR files by content identity and lets the container store
 //! address them by digest.
+//!
+//! [`decode`] reads bytes another process or a disk wrote, so this module
+//! neither indexes nor unwraps: a short or foreign blob is an error, never a
+//! panic.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used)]
 
 use crate::ir::IrModule;
 use crate::preprocess::fnv1a;
@@ -42,10 +47,8 @@ pub fn encode(module: &IrModule) -> Vec<u8> {
 
 /// Decode bitcode bytes back into a module.
 pub fn decode(bytes: &[u8]) -> Result<IrModule, BitcodeError> {
-    if bytes.len() < 4 || &bytes[..4] != MAGIC {
-        return Err(BitcodeError::BadMagic);
-    }
-    serde_json::from_slice(&bytes[4..]).map_err(|e| BitcodeError::Corrupt(e.to_string()))
+    let payload = bytes.strip_prefix(MAGIC).ok_or(BitcodeError::BadMagic)?;
+    serde_json::from_slice(payload).map_err(|e| BitcodeError::Corrupt(e.to_string()))
 }
 
 /// A stable 64-bit content identity for a module (hex-encoded FNV-1a of its bitcode).
@@ -60,6 +63,7 @@ pub fn content_id_of(bytes: &[u8]) -> String {
 }
 
 #[cfg(test)]
+#[allow(clippy::indexing_slicing, clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::lower::{lower, LowerOptions};

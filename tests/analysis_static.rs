@@ -1,10 +1,9 @@
-//! Graph construction defects and the advisory analyzer, end to end: a graph
-//! built without a defect executes without structural runtime faults; each
-//! lint is flagged with its own diagnostic code and never refuses anything;
-//! and a graph that recorded a [`GraphError`] is refused by `Engine::run`,
+//! Graph construction defects and the plan-only report, end to end: a graph
+//! built without a defect reports none and executes without structural runtime
+//! faults; a graph that recorded a [`GraphError`] is refused by `Engine::run`,
 //! `Engine::submit_graph` and a service session *before any node executes* —
 //! no partial side effects, pinned by an action-side counter, the cache
-//! counters and the queue.
+//! counters and the queue; and a request's `analyze` plans without executing.
 
 use proptest::prelude::*;
 use std::convert::Infallible;
@@ -70,10 +69,10 @@ const WORK_KINDS: [ActionKind; 6] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any random DAG that passes analysis executes to completion
+    /// Any random DAG built without a defect executes to completion
     /// with every node producing an output — no structural runtime faults.
     #[test]
-    fn strict_clean_graphs_execute_without_structural_faults(
+    fn defect_free_graphs_execute_without_structural_faults(
         n in 1usize..14,
         seed in any::<u64>(),
     ) {
@@ -101,57 +100,6 @@ proptest! {
         let (outputs, _) = run.into_outputs().expect("no faults");
         prop_assert_eq!(outputs.len(), n);
     }
-}
-
-#[test]
-fn cross_job_edge_is_flagged_but_admitted_under_strict() {
-    let engine = engine();
-    let mut graph: ActionGraph<'static, Infallible> = ActionGraph::new();
-    graph.set_job(Some(0));
-    let a = graph.add(ActionKind::IrLower, "job0", &[], |_| Ok(vec![0]));
-    graph.set_job(Some(1));
-    graph.add(ActionKind::Link, "job1", &[a], |_| Ok(vec![1]));
-    let report = engine.analyze(&graph);
-    assert!(report.has_code(DiagnosticCode::CrossJobEdge));
-    assert!(
-        !report.is_rejected(),
-        "warnings must not reject a submission"
-    );
-    assert!(engine.submit_graph(graph).is_ok());
-}
-
-#[test]
-fn unordered_duplicate_key_is_flagged_with_che_001_once() {
-    let engine = engine();
-    let mut graph: ActionGraph<'static, Infallible> = ActionGraph::new();
-    graph.add_cached(ActionKind::SdCompile, "first", key("dup"), &[], |_| {
-        Ok(vec![0])
-    });
-    graph.add_cached(ActionKind::SdCompile, "second", key("dup"), &[], |_| {
-        Ok(vec![0])
-    });
-    let report = engine.analyze(&graph);
-    assert_eq!(
-        report
-            .with_code(DiagnosticCode::UnorderedDuplicateKey)
-            .count(),
-        1
-    );
-    assert!(!report.is_rejected());
-}
-
-#[test]
-fn ordered_duplicate_key_is_clean() {
-    let engine = engine();
-    let mut graph: ActionGraph<'static, Infallible> = ActionGraph::new();
-    let first = graph.add_cached(ActionKind::SdCompile, "first", key("dup"), &[], |_| {
-        Ok(vec![0])
-    });
-    graph.add_cached(ActionKind::SdCompile, "alias", key("dup"), &[first], |_| {
-        Ok(vec![0])
-    });
-    let report = engine.analyze(&graph);
-    assert!(!report.has_code(DiagnosticCode::UnorderedDuplicateKey));
 }
 
 /// The refuse-before-execution pin, for each defect and both entrances: the
@@ -198,7 +146,7 @@ impl ServiceRequest for DeniedRequest {
 /// Through the service, a refused graph is the request's own typed error: the
 /// request was admitted, none of its actions ran, and no refusal is counted.
 #[test]
-fn service_surfaces_analysis_rejection_as_admission_invalid() {
+fn service_surfaces_a_refused_graph_as_the_request_error() {
     let service = OrchestratorService::builder().workers(2).build();
     let session = service.session("tenant-a");
     let ran = Arc::new(AtomicUsize::new(0));
