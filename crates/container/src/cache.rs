@@ -51,10 +51,8 @@
 //! (an owner that panicked and unwound) poisons the flight, waking every parked waiter
 //! with [`FlightError::Poisoned`] instead of stranding them. Waiters woken with a
 //! failure retry [`CacheBackend::try_begin`] and may become the next owner, so an
-//! error is never cached and progress is guaranteed.
-//!
-//! The blocking [`ActionCache::get_or_compute`] is a thin convenience over this
-//! protocol: it parks a channel-backed waker and blocks the *calling* thread only.
+//! error is never cached and progress is guaranteed. The protocol is the cache's
+//! one entrance for computing an action.
 //!
 //! An [`ActionCache`] built by [`ActionCache::with_tiers`] also keeps an ordered
 //! list of [`tier::Tier`]s under the flight table and memory index; a flight owner
@@ -214,8 +212,8 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries dropped to respect the capacity bound.
     pub evictions: u64,
-    /// Lookups that blocked on a concurrent in-flight computation of the same key and
-    /// then reused its result (counted in `hits` as well).
+    /// Lookups that parked on a concurrent in-flight computation of the same key and
+    /// were then served its result (counted in `hits` as well).
     pub coalesced: u64,
     /// Live entries currently in the cache.
     pub entries: usize,
@@ -676,6 +674,8 @@ struct CacheInner {
     /// Generation counter for [`FlightId`] nonces.
     next_nonce: u64,
     stats: CacheStats,
+    /// The disk tier's cumulative drops at the last [`ActionCache::reset_stats`].
+    disk_drops_at_reset: u64,
 }
 
 impl CacheInner {
@@ -857,8 +857,8 @@ impl ActionCache {
     }
 
     /// Look up an action output in the memory index. Does not touch hit/miss
-    /// counters — use [`ActionCache::get_or_compute`] for the accounted path. The
-    /// returned handle shares the store's allocation.
+    /// counters — [`CacheBackend::try_begin`] is the accounted path. The returned
+    /// handle shares the store's allocation.
     ///
     /// An index entry whose blob the store no longer holds (store-level GC ran, or
     /// the store was swapped) is evicted here — counted in
@@ -872,57 +872,6 @@ impl ActionCache {
     /// Whether the memory index currently holds an output for `key`.
     pub fn contains(&self, key: &BuildKey) -> bool {
         self.inner.lock().entries.contains_key(&key.digest())
-    }
-
-    /// Memoize: return the cached output for `key`, or run `compute`, store its output,
-    /// and return it. The boolean is `true` on a cache hit.
-    ///
-    /// Concurrent callers with the same key are single-flighted: one computes, the
-    /// others park on the flight until the result is stored and then reuse it as a
-    /// (coalesced) hit. Every caller — the computing worker, each coalesced waiter,
-    /// and later hits — receives a [`Blob`] handle onto the *same* stored allocation.
-    ///
-    /// This is the blocking convenience over the nonblocking flight protocol (see
-    /// the module docs): only the *calling* thread waits. A panicking `compute`
-    /// poisons the flight on unwind (its [`FlightTicket`] drops unredeemed), so
-    /// racing callers are woken to retry instead of stranded.
-    pub fn get_or_compute<E>(
-        &self,
-        key: &BuildKey,
-        compute: impl FnOnce() -> Result<Vec<u8>, E>,
-    ) -> Result<(Blob, bool), E> {
-        let mut compute = Some(compute);
-        loop {
-            match CacheBackend::try_begin(self, key) {
-                TryBegin::Hit(blob, _) => return Ok((blob, true)),
-                TryBegin::Owner(ticket) => {
-                    let compute = compute.take().expect("the owner branch returns");
-                    return match compute() {
-                        Ok(bytes) => Ok((CacheBackend::complete(self, ticket, bytes), false)),
-                        Err(error) => {
-                            CacheBackend::fail(self, ticket, FlightError::Failed);
-                            Err(error)
-                        }
-                    };
-                }
-                TryBegin::InFlight(flight) => {
-                    let (sender, receiver) = std::sync::mpsc::channel();
-                    let outcome = CacheBackend::park(
-                        self,
-                        &flight,
-                        Box::new(move |outcome| {
-                            let _ = sender.send(outcome);
-                        }),
-                    )
-                    .unwrap_or_else(|| receiver.recv().expect("a flight always retires"));
-                    if let FlightOutcome::Completed(blob) = outcome {
-                        return Ok((blob, true));
-                    }
-                    // The owner failed or poisoned the flight: retry, possibly
-                    // becoming the next owner (compute has not run yet).
-                }
-            }
-        }
     }
 
     /// Index an action output produced elsewhere (memory index only; no write-through).
@@ -953,22 +902,31 @@ impl ActionCache {
 
     /// A snapshot of the cache counters.
     pub fn stats(&self) -> CacheStats {
-        let mut stats = self.inner.lock().stats;
-        if let Some(disk) = self.disk_stats() {
-            stats.stale_evictions += disk.stale_drops + disk.corrupt_drops;
-        }
+        let (mut stats, drops_at_reset) = {
+            let inner = self.inner.lock();
+            (inner.stats, inner.disk_drops_at_reset)
+        };
+        stats.stale_evictions += self.disk_drops().saturating_sub(drops_at_reset);
         stats
     }
 
     /// Reset the counters (entries are kept) — used to separate warm from cold phases
     /// in experiments.
     pub fn reset_stats(&self) {
+        let drops = self.disk_drops();
         let mut inner = self.inner.lock();
         let entries = inner.entries.len();
         inner.stats = CacheStats {
             entries,
             ..CacheStats::default()
         };
+        inner.disk_drops_at_reset = drops;
+    }
+
+    /// The disk tier's cumulative stale and corrupt drops (0 without a disk tier).
+    fn disk_drops(&self) -> u64 {
+        self.disk_stats()
+            .map_or(0, |disk| disk.stale_drops + disk.corrupt_drops)
     }
 
     /// The content digests of every blob the index currently references — the pin
@@ -1002,8 +960,6 @@ impl std::fmt::Debug for ActionCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::panic::AssertUnwindSafe;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn key(n: u32) -> BuildKey {
         BuildKey::new(
@@ -1060,41 +1016,14 @@ mod tests {
     }
 
     #[test]
-    fn get_or_compute_memoizes_and_counts() {
+    fn hits_and_the_store_share_one_allocation() {
         let cache = ActionCache::new(ImageStore::new());
-        let calls = AtomicUsize::new(0);
-        let compute = || -> Result<Vec<u8>, ()> {
-            calls.fetch_add(1, Ordering::SeqCst);
-            Ok(b"artifact".to_vec())
-        };
-        let (first, hit1) = cache.get_or_compute(&key(1), compute).unwrap();
-        let (second, hit2) = cache
-            .get_or_compute(&key(1), || -> Result<Vec<u8>, ()> {
-                calls.fetch_add(1, Ordering::SeqCst);
-                Ok(b"never-run".to_vec())
-            })
-            .unwrap();
-        assert!(!hit1);
-        assert!(hit2);
-        assert_eq!(first, second);
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        let (first, _) = run_action(&cache, &key(3), Some(b"shared".to_vec())).unwrap();
+        let (second, hit) = run_action(&cache, &key(3), None).unwrap();
+        assert!(hit);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hits_and_the_store_share_one_allocation() {
-        let cache = ActionCache::new(ImageStore::new());
-        let (first, _) = cache
-            .get_or_compute(&key(3), || -> Result<Vec<u8>, ()> {
-                Ok(b"shared".to_vec())
-            })
-            .unwrap();
-        let (second, hit) = cache
-            .get_or_compute(&key(3), || -> Result<Vec<u8>, ()> { unreachable!() })
-            .unwrap();
-        assert!(hit);
         let stored = cache
             .store()
             .blob(&cache.action_blob(&key(3)).unwrap())
@@ -1111,12 +1040,9 @@ mod tests {
     #[test]
     fn errors_are_not_cached() {
         let cache = ActionCache::new(ImageStore::new());
-        let failed: Result<(Blob, bool), &str> = cache.get_or_compute(&key(2), || Err("boom"));
-        assert_eq!(failed.unwrap_err(), "boom");
+        assert!(run_action(&cache, &key(2), None).is_none());
         assert_eq!(cache.stats().entries, 0);
-        let (bytes, hit) = cache
-            .get_or_compute(&key(2), || -> Result<Vec<u8>, &str> { Ok(vec![7]) })
-            .unwrap();
+        let (bytes, hit) = run_action(&cache, &key(2), Some(vec![7])).unwrap();
         assert_eq!(bytes, vec![7]);
         assert!(!hit);
     }
@@ -1125,9 +1051,7 @@ mod tests {
     fn capacity_bound_evicts_fifo() {
         let cache = ActionCache::with_capacity(ImageStore::new(), 2).unwrap();
         for n in 0..3 {
-            cache
-                .get_or_compute(&key(n), || -> Result<Vec<u8>, ()> { Ok(vec![n as u8]) })
-                .unwrap();
+            run_action(&cache, &key(n), Some(vec![n as u8])).unwrap();
         }
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
@@ -1135,9 +1059,7 @@ mod tests {
         assert!(!cache.contains(&key(0)), "oldest entry evicted");
         assert!(cache.contains(&key(2)));
         // Evicted key recomputes (a second miss), others still hit.
-        let (_, hit) = cache
-            .get_or_compute(&key(0), || -> Result<Vec<u8>, ()> { Ok(vec![0]) })
-            .unwrap();
+        let (_, hit) = run_action(&cache, &key(0), Some(vec![0])).unwrap();
         assert!(!hit);
     }
 
@@ -1202,33 +1124,6 @@ mod tests {
         // A fresh insert after the evictions behaves normally.
         cache.insert(&key(1), b"reborn".to_vec());
         assert!(cache.peek(&key(1)).is_some());
-    }
-
-    #[test]
-    fn concurrent_same_key_builds_once() {
-        let cache = ActionCache::new(ImageStore::new());
-        let calls = Arc::new(AtomicUsize::new(0));
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                let cache = cache.clone();
-                let calls = calls.clone();
-                scope.spawn(move || {
-                    let (bytes, _) = cache
-                        .get_or_compute(&key(9), || -> Result<Vec<u8>, ()> {
-                            calls.fetch_add(1, Ordering::SeqCst);
-                            // Widen the race window so coalescing is actually exercised.
-                            std::thread::sleep(std::time::Duration::from_millis(20));
-                            Ok(b"once".to_vec())
-                        })
-                        .unwrap();
-                    assert_eq!(bytes, b"once");
-                });
-            }
-        });
-        assert_eq!(calls.load(Ordering::SeqCst), 1, "single-flight");
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 7);
     }
 
     /// One single-threaded action through the flight protocol, the way the
@@ -1411,39 +1306,6 @@ mod tests {
             cache.park(&flight, Box::new(|_| panic!("waker must not run"))),
             Some(FlightOutcome::Failed(FlightError::Retired))
         ));
-    }
-
-    #[test]
-    fn panicking_owner_wakes_blocking_waiters_to_retry() {
-        // The historical stranding bug: an owner that unwound mid-compute left the
-        // flight entry behind and waiters spun forever. The ticket's poison-on-drop
-        // now wakes them to retry (and one becomes the next owner).
-        let cache = ActionCache::new(ImageStore::new());
-        let entered = Arc::new(std::sync::Barrier::new(2));
-        std::thread::scope(|scope| {
-            let owner_cache = cache.clone();
-            let owner_gate = entered.clone();
-            scope.spawn(move || {
-                let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    owner_cache.get_or_compute(&key(6), || -> Result<Vec<u8>, ()> {
-                        owner_gate.wait();
-                        // Give the waiter time to park on the open flight.
-                        std::thread::sleep(std::time::Duration::from_millis(20));
-                        panic!("owner dies mid-compute");
-                    })
-                }));
-                assert!(result.is_err(), "the owner's panic propagates");
-            });
-            entered.wait();
-            let (bytes, hit) = cache
-                .get_or_compute(&key(6), || -> Result<Vec<u8>, ()> {
-                    Ok(b"recovered".to_vec())
-                })
-                .unwrap();
-            assert_eq!(bytes, b"recovered");
-            assert!(!hit, "the waiter recomputed after the poison wake");
-        });
-        assert_eq!(cache.stats().misses, 1);
     }
 
     #[test]

@@ -1024,6 +1024,26 @@ pub(super) mod tests {
     }
 
     #[test]
+    fn reset_stats_also_zeroes_the_disk_tiers_drops() {
+        let root = TempRoot::new("reset-drops");
+        let config = TierConfig::new().disk_root(root.path());
+        let payload = b"the real artifact";
+        let cache = ActionCache::with_tiers(ImageStore::new(), config.clone()).unwrap();
+        compute_once(&cache, &key(1), payload);
+        damage(root.path(), payload, None);
+        let cache = ActionCache::with_tiers(ImageStore::new(), config).unwrap();
+        compute_once(&cache, &key(1), payload);
+        assert_eq!(cache.stats().stale_evictions, 1, "one corrupt drop");
+        cache.reset_stats();
+        assert_eq!(cache.stats().stale_evictions, 0);
+        assert_eq!(
+            cache.disk_stats().unwrap().corrupt_drops,
+            1,
+            "the tier keeps its own"
+        );
+    }
+
+    #[test]
     fn a_journal_torn_at_any_byte_loses_only_its_tail() {
         let root = TempRoot::new("torn");
         let journal_path = root.path().join("index.log");

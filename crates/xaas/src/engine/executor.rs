@@ -1,13 +1,14 @@
 //! The executor: a persistent worker pool draining one shared, multi-graph ready
 //! queue, routing keyed nodes through the engine's cache backend.
 //!
-//! Submissions are *nonblocking*: [`Engine::submit_graph`](super::Engine::submit_graph)
-//! enqueues a graph and returns a [`GraphHandle`] (poll / wait / cancel / completion
-//! callback) immediately, and the pool interleaves actions from every in-flight
-//! submission at action granularity — the shape a multi-tenant orchestrator
-//! service needs. The blocking [`Engine::run`](super::Engine::run) is a thin
-//! wrapper that submits and waits, so single-caller pipelines share the same queue
-//! (and the same cache single-flight) as concurrent sessions.
+//! Every submission joins one shared ready queue, and the pool interleaves
+//! actions from every live submission at action granularity — the shape a
+//! multi-tenant orchestrator service needs. [`Engine::run`](super::Engine::run)
+//! submits and waits in place, so single-caller pipelines share the same queue
+//! (and the same cache single-flight) as concurrent sessions;
+//! [`Engine::submit_graph`](super::Engine::submit_graph) takes an owned graph and
+//! returns a [`GraphHandle`] to [`wait`](GraphHandle::wait) on later. A submission
+//! always runs to completion.
 //!
 //! Workers **never block on another action's outcome**. A keyed node routes
 //! through the cache's nonblocking flight protocol
@@ -74,9 +75,6 @@ pub enum NodeOutcome<E> {
         /// The failed ancestor that poisoned this node.
         root: ActionId,
     },
-    /// The submission was cancelled (via [`GraphHandle::cancel`]) before the node
-    /// could run.
-    Cancelled,
 }
 
 impl<E> NodeOutcome<E> {
@@ -115,18 +113,15 @@ pub struct NodeInfo {
 
 /// The failure poisoning one job of a run: the root failing node (which may belong
 /// to *another* job when a shared artifact's compute node failed), its static
-/// description, and the typed error when the root carried one.
+/// description, and the typed error it returned.
 #[derive(Debug)]
 pub struct JobFailure<'run, E> {
     /// The failed node every affected node of the job transitively depends on.
     pub node: ActionId,
     /// Static description of the failing node (kind, label, owning job).
     pub info: &'run NodeInfo,
-    /// The typed error the failing node returned. `None` only when the node was
-    /// itself skipped without a recorded failure (a cache-backend contract
-    /// violation, surfaced as [`GraphRunError::ContractViolation`] by
-    /// [`GraphRun::into_outputs`]) or when the submission was cancelled.
-    pub error: Option<&'run E>,
+    /// The typed error the failing node returned.
+    pub error: &'run E,
 }
 
 /// The result of running one [`ActionGraph`] through the engine.
@@ -165,16 +160,15 @@ impl<E> GraphRun<E> {
                     NodeOutcome::Output(_) => return None,
                     NodeOutcome::Failed(_) => id,
                     NodeOutcome::Skipped { root } => *root,
-                    NodeOutcome::Cancelled => id,
                 };
-                Some(JobFailure {
-                    node: root,
-                    info: &self.infos[root],
-                    error: match &self.outcomes[root] {
-                        NodeOutcome::Failed(error) => Some(error),
-                        _ => None,
-                    },
-                })
+                match &self.outcomes[root] {
+                    NodeOutcome::Failed(error) => Some(JobFailure {
+                        node: root,
+                        info: &self.infos[root],
+                        error,
+                    }),
+                    _ => None,
+                }
             })
     }
 
@@ -183,100 +177,26 @@ impl<E> GraphRun<E> {
         self.outcomes.get(id).and_then(NodeOutcome::output)
     }
 
-    /// All outputs in node order, or the first (lowest node id) error as a typed
-    /// [`GraphRunError`]: the failing node's own error
-    /// ([`GraphRunError::Action`]), a cache-backend contract violation
-    /// ([`GraphRunError::ContractViolation`]), or a cancelled submission
-    /// ([`GraphRunError::Cancelled`]). The non-action cases were historically
-    /// `panic!` escape hatches; they now surface as
-    /// [`PipelineError::Engine`](crate::error::PipelineError::Engine) instead of
-    /// tearing the caller down.
-    pub fn into_outputs(self) -> Result<(ActionOutputs, ActionTrace), GraphRunError<E>> {
+    /// All outputs in node order, or the error of the first (lowest node id)
+    /// failed node.
+    ///
+    /// The first node that did not complete is always a failed one: dependencies
+    /// precede dependents in node order, so a skipped node's root failure comes
+    /// first, and a run with a panicking node re-raises the panic instead of
+    /// being handed back.
+    pub fn into_outputs(self) -> Result<(ActionOutputs, ActionTrace), E> {
         let mut outputs = Vec::with_capacity(self.outcomes.len());
-        for (id, outcome) in self.outcomes.into_iter().enumerate() {
+        for outcome in self.outcomes {
             match outcome {
                 NodeOutcome::Output(bytes) => outputs.push(bytes),
-                NodeOutcome::Failed(error) => return Err(GraphRunError::Action(error)),
-                NodeOutcome::Skipped { root } => {
-                    // Dependencies precede dependents in node order, so a skip's root
-                    // failure is normally returned above. Reaching this arm means a
-                    // cache backend failed a keyed action without invoking its compute
-                    // closure, breaking the CacheBackend contract.
-                    return Err(GraphRunError::ContractViolation { node: root });
-                }
-                NodeOutcome::Cancelled => {
-                    return Err(GraphRunError::Cancelled { node: id });
-                }
+                NodeOutcome::Failed(error) => return Err(error),
+                // Its lower-id root was returned above.
+                NodeOutcome::Skipped { .. } => {}
             }
         }
         Ok((outputs, self.trace))
     }
 }
-
-/// Why [`GraphRun::into_outputs`] could not produce the run's outputs.
-///
-/// `Action` carries the driver's own typed error; the other two variants are
-/// *engine-level faults* that carry no driver error — a cache backend breaking
-/// its contract, or a submission cancelled via
-/// [`GraphHandle::cancel`]. Use [`into_action`](Self::into_action) to split the
-/// two classes; [`GraphFault`] is the fault-only shape
-/// [`PipelineError::Engine`](crate::error::PipelineError::Engine) embeds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GraphRunError<E> {
-    /// The first failing node's own typed error.
-    Action(E),
-    /// A node retired as skipped with no preceding failure: the cache backend
-    /// failed a keyed action without invoking its compute closure, breaking the
-    /// [`CacheBackend`] contract.
-    ContractViolation {
-        /// The node the backend skipped.
-        node: ActionId,
-    },
-    /// The submission was cancelled before this node completed; a cancelled run
-    /// has no typed error — inspect [`GraphRun::outcomes`] for partial results.
-    Cancelled {
-        /// The first cancelled node.
-        node: ActionId,
-    },
-}
-
-/// An engine-level run fault with the action-error case ruled out — the shape
-/// [`PipelineError::Engine`](crate::error::PipelineError::Engine) embeds (the
-/// pipeline error itself fills the `Action` role).
-pub type GraphFault = GraphRunError<std::convert::Infallible>;
-
-impl<E> GraphRunError<E> {
-    /// Split into the action's own error or the engine-level [`GraphFault`].
-    pub fn into_action(self) -> Result<E, GraphFault> {
-        match self {
-            GraphRunError::Action(error) => Ok(error),
-            GraphRunError::ContractViolation { node } => {
-                Err(GraphRunError::ContractViolation { node })
-            }
-            GraphRunError::Cancelled { node } => Err(GraphRunError::Cancelled { node }),
-        }
-    }
-}
-
-impl<E: std::fmt::Display> std::fmt::Display for GraphRunError<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            GraphRunError::Action(error) => error.fmt(f),
-            GraphRunError::ContractViolation { node } => write!(
-                f,
-                "action {node} was skipped without a preceding failure: \
-                 the cache backend failed without running the action"
-            ),
-            GraphRunError::Cancelled { node } => write!(
-                f,
-                "action {node} was cancelled before completion; \
-                 inspect GraphRun::outcomes for partial results"
-            ),
-        }
-    }
-}
-
-impl<E: std::fmt::Debug + std::fmt::Display> std::error::Error for GraphRunError<E> {}
 
 /// Pretend a graph's nodes borrow nothing.
 ///
@@ -328,9 +248,6 @@ struct NodeState {
     parks: u64,
 }
 
-/// Whether a submission completed, and the callback to run when it does.
-type Completion = (bool, Option<Box<dyn FnOnce() + Send>>);
-
 /// One submitted graph: a [`Node`] cell per node plus the run-wide state. Shared
 /// between the worker pool (via queue entries) and the submitter's
 /// [`GraphHandle`] / blocking waiter.
@@ -344,13 +261,12 @@ struct Submission {
     stage_depth: usize,
     nodes: Vec<Node>,
     remaining: AtomicUsize,
-    cancelled: AtomicBool,
     /// The first caught action panic; re-raised on the waiting thread, so a
     /// panicking action behaves like it would on a serial executor instead of
     /// killing a pool worker.
     panic_payload: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Set, and the callback taken, by the worker that retires the last node.
-    done: StdMutex<Completion>,
+    /// Set by the worker that retires the last node.
+    done: StdMutex<bool>,
     done_cv: Condvar,
 }
 
@@ -389,25 +305,24 @@ impl Submission {
             policy_name,
             stage_depth,
             remaining: AtomicUsize::new(nodes.len()),
-            cancelled: AtomicBool::new(false),
             panic_payload: Mutex::new(None),
-            done: StdMutex::new((nodes.is_empty(), None)),
+            done: StdMutex::new(nodes.is_empty()),
             done_cv: Condvar::new(),
             nodes,
         }
     }
 
-    fn lock_done(&self) -> MutexGuard<'_, Completion> {
+    fn lock_done(&self) -> MutexGuard<'_, bool> {
         self.done.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn is_done(&self) -> bool {
-        self.lock_done().0
+        *self.lock_done()
     }
 
     fn wait_done(&self) {
         let mut done = self.lock_done();
-        while !done.0 {
+        while !*done {
             done = self.done_cv.wait(done).unwrap_or_else(|e| e.into_inner());
         }
     }
@@ -424,8 +339,8 @@ impl Submission {
         }
     }
 
-    /// The outputs of `node`'s dependencies, or the outcome the first failed,
-    /// skipped or cancelled one passes on to it.
+    /// The outputs of `node`'s dependencies, or the skip the first failed or
+    /// skipped one passes on to it.
     fn inputs(&self, node: ActionId) -> Result<ActionInputs, NodeOutcome<ErasedError>> {
         let deps = &self.nodes[node].deps;
         let mut inputs = Vec::with_capacity(deps.len());
@@ -436,7 +351,6 @@ impl Submission {
                 Some(NodeOutcome::Skipped { root }) => {
                     return Err(NodeOutcome::Skipped { root: *root })
                 }
-                Some(NodeOutcome::Cancelled) => return Err(NodeOutcome::Cancelled),
                 None => unreachable!("node scheduled before dependency finished"),
             }
         }
@@ -768,24 +682,16 @@ impl CoreShared {
         }
     }
 
-    /// Complete a submission: release its lane, then signal waiters and run the
-    /// completion callback. Every node has retired, so every closure has already
-    /// run or been dropped — the step that lets blocking runs borrow caller
-    /// state soundly.
+    /// Complete a submission: release its lane, then signal its waiter. Every
+    /// node has retired, so every closure has already run or been dropped — the
+    /// step that lets blocking runs borrow caller state soundly.
     fn complete(&self, sub: &Arc<Submission>) {
         self.ready.lock().close(&sub.tenant);
-        let callback = {
-            let mut done = sub.lock_done();
-            done.0 = true;
-            done.1.take()
-        };
+        *sub.lock_done() = true;
         sub.done_cv.notify_all();
         self.live_submissions.fetch_sub(1, Ordering::AcqRel);
         // Wake the pool (and a core waiting to shut down in Drop).
         self.notify_workers(true);
-        if let Some(callback) = callback {
-            callback();
-        }
     }
 
     /// Park `node` as a continuation on `flight`: restore its one-shot work for
@@ -882,9 +788,6 @@ impl CoreShared {
             (state.wake.take(), state.work.take())
         };
         let (run, key) = work.expect("a queued node holds its work");
-        if sub.cancelled.load(Ordering::Relaxed) {
-            return Some((NodeOutcome::Cancelled, None));
-        }
         let started = Instant::now();
         // A served node's `(cached, hit_tier, coalesced)`.
         let (key_digest, outcome, served) = match wake {
@@ -1158,17 +1061,12 @@ impl Drop for ExecutorCore {
             shared.wakeup.notify_all();
         }
         let threads = std::mem::take(&mut *self.threads.lock().unwrap_or_else(|e| e.into_inner()));
-        let current = std::thread::current().id();
         for handle in threads {
-            // A completion callback can drop the last Engine clone *on* a pool
-            // thread; that thread detaches instead of joining itself.
-            if handle.thread().id() == current {
-                continue;
-            }
             let _ = handle.join();
         }
     }
 }
+
 /// Assemble the typed [`GraphRun`] of a completed submission, re-raising the
 /// first action panic on the calling thread.
 fn take_run<E: Send + 'static>(sub: &Submission) -> GraphRun<E> {
@@ -1191,7 +1089,6 @@ fn take_run<E: Send + 'static>(sub: &Submission) -> GraphRun<E> {
                     .expect("submission error type matches the graph's"),
             ),
             NodeOutcome::Skipped { root } => NodeOutcome::Skipped { root },
-            NodeOutcome::Cancelled => NodeOutcome::Cancelled,
         });
         records.extend(state.record.take());
         infos.push(node.info.clone());
@@ -1209,72 +1106,17 @@ fn take_run<E: Send + 'static>(sub: &Submission) -> GraphRun<E> {
     }
 }
 
-/// Live progress of one submission (see [`GraphHandle::poll`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GraphStatus {
-    /// Total nodes in the submitted graph.
-    pub total: usize,
-    /// Nodes retired so far (completed, failed, skipped, or cancelled).
-    pub finished: usize,
-    /// Whether every node has retired.
-    pub done: bool,
-    /// Whether the submission was cancelled.
-    pub cancelled: bool,
-}
-
-/// A nonblocking handle to a submitted graph: poll progress, register a
-/// completion callback, cancel, or wait for the typed [`GraphRun`].
+/// A handle to a submitted graph, to [`wait`](Self::wait) on for its typed
+/// [`GraphRun`].
 ///
-/// Dropping the handle does **not** cancel the submission — accepted work runs to
-/// completion (the engine waits for it on shutdown); call
-/// [`cancel`](Self::cancel) for early termination.
+/// Dropping the handle does not stop the submission: accepted work runs to
+/// completion, and the engine waits for it on shutdown.
 pub struct GraphHandle<E> {
     sub: Arc<Submission>,
     _error: PhantomData<fn() -> E>,
 }
 
 impl<E: Send + 'static> GraphHandle<E> {
-    /// Current progress, without blocking.
-    pub fn poll(&self) -> GraphStatus {
-        let total = self.sub.nodes.len();
-        let remaining = self.sub.remaining.load(Ordering::Acquire);
-        GraphStatus {
-            total,
-            finished: total - remaining.min(total),
-            done: self.sub.is_done(),
-            cancelled: self.sub.cancelled.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Whether every node has retired (the run can be [`wait`](Self::wait)ed
-    /// without blocking).
-    pub fn is_done(&self) -> bool {
-        self.sub.is_done()
-    }
-
-    /// Request cancellation: nodes not yet dispatched retire as
-    /// [`NodeOutcome::Cancelled`] instead of running. Actions already executing
-    /// finish normally (actions are small compile steps; there is no preemption).
-    pub fn cancel(&self) {
-        self.sub.cancelled.store(true, Ordering::Relaxed);
-    }
-
-    /// Register a completion callback, invoked exactly once by the worker that
-    /// retires the submission's last node — or immediately, on the calling
-    /// thread, when the submission already completed. The callback is a
-    /// *notification* (wake a scheduler, send on a channel); fetch results with
-    /// [`wait`](Self::wait).
-    pub fn on_complete(&self, callback: impl FnOnce() + Send + 'static) {
-        {
-            let mut done = self.sub.lock_done();
-            if !done.0 {
-                done.1 = Some(Box::new(callback));
-                return;
-            }
-        }
-        callback();
-    }
-
     /// Block until the submission completes and assemble its typed [`GraphRun`].
     /// Re-raises the first action panic on this thread, like the blocking
     /// [`Engine::run`](super::Engine::run) does.
@@ -1532,42 +1374,19 @@ mod tests {
     }
 
     #[test]
-    fn skipped_without_failure_is_a_typed_contract_violation_not_a_panic() {
-        // A cache backend that fails a keyed action without running its compute
-        // closure leaves a skip whose root never failed. Historically this path
-        // was a panic!; it must now surface as a typed GraphRunError.
-        let run = run_with_outcomes(vec![
+    fn action_errors_pass_through_into_outputs_and_job_failure() {
+        let mut run = run_with_outcomes(vec![
             NodeOutcome::Output(Blob::from(vec![1u8])),
-            NodeOutcome::Skipped { root: 0 },
+            NodeOutcome::Failed("first".to_string()),
+            NodeOutcome::Skipped { root: 1 },
+            NodeOutcome::Failed("second".to_string()),
         ]);
-        let error = run.into_outputs().unwrap_err();
-        assert_eq!(error, GraphRunError::ContractViolation { node: 0 });
-        assert!(
-            error.to_string().contains("cache backend failed"),
-            "display names the broken contract: {error}"
-        );
-    }
-
-    #[test]
-    fn cancelled_nodes_surface_as_typed_cancellation_not_a_panic() {
-        let run = run_with_outcomes(vec![
-            NodeOutcome::Output(Blob::from(vec![1u8])),
-            NodeOutcome::Cancelled,
-        ]);
-        let error = run.into_outputs().unwrap_err();
-        assert_eq!(error, GraphRunError::Cancelled { node: 1 });
-        assert!(error.to_string().contains("cancelled before completion"));
-    }
-
-    #[test]
-    fn action_errors_pass_through_and_split_from_engine_faults() {
-        let run = run_with_outcomes(vec![NodeOutcome::Failed("boom".to_string())]);
-        let error = run.into_outputs().unwrap_err();
-        assert_eq!(error.into_action(), Ok("boom".to_string()));
-
-        let fault: GraphFault = GraphRunError::<String>::Cancelled { node: 3 }
-            .into_action()
-            .unwrap_err();
-        assert_eq!(fault, GraphRunError::Cancelled { node: 3 });
+        run.infos[2].job = Some(0);
+        run.infos[3].job = Some(1);
+        let failure = run.job_failure(0).unwrap();
+        assert_eq!((failure.node, failure.error.as_str()), (1, "first"));
+        assert_eq!(run.job_failure(1).unwrap().error, "second");
+        assert!(run.job_failure(2).is_none());
+        assert_eq!(run.into_outputs().unwrap_err(), "first");
     }
 }

@@ -63,8 +63,7 @@ pub mod trace;
 
 pub use analysis::AnalysisReport;
 pub use executor::{
-    ActionOutputs, GraphFault, GraphHandle, GraphRun, GraphRunError, GraphStatus, JobFailure,
-    NodeInfo, NodeOutcome, QueueStats,
+    ActionOutputs, GraphHandle, GraphRun, JobFailure, NodeInfo, NodeOutcome, QueueStats,
 };
 pub use graph::{ActionGraph, ActionId, ActionInputs, GraphError};
 pub use plan::{add_commit_action, KeyedActionPlanner, LinkSlot, PreprocessPlanner};
@@ -217,10 +216,9 @@ impl Engine {
     /// cache, record a deterministic [`ActionTrace`], isolate failures to their
     /// transitive dependents, and block until every node has retired.
     ///
-    /// This is the blocking convenience over [`submit_graph`](Self::submit_graph):
-    /// the same queue, the same workers, the same interleaving with concurrent
-    /// submissions — only the caller waits in place instead of holding a
-    /// [`GraphHandle`].
+    /// Every request runs through here. It shares the queue, the workers and the
+    /// interleaving with concurrent submissions, and the caller waits in place,
+    /// so the graph may borrow the caller's frame.
     ///
     /// A graph that recorded a construction defect ([`ActionGraph::error`]) is
     /// refused with that [`GraphError`] before any node is enqueued.
@@ -234,12 +232,12 @@ impl Engine {
         Ok(self.core.run_blocking(graph, self.tenant.clone()))
     }
 
-    /// Submit `graph` without blocking and get a [`GraphHandle`] back. The
-    /// graph's actions join the pool's shared ready queue, interleaving with
-    /// every other live submission at action granularity; the handle polls,
-    /// waits, cancels, or registers a completion callback. The graph must own
-    /// its environment (`'static`) because execution outlives this call — for
-    /// borrowed environments use the blocking [`run`](Self::run).
+    /// Submit `graph` without blocking and get a [`GraphHandle`] back to
+    /// [`wait`](GraphHandle::wait) on. The graph's actions join the pool's
+    /// shared ready queue, interleaving with every other live submission at
+    /// action granularity. The graph must own its environment (`'static`)
+    /// because execution outlives this call — for borrowed environments use the
+    /// blocking [`run`](Self::run).
     ///
     /// A graph that recorded a construction defect is refused with its
     /// [`GraphError`], as by [`run`](Self::run): no worker executes, no cache
@@ -336,10 +334,7 @@ mod tests {
         ));
         assert_eq!(run.output(independent), Some(&b"fine"[..]));
         // into_outputs surfaces the typed error of the failing node.
-        assert_eq!(
-            run.into_outputs().unwrap_err(),
-            GraphRunError::Action("boom".to_string())
-        );
+        assert_eq!(run.into_outputs().unwrap_err(), "boom");
     }
 
     #[test]
@@ -468,87 +463,6 @@ mod tests {
     ) {
         let (tx, rx) = std::sync::mpsc::channel();
         (tx, std::sync::Arc::new(std::sync::Mutex::new(rx)))
-    }
-
-    #[test]
-    fn submit_graph_handle_polls_waits_and_fires_completion_callback() {
-        let engine = Engine::uncached(&ImageStore::new()).with_workers(2);
-        let (release, blocked) = gate();
-        let mut graph: ActionGraph<'static, std::convert::Infallible> = ActionGraph::new();
-        let held = graph.add(ActionKind::Preprocess, "held", &[], move |_| {
-            blocked.lock().unwrap().recv().ok();
-            Ok(vec![1])
-        });
-        graph.add(ActionKind::Link, "tail", &[held], |inputs| {
-            Ok(inputs.iter().next().expect("held output").to_vec())
-        });
-        let handle = engine.submit_graph(graph).unwrap();
-        let status = handle.poll();
-        assert_eq!(status.total, 2);
-        assert!(!status.done);
-        assert!(!status.cancelled);
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        handle.on_complete(move || {
-            done_tx.send(()).ok();
-        });
-        release.send(()).unwrap();
-        done_rx
-            .recv_timeout(std::time::Duration::from_secs(30))
-            .expect("completion callback fires once the last node retires");
-        let run = handle.wait();
-        assert!(run.succeeded());
-        assert_eq!(run.output(1), Some(&[1][..]));
-        assert_eq!(run.trace.len(), 2);
-
-        // A handle to an already-finished submission reports done and invokes
-        // new callbacks immediately on the caller.
-        let mut done_graph: ActionGraph<'static, std::convert::Infallible> = ActionGraph::new();
-        done_graph.add(ActionKind::Preprocess, "p", &[], |_| Ok(vec![2]));
-        let handle = engine.submit_graph(done_graph).unwrap();
-        while !handle.is_done() {
-            std::thread::yield_now();
-        }
-        let fired = std::sync::Arc::new(AtomicUsize::new(0));
-        let seen = fired.clone();
-        handle.on_complete(move || {
-            seen.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(fired.load(Ordering::SeqCst), 1);
-        assert!(handle.poll().done);
-    }
-
-    #[test]
-    fn cancelled_submissions_retire_undispatched_nodes_as_cancelled() {
-        // One worker: the gated node of the first submission occupies it, so the
-        // second submission is still entirely queued when it is cancelled.
-        let engine = Engine::uncached(&ImageStore::new()).with_workers(1);
-        let (release, blocked) = gate();
-        let mut first: ActionGraph<'static, std::convert::Infallible> = ActionGraph::new();
-        first.add(ActionKind::Preprocess, "held", &[], move |_| {
-            blocked.lock().unwrap().recv().ok();
-            Ok(vec![1])
-        });
-        let first_handle = engine.submit_graph(first).unwrap();
-
-        let mut second: ActionGraph<'static, std::convert::Infallible> = ActionGraph::new();
-        let a = second.add(ActionKind::Preprocess, "a", &[], |_| Ok(vec![2]));
-        second.add(ActionKind::Link, "b", &[a], |_| Ok(vec![3]));
-        let second_handle = engine.submit_graph(second).unwrap();
-        second_handle.cancel();
-        release.send(()).unwrap();
-
-        let first_run = first_handle.wait();
-        assert!(first_run.succeeded(), "cancellation is per-submission");
-        let second_run = second_handle.wait();
-        assert!(!second_run.succeeded());
-        assert!(second_run
-            .outcomes
-            .iter()
-            .all(|outcome| matches!(outcome, NodeOutcome::Cancelled)));
-        // Cancelled nodes never executed, so the trace records nothing.
-        assert_eq!(second_run.trace.len(), 0);
-        let failure = second_run.job_failure(usize::MAX);
-        assert!(failure.is_none(), "cancellation is not a job failure");
     }
 
     #[test]
@@ -692,8 +606,8 @@ mod tests {
 
     /// The contract the lifetime erasure of `Engine::run` rests on: when control
     /// returns to the caller, every node's closure has run or been dropped —
-    /// whether the node failed, was skipped behind a failure, panicked, was
-    /// served from the cache without running, or was cancelled.
+    /// whether the node failed, was skipped behind a failure, panicked, or was
+    /// served from the cache without running.
     #[test]
     fn every_closure_has_run_or_been_dropped_when_control_returns() {
         let engine = Engine::uncached(&ImageStore::new()).with_workers(2);
@@ -759,44 +673,5 @@ mod tests {
             assert!(cached.run(graph).unwrap().succeeded());
             assert_eq!(drops.load(Ordering::SeqCst), 3);
         }
-
-        // A cancelled submission, queued behind a gate on a one-worker engine.
-        // The live handle keeps the submission alive, so a closure still held
-        // in it when the handle reports done would go uncounted.
-        static CANCELLED: AtomicUsize = AtomicUsize::new(0);
-        let engine = Engine::uncached(&ImageStore::new()).with_workers(1);
-        let (release, blocked) = gate();
-        let mut first: ActionGraph<'static, String> = ActionGraph::new();
-        first.add(ActionKind::Preprocess, "held", &[], move |_| {
-            blocked.lock().unwrap().recv().ok();
-            Ok(vec![1])
-        });
-        let first = engine.submit_graph(first).unwrap();
-        let mut second: ActionGraph<'static, String> = ActionGraph::new();
-        let head = second.add(
-            ActionKind::Preprocess,
-            "a",
-            &[],
-            guarded(&CANCELLED, || Ok(vec![])),
-        );
-        second.add(
-            ActionKind::Link,
-            "b",
-            &[head],
-            guarded(&CANCELLED, || Ok(vec![])),
-        );
-        let handle = engine.submit_graph(second).unwrap();
-        handle.cancel();
-        release.send(()).unwrap();
-        while !handle.is_done() {
-            std::thread::yield_now();
-        }
-        assert_eq!(CANCELLED.load(Ordering::SeqCst), 2);
-        let run = handle.wait();
-        assert!(run
-            .outcomes
-            .iter()
-            .all(|o| matches!(o, NodeOutcome::Cancelled)));
-        assert!(first.wait().succeeded());
     }
 }

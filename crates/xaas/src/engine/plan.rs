@@ -197,12 +197,15 @@ impl<'env> SdCompilePlanner<'env> {
 
 /// Schedules deduplicated cache-keyed actions on a graph.
 ///
-/// The [`ActionGraph`] contract allows at most one node per
-/// [`BuildKey`] per submission, so drivers plan one
-/// representative action per distinct key and remember, for every logical unit,
-/// the *position* of its key's action among the scheduled ones (the index of its
-/// output in a downstream Link node's inputs). The IR build plans its `ir-lower`
-/// actions with this: their keys need stage-A outputs before the graph exists.
+/// Nodes sharing a [`BuildKey`] coalesce on one cache flight, and the first to
+/// run decides the bytes every one of them gets. Two `ir-lower` closures with
+/// one key need not produce the same bytes — each encodes its own unit's
+/// definitions in the bitcode — so, to keep images byte-identical whatever the
+/// schedule, drivers plan one representative action per distinct key and
+/// remember, for every logical unit, the *position* of its key's action among
+/// the scheduled ones (the index of its output in a downstream Link node's
+/// inputs). The IR build plans its `ir-lower` actions with this: their keys need
+/// stage-A outputs before the graph exists.
 #[derive(Default)]
 pub struct KeyedActionPlanner {
     position_by_key: BTreeMap<String, usize>,

@@ -46,8 +46,7 @@ impl ActionKind {
         ActionKind::Commit,
     ];
 
-    /// Dense index of the kind inside [`ActionKind::ALL`] (used for per-kind
-    /// concurrency accounting in the executor).
+    /// Dense index of the kind inside [`ActionKind::ALL`], for per-kind tables.
     pub fn index(self) -> usize {
         match self {
             ActionKind::Preprocess => 0,

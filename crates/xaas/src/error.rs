@@ -2,14 +2,14 @@
 //!
 //! An IR deployment contains a source deployment (Figures 6 and 8), and both fail
 //! the same ways an IR build does: a configure step, a compile, a corrupt cache
-//! entry, an invalid scheduling policy, a refused graph or an executor fault. So
+//! entry, an invalid scheduling policy or a refused graph. So
 //! [`IrBuildRequest`](crate::orchestrator::IrBuildRequest),
 //! [`IrDeployRequest`](crate::orchestrator::IrDeployRequest),
 //! [`SourceDeployRequest`](crate::orchestrator::SourceDeployRequest) and every
 //! [`FleetError`](crate::orchestrator::FleetError) carry one [`PipelineError`]:
 //! the shared variants once, beside the few only one driver can meet.
 
-use crate::engine::{GraphError, GraphFault, GraphRunError, PolicyError};
+use crate::engine::{GraphError, PolicyError};
 use std::fmt;
 use xaas_buildsys::ConfigureError;
 use xaas_container::ImageError;
@@ -35,9 +35,6 @@ pub enum PipelineError {
     /// The pipeline built an action graph with a construction defect;
     /// nothing executed.
     Graph(GraphError),
-    /// The executor broke its scheduling contract (a node skipped without a
-    /// failure, or cancelled mid-run) — not a pipeline error.
-    Engine(GraphFault),
     /// An IR build's sweep referenced an unknown option.
     UnknownOption(String),
     /// No manifest of the IR container matches the requested configuration.
@@ -68,7 +65,6 @@ impl fmt::Display for PipelineError {
             PipelineError::Cache(detail) => write!(f, "action cache: {detail}"),
             PipelineError::Policy(error) => write!(f, "{error}"),
             PipelineError::Graph(error) => write!(f, "action graph refused: {error}"),
-            PipelineError::Engine(fault) => write!(f, "executor fault: {fault}"),
             PipelineError::UnknownOption(name) => {
                 write!(f, "sweep references unknown option {name}")
             }
@@ -90,15 +86,6 @@ impl fmt::Display for PipelineError {
 }
 
 impl std::error::Error for PipelineError {}
-
-impl From<GraphRunError<PipelineError>> for PipelineError {
-    fn from(value: GraphRunError<PipelineError>) -> Self {
-        match value.into_action() {
-            Ok(error) => error,
-            Err(fault) => PipelineError::Engine(fault),
-        }
-    }
-}
 
 impl From<GraphError> for PipelineError {
     fn from(value: GraphError) -> Self {
@@ -167,11 +154,6 @@ mod tests {
                 "action graph refused: commit action 3 has no dependencies: nothing to commit",
             ),
             (
-                GraphRunError::<PipelineError>::ContractViolation { node: 2 }.into(),
-                "executor fault: action 2 was skipped without a preceding failure: \
-                 the cache backend failed without running the action",
-            ),
-            (
                 PipelineError::UnknownOption("NOT_AN_OPTION".into()),
                 "sweep references unknown option NOT_AN_OPTION",
             ),
@@ -204,7 +186,7 @@ mod tests {
                 "image store: unknown image reference: a:b",
             ),
         ];
-        assert_eq!(table.len(), 13, "one row per variant");
+        assert_eq!(table.len(), 12, "one row per variant");
         for (error, text) in table {
             assert_eq!(error.to_string(), text, "{error:?}");
         }

@@ -76,8 +76,8 @@ pub mod prelude {
     pub use crate::deploy::{DeploymentStats, IrDeployment, LoweredDeployment};
     pub use crate::engine::{
         ActionGraph, ActionId, ActionInputs, ActionKind, ActionRecord, ActionTrace, AnalysisReport,
-        Engine, Fifo, GraphError, GraphFault, GraphHandle, GraphRun, GraphRunError, GraphStatus,
-        NodeOutcome, PolicyError, QueueStats, SchedulingPolicy, WeightedFair,
+        Engine, Fifo, GraphError, GraphHandle, GraphRun, NodeOutcome, PolicyError, QueueStats,
+        SchedulingPolicy, WeightedFair,
     };
     pub use crate::error::PipelineError;
     pub use crate::gpu_compat::{

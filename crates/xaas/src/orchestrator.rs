@@ -51,9 +51,7 @@
 use crate::deploy::{finish_ir_deploy, graft_ir_deploy, plan_ir_deploy};
 use crate::deploy::{DeployPlan, IrDeployment};
 use crate::engine::plan::SharedDeployArtifacts;
-use crate::engine::{
-    ActionGraph, ActionTrace, AnalysisReport, Engine, GraphRunError, SchedulingPolicy,
-};
+use crate::engine::{ActionGraph, ActionTrace, AnalysisReport, Engine, SchedulingPolicy};
 use crate::error::PipelineError;
 use crate::ir_container::{IrContainerBuild, IrPipelineConfig};
 use crate::source_container::{
@@ -834,15 +832,9 @@ fn run_union_wave(
         .map(|(job_index, plan)| {
             let plan = plan?;
             if let Some(failure) = run.job_failure(job_index) {
-                // A root that failed without a typed error broke the cache
-                // contract: what `into_outputs` reports for the same run.
-                let fault = GraphRunError::ContractViolation { node: failure.node };
                 return Err(FleetError {
                     system: plan.system.name.clone(),
-                    error: failure
-                        .error
-                        .cloned()
-                        .unwrap_or(PipelineError::Engine(fault)),
+                    error: failure.error.clone(),
                     action: Some(failure.info.label.clone()),
                 });
             }

@@ -48,6 +48,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 use xaas_container::{CacheStats, ImageStore};
 
 /// Bounds enforced by [`OrchestratorService`] admission control.
@@ -268,6 +269,10 @@ struct AdmitCounters {
     refused_draining: AtomicU64,
 }
 
+/// How often a [`Session::submit_wait`] refused for the ready-queue bound
+/// re-checks the queue (the executor's idle backstop is as long).
+const QUEUE_RECHECK: Duration = Duration::from_millis(10);
+
 struct ServiceInner {
     orch: Orchestrator,
     limits: ServiceLimits,
@@ -332,6 +337,18 @@ impl ServiceInner {
                         inner: self,
                         tenant,
                     })
+                }
+                // Only release, drain and resume notify `changed`. Work submitted
+                // straight to the orchestrator drains the queue without doing so,
+                // so a queue-bound refusal re-checks on a timer.
+                Err(AdmissionError::Rejected { queued_actions, .. })
+                    if wait && queued_actions >= self.limits.max_queued_actions =>
+                {
+                    state = self
+                        .changed
+                        .wait_timeout(state, QUEUE_RECHECK)
+                        .unwrap_or_else(|e| e.into_inner())
+                        .0;
                 }
                 Err(refusal) if wait && refusal != AdmissionError::Draining => {
                     state = self.changed.wait(state).unwrap_or_else(|e| e.into_inner());
@@ -863,6 +880,48 @@ mod tests {
         fn execute(self, _: &Orchestrator) -> Result<(), Self::Error> {
             Ok(())
         }
+    }
+
+    /// Work submitted straight to the orchestrator fills the ready queue and then
+    /// drains with no service request in flight, so nothing releases a slot: a
+    /// waiter refused for the queue bound still gets in.
+    #[test]
+    fn submit_wait_rechecks_a_queue_drained_behind_the_service() {
+        use crate::engine::{ActionGraph, ActionKind};
+        let service = OrchestratorService::builder()
+            .workers(1)
+            .limits(ServiceLimits::default().queued_actions(1))
+            .build();
+        let (release, gate) = mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
+        let mut graph: ActionGraph<'static, std::convert::Infallible> = ActionGraph::new();
+        graph.add(ActionKind::Preprocess, "gated", &[], move |_| {
+            gate.lock().unwrap().recv().ok();
+            Ok(Vec::new())
+        });
+        for node in 0..2 {
+            graph.add(ActionKind::Preprocess, format!("queued{node}"), &[], |_| {
+                Ok(Vec::new())
+            });
+        }
+        let direct = service.orchestrator().engine().submit_graph(graph).unwrap();
+        let (finished, done) = mpsc::channel();
+        let waiter = {
+            let session = service.session("alice");
+            std::thread::spawn(move || {
+                let result = session.submit_wait(Noop);
+                finished.send(()).ok();
+                result
+            })
+        };
+        // Refused for the queue bound and waiting, not failed.
+        assert!(done.recv_timeout(Duration::from_millis(100)).is_err());
+        release.send(()).unwrap();
+        done.recv_timeout(Duration::from_secs(10))
+            .expect("the waiter re-checks the drained queue");
+        waiter.join().unwrap().unwrap();
+        assert!(direct.wait().succeeded());
+        assert_eq!(service.stats().rejected, 0);
     }
 
     /// Every release wakes every waiter, and each wake re-decides admission: a

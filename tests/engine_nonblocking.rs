@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use xaas::prelude::*;
@@ -57,19 +57,20 @@ fn one_worker_engine_keeps_executing_while_a_flight_is_held_externally() {
     let keyed = graph.add_cached(ActionKind::SdCompile, "parked", shared, &[], |_| {
         panic!("the external owner completes this flight; the engine must not compute it")
     });
-    let free = graph.add(
-        ActionKind::Preprocess,
-        "free",
-        &[],
-        |_| Ok(b"free".to_vec()),
-    );
+    let freed = Arc::new(AtomicBool::new(false));
+    let free = graph.add(ActionKind::Preprocess, "free", &[], {
+        let freed = freed.clone();
+        move |_| {
+            freed.store(true, Ordering::SeqCst);
+            Ok(b"free".to_vec())
+        }
+    });
     let handle = engine.submit_graph(graph).expect("a well-formed graph");
 
-    // The unkeyed node retires while the keyed node is still parked: the single
+    // The unkeyed node runs while the keyed node is still parked: the single
     // worker was not blocked inside the cache waiting for the flight.
-    wait_until(30, || handle.poll().finished >= 1);
+    wait_until(30, || freed.load(Ordering::SeqCst));
     wait_until(30, || engine.queue_stats().parked_waiters == 1);
-    assert!(!handle.poll().done);
     let mid = engine.queue_stats();
     assert_eq!(mid.parked_waiters, 1);
     assert!(mid.parks >= 1);
@@ -88,9 +89,13 @@ fn one_worker_engine_keeps_executing_while_a_flight_is_held_externally() {
     );
     assert!(record.parks >= 1);
     assert!(record.parked_micros > 0);
+    // The last node's worker counts the submission out just after waking us;
+    // at quiescence every park was matched by exactly one wake.
+    wait_until(30, || engine.queue_stats().live_submissions == 0);
     let after = engine.queue_stats();
     assert_eq!(after.parked_waiters, 0);
-    assert!(after.wakeups >= 1);
+    assert_eq!(after.parks, 1);
+    assert_eq!(after.parks, after.wakeups);
 }
 
 /// Eight unordered nodes with one key on a one-worker engine: the first becomes
@@ -209,72 +214,39 @@ fn poisoned_flights_wake_parked_jobs_and_blast_radius_stays_per_job() {
 
     let failure = run.job_failure(0).expect("job 0 is poisoned by its retry");
     assert_eq!(failure.node, rejected);
-    assert_eq!(failure.error, Some(&"job0 compute rejected".to_string()));
+    assert_eq!(failure.error, "job0 compute rejected");
     assert!(
         run.job_failure(1).is_none(),
         "job 1 recovered by computing its own closure after the poison wake"
     );
 }
 
-/// Cancelling a submission while its keyed node is parked on an externally held
-/// flight: once the flight retires, the parked node and its dependent retire as
-/// cancelled without running, and the park is matched by exactly one wake.
-#[test]
-fn cancel_while_parked_retires_every_node_once_the_flight_retires() {
-    let cache = ActionCache::new(ImageStore::new());
-    let shared = key("cancelled-while-parked");
-    let ticket = hold_flight(&cache, &shared);
-
-    let engine = Engine::cached(&cache).with_workers(1);
-    let mut graph: ActionGraph<'static, Infallible> = ActionGraph::new();
-    let parked = graph.add_cached(ActionKind::SdCompile, "parked", shared, &[], |_| {
-        panic!("the external owner completes this flight; the engine must not compute it")
-    });
-    graph.add(ActionKind::Link, "dependent", &[parked], |_| {
-        panic!("a cancelled submission runs nothing")
-    });
-    let handle = engine.submit_graph(graph).expect("a well-formed graph");
-
-    wait_until(30, || engine.queue_stats().parked_waiters == 1);
-    handle.cancel();
-    CacheBackend::complete(&cache, ticket, b"external bytes".to_vec());
-    let run = handle.wait();
-    assert!(run
-        .outcomes
-        .iter()
-        .all(|outcome| matches!(outcome, NodeOutcome::Cancelled)));
-    assert!(
-        run.trace.records.is_empty(),
-        "nothing ran, nothing recorded"
-    );
-    // The last node's worker counts the submission out just after waking us.
-    wait_until(30, || engine.queue_stats().live_submissions == 0);
-    let stats = engine.queue_stats();
-    assert_eq!(stats.parks, 1);
-    assert_eq!(stats.parks, stats.wakeups);
-    assert_eq!(stats.parked_waiters, 0);
-}
-
 /// One node of a small random DAG: stage, payload, whether it is cache-keyed,
-/// and raw dependency picks (each resolved modulo the node's id, so edges only
-/// ever point backwards).
+/// whether its closure fails, and raw dependency picks (each resolved modulo the
+/// node's id, so edges only ever point backwards).
 #[derive(Debug, Clone)]
 struct NodeSpec {
     kind: usize,
     payload: u8,
     keyed: bool,
+    fails: bool,
     deps: Vec<usize>,
 }
 
 /// Maximum node count the DAG proptest draws per case.
 const MAX_NODES: usize = 10;
 
+/// Jobs the DAG's nodes are tagged with, round robin by node id.
+const JOBS: usize = 3;
+
 /// Zip the independently drawn per-node vectors into the first `n` node specs.
+/// A node fails on a `fail_draws` draw of 0 (one in four).
 fn assemble_spec(
     n: usize,
     kinds: &[usize],
     payloads: &[u8],
     keyed: &[bool],
+    fail_draws: &[u8],
     dep_picks: &[Vec<usize>],
 ) -> Vec<NodeSpec> {
     (0..n)
@@ -282,18 +254,19 @@ fn assemble_spec(
             kind: kinds[i],
             payload: payloads[i],
             keyed: keyed[i],
+            fails: fail_draws[i] == 0,
             deps: dep_picks[i].clone(),
         })
         .collect()
 }
 
-/// Build and run `spec` on a fresh cache with `workers` workers, returning the
-/// outputs and trace in node order.
-fn run_spec(spec: &[NodeSpec], workers: usize) -> (Vec<Vec<u8>>, ActionTrace) {
+/// Build and run `spec` on a fresh cache with `workers` workers.
+fn run_spec(spec: &[NodeSpec], workers: usize) -> GraphRun<String> {
     let cache = ActionCache::new(ImageStore::new());
     let engine = Engine::cached(&cache).with_workers(workers);
-    let mut graph: ActionGraph<'_, Infallible> = ActionGraph::new();
+    let mut graph: ActionGraph<'_, String> = ActionGraph::new();
     for (i, node) in spec.iter().enumerate() {
+        graph.set_job(Some(i % JOBS));
         let mut deps: Vec<ActionId> = node
             .deps
             .iter()
@@ -302,8 +275,11 @@ fn run_spec(spec: &[NodeSpec], workers: usize) -> (Vec<Vec<u8>>, ActionTrace) {
             .collect();
         deps.sort_unstable();
         deps.dedup();
-        let payload = node.payload;
+        let (payload, fails) = (node.payload, node.fails);
         let run = move |inputs: &ActionInputs| {
+            if fails {
+                return Err(format!("n{i} failed"));
+            }
             let mut bytes: Vec<u8> = inputs.iter().flatten().copied().collect();
             bytes.push(payload);
             bytes.push(i as u8);
@@ -323,32 +299,72 @@ fn run_spec(spec: &[NodeSpec], workers: usize) -> (Vec<Vec<u8>>, ActionTrace) {
             graph.add(kind, format!("n{i}"), &deps, run);
         }
     }
-    let run = engine.run(graph).expect("a well-formed graph");
-    let (outputs, trace) = run.into_outputs().expect("infallible nodes");
-    (outputs.iter().map(|blob| blob.to_vec()).collect(), trace)
+    engine.run(graph).expect("a well-formed graph")
+}
+
+/// Each node's output bytes, or its error (a skip names its root).
+fn outcome_view(run: &GraphRun<String>) -> Vec<Result<Vec<u8>, String>> {
+    run.outcomes
+        .iter()
+        .map(|outcome| match outcome {
+            NodeOutcome::Output(blob) => Ok(blob.to_vec()),
+            NodeOutcome::Failed(error) => Err(error.clone()),
+            NodeOutcome::Skipped { root } => Err(format!("skipped behind n{root}")),
+        })
+        .collect()
+}
+
+/// The fact `into_outputs` and `job_failure` rest on: every node that did not
+/// complete traces back to a lower-id failed node, so the first one in node
+/// order is itself a failure.
+fn assert_failures_resolve_to_failed_roots(run: GraphRun<String>) {
+    for (id, outcome) in run.outcomes.iter().enumerate() {
+        if let NodeOutcome::Skipped { root } = outcome {
+            assert!(*root < id, "n{id}'s root n{root} precedes it");
+            assert!(
+                matches!(run.outcomes[*root], NodeOutcome::Failed(_)),
+                "n{id}'s root n{root} failed"
+            );
+        }
+    }
+    for job in 0..JOBS {
+        let incomplete = (0..run.outcomes.len())
+            .filter(|id| id % JOBS == job)
+            .any(|id| !run.outcomes[id].is_ok());
+        assert_eq!(run.job_failure(job).is_some(), incomplete, "job {job}");
+    }
+    let first_failure = run.outcomes.iter().find_map(|outcome| match outcome {
+        NodeOutcome::Failed(error) => Some(error.clone()),
+        _ => None,
+    });
+    assert_eq!(run.into_outputs().err(), first_failure);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The continuation-parked executor yields byte-identical outputs and an
-    /// equal trace to the serial one-worker baseline on arbitrary small DAGs.
+    /// The continuation-parked executor yields byte-identical outputs, the same
+    /// failures and an equal trace to the serial one-worker baseline on
+    /// arbitrary small DAGs, and every failure resolves to a failed root.
     #[test]
     fn parked_continuation_path_matches_the_serial_baseline(
         n in 1usize..MAX_NODES,
         kinds in proptest::collection::vec(0usize..ActionKind::ALL.len(), MAX_NODES),
         payloads in proptest::collection::vec(any::<u8>(), MAX_NODES),
         keyed in proptest::collection::vec(any::<bool>(), MAX_NODES),
+        fail_draws in proptest::collection::vec(0u8..4, MAX_NODES),
         dep_picks in proptest::collection::vec(
             proptest::collection::vec(0usize..64, 0..3),
             MAX_NODES,
         ),
     ) {
-        let spec = assemble_spec(n, &kinds, &payloads, &keyed, &dep_picks);
-        let (serial_out, serial_trace) = run_spec(&spec, 1);
-        let (parallel_out, parallel_trace) = run_spec(&spec, 4);
-        prop_assert_eq!(serial_out, parallel_out);
-        prop_assert_eq!(serial_trace, parallel_trace);
+        let spec = assemble_spec(n, &kinds, &payloads, &keyed, &fail_draws, &dep_picks);
+        let serial = run_spec(&spec, 1);
+        let parallel = run_spec(&spec, 4);
+        prop_assert_eq!(outcome_view(&serial), outcome_view(&parallel));
+        prop_assert_eq!(&serial.trace, &parallel.trace);
+        assert_failures_resolve_to_failed_roots(serial);
+        assert_failures_resolve_to_failed_roots(parallel);
     }
 
     /// Two submissions racing the same keys through one engine stay

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use xaas_container::digest::Digest;
-use xaas_container::{ActionCache, Blob, BuildKey, ImageStore};
+use xaas_container::{ActionCache, Blob, BuildKey, CacheBackend, ImageStore, TryBegin};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -39,7 +39,7 @@ proptest! {
 
     /// Warm and cold cache lookups hand every consumer the store's allocation:
     /// the miss return value, the hit return value, and `peek` are all the same
-    /// `Arc`, and the bytes match what the compute closure produced.
+    /// `Arc`, and the bytes match what the flight owner completed with.
     #[test]
     fn cache_misses_and_hits_alias_the_stored_blob(
         payload in proptest::collection::vec(any::<u8>(), 1..2048),
@@ -47,14 +47,14 @@ proptest! {
     ) {
         let cache = ActionCache::new(ImageStore::new());
         let key = BuildKey::new(&key_name, "xir.ir", "-O3", "xirc-1");
-        let (cold, cold_hit) = cache
-            .get_or_compute::<std::convert::Infallible>(&key, || Ok(payload.clone()))
-            .unwrap();
-        prop_assert!(!cold_hit);
-        let (warm, warm_hit) = cache
-            .get_or_compute::<std::convert::Infallible>(&key, || unreachable!("cached"))
-            .unwrap();
-        prop_assert!(warm_hit);
+        let cold = match cache.try_begin(&key) {
+            TryBegin::Owner(ticket) => cache.complete(ticket, payload.clone()),
+            other => panic!("a fresh key is a miss, got {other:?}"),
+        };
+        let warm = match cache.try_begin(&key) {
+            TryBegin::Hit(blob, _) => blob,
+            other => panic!("a completed key is a hit, got {other:?}"),
+        };
         let peeked = cache.peek(&key).unwrap();
         let stored = cache
             .store()
