@@ -397,7 +397,11 @@ pub fn figure12_gpu() -> Vec<FigurePanel> {
         // On Ault25 (EPYC without AVX-512) the IR container is deployed at AVX2_256,
         // which is not part of the sweep — fall back to the SSE4.1 configuration entry
         // and lower for the best ISA (the IR is shared anyway).
-        let manifest_selection = if build.manifest_for(&selection).is_some() {
+        let swept = build
+            .manifests
+            .iter()
+            .any(|m| m.assignment.get("GMX_SIMD") == Some(simd.gmx_name()));
+        let manifest_selection = if swept {
             selection
         } else {
             OptionAssignment::new()

@@ -240,11 +240,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Total number of compile/lower actions actually executed through this cache.
-    pub fn actions_executed(&self) -> u64 {
-        self.misses
-    }
-
     /// Hit rate in `[0, 1]`; zero when the cache was never consulted.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;

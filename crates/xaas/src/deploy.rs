@@ -15,6 +15,7 @@ use crate::ir_container::{
 };
 use crate::targets::{derive_build_profile, target_isa_for};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use xaas_buildsys::{OptionAssignment, ProjectSpec, SourceSpec};
 use xaas_container::{
@@ -163,7 +164,8 @@ pub(crate) struct DeployPlan<'a> {
 }
 
 /// Validate one deployment and plan its deduplicated tasks (Figure 8's *select*
-/// step): resolve the configuration manifest, check the SIMD level against the
+/// step): resolve the configuration manifest (an option the selection leaves
+/// out takes the project's default), check the SIMD level against the
 /// system, split the manifest's units into one lower/compile task per distinct
 /// artifact, and derive the system-dependent compile flags from the selected
 /// configuration's [`compile_flags`](crate::ir_container::ConfigurationManifest::compile_flags)
@@ -175,8 +177,16 @@ pub(crate) fn plan_ir_deploy<'a>(
     selection: &OptionAssignment,
     simd: SimdLevel,
 ) -> Result<DeployPlan<'a>, PipelineError> {
+    // A manifest's assignment names every option (configure completes it), so
+    // complete the selection the same way before matching it exactly.
+    let mut selection = Cow::Borrowed(selection);
+    for option in &project.options {
+        if selection.get(&option.name).is_none() {
+            selection.to_mut().set(&option.name, option.default_value());
+        }
+    }
     let manifest = build
-        .manifest_for(selection)
+        .manifest_for(&selection)
         .ok_or_else(|| PipelineError::UnknownConfiguration(selection.label()))?;
     if !system.cpu.supports(simd) {
         return Err(PipelineError::UnsupportedSimd {
@@ -637,7 +647,8 @@ mod tests {
         let store = ImageStore::new();
         let (project, build) = gromacs_ir_build(&store);
         let cache = ActionCache::new(store.clone());
-        let selection = OptionAssignment::new()
+        let selection = project
+            .default_assignment()
             .with("GMX_SIMD", "AVX_512")
             .with("GMX_GPU", "OFF");
         let manifest = build.manifest_for(&selection).unwrap();

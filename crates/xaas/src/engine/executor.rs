@@ -141,11 +141,6 @@ impl<E> GraphRun<E> {
         self.outcomes.iter().all(NodeOutcome::is_ok)
     }
 
-    /// Static description of one node (available even for failed/skipped nodes).
-    pub fn node_info(&self, id: ActionId) -> &NodeInfo {
-        &self.infos[id]
-    }
-
     /// The failure poisoning `job`'s subgraph, if any: scans the job's nodes in
     /// node order and resolves the first non-completed one to its root failing
     /// node. The root may belong to a different job when the jobs share a keyed
@@ -257,7 +252,7 @@ struct Submission {
     /// The submitter's tenant tag: trace attribution, and under fair queuing the
     /// lane this submission dispatches through.
     tenant: Option<String>,
-    policy_name: String,
+    policy: SchedulingPolicy,
     stage_depth: usize,
     nodes: Vec<Node>,
     remaining: AtomicUsize,
@@ -275,7 +270,7 @@ impl Submission {
     fn new(
         id: u64,
         tenant: Option<String>,
-        policy_name: String,
+        policy: SchedulingPolicy,
         stage_depth: usize,
         nodes: Vec<ActionNode<'static>>,
     ) -> Self {
@@ -302,7 +297,7 @@ impl Submission {
         Self {
             id,
             tenant,
-            policy_name,
+            policy,
             stage_depth,
             remaining: AtomicUsize::new(nodes.len()),
             panic_payload: Mutex::new(None),
@@ -377,24 +372,18 @@ struct Queued {
     enqueued_at: u64,
 }
 
-/// One FIFO slice of the ready queue. Under a non-fair policy there is a single
-/// anonymous lane; under weighted fair queuing each tenant with a live
+/// One FIFO slice of the ready queue. Under [`Fifo`](super::policy::Fifo) there
+/// is a single anonymous lane; under fair queuing each tenant with a live
 /// submission has one, and the scheduler dispatches from the lane with the
 /// lowest virtual time.
 struct Lane {
     queue: VecDeque<Queued>,
-    /// Weighted-fair virtual time: advanced by `stride` per dispatched action.
+    /// Fair-queuing virtual time: advanced by one per dispatched action.
     vtime: u64,
-    /// `VTIME_SCALE / weight`: heavier-weighted tenants accumulate virtual time
-    /// slower and are dispatched from more often.
-    stride: u64,
     /// Submissions dispatching through this lane that have not completed yet;
     /// the lane is dropped when the last one does.
     live: usize,
 }
-
-/// Virtual-time scale factor (integer fair-queuing arithmetic).
-const VTIME_SCALE: u64 = 1_024;
 
 /// The shared multi-graph ready queue: tenant lanes, the fair-queuing clock, and
 /// cross-submission depth accounting. Plain state — it reads no wall clock and
@@ -402,7 +391,7 @@ const VTIME_SCALE: u64 = 1_024;
 struct Ready {
     /// Lanes by tenant; unless `fair`, only the anonymous `None` lane.
     lanes: BTreeMap<Option<String>, Lane>,
-    /// Whether submissions lane by tenant (weighted fair queuing) or share one.
+    /// Whether submissions lane by tenant (fair queuing) or share one.
     fair: bool,
     /// Virtual time of the most recent dispatch; newly active lanes start here so
     /// an idle tenant cannot bank scheduling credit.
@@ -422,10 +411,10 @@ struct Ready {
 }
 
 impl Ready {
-    fn new(fair: bool) -> Self {
+    fn new(policy: SchedulingPolicy) -> Self {
         Self {
             lanes: BTreeMap::new(),
-            fair,
+            fair: policy == SchedulingPolicy::WeightedFair,
             virtual_now: 0,
             queued_actions: 0,
             waiting: BTreeMap::new(),
@@ -445,7 +434,7 @@ impl Ready {
 
     /// Count a new live submission of `tenant` against its lane, opening the lane
     /// at the current virtual time when the tenant had none.
-    fn open(&mut self, tenant: &Option<String>, policy: &dyn SchedulingPolicy) {
+    fn open(&mut self, tenant: &Option<String>) {
         let key = self.lane_key(tenant);
         if let Some(lane) = self.lanes.get_mut(key) {
             lane.live += 1;
@@ -454,9 +443,6 @@ impl Ready {
         let lane = Lane {
             queue: VecDeque::new(),
             vtime: self.virtual_now,
-            // A zero weight would starve the lane forever (validate() rejects
-            // it), a zero stride everyone else: the executor clamps both.
-            stride: (VTIME_SCALE / policy.tenant_weight(key.as_deref()).max(1)).max(1),
             live: 1,
         };
         self.lanes.insert(key.clone(), lane);
@@ -507,7 +493,7 @@ impl Ready {
             .filter(|lane| !lane.queue.is_empty())
             .min_by_key(|lane| lane.vtime)?;
         let item = lane.queue.pop_front().expect("lane is non-empty");
-        lane.vtime = lane.vtime.saturating_add(lane.stride);
+        lane.vtime += 1;
         self.virtual_now = lane.vtime;
         let ready_submissions = self.waiting.len() as u64;
         self.queued_actions -= 1;
@@ -531,8 +517,7 @@ struct Dispatch {
 }
 
 /// Point-in-time occupancy of the engine's shared ready queue (see
-/// [`Engine::queue_stats`](super::Engine::queue_stats)). The service layer's
-/// admission control uses `queued_actions` as its saturation signal.
+/// [`Engine::queue_stats`](super::Engine::queue_stats)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Actions waiting in the ready queue (flight waiters leave the queue while
@@ -553,7 +538,7 @@ pub struct QueueStats {
 /// Everything the worker pool shares: the cache, the policy, and the ready queue.
 struct CoreShared {
     cache: Arc<dyn CacheBackend>,
-    policy: Arc<dyn SchedulingPolicy>,
+    policy: SchedulingPolicy,
     /// Clock origin for `enqueued_at` / queue-wait accounting.
     epoch: Instant,
     /// Engine-global dispatch counter; assigned under the ready lock so the
@@ -595,7 +580,7 @@ impl CoreShared {
         let sub = Arc::new(Submission::new(
             self.submission_ids.fetch_add(1, Ordering::Relaxed),
             tenant,
-            self.policy.name().to_string(),
+            self.policy,
             stage_depth,
             nodes,
         ));
@@ -605,7 +590,7 @@ impl CoreShared {
         self.live_submissions.fetch_add(1, Ordering::AcqRel);
         {
             let mut ready = self.ready.lock();
-            ready.open(&sub.tenant, self.policy.as_ref());
+            ready.open(&sub.tenant);
             let enqueued_at = self.now_micros();
             for (node, cell) in sub.nodes.iter().enumerate() {
                 if cell.pending.load(Ordering::Relaxed) == 0 {
@@ -927,7 +912,7 @@ fn worker_loop(shared: Arc<CoreShared>) {
 /// then shuts the pool down and joins it.
 pub(crate) struct ExecutorCore {
     pub(crate) cache: Arc<dyn CacheBackend>,
-    pub(crate) policy: Arc<dyn SchedulingPolicy>,
+    pub(crate) policy: SchedulingPolicy,
     /// Dispatch counter shared with every core [`reconfigured`](Self::reconfigured)
     /// from this one, so `schedule_seq` values in merged traces preserve the
     /// global execution order.
@@ -940,7 +925,7 @@ pub(crate) struct ExecutorCore {
 impl ExecutorCore {
     pub(crate) fn new(
         cache: Arc<dyn CacheBackend>,
-        policy: Arc<dyn SchedulingPolicy>,
+        policy: SchedulingPolicy,
         seq: Arc<AtomicU64>,
         workers: usize,
     ) -> Self {
@@ -955,7 +940,7 @@ impl ExecutorCore {
     }
 
     /// A fresh core (no pool yet) over the same cache and dispatch counter.
-    pub(crate) fn reconfigured(&self, policy: Arc<dyn SchedulingPolicy>, workers: usize) -> Self {
+    pub(crate) fn reconfigured(&self, policy: SchedulingPolicy, workers: usize) -> Self {
         Self::new(self.cache.clone(), policy, self.seq.clone(), workers)
     }
 
@@ -965,11 +950,11 @@ impl ExecutorCore {
         self.shared.get_or_init(|| {
             let shared = Arc::new(CoreShared {
                 cache: self.cache.clone(),
-                policy: self.policy.clone(),
+                policy: self.policy,
                 epoch: Instant::now(),
                 seq: self.seq.clone(),
                 submission_ids: AtomicU64::new(0),
-                ready: Mutex::new(Ready::new(self.policy.fair_queuing())),
+                ready: Mutex::new(Ready::new(self.policy)),
                 idle: StdMutex::new(()),
                 wakeup: Condvar::new(),
                 shutdown: AtomicBool::new(false),
@@ -1096,7 +1081,7 @@ fn take_run<E: Send + 'static>(sub: &Submission) -> GraphRun<E> {
     let trace = ActionTrace {
         records,
         stage_depth: sub.stage_depth,
-        policy: sub.policy_name.clone(),
+        policy: sub.policy.name().to_string(),
         tenant: sub.tenant.clone(),
     };
     GraphRun {
@@ -1155,12 +1140,12 @@ mod tests {
             });
         }
         let tenant = tenant.map(str::to_string);
-        Arc::new(Submission::new(id, tenant, String::new(), 1, graph.nodes))
+        Arc::new(Submission::new(id, tenant, Fifo.into(), 1, graph.nodes))
     }
 
     /// Open `sub`'s lane and queue all of its nodes, as `CoreShared::submit` does.
-    fn admit(ready: &mut Ready, policy: &dyn SchedulingPolicy, sub: &Arc<Submission>) {
-        ready.open(&sub.tenant, policy);
+    fn admit(ready: &mut Ready, sub: &Arc<Submission>) {
+        ready.open(&sub.tenant);
         push_all(ready, sub);
     }
 
@@ -1202,11 +1187,11 @@ mod tests {
 
     #[test]
     fn fifo_shares_one_lane_in_push_order_whatever_the_tenant() {
-        let mut ready = Ready::new(Fifo.fair_queuing());
+        let mut ready = Ready::new(Fifo.into());
         let first = submission(0, Some("zed"), 3);
         let second = submission(1, Some("abe"), 2);
-        admit(&mut ready, &Fifo, &first);
-        admit(&mut ready, &Fifo, &second);
+        admit(&mut ready, &first);
+        admit(&mut ready, &second);
         assert_eq!(ready.lanes.len(), 1);
         assert_eq!(
             pops(&mut ready, 5),
@@ -1217,11 +1202,10 @@ mod tests {
 
     #[test]
     fn lowest_virtual_time_lane_wins_and_ties_go_to_the_lowest_tenant_name() {
-        let policy = WeightedFair::new();
-        let mut ready = Ready::new(policy.fair_queuing());
+        let mut ready = Ready::new(WeightedFair.into());
         // Opened in the order b, a, untenanted: ties are broken by name, not age.
         for (id, tenant) in [Some("b"), Some("a"), None].into_iter().enumerate() {
-            admit(&mut ready, &policy, &submission(id as u64, tenant, 2));
+            admit(&mut ready, &submission(id as u64, tenant, 2));
         }
         assert_eq!(
             pops(&mut ready, 6),
@@ -1230,35 +1214,21 @@ mod tests {
         // A lane behind on virtual time goes first regardless of its name.
         let late = submission(3, Some("z"), 1);
         let early = submission(4, Some("a"), 1);
-        admit(&mut ready, &policy, &late);
+        admit(&mut ready, &late);
         push_all(&mut ready, &early);
         ready.lanes.get_mut(&late.tenant).unwrap().vtime = 0;
         assert_eq!(pops(&mut ready, 2), ["z/0", "a/0"]);
     }
 
     #[test]
-    fn weights_three_to_one_give_a_three_to_one_pop_share() {
-        let policy = WeightedFair::new().with_weight("gold", 3);
-        let mut ready = Ready::new(policy.fair_queuing());
-        admit(&mut ready, &policy, &submission(0, Some("gold"), 400));
-        admit(&mut ready, &policy, &submission(1, Some("std"), 400));
-        let order = pops(&mut ready, 400);
-        assert_eq!((share(&order, "gold"), share(&order, "std")), (300, 100));
-        // Within each lane the order stayed FIFO.
-        let gold = order.iter().filter(|id| id.starts_with("gold"));
-        assert!(gold.enumerate().all(|(n, id)| *id == format!("gold/{n}")));
-    }
-
-    #[test]
     fn an_idle_lane_reenters_at_virtual_now_and_cannot_replay_banked_credit() {
-        let policy = WeightedFair::new();
-        let mut ready = Ready::new(policy.fair_queuing());
+        let mut ready = Ready::new(WeightedFair.into());
         let idle = submission(0, Some("idle"), 10);
         let busy = submission(1, Some("busy"), 110);
         // `idle` holds a lane (a live submission, say parked on a flight) but
         // queues nothing while `busy` dispatches a hundred actions.
-        ready.open(&idle.tenant, &policy);
-        admit(&mut ready, &policy, &busy);
+        ready.open(&idle.tenant);
+        admit(&mut ready, &busy);
         assert_eq!(share(&pops(&mut ready, 100), "busy"), 100);
         push_all(&mut ready, &idle);
         // Banked credit would hand `idle` the next ten pops; it gets every other.
@@ -1268,12 +1238,11 @@ mod tests {
 
     #[test]
     fn a_retired_tenant_reenters_mid_run_at_virtual_now() {
-        let policy = WeightedFair::new();
-        let mut ready = Ready::new(policy.fair_queuing());
+        let mut ready = Ready::new(WeightedFair.into());
         let busy = submission(0, Some("busy"), 55);
         let first = submission(1, Some("guest"), 1);
-        admit(&mut ready, &policy, &busy);
-        admit(&mut ready, &policy, &first);
+        admit(&mut ready, &busy);
+        admit(&mut ready, &first);
         assert_eq!(pops(&mut ready, 2), ["busy/0", "guest/0"]);
         ready.close(&first.tenant);
         assert_eq!(
@@ -1285,7 +1254,7 @@ mod tests {
         // The returning tenant gets a fresh lane at the current virtual time: an
         // even share from here on, not fifty dispatches of back pay.
         let second = submission(2, Some("guest"), 4);
-        admit(&mut ready, &policy, &second);
+        admit(&mut ready, &second);
         let order = pops(&mut ready, 8);
         assert_eq!((share(&order, "guest"), share(&order, "busy")), (4, 4));
         ready.close(&second.tenant);
@@ -1295,19 +1264,18 @@ mod tests {
 
     #[test]
     fn depth_accounting_returns_to_zero_after_interleaved_push_and_pop() {
-        let policy = WeightedFair::new();
-        let mut ready = Ready::new(policy.fair_queuing());
+        let mut ready = Ready::new(WeightedFair.into());
         let subs = [
             submission(0, Some("a"), 3),
             submission(1, Some("b"), 2),
             submission(2, Some("a"), 1),
         ];
-        admit(&mut ready, &policy, &subs[0]);
-        admit(&mut ready, &policy, &subs[1]);
+        admit(&mut ready, &subs[0]);
+        admit(&mut ready, &subs[1]);
         assert_eq!((ready.queued_actions, ready.waiting.len()), (5, 2));
         let (_, depth) = ready.pop().unwrap();
         assert_eq!(depth, 2, "both submissions had waiting actions");
-        admit(&mut ready, &policy, &subs[2]);
+        admit(&mut ready, &subs[2]);
         assert_eq!((ready.queued_actions, ready.waiting.len()), (5, 3));
         assert_eq!(
             ready.lanes.len(),

@@ -14,9 +14,9 @@
 //!   (an [`ActionCache`] or the always-compute
 //!   [`NoCache`]), and isolates failures to the failed
 //!   node's transitive dependents;
-//! * [`policy`] — pluggable [`SchedulingPolicy`]s deciding dispatch order:
-//!   [`Fifo`] (default, one shared lane) or [`WeightedFair`] (one lane per
-//!   tenant, weighted fair queuing across them);
+//! * [`policy`] — the [`SchedulingPolicy`] deciding dispatch order: [`Fifo`]
+//!   (default, one shared lane) or [`WeightedFair`] (one lane per tenant, fair
+//!   queuing across them, every tenant at the same weight);
 //! * [`trace`] — [`ActionTrace`]: a deterministic, node-ordered record of what ran
 //!   and what the cache absorbed, from which the historical [`ActionSummary`]
 //!   counters are derived;
@@ -67,7 +67,7 @@ pub use executor::{
 };
 pub use graph::{ActionGraph, ActionId, ActionInputs, GraphError};
 pub use plan::{add_commit_action, KeyedActionPlanner, LinkSlot, PreprocessPlanner};
-pub use policy::{Fifo, PolicyError, SchedulingPolicy, WeightedFair};
+pub use policy::{Fifo, SchedulingPolicy, WeightedFair};
 pub use trace::{ActionKind, ActionRecord, ActionSummary, ActionTrace};
 
 use std::sync::Arc;
@@ -109,7 +109,7 @@ impl Engine {
         Self {
             core: Arc::new(executor::ExecutorCore::new(
                 cache,
-                Arc::new(Fifo),
+                SchedulingPolicy::Fifo,
                 Arc::default(),
                 workers,
             )),
@@ -135,25 +135,15 @@ impl Engine {
     /// order; outputs and traces are assembled in node order regardless of
     /// schedule.) Starts a fresh pool: configure before submitting work.
     pub fn with_workers(mut self, workers: usize) -> Self {
-        let policy = self.core.policy.clone();
-        self.core = Arc::new(self.core.reconfigured(policy, workers.max(1)));
+        self.core = Arc::new(self.core.reconfigured(self.core.policy, workers.max(1)));
         self
     }
 
     /// Replace the scheduling policy (the dispatch order of the ready queue). The
-    /// policy changes *when* actions run, never what they produce. Note the raw
-    /// engine clamps a zero tenant weight to one rather than starve the lane;
-    /// submit through an
-    /// [`Orchestrator`](crate::orchestrator::Orchestrator) to have invalid policies
-    /// rejected as typed errors instead.
-    pub fn with_policy(self, policy: impl SchedulingPolicy + 'static) -> Self {
-        self.with_policy_arc(Arc::new(policy))
-    }
-
-    /// [`with_policy`](Self::with_policy) for an already-shared policy. Starts a
+    /// policy changes *when* actions run, never what they produce. Starts a
     /// fresh pool: configure before submitting work.
-    pub fn with_policy_arc(mut self, policy: Arc<dyn SchedulingPolicy>) -> Self {
-        self.core = Arc::new(self.core.reconfigured(policy, self.core.workers));
+    pub fn with_policy(mut self, policy: impl Into<SchedulingPolicy>) -> Self {
+        self.core = Arc::new(self.core.reconfigured(policy.into(), self.core.workers));
         self
     }
 
@@ -192,8 +182,8 @@ impl Engine {
     }
 
     /// The scheduling policy runs execute under.
-    pub fn policy(&self) -> &dyn SchedulingPolicy {
-        self.core.policy.as_ref()
+    pub fn policy(&self) -> SchedulingPolicy {
+        self.core.policy
     }
 
     /// The cache backend every keyed action routes through.
@@ -254,8 +244,7 @@ impl Engine {
 
     /// A snapshot of the shared ready queue: how many actions are queued, how
     /// many submissions still have queued work, and how many submissions are
-    /// live (admitted but not yet complete). Admission control samples this to
-    /// decide when to push back.
+    /// live (admitted but not yet complete).
     pub fn queue_stats(&self) -> QueueStats {
         self.core.queue_stats()
     }
@@ -501,73 +490,6 @@ mod tests {
             depth > 1,
             "actions from distinct submissions share the ready queue (depth {depth})"
         );
-    }
-
-    #[test]
-    fn weighted_fair_gives_heavy_tenants_proportionally_earlier_dispatch() {
-        // One worker and a gate: both tenants' submissions queue fully before
-        // the first dispatch, then weighted fair queuing drains the heavy lane
-        // four times as often as the light one — so the heavy submission's last
-        // action is dispatched strictly before the light one's.
-        let base = Engine::uncached(&ImageStore::new())
-            .with_workers(1)
-            .with_policy(
-                WeightedFair::new()
-                    .with_weight("heavy", 4)
-                    .with_weight("light", 1),
-            );
-        let (release, blocked) = gate();
-        let mut gate_graph: ActionGraph<'static, std::convert::Infallible> = ActionGraph::new();
-        gate_graph.add(ActionKind::Preprocess, "gate", &[], move |_| {
-            blocked.lock().unwrap().recv().ok();
-            Ok(vec![0])
-        });
-        let gate_handle = base.submit_graph(gate_graph).unwrap();
-
-        let tenant_graph = |name: &'static str| {
-            let mut graph: ActionGraph<'static, std::convert::Infallible> = ActionGraph::new();
-            for unit in 0..4 {
-                graph.add(
-                    ActionKind::Preprocess,
-                    format!("{name}{unit}"),
-                    &[],
-                    move |_| Ok(vec![unit as u8]),
-                );
-            }
-            graph
-        };
-        let heavy = base.clone().with_tenant("heavy");
-        let light = base.clone().with_tenant("light");
-        let heavy_handle = heavy.submit_graph(tenant_graph("h")).unwrap();
-        let light_handle = light.submit_graph(tenant_graph("l")).unwrap();
-        while base.queue_stats().waiting_submissions < 2 {
-            std::thread::yield_now();
-        }
-        release.send(()).unwrap();
-
-        let heavy_run = heavy_handle.wait();
-        let light_run = light_handle.wait();
-        gate_handle.wait();
-        assert!(heavy_run.succeeded() && light_run.succeeded());
-        assert_eq!(heavy_run.trace.tenant.as_deref(), Some("heavy"));
-        assert_eq!(light_run.trace.tenant.as_deref(), Some("light"));
-        let last_seq = |run: &GraphRun<std::convert::Infallible>| {
-            run.trace
-                .records
-                .iter()
-                .map(|r| r.schedule_seq)
-                .max()
-                .unwrap()
-        };
-        assert!(
-            last_seq(&heavy_run) < last_seq(&light_run),
-            "weight 4 lane drains before weight 1 lane (heavy {} vs light {})",
-            last_seq(&heavy_run),
-            last_seq(&light_run)
-        );
-        // Queue-wait accounting is attributed per tenant.
-        let waits = heavy_run.trace.queue_wait_micros_by_tenant();
-        assert!(waits.contains_key("heavy"));
     }
 
     #[test]

@@ -312,21 +312,9 @@ impl ActionTrace {
         counts
     }
 
-    /// Total ready-queue wait per [`ActionKind`], in microseconds. This is where
-    /// scheduling-policy effects (one tenant's lane waiting on another's) become
-    /// visible and assertable.
-    pub fn queue_wait_micros_by_kind(&self) -> BTreeMap<ActionKind, u64> {
-        let mut waits = BTreeMap::new();
-        for record in &self.records {
-            *waits.entry(record.kind).or_insert(0) += record.queue_wait_micros;
-        }
-        waits
-    }
-
     /// Total ready-queue wait per tenant, in microseconds (untenanted records
-    /// accumulate under `""`). The per-tenant view of scheduling fairness: under
-    /// weighted fair queuing a heavier-weighted tenant's share of the total wait
-    /// shrinks.
+    /// accumulate under `""`): the per-tenant view of scheduling fairness, where
+    /// one tenant's lane waiting on another's becomes visible and assertable.
     pub fn queue_wait_micros_by_tenant(&self) -> BTreeMap<String, u64> {
         let mut waits = BTreeMap::new();
         for record in &self.records {

@@ -2,14 +2,14 @@
 //!
 //! An IR deployment contains a source deployment (Figures 6 and 8), and both fail
 //! the same ways an IR build does: a configure step, a compile, a corrupt cache
-//! entry, an invalid scheduling policy or a refused graph. So
+//! entry or a refused graph. So
 //! [`IrBuildRequest`](crate::orchestrator::IrBuildRequest),
 //! [`IrDeployRequest`](crate::orchestrator::IrDeployRequest),
 //! [`SourceDeployRequest`](crate::orchestrator::SourceDeployRequest) and every
 //! [`FleetError`](crate::orchestrator::FleetError) carry one [`PipelineError`]:
 //! the shared variants once, beside the few only one driver can meet.
 
-use crate::engine::{GraphError, PolicyError};
+use crate::engine::GraphError;
 use std::fmt;
 use xaas_buildsys::ConfigureError;
 use xaas_container::ImageError;
@@ -30,8 +30,6 @@ pub enum PipelineError {
     UnknownSource { file: String },
     /// A cached artifact failed to decode (action-cache corruption).
     Cache(String),
-    /// The orchestrator's scheduling policy is invalid (e.g. a zero tenant weight).
-    Policy(PolicyError),
     /// The pipeline built an action graph with a construction defect;
     /// nothing executed.
     Graph(GraphError),
@@ -63,7 +61,6 @@ impl fmt::Display for PipelineError {
                 "compile database references {file}, which is not an enabled source"
             ),
             PipelineError::Cache(detail) => write!(f, "action cache: {detail}"),
-            PipelineError::Policy(error) => write!(f, "{error}"),
             PipelineError::Graph(error) => write!(f, "action graph refused: {error}"),
             PipelineError::UnknownOption(name) => {
                 write!(f, "sweep references unknown option {name}")
@@ -105,12 +102,6 @@ impl From<ImageError> for PipelineError {
     }
 }
 
-impl From<PolicyError> for PipelineError {
-    fn from(value: PolicyError) -> Self {
-        PipelineError::Policy(value)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,11 +134,6 @@ mod tests {
             (
                 PipelineError::Cache("bitcode for src/a.ck: eof".into()),
                 "action cache: bitcode for src/a.ck: eof",
-            ),
-            (
-                PolicyError::ZeroWeight { tenant: "t".into() }.into(),
-                "scheduling policy assigns tenant `t` a fair-queuing weight of zero; \
-                 a weight must be at least 1",
             ),
             (
                 GraphError::CommitWithoutDeps { node: 3 }.into(),
@@ -186,7 +172,7 @@ mod tests {
                 "image store: unknown image reference: a:b",
             ),
         ];
-        assert_eq!(table.len(), 12, "one row per variant");
+        assert_eq!(table.len(), 11, "one row per variant");
         for (error, text) in table {
             assert_eq!(error.to_string(), text, "{error:?}");
         }

@@ -147,15 +147,6 @@ impl PipelineStats {
         }
         100.0 * (1.0 - self.ir_files_built() as f64 / self.total_translation_units as f64)
     }
-
-    /// Fraction of unit pairs whose flags were incompatible before normalisation — the
-    /// paper reports 96% caused by build-directory include paths.
-    pub fn generation_share(&self) -> f64 {
-        if self.total_translation_units == 0 {
-            return 0.0;
-        }
-        self.unique_after_generation as f64 / self.total_translation_units as f64
-    }
 }
 
 /// The identity of one translation unit inside one configuration.
@@ -225,19 +216,9 @@ pub struct IrContainerBuild {
 }
 
 impl IrContainerBuild {
-    /// Find a configuration manifest by assignment.
+    /// The configuration manifest whose assignment is exactly `assignment`.
     pub fn manifest_for(&self, assignment: &OptionAssignment) -> Option<&ConfigurationManifest> {
-        let label = assignment.label();
-        self.manifests
-            .iter()
-            .find(|m| m.label == label)
-            .or_else(|| {
-                self.manifests.iter().find(|m| {
-                    assignment
-                        .iter()
-                        .all(|(k, v)| m.assignment.get(k) == Some(v))
-                })
-            })
+        self.manifests.iter().find(|m| m.assignment == *assignment)
     }
 }
 
@@ -932,7 +913,7 @@ mod tests {
         let config = IrPipelineConfig::sweep_options(&project, &["GMX_MPI"]);
         let build = build(&project, &config, &store, "g:mpi").unwrap();
         let mpi_on = build
-            .manifest_for(&OptionAssignment::new().with("GMX_MPI", "ON"))
+            .manifest_for(&project.default_assignment().with("GMX_MPI", "ON"))
             .expect("manifest for MPI=ON");
         let mpi_unit = mpi_on
             .units

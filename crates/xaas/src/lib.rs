@@ -12,8 +12,8 @@
 //!   ([`IrBuildRequest`], [`IrDeployRequest`], [`SourceDeployRequest`],
 //!   [`FleetRequest`]) for every pipeline;
 //! * [`service`] — the multi-tenant front door: an [`OrchestratorService`]
-//!   multiplexing per-tenant [`Session`]s onto one shared engine, with weighted
-//!   fair scheduling across tenants and typed admission control
+//!   multiplexing per-tenant [`Session`]s onto one shared engine, with fair
+//!   scheduling across tenants and typed admission control
 //!   (backpressure/reject/drain) in front;
 //! * [`source_container`] — build a source+toolchain image once per architecture, then
 //!   specialise it on the target system (discovery → intersection → selection → build),
@@ -76,8 +76,8 @@ pub mod prelude {
     pub use crate::deploy::{DeploymentStats, IrDeployment, LoweredDeployment};
     pub use crate::engine::{
         ActionGraph, ActionId, ActionInputs, ActionKind, ActionRecord, ActionTrace, AnalysisReport,
-        Engine, Fifo, GraphError, GraphHandle, GraphRun, NodeOutcome, PolicyError, QueueStats,
-        SchedulingPolicy, WeightedFair,
+        Engine, Fifo, GraphError, GraphHandle, GraphRun, NodeOutcome, QueueStats, SchedulingPolicy,
+        WeightedFair,
     };
     pub use crate::error::PipelineError;
     pub use crate::gpu_compat::{

@@ -39,10 +39,8 @@
 //!
 //! Requests return typed results ([`IrContainerBuild`], [`IrDeployment`],
 //! [`SourceDeployment`], [`FleetReport`]), each carrying the run's
-//! [`ActionTrace`]. The orchestrator validates its
-//! scheduling policy up front, so an invalid configuration (e.g. a zero
-//! fair-queuing weight) surfaces as [`PipelineError::Policy`] before any action
-//! runs — never as a panic or a starved lane.
+//! [`ActionTrace`]. The scheduling policy is a plain [`SchedulingPolicy`]
+//! value with no invalid setting, so no request checks it.
 
 // A `FleetError` holds its job's `PipelineError` inline (136 bytes). It is built
 // once per failed job, off the request's hot path, so it is not boxed.
@@ -97,7 +95,10 @@ impl Orchestrator {
     /// An orchestrator that never caches: every action executes, artifacts and
     /// images land in `store`.
     pub fn uncached(store: &ImageStore) -> Self {
-        Self::from_engine(Engine::uncached(store))
+        Self {
+            engine: Engine::uncached(store),
+            cache: None,
+        }
     }
 
     /// An orchestrator memoizing every keyed action in `cache` (shared with any
@@ -106,15 +107,6 @@ impl Orchestrator {
         Self {
             engine: Engine::cached(cache),
             cache: Some(cache.clone()),
-        }
-    }
-
-    /// Wrap an explicitly-configured [`Engine`] (worker count, cache backend,
-    /// scheduling policy are taken as-is).
-    pub fn from_engine(engine: Engine) -> Self {
-        Self {
-            engine,
-            cache: None,
         }
     }
 
@@ -154,27 +146,19 @@ impl Orchestrator {
     /// The cache stack this orchestrator was built over — exposes the disk
     /// tier's counters ([`ActionCache::disk_stats`], `None` without
     /// [`OrchestratorBuilder::cache_tiers`]) and store-level GC
-    /// ([`ActionCache::collect_garbage`]). `None` when uncached or wrapped
-    /// [`from_engine`](Self::from_engine).
+    /// ([`ActionCache::collect_garbage`]). `None` when uncached.
     pub fn tiered_cache(&self) -> Option<&ActionCache> {
         self.cache.as_ref()
     }
 
     /// The scheduling policy requests run under.
-    pub fn policy(&self) -> &dyn SchedulingPolicy {
+    pub fn policy(&self) -> SchedulingPolicy {
         self.engine.policy()
     }
 
     /// The engine's worker count.
     pub fn workers(&self) -> usize {
         self.engine.workers()
-    }
-
-    /// Validate the scheduling policy; called by every request before it runs
-    /// or analyzes anything.
-    fn checked_engine(&self) -> Result<&Engine, crate::engine::PolicyError> {
-        self.engine.policy().validate()?;
-        Ok(&self.engine)
     }
 }
 
@@ -196,7 +180,7 @@ enum CacheChoice {
 ///
 /// let orch = Orchestrator::builder()
 ///     .workers(4)
-///     .policy(WeightedFair::new().with_weight("alice", 3))
+///     .policy(WeightedFair::new())
 ///     .build();
 /// assert_eq!(orch.workers(), 4);
 /// assert_eq!(orch.policy().name(), "weighted-fair");
@@ -204,7 +188,7 @@ enum CacheChoice {
 #[derive(Default)]
 pub struct OrchestratorBuilder {
     workers: Option<usize>,
-    policy: Option<Arc<dyn SchedulingPolicy>>,
+    policy: SchedulingPolicy,
     cache: Option<CacheChoice>,
 }
 
@@ -237,11 +221,9 @@ impl OrchestratorBuilder {
         Ok(self.action_cache(ActionCache::with_tiers(ImageStore::new(), config)?))
     }
 
-    /// Set the scheduling policy (default: [`Fifo`](crate::engine::Fifo)). Invalid
-    /// policies are accepted here and rejected with a typed error when a request is
-    /// submitted.
-    pub fn policy(mut self, policy: impl SchedulingPolicy + 'static) -> Self {
-        self.policy = Some(Arc::new(policy));
+    /// Set the scheduling policy (default: [`Fifo`](crate::engine::Fifo)).
+    pub fn policy(mut self, policy: impl Into<SchedulingPolicy>) -> Self {
+        self.policy = policy.into();
         self
     }
 
@@ -255,10 +237,10 @@ impl OrchestratorBuilder {
         if let Some(workers) = self.workers {
             engine = engine.with_workers(workers);
         }
-        if let Some(policy) = self.policy {
-            engine = engine.with_policy_arc(policy);
+        Orchestrator {
+            engine: engine.with_policy(self.policy),
+            cache,
         }
-        Orchestrator { engine, cache }
     }
 }
 
@@ -266,10 +248,7 @@ impl fmt::Debug for OrchestratorBuilder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("OrchestratorBuilder")
             .field("workers", &self.workers)
-            .field(
-                "policy",
-                &self.policy.as_ref().map(|p| p.name().to_string()),
-            )
+            .field("policy", &self.policy)
             .finish()
     }
 }
@@ -304,19 +283,15 @@ impl<'a> IrBuildRequest<'a> {
 
     /// Execute the build on the orchestrator's engine.
     pub fn submit(self, orch: &Orchestrator) -> Result<IrContainerBuild, PipelineError> {
-        let engine = orch.checked_engine()?;
-        crate::ir_container::run_ir_build(self.project, self.config, engine, &self.reference)
+        crate::ir_container::run_ir_build(self.project, self.config, orch.engine(), &self.reference)
     }
 
     /// Report on the build's stage-A action graph (preprocess + OpenMP
     /// detection) under the orchestrator's scheduling policy without executing
-    /// anything.
-    ///
-    /// An invalid policy is refused as [`submit`](Self::submit) refuses it, with
-    /// [`PipelineError::Policy`]. The build's stage-B graph is derived from
-    /// stage-A outputs, so it cannot be planned ahead of time.
+    /// anything. The build's stage-B graph is derived from stage-A outputs, so
+    /// it cannot be planned ahead of time.
     pub fn analyze(self, orch: &Orchestrator) -> Result<AnalysisReport, PipelineError> {
-        crate::ir_container::analyze_ir_build(self.project, self.config, orch.checked_engine()?)
+        crate::ir_container::analyze_ir_build(self.project, self.config, orch.engine())
     }
 }
 
@@ -378,7 +353,7 @@ impl<'a> IrDeployRequest<'a> {
     /// Execute the deployment on the orchestrator's engine in **one** graph
     /// submission: plan, graft the subgraph onto a private graph, run it, finish.
     pub fn submit(self, orch: &Orchestrator) -> Result<IrDeployment, PipelineError> {
-        let engine = orch.checked_engine()?;
+        let engine = orch.engine();
         let plan = self.plan()?;
         let mut graph = ActionGraph::new();
         let standalone = &mut SharedDeployArtifacts::default();
@@ -388,10 +363,9 @@ impl<'a> IrDeployRequest<'a> {
     }
 
     /// Report on the exact action graph this deployment would submit — planned
-    /// and grafted, not run. An invalid policy is refused as
-    /// [`submit`](Self::submit) refuses it, with [`PipelineError::Policy`].
+    /// and grafted, not run.
     pub fn analyze(self, orch: &Orchestrator) -> Result<AnalysisReport, PipelineError> {
-        let engine = orch.checked_engine()?;
+        let engine = orch.engine();
         let plan = self.plan()?;
         let mut graph = ActionGraph::new();
         let standalone = &mut SharedDeployArtifacts::default();
@@ -458,7 +432,7 @@ impl<'a> SourceDeployRequest<'a> {
     /// Execute the deployment on the orchestrator's engine in **one** graph
     /// submission, like an IR deployment: plan, graft, run, finish.
     pub fn submit(self, orch: &Orchestrator) -> Result<SourceDeployment, PipelineError> {
-        let engine = orch.checked_engine()?;
+        let engine = orch.engine();
         let plan = self.plan()?;
         let mut graph = ActionGraph::new();
         graft_source_deploy(&plan, &mut graph, engine.store());
@@ -469,7 +443,7 @@ impl<'a> SourceDeployRequest<'a> {
     /// Report on the exact action graph this deployment would submit, as
     /// [`IrDeployRequest::analyze`] does.
     pub fn analyze(self, orch: &Orchestrator) -> Result<AnalysisReport, PipelineError> {
-        let engine = orch.checked_engine()?;
+        let engine = orch.engine();
         let plan = self.plan()?;
         let mut graph = ActionGraph::new();
         graft_source_deploy(&plan, &mut graph, engine.store());
@@ -530,7 +504,7 @@ pub struct FleetError {
     /// Label of the failing action, when the failure happened inside the engine
     /// (a union-graph wave attributes the poisoning node — possibly a shared
     /// artifact another job planned). `None` for plan-time failures (unknown
-    /// configuration, unsupported SIMD, missing unit) and invalid policies.
+    /// configuration, unsupported SIMD, missing unit) and refused graphs.
     pub action: Option<String>,
 }
 
@@ -593,7 +567,7 @@ pub struct FleetReport {
     /// [`Orchestrator::cache_stats`] for the backend view.
     pub cache: CacheStats,
     /// Engine submissions the wave needed: one, or zero when no job reached
-    /// the engine (an invalid policy, or every job failing at plan time).
+    /// the engine (every job failing at plan time, or a refused graph).
     pub submissions: usize,
     /// The wave's [`ActionTrace`]: the single union-graph trace (records carry
     /// their [`job`](crate::engine::ActionRecord::job) tag). Per-job traces
@@ -612,11 +586,6 @@ impl FleetReport {
         self.outcomes
             .iter()
             .filter_map(|o| o.deployment.as_ref().ok().map(Arc::as_ref))
-    }
-
-    /// Compile/lower actions the fleet executed (cache misses).
-    pub fn actions_executed(&self) -> u64 {
-        self.cache.misses
     }
 }
 
@@ -661,13 +630,9 @@ impl<'a> FleetRequest<'a> {
     /// Report on the union graph one wave of this fleet would submit — every
     /// deduplicated job grafted as a tagged subgraph sharing keyed artifacts —
     /// without executing anything. The first plan-time failure is returned as
-    /// a [`FleetError`]; an invalid policy fails the first job with
-    /// [`PipelineError::Policy`], as [`submit`](Self::submit) fails every job.
+    /// a [`FleetError`].
     pub fn analyze(self, orch: &Orchestrator) -> Result<AnalysisReport, FleetError> {
         let (jobs, _) = dedup_jobs(&self.targets);
-        if let (Err(error), Some(job)) = (orch.checked_engine(), jobs.first()) {
-            return Err(FleetError::before_run(&job.system, error.into()));
-        }
         let plans = plan_jobs(self.build, self.project, &jobs);
         if let Some(error) = plans.iter().find_map(|plan| plan.as_ref().err()) {
             return Err(error.clone());
@@ -677,9 +642,8 @@ impl<'a> FleetRequest<'a> {
     }
 
     /// Execute the fleet on the orchestrator's engine. Outcomes are returned in
-    /// request order; per-job failures (including an invalid scheduling policy,
-    /// which fails every job before any action runs) are reported per outcome, so
-    /// the report itself is always produced.
+    /// request order; per-job failures are reported per outcome, so the report
+    /// itself is always produced.
     ///
     /// Every job's deployment subgraph is grafted into **one** union graph and
     /// the engine is submitted to exactly once per wave. Images, per-job traces,
@@ -688,21 +652,7 @@ impl<'a> FleetRequest<'a> {
     /// across jobs) and how often the engine is entered.
     pub fn submit(self, orch: &Orchestrator) -> FleetReport {
         let (jobs, job_of_target) = dedup_jobs(&self.targets);
-        let (results, trace, ran) = match orch.checked_engine() {
-            Ok(engine) => run_union_wave(self.build, self.project, &jobs, engine),
-            Err(policy_error) => (
-                jobs.iter()
-                    .map(|job| {
-                        Err(FleetError::before_run(
-                            &job.system,
-                            policy_error.clone().into(),
-                        ))
-                    })
-                    .collect(),
-                ActionTrace::default(),
-                false,
-            ),
-        };
+        let (results, trace, ran) = run_union_wave(self.build, self.project, &jobs, orch.engine());
 
         let outcomes = self
             .targets
@@ -904,6 +854,49 @@ mod tests {
             .unwrap();
         assert_eq!(deployment.simd, system.cpu.best_simd());
         assert!(deployment.trace.by_kind()[&ActionKind::MachineLower] > 0);
+    }
+
+    /// Build the LULESH `WITH_MPI` × `WITH_OPENMP` container and deploy it on
+    /// Ault23 with `select` applied; returns the deployed assignment. The
+    /// project defaults are `WITH_MPI=OFF`, `WITH_OPENMP=ON`.
+    fn lulesh_deployed(
+        select: impl FnOnce(IrDeployRequest<'_>) -> IrDeployRequest<'_>,
+    ) -> Result<OptionAssignment, PipelineError> {
+        let (project, config) = lulesh_sweep();
+        let orch = Orchestrator::new();
+        let build = IrBuildRequest::new(&project, &config)
+            .submit(&orch)
+            .unwrap();
+        let system = SystemModel::ault23();
+        let request = select(IrDeployRequest::new(&build, &project, &system));
+        Ok(request.submit(&orch)?.assignment)
+    }
+
+    fn lulesh_assignment(mpi: &str, openmp: &str) -> OptionAssignment {
+        OptionAssignment::new()
+            .with("WITH_MPI", mpi)
+            .with("WITH_OPENMP", openmp)
+    }
+
+    #[test]
+    fn an_empty_selection_deploys_the_project_defaults() {
+        let deployed = lulesh_deployed(|request| request);
+        assert_eq!(deployed.unwrap(), lulesh_assignment("OFF", "ON"));
+    }
+
+    /// A swept option the selection leaves out takes the project's default, not
+    /// the sweep's first value.
+    #[test]
+    fn a_partial_selection_takes_the_project_default_for_the_rest() {
+        let deployed = lulesh_deployed(|request| request.select("WITH_OPENMP", "OFF"));
+        assert_eq!(deployed.unwrap(), lulesh_assignment("OFF", "OFF"));
+        // A completed selection that names no manifest is refused by its
+        // completed label.
+        let refused = lulesh_deployed(|request| request.select("WITH_OPENMP", "MAYBE"));
+        assert_eq!(
+            refused.unwrap_err(),
+            PipelineError::UnknownConfiguration("WITH_MPI=OFF,WITH_OPENMP=MAYBE".into())
+        );
     }
 
     #[test]

@@ -28,8 +28,8 @@
 //!
 //! * a tenant over its own in-flight allowance gets
 //!   [`AdmissionError::Backpressure`] — *your* lane is full, retry later;
-//! * a saturated service (global in-flight limit, or the engine's ready queue
-//!   past its depth bound) gets [`AdmissionError::Rejected`];
+//! * a saturated service (the global in-flight limit) gets
+//!   [`AdmissionError::Rejected`];
 //! * a draining service gets [`AdmissionError::Draining`].
 //!
 //! All three are typed errors returned *before* any action runs — never a
@@ -48,25 +48,21 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
 use xaas_container::{CacheStats, ImageStore};
 
 /// Bounds enforced by [`OrchestratorService`] admission control.
 ///
-/// The defaults (8 in-flight requests per tenant, 64 globally, 4096 queued
-/// actions) are sized for the simulated pipelines in this repository; a real
-/// deployment would derive them from worker count and memory budget. The
-/// service clamps each bound to at least 1
-/// ([`OrchestratorService::with_limits`]).
+/// The defaults (8 in-flight requests per tenant, 64 globally) are sized for
+/// the simulated pipelines in this repository; a real deployment would derive
+/// them from worker count and memory budget. The service clamps each bound to
+/// at least 1 ([`OrchestratorService::with_limits`]). Admission counts
+/// requests, not actions: it never reads the engine's ready queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceLimits {
     /// In-flight requests allowed per tenant before [`AdmissionError::Backpressure`].
     pub max_in_flight_per_tenant: usize,
     /// In-flight requests allowed service-wide before [`AdmissionError::Rejected`].
     pub max_in_flight_global: usize,
-    /// Engine ready-queue depth ([`QueueStats::queued_actions`]) beyond which new
-    /// requests are [`AdmissionError::Rejected`] even under the in-flight limits.
-    pub max_queued_actions: usize,
 }
 
 impl Default for ServiceLimits {
@@ -74,7 +70,6 @@ impl Default for ServiceLimits {
         Self {
             max_in_flight_per_tenant: 8,
             max_in_flight_global: 64,
-            max_queued_actions: 4096,
         }
     }
 }
@@ -89,12 +84,6 @@ impl ServiceLimits {
     /// Override the global in-flight bound.
     pub fn global(mut self, limit: usize) -> Self {
         self.max_in_flight_global = limit;
-        self
-    }
-
-    /// Override the ready-queue saturation bound.
-    pub fn queued_actions(mut self, limit: usize) -> Self {
-        self.max_queued_actions = limit;
         self
     }
 }
@@ -114,13 +103,11 @@ pub enum AdmissionError {
         limit: usize,
     },
     /// The service as a whole is saturated: the global in-flight limit is
-    /// reached, or the engine's shared ready queue is past its depth bound.
+    /// reached.
     Rejected {
         /// In-flight requests service-wide at refusal time.
         in_flight: usize,
-        /// Ready-queue depth at refusal time.
-        queued_actions: usize,
-        /// The limit that was hit (global in-flight or queued-action bound).
+        /// The global limit ([`ServiceLimits::max_in_flight_global`]).
         limit: usize,
     },
     /// The service is draining: no new requests are admitted, in-flight
@@ -139,15 +126,13 @@ impl fmt::Display for AdmissionError {
                 f,
                 "tenant `{tenant}` is at its in-flight allowance ({in_flight}/{limit}); retry later"
             ),
-            AdmissionError::Rejected {
-                in_flight,
-                queued_actions,
-                limit,
-            } => write!(
+            AdmissionError::Rejected { in_flight, limit } => write!(
                 f,
-                "service saturated ({in_flight} requests in flight, {queued_actions} actions queued, limit {limit})"
+                "service saturated ({in_flight} requests in flight, limit {limit})"
             ),
-            AdmissionError::Draining => f.write_str("service is draining; no new requests admitted"),
+            AdmissionError::Draining => {
+                f.write_str("service is draining; no new requests admitted")
+            }
         }
     }
 }
@@ -269,10 +254,6 @@ struct AdmitCounters {
     refused_draining: AtomicU64,
 }
 
-/// How often a [`Session::submit_wait`] refused for the ready-queue bound
-/// re-checks the queue (the executor's idle backstop is as long).
-const QUEUE_RECHECK: Duration = Duration::from_millis(10);
-
 struct ServiceInner {
     orch: Orchestrator,
     limits: ServiceLimits,
@@ -293,19 +274,10 @@ impl ServiceInner {
         if state.draining {
             return Err(AdmissionError::Draining);
         }
-        let queued_actions = self.orch.engine().queue_stats().queued_actions;
         if state.in_flight_global >= self.limits.max_in_flight_global {
             return Err(AdmissionError::Rejected {
                 in_flight: state.in_flight_global,
-                queued_actions,
                 limit: self.limits.max_in_flight_global,
-            });
-        }
-        if queued_actions >= self.limits.max_queued_actions {
-            return Err(AdmissionError::Rejected {
-                in_flight: state.in_flight_global,
-                queued_actions,
-                limit: self.limits.max_queued_actions,
             });
         }
         let tenant_in_flight = state.in_flight_by_tenant.get(tenant).copied().unwrap_or(0);
@@ -338,18 +310,8 @@ impl ServiceInner {
                         tenant,
                     })
                 }
-                // Only release, drain and resume notify `changed`. Work submitted
-                // straight to the orchestrator drains the queue without doing so,
-                // so a queue-bound refusal re-checks on a timer.
-                Err(AdmissionError::Rejected { queued_actions, .. })
-                    if wait && queued_actions >= self.limits.max_queued_actions =>
-                {
-                    state = self
-                        .changed
-                        .wait_timeout(state, QUEUE_RECHECK)
-                        .unwrap_or_else(|e| e.into_inner())
-                        .0;
-                }
+                // Only release, drain and resume change the decision, and each
+                // notifies `changed`.
                 Err(refusal) if wait && refusal != AdmissionError::Draining => {
                     state = self.changed.wait(state).unwrap_or_else(|e| e.into_inner());
                 }
@@ -433,7 +395,7 @@ pub struct ServiceStats {
 /// use xaas::service::{OrchestratorService, ServiceLimits};
 ///
 /// let service = OrchestratorService::builder()
-///     .policy(WeightedFair::new().with_weight("alice", 3))
+///     .policy(WeightedFair::new())
 ///     .limits(ServiceLimits::default().per_tenant(2))
 ///     .build();
 /// let alice = service.session("alice");
@@ -451,18 +413,12 @@ pub struct OrchestratorService {
 }
 
 impl OrchestratorService {
-    /// A service over `orch` with [`ServiceLimits::default`].
-    pub fn new(orch: Orchestrator) -> Self {
-        Self::with_limits(orch, ServiceLimits::default())
-    }
-
     /// A service over `orch` with explicit limits, each clamped to at least 1:
     /// a zero bound would refuse every request.
     pub fn with_limits(orch: Orchestrator, limits: ServiceLimits) -> Self {
         let limits = ServiceLimits {
             max_in_flight_per_tenant: limits.max_in_flight_per_tenant.max(1),
             max_in_flight_global: limits.max_in_flight_global.max(1),
-            max_queued_actions: limits.max_queued_actions.max(1),
         };
         Self {
             inner: Arc::new(ServiceInner {
@@ -623,7 +579,7 @@ impl OrchestratorServiceBuilder {
 
     /// Set the scheduling policy (e.g. [`WeightedFair`](crate::engine::WeightedFair)
     /// for tenant-fair lanes).
-    pub fn policy(mut self, policy: impl crate::engine::SchedulingPolicy + 'static) -> Self {
+    pub fn policy(mut self, policy: impl Into<crate::engine::SchedulingPolicy>) -> Self {
         self.orch = self.orch.policy(policy);
         self
     }
@@ -730,6 +686,7 @@ impl fmt::Debug for Session {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::engine::{ActionGraph, ActionKind};
     use crate::ir_container::IrPipelineConfig;
     use std::sync::mpsc;
     use std::time::Duration;
@@ -783,8 +740,7 @@ mod tests {
             error,
             AdmissionError::Rejected {
                 in_flight: 2,
-                limit: 2,
-                ..
+                limit: 2
             }
         ));
         drop(other);
@@ -805,7 +761,6 @@ mod tests {
             .limits(ServiceLimits {
                 max_in_flight_per_tenant: 0,
                 max_in_flight_global: 0,
-                max_queued_actions: 0,
             })
             .build();
         service.session("alice").submit(Noop).unwrap();
@@ -813,7 +768,6 @@ mod tests {
         let one = ServiceLimits {
             max_in_flight_per_tenant: 1,
             max_in_flight_global: 1,
-            max_queued_actions: 1,
         };
         assert_eq!(service.limits(), one);
     }
@@ -882,46 +836,58 @@ mod tests {
         }
     }
 
-    /// Work submitted straight to the orchestrator fills the ready queue and then
-    /// drains with no service request in flight, so nothing releases a slot: a
-    /// waiter refused for the queue bound still gets in.
+    /// A request that runs one action on the session's engine.
+    struct OneAction;
+
+    impl ServiceRequest for OneAction {
+        type Output = bool;
+        type Error = crate::engine::GraphError;
+
+        fn execute(self, orch: &Orchestrator) -> Result<bool, Self::Error> {
+            let mut graph: ActionGraph<'_, std::convert::Infallible> = ActionGraph::new();
+            graph.add(ActionKind::Preprocess, "small", &[], |_| Ok(Vec::new()));
+            Ok(orch.engine().run(graph)?.succeeded())
+        }
+    }
+
+    /// Admission counts requests, not the engine's queue: with 4,096 actions
+    /// submitted straight to the orchestrator and queued behind a gate, a
+    /// session's request is still admitted, and it runs once the gate opens.
     #[test]
-    fn submit_wait_rechecks_a_queue_drained_behind_the_service() {
-        use crate::engine::{ActionGraph, ActionKind};
+    fn a_queue_filled_behind_the_service_does_not_refuse_a_request() {
         let service = OrchestratorService::builder()
             .workers(1)
-            .limits(ServiceLimits::default().queued_actions(1))
+            .limits(ServiceLimits::default())
             .build();
         let (release, gate) = mpsc::channel::<()>();
         let gate = Mutex::new(gate);
         let mut graph: ActionGraph<'static, std::convert::Infallible> = ActionGraph::new();
-        graph.add(ActionKind::Preprocess, "gated", &[], move |_| {
+        graph.add(ActionKind::Preprocess, "gate", &[], move |_| {
             gate.lock().unwrap().recv().ok();
             Ok(Vec::new())
         });
-        for node in 0..2 {
+        for node in 0..4_096 {
             graph.add(ActionKind::Preprocess, format!("queued{node}"), &[], |_| {
                 Ok(Vec::new())
             });
         }
         let direct = service.orchestrator().engine().submit_graph(graph).unwrap();
-        let (finished, done) = mpsc::channel();
-        let waiter = {
-            let session = service.session("alice");
+        assert!(service.stats().queue.queued_actions >= 4_096);
+        // Open the gate once admission has decided, whichever way it went.
+        let opener = {
+            let service = service.clone();
             std::thread::spawn(move || {
-                let result = session.submit_wait(Noop);
-                finished.send(()).ok();
-                result
+                while service.stats().admitted + service.stats().rejected == 0 {
+                    std::thread::yield_now();
+                }
+                release.send(()).unwrap();
             })
         };
-        // Refused for the queue bound and waiting, not failed.
-        assert!(done.recv_timeout(Duration::from_millis(100)).is_err());
-        release.send(()).unwrap();
-        done.recv_timeout(Duration::from_secs(10))
-            .expect("the waiter re-checks the drained queue");
-        waiter.join().unwrap().unwrap();
+        assert!(service.session("alice").submit(OneAction).unwrap());
+        opener.join().unwrap();
         assert!(direct.wait().succeeded());
-        assert_eq!(service.stats().rejected, 0);
+        let stats = service.stats();
+        assert_eq!((stats.admitted, stats.rejected), (1, 0));
     }
 
     /// Every release wakes every waiter, and each wake re-decides admission: a

@@ -302,7 +302,7 @@ fn scheduling_policies_reorder_dispatch_without_changing_artifacts() {
         &Orchestrator::builder()
             .uncached(fair_store.clone())
             .workers(4)
-            .policy(WeightedFair::new().with_weight("alice", 3))
+            .policy(WeightedFair::new())
             .build()
             .for_tenant("alice"),
     );

