@@ -54,20 +54,25 @@
 //! error is never cached and progress is guaranteed. The protocol is the cache's
 //! one entrance for computing an action.
 //!
-//! An [`ActionCache`] built by [`ActionCache::with_tiers`] also keeps an ordered
-//! list of [`tier::Tier`]s under the flight table and memory index; a flight owner
-//! walks them outside the mutex — see [`tier`].
+//! An [`ActionCache`] built by [`ActionCache::with_tiers`] with a disk root also
+//! keeps a persistent [`DiskTier`] under the flight table and memory index; a
+//! flight owner reads through it outside the mutex — see [`tier`].
+//!
+//! What the disk tier reads back (journal records, blob files) is outside input,
+//! so the module denies the lints that let a decoder panic on it.
+
+#![deny(clippy::unwrap_used, clippy::indexing_slicing, clippy::dbg_macro)]
 
 pub mod tier;
 
 use crate::blob::Blob;
 use crate::digest::Digest;
-use crate::image::{ImageError, ImageStore, StoreGcReport};
+use crate::image::{ImageStore, StoreGcReport};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, OnceLock};
-use tier::{Claim, DiskLock, DiskTier, DiskTierStats, Tier, TierConfig, TierError};
+use tier::{Claim, DiskLock, DiskTier, DiskTierStats, TierConfig, TierError};
 
 /// The identity of one memoizable build action. See the module docs for the derivation.
 ///
@@ -200,9 +205,9 @@ impl Deserialize for DigestMemo {
 
 /// Counters describing cache effectiveness. Snapshots are cheap copies.
 ///
-/// The per-tier counters (`disk_hits`, `remote_hits`, `promotions`, `writebacks`)
-/// stay zero for a memory-only cache; [`ActionCache::with_tiers`] stacks populate
-/// them. All are `#[serde(default)]` so snapshots serialized before the tiers
+/// The disk-tier counters (`disk_hits`, `promotions`) stay zero for a memory-only
+/// cache; an [`ActionCache::with_tiers`] stack with a disk root populates them.
+/// They are `#[serde(default)]` so snapshots serialized before the disk tier
 /// existed still deserialize.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
@@ -220,17 +225,10 @@ pub struct CacheStats {
     /// Hits served by the persistent disk tier (counted in `hits` as well).
     #[serde(default)]
     pub disk_hits: u64,
-    /// Hits served by the remote tier (counted in `hits` as well).
-    #[serde(default)]
-    pub remote_hits: u64,
-    /// Outputs copied *up* the tier stack on a lower-tier hit (remote→disk,
-    /// disk/remote→memory), one count per tier written.
+    /// Disk hits copied up into the memory index: one per disk hit, so always
+    /// equal to `disk_hits`.
     #[serde(default)]
     pub promotions: u64,
-    /// Outputs written *down* the tier stack after a miss computed them, one count
-    /// per tier written.
-    #[serde(default)]
-    pub writebacks: u64,
     /// Index entries evicted because the backing store no longer held their blob
     /// (stale entries surfaced by store-level GC or a swapped store), plus the
     /// disk tier's [`stale_drops`](DiskTierStats::stale_drops) and
@@ -249,9 +247,9 @@ impl CacheStats {
         self.hits as f64 / total as f64
     }
 
-    /// Hits served by the in-memory tier: total hits minus the lower-tier hits.
+    /// Hits served by the in-memory tier: total hits minus the disk hits.
     pub fn memory_hits(&self) -> u64 {
-        self.hits.saturating_sub(self.disk_hits + self.remote_hits)
+        self.hits.saturating_sub(self.disk_hits)
     }
 
     /// Fraction of all lookups answered by `tier`, in `[0, 1]`.
@@ -263,22 +261,19 @@ impl CacheStats {
         let hits = match tier {
             CacheTier::Memory => self.memory_hits(),
             CacheTier::Disk => self.disk_hits,
-            CacheTier::Remote => self.remote_hits,
         };
         hits as f64 / total as f64
     }
 }
 
-/// Which tier of a cache stack served a hit: [`CacheTier::Memory`], or the
-/// [`Tier::kind`] of the lower tier that actually held the output before promotion.
+/// Which tier of a cache stack served a hit: the memory index, or the disk tier
+/// that held the output before it was promoted into memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum CacheTier {
     /// The in-memory [`ActionCache`] index.
     Memory,
     /// The persistent on-disk CAS tier ([`DiskTier`]).
     Disk,
-    /// A cache service shared between machines, below the disk tier.
-    Remote,
 }
 
 impl CacheTier {
@@ -287,7 +282,6 @@ impl CacheTier {
         match self {
             CacheTier::Memory => "memory",
             CacheTier::Disk => "disk",
-            CacheTier::Remote => "remote",
         }
     }
 }
@@ -449,7 +443,7 @@ pub enum TryBegin {
 /// artifact storage.
 ///
 /// Two implementations ship with the crate: [`ActionCache`] (content-addressed
-/// memoization with single-flight semantics, over any stack of [`tier::Tier`]s)
+/// memoization with single-flight semantics, over an optional [`DiskTier`])
 /// and [`NoCache`] (always compute — the
 /// honest replacement for the old "private empty cache" trick the uncached pipeline
 /// entry points used). Both are backed by an [`ImageStore`] so the executor can commit
@@ -524,8 +518,8 @@ impl CacheBackend for ActionCache {
                 lock: None,
             }
         };
-        // We own the flight, so same-process racers park on it while the lower
-        // tiers are read — outside the mutex.
+        // We own the flight, so same-process racers park on it while the disk
+        // tier is read — outside the mutex.
         if let Some(hit) = self.read_through(&mut ticket) {
             return hit;
         }
@@ -547,13 +541,10 @@ impl CacheBackend for ActionCache {
         // clone of the handle (a refcount bump), not a copy of the payload.
         let bytes = Blob::new(bytes);
         let content = Digest::of_bytes(&bytes);
-        for tier in &self.lower {
-            tier.put(&ticket.digest, &content, &bytes);
+        if let Some(disk) = &self.disk {
+            disk.store(&ticket.digest, &content, &bytes);
         }
-        self.land(&mut ticket, content, &bytes, |stats| {
-            stats.misses += 1;
-            stats.writebacks += self.lower.len() as u64;
-        });
+        self.land(&mut ticket, content, &bytes, |stats| stats.misses += 1);
         bytes
     }
 
@@ -669,8 +660,6 @@ struct CacheInner {
     /// Generation counter for [`FlightId`] nonces.
     next_nonce: u64,
     stats: CacheStats,
-    /// The disk tier's cumulative drops at the last [`ActionCache::reset_stats`].
-    disk_drops_at_reset: u64,
 }
 
 impl CacheInner {
@@ -715,11 +704,9 @@ pub struct ActionCache {
     store: ImageStore,
     capacity: Option<usize>,
     inner: Arc<Mutex<CacheInner>>,
-    /// The tiers below the memory index, fastest first; empty unless built by
-    /// [`ActionCache::with_tiers`].
-    lower: Vec<Arc<dyn Tier>>,
-    /// The disk tier among `lower`, kept typed for its counters and for the
-    /// cross-process claim a miss takes on it.
+    /// The one tier below the memory index, when [`ActionCache::with_tiers`] was
+    /// given a disk root: read through on a miss, written through on a
+    /// completion, and claimed across processes before a miss computes.
     disk: Option<Arc<DiskTier>>,
 }
 
@@ -730,7 +717,6 @@ impl ActionCache {
             store,
             capacity: None,
             inner: Arc::new(Mutex::new(CacheInner::default())),
-            lower: Vec::new(),
             disk: None,
         }
     }
@@ -759,16 +745,13 @@ impl ActionCache {
     }
 
     /// Build the whole stack over `store` per `config`: the memory index, then the
-    /// disk tier when one is configured (opened, and its journal replayed, here),
-    /// then every [`TierConfig::tier`] in the order attached.
+    /// disk tier when one is configured (opened, and its journal replayed, here).
     pub fn with_tiers(store: ImageStore, config: TierConfig) -> Result<Self, TierError> {
         let mut cache = match config.l1_capacity {
             Some(capacity) => Self::with_capacity(store, capacity).map_err(TierError::Config)?,
             None => Self::new(store),
         };
         cache.disk = config.disk.map(DiskTier::open).transpose()?.map(Arc::new);
-        let disk = cache.disk.iter().map(|disk| disk.clone() as Arc<dyn Tier>);
-        cache.lower = disk.chain(config.below_disk).collect();
         Ok(cache)
     }
 
@@ -784,44 +767,31 @@ impl ActionCache {
 
     /// Run store-level blob GC with every indexed action output pinned, so the
     /// sweep reclaims orphaned intermediates without invalidating live cache
-    /// entries. The lower tiers are not swept: they bound themselves.
+    /// entries. The disk tier is not swept: it bounds itself.
     pub fn collect_garbage(&self) -> StoreGcReport {
         self.store.collect_garbage(&self.indexed_blobs())
     }
 
-    /// Walk the lower tiers in order for the ticket's key. The first that answers
-    /// with bytes matching the digest it recorded is copied into every faster tier
-    /// and landed as the flight's output; a mismatch is discarded from its tier —
-    /// a damaged blob is never served — and the walk continues.
+    /// Read the ticket's key through the disk tier. Bytes that hash to the digest
+    /// the journal recorded are promoted into the memory index and landed as the
+    /// flight's output; a mismatch is discarded from the tier — a damaged blob is
+    /// never served — and the lookup is a miss.
     fn read_through(&self, ticket: &mut FlightTicket) -> Option<TryBegin> {
-        for (depth, tier) in self.lower.iter().enumerate() {
-            let Some((recorded, bytes)) = tier.get(&ticket.digest) else {
-                continue;
-            };
-            let blob = Blob::new(bytes);
-            // The one hash a promotion pays is also the verification.
-            let content = Digest::of_bytes(&blob);
-            if content != recorded {
-                tier.discard(&ticket.digest);
-                continue;
-            }
-            for faster in &self.lower[..depth] {
-                faster.put(&ticket.digest, &content, &blob);
-            }
-            let kind = tier.kind();
-            self.land(ticket, content, &blob, |stats| {
-                stats.hits += 1;
-                match kind {
-                    CacheTier::Memory => {}
-                    CacheTier::Disk => stats.disk_hits += 1,
-                    CacheTier::Remote => stats.remote_hits += 1,
-                }
-                // One per faster tier written: `depth` lower tiers and the memory index.
-                stats.promotions += depth as u64 + 1;
-            });
-            return Some(TryBegin::Hit(blob, kind));
+        let disk = self.disk.as_ref()?;
+        let (recorded, bytes) = disk.load(&ticket.digest)?;
+        let blob = Blob::new(bytes);
+        // The one hash a promotion pays is also the verification.
+        let content = Digest::of_bytes(&blob);
+        if content != recorded {
+            disk.discard(&ticket.digest);
+            return None;
         }
-        None
+        self.land(ticket, content, &blob, |stats| {
+            stats.hits += 1;
+            stats.disk_hits += 1;
+            stats.promotions += 1;
+        });
+        Some(TryBegin::Hit(blob, CacheTier::Disk))
     }
 
     /// Redeem the ticket with `blob` (content digest `content`): store and index it,
@@ -895,33 +865,14 @@ impl ActionCache {
         inner.stats.entries = inner.entries.len();
     }
 
-    /// A snapshot of the cache counters.
+    /// A snapshot of the cache counters. `stale_evictions` folds in the disk
+    /// tier's stale and corrupt drops.
     pub fn stats(&self) -> CacheStats {
-        let (mut stats, drops_at_reset) = {
-            let inner = self.inner.lock();
-            (inner.stats, inner.disk_drops_at_reset)
-        };
-        stats.stale_evictions += self.disk_drops().saturating_sub(drops_at_reset);
+        let mut stats = self.inner.lock().stats;
+        if let Some(disk) = self.disk_stats() {
+            stats.stale_evictions += disk.stale_drops + disk.corrupt_drops;
+        }
         stats
-    }
-
-    /// Reset the counters (entries are kept) — used to separate warm from cold phases
-    /// in experiments.
-    pub fn reset_stats(&self) {
-        let drops = self.disk_drops();
-        let mut inner = self.inner.lock();
-        let entries = inner.entries.len();
-        inner.stats = CacheStats {
-            entries,
-            ..CacheStats::default()
-        };
-        inner.disk_drops_at_reset = drops;
-    }
-
-    /// The disk tier's cumulative stale and corrupt drops (0 without a disk tier).
-    fn disk_drops(&self) -> u64 {
-        self.disk_stats()
-            .map_or(0, |disk| disk.stale_drops + disk.corrupt_drops)
     }
 
     /// The content digests of every blob the index currently references — the pin
@@ -929,16 +880,6 @@ impl ActionCache {
     /// [`ImageStore::collect_garbage`](crate::image::ImageStore::collect_garbage)).
     pub fn indexed_blobs(&self) -> Vec<Digest> {
         self.inner.lock().entries.values().cloned().collect()
-    }
-
-    /// Convenience for callers that want the raw blob digest of a cached action.
-    pub fn action_blob(&self, key: &BuildKey) -> Result<Digest, ImageError> {
-        self.inner
-            .lock()
-            .entries
-            .get(&key.digest())
-            .cloned()
-            .ok_or_else(|| ImageError::MissingBlob(key.digest()))
     }
 }
 
@@ -953,6 +894,7 @@ impl std::fmt::Debug for ActionCache {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::indexing_slicing)]
 mod tests {
     use super::*;
 
@@ -1019,10 +961,7 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-        let stored = cache
-            .store()
-            .blob(&cache.action_blob(&key(3)).unwrap())
-            .unwrap();
+        let stored = cache.store().blob(&Digest::of_bytes(b"shared")).unwrap();
         assert!(Blob::ptr_eq(&first, &stored), "miss returns store's handle");
         assert!(Blob::ptr_eq(&second, &stored), "hit returns store's handle");
         let peeked = cache.peek(&key(3)).unwrap();

@@ -1,11 +1,11 @@
-//! The tiers below the memory index: the [`Tier`] trait and the persistent on-disk CAS.
+//! The tier below the memory index: the persistent on-disk CAS.
 //!
 //! The paper's economics rest on specialization work being *reusable*; a memory-only
 //! [`ActionCache`](super::ActionCache) forfeits that reuse the moment the orchestrator
 //! process exits. A cache built with
-//! [`ActionCache::with_tiers`](super::ActionCache::with_tiers) therefore keeps an
-//! ordered list of [`Tier`]s under its flight table and memory index, and one walk
-//! serves every lookup:
+//! [`ActionCache::with_tiers`](super::ActionCache::with_tiers) and a disk root
+//! therefore keeps a [`DiskTier`] under its flight table and memory index, and one
+//! read-through serves every lookup:
 //!
 //! ```text
 //!                try_begin(key)
@@ -15,21 +15,19 @@
 //!        └─────────────┬──────────────┘
 //!                Owner │ (miss; the mutex is released)
 //!        ┌─────────────▼──────────────┐
-//!        │  lower[0]  DiskTier (blob  │── get ─┐
-//!        │            CAS + journal)  │        │ verify: hash == recorded digest,
-//!        ├────────────────────────────┤        │ else discard and keep walking
-//!        │  lower[1…] any other Tier  │── get ─┤
-//!        └─────────────┬──────────────┘        ▼
-//!                      │ (miss)         put into every faster tier, store, index,
-//!                      ▼                retire the flight ─► Hit(_, tier.kind())
-//!             Owner(ticket) — caller computes; complete() hashes once and puts
-//!             the output into every tier so each can serve the next request
+//!        │  DiskTier (blob CAS +      │── load ─┐ verify: hash == recorded digest,
+//!        │            journal)        │         │ else discard: a miss
+//!        └─────────────┬──────────────┘         ▼
+//!                      │ (miss)          promote into store + index, retire
+//!                      ▼                 the flight ─► Hit(_, Disk)
+//!             Owner(ticket) — caller computes; complete() hashes once and
+//!             stores the output on disk so it serves the next process
 //! ```
 //!
-//! * **Verification on promotion:** a tier hands back the content digest it
-//!   *recorded* beside the bytes it *read*; the one hash promotion pays anyway is
-//!   compared with it, so a damaged blob is [`discard`](Tier::discard)ed and
-//!   recomputed, never served.
+//! * **Verification on promotion:** [`DiskTier::load`] hands back the content
+//!   digest the journal *recorded* beside the bytes it *read*; the one hash
+//!   promotion pays anyway is compared with it, so a damaged blob is
+//!   [`discard`](DiskTier::discard)ed and recomputed, never served.
 //! * **Persistence:** the disk tier is a content-addressed blob directory plus an
 //!   append-only index journal (in the style of OxidePM's derivation store and
 //!   Bazel's disk cache). Reopening the same root after a process restart replays
@@ -47,7 +45,7 @@
 //!   evicts oldest-first beyond a byte budget (deleting unreferenced blob files and
 //!   journaling tombstones).
 
-use super::{CacheConfigError, CacheTier};
+use super::CacheConfigError;
 use crate::digest::Digest;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -55,7 +53,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Errors raised while opening or operating a cache tier.
@@ -97,26 +94,6 @@ fn io_err(path: &Path, source: std::io::Error) -> TierError {
         path: path.to_path_buf(),
         source,
     }
-}
-
-/// One tier below an [`ActionCache`](super::ActionCache)'s memory index. The cache
-/// walks its tiers in order on a miss and writes through all of them on a
-/// completion; single-flight, promotion, verification and counters live in the
-/// cache, so a tier only stores and fetches. Failures degrade to a miss.
-pub trait Tier: Send + Sync {
-    /// Which [`CacheTier`] hits served by this tier are attributed to.
-    fn kind(&self) -> CacheTier;
-
-    /// The output for `key`: the content digest recorded when it was
-    /// [`put`](Self::put), and the bytes as read back now. The caller verifies
-    /// one against the other.
-    fn get(&self, key: &Digest) -> Option<(Digest, Vec<u8>)>;
-
-    /// Hold `bytes` (content digest `content`) as the output for `key`. Idempotent.
-    fn put(&self, key: &Digest, content: &Digest, bytes: &[u8]);
-
-    /// Drop `key`: what [`get`](Self::get) returned for it failed verification.
-    fn discard(&self, key: &Digest);
 }
 
 /// Configuration of the persistent on-disk tier.
@@ -403,13 +380,9 @@ impl DiskTier {
         if complete == 0 {
             return;
         }
+        text.truncate(complete);
         let blobs = self.config.root.join("blobs");
-        state.stats.stale_drops += Self::replay(
-            &blobs,
-            &text[..complete],
-            &mut state.index,
-            &mut state.order,
-        );
+        state.stats.stale_drops += Self::replay(&blobs, &text, &mut state.index, &mut state.order);
         state.journal_offset += complete as u64;
         state.bytes = Self::total_bytes(&state.index);
     }
@@ -597,25 +570,12 @@ impl DiskTier {
             ..state.stats
         }
     }
-}
 
-impl Tier for DiskTier {
-    fn kind(&self) -> CacheTier {
-        CacheTier::Disk
-    }
-
-    fn get(&self, key: &Digest) -> Option<(Digest, Vec<u8>)> {
-        self.load(key)
-    }
-
-    fn put(&self, key: &Digest, content: &Digest, bytes: &[u8]) {
-        self.store(key, content, bytes);
-    }
-
-    /// The bytes [`load`](DiskTier::load) returned did not hash to the recorded
-    /// digest: journal the tombstone and move the blob file into `quarantine/`,
-    /// out of the way of a rewrite and kept for inspection.
-    fn discard(&self, key: &Digest) {
+    /// Drop `key` because the bytes [`load`](Self::load) returned did not hash to
+    /// the recorded digest: journal the tombstone, count a corrupt drop, and move
+    /// the blob file into `quarantine/`, out of the way of a rewrite and kept for
+    /// inspection. A no-op for a key the tier does not hold.
+    pub fn discard(&self, key: &Digest) {
         let mut state = self.state.lock();
         let Some(entry) = state.forget(key.hex()) else {
             return;
@@ -632,17 +592,16 @@ impl Tier for DiskTier {
 }
 
 /// Configuration of an [`ActionCache::with_tiers`](super::ActionCache::with_tiers)
-/// stack. Every tier below the memory index is optional, so `TierConfig::new()`
-/// alone is just a plain in-memory cache.
+/// stack. The disk tier is optional, so `TierConfig::new()` alone is just a plain
+/// in-memory cache.
 #[derive(Clone, Default)]
 pub struct TierConfig {
     pub(super) l1_capacity: Option<usize>,
     pub(super) disk: Option<DiskTierConfig>,
-    pub(super) below_disk: Vec<Arc<dyn Tier>>,
 }
 
 impl TierConfig {
-    /// A memory-only stack: no disk root, no further tier.
+    /// A memory-only stack: no disk root.
     pub fn new() -> Self {
         Self::default()
     }
@@ -663,21 +622,14 @@ impl TierConfig {
         self.disk = Some(disk);
         self
     }
-
-    /// Attach `tier` below the disk tier (repeatable; walked in the order given).
-    /// This is the seam for a shared remote cache — and for a test's in-memory
-    /// double of one.
-    pub fn tier(mut self, tier: Arc<dyn Tier>) -> Self {
-        self.below_disk.push(tier);
-        self
-    }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::indexing_slicing)]
 pub(super) mod tests {
     use super::*;
     use crate::blob::Blob;
-    use crate::cache::{ActionCache, BuildKey, CacheBackend, TryBegin};
+    use crate::cache::{ActionCache, BuildKey, CacheBackend, CacheTier, TryBegin};
     use crate::image::ImageStore;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -714,33 +666,6 @@ pub(super) mod tests {
         }
     }
 
-    /// The remote cache as a test double: an in-memory [`Tier`] whose clones
-    /// share one object map, the way builder machines share one remote.
-    #[derive(Clone, Default)]
-    struct MemTier(Arc<Mutex<Objects>>);
-
-    /// Key digest (hex) → the recorded content digest and the bytes.
-    type Objects = BTreeMap<String, (Digest, Vec<u8>)>;
-
-    impl Tier for MemTier {
-        fn kind(&self) -> CacheTier {
-            CacheTier::Remote
-        }
-
-        fn get(&self, key: &Digest) -> Option<(Digest, Vec<u8>)> {
-            self.0.lock().get(key.hex()).cloned()
-        }
-
-        fn put(&self, key: &Digest, content: &Digest, bytes: &[u8]) {
-            let object = (content.clone(), bytes.to_vec());
-            self.0.lock().entry(key.hex().to_string()).or_insert(object);
-        }
-
-        fn discard(&self, key: &Digest) {
-            self.0.lock().remove(key.hex());
-        }
-    }
-
     /// Whether `tier` indexes `key` right now (no journal catch-up).
     fn indexed(tier: &DiskTier, key: &Digest) -> bool {
         tier.state.lock().index.contains_key(key.hex())
@@ -766,7 +691,7 @@ pub(super) mod tests {
             let cache = ActionCache::with_tiers(ImageStore::new(), config.clone()).unwrap();
             let (_, tier) = compute_once(&cache, &key(1), b"persisted");
             assert_eq!(tier, None, "cold build computes");
-            assert_eq!(cache.stats().writebacks, 1, "written through to disk");
+            assert_eq!(cache.disk_stats().unwrap().entries, 1, "written through");
         }
         // "Process restart": fresh store, fresh L1, same disk root.
         let cache = ActionCache::with_tiers(ImageStore::new(), config).unwrap();
@@ -779,39 +704,6 @@ pub(super) mod tests {
         // Promoted: the next lookup is a pure memory hit.
         let (_, tier) = compute_once(&cache, &key(1), b"unused");
         assert_eq!(tier, Some(CacheTier::Memory));
-    }
-
-    #[test]
-    fn remote_hit_promotes_through_disk_into_memory() {
-        let root_a = TempRoot::new("remote-a");
-        let root_b = TempRoot::new("remote-b");
-        let remote = MemTier::default();
-        let builder_a = ActionCache::with_tiers(
-            ImageStore::new(),
-            TierConfig::new()
-                .disk_root(root_a.path())
-                .tier(Arc::new(remote.clone())),
-        )
-        .unwrap();
-        let builder_b = ActionCache::with_tiers(
-            ImageStore::new(),
-            TierConfig::new()
-                .disk_root(root_b.path())
-                .tier(Arc::new(remote.clone())),
-        )
-        .unwrap();
-        // Machine A computes and publishes; machine B (distinct disk root) pulls
-        // from the shared remote.
-        compute_once(&builder_a, &key(7), b"fleet-artifact");
-        let (blob, tier) = compute_once(&builder_b, &key(7), b"unused");
-        assert_eq!(tier, Some(CacheTier::Remote));
-        assert_eq!(blob, b"fleet-artifact");
-        let stats = builder_b.stats();
-        assert_eq!(stats.remote_hits, 1);
-        assert_eq!(stats.promotions, 2, "remote → disk and remote → memory");
-        // The pull warmed B's disk tier too.
-        assert_eq!(builder_b.disk_stats().unwrap().entries, 1);
-        assert_eq!(remote.0.lock().len(), 1, "one object published upward");
     }
 
     #[test]
@@ -956,8 +848,11 @@ pub(super) mod tests {
         assert_eq!(tier, Some(CacheTier::Memory));
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert_eq!((stats.disk_hits, stats.remote_hits), (0, 0));
-        assert_eq!(stats.writebacks, 0, "no lower tiers to write through to");
+        assert_eq!((stats.disk_hits, stats.promotions), (0, 0));
+        assert!(
+            cache.disk_stats().is_none(),
+            "no disk tier to write through to"
+        );
     }
 
     #[test]
@@ -1024,23 +919,31 @@ pub(super) mod tests {
     }
 
     #[test]
-    fn reset_stats_also_zeroes_the_disk_tiers_drops() {
-        let root = TempRoot::new("reset-drops");
+    fn stale_evictions_sum_memory_stale_disk_stale_and_corrupt_drops() {
+        let root = TempRoot::new("stale-sum");
         let config = TierConfig::new().disk_root(root.path());
-        let payload = b"the real artifact";
         let cache = ActionCache::with_tiers(ImageStore::new(), config.clone()).unwrap();
-        compute_once(&cache, &key(1), payload);
-        damage(root.path(), payload, None);
+        let payloads: [&[u8]; 3] = [b"corrupted", b"deleted", b"swept"];
+        for (n, payload) in (1..).zip(payloads) {
+            compute_once(&cache, &key(n), payload);
+        }
+        damage(root.path(), b"corrupted", None);
+        let deleted = Digest::of_bytes(b"deleted");
+        fs::remove_file(root.path().join("blobs").join(deleted.hex())).unwrap();
+        // The restart's replay drops key 2 (stale); key 1's read-through fails
+        // verification (corrupt) and recomputes; key 3 is promoted into memory.
         let cache = ActionCache::with_tiers(ImageStore::new(), config).unwrap();
-        compute_once(&cache, &key(1), payload);
-        assert_eq!(cache.stats().stale_evictions, 1, "one corrupt drop");
-        cache.reset_stats();
-        assert_eq!(cache.stats().stale_evictions, 0);
+        assert_eq!(compute_once(&cache, &key(1), b"corrupted").1, None);
         assert_eq!(
-            cache.disk_stats().unwrap().corrupt_drops,
-            1,
-            "the tier keeps its own"
+            compute_once(&cache, &key(3), b"unused").1,
+            Some(CacheTier::Disk)
         );
+        // A store sweep reclaims key 3's blob behind the memory index (stale).
+        cache.store().collect_garbage(&[]);
+        assert!(cache.peek(&key(3)).is_none());
+        let disk = cache.disk_stats().unwrap();
+        assert_eq!((disk.stale_drops, disk.corrupt_drops), (1, 1));
+        assert_eq!(cache.stats().stale_evictions, 1 + 1 + 1);
     }
 
     #[test]
@@ -1102,82 +1005,59 @@ pub(super) mod tests {
     }
 
     #[test]
-    fn every_tier_honours_the_same_contract() {
+    fn the_disk_tier_honours_its_load_store_discard_contract() {
         let root = TempRoot::new("contract");
         let disk = DiskTier::open(DiskTierConfig::new(root.path())).unwrap();
-        let tiers: [(&dyn Tier, CacheTier); 2] = [
-            (&disk, CacheTier::Disk),
-            (&MemTier::default(), CacheTier::Remote),
-        ];
-        for (tier, kind) in tiers {
-            assert_eq!(tier.kind(), kind);
-            let (k, content) = (key(1).digest(), Digest::of_bytes(b"output"));
-            assert!(tier.get(&k).is_none(), "{kind}: absent key");
-            tier.put(&k, &content, b"output");
-            let held = Some((content.clone(), b"output".to_vec()));
-            assert_eq!(tier.get(&k), held, "{kind}: get after put");
-            tier.put(&k, &content, b"output");
-            assert_eq!(tier.get(&k), held, "{kind}: re-put is idempotent");
-            assert!(tier.get(&key(2).digest()).is_none(), "{kind}: other keys");
-            tier.discard(&k);
-            assert!(tier.get(&k).is_none(), "{kind}: discarded");
-            tier.discard(&k); // discarding an absent key is a no-op
-        }
+        let (k, content) = (key(1).digest(), Digest::of_bytes(b"output"));
+        assert!(disk.load(&k).is_none(), "absent key");
+        disk.store(&k, &content, b"output");
+        let held = Some((content.clone(), b"output".to_vec()));
+        assert_eq!(disk.load(&k), held, "load after store");
+        disk.store(&k, &content, b"output");
+        assert_eq!(disk.load(&k), held, "re-store is idempotent");
+        let journal = fs::read_to_string(root.path().join("index.log")).unwrap();
+        assert_eq!(journal.lines().count(), 1, "a re-store journals nothing");
+        assert!(disk.load(&key(2).digest()).is_none(), "other keys");
+        disk.discard(&k);
+        assert!(disk.load(&k).is_none(), "discarded");
+        disk.discard(&k); // discarding an absent key is a no-op
+        assert_eq!((disk.stats().corrupt_drops, disk.stats().entries), (1, 0));
     }
 
     #[test]
-    fn counters_add_up_across_memory_disk_and_remote() {
-        let (root_a, root_b) = (TempRoot::new("sum-a"), TempRoot::new("sum-b"));
-        let remote = MemTier::default();
-        let stack = |root: &TempRoot| {
-            let config = TierConfig::new()
-                .disk_root(root.path())
-                .tier(Arc::new(remote.clone()));
+    fn counters_add_up_across_memory_and_disk() {
+        let root = TempRoot::new("sum");
+        let stack = || {
+            let config = TierConfig::new().disk_root(root.path());
             ActionCache::with_tiers(ImageStore::new(), config).unwrap()
         };
-        // Builder A computes keys 0..4 (4 misses, each written to disk + remote).
-        let a = stack(&root_a);
+        // A cold stack computes keys 0..4: four misses, each written to disk.
+        let cold = stack();
         for n in 0..4 {
-            compute_once(&a, &key(n), &[n as u8; 8]);
+            compute_once(&cold, &key(n), &[n as u8; 8]);
         }
-        let stats = a.stats();
-        assert_eq!((stats.misses, stats.writebacks, stats.hits), (4, 8, 0));
-        // A restarted A finds 0..2 on its disk; B, on another root, finds 0..4 in
-        // the remote and computes 4..6; then both re-read everything from memory.
-        let (a, b) = (stack(&root_a), stack(&root_b));
-        for n in 0..2 {
-            assert_eq!(
-                compute_once(&a, &key(n), b"unused").1,
-                Some(CacheTier::Disk)
-            );
-            assert_eq!(
-                compute_once(&a, &key(n), b"unused").1,
-                Some(CacheTier::Memory)
-            );
-        }
+        let stats = cold.stats();
+        assert_eq!((stats.misses, stats.hits, stats.disk_hits), (4, 0, 0));
+        assert_eq!(cold.disk_stats().unwrap().entries, 4);
+        // A restarted stack finds 0..4 on disk and computes 4..6; then it re-reads
+        // everything from memory.
+        let warm = stack();
         for n in 0..6 {
-            let expected = (n < 4).then_some(CacheTier::Remote);
-            assert_eq!(compute_once(&b, &key(n), &[n as u8; 8]).1, expected);
+            let expected = (n < 4).then_some(CacheTier::Disk);
+            assert_eq!(compute_once(&warm, &key(n), &[n as u8; 8]).1, expected);
             assert_eq!(
-                compute_once(&b, &key(n), b"unused").1,
+                compute_once(&warm, &key(n), b"unused").1,
                 Some(CacheTier::Memory)
             );
         }
-        let (a, b) = (a.stats(), b.stats());
-        assert_eq!((a.hits, a.disk_hits, a.remote_hits, a.misses), (4, 2, 0, 0));
-        assert_eq!(a.promotions, 2, "disk → memory");
+        let stats = warm.stats();
+        assert_eq!((stats.hits, stats.disk_hits, stats.misses), (10, 4, 2));
         assert_eq!(
-            (b.hits, b.disk_hits, b.remote_hits, b.misses),
-            (10, 0, 4, 2)
+            stats.promotions, stats.disk_hits,
+            "one promotion per disk hit"
         );
-        assert_eq!(b.promotions, 8, "remote → disk and remote → memory");
-        assert_eq!(b.writebacks, 4);
-        for stats in [a, b] {
-            assert_eq!(
-                stats.hits,
-                stats.memory_hits() + stats.disk_hits + stats.remote_hits
-            );
-        }
-        assert_eq!((a.memory_hits(), b.memory_hits()), (2, 6));
+        assert_eq!(stats.hits, stats.memory_hits() + stats.disk_hits);
+        assert_eq!(stats.memory_hits(), 6);
+        assert_eq!(warm.disk_stats().unwrap().entries, 6);
     }
 }

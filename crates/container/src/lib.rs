@@ -40,9 +40,7 @@ pub mod runtime;
 /// Commonly used types re-exported together.
 pub mod prelude {
     pub use crate::blob::Blob;
-    pub use crate::cache::tier::{
-        DiskTier, DiskTierConfig, DiskTierStats, Tier, TierConfig, TierError,
-    };
+    pub use crate::cache::tier::{DiskTier, DiskTierConfig, DiskTierStats, TierConfig, TierError};
     pub use crate::cache::{
         ActionCache, BuildKey, CacheBackend, CacheConfigError, CacheStats, CacheTier, FlightError,
         FlightId, FlightOutcome, FlightTicket, FlightWaker, NoCache, TryBegin,

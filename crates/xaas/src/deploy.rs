@@ -163,6 +163,23 @@ pub(crate) struct DeployPlan<'a> {
     assembled: LinkSlot<Assembled>,
 }
 
+/// `selection` with the project's default for every option it leaves out. A
+/// manifest's assignment names every option (configure completes it), so a
+/// deployment matches its manifest, and a fleet deduplicates its jobs, on the
+/// completed selection.
+pub(crate) fn complete_selection<'s>(
+    project: &ProjectSpec,
+    selection: &'s OptionAssignment,
+) -> Cow<'s, OptionAssignment> {
+    let mut selection = Cow::Borrowed(selection);
+    for option in &project.options {
+        if selection.get(&option.name).is_none() {
+            selection.to_mut().set(&option.name, option.default_value());
+        }
+    }
+    selection
+}
+
 /// Validate one deployment and plan its deduplicated tasks (Figure 8's *select*
 /// step): resolve the configuration manifest (an option the selection leaves
 /// out takes the project's default), check the SIMD level against the
@@ -177,14 +194,7 @@ pub(crate) fn plan_ir_deploy<'a>(
     selection: &OptionAssignment,
     simd: SimdLevel,
 ) -> Result<DeployPlan<'a>, PipelineError> {
-    // A manifest's assignment names every option (configure completes it), so
-    // complete the selection the same way before matching it exactly.
-    let mut selection = Cow::Borrowed(selection);
-    for option in &project.options {
-        if selection.get(&option.name).is_none() {
-            selection.to_mut().set(&option.name, option.default_value());
-        }
-    }
+    let selection = complete_selection(project, selection);
     let manifest = build
         .manifest_for(&selection)
         .ok_or_else(|| PipelineError::UnknownConfiguration(selection.label()))?;

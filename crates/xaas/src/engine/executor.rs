@@ -814,7 +814,7 @@ impl CoreShared {
                         // The backend's Blob handle becomes the outcome: a hit
                         // shares the store's allocation with every consumer. The
                         // hit names the tier that served it, so a stack's
-                        // disk/remote promotions show up in the trace.
+                        // disk promotions show up in the trace.
                         TryBegin::Hit(blob, tier) => {
                             (NodeOutcome::Output(blob), Some((true, Some(tier), false)))
                         }

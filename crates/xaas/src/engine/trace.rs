@@ -97,9 +97,9 @@ pub struct ActionRecord {
     /// Whether the action was served from the cache instead of executing.
     pub cached: bool,
     /// Which tier of the cache served the hit ([`CacheTier::Memory`] for plain
-    /// in-memory hits; `Disk`/`Remote` when an
+    /// in-memory hits; `Disk` when an
     /// [`ActionCache`](xaas_container::ActionCache) stack promoted the blob
-    /// from a lower tier). `None` for executed or cache-exempt actions. Like the
+    /// from its disk tier). `None` for executed or cache-exempt actions. Like the
     /// clocks, excluded from equality: *which* tier answers depends on the
     /// cache's starting state, not on what the build ran.
     #[serde(default)]
@@ -287,7 +287,6 @@ impl ActionTrace {
                 }
                 match record.hit_tier {
                     Some(CacheTier::Disk) => stats.disk_hits += 1,
-                    Some(CacheTier::Remote) => stats.remote_hits += 1,
                     Some(CacheTier::Memory) | None => {}
                 }
             } else {
@@ -472,7 +471,6 @@ mod tests {
             record(ActionKind::SdCompile, "c.ck", Some("0078"), true),
         ];
         records[3].hit_tier = Some(CacheTier::Disk);
-        records[4].hit_tier = Some(CacheTier::Remote);
         records[4].coalesced = true;
         let trace = ActionTrace {
             records,
@@ -485,8 +483,7 @@ mod tests {
         assert_eq!(delta.misses, 1, "keyless actions are not cache misses");
         assert_eq!(delta.coalesced, 1);
         assert_eq!(delta.disk_hits, 1);
-        assert_eq!(delta.remote_hits, 1);
-        assert_eq!(delta.memory_hits(), 1);
+        assert_eq!(delta.memory_hits(), 2);
         // Backend-global quantities have no per-request meaning.
         assert_eq!(delta.entries, 0);
         assert_eq!(delta.evictions, 0);

@@ -46,7 +46,7 @@
 // once per failed job, off the request's hot path, so it is not boxed.
 #![allow(clippy::result_large_err)]
 
-use crate::deploy::{finish_ir_deploy, graft_ir_deploy, plan_ir_deploy};
+use crate::deploy::{complete_selection, finish_ir_deploy, graft_ir_deploy, plan_ir_deploy};
 use crate::deploy::{DeployPlan, IrDeployment};
 use crate::engine::plan::SharedDeployArtifacts;
 use crate::engine::{ActionGraph, ActionTrace, AnalysisReport, Engine, SchedulingPolicy};
@@ -212,9 +212,9 @@ impl OrchestratorBuilder {
     }
 
     /// Route every keyed action through an [`ActionCache::with_tiers`] stack
-    /// built over a fresh store from `config`: the memory index, an optional
-    /// on-disk CAS tier that survives restarts (set [`TierConfig::disk_root`]),
-    /// and any further [`TierConfig::tier`]. Tier construction is fallible — an
+    /// built over a fresh store from `config`: the memory index and an optional
+    /// on-disk CAS tier that survives restarts (set [`TierConfig::disk_root`]).
+    /// Tier construction is fallible — an
     /// unwritable disk root or a zero L1 capacity is rejected here, not
     /// deferred to [`build`](Self::build).
     pub fn cache_tiers(self, config: TierConfig) -> Result<Self, TierError> {
@@ -479,16 +479,18 @@ impl FleetTarget {
         Self::new(system, selection, simd)
     }
 
-    /// The deduplication identity of the target: two targets with the same job key
-    /// are served by a single deployment job. The key digests the *entire* system
-    /// model (not just its name), so differently-configured systems that happen to
-    /// share a name never alias.
-    pub fn job_key(&self) -> String {
+    /// The deduplication identity of the target within a fleet over `project`:
+    /// two targets with the same job key are served by a single deployment job.
+    /// The key digests the *entire* system model (not just its name), so
+    /// differently-configured systems that happen to share a name never alias,
+    /// and it names the selection completed with `project`'s defaults, so a
+    /// target that spells out a default is the same job as one that leaves it out.
+    pub fn job_key(&self, project: &ProjectSpec) -> String {
         let system = serde_json::to_vec(&self.system).expect("system models serialise");
         format!(
             "{}|{}|{}",
             Digest::of_bytes(&system),
-            self.selection.label(),
+            complete_selection(project, &self.selection).label(),
             self.simd.gmx_name()
         )
     }
@@ -632,7 +634,7 @@ impl<'a> FleetRequest<'a> {
     /// without executing anything. The first plan-time failure is returned as
     /// a [`FleetError`].
     pub fn analyze(self, orch: &Orchestrator) -> Result<AnalysisReport, FleetError> {
-        let (jobs, _) = dedup_jobs(&self.targets);
+        let (jobs, _) = dedup_jobs(self.project, &self.targets);
         let plans = plan_jobs(self.build, self.project, &jobs);
         if let Some(error) = plans.iter().find_map(|plan| plan.as_ref().err()) {
             return Err(error.clone());
@@ -651,7 +653,7 @@ impl<'a> FleetRequest<'a> {
     /// job order — the union graph only changes *when* actions run (interleaved
     /// across jobs) and how often the engine is entered.
     pub fn submit(self, orch: &Orchestrator) -> FleetReport {
-        let (jobs, job_of_target) = dedup_jobs(&self.targets);
+        let (jobs, job_of_target) = dedup_jobs(self.project, &self.targets);
         let (results, trace, ran) = run_union_wave(self.build, self.project, &jobs, orch.engine());
 
         let outcomes = self
@@ -689,13 +691,18 @@ impl<'a> FleetRequest<'a> {
 /// Deduplicate identical targets up front: one job per distinct
 /// [`FleetTarget::job_key`], in request order, and per target its job's index and
 /// whether an earlier target already claimed the job.
-fn dedup_jobs(targets: &[FleetTarget]) -> (Vec<&FleetTarget>, Vec<(usize, bool)>) {
+fn dedup_jobs<'t>(
+    project: &ProjectSpec,
+    targets: &'t [FleetTarget],
+) -> (Vec<&'t FleetTarget>, Vec<(usize, bool)>) {
     let mut job_of_target: Vec<(usize, bool)> = Vec::with_capacity(targets.len());
     let mut job_index_by_key: BTreeMap<String, usize> = BTreeMap::new();
     let mut jobs: Vec<&FleetTarget> = Vec::new();
     for target in targets {
         let fresh = jobs.len();
-        let index = *job_index_by_key.entry(target.job_key()).or_insert(fresh);
+        let index = *job_index_by_key
+            .entry(target.job_key(project))
+            .or_insert(fresh);
         if index == fresh {
             jobs.push(target);
         }
@@ -977,6 +984,31 @@ mod tests {
         assert!(Arc::ptr_eq(first, second));
         assert_eq!(report.outcomes[0].system, "Ault23");
         assert_eq!(report.outcomes[2].system, "Ault01-04");
+    }
+
+    /// A target that spells out a project default is the same job as one that
+    /// leaves it out: dedup keys on the completed selection, as planning does.
+    #[test]
+    fn fleet_dedup_keys_on_the_selection_completed_with_defaults() {
+        let orch = Orchestrator::new();
+        let (project, build) = gromacs_fleet_build(&orch);
+        let spelled_out = gmx_simd("AVX_512").with("GMX_MPI", "OFF");
+        let report = FleetRequest::new(&build, &project)
+            .target(FleetTarget::new(
+                SystemModel::ault23(),
+                gmx_simd("AVX_512"),
+                SimdLevel::Avx512,
+            ))
+            .target(FleetTarget::new(
+                SystemModel::ault23(),
+                spelled_out,
+                SimdLevel::Avx512,
+            ))
+            .submit(&orch);
+        assert!(report.all_succeeded());
+        assert_eq!(report.jobs_executed, 1);
+        assert_eq!(report.jobs_deduplicated, 1);
+        assert!(report.outcomes[1].deduplicated);
     }
 
     #[test]

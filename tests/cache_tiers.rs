@@ -1,7 +1,6 @@
 //! Persistent tiered action cache, end to end: an orchestrator whose cache
-//! stack persists through an on-disk CAS tier (and optionally a remote tier —
-//! here an in-memory double of one) survives being killed and recreated — the
-//! warm restart replays the same work byte-identically with zero compile/lower
+//! stack persists through an on-disk CAS tier survives being killed and
+//! recreated — the warm restart replays the same work byte-identically with zero compile/lower
 //! actions re-executed, every keyed action read through the disk tier and
 //! visible as such in the [`ActionTrace`]. A root damaged between the sessions
 //! costs at most the damaged entries and heals itself. Store-level GC reclaims
@@ -9,50 +8,14 @@
 //! takes the same tier configuration, disk byte budget included.
 
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use xaas::prelude::*;
 use xaas::service::OrchestratorService;
 use xaas_buildsys::OptionAssignment;
-use xaas_container::{CacheTier, Digest, DiskTierConfig, Tier, TierConfig};
+use xaas_container::{CacheTier, DiskTierConfig, TierConfig};
 use xaas_hpcsim::SystemModel;
-
-/// The remote cache as a test double: an in-memory [`Tier`] whose clones share
-/// one object map, the way builder machines share one remote.
-#[derive(Clone, Default)]
-struct MemTier(Arc<Mutex<Objects>>);
-
-/// Key digest (hex) → the recorded content digest and the bytes.
-type Objects = BTreeMap<String, (Digest, Vec<u8>)>;
-
-impl MemTier {
-    fn objects(&self) -> usize {
-        self.0.lock().unwrap().len()
-    }
-}
-
-impl Tier for MemTier {
-    fn kind(&self) -> CacheTier {
-        CacheTier::Remote
-    }
-
-    fn get(&self, key: &Digest) -> Option<(Digest, Vec<u8>)> {
-        self.0.lock().unwrap().get(key.hex()).cloned()
-    }
-
-    fn put(&self, key: &Digest, content: &Digest, bytes: &[u8]) {
-        let object = (content.clone(), bytes.to_vec());
-        let mut objects = self.0.lock().unwrap();
-        objects.entry(key.hex().to_string()).or_insert(object);
-    }
-
-    fn discard(&self, key: &Digest) {
-        self.0.lock().unwrap().remove(key.hex());
-    }
-}
 
 /// A unique scratch directory under the OS temp dir (pid + counter keep
 /// concurrent test processes and threads apart; no `tempfile` dependency).
@@ -159,55 +122,6 @@ fn warm_restart_replays_the_fleet_from_the_disk_tier() {
     // And the per-request delta derived from that trace agrees.
     assert_eq!(warm_report.cache.misses, 0);
     assert!(warm_report.cache.disk_hits > 0);
-}
-
-#[test]
-fn remote_tier_shares_outputs_across_disjoint_disk_roots() {
-    let root_a = ScratchRoot::new("builder-a");
-    let root_b = ScratchRoot::new("builder-b");
-    let remote = MemTier::default();
-    let systems = [SystemModel::ault23()];
-
-    // Builder A computes everything and write-through publishes to the remote.
-    let (orch_a, images_a, _) = session(
-        TierConfig::new()
-            .disk_root(root_a.path())
-            .tier(Arc::new(remote.clone())),
-        &systems,
-    );
-    assert!(remote.objects() > 0, "write-through published upward");
-    drop(orch_a);
-
-    // Builder B has a different (empty) disk root but shares the remote: its
-    // misses read through the remote, land on its own disk, and promote into
-    // memory.
-    let (orch_b, images_b, report_b) = session(
-        TierConfig::new()
-            .disk_root(root_b.path())
-            .tier(Arc::new(remote.clone())),
-        &systems,
-    );
-    let stats_b = orch_b.cache_stats();
-    assert_eq!(images_a, images_b, "byte-identical across builders");
-    assert_eq!(stats_b.misses, 0, "builder B recomputes nothing");
-    assert!(stats_b.remote_hits > 0, "hits served by the remote tier");
-    assert!(
-        report_b
-            .trace
-            .records
-            .iter()
-            .any(|r| r.hit_tier == Some(CacheTier::Remote)),
-        "trace records carry the remote tier"
-    );
-    let disk_b = orch_b
-        .tiered_cache()
-        .expect("tiered backend")
-        .disk_stats()
-        .expect("disk tier");
-    assert!(
-        disk_b.entries > 0,
-        "remote hits were promoted through builder B's disk tier"
-    );
 }
 
 #[test]

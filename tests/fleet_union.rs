@@ -57,7 +57,7 @@ fn submit_per_job(
     };
     let mut outcome_by_job_key: BTreeMap<String, FleetOutcome> = BTreeMap::new();
     for target in targets {
-        let job_key = target.job_key();
+        let job_key = target.job_key(project);
         if let Some(outcome) = outcome_by_job_key.get(&job_key) {
             sequential.jobs_deduplicated += 1;
             sequential.outcomes.push(FleetOutcome {
@@ -233,7 +233,6 @@ fn shared_keys_execute_once_per_wave_in_one_submission() {
         .reference("union:shared")
         .submit(&Orchestrator::with_cache(&cache))
         .unwrap();
-    cache.reset_stats();
     let selection = OptionAssignment::new().with("GMX_SIMD", "AVX_512");
     let report = FleetRequest::new(&build, &project)
         .target(FleetTarget::new(

@@ -58,7 +58,7 @@ proptest! {
         let peeked = cache.peek(&key).unwrap();
         let stored = cache
             .store()
-            .blob(&cache.action_blob(&key).unwrap())
+            .blob(&Digest::of_bytes(&payload))
             .unwrap();
         prop_assert_eq!(&cold, &payload);
         prop_assert!(Blob::ptr_eq(&cold, &stored), "miss returns the stored handle");
