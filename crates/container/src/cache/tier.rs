@@ -34,6 +34,10 @@
 //!   the journal, so a warm restart serves byte-identical outputs with zero
 //!   recomputes. Everything read back — journal records, blob files — is treated
 //!   as outside input.
+//! * **A restart pays for what it reads:** replay parses journal lines and opens
+//!   or stats no blob file. An entry is sized when this process reads or writes
+//!   its blob, so a blob that vanished behind the journal is found — and dropped
+//!   as stale — on its first read, and never served.
 //! * **Cross-process single-flight:** a true miss takes a `locks/<key>.lock` file
 //!   (atomic `create_new`) before ownership is handed to the caller; the guard
 //!   rides in the [`FlightTicket`](super::FlightTicket) and is released when the
@@ -43,7 +47,8 @@
 //!   owners are broken after a timeout.
 //! * **Eviction per tier:** the memory index keeps its FIFO bound; the disk tier
 //!   evicts oldest-first beyond a byte budget (deleting unreferenced blob files and
-//!   journaling tombstones).
+//!   journaling tombstones). The budget is the only thing that needs every entry's
+//!   size: its first check stats the entries this process has not sized yet.
 
 use super::CacheConfigError;
 use crate::digest::Digest;
@@ -135,14 +140,19 @@ impl DiskTierConfig {
 /// Counters for the disk tier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DiskTierStats {
-    /// Keys currently indexed on disk.
+    /// Keys currently indexed on disk: every entry the journal replay accepted,
+    /// whether or not this process has read its blob yet.
     pub entries: usize,
-    /// Blob payload bytes currently on disk.
+    /// Blob payload bytes of the entries this process has sized: those it read
+    /// or wrote, and under a byte budget every entry (the budget's first check
+    /// stats the rest). A reopened root without a budget reads 0 until its
+    /// entries are loaded.
     pub bytes: u64,
     /// Entries evicted to respect the byte budget.
     pub evictions: u64,
     /// Index entries dropped because their blob file was missing or unreadable
-    /// (journal replay after a crash, or files removed behind our back).
+    /// when first read or sized (a crash after the journal append, or files
+    /// removed behind our back). Journal replay drops nothing.
     pub stale_drops: u64,
     /// Entries dropped because the blob read back did not hash to the content
     /// digest the journal recorded (overwritten or truncated file); the file is
@@ -159,8 +169,9 @@ pub struct DiskTierStats {
 #[derive(Clone)]
 struct DiskEntry {
     content: Digest,
-    /// Size of the blob file. `None` only inside [`DiskTier::replay`], between a
-    /// journal `put` being applied and its blob file being sized.
+    /// Size of the blob file, once this process has read or written it (or
+    /// stat'ed it for the byte budget); `None` for an entry replayed from the
+    /// journal and not touched since.
     len: Option<u64>,
 }
 
@@ -174,6 +185,7 @@ struct DiskState {
     index: BTreeMap<String, DiskEntry>,
     /// Insertion order of key digests for oldest-first eviction.
     order: VecDeque<String>,
+    /// Sum of the sized entries' lengths.
     bytes: u64,
     journal: fs::File,
     /// How far into `index.log` this instance has replayed. Another process
@@ -200,6 +212,16 @@ impl DiskState {
         self.bytes = self.bytes.saturating_sub(entry.len());
         self.journal(format_args!("del {key}"));
         Some(entry)
+    }
+
+    /// Record `len`, taken from the blob file itself, as the size of `key`'s
+    /// entry — unless the entry was dropped or replaced meanwhile.
+    fn size(&mut self, key: &str, content: &Digest, len: u64) {
+        let Some(entry) = self.index.get_mut(key).filter(|e| e.content == *content) else {
+            return;
+        };
+        let previous = entry.len.replace(len).unwrap_or(0);
+        self.bytes = self.bytes.saturating_sub(previous).saturating_add(len);
     }
 }
 
@@ -234,9 +256,11 @@ pub(super) enum Claim {
 impl DiskTier {
     /// Open (or create) the tier under `config.root`, replaying the index journal.
     ///
-    /// Journal entries whose blob file no longer exists are dropped — counted in
-    /// [`DiskTierStats::stale_drops`] — so the in-memory index always reflects what
-    /// the directory can actually serve.
+    /// Replay reads `index.log` and nothing else: no blob file is opened or
+    /// stat'ed, so opening costs the journal, not the blobs. An entry whose blob
+    /// file is gone stays indexed until its first [`load`](Self::load) finds the
+    /// file missing and drops it — counted in [`DiskTierStats::stale_drops`] — so
+    /// a lost blob is recomputed, never served.
     pub fn open(config: DiskTierConfig) -> Result<Self, TierError> {
         let blobs = config.root.join("blobs");
         let locks = config.root.join("locks");
@@ -246,7 +270,7 @@ impl DiskTier {
         let text = fs::read(&journal_path).unwrap_or_default();
         let mut index = BTreeMap::new();
         let mut order = VecDeque::new();
-        let stale_drops = Self::replay(&blobs, &text, &mut index, &mut order);
+        Self::replay(&text, &mut index, &mut order);
         let mut journal = fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -264,15 +288,13 @@ impl DiskTier {
         Ok(Self {
             config,
             state: Mutex::new(DiskState {
-                bytes: Self::total_bytes(&index),
                 index,
                 order,
+                // Every replayed entry is unsized.
+                bytes: 0,
                 journal,
                 journal_offset: text.len() as u64 + u64::from(torn),
-                stats: DiskTierStats {
-                    stale_drops,
-                    ..DiskTierStats::default()
-                },
+                stats: DiskTierStats::default(),
             }),
         })
     }
@@ -281,8 +303,7 @@ impl DiskTier {
     /// replace the entry without consuming a second FIFO slot; malformed or torn
     /// lines are skipped. Records are outside input: a `put` is accepted only with
     /// a 64-hex-character key and a well-formed content digest, and the `len` it
-    /// claims is never used — [`replay`](Self::replay) sizes the entry from the
-    /// blob file itself.
+    /// claims is never used — an entry is sized from its blob file.
     fn apply_journal_line(
         line: &str,
         index: &mut BTreeMap<String, DiskEntry>,
@@ -324,31 +345,13 @@ impl DiskTier {
         }
     }
 
-    /// Apply journal `text` to an index, then size every entry it put from the
-    /// blob file's metadata (one `stat` answers both "is it there" and "how big"),
-    /// dropping entries whose file is gone (crash between journal append and file
-    /// rename, or an external cleanup). Returns how many were dropped.
-    fn replay(
-        blobs: &Path,
-        text: &[u8],
-        index: &mut BTreeMap<String, DiskEntry>,
-        order: &mut VecDeque<String>,
-    ) -> u64 {
+    /// Apply journal `text` to an index. Only lines are read: the entries it puts
+    /// stay unsized until this process reads or writes their blobs, or the byte
+    /// budget stats them ([`enforce_capacity`](Self::enforce_capacity)).
+    fn replay(text: &[u8], index: &mut BTreeMap<String, DiskEntry>, order: &mut VecDeque<String>) {
         for line in String::from_utf8_lossy(text).lines() {
             Self::apply_journal_line(line, index, order);
         }
-        let mut missing = Vec::new();
-        for (key, entry) in index.iter_mut().filter(|(_, e)| e.len.is_none()) {
-            match fs::metadata(blobs.join(entry.content.hex())) {
-                Ok(file) if file.is_file() => entry.len = Some(file.len()),
-                _ => missing.push(key.clone()),
-            }
-        }
-        for key in &missing {
-            index.remove(key);
-            order.retain(|k| k != key);
-        }
-        missing.len() as u64
     }
 
     fn total_bytes(index: &BTreeMap<String, DiskEntry>) -> u64 {
@@ -381,8 +384,7 @@ impl DiskTier {
             return;
         }
         text.truncate(complete);
-        let blobs = self.config.root.join("blobs");
-        state.stats.stale_drops += Self::replay(&blobs, &text, &mut state.index, &mut state.order);
+        Self::replay(&text, &mut state.index, &mut state.order);
         state.journal_offset += complete as u64;
         state.bytes = Self::total_bytes(&state.index);
     }
@@ -405,7 +407,7 @@ impl DiskTier {
     ///
     /// A key absent from the in-memory index triggers a journal catch-up first, so
     /// an entry published by a concurrent builder process is found rather than
-    /// recomputed.
+    /// recomputed. A read sizes the entry from the bytes it read.
     pub fn load(&self, key: &Digest) -> Option<(Digest, Vec<u8>)> {
         let entry = {
             let mut state = self.state.lock();
@@ -415,7 +417,12 @@ impl DiskTier {
             state.index.get(key.hex()).cloned()?
         };
         match fs::read(self.blob_path(&entry.content)) {
-            Ok(bytes) => Some((entry.content, bytes)),
+            Ok(bytes) => {
+                self.state
+                    .lock()
+                    .size(key.hex(), &entry.content, bytes.len() as u64);
+                Some((entry.content, bytes))
+            }
             Err(_) => {
                 let mut state = self.state.lock();
                 if state.forget(key.hex()).is_some() {
@@ -469,10 +476,30 @@ impl DiskTier {
 
     /// Evict oldest-first until the byte budget holds, deleting blob files no other
     /// index entry references and journaling a tombstone per eviction.
+    ///
+    /// The total needs every entry's size, so entries still unsized — replayed
+    /// and not yet read, at the first check after an open or a journal catch-up —
+    /// are stat'ed first; one whose blob file is gone is a stale drop. A tier
+    /// without a budget never stats.
     fn enforce_capacity(&self, state: &mut DiskState) {
         let Some(capacity) = self.config.capacity_bytes else {
             return;
         };
+        let to_size: Vec<(String, Digest)> = state
+            .index
+            .iter()
+            .filter(|(_, entry)| entry.len.is_none())
+            .map(|(key, entry)| (key.clone(), entry.content.clone()))
+            .collect();
+        for (key, content) in to_size {
+            match fs::metadata(self.blob_path(&content)) {
+                Ok(file) if file.is_file() => state.size(&key, &content, file.len()),
+                _ => {
+                    state.forget(&key);
+                    state.stats.stale_drops += 1;
+                }
+            }
+        }
         while state.bytes > capacity && state.index.len() > 1 {
             let Some(oldest) = state.order.pop_front() else {
                 break;
@@ -727,7 +754,7 @@ pub(super) mod tests {
     }
 
     #[test]
-    fn journal_replay_drops_entries_with_missing_blob_files() {
+    fn a_missing_blob_is_a_stale_drop_on_first_read() {
         let root = TempRoot::new("stale");
         let config = TierConfig::new().disk_root(root.path());
         {
@@ -740,12 +767,81 @@ pub(super) mod tests {
         fs::remove_file(root.path().join("blobs").join(doomed.hex())).unwrap();
         let cache = ActionCache::with_tiers(ImageStore::new(), config).unwrap();
         let disk = cache.disk_stats().unwrap();
-        assert_eq!(disk.entries, 1, "missing-blob entry dropped on replay");
-        assert_eq!(disk.stale_drops, 1);
+        assert_eq!(
+            (disk.entries, disk.stale_drops),
+            (2, 0),
+            "open reads no blob"
+        );
         let (_, tier) = compute_once(&cache, &key(1), b"unused");
         assert_eq!(tier, Some(CacheTier::Disk));
-        let (_, tier) = compute_once(&cache, &key(2), b"recomputed");
-        assert_eq!(tier, None, "lost output recomputes");
+        let (blob, tier) = compute_once(&cache, &key(2), b"recomputed");
+        assert_eq!(
+            (blob.as_slice(), tier),
+            (&b"recomputed"[..], None),
+            "lost output recomputes, never served"
+        );
+        let disk = cache.disk_stats().unwrap();
+        assert_eq!(
+            (disk.entries, disk.stale_drops),
+            (2, 1),
+            "dropped on its first read, then rewritten by the recompute"
+        );
+    }
+
+    #[test]
+    fn opening_a_root_reads_the_journal_and_no_blob_file() {
+        let root = TempRoot::new("no-blobs");
+        let keys: Vec<Digest> = (0..3).map(|n| key(n).digest()).collect();
+        {
+            let tier = DiskTier::open(DiskTierConfig::new(root.path())).unwrap();
+            for (n, k) in (0u8..).zip(&keys) {
+                let payload = [n; 5];
+                tier.store(k, &Digest::of_bytes(&payload), &payload);
+            }
+        }
+        fs::remove_dir_all(root.path().join("blobs")).unwrap();
+        let tier = DiskTier::open(DiskTierConfig::new(root.path())).unwrap();
+        let stats = tier.stats();
+        assert_eq!((stats.entries, stats.stale_drops, stats.bytes), (3, 0, 0));
+        assert!(
+            tier.load(&keys[0]).is_none(),
+            "the first read finds it gone"
+        );
+        let stats = tier.stats();
+        assert_eq!((stats.entries, stats.stale_drops), (2, 1));
+    }
+
+    #[test]
+    fn a_reopened_budget_evicts_by_the_files_sizes_not_the_journals() {
+        let root = TempRoot::new("budget-reopen");
+        let config = || DiskTierConfig::new(root.path()).capacity_bytes(64);
+        let keys: Vec<Digest> = (0..3).map(|n| key(n).digest()).collect();
+        let payloads: Vec<[u8; 32]> = (0..3u8).map(|n| [n; 32]).collect();
+        let store = |tier: &DiskTier, n: usize| {
+            tier.store(&keys[n], &Digest::of_bytes(&payloads[n]), &payloads[n]);
+        };
+        {
+            let tier = DiskTier::open(config()).unwrap();
+            store(&tier, 0);
+            store(&tier, 1);
+        }
+        // Every record now claims a 1-byte blob.
+        let journal_path = root.path().join("index.log");
+        let lying: String = fs::read_to_string(&journal_path)
+            .unwrap()
+            .lines()
+            .map(|line| format!("{} 1\n", line.rsplit_once(' ').unwrap().0))
+            .collect();
+        fs::write(&journal_path, lying).unwrap();
+        let tier = DiskTier::open(config()).unwrap();
+        assert_eq!(tier.stats().bytes, 0, "nothing is sized at open");
+        store(&tier, 2);
+        // 96 real bytes against a 64-byte budget: the oldest entry goes.
+        let stats = tier.stats();
+        assert_eq!((stats.entries, stats.bytes, stats.evictions), (2, 64, 1));
+        assert!(!indexed(&tier, &keys[0]) && indexed(&tier, &keys[1]));
+        let evicted = Digest::of_bytes(&payloads[0]);
+        assert!(!root.path().join("blobs").join(evicted.hex()).exists());
     }
 
     #[test]
@@ -930,10 +1026,12 @@ pub(super) mod tests {
         damage(root.path(), b"corrupted", None);
         let deleted = Digest::of_bytes(b"deleted");
         fs::remove_file(root.path().join("blobs").join(deleted.hex())).unwrap();
-        // The restart's replay drops key 2 (stale); key 1's read-through fails
-        // verification (corrupt) and recomputes; key 3 is promoted into memory.
+        // After the restart key 1's read-through fails verification (corrupt)
+        // and key 2's finds its blob gone (stale): both recompute. Key 3 is
+        // promoted into memory.
         let cache = ActionCache::with_tiers(ImageStore::new(), config).unwrap();
         assert_eq!(compute_once(&cache, &key(1), b"corrupted").1, None);
+        assert_eq!(compute_once(&cache, &key(2), b"deleted").1, None);
         assert_eq!(
             compute_once(&cache, &key(3), b"unused").1,
             Some(CacheTier::Disk)
@@ -992,6 +1090,7 @@ pub(super) mod tests {
         fs::write(root.path().join("index.log"), &journal).unwrap();
         let tier = DiskTier::open(DiskTierConfig::new(root.path())).unwrap();
         assert!(indexed(&tier, &keys[1]), "the well-formed record survives");
+        assert!(tier.load(&keys[1]).is_some());
         let stats = tier.stats();
         assert_eq!((stats.entries, stats.bytes), (1, 7), "and only that one");
         drop(tier);
@@ -1000,6 +1099,9 @@ pub(super) mod tests {
         let claimed = format!("{journal}put {} {content} {}\n", keys[2].hex(), u64::MAX);
         fs::write(root.path().join("index.log"), claimed).unwrap();
         let tier = DiskTier::open(DiskTierConfig::new(root.path())).unwrap();
+        for k in &keys[1..] {
+            assert!(tier.load(k).is_some());
+        }
         let stats = tier.stats();
         assert_eq!((stats.entries, stats.bytes), (2, 14));
     }

@@ -16,7 +16,7 @@
 use super::graph::{ActionGraph, ActionId, ActionInputs};
 use super::trace::ActionKind;
 use crate::error::PipelineError;
-use crate::ir_container::TOOLCHAIN_ID;
+use crate::ir_container::{IR_TARGET, TOOLCHAIN_ID};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use xaas_buildsys::SourceSpec;
@@ -40,10 +40,11 @@ impl PreprocessPlanner {
         Self::default()
     }
 
-    /// The (file, sorted definition set) identity preprocessing dedups on. AST-level
-    /// analyses over the preprocessed source (OpenMP detection) share this identity,
-    /// so drivers use it for their own per-unit dedup maps too.
-    pub fn identity(file: &str, flags: &CompileFlags) -> (String, String) {
+    /// The (file, sorted definition set) identity preprocessing dedups on. OpenMP
+    /// detection does not share it: its key is the preprocessed digest
+    /// ([`openmp_detect_key`]), which definition sets that preprocess alike have
+    /// in common.
+    fn identity(file: &str, flags: &CompileFlags) -> (String, String) {
         let mut defs = flags.definitions.clone();
         defs.sort();
         (file.to_string(), defs.join(","))
@@ -193,6 +194,19 @@ impl<'env> SdCompilePlanner<'env> {
         shared.insert(identity, action);
         action
     }
+}
+
+/// The cache key of the IR build's `openmp-detect` over `path`, once `digest`, the
+/// preprocessed content digest its preprocess dependency outputs, is known.
+/// [`Compiler::openmp_report`] reads only the file name and the preprocessed
+/// text, so every definition set that preprocesses alike shares one verdict.
+pub(crate) fn openmp_detect_key(digest: &str, path: &str) -> BuildKey {
+    BuildKey::new(
+        digest,
+        IR_TARGET,
+        format!("file={path};analysis=openmp"),
+        TOOLCHAIN_ID,
+    )
 }
 
 /// Schedules deduplicated cache-keyed actions on a graph.
@@ -351,6 +365,22 @@ mod tests {
         assert_eq!(
             key.digest().as_str(),
             "sha256:aa8e7673fda38421d262a4b64f9d1104280944180ffda8254ab5368e3550db24"
+        );
+    }
+
+    /// The `openmp-detect` key is pinned for the same reason.
+    #[test]
+    fn openmp_detect_key_is_pinned() {
+        let key = openmp_detect_key("0123456789abcdef", "src/mdlib/forces.ck");
+        assert_eq!(
+            key.canonical(),
+            "tu=0123456789abcdef\nisa=xir.ir\n\
+             opts=file=src/mdlib/forces.ck;analysis=openmp\n\
+             toolchain=xirc-19/xir.v1\n"
+        );
+        assert_eq!(
+            key.digest().as_str(),
+            "sha256:6797893a433efd36fcba3df03c9ef73eb3f52f9a022389f1dd5c0c12013c7776"
         );
     }
 

@@ -183,7 +183,9 @@ impl ActionRecord {
 
 /// How many cache-routed actions ran versus how many were served from the cache.
 /// Reported next to (never inside) the artifacts, so cached and uncached builds stay
-/// byte-identical.
+/// byte-identical. An IR build counts its `openmp-detect` and `ir-lower` nodes; an
+/// analysis keyed like an earlier node of the same build is a memory hit, so even a
+/// cold build can report `cached > 0` (compare [`total`](Self::total)s).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ActionSummary {
     /// Actions that actually executed (cache misses).

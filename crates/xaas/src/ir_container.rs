@@ -17,6 +17,7 @@
 //! source instead of IR. Everything else (`S_I`) is compiled once per unique identity and
 //! stored as XIR bitcode in the image.
 
+use crate::engine::plan::openmp_detect_key;
 use crate::engine::{
     add_commit_action, ActionGraph, ActionId, ActionKind, ActionTrace, Engine, KeyedActionPlanner,
     LinkSlot, PreprocessPlanner,
@@ -209,7 +210,8 @@ pub struct IrContainerBuild {
     pub manifests: Vec<ConfigurationManifest>,
     /// The deduplicated IR units keyed by content id.
     pub units: BTreeMap<String, IrUnit>,
-    /// Compile actions executed vs served from the action cache during this build.
+    /// Cache-routed actions (`openmp-detect` and `ir-lower`) executed vs served
+    /// from the action cache during this build.
     pub actions: ActionSummary,
     /// The full, deterministic action trace of the build (preprocess through commit).
     pub trace: ActionTrace,
@@ -294,8 +296,8 @@ pub(crate) fn unknown_target_source(project: &ProjectSpec) -> Option<String> {
 /// configuration.
 type UnitKeys = Vec<(String, String, String)>;
 
-/// The serial stage-1 plan: the stage-A action graph (preprocess + OpenMP
-/// detection, deduplicated across configurations) plus the bookkeeping the
+/// The serial stage-1 plan: the stage-A action graph (preprocess, then OpenMP
+/// detection keyed on each preprocess output) plus the bookkeeping the
 /// later serial stages fold over. Building it runs no actions — this is the
 /// graph [`analyze_ir_build`] reports on without executing anything.
 pub(crate) struct IrBuildStageA<'env> {
@@ -344,11 +346,13 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
     let mut content_by_file: BTreeMap<String, std::sync::Arc<str>> = BTreeMap::new();
 
     let mut stage_a: ActionGraph<'env, PipelineError> = ActionGraph::new();
-    // Preprocessing and OpenMP detection depend only on (file, definition set):
-    // deduplicate the actions across configurations so the graph does each distinct
-    // piece of work once.
+    // Preprocessing depends only on (file, definition set): the planner schedules
+    // each distinct pair once across configurations. OpenMP detection reads only
+    // the file name and the preprocessed text, so it gets one node per preprocess
+    // node, keyed on that node's digest: definition sets that preprocess alike
+    // coalesce on one cache flight.
     let mut preprocess = PreprocessPlanner::new();
-    let mut openmp_actions: BTreeMap<(String, String), ActionId> = BTreeMap::new();
+    let mut openmp_actions: BTreeMap<ActionId, ActionId> = BTreeMap::new();
     for (config_index, assignment) in assignments.iter().enumerate() {
         let build = configure(project, assignment, &config.build_dir, None)?;
         let mut per_config_units: UnitKeys = Vec::new();
@@ -380,23 +384,27 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
 
             let flags = command.flags();
             let generation_key = command.canonical_key(config.stages.normalize_build_dir);
-            let dedup_key = PreprocessPlanner::identity(&command.file, &flags);
 
             let preprocess_action =
                 preprocess.action_for(&mut stage_a, compiler, &command.file, &content, &flags);
             // OpenMP detection only matters for units carrying `-fopenmp`: units
             // without it can never have OpenMP in effect, whatever the AST says.
             let openmp_action = if config.stages.openmp_detection && flags.openmp {
-                Some(match openmp_actions.get(&dedup_key) {
+                Some(match openmp_actions.get(&preprocess_action) {
                     Some(&id) => id,
                     None => {
                         let file = command.file.clone();
+                        let key_file = command.file.clone();
                         let content = content.clone();
                         let flags = flags.clone();
-                        let id = stage_a.add(
+                        let id = stage_a.add_cached_derived(
                             ActionKind::OpenMpDetect,
                             command.file.clone(),
-                            &[],
+                            move |inputs| {
+                                let digest = String::from_utf8_lossy(inputs.dep(0));
+                                openmp_detect_key(&digest, &key_file)
+                            },
+                            &[preprocess_action],
                             move |_| {
                                 // Analysis failures conservatively keep OpenMP in the
                                 // identity (matching the historical behaviour).
@@ -407,7 +415,7 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
                                 Ok(vec![u8::from(matters)])
                             },
                         );
-                        openmp_actions.insert(dedup_key, id);
+                        openmp_actions.insert(preprocess_action, id);
                         id
                     }
                 })
@@ -453,7 +461,7 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
     })
 }
 
-/// Plan the build's stage-A graph (preprocess + OpenMP detection) and report
+/// Plan the build's stage-A graph (preprocess, then OpenMP detection) and report
 /// on it without executing anything. The stage-B
 /// graph (ir-lower/link/commit) is derived from stage-A *outputs*, so it
 /// cannot be constructed statically.
@@ -475,8 +483,11 @@ pub(crate) fn analyze_ir_build(
 ///
 /// 1. **configure** (driver, serial — cheap): enumerate the sweep, emit compile DBs,
 ///    split system-dependent from system-independent units;
-/// 2. **preprocess + openmp-detect** (graph A, parallel): one deduplicated action per
-///    distinct (file, definitions) pair;
+/// 2. **preprocess → openmp-detect** (graph A, parallel, two waves): one preprocess
+///    action per distinct (file, definitions) pair, then one `openmp-detect` over
+///    each, keyed by the preprocessed-content digest — definition sets that
+///    preprocess alike share one verdict (a memory hit within a build, a disk hit
+///    after a restart);
 /// 3. **ir-lower** (graph B, parallel, cache-routed): one action per deduplicated
 ///    translation unit, keyed by the preprocessed-content digest;
 /// 4. **link + commit** (graph B tail): assemble the image layers from the lowered
@@ -504,7 +515,7 @@ pub(crate) fn run_ir_build(
         occurrences,
     } = plan_ir_build_stage_a(project, config, &compiler)?;
 
-    // ---- Stage 2+3 (graph A): preprocess and OpenMP-detect, in parallel ----
+    // ---- Stage 2+3 (graph A): preprocess, then OpenMP-detect each digest ----
     let (outputs_a, mut trace) = engine.run(stage_a)?.into_outputs()?;
     let digest_of =
         |id: ActionId| -> String { String::from_utf8_lossy(&outputs_a[id]).into_owned() };
@@ -967,11 +978,12 @@ mod tests {
         let cache = ActionCache::new(store.clone());
         let config = IrPipelineConfig::sweep_options(&project, &["WITH_MPI", "WITH_OPENMP"]);
         let cold = build_cached(&project, &config, &cache, "warm:a").unwrap();
-        assert_eq!(cold.actions.cached, 0);
-        assert_eq!(cold.actions.executed, cold.units.len());
+        // One execution per IR unit and per distinct analysis; an analysis whose
+        // preprocessed digest an earlier node already has is a memory hit.
+        assert_eq!((cold.actions.executed, cold.actions.cached), (14, 4));
         let warm = build_cached(&project, &config, &cache, "warm:b").unwrap();
         assert_eq!(warm.actions.executed, 0, "warm build compiles nothing");
-        assert_eq!(warm.actions.cached, cold.actions.executed);
+        assert_eq!(warm.actions.cached, cold.actions.total());
         // Identical artifacts: same units, same stats, same layer bytes.
         assert_eq!(warm.units, cold.units);
         assert_eq!(warm.stats, cold.stats);

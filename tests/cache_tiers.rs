@@ -124,6 +124,51 @@ fn warm_restart_replays_the_fleet_from_the_disk_tier() {
     assert!(warm_report.cache.disk_hits > 0);
 }
 
+/// `openmp-detect` is keyed on the preprocessed digest: the SIMD sweep's 36
+/// analysis nodes are 9 distinct units. A cold build computes each once (the
+/// other 27 are memory hits within the build), a build over the restarted root
+/// computes none and reads the 9 from disk, and both images equal an uncached
+/// build's.
+#[test]
+fn openmp_detect_runs_once_per_preprocessed_unit_and_restarts_from_disk() {
+    let root = ScratchRoot::new("openmp");
+    let (project, pipeline) = gromacs_sweep();
+    let build = |orch: &Orchestrator| {
+        IrBuildRequest::new(&project, &pipeline)
+            .reference("tiers:openmp")
+            .submit(orch)
+            .expect("IR container builds")
+    };
+    let tiered = || {
+        Orchestrator::builder()
+            .workers(4)
+            .cache_tiers(TierConfig::new().disk_root(root.path()))
+            .expect("tier stack initializes")
+            .build()
+    };
+    // (executed, memory hits, disk hits) over the build's `openmp-detect` nodes.
+    let analyses = |build: &IrContainerBuild| {
+        let records = build.trace.records.iter();
+        records.filter(|r| r.kind == ActionKind::OpenMpDetect).fold(
+            (0, 0, 0),
+            |(executed, memory, disk), r| match r.hit_tier {
+                _ if !r.cached => (executed + 1, memory, disk),
+                Some(CacheTier::Disk) => (executed, memory, disk + 1),
+                _ => (executed, memory + 1, disk),
+            },
+        )
+    };
+    let uncached = build(&Orchestrator::uncached(&xaas_container::ImageStore::new()));
+    let cold = build(&tiered());
+    assert_eq!(analyses(&cold), (9, 27, 0));
+    let warm = build(&tiered());
+    assert_eq!(analyses(&warm), (0, 27, 9));
+    for other in [&cold, &warm] {
+        assert_eq!(other.image.layers, uncached.image.layers);
+        assert_eq!(other.units, uncached.units);
+    }
+}
+
 #[test]
 fn store_gc_reclaims_orphans_but_keeps_the_warm_path_intact() {
     let root = ScratchRoot::new("gc");

@@ -60,18 +60,18 @@ fn parallel_ir_build_is_byte_identical_to_serial_with_fewer_serial_stages() {
     assert_eq!(parallel.trace.action_set(), serial.trace.action_set());
     // The engine's DAG collapses the seed path's 88 one-at-a-time actions — by kind,
     // in pipeline order: 38 preprocess, 38 openmp-detect (one per TU of the 4
-    // configurations), 10 ir-lower (the distinct IR files), link, commit — into 4
-    // waves: preprocess + openmp-detect → ir-lower → link → commit.
+    // configurations), 10 ir-lower (the distinct IR files), link, commit — into 5
+    // waves: preprocess → openmp-detect → ir-lower → link → commit.
     let by_kind: Vec<usize> = serial.trace.by_kind().into_values().collect();
     assert_eq!(by_kind, [38, 38, 10, 1, 1]);
     assert_eq!(serial.trace.len(), 88);
-    assert_eq!(parallel.trace.stage_depth, 4);
-    // One compile per ir-lower; an uncached engine never hits.
-    let compiles = ActionSummary {
-        executed: 10,
+    assert_eq!(parallel.trace.stage_depth, 5);
+    // An uncached engine executes every keyed node: 38 openmp-detect, 10 ir-lower.
+    let keyed = ActionSummary {
+        executed: 48,
         cached: 0,
     };
-    assert_eq!(parallel.actions, compiles);
+    assert_eq!(parallel.actions, keyed);
     assert_eq!(parallel.stats.configurations, 4);
 }
 
@@ -102,9 +102,9 @@ fn nocache_and_warm_action_cache_builds_are_identical() {
         .unwrap();
 
     assert_eq!(warm.actions.executed, 0, "warm build compiles nothing");
-    assert_eq!(warm.actions.cached, cold.actions.executed);
+    assert_eq!(warm.actions.cached, cold.actions.total());
     assert_eq!(uncached.actions.cached, 0, "NoCache never hits");
-    assert_eq!(uncached.actions.executed, cold.actions.executed);
+    assert_eq!(uncached.actions.executed, cold.actions.total());
     for other in [&cold, &warm] {
         assert_eq!(other.image.layers, uncached.image.layers);
         assert_eq!(other.units, uncached.units);

@@ -101,6 +101,31 @@ fn failing_compile_on_a_nocache_miss_returns_the_typed_compile_error() {
     );
 }
 
+/// A unit that fails to preprocess fails the build with the typed `Compile` error
+/// naming it, also when an `openmp-detect` is keyed on that preprocess output:
+/// the analysis is skipped, never keyed on a missing digest.
+#[test]
+fn failing_preprocess_under_a_keyed_openmp_detect_is_the_typed_compile_error() {
+    let mut project = tiny_project("#include \"missing.h\"\n", vec!["src/main.ck".into()]);
+    project.global_flags.push("-fopenmp".into());
+    let config = IrPipelineConfig::sweep_options(&project, &[]);
+    let error = with_timeout(30, move || {
+        let orch = Orchestrator::new();
+        let planned = IrBuildRequest::new(&project, &config).analyze(&orch);
+        assert_eq!(
+            planned.map(|r| r.nodes),
+            Ok(2),
+            "preprocess + openmp-detect"
+        );
+        IrBuildRequest::new(&project, &config).submit(&orch)
+    })
+    .unwrap_err();
+    assert!(
+        matches!(error, PipelineError::Compile { ref file, .. } if file == "src/main.ck"),
+        "expected a typed Compile error for src/main.ck, got {error}"
+    );
+}
+
 /// The well-formed control case: the tiny project builds and deploys cleanly
 /// through the same session, proving the failures above are the error paths and
 /// not artifacts of the fixture.

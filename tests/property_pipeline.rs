@@ -356,7 +356,7 @@ proptest! {
             .submit(&session)
             .unwrap();
         prop_assert_eq!(warm.actions.executed, 0);
-        prop_assert_eq!(warm.actions.cached, cold.actions.executed);
+        prop_assert_eq!(warm.actions.cached, cold.actions.total());
         prop_assert_eq!(uncached.actions.cached, 0);
         prop_assert_eq!(&cold.image.layers, &uncached.image.layers);
         prop_assert_eq!(&warm.image.layers, &uncached.image.layers);
