@@ -38,6 +38,29 @@
 //!   or stats no blob file. An entry is sized when this process reads or writes
 //!   its blob, so a blob that vanished behind the journal is found — and dropped
 //!   as stale — on its first read, and never served.
+//! * **Linear, allocation-free replay over a binary index:** the index holds raw
+//!   32-byte hashes, keys and contents alike. Replay is one pass over the
+//!   journal's bytes that decodes each record's hex through a lookup table and
+//!   allocates nothing per record beyond the index's own tree nodes; a tombstone
+//!   is one logarithmic removal. Blob, quarantine and journal names are the
+//!   lowercase hex of those hashes, so the journal text and every file name are
+//!   what they always were, and a root opens the same in either direction across
+//!   versions.
+//! * **The journal's record language:** one record per `\n`-terminated line,
+//!   fields separated by runs of ASCII whitespace (space, tab, CR, LF, VT, FF).
+//!   Exactly two records are accepted, and fields after the ones shown are
+//!   ignored:
+//!   - `put <key> sha256:<content> <len>`: `<key>` is 64 lowercase hex digits,
+//!     `<content>` 64 hex digits in either case, and `<len>` anything
+//!     `str::parse::<u64>` accepts (`+7` too). The `len` is never used: an entry
+//!     is sized from its blob file.
+//!   - `del <key>`, with `<key>` as above.
+//!
+//!   Every other line — malformed, torn, of an unknown kind — is skipped. A
+//!   checked field holding any other byte fails its check, so a line whose
+//!   fields are separated by non-ASCII Unicode whitespace (which older replays
+//!   split on) or that holds invalid UTF-8 in them is skipped too: a miss, never
+//!   a wrong hit.
 //! * **Cross-process single-flight:** a true miss takes a `locks/<key>.lock` file
 //!   (atomic `create_new`) before ownership is handed to the caller; the guard
 //!   rides in the [`FlightTicket`](super::FlightTicket) and is released when the
@@ -51,10 +74,10 @@
 //!   size: its first check stats the entries this process has not sized yet.
 
 use super::CacheConfigError;
-use crate::digest::Digest;
+use crate::digest::{decode_hex32, hex, Digest};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -166,13 +189,19 @@ pub struct DiskTierStats {
     pub locks_broken: u64,
 }
 
-#[derive(Clone)]
+/// A raw SHA-256 hash: how the index holds key and content digests.
+type Hash = [u8; 32];
+
 struct DiskEntry {
-    content: Digest,
+    content: Hash,
     /// Size of the blob file, once this process has read or written it (or
     /// stat'ed it for the byte budget); `None` for an entry replayed from the
     /// journal and not touched since.
     len: Option<u64>,
+    /// The entry's place in the oldest-first eviction order, from
+    /// [`DiskState::next_stamp`]: taken by the first put since the key was last
+    /// removed, kept by a re-put.
+    stamp: u64,
 }
 
 impl DiskEntry {
@@ -182,9 +211,10 @@ impl DiskEntry {
 }
 
 struct DiskState {
-    index: BTreeMap<String, DiskEntry>,
-    /// Insertion order of key digests for oldest-first eviction.
-    order: VecDeque<String>,
+    index: BTreeMap<Hash, DiskEntry>,
+    /// The stamp the next newly indexed key takes; the entry with the lowest
+    /// stamp is the oldest, and the byte budget evicts it first.
+    next_stamp: u64,
     /// Sum of the sized entries' lengths.
     bytes: u64,
     journal: fs::File,
@@ -205,23 +235,97 @@ impl DiskState {
         let _ = self.journal.write_all(format!("{record}\n").as_bytes());
     }
 
+    /// Index `content` under `key`, sized `len`. A new key takes the newest
+    /// stamp, a live one keeps its own; the replaced entry is returned. The byte
+    /// count is the caller's to adjust.
+    fn insert(&mut self, key: Hash, content: Hash, len: Option<u64>) -> Option<DiskEntry> {
+        match self.index.entry(key) {
+            Entry::Occupied(mut slot) => {
+                let stamp = slot.get().stamp;
+                Some(slot.insert(DiskEntry {
+                    content,
+                    len,
+                    stamp,
+                }))
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(DiskEntry {
+                    content,
+                    len,
+                    stamp: self.next_stamp,
+                });
+                self.next_stamp += 1;
+                None
+            }
+        }
+    }
+
     /// Drop `key` from the index and journal the tombstone; the caller counts why.
-    fn forget(&mut self, key: &str) -> Option<DiskEntry> {
+    fn forget(&mut self, key: &Hash) -> Option<DiskEntry> {
         let entry = self.index.remove(key)?;
-        self.order.retain(|k| k != key);
         self.bytes = self.bytes.saturating_sub(entry.len());
-        self.journal(format_args!("del {key}"));
+        self.journal(format_args!("del {}", hex(key)));
         Some(entry)
     }
 
     /// Record `len`, taken from the blob file itself, as the size of `key`'s
     /// entry — unless the entry was dropped or replaced meanwhile.
-    fn size(&mut self, key: &str, content: &Digest, len: u64) {
+    fn size(&mut self, key: &Hash, content: &Hash, len: u64) {
         let Some(entry) = self.index.get_mut(key).filter(|e| e.content == *content) else {
             return;
         };
         let previous = entry.len.replace(len).unwrap_or(0);
         self.bytes = self.bytes.saturating_sub(previous).saturating_add(len);
+    }
+
+    /// Apply journal `text` to the index, one `\n`-terminated line at a time.
+    /// Only lines are read: the entries it puts stay unsized until this process
+    /// reads or writes their blobs, or the byte budget stats them
+    /// ([`DiskTier::enforce_capacity`]).
+    fn replay(&mut self, text: &[u8]) {
+        for line in text.split(|&byte| byte == b'\n') {
+            self.apply_journal_line(line);
+        }
+    }
+
+    /// Apply one journal line, in the record language of the module docs; any
+    /// other line is skipped. A `put` of the content a key already holds is a
+    /// no-op (a catch-up re-reading our own append); a `put` of new content
+    /// replaces the entry and keeps its stamp. A `del` drops the key; an unknown
+    /// key is a no-op.
+    fn apply_journal_line(&mut self, line: &[u8]) {
+        // The ASCII bytes `char::is_whitespace` accepts: `is_ascii_whitespace`'s
+        // five and VT.
+        let mut fields = line
+            .split(|&byte| byte.is_ascii_whitespace() || byte == 0x0b)
+            .filter(|field| !field.is_empty());
+        match fields.next() {
+            Some(b"put") => {
+                let (Some(key), Some(content), Some(len)) =
+                    (fields.next(), fields.next(), fields.next())
+                else {
+                    return;
+                };
+                let key = decode_hex32(key, false);
+                let content = content
+                    .strip_prefix(b"sha256:")
+                    .and_then(|hex| decode_hex32(hex, true));
+                let len = std::str::from_utf8(len).map(str::parse::<u64>);
+                let (Some(key), Some(content), Ok(Ok(_))) = (key, content, len) else {
+                    return;
+                };
+                if self.index.get(&key).is_some_and(|e| e.content == content) {
+                    return; // our own append, re-read by a catch-up
+                }
+                self.insert(key, content, None);
+            }
+            Some(b"del") => {
+                if let Some(key) = fields.next().and_then(|key| decode_hex32(key, false)) {
+                    self.index.remove(&key);
+                }
+            }
+            _ => {}
+        }
     }
 }
 
@@ -257,10 +361,18 @@ impl DiskTier {
     /// Open (or create) the tier under `config.root`, replaying the index journal.
     ///
     /// Replay reads `index.log` and nothing else: no blob file is opened or
-    /// stat'ed, so opening costs the journal, not the blobs. An entry whose blob
-    /// file is gone stays indexed until its first [`load`](Self::load) finds the
-    /// file missing and drops it — counted in [`DiskTierStats::stale_drops`] — so
-    /// a lost blob is recomputed, never served.
+    /// stat'ed, so opening costs the journal, not the blobs. It is one linear pass
+    /// over the journal's bytes that allocates nothing per record beyond the
+    /// index's own tree nodes: each record's digests are decoded into raw 32-byte
+    /// hashes (the [module docs](self) give the record language, whose fields
+    /// are separated by ASCII whitespace only), and a tombstone costs a
+    /// logarithmic removal, never a scan of the live keys. The journal text and
+    /// every file name under the root are the hex of those hashes, unchanged, so
+    /// roots stay readable in both directions across versions.
+    ///
+    /// An entry whose blob file is gone stays indexed until its first
+    /// [`load`](Self::load) finds the file missing and drops it — counted in
+    /// [`DiskTierStats::stale_drops`] — so a lost blob is recomputed, never served.
     pub fn open(config: DiskTierConfig) -> Result<Self, TierError> {
         let blobs = config.root.join("blobs");
         let locks = config.root.join("locks");
@@ -268,93 +380,39 @@ impl DiskTier {
         fs::create_dir_all(&locks).map_err(|e| io_err(&locks, e))?;
         let journal_path = config.root.join("index.log");
         let text = fs::read(&journal_path).unwrap_or_default();
-        let mut index = BTreeMap::new();
-        let mut order = VecDeque::new();
-        Self::replay(&text, &mut index, &mut order);
-        let mut journal = fs::OpenOptions::new()
+        let journal = fs::OpenOptions::new()
             .create(true)
             .append(true)
             .open(&journal_path)
             .map_err(|e| io_err(&journal_path, e))?;
+        let mut state = DiskState {
+            index: BTreeMap::new(),
+            next_stamp: 0,
+            // Every replayed entry is unsized.
+            bytes: 0,
+            journal,
+            journal_offset: 0,
+            stats: DiskTierStats::default(),
+        };
+        state.replay(&text);
         // A crash mid-append leaves a fragment with no newline. Terminate it, or
         // our first append lands on the same line and is lost with it; terminated,
         // the fragment is one more (usually malformed) line that replay judged.
         let torn = text.last().is_some_and(|&byte| byte != b'\n');
         if torn {
-            journal
+            state
+                .journal
                 .write_all(b"\n")
                 .map_err(|e| io_err(&journal_path, e))?;
         }
+        state.journal_offset = text.len() as u64 + u64::from(torn);
         Ok(Self {
             config,
-            state: Mutex::new(DiskState {
-                index,
-                order,
-                // Every replayed entry is unsized.
-                bytes: 0,
-                journal,
-                journal_offset: text.len() as u64 + u64::from(torn),
-                stats: DiskTierStats::default(),
-            }),
+            state: Mutex::new(state),
         })
     }
 
-    /// Apply one journal line to an index. `put` lines for an already-indexed key
-    /// replace the entry without consuming a second FIFO slot; malformed or torn
-    /// lines are skipped. Records are outside input: a `put` is accepted only with
-    /// a 64-hex-character key and a well-formed content digest, and the `len` it
-    /// claims is never used — an entry is sized from its blob file.
-    fn apply_journal_line(
-        line: &str,
-        index: &mut BTreeMap<String, DiskEntry>,
-        order: &mut VecDeque<String>,
-    ) {
-        let mut fields = line.split_whitespace();
-        match fields.next() {
-            Some("put") => {
-                let (Some(key), Some(content), Some(len)) =
-                    (fields.next(), fields.next(), fields.next())
-                else {
-                    return;
-                };
-                let (Ok(content), Ok(_)) = (Digest::parse(content), len.parse::<u64>()) else {
-                    return;
-                };
-                let hex = |b: u8| matches!(b, b'0'..=b'9' | b'a'..=b'f');
-                if key.len() != 64 || !key.bytes().all(hex) {
-                    return;
-                }
-                if index.get(key).is_some_and(|e| e.content == content) {
-                    return; // our own append, re-read by a catch-up
-                }
-                if index
-                    .insert(key.to_string(), DiskEntry { content, len: None })
-                    .is_none()
-                {
-                    order.push_back(key.to_string());
-                }
-            }
-            Some("del") => {
-                if let Some(key) = fields.next() {
-                    if index.remove(key).is_some() {
-                        order.retain(|k| k != key);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Apply journal `text` to an index. Only lines are read: the entries it puts
-    /// stay unsized until this process reads or writes their blobs, or the byte
-    /// budget stats them ([`enforce_capacity`](Self::enforce_capacity)).
-    fn replay(text: &[u8], index: &mut BTreeMap<String, DiskEntry>, order: &mut VecDeque<String>) {
-        for line in String::from_utf8_lossy(text).lines() {
-            Self::apply_journal_line(line, index, order);
-        }
-    }
-
-    fn total_bytes(index: &BTreeMap<String, DiskEntry>) -> u64 {
+    fn total_bytes(index: &BTreeMap<Hash, DiskEntry>) -> u64 {
         index
             .values()
             .fold(0, |sum, entry| sum.saturating_add(entry.len()))
@@ -384,13 +442,13 @@ impl DiskTier {
             return;
         }
         text.truncate(complete);
-        Self::replay(&text, &mut state.index, &mut state.order);
+        state.replay(&text);
         state.journal_offset += complete as u64;
         state.bytes = Self::total_bytes(&state.index);
     }
 
-    fn blob_path(&self, content: &Digest) -> PathBuf {
-        self.config.root.join("blobs").join(content.hex())
+    fn blob_path(&self, content: &Hash) -> PathBuf {
+        self.config.root.join("blobs").join(hex(content))
     }
 
     fn lock_path(&self, key: &Digest) -> PathBuf {
@@ -407,25 +465,25 @@ impl DiskTier {
     ///
     /// A key absent from the in-memory index triggers a journal catch-up first, so
     /// an entry published by a concurrent builder process is found rather than
-    /// recomputed. A read sizes the entry from the bytes it read.
+    /// recomputed. A read sizes the entry from the bytes it read. A key that is
+    /// not a `sha256:` digest in lowercase hex is never indexed.
     pub fn load(&self, key: &Digest) -> Option<(Digest, Vec<u8>)> {
-        let entry = {
+        let key = key.sha256_bytes()?;
+        let content = {
             let mut state = self.state.lock();
-            if !state.index.contains_key(key.hex()) {
+            if !state.index.contains_key(&key) {
                 self.refresh_from_journal(&mut state);
             }
-            state.index.get(key.hex()).cloned()?
+            state.index.get(&key)?.content
         };
-        match fs::read(self.blob_path(&entry.content)) {
+        match fs::read(self.blob_path(&content)) {
             Ok(bytes) => {
-                self.state
-                    .lock()
-                    .size(key.hex(), &entry.content, bytes.len() as u64);
-                Some((entry.content, bytes))
+                self.state.lock().size(&key, &content, bytes.len() as u64);
+                Some((Digest::from_sha256(content), bytes))
             }
             Err(_) => {
                 let mut state = self.state.lock();
-                if state.forget(key.hex()).is_some() {
+                if state.forget(&key).is_some() {
                     state.stats.stale_drops += 1;
                 }
                 None
@@ -439,17 +497,22 @@ impl DiskTier {
     /// never leaves a half-written digest-named file; the journal records the index
     /// entry afterwards. A file already there under the name is replaced, not
     /// trusted: it may be the damaged blob this key was just recomputed for. I/O
-    /// failures are swallowed — the tier degrades to a miss.
+    /// failures are swallowed — the tier degrades to a miss, as it does for a key
+    /// or content that is not a `sha256:` digest in lowercase hex.
     pub fn store(&self, key: &Digest, content: &Digest, bytes: &[u8]) {
+        let (Some(key_hash), Some(content_hash)) = (key.sha256_bytes(), content.sha256_bytes())
+        else {
+            return;
+        };
         let mut state = self.state.lock();
         if state
             .index
-            .get(key.hex())
-            .is_some_and(|e| e.content == *content)
+            .get(&key_hash)
+            .is_some_and(|e| e.content == content_hash)
         {
             return; // idempotent re-store
         }
-        let path = self.blob_path(content);
+        let path = self.blob_path(&content_hash);
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
         if fs::write(&tmp, bytes)
             .and_then(|()| fs::rename(&tmp, &path))
@@ -458,24 +521,22 @@ impl DiskTier {
             let _ = fs::remove_file(&tmp);
             return;
         }
-        let hex = key.hex().to_string();
-        let entry = DiskEntry {
-            content: content.clone(),
-            len: Some(bytes.len() as u64),
-        };
-        if let Some(previous) = state.index.insert(hex.clone(), entry) {
-            // Same key, new content: keep the single order slot, adjust the byte count.
+        let len = bytes.len() as u64;
+        if let Some(previous) = state.insert(key_hash, content_hash, Some(len)) {
+            // Same key, new content: the slot is kept, the byte count adjusted.
             state.bytes = state.bytes.saturating_sub(previous.len());
-        } else {
-            state.order.push_back(hex.clone());
         }
-        state.bytes = state.bytes.saturating_add(bytes.len() as u64);
-        state.journal(format_args!("put {hex} {content} {}", bytes.len()));
+        state.bytes = state.bytes.saturating_add(len);
+        // Both digests decoded, so their text is the hex of the indexed hashes.
+        state.journal(format_args!("put {} {content} {len}", key.hex()));
         self.enforce_capacity(&mut state);
     }
 
-    /// Evict oldest-first until the byte budget holds, deleting blob files no other
-    /// index entry references and journaling a tombstone per eviction.
+    /// Evict oldest-first (lowest stamp) until the byte budget holds, deleting blob
+    /// files no other index entry references and journaling a tombstone per
+    /// eviction. Each eviction scans the index for its oldest entry, as it scans
+    /// for another reference to the blob; a tier without a budget keeps no order
+    /// beyond the stamps, so replay and tombstones never pay for one.
     ///
     /// The total needs every entry's size, so entries still unsized — replayed
     /// and not yet read, at the first check after an open or a journal catch-up —
@@ -485,11 +546,11 @@ impl DiskTier {
         let Some(capacity) = self.config.capacity_bytes else {
             return;
         };
-        let to_size: Vec<(String, Digest)> = state
+        let to_size: Vec<(Hash, Hash)> = state
             .index
             .iter()
             .filter(|(_, entry)| entry.len.is_none())
-            .map(|(key, entry)| (key.clone(), entry.content.clone()))
+            .map(|(key, entry)| (*key, entry.content))
             .collect();
         for (key, content) in to_size {
             match fs::metadata(self.blob_path(&content)) {
@@ -501,15 +562,15 @@ impl DiskTier {
             }
         }
         while state.bytes > capacity && state.index.len() > 1 {
-            let Some(oldest) = state.order.pop_front() else {
+            let Some((&oldest, _)) = state.index.iter().min_by_key(|(_, entry)| entry.stamp) else {
                 break;
             };
             let Some(entry) = state.index.remove(&oldest) else {
-                continue;
+                break;
             };
             state.bytes = state.bytes.saturating_sub(entry.len());
             state.stats.evictions += 1;
-            state.journal(format_args!("del {oldest}"));
+            state.journal(format_args!("del {}", hex(&oldest)));
             let still_referenced = state.index.values().any(|e| e.content == entry.content);
             if !still_referenced {
                 let _ = fs::remove_file(self.blob_path(&entry.content));
@@ -554,9 +615,10 @@ impl DiskTier {
     /// Whether `key` is indexed after catching up on the journal — i.e. the
     /// process whose lock we waited on published it. Counted as a lock wait.
     fn published(&self, key: &Digest) -> bool {
+        let key = key.sha256_bytes();
         let mut state = self.state.lock();
         self.refresh_from_journal(&mut state);
-        let found = state.index.contains_key(key.hex());
+        let found = key.is_some_and(|key| state.index.contains_key(&key));
         state.stats.lock_waits += u64::from(found);
         found
     }
@@ -603,8 +665,11 @@ impl DiskTier {
     /// the blob file into `quarantine/`, out of the way of a rewrite and kept for
     /// inspection. A no-op for a key the tier does not hold.
     pub fn discard(&self, key: &Digest) {
+        let Some(key) = key.sha256_bytes() else {
+            return;
+        };
         let mut state = self.state.lock();
-        let Some(entry) = state.forget(key.hex()) else {
+        let Some(entry) = state.forget(&key) else {
             return;
         };
         state.stats.corrupt_drops += 1;
@@ -612,7 +677,7 @@ impl DiskTier {
         let _ = fs::create_dir_all(&quarantine).and_then(|()| {
             fs::rename(
                 self.blob_path(&entry.content),
-                quarantine.join(entry.content.hex()),
+                quarantine.join(hex(&entry.content)),
             )
         });
     }
@@ -658,6 +723,7 @@ pub(super) mod tests {
     use crate::blob::Blob;
     use crate::cache::{ActionCache, BuildKey, CacheBackend, CacheTier, TryBegin};
     use crate::image::ImageStore;
+    use proptest::prelude::prop_assert_eq;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn key(n: u32) -> BuildKey {
@@ -695,7 +761,8 @@ pub(super) mod tests {
 
     /// Whether `tier` indexes `key` right now (no journal catch-up).
     fn indexed(tier: &DiskTier, key: &Digest) -> bool {
-        tier.state.lock().index.contains_key(key.hex())
+        let key = key.sha256_bytes().unwrap();
+        tier.state.lock().index.contains_key(&key)
     }
 
     fn compute_once(
@@ -1104,6 +1171,225 @@ pub(super) mod tests {
         }
         let stats = tier.stats();
         assert_eq!((stats.entries, stats.bytes), (2, 14));
+    }
+
+    /// A tier opened on a root whose journal is `journal` and whose one blob file
+    /// holds `b"payload"`.
+    fn opened_on(journal: &[u8]) -> (TempRoot, DiskTier) {
+        let root = TempRoot::new("records");
+        let blobs = root.path().join("blobs");
+        fs::create_dir_all(&blobs).unwrap();
+        fs::write(blobs.join(Digest::of_bytes(b"payload").hex()), b"payload").unwrap();
+        fs::write(root.path().join("index.log"), journal).unwrap();
+        let tier = DiskTier::open(DiskTierConfig::new(root.path())).unwrap();
+        (root, tier)
+    }
+
+    #[test]
+    fn the_journal_record_language_is_pinned() {
+        let keys: Vec<Digest> = (1..=3).map(|n| key(n).digest()).collect();
+        let (k, other, third) = (keys[0].hex(), keys[1].hex(), keys[2].hex());
+        let content = Digest::of_bytes(b"payload");
+        let holds_k = |journal: String| indexed(&opened_on(journal.as_bytes()).1, &keys[0]);
+
+        let upper = format!("put {k} sha256:{} 7\n", content.hex().to_ascii_uppercase());
+        assert_eq!(
+            opened_on(upper.as_bytes()).1.load(&keys[0]),
+            Some((content.clone(), b"payload".to_vec())),
+            "uppercase content hex is indexed and served under the lowercase name"
+        );
+        assert!(holds_k(format!("put {k} {content} +7\n")), "`+7` as len");
+        assert!(
+            holds_k(format!("put\t{k}  {content}\t\t7\n")),
+            "tabs and doubled spaces"
+        );
+        assert!(
+            holds_k(format!("put {k} {content} 7\r\n")),
+            "a CRLF line end"
+        );
+
+        let upper_key = k.to_ascii_uppercase();
+        for (line, case) in [
+            (format!("put {upper_key} {content} 7"), "an uppercase key"),
+            (format!("put {} {content} 7", &k[1..]), "a 63-digit key"),
+            (format!("put {k}0 {content} 7"), "a 65-digit key"),
+            (
+                format!("put {k} sha512:{} 7", content.hex()),
+                "a sha512 content",
+            ),
+            (format!("put {k} {content}"), "a missing len"),
+            (format!("put {k} {content} seven"), "a non-numeric len"),
+            (
+                format!("put\u{a0}{k} {content} 7"),
+                "non-ASCII whitespace, which separates no fields",
+            ),
+        ] {
+            assert!(!holds_k(format!("{line}\n")), "skipped: {case}");
+        }
+
+        let mut journal = format!("put {other} {content} 7\nput ").into_bytes();
+        journal.extend_from_slice(&k.as_bytes()[..60]);
+        journal.extend_from_slice(b"\xff\xfe\xc3\x28");
+        journal.extend_from_slice(format!(" {content} 7\nput {third} {content} 7\n").as_bytes());
+        let (_root, tier) = opened_on(&journal);
+        assert_eq!(
+            keys.iter()
+                .map(|key| indexed(&tier, key))
+                .collect::<Vec<_>>(),
+            [false, true, true],
+            "a line with invalid UTF-8 is skipped, and only that line"
+        );
+
+        let put = format!("put {k} {content} 7\n");
+        assert!(
+            holds_k(format!("{put}del {other}\n")),
+            "a del of an unknown key"
+        );
+        assert!(
+            holds_k(format!("{put}del {upper_key}\n")),
+            "a del of a malformed key"
+        );
+    }
+
+    #[test]
+    fn the_journal_text_and_file_names_are_pinned() {
+        // Disk roots outlive the binary that wrote them: these bytes are what a
+        // root written by any version holds, and what every version must read.
+        let root = TempRoot::new("pinned");
+        let tier = DiskTier::open(DiskTierConfig::new(root.path()).capacity_bytes(8)).unwrap();
+        let keys: Vec<Digest> = (1..=3)
+            .map(|n| Digest::of_str(&format!("journal-key-{n}")))
+            .collect();
+        for (k, payload) in keys.iter().zip([b"aaaa", b"bbbb", b"cccc"]) {
+            tier.store(k, &Digest::of_bytes(payload), payload);
+        }
+        // The third store evicted the first key; now the second is discarded.
+        tier.discard(&keys[1]);
+        let journal = fs::read_to_string(root.path().join("index.log")).unwrap();
+        assert_eq!(
+            journal,
+            "put 6b36cf9859067cde8601830ca2e207c0c6818961f57f9a80332f18229fc74fc1 \
+             sha256:61be55a8e2f6b4e172338bddf184d6dbee29c98853e0a0485ecee7f27b9af0b4 4\n\
+             put da6dcb77365503c671f135afa0a4867ca85bdb36ce2afc2eef0aee5b1848e596 \
+             sha256:81cc5b17018674b401b42f35ba07bb79e211239c23bffe658da1577e3e646877 4\n\
+             put 3468c204dd931a57ac839783bc73c870f1d46e3feb54c0135165c7949fe5eab7 \
+             sha256:b6fbd675f98e2abd22d4ed29fdc83150fedc48597e92dd1a7a24381d44a27451 4\n\
+             del 6b36cf9859067cde8601830ca2e207c0c6818961f57f9a80332f18229fc74fc1\n\
+             del da6dcb77365503c671f135afa0a4867ca85bdb36ce2afc2eef0aee5b1848e596\n"
+        );
+        let names = |dir: &str| -> Vec<String> {
+            let mut names: Vec<String> = fs::read_dir(root.path().join(dir))
+                .unwrap()
+                .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(
+            names("blobs"),
+            ["b6fbd675f98e2abd22d4ed29fdc83150fedc48597e92dd1a7a24381d44a27451"]
+        );
+        assert_eq!(
+            names("quarantine"),
+            ["81cc5b17018674b401b42f35ba07bb79e211239c23bffe658da1577e3e646877"]
+        );
+    }
+
+    /// The index in eviction order, oldest first: `(key, content)` pairs.
+    fn fifo(tier: &DiskTier) -> Vec<(Hash, Hash)> {
+        let state = tier.state.lock();
+        let mut entries: Vec<(u64, Hash, Hash)> = state
+            .index
+            .iter()
+            .map(|(key, entry)| (entry.stamp, *key, entry.content))
+            .collect();
+        entries.sort_unstable();
+        entries.into_iter().map(|(_, k, c)| (k, c)).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Replay, through `open` and through a journal catch-up, and the budget's
+        /// eviction order follow the FIFO rule of a reference model: the first put
+        /// since a key's last removal takes the newest slot, a re-put (same or new
+        /// content) keeps it, and a `del` frees it.
+        #[test]
+        fn replay_and_budgeted_eviction_follow_the_fifo_model(
+            ops in proptest::collection::vec(0u32..36, 0..48)
+        ) {
+            // Four keys, three contents of four bytes each.
+            let key_of = |n: u32| Digest::of_str(&format!("fifo-key-{n}"));
+            let payload_of = |n: u32| [b'a' + n as u8; 4];
+            let content_of = |n: u32| Digest::of_bytes(&payload_of(n));
+            let mut model: Vec<(u32, u32)> = Vec::new();
+            let mut journal = String::new();
+            for op in ops {
+                let (k, c) = ((op / 3) % 4, op / 12);
+                if op % 3 == 2 {
+                    model.retain(|&(held, _)| held != k);
+                    journal += &format!("del {}\n", key_of(k).hex());
+                } else {
+                    match model.iter_mut().find(|(held, _)| *held == k) {
+                        Some(slot) => slot.1 = c,
+                        None => model.push((k, c)),
+                    }
+                    journal += &format!("put {} {} 4\n", key_of(k).hex(), content_of(c));
+                }
+            }
+            let expected: Vec<(Hash, Hash)> = model
+                .iter()
+                .map(|&(k, c)| {
+                    let hash = |d: Digest| d.sha256_bytes().unwrap();
+                    (hash(key_of(k)), hash(content_of(c)))
+                })
+                .collect();
+            // A budget of what the model holds: each fresh store evicts one entry.
+            let config = |root: &TempRoot| {
+                DiskTierConfig::new(root.path()).capacity_bytes(4 * model.len() as u64)
+            };
+            let with_blobs = || {
+                let root = TempRoot::new("fifo");
+                fs::create_dir_all(root.path().join("blobs")).unwrap();
+                for c in 0..3 {
+                    let path = root.path().join("blobs").join(content_of(c).hex());
+                    fs::write(path, payload_of(c)).unwrap();
+                }
+                root
+            };
+            let evicts_in_model_order = |root: &TempRoot, tier: &DiskTier| {
+                for n in 0..model.len() {
+                    let payload = format!("new{n}");
+                    tier.store(
+                        &Digest::of_str(&payload),
+                        &Digest::of_str(&payload),
+                        payload.as_bytes(),
+                    );
+                }
+                let written = fs::read_to_string(root.path().join("index.log")).unwrap();
+                let evicted: Vec<&str> = written[journal.len()..]
+                    .lines()
+                    .filter_map(|line| line.strip_prefix("del "))
+                    .collect();
+                let model_keys: Vec<Digest> = model.iter().map(|&(k, _)| key_of(k)).collect();
+                let model_keys: Vec<&str> = model_keys.iter().map(Digest::hex).collect();
+                prop_assert_eq!(evicted, model_keys);
+                prop_assert_eq!(tier.stats().stale_drops, 0);
+            };
+
+            let root = with_blobs();
+            fs::write(root.path().join("index.log"), &journal).unwrap();
+            let tier = DiskTier::open(config(&root)).unwrap();
+            prop_assert_eq!(fifo(&tier), expected.clone(), "through open");
+            evicts_in_model_order(&root, &tier);
+
+            let root = with_blobs();
+            let tier = DiskTier::open(config(&root)).unwrap();
+            fs::write(root.path().join("index.log"), &journal).unwrap();
+            tier.refresh_from_journal(&mut tier.state.lock());
+            prop_assert_eq!(fifo(&tier), expected, "through a journal catch-up");
+            evicts_in_model_order(&root, &tier);
+        }
     }
 
     #[test]

@@ -353,14 +353,26 @@ pub struct Digest(String);
 impl Digest {
     /// Digest of raw bytes using SHA-256.
     pub fn of_bytes(data: &[u8]) -> Self {
+        Self::from_sha256(sha256(data))
+    }
+
+    /// The `sha256:` digest whose raw hash is `bytes`.
+    pub(crate) fn from_sha256(bytes: [u8; 32]) -> Self {
         // Laid out on the stack and copied into one exact-size allocation.
         let mut text = [0u8; 7 + 64];
         text[..7].copy_from_slice(b"sha256:");
-        for (pair, byte) in text[7..].chunks_exact_mut(2).zip(sha256(data)) {
+        for (pair, byte) in text[7..].chunks_exact_mut(2).zip(bytes) {
             pair[0] = HEX_DIGITS[(byte >> 4) as usize];
             pair[1] = HEX_DIGITS[(byte & 0xf) as usize];
         }
         Digest(String::from_utf8(text.to_vec()).expect("hex digits are ASCII"))
+    }
+
+    /// The raw hash of a `sha256:` digest written in 64 lowercase hex digits, the
+    /// form [`of_bytes`](Self::of_bytes) and [`parse`](Self::parse) produce; `None`
+    /// for any other text.
+    pub(crate) fn sha256_bytes(&self) -> Option<[u8; 32]> {
+        decode_hex32(self.0.strip_prefix("sha256:")?.as_bytes(), false)
     }
 
     /// Digest of a UTF-8 string.
@@ -439,6 +451,46 @@ impl fmt::Display for DigestError {
 impl std::error::Error for DigestError {}
 
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Flag in [`HEX_VALUES`]: the byte is not a hex digit.
+const NOT_HEX: u8 = 0x80;
+/// Flag in [`HEX_VALUES`]: the byte is an uppercase hex digit.
+const UPPER_HEX: u8 = 0x40;
+
+/// Every byte's value as a hex digit in the low four bits, with [`UPPER_HEX`] set
+/// for `A-F` and [`NOT_HEX`] for anything that is not a hex digit.
+const HEX_VALUES: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut value = 0;
+    while value < 16 {
+        let digit = HEX_DIGITS[value];
+        // Uppercase first: for `0-9` it is the same byte, and the plain entry wins.
+        table[digit.to_ascii_uppercase() as usize] = value as u8 | UPPER_HEX;
+        table[digit as usize] = value as u8;
+        value += 1;
+    }
+    table
+};
+
+/// Decode exactly 64 hex digits into the 32 bytes they spell; `None` for any other
+/// length or byte, and for an uppercase digit unless `any_case`. One table lookup
+/// per digit, no allocation.
+pub(crate) fn decode_hex32(text: &[u8], any_case: bool) -> Option<[u8; 32]> {
+    let text: &[u8; 64] = text.try_into().ok()?;
+    let mut bytes = [0u8; 32];
+    let mut flags = 0;
+    for (byte, pair) in bytes.iter_mut().zip(text.chunks_exact(2)) {
+        let (high, low) = (HEX_VALUES[pair[0] as usize], HEX_VALUES[pair[1] as usize]);
+        flags |= high | low;
+        *byte = (high << 4) | (low & 0xf);
+    }
+    let rejected = if any_case {
+        NOT_HEX
+    } else {
+        NOT_HEX | UPPER_HEX
+    };
+    (flags & rejected == 0).then_some(bytes)
+}
 
 /// Hex-encode a byte slice (lowercase).
 pub fn hex(bytes: &[u8]) -> String {
@@ -701,6 +753,44 @@ mod tests {
         assert_eq!(parsed, d);
         assert_eq!(d.algorithm(), "sha256");
         assert_eq!(d.short().len(), 12);
+    }
+
+    #[test]
+    fn raw_sha256_bytes_round_trip_through_the_canonical_text_only() {
+        let raw = sha256(b"hello world");
+        let d = Digest::from_sha256(raw);
+        assert_eq!(d, Digest::of_str("hello world"));
+        assert_eq!(d.sha256_bytes(), Some(raw));
+        let upper = d.hex().to_ascii_uppercase();
+        assert_eq!(decode_hex32(upper.as_bytes(), true), Some(raw));
+        for other in [
+            format!("sha256:{upper}"),
+            format!("sha512:{}", d.hex()),
+            d.hex().to_string(),
+            format!("sha256:{}0", d.hex()),
+            format!("sha256:{}", &d.hex()[1..]),
+        ] {
+            assert_eq!(Digest(other.clone()).sha256_bytes(), None, "{other}");
+        }
+        // Every byte value in a high and a low nibble's place: exactly the hex
+        // digits decode, to the value `hex` writes back.
+        for position in [0, 1, 62, 63] {
+            for byte in 0..=u8::MAX {
+                let mut text = d.hex().as_bytes().to_vec();
+                text[position] = byte;
+                let lower = text.to_ascii_lowercase();
+                for any_case in [false, true] {
+                    let accepted = byte.is_ascii_digit()
+                        || (b'a'..=b'f').contains(&byte)
+                        || (any_case && (b'A'..=b'F').contains(&byte));
+                    let decoded = decode_hex32(&text, any_case);
+                    assert_eq!(decoded.is_some(), accepted, "{byte:#x} at {position}");
+                    if let Some(bytes) = decoded {
+                        assert_eq!(hex(&bytes).as_bytes(), lower, "{byte:#x} at {position}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,125 @@
+//! Allocation budget for reopening a disk tier.
+//!
+//! A restart replays the tier's journal before it serves anything, so what
+//! replay costs per record is paid by every restarted process. Replay decodes
+//! each record's digests into raw keys in one pass over the journal's bytes;
+//! the only allocations that grow with the journal are the index's own tree
+//! nodes. This test keeps it so: the allocation calls an open makes per extra
+//! `put` record stay under a budget.
+//!
+//! The file holds a single test on purpose: the counting allocator is process-wide,
+//! and a second test running beside it would be counted too.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::fs;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use xaas_container::{Digest, DiskTier, DiskTierConfig};
+
+/// The system allocator with a relaxed call counter in front of it. The counter
+/// publishes no other data, so `Relaxed` is enough.
+struct CountingAllocator;
+
+static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards to `System` with the caller's arguments unchanged,
+// so `System`'s guarantees are this allocator's; the counter touches no allocator
+// state.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System` for this `layout` (see `alloc`).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr`/`layout` describe a live `System` block; the caller upholds
+        // `GlobalAlloc::realloc`'s contract for `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// The two journal sizes whose difference is measured.
+const SMALL: usize = 200;
+const LARGE: usize = 2_000;
+/// When replay parsed each line through `String`s, an open made 5.14 allocation
+/// calls per `put` record; decoding into raw keys left the index's tree nodes.
+const CALLS_PER_RECORD_BUDGET: f64 = 0.25;
+
+/// A disk root holding `records` journal records, removed on drop.
+struct Root {
+    path: PathBuf,
+    records: usize,
+}
+
+impl Drop for Root {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.path);
+    }
+}
+
+/// A root whose journal holds `records` `put` lines, in the text
+/// `DiskTier::store` writes. No blob file is needed: opening reads none.
+fn root_with_puts(records: usize) -> Root {
+    let root = Root {
+        path: std::env::temp_dir()
+            .join(format!("xaas-open-budget-{records}-{}", std::process::id())),
+        records,
+    };
+    let _ = fs::remove_dir_all(&root.path);
+    fs::create_dir_all(&root.path).expect("the scratch root is creatable");
+    let journal: String = (0..records)
+        .map(|n| {
+            let key = Digest::of_str(&format!("key-{n}"));
+            let content = Digest::of_str(&format!("content-{n}"));
+            format!("put {} {content} {}\n", key.hex(), 100 + n)
+        })
+        .collect();
+    fs::write(root.path.join("index.log"), journal).expect("the journal is writable");
+    root
+}
+
+/// Allocation calls the second of two opens of `root` makes: the first also pays
+/// for anything initialised once per process. The tiers are dropped uncounted.
+fn open_calls(root: &Root) -> u64 {
+    let mut calls = 0;
+    for _ in 0..2 {
+        let before = ALLOC_CALLS.load(Ordering::Relaxed);
+        let tier = DiskTier::open(DiskTierConfig::new(&root.path)).expect("the root opens");
+        calls = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+        assert_eq!(tier.stats().entries, root.records, "every record replayed");
+    }
+    calls
+}
+
+#[test]
+fn opening_a_disk_root_allocates_under_a_quarter_call_per_record() {
+    let small_calls = open_calls(&root_with_puts(SMALL));
+    let large_calls = open_calls(&root_with_puts(LARGE));
+    let per_record = large_calls.saturating_sub(small_calls) as f64 / (LARGE - SMALL) as f64;
+    assert!(
+        per_record < CALLS_PER_RECORD_BUDGET,
+        "opening a disk root made {per_record:.3} allocation calls per extra journal record \
+         ({small_calls} for {SMALL} records, {large_calls} for {LARGE}; budget \
+         {CALLS_PER_RECORD_BUDGET}): replay is allocating per record again"
+    );
+    println!(
+        "disk tier open: {per_record:.3} allocation calls per record \
+         ({small_calls} for {SMALL} records, {large_calls} for {LARGE})"
+    );
+}
