@@ -2,11 +2,12 @@
 //!
 //! The three drivers (IR build, IR deploy, source deploy) share three graph idioms:
 //! scheduling **deduplicated preprocess actions** (preprocessing depends only on the
-//! (file, definition set) pair, so however many configurations or targets reference a
-//! unit, one action suffices), the **`sd-compile`** of a system-dependent source on
-//! the deployment target (an IR deployment contains a source deployment, Figures 6
-//! and 8: the `SdCompilePlanner` owns the node's identity, cache key, compile
-//! closure and cross-job alias for both), and the **link → commit tail** (a typed
+//! file and the definitions it can observe, so however many configurations or
+//! targets reference a unit, one action per distinct text suffices), the
+//! **`sd-compile`** of a system-dependent source on the deployment target (an IR
+//! deployment contains a source deployment, Figures 6 and 8: the
+//! `SdCompilePlanner` owns the node's identity, cache key, compile closure and
+//! cross-job alias for both), and the **link → commit tail** (a typed
 //! assembled value crosses the graph boundary through a [`LinkSlot`], and a Commit
 //! node publishes the image to the engine's store). This module hosts all three so a
 //! change to what keys a deployment step (ROADMAP 1(a)/(b)) or to commit semantics lands
@@ -21,17 +22,27 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use xaas_buildsys::SourceSpec;
 use xaas_container::{BuildKey, Image, ImageStore};
-use xaas_xir::{CompileFlags, Compiler, TargetIsa};
+use xaas_xir::preprocess::flag_definition;
+use xaas_xir::{CompileFlags, Compiler, Observation, TargetIsa};
 
 /// Schedules deduplicated preprocess actions on a graph.
 ///
-/// Each distinct (file, sorted definition set) pair gets one
+/// Each distinct (file, sorted definitions the file can observe) pair gets one
 /// [`ActionKind::Preprocess`] node whose output is the preprocessed-content digest
 /// (the stage-2 identity of Figure 7, and the input every compile `BuildKey` derives
-/// from).
+/// from). A definition the file cannot observe ([`Observation`]) cannot change its
+/// text, so configurations that differ only in such definitions share the node.
+///
+/// The observation is computed lazily, at most once per file: only when the file
+/// comes back with a second definition set. A file planned under one set — every
+/// file of a deployment — is never scanned.
 #[derive(Default)]
 pub struct PreprocessPlanner {
-    actions: BTreeMap<(String, String), ActionId>,
+    /// (file, sorted `-D` flags) → node. A file's flags are all of them until it is
+    /// observed, then only those it observes.
+    actions: BTreeMap<(String, Vec<String>), ActionId>,
+    /// The files planned under two or more definition sets, with what each observes.
+    observed: BTreeMap<String, Observation>,
 }
 
 impl PreprocessPlanner {
@@ -40,14 +51,43 @@ impl PreprocessPlanner {
         Self::default()
     }
 
-    /// The (file, sorted definition set) identity preprocessing dedups on. OpenMP
-    /// detection does not share it: its key is the preprocessed digest
-    /// ([`openmp_detect_key`]), which definition sets that preprocess alike have
-    /// in common.
-    fn identity(file: &str, flags: &CompileFlags) -> (String, String) {
-        let mut defs = flags.definitions.clone();
-        defs.sort();
-        (file.to_string(), defs.join(","))
+    /// The (file, sorted definitions) identity preprocessing dedups on, keeping only
+    /// the definitions `observation` observes when there is one. The sort is by name
+    /// and stable, so repeated flags for one name keep the order that decides which
+    /// wins. OpenMP detection does not share the identity: its key is the
+    /// preprocessed digest ([`openmp_detect_key`]).
+    fn identity(
+        file: &str,
+        flags: &CompileFlags,
+        observation: Option<&Observation>,
+    ) -> (String, Vec<String>) {
+        let mut definitions = flags.definitions.clone();
+        if let Some(observation) = observation {
+            definitions.retain(|flag| observation.observes_flag(flag));
+        }
+        fn name(flag: &str) -> Option<&str> {
+            flag_definition(flag).map(|(name, _)| name)
+        }
+        definitions.sort_by(|a, b| name(a).cmp(&name(b)));
+        (file.to_string(), definitions)
+    }
+
+    /// The identity `identity`'s file is already planned under, while that is its
+    /// only one: until a file is observed it has at most one, and every identity of
+    /// a file is adjacent to the others.
+    fn sole_plan(&self, identity: &(String, Vec<String>)) -> Option<(String, Vec<String>)> {
+        let file = identity.0.as_str();
+        if self.observed.contains_key(file) {
+            return None;
+        }
+        let before = self.actions.range(..identity).next_back();
+        let after = self.actions.range(identity..).next();
+        before
+            .into_iter()
+            .chain(after)
+            .map(|(planned, _)| planned)
+            .find(|(planned, _)| planned == file)
+            .cloned()
     }
 
     /// The action producing `file`'s preprocessed-content digest under `flags`,
@@ -62,9 +102,23 @@ impl PreprocessPlanner {
         content: &str,
         flags: &CompileFlags,
     ) -> ActionId {
-        let dedup_key = Self::identity(file, flags);
-        if let Some(&id) = self.actions.get(&dedup_key) {
+        let mut identity = Self::identity(file, flags, self.observed.get(file));
+        if let Some(&id) = self.actions.get(&identity) {
             return id;
+        }
+        if let Some(mut planned) = self.sole_plan(&identity) {
+            // A second definition set: observe the file, once, and narrow both
+            // identities to what it observes.
+            let observation = Observation::of(content, &compiler.headers);
+            if let Some(id) = self.actions.remove(&planned) {
+                planned.1.retain(|flag| observation.observes_flag(flag));
+                self.actions.insert(planned, id);
+            }
+            identity.1.retain(|flag| observation.observes_flag(flag));
+            self.observed.insert(file.to_string(), observation);
+            if let Some(&id) = self.actions.get(&identity) {
+                return id;
+            }
         }
         let file = file.to_string();
         let content = content.to_string();
@@ -79,7 +133,7 @@ impl PreprocessPlanner {
                     })?;
             Ok(preprocessed.content_digest().into_bytes())
         });
-        self.actions.insert(dedup_key, id);
+        self.actions.insert(identity, id);
         id
     }
 }
@@ -334,17 +388,43 @@ mod tests {
         let mut planner = PreprocessPlanner::new();
         let mut graph: ActionGraph<'_, PipelineError> = ActionGraph::new();
         let source =
-            "kernel void f(float* x, int n) { for (int i = 0; i < n; i = i + 1) { x[i] = 0.0; } }";
-        let plain = CompileFlags::parse(["-O2".to_string()]);
-        let defined = CompileFlags::parse(["-O2".to_string(), "-DX=1".to_string()]);
-        let a = planner.action_for(&mut graph, &compiler, "f.ck", source, &plain);
-        let b = planner.action_for(&mut graph, &compiler, "f.ck", source, &plain);
-        let c = planner.action_for(&mut graph, &compiler, "f.ck", source, &defined);
-        let d = planner.action_for(&mut graph, &compiler, "g.ck", source, &plain);
-        assert_eq!(a, b, "same (file, defs) shares one action");
-        assert_ne!(a, c, "definitions split the identity");
-        assert_ne!(a, d, "files split the identity");
-        assert_eq!(graph.len(), 3);
+            "kernel void f(float* x, int n) { for (int i = 0; i < n; i = i + 1) { x[i] = N; } }";
+        let flags = |defs: &[&str]| {
+            CompileFlags::parse(
+                std::iter::once("-O2")
+                    .chain(defs.iter().copied())
+                    .map(String::from),
+            )
+        };
+        let mut plan = |file: &str, defs: &[&str]| {
+            planner.action_for(&mut graph, &compiler, file, source, &flags(defs))
+        };
+        let plain = plan("f.ck", &[]);
+        assert_eq!(
+            plain,
+            plan("f.ck", &[]),
+            "same (file, defs) shares one action"
+        );
+        // `X` is no token of the file (`x` is): it cannot change the text.
+        assert_eq!(
+            plain,
+            plan("f.ck", &["-DX=1"]),
+            "an unobserved definition shares"
+        );
+        let observed = plan("f.ck", &["-DN=2"]);
+        assert_ne!(plain, observed, "an observed definition splits");
+        assert_eq!(observed, plan("f.ck", &["-DX=1", "-DN=2"]));
+        let named = plan("f.ck", &["-DN(a)=a"]);
+        assert_ne!(plain, named, "a non-identifier name splits");
+        assert_ne!(observed, named);
+        // Which of two flags for one name wins depends on their order.
+        let later = plan("f.ck", &["-DN=2", "-DN=3"]);
+        assert_ne!(later, plan("f.ck", &["-DN=3", "-DN=2"]));
+        // A file's first set is narrowed too once a second one arrives.
+        let other = plan("g.ck", &["-DX=1"]);
+        assert_ne!(plain, other, "files split the identity");
+        assert_eq!(other, plan("g.ck", &[]));
+        assert_eq!(graph.len(), 6);
     }
 
     /// Populated disk tiers outlive the binary: the `sd-compile` key must not drift.

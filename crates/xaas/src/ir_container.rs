@@ -7,7 +7,9 @@
 //! 1. **Generation** — exact compile-command identity (after normalising the build
 //!    directory out of include paths);
 //! 2. **Preprocessing** — hash of the preprocessed source: definitions that do not change
-//!    the token stream do not create new units;
+//!    the token stream do not create new units. Each distinct text is preprocessed
+//!    once: a file is planned per set of definitions it can *observe*
+//!    ([`xaas_xir::Observation`]), so a sweep value no file reads costs no extra work;
 //! 3. **OpenMP detection** — units that differ only in `-fopenmp` collapse when the file
 //!    contains no OpenMP constructs (AST check);
 //! 4. **Vectorization delay** — ISA/tuning flags are dropped from the identity and applied
@@ -346,11 +348,11 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
     let mut content_by_file: BTreeMap<String, std::sync::Arc<str>> = BTreeMap::new();
 
     let mut stage_a: ActionGraph<'env, PipelineError> = ActionGraph::new();
-    // Preprocessing depends only on (file, definition set): the planner schedules
-    // each distinct pair once across configurations. OpenMP detection reads only
-    // the file name and the preprocessed text, so it gets one node per preprocess
-    // node, keyed on that node's digest: definition sets that preprocess alike
-    // coalesce on one cache flight.
+    // Preprocessing depends only on the file and the definitions it can observe:
+    // the planner schedules each distinct pair once across configurations. OpenMP
+    // detection reads only the file name and the preprocessed text, so it gets one
+    // node per preprocess node, keyed on that node's digest (a disk hit after a
+    // restart).
     let mut preprocess = PreprocessPlanner::new();
     let mut openmp_actions: BTreeMap<ActionId, ActionId> = BTreeMap::new();
     for (config_index, assignment) in assignments.iter().enumerate() {
@@ -484,10 +486,11 @@ pub(crate) fn analyze_ir_build(
 /// 1. **configure** (driver, serial — cheap): enumerate the sweep, emit compile DBs,
 ///    split system-dependent from system-independent units;
 /// 2. **preprocess → openmp-detect** (graph A, parallel, two waves): one preprocess
-///    action per distinct (file, definitions) pair, then one `openmp-detect` over
-///    each, keyed by the preprocessed-content digest — definition sets that
-///    preprocess alike share one verdict (a memory hit within a build, a disk hit
-///    after a restart);
+///    action per distinct (file, definitions the file can observe) pair — so one
+///    per text when no other definition reaches the file — then one
+///    `openmp-detect` over each, keyed by the preprocessed-content digest (a disk
+///    hit after a restart; definition sets that still preprocess alike share the
+///    verdict as a memory hit);
 /// 3. **ir-lower** (graph B, parallel, cache-routed): one action per deduplicated
 ///    translation unit, keyed by the preprocessed-content digest;
 /// 4. **link + commit** (graph B tail): assemble the image layers from the lowered
@@ -971,6 +974,28 @@ mod tests {
         assert!(bitcode::decode(&bytes).is_ok());
     }
 
+    /// Stage A's budget on the 4-value GROMACS SIMD sweep: its 36 system-independent
+    /// units preprocess to 9 texts (no file observes a `GMX_SIMD_*` definition), so
+    /// the graph plans 9 preprocess and 9 `openmp-detect` nodes.
+    #[test]
+    fn stage_a_of_the_simd_sweep_plans_each_preprocessed_text_once() {
+        let project = gromacs::project();
+        let config = IrPipelineConfig::sweep_options(&project, &["GMX_SIMD"]).with_values(
+            "GMX_SIMD",
+            &["SSE4.1", "AVX2_256", "AVX_512", "ARM_NEON_ASIMD"],
+        );
+        let compiler = project_compiler(&project);
+        let stage_a = plan_ir_build_stage_a(&project, &config, &compiler).unwrap();
+        let distinct = |node: fn(&TuOccurrence) -> Option<ActionId>| {
+            let nodes: BTreeSet<ActionId> = stage_a.occurrences.iter().filter_map(node).collect();
+            nodes.len()
+        };
+        assert_eq!(stage_a.occurrences.len(), 36);
+        assert_eq!(distinct(|unit| Some(unit.preprocess_action)), 9);
+        assert_eq!(distinct(|unit| unit.openmp_action), 9);
+        assert_eq!(stage_a.graph.len(), 18);
+    }
+
     #[test]
     fn warm_cache_build_runs_zero_compiles_and_is_byte_identical() {
         let project = lulesh::project();
@@ -978,9 +1003,9 @@ mod tests {
         let cache = ActionCache::new(store.clone());
         let config = IrPipelineConfig::sweep_options(&project, &["WITH_MPI", "WITH_OPENMP"]);
         let cold = build_cached(&project, &config, &cache, "warm:a").unwrap();
-        // One execution per IR unit and per distinct analysis; an analysis whose
-        // preprocessed digest an earlier node already has is a memory hit.
-        assert_eq!((cold.actions.executed, cold.actions.cached), (14, 4));
+        // One execution per IR unit and per analysis: each preprocessed text is
+        // planned once, so no analysis repeats another's digest.
+        assert_eq!((cold.actions.executed, cold.actions.cached), (14, 0));
         let warm = build_cached(&project, &config, &cache, "warm:b").unwrap();
         assert_eq!(warm.actions.executed, 0, "warm build compiles nothing");
         assert_eq!(warm.actions.cached, cold.actions.total());

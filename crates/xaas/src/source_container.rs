@@ -281,7 +281,7 @@ pub(crate) fn plan_source_deploy<'a>(
 /// Graft one planned source deployment onto `graph` as a self-contained subgraph
 /// — the full on-target build of Figure 6 as a DAG, in **one** submission:
 ///
-/// 1. **preprocess** (parallel): one deduplicated action per (file, definitions);
+/// 1. **preprocess** (parallel): one deduplicated action per (file, observed definitions);
 /// 2. **sd-compile** (parallel, cache-routed): the [`SdCompilePlanner`]'s node per
 ///    unit, so repeat deployments — including deployments of *other*
 ///    configurations whose flags do not change a unit — reuse the artifact;

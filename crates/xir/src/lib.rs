@@ -56,7 +56,7 @@ pub use ir::{IrFunction, IrModule, IrOp, ModuleMetadata, Operand};
 pub use memo::DigestCell;
 pub use openmp::OpenMpReport;
 pub use passes::OptLevel;
-pub use preprocess::{Definitions, PreprocessedUnit};
+pub use preprocess::{Definitions, Observation, PreprocessedUnit};
 pub use target::{lower_to_machine, MachineModule, TargetIsa, VectorizationReport};
 
 /// Classified compilation flags for one translation unit.

@@ -7,10 +7,16 @@
 //! module implements the subset of the C preprocessor the synthetic applications use:
 //! object-like macros, conditional compilation, includes, and macro substitution — plus a
 //! stable content hash of the result.
+//!
+//! Most definitions a configuration passes change nothing a given file can see. An
+//! [`Observation`] names the identifiers a file (with the headers it can reach) can
+//! observe, and preprocessing under a definition set gives the same result as under
+//! the part of it the file observes — so a planner may preprocess each distinct text
+//! once.
 
 use crate::memo::DigestCell;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A set of preprocessor definitions (name → optional value).
@@ -52,16 +58,12 @@ impl Definitions {
         self.defines.get(name).map(String::as_str)
     }
 
-    /// Parse `-DNAME` / `-DNAME=VALUE` compiler flags into definitions.
+    /// Parse `-DNAME` / `-DNAME=VALUE` compiler flags into definitions (a later flag
+    /// for a name wins).
     pub fn from_flags<'a>(flags: impl IntoIterator<Item = &'a str>) -> Self {
         let mut defs = Self::new();
-        for flag in flags {
-            if let Some(rest) = flag.strip_prefix("-D") {
-                match rest.split_once('=') {
-                    Some((name, value)) => defs.define(name, value),
-                    None => defs.define_flag(rest),
-                };
-            }
+        for (name, value) in flags.into_iter().filter_map(flag_definition) {
+            defs.define(name, value);
         }
         defs
     }
@@ -79,6 +81,89 @@ impl Definitions {
     /// Whether there are no definitions.
     pub fn is_empty(&self) -> bool {
         self.defines.is_empty()
+    }
+}
+
+/// The `(name, value)` a `-DNAME` / `-DNAME=VALUE` flag defines (value `1` when
+/// absent), or `None` for a flag that defines nothing.
+pub fn flag_definition(flag: &str) -> Option<(&str, &str)> {
+    let rest = flag.strip_prefix("-D")?;
+    Some(rest.split_once('=').unwrap_or((rest, "1")))
+}
+
+/// The identifiers a unit can observe: every identifier token of its text and of each
+/// header reachable through its `#include` lines, whether or not an `#include` sits
+/// in an active branch.
+///
+/// Every lookup [`preprocess`] makes — the `#ifdef` / `#ifndef` / `#undef` name, each
+/// `#if` / `#elif` term, each substituted word — is by such a token or by a string
+/// that is no identifier at all. So definitions the unit does not observe cannot
+/// change its text, digest or error:
+/// `preprocess(f, s, D, h) == preprocess(f, s, &Observation::of(s, h).restrict(D), h)`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Observation {
+    /// The [`fnv1a`] hashes of the identifier tokens, sorted and deduplicated. A name
+    /// that shares a hash with a token only counts as observed when it is not: that
+    /// splits a node, and never merges two texts.
+    identifiers: Vec<u64>,
+}
+
+impl Observation {
+    /// Scan `source` and every header it can reach in `headers` (each once, so an
+    /// include cycle ends).
+    pub fn of(source: &str, headers: &BTreeMap<String, String>) -> Self {
+        let mut identifiers = Vec::new();
+        let mut reached: BTreeSet<&str> = BTreeSet::new();
+        let mut pending = vec![source];
+        let (mut chars, mut word) = (Vec::new(), Vec::new());
+        while let Some(text) = pending.pop() {
+            for line in text.lines() {
+                if let Some(("include", rest)) = split_directive(line) {
+                    if let Some((name, header)) = headers.get_key_value(include_name(rest)) {
+                        if reached.insert(name) {
+                            pending.push(header);
+                        }
+                    }
+                }
+                chars.clear();
+                chars.extend(line.chars());
+                for (identifier, token) in tokens(&chars) {
+                    if identifier {
+                        // Identifier characters are ASCII: one byte each.
+                        word.clear();
+                        word.extend(token.iter().map(|&c| c as u8));
+                        identifiers.push(fnv1a(&word));
+                    }
+                }
+            }
+        }
+        identifiers.sort_unstable();
+        identifiers.dedup();
+        Self { identifiers }
+    }
+
+    /// Whether a definition named `name` can change what the unit preprocesses to: the
+    /// unit has it as an identifier, or it is no identifier (no token spells it, but a
+    /// directive's operand can).
+    pub fn observes(&self, name: &str) -> bool {
+        !is_identifier(name)
+            || self
+                .identifiers
+                .binary_search(&fnv1a(name.as_bytes()))
+                .is_ok()
+    }
+
+    /// Whether the `-D` flag `flag` defines a name the unit observes (a flag that
+    /// defines nothing never matters).
+    pub fn observes_flag(&self, flag: &str) -> bool {
+        flag_definition(flag).is_some_and(|(name, _)| self.observes(name))
+    }
+
+    /// The part of `definitions` the unit observes.
+    pub fn restrict(&self, definitions: &Definitions) -> Definitions {
+        let mut restricted = definitions.clone();
+        restricted.defines.retain(|name, _| self.observes(name));
+        restricted
     }
 }
 
@@ -228,34 +313,25 @@ fn process_text(
     let mut stack: Vec<CondState> = Vec::new();
     for (line_index, raw_line) in source.lines().enumerate() {
         let line_no = line_index + 1;
-        let trimmed = raw_line.trim_start();
         let emitting = stack.iter().all(|s| *s == CondState::Active);
-        if let Some(directive) = trimmed.strip_prefix('#') {
-            let directive = directive.trim();
-            if directive.starts_with("pragma") {
-                if emitting {
-                    output.push_str(raw_line);
-                    output.push('\n');
-                }
-                continue;
-            }
-            let (keyword, rest) = match directive.split_once(char::is_whitespace) {
-                Some((k, r)) => (k, r.trim()),
-                None => (directive, ""),
-            };
+        if let Some((keyword, rest)) = split_directive(raw_line) {
             match keyword {
+                "pragma" => {
+                    if emitting {
+                        output.push_str(raw_line);
+                        output.push('\n');
+                    }
+                }
                 "include" => {
                     if emitting {
-                        let name = rest
-                            .trim_matches(|c| c == '"' || c == '<' || c == '>')
-                            .to_string();
-                        let Some(content) = headers.get(&name) else {
+                        let name = include_name(rest);
+                        let Some(content) = headers.get(name) else {
                             return Err(PreprocessError::MissingInclude {
-                                file: name,
+                                file: name.to_string(),
                                 line: line_no,
                             });
                         };
-                        included.push(name);
+                        included.push(name.to_string());
                         process_text(
                             content,
                             definitions,
@@ -281,21 +357,24 @@ fn process_text(
                 }
                 "undef" => {
                     if emitting {
-                        definitions.undefine(rest);
-                        used.push(rest.to_string());
+                        let name = macro_name(rest);
+                        definitions.undefine(name);
+                        used.push(name.to_string());
                     }
                 }
                 "ifdef" => {
-                    used.push(rest.to_string());
-                    stack.push(if definitions.is_defined(rest) {
+                    let name = macro_name(rest);
+                    used.push(name.to_string());
+                    stack.push(if definitions.is_defined(name) {
                         CondState::Active
                     } else {
                         CondState::InactivePending
                     });
                 }
                 "ifndef" => {
-                    used.push(rest.to_string());
-                    stack.push(if definitions.is_defined(rest) {
+                    let name = macro_name(rest);
+                    used.push(name.to_string());
+                    stack.push(if definitions.is_defined(name) {
                         CondState::InactivePending
                     } else {
                         CondState::Active
@@ -361,6 +440,64 @@ fn process_text(
     }
 }
 
+/// A directive line's keyword and trimmed operand, or `None` for a text line. Every
+/// `#pragma…` line is the keyword `pragma` (its text is emitted verbatim).
+fn split_directive(raw_line: &str) -> Option<(&str, &str)> {
+    let directive = raw_line.trim_start().strip_prefix('#')?.trim();
+    if directive.starts_with("pragma") {
+        return Some(("pragma", ""));
+    }
+    Some(match directive.split_once(char::is_whitespace) {
+        Some((keyword, rest)) => (keyword, rest.trim()),
+        None => (directive, ""),
+    })
+}
+
+/// The header an `#include` operand names: `"name"` and `<name>` alike.
+fn include_name(rest: &str) -> &str {
+    rest.trim_matches(|c| c == '"' || c == '<' || c == '>')
+}
+
+/// The macro a `#define` / `#undef` / `#ifdef` / `#ifndef` operand names: its first
+/// word, so trailing text (`#ifdef X // note`) is not part of the name.
+fn macro_name(rest: &str) -> &str {
+    rest.split_whitespace().next().unwrap_or("")
+}
+
+fn is_identifier_start(c: char) -> bool {
+    c.is_ascii_alphabetic() || c == '_'
+}
+
+fn is_identifier_char(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
+/// Whether `name` is a plain identifier — one token the scanner can produce.
+fn is_identifier(name: &str) -> bool {
+    let mut chars = name.chars();
+    chars.next().is_some_and(is_identifier_start) && chars.all(is_identifier_char)
+}
+
+/// The one identifier scanner: splits `chars` into maximal identifier runs
+/// (`true`) and the single characters between them (`false`). Substitution and
+/// [`Observation`] both read a line through it.
+fn tokens(chars: &[char]) -> impl Iterator<Item = (bool, &[char])> {
+    let mut rest = chars;
+    std::iter::from_fn(move || {
+        let identifier = is_identifier_start(*rest.first()?);
+        let len = if identifier {
+            rest.iter()
+                .position(|&c| !is_identifier_char(c))
+                .unwrap_or(rest.len())
+        } else {
+            1
+        };
+        let (token, tail) = rest.split_at(len);
+        rest = tail;
+        Some((identifier, token))
+    })
+}
+
 /// Evaluate `defined(X)`, `!defined(X)`, bare macro names, and `&&`/`||` combinations.
 fn eval_condition(expr: &str, definitions: &Definitions, used: &mut Vec<String>) -> bool {
     // Split on || first (lowest precedence), then &&.
@@ -402,24 +539,17 @@ fn substitute(line: &str, definitions: &Definitions, used: &mut Vec<String>) -> 
     }
     let mut result = String::with_capacity(line.len());
     let chars: Vec<char> = line.chars().collect();
-    let mut i = 0;
-    while i < chars.len() {
-        let c = chars[i];
-        if c.is_ascii_alphabetic() || c == '_' {
-            let start = i;
-            while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
-                i += 1;
-            }
-            let word: String = chars[start..i].iter().collect();
-            if let Some(value) = definitions.value(&word) {
-                used.push(word);
-                result.push_str(value);
-            } else {
-                result.push_str(&word);
-            }
+    for (identifier, token) in tokens(&chars) {
+        if !identifier {
+            token.iter().for_each(|&c| result.push(c));
+            continue;
+        }
+        let word: String = token.iter().collect();
+        if let Some(value) = definitions.value(&word) {
+            used.push(word);
+            result.push_str(value);
         } else {
-            result.push(c);
-            i += 1;
+            result.push_str(&word);
         }
     }
     result
@@ -598,6 +728,50 @@ int path = 0;
                 .unwrap()
                 .text
                 .contains("path = 0")
+        );
+    }
+
+    #[test]
+    fn conditional_names_stop_at_the_first_word() {
+        let source = "#ifdef X // note\nint on;\n#else\nint off;\n#endif\n\
+                      #ifndef Y /* absent */\nint y_absent;\n#endif\n\
+                      #define Z 1\n#undef Z trailing\n#ifdef Z\nint z;\n#endif\n";
+        let mut x = Definitions::new();
+        x.define_flag("X");
+        let unit = preprocess("n.ck", source, &x, &no_headers()).unwrap();
+        assert_eq!(unit.text, "int on;\nint y_absent;");
+        assert_eq!(unit.used_definitions, ["X", "Y", "Z"]);
+    }
+
+    #[test]
+    fn an_observation_covers_reachable_headers_once_and_keeps_non_identifiers() {
+        let mut headers = BTreeMap::new();
+        headers.insert(
+            "a.h".to_string(),
+            "#include <b.h>\nint A_ONLY;\n".to_string(),
+        );
+        headers.insert("b.h".to_string(), "#include \"a.h\"\nB_ONLY\n".to_string());
+        headers.insert("unused.h".to_string(), "UNREACHED\n".to_string());
+        // The include sits in an inactive branch: its header is observed all the same.
+        let source = "#if 0\n#include \"a.h\"\n#endif\nint n = N1;\n";
+        let observation = Observation::of(source, &headers);
+        for name in ["A_ONLY", "B_ONLY", "N1", "n", "int", "a", "h", "include"] {
+            assert!(observation.observes(name), "{name}");
+        }
+        for name in ["UNREACHED", "N", "N12", "A_ONL"] {
+            assert!(!observation.observes(name), "{name}");
+        }
+        for name in ["", "1X", "X == 1", "X(a)", "é"] {
+            assert!(observation.observes(name), "non-identifier {name:?}");
+        }
+        assert!(observation.observes_flag("-DN1=2"));
+        assert!(!observation.observes_flag("-DGMX_SIMD_AVX_512"));
+        assert!(!observation.observes_flag("-O2"), "defines nothing");
+        let defs = Definitions::from_flags(["-DN1=2", "-DUNREACHED", "-D1X"]);
+        let restricted = observation.restrict(&defs);
+        assert_eq!(
+            restricted.iter().collect::<Vec<_>>(),
+            [("1X", "1"), ("N1", "2")]
         );
     }
 

@@ -124,11 +124,10 @@ fn warm_restart_replays_the_fleet_from_the_disk_tier() {
     assert!(warm_report.cache.disk_hits > 0);
 }
 
-/// `openmp-detect` is keyed on the preprocessed digest: the SIMD sweep's 36
-/// analysis nodes are 9 distinct units. A cold build computes each once (the
-/// other 27 are memory hits within the build), a build over the restarted root
-/// computes none and reads the 9 from disk, and both images equal an uncached
-/// build's.
+/// `openmp-detect` is keyed on the preprocessed digest, and stage A plans one
+/// analysis per preprocessed text: the SIMD sweep's 36 units are 9 analyses. A
+/// cold build computes each once, a build over the restarted root computes none
+/// and reads the 9 from disk, and both images equal an uncached build's.
 #[test]
 fn openmp_detect_runs_once_per_preprocessed_unit_and_restarts_from_disk() {
     let root = ScratchRoot::new("openmp");
@@ -160,9 +159,9 @@ fn openmp_detect_runs_once_per_preprocessed_unit_and_restarts_from_disk() {
     };
     let uncached = build(&Orchestrator::uncached(&xaas_container::ImageStore::new()));
     let cold = build(&tiered());
-    assert_eq!(analyses(&cold), (9, 27, 0));
+    assert_eq!(analyses(&cold), (9, 0, 0));
     let warm = build(&tiered());
-    assert_eq!(analyses(&warm), (0, 27, 9));
+    assert_eq!(analyses(&warm), (0, 0, 9));
     for other in [&cold, &warm] {
         assert_eq!(other.image.layers, uncached.image.layers);
         assert_eq!(other.units, uncached.units);

@@ -58,17 +58,18 @@ fn parallel_ir_build_is_byte_identical_to_serial_with_fewer_serial_stages() {
     // The traces are equal record for record (node order is scheduling-independent).
     assert_eq!(parallel.trace, serial.trace);
     assert_eq!(parallel.trace.action_set(), serial.trace.action_set());
-    // The engine's DAG collapses the seed path's 88 one-at-a-time actions — by kind,
-    // in pipeline order: 38 preprocess, 38 openmp-detect (one per TU of the 4
-    // configurations), 10 ir-lower (the distinct IR files), link, commit — into 5
-    // waves: preprocess → openmp-detect → ir-lower → link → commit.
+    // The engine's DAG runs 32 actions — by kind, in pipeline order: 10
+    // preprocess, 10 openmp-detect (one per preprocessed text of the 38 TUs of the
+    // 4 configurations: SIMD and GPU definitions change none of them), 10 ir-lower
+    // (the distinct IR files), link, commit — in 5 waves: preprocess →
+    // openmp-detect → ir-lower → link → commit.
     let by_kind: Vec<usize> = serial.trace.by_kind().into_values().collect();
-    assert_eq!(by_kind, [38, 38, 10, 1, 1]);
-    assert_eq!(serial.trace.len(), 88);
+    assert_eq!(by_kind, [10, 10, 10, 1, 1]);
+    assert_eq!(serial.trace.len(), 32);
     assert_eq!(parallel.trace.stage_depth, 5);
-    // An uncached engine executes every keyed node: 38 openmp-detect, 10 ir-lower.
+    // An uncached engine executes every keyed node: 10 openmp-detect, 10 ir-lower.
     let keyed = ActionSummary {
-        executed: 48,
+        executed: 20,
         cached: 0,
     };
     assert_eq!(parallel.actions, keyed);
