@@ -4,9 +4,8 @@
 //!
 //! The crate models the parts of the container ecosystem the paper's pipeline interacts
 //! with: content-addressed blobs and digests, deterministic filesystem layers, images
-//! (config + manifest + index with platforms and annotations), a registry with push/pull
-//! and annotation peeking, and a runtime that applies OCI-style hooks
-//! (MPI/GPU/libfabric injection) subject to ABI-compatibility checks.
+//! (config + manifest + index with platforms and annotations), and a registry with
+//! push/pull and annotation peeking.
 //!
 //! Nothing here shells out to a real container engine — images live in memory — but the
 //! data model mirrors the OCI image spec closely enough that the XaaS arguments about
@@ -35,7 +34,6 @@ pub mod image;
 pub mod layer;
 pub mod oci;
 pub mod registry;
-pub mod runtime;
 
 /// Commonly used types re-exported together.
 pub mod prelude {
@@ -55,10 +53,6 @@ pub mod prelude {
         annotation_keys, Architecture, DeploymentFormat, Descriptor, MediaType, Platform,
     };
     pub use crate::registry::{Reference, Registry, RegistryError};
-    pub use crate::runtime::{
-        ContainerAbiInfo, ContainerRuntime, Hook, HostLibrary, PreparedContainer, RuntimeError,
-        RuntimeKind,
-    };
 }
 
 pub use prelude::*;

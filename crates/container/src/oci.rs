@@ -77,14 +77,6 @@ impl Architecture {
             Architecture::XirIr => "xir-ir",
         }
     }
-
-    /// Whether a binary built for `self` can run on hardware of `host` without translation.
-    pub fn runs_on(&self, host: Architecture) -> bool {
-        match self {
-            Architecture::XirIr => true, // IR is lowered at deployment, so it "runs" anywhere.
-            other => *other == host,
-        }
-    }
 }
 
 impl fmt::Display for Architecture {
@@ -244,15 +236,6 @@ mod tests {
             MediaType::IrLayer.as_str(),
             "application/vnd.xaas.image.layer.v1.ir"
         );
-    }
-
-    #[test]
-    fn ir_architecture_runs_anywhere_binaries_do_not() {
-        assert!(Architecture::XirIr.runs_on(Architecture::Amd64));
-        assert!(Architecture::XirIr.runs_on(Architecture::Arm64));
-        assert!(Architecture::Amd64.runs_on(Architecture::Amd64));
-        assert!(!Architecture::Amd64.runs_on(Architecture::Arm64));
-        assert!(!Architecture::Arm64.runs_on(Architecture::Amd64));
     }
 
     #[test]

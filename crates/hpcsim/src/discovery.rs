@@ -3,7 +3,7 @@
 //! installation is discovered, we assume the availability of rocFFT and cuFFT").
 
 use crate::gpu::GpuBackend;
-use crate::system::{ModuleKind, SystemModel};
+use crate::system::{ContainerRuntimeFlavor, ModuleKind, SystemModel};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -19,7 +19,7 @@ pub struct DiscoveredGpuBackend {
 }
 
 /// The system feature document (Figure 4b) that the intersection step consumes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SystemFeatures {
     /// System name.
     pub system: String,
@@ -43,8 +43,8 @@ pub struct SystemFeatures {
     pub compilers: Vec<String>,
     /// Network provider name.
     pub network_provider: String,
-    /// Container runtime name.
-    pub container_runtime: String,
+    /// Container runtime (written as its name, e.g. `"Sarus"`).
+    pub container_runtime: ContainerRuntimeFlavor,
 }
 
 impl SystemFeatures {
@@ -84,9 +84,13 @@ pub fn discover(system: &SystemModel) -> SystemFeatures {
         microarchitecture: system.cpu.microarchitecture.clone(),
         vectorization: system.cpu.feature_flags.clone(),
         cores: system.cpu.total_cores(),
+        gpu_backends: BTreeMap::new(),
+        mpi: BTreeMap::new(),
+        linear_algebra: Vec::new(),
+        fft: Vec::new(),
+        compilers: Vec::new(),
         network_provider: system.network_provider.as_str().to_string(),
-        container_runtime: system.container_runtime.name().to_string(),
-        ..SystemFeatures::default()
+        container_runtime: system.container_runtime,
     };
 
     for gpu in &system.gpus {
@@ -183,7 +187,7 @@ mod tests {
         assert!(features.linear_algebra.iter().any(|l| l.contains("mkl")));
         // CUDA implies cuFFT availability even though no cuFFT module exists.
         assert!(features.fft.iter().any(|f| f == "cuFFT"));
-        assert_eq!(features.container_runtime, "Sarus");
+        assert_eq!(features.container_runtime, ContainerRuntimeFlavor::Sarus);
     }
 
     #[test]
@@ -219,7 +223,14 @@ mod tests {
         let features = discover(&SystemModel::ault23());
         let json = features.to_json();
         assert!(json.contains("\"CUDA\""));
+        // The runtime is an enum, written as its bare name: the document's text is unchanged.
+        assert!(json.contains("\"container_runtime\": \"Sarus\""));
         let back = SystemFeatures::from_json(&json).unwrap();
         assert_eq!(back, features);
+
+        // The document is outside input: an unknown runtime is an error, not a panic.
+        let unknown = json.replace("\"Sarus\"", "\"Singularity\"");
+        let err = SystemFeatures::from_json(&unknown).unwrap_err();
+        assert!(err.to_string().contains("Singularity"), "{err}");
     }
 }

@@ -8,7 +8,7 @@ use crate::network::Provider;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Container runtime deployed on a system (names mirror `xaas_container::RuntimeKind`).
+/// Container runtime deployed on a system: the workspace's one model of a runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ContainerRuntimeFlavor {
     /// Docker (local development machines).
@@ -303,6 +303,13 @@ mod tests {
             .unwrap()
             .contains("oneapi"));
         assert!(!aurora.container_runtime.mpi_functional());
+
+        // Docker runs containerized MPI; only Apptainer on Aurora did not (Section 6.5).
+        assert!(ContainerRuntimeFlavor::Docker.mpi_functional());
+        assert_eq!(
+            SystemModel::local_dev_machine().container_runtime,
+            ContainerRuntimeFlavor::Docker
+        );
     }
 
     #[test]

@@ -455,15 +455,21 @@ fn apply_best_available(
                 let is_real_mpi = option.name.to_ascii_uppercase().contains("MPI")
                     && !option.name.to_ascii_uppercase().contains("THREAD");
                 if is_real_mpi {
-                    let mpi_ok = system.module_of_kind(ModuleKind::Mpi).is_some()
-                        && system.container_runtime.mpi_functional();
-                    let value = if mpi_ok { "ON" } else { "OFF" };
-                    if !mpi_ok {
+                    let value = if system.module_of_kind(ModuleKind::Mpi).is_none() {
+                        notes.push(format!(
+                            "no MPI module on {}; using thread-MPI",
+                            system.name
+                        ));
+                        "OFF"
+                    } else if !system.container_runtime.mpi_functional() {
                         notes.push(format!(
                             "MPI not functional under {} on {}; using thread-MPI",
                             system.container_runtime, system.name
                         ));
-                    }
+                        "OFF"
+                    } else {
+                        "ON"
+                    };
                     assignment.set(option.name.clone(), value);
                 }
             }
@@ -612,6 +618,36 @@ mod tests {
         assert!(deployment.notes.iter().any(|n| n.contains("thread-MPI")));
         assert_eq!(deployment.assignment.get("GMX_MPI"), Some("OFF"));
         assert_eq!(deployment.assignment.get("GMX_GPU"), Some("SYCL"));
+    }
+
+    #[test]
+    fn a_system_without_an_mpi_module_names_the_missing_module() {
+        let (project, store, image) = setup();
+        let system = SystemModel::ault01_04();
+        let deployment = deploy_source(
+            &project,
+            &image,
+            &system,
+            &OptionAssignment::new(),
+            SelectionPolicy::BestAvailable,
+            &store,
+        )
+        .unwrap();
+        assert_eq!(deployment.assignment.get("GMX_MPI"), Some("OFF"));
+        // Sarus runs MPI; what Ault01-04 lacks is the module.
+        assert!(
+            deployment
+                .notes
+                .iter()
+                .any(|n| n == "no MPI module on Ault01-04; using thread-MPI"),
+            "{:?}",
+            deployment.notes
+        );
+        assert!(
+            deployment.notes.iter().all(|n| !n.contains("Sarus")),
+            "{:?}",
+            deployment.notes
+        );
     }
 
     #[test]

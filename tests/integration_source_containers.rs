@@ -1,5 +1,5 @@
-//! Integration: source containers across registries, systems, and runtime hooks,
-//! deployed through the `Orchestrator` session API.
+//! Integration: source containers across registries and systems, deployed through the
+//! `Orchestrator` session API.
 
 use xaas::prelude::*;
 use xaas_apps::{gromacs, llamacpp};
@@ -94,58 +94,6 @@ fn gpu_backend_selection_is_system_specific() {
             None => assert_eq!(deployment.assignment.get("GMX_GPU"), Some("OFF"), "{name}"),
         }
     }
-}
-
-/// The deployed container can still be re-specialized at run time with OCI hooks (MPI
-/// replacement), subject to the ABI compatibility rules of Table 2.
-#[test]
-fn deployed_image_accepts_mpi_hook_only_with_matching_abi() {
-    let project = gromacs::project();
-    let store = ImageStore::new();
-    let image = build_source_container(&project, Architecture::Amd64, &store, "g:src");
-    let system = SystemModel::clariden();
-    let deployment = SourceDeployRequest::new(&project, &image, &system)
-        .prefer("GMX_MPI", "ON")
-        .submit(&Orchestrator::uncached(&store))
-        .unwrap();
-
-    let runtime = ContainerRuntime::new(RuntimeKind::Podman, Architecture::Arm64);
-    let abi = ContainerAbiInfo {
-        mpi_abi: project.mpi_abi.clone(),
-        mpi_path: Some("/opt/mpich/lib/libmpi.so".into()),
-    };
-    let cray = HostLibrary {
-        container_path: "/opt/mpich/lib/libmpi.so".into(),
-        implementation: "cray-mpich".into(),
-        abi: "mpich".into(),
-        version: "8.1.29".into(),
-    };
-    let prepared = runtime
-        .prepare(
-            "job",
-            &deployment.image,
-            &abi,
-            &[Hook::MpiReplacement { host: cray.clone() }],
-        )
-        .unwrap();
-    assert_eq!(prepared.applied_hooks.len(), 1);
-
-    // An Open MPI host library is rejected: the container was built against MPICH.
-    let openmpi = HostLibrary {
-        implementation: "openmpi".into(),
-        abi: "openmpi".into(),
-        ..cray
-    };
-    let prepared = runtime
-        .prepare(
-            "job",
-            &deployment.image,
-            &abi,
-            &[Hook::MpiReplacement { host: openmpi }],
-        )
-        .unwrap();
-    assert!(prepared.applied_hooks.is_empty());
-    assert_eq!(prepared.skipped_hooks.len(), 1);
 }
 
 /// llama.cpp-style applications deploy through the same machinery.
