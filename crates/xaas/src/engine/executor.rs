@@ -10,6 +10,14 @@
 //! returns a [`GraphHandle`] to [`wait`](GraphHandle::wait) on later. A submission
 //! always runs to completion.
 //!
+//! The executors are the pool's workers plus every thread waiting on a
+//! submission. A waiter does not sleep while work is ready: it pops nodes of any
+//! submission in policy order and runs them as a worker would, and parks beside
+//! the idle workers only when nothing is ready. So a blocking run needs no free
+//! worker, and at most the workers plus the waiting threads run at once. A
+//! waiter returns at most one node late: it may be mid-way through another
+//! submission's node when its own completes.
+//!
 //! Workers **never block on another action's outcome**. A keyed node routes
 //! through the cache's nonblocking flight protocol
 //! ([`CacheBackend::try_begin`]): a hit finishes immediately, an owner computes,
@@ -197,8 +205,8 @@ impl<E> GraphRun<E> {
 ///
 /// # Safety
 /// The caller must guarantee every contained closure is **run or dropped before
-/// `'env` ends**. The blocking-run path upholds this by (a) waiting for the
-/// submission to complete before returning — including on unwind, via
+/// `'env` ends**. The blocking-run path upholds this by (a) running nodes until
+/// the submission completes before returning — and on unwind waiting for it, via
 /// [`WaitOnDrop`] — and (b) a submission completing only once every node has
 /// retired, each having run or dropped its closures first (see
 /// [`CoreShared::step`]).
@@ -244,7 +252,7 @@ struct NodeState {
 }
 
 /// One submitted graph: a [`Node`] cell per node plus the run-wide state. Shared
-/// between the worker pool (via queue entries) and the submitter's
+/// between the executors (via queue entries) and the submitter's
 /// [`GraphHandle`] / blocking waiter.
 struct Submission {
     /// Engine-global submission id (queue-depth accounting).
@@ -260,7 +268,7 @@ struct Submission {
     /// panicking action behaves like it would on a serial executor instead of
     /// killing a pool worker.
     panic_payload: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Set by the worker that retires the last node.
+    /// Set by the executor that retires the last node.
     done: StdMutex<bool>,
     done_cv: Condvar,
 }
@@ -355,7 +363,8 @@ impl Submission {
 
 /// Waits for a submission to complete when dropped: the unwind-safety net that
 /// keeps the blocking-run lifetime erasure sound (borrowed closures can never
-/// outlive the frame that submitted them).
+/// outlive the frame that submitted them). It only sleeps: running nodes during
+/// an unwind could panic again and abort.
 struct WaitOnDrop<'a>(&'a Submission);
 
 impl Drop for WaitOnDrop<'_> {
@@ -535,7 +544,7 @@ pub struct QueueStats {
     pub wakeups: u64,
 }
 
-/// Everything the worker pool shares: the cache, the policy, and the ready queue.
+/// Everything the executors share: the cache, the policy, and the ready queue.
 struct CoreShared {
     cache: Arc<dyn CacheBackend>,
     policy: SchedulingPolicy,
@@ -546,7 +555,8 @@ struct CoreShared {
     seq: Arc<AtomicU64>,
     submission_ids: AtomicU64,
     ready: Mutex<Ready>,
-    /// Idle workers park here instead of spinning; a finishing node wakes them.
+    /// Idle workers and waiters park here instead of spinning; a finishing node
+    /// wakes them.
     idle: StdMutex<()>,
     wakeup: Condvar,
     shutdown: AtomicBool,
@@ -675,7 +685,7 @@ impl CoreShared {
         *sub.lock_done() = true;
         sub.done_cv.notify_all();
         self.live_submissions.fetch_sub(1, Ordering::AcqRel);
-        // Wake the pool (and a core waiting to shut down in Drop).
+        // Wake the pool and its waiters (and a core waiting to shut down in Drop).
         self.notify_workers(true);
     }
 
@@ -880,6 +890,30 @@ impl CoreShared {
         });
         Some((outcome, record))
     }
+
+    /// Run ready nodes of any submission, in policy order, on this thread until
+    /// `sub` completes: a thread waiting on a submission is one more executor.
+    /// It returns at most one node late, when it was mid-way through another
+    /// submission's node as its own completed.
+    fn run_until_done(self: &Arc<Self>, sub: &Submission) {
+        while !sub.is_done() {
+            match self.pop_task() {
+                Some(dispatch) => self.execute(dispatch),
+                None => {
+                    // Re-checking `done` under the idle lock pairs with
+                    // `complete` notifying under it, so the wakeup cannot land
+                    // between the check and the wait; the timeout is only a
+                    // backstop, as in `worker_loop`.
+                    let guard = self.idle.lock().unwrap_or_else(|e| e.into_inner());
+                    if !sub.is_done() && !self.has_ready_work() {
+                        let _ = self
+                            .wakeup
+                            .wait_timeout(guard, std::time::Duration::from_millis(10));
+                    }
+                }
+            }
+        }
+    }
 }
 
 fn worker_loop(shared: Arc<CoreShared>) {
@@ -997,8 +1031,10 @@ impl ExecutorCore {
         tenant: Option<String>,
     ) -> GraphHandle<E> {
         let stage_depth = graph.depth();
+        let shared = self.shared();
         GraphHandle {
-            sub: self.shared().submit(graph.nodes, stage_depth, tenant),
+            sub: shared.submit(graph.nodes, stage_depth, tenant),
+            shared: shared.clone(),
             _error: PhantomData,
         }
     }
@@ -1010,15 +1046,16 @@ impl ExecutorCore {
         tenant: Option<String>,
     ) -> GraphRun<E> {
         let stage_depth = graph.depth();
-        // SAFETY: this frame waits for the submission to complete before
-        // returning (`wait_done`, backstopped by `WaitOnDrop` on unwind), and a
+        // SAFETY: this frame runs nodes until the submission completes before
+        // returning (`run_until_done`, backstopped by `WaitOnDrop` on unwind), and a
         // submission completes only once every node has retired, each having run
         // or dropped its closures first — so no borrowed closure outlives `'env`.
         #[allow(unsafe_code)]
         let nodes = unsafe { assume_static(graph.nodes) };
-        let sub = self.shared().submit(nodes, stage_depth, tenant);
+        let shared = self.shared();
+        let sub = shared.submit(nodes, stage_depth, tenant);
         let _wait_guard = WaitOnDrop(&sub);
-        sub.wait_done();
+        shared.run_until_done(&sub);
         take_run::<E>(&sub)
     }
 }
@@ -1098,6 +1135,7 @@ fn take_run<E: Send + 'static>(sub: &Submission) -> GraphRun<E> {
 /// completion, and the engine waits for it on shutdown.
 pub struct GraphHandle<E> {
     sub: Arc<Submission>,
+    shared: Arc<CoreShared>,
     _error: PhantomData<fn() -> E>,
 }
 
@@ -1105,8 +1143,13 @@ impl<E: Send + 'static> GraphHandle<E> {
     /// Block until the submission completes and assemble its typed [`GraphRun`].
     /// Re-raises the first action panic on this thread, like the blocking
     /// [`Engine::run`](super::Engine::run) does.
+    ///
+    /// The waiting thread runs ready nodes of any submission, in policy order,
+    /// until this one completes, and may return up to one node late. A node
+    /// closure may therefore run here: never hold a lock across `wait` that a
+    /// node closure may take.
     pub fn wait(self) -> GraphRun<E> {
-        self.sub.wait_done();
+        self.shared.run_until_done(&self.sub);
         take_run::<E>(&self.sub)
     }
 }

@@ -86,6 +86,12 @@ use xaas_container::{ActionCache, CacheBackend, CacheStats, ImageStore, NoCache}
 ///
 /// The pool is spawned lazily on first submission and torn down when the last
 /// clone drops (after waiting for in-flight submissions to retire).
+///
+/// A thread waiting in [`run`](Self::run) or [`GraphHandle::wait`] is one more
+/// executor: it runs ready nodes of any submission, in policy order, until its
+/// own completes. So at most the workers plus the waiting threads run at once,
+/// and a node closure may run on any waiting thread: never hold a lock across
+/// `run` or `wait` that a node closure may take.
 #[derive(Clone)]
 pub struct Engine {
     /// The pool, with the cache, policy, dispatch counter and worker count it
@@ -129,9 +135,9 @@ impl Engine {
         Self::new(Arc::new(NoCache::new(store.clone())))
     }
 
-    /// Override the worker count (at least 1). One worker executes submissions with
-    /// no concurrency — the reference schedule the property tests compare parallel
-    /// runs against. (Even then, execution order is dependency-driven, not node
+    /// Override the worker count (at least 1). One worker and one waiting caller
+    /// give the smallest schedule — the reference the property tests compare
+    /// parallel runs against. (Execution order is dependency-driven, not node
     /// order; outputs and traces are assembled in node order regardless of
     /// schedule.) Starts a fresh pool: configure before submitting work.
     pub fn with_workers(mut self, workers: usize) -> Self {
@@ -209,6 +215,11 @@ impl Engine {
     /// Every request runs through here. It shares the queue, the workers and the
     /// interleaving with concurrent submissions, and the caller waits in place,
     /// so the graph may borrow the caller's frame.
+    ///
+    /// The waiting thread runs ready nodes of any submission, in policy order,
+    /// until this graph completes, so a run needs no free worker. It may return
+    /// up to one node late, and a node closure of another submission may run on
+    /// it: never hold a lock across `run` that a node closure may take.
     ///
     /// A graph that recorded a construction defect ([`ActionGraph::error`]) is
     /// refused with that [`GraphError`] before any node is enqueued.

@@ -599,10 +599,12 @@ impl OrchestratorServiceBuilder {
 /// One tenant's handle onto the shared service.
 ///
 /// A session is cheap to clone and `Send`: hand one to each concurrent caller
-/// thread. Submissions block the calling thread until the request's actions
-/// have drained through the shared pool (the *engine* is nonblocking across
-/// submissions — actions from other sessions interleave with this one), so a
-/// session held by N threads contributes up to N in-flight requests.
+/// thread. A submission holds the calling thread until the request's actions
+/// have drained through the shared queue, and that thread runs ready actions of
+/// any session meanwhile (the *engine* is nonblocking across submissions —
+/// actions from other sessions interleave with this one). So a session held by
+/// N threads contributes up to N in-flight requests and N executors beside the
+/// pool; admission bounds both.
 #[derive(Clone)]
 pub struct Session {
     inner: Arc<ServiceInner>,
@@ -852,7 +854,9 @@ mod tests {
 
     /// Admission counts requests, not the engine's queue: with 4,096 actions
     /// submitted straight to the orchestrator and queued behind a gate, a
-    /// session's request is still admitted, and it runs once the gate opens.
+    /// session's request is still admitted. It needs no free worker: its
+    /// caller runs the 4,096 actions queued ahead of it, then its own, while
+    /// the only worker may still be held in the gate.
     #[test]
     fn a_queue_filled_behind_the_service_does_not_refuse_a_request() {
         let service = OrchestratorService::builder()

@@ -4,12 +4,15 @@
 //! parked waiter through the cache's flight protocol; and the continuation path
 //! stays byte-identical — and trace-equal — to the serial baseline. Each
 //! scenario holds flights *externally* via [`CacheBackend::try_begin`] so
-//! parking is deterministic even on a one-worker engine.
+//! parking is deterministic even on a one-worker engine. A thread waiting on a
+//! submission is an executor too: a blocking run completes on its caller while
+//! the only worker is held, and a foreign node it runs keeps its panic.
 
 use proptest::prelude::*;
 use std::convert::Infallible;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 use xaas::prelude::*;
 use xaas_container::{
@@ -40,6 +43,110 @@ fn wait_until(secs: u64, mut done: impl FnMut() -> bool) {
         );
         std::thread::sleep(Duration::from_millis(2));
     }
+}
+
+/// Watchdog: run `f` on its own thread and fail if it has not returned within
+/// `secs` — a run waiting for a worker that never frees must fail the suite
+/// instead of hanging CI.
+fn with_timeout<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(Duration::from_secs(secs))
+        .expect("the run must complete within the timeout")
+}
+
+/// Park a one-worker engine's only worker inside a gated node, returning once
+/// it is inside. Sending on (or dropping) the returned sender opens the gate.
+fn hold_the_only_worker(engine: &Engine) -> (mpsc::Sender<()>, GraphHandle<Infallible>) {
+    let (release, gate) = mpsc::channel::<()>();
+    let (entered, inside) = mpsc::channel::<()>();
+    let mut graph: ActionGraph<'static, Infallible> = ActionGraph::new();
+    graph.add(ActionKind::Preprocess, "gate", &[], move |_| {
+        entered.send(()).ok();
+        gate.recv().ok();
+        Ok(Vec::new())
+    });
+    let held = engine.submit_graph(graph).expect("a well-formed graph");
+    inside
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the worker enters the gate");
+    (release, held)
+}
+
+/// A three-node chain; each node appends its letter to its dependency's bytes.
+fn chain() -> ActionGraph<'static, Infallible> {
+    let append = |letter: u8| {
+        move |inputs: &ActionInputs| {
+            let mut bytes: Vec<u8> = inputs.iter().flatten().copied().collect();
+            bytes.push(letter);
+            Ok(bytes)
+        }
+    };
+    let mut graph: ActionGraph<'static, Infallible> = ActionGraph::new();
+    let a = graph.add(ActionKind::Preprocess, "a", &[], append(b'a'));
+    let b = graph.add(ActionKind::SdCompile, "b", &[a], append(b'b'));
+    graph.add(ActionKind::Link, "c", &[b], append(b'c'));
+    graph
+}
+
+/// A blocking run does not need the pool: with the only worker held in a gate,
+/// `Engine::run` completes its whole chain on the calling thread.
+#[test]
+fn a_blocking_run_completes_on_its_caller_while_the_only_worker_is_held() {
+    let engine = Engine::uncached(&ImageStore::new()).with_workers(1);
+    let (release, held) = hold_the_only_worker(&engine);
+    let outputs = with_timeout(30, {
+        let engine = engine.clone();
+        move || {
+            let run = engine.run(chain()).expect("a well-formed graph");
+            let (outputs, _) = run.into_outputs().expect("every node succeeds");
+            outputs.iter().map(|blob| blob.to_vec()).collect::<Vec<_>>()
+        }
+    });
+    assert_eq!(outputs, [&b"a"[..], b"ab", b"abc"]);
+    // The gate is still closed: the held submission is the only one live.
+    assert_eq!(engine.queue_stats().live_submissions, 1);
+    release.send(()).unwrap();
+    assert!(held.wait().succeeded());
+}
+
+/// A waiter runs ready nodes of any submission, and a foreign node's panic
+/// stays with the foreign submission: under `Fifo` the caller pops the other
+/// graph's panicking node first, its own run still succeeds, and the panic
+/// re-raises only on the foreign handle's `wait`.
+#[test]
+fn a_foreign_panic_run_by_a_waiter_stays_with_its_own_submission() {
+    let engine = Engine::uncached(&ImageStore::new()).with_workers(1);
+    let (release, held) = hold_the_only_worker(&engine);
+    let mut foreign: ActionGraph<'static, Infallible> = ActionGraph::new();
+    foreign.add(ActionKind::Preprocess, "boom", &[], |_| {
+        panic!("the foreign node panicked")
+    });
+    let foreign = engine.submit_graph(foreign).expect("a well-formed graph");
+
+    let run = with_timeout(30, {
+        let engine = engine.clone();
+        move || engine.run(chain()).expect("a well-formed graph")
+    });
+    assert!(run.succeeded());
+    assert_eq!(run.output(2), Some(&b"abc"[..]));
+    // Ordinary records, dispatched after the gate (0) and the foreign node (1).
+    let seqs: Vec<u64> = run.trace.records.iter().map(|r| r.schedule_seq).collect();
+    assert_eq!(seqs, [2, 3, 4]);
+    for record in &run.trace.records {
+        assert!(!record.cached && !record.coalesced && record.parks == 0);
+    }
+
+    release.send(()).unwrap();
+    assert!(held.wait().succeeded());
+    let payload = std::panic::catch_unwind(AssertUnwindSafe(|| foreign.wait()))
+        .expect_err("the foreign panic re-raises on its own waiter");
+    assert_eq!(
+        payload.downcast_ref::<&str>(),
+        Some(&"the foreign node panicked")
+    );
 }
 
 /// The tentpole pin: with ONE worker and an externally held flight, the engine
@@ -98,36 +205,41 @@ fn one_worker_engine_keeps_executing_while_a_flight_is_held_externally() {
     assert_eq!(after.parks, after.wakeups);
 }
 
+/// Eight unordered nodes with one key, counting each compute in `runs`.
+fn duplicate_keys(runs: &Arc<AtomicUsize>) -> ActionGraph<'static, Infallible> {
+    let mut graph: ActionGraph<'static, Infallible> = ActionGraph::new();
+    let shared = key("dup");
+    for i in 0..8 {
+        let runs = runs.clone();
+        graph.add_cached(
+            ActionKind::IrLower,
+            format!("dup-{i}"),
+            shared.clone(),
+            &[],
+            move |_| {
+                runs.fetch_add(1, Ordering::SeqCst);
+                Ok(b"dup bytes".to_vec())
+            },
+        );
+    }
+    graph
+}
+
 /// Eight unordered nodes with one key on a one-worker engine: the first becomes
 /// the flight owner, computes once, and every other node is served the same
-/// bytes — no deadlock, no duplicate compute.
+/// bytes — no deadlock, no duplicate compute. The same holds with four callers
+/// running the graph at once, each waiter executing beside the one worker.
 #[test]
 fn duplicate_unordered_keys_on_one_worker_compute_once_and_complete() {
     let cache = ActionCache::new(ImageStore::new());
     let engine = Engine::cached(&cache).with_workers(1);
     let runs = Arc::new(AtomicUsize::new(0));
 
-    let mut graph: ActionGraph<'static, Infallible> = ActionGraph::new();
-    let shared = key("dup");
-    let ids: Vec<ActionId> = (0..8)
-        .map(|i| {
-            let runs = runs.clone();
-            graph.add_cached(
-                ActionKind::IrLower,
-                format!("dup-{i}"),
-                shared.clone(),
-                &[],
-                move |_| {
-                    runs.fetch_add(1, Ordering::SeqCst);
-                    Ok(b"dup bytes".to_vec())
-                },
-            )
-        })
-        .collect();
-
-    let run = engine.run(graph).expect("a well-formed graph");
+    let run = engine
+        .run(duplicate_keys(&runs))
+        .expect("a well-formed graph");
     assert!(run.succeeded());
-    for &id in &ids {
+    for id in 0..8 {
         assert_eq!(run.output(id), Some(&b"dup bytes"[..]));
     }
     assert_eq!(
@@ -138,6 +250,44 @@ fn duplicate_unordered_keys_on_one_worker_compute_once_and_complete() {
     assert_eq!(cache.stats().misses, 1);
     let computed = run.trace.records.iter().filter(|r| !r.cached).count();
     assert_eq!(computed, 1, "exactly one record carries the miss");
+    let serial = run.into_outputs().expect("every node succeeds").0;
+
+    // Four callers, one worker, one cold key.
+    let cache = ActionCache::new(ImageStore::new());
+    let engine = Engine::cached(&cache).with_workers(1);
+    let runs = Arc::new(AtomicUsize::new(0));
+    let outputs = with_timeout(60, {
+        let (engine, runs) = (engine.clone(), runs.clone());
+        move || {
+            let start = Arc::new(Barrier::new(4));
+            let callers: Vec<_> = (0..4)
+                .map(|_| {
+                    let (engine, runs, start) = (engine.clone(), runs.clone(), start.clone());
+                    std::thread::spawn(move || {
+                        start.wait();
+                        engine
+                            .run(duplicate_keys(&runs))
+                            .expect("a well-formed graph")
+                    })
+                })
+                .collect();
+            callers
+                .into_iter()
+                .map(|caller| caller.join().expect("the caller returns"))
+                .map(|run| run.into_outputs().expect("every node succeeds").0)
+                .collect::<Vec<_>>()
+        }
+    });
+    for run in &outputs {
+        assert_eq!(run, &serial);
+    }
+    assert_eq!(runs.load(Ordering::SeqCst), 1, "one compute across callers");
+    assert_eq!(cache.stats().misses, 1);
+    wait_until(30, || engine.queue_stats().live_submissions == 0);
+    let quiet = engine.queue_stats();
+    assert_eq!(quiet.parks, quiet.wakeups);
+    assert_eq!(quiet.parked_waiters, 0);
+    assert_eq!(quiet.live_submissions, 0);
 }
 
 /// A flight that fails wakes its parked waiter with a typed error; the waiter

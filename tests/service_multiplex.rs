@@ -4,10 +4,15 @@
 //! admission control returns typed errors and cross-session actions interleave
 //! on the shared ready queue. Every scenario runs under a watchdog so a
 //! deadlocked multiplexer fails the suite fast instead of hanging CI.
+//!
+//! A caller waiting on its request runs ready actions itself, so a busy pool
+//! does not hold a request in flight; a [`Gate`] inside the request does.
 
 use proptest::prelude::*;
+use std::convert::Infallible;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 use xaas::engine::ActionGraph;
 use xaas::prelude::*;
@@ -34,25 +39,80 @@ fn lulesh_sweep() -> (xaas_buildsys::ProjectSpec, IrPipelineConfig) {
     (project, config)
 }
 
-/// Occupy the service's worker pool with a gated no-op submission, so admitted
-/// requests queue behind it deterministically. Returns the release sender and
-/// the handle to drain afterwards.
-fn occupy_engine(
-    service: &OrchestratorService,
-) -> (mpsc::Sender<()>, GraphHandle<std::convert::Infallible>) {
-    let (release, gate) = mpsc::channel::<()>();
-    let gate = Arc::new(Mutex::new(gate));
-    let mut graph: ActionGraph<'static, std::convert::Infallible> = ActionGraph::new();
-    graph.add(ActionKind::Preprocess, "gate", &[], move |_| {
-        gate.lock().unwrap().recv().ok();
-        Ok(vec![0])
-    });
-    let handle = service
-        .orchestrator()
-        .engine()
-        .submit_graph(graph)
-        .expect("a well-formed graph");
-    (release, handle)
+/// A gate that actions block in until the test opens it, counting how many
+/// executors have entered.
+#[derive(Default)]
+struct Gate {
+    open: Mutex<bool>,
+    opened: Condvar,
+    entered: AtomicUsize,
+}
+
+impl Gate {
+    fn pass(&self) {
+        self.entered.fetch_add(1, Ordering::SeqCst);
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.opened.wait(open).unwrap();
+        }
+    }
+
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+
+    fn wait_entered(&self, executors: usize) {
+        while self.entered.load(Ordering::SeqCst) < executors {
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// A request held in flight by a gate inside it: `execute` runs `width` gated
+/// actions through the session's engine, as any request runs its actions, and
+/// then `then`. Whichever executor pops a gated action — this caller, a pool
+/// worker or another waiting caller — stays in it until the gate opens.
+struct Gated<R> {
+    gate: Arc<Gate>,
+    width: usize,
+    then: R,
+}
+
+impl<R: ServiceRequest> ServiceRequest for Gated<R> {
+    type Output = R::Output;
+    type Error = R::Error;
+
+    fn execute(self, orch: &Orchestrator) -> Result<R::Output, R::Error> {
+        let mut graph: ActionGraph<'_, Infallible> = ActionGraph::new();
+        for node in 0..self.width {
+            let gate = self.gate.clone();
+            graph.add(
+                ActionKind::Preprocess,
+                format!("gate{node}"),
+                &[],
+                move |_| {
+                    gate.pass();
+                    Ok(Vec::new())
+                },
+            );
+        }
+        let run = orch.engine().run(graph).expect("a well-formed graph");
+        assert!(run.succeeded());
+        self.then.execute(orch)
+    }
+}
+
+/// A request with no work of its own.
+struct Done;
+
+impl ServiceRequest for Done {
+    type Output = ();
+    type Error = Infallible;
+
+    fn execute(self, _: &Orchestrator) -> Result<(), Infallible> {
+        Ok(())
+    }
 }
 
 #[test]
@@ -119,18 +179,22 @@ fn admission_control_returns_typed_backpressure_and_rejection() {
             .workers(1)
             .limits(ServiceLimits::default().per_tenant(1).global(2))
             .build();
-        let (release, gate_handle) = occupy_engine(&service);
+        let gate = Arc::new(Gate::default());
+        let gated = |then| Gated {
+            gate: gate.clone(),
+            width: 1,
+            then,
+        };
 
         let alice = service.session("alice");
         let bob = service.session("bob");
         std::thread::scope(|scope| {
-            // Alice's first request is admitted, then parks behind the gate.
+            // Alice's first request is admitted, then holds in its gate.
             let alice_first = {
                 let session = alice.clone();
-                let (project, config) = (project.clone(), config.clone());
-                scope.spawn(move || {
-                    session.submit(IrBuildRequest::new(&project, &config).reference("alice:ir"))
-                })
+                let (project, config) = (&project, &config);
+                let request = gated(IrBuildRequest::new(project, config).reference("alice:ir"));
+                scope.spawn(move || session.submit(request))
             };
             while service.stats().in_flight < 1 {
                 std::thread::yield_now();
@@ -156,10 +220,9 @@ fn admission_control_returns_typed_backpressure_and_rejection() {
             // ...while bob still gets in (fair: the refusal was alice's lane).
             let bob_first = {
                 let session = bob.clone();
-                let (project, config) = (project.clone(), config.clone());
-                scope.spawn(move || {
-                    session.submit(IrBuildRequest::new(&project, &config).reference("bob:ir"))
-                })
+                let (project, config) = (&project, &config);
+                let request = gated(IrBuildRequest::new(project, config).reference("bob:ir"));
+                scope.spawn(move || session.submit(request))
             };
             while service.stats().in_flight < 2 {
                 std::thread::yield_now();
@@ -182,11 +245,10 @@ fn admission_control_returns_typed_backpressure_and_rejection() {
                 "expected global Rejected, got {error}"
             );
 
-            release.send(()).unwrap();
+            gate.open();
             alice_first.join().unwrap().unwrap();
             bob_first.join().unwrap().unwrap();
         });
-        gate_handle.wait();
 
         let stats = service.stats();
         assert_eq!(stats.admitted, 2);
@@ -199,10 +261,11 @@ fn admission_control_returns_typed_backpressure_and_rejection() {
 #[test]
 fn cross_session_actions_share_the_ready_queue_at_depth_above_one() {
     with_timeout(60, || {
-        // One worker: with the gate holding it, both sessions' whole graphs
-        // queue together, so dispatched records observe ready_submissions > 1.
+        // One worker and three waiting callers, all held in a gate: both
+        // sessions' first graphs queue together, so dispatched records
+        // observe ready_submissions > 1.
         let service = OrchestratorService::builder().workers(1).build();
-        let (release, gate_handle) = occupy_engine(&service);
+        let gate = Arc::new(Gate::default());
 
         let (lulesh, lulesh_config) = lulesh_sweep();
         let gromacs = xaas_apps::gromacs::project();
@@ -210,6 +273,19 @@ fn cross_session_actions_share_the_ready_queue_at_depth_above_one() {
             .with_values("GMX_SIMD", &["SSE4.1", "AVX_512"]);
 
         let (lulesh_build, gromacs_build) = std::thread::scope(|scope| {
+            // Four gated actions under `Fifo`: the worker and this holder's
+            // caller enter two, and each build's caller pops one of the other
+            // two right after queuing its own graph.
+            let holder = {
+                let session = service.session("gate-holder");
+                let request = Gated {
+                    gate: gate.clone(),
+                    width: 4,
+                    then: Done,
+                };
+                scope.spawn(move || session.submit(request).unwrap())
+            };
+            gate.wait_entered(2);
             let first = {
                 let session = service.session("lulesh-team");
                 let (project, config) = (&lulesh, &lulesh_config);
@@ -229,6 +305,7 @@ fn cross_session_actions_share_the_ready_queue_at_depth_above_one() {
                 })
             };
             // Both submissions must have queued work before the gate opens.
+            gate.wait_entered(4);
             while service
                 .orchestrator()
                 .engine()
@@ -238,10 +315,10 @@ fn cross_session_actions_share_the_ready_queue_at_depth_above_one() {
             {
                 std::thread::yield_now();
             }
-            release.send(()).unwrap();
+            gate.open();
+            holder.join().unwrap();
             (first.join().unwrap(), second.join().unwrap())
         });
-        gate_handle.wait();
 
         let depth = lulesh_build
             .trace
