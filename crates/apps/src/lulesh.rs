@@ -207,17 +207,17 @@ mod tests {
         let compiler = Compiler::new();
         for path in ["src/lulesh_eos.ck", "src/lulesh_util.ck"] {
             let source = project.source(path).unwrap();
-            let report = compiler
-                .openmp_report(path, &source.content, &CompileFlags::default())
+            let unit = compiler
+                .preprocess_only(path, &source.content, &CompileFlags::default())
                 .unwrap();
-            assert!(!report.uses_openmp(), "{path} should not use OpenMP");
+            assert!(!unit.mentions_openmp(), "{path} should not use OpenMP");
         }
         for path in ["src/lulesh.ck", "src/lulesh_forces.ck"] {
             let source = project.source(path).unwrap();
-            let report = compiler
-                .openmp_report(path, &source.content, &CompileFlags::default())
+            let unit = compiler
+                .preprocess_only(path, &source.content, &CompileFlags::default())
                 .unwrap();
-            assert!(report.uses_openmp(), "{path} should use OpenMP");
+            assert!(unit.mentions_openmp(), "{path} should use OpenMP");
         }
     }
 

@@ -692,7 +692,7 @@ impl Drop for ScratchRoot {
 #[derive(Debug, Clone, Serialize)]
 pub struct WarmRestartExperiment {
     /// Keyed actions the cold session executed (cache misses): the build's
-    /// `openmp-detect` and `ir-lower`, the fleet's `machine-lower` and `sd-compile`.
+    /// `ir-lower`, the fleet's `machine-lower` and `sd-compile`.
     pub cold_actions: u64,
     /// Keyed actions the warm session re-executed — the headline claim is that
     /// this is **zero**: every keyed action is served from disk.
@@ -788,8 +788,8 @@ fn warm_restart_over(root: &Path) -> WarmRestartExperiment {
 
     // Damage the root the way a crash and a bad disk would: tear the journal's
     // last record, and cut down to half the first blob only one record names. (A
-    // blob several keys share, like a one-byte OpenMP verdict, would make the
-    // recompute count depend on how the sharers' reads interleave.)
+    // blob several keys share would make the recompute count depend on how the
+    // sharers' reads interleave.)
     let journal_path = root.join("index.log");
     let journal = std::fs::read_to_string(&journal_path).expect("the journal is readable");
     std::fs::write(&journal_path, &journal[..journal.len() - 10]).expect("journal cut");
@@ -1159,7 +1159,7 @@ mod tests {
         // The next run to draw the same path (a recycled pid) must not start warm.
         let root = ScratchRoot::at(stale.0.clone());
         let experiment = warm_restart_over(&root.0);
-        assert_eq!(experiment.cold_actions, 45);
+        assert_eq!(experiment.cold_actions, 36);
         assert!(experiment.holds(), "{experiment:?}");
         drop(root);
         assert!(!stale.0.exists(), "the guard removes the root on drop");

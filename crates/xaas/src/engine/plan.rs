@@ -17,7 +17,7 @@
 use super::graph::{ActionGraph, ActionId, ActionInputs};
 use super::trace::ActionKind;
 use crate::error::PipelineError;
-use crate::ir_container::{IR_TARGET, TOOLCHAIN_ID};
+use crate::ir_container::TOOLCHAIN_ID;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use xaas_buildsys::SourceSpec;
@@ -28,10 +28,14 @@ use xaas_xir::{CompileFlags, Compiler, Observation, TargetIsa};
 /// Schedules deduplicated preprocess actions on a graph.
 ///
 /// Each distinct (file, sorted definitions the file can observe) pair gets one
-/// [`ActionKind::Preprocess`] node whose output is the preprocessed-content digest
-/// (the stage-2 identity of Figure 7, and the input every compile `BuildKey` derives
-/// from). A definition the file cannot observe ([`Observation`]) cannot change its
-/// text, so configurations that differ only in such definitions share the node.
+/// [`ActionKind::Preprocess`] node. Its output is the preprocessed-content digest (the
+/// stage-2 identity of Figure 7, and the input every compile `BuildKey` derives from)
+/// followed by one byte, the stage-3 verdict
+/// ([`PreprocessedUnit::mentions_openmp`](xaas_xir::PreprocessedUnit::mentions_openmp)).
+/// This module alone knows that format: its `preprocessed_digest` and
+/// `mentions_openmp` read it. A definition the file cannot observe
+/// ([`Observation`]) cannot change its text, so configurations that differ only in
+/// such definitions share the node.
 ///
 /// The observation is computed lazily, at most once per file: only when the file
 /// comes back with a second definition set. A file planned under one set — every
@@ -54,8 +58,7 @@ impl PreprocessPlanner {
     /// The (file, sorted definitions) identity preprocessing dedups on, keeping only
     /// the definitions `observation` observes when there is one. The sort is by name
     /// and stable, so repeated flags for one name keep the order that decides which
-    /// wins. OpenMP detection does not share the identity: its key is the
-    /// preprocessed digest ([`openmp_detect_key`]).
+    /// wins.
     fn identity(
         file: &str,
         flags: &CompileFlags,
@@ -131,11 +134,25 @@ impl PreprocessPlanner {
                         file: file.clone(),
                         error,
                     })?;
-            Ok(preprocessed.content_digest().into_bytes())
+            let mut output = preprocessed.content_digest().into_bytes();
+            output.push(u8::from(preprocessed.mentions_openmp()));
+            Ok(output)
         });
         self.actions.insert(identity, id);
         id
     }
+}
+
+/// The preprocessed-content digest in a preprocess node's `output`.
+pub(crate) fn preprocessed_digest(output: &[u8]) -> &str {
+    let digest = output.split_last().map_or(output, |(_, digest)| digest);
+    std::str::from_utf8(digest).unwrap_or_default()
+}
+
+/// Whether `-fopenmp` can change the code of the text a preprocess node's `output`
+/// describes (true unless the node said no).
+pub(crate) fn mentions_openmp(output: &[u8]) -> bool {
+    output.last() != Some(&0)
 }
 
 /// The keyed artifact nodes already grafted onto one graph, by static identity: the
@@ -218,7 +235,7 @@ impl<'env> SdCompilePlanner<'env> {
         let (compiler, target) = (self.compiler, self.target);
         let path = source.path.as_str();
         let key_of = move |inputs: &ActionInputs| {
-            Self::key(&String::from_utf8_lossy(inputs.dep(0)), path, flags, target)
+            Self::key(preprocessed_digest(inputs.dep(0)), path, flags, target)
         };
         let identity = Self::identity(path, flags, target);
         if let Some(&primary) = shared.get(&identity) {
@@ -248,19 +265,6 @@ impl<'env> SdCompilePlanner<'env> {
         shared.insert(identity, action);
         action
     }
-}
-
-/// The cache key of the IR build's `openmp-detect` over `path`, once `digest`, the
-/// preprocessed content digest its preprocess dependency outputs, is known.
-/// [`Compiler::openmp_report`] reads only the file name and the preprocessed
-/// text, so every definition set that preprocesses alike shares one verdict.
-pub(crate) fn openmp_detect_key(digest: &str, path: &str) -> BuildKey {
-    BuildKey::new(
-        digest,
-        IR_TARGET,
-        format!("file={path};analysis=openmp"),
-        TOOLCHAIN_ID,
-    )
 }
 
 /// Schedules deduplicated cache-keyed actions on a graph.
@@ -427,6 +431,34 @@ mod tests {
         assert_eq!(graph.len(), 6);
     }
 
+    /// A preprocess node's output reads back as its text's digest and stage-3 verdict.
+    #[test]
+    fn a_preprocess_output_reads_back_as_digest_and_verdict() {
+        let compiler = Compiler::new();
+        let store = ImageStore::new();
+        let engine = Engine::uncached(&store);
+        let mut planner = PreprocessPlanner::new();
+        let mut graph: ActionGraph<'_, PipelineError> = ActionGraph::new();
+        let flags = CompileFlags::default();
+        let units = [
+            (
+                "omp.ck",
+                "#pragma omp parallel for\nfor (int i = 0; i < n; i = i + 1) {}",
+                true,
+            ),
+            ("plain.ck", "kernel void f(float* x) { x[0] = 1.0; }", false),
+        ];
+        let ids = units.map(|(file, source, _)| {
+            planner.action_for(&mut graph, &compiler, file, source, &flags)
+        });
+        let (outputs, _) = engine.run(graph).unwrap().into_outputs().unwrap();
+        for (id, (file, source, omp)) in ids.into_iter().zip(units) {
+            let unit = compiler.preprocess_only(file, source, &flags).unwrap();
+            assert_eq!(preprocessed_digest(&outputs[id]), unit.content_digest());
+            assert_eq!(mentions_openmp(&outputs[id]), omp);
+        }
+    }
+
     /// Populated disk tiers outlive the binary: the `sd-compile` key must not drift.
     /// The hex is what the two pre-planner copies of the format produced.
     #[test]
@@ -445,22 +477,6 @@ mod tests {
         assert_eq!(
             key.digest().as_str(),
             "sha256:aa8e7673fda38421d262a4b64f9d1104280944180ffda8254ab5368e3550db24"
-        );
-    }
-
-    /// The `openmp-detect` key is pinned for the same reason.
-    #[test]
-    fn openmp_detect_key_is_pinned() {
-        let key = openmp_detect_key("0123456789abcdef", "src/mdlib/forces.ck");
-        assert_eq!(
-            key.canonical(),
-            "tu=0123456789abcdef\nisa=xir.ir\n\
-             opts=file=src/mdlib/forces.ck;analysis=openmp\n\
-             toolchain=xirc-19/xir.v1\n"
-        );
-        assert_eq!(
-            key.digest().as_str(),
-            "sha256:6797893a433efd36fcba3df03c9ef73eb3f52f9a022389f1dd5c0c12013c7776"
         );
     }
 

@@ -20,7 +20,10 @@ use xaas_container::{CacheStats, CacheTier};
 pub enum ActionKind {
     /// Run the preprocessor over one translation unit (stage 2 identity input).
     Preprocess,
-    /// AST-level OpenMP construct detection (stage 3).
+    /// Retired: no graph carries this kind. Stage 3's OpenMP verdict is now part of
+    /// a [`Preprocess`](ActionKind::Preprocess) node's output. The variant stays, with
+    /// its name, only because the benchmark crate matches on every kind; it goes
+    /// once that crate stops naming it.
     OpenMpDetect,
     /// Compile a deduplicated translation unit to target-independent IR (stage 4).
     IrLower,
@@ -183,9 +186,8 @@ impl ActionRecord {
 
 /// How many cache-routed actions ran versus how many were served from the cache.
 /// Reported next to (never inside) the artifacts, so cached and uncached builds stay
-/// byte-identical. An IR build counts its `openmp-detect` and `ir-lower` nodes; an
-/// analysis keyed like an earlier node of the same build is a memory hit, so even a
-/// cold build can report `cached > 0` (compare [`total`](Self::total)s).
+/// byte-identical. An IR build counts its `ir-lower` nodes, one per key, so a cold
+/// IR build reports `cached == 0`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ActionSummary {
     /// Actions that actually executed (cache misses).

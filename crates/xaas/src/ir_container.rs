@@ -10,8 +10,12 @@
 //!    the token stream do not create new units. Each distinct text is preprocessed
 //!    once: a file is planned per set of definitions it can *observe*
 //!    ([`xaas_xir::Observation`]), so a sweep value no file reads costs no extra work;
-//! 3. **OpenMP detection** — units that differ only in `-fopenmp` collapse when the file
-//!    contains no OpenMP constructs (AST check);
+//! 3. **OpenMP detection** — units that differ only in `-fopenmp` collapse when the
+//!    preprocessed text mentions no OpenMP: no `#pragma omp…` and no `omp_` identifier
+//!    ([`xaas_xir::PreprocessedUnit::mentions_openmp`], computed by the preprocess node
+//!    itself). The scan is conservative: the paper's AST pass counts only pragmas on
+//!    loops and only calls, so a stray pragma or an `omp_` name that is no call keeps
+//!    `-fopenmp` in the identity — that can split two units, never merge them;
 //! 4. **Vectorization delay** — ISA/tuning flags are dropped from the identity and applied
 //!    only at deployment.
 //!
@@ -19,7 +23,7 @@
 //! source instead of IR. Everything else (`S_I`) is compiled once per unique identity and
 //! stored as XIR bitcode in the image.
 
-use crate::engine::plan::openmp_detect_key;
+use crate::engine::plan::{mentions_openmp, preprocessed_digest};
 use crate::engine::{
     add_commit_action, ActionGraph, ActionId, ActionKind, ActionTrace, Engine, KeyedActionPlanner,
     LinkSlot, PreprocessPlanner,
@@ -212,8 +216,9 @@ pub struct IrContainerBuild {
     pub manifests: Vec<ConfigurationManifest>,
     /// The deduplicated IR units keyed by content id.
     pub units: BTreeMap<String, IrUnit>,
-    /// Cache-routed actions (`openmp-detect` and `ir-lower`) executed vs served
-    /// from the action cache during this build.
+    /// Cache-routed actions (the `ir-lower` nodes) executed vs served from the action
+    /// cache during this build. Stage B plans one node per key, so a cold build
+    /// reports `cached == 0`.
     pub actions: ActionSummary,
     /// The full, deterministic action trace of the build (preprocess through commit).
     pub trace: ActionTrace,
@@ -271,8 +276,6 @@ struct TuOccurrence {
     generation_key: String,
     /// Index of this unit's preprocess action in the stage-A graph.
     preprocess_action: ActionId,
-    /// Index of this unit's OpenMP-detection action, when one was scheduled.
-    openmp_action: Option<ActionId>,
 }
 
 /// Every source path the project can legitimately compile: declared sources plus
@@ -298,9 +301,9 @@ pub(crate) fn unknown_target_source(project: &ProjectSpec) -> Option<String> {
 /// configuration.
 type UnitKeys = Vec<(String, String, String)>;
 
-/// The serial stage-1 plan: the stage-A action graph (preprocess, then OpenMP
-/// detection keyed on each preprocess output) plus the bookkeeping the
-/// later serial stages fold over. Building it runs no actions — this is the
+/// The serial stage-1 plan: the stage-A action graph (one wave of preprocess nodes,
+/// each also deciding stage 3) plus the bookkeeping the later serial stages fold
+/// over. Building it runs no actions — this is the
 /// graph [`analyze_ir_build`] reports on without executing anything.
 pub(crate) struct IrBuildStageA<'env> {
     pub(crate) graph: ActionGraph<'env, PipelineError>,
@@ -324,7 +327,7 @@ pub(crate) fn project_compiler(project: &ProjectSpec) -> Compiler {
 
 /// Stage 1 (driver, serial): configure every assignment, classify its units,
 /// and plan the deduplicated stage-A graph. `compiler` must outlive the graph —
-/// the planned preprocess/OpenMP actions borrow it.
+/// the planned preprocess actions borrow it.
 pub(crate) fn plan_ir_build_stage_a<'env>(
     project: &ProjectSpec,
     config: &IrPipelineConfig,
@@ -349,12 +352,8 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
 
     let mut stage_a: ActionGraph<'env, PipelineError> = ActionGraph::new();
     // Preprocessing depends only on the file and the definitions it can observe:
-    // the planner schedules each distinct pair once across configurations. OpenMP
-    // detection reads only the file name and the preprocessed text, so it gets one
-    // node per preprocess node, keyed on that node's digest (a disk hit after a
-    // restart).
+    // the planner schedules each distinct pair once across configurations.
     let mut preprocess = PreprocessPlanner::new();
-    let mut openmp_actions: BTreeMap<ActionId, ActionId> = BTreeMap::new();
     for (config_index, assignment) in assignments.iter().enumerate() {
         let build = configure(project, assignment, &config.build_dir, None)?;
         let mut per_config_units: UnitKeys = Vec::new();
@@ -389,41 +388,6 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
 
             let preprocess_action =
                 preprocess.action_for(&mut stage_a, compiler, &command.file, &content, &flags);
-            // OpenMP detection only matters for units carrying `-fopenmp`: units
-            // without it can never have OpenMP in effect, whatever the AST says.
-            let openmp_action = if config.stages.openmp_detection && flags.openmp {
-                Some(match openmp_actions.get(&preprocess_action) {
-                    Some(&id) => id,
-                    None => {
-                        let file = command.file.clone();
-                        let key_file = command.file.clone();
-                        let content = content.clone();
-                        let flags = flags.clone();
-                        let id = stage_a.add_cached_derived(
-                            ActionKind::OpenMpDetect,
-                            command.file.clone(),
-                            move |inputs| {
-                                let digest = String::from_utf8_lossy(inputs.dep(0));
-                                openmp_detect_key(&digest, &key_file)
-                            },
-                            &[preprocess_action],
-                            move |_| {
-                                // Analysis failures conservatively keep OpenMP in the
-                                // identity (matching the historical behaviour).
-                                let matters = compiler
-                                    .openmp_report(&file, &content, &flags)
-                                    .map(|r| r.uses_openmp())
-                                    .unwrap_or(true);
-                                Ok(vec![u8::from(matters)])
-                            },
-                        );
-                        openmp_actions.insert(preprocess_action, id);
-                        id
-                    }
-                })
-            } else {
-                None
-            };
             occurrences.push(TuOccurrence {
                 config_index,
                 target: command.target.clone(),
@@ -432,7 +396,6 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
                 flags,
                 generation_key,
                 preprocess_action,
-                openmp_action,
             });
         }
         unit_key_by_config.push(per_config_units);
@@ -463,8 +426,8 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
     })
 }
 
-/// Plan the build's stage-A graph (preprocess, then OpenMP detection) and report
-/// on it without executing anything. The stage-B
+/// Plan the build's stage-A graph (the preprocess wave) and report on it without
+/// executing anything. The stage-B
 /// graph (ir-lower/link/commit) is derived from stage-A *outputs*, so it
 /// cannot be constructed statically.
 pub(crate) fn analyze_ir_build(
@@ -485,12 +448,10 @@ pub(crate) fn analyze_ir_build(
 ///
 /// 1. **configure** (driver, serial — cheap): enumerate the sweep, emit compile DBs,
 ///    split system-dependent from system-independent units;
-/// 2. **preprocess → openmp-detect** (graph A, parallel, two waves): one preprocess
-///    action per distinct (file, definitions the file can observe) pair — so one
-///    per text when no other definition reaches the file — then one
-///    `openmp-detect` over each, keyed by the preprocessed-content digest (a disk
-///    hit after a restart; definition sets that still preprocess alike share the
-///    verdict as a memory hit);
+/// 2. **preprocess** (graph A, parallel, one wave): one preprocess action per
+///    distinct (file, definitions the file can observe) pair — so one per text when
+///    no other definition reaches the file. Each outputs its text's digest and the
+///    stage-3 OpenMP verdict, scanned from the text it already holds;
 /// 3. **ir-lower** (graph B, parallel, cache-routed): one action per deduplicated
 ///    translation unit, keyed by the preprocessed-content digest;
 /// 4. **link + commit** (graph B tail): assemble the image layers from the lowered
@@ -518,11 +479,8 @@ pub(crate) fn run_ir_build(
         occurrences,
     } = plan_ir_build_stage_a(project, config, &compiler)?;
 
-    // ---- Stage 2+3 (graph A): preprocess, then OpenMP-detect each digest ----
+    // ---- Stage 2+3 (graph A): preprocess, deciding OpenMP from the text ----
     let (outputs_a, mut trace) = engine.run(stage_a)?.into_outputs()?;
-    let digest_of =
-        |id: ActionId| -> String { String::from_utf8_lossy(&outputs_a[id]).into_owned() };
-    let matters_of = |id: ActionId| -> bool { outputs_a[id].first().copied().unwrap_or(1) != 0 };
 
     // ---- Stage 4 (driver, serial): derive the dedup identities of Figure 7 ----
     let mut generation_keys: BTreeSet<String> = BTreeSet::new();
@@ -541,9 +499,9 @@ pub(crate) fn run_ir_build(
             flags,
             generation_key,
             preprocess_action,
-            openmp_action,
         } = occurrence;
-        let digest = digest_of(*preprocess_action);
+        let output = &outputs_a[*preprocess_action];
+        let digest = preprocessed_digest(output).to_string();
         let delayed = flags.delayed_target_flags.join(" ");
         generation_keys.insert(format!("{file}|{generation_key}"));
 
@@ -561,7 +519,8 @@ pub(crate) fn run_ir_build(
         preprocessing_keys.insert(stage2_key.clone());
 
         // Stage 3: OpenMP-irrelevance merging.
-        let effective_openmp = flags.openmp && openmp_action.map(&matters_of).unwrap_or(true);
+        let effective_openmp =
+            flags.openmp && (!config.stages.openmp_detection || mentions_openmp(output));
         let stage3_key = if config.stages.openmp_detection {
             format!(
                 "{file}|{digest}|omp={effective_openmp}|opt={}|isa={delayed}",
@@ -976,7 +935,7 @@ mod tests {
 
     /// Stage A's budget on the 4-value GROMACS SIMD sweep: its 36 system-independent
     /// units preprocess to 9 texts (no file observes a `GMX_SIMD_*` definition), so
-    /// the graph plans 9 preprocess and 9 `openmp-detect` nodes.
+    /// the graph plans 9 preprocess nodes, and nothing else.
     #[test]
     fn stage_a_of_the_simd_sweep_plans_each_preprocessed_text_once() {
         let project = gromacs::project();
@@ -986,14 +945,14 @@ mod tests {
         );
         let compiler = project_compiler(&project);
         let stage_a = plan_ir_build_stage_a(&project, &config, &compiler).unwrap();
-        let distinct = |node: fn(&TuOccurrence) -> Option<ActionId>| {
-            let nodes: BTreeSet<ActionId> = stage_a.occurrences.iter().filter_map(node).collect();
-            nodes.len()
-        };
+        let preprocess: BTreeSet<ActionId> = stage_a
+            .occurrences
+            .iter()
+            .map(|unit| unit.preprocess_action)
+            .collect();
         assert_eq!(stage_a.occurrences.len(), 36);
-        assert_eq!(distinct(|unit| Some(unit.preprocess_action)), 9);
-        assert_eq!(distinct(|unit| unit.openmp_action), 9);
-        assert_eq!(stage_a.graph.len(), 18);
+        assert_eq!(preprocess.len(), 9);
+        assert_eq!(stage_a.graph.len(), 9);
     }
 
     #[test]
@@ -1003,9 +962,8 @@ mod tests {
         let cache = ActionCache::new(store.clone());
         let config = IrPipelineConfig::sweep_options(&project, &["WITH_MPI", "WITH_OPENMP"]);
         let cold = build_cached(&project, &config, &cache, "warm:a").unwrap();
-        // One execution per IR unit and per analysis: each preprocessed text is
-        // planned once, so no analysis repeats another's digest.
-        assert_eq!((cold.actions.executed, cold.actions.cached), (14, 0));
+        // One execution per IR unit, and no memory hit: stage B plans one node per key.
+        assert_eq!((cold.actions.executed, cold.actions.cached), (8, 0));
         let warm = build_cached(&project, &config, &cache, "warm:b").unwrap();
         assert_eq!(warm.actions.executed, 0, "warm build compiles nothing");
         assert_eq!(warm.actions.cached, cold.actions.total());

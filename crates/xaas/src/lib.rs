@@ -28,9 +28,9 @@
 //! * [`error`] — [`PipelineError`], the one error every build, deployment and
 //!   fleet job returns (a [`FleetError`] carries it beside the job's system);
 //! * [`engine`] — the staged action-graph engine all of the above execute through: an
-//!   explicit DAG of preprocess/openmp-detect/ir-lower/machine-lower/sd-compile/link/
-//!   commit actions, a policy-scheduled worker-pool executor, transparent action-cache
-//!   routing, and a
+//!   explicit DAG of preprocess/ir-lower/machine-lower/sd-compile/link/commit actions
+//!   (a preprocess action also decides stage 3, whether `-fopenmp` matters), a
+//!   policy-scheduled worker-pool executor, transparent action-cache routing, and a
 //!   deterministic per-build [`ActionTrace`];
 //! * [`gpu_compat`] — CUDA driver/runtime/PTX/cubin compatibility planning (Figure 9);
 //! * [`hypotheses`] — validation of Hypotheses 1 and 2 (Section 4.2);

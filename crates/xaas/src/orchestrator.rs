@@ -824,8 +824,8 @@ mod tests {
             .reference("orch:ir")
             .submit(&orch)
             .unwrap();
-        // Stage A plans each preprocessed text once, so a cold build hits nothing.
-        assert_eq!((cold.actions.executed, cold.actions.cached), (14, 0));
+        // The 8 ir-lower nodes are the keyed ones, one per key: a cold build hits nothing.
+        assert_eq!((cold.actions.executed, cold.actions.cached), (8, 0));
         let warm = IrBuildRequest::new(&project, &config)
             .reference("orch:ir-warm")
             .submit(&orch)

@@ -8,7 +8,9 @@
 //! * [`preprocess`] — `#define`/`#if`/`#include` handling with stable content hashing
 //!   (the identity the IR-container pipeline deduplicates on);
 //! * [`parse`]/[`ast`] — front-end;
-//! * [`openmp`] — AST-level OpenMP construct detection (pipeline stage 3 of Figure 7);
+//! * [`openmp`] — AST-level OpenMP construct detection, the reference pipeline stage 3
+//!   of Figure 7 is tested against (the stage itself scans the preprocessed text:
+//!   [`PreprocessedUnit::mentions_openmp`]);
 //! * [`lower`]/[`ir`] — a typed, structured IR that can be serialised as [`bitcode`];
 //! * [`passes`] — target-independent optimisation, including the deliberately harmful
 //!   early scalar unrolling used to demonstrate why optimisation must be delayed;
@@ -216,28 +218,6 @@ impl Compiler {
         )?)
     }
 
-    /// Parse the preprocessed source into an AST.
-    pub fn parse_unit(
-        &self,
-        file: &str,
-        source: &str,
-        flags: &CompileFlags,
-    ) -> Result<TranslationUnit, CompileError> {
-        let preprocessed = self.preprocess_only(file, source, flags)?;
-        Ok(parse::parse(file, &preprocessed.text)?)
-    }
-
-    /// Report OpenMP usage of a file under the given flags (pipeline stage 3).
-    pub fn openmp_report(
-        &self,
-        file: &str,
-        source: &str,
-        flags: &CompileFlags,
-    ) -> Result<OpenMpReport, CompileError> {
-        let unit = self.parse_unit(file, source, flags)?;
-        Ok(openmp::analyze(&unit))
-    }
-
     /// Full compilation to an (optimised, target-independent) IR module.
     pub fn compile_to_ir(
         &self,
@@ -366,16 +346,16 @@ kernel void extra(float* x) { x[0] = 1.0; }
     #[test]
     fn openmp_report_via_driver() {
         let compiler = compiler();
-        let report = compiler
-            .openmp_report("scale.ck", SOURCE, &CompileFlags::default())
+        let unit = compiler
+            .preprocess_only("scale.ck", SOURCE, &CompileFlags::default())
             .unwrap();
-        assert!(report.uses_openmp());
+        assert!(unit.mentions_openmp());
         let no_omp_source =
             "kernel void f(float* x, int n) { for (int i = 0; i < n; i = i + 1) { x[i] = 0.0; } }";
-        let report = compiler
-            .openmp_report("f.ck", no_omp_source, &CompileFlags::default())
+        let unit = compiler
+            .preprocess_only("f.ck", no_omp_source, &CompileFlags::default())
             .unwrap();
-        assert!(!report.uses_openmp());
+        assert!(!unit.mentions_openmp());
     }
 
     #[test]

@@ -232,6 +232,52 @@ impl PreprocessedUnit {
         self.digest_memo
             .get_or_init(|| format!("{:016x}", self.content_hash()))
     }
+
+    /// Whether `-fopenmp` can change the code of this text (pipeline stage 3): one
+    /// pass over [`text`](Self::text), allocating nothing. True when a `#pragma`'s
+    /// text starts with `omp` in any case (what [`crate::openmp::analyze`] counts once
+    /// it lowercases a pragma), or when an identifier starts with `omp_`; identifiers
+    /// split the way the lexer splits them, so `2omp_x` names `omp_x`.
+    ///
+    /// The scan is conservative. The AST pass counts only pragmas attached to loops
+    /// and only calls, so a stray `omp` pragma, or an `omp_` name that is no call,
+    /// keeps `-fopenmp` in a unit's identity: that can split two units, never merge
+    /// them.
+    pub fn mentions_openmp(&self) -> bool {
+        let text = self.text.as_str();
+        let bytes = text.as_bytes();
+        let mut at = 0;
+        while let Some(&byte) = bytes.get(at) {
+            let start = at;
+            at += 1;
+            if byte == b'#' {
+                if is_omp_pragma(&text[at..]) {
+                    return true;
+                }
+            } else if is_identifier_start(char::from(byte)) {
+                while bytes
+                    .get(at)
+                    .is_some_and(|&byte| is_identifier_char(char::from(byte)))
+                {
+                    at += 1;
+                }
+                if bytes[start..at].starts_with(b"omp_") {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+}
+
+/// Whether the text after a `#` is a pragma whose text starts with `omp`, in any case.
+fn is_omp_pragma(directive: &str) -> bool {
+    let Some(pragma) = directive.trim_start().strip_prefix("pragma") else {
+        return false;
+    };
+    let word = pragma.trim_start().as_bytes();
+    word.get(..3)
+        .is_some_and(|omp| omp.eq_ignore_ascii_case(b"omp"))
 }
 
 /// FNV-1a hash (64-bit) over bytes.

@@ -57,9 +57,8 @@ fn denied_graph(ran: &Arc<AtomicUsize>, defect: GraphError) -> ActionGraph<'stat
 }
 
 /// The non-`Commit` kinds, for cycling labels over generated nodes.
-const WORK_KINDS: [ActionKind; 6] = [
+const WORK_KINDS: [ActionKind; 5] = [
     ActionKind::Preprocess,
-    ActionKind::OpenMpDetect,
     ActionKind::IrLower,
     ActionKind::MachineLower,
     ActionKind::SdCompile,

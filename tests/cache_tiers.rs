@@ -124,17 +124,17 @@ fn warm_restart_replays_the_fleet_from_the_disk_tier() {
     assert!(warm_report.cache.disk_hits > 0);
 }
 
-/// `openmp-detect` is keyed on the preprocessed digest, and stage A plans one
-/// analysis per preprocessed text: the SIMD sweep's 36 units are 9 analyses. A
-/// cold build computes each once, a build over the restarted root computes none
-/// and reads the 9 from disk, and both images equal an uncached build's.
+/// Stage A is one wave of preprocess nodes, each deciding the OpenMP verdict from
+/// its own text, so a build's only keyed nodes are its `ir-lower`s. A build over a
+/// restarted root reads exactly those from disk and executes none; no trace carries
+/// an `openmp-detect`; and both images equal an uncached build's.
 #[test]
-fn openmp_detect_runs_once_per_preprocessed_unit_and_restarts_from_disk() {
-    let root = ScratchRoot::new("openmp");
+fn a_restarted_build_reads_exactly_its_ir_lower_records_from_disk() {
+    let root = ScratchRoot::new("ir-lower");
     let (project, pipeline) = gromacs_sweep();
     let build = |orch: &Orchestrator| {
         IrBuildRequest::new(&project, &pipeline)
-            .reference("tiers:openmp")
+            .reference("tiers:ir-lower")
             .submit(orch)
             .expect("IR container builds")
     };
@@ -145,24 +145,34 @@ fn openmp_detect_runs_once_per_preprocessed_unit_and_restarts_from_disk() {
             .expect("tier stack initializes")
             .build()
     };
-    // (executed, memory hits, disk hits) over the build's `openmp-detect` nodes.
-    let analyses = |build: &IrContainerBuild| {
+    // (executed, memory hits, disk hits) over the build's keyed records.
+    let keyed = |build: &IrContainerBuild| {
         let records = build.trace.records.iter();
-        records.filter(|r| r.kind == ActionKind::OpenMpDetect).fold(
-            (0, 0, 0),
-            |(executed, memory, disk), r| match r.hit_tier {
-                _ if !r.cached => (executed + 1, memory, disk),
-                Some(CacheTier::Disk) => (executed, memory, disk + 1),
-                _ => (executed, memory + 1, disk),
-            },
-        )
+        records
+            .filter(|r| r.key_digest.is_some())
+            .fold((0, 0, 0), |(executed, memory, disk), r| {
+                assert_eq!(r.kind, ActionKind::IrLower, "{}", r.identity());
+                match r.hit_tier {
+                    _ if !r.cached => (executed + 1, memory, disk),
+                    Some(CacheTier::Disk) => (executed, memory, disk + 1),
+                    _ => (executed, memory + 1, disk),
+                }
+            })
     };
     let uncached = build(&Orchestrator::uncached(&xaas_container::ImageStore::new()));
     let cold = build(&tiered());
-    assert_eq!(analyses(&cold), (9, 0, 0));
+    // The sweep's 36 units lower to 9 IR files.
+    let lowered = cold.trace.by_kind()[&ActionKind::IrLower];
+    assert_eq!(lowered, 9);
+    assert_eq!(keyed(&cold), (lowered, 0, 0));
     let warm = build(&tiered());
-    assert_eq!(analyses(&warm), (0, 0, 9));
-    for other in [&cold, &warm] {
+    assert_eq!(keyed(&warm), (0, 0, lowered));
+    for other in [&uncached, &cold, &warm] {
+        assert!(other
+            .trace
+            .records
+            .iter()
+            .all(|r| r.kind != ActionKind::OpenMpDetect));
         assert_eq!(other.image.layers, uncached.image.layers);
         assert_eq!(other.units, uncached.units);
     }

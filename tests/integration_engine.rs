@@ -58,18 +58,18 @@ fn parallel_ir_build_is_byte_identical_to_serial_with_fewer_serial_stages() {
     // The traces are equal record for record (node order is scheduling-independent).
     assert_eq!(parallel.trace, serial.trace);
     assert_eq!(parallel.trace.action_set(), serial.trace.action_set());
-    // The engine's DAG runs 32 actions — by kind, in pipeline order: 10
-    // preprocess, 10 openmp-detect (one per preprocessed text of the 38 TUs of the
-    // 4 configurations: SIMD and GPU definitions change none of them), 10 ir-lower
-    // (the distinct IR files), link, commit — in 5 waves: preprocess →
-    // openmp-detect → ir-lower → link → commit.
+    // The engine's DAG runs 22 actions — by kind, in pipeline order: 10
+    // preprocess (one per preprocessed text of the 38 TUs of the 4
+    // configurations: SIMD and GPU definitions change none of them; each also
+    // decides whether `-fopenmp` matters), 10 ir-lower (the distinct IR files),
+    // link, commit — in 4 waves: preprocess → ir-lower → link → commit.
     let by_kind: Vec<usize> = serial.trace.by_kind().into_values().collect();
-    assert_eq!(by_kind, [10, 10, 10, 1, 1]);
-    assert_eq!(serial.trace.len(), 32);
-    assert_eq!(parallel.trace.stage_depth, 5);
-    // An uncached engine executes every keyed node: 10 openmp-detect, 10 ir-lower.
+    assert_eq!(by_kind, [10, 10, 1, 1]);
+    assert_eq!(serial.trace.len(), 22);
+    assert_eq!(parallel.trace.stage_depth, 4);
+    // An uncached engine executes every keyed node: the 10 ir-lower.
     let keyed = ActionSummary {
-        executed: 20,
+        executed: 10,
         cached: 0,
     };
     assert_eq!(parallel.actions, keyed);
@@ -137,13 +137,13 @@ fn all_pipelines_execute_through_the_engine_with_staged_traces() {
     let kinds = build.trace.by_kind();
     for kind in [
         ActionKind::Preprocess,
-        ActionKind::OpenMpDetect,
         ActionKind::IrLower,
         ActionKind::Link,
         ActionKind::Commit,
     ] {
         assert!(kinds.contains_key(&kind), "build trace misses {kind}");
     }
+    assert!(!kinds.contains_key(&ActionKind::OpenMpDetect));
     assert_eq!(kinds[&ActionKind::Link], 1);
     assert_eq!(kinds[&ActionKind::Commit], 1);
     assert_eq!(build.trace.policy, "fifo");

@@ -102,21 +102,17 @@ fn failing_compile_on_a_nocache_miss_returns_the_typed_compile_error() {
 }
 
 /// A unit that fails to preprocess fails the build with the typed `Compile` error
-/// naming it, also when an `openmp-detect` is keyed on that preprocess output:
-/// the analysis is skipped, never keyed on a missing digest.
+/// naming it, also under `-fopenmp`: the one preprocess node decides the OpenMP
+/// verdict too, so nothing is planned after it in stage A.
 #[test]
-fn failing_preprocess_under_a_keyed_openmp_detect_is_the_typed_compile_error() {
+fn failing_preprocess_under_openmp_is_the_typed_compile_error() {
     let mut project = tiny_project("#include \"missing.h\"\n", vec!["src/main.ck".into()]);
     project.global_flags.push("-fopenmp".into());
     let config = IrPipelineConfig::sweep_options(&project, &[]);
     let error = with_timeout(30, move || {
         let orch = Orchestrator::new();
         let planned = IrBuildRequest::new(&project, &config).analyze(&orch);
-        assert_eq!(
-            planned.map(|r| r.nodes),
-            Ok(2),
-            "preprocess + openmp-detect"
-        );
+        assert_eq!(planned.map(|r| r.nodes), Ok(1), "one preprocess node");
         IrBuildRequest::new(&project, &config).submit(&orch)
     })
     .unwrap_err();
