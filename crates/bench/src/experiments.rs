@@ -598,7 +598,7 @@ pub fn fleet_specialization() -> FleetExperiment {
                 &project,
                 &request.system,
                 &request.selection,
-                request.simd,
+                request.simd.expect("every fleet target pins its level"),
                 &store,
             )
             .expect("cold deployment succeeds")
@@ -639,7 +639,7 @@ pub fn fleet_specialization() -> FleetExperiment {
                 .unwrap_or_default();
             FleetSystemRow {
                 system: request.system.name.clone(),
-                simd: request.simd.gmx_name().to_string(),
+                simd: cold_deployment.simd.gmx_name().to_string(),
                 cold_actions: cold_deployment.actions.executed,
                 fleet_actions_executed: fleet_actions.executed,
                 fleet_actions_cached: fleet_actions.cached,

@@ -87,11 +87,7 @@ pub fn configure(
         .validate_assignment(assignment)
         .map_err(ConfigureError::InvalidAssignment)?;
 
-    // Complete the assignment with defaults.
-    let mut complete = project.default_assignment();
-    for (name, value) in assignment.iter() {
-        complete.set(name, value);
-    }
+    let complete = project.complete(assignment);
 
     // Accumulate effects of every selected option value.
     let mut effects = OptionEffects::default();

@@ -205,9 +205,12 @@ impl BuildOption {
 
     /// Whether `value` is a legal setting for this option.
     pub fn accepts(&self, value: &str) -> bool {
-        self.value_names()
-            .iter()
-            .any(|v| v.eq_ignore_ascii_case(value))
+        match &self.kind {
+            OptionKind::Bool { .. } => ["ON", "OFF"].iter().any(|v| v.eq_ignore_ascii_case(value)),
+            OptionKind::Choice { values, .. } => {
+                values.iter().any(|v| v.name.eq_ignore_ascii_case(value))
+            }
+        }
     }
 
     /// The effects of setting this option to `value` (empty effects for OFF / unknown).
@@ -283,11 +286,15 @@ impl OptionAssignment {
         if self.values.is_empty() {
             return "default".to_string();
         }
-        self.values
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect::<Vec<_>>()
-            .join(",")
+        let len = self.values.iter().map(|(k, v)| k.len() + v.len() + 2);
+        let mut label = String::with_capacity(len.sum());
+        for (k, v) in &self.values {
+            if !label.is_empty() {
+                label.push(',');
+            }
+            label.extend([k.as_str(), "=", v.as_str()]);
+        }
+        label
     }
 }
 

@@ -153,13 +153,16 @@ impl ProjectSpec {
         self.targets.iter().find(|t| t.name == name)
     }
 
-    /// The default option assignment (every option at its default value).
-    pub fn default_assignment(&self) -> OptionAssignment {
-        let mut assignment = OptionAssignment::new();
+    /// `assignment` with every option it leaves out at its default value (the
+    /// default assignment is `complete(&OptionAssignment::new())`).
+    pub fn complete(&self, assignment: &OptionAssignment) -> OptionAssignment {
+        let mut complete = assignment.clone();
         for option in &self.options {
-            assignment.set(option.name.clone(), option.default_value());
+            if assignment.get(&option.name).is_none() {
+                complete.set(option.name.clone(), option.default_value());
+            }
         }
-        assignment
+        complete
     }
 
     /// Validate an assignment: unknown options or illegal values are reported.
@@ -242,9 +245,11 @@ mod tests {
         assert!(project.option("MISSING").is_none());
         assert!(project.source("src/core.ck").is_some());
         assert!(project.target("tiny").is_some());
-        let defaults = project.default_assignment();
+        let defaults = project.complete(&OptionAssignment::new());
         assert_eq!(defaults.get("USE_MPI"), Some("OFF"));
         assert_eq!(defaults.get("SIMD"), Some("None"));
+        let avx = project.complete(&OptionAssignment::new().with("SIMD", "AVX_512"));
+        assert_eq!(avx, defaults.clone().with("SIMD", "AVX_512"));
         assert_eq!(project.source_count(), 2);
     }
 

@@ -13,9 +13,9 @@ use crate::ir_container::{
     paths as ir_paths, project_compiler, ActionSummary, ConfigurationManifest, IrContainerBuild,
     UnitAssignment, TOOLCHAIN_ID,
 };
+use crate::resolve::Resolved;
 use crate::targets::{derive_build_profile, target_isa_for};
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use xaas_buildsys::{OptionAssignment, ProjectSpec, SourceSpec};
 use xaas_container::{
@@ -163,48 +163,21 @@ pub(crate) struct DeployPlan<'a> {
     assembled: LinkSlot<Assembled>,
 }
 
-/// `selection` with the project's default for every option it leaves out. A
-/// manifest's assignment names every option (configure completes it), so a
-/// deployment matches its manifest, and a fleet deduplicates its jobs, on the
-/// completed selection.
-pub(crate) fn complete_selection<'s>(
-    project: &ProjectSpec,
-    selection: &'s OptionAssignment,
-) -> Cow<'s, OptionAssignment> {
-    let mut selection = Cow::Borrowed(selection);
-    for option in &project.options {
-        if selection.get(&option.name).is_none() {
-            selection.to_mut().set(&option.name, option.default_value());
-        }
-    }
-    selection
-}
-
-/// Validate one deployment and plan its deduplicated tasks (Figure 8's *select*
-/// step): resolve the configuration manifest (an option the selection leaves
-/// out takes the project's default), check the SIMD level against the
-/// system, split the manifest's units into one lower/compile task per distinct
-/// artifact, and derive the system-dependent compile flags from the selected
-/// configuration's [`compile_flags`](crate::ir_container::ConfigurationManifest::compile_flags)
-/// (optimisation level, OpenMP, …) rather than a hardcoded flag set.
+/// Plan one resolved deployment (Figure 8's *select* step is `resolve`): find
+/// the manifest whose assignment is `resolved.selection`, split its units into
+/// one lower/compile task per distinct artifact for `resolved.target`, and take
+/// the system-dependent compile flags from the configuration's
+/// [`compile_flags`](crate::ir_container::ConfigurationManifest::compile_flags).
 pub(crate) fn plan_ir_deploy<'a>(
     build: &'a IrContainerBuild,
     project: &'a ProjectSpec,
     system: &'a SystemModel,
-    selection: &OptionAssignment,
-    simd: SimdLevel,
+    resolved: &Resolved,
 ) -> Result<DeployPlan<'a>, PipelineError> {
-    let selection = complete_selection(project, selection);
     let manifest = build
-        .manifest_for(&selection)
-        .ok_or_else(|| PipelineError::UnknownConfiguration(selection.label()))?;
-    if !system.cpu.supports(simd) {
-        return Err(PipelineError::UnsupportedSimd {
-            level: simd,
-            system: system.name.clone(),
-        });
-    }
-    let target = target_isa_for(simd);
+        .manifest_for(&resolved.selection)
+        .ok_or_else(|| PipelineError::UnknownConfiguration(resolved.selection.label()))?;
+    let target = target_isa_for(resolved.target);
 
     // System-dependent sources are compiled with the selected configuration's flags
     // (not a hardcoded set): definitions plus the manifest's non-target compile flags.
@@ -241,24 +214,17 @@ pub(crate) fn plan_ir_deploy<'a>(
         files.push(file);
     }
 
-    let reference = format!(
-        "{}:{}-{}-{}",
-        project.name,
-        system.name.to_ascii_lowercase(),
-        crate::ir_container::sanitize(&manifest.label).to_ascii_lowercase(),
-        simd.gmx_name().to_ascii_lowercase()
-    );
     Ok(DeployPlan {
         build,
         project,
         system,
         manifest,
-        simd,
+        simd: resolved.target,
         target,
         compiler: project_compiler(project),
         sd_flags,
         tasks,
-        reference,
+        reference: resolved.reference(project, system),
         assembled: LinkSlot::new(),
     })
 }
@@ -657,10 +623,11 @@ mod tests {
         let store = ImageStore::new();
         let (project, build) = gromacs_ir_build(&store);
         let cache = ActionCache::new(store.clone());
-        let selection = project
-            .default_assignment()
-            .with("GMX_SIMD", "AVX_512")
-            .with("GMX_GPU", "OFF");
+        let selection = project.complete(
+            &OptionAssignment::new()
+                .with("GMX_SIMD", "AVX_512")
+                .with("GMX_GPU", "OFF"),
+        );
         let manifest = build.manifest_for(&selection).unwrap();
         let poisoned = manifest
             .units

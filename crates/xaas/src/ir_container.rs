@@ -886,7 +886,7 @@ mod tests {
         let config = IrPipelineConfig::sweep_options(&project, &["GMX_MPI"]);
         let build = build(&project, &config, &store, "g:mpi").unwrap();
         let mpi_on = build
-            .manifest_for(&project.default_assignment().with("GMX_MPI", "ON"))
+            .manifest_for(&project.complete(&OptionAssignment::new().with("GMX_MPI", "ON")))
             .expect("manifest for MPI=ON");
         let mpi_unit = mpi_on
             .units

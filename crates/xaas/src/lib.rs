@@ -63,6 +63,7 @@ pub mod hypotheses;
 pub mod ir_container;
 pub mod orchestrator;
 pub mod portability;
+mod resolve;
 pub mod service;
 pub mod source_container;
 pub mod targets;
@@ -98,7 +99,7 @@ pub mod prelude {
         AdmissionError, OrchestratorService, ServiceError, ServiceLimits, ServiceRequest,
         ServiceStats, Session,
     };
-    pub use crate::source_container::{build_source_container, SelectionPolicy, SourceDeployment};
+    pub use crate::source_container::{build_source_container, SourceDeployment};
     pub use crate::targets::{derive_build_profile, library_quality_of, target_isa_for};
     pub use xaas_container::prelude::*;
 }

@@ -46,15 +46,15 @@
 // once per failed job, off the request's hot path, so it is not boxed.
 #![allow(clippy::result_large_err)]
 
-use crate::deploy::{complete_selection, finish_ir_deploy, graft_ir_deploy, plan_ir_deploy};
-use crate::deploy::{DeployPlan, IrDeployment};
+use crate::deploy::{finish_ir_deploy, graft_ir_deploy, plan_ir_deploy, DeployPlan, IrDeployment};
 use crate::engine::plan::SharedDeployArtifacts;
 use crate::engine::{ActionGraph, ActionTrace, AnalysisReport, Engine, SchedulingPolicy};
 use crate::error::PipelineError;
 use crate::ir_container::{IrContainerBuild, IrPipelineConfig};
+use crate::resolve::{resolve, Policy, Resolved};
 use crate::source_container::{
-    finish_source_deploy, graft_source_deploy, plan_source_deploy, SelectionPolicy,
-    SourceDeployPlan, SourceDeployment,
+    finish_source_deploy, graft_source_deploy, plan_source_deploy, SourceDeployPlan,
+    SourceDeployment,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -310,8 +310,8 @@ pub struct IrDeployRequest<'a> {
 
 impl<'a> IrDeployRequest<'a> {
     /// A request to specialize `build` for `system`. With no further calls the
-    /// default configuration is selected and the IR is lowered for the best SIMD
-    /// level the system supports.
+    /// project's default configuration is selected and the IR is lowered for the
+    /// best SIMD level the system supports.
     pub fn new(
         build: &'a IrContainerBuild,
         project: &'a ProjectSpec,
@@ -326,7 +326,8 @@ impl<'a> IrDeployRequest<'a> {
         }
     }
 
-    /// Select `option = value` in the deployed configuration (repeatable).
+    /// Select `option = value` (repeatable; unselected options take the project's
+    /// default, a value the option refuses is `UnsupportedPreference`).
     pub fn select(mut self, option: impl Into<String>, value: impl Into<String>) -> Self {
         self.selection.set(option.into(), value.into());
         self
@@ -338,16 +339,24 @@ impl<'a> IrDeployRequest<'a> {
         self
     }
 
-    /// Lower the IR for this SIMD level (default: the system's best level).
+    /// Pin the SIMD level the IR is lowered for, which the system must support
+    /// (`UnsupportedSimd`); unpinned, it is the system's best. A configuration
+    /// built for one level may be lowered for another.
     pub fn simd(mut self, simd: SimdLevel) -> Self {
         self.simd = Some(simd);
         self
     }
 
-    /// The plan phase: the default SIMD level is the system's best.
+    /// The plan phase: resolve under the project defaults, then plan.
     fn plan(&self) -> Result<DeployPlan<'a>, PipelineError> {
-        let simd = self.simd.unwrap_or_else(|| self.system.cpu.best_simd());
-        plan_ir_deploy(self.build, self.project, self.system, &self.selection, simd)
+        let resolved = resolve(
+            self.project,
+            self.system,
+            &self.selection,
+            self.simd,
+            Policy::ProjectDefault,
+        )?;
+        plan_ir_deploy(self.build, self.project, self.system, &resolved)
     }
 
     /// Execute the deployment on the orchestrator's engine in **one** graph
@@ -377,6 +386,10 @@ impl<'a> IrDeployRequest<'a> {
 /// Typed request: deploy (specialize) a source container onto one system
 /// (Figure 6): discovery → intersection → selection → full on-target build.
 ///
+/// An option no preference pins takes the best value the system offers; the
+/// build targets the SIMD level the selection names (the system's best, with a
+/// note, if it lacks that level) and commits as `{project}:{system}-{label}-{simd}`.
+///
 /// Returns [`SourceDeployment`] with the [`ActionTrace`].
 #[derive(Debug, Clone)]
 pub struct SourceDeployRequest<'a> {
@@ -384,23 +397,22 @@ pub struct SourceDeployRequest<'a> {
     source_image: &'a Image,
     system: &'a SystemModel,
     preferences: OptionAssignment,
-    selection_policy: SelectionPolicy,
 }
 
 impl<'a> SourceDeployRequest<'a> {
-    /// A request to specialize `source_image` for `system` under the
-    /// [`SelectionPolicy::BestAvailable`] policy and no user preferences.
+    /// A request to specialize `source_image` for `system` with no user
+    /// preferences.
     pub fn new(project: &'a ProjectSpec, source_image: &'a Image, system: &'a SystemModel) -> Self {
         Self {
             project,
             source_image,
             system,
             preferences: OptionAssignment::new(),
-            selection_policy: SelectionPolicy::BestAvailable,
         }
     }
 
-    /// Pin `option = value` regardless of what the policy would choose (repeatable).
+    /// Pin `option = value` regardless of what the system offers (repeatable; a
+    /// value the option refuses is `UnsupportedPreference`).
     pub fn prefer(mut self, option: impl Into<String>, value: impl Into<String>) -> Self {
         self.preferences.set(option.into(), value.into());
         self
@@ -412,20 +424,12 @@ impl<'a> SourceDeployRequest<'a> {
         self
     }
 
-    /// How unpinned specialization points are chosen (default:
-    /// [`SelectionPolicy::BestAvailable`]).
-    pub fn selection_policy(mut self, policy: SelectionPolicy) -> Self {
-        self.selection_policy = policy;
-        self
-    }
-
     fn plan(&self) -> Result<SourceDeployPlan<'a>, PipelineError> {
         plan_source_deploy(
             self.project,
             self.source_image,
             self.system,
             &self.preferences,
-            self.selection_policy,
         )
     }
 
@@ -452,47 +456,62 @@ impl<'a> SourceDeployRequest<'a> {
 }
 
 /// One fleet member: deploy the IR container's `selection` configuration onto
-/// `system`, lowered for `simd`.
+/// `system`, resolved as an [`IrDeployRequest`] is (`simd` is its pin).
 #[derive(Debug, Clone)]
 pub struct FleetTarget {
     /// The target system.
     pub system: SystemModel,
     /// The configuration to select from the IR container.
     pub selection: OptionAssignment,
-    /// The SIMD level to lower for.
-    pub simd: SimdLevel,
+    /// The SIMD level pinned for lowering; `None` lowers for the system's best.
+    pub simd: Option<SimdLevel>,
 }
 
 impl FleetTarget {
-    /// A target for an explicit SIMD level.
+    /// A target pinned to an explicit SIMD level.
     pub fn new(system: SystemModel, selection: OptionAssignment, simd: SimdLevel) -> Self {
         Self {
             system,
             selection,
-            simd,
+            simd: Some(simd),
         }
     }
 
     /// A target lowered for the best SIMD level the system supports.
     pub fn best_for(system: SystemModel, selection: OptionAssignment) -> Self {
-        let simd = system.cpu.best_simd();
-        Self::new(system, selection, simd)
+        Self {
+            system,
+            selection,
+            simd: None,
+        }
     }
 
     /// The deduplication identity of the target within a fleet over `project`:
     /// two targets with the same job key are served by a single deployment job.
-    /// The key digests the *entire* system model (not just its name), so
-    /// differently-configured systems that happen to share a name never alias,
-    /// and it names the selection completed with `project`'s defaults, so a
-    /// target that spells out a default is the same job as one that leaves it out.
+    /// It digests the *entire* system model, so differently-configured systems
+    /// sharing a name never alias, and names the target's resolution, so a target
+    /// spelling out a default is the same job as one leaving it out (targets that
+    /// fail to resolve share a job when they fail alike on one system).
     pub fn job_key(&self, project: &ProjectSpec) -> String {
+        self.resolve(project).0
+    }
+
+    /// The target's job key and its resolution.
+    fn resolve(&self, project: &ProjectSpec) -> (String, Result<Resolved, PipelineError>) {
+        let resolved = resolve(
+            project,
+            &self.system,
+            &self.selection,
+            self.simd,
+            Policy::ProjectDefault,
+        );
         let system = serde_json::to_vec(&self.system).expect("system models serialise");
-        format!(
-            "{}|{}|{}",
-            Digest::of_bytes(&system),
-            complete_selection(project, &self.selection).label(),
-            self.simd.gmx_name()
-        )
+        let system = Digest::of_bytes(&system);
+        let key = match &resolved {
+            Ok(r) => format!("{system}|{}|{}", r.selection.label(), r.target.gmx_name()),
+            Err(error) => format!("{system}|error|{error}"),
+        };
+        (key, resolved)
     }
 }
 
@@ -538,10 +557,10 @@ impl std::error::Error for FleetError {}
 pub struct FleetOutcome {
     /// System name of the target.
     pub system: String,
-    /// Configuration label of the target.
+    /// Configuration label of the target, as requested.
     pub label: String,
-    /// Requested SIMD level.
-    pub simd: SimdLevel,
+    /// The SIMD level the target was lowered for (`None` when its job failed).
+    pub simd: Option<SimdLevel>,
     /// The deployment (shared with any deduplicated duplicates) or the error.
     pub deployment: Result<Arc<IrDeployment>, FleetError>,
     /// Whether this target was served by another target's job.
@@ -634,8 +653,7 @@ impl<'a> FleetRequest<'a> {
     /// without executing anything. The first plan-time failure is returned as
     /// a [`FleetError`].
     pub fn analyze(self, orch: &Orchestrator) -> Result<AnalysisReport, FleetError> {
-        let (jobs, _) = dedup_jobs(self.project, &self.targets);
-        let plans = plan_jobs(self.build, self.project, &jobs);
+        let (plans, _) = plan_jobs(self.build, self.project, &self.targets);
         if let Some(error) = plans.iter().find_map(|plan| plan.as_ref().err()) {
             return Err(error.clone());
         }
@@ -653,8 +671,9 @@ impl<'a> FleetRequest<'a> {
     /// job order — the union graph only changes *when* actions run (interleaved
     /// across jobs) and how often the engine is entered.
     pub fn submit(self, orch: &Orchestrator) -> FleetReport {
-        let (jobs, job_of_target) = dedup_jobs(self.project, &self.targets);
-        let (results, trace, ran) = run_union_wave(self.build, self.project, &jobs, orch.engine());
+        let (plans, job_of_target) = plan_jobs(self.build, self.project, &self.targets);
+        let jobs = plans.len();
+        let (results, trace, ran) = run_union_wave(plans, orch.engine());
 
         let outcomes = self
             .targets
@@ -663,7 +682,7 @@ impl<'a> FleetRequest<'a> {
             .map(|(target, &(job_index, deduplicated))| FleetOutcome {
                 system: target.system.name.clone(),
                 label: target.selection.label(),
-                simd: target.simd,
+                simd: results[job_index].as_ref().ok().map(|d| d.simd),
                 deployment: results[job_index].clone(),
                 deduplicated,
             })
@@ -678,8 +697,8 @@ impl<'a> FleetRequest<'a> {
         };
         FleetReport {
             outcomes,
-            jobs_executed: jobs.len(),
-            jobs_deduplicated: self.targets.len() - jobs.len(),
+            jobs_executed: jobs,
+            jobs_deduplicated: self.targets.len() - jobs,
             workers: orch.workers(),
             cache,
             submissions: usize::from(ran),
@@ -688,42 +707,30 @@ impl<'a> FleetRequest<'a> {
     }
 }
 
-/// Deduplicate identical targets up front: one job per distinct
-/// [`FleetTarget::job_key`], in request order, and per target its job's index and
-/// whether an earlier target already claimed the job.
-fn dedup_jobs<'t>(
-    project: &ProjectSpec,
-    targets: &'t [FleetTarget],
-) -> (Vec<&'t FleetTarget>, Vec<(usize, bool)>) {
-    let mut job_of_target: Vec<(usize, bool)> = Vec::with_capacity(targets.len());
-    let mut job_index_by_key: BTreeMap<String, usize> = BTreeMap::new();
-    let mut jobs: Vec<&FleetTarget> = Vec::new();
-    for target in targets {
-        let fresh = jobs.len();
-        let index = *job_index_by_key
-            .entry(target.job_key(project))
-            .or_insert(fresh);
-        if index == fresh {
-            jobs.push(target);
-        }
-        job_of_target.push((index, index != fresh));
-    }
-    (jobs, job_of_target)
-}
-
-/// Plan phase of a wave: validate every job; plan-time failures claim no graph
-/// nodes.
+/// Plan phase of a wave: resolve each target once, keep one job per distinct
+/// [`FleetTarget::job_key`] in request order, and plan it (failures claim no
+/// graph nodes); per target, its job's index and whether it was deduplicated.
+#[allow(clippy::type_complexity)]
 fn plan_jobs<'a>(
     build: &'a IrContainerBuild,
     project: &'a ProjectSpec,
-    jobs: &[&'a FleetTarget],
-) -> Vec<Result<DeployPlan<'a>, FleetError>> {
-    jobs.iter()
-        .map(|job| {
-            plan_ir_deploy(build, project, &job.system, &job.selection, job.simd)
-                .map_err(|error| FleetError::before_run(&job.system, error))
-        })
-        .collect()
+    targets: &'a [FleetTarget],
+) -> (Vec<Result<DeployPlan<'a>, FleetError>>, Vec<(usize, bool)>) {
+    let mut job_of_target: Vec<(usize, bool)> = Vec::with_capacity(targets.len());
+    let mut job_index_by_key: BTreeMap<String, usize> = BTreeMap::new();
+    let mut plans = Vec::new();
+    for target in targets {
+        let (key, resolved) = target.resolve(project);
+        let fresh = plans.len();
+        let index = *job_index_by_key.entry(key).or_insert(fresh);
+        if index == fresh {
+            let system = &target.system;
+            let plan = resolved.and_then(|r| plan_ir_deploy(build, project, system, &r));
+            plans.push(plan.map_err(|error| FleetError::before_run(system, error)));
+        }
+        job_of_target.push((index, index != fresh));
+    }
+    (plans, job_of_target)
 }
 
 /// Graft phase of a wave: one union graph, every planned job a tagged subgraph
@@ -746,22 +753,19 @@ fn graft_jobs<'env>(
     (graph, stage_depths)
 }
 
-/// The union-graph wave: plan every job, graft all plans into one
+/// The union-graph wave: graft every job's plan into one
 /// [`ActionGraph`] (keyed nodes shared across jobs appear once), submit it to the
 /// engine exactly once, then split the wave trace and outcomes back into per-job
 /// deployments. Returns `(per-job results, wave trace, whether the engine ran)`.
 #[allow(clippy::type_complexity)]
 fn run_union_wave(
-    build: &IrContainerBuild,
-    project: &ProjectSpec,
-    jobs: &[&FleetTarget],
+    plans: Vec<Result<DeployPlan<'_>, FleetError>>,
     engine: &Engine,
 ) -> (
     Vec<Result<Arc<IrDeployment>, FleetError>>,
     ActionTrace,
     bool,
 ) {
-    let plans = plan_jobs(build, project, jobs);
     let (graph, stage_depths) = graft_jobs(&plans, engine.store());
 
     // Run phase: exactly one engine submission for the whole wave. A graph
@@ -860,7 +864,7 @@ mod tests {
             .select("WITH_OPENMP", "ON")
             .submit(&orch)
             .unwrap();
-        assert_eq!(deployment.simd, system.cpu.best_simd());
+        assert_eq!(deployment.simd, SimdLevel::Avx512, "Ault23's best level");
         assert!(deployment.trace.by_kind()[&ActionKind::MachineLower] > 0);
     }
 
@@ -898,12 +902,16 @@ mod tests {
     fn a_partial_selection_takes_the_project_default_for_the_rest() {
         let deployed = lulesh_deployed(|request| request.select("WITH_OPENMP", "OFF"));
         assert_eq!(deployed.unwrap(), lulesh_assignment("OFF", "OFF"));
-        // A completed selection that names no manifest is refused by its
-        // completed label.
+        // A value the option does not accept is refused before any manifest
+        // is looked up, as a source deployment refuses it.
         let refused = lulesh_deployed(|request| request.select("WITH_OPENMP", "MAYBE"));
         assert_eq!(
             refused.unwrap_err(),
-            PipelineError::UnknownConfiguration("WITH_MPI=OFF,WITH_OPENMP=MAYBE".into())
+            PipelineError::UnsupportedPreference {
+                option: "WITH_OPENMP".into(),
+                value: "MAYBE".into(),
+                reason: "value is not offered by the build system".into(),
+            }
         );
     }
 

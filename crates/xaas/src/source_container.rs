@@ -10,15 +10,15 @@ use crate::engine::plan::{SdCompilePlanner, SharedDeployArtifacts};
 use crate::engine::{add_commit_action, ActionGraph, ActionId, ActionKind, ActionTrace, LinkSlot};
 use crate::error::PipelineError;
 use crate::ir_container::{project_compiler, ActionSummary};
+use crate::resolve::{resolve, Policy, Resolved};
 use crate::targets::{derive_build_profile, target_isa_for};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use xaas_buildsys::{configure, ConfiguredBuild, OptionAssignment, OptionCategory, ProjectSpec};
+use xaas_buildsys::{configure, ConfiguredBuild, OptionAssignment, ProjectSpec};
 use xaas_container::{
     annotation_keys, Architecture, DeploymentFormat, Image, ImageStore, Layer, Platform,
 };
-use xaas_hpcsim::{discover, BuildProfile, ModuleKind, SimdLevel, SystemModel};
-use xaas_specs::{from_project, intersect, CommonSpecialization, SpecCategory};
+use xaas_hpcsim::{BuildProfile, SystemModel};
+use xaas_specs::from_project;
 use xaas_xir::{CompileFlags, Compiler, MachineModule, TargetIsa};
 
 /// Paths used inside source containers.
@@ -88,8 +88,6 @@ pub struct SourceDeployment {
     pub reference: String,
     /// The specialization values that were selected.
     pub assignment: OptionAssignment,
-    /// The intersection that constrained the selection.
-    pub intersection: CommonSpecialization,
     /// Number of translation units compiled during deployment.
     pub compiled_units: usize,
     /// The performance profile of the deployed build (for the execution model).
@@ -100,17 +98,6 @@ pub struct SourceDeployment {
     pub actions: ActionSummary,
     /// The full, deterministic action trace of the deployment.
     pub trace: ActionTrace,
-}
-
-/// Selection policy used when the user does not pin a value for a specialization point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum SelectionPolicy {
-    /// Pick the best-performing available option (vendor libraries, newest SIMD, GPU on).
-    #[default]
-    BestAvailable,
-    /// Pick the most conservative option (portable SIMD, no GPU) — used in tests and as a
-    /// stand-in for the "performance-oblivious" choice.
-    Conservative,
 }
 
 /// One `sd-compile` of a source deployment, by index into the plan's configured
@@ -132,10 +119,8 @@ pub(crate) struct SourceDeployPlan<'a> {
     project: &'a ProjectSpec,
     source_image: &'a Image,
     system: &'a SystemModel,
-    assignment: OptionAssignment,
-    intersection: CommonSpecialization,
+    resolved: Resolved,
     build_profile: BuildProfile,
-    notes: Vec<String>,
     target: TargetIsa,
     compiler: Compiler,
     build: ConfiguredBuild,
@@ -152,35 +137,12 @@ pub(crate) fn plan_source_deploy<'a>(
     source_image: &'a Image,
     system: &'a SystemModel,
     preferences: &OptionAssignment,
-    policy: SelectionPolicy,
 ) -> Result<SourceDeployPlan<'a>, PipelineError> {
     if let Some(file) = crate::ir_container::unknown_target_source(project) {
         return Err(PipelineError::UnknownSource { file });
     }
-    let mut notes = Vec::new();
-
-    // 1. System discovery and feature intersection.
-    let features = discover(system);
-    let spec_points = from_project(project);
-    let intersection = intersect(&spec_points, &features);
-
-    // 2. Specialization selection: defaults → policy-driven choices → user preferences.
-    let mut assignment = project.default_assignment();
-    if policy == SelectionPolicy::BestAvailable {
-        apply_best_available(project, system, &intersection, &mut assignment, &mut notes);
-    }
-    for (option, value) in preferences.iter() {
-        if let Some(build_option) = project.option(option) {
-            if !build_option.accepts(value) {
-                return Err(PipelineError::UnsupportedPreference {
-                    option: option.to_string(),
-                    value: value.to_string(),
-                    reason: "value is not offered by the build system".to_string(),
-                });
-            }
-        }
-        assignment.set(option, value);
-    }
+    // 1.–2. Discovery, intersection and selection.
+    let mut resolved = resolve(project, system, preferences, None, Policy::BestAvailable)?;
 
     // 3. Configure against the dependencies the system (plus the container layers) offers.
     let mut available: BTreeSet<String> = BTreeSet::new();
@@ -202,32 +164,28 @@ pub(crate) fn plan_source_deploy<'a>(
         if name.contains("rocm") {
             available.insert("rocm".into());
         }
-        if module.kind == ModuleKind::Mpi {
-            available.insert("mpich".into());
-        }
     }
-    let build = configure(project, &assignment, paths::BUILD_ROOT, Some(&available))?;
+    let build = configure(
+        project,
+        &resolved.selection,
+        paths::BUILD_ROOT,
+        Some(&available),
+    )?;
 
     // 4. The on-target build compiles every enabled translation unit for the
-    //    selected SIMD level.
+    //    resolved SIMD level.
     let threads = system.cpu.total_cores().min(36);
     let mut build_profile = derive_build_profile(
         format!("XaaS Source ({})", system.name),
-        &assignment,
+        &resolved.selection,
         system,
         threads,
     )
     .with_container_overhead(1.01);
-    if !system.cpu.supports(build_profile.simd) {
-        notes.push(format!(
-            "selected SIMD level {} unsupported on {}; falling back to the best supported level",
-            build_profile.simd, system.name
-        ));
-        build_profile.simd = system.cpu.best_simd();
-    }
-    let target = target_isa_for(build_profile.simd);
+    build_profile.simd = resolved.target;
+    let target = target_isa_for(resolved.target);
     if let Some(base) = &system.recommended_base_image {
-        notes.push(format!(
+        resolved.notes.push(format!(
             "switching base image to operator-recommended {base}"
         ));
     }
@@ -255,25 +213,17 @@ pub(crate) fn plan_source_deploy<'a>(
         units[unit].commands.push(index);
     }
 
-    let reference = format!(
-        "{}:{}-{}",
-        project.name,
-        system.name.to_ascii_lowercase(),
-        assignment_tag(&assignment)
-    );
     Ok(SourceDeployPlan {
         project,
         source_image,
         system,
-        assignment,
-        intersection,
+        reference: resolved.reference(project, system),
+        resolved,
         build_profile,
-        notes,
         target,
         compiler: project_compiler(project),
         build,
         units,
-        reference,
         assembled: LinkSlot::new(),
     })
 }
@@ -326,7 +276,7 @@ pub(crate) fn graft_source_deploy<'env>(
                 })?;
             }
 
-            let (system, assignment) = (plan.system, &plan.assignment);
+            let (system, assignment) = (plan.system, &plan.resolved.selection);
             let mut deployed = Image::derive_from(plan.source_image, reference);
             deployed.platform = Platform::linux(architecture_of(system));
             deployed.set_deployment_format(DeploymentFormat::Binary);
@@ -376,117 +326,13 @@ pub(crate) fn finish_source_deploy(
     SourceDeployment {
         image: plan.assembled.into_inner().expect("link action ran"),
         reference: plan.reference,
-        assignment: plan.assignment,
-        intersection: plan.intersection,
+        assignment: plan.resolved.selection,
         compiled_units: plan.build.compile_db.commands.len(),
         build_profile: plan.build_profile,
-        notes: plan.notes,
+        notes: plan.resolved.notes,
         actions: trace.summary(),
         trace,
     }
-}
-
-/// Choose the best available value for each specialization point (the automatic part of
-/// "the user selects the best fit from the available options").
-fn apply_best_available(
-    project: &ProjectSpec,
-    system: &SystemModel,
-    intersection: &CommonSpecialization,
-    assignment: &mut OptionAssignment,
-    notes: &mut Vec<String>,
-) {
-    for option in &project.options {
-        match option.category {
-            OptionCategory::GpuBackend => {
-                let preferred =
-                    xaas_apps::preferred_gpu_backend(system).map(|b| b.as_str().to_string());
-                let choices = intersection.choices(SpecCategory::GpuBackend);
-                let selected = preferred
-                    .filter(|p| {
-                        choices.iter().any(|c| c.eq_ignore_ascii_case(p)) && option.accepts(p)
-                    })
-                    .or_else(|| {
-                        choices
-                            .iter()
-                            .find(|c| option.accepts(c))
-                            .map(|c| c.to_string())
-                    });
-                match selected {
-                    Some(value) => {
-                        assignment.set(option.name.clone(), value);
-                    }
-                    None => {
-                        assignment.set(option.name.clone(), option.default_value());
-                        notes.push(format!(
-                            "no usable GPU backend on {}; staying CPU-only",
-                            system.name
-                        ));
-                    }
-                }
-            }
-            OptionCategory::Vectorization => {
-                let best = system.cpu.best_simd();
-                if option.accepts(best.gmx_name()) {
-                    assignment.set(option.name.clone(), best.gmx_name());
-                } else if option.accepts("ON") && best != SimdLevel::None {
-                    assignment.set(option.name.clone(), "ON");
-                }
-            }
-            OptionCategory::Fft | OptionCategory::LinearAlgebra => {
-                let vendor_available = system.has_vendor_blas()
-                    || system
-                        .modules
-                        .iter()
-                        .any(|m| m.name.to_ascii_lowercase().contains("mkl"));
-                let pick = if vendor_available && option.accepts("mkl") {
-                    Some("mkl")
-                } else if option.accepts("fftw3") {
-                    Some("fftw3")
-                } else if option.accepts("openblas") {
-                    Some("openblas")
-                } else {
-                    None
-                };
-                if let Some(value) = pick {
-                    assignment.set(option.name.clone(), value);
-                }
-            }
-            OptionCategory::Parallelism => {
-                let is_real_mpi = option.name.to_ascii_uppercase().contains("MPI")
-                    && !option.name.to_ascii_uppercase().contains("THREAD");
-                if is_real_mpi {
-                    let value = if system.module_of_kind(ModuleKind::Mpi).is_none() {
-                        notes.push(format!(
-                            "no MPI module on {}; using thread-MPI",
-                            system.name
-                        ));
-                        "OFF"
-                    } else if !system.container_runtime.mpi_functional() {
-                        notes.push(format!(
-                            "MPI not functional under {} on {}; using thread-MPI",
-                            system.container_runtime, system.name
-                        ));
-                        "OFF"
-                    } else {
-                        "ON"
-                    };
-                    assignment.set(option.name.clone(), value);
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// A short tag derived from an assignment, usable in image references.
-fn assignment_tag(assignment: &OptionAssignment) -> String {
-    let label = assignment.label().to_ascii_lowercase();
-    let mut tag: String = label
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-        .collect();
-    tag.truncate(48);
-    tag.trim_matches('-').to_string()
 }
 
 /// The container platform architecture of a system.
@@ -509,12 +355,10 @@ mod tests {
         source_image: &Image,
         system: &SystemModel,
         preferences: &OptionAssignment,
-        policy: SelectionPolicy,
         store: &ImageStore,
     ) -> Result<SourceDeployment, PipelineError> {
         SourceDeployRequest::new(project, source_image, system)
             .preferences(preferences.clone())
-            .selection_policy(policy)
             .submit(&Orchestrator::uncached(store))
     }
 
@@ -553,15 +397,8 @@ mod tests {
     fn deployment_on_ault23_selects_cuda_avx512_and_mkl() {
         let (project, store, image) = setup();
         let system = SystemModel::ault23();
-        let deployment = deploy_source(
-            &project,
-            &image,
-            &system,
-            &OptionAssignment::new(),
-            SelectionPolicy::BestAvailable,
-            &store,
-        )
-        .unwrap();
+        let deployment =
+            deploy_source(&project, &image, &system, &OptionAssignment::new(), &store).unwrap();
         assert_eq!(deployment.assignment.get("GMX_GPU"), Some("CUDA"));
         assert_eq!(deployment.assignment.get("GMX_SIMD"), Some("AVX_512"));
         assert_eq!(deployment.assignment.get("GMX_FFT_LIBRARY"), Some("mkl"));
@@ -580,15 +417,8 @@ mod tests {
     fn deployment_on_clariden_is_arm_with_neon() {
         let (project, store, image) = setup();
         let system = SystemModel::clariden();
-        let deployment = deploy_source(
-            &project,
-            &image,
-            &system,
-            &OptionAssignment::new(),
-            SelectionPolicy::BestAvailable,
-            &store,
-        )
-        .unwrap();
+        let deployment =
+            deploy_source(&project, &image, &system, &OptionAssignment::new(), &store).unwrap();
         assert_eq!(
             deployment.assignment.get("GMX_SIMD"),
             Some("ARM_NEON_ASIMD")
@@ -601,15 +431,8 @@ mod tests {
     fn aurora_switches_base_image_and_disables_real_mpi() {
         let (project, store, image) = setup();
         let system = SystemModel::aurora();
-        let deployment = deploy_source(
-            &project,
-            &image,
-            &system,
-            &OptionAssignment::new(),
-            SelectionPolicy::BestAvailable,
-            &store,
-        )
-        .unwrap();
+        let deployment =
+            deploy_source(&project, &image, &system, &OptionAssignment::new(), &store).unwrap();
         assert!(
             deployment.notes.iter().any(|n| n.contains("oneapi")),
             "{:?}",
@@ -624,15 +447,8 @@ mod tests {
     fn a_system_without_an_mpi_module_names_the_missing_module() {
         let (project, store, image) = setup();
         let system = SystemModel::ault01_04();
-        let deployment = deploy_source(
-            &project,
-            &image,
-            &system,
-            &OptionAssignment::new(),
-            SelectionPolicy::BestAvailable,
-            &store,
-        )
-        .unwrap();
+        let deployment =
+            deploy_source(&project, &image, &system, &OptionAssignment::new(), &store).unwrap();
         assert_eq!(deployment.assignment.get("GMX_MPI"), Some("OFF"));
         // Sarus runs MPI; what Ault01-04 lacks is the module.
         assert!(
@@ -655,28 +471,35 @@ mod tests {
         let (project, store, image) = setup();
         let system = SystemModel::ault23();
         let preference = OptionAssignment::new().with("GMX_FFT_LIBRARY", "fftw3");
-        let deployment = deploy_source(
-            &project,
-            &image,
-            &system,
-            &preference,
-            SelectionPolicy::BestAvailable,
-            &store,
-        )
-        .unwrap();
+        let deployment = deploy_source(&project, &image, &system, &preference, &store).unwrap();
         assert_eq!(deployment.assignment.get("GMX_FFT_LIBRARY"), Some("fftw3"));
 
         let bad = OptionAssignment::new().with("GMX_SIMD", "AVX_9000");
-        let error = deploy_source(
-            &project,
-            &image,
-            &system,
-            &bad,
-            SelectionPolicy::BestAvailable,
-            &store,
-        )
-        .unwrap_err();
+        let error = deploy_source(&project, &image, &system, &bad, &store).unwrap_err();
         assert!(matches!(error, PipelineError::UnsupportedPreference { .. }));
+    }
+
+    /// Two deployments that differ in one option commit under two references,
+    /// each naming its own image: a reference spells out every option.
+    #[test]
+    fn deployments_differing_in_one_option_keep_their_own_references() {
+        let (project, store, image) = setup();
+        let system = SystemModel::ault23();
+        let deployments: Vec<SourceDeployment> = ["AVX_512", "AVX2_256"]
+            .into_iter()
+            .map(|simd| {
+                let preferences = OptionAssignment::new().with("GMX_SIMD", simd);
+                deploy_source(&project, &image, &system, &preferences, &store).unwrap()
+            })
+            .collect();
+        assert_ne!(deployments[0].reference, deployments[1].reference);
+        for deployment in &deployments {
+            let committed = store.load(&deployment.reference).unwrap();
+            assert_eq!(
+                committed.annotations[annotation_keys::SELECTED_CONFIGURATION],
+                deployment.assignment.label()
+            );
+        }
     }
 
     /// Link's validation decode: an undecodable `sd-compile` entry (action-cache
@@ -686,9 +509,7 @@ mod tests {
         let (project, store, image) = setup();
         let system = SystemModel::ault23();
         let cache = xaas_container::ActionCache::new(store.clone());
-        let preferences = OptionAssignment::new();
-        let policy = SelectionPolicy::BestAvailable;
-        let plan = plan_source_deploy(&project, &image, &system, &preferences, policy).unwrap();
+        let plan = plan_source_deploy(&project, &image, &system, &OptionAssignment::new()).unwrap();
         let unit = &plan.units[1];
         let source = &plan.build.enabled_sources[unit.source];
         let digest = plan
@@ -715,15 +536,8 @@ mod tests {
     fn cpu_only_system_deploys_without_gpu() {
         let (project, store, image) = setup();
         let system = SystemModel::ault01_04();
-        let deployment = deploy_source(
-            &project,
-            &image,
-            &system,
-            &OptionAssignment::new(),
-            SelectionPolicy::BestAvailable,
-            &store,
-        )
-        .unwrap();
+        let deployment =
+            deploy_source(&project, &image, &system, &OptionAssignment::new(), &store).unwrap();
         assert_eq!(deployment.assignment.get("GMX_GPU"), Some("OFF"));
         assert!(deployment.build_profile.gpu_backend.is_none());
         assert!(deployment.notes.iter().any(|n| n.contains("CPU-only")));

@@ -122,6 +122,7 @@ fn concurrent_writers_store_and_hash_a_payload_exactly_once() {
 fn deployed_object_files_alias_the_cache_artifacts() {
     use xaas::ir_container::TOOLCHAIN_ID;
     use xaas::prelude::*;
+    use xaas_buildsys::OptionAssignment;
     use xaas_hpcsim::{SimdLevel, SystemModel};
 
     let project = xaas_apps::lulesh::project();
@@ -133,7 +134,7 @@ fn deployed_object_files_alias_the_cache_artifacts() {
         .reference("zero-copy/lulesh:ir")
         .submit(&orch)
         .unwrap();
-    let selection = project.default_assignment().with("WITH_OPENMP", "ON");
+    let selection = project.complete(&OptionAssignment::new().with("WITH_OPENMP", "ON"));
     let manifest = build.manifest_for(&selection).unwrap();
     let target = target_isa_for(SimdLevel::Avx512);
     let system = SystemModel::ault23();
