@@ -56,7 +56,9 @@
 //!
 //! An [`ActionCache`] built by [`ActionCache::with_tiers`] with a disk root also
 //! keeps a persistent [`DiskTier`] under the flight table and memory index; a
-//! flight owner reads through it outside the mutex — see [`tier`].
+//! flight owner reads through it outside the mutex — see [`tier`]. One built by
+//! [`ActionCache::bypass`] is the always-compute cache an uncached engine runs on:
+//! every caller owns a private flight and nothing is retained.
 //!
 //! What the disk tier reads back (journal records, blob files) is outside input,
 //! so the module denies the lints that let a decoder panic on it.
@@ -324,8 +326,8 @@ pub enum FlightError {
     /// The owner's [`FlightTicket`] was dropped unredeemed — the owner panicked (or
     /// leaked the ticket) and its waiters were woken instead of stranded.
     Poisoned,
-    /// The flight had already retired when the waiter tried to park and the backend
-    /// no longer holds its output (evicted, failed, or a backend without memoization).
+    /// The flight had already retired when the waiter tried to park and the cache
+    /// no longer holds its output (evicted, failed, or a bypass cache).
     Retired,
 }
 
@@ -378,8 +380,8 @@ pub type FlightWaker = Box<dyn FnOnce(FlightOutcome) + Send>;
 pub struct FlightTicket {
     digest: Digest,
     nonce: u64,
-    /// Flight state to poison if the ticket is dropped unredeemed; `None` for
-    /// backends without coalescing ([`NoCache`]) and after redemption.
+    /// Flight state to poison if the ticket is dropped unredeemed; `None` for a
+    /// [bypass](ActionCache::bypass) cache's private flights and after redemption.
     inner: Option<Arc<Mutex<CacheInner>>>,
     /// The cross-process claim on the key, when a disk tier took one. It lives
     /// exactly as long as the ticket: completing, failing or dropping the ticket
@@ -439,33 +441,24 @@ pub enum TryBegin {
     InFlight(FlightId),
 }
 
-/// A pluggable action-cache backend: the seam between the `xaas::engine` executor and
-/// artifact storage.
+/// The *nonblocking* flight protocol ([`try_begin`](Self::try_begin) /
+/// [`complete`](Self::complete) / [`fail`](Self::fail) / [`park`](Self::park) —
+/// see the module docs): the cache's one entrance for computing an action.
 ///
-/// Two implementations ship with the crate: [`ActionCache`] (content-addressed
-/// memoization with single-flight semantics, over an optional [`DiskTier`])
-/// and [`NoCache`] (always compute — the
-/// honest replacement for the old "private empty cache" trick the uncached pipeline
-/// entry points used). Both are backed by an [`ImageStore`] so the executor can commit
-/// images through the same handle it routes actions through.
-///
-/// The backend's surface is the *nonblocking* flight protocol
-/// ([`try_begin`](Self::try_begin) / [`complete`](Self::complete) /
-/// [`fail`](Self::fail) / [`park`](Self::park) — see the module docs).
+/// [`ActionCache`] is its one implementation, memoizing or
+/// [bypass](ActionCache::bypass); its backing store and counters are the inherent
+/// [`ActionCache::store`] and [`ActionCache::stats`].
 pub trait CacheBackend: Send + Sync {
-    /// The content-addressed store backing this cache (also used to commit images).
-    fn store(&self) -> &ImageStore;
-
     /// Begin (or join) the single flight for `key` without blocking: a cached
     /// output answers [`TryBegin::Hit`], an idle key makes the caller the owner
     /// ([`TryBegin::Owner`]), and a key someone else is computing answers
     /// [`TryBegin::InFlight`] for the caller to [`park`](Self::park) on.
     fn try_begin(&self, key: &BuildKey) -> TryBegin;
 
-    /// Redeem an owned flight with its computed output: store the bytes (for
-    /// memoizing backends), retire the flight, and wake every parked waiter with
-    /// [`FlightOutcome::Completed`]. Returns the stored handle; the owner, each
-    /// waiter, and later hits all share one allocation.
+    /// Redeem an owned flight with its computed output: store the bytes (unless
+    /// the cache is a bypass cache), retire the flight, and wake every parked
+    /// waiter with [`FlightOutcome::Completed`]. Returns the stored handle; the
+    /// owner, each waiter, and later hits all share one allocation.
     fn complete(&self, ticket: FlightTicket, bytes: Vec<u8>) -> Blob;
 
     /// Retire an owned flight without an output (the compute failed), waking every
@@ -478,18 +471,21 @@ pub trait CacheBackend: Send + Sync {
     /// [`try_begin`](Self::try_begin) and this call — the waker is dropped uncalled
     /// and the caller handles the outcome inline.
     fn park(&self, flight: &FlightId, waker: FlightWaker) -> Option<FlightOutcome>;
-
-    /// A snapshot of the backend's counters (all zeros for backends that do not track).
-    fn backend_stats(&self) -> CacheStats;
 }
 
 impl CacheBackend for ActionCache {
-    fn store(&self) -> &ImageStore {
-        ActionCache::store(self)
-    }
-
     fn try_begin(&self, key: &BuildKey) -> TryBegin {
         let digest = key.digest();
+        if self.bypass {
+            // Never a hit, never coalesced: every caller owns a private flight.
+            // The ticket is unarmed (no shared flight state to poison).
+            return TryBegin::Owner(FlightTicket {
+                digest,
+                nonce: 0,
+                inner: None,
+                lock: None,
+            });
+        }
         let mut ticket = {
             let mut inner = self.inner.lock();
             if let Some(bytes) = inner.resident(&self.store, &digest) {
@@ -540,6 +536,10 @@ impl CacheBackend for ActionCache {
         // Convert the computed bytes into a shared handle once; the store keeps a
         // clone of the handle (a refcount bump), not a copy of the payload.
         let bytes = Blob::new(bytes);
+        if self.bypass {
+            self.inner.lock().stats.misses += 1;
+            return bytes;
+        }
         let content = Digest::of_bytes(&bytes);
         if let Some(disk) = &self.disk {
             disk.store(&ticket.digest, &content, &bytes);
@@ -569,78 +569,6 @@ impl CacheBackend for ActionCache {
             return Some(FlightOutcome::Completed(bytes));
         }
         Some(FlightOutcome::Failed(FlightError::Retired))
-    }
-
-    fn backend_stats(&self) -> CacheStats {
-        self.stats()
-    }
-}
-
-/// A cache backend that never caches: every action executes, nothing is memoized.
-///
-/// This replaces the former pattern of handing the uncached pipeline entry points a
-/// private, empty [`ActionCache`] — the intent ("run everything") is now explicit, and
-/// the executed-action counters stay meaningful.
-#[derive(Clone)]
-pub struct NoCache {
-    store: ImageStore,
-    stats: Arc<Mutex<CacheStats>>,
-}
-
-impl NoCache {
-    /// An always-compute backend whose images and blobs land in `store`.
-    pub fn new(store: ImageStore) -> Self {
-        Self {
-            store,
-            stats: Arc::new(Mutex::new(CacheStats::default())),
-        }
-    }
-
-    /// Counters: every routed action is a miss, hits stay zero.
-    pub fn stats(&self) -> CacheStats {
-        *self.stats.lock()
-    }
-}
-
-impl CacheBackend for NoCache {
-    fn store(&self) -> &ImageStore {
-        &self.store
-    }
-
-    fn try_begin(&self, key: &BuildKey) -> TryBegin {
-        // Never a hit, never coalesced: every caller owns a private flight. The
-        // ticket is unarmed (no shared flight state to poison).
-        TryBegin::Owner(FlightTicket {
-            digest: key.digest(),
-            nonce: 0,
-            inner: None,
-            lock: None,
-        })
-    }
-
-    fn complete(&self, _ticket: FlightTicket, bytes: Vec<u8>) -> Blob {
-        self.stats.lock().misses += 1;
-        Blob::new(bytes)
-    }
-
-    fn fail(&self, _ticket: FlightTicket, _error: FlightError) {}
-
-    fn park(&self, _flight: &FlightId, _waker: FlightWaker) -> Option<FlightOutcome> {
-        // `try_begin` never answers `InFlight`, so no flight can be parked on;
-        // report it retired so a caller holding a stale id simply retries.
-        Some(FlightOutcome::Failed(FlightError::Retired))
-    }
-
-    fn backend_stats(&self) -> CacheStats {
-        self.stats()
-    }
-}
-
-impl std::fmt::Debug for NoCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NoCache")
-            .field("stats", &self.stats())
-            .finish()
     }
 }
 
@@ -708,6 +636,9 @@ pub struct ActionCache {
     /// given a disk root: read through on a miss, written through on a
     /// completion, and claimed across processes before a miss computes.
     disk: Option<Arc<DiskTier>>,
+    /// Set by [`ActionCache::bypass`]: every flight is private and unarmed, and
+    /// a completion is a miss that stores and indexes nothing.
+    bypass: bool,
 }
 
 impl ActionCache {
@@ -718,6 +649,19 @@ impl ActionCache {
             capacity: None,
             inner: Arc::new(Mutex::new(CacheInner::default())),
             disk: None,
+            bypass: false,
+        }
+    }
+
+    /// An always-compute cache whose images and blobs land in `store`: every
+    /// [`try_begin`](CacheBackend::try_begin) owns a private, unarmed flight
+    /// without reading the index, and [`complete`](CacheBackend::complete) books
+    /// one miss and hands the bytes back without storing or indexing them. This
+    /// is what an uncached engine runs on.
+    pub fn bypass(store: ImageStore) -> Self {
+        Self {
+            bypass: true,
+            ..Self::new(store)
         }
     }
 
@@ -888,6 +832,7 @@ impl std::fmt::Debug for ActionCache {
         let stats = self.stats();
         f.debug_struct("ActionCache")
             .field("capacity", &self.capacity)
+            .field("bypass", &self.bypass)
             .field("stats", &stats)
             .finish()
     }
@@ -1064,7 +1009,7 @@ mod tests {
     /// executor drives a backend: a hit, or own the flight and redeem it with
     /// `output` (`None` = the compute failed).
     fn run_action(
-        backend: &dyn CacheBackend,
+        backend: &ActionCache,
         key: &BuildKey,
         output: Option<Vec<u8>>,
     ) -> Option<(Blob, bool)> {
@@ -1083,13 +1028,16 @@ mod tests {
 
     #[test]
     fn nocache_always_computes_and_counts_misses() {
-        let backend = NoCache::new(ImageStore::new());
+        let backend = ActionCache::bypass(ImageStore::new());
         for _ in 0..3 {
             let (bytes, hit) = run_action(&backend, &key(1), Some(b"fresh".to_vec())).unwrap();
             assert_eq!(bytes, b"fresh");
-            assert!(!hit, "NoCache never reports a hit: every action executes");
+            assert!(
+                !hit,
+                "a bypass cache never reports a hit: every action executes"
+            );
         }
-        let stats = backend.backend_stats();
+        let stats = backend.stats();
         assert_eq!((stats.hits, stats.misses), (0, 3));
         assert_eq!(stats.hit_rate(), 0.0);
     }
@@ -1097,20 +1045,20 @@ mod tests {
     #[test]
     fn action_cache_and_nocache_agree_through_the_backend_trait() {
         let store = ImageStore::new();
-        let cached: &dyn CacheBackend = &ActionCache::new(store.clone());
-        let uncached: &dyn CacheBackend = &NoCache::new(store.clone());
+        let cached = &ActionCache::new(store.clone());
+        let uncached = &ActionCache::bypass(store.clone());
         for backend in [cached, uncached] {
             let (bytes, hit) = run_action(backend, &key(7), Some(vec![7, 7])).unwrap();
             assert_eq!(bytes, vec![7, 7]);
             assert!(!hit);
         }
-        // Second round: the memoizing backend hits, the no-op backend recomputes.
+        // Second round: the memoizing cache hits, the bypass cache recomputes.
         let (_, hit) = run_action(cached, &key(7), Some(vec![7, 7])).unwrap();
         assert!(hit);
         let (_, hit) = run_action(uncached, &key(7), Some(vec![7, 7])).unwrap();
         assert!(!hit);
         // Failures retire the flight without caching anything: the next caller
-        // owns a fresh flight on either backend.
+        // owns a fresh flight on either cache.
         for backend in [cached, uncached] {
             assert!(run_action(backend, &key(8), None).is_none());
             let (bytes, hit) = run_action(backend, &key(8), Some(vec![8])).unwrap();
@@ -1244,7 +1192,7 @@ mod tests {
 
     #[test]
     fn nocache_flights_are_private_and_unarmed() {
-        let backend = NoCache::new(ImageStore::new());
+        let backend = ActionCache::bypass(ImageStore::new());
         // Every try_begin owns a fresh private flight — racers never coalesce.
         let first = match backend.try_begin(&key(1)) {
             TryBegin::Owner(ticket) => ticket,
@@ -1268,5 +1216,22 @@ mod tests {
             ),
             Some(FlightOutcome::Failed(FlightError::Retired))
         ));
+    }
+
+    /// A bypass cache keeps no output: the fleet's uncached baseline shares its
+    /// store with a memoizing cache, so a completion must leave the store as it was.
+    #[test]
+    fn a_bypass_cache_retains_nothing() {
+        let store = ImageStore::new();
+        let before = store.stats();
+        let cache = ActionCache::bypass(store.clone());
+        let (bytes, hit) = run_action(&cache, &key(9), Some(b"transient".to_vec())).unwrap();
+        assert_eq!(bytes, b"transient");
+        assert!(!hit);
+        assert!(cache.peek(&key(9)).is_none());
+        assert!(!cache.contains(&key(9)));
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.misses), (0, 1));
+        assert_eq!(store.stats(), before);
     }
 }

@@ -6,7 +6,7 @@
 //! the paper discusses when it points out that deployment-time rebuilds necessarily
 //! produce a *new* image with a new digest (Section 5.2).
 
-#![deny(clippy::unwrap_used, clippy::dbg_macro)]
+#![deny(clippy::unwrap_used, clippy::indexing_slicing, clippy::dbg_macro)]
 
 use crate::blob::Blob;
 use crate::digest::Digest;
@@ -650,7 +650,7 @@ impl ImageStore {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
+#[allow(clippy::unwrap_used, clippy::indexing_slicing)]
 mod tests {
     use super::*;
 

@@ -41,7 +41,7 @@ pub mod prelude {
     pub use crate::cache::tier::{DiskTier, DiskTierConfig, DiskTierStats, TierConfig, TierError};
     pub use crate::cache::{
         ActionCache, BuildKey, CacheBackend, CacheConfigError, CacheStats, CacheTier, FlightError,
-        FlightId, FlightOutcome, FlightTicket, FlightWaker, NoCache, TryBegin,
+        FlightId, FlightOutcome, FlightTicket, FlightWaker, TryBegin,
     };
     pub use crate::digest::{Digest, Sha256};
     pub use crate::image::{

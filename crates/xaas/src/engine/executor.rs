@@ -1,5 +1,5 @@
 //! The executor: a persistent worker pool draining one shared, multi-graph ready
-//! queue, routing keyed nodes through the engine's cache backend.
+//! queue, routing keyed nodes through the engine's action cache.
 //!
 //! Every submission joins one shared ready queue, and the pool interleaves
 //! actions from every live submission at action granularity — the shape a
@@ -66,8 +66,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, OnceLock};
 use std::time::Instant;
 use xaas_container::{
-    Blob, BuildKey, CacheBackend, CacheTier, FlightError, FlightId, FlightOutcome, FlightWaker,
-    TryBegin,
+    ActionCache, Blob, BuildKey, CacheBackend, CacheTier, FlightError, FlightId, FlightOutcome,
+    FlightWaker, TryBegin,
 };
 
 /// The terminal state of one node after a run.
@@ -546,7 +546,7 @@ pub struct QueueStats {
 
 /// Everything the executors share: the cache, the policy, and the ready queue.
 struct CoreShared {
-    cache: Arc<dyn CacheBackend>,
+    cache: ActionCache,
     policy: SchedulingPolicy,
     /// Clock origin for `enqueued_at` / queue-wait accounting.
     epoch: Instant,
@@ -821,7 +821,7 @@ impl CoreShared {
                 let key_digest = key.as_ref().map(|key| key.digest().hex().to_string());
                 let (outcome, served) = match key {
                     Some(key) => match self.cache.try_begin(&key) {
-                        // The backend's Blob handle becomes the outcome: a hit
+                        // The cache's Blob handle becomes the outcome: a hit
                         // shares the store's allocation with every consumer. The
                         // hit names the tier that served it, so a stack's
                         // disk promotions show up in the trace.
@@ -945,7 +945,7 @@ fn worker_loop(shared: Arc<CoreShared>) {
 /// its clones; dropping the last owner waits for in-flight submissions to retire,
 /// then shuts the pool down and joins it.
 pub(crate) struct ExecutorCore {
-    pub(crate) cache: Arc<dyn CacheBackend>,
+    pub(crate) cache: ActionCache,
     pub(crate) policy: SchedulingPolicy,
     /// Dispatch counter shared with every core [`reconfigured`](Self::reconfigured)
     /// from this one, so `schedule_seq` values in merged traces preserve the
@@ -958,7 +958,7 @@ pub(crate) struct ExecutorCore {
 
 impl ExecutorCore {
     pub(crate) fn new(
-        cache: Arc<dyn CacheBackend>,
+        cache: ActionCache,
         policy: SchedulingPolicy,
         seq: Arc<AtomicU64>,
         workers: usize,

@@ -158,7 +158,7 @@ pub(crate) struct ActionNode<'env> {
 /// `E` is the driver's typed error.
 ///
 /// Duplicate [`BuildKey`]s are safe, including *unordered* duplicates: the
-/// executor routes keyed nodes through the cache backend's nonblocking flight
+/// executor routes keyed nodes through the action cache's nonblocking flight
 /// protocol, so one racing node becomes the flight owner and every other node
 /// with the same key parks as a continuation and is woken with the owner's
 /// bytes — no worker thread blocks and the compute runs once. The resulting
@@ -250,7 +250,7 @@ impl<'env, E: Send + 'static> ActionGraph<'env, E> {
         self.push(kind, label.into(), KeySpec::None, deps, run)
     }
 
-    /// Add a cache-routed action: the executor consults the engine's cache backend
+    /// Add a cache-routed action: the executor consults the engine's action cache
     /// for `key` and only runs the closure on a miss. Defects are recorded as in
     /// [`add`](Self::add).
     pub fn add_cached(

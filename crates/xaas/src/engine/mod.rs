@@ -10,10 +10,9 @@
 //!   breaks the construction contract is recorded as a [`GraphError`] at `add`,
 //!   and the engine refuses that graph before enqueuing anything;
 //! * [`executor`] — a worker pool that runs the ready frontier across threads,
-//!   routes keyed nodes through a [`CacheBackend`]
-//!   (an [`ActionCache`] or the always-compute
-//!   [`NoCache`]), and isolates failures to the failed
-//!   node's transitive dependents;
+//!   routes keyed nodes through the engine's [`ActionCache`] (memoizing, or the
+//!   always-compute [bypass](ActionCache::bypass) of an uncached engine), and
+//!   isolates failures to the failed node's transitive dependents;
 //! * [`policy`] — the [`SchedulingPolicy`] deciding dispatch order: [`Fifo`]
 //!   (default, one shared lane) or [`WeightedFair`] (one lane per tenant, fair
 //!   queuing across them, every tenant at the same weight);
@@ -39,10 +38,9 @@
 //!
 //! ```
 //! use xaas::engine::{ActionGraph, ActionKind, Engine};
-//! use xaas_container::{ImageStore, NoCache};
-//! use std::sync::Arc;
+//! use xaas_container::ImageStore;
 //!
-//! let engine = Engine::new(Arc::new(NoCache::new(ImageStore::new())));
+//! let engine = Engine::uncached(&ImageStore::new());
 //! let mut graph: ActionGraph<'_, std::convert::Infallible> = ActionGraph::new();
 //! let hello = graph.add(ActionKind::Preprocess, "hello", &[], |_| Ok(b"hi".to_vec()));
 //! let shout = graph.add(ActionKind::Link, "shout", &[hello], |inputs| {
@@ -71,12 +69,12 @@ pub use policy::{Fifo, SchedulingPolicy, WeightedFair};
 pub use trace::{ActionKind, ActionRecord, ActionSummary, ActionTrace};
 
 use std::sync::Arc;
-use xaas_container::{ActionCache, CacheBackend, CacheStats, ImageStore, NoCache};
+use xaas_container::{ActionCache, CacheStats, ImageStore};
 
-/// The shared execution engine: a persistent worker pool, a cache backend, and a
-/// [`SchedulingPolicy`].
+/// The shared execution engine: a persistent worker pool, an [`ActionCache`],
+/// and a [`SchedulingPolicy`].
 ///
-/// Cloning is cheap and clones **share the worker pool** (plus the backend,
+/// Cloning is cheap and clones **share the worker pool** (plus the cache,
 /// policy, and dispatch counter) — that is how one engine serves many sessions:
 /// the [`OrchestratorService`](crate::service::OrchestratorService) hands every
 /// session a tenant-tagged clone, and all their submissions interleave through
@@ -104,17 +102,18 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// An engine over `cache` with a worker count derived from the host parallelism
-    /// (clamped to `[2, 8]` — actions are small compile steps) and the default
-    /// [`Fifo`] policy.
-    pub fn new(cache: Arc<dyn CacheBackend>) -> Self {
+    /// An engine that routes every keyed action through `cache` (sharing its
+    /// state), with a worker count derived from the host parallelism (clamped to
+    /// `[2, 8]` — actions are small compile steps) and the default [`Fifo`]
+    /// policy.
+    pub fn cached(cache: &ActionCache) -> Self {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4)
             .clamp(2, 8);
         Self {
             core: Arc::new(executor::ExecutorCore::new(
-                cache,
+                cache.clone(),
                 SchedulingPolicy::Fifo,
                 Arc::default(),
                 workers,
@@ -123,16 +122,11 @@ impl Engine {
         }
     }
 
-    /// An engine that memoizes every keyed action in `cache`.
-    pub fn cached(cache: &ActionCache) -> Self {
-        Self::new(Arc::new(cache.clone()))
-    }
-
-    /// An engine that never caches: every action executes, artifacts and images land
-    /// in `store`. This is the explicit replacement for handing the pipelines a
-    /// private empty [`ActionCache`].
+    /// An engine that never caches: it runs on an [`ActionCache::bypass`] over
+    /// `store`, so every action executes and artifacts and images land in
+    /// `store`.
     pub fn uncached(store: &ImageStore) -> Self {
-        Self::new(Arc::new(NoCache::new(store.clone())))
+        Self::cached(&ActionCache::bypass(store.clone()))
     }
 
     /// Override the worker count (at least 1). One worker and one waiting caller
@@ -192,14 +186,14 @@ impl Engine {
         self.core.policy
     }
 
-    /// The cache backend every keyed action routes through.
-    pub fn cache(&self) -> &dyn CacheBackend {
-        self.core.cache.as_ref()
+    /// The cache every keyed action routes through.
+    pub fn cache(&self) -> &ActionCache {
+        &self.core.cache
     }
 
-    /// The backend's counters.
+    /// The cache's counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.core.cache.backend_stats()
+        self.core.cache.stats()
     }
 
     /// The content-addressed store behind the cache (images are committed here).
@@ -266,7 +260,7 @@ impl std::fmt::Debug for Engine {
         f.debug_struct("Engine")
             .field("workers", &self.core.workers)
             .field("policy", &self.core.policy.name())
-            .field("cache", &self.core.cache.backend_stats())
+            .field("cache", &self.core.cache.stats())
             .finish()
     }
 }
@@ -353,7 +347,7 @@ mod tests {
             Some("kaboom in action")
         );
 
-        // Keyed actions behave the same: the panic crosses the cache backend.
+        // Keyed actions behave the same: the panic crosses the cache.
         let mut keyed: ActionGraph<'_, String> = ActionGraph::new();
         keyed.add_cached(ActionKind::IrLower, "boom", key("p"), &[], |_| {
             panic!("keyed kaboom")

@@ -4,8 +4,8 @@
 //! deployment decisions made late; this module is the API shape of that premise.
 //! Instead of entry points that each re-wire store + cache + engine by hand,
 //! an `Orchestrator` **owns** the execution stack — the [`Engine`], its
-//! [`CacheBackend`](xaas_container::CacheBackend), the backing [`ImageStore`], and a
-//! [`SchedulingPolicy`] — and every pipeline is a typed request submitted to it:
+//! [`ActionCache`], the backing [`ImageStore`], and a [`SchedulingPolicy`] — and
+//! every pipeline is a typed request submitted to it:
 //!
 //! * [`IrBuildRequest`] — build a deduplicated IR container (Figure 7);
 //! * [`IrDeployRequest`] — specialize an IR container for one system (Figure 8);
@@ -63,8 +63,8 @@ use xaas_buildsys::{OptionAssignment, ProjectSpec};
 use xaas_container::{ActionCache, CacheStats, Digest, Image, ImageStore, TierConfig, TierError};
 use xaas_hpcsim::{SimdLevel, SystemModel};
 
-/// The session object every pipeline goes through: one engine, one cache backend,
-/// one store, one scheduling policy.
+/// The session object every pipeline goes through: one engine, one cache, one
+/// store, one scheduling policy.
 ///
 /// Construct the common shapes directly ([`Orchestrator::new`],
 /// [`Orchestrator::uncached`], [`Orchestrator::with_cache`]) or configure all the
@@ -73,10 +73,6 @@ use xaas_hpcsim::{SimdLevel, SystemModel};
 #[derive(Debug, Clone)]
 pub struct Orchestrator {
     engine: Engine,
-    /// The [`ActionCache`] the engine routes through, when it was built over
-    /// one — kept typed so callers can reach per-tier stats and GC without
-    /// downcasting the engine's backend.
-    cache: Option<ActionCache>,
 }
 
 impl Orchestrator {
@@ -92,12 +88,12 @@ impl Orchestrator {
         Self::builder().build()
     }
 
-    /// An orchestrator that never caches: every action executes, artifacts and
-    /// images land in `store`.
+    /// An orchestrator that never caches: its engine runs on an
+    /// [`ActionCache::bypass`] over `store`, so every action executes and
+    /// artifacts and images land in `store`.
     pub fn uncached(store: &ImageStore) -> Self {
         Self {
             engine: Engine::uncached(store),
-            cache: None,
         }
     }
 
@@ -106,7 +102,6 @@ impl Orchestrator {
     pub fn with_cache(cache: &ActionCache) -> Self {
         Self {
             engine: Engine::cached(cache),
-            cache: Some(cache.clone()),
         }
     }
 
@@ -118,7 +113,6 @@ impl Orchestrator {
     pub fn for_tenant(&self, tenant: impl Into<String>) -> Orchestrator {
         Orchestrator {
             engine: self.engine.clone().with_tenant(tenant),
-            cache: self.cache.clone(),
         }
     }
 
@@ -138,7 +132,7 @@ impl Orchestrator {
         self.engine.store()
     }
 
-    /// The cache backend's counters.
+    /// The cache's counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.engine.cache_stats()
     }
@@ -146,9 +140,11 @@ impl Orchestrator {
     /// The cache stack this orchestrator was built over — exposes the disk
     /// tier's counters ([`ActionCache::disk_stats`], `None` without
     /// [`OrchestratorBuilder::cache_tiers`]) and store-level GC
-    /// ([`ActionCache::collect_garbage`]). `None` when uncached.
+    /// ([`ActionCache::collect_garbage`]). Always `Some`: an uncached
+    /// orchestrator answers its [bypass](ActionCache::bypass) cache, which holds
+    /// no entries.
     pub fn tiered_cache(&self) -> Option<&ActionCache> {
-        self.cache.as_ref()
+        Some(self.engine.cache())
     }
 
     /// The scheduling policy requests run under.
@@ -160,15 +156,6 @@ impl Orchestrator {
     pub fn workers(&self) -> usize {
         self.engine.workers()
     }
-}
-
-/// Cache configuration of an [`OrchestratorBuilder`]; unset means a fresh
-/// [`ActionCache`] over a fresh store.
-enum CacheChoice {
-    /// Route keyed actions through this [`ActionCache`].
-    Cached(ActionCache),
-    /// Never cache; commit into this store.
-    Uncached(ImageStore),
 }
 
 /// Fluent construction of an [`Orchestrator`]: worker count, cache choice, and
@@ -189,7 +176,8 @@ enum CacheChoice {
 pub struct OrchestratorBuilder {
     workers: Option<usize>,
     policy: SchedulingPolicy,
-    cache: Option<CacheChoice>,
+    /// Unset means a fresh [`ActionCache`] over a fresh store.
+    cache: Option<ActionCache>,
 }
 
 impl OrchestratorBuilder {
@@ -201,14 +189,14 @@ impl OrchestratorBuilder {
 
     /// Route every keyed action through an existing shared [`ActionCache`].
     pub fn action_cache(mut self, cache: ActionCache) -> Self {
-        self.cache = Some(CacheChoice::Cached(cache));
+        self.cache = Some(cache);
         self
     }
 
-    /// Never cache: every action executes, artifacts and images land in `store`.
-    pub fn uncached(mut self, store: ImageStore) -> Self {
-        self.cache = Some(CacheChoice::Uncached(store));
-        self
+    /// Never cache: route keyed actions through an [`ActionCache::bypass`] over
+    /// `store`, so every action executes and artifacts and images land in `store`.
+    pub fn uncached(self, store: ImageStore) -> Self {
+        self.action_cache(ActionCache::bypass(store))
     }
 
     /// Route every keyed action through an [`ActionCache::with_tiers`] stack
@@ -229,17 +217,15 @@ impl OrchestratorBuilder {
 
     /// Build the orchestrator.
     pub fn build(self) -> Orchestrator {
-        let fresh = || CacheChoice::Cached(ActionCache::new(ImageStore::new()));
-        let (mut engine, cache) = match self.cache.unwrap_or_else(fresh) {
-            CacheChoice::Cached(cache) => (Engine::cached(&cache), Some(cache)),
-            CacheChoice::Uncached(store) => (Engine::uncached(&store), None),
-        };
+        let cache = self
+            .cache
+            .unwrap_or_else(|| ActionCache::new(ImageStore::new()));
+        let mut engine = Engine::cached(&cache);
         if let Some(workers) = self.workers {
             engine = engine.with_workers(workers);
         }
         Orchestrator {
             engine: engine.with_policy(self.policy),
-            cache,
         }
     }
 }
@@ -583,9 +569,9 @@ pub struct FleetReport {
     /// backend, so concurrent tenants' traffic is never attributed to this
     /// request); `entries` is the live backend entry count after the run.
     /// `misses` is the number of compile/lower actions the fleet actually
-    /// executed; `evictions` is a backend-global quantity with no per-request
+    /// executed; `evictions` is a cache-global quantity with no per-request
     /// meaning and stays zero — read
-    /// [`Orchestrator::cache_stats`] for the backend view.
+    /// [`Orchestrator::cache_stats`] for the cache-wide view.
     pub cache: CacheStats,
     /// Engine submissions the wave needed: one, or zero when no job reached
     /// the engine (every job failing at plan time, or a refused graph).
@@ -688,8 +674,8 @@ impl<'a> FleetRequest<'a> {
             })
             .collect();
         // Per-request counters come from *this request's own trace records*, not
-        // from before/after subtraction on the shared backend: under service
-        // multiplexing concurrent tenants mutate the backend counters between
+        // from before/after subtraction on the shared cache: under service
+        // multiplexing concurrent tenants mutate the cache counters between
         // our two reads, and their hits/misses would be attributed to us.
         let cache = CacheStats {
             entries: orch.cache_stats().entries,

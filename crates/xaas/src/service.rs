@@ -460,7 +460,7 @@ impl OrchestratorService {
         self.inner.orch.store()
     }
 
-    /// The shared cache backend's counters.
+    /// The shared cache's counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.inner.orch.cache_stats()
     }

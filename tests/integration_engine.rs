@@ -1,9 +1,8 @@
 //! Integration tests of the staged action-graph engine behind the orchestrator:
 //! every pipeline request executes through one shared executor, parallel and serial
-//! schedules produce byte-identical artifacts, and cache backends and scheduling
+//! schedules produce byte-identical artifacts, and caching and scheduling
 //! policies only change *when* work runs — never what it produces.
 
-use std::sync::Arc;
 use xaas::engine::ActionKind;
 use xaas::prelude::*;
 use xaas_apps::{gromacs, lulesh};
@@ -76,19 +75,28 @@ fn parallel_ir_build_is_byte_identical_to_serial_with_fewer_serial_stages() {
     assert_eq!(parallel.stats.configurations, 4);
 }
 
-/// `NoCache` and a warm `ActionCache` produce identical images: the cache may only
-/// save work, never change outputs.
+/// A bypass `ActionCache` and a warm `ActionCache` produce identical images: the
+/// cache may only save work, never change outputs.
 #[test]
-fn nocache_and_warm_action_cache_builds_are_identical() {
+fn bypass_and_warm_action_cache_builds_are_identical() {
     let project = lulesh::project();
     let pipeline = IrPipelineConfig::sweep_options(&project, &["WITH_MPI", "WITH_OPENMP"]);
-    let reference = "engine:nocache-vs-warm";
+    let reference = "engine:bypass-vs-warm";
 
     let uncached_store = ImageStore::new();
+    let uncached_session = Orchestrator::uncached(&uncached_store);
     let uncached = IrBuildRequest::new(&project, &pipeline)
         .reference(reference)
-        .submit(&Orchestrator::uncached(&uncached_store))
+        .submit(&uncached_session)
         .unwrap();
+    // The uncached session still exposes its cache: a bypass cache that retained
+    // nothing and booked one miss per executed keyed action.
+    let bypass = uncached_session
+        .tiered_cache()
+        .expect("every orchestrator has a cache")
+        .stats();
+    assert_eq!(bypass.entries, 0);
+    assert_eq!(bypass.misses, uncached.actions.executed as u64);
 
     let cached_store = ImageStore::new();
     let cache = ActionCache::new(cached_store.clone());
@@ -104,7 +112,7 @@ fn nocache_and_warm_action_cache_builds_are_identical() {
 
     assert_eq!(warm.actions.executed, 0, "warm build compiles nothing");
     assert_eq!(warm.actions.cached, cold.actions.total());
-    assert_eq!(uncached.actions.cached, 0, "NoCache never hits");
+    assert_eq!(uncached.actions.cached, 0, "a bypass cache never hits");
     assert_eq!(uncached.actions.executed, cold.actions.total());
     for other in [&cold, &warm] {
         assert_eq!(other.image.layers, uncached.image.layers);
@@ -254,7 +262,7 @@ fn fleet_jobs_flow_through_the_shared_engine() {
 fn ad_hoc_graphs_share_the_pipeline_cache() {
     let store = ImageStore::new();
     let cache = ActionCache::new(store.clone());
-    let engine = Engine::new(Arc::new(cache.clone())).with_workers(2);
+    let engine = Engine::cached(&cache).with_workers(2);
     let mut graph: ActionGraph<'_, std::convert::Infallible> = ActionGraph::new();
     let key = xaas_container::BuildKey::new("tu-adhoc", "xir.ir", "opts", TOOLCHAIN_ID);
     let first = graph.add_cached(ActionKind::IrLower, "adhoc", key.clone(), &[], |_| {

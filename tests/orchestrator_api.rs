@@ -1,5 +1,5 @@
 //! Error plumbing through the orchestrator session API: malformed projects and
-//! failing compiles routed through `NoCache` must surface as *typed* errors —
+//! failing compiles routed through a bypass cache must surface as *typed* errors —
 //! never a panic, never a deadlock. Every scenario
 //! runs under a timeout guard so a regression hangs the watchdog, not CI.
 
@@ -79,8 +79,8 @@ fn malformed_target_source_fails_source_deployment_the_same_way() {
     }
 }
 
-/// A compile failure inside a keyed action routed through the `NoCache` backend
-/// (every lookup is a miss that computes) must come back as the driver's typed
+/// A compile failure inside a keyed action routed through an uncached session's
+/// bypass `ActionCache` (every lookup is a miss that computes) must come back as the driver's typed
 /// `Compile` error — not the executor's "skipped without a preceding failure"
 /// panic, and not a hang.
 #[test]

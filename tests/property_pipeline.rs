@@ -328,7 +328,7 @@ proptest! {
         prop_assert!(parallel.trace.stage_depth < serial.trace.len());
     }
 
-    /// Cache-backend independence: a `NoCache` build and a warm `ActionCache` build
+    /// Cache independence: an uncached (bypass) build and a warm `ActionCache` build
     /// of the same sweep produce identical images (and identical action sets — only
     /// the cached flags differ).
     #[test]
