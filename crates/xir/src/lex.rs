@@ -4,6 +4,13 @@
 //! written in. It supports exactly the constructs the XaaS pipeline needs to exercise:
 //! functions over scalars and pointers, `for` loops, `if`/`else`, arithmetic, array
 //! indexing, calls, and `#pragma omp` annotations.
+//!
+//! [`lex`] scans the source's bytes in place: a token's text is a slice of the
+//! source, and only an identifier or a pragma is copied out (into its token). The
+//! identifier rule lives here once; the preprocessor splits lines with it too. The
+//! source may come from a pulled image, so this module neither indexes nor unwraps:
+//! a slice cut inside a `char` would panic.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used)]
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -149,45 +156,106 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
+/// Whether `byte` can start an identifier: an ASCII letter or `_`.
+pub(crate) fn is_identifier_start(byte: u8) -> bool {
+    byte.is_ascii_alphabetic() || byte == b'_'
+}
+
+/// Whether `byte` can continue an identifier: an ASCII letter, digit or `_`.
+fn is_identifier_byte(byte: u8) -> bool {
+    byte.is_ascii_alphanumeric() || byte == b'_'
+}
+
+/// The byte length of the identifier `bytes` starts with (0 when it starts with none).
+/// The one identifier rule: the lexer and the preprocessor both split text with it.
+pub(crate) fn identifier_len(bytes: &[u8]) -> usize {
+    match bytes.first() {
+        Some(&first) if is_identifier_start(first) => bytes
+            .iter()
+            .position(|&byte| !is_identifier_byte(byte))
+            .unwrap_or(bytes.len()),
+        _ => 0,
+    }
+}
+
+/// The two-character operator a byte pair spells.
+fn two_char_punct(first: u8, second: u8) -> Option<Punct> {
+    Some(match (first, second) {
+        (b'=', b'=') => Punct::Eq,
+        (b'!', b'=') => Punct::Ne,
+        (b'<', b'=') => Punct::Le,
+        (b'>', b'=') => Punct::Ge,
+        (b'&', b'&') => Punct::AndAnd,
+        (b'|', b'|') => Punct::OrOr,
+        _ => return None,
+    })
+}
+
+/// The one-character operator or delimiter a byte spells.
+fn one_char_punct(byte: u8) -> Option<Punct> {
+    Some(match byte {
+        b'(' => Punct::LParen,
+        b')' => Punct::RParen,
+        b'{' => Punct::LBrace,
+        b'}' => Punct::RBrace,
+        b'[' => Punct::LBracket,
+        b']' => Punct::RBracket,
+        b';' => Punct::Semi,
+        b',' => Punct::Comma,
+        b'+' => Punct::Plus,
+        b'-' => Punct::Minus,
+        b'*' => Punct::Star,
+        b'/' => Punct::Slash,
+        b'%' => Punct::Percent,
+        b'=' => Punct::Assign,
+        b'<' => Punct::Lt,
+        b'>' => Punct::Gt,
+        b'!' => Punct::Not,
+        _ => return None,
+    })
+}
+
 /// Tokenise CK source text (already preprocessed — no `#if`/`#define` directives except
 /// `#pragma`, which is preserved as a token).
+///
+/// One pass over the source's bytes: identifiers, numbers and pragmas are sliced out of
+/// `source`, and a `char` is decoded only at a non-ASCII byte (Unicode whitespace is
+/// skipped; any other non-ASCII character is an error). Every cut falls after an ASCII
+/// byte or a whole `char`, so each slice lies on `char` boundaries.
 pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
+    let bytes = source.as_bytes();
+    let text = |start: usize, end: usize| source.get(start..end).unwrap_or_default();
+    let at = |i: usize| bytes.get(i).copied();
     let mut tokens = Vec::new();
     let mut line = 1usize;
-    let bytes: Vec<char> = source.chars().collect();
     let mut i = 0usize;
-    while i < bytes.len() {
-        let c = bytes[i];
-        match c {
-            '\n' => {
+    while let Some(byte) = at(i) {
+        match byte {
+            b'\n' => {
                 line += 1;
                 i += 1;
             }
-            c if c.is_whitespace() => {
-                i += 1;
+            b'/' if at(i + 1) == Some(b'/') => {
+                i = line_end(bytes, i);
             }
-            '/' if i + 1 < bytes.len() && bytes[i + 1] == '/' => {
-                while i < bytes.len() && bytes[i] != '\n' {
-                    i += 1;
-                }
-            }
-            '/' if i + 1 < bytes.len() && bytes[i + 1] == '*' => {
+            b'/' if at(i + 1) == Some(b'*') => {
                 i += 2;
-                while i + 1 < bytes.len() && !(bytes[i] == '*' && bytes[i + 1] == '/') {
-                    if bytes[i] == '\n' {
+                while let Some(byte) = at(i) {
+                    if byte == b'*' && at(i + 1) == Some(b'/') {
+                        break;
+                    }
+                    if byte == b'\n' {
                         line += 1;
                     }
                     i += 1;
                 }
                 i = (i + 2).min(bytes.len());
             }
-            '#' => {
+            b'#' => {
                 // Only #pragma is allowed after preprocessing.
                 let start = i;
-                while i < bytes.len() && bytes[i] != '\n' {
-                    i += 1;
-                }
-                let directive: String = bytes[start..i].iter().collect();
+                i = line_end(bytes, i);
+                let directive = text(start, i);
                 let trimmed = directive.trim_start_matches('#').trim();
                 if let Some(rest) = trimmed.strip_prefix("pragma") {
                     tokens.push(Token::Pragma(rest.trim().to_string()));
@@ -200,101 +268,92 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
                     });
                 }
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
+            byte if is_identifier_start(byte) => {
                 let start = i;
-                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == '_') {
-                    i += 1;
-                }
-                let word: String = bytes[start..i].iter().collect();
-                match Keyword::from_str(&word) {
+                i += identifier_len(bytes.get(i..).unwrap_or_default());
+                let word = text(start, i);
+                match Keyword::from_str(word) {
                     Some(kw) => tokens.push(Token::Keyword(kw)),
-                    None => tokens.push(Token::Ident(word)),
+                    None => tokens.push(Token::Ident(word.to_string())),
                 }
             }
-            c if c.is_ascii_digit() => {
+            byte if byte.is_ascii_digit() => {
                 let start = i;
                 let mut is_float = false;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_digit()
-                        || bytes[i] == '.'
-                        || bytes[i] == 'e'
-                        || bytes[i] == 'E'
-                        || ((bytes[i] == '+' || bytes[i] == '-')
-                            && i > start
-                            && (bytes[i - 1] == 'e' || bytes[i - 1] == 'E')))
-                {
-                    if bytes[i] == '.' || bytes[i] == 'e' || bytes[i] == 'E' {
-                        is_float = true;
+                while let Some(byte) = at(i) {
+                    let point_or_exponent = matches!(byte, b'.' | b'e' | b'E');
+                    let exponent_sign = matches!(byte, b'+' | b'-')
+                        && i > start
+                        && matches!(at(i - 1), Some(b'e' | b'E'));
+                    if !(byte.is_ascii_digit() || point_or_exponent || exponent_sign) {
+                        break;
                     }
+                    is_float |= point_or_exponent;
                     i += 1;
                 }
+                let number = text(start, i);
                 // Allow a trailing `f` suffix on float literals.
-                let text: String = bytes[start..i].iter().collect();
-                if i < bytes.len() && bytes[i] == 'f' {
+                if at(i) == Some(b'f') {
                     is_float = true;
                     i += 1;
                 }
                 if is_float {
-                    let value = text.parse::<f64>().map_err(|_| LexError {
+                    let value = number.parse::<f64>().map_err(|_| LexError {
                         line,
-                        message: format!("invalid float literal: {text}"),
+                        message: format!("invalid float literal: {number}"),
                     })?;
                     tokens.push(Token::FloatLit(value));
                 } else {
-                    let value = text.parse::<i64>().map_err(|_| LexError {
+                    let value = number.parse::<i64>().map_err(|_| LexError {
                         line,
-                        message: format!("invalid integer literal: {text}"),
+                        message: format!("invalid integer literal: {number}"),
                     })?;
                     tokens.push(Token::IntLit(value));
                 }
             }
+            byte if byte.is_ascii() => {
+                if char::from(byte).is_whitespace() {
+                    i += 1;
+                } else if let Some(punct) = at(i + 1).and_then(|next| two_char_punct(byte, next)) {
+                    tokens.push(Token::Punct(punct));
+                    i += 2;
+                } else if let Some(punct) = one_char_punct(byte) {
+                    tokens.push(Token::Punct(punct));
+                    i += 1;
+                } else {
+                    return Err(unexpected_character(line, char::from(byte)));
+                }
+            }
             _ => {
-                let two: String = bytes[i..(i + 2).min(bytes.len())].iter().collect();
-                let (punct, advance) = match two.as_str() {
-                    "==" => (Punct::Eq, 2),
-                    "!=" => (Punct::Ne, 2),
-                    "<=" => (Punct::Le, 2),
-                    ">=" => (Punct::Ge, 2),
-                    "&&" => (Punct::AndAnd, 2),
-                    "||" => (Punct::OrOr, 2),
-                    _ => {
-                        let single = match c {
-                            '(' => Punct::LParen,
-                            ')' => Punct::RParen,
-                            '{' => Punct::LBrace,
-                            '}' => Punct::RBrace,
-                            '[' => Punct::LBracket,
-                            ']' => Punct::RBracket,
-                            ';' => Punct::Semi,
-                            ',' => Punct::Comma,
-                            '+' => Punct::Plus,
-                            '-' => Punct::Minus,
-                            '*' => Punct::Star,
-                            '/' => Punct::Slash,
-                            '%' => Punct::Percent,
-                            '=' => Punct::Assign,
-                            '<' => Punct::Lt,
-                            '>' => Punct::Gt,
-                            '!' => Punct::Not,
-                            other => {
-                                return Err(LexError {
-                                    line,
-                                    message: format!("unexpected character `{other}`"),
-                                })
-                            }
-                        };
-                        (single, 1)
-                    }
-                };
-                tokens.push(Token::Punct(punct));
-                i += advance;
+                // A non-ASCII byte starts a multi-byte `char`: decode that one.
+                let c = text(i, bytes.len()).chars().next().unwrap_or_default();
+                if !c.is_whitespace() {
+                    return Err(unexpected_character(line, c));
+                }
+                i += c.len_utf8();
             }
         }
     }
     Ok(tokens)
 }
 
+/// The position of the first `\n` at or after `from`, or the end of `bytes`.
+fn line_end(bytes: &[u8], from: usize) -> usize {
+    bytes
+        .get(from..)
+        .and_then(|rest| rest.iter().position(|&byte| byte == b'\n'))
+        .map_or(bytes.len(), |offset| from + offset)
+}
+
+fn unexpected_character(line: usize, c: char) -> LexError {
+    LexError {
+        line,
+        message: format!("unexpected character `{c}`"),
+    }
+}
+
 #[cfg(test)]
+#[allow(clippy::indexing_slicing, clippy::unwrap_used)]
 mod tests {
     use super::*;
 

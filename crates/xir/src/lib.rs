@@ -210,10 +210,10 @@ impl Compiler {
         source: &str,
         flags: &CompileFlags,
     ) -> Result<PreprocessedUnit, CompileError> {
-        Ok(preprocess::preprocess(
+        Ok(preprocess::preprocess_owned(
             file,
             source,
-            &flags.definition_set(),
+            flags.definition_set(),
             &self.headers,
         )?)
     }

@@ -2,7 +2,7 @@
 
 use crate::ast::{BinOp, Expr, Function, LValue, Param, Stmt, TranslationUnit, Type};
 use crate::lex::{lex, Keyword, LexError, Punct, Token};
-use std::fmt;
+use std::{fmt, mem};
 
 /// Parse errors.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,6 +70,8 @@ pub fn parse(file: &str, source: &str) -> Result<TranslationUnit, ParseError> {
     Ok(unit)
 }
 
+/// Reads `tokens` front to back and never backs up, so a string token is moved out of
+/// its slot into the AST rather than cloned.
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
@@ -88,10 +90,10 @@ impl Parser {
         self.tokens.get(self.pos + offset)
     }
 
-    fn advance(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
+    /// Step past the current token. A consumer that keeps the token's string takes it
+    /// out of the slot first (`mem::take`).
+    fn advance(&mut self) {
         self.pos += 1;
-        t
     }
 
     fn unexpected(&self, expected: &str) -> ParseError {
@@ -118,9 +120,9 @@ impl Parser {
     }
 
     fn expect_ident(&mut self) -> Result<String, ParseError> {
-        match self.peek() {
+        match self.tokens.get_mut(self.pos) {
             Some(Token::Ident(name)) => {
-                let name = name.clone();
+                let name = mem::take(name);
                 self.advance();
                 Ok(name)
             }
@@ -193,12 +195,12 @@ impl Parser {
                     expected: "`}`".into(),
                 });
             }
-            if let Some(Token::Pragma(p)) = self.peek() {
-                pending_pragmas.push(p.clone());
+            if let Some(Token::Pragma(p)) = self.tokens.get_mut(self.pos) {
+                pending_pragmas.push(mem::take(p));
                 self.advance();
                 continue;
             }
-            let stmt = self.statement(std::mem::take(&mut pending_pragmas))?;
+            let stmt = self.statement(mem::take(&mut pending_pragmas))?;
             stmts.push(stmt);
         }
         self.expect_punct(Punct::RBrace)?;
@@ -466,12 +468,12 @@ impl Parser {
     }
 
     fn parse_primary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().cloned() {
-            Some(Token::IntLit(v)) => {
+        match self.peek() {
+            Some(&Token::IntLit(v)) => {
                 self.advance();
                 Ok(Expr::IntLit(v))
             }
-            Some(Token::FloatLit(v)) => {
+            Some(&Token::FloatLit(v)) => {
                 self.advance();
                 Ok(Expr::FloatLit(v))
             }
@@ -481,8 +483,8 @@ impl Parser {
                 self.expect_punct(Punct::RParen)?;
                 Ok(inner)
             }
-            Some(Token::Ident(name)) => {
-                self.advance();
+            Some(Token::Ident(_)) => {
+                let name = self.expect_ident()?;
                 match self.peek() {
                     Some(Token::Punct(Punct::LParen)) => {
                         self.advance();

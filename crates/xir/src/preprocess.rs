@@ -13,7 +13,15 @@
 //! observe, and preprocessing under a definition set gives the same result as under
 //! the part of it the file observes — so a planner may preprocess each distinct text
 //! once.
+//!
+//! Every scan here reads the text's bytes in place and splits identifiers by the
+//! lexer's rule, through one splitter that substitution and [`Observation`] share.
+//! Substitution appends straight into the output buffer and allocates only the names
+//! it records in [`used_definitions`](PreprocessedUnit::used_definitions). Sources may
+//! come from a pulled image, so this module neither indexes nor unwraps.
+#![deny(clippy::indexing_slicing, clippy::unwrap_used)]
 
+use crate::lex::{identifier_len, is_identifier_start};
 use crate::memo::DigestCell;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -115,7 +123,6 @@ impl Observation {
         let mut identifiers = Vec::new();
         let mut reached: BTreeSet<&str> = BTreeSet::new();
         let mut pending = vec![source];
-        let (mut chars, mut word) = (Vec::new(), Vec::new());
         while let Some(text) = pending.pop() {
             for line in text.lines() {
                 if let Some(("include", rest)) = split_directive(line) {
@@ -125,16 +132,11 @@ impl Observation {
                         }
                     }
                 }
-                chars.clear();
-                chars.extend(line.chars());
-                for (identifier, token) in tokens(&chars) {
-                    if identifier {
-                        // Identifier characters are ASCII: one byte each.
-                        word.clear();
-                        word.extend(token.iter().map(|&c| c as u8));
-                        identifiers.push(fnv1a(&word));
-                    }
-                }
+                identifiers.extend(
+                    tokens(line)
+                        .filter(|&(identifier, _)| identifier)
+                        .map(|(_, word)| fnv1a(word.as_bytes())),
+                );
             }
         }
         identifiers.sort_unstable();
@@ -247,24 +249,19 @@ impl PreprocessedUnit {
         let text = self.text.as_str();
         let bytes = text.as_bytes();
         let mut at = 0;
-        while let Some(&byte) = bytes.get(at) {
-            let start = at;
-            at += 1;
-            if byte == b'#' {
-                if is_omp_pragma(&text[at..]) {
-                    return true;
-                }
-            } else if is_identifier_start(char::from(byte)) {
-                while bytes
-                    .get(at)
-                    .is_some_and(|&byte| is_identifier_char(char::from(byte)))
-                {
-                    at += 1;
-                }
-                if bytes[start..at].starts_with(b"omp_") {
-                    return true;
-                }
+        while let Some(rest) = bytes.get(at..).filter(|rest| !rest.is_empty()) {
+            let len = identifier_len(rest);
+            if rest
+                .get(..len)
+                .is_some_and(|word| word.starts_with(b"omp_"))
+            {
+                return true;
             }
+            // A byte after `#` is a `char` boundary: `#` is ASCII.
+            if rest.first() == Some(&b'#') && text.get(at + 1..).is_some_and(is_omp_pragma) {
+                return true;
+            }
+            at += len.max(1);
         }
         false
     }
@@ -297,10 +294,20 @@ pub fn preprocess(
     definitions: &Definitions,
     headers: &BTreeMap<String, String>,
 ) -> Result<PreprocessedUnit, PreprocessError> {
+    preprocess_owned(file, source, definitions.clone(), headers)
+}
+
+/// [`preprocess`] with a definition set the caller hands over: in-file `#define`s and
+/// `#undef`s edit it in place.
+pub(crate) fn preprocess_owned(
+    file: &str,
+    source: &str,
+    mut working: Definitions,
+    headers: &BTreeMap<String, String>,
+) -> Result<PreprocessedUnit, PreprocessError> {
     let mut output = String::with_capacity(source.len());
     let mut used = Vec::new();
     let mut included = Vec::new();
-    let mut working = definitions.clone();
     process_text(
         source,
         &mut working,
@@ -314,16 +321,18 @@ pub fn preprocess(
     used.dedup();
     included.sort();
     included.dedup();
-    // Canonicalise whitespace so cosmetic differences do not affect the hash.
-    let canonical: String = output
-        .lines()
-        .map(str::trim_end)
-        .filter(|l| !l.trim().is_empty())
-        .collect::<Vec<_>>()
-        .join("\n");
+    // Canonicalise whitespace so cosmetic differences do not affect the hash: trailing
+    // whitespace and blank lines go, and lines are joined by one `\n`.
+    let mut text = String::with_capacity(output.len());
+    for line in output.lines().map(str::trim_end).filter(|l| !l.is_empty()) {
+        if !text.is_empty() {
+            text.push('\n');
+        }
+        text.push_str(line);
+    }
     Ok(PreprocessedUnit {
         file: file.to_string(),
-        text: canonical,
+        text,
         used_definitions: used,
         included_headers: included,
         digest_memo: DigestCell::new(),
@@ -394,7 +403,8 @@ fn process_text(
                     // external `-D` flags still dominate IR identity via `used_definitions`).
                     if emitting {
                         if let Some(name) = rest.split_whitespace().next() {
-                            let value = rest[name.len()..].trim();
+                            // `rest` is trimmed, so it starts with `name`.
+                            let value = rest.strip_prefix(name).unwrap_or_default().trim();
                             let value = if value.is_empty() { "1" } else { value };
                             definitions.define(name, value);
                             used.push(name.to_string());
@@ -475,7 +485,7 @@ fn process_text(
             continue;
         }
         if emitting {
-            output.push_str(&substitute(raw_line, definitions, used));
+            substitute(raw_line, definitions, used, output);
             output.push('\n');
         }
     }
@@ -510,41 +520,37 @@ fn macro_name(rest: &str) -> &str {
     rest.split_whitespace().next().unwrap_or("")
 }
 
-fn is_identifier_start(c: char) -> bool {
-    c.is_ascii_alphabetic() || c == '_'
-}
-
-fn is_identifier_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_'
-}
-
 /// Whether `name` is a plain identifier — one token the scanner can produce.
 fn is_identifier(name: &str) -> bool {
-    let mut chars = name.chars();
-    chars.next().is_some_and(is_identifier_start) && chars.all(is_identifier_char)
+    let len = identifier_len(name.as_bytes());
+    len > 0 && len == name.len()
 }
 
-/// The one identifier scanner: splits `chars` into maximal identifier runs
-/// (`true`) and the single characters between them (`false`). Substitution and
+/// The one identifier scanner: splits `text` into maximal identifier runs (`true`)
+/// and the maximal runs of text between them (`false`). Substitution and
 /// [`Observation`] both read a line through it.
-fn tokens(chars: &[char]) -> impl Iterator<Item = (bool, &[char])> {
-    let mut rest = chars;
+fn tokens(text: &str) -> impl Iterator<Item = (bool, &str)> {
+    let mut rest = text;
     std::iter::from_fn(move || {
-        let identifier = is_identifier_start(*rest.first()?);
+        let bytes = rest.as_bytes();
+        let identifier = is_identifier_start(*bytes.first()?);
         let len = if identifier {
-            rest.iter()
-                .position(|&c| !is_identifier_char(c))
-                .unwrap_or(rest.len())
+            identifier_len(bytes)
         } else {
-            1
+            bytes
+                .iter()
+                .position(|&byte| is_identifier_start(byte))
+                .unwrap_or(bytes.len())
         };
-        let (token, tail) = rest.split_at(len);
+        // A run ends before an ASCII byte or at the end: a `char` boundary.
+        let (token, tail) = rest.split_at_checked(len).unwrap_or((rest, ""));
         rest = tail;
         Some((identifier, token))
     })
 }
 
-/// Evaluate `defined(X)`, `!defined(X)`, bare macro names, and `&&`/`||` combinations.
+/// Evaluate `defined(X)`, `!defined(X)`, bare macro names, integer literals (nonzero is
+/// true), and `&&`/`||` combinations.
 fn eval_condition(expr: &str, definitions: &Definitions, used: &mut Vec<String>) -> bool {
     // Split on || first (lowest precedence), then &&.
     expr.split("||").any(|clause| {
@@ -563,6 +569,10 @@ fn eval_condition(expr: &str, definitions: &Definitions, used: &mut Vec<String>)
             if name.is_empty() {
                 return !negated;
             }
+            if !term.starts_with("defined") && name.bytes().all(|byte| byte.is_ascii_digit()) {
+                // An integer literal names no macro: nothing is looked up or recorded.
+                return negated != name.bytes().any(|byte| byte != b'0');
+            }
             used.push(name.to_string());
             let mut value = definitions.is_defined(name);
             // A bare `#if MACRO` with value "0" is false.
@@ -578,30 +588,26 @@ fn eval_condition(expr: &str, definitions: &Definitions, used: &mut Vec<String>)
     })
 }
 
-/// Substitute object-like macros appearing as whole identifiers in a line.
-fn substitute(line: &str, definitions: &Definitions, used: &mut Vec<String>) -> String {
+/// Append `line` to `output` with each object-like macro that appears as a whole
+/// identifier replaced by its value, recording the names it replaced in `used`.
+fn substitute(line: &str, definitions: &Definitions, used: &mut Vec<String>, output: &mut String) {
     if definitions.is_empty() {
-        return line.to_string();
+        output.push_str(line);
+        return;
     }
-    let mut result = String::with_capacity(line.len());
-    let chars: Vec<char> = line.chars().collect();
-    for (identifier, token) in tokens(&chars) {
-        if !identifier {
-            token.iter().for_each(|&c| result.push(c));
-            continue;
-        }
-        let word: String = token.iter().collect();
-        if let Some(value) = definitions.value(&word) {
-            used.push(word);
-            result.push_str(value);
-        } else {
-            result.push_str(&word);
+    for (identifier, token) in tokens(line) {
+        match identifier.then(|| definitions.value(token)).flatten() {
+            Some(value) => {
+                used.push(token.to_string());
+                output.push_str(value);
+            }
+            None => output.push_str(token),
         }
     }
-    result
 }
 
 #[cfg(test)]
+#[allow(clippy::indexing_slicing, clippy::unwrap_used)]
 mod tests {
     use super::*;
 
@@ -787,6 +793,21 @@ int path = 0;
         let unit = preprocess("n.ck", source, &x, &no_headers()).unwrap();
         assert_eq!(unit.text, "int on;\nint y_absent;");
         assert_eq!(unit.used_definitions, ["X", "Y", "Z"]);
+    }
+
+    #[test]
+    fn an_integer_condition_is_a_literal() {
+        let source = "#if 1\nint one;\n#endif\n#if 0\nint zero;\n#elif 1\nint elif_one;\n#endif\n\
+                      #if 2 && !0\nint two;\n#endif\n#if !1 || 00\nint never;\n#endif\n";
+        let mut defs = Definitions::new();
+        defs.define("1", "0");
+        let unit = preprocess("i.ck", source, &defs, &no_headers()).unwrap();
+        assert_eq!(unit.text, "int one;\nint elif_one;\nint two;");
+        assert!(
+            unit.used_definitions.is_empty(),
+            "{:?}",
+            unit.used_definitions
+        );
     }
 
     #[test]

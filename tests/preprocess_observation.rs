@@ -47,7 +47,18 @@ fn condition(rng: &mut TestRng, name: &str) -> String {
         4 => format!("#if !{name}"),
         5 => format!("#if defined({name}) && !defined(B)"),
         6 => format!("#if {name} || defined A"),
-        _ => pick(rng, &["#if 1X", "#ifdef X(a)", "#if A B", "#ifdef"]).to_string(),
+        _ => pick(
+            rng,
+            &[
+                "#if 1X",
+                "#ifdef X(a)",
+                "#if A B",
+                "#ifdef",
+                "#if 1",
+                "#if 0",
+            ],
+        )
+        .to_string(),
     }
 }
 
