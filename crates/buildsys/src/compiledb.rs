@@ -3,10 +3,11 @@
 //! The behavioural approach of Section 4.2 compares *compilation instructions per
 //! target*, not build-system internals: two configurations whose commands for a target
 //! are identical can share one IR file. This module provides the command representation
-//! plus the normalisation used by that comparison (sorting flags, dropping build-directory
-//! include paths, separating delayed ISA flags).
+//! plus the identity that comparison uses ([`CompileCommand::canonical_key`]: flags
+//! sorted, the build directory normalised out of include paths).
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use xaas_xir::CompileFlags;
 
@@ -31,37 +32,36 @@ impl CompileCommand {
         CompileFlags::parse(self.arguments.iter().cloned())
     }
 
-    /// The canonical identity of this command for exact comparison: target-relevant
-    /// arguments sorted, with the build directory path normalised away from includes.
-    pub fn canonical_key(&self, strip_build_dir: bool) -> String {
-        let mut args: Vec<String> = self
+    /// The canonical identity of this command for exact comparison: the file, then
+    /// its non-blank arguments sorted, with the build directory rewritten to
+    /// `<build-dir>` wherever an argument contains it (configurations built in
+    /// different directories compare equal). Only a rewritten argument is copied.
+    pub fn canonical_key(&self) -> String {
+        let directory = self.directory.as_str();
+        let mut args: Vec<Cow<'_, str>> = self
             .arguments
             .iter()
             .filter(|a| !a.trim().is_empty())
             .map(|a| {
-                if strip_build_dir {
-                    a.replace(&self.directory, "<build-dir>")
+                if a.contains(directory) {
+                    Cow::Owned(a.replace(directory, "<build-dir>"))
                 } else {
-                    a.clone()
+                    Cow::Borrowed(a.as_str())
                 }
             })
             .collect();
-        args.sort();
-        format!("{}|{}", self.file, args.join(" "))
-    }
-
-    /// The identity used by the XaaS vectorisation stage: like [`Self::canonical_key`]
-    /// but with delayed ISA flags removed (they are applied at deployment instead).
-    pub fn target_independent_key(&self) -> String {
-        let flags = self.flags();
-        let mut args: Vec<String> = self
-            .arguments
-            .iter()
-            .filter(|a| !flags.delayed_target_flags.contains(*a))
-            .map(|a| a.replace(&self.directory, "<build-dir>"))
-            .collect();
-        args.sort();
-        format!("{}|{}", self.file, args.join(" "))
+        args.sort_unstable();
+        let len = self.file.len() + 1 + args.iter().map(|a| a.len() + 1).sum::<usize>();
+        let mut key = String::with_capacity(len);
+        key.push_str(&self.file);
+        key.push('|');
+        for (i, arg) in args.iter().enumerate() {
+            if i > 0 {
+                key.push(' ');
+            }
+            key.push_str(arg);
+        }
+        key
     }
 }
 
@@ -100,49 +100,6 @@ impl CompileDatabase {
     }
 }
 
-/// Statistics comparing the commands of two configurations (used to report the §6.4
-/// percentages: how many targets have incompatible flags, how many differ only in CPU
-/// tuning, …).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DatabaseComparison {
-    /// Pairs of commands (matched by file+target) that are exactly identical.
-    pub identical: usize,
-    /// Pairs identical once build-directory paths are normalised.
-    pub identical_after_normalization: usize,
-    /// Pairs identical once delayed ISA flags are also removed.
-    pub identical_after_vectorization_delay: usize,
-    /// Pairs that still differ (different definitions or sources).
-    pub different: usize,
-    /// Files present in only one of the two databases.
-    pub unmatched: usize,
-}
-
-/// Compare two databases command-by-command (matching on target + file).
-pub fn compare(a: &CompileDatabase, b: &CompileDatabase) -> DatabaseComparison {
-    let mut result = DatabaseComparison::default();
-    let mut matched_b: BTreeSet<usize> = BTreeSet::new();
-    for cmd_a in &a.commands {
-        let Some((idx, cmd_b)) = b.commands.iter().enumerate().find(|(i, c)| {
-            !matched_b.contains(i) && c.target == cmd_a.target && c.file == cmd_a.file
-        }) else {
-            result.unmatched += 1;
-            continue;
-        };
-        matched_b.insert(idx);
-        if cmd_a.canonical_key(false) == cmd_b.canonical_key(false) {
-            result.identical += 1;
-        } else if cmd_a.canonical_key(true) == cmd_b.canonical_key(true) {
-            result.identical_after_normalization += 1;
-        } else if cmd_a.target_independent_key() == cmd_b.target_independent_key() {
-            result.identical_after_vectorization_delay += 1;
-        } else {
-            result.different += 1;
-        }
-    }
-    result.unmatched += b.commands.len() - matched_b.len();
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,22 +126,18 @@ mod tests {
             "a.ck",
             &["-DGMX_MPI", "-O3", "-I/build/cfg2/include"],
         );
-        assert_ne!(a.canonical_key(false), b.canonical_key(false));
-        assert_eq!(a.canonical_key(true), b.canonical_key(true));
-    }
-
-    #[test]
-    fn target_independent_key_drops_isa_flags() {
-        let avx = command("/b", "a.ck", &["-O3", "-mavx512f"]);
-        let sse = command("/b", "a.ck", &["-O3", "-msse4.1"]);
-        assert_ne!(avx.canonical_key(true), sse.canonical_key(true));
-        assert_eq!(avx.target_independent_key(), sse.target_independent_key());
-        // Definitions still matter.
-        let with_def = command("/b", "a.ck", &["-O3", "-DGMX_GPU_CUDA", "-mavx512f"]);
-        assert_ne!(
-            avx.target_independent_key(),
-            with_def.target_independent_key()
+        assert_ne!(a.arguments, b.arguments);
+        assert_eq!(a.canonical_key(), b.canonical_key());
+        assert_eq!(
+            a.canonical_key(),
+            "a.ck|-DGMX_MPI -I<build-dir>/include -O3"
         );
+        // Blank arguments drop out; ISA flags and definitions stay in the identity.
+        let blank = command("/b", "a.ck", &["-O3", "  ", "-mavx512f"]);
+        assert_eq!(blank.canonical_key(), "a.ck|-O3 -mavx512f");
+        let sse = command("/b", "a.ck", &["-O3", "-msse4.1"]);
+        assert_ne!(blank.canonical_key(), sse.canonical_key());
+        assert_eq!(command("/b", "a.ck", &[]).canonical_key(), "a.ck|");
     }
 
     #[test]
@@ -201,34 +154,5 @@ mod tests {
         assert_eq!(db.targets(), vec!["app".to_string(), "lib".to_string()]);
         assert_eq!(db.commands_for_target("app").len(), 1);
         assert!(db.to_json().contains("a.ck"));
-    }
-
-    #[test]
-    fn compare_classifies_pairs() {
-        let base = CompileDatabase {
-            configuration: "a".into(),
-            commands: vec![
-                command("/build/a", "same.ck", &["-O3"]),
-                command("/build/a", "dir.ck", &["-O3", "-I/build/a/inc"]),
-                command("/build/a", "vec.ck", &["-O3", "-mavx512f"]),
-                command("/build/a", "def.ck", &["-O3", "-DWITH_MPI"]),
-                command("/build/a", "only_in_a.ck", &["-O3"]),
-            ],
-        };
-        let other = CompileDatabase {
-            configuration: "b".into(),
-            commands: vec![
-                command("/build/a", "same.ck", &["-O3"]),
-                command("/build/b", "dir.ck", &["-O3", "-I/build/b/inc"]),
-                command("/build/a", "vec.ck", &["-O3", "-msse2"]),
-                command("/build/a", "def.ck", &["-O3"]),
-            ],
-        };
-        let cmp = compare(&base, &other);
-        assert_eq!(cmp.identical, 1);
-        assert_eq!(cmp.identical_after_normalization, 1);
-        assert_eq!(cmp.identical_after_vectorization_delay, 1);
-        assert_eq!(cmp.different, 1);
-        assert_eq!(cmp.unmatched, 1);
     }
 }

@@ -10,8 +10,8 @@
 //! * [`configure`](mod@configure) — the configuration step that resolves an option assignment into
 //!   enabled sources, global definitions/flags, dependencies, and a compile-command
 //!   database;
-//! * [`compiledb`] — compile commands plus the canonicalisation/comparison used by the
-//!   behavioural deduplication of Section 4.2;
+//! * [`compiledb`] — compile commands plus the canonical command identity the
+//!   behavioural deduplication of Section 4.2 counts;
 //! * [`script`] — the mini build-script format that specialization discovery parses.
 
 #![warn(missing_docs)]
@@ -25,7 +25,7 @@ pub mod script;
 
 /// Commonly used types re-exported together.
 pub mod prelude {
-    pub use crate::compiledb::{compare, CompileCommand, CompileDatabase, DatabaseComparison};
+    pub use crate::compiledb::{CompileCommand, CompileDatabase};
     pub use crate::configure::{configure, ConfigureError, ConfiguredBuild};
     pub use crate::options::{
         all_combinations, BuildOption, OptionAssignment, OptionCategory, OptionEffects, OptionKind,

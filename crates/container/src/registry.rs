@@ -2,7 +2,7 @@
 //! between stores, and pull statistics (the paper's deployment flow pulls a source or IR
 //! container once per system and then pushes the system-specialized image back).
 
-#![deny(clippy::unwrap_used, clippy::dbg_macro)]
+#![deny(clippy::unwrap_used, clippy::indexing_slicing, clippy::dbg_macro)]
 
 use crate::image::{Image, ImageError, ImageStore, TransferStats};
 use parking_lot::RwLock;
@@ -169,7 +169,7 @@ fn not_found(reference: &str) -> impl FnOnce(ImageError) -> RegistryError + '_ {
 }
 
 #[cfg(test)]
-#[allow(clippy::unwrap_used)]
+#[allow(clippy::unwrap_used, clippy::indexing_slicing)]
 mod tests {
     use super::*;
     use crate::layer::Layer;

@@ -40,57 +40,63 @@ use xaas_xir::{CompileFlags, Compiler, Observation, TargetIsa};
 /// The observation is computed lazily, at most once per file: only when the file
 /// comes back with a second definition set. A file planned under one set — every
 /// file of a deployment — is never scanned.
+///
+/// Nodes are indexed by file, and a repeat is found by comparing borrowed
+/// definitions in identity order: the file, its content and the identity are copied
+/// only when a node is scheduled.
 #[derive(Default)]
 pub struct PreprocessPlanner {
-    /// (file, sorted `-D` flags) → node. A file's flags are all of them until it is
-    /// observed, then only those it observes.
-    actions: BTreeMap<(String, Vec<String>), ActionId>,
-    /// The files planned under two or more definition sets, with what each observes.
-    observed: BTreeMap<String, Observation>,
+    files: BTreeMap<String, FilePlans>,
+    /// Scratch for the identity being looked up: positions in the flags' definitions,
+    /// in identity order.
+    order: Vec<usize>,
+}
+
+/// The preprocess nodes planned for one file.
+#[derive(Default)]
+struct FilePlans {
+    /// What the file observes, once it is planned under a second definition set.
+    observation: Option<Observation>,
+    /// (sorted `-D` flags, node). Until the file is observed there is one, carrying
+    /// all of its flags; then each carries only the flags the file observes.
+    plans: Vec<(Vec<String>, ActionId)>,
+}
+
+impl FilePlans {
+    /// Fill `order` with the identity of `definitions`: the positions of the ones
+    /// the file's observation keeps (all, before there is one), sorted by name. The
+    /// sort is stable, so repeated flags for one name keep the order that decides
+    /// which wins.
+    fn identity(&self, definitions: &[String], order: &mut Vec<usize>) {
+        fn name(flag: &str) -> Option<&str> {
+            flag_definition(flag).map(|(name, _)| name)
+        }
+        order.clear();
+        order.extend((0..definitions.len()).filter(|&i| {
+            self.observation
+                .as_ref()
+                .is_none_or(|observation| observation.observes_flag(&definitions[i]))
+        }));
+        order.sort_by(|&a, &b| name(&definitions[a]).cmp(&name(&definitions[b])));
+    }
+
+    /// The node already planned under the identity `order` selects from `definitions`.
+    fn find(&self, definitions: &[String], order: &[usize]) -> Option<ActionId> {
+        self.plans.iter().find_map(|(planned, id)| {
+            let same = planned.len() == order.len()
+                && planned
+                    .iter()
+                    .zip(order)
+                    .all(|(flag, &i)| *flag == definitions[i]);
+            same.then_some(*id)
+        })
+    }
 }
 
 impl PreprocessPlanner {
     /// An empty planner.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The (file, sorted definitions) identity preprocessing dedups on, keeping only
-    /// the definitions `observation` observes when there is one. The sort is by name
-    /// and stable, so repeated flags for one name keep the order that decides which
-    /// wins.
-    fn identity(
-        file: &str,
-        flags: &CompileFlags,
-        observation: Option<&Observation>,
-    ) -> (String, Vec<String>) {
-        let mut definitions = flags.definitions.clone();
-        if let Some(observation) = observation {
-            definitions.retain(|flag| observation.observes_flag(flag));
-        }
-        fn name(flag: &str) -> Option<&str> {
-            flag_definition(flag).map(|(name, _)| name)
-        }
-        definitions.sort_by(|a, b| name(a).cmp(&name(b)));
-        (file.to_string(), definitions)
-    }
-
-    /// The identity `identity`'s file is already planned under, while that is its
-    /// only one: until a file is observed it has at most one, and every identity of
-    /// a file is adjacent to the others.
-    fn sole_plan(&self, identity: &(String, Vec<String>)) -> Option<(String, Vec<String>)> {
-        let file = identity.0.as_str();
-        if self.observed.contains_key(file) {
-            return None;
-        }
-        let before = self.actions.range(..identity).next_back();
-        let after = self.actions.range(identity..).next();
-        before
-            .into_iter()
-            .chain(after)
-            .map(|(planned, _)| planned)
-            .find(|(planned, _)| planned == file)
-            .cloned()
     }
 
     /// The action producing `file`'s preprocessed-content digest under `flags`,
@@ -105,24 +111,30 @@ impl PreprocessPlanner {
         content: &str,
         flags: &CompileFlags,
     ) -> ActionId {
-        let mut identity = Self::identity(file, flags, self.observed.get(file));
-        if let Some(&id) = self.actions.get(&identity) {
+        let definitions = flags.definitions.as_slice();
+        let order = &mut self.order;
+        let plans = match self.files.get_mut(file) {
+            Some(plans) => plans,
+            None => self.files.entry(file.to_string()).or_default(),
+        };
+        plans.identity(definitions, order);
+        if let Some(id) = plans.find(definitions, order) {
             return id;
         }
-        if let Some(mut planned) = self.sole_plan(&identity) {
+        if plans.observation.is_none() && !plans.plans.is_empty() {
             // A second definition set: observe the file, once, and narrow both
             // identities to what it observes.
             let observation = Observation::of(content, &compiler.headers);
-            if let Some(id) = self.actions.remove(&planned) {
-                planned.1.retain(|flag| observation.observes_flag(flag));
-                self.actions.insert(planned, id);
+            for (planned, _) in &mut plans.plans {
+                planned.retain(|flag| observation.observes_flag(flag));
             }
-            identity.1.retain(|flag| observation.observes_flag(flag));
-            self.observed.insert(file.to_string(), observation);
-            if let Some(&id) = self.actions.get(&identity) {
+            order.retain(|&i| observation.observes_flag(&definitions[i]));
+            plans.observation = Some(observation);
+            if let Some(id) = plans.find(definitions, order) {
                 return id;
             }
         }
+        let identity = order.iter().map(|&i| definitions[i].clone()).collect();
         let file = file.to_string();
         let content = content.to_string();
         let flags = flags.clone();
@@ -138,7 +150,7 @@ impl PreprocessPlanner {
             output.push(u8::from(preprocessed.mentions_openmp()));
             Ok(output)
         });
-        self.actions.insert(identity, id);
+        plans.plans.push((identity, id));
         id
     }
 }

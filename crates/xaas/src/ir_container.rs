@@ -31,12 +31,13 @@ use crate::engine::{
 use crate::error::PipelineError;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use xaas_buildsys::{configure, OptionAssignment, ProjectSpec};
+use std::sync::Arc;
+use xaas_buildsys::{configure, CompileCommand, ConfiguredBuild, OptionAssignment, ProjectSpec};
 use xaas_container::{
     annotation_keys, Architecture, Blob, BuildKey, DeploymentFormat, Image, Layer, Platform,
 };
 use xaas_specs::from_project;
-use xaas_xir::{bitcode, CompileFlags, Compiler, IrModule};
+use xaas_xir::{bitcode, CompileFlags, Compiler, IrModule, OptLevel};
 
 pub use crate::engine::ActionSummary;
 
@@ -48,14 +49,11 @@ pub const TOOLCHAIN_ID: &str = "xirc-19/xir.v1";
 /// concrete ISA name is used only for deployment-time lowering).
 pub const IR_TARGET: &str = "xir.ir";
 
-/// Which stages of the dedup pipeline are enabled (all on by default; the ablation
-/// benchmarks switch individual stages off).
+/// Which of the dedup pipeline's optional stages are enabled (both on by default; the
+/// ablation benchmarks switch them off). Build-directory normalisation (stage 1) and
+/// preprocessed-content identity (stage 2) always run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PipelineStages {
-    /// Normalise the build directory out of compile commands.
-    pub normalize_build_dir: bool,
-    /// Deduplicate on preprocessed content hashes.
-    pub preprocessing: bool,
     /// Collapse `-fopenmp`-only differences for OpenMP-free files.
     pub openmp_detection: bool,
     /// Drop ISA/tuning flags from the identity (vectorization delay).
@@ -65,8 +63,6 @@ pub struct PipelineStages {
 impl Default for PipelineStages {
     fn default() -> Self {
         Self {
-            normalize_build_dir: true,
-            preprocessing: true,
             openmp_detection: true,
             vectorization_delay: true,
         }
@@ -267,11 +263,9 @@ fn enumerate_assignments(
 /// One system-independent translation-unit occurrence discovered during configuration
 /// (the driver's plan entry between the configure stage and the preprocess stage).
 struct TuOccurrence {
-    config_index: usize,
-    target: String,
     file: String,
     /// Source text, shared per file across configurations (copied once per file).
-    content: std::sync::Arc<str>,
+    content: Arc<str>,
     flags: CompileFlags,
     generation_key: String,
     /// Index of this unit's preprocess action in the stage-A graph.
@@ -297,10 +291,6 @@ pub(crate) fn unknown_target_source(project: &ProjectSpec) -> Option<String> {
         .cloned()
 }
 
-/// One (target, source file, dedup key) triple per translation unit of a
-/// configuration.
-type UnitKeys = Vec<(String, String, String)>;
-
 /// The serial stage-1 plan: the stage-A action graph (one wave of preprocess nodes,
 /// each also deciding stage 3) plus the bookkeeping the later serial stages fold
 /// over. Building it runs no actions — this is the
@@ -308,10 +298,8 @@ type UnitKeys = Vec<(String, String, String)>;
 pub(crate) struct IrBuildStageA<'env> {
     pub(crate) graph: ActionGraph<'env, PipelineError>,
     stats: PipelineStats,
+    /// One per configuration. The system-independent units have no artifact yet.
     manifests: Vec<ConfigurationManifest>,
-    sd_files: BTreeSet<String>,
-    si_files: BTreeSet<String>,
-    unit_key_by_config: Vec<UnitKeys>,
     occurrences: Vec<TuOccurrence>,
 }
 
@@ -344,23 +332,34 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
     };
     let mut manifests: Vec<ConfigurationManifest> = Vec::new();
     let mut sd_files: BTreeSet<String> = BTreeSet::new();
-    let mut si_files: BTreeSet<String> = BTreeSet::new();
-    let mut unit_key_by_config: Vec<UnitKeys> = Vec::new();
     let mut occurrences: Vec<TuOccurrence> = Vec::new();
-    // Source text shared per file: every configuration re-lists the same content.
-    let mut content_by_file: BTreeMap<String, std::sync::Arc<str>> = BTreeMap::new();
+    // Source text shared per file (the system-independent files): every
+    // configuration re-lists the same content.
+    let mut content_by_file: BTreeMap<String, Arc<str>> = BTreeMap::new();
 
     let mut stage_a: ActionGraph<'env, PipelineError> = ActionGraph::new();
     // Preprocessing depends only on the file and the definitions it can observe:
     // the planner schedules each distinct pair once across configurations.
     let mut preprocess = PreprocessPlanner::new();
-    for (config_index, assignment) in assignments.iter().enumerate() {
-        let build = configure(project, assignment, &config.build_dir, None)?;
-        let mut per_config_units: UnitKeys = Vec::new();
-        for command in &build.compile_db.commands {
+    for requested in &assignments {
+        let ConfiguredBuild {
+            assignment,
+            configure_command,
+            enabled_sources,
+            definitions,
+            compile_flags,
+            dependencies,
+            compile_db,
+            ..
+        } = configure(project, requested, &config.build_dir, None)?;
+        // The configuration's units: the system-dependent ones, then the
+        // system-independent ones in occurrence order, whose artifacts the Link
+        // fills in. Each takes its command's strings.
+        let mut units: Vec<UnitAssignment> = Vec::new();
+        let mut system_independent: Vec<UnitAssignment> = Vec::new();
+        for command in compile_db.commands {
             stats.total_translation_units += 1;
-            let source = build
-                .enabled_sources
+            let source = enabled_sources
                 .iter()
                 .find(|s| s.path == command.file)
                 .ok_or_else(|| PipelineError::UnknownSource {
@@ -369,61 +368,162 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
             let is_system_dependent = source.required_tags.iter().any(|t| t == "mpi");
             if is_system_dependent {
                 stats.system_dependent_units += 1;
-                sd_files.insert(source.path.clone());
-                per_config_units.push((
-                    command.target.clone(),
-                    command.file.clone(),
-                    format!("src:{}", command.file),
-                ));
+                if !sd_files.contains(&source.path) {
+                    sd_files.insert(source.path.clone());
+                }
+                units.push(UnitAssignment {
+                    artifact: format!("src:{}", command.file),
+                    target: command.target,
+                    file: command.file,
+                });
                 continue;
             }
-            si_files.insert(source.path.clone());
-            let content = content_by_file
-                .entry(source.path.clone())
-                .or_insert_with(|| std::sync::Arc::from(source.content.as_str()))
-                .clone();
+            let content = match content_by_file.get(&source.path) {
+                Some(content) => Arc::clone(content),
+                None => {
+                    let content: Arc<str> = Arc::from(source.content.as_str());
+                    content_by_file.insert(source.path.clone(), Arc::clone(&content));
+                    content
+                }
+            };
 
-            let flags = command.flags();
-            let generation_key = command.canonical_key(config.stages.normalize_build_dir);
-
+            let generation_key = command.canonical_key();
+            let CompileCommand {
+                target,
+                file,
+                arguments,
+                ..
+            } = command;
+            let flags = CompileFlags::parse(arguments);
             let preprocess_action =
-                preprocess.action_for(&mut stage_a, compiler, &command.file, &content, &flags);
+                preprocess.action_for(&mut stage_a, compiler, &file, &content, &flags);
             occurrences.push(TuOccurrence {
-                config_index,
-                target: command.target.clone(),
-                file: command.file.clone(),
+                file: file.clone(),
                 content,
                 flags,
                 generation_key,
                 preprocess_action,
             });
+            system_independent.push(UnitAssignment {
+                target,
+                file,
+                artifact: String::new(),
+            });
         }
-        unit_key_by_config.push(per_config_units);
+        units.append(&mut system_independent);
         let mut common_flags: Vec<String> = project.global_flags.clone();
-        common_flags.extend(build.compile_flags.iter().cloned());
+        common_flags.extend(compile_flags);
         let (delayed_flags, compile_flags): (Vec<String>, Vec<String>) =
             common_flags.into_iter().partition(|f| f.starts_with("-m"));
         manifests.push(ConfigurationManifest {
-            label: build.assignment.label(),
-            assignment: build.assignment.clone(),
-            configure_command: build.configure_command.clone(),
-            definitions: build.definitions.clone(),
-            dependencies: build.dependencies.clone(),
-            units: Vec::new(),
+            label: assignment.label(),
+            assignment,
+            configure_command,
+            definitions,
+            dependencies,
+            units,
             compile_flags,
             delayed_flags,
         });
     }
+    stats.system_dependent_files = sd_files.len();
+    stats.system_independent_files = content_by_file.len();
 
     Ok(IrBuildStageA {
         graph: stage_a,
         stats,
         manifests,
-        sd_files,
-        si_files,
-        unit_key_by_config,
         occurrences,
     })
+}
+
+/// Stage 4's result: how many identities each stage of Figure 7 leaves, and the
+/// final ones (the IR files built).
+#[derive(Debug, PartialEq, Eq)]
+struct Identities {
+    unique_after_generation: usize,
+    unique_after_preprocessing: usize,
+    unique_after_openmp: usize,
+    /// The first occurrence of each final identity, ordered as the identities'
+    /// names sort ([`identity_name`]): the order of the `ir-lower` nodes.
+    representatives: Vec<usize>,
+    /// Each occurrence's final identity, as a position in `representatives`.
+    final_of: Vec<usize>,
+}
+
+/// Stage 4 (driver, serial): derive the dedup identities of Figure 7 from the
+/// occurrences and the stage-A `outputs`. Every stage counts borrowed tuples; only
+/// the final identities are named, to order them.
+fn derive_identities(
+    occurrences: &[TuOccurrence],
+    outputs: &[Blob],
+    stages: PipelineStages,
+) -> Identities {
+    // (file, preprocessed digest, OpenMP in effect, opt level, delayed flags).
+    type Identity<'a, Isa = &'a [String]> = (&'a str, &'a str, bool, OptLevel, Isa);
+    let mut generation: BTreeSet<(&str, &str)> = BTreeSet::new();
+    let mut preprocessing: BTreeSet<Identity<'_>> = BTreeSet::new();
+    let mut openmp: BTreeSet<Identity<'_>> = BTreeSet::new();
+    // Stage 4 drops the delayed flags (`None`) under vectorization delay.
+    let mut finals: BTreeMap<Identity<'_, Option<&[String]>>, usize> = BTreeMap::new();
+    let mut first_of: Vec<usize> = Vec::with_capacity(occurrences.len());
+    for (index, occurrence) in occurrences.iter().enumerate() {
+        let output = &outputs[occurrence.preprocess_action];
+        let (file, digest) = (occurrence.file.as_str(), preprocessed_digest(output));
+        let flags = &occurrence.flags;
+        let (opt, delayed) = (flags.opt_level(), flags.delayed_target_flags.as_slice());
+        generation.insert((file, &occurrence.generation_key));
+        preprocessing.insert((file, digest, flags.openmp, opt, delayed));
+        // Stage 3: `-fopenmp` stays only where the text can see it.
+        let openmp_flag = flags.openmp && (!stages.openmp_detection || mentions_openmp(output));
+        openmp.insert((file, digest, openmp_flag, opt, delayed));
+        let isa = (!stages.vectorization_delay).then_some(delayed);
+        first_of.push(
+            *finals
+                .entry((file, digest, openmp_flag, opt, isa))
+                .or_insert(index),
+        );
+    }
+
+    let mut named: Vec<(String, usize)> = finals
+        .into_iter()
+        .map(|((file, digest, openmp, opt, isa), first)| {
+            (identity_name(file, digest, openmp, opt, isa), first)
+        })
+        .collect();
+    named.sort_unstable();
+    let mut position_of = vec![0; occurrences.len()];
+    for (position, &(_, first)) in named.iter().enumerate() {
+        position_of[first] = position;
+    }
+    Identities {
+        unique_after_generation: generation.len(),
+        unique_after_preprocessing: preprocessing.len(),
+        unique_after_openmp: openmp.len(),
+        representatives: named.into_iter().map(|(_, first)| first).collect(),
+        final_of: first_of
+            .into_iter()
+            .map(|first| position_of[first])
+            .collect(),
+    }
+}
+
+/// The name of a final identity, `{file}|{digest}|omp={openmp}|opt={opt}`, with
+/// `|isa={flags}` (space-separated) when the delayed flags are part of it. Only the
+/// order of the names is used: it is the order the IR files are built and listed in.
+fn identity_name(
+    file: &str,
+    digest: &str,
+    openmp: bool,
+    opt: OptLevel,
+    isa: Option<&[String]>,
+) -> String {
+    let mut name = format!("{file}|{digest}|omp={openmp}|opt={}", opt.as_str());
+    if let Some(isa) = isa {
+        name.push_str("|isa=");
+        name.push_str(&isa.join(" "));
+    }
+    name
 }
 
 /// Plan the build's stage-A graph (the preprocess wave) and report on it without
@@ -473,9 +573,6 @@ pub(crate) fn run_ir_build(
         graph: stage_a,
         mut stats,
         manifests,
-        sd_files,
-        si_files,
-        mut unit_key_by_config,
         occurrences,
     } = plan_ir_build_stage_a(project, config, &compiler)?;
 
@@ -483,81 +580,23 @@ pub(crate) fn run_ir_build(
     let (outputs_a, mut trace) = engine.run(stage_a)?.into_outputs()?;
 
     // ---- Stage 4 (driver, serial): derive the dedup identities of Figure 7 ----
-    let mut generation_keys: BTreeSet<String> = BTreeSet::new();
-    let mut preprocessing_keys: BTreeSet<String> = BTreeSet::new();
-    let mut openmp_keys: BTreeSet<String> = BTreeSet::new();
-    // Key → (file, source content, flags, preprocessed-content digest) of the
-    // representative unit. The digest is what the action-cache key is derived from.
-    let mut final_keys: BTreeMap<String, (String, std::sync::Arc<str>, CompileFlags, String)> =
-        BTreeMap::new();
-    for occurrence in &occurrences {
-        let TuOccurrence {
-            config_index,
-            target,
-            file,
-            content,
-            flags,
-            generation_key,
-            preprocess_action,
-        } = occurrence;
-        let output = &outputs_a[*preprocess_action];
-        let digest = preprocessed_digest(output).to_string();
-        let delayed = flags.delayed_target_flags.join(" ");
-        generation_keys.insert(format!("{file}|{generation_key}"));
-
-        // Stage 2: preprocessed-content identity.
-        let preprocess_key = format!(
-            "{file}|{digest}|omp={}|opt={}|isa={delayed}",
-            flags.openmp,
-            flags.opt_level().as_str(),
-        );
-        let stage2_key = if config.stages.preprocessing {
-            preprocess_key.clone()
-        } else {
-            format!("{file}|{generation_key}")
-        };
-        preprocessing_keys.insert(stage2_key.clone());
-
-        // Stage 3: OpenMP-irrelevance merging.
-        let effective_openmp =
-            flags.openmp && (!config.stages.openmp_detection || mentions_openmp(output));
-        let stage3_key = if config.stages.openmp_detection {
-            format!(
-                "{file}|{digest}|omp={effective_openmp}|opt={}|isa={delayed}",
-                flags.opt_level().as_str(),
-            )
-        } else {
-            stage2_key.clone()
-        };
-        openmp_keys.insert(stage3_key.clone());
-
-        // Stage 4: vectorization delay — drop the ISA flags from the identity.
-        let stage4_key = if config.stages.vectorization_delay {
-            format!(
-                "{file}|{digest}|omp={effective_openmp}|opt={}",
-                flags.opt_level().as_str(),
-            )
-        } else {
-            stage3_key.clone()
-        };
-        final_keys
-            .entry(stage4_key.clone())
-            .or_insert_with(|| (file.clone(), content.clone(), flags.clone(), digest));
-        unit_key_by_config[*config_index].push((target.clone(), file.clone(), stage4_key));
-    }
-
-    stats.unique_after_generation = generation_keys.len();
-    stats.unique_after_preprocessing = preprocessing_keys.len();
-    stats.unique_after_openmp = openmp_keys.len();
-    stats.unique_after_vectorization = final_keys.len();
-    stats.system_dependent_files = sd_files.len();
-    stats.system_independent_files = si_files.len();
+    let Identities {
+        unique_after_generation,
+        unique_after_preprocessing,
+        unique_after_openmp,
+        representatives,
+        final_of,
+    } = derive_identities(&occurrences, &outputs_a, config.stages);
+    stats.unique_after_generation = unique_after_generation;
+    stats.unique_after_preprocessing = unique_after_preprocessing;
+    stats.unique_after_openmp = unique_after_openmp;
+    stats.unique_after_vectorization = representatives.len();
 
     // ---- Stage 5 (graph B): ir-lower per deduplicated unit, then link + commit ----
-    // Compile one representative per final key into IR, memoizing each action in the
-    // content-addressed cache: the key is derived from the preprocessed-content digest
-    // and the IR-relevant flags, so a warm cache skips the compile entirely while
-    // producing bit-identical bitcode.
+    // Compile one representative per final identity into IR, memoizing each action in
+    // the content-addressed cache: the key is derived from the preprocessed-content
+    // digest and the IR-relevant flags, so a warm cache skips the compile entirely
+    // while producing bit-identical bitcode.
     // Declared before the graph: the graph's closures borrow these, so they must
     // outlive it (drop order is reverse declaration order).
     struct Assembled {
@@ -567,18 +606,24 @@ pub(crate) fn run_ir_build(
     }
     let assembled: LinkSlot<Assembled> = LinkSlot::new();
     // Position (within the planned lower actions) of the action producing each
-    // ordered key's bitcode. Distinct stage-4 keys normally map to distinct
+    // final identity's bitcode. Distinct final identities normally map to distinct
     // BuildKeys, but the graph contract is one node per key, so identical BuildKeys
     // share one action (the KeyedActionPlanner enforces this).
-    let mut key_positions: Vec<usize> = Vec::with_capacity(final_keys.len());
-    let ordered_keys: Vec<&String> = final_keys.keys().collect();
+    let mut key_positions: Vec<usize> = Vec::with_capacity(representatives.len());
     let mut stage_b: ActionGraph<'_, PipelineError> = ActionGraph::new();
     let mut lower_plan = KeyedActionPlanner::new();
-    for (file, content, flags, tu_digest) in final_keys.values() {
+    for &first in &representatives {
+        let TuOccurrence {
+            file,
+            content,
+            flags,
+            preprocess_action,
+            ..
+        } = &occurrences[first];
         // The IR is compiled without the delayed ISA flags; OpenMP stays as classified.
         let ir_flags = flags.without_delayed_target_flags();
         let build_key = BuildKey::new(
-            tu_digest.clone(),
+            preprocessed_digest(&outputs_a[*preprocess_action]),
             IR_TARGET,
             format!(
                 "file={file};{};early_opt={}",
@@ -613,9 +658,10 @@ pub(crate) fn run_ir_build(
     // typed, not bytes).
     let link_action = {
         let assembled = &assembled;
-        let ordered_keys = &ordered_keys;
+        let occurrences = &occurrences;
+        let representatives = &representatives;
+        let final_of = &final_of;
         let key_positions = &key_positions;
-        let final_keys = &final_keys;
         let stats = &stats;
         stage_b.add(
             ActionKind::Link,
@@ -628,40 +674,34 @@ pub(crate) fn run_ir_build(
                 // `bitcode::encode(&module)`, so the IR layer below shares those blobs
                 // instead of re-encoding (or copying) every deduplicated unit.
                 let mut unit_bytes: BTreeMap<String, &Blob> = BTreeMap::new();
-                let mut key_to_id: BTreeMap<String, String> = BTreeMap::new();
-                for (index, key) in ordered_keys.iter().enumerate() {
-                    let (file, ..) = &final_keys[*key];
-                    let bytes = inputs.dep(key_positions[index]);
+                // The content id of each final identity's unit.
+                let mut ids: Vec<String> = Vec::with_capacity(representatives.len());
+                for (&first, &position) in representatives.iter().zip(key_positions) {
+                    let file = &occurrences[first].file;
+                    let bytes = inputs.dep(position);
                     let module = bitcode::decode(bytes)
                         .map_err(|e| PipelineError::Cache(format!("bitcode for {file}: {e}")))?;
                     let id = bitcode::content_id_of(bytes);
-                    key_to_id.insert((*key).clone(), id.clone());
                     unit_bytes
                         .entry(id.clone())
-                        .or_insert_with(|| inputs.dep_blob(key_positions[index]));
-                    units.entry(id.clone()).or_insert(IrUnit {
-                        id,
+                        .or_insert_with(|| inputs.dep_blob(position));
+                    units.entry(id.clone()).or_insert_with(|| IrUnit {
+                        id: id.clone(),
                         source_file: file.clone(),
                         openmp: module.metadata.openmp,
                         module,
                     });
+                    ids.push(id);
                 }
 
-                // Fill manifests with artifact references.
-                for (config_index, per_config_units) in unit_key_by_config.into_iter().enumerate() {
-                    let manifest = &mut manifests[config_index];
-                    for (target, file, key) in per_config_units {
-                        let artifact = if let Some(id) = key_to_id.get(&key) {
-                            format!("ir:{id}")
-                        } else {
-                            key // already `src:<path>` for system-dependent units
-                        };
-                        manifest.units.push(UnitAssignment {
-                            target,
-                            file,
-                            artifact,
-                        });
-                    }
+                // Fill in the artifacts of the system-independent units: stage 1
+                // listed them, in occurrence order, without one.
+                let pending = manifests
+                    .iter_mut()
+                    .flat_map(|manifest| &mut manifest.units)
+                    .filter(|unit| unit.artifact.is_empty());
+                for (unit, &identity) in pending.zip(final_of) {
+                    unit.artifact = format!("ir:{}", ids[identity]);
                 }
 
                 // Assemble the container image.
@@ -763,6 +803,7 @@ pub fn sanitize(label: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
     use crate::orchestrator::{IrBuildRequest, Orchestrator};
     use xaas_apps::{gromacs, lulesh};
     use xaas_container::{ActionCache, ImageStore};
@@ -972,6 +1013,272 @@ mod tests {
         assert_eq!(warm.stats, cold.stats);
         assert_eq!(warm.image.layers, cold.image.layers);
         assert!(cache.stats().hit_rate() > 0.0);
+    }
+
+    /// Stage 4 as the driver derived it before identities were counted on borrowed
+    /// tuples: four `String` keys per occurrence, the final ones ordered by their
+    /// text. `derive_identities` must agree with it exactly.
+    fn string_keyed_identities(
+        occurrences: &[TuOccurrence],
+        outputs: &[Blob],
+        stages: PipelineStages,
+    ) -> Identities {
+        let mut generation_keys: BTreeSet<String> = BTreeSet::new();
+        let mut preprocessing_keys: BTreeSet<String> = BTreeSet::new();
+        let mut openmp_keys: BTreeSet<String> = BTreeSet::new();
+        let mut final_keys: BTreeMap<String, usize> = BTreeMap::new();
+        let mut key_of: Vec<String> = Vec::new();
+        for (index, occurrence) in occurrences.iter().enumerate() {
+            let TuOccurrence {
+                file,
+                flags,
+                generation_key,
+                preprocess_action,
+                ..
+            } = occurrence;
+            let output = &outputs[*preprocess_action];
+            let digest = preprocessed_digest(output).to_string();
+            let delayed = flags.delayed_target_flags.join(" ");
+            generation_keys.insert(format!("{file}|{generation_key}"));
+            let stage2_key = format!(
+                "{file}|{digest}|omp={}|opt={}|isa={delayed}",
+                flags.openmp,
+                flags.opt_level().as_str(),
+            );
+            preprocessing_keys.insert(stage2_key.clone());
+            let effective_openmp =
+                flags.openmp && (!stages.openmp_detection || mentions_openmp(output));
+            let stage3_key = if stages.openmp_detection {
+                format!(
+                    "{file}|{digest}|omp={effective_openmp}|opt={}|isa={delayed}",
+                    flags.opt_level().as_str(),
+                )
+            } else {
+                stage2_key
+            };
+            openmp_keys.insert(stage3_key.clone());
+            let stage4_key = if stages.vectorization_delay {
+                format!(
+                    "{file}|{digest}|omp={effective_openmp}|opt={}",
+                    flags.opt_level().as_str(),
+                )
+            } else {
+                stage3_key
+            };
+            final_keys.entry(stage4_key.clone()).or_insert(index);
+            key_of.push(stage4_key);
+        }
+        let position: BTreeMap<&String, usize> = final_keys
+            .keys()
+            .enumerate()
+            .map(|(position, key)| (key, position))
+            .collect();
+        Identities {
+            unique_after_generation: generation_keys.len(),
+            unique_after_preprocessing: preprocessing_keys.len(),
+            unique_after_openmp: openmp_keys.len(),
+            representatives: final_keys.values().copied().collect(),
+            final_of: key_of.iter().map(|key| position[key]).collect(),
+        }
+    }
+
+    /// Every stage switch setting: the four `openmp_detection` ×
+    /// `vectorization_delay` combinations.
+    fn every_stage_setting() -> impl Iterator<Item = PipelineStages> {
+        [(true, true), (true, false), (false, true), (false, false)]
+            .into_iter()
+            .map(|(openmp_detection, vectorization_delay)| PipelineStages {
+                openmp_detection,
+                vectorization_delay,
+            })
+    }
+
+    /// The typed stage 4 against the string-keyed oracle on every sweep `reproduce`
+    /// builds, under every stage setting and with `optimize_early` on: the same
+    /// identities, and through them the same build — `PipelineStats`, the `ir-lower`
+    /// labels in node order (one per final identity, labelled by its first
+    /// occurrence's file) and the manifests' units, in order.
+    #[test]
+    fn typed_stage_4_matches_the_string_keyed_oracle_on_every_reproduce_sweep() {
+        let gromacs = gromacs::project();
+        let lulesh = lulesh::project();
+        let simd = |values: &[&str]| {
+            IrPipelineConfig::sweep_options(&gromacs, &["GMX_SIMD"]).with_values("GMX_SIMD", values)
+        };
+        let sweeps = [
+            (
+                &gromacs,
+                simd(&["SSE4.1", "AVX2_128", "AVX_256", "AVX2_256", "AVX_512"]),
+            ),
+            (
+                &gromacs,
+                simd(&["SSE4.1", "AVX2_256", "AVX_512", "ARM_NEON_ASIMD"]),
+            ),
+            (&gromacs, simd(&["SSE4.1", "AVX2_256", "AVX_512"])),
+            (
+                &gromacs,
+                IrPipelineConfig::sweep_options(&gromacs, &["GMX_SIMD", "GMX_GPU"])
+                    .with_values("GMX_SIMD", &["SSE4.1", "AVX_512"])
+                    .with_values("GMX_GPU", &["CUDA"]),
+            ),
+            (
+                &gromacs,
+                IrPipelineConfig::sweep_options(&gromacs, &["GMX_SIMD", "GMX_GPU"])
+                    .with_values("GMX_SIMD", &["SSE4.1", "AVX_512"])
+                    .with_values("GMX_GPU", &["OFF", "CUDA"]),
+            ),
+            (
+                &gromacs,
+                IrPipelineConfig::sweep_options(&gromacs, &["GMX_OPENMP", "GMX_MPI"]),
+            ),
+            (
+                &lulesh,
+                IrPipelineConfig::sweep_options(&lulesh, &["WITH_MPI", "WITH_OPENMP"]),
+            ),
+        ];
+        let store = ImageStore::new();
+        let engine = Engine::uncached(&store);
+        let mut compared = 0;
+        for (project, sweep) in &sweeps {
+            let compiler = project_compiler(project);
+            let settings = every_stage_setting()
+                .map(|stages| (stages, false))
+                .chain([(PipelineStages::default(), true)]);
+            for (stages, optimize_early) in settings {
+                let config = IrPipelineConfig {
+                    stages,
+                    optimize_early,
+                    ..sweep.clone()
+                };
+                let planned = plan_ir_build_stage_a(project, &config, &compiler).unwrap();
+                let occurrences = planned.occurrences;
+                let (outputs, _) = engine.run(planned.graph).unwrap().into_outputs().unwrap();
+                let oracle = string_keyed_identities(&occurrences, &outputs, stages);
+                assert_eq!(derive_identities(&occurrences, &outputs, stages), oracle);
+
+                let built = build(project, &config, &store, "oracle:ir").unwrap();
+                let stats = built.stats;
+                assert_eq!(
+                    (
+                        stats.unique_after_generation,
+                        stats.unique_after_preprocessing,
+                        stats.unique_after_openmp,
+                        stats.unique_after_vectorization,
+                    ),
+                    (
+                        oracle.unique_after_generation,
+                        oracle.unique_after_preprocessing,
+                        oracle.unique_after_openmp,
+                        oracle.representatives.len(),
+                    )
+                );
+                let labels: Vec<&str> = built
+                    .trace
+                    .records
+                    .iter()
+                    .filter(|record| record.kind == ActionKind::IrLower)
+                    .map(|record| record.label.as_str())
+                    .collect();
+                let oracle_labels: Vec<&str> = oracle
+                    .representatives
+                    .iter()
+                    .map(|&first| occurrences[first].file.as_str())
+                    .collect();
+                assert_eq!(labels, oracle_labels);
+                // Each configuration lists its system-dependent units, then its
+                // occurrences in order, each naming its final identity's unit.
+                for manifest in &built.manifests {
+                    let source = |unit: &UnitAssignment| unit.artifact.starts_with("src:");
+                    let ir = manifest.units.iter().skip_while(|unit| source(unit));
+                    assert!(ir.clone().all(|unit| unit.artifact.starts_with("ir:")));
+                }
+                let ir_units: Vec<&UnitAssignment> = built
+                    .manifests
+                    .iter()
+                    .flat_map(|manifest| &manifest.units)
+                    .filter(|unit| unit.artifact.starts_with("ir:"))
+                    .collect();
+                assert_eq!(ir_units.len(), occurrences.len());
+                let mut artifact_of: BTreeMap<usize, &str> = BTreeMap::new();
+                for ((unit, occurrence), &identity) in
+                    ir_units.iter().zip(&occurrences).zip(&oracle.final_of)
+                {
+                    assert_eq!(unit.file, occurrence.file);
+                    let artifact = *artifact_of.entry(identity).or_insert(&unit.artifact);
+                    assert_eq!(unit.artifact, artifact);
+                }
+                compared += 1;
+            }
+        }
+        assert_eq!(compared, sweeps.len() * 5);
+    }
+
+    /// A generated unit occurrence for the stage-4 property. Delayed flags never
+    /// contain a space: that is the one input where the oracle's space-joined key
+    /// and the typed tuple disagree (`-ma -mb` as one flag or two), and no
+    /// configuration produces it.
+    fn drawn_occurrence(rng: &mut proptest::TestRng, index: usize) -> (TuOccurrence, Blob) {
+        const FILES: &[&str] = &["src/a", "src/a.ck", "src/a.ck2", "src/b.ck"];
+        const ARGS: &[&str] = &[
+            "-DN=2",
+            "-DN=3",
+            "-DX",
+            "-DGMX_SIMD=AVX_512",
+            "-fopenmp",
+            "-O2",
+            "-O3",
+            "-mavx2",
+            "-msse4.1",
+            "-march=native",
+            "-mtune=generic",
+            "-I/xaas/build/include",
+        ];
+        let mut pick = |n: usize| rng.usize_in(0, n);
+        let file = FILES[pick(FILES.len())].to_string();
+        let arguments: Vec<String> = (0..pick(7))
+            .map(|_| ARGS[pick(ARGS.len())].to_string())
+            .collect();
+        let command = CompileCommand {
+            directory: "/xaas/build".to_string(),
+            target: "app".to_string(),
+            file: file.clone(),
+            output: format!("{file}.o"),
+            arguments,
+        };
+        let mut output = format!("sha256:{:064x}", pick(3)).into_bytes();
+        output.push(pick(2) as u8);
+        let occurrence = TuOccurrence {
+            file,
+            content: Arc::from(""),
+            flags: command.flags(),
+            generation_key: command.canonical_key(),
+            preprocess_action: index,
+        };
+        (occurrence, Blob::from(output))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Generated sweeps — repeated and reordered `-D`s, mixed `-fopenmp`,
+        /// delayed `-m` flags, files that prefix one another, shared digests — give
+        /// the typed stage 4 and the oracle the same identities under every stage
+        /// setting.
+        #[test]
+        fn typed_stage_4_matches_the_string_keyed_oracle_on_generated_sweeps(
+            seed in proptest::prelude::any::<u64>(),
+            count in 1usize..40,
+        ) {
+            let mut rng = proptest::TestRng::from_name(&seed.to_string());
+            let (occurrences, outputs): (Vec<TuOccurrence>, Vec<Blob>) =
+                (0..count).map(|index| drawn_occurrence(&mut rng, index)).unzip();
+            for stages in every_stage_setting() {
+                proptest::prop_assert_eq!(
+                    derive_identities(&occurrences, &outputs, stages),
+                    string_keyed_identities(&occurrences, &outputs, stages)
+                );
+            }
+        }
     }
 
     #[test]

@@ -83,11 +83,14 @@ pub struct CompileFlags {
 }
 
 impl CompileFlags {
-    /// Parse a flag list (order preserved within each category).
+    /// Parse a flag list (order preserved within each category). Each flag keeps the
+    /// `String` it arrived in, trimmed in place.
     pub fn parse(flags: impl IntoIterator<Item = String>) -> Self {
         let mut result = CompileFlags::default();
-        for flag in flags {
-            let flag = flag.trim().to_string();
+        for mut flag in flags {
+            flag.truncate(flag.trim_end().len());
+            let leading = flag.len() - flag.trim_start().len();
+            flag.drain(..leading);
             if flag.is_empty() {
                 continue;
             }

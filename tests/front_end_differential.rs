@@ -187,11 +187,11 @@ fn lexing_bytes_matches_lexing_chars() {
                 coverage.ok += 1;
                 coverage.unicode_whitespace += usize::from(text.contains(['\u{a0}', '\u{3000}']));
             }
-            Err(error) if error.message.starts_with("unexpected character") => {
+            Err(lexed) if lexed.message.starts_with("unexpected character") => {
                 coverage.unexpected_character += 1;
-                coverage.non_ascii_character += usize::from(!error.message.is_ascii());
+                coverage.non_ascii_character += usize::from(!lexed.message.is_ascii());
             }
-            Err(error) if error.message.starts_with("invalid") => coverage.bad_number += 1,
+            Err(lexed) if lexed.message.starts_with("invalid") => coverage.bad_number += 1,
             Err(_) => coverage.directive += 1,
         }
     }

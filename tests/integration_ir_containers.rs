@@ -80,9 +80,7 @@ fn ir_dedup_reduces_stored_bitcode_volume() {
 
     let mut no_sharing = full_sweep.clone();
     no_sharing.stages.vectorization_delay = false;
-    no_sharing.stages.preprocessing = false;
     no_sharing.stages.openmp_detection = false;
-    no_sharing.stages.normalize_build_dir = false;
     let unshared = IrBuildRequest::new(&project, &no_sharing)
         .reference("unshared:ir")
         .submit(&orch)

@@ -46,15 +46,39 @@ fn reference_escaped(s: &str) -> String {
     out
 }
 
-/// The direct writer's text, asserted equal to the tree's.
+/// The direct writer's text, asserted equal to the tree's; the pretty text is
+/// asserted equal to the tree's too.
 fn direct_text<T: Serialize + ?Sized>(value: &T) -> String {
     let direct = serde_json::to_string(value).unwrap();
+    let tree = serde_json::to_value(value);
     assert_eq!(
         direct,
-        serde_json::to_value(value).to_string(),
+        tree.to_string(),
         "direct writer and tree printer disagree"
     );
+    assert_eq!(
+        serde_json::to_string_pretty(value).unwrap(),
+        tree_pretty(&tree),
+        "re-indented text and pretty tree printer disagree"
+    );
     direct
+}
+
+/// `write_pretty` over a tree: the text `to_string_pretty` must reproduce.
+fn tree_pretty(tree: &Value) -> String {
+    let mut out = String::new();
+    serde_json::write_pretty(tree, 0, &mut out);
+    out
+}
+
+/// When `bytes` are JSON, its tree pretty-prints alike both ways.
+fn pretty_alike(bytes: &[u8]) {
+    if let Ok(Ok(tree)) = std::str::from_utf8(bytes).map(serde_json::parse) {
+        assert_eq!(
+            serde_json::to_string_pretty(&tree).unwrap(),
+            tree_pretty(&tree)
+        );
+    }
 }
 
 /// Byte identity, then `from_slice(&to_vec(&x)?)? == x`, read both ways.
@@ -219,11 +243,13 @@ fn real_documents_are_byte_identical_and_round_trip() {
 // Mutated real documents
 // ---------------------------------------------------------------------------
 
-/// Reads bytes as one type both ways; see [`read_both_ways`].
+/// Reads bytes as one type both ways ([`read_both_ways`]), and pretty-prints them
+/// both ways when they are JSON ([`pretty_alike`]).
 type Check = fn(&[u8]);
 
 fn check<T: Deserialize + PartialEq + Debug>(bytes: &[u8]) {
     read_both_ways::<T>(bytes);
+    pretty_alike(bytes);
 }
 
 /// One real document of each kind the pipeline reads back, each with the check
@@ -615,6 +641,97 @@ proptest! {
         assert_round_trip(&shapes);
         assert_round_trip(&shape(pick, text));
     }
+}
+
+/// Text the re-indenter must copy as it is: every character it treats as
+/// structure outside a string, escapes, and the escaped quote before a bracket.
+const STRUCTURAL: &[&str] = &[
+    "{", "}", "[", "]", ",", ":", "\"", "\\", "\\\"", "\"]", " ", "\n", "a", "é",
+];
+
+/// Up to three pieces of [`STRUCTURAL`] drawn from `picks`.
+fn drawn_text(picks: &mut impl Iterator<Item = u64>) -> String {
+    let len = picks.next().unwrap_or(0) % 4;
+    (0..len)
+        .map(|_| STRUCTURAL[(picks.next().unwrap_or(0) % STRUCTURAL.len() as u64) as usize])
+        .collect()
+}
+
+/// A JSON tree drawn from `picks`: nested arrays and objects (empty ones too), and
+/// strings and keys built from [`STRUCTURAL`].
+fn drawn_tree(picks: &mut impl Iterator<Item = u64>, depth: u32) -> Value {
+    let pick = picks.next().unwrap_or(0);
+    let children = if depth == 0 { 0 } else { (pick >> 3) % 4 };
+    match pick % 6 {
+        0 => Value::Null,
+        1 => Value::Bool(pick & 8 != 0),
+        2 => serde_json::to_value(&(pick as i64 >> 40)),
+        3 => Value::String(drawn_text(picks)),
+        4 => Value::Array(
+            (0..children)
+                .map(|_| drawn_tree(picks, depth - 1))
+                .collect(),
+        ),
+        _ => Value::Object(
+            (0..children)
+                .map(|_| (drawn_text(picks), drawn_tree(picks, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn drawn_trees_pretty_print_like_the_tree(
+        picks in proptest::collection::vec(any::<u64>(), 0..96),
+    ) {
+        direct_text(&drawn_tree(&mut picks.into_iter(), 4));
+    }
+}
+
+#[test]
+fn empty_and_nested_empty_containers_pretty_print_like_the_tree() {
+    let empty_array = Value::Array(Vec::new());
+    let empty_object = Value::Object(serde_json::Map::new());
+    let structural = Value::String("{[,:\"\\]}".to_string());
+    let object = |entries: Vec<(&str, Value)>| {
+        Value::Object(
+            entries
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    };
+    let nested = object(vec![
+        ("", empty_object.clone()),
+        (
+            "a",
+            Value::Array(vec![empty_array.clone(), empty_object.clone()]),
+        ),
+        (
+            "b",
+            Value::Array(vec![Value::Array(vec![empty_array.clone()])]),
+        ),
+        ("{[,:\"\\]}", structural.clone()),
+        (
+            "c",
+            object(vec![
+                ("d", empty_object.clone()),
+                ("e", empty_array.clone()),
+            ]),
+        ),
+    ]);
+    for value in [empty_array, empty_object, structural, nested.clone()] {
+        direct_text(&value);
+    }
+    assert_eq!(
+        serde_json::to_string_pretty(&nested).unwrap(),
+        "{\n  \"\": {},\n  \"a\": [\n    [],\n    {}\n  ],\n  \"b\": [\n    [\n      []\n    ]\n  ],\n  \"c\": {\n    \"d\": {},\n    \"e\": []\n  },\n  \"{[,:\\\"\\\\]}\": \"{[,:\\\"\\\\]}\"\n}"
+    );
+    let unit: Vec<Vec<BTreeMap<String, u8>>> = vec![Vec::new(), vec![BTreeMap::new()]];
+    direct_text(&unit);
 }
 
 #[test]
