@@ -114,7 +114,8 @@ pub fn gromacs_baselines(system: &SystemModel) -> Vec<BuildProfile> {
 /// The portable SYCL container of Section 6.3.1 ("Portable Container"): GPU-capable on
 /// NVIDIA hardware only through the CUDA plugin, 11–20% slower, one GPU architecture at a
 /// time.
-pub fn gromacs_portable_sycl_container(system: &SystemModel) -> BuildProfile {
+#[cfg(test)]
+pub(crate) fn gromacs_portable_sycl_container(system: &SystemModel) -> BuildProfile {
     BuildProfile::new(
         "Portable SYCL Container",
         system.cpu.best_simd(),
@@ -165,7 +166,7 @@ pub fn llamacpp_baselines(system: &SystemModel) -> Vec<BuildProfile> {
 
 /// Naive ARM builds fall back to NEON rather than SSE; correct the naive profile's SIMD
 /// level for the system's ISA family so the binary can actually execute.
-pub fn portable_fallback_simd(system: &SystemModel) -> SimdLevel {
+pub(crate) fn portable_fallback_simd(system: &SystemModel) -> SimdLevel {
     match system.cpu.family {
         xaas_hpcsim::IsaFamily::Aarch64 => SimdLevel::NeonAsimd,
         _ => SimdLevel::Sse41,

@@ -24,6 +24,5 @@ pub mod llamacpp;
 pub mod lulesh;
 
 pub use baselines::{
-    gromacs_baselines, gromacs_portable_sycl_container, llamacpp_baselines, make_executable,
-    preferred_gpu_backend,
+    gromacs_baselines, llamacpp_baselines, make_executable, preferred_gpu_backend,
 };

@@ -13,7 +13,7 @@ use xaas_hpcsim::{SimdLevel, SystemModel};
 
 /// One linted driver graph: the target it came from and the full report.
 #[derive(Debug, Clone, Serialize)]
-pub struct LintedGraph {
+pub(crate) struct LintedGraph {
     /// Which driver graph was linted (e.g. `gromacs ir-build stage-A`).
     pub target: String,
     /// Nodes in the analyzed graph.
@@ -26,7 +26,7 @@ pub struct LintedGraph {
 
 /// The `reproduce analyze` section: every driver graph's lint verdict.
 #[derive(Debug, Clone, Serialize)]
-pub struct AnalyzeSection {
+pub(crate) struct AnalyzeSection {
     /// Per-graph reports.
     pub graphs: Vec<LintedGraph>,
     /// Recorded construction defects across all graphs.
@@ -49,7 +49,7 @@ fn lint(target: &str, report: AnalysisReport) -> LintedGraph {
 /// GROMACS/Clariden source deployments. The builds themselves execute once
 /// (deploy/fleet lints need a built IR container); every `analyze` call is
 /// purely static.
-pub fn analyze_driver_graphs() -> AnalyzeSection {
+pub(crate) fn analyze_driver_graphs() -> AnalyzeSection {
     let orch = Orchestrator::with_cache(&ActionCache::new(ImageStore::new()));
 
     let lulesh_project = lulesh::project();

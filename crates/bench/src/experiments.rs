@@ -17,7 +17,7 @@ use xaas_specs::{
 
 /// One bar of a timing figure.
 #[derive(Debug, Clone, Serialize)]
-pub struct TimingBar {
+pub(crate) struct TimingBar {
     /// Bar label (build variant).
     pub label: String,
     /// Compute time in seconds (I/O excluded, as in the paper's plots).
@@ -30,7 +30,7 @@ pub struct TimingBar {
 
 /// A panel of a figure: one system (or device) with several bars.
 #[derive(Debug, Clone, Serialize)]
-pub struct FigurePanel {
+pub(crate) struct FigurePanel {
     /// Panel title (system or device name plus workload).
     pub title: String,
     /// Bars in plot order.
@@ -89,7 +89,7 @@ fn run_bars(
 
 /// **Figure 2**: impact of vectorization on the MD workload, x86 (Xeon Gold 6130) and ARM
 /// (GH200), 16 threads, 100 timesteps.
-pub fn figure2() -> Vec<FigurePanel> {
+pub(crate) fn figure2() -> Vec<FigurePanel> {
     let workload = gromacs::figure2_workload();
     let mut panels = Vec::new();
     let x86 = SystemModel::ault23();
@@ -131,7 +131,7 @@ pub fn figure2() -> Vec<FigurePanel> {
 
 /// One row of Table 4.
 #[derive(Debug, Clone, Serialize)]
-pub struct Table4Row {
+pub(crate) struct Table4Row {
     /// Model name.
     pub model: String,
     /// Mean input tokens.
@@ -152,7 +152,7 @@ pub struct Table4Row {
 
 /// **Table 4**: simulated-LLM discovery of the mini-GROMACS specialization points,
 /// 10 runs per model, scored against the ground truth with normalisation.
-pub fn table4(runs: u64) -> Vec<Table4Row> {
+pub(crate) fn table4(runs: u64) -> Vec<Table4Row> {
     let project = gromacs::project();
     let truth = from_project(&project);
     let config = AnalysisConfig {
@@ -197,7 +197,7 @@ pub fn table4(runs: u64) -> Vec<Table4Row> {
 /// One row of the Section 6.2 generalization experiment (llama.cpp, no in-context
 /// examples): raw vs normalised F1.
 #[derive(Debug, Clone, Serialize)]
-pub struct GeneralizationRow {
+pub(crate) struct GeneralizationRow {
     /// Model name.
     pub model: String,
     /// F1 without normalisation.
@@ -207,7 +207,7 @@ pub struct GeneralizationRow {
 }
 
 /// **Section 6.2, Generalization**: llama.cpp discovery without in-context examples.
-pub fn table4_generalization(runs: u64) -> Vec<GeneralizationRow> {
+pub(crate) fn table4_generalization(runs: u64) -> Vec<GeneralizationRow> {
     let project = llamacpp::project();
     let truth = from_project(&project);
     let config = AnalysisConfig {
@@ -241,7 +241,7 @@ pub fn table4_generalization(runs: u64) -> Vec<GeneralizationRow> {
 /// **Figure 10**: GROMACS performance portability across Ault23, Aurora, and Clariden.
 /// Test case A and B bars per build variant; the XaaS bar comes from an actual source-
 /// container deployment.
-pub fn figure10() -> Vec<FigurePanel> {
+pub(crate) fn figure10() -> Vec<FigurePanel> {
     let project = gromacs::project();
     let store = ImageStore::new();
     let mut panels = Vec::new();
@@ -284,7 +284,7 @@ pub fn figure10() -> Vec<FigurePanel> {
 }
 
 /// **Figure 11**: llama.cpp performance portability across the three systems.
-pub fn figure11() -> Vec<FigurePanel> {
+pub(crate) fn figure11() -> Vec<FigurePanel> {
     let workload = llamacpp::benchmark_workload(512, 128);
     [
         SystemModel::ault23(),
@@ -309,7 +309,7 @@ pub fn figure11() -> Vec<FigurePanel> {
 /// project on the same system: the IR container lowered for AVX-512, and the source
 /// container built from scratch. Their per-kind counts are Section 4.3.1's "much
 /// faster than a complete compilation", stated as work instead of wall-clock.
-pub fn figure12_cpu() -> (Vec<FigurePanel>, ActionTrace, ActionTrace) {
+pub(crate) fn figure12_cpu() -> (Vec<FigurePanel>, ActionTrace, ActionTrace) {
     let project = gromacs::project();
     let store = ImageStore::new();
     let system = SystemModel::ault01_04();
@@ -380,7 +380,7 @@ pub fn figure12_cpu() -> (Vec<FigurePanel>, ActionTrace, ActionTrace) {
 
 /// **Figure 12 (bottom)**: IR containers with CUDA on V100 (Ault23) and A100 (Ault25):
 /// Docker (specialized) vs XaaS IR deployment, tests A and B, I/O reported separately.
-pub fn figure12_gpu() -> Vec<FigurePanel> {
+pub(crate) fn figure12_gpu() -> Vec<FigurePanel> {
     let project = gromacs::project();
     let store = ImageStore::new();
     let pipeline = IrPipelineConfig::sweep_options(&project, &["GMX_SIMD", "GMX_GPU"])
@@ -436,7 +436,7 @@ pub fn figure12_gpu() -> Vec<FigurePanel> {
 
 /// One row of the translation-unit reduction study (Section 6.4).
 #[derive(Debug, Clone, Serialize)]
-pub struct ReductionRow {
+pub(crate) struct ReductionRow {
     /// Which sweep this row describes.
     pub sweep: String,
     /// Number of configurations.
@@ -455,7 +455,7 @@ pub struct ReductionRow {
 
 /// **Section 6.4** — configurability and system dependency: the three GROMACS sweeps plus
 /// the LULESH example, with per-stage ablations.
-pub fn tu_reduction() -> Vec<ReductionRow> {
+pub(crate) fn tu_reduction() -> Vec<ReductionRow> {
     let mut rows = Vec::new();
     let store = ImageStore::new();
 
@@ -514,7 +514,7 @@ pub fn tu_reduction() -> Vec<ReductionRow> {
 
 /// Per-system row of the fleet-specialization experiment.
 #[derive(Debug, Clone, Serialize)]
-pub struct FleetSystemRow {
+pub(crate) struct FleetSystemRow {
     /// System name.
     pub system: String,
     /// SIMD level the system was specialized for.
@@ -531,7 +531,7 @@ pub struct FleetSystemRow {
 /// systems, comparing independent cold deployments against one concurrent
 /// [`FleetRequest`] wave over a shared content-addressed action cache.
 #[derive(Debug, Clone, Serialize)]
-pub struct FleetExperiment {
+pub(crate) struct FleetExperiment {
     /// Per-system breakdown.
     pub systems: Vec<FleetSystemRow>,
     /// Total compile/lower actions (`machine-lower`, `sd-compile`) across the four
@@ -582,7 +582,7 @@ fn gromacs_fleet(project: &xaas_buildsys::ProjectSpec) -> (IrPipelineConfig, Vec
 /// fleet = the concurrent work-queue specializer sharing one cache (systems with a
 /// common ISA share every lowered artifact); warm rerun = the same fleet again, fully
 /// served from the cache.
-pub fn fleet_specialization() -> FleetExperiment {
+pub(crate) fn fleet_specialization() -> FleetExperiment {
     let project = gromacs::project();
     let store = ImageStore::new();
     let (pipeline, requests) = gromacs_fleet(&project);
@@ -690,7 +690,7 @@ impl Drop for ScratchRoot {
 /// The warm-restart experiment: what the persistent disk tier buys across an
 /// orchestrator's death and rebirth.
 #[derive(Debug, Clone, Serialize)]
-pub struct WarmRestartExperiment {
+pub(crate) struct WarmRestartExperiment {
     /// Keyed actions the cold session executed (cache misses): the build's
     /// `ir-lower`, the fleet's `machine-lower` and `sd-compile`.
     pub cold_actions: u64,
@@ -739,7 +739,7 @@ impl WarmRestartExperiment {
 /// then runs over the same root *damaged* — one blob truncated, the journal cut
 /// mid-record — and must still be byte-identical, recomputing only what the
 /// damage cost.
-pub fn warm_restart() -> WarmRestartExperiment {
+pub(crate) fn warm_restart() -> WarmRestartExperiment {
     let root = ScratchRoot::at(scratch_path("warm-restart"));
     warm_restart_over(&root.0)
 }
@@ -830,7 +830,7 @@ fn warm_restart_over(root: &Path) -> WarmRestartExperiment {
 
 /// One row of the Section 6.5 network comparison.
 #[derive(Debug, Clone, Serialize)]
-pub struct NetworkRow {
+pub(crate) struct NetworkRow {
     /// Configuration label.
     pub configuration: String,
     /// Peak intra-node bandwidth in GB/s.
@@ -891,7 +891,7 @@ pub fn network() -> Vec<NetworkRow> {
 /// GPU compatibility matrix (Figure 9): which shipped device-code bundles run on which
 /// devices, and how.
 #[derive(Debug, Clone, Serialize)]
-pub struct GpuCompatRow {
+pub(crate) struct GpuCompatRow {
     /// Bundle description.
     pub bundle: String,
     /// Device name.
@@ -901,7 +901,7 @@ pub struct GpuCompatRow {
 }
 
 /// **Figure 9 / Section 4.3**: CUDA compatibility of the XaaS device-code bundle.
-pub fn gpu_compatibility() -> Vec<GpuCompatRow> {
+pub(crate) fn gpu_compatibility() -> Vec<GpuCompatRow> {
     use xaas_hpcsim::{GpuCompatibility, GpuModel, Version};
     let devices = [
         GpuModel::nvidia_v100(),
@@ -935,7 +935,7 @@ pub fn gpu_compatibility() -> Vec<GpuCompatRow> {
 
 /// **Figure 4(c)**: intersection of the mini-GROMACS specialization points with the
 /// discovered features of every evaluation system.
-pub fn intersection_summary() -> BTreeMap<String, Vec<String>> {
+pub(crate) fn intersection_summary() -> BTreeMap<String, Vec<String>> {
     let project = gromacs::project();
     let document = from_project(&project);
     let mut summary = BTreeMap::new();

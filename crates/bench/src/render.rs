@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Render a timing figure (one panel per system/device).
-pub fn render_panels(title: &str, panels: &[FigurePanel]) -> String {
+pub(crate) fn render_panels(title: &str, panels: &[FigurePanel]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== {title} ==");
     for panel in panels {
@@ -27,7 +27,7 @@ pub fn render_panels(title: &str, panels: &[FigurePanel]) -> String {
 }
 
 /// Render Table 4.
-pub fn render_table4(rows: &[Table4Row]) -> String {
+pub(crate) fn render_table4(rows: &[Table4Row]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -75,7 +75,7 @@ pub fn render_table4(rows: &[Table4Row]) -> String {
 }
 
 /// Render the generalization rows.
-pub fn render_generalization(rows: &[GeneralizationRow]) -> String {
+pub(crate) fn render_generalization(rows: &[GeneralizationRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -103,7 +103,7 @@ pub fn render_generalization(rows: &[GeneralizationRow]) -> String {
 }
 
 /// Render the TU-reduction rows (Section 6.4).
-pub fn render_reduction(rows: &[ReductionRow]) -> String {
+pub(crate) fn render_reduction(rows: &[ReductionRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -131,7 +131,7 @@ pub fn render_reduction(rows: &[ReductionRow]) -> String {
 }
 
 /// Render the Section 6.5 network rows.
-pub fn render_network(rows: &[NetworkRow]) -> String {
+pub(crate) fn render_network(rows: &[NetworkRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -156,7 +156,7 @@ pub fn render_network(rows: &[NetworkRow]) -> String {
 }
 
 /// Render the GPU compatibility matrix.
-pub fn render_gpu_compat(rows: &[GpuCompatRow]) -> String {
+pub(crate) fn render_gpu_compat(rows: &[GpuCompatRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -173,7 +173,7 @@ pub fn render_gpu_compat(rows: &[GpuCompatRow]) -> String {
 }
 
 /// Render the per-system intersection summary.
-pub fn render_intersection(summary: &BTreeMap<String, Vec<String>>) -> String {
+pub(crate) fn render_intersection(summary: &BTreeMap<String, Vec<String>>) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,

@@ -80,14 +80,6 @@ impl CompileDatabase {
         self.commands.len()
     }
 
-    /// Commands belonging to one target.
-    pub fn commands_for_target(&self, target: &str) -> Vec<&CompileCommand> {
-        self.commands
-            .iter()
-            .filter(|c| c.target == target)
-            .collect()
-    }
-
     /// All distinct target names.
     pub fn targets(&self) -> Vec<String> {
         let set: BTreeSet<String> = self.commands.iter().map(|c| c.target.clone()).collect();
@@ -152,7 +144,6 @@ mod tests {
         db.commands.push(second);
         assert_eq!(db.translation_units(), 2);
         assert_eq!(db.targets(), vec!["app".to_string(), "lib".to_string()]);
-        assert_eq!(db.commands_for_target("app").len(), 1);
         assert!(db.to_json().contains("a.ck"));
     }
 }

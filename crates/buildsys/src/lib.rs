@@ -10,14 +10,14 @@
 //! * [`configure`](mod@configure) — the configuration step that resolves an option assignment into
 //!   enabled sources, global definitions/flags, dependencies, and a compile-command
 //!   database;
-//! * [`compiledb`] — compile commands plus the canonical command identity the
+//! * [`CompileCommand`] / [`CompileDatabase`] — compile commands plus the canonical command identity the
 //!   behavioural deduplication of Section 4.2 counts;
 //! * [`script`] — the mini build-script format that specialization discovery parses.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod compiledb;
+pub(crate) mod compiledb;
 pub mod configure;
 pub mod options;
 pub mod project;

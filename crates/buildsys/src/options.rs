@@ -196,7 +196,7 @@ impl BuildOption {
     }
 
     /// The default value name.
-    pub fn default_value(&self) -> String {
+    pub(crate) fn default_value(&self) -> String {
         match &self.kind {
             OptionKind::Bool { default, .. } => if *default { "ON" } else { "OFF" }.to_string(),
             OptionKind::Choice { default, .. } => default.clone(),
@@ -214,7 +214,7 @@ impl BuildOption {
     }
 
     /// The effects of setting this option to `value` (empty effects for OFF / unknown).
-    pub fn effects_of(&self, value: &str) -> OptionEffects {
+    pub(crate) fn effects_of(&self, value: &str) -> OptionEffects {
         match &self.kind {
             OptionKind::Bool { on_effects, .. } => {
                 if value.eq_ignore_ascii_case("ON") {
@@ -232,7 +232,7 @@ impl BuildOption {
     }
 
     /// The configure-line form `-DNAME=VALUE`.
-    pub fn configure_flag(&self, value: &str) -> String {
+    pub(crate) fn configure_flag(&self, value: &str) -> String {
         format!("{}{}", self.flag, value)
     }
 }

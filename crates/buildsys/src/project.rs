@@ -166,7 +166,7 @@ impl ProjectSpec {
     }
 
     /// Validate an assignment: unknown options or illegal values are reported.
-    pub fn validate_assignment(&self, assignment: &OptionAssignment) -> Result<(), String> {
+    pub(crate) fn validate_assignment(&self, assignment: &OptionAssignment) -> Result<(), String> {
         for (name, value) in assignment.iter() {
             let Some(option) = self.option(name) else {
                 return Err(format!("unknown option `{name}` for project {}", self.name));

@@ -104,20 +104,6 @@ impl BuildScript {
             })
             .collect()
     }
-
-    /// All `find_package` declarations.
-    pub fn packages(&self) -> Vec<&ScriptItem> {
-        self.items
-            .iter()
-            .filter(|i| matches!(i, ScriptItem::FindPackage { .. }))
-            .collect()
-    }
-
-    /// Rough token count of the script (whitespace-separated words), mirroring the token
-    /// accounting of Table 4.
-    pub fn token_count(text: &str) -> usize {
-        text.split_whitespace().count()
-    }
 }
 
 /// Parse errors.
@@ -296,7 +282,9 @@ internal_build(fftpack -DBUILD_OWN_FFT)
         let script = parse_script(SCRIPT).unwrap();
         assert_eq!(script.project_name(), Some("demo"));
         assert_eq!(script.options().len(), 4);
-        assert_eq!(script.packages().len(), 2);
+        let packages = script.items.iter();
+        let packages = packages.filter(|i| matches!(i, ScriptItem::FindPackage { .. }));
+        assert_eq!(packages.count(), 2);
         assert!(script
             .items
             .iter()
@@ -366,10 +354,5 @@ internal_build(fftpack -DBUILD_OWN_FFT)
         assert_eq!(err.line, 1);
         let err = parse_script("option_multichoice(A \"d\" def)").unwrap_err();
         assert!(err.message.contains("no values"));
-    }
-
-    #[test]
-    fn token_count_counts_words() {
-        assert_eq!(BuildScript::token_count("a b  c\nd"), 4);
     }
 }

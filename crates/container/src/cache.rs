@@ -113,7 +113,8 @@ impl BuildKey {
     }
 
     /// Code-generation target (`xir.ir` for IR builds, the ISA name for lowering).
-    pub fn target_isa(&self) -> &str {
+    #[cfg(test)]
+    pub(crate) fn target_isa(&self) -> &str {
         &self.target_isa
     }
 
@@ -672,7 +673,7 @@ impl ActionCache {
     /// blobs may also be referenced by committed image layers. Unreferenced blobs are
     /// reclaimed by store-level garbage collection
     /// ([`ImageStore::collect_garbage`](crate::image::ImageStore::collect_garbage)),
-    /// with the cache's live outputs ([`ActionCache::indexed_blobs`]) pinned.
+    /// with the cache's live outputs pinned.
     ///
     /// # Errors
     ///
@@ -822,7 +823,7 @@ impl ActionCache {
     /// The content digests of every blob the index currently references — the pin
     /// set store-level garbage collection must not reclaim (see
     /// [`ImageStore::collect_garbage`](crate::image::ImageStore::collect_garbage)).
-    pub fn indexed_blobs(&self) -> Vec<Digest> {
+    pub(crate) fn indexed_blobs(&self) -> Vec<Digest> {
         self.inner.lock().entries.values().cloned().collect()
     }
 }

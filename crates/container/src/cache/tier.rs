@@ -27,7 +27,7 @@
 //! * **Verification on promotion:** [`DiskTier::load`] hands back the content
 //!   digest the journal *recorded* beside the bytes it *read*; the one hash
 //!   promotion pays anyway is compared with it, so a damaged blob is
-//!   [`discard`](DiskTier::discard)ed and recomputed, never served.
+//!   discarded and recomputed, never served.
 //! * **Persistence:** the disk tier is a content-addressed blob directory plus an
 //!   append-only index journal (in the style of OxidePM's derivation store and
 //!   Bazel's disk cache). Reopening the same root after a process restart replays
@@ -664,7 +664,7 @@ impl DiskTier {
     /// the recorded digest: journal the tombstone, count a corrupt drop, and move
     /// the blob file into `quarantine/`, out of the way of a rewrite and kept for
     /// inspection. A no-op for a key the tier does not hold.
-    pub fn discard(&self, key: &Digest) {
+    pub(crate) fn discard(&self, key: &Digest) {
         let Some(key) = key.sha256_bytes() else {
             return;
         };

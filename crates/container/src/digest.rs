@@ -29,7 +29,7 @@ const H0: [u32; 8] = [
 
 /// Streaming SHA-256 hasher.
 #[derive(Clone)]
-pub struct Sha256 {
+pub(crate) struct Sha256 {
     state: [u32; 8],
     buffer: [u8; 64],
     buffered: usize,
@@ -82,7 +82,7 @@ impl Sha256 {
     }
 
     /// Finish and produce the 32-byte digest.
-    pub fn finalize(mut self) -> [u8; 32] {
+    pub(crate) fn finalize(mut self) -> [u8; 32] {
         // The 0x80 terminator, zero padding, and the 64-bit big-endian length closing a
         // block; the length moves to a block of its own when fewer than eight bytes
         // are left after the terminator.
@@ -395,7 +395,8 @@ impl Digest {
     }
 
     /// The algorithm prefix (always `sha256` in this substrate).
-    pub fn algorithm(&self) -> &str {
+    #[cfg(test)]
+    pub(crate) fn algorithm(&self) -> &str {
         self.0.split(':').next().unwrap_or_default()
     }
 

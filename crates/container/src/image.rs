@@ -1,4 +1,4 @@
-//! Container images: config, manifest, image index, and an in-memory blob store.
+//! Container images: config, manifest, and an in-memory blob store.
 //!
 //! An [`Image`] owns its layers and metadata; [`ImageStore`] is the content-addressed
 //! store images are committed to. Committing produces the OCI-style manifest chain
@@ -11,9 +11,7 @@
 use crate::blob::Blob;
 use crate::digest::Digest;
 use crate::layer::{Layer, RootFs};
-use crate::oci::{
-    annotation_keys, Architecture, DeploymentFormat, Descriptor, MediaType, Platform,
-};
+use crate::oci::{annotation_keys, DeploymentFormat, Descriptor, MediaType, Platform};
 use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use std::collections::{btree_map::Entry, BTreeMap, BTreeSet};
@@ -66,49 +64,6 @@ pub struct Manifest {
     pub layers: Vec<Descriptor>,
     /// Manifest annotations; XaaS stores specialization points here.
     pub annotations: BTreeMap<String, String>,
-}
-
-/// A multi-platform image index (a "fat manifest").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ImageIndex {
-    /// Always [`MediaType::ImageIndex`].
-    pub media_type: MediaType,
-    /// Manifest descriptors, one per platform (or per IR dialect for XaaS).
-    pub manifests: Vec<Descriptor>,
-    /// Index-level annotations.
-    pub annotations: BTreeMap<String, String>,
-}
-
-impl ImageIndex {
-    /// Create an empty index.
-    pub fn new() -> Self {
-        Self {
-            media_type: MediaType::ImageIndex,
-            manifests: Vec::new(),
-            annotations: BTreeMap::new(),
-        }
-    }
-
-    /// Select the manifest matching an architecture, preferring exact matches and falling
-    /// back to an IR manifest (which can be lowered to any architecture).
-    pub fn select(&self, arch: Architecture) -> Option<&Descriptor> {
-        self.manifests
-            .iter()
-            .find(|d| d.platform.as_ref().is_some_and(|p| p.architecture == arch))
-            .or_else(|| {
-                self.manifests.iter().find(|d| {
-                    d.platform
-                        .as_ref()
-                        .is_some_and(|p| p.architecture == Architecture::XirIr)
-                })
-            })
-    }
-}
-
-impl Default for ImageIndex {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 /// A buildable, mutable image. Committing it to an [`ImageStore`] freezes it into blobs.
@@ -224,8 +179,8 @@ pub struct ImageStore {
 #[derive(Default)]
 struct StoreInner {
     blobs: BTreeMap<Digest, Blob>,
-    /// The children of every manifest (config + layers) and index (member manifests)
-    /// the store committed, recorded at insertion. The only edges reachability follows.
+    /// The children (config + layers) of every manifest the store committed, recorded
+    /// at insertion. The only edges reachability follows.
     edges: BTreeMap<Digest, Arc<[Digest]>>,
     tags: BTreeMap<String, Digest>,
     dedup_hits: u64,
@@ -250,20 +205,6 @@ impl StoreInner {
             return;
         }
         self.blobs.insert(digest.clone(), blob.clone());
-    }
-
-    /// Insert a manifest or index blob and tag it. Its children are recorded only if
-    /// none are recorded for that digest yet, so a repeated commit clones nothing.
-    fn insert_tagged<'a, I>(&mut self, tag: &str, digest: &Digest, blob: &Blob, children: I)
-    where
-        I: IntoIterator<Item = &'a Descriptor>,
-    {
-        self.insert(digest, blob);
-        if !self.edges.contains_key(digest) {
-            let children = children.into_iter().map(|d| d.digest.clone()).collect();
-            self.edges.insert(digest.clone(), children);
-        }
-        self.tags.insert(tag.to_string(), digest.clone());
     }
 }
 
@@ -306,7 +247,8 @@ pub struct StoreGcReport {
     pub blobs_live: usize,
 }
 
-/// Transfer statistics of one [`ImageStore::copy_from`]: a registry push or pull.
+/// Transfer statistics of one registry [`push`](crate::registry::Registry::push) or
+/// [`pull`](crate::registry::Registry::pull).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransferStats {
     /// Distinct blobs of the closure the destination did not hold.
@@ -424,11 +366,10 @@ impl ImageStore {
     /// Reclaim every blob that is neither reachable from a tag nor in `pinned`.
     ///
     /// Reachability starts at the tag table and follows only the edges recorded when a
-    /// manifest (config + layer blobs) or an image index (member manifests) was
-    /// committed: no blob is parsed, so a [`put_blob`](Self::put_blob) has no children
-    /// whatever its bytes say. `pinned` carries roots the store cannot see — typically
-    /// the action outputs an [`ActionCache`](crate::cache::ActionCache) index still
-    /// references ([`indexed_blobs`](crate::cache::ActionCache::indexed_blobs)).
+    /// manifest (config + layer blobs) was committed: no blob is parsed, so a
+    /// [`put_blob`](Self::put_blob) has no children whatever its bytes say. `pinned`
+    /// carries roots the store cannot see — typically the action outputs an
+    /// [`ActionCache`](crate::cache::ActionCache) index still references.
     ///
     /// This is the store-level blob GC the action cache's capacity bound defers to:
     /// index eviction drops memoization entries, this sweep reclaims the bytes.
@@ -459,7 +400,9 @@ impl ImageStore {
     /// A layer is serialised and hashed only if nothing sealed it before
     /// ([`Layer::sealed`]); its digest is both the blob digest and the diff ID, which
     /// name the same uncompressed archive. Everything is hashed before the store's
-    /// write lock is taken, once, for all blobs and the tag.
+    /// write lock is taken, once, for all blobs and the tag. The manifest's children are
+    /// recorded only if none are recorded for its digest yet, so a repeated commit
+    /// clones nothing.
     pub fn commit(&self, image: &Image) -> Descriptor {
         let mut hashed = 2u64; // config + manifest
         let mut layer_descriptors = Vec::with_capacity(image.layers.len());
@@ -501,7 +444,6 @@ impl ImageStore {
         };
         let manifest_blob = Blob::new(serde_json::to_vec(&manifest).expect("manifest serialises"));
         let manifest_digest = Digest::of_bytes(&manifest_blob);
-        let children = std::iter::once(&manifest.config).chain(&manifest.layers);
         {
             let mut inner = self.inner.write();
             inner.digests_computed += hashed;
@@ -509,14 +451,21 @@ impl ImageStore {
                 inner.insert(&descriptor.digest, layer.sealed().0);
             }
             inner.insert(&manifest.config.digest, &config_blob);
-            inner.insert_tagged(&image.reference, &manifest_digest, &manifest_blob, children);
+            inner.insert(&manifest_digest, &manifest_blob);
+            if !inner.edges.contains_key(&manifest_digest) {
+                let children = std::iter::once(&manifest.config).chain(&manifest.layers);
+                let children = children.map(|d| d.digest.clone()).collect();
+                inner.edges.insert(manifest_digest.clone(), children);
+            }
+            inner
+                .tags
+                .insert(image.reference.clone(), manifest_digest.clone());
         }
         Descriptor::new(
             MediaType::ImageManifest,
             manifest_digest,
             manifest_blob.len() as u64,
         )
-        .with_platform(image.platform.clone())
     }
 
     /// Resolve a reference (tag) to its manifest digest.
@@ -576,34 +525,11 @@ impl ImageStore {
         })
     }
 
-    /// Commit a multi-platform image index from per-platform manifest descriptors. The
-    /// index is hashed before the write lock is taken, once, for the blob and the tag.
-    pub fn commit_index(
-        &self,
-        reference: &str,
-        manifests: Vec<Descriptor>,
-        annotations: BTreeMap<String, String>,
-    ) -> Descriptor {
-        let index = ImageIndex {
-            media_type: MediaType::ImageIndex,
-            manifests,
-            annotations,
-        };
-        let blob = Blob::new(serde_json::to_vec(&index).expect("index serialises"));
-        let digest = Digest::of_bytes(&blob);
-        {
-            let mut inner = self.inner.write();
-            inner.digests_computed += 1;
-            inner.insert_tagged(reference, &digest, &blob, &index.manifests);
-        }
-        Descriptor::new(MediaType::ImageIndex, digest, blob.len() as u64)
-    }
-
     /// Copy `from`'s tag `reference` and everything reachable from it over recorded
     /// edges into this store, edges included, and tag it `tag` here: `from` is read
     /// under its read lock, then blobs, edges and tag go in under one write lock of
     /// this store. Blobs move as shared handles; nothing is parsed, hashed or copied.
-    pub fn copy_from(
+    pub(crate) fn copy_from(
         &self,
         from: &ImageStore,
         reference: &str,
@@ -640,19 +566,13 @@ impl ImageStore {
         inner.tags.insert(tag.to_string(), root);
         Ok(stats)
     }
-
-    /// Load an image index by reference.
-    pub fn load_index(&self, reference: &str) -> Result<ImageIndex, ImageError> {
-        let digest = self.resolve(reference)?;
-        let bytes = self.blob(&digest)?;
-        serde_json::from_slice(&bytes).map_err(|e| ImageError::Corrupt(format!("index: {e}")))
-    }
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::indexing_slicing)]
 mod tests {
     use super::*;
+    use crate::oci::Architecture;
 
     fn toolchain_image() -> Image {
         let mut img = Image::new("xaas/toolchain:19", Platform::linux(Architecture::Amd64));
@@ -901,41 +821,6 @@ mod tests {
     }
 
     #[test]
-    fn image_index_selects_exact_arch_then_falls_back_to_ir() {
-        let store = ImageStore::new();
-        let amd = toolchain_image();
-        let amd_desc = store.commit(&amd);
-        let mut arm = toolchain_image();
-        arm.reference = "xaas/toolchain:19-arm".into();
-        arm.platform = Platform::linux(Architecture::Arm64);
-        let arm_desc = store.commit(&arm);
-        let mut ir = toolchain_image();
-        ir.reference = "xaas/toolchain:19-ir".into();
-        ir.platform = Platform::linux(Architecture::XirIr);
-        let ir_desc = store.commit(&ir);
-
-        store.commit_index(
-            "xaas/toolchain:multi",
-            vec![amd_desc.clone(), arm_desc.clone(), ir_desc.clone()],
-            BTreeMap::new(),
-        );
-        let index = store.load_index("xaas/toolchain:multi").unwrap();
-        assert_eq!(
-            index.select(Architecture::Amd64).unwrap().digest,
-            amd_desc.digest
-        );
-        assert_eq!(
-            index.select(Architecture::Arm64).unwrap().digest,
-            arm_desc.digest
-        );
-        // No ppc64le manifest: fall back to the IR one, which can be lowered at deployment.
-        assert_eq!(
-            index.select(Architecture::Ppc64le).unwrap().digest,
-            ir_desc.digest
-        );
-    }
-
-    #[test]
     fn collect_garbage_keeps_tagged_chains_and_pins() {
         let store = ImageStore::new();
         let img = toolchain_image();
@@ -985,46 +870,27 @@ mod tests {
     }
 
     #[test]
-    fn commit_index_tags_under_the_lock_a_sweep_takes() {
-        // One thread sweeps with no pins while the other commits and loads indexes:
-        // the index blob and its tag land together, so a sweep never sees one
-        // without the other and the tag never dangles.
+    fn commit_tags_under_the_lock_a_sweep_takes() {
+        // One thread sweeps with no pins while the other commits and loads images whose
+        // annotation changes every round, so each commit inserts a fresh manifest: its
+        // blobs, edges and tag land together, so a sweep never sees one without the
+        // others and the tag never dangles.
         let store = ImageStore::new();
-        let member = store.commit(&toolchain_image());
         std::thread::scope(|scope| {
             let committer = scope.spawn(|| {
+                let mut img = toolchain_image();
                 for round in 0..2_000 {
-                    let mut annotations = BTreeMap::new();
-                    annotations.insert("round".to_string(), round.to_string());
-                    store.commit_index("xaas/toolchain:multi", vec![member.clone()], annotations);
-                    let index = store.load_index("xaas/toolchain:multi").unwrap();
-                    assert_eq!(index.manifests, vec![member.clone()]);
+                    img.annotate("round", round.to_string());
+                    store.commit(&img);
+                    let loaded = store.load("xaas/toolchain:19").unwrap();
+                    assert_eq!(loaded.annotations, img.annotations);
+                    assert_eq!(loaded.layer_count(), 2);
                 }
             });
             while !committer.is_finished() {
                 store.collect_garbage(&[]);
             }
         });
-        assert_eq!(store.load("xaas/toolchain:19").unwrap().layer_count(), 2);
-    }
-
-    #[test]
-    fn collect_garbage_walks_image_indexes() {
-        let store = ImageStore::new();
-        let amd = toolchain_image();
-        let amd_desc = store.commit(&amd);
-        let mut ir = toolchain_image();
-        ir.reference = "xaas/toolchain:19-ir".into();
-        ir.platform = Platform::linux(Architecture::XirIr);
-        let ir_desc = store.commit(&ir);
-        store.commit_index(
-            "xaas/toolchain:multi",
-            vec![amd_desc, ir_desc],
-            BTreeMap::new(),
-        );
-        let report = store.collect_garbage(&[]);
-        assert_eq!(report.blobs_removed, 0, "index members are reachable");
-        assert!(store.load_index("xaas/toolchain:multi").is_ok());
         assert_eq!(store.load("xaas/toolchain:19").unwrap().layer_count(), 2);
     }
 

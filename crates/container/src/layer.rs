@@ -1,8 +1,8 @@
 //! Filesystem layers.
 //!
-//! A layer is an ordered set of file entries (path → bytes, plus whiteouts for deletions),
-//! serialised into a deterministic archive so that identical content always produces the
-//! same digest. This mirrors how OCI layers are tar archives addressed by the digest of
+//! A layer is an ordered set of file entries (path → bytes), serialised into a
+//! deterministic archive so that identical content always produces the same digest.
+//! This mirrors how OCI layers are tar archives addressed by the digest of
 //! their bytes, which is the property the XaaS pipeline relies on when it reuses layers
 //! between configurations (dependency layers, toolchain layers, IR layers).
 //!
@@ -25,34 +25,19 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-/// Kind of a single entry inside a layer.
+/// A single entry inside a layer: a regular file.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LayerEntry {
-    /// A regular file with content.
-    File {
-        /// File payload, shared with its producer (a cache artifact, a store blob).
-        content: Blob,
-        /// Unix-style permission bits (only the executable bit matters for the model).
-        mode: u32,
-    },
-    /// A directory marker.
-    Directory,
-    /// A symbolic link to another path inside the image.
-    Symlink {
-        /// Link target.
-        target: String,
-    },
-    /// A whiteout: deletes the path from lower layers when the image is flattened.
-    Whiteout,
+pub struct LayerEntry {
+    /// File payload, shared with its producer (a cache artifact, a store blob).
+    pub content: Blob,
+    /// Unix-style permission bits (only the executable bit matters for the model).
+    pub mode: u32,
 }
 
 impl LayerEntry {
     /// Size in bytes accounted for this entry.
     pub fn size(&self) -> u64 {
-        match self {
-            LayerEntry::File { content, .. } => content.len() as u64,
-            _ => 0,
-        }
+        self.content.len() as u64
     }
 }
 
@@ -116,7 +101,7 @@ impl Layer {
     }
 
     /// Human-readable description, recorded in the image history.
-    pub fn created_by(&self) -> &str {
+    pub(crate) fn created_by(&self) -> &str {
         &self.inner.created_by
     }
 
@@ -129,21 +114,15 @@ impl Layer {
         &mut inner.entries
     }
 
-    fn insert(&mut self, path: impl Into<String>, entry: LayerEntry) -> &mut Self {
+    fn insert(&mut self, path: impl Into<String>, content: Blob, mode: u32) -> &mut Self {
         self.entries_mut()
-            .insert(normalize_path(&path.into()), entry);
+            .insert(normalize_path(&path.into()), LayerEntry { content, mode });
         self
     }
 
     /// Add (or replace) a regular file. Passing a [`Blob`] shares it with the layer.
     pub fn add_file(&mut self, path: impl Into<String>, content: impl Into<Blob>) -> &mut Self {
-        self.insert(
-            path,
-            LayerEntry::File {
-                content: content.into(),
-                mode: 0o644,
-            },
-        )
+        self.insert(path, content.into(), 0o644)
     }
 
     /// Add (or replace) an executable file.
@@ -152,38 +131,12 @@ impl Layer {
         path: impl Into<String>,
         content: impl Into<Blob>,
     ) -> &mut Self {
-        self.insert(
-            path,
-            LayerEntry::File {
-                content: content.into(),
-                mode: 0o755,
-            },
-        )
+        self.insert(path, content.into(), 0o755)
     }
 
     /// Add a text file (convenience wrapper over [`Layer::add_file`]).
     pub fn add_text(&mut self, path: impl Into<String>, content: impl Into<String>) -> &mut Self {
         self.add_file(path, content.into())
-    }
-
-    /// Add a directory marker.
-    pub fn add_directory(&mut self, path: impl Into<String>) -> &mut Self {
-        self.insert(path, LayerEntry::Directory)
-    }
-
-    /// Add a symlink.
-    pub fn add_symlink(&mut self, path: impl Into<String>, target: impl Into<String>) -> &mut Self {
-        self.insert(
-            path,
-            LayerEntry::Symlink {
-                target: target.into(),
-            },
-        )
-    }
-
-    /// Record a whiteout (deletion of a path provided by a lower layer).
-    pub fn add_whiteout(&mut self, path: impl Into<String>) -> &mut Self {
-        self.insert(path, LayerEntry::Whiteout)
     }
 
     /// Number of entries in this layer.
@@ -222,22 +175,12 @@ impl Layer {
         out.extend_from_slice(MAGIC);
         write_str(&mut out, &inner.created_by);
         out.extend_from_slice(&(inner.entries.len() as u64).to_le_bytes());
-        for (path, entry) in &inner.entries {
+        for (path, LayerEntry { content, mode }) in &inner.entries {
             write_str(&mut out, path);
-            match entry {
-                LayerEntry::File { content, mode } => {
-                    out.push(0);
-                    out.extend_from_slice(&mode.to_le_bytes());
-                    out.extend_from_slice(&(content.len() as u64).to_le_bytes());
-                    out.extend_from_slice(content);
-                }
-                LayerEntry::Directory => out.push(1),
-                LayerEntry::Symlink { target } => {
-                    out.push(2);
-                    write_str(&mut out, target);
-                }
-                LayerEntry::Whiteout => out.push(3),
-            }
+            out.push(FILE_TAG);
+            out.extend_from_slice(&mode.to_le_bytes());
+            out.extend_from_slice(&(content.len() as u64).to_le_bytes());
+            out.extend_from_slice(content);
         }
         out
     }
@@ -324,21 +267,15 @@ impl Layer {
         let mut canonical = true;
         for _ in 0..count {
             let path = cur.read_str()?;
-            let entry = match cur.read_u8()? {
-                0 => {
-                    let mode = cur.read_u32()?;
-                    let len = cur.read_len()?;
-                    LayerEntry::File {
-                        content: Blob::copy_from_slice(cur.take(len)?),
-                        mode,
-                    }
-                }
-                1 => LayerEntry::Directory,
-                2 => LayerEntry::Symlink {
-                    target: cur.read_str()?,
-                },
-                3 => LayerEntry::Whiteout,
-                other => return Err(LayerError::BadEntryTag(other)),
+            let tag = cur.read_u8()?;
+            if tag != FILE_TAG {
+                return Err(LayerError::BadEntryTag(tag));
+            }
+            let mode = cur.read_u32()?;
+            let len = cur.read_len()?;
+            let entry = LayerEntry {
+                content: Blob::copy_from_slice(cur.take(len)?),
+                mode,
             };
             canonical &= entries.keys().next_back().is_none_or(|last| *last < path);
             entries.insert(path, entry);
@@ -356,6 +293,9 @@ impl Layer {
 }
 
 const MAGIC: &[u8] = b"XAASLAYER1";
+/// The tag byte before every entry. Only regular files exist, so any other tag is
+/// [`LayerError::BadEntryTag`].
+const FILE_TAG: u8 = 0;
 
 /// Errors while decoding layer archives.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -386,7 +326,7 @@ impl std::error::Error for LayerError {}
 /// A flattened root filesystem assembled from an ordered list of layers.
 ///
 /// The XaaS deployment step flattens the source/IR container plus the newly built layers
-/// into the final image root; whiteouts in upper layers remove paths from lower ones.
+/// into the final image root; a path in an upper layer replaces the same path below.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RootFs {
     files: BTreeMap<String, LayerEntry>,
@@ -398,17 +338,7 @@ impl RootFs {
         let mut files = BTreeMap::new();
         for layer in layers {
             for (path, entry) in layer.iter() {
-                match entry {
-                    LayerEntry::Whiteout => {
-                        files.remove(path);
-                        // A whiteout on a directory removes everything below it.
-                        let prefix = format!("{}/", path);
-                        files.retain(|p: &String, _| !p.starts_with(&prefix));
-                    }
-                    other => {
-                        files.insert(path.to_string(), other.clone());
-                    }
-                }
+                files.insert(path.to_string(), entry.clone());
             }
         }
         RootFs { files }
@@ -421,10 +351,7 @@ impl RootFs {
 
     /// Read a file as UTF-8 text.
     pub fn read_text(&self, path: &str) -> Option<String> {
-        match self.get(path) {
-            Some(LayerEntry::File { content, .. }) => String::from_utf8(content.to_vec()).ok(),
-            _ => None,
-        }
+        String::from_utf8(self.get(path)?.content.to_vec()).ok()
     }
 
     /// All paths currently present.
@@ -459,7 +386,7 @@ impl RootFs {
 }
 
 /// Normalise a path: leading `/`, no trailing `/`, collapse `//`.
-pub fn normalize_path(path: &str) -> String {
+pub(crate) fn normalize_path(path: &str) -> String {
     let mut parts: Vec<&str> = Vec::new();
     for part in path.split('/') {
         if part.is_empty() || part == "." {
@@ -524,8 +451,8 @@ mod tests {
         let mut l = Layer::new("COPY src /app/src");
         l.add_text("/app/src/main.ck", "kernel main() {}");
         l.add_executable("/usr/bin/xirc", b"\x7fXIR".to_vec());
-        l.add_directory("/app/build");
-        l.add_symlink("/usr/lib/libfft.so", "/usr/lib/libfft.so.3");
+        l.add_text("/app/build/flags.txt", "-O3");
+        l.add_file("/usr/lib/libfft.so.3", b"fft".to_vec());
         l
     }
 
@@ -564,23 +491,23 @@ mod tests {
     }
 
     #[test]
-    fn rootfs_flatten_applies_overrides_and_whiteouts() {
+    fn rootfs_flatten_applies_overrides() {
         let mut base = Layer::new("base");
         base.add_text("/etc/os-release", "ubuntu 22.04");
         base.add_text("/opt/mpi/lib/libmpi.so", "generic mpich");
-        base.add_text("/opt/mpi/include/mpi.h", "header");
 
         let mut upper = Layer::new("hook");
         upper.add_text("/opt/mpi/lib/libmpi.so", "cray mpich");
-        upper.add_whiteout("/opt/mpi/include");
+        upper.add_text("/opt/mpi/include/mpi.h", "header");
 
         let root = RootFs::flatten([&base, &upper]);
         assert_eq!(
             root.read_text("/opt/mpi/lib/libmpi.so").unwrap(),
             "cray mpich"
         );
-        assert!(root.get("/opt/mpi/include/mpi.h").is_none());
+        assert_eq!(root.read_text("/opt/mpi/include/mpi.h").unwrap(), "header");
         assert_eq!(root.read_text("/etc/os-release").unwrap(), "ubuntu 22.04");
+        assert_eq!(root.len(), 3);
     }
 
     #[test]
@@ -588,7 +515,7 @@ mod tests {
         let root = RootFs::flatten([&sample_layer()]);
         let under: Vec<_> = root.paths_under("/app").collect();
         assert!(under.contains(&"/app/src/main.ck"));
-        assert!(under.contains(&"/app/build"));
+        assert!(under.contains(&"/app/build/flags.txt"));
         assert!(!under.contains(&"/usr/bin/xirc"));
     }
 
@@ -620,16 +547,8 @@ mod tests {
         pos += 8;
         for _ in 0..count {
             string(&mut pos, &mut offsets); // path
-            let tag = archive[pos];
-            pos += 1;
-            match tag {
-                0 => {
-                    pos += 4; // mode
-                    string(&mut pos, &mut offsets); // content
-                }
-                2 => string(&mut pos, &mut offsets), // symlink target
-                _ => {}
-            }
+            pos += 1 + 4; // tag, mode
+            string(&mut pos, &mut offsets); // content
         }
         assert_eq!(pos, archive.len(), "walked the whole archive");
         offsets
@@ -639,8 +558,8 @@ mod tests {
     fn saturated_length_fields_are_truncated_not_a_panic() {
         let archive = sample_layer().to_archive();
         let offsets = length_field_offsets(&archive);
-        // created_by, the count, four paths, two file contents, one symlink target.
-        assert_eq!(offsets.len(), 9);
+        // created_by, the count, four paths, four file contents.
+        assert_eq!(offsets.len(), 10);
         for offset in offsets {
             let remaining = (archive.len() - offset - 8) as u64;
             for value in [u64::MAX, u64::MAX - offset as u64, remaining + 1] {
@@ -659,7 +578,10 @@ mod tests {
     fn layer_size_accounting() {
         let layer = sample_layer();
         assert_eq!(layer.len(), 4);
-        assert_eq!(layer.size_bytes(), "kernel main() {}".len() as u64 + 4);
+        assert_eq!(
+            layer.size_bytes(),
+            "kernel main() {}".len() as u64 + 4 + 3 + 3
+        );
         assert!(!layer.is_empty());
     }
 
@@ -695,7 +617,7 @@ mod tests {
 
     #[test]
     fn every_mutator_drops_the_memo_and_never_touches_a_clone() {
-        let mutators: [fn(&mut Layer); 6] = [
+        let mutators: [fn(&mut Layer); 3] = [
             |l| {
                 l.add_file("/new", b"x".to_vec());
             },
@@ -704,15 +626,6 @@ mod tests {
             },
             |l| {
                 l.add_text("/new", "x");
-            },
-            |l| {
-                l.add_directory("/new");
-            },
-            |l| {
-                l.add_symlink("/new", "/app");
-            },
-            |l| {
-                l.add_whiteout("/new");
             },
         ];
         for mutate in mutators {
@@ -753,18 +666,41 @@ mod tests {
 
     /// A hand-written archive of regular files, in exactly the order given.
     fn raw_archive(files: &[(&str, &[u8])], trailing: &[u8]) -> Vec<u8> {
+        tagged_archive(FILE_TAG, files, trailing)
+    }
+
+    /// [`raw_archive`] with every entry carrying `tag`.
+    fn tagged_archive(tag: u8, files: &[(&str, &[u8])], trailing: &[u8]) -> Vec<u8> {
         let mut out = MAGIC.to_vec();
         write_str(&mut out, "raw");
         out.extend_from_slice(&(files.len() as u64).to_le_bytes());
         for (path, content) in files {
             write_str(&mut out, path);
-            out.push(0);
+            out.push(tag);
             out.extend_from_slice(&0o644u32.to_le_bytes());
             out.extend_from_slice(&(content.len() as u64).to_le_bytes());
             out.extend_from_slice(content);
         }
         out.extend_from_slice(trailing);
         out
+    }
+
+    #[test]
+    fn an_entry_tag_other_than_a_file_is_rejected() {
+        // Tags 1, 2 and 3 once meant a directory, a symlink and a whiteout.
+        for tag in [1, 2, 3, u8::MAX] {
+            let archive = tagged_archive(tag, &[("/a", b"1")], b"");
+            assert_eq!(
+                Layer::from_archive(&archive),
+                Err(LayerError::BadEntryTag(tag))
+            );
+            let blob = Blob::new(archive);
+            let digest = Digest::of_bytes(&blob);
+            assert_eq!(
+                Layer::from_archive_blob(blob, digest),
+                Err(LayerError::BadEntryTag(tag))
+            );
+        }
     }
 
     #[test]

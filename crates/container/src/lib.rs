@@ -4,8 +4,8 @@
 //!
 //! The crate models the parts of the container ecosystem the paper's pipeline interacts
 //! with: content-addressed blobs and digests, deterministic filesystem layers, images
-//! (config + manifest + index with platforms and annotations), and a registry with
-//! push/pull and annotation peeking.
+//! (config + manifest with platforms and annotations), and a registry with push/pull and
+//! annotation peeking.
 //!
 //! Nothing here shells out to a real container engine — images live in memory — but the
 //! data model mirrors the OCI image spec closely enough that the XaaS arguments about
@@ -43,10 +43,10 @@ pub mod prelude {
         ActionCache, BuildKey, CacheBackend, CacheConfigError, CacheStats, CacheTier, FlightError,
         FlightId, FlightOutcome, FlightTicket, FlightWaker, TryBegin,
     };
-    pub use crate::digest::{Digest, Sha256};
+    pub use crate::digest::Digest;
     pub use crate::image::{
-        Image, ImageConfig, ImageError, ImageIndex, ImageStore, Manifest, StoreGcReport,
-        StoreStats, TransferStats,
+        Image, ImageConfig, ImageError, ImageStore, Manifest, StoreGcReport, StoreStats,
+        TransferStats,
     };
     pub use crate::layer::{Layer, LayerEntry, RootFs};
     pub use crate::oci::{

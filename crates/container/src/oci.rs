@@ -1,9 +1,9 @@
 //! OCI image-spec data model: media types, platforms, descriptors, annotations.
 //!
 //! The paper (Section 5.2) argues that source/IR formats should become an identifying
-//! feature of the image — carried either in the platform `architecture`/`variant`/
-//! `features` fields or in annotations — so that XaaS tools can query specialization
-//! points *before* pulling the image. This module provides those structures.
+//! feature of the image — carried in the platform `architecture` field or in
+//! annotations — so that XaaS tools can query specialization points *before* pulling
+//! the image. This module provides those structures.
 
 use crate::digest::Digest;
 use serde::{Deserialize, Serialize};
@@ -13,8 +13,6 @@ use std::fmt;
 /// Media types used by the substrate, mirroring the OCI image spec.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum MediaType {
-    /// `application/vnd.oci.image.index.v1+json`
-    ImageIndex,
     /// `application/vnd.oci.image.manifest.v1+json`
     ImageManifest,
     /// `application/vnd.oci.image.config.v1+json`
@@ -31,7 +29,6 @@ impl MediaType {
     /// The wire string for this media type.
     pub fn as_str(&self) -> &'static str {
         match self {
-            MediaType::ImageIndex => "application/vnd.oci.image.index.v1+json",
             MediaType::ImageManifest => "application/vnd.oci.image.manifest.v1+json",
             MediaType::ImageConfig => "application/vnd.oci.image.config.v1+json",
             MediaType::Layer => "application/vnd.oci.image.layer.v1.tar",
@@ -92,12 +89,6 @@ pub struct Platform {
     pub architecture: Architecture,
     /// Operating system; the substrate only models Linux.
     pub os: String,
-    /// Architecture variant (e.g. `v8` for arm64, or an IR dialect version).
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub variant: Option<String>,
-    /// Optional CPU/IR feature strings (the OCI spec reserves this field).
-    #[serde(default, skip_serializing_if = "Vec::is_empty")]
-    pub features: Vec<String>,
 }
 
 impl Platform {
@@ -106,25 +97,11 @@ impl Platform {
         Self {
             architecture,
             os: "linux".to_string(),
-            variant: None,
-            features: Vec::new(),
         }
-    }
-
-    /// Attach a variant.
-    pub fn with_variant(mut self, variant: impl Into<String>) -> Self {
-        self.variant = Some(variant.into());
-        self
-    }
-
-    /// Attach a feature string (e.g. `avx512f` or `xir-v1`).
-    pub fn with_feature(mut self, feature: impl Into<String>) -> Self {
-        self.features.push(feature.into());
-        self
     }
 }
 
-/// A content descriptor: media type + digest + size (+ optional platform and annotations).
+/// A content descriptor: media type + digest + size (+ optional annotations).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Descriptor {
     /// Media type of the referenced blob.
@@ -133,9 +110,6 @@ pub struct Descriptor {
     pub digest: Digest,
     /// Size in bytes of the referenced blob.
     pub size: u64,
-    /// Platform, present on manifest descriptors inside an image index.
-    #[serde(default, skip_serializing_if = "Option::is_none")]
-    pub platform: Option<Platform>,
     /// Arbitrary key/value annotations.
     #[serde(default, skip_serializing_if = "BTreeMap::is_empty")]
     pub annotations: BTreeMap<String, String>,
@@ -148,21 +122,8 @@ impl Descriptor {
             media_type,
             digest,
             size,
-            platform: None,
             annotations: BTreeMap::new(),
         }
-    }
-
-    /// Attach a platform.
-    pub fn with_platform(mut self, platform: Platform) -> Self {
-        self.platform = Some(platform);
-        self
-    }
-
-    /// Attach one annotation.
-    pub fn with_annotation(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.annotations.insert(key.into(), value.into());
-        self
     }
 }
 
@@ -171,7 +132,7 @@ pub mod annotation_keys {
     /// JSON document with the application's specialization points (Section 5.2 proposal).
     pub const SPECIALIZATION_POINTS: &str = "dev.xaas.specialization-points";
     /// The deployment format of the image: `binary`, `source`, or `ir`.
-    pub const DEPLOYMENT_FORMAT: &str = "dev.xaas.deployment-format";
+    pub(crate) const DEPLOYMENT_FORMAT: &str = "dev.xaas.deployment-format";
     /// IR dialect and version stored in an IR container (e.g. `xir.v1`).
     pub const IR_DIALECT: &str = "dev.xaas.ir-dialect";
     /// The configuration selected when a deployed image was produced.
@@ -180,11 +141,9 @@ pub mod annotation_keys {
     pub const TARGET_SYSTEM: &str = "dev.xaas.target-system";
     /// OCI standard: image title.
     pub const TITLE: &str = "org.opencontainers.image.title";
-    /// OCI standard: image revision (source commit).
-    pub const REVISION: &str = "org.opencontainers.image.revision";
 }
 
-/// Deployment format recorded in [`annotation_keys::DEPLOYMENT_FORMAT`].
+/// Deployment format recorded in the `dev.xaas.deployment-format` annotation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum DeploymentFormat {
     /// Conventional container: fully compiled binaries.
@@ -240,22 +199,18 @@ mod tests {
 
     #[test]
     fn platform_builder_sets_fields() {
-        let p = Platform::linux(Architecture::Arm64)
-            .with_variant("v8")
-            .with_feature("sve");
+        let p = Platform::linux(Architecture::Arm64);
+        assert_eq!(p.architecture, Architecture::Arm64);
         assert_eq!(p.os, "linux");
-        assert_eq!(p.variant.as_deref(), Some("v8"));
-        assert_eq!(p.features, vec!["sve".to_string()]);
     }
 
     #[test]
     fn descriptor_annotations_roundtrip_through_json() {
-        let d = Descriptor::new(MediaType::Layer, Digest::of_str("blob"), 4)
-            .with_platform(Platform::linux(Architecture::Amd64))
-            .with_annotation(
-                annotation_keys::DEPLOYMENT_FORMAT,
-                DeploymentFormat::Ir.as_str(),
-            );
+        let mut d = Descriptor::new(MediaType::Layer, Digest::of_str("blob"), 4);
+        d.annotations.insert(
+            annotation_keys::DEPLOYMENT_FORMAT.to_string(),
+            DeploymentFormat::Ir.as_str().to_string(),
+        );
         let json = serde_json::to_string(&d).unwrap();
         let back: Descriptor = serde_json::from_str(&json).unwrap();
         assert_eq!(back, d);

@@ -1,14 +1,12 @@
-//! A model of a container registry: named repositories of tagged manifests, push/pull
-//! between stores, and pull statistics (the paper's deployment flow pulls a source or IR
-//! container once per system and then pushes the system-specialized image back).
+//! A model of a container registry: named repositories of tagged manifests and push/pull
+//! between stores (the paper's deployment flow pulls a source or IR container once per
+//! system and then pushes the system-specialized image back).
 
 #![deny(clippy::unwrap_used, clippy::indexing_slicing, clippy::dbg_macro)]
 
 use crate::image::{Image, ImageError, ImageStore, TransferStats};
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// A reference split into repository and tag, e.g. `spcl/gromacs:ir-x86`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -39,7 +37,7 @@ impl Reference {
     }
 
     /// Render back to `repo:tag`.
-    pub fn to_string_full(&self) -> String {
+    pub(crate) fn to_string_full(&self) -> String {
         format!("{}:{}", self.repository, self.tag)
     }
 }
@@ -84,7 +82,6 @@ impl From<ImageError> for RegistryError {
 #[derive(Clone, Default)]
 pub struct Registry {
     store: ImageStore,
-    pulls: Arc<RwLock<BTreeMap<Reference, u64>>>,
 }
 
 impl Registry {
@@ -109,43 +106,18 @@ impl Registry {
     }
 
     /// Pull an image from the registry into a local store, tag it there under
-    /// `reference`, and load it, recording pull statistics. The layers come back
-    /// sealed with the transferred blobs, and nothing is hashed.
+    /// `reference`, and load it. The layers come back sealed with the transferred
+    /// blobs, and nothing is hashed.
     pub fn pull(
         &self,
         local: &ImageStore,
         reference: &str,
     ) -> Result<(Image, TransferStats), RegistryError> {
-        let parsed = Reference::parse(reference)?;
+        let tag = Reference::parse(reference)?.to_string_full();
         let stats = local
-            .copy_from(&self.store, &parsed.to_string_full(), reference)
+            .copy_from(&self.store, &tag, reference)
             .map_err(not_found(reference))?;
-        *self.pulls.write().entry(parsed).or_insert(0) += 1;
         Ok((local.load(reference)?, stats))
-    }
-
-    /// How many times a reference has been pulled. Takes a parsed [`Reference`] so
-    /// malformed reference strings surface as parse errors at the caller instead of
-    /// silently counting as zero.
-    pub fn pull_count(&self, reference: &Reference) -> u64 {
-        self.pulls.read().get(reference).copied().unwrap_or(0)
-    }
-
-    /// List repositories and tags, sorted by [`Reference`].
-    pub fn list(&self) -> Vec<Reference> {
-        let mut references = Vec::new();
-        for (tag, _) in self.store.references() {
-            references.extend(Reference::parse(&tag).ok());
-        }
-        references.sort();
-        references
-    }
-
-    /// List tags within one repository.
-    pub fn tags_of(&self, repository: &str) -> Vec<String> {
-        let mut references = self.list();
-        references.retain(|r| r.repository == repository);
-        references.into_iter().map(|r| r.tag).collect()
     }
 
     /// Read manifest annotations without pulling layer blobs — this is the query path the
@@ -210,10 +182,6 @@ mod tests {
         assert_eq!(pulled.rootfs().read_text("/payload").unwrap(), "hello");
         assert_eq!(pulled.platform, img.platform);
         assert!(stats.blobs_transferred >= 3); // layer + config + manifest
-        assert_eq!(
-            registry.pull_count(&Reference::parse("spcl/app:v1").unwrap()),
-            1
-        );
     }
 
     #[test]
@@ -311,59 +279,6 @@ mod tests {
         assert_eq!(
             ann.get("dev.xaas.deployment-format").map(String::as_str),
             Some("ir")
-        );
-    }
-
-    #[test]
-    fn list_and_tags_of() {
-        let registry = Registry::new();
-        let (local, _) = make_image("spcl/app:v1", "a");
-        registry.push(&local, "spcl/app:v1").unwrap();
-        let (local2, _) = make_image("spcl/app:v2", "b");
-        registry.push(&local2, "spcl/app:v2").unwrap();
-        let (local3, _) = make_image("other/tool:latest", "c");
-        registry.push(&local3, "other/tool:latest").unwrap();
-
-        // Sorted by `Reference` (repository, then tag), not by the `repo:tag` text,
-        // in which `spcl/app-x` would precede `spcl/app`.
-        let (local4, _) = make_image("spcl/app-x:v0", "d");
-        registry.push(&local4, "spcl/app-x:v0").unwrap();
-        let listed: Vec<String> = registry.list().iter().map(|r| r.to_string()).collect();
-        assert_eq!(
-            listed,
-            [
-                "other/tool:latest",
-                "spcl/app:v1",
-                "spcl/app:v2",
-                "spcl/app-x:v0"
-            ]
-        );
-        let mut tags = registry.tags_of("spcl/app");
-        tags.sort();
-        assert_eq!(tags, vec!["v1", "v2"]);
-    }
-
-    #[test]
-    fn pull_counts_accumulate() {
-        let registry = Registry::new();
-        let (local, _) = make_image("spcl/app:v1", "a");
-        registry.push(&local, "spcl/app:v1").unwrap();
-        for _ in 0..3 {
-            let target = ImageStore::new();
-            registry.pull(&target, "spcl/app:v1").unwrap();
-        }
-        assert_eq!(
-            registry.pull_count(&Reference::parse("spcl/app:v1").unwrap()),
-            3
-        );
-        assert_eq!(
-            registry.pull_count(&Reference::parse("spcl/app:v2").unwrap()),
-            0
-        );
-        // An untagged repo name defaults to :latest and counts separately.
-        assert_eq!(
-            registry.pull_count(&Reference::parse("spcl/app").unwrap()),
-            0
         );
     }
 }

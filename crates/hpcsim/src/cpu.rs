@@ -102,7 +102,7 @@ impl SimdLevel {
     /// Efficiency factor of the vector unit (captures FMA availability, port pressure,
     /// frequency licensing for wide vectors, and SVE predication overhead). Multiplied by
     /// [`SimdLevel::width_sp`] to obtain the effective speedup of vectorised code regions.
-    pub fn efficiency(&self) -> f64 {
+    pub(crate) fn efficiency(&self) -> f64 {
         match self {
             SimdLevel::None => 1.0,
             SimdLevel::Sse2 => 0.85,
@@ -117,7 +117,7 @@ impl SimdLevel {
     }
 
     /// Effective speedup of perfectly vectorisable code at this level.
-    pub fn effective_speedup(&self) -> f64 {
+    pub(crate) fn effective_speedup(&self) -> f64 {
         f64::from(self.width_sp()) * self.efficiency()
     }
 
@@ -156,21 +156,6 @@ impl SimdLevel {
             "NEON_ASIMD" | "NEON" | "ASIMD" => Some(SimdLevel::NeonAsimd),
             "SVE" => Some(SimdLevel::Sve),
             _ => None,
-        }
-    }
-
-    /// The compiler flag that requests this level (as the IR pipeline sees it).
-    pub fn compiler_flag(&self) -> &'static str {
-        match self {
-            SimdLevel::None => "-mno-vectorize",
-            SimdLevel::Sse2 => "-msse2",
-            SimdLevel::Sse41 => "-msse4.1",
-            SimdLevel::Avx2_128 => "-mavx2 -mprefer-vector-width=128",
-            SimdLevel::Avx256 => "-mavx",
-            SimdLevel::Avx2_256 => "-mavx2",
-            SimdLevel::Avx512 => "-mavx512f",
-            SimdLevel::NeonAsimd => "-march=armv8-a+simd",
-            SimdLevel::Sve => "-march=armv8-a+sve",
         }
     }
 }
@@ -227,15 +212,6 @@ impl CpuModel {
         }
     }
 
-    /// All SIMD levels this CPU supports, lowest to highest.
-    pub fn supported_simd_levels(&self) -> Vec<SimdLevel> {
-        SimdLevel::levels_for(self.family)
-            .iter()
-            .copied()
-            .filter(|&l| self.supports(l))
-            .collect()
-    }
-
     /// The best (highest) supported SIMD level.
     pub fn best_simd(&self) -> SimdLevel {
         self.max_simd
@@ -244,14 +220,14 @@ impl CpuModel {
     /// Thread scaling factor: parallel efficiency for `threads` over the node.
     /// Uses a simple saturating model with a 4% per-doubling overhead and no gain past
     /// the physical core count.
-    pub fn thread_scaling(&self, threads: u32) -> f64 {
+    pub(crate) fn thread_scaling(&self, threads: u32) -> f64 {
         let usable = threads.clamp(1, self.total_cores());
         let doublings = (f64::from(usable)).log2();
         f64::from(usable) * (1.0 - 0.04 * doublings).max(0.5)
     }
 
     /// Intel Xeon Gold 6130 (Skylake, Ault23 / Ault01-04 host CPU in the paper).
-    pub fn intel_xeon_gold_6130() -> Self {
+    pub(crate) fn intel_xeon_gold_6130() -> Self {
         Self {
             name: "Intel Xeon Gold 6130".into(),
             microarchitecture: "skylake_avx512".into(),
@@ -273,7 +249,7 @@ impl CpuModel {
     }
 
     /// Intel Xeon Gold 6154 (Skylake, Ault01-04).
-    pub fn intel_xeon_gold_6154() -> Self {
+    pub(crate) fn intel_xeon_gold_6154() -> Self {
         Self {
             name: "Intel Xeon Gold 6154".into(),
             microarchitecture: "skylake_avx512".into(),
@@ -283,7 +259,7 @@ impl CpuModel {
     }
 
     /// AMD EPYC 7742 (Rome / zen2, Ault25). No AVX-512.
-    pub fn amd_epyc_7742() -> Self {
+    pub(crate) fn amd_epyc_7742() -> Self {
         Self {
             name: "AMD EPYC 7742".into(),
             microarchitecture: "zen2".into(),
@@ -304,7 +280,7 @@ impl CpuModel {
     }
 
     /// NVIDIA Grace (GH200 CPU side, Clariden).
-    pub fn nvidia_grace() -> Self {
+    pub(crate) fn nvidia_grace() -> Self {
         Self {
             name: "NVIDIA Grace (GH200)".into(),
             microarchitecture: "neoverse_v2".into(),
@@ -319,7 +295,7 @@ impl CpuModel {
     }
 
     /// Intel Xeon CPU Max 9470 (Sapphire Rapids + HBM, Aurora).
-    pub fn intel_xeon_max() -> Self {
+    pub(crate) fn intel_xeon_max() -> Self {
         Self {
             name: "Intel Xeon CPU Max 9470".into(),
             microarchitecture: "sapphirerapids".into(),
@@ -395,10 +371,7 @@ mod tests {
         let cpu = CpuModel::amd_epyc_7742();
         assert!(cpu.supports(SimdLevel::Avx2_256));
         assert!(!cpu.supports(SimdLevel::Avx512));
-        assert_eq!(
-            cpu.supported_simd_levels().last().copied(),
-            Some(SimdLevel::Avx2_256)
-        );
+        assert_eq!(cpu.best_simd(), SimdLevel::Avx2_256);
     }
 
     #[test]
@@ -430,15 +403,5 @@ mod tests {
     fn simd_efficiency_declines_with_width_on_x86_wide_vectors() {
         assert!(SimdLevel::Avx512.efficiency() < SimdLevel::Avx2_256.efficiency());
         assert!(SimdLevel::Avx2_256.efficiency() < SimdLevel::Sse2.efficiency().max(0.86));
-    }
-
-    #[test]
-    fn compiler_flags_are_distinct_per_level() {
-        use std::collections::BTreeSet;
-        let flags: BTreeSet<_> = SimdLevel::levels_for(IsaFamily::X86_64)
-            .iter()
-            .map(|l| l.compiler_flag())
-            .collect();
-        assert_eq!(flags.len(), SimdLevel::levels_for(IsaFamily::X86_64).len());
     }
 }

@@ -107,12 +107,12 @@ impl ComputeCapability {
     }
 
     /// `sm_XY` string used by device-code generation.
-    pub fn sm_name(&self) -> String {
+    pub(crate) fn sm_name(&self) -> String {
         format!("sm_{}{}", self.major, self.minor)
     }
 
     /// `compute_XY` string used for PTX (virtual architecture).
-    pub fn virtual_name(&self) -> String {
+    pub(crate) fn virtual_name(&self) -> String {
         format!("compute_{}{}", self.major, self.minor)
     }
 }
@@ -188,7 +188,7 @@ impl GpuModel {
     }
 
     /// Intel Data Center GPU Max 1550 (Aurora).
-    pub fn intel_max_1550() -> Self {
+    pub(crate) fn intel_max_1550() -> Self {
         Self {
             name: "Intel Data Center GPU Max 1550".into(),
             vendor: GpuVendor::Intel,
@@ -201,22 +201,8 @@ impl GpuModel {
         }
     }
 
-    /// AMD MI250X (kept for catalogue completeness).
-    pub fn amd_mi250x() -> Self {
-        Self {
-            name: "AMD MI250X".into(),
-            vendor: GpuVendor::Amd,
-            compute_capability: ComputeCapability::new(9, 0),
-            memory_gib: 128,
-            relative_throughput: 2.2,
-            supported_backends: vec![GpuBackend::Hip, GpuBackend::OpenCl, GpuBackend::Sycl],
-            driver_version: Version::new(6, 0),
-            max_runtime_version: Version::new(6, 0),
-        }
-    }
-
     /// Whether this device can run code using `backend`.
-    pub fn supports_backend(&self, backend: GpuBackend) -> bool {
+    pub(crate) fn supports_backend(&self, backend: GpuBackend) -> bool {
         self.supported_backends.contains(&backend)
     }
 }
@@ -406,6 +392,5 @@ mod tests {
         assert!(GpuModel::nvidia_a100().supports_backend(GpuBackend::Cuda));
         assert!(!GpuModel::intel_max_1550().supports_backend(GpuBackend::Cuda));
         assert!(GpuModel::intel_max_1550().supports_backend(GpuBackend::Sycl));
-        assert!(GpuModel::amd_mi250x().supports_backend(GpuBackend::Hip));
     }
 }

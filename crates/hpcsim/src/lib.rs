@@ -21,7 +21,7 @@ pub mod cpu;
 pub mod discovery;
 pub mod gpu;
 pub mod network;
-pub mod perf;
+pub(crate) mod perf;
 pub mod system;
 
 /// Commonly used types re-exported together.
@@ -33,12 +33,11 @@ pub mod prelude {
         GpuModel, GpuVendor, Version,
     };
     pub use crate::network::{
-        capability_matrix, feature_divergence, BandwidthModel, Feature, IntraNodePath, MpiFlavor,
-        Provider, Support,
+        capability_matrix, BandwidthModel, Feature, MpiFlavor, Provider, Support,
     };
     pub use crate::perf::{
-        backend_efficiency, BuildProfile, ExecutionEngine, ExecutionError, ExecutionReport,
-        KernelClass, KernelProfile, KernelTiming, KernelWork, LibraryQuality, OptLevel, Workload,
+        BuildProfile, ExecutionEngine, ExecutionError, ExecutionReport, KernelClass, KernelProfile,
+        KernelTiming, KernelWork, LibraryQuality, OptLevel, Workload,
     };
     pub use crate::system::{ContainerRuntimeFlavor, ModuleKind, SoftwareModule, SystemModel};
 }

@@ -256,7 +256,8 @@ pub fn capability_matrix() -> BTreeMap<Provider, BTreeMap<Feature, Support>> {
 
 /// Count how many features two providers disagree on — the quantitative form of the
 /// paper's claim that "implementations must still specialize to the hardware".
-pub fn feature_divergence(a: Provider, b: Provider) -> usize {
+#[cfg(test)]
+pub(crate) fn feature_divergence(a: Provider, b: Provider) -> usize {
     let matrix = capability_matrix();
     let (Some(ra), Some(rb)) = (matrix.get(&a), matrix.get(&b)) else {
         return 0;
@@ -280,7 +281,7 @@ pub enum MpiFlavor {
 
 /// Paths intra-node traffic can take.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum IntraNodePath {
+pub(crate) enum IntraNodePath {
     /// Shared-memory transport (xpmem/CMA): the bare-metal fast path.
     SharedMemory,
     /// NIC loopback through the cxi provider: what containerized MPI falls back to.
@@ -318,7 +319,7 @@ impl Default for BandwidthModel {
 
 impl BandwidthModel {
     /// The transport path used for intra-node, co-located ranks.
-    pub fn intra_node_path(
+    pub(crate) fn intra_node_path(
         flavor: MpiFlavor,
         containerized: bool,
         linkx_enabled: bool,

@@ -270,12 +270,6 @@ impl BuildProfile {
         self.container_overhead = overhead;
         self
     }
-
-    /// Override the GPU backend efficiency (e.g. 0.85 for SYCL-on-CUDA portable builds).
-    pub fn with_gpu_efficiency(mut self, efficiency: f64) -> Self {
-        self.gpu_backend_efficiency = Some(efficiency);
-        self
-    }
 }
 
 /// One kernel's share of a workload.
@@ -342,13 +336,6 @@ pub struct ExecutionReport {
     pub notes: Vec<String>,
 }
 
-impl ExecutionReport {
-    /// Total time including I/O.
-    pub fn total_seconds(&self) -> f64 {
-        self.compute_seconds + self.io_seconds
-    }
-}
-
 /// Errors the execution model can produce.
 #[derive(Debug, Clone, PartialEq)]
 #[allow(missing_docs)] // variant payload fields are documented by the Display impl
@@ -371,7 +358,7 @@ impl fmt::Display for ExecutionError {
 impl std::error::Error for ExecutionError {}
 
 /// Efficiency of running a backend on a given GPU vendor's hardware.
-pub fn backend_efficiency(backend: GpuBackend, vendor: GpuVendor) -> f64 {
+pub(crate) fn backend_efficiency(backend: GpuBackend, vendor: GpuVendor) -> f64 {
     match (backend, vendor) {
         (GpuBackend::Cuda, GpuVendor::Nvidia) => 1.0,
         (GpuBackend::Sycl, GpuVendor::Nvidia) => 0.85, // SYCL+CUDA plugin, Sec. 6.3.1: 11–20% slower.
@@ -399,7 +386,7 @@ impl<'a> ExecutionEngine<'a> {
     }
 
     /// The SIMD speedup of a kernel class at a given level on this system's CPU family.
-    pub fn simd_speedup(&self, class: KernelClass, level: SimdLevel) -> f64 {
+    pub(crate) fn simd_speedup(&self, class: KernelClass, level: SimdLevel) -> f64 {
         let profile = class.profile();
         if level == SimdLevel::None {
             return 1.0;
@@ -750,6 +737,6 @@ mod tests {
             .unwrap();
         let kernel_sum: f64 = report.kernels.iter().map(|k| k.seconds).sum();
         assert!((report.compute_seconds - kernel_sum).abs() < 1e-9);
-        assert!((report.total_seconds() - (kernel_sum + 2.0)).abs() < 1e-9);
+        assert!((report.io_seconds - 2.0).abs() < 1e-9);
     }
 }

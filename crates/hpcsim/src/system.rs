@@ -87,7 +87,7 @@ impl SoftwareModule {
     }
 
     /// Attach an ABI family.
-    pub fn with_abi(mut self, abi: &str) -> Self {
+    pub(crate) fn with_abi(mut self, abi: &str) -> Self {
         self.abi = Some(abi.into());
         self
     }
@@ -131,11 +131,6 @@ impl SystemModel {
     /// Find a module by kind.
     pub fn module_of_kind(&self, kind: ModuleKind) -> Option<&SoftwareModule> {
         self.modules.iter().find(|m| m.kind == kind)
-    }
-
-    /// All modules of a kind.
-    pub fn modules_of_kind(&self, kind: ModuleKind) -> Vec<&SoftwareModule> {
-        self.modules.iter().filter(|m| m.kind == kind).collect()
     }
 
     /// Whether a vendor BLAS (MKL) is present in the module environment.
@@ -328,7 +323,11 @@ mod tests {
         assert!(!SystemModel::ault25().has_vendor_blas());
         let mpi = ault23.module_of_kind(ModuleKind::Mpi).unwrap();
         assert_eq!(mpi.abi.as_deref(), Some("openmpi"));
-        assert_eq!(ault23.modules_of_kind(ModuleKind::Compiler).len(), 1);
+        let compilers = ault23
+            .modules
+            .iter()
+            .filter(|m| m.kind == ModuleKind::Compiler);
+        assert_eq!(compilers.count(), 1);
     }
 
     #[test]

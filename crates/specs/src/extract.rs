@@ -26,7 +26,7 @@ fn map_category(category: OptionCategory) -> SpecCategory {
 }
 
 /// Guess the category of an option from its name (the heuristic used on raw scripts).
-pub fn guess_category(name: &str) -> SpecCategory {
+pub(crate) fn guess_category(name: &str) -> SpecCategory {
     let upper = name.to_ascii_uppercase();
     if upper.contains("SIMD") || upper.contains("VECTOR") || upper.contains("AVX") {
         SpecCategory::Vectorization

@@ -39,7 +39,7 @@ pub enum SpecCategory {
 
 impl SpecCategory {
     /// The JSON key used in the Appendix B schema.
-    pub fn json_key(&self) -> &'static str {
+    pub(crate) fn json_key(&self) -> &'static str {
         match self {
             SpecCategory::GpuBackend => "gpu_backends",
             SpecCategory::Parallelism => "parallel_programming_libraries",
@@ -111,18 +111,6 @@ impl SpecEntry {
         self.build_flag = Some(flag.into());
         self
     }
-
-    /// Builder: mark as default.
-    pub fn as_default(mut self) -> Self {
-        self.default = true;
-        self
-    }
-
-    /// Builder: set minimum version.
-    pub fn with_min_version(mut self, version: impl Into<String>) -> Self {
-        self.minimum_version = Some(version.into());
-        self
-    }
 }
 
 /// A specialization-point document: the output of discovery for one application.
@@ -159,7 +147,7 @@ impl SpecializationDocument {
     }
 
     /// All entries of a category.
-    pub fn entries_of(&self, category: SpecCategory) -> Vec<&SpecEntry> {
+    pub(crate) fn entries_of(&self, category: SpecCategory) -> Vec<&SpecEntry> {
         self.entries
             .iter()
             .filter(|e| e.category == category)
@@ -238,11 +226,10 @@ mod tests {
         let mut doc = SpecializationDocument::new("mini-gromacs");
         doc.gpu_build = true;
         doc.gpu_build_flag = Some("-DGMX_GPU".into());
-        doc.push(
-            SpecEntry::new(SpecCategory::GpuBackend, "CUDA")
-                .with_flag("-DGMX_GPU=CUDA")
-                .with_min_version("12.1"),
-        );
+        doc.push(SpecEntry {
+            minimum_version: Some("12.1".into()),
+            ..SpecEntry::new(SpecCategory::GpuBackend, "CUDA").with_flag("-DGMX_GPU=CUDA")
+        });
         doc.push(SpecEntry::new(SpecCategory::GpuBackend, "SYCL").with_flag("-DGMX_GPU=SYCL"));
         doc.push(
             SpecEntry::new(SpecCategory::Vectorization, "AVX_512").with_flag("-DGMX_SIMD=AVX_512"),
@@ -250,11 +237,10 @@ mod tests {
         doc.push(
             SpecEntry::new(SpecCategory::Vectorization, "SSE4.1").with_flag("-DGMX_SIMD=SSE4.1"),
         );
-        doc.push(
-            SpecEntry::new(SpecCategory::Fft, "fftw3")
-                .with_flag("-DGMX_FFT_LIBRARY=fftw3")
-                .as_default(),
-        );
+        doc.push(SpecEntry {
+            default: true,
+            ..SpecEntry::new(SpecCategory::Fft, "fftw3").with_flag("-DGMX_FFT_LIBRARY=fftw3")
+        });
         doc.push(SpecEntry::new(SpecCategory::LinearAlgebra, "mkl").with_flag("-DGMX_BLAS=mkl"));
         doc.push(SpecEntry::new(SpecCategory::Parallelism, "MPI").with_flag("-DGMX_MPI=ON"));
         doc.push(SpecEntry::new(SpecCategory::Architecture, "x86_64"));

@@ -10,8 +10,8 @@ use crate::engine::plan::{SdCompilePlanner, SharedDeployArtifacts};
 use crate::engine::{add_commit_action, ActionGraph, ActionId, ActionKind, ActionTrace, LinkSlot};
 use crate::error::PipelineError;
 use crate::ir_container::{
-    paths as ir_paths, project_compiler, ActionSummary, ConfigurationManifest, IrContainerBuild,
-    UnitAssignment, TOOLCHAIN_ID,
+    project_compiler, ActionSummary, ConfigurationManifest, IrContainerBuild, UnitAssignment,
+    TOOLCHAIN_ID,
 };
 use crate::resolve::Resolved;
 use crate::targets::{derive_build_profile, target_isa_for};
@@ -436,16 +436,6 @@ pub(crate) fn finish_ir_deploy(plan: DeployPlan<'_>, trace: ActionTrace) -> IrDe
     }
 }
 
-/// Convenience: list the IR blob paths of an IR container image (used by examples/tests
-/// to show what a deployment would pull).
-pub fn ir_blob_paths(image: &Image) -> Vec<String> {
-    image
-        .rootfs()
-        .paths_under(ir_paths::IR_ROOT)
-        .map(str::to_string)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -735,14 +725,5 @@ mod tests {
             .unwrap();
         let x = result.buffers["x"].as_float_buffer().unwrap();
         assert!(x.iter().all(|&v| (v - 1.0).abs() < 1e-9));
-    }
-
-    #[test]
-    fn ir_blob_paths_lists_stored_bitcode() {
-        let store = ImageStore::new();
-        let (_project, build) = gromacs_ir_build(&store);
-        let blobs = ir_blob_paths(&build.image);
-        assert_eq!(blobs.len(), build.units.len());
-        assert!(blobs.iter().all(|p| p.ends_with(".xbc")));
     }
 }

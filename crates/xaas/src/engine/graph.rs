@@ -38,7 +38,7 @@ impl ActionInputs {
 
     /// The `index`-th dependency output as a shared [`Blob`] handle — clone it to
     /// reuse the dependency's bytes (e.g. as a layer payload) without copying.
-    pub fn dep_blob(&self, index: usize) -> &Blob {
+    pub(crate) fn dep_blob(&self, index: usize) -> &Blob {
         &self.outputs[index]
     }
 

@@ -64,7 +64,7 @@ pub use executor::{
     ActionOutputs, GraphHandle, GraphRun, JobFailure, NodeInfo, NodeOutcome, QueueStats,
 };
 pub use graph::{ActionGraph, ActionId, ActionInputs, GraphError};
-pub use plan::{add_commit_action, KeyedActionPlanner, LinkSlot, PreprocessPlanner};
+pub(crate) use plan::{add_commit_action, KeyedActionPlanner, LinkSlot, PreprocessPlanner};
 pub use policy::{Fifo, SchedulingPolicy, WeightedFair};
 pub use trace::{ActionKind, ActionRecord, ActionSummary, ActionTrace};
 
@@ -142,7 +142,7 @@ impl Engine {
     /// Replace the scheduling policy (the dispatch order of the ready queue). The
     /// policy changes *when* actions run, never what they produce. Starts a
     /// fresh pool: configure before submitting work.
-    pub fn with_policy(mut self, policy: impl Into<SchedulingPolicy>) -> Self {
+    pub(crate) fn with_policy(mut self, policy: impl Into<SchedulingPolicy>) -> Self {
         self.core = Arc::new(self.core.reconfigured(policy.into(), self.core.workers));
         self
     }
@@ -154,7 +154,7 @@ impl Engine {
     /// not isolation. This is how the
     /// [`OrchestratorService`](crate::service::OrchestratorService) multiplexes
     /// sessions onto one engine.
-    pub fn with_tenant(mut self, tenant: impl Into<String>) -> Self {
+    pub(crate) fn with_tenant(mut self, tenant: impl Into<String>) -> Self {
         self.tenant = Some(tenant.into());
         self
     }

@@ -8,7 +8,7 @@
 //! deployment contains a source deployment, Figures 6 and 8: the
 //! `SdCompilePlanner` owns the node's identity, cache key, compile closure and
 //! cross-job alias for both), and the **link → commit tail** (a typed
-//! assembled value crosses the graph boundary through a [`LinkSlot`], and a Commit
+//! assembled value crosses the graph boundary through a `LinkSlot`, and a Commit
 //! node publishes the image to the engine's store). This module hosts all three so a
 //! change to what keys a deployment step (ROADMAP 1(a)/(b)) or to commit semantics lands
 //! in one place.
@@ -45,7 +45,7 @@ use xaas_xir::{CompileFlags, Compiler, Observation, TargetIsa};
 /// definitions in identity order: the file, its content and the identity are copied
 /// only when a node is scheduled.
 #[derive(Default)]
-pub struct PreprocessPlanner {
+pub(crate) struct PreprocessPlanner {
     files: BTreeMap<String, FilePlans>,
     /// Scratch for the identity being looked up: positions in the flags' definitions,
     /// in identity order.
@@ -103,7 +103,7 @@ impl PreprocessPlanner {
     /// scheduling it on `graph` at first use. A preprocessor failure is a
     /// [`PipelineError::Compile`] naming `file`. The source `content` is copied only
     /// when a new action is actually scheduled, never for deduplicated repeats.
-    pub fn action_for<'env>(
+    pub(crate) fn action_for<'env>(
         &mut self,
         graph: &mut ActionGraph<'env, PipelineError>,
         compiler: &'env Compiler,
@@ -291,7 +291,7 @@ impl<'env> SdCompilePlanner<'env> {
 /// inputs). The IR build plans its `ir-lower` actions with this: their keys need
 /// stage-A outputs before the graph exists.
 #[derive(Default)]
-pub struct KeyedActionPlanner {
+pub(crate) struct KeyedActionPlanner {
     position_by_key: BTreeMap<String, usize>,
     actions: Vec<ActionId>,
 }
@@ -305,7 +305,7 @@ impl KeyedActionPlanner {
     /// The position of `key`'s action among the scheduled actions, calling
     /// `schedule` (which must `add_cached` one node for `key` on `graph`) only the
     /// first time the key is seen.
-    pub fn position_for<'env, E>(
+    pub(crate) fn position_for<'env, E>(
         &mut self,
         graph: &mut ActionGraph<'env, E>,
         key: xaas_container::BuildKey,
@@ -323,7 +323,7 @@ impl KeyedActionPlanner {
     }
 
     /// The scheduled action ids, in planning order (a Link node's dependency list).
-    pub fn into_actions(self) -> Vec<ActionId> {
+    pub(crate) fn into_actions(self) -> Vec<ActionId> {
         self.actions
     }
 }
@@ -335,7 +335,7 @@ impl KeyedActionPlanner {
 /// through this slot instead of being serialised. The Commit action seals the image's
 /// layers in place, so the image the driver takes out carries their archives and
 /// digests, and whatever derives from it later inherits them.
-pub struct LinkSlot<T> {
+pub(crate) struct LinkSlot<T> {
     inner: Mutex<Option<T>>,
 }
 
@@ -364,7 +364,7 @@ impl<T> LinkSlot<T> {
     }
 
     /// Take the assembled value out (used by the driver after the run).
-    pub fn into_inner(self) -> Option<T> {
+    pub(crate) fn into_inner(self) -> Option<T> {
         self.inner.into_inner()
     }
 }
@@ -372,7 +372,7 @@ impl<T> LinkSlot<T> {
 /// Append the standard commit tail: a [`ActionKind::Commit`] node depending on
 /// `link` that commits the image the link action stored in `slot` (located via
 /// `image_of`) to `store`, outputting the committed manifest digest.
-pub fn add_commit_action<'env, T: Send, E: Send + 'static>(
+pub(crate) fn add_commit_action<'env, T: Send, E: Send + 'static>(
     graph: &mut ActionGraph<'env, E>,
     label: String,
     store: &'env ImageStore,

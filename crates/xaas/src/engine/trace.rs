@@ -134,9 +134,9 @@ pub struct ActionRecord {
     /// trace compares equal to the same job run standalone.
     #[serde(default)]
     pub job: Option<usize>,
-    /// The tenant the submitting engine was tagged with (see
-    /// [`Engine::with_tenant`](crate::engine::Engine::with_tenant)); `None` for
-    /// untenanted submissions. Attribution metadata, excluded from equality so a
+    /// The tenant the submitting engine was tagged with (a
+    /// [`Session`](crate::service::Session)'s tenant); `None` for untenanted
+    /// submissions. Attribution metadata, excluded from equality so a
     /// tenant's build compares equal to the same build run untenanted.
     #[serde(default)]
     pub tenant: Option<String>,
@@ -281,7 +281,7 @@ impl ActionTrace {
     /// `entries` and `evictions` are backend-global quantities with no
     /// per-request meaning, so they are left at zero — callers that want them
     /// read the live backend stats separately.
-    pub fn cache_delta(&self) -> CacheStats {
+    pub(crate) fn cache_delta(&self) -> CacheStats {
         let mut stats = CacheStats::default();
         for record in self.records.iter().filter(|r| r.key_digest.is_some()) {
             if record.cached {
@@ -315,19 +315,6 @@ impl ActionTrace {
         counts
     }
 
-    /// Total ready-queue wait per tenant, in microseconds (untenanted records
-    /// accumulate under `""`): the per-tenant view of scheduling fairness, where
-    /// one tenant's lane waiting on another's becomes visible and assertable.
-    pub fn queue_wait_micros_by_tenant(&self) -> BTreeMap<String, u64> {
-        let mut waits = BTreeMap::new();
-        for record in &self.records {
-            *waits
-                .entry(record.tenant.clone().unwrap_or_default())
-                .or_insert(0) += record.queue_wait_micros;
-        }
-        waits
-    }
-
     /// The largest multi-graph ready-queue depth any action of this trace
     /// observed at dispatch ([`ActionRecord::ready_submissions`]). A value above
     /// 1 proves actions from concurrent submissions interleaved through the
@@ -348,7 +335,7 @@ impl ActionTrace {
     ///
     /// Together the splits *partition* the tagged records: per-kind counts summed
     /// over all jobs equal the union trace's counts.
-    pub fn split_by_job(&self) -> BTreeMap<usize, ActionTrace> {
+    pub(crate) fn split_by_job(&self) -> BTreeMap<usize, ActionTrace> {
         let mut splits: BTreeMap<usize, ActionTrace> = BTreeMap::new();
         for record in &self.records {
             let Some(job) = record.job else { continue };

@@ -33,7 +33,7 @@ pub struct DeviceCodeBundle {
 
 impl DeviceCodeBundle {
     /// Device representations in checking order (exact binary first, then PTX).
-    pub fn representations(&self) -> Vec<DeviceCode> {
+    pub(crate) fn representations(&self) -> Vec<DeviceCode> {
         let mut reps: Vec<DeviceCode> = self
             .cubins
             .iter()
@@ -105,7 +105,8 @@ pub fn bundle_compatibility(bundle: &DeviceCodeBundle, device: &GpuModel) -> Gpu
 
 /// Scan source text for compile-time checks on the CUDA runtime version (the pessimistic
 /// detection described in Section 4.3).
-pub fn detect_runtime_requirement(sources: &[&str]) -> RuntimeRequirement {
+#[cfg(test)]
+pub(crate) fn detect_runtime_requirement(sources: &[&str]) -> RuntimeRequirement {
     for source in sources {
         for line in source.lines() {
             let trimmed = line.trim();

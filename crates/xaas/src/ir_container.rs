@@ -47,7 +47,7 @@ pub const TOOLCHAIN_ID: &str = "xirc-19/xir.v1";
 
 /// The pseudo-target used in build keys while producing target-*independent* IR (the
 /// concrete ISA name is used only for deployment-time lowering).
-pub const IR_TARGET: &str = "xir.ir";
+pub(crate) const IR_TARGET: &str = "xir.ir";
 
 /// Which of the dedup pipeline's optional stages are enabled (both on by default; the
 /// ablation benchmarks switch them off). Build-directory normalisation (stage 1) and
@@ -230,13 +230,13 @@ impl IrContainerBuild {
 /// Paths used inside IR containers.
 pub mod paths {
     /// Root of the IR blobs.
-    pub const IR_ROOT: &str = "/xaas/ir";
+    pub(crate) const IR_ROOT: &str = "/xaas/ir";
     /// Root of the per-configuration manifests.
-    pub const CONFIG_ROOT: &str = "/xaas/configs";
+    pub(crate) const CONFIG_ROOT: &str = "/xaas/configs";
     /// Source tree (needed for system-dependent files and installation).
-    pub const SOURCE_ROOT: &str = "/xaas/src";
+    pub(crate) const SOURCE_ROOT: &str = "/xaas/src";
     /// Pipeline statistics document.
-    pub const STATS: &str = "/xaas/stats.json";
+    pub(crate) const STATS: &str = "/xaas/stats.json";
 }
 
 /// Enumerate the cartesian product of the sweep.
@@ -793,7 +793,7 @@ pub(crate) fn run_ir_build(
 }
 
 /// Sanitise a configuration label for use as a file name.
-pub fn sanitize(label: &str) -> String {
+pub(crate) fn sanitize(label: &str) -> String {
     label
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
@@ -967,11 +967,7 @@ mod tests {
         assert!(manifest_files.len() >= build.manifests.len());
         // Bitcode blobs decode back into modules.
         let first = ir_blobs.first().unwrap();
-        let bytes = match root.get(first).unwrap() {
-            xaas_container::LayerEntry::File { content, .. } => content.clone(),
-            other => panic!("unexpected entry {other:?}"),
-        };
-        assert!(bitcode::decode(&bytes).is_ok());
+        assert!(bitcode::decode(&root.get(first).unwrap().content).is_ok());
     }
 
     /// Stage A's budget on the 4-value GROMACS SIMD sweep: its 36 system-independent

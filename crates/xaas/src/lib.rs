@@ -32,7 +32,8 @@
 //!   (a preprocess action also decides stage 3, whether `-fopenmp` matters), a
 //!   policy-scheduled worker-pool executor, transparent action-cache routing, and a
 //!   deterministic per-build [`ActionTrace`];
-//! * [`gpu_compat`] — CUDA driver/runtime/PTX/cubin compatibility planning (Figure 9);
+//! * [`plan_bundle`] / [`bundle_compatibility`] — CUDA driver/runtime/PTX/cubin
+//!   compatibility planning (Figure 9);
 //! * [`hypotheses`] — validation of Hypotheses 1 and 2 (Section 4.2);
 //! * [`portability`] — the Table 2 taxonomy;
 //! * [`targets`] — mapping from paper vocabulary (SIMD levels, option assignments) to
@@ -58,7 +59,7 @@
 pub mod deploy;
 pub mod engine;
 pub mod error;
-pub mod gpu_compat;
+pub(crate) mod gpu_compat;
 pub mod hypotheses;
 pub mod ir_container;
 pub mod orchestrator;
@@ -82,13 +83,12 @@ pub mod prelude {
     };
     pub use crate::error::PipelineError;
     pub use crate::gpu_compat::{
-        bundle_compatibility, detect_runtime_requirement, plan_bundle, DeviceCodeBundle,
-        RuntimeRequirement,
+        bundle_compatibility, plan_bundle, DeviceCodeBundle, RuntimeRequirement,
     };
     pub use crate::hypotheses::{hypothesis1, hypothesis2, Hypothesis1Report, Hypothesis2Report};
     pub use crate::ir_container::{
         ActionSummary, ConfigurationManifest, IrContainerBuild, IrPipelineConfig, IrUnit,
-        PipelineStages, PipelineStats, UnitAssignment, IR_TARGET, TOOLCHAIN_ID,
+        PipelineStages, PipelineStats, UnitAssignment, TOOLCHAIN_ID,
     };
     pub use crate::orchestrator::{
         FleetError, FleetOutcome, FleetReport, FleetRequest, FleetTarget, IrBuildRequest,
@@ -100,7 +100,7 @@ pub mod prelude {
         ServiceStats, Session,
     };
     pub use crate::source_container::{build_source_container, SourceDeployment};
-    pub use crate::targets::{derive_build_profile, library_quality_of, target_isa_for};
+    pub use crate::targets::target_isa_for;
     pub use xaas_container::prelude::*;
 }
 

@@ -404,12 +404,6 @@ impl<'a> SourceDeployRequest<'a> {
         self
     }
 
-    /// Replace the whole preference set.
-    pub fn preferences(mut self, preferences: OptionAssignment) -> Self {
-        self.preferences = preferences;
-        self
-    }
-
     fn plan(&self) -> Result<SourceDeployPlan<'a>, PipelineError> {
         plan_source_deploy(
             self.project,

@@ -55,7 +55,7 @@ use xaas_container::{CacheStats, ImageStore};
 /// The defaults (8 in-flight requests per tenant, 64 globally) are sized for
 /// the simulated pipelines in this repository; a real deployment would derive
 /// them from worker count and memory budget. The service clamps each bound to
-/// at least 1 ([`OrchestratorService::with_limits`]). Admission counts
+/// at least 1 ([`OrchestratorServiceBuilder::limits`]). Admission counts
 /// requests, not actions: it never reads the engine's ready queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceLimits {
@@ -155,14 +155,6 @@ impl<E> ServiceError<E> {
             ServiceError::Admission(error) => Some(error),
             ServiceError::Request(_) => None,
         }
-    }
-
-    /// Whether this is per-tenant backpressure (worth retrying later).
-    pub fn is_backpressure(&self) -> bool {
-        matches!(
-            self,
-            ServiceError::Admission(AdmissionError::Backpressure { .. })
-        )
     }
 }
 
@@ -415,7 +407,7 @@ pub struct OrchestratorService {
 impl OrchestratorService {
     /// A service over `orch` with explicit limits, each clamped to at least 1:
     /// a zero bound would refuse every request.
-    pub fn with_limits(orch: Orchestrator, limits: ServiceLimits) -> Self {
+    pub(crate) fn with_limits(orch: Orchestrator, limits: ServiceLimits) -> Self {
         let limits = ServiceLimits {
             max_in_flight_per_tenant: limits.max_in_flight_per_tenant.max(1),
             max_in_flight_global: limits.max_in_flight_global.max(1),

@@ -24,17 +24,17 @@ use xaas_xir::{CompileFlags, Compiler, MachineModule, TargetIsa};
 /// Paths used inside source containers.
 pub mod paths {
     /// Root of the application source tree.
-    pub const SOURCE_ROOT: &str = "/xaas/src";
+    pub(crate) const SOURCE_ROOT: &str = "/xaas/src";
     /// The build script.
     pub const BUILD_SCRIPT: &str = "/xaas/src/XMakeLists.txt";
     /// Directory with project headers.
-    pub const INCLUDE_ROOT: &str = "/xaas/src/include";
+    pub(crate) const INCLUDE_ROOT: &str = "/xaas/src/include";
     /// The toolchain compiler binary.
-    pub const COMPILER: &str = "/usr/bin/xirc";
+    pub(crate) const COMPILER: &str = "/usr/bin/xirc";
     /// Deployment build outputs.
-    pub const BUILD_ROOT: &str = "/xaas/build";
+    pub(crate) const BUILD_ROOT: &str = "/xaas/build";
     /// Installed binaries.
-    pub const INSTALL_ROOT: &str = "/opt/app";
+    pub(crate) const INSTALL_ROOT: &str = "/opt/app";
 }
 
 /// Build a source container image for `project` targeting `architecture` and commit it.
@@ -357,9 +357,11 @@ mod tests {
         preferences: &OptionAssignment,
         store: &ImageStore,
     ) -> Result<SourceDeployment, PipelineError> {
-        SourceDeployRequest::new(project, source_image, system)
-            .preferences(preferences.clone())
-            .submit(&Orchestrator::uncached(store))
+        let mut request = SourceDeployRequest::new(project, source_image, system);
+        for (option, value) in preferences.iter() {
+            request = request.prefer(option, value);
+        }
+        request.submit(&Orchestrator::uncached(store))
     }
 
     fn setup() -> (ProjectSpec, ImageStore, Image) {

@@ -31,7 +31,7 @@ pub fn target_isa_for(level: SimdLevel) -> TargetIsa {
 
 /// Interpret an option assignment (of any of the synthetic applications) as a performance
 /// build profile on a given system: SIMD level, GPU backend, library qualities, OpenMP.
-pub fn derive_build_profile(
+pub(crate) fn derive_build_profile(
     label: impl Into<String>,
     assignment: &OptionAssignment,
     system: &SystemModel,
@@ -72,7 +72,7 @@ pub fn derive_build_profile(
 }
 
 /// Classify a library option value into a quality tier.
-pub fn library_quality_of(value: &str) -> LibraryQuality {
+pub(crate) fn library_quality_of(value: &str) -> LibraryQuality {
     let lower = value.to_ascii_lowercase();
     if lower.contains("mkl")
         || lower.contains("cufft")

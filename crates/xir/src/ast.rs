@@ -20,7 +20,7 @@ pub enum Type {
 
 impl Type {
     /// Whether the type is a pointer.
-    pub fn is_pointer(&self) -> bool {
+    pub(crate) fn is_pointer(&self) -> bool {
         matches!(self, Type::IntPtr | Type::FloatPtr)
     }
 
@@ -80,7 +80,7 @@ pub enum BinOp {
 
 impl BinOp {
     /// Whether the operator yields a boolean (0/1) result.
-    pub fn is_comparison(&self) -> bool {
+    pub(crate) fn is_comparison(&self) -> bool {
         matches!(
             self,
             BinOp::Eq
@@ -138,7 +138,8 @@ pub enum Expr {
 
 impl Expr {
     /// Variables read by this expression.
-    pub fn referenced_vars(&self, out: &mut Vec<String>) {
+    #[cfg(test)]
+    pub(crate) fn referenced_vars(&self, out: &mut Vec<String>) {
         match self {
             Expr::Var(name) => out.push(name.clone()),
             Expr::Index { base, index } => {
@@ -160,7 +161,7 @@ impl Expr {
     }
 
     /// Functions called (transitively within this expression).
-    pub fn called_functions(&self, out: &mut Vec<String>) {
+    pub(crate) fn called_functions(&self, out: &mut Vec<String>) {
         match self {
             Expr::Call { callee, args } => {
                 out.push(callee.clone());
@@ -289,7 +290,8 @@ impl TranslationUnit {
     }
 
     /// Names of all kernel (exported) functions.
-    pub fn kernel_names(&self) -> Vec<&str> {
+    #[cfg(test)]
+    pub(crate) fn kernel_names(&self) -> Vec<&str> {
         self.functions
             .iter()
             .filter(|f| f.is_kernel)
@@ -298,7 +300,7 @@ impl TranslationUnit {
     }
 
     /// All external functions called but not defined in this unit.
-    pub fn external_calls(&self) -> Vec<String> {
+    pub(crate) fn external_calls(&self) -> Vec<String> {
         let defined: Vec<&str> = self.functions.iter().map(|f| f.name.as_str()).collect();
         let mut calls = Vec::new();
         for f in &self.functions {

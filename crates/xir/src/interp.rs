@@ -25,15 +25,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// The scalar float view of this value (integers are converted).
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Int(v) => Some(*v as f64),
-            Value::Float(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// Float buffer contents, if this is a float buffer.
     pub fn as_float_buffer(&self) -> Option<&[f64]> {
         match self {

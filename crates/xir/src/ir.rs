@@ -22,16 +22,6 @@ pub enum Operand {
     ImmFloat(f64),
 }
 
-impl Operand {
-    /// The register name if this operand is a register.
-    pub fn reg(&self) -> Option<&str> {
-        match self {
-            Operand::Reg(name) => Some(name),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for Operand {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -155,7 +145,7 @@ pub enum IrOp {
 
 impl IrOp {
     /// The destination register written by this op, if it is a simple value-producing op.
-    pub fn dest(&self) -> Option<&str> {
+    pub(crate) fn dest(&self) -> Option<&str> {
         match self {
             IrOp::Const { dest, .. }
             | IrOp::Move { dest, .. }
@@ -168,7 +158,7 @@ impl IrOp {
     }
 
     /// Whether this op has side effects beyond writing its destination register.
-    pub fn has_side_effects(&self) -> bool {
+    pub(crate) fn has_side_effects(&self) -> bool {
         matches!(
             self,
             IrOp::Store { .. }
@@ -234,7 +224,8 @@ pub struct IrFunction {
 
 impl IrFunction {
     /// Count all operations, recursing into regions.
-    pub fn op_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn op_count(&self) -> usize {
         fn count(ops: &[IrOp]) -> usize {
             ops.iter()
                 .map(|op| match op {
@@ -253,7 +244,7 @@ impl IrFunction {
     }
 
     /// Collect all loops (depth-first) with a mutable visitor.
-    pub fn visit_loops_mut(&mut self, visitor: &mut dyn FnMut(&mut IrOp)) {
+    pub(crate) fn visit_loops_mut(&mut self, visitor: &mut dyn FnMut(&mut IrOp)) {
         fn walk(ops: &mut [IrOp], visitor: &mut dyn FnMut(&mut IrOp)) {
             for op in ops {
                 match op {
@@ -313,7 +304,8 @@ impl IrFunction {
     }
 
     /// Names of functions called by this function.
-    pub fn callees(&self) -> Vec<String> {
+    #[cfg(test)]
+    pub(crate) fn callees(&self) -> Vec<String> {
         fn walk(ops: &[IrOp], out: &mut Vec<String>) {
             for op in ops {
                 match op {
@@ -380,13 +372,9 @@ impl IrModule {
         self.functions.iter().find(|f| f.name == name)
     }
 
-    /// Find a function mutably.
-    pub fn function_mut(&mut self, name: &str) -> Option<&mut IrFunction> {
-        self.functions.iter_mut().find(|f| f.name == name)
-    }
-
     /// Total operation count across functions.
-    pub fn op_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn op_count(&self) -> usize {
         self.functions.iter().map(IrFunction::op_count).sum()
     }
 
@@ -407,7 +395,8 @@ impl IrModule {
     }
 
     /// Render a readable textual form (useful in tests and debugging).
-    pub fn to_text(&self) -> String {
+    #[cfg(test)]
+    pub(crate) fn to_text(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "; module {} (from {})\n",
@@ -431,6 +420,7 @@ impl IrModule {
     }
 }
 
+#[cfg(test)]
 fn render_ops(ops: &[IrOp], indent: usize, out: &mut String) {
     let pad = "  ".repeat(indent);
     for op in ops {

@@ -143,7 +143,7 @@ impl CompileFlags {
     }
 
     /// Definitions as a [`Definitions`] set.
-    pub fn definition_set(&self) -> Definitions {
+    pub(crate) fn definition_set(&self) -> Definitions {
         Definitions::from_flags(self.definitions.iter().map(String::as_str))
     }
 }

@@ -44,7 +44,8 @@ impl DigestCell {
     }
 
     /// Whether the digest has been computed already (test/diagnostic hook).
-    pub fn is_computed(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_computed(&self) -> bool {
         self.slot.get().is_some()
     }
 

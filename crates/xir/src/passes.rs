@@ -58,7 +58,7 @@ pub struct PassStats {
 }
 
 /// Run the target-independent optimisation pipeline in place.
-pub fn optimize(module: &mut IrModule, level: OptLevel) -> PassStats {
+pub(crate) fn optimize(module: &mut IrModule, level: OptLevel) -> PassStats {
     let mut stats = PassStats::default();
     if level == OptLevel::O0 {
         module.metadata.opt_level = level.as_str().to_string();
@@ -73,7 +73,7 @@ pub fn optimize(module: &mut IrModule, level: OptLevel) -> PassStats {
 }
 
 /// Fold binary operations whose operands are immediates. Returns the fold count.
-pub fn fold_constants(ops: &mut [IrOp]) -> usize {
+pub(crate) fn fold_constants(ops: &mut [IrOp]) -> usize {
     let mut folded = 0;
     for op in ops.iter_mut() {
         match op {
@@ -151,7 +151,7 @@ fn eval_const(op: BinOp, lhs: &Operand, rhs: &Operand) -> Option<Operand> {
 }
 
 /// Remove value-producing operations whose results are never used. Returns removal count.
-pub fn eliminate_dead_code(function: &mut IrFunction) -> usize {
+pub(crate) fn eliminate_dead_code(function: &mut IrFunction) -> usize {
     // Collect every register read anywhere in the function (conservatively including regions).
     fn collect_uses(ops: &[IrOp], used: &mut BTreeSet<String>) {
         for op in ops {

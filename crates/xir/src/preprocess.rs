@@ -45,11 +45,6 @@ impl Definitions {
         self
     }
 
-    /// Define a flag-style macro (value `1`).
-    pub fn define_flag(&mut self, name: impl Into<String>) -> &mut Self {
-        self.define(name, "1")
-    }
-
     /// Remove a definition.
     pub fn undefine(&mut self, name: &str) -> &mut Self {
         self.defines.remove(name);
@@ -278,7 +273,7 @@ fn is_omp_pragma(directive: &str) -> bool {
 }
 
 /// FNV-1a hash (64-bit) over bytes.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf29ce484222325;
     for &b in bytes {
         hash ^= u64::from(b);
@@ -637,7 +632,7 @@ kernel void transpose(float* b, float* a, int r, int c) {
 #endif
 "#;
         let mut with_mkl = Definitions::new();
-        with_mkl.define_flag("HAVE_MKL");
+        with_mkl.define("HAVE_MKL", "1");
         let mkl = preprocess("t.ck", source, &with_mkl, &no_headers()).unwrap();
         assert!(mkl.text.contains("mkl_domatcopy"));
         assert!(!mkl.text.contains("for (int i"));
@@ -654,7 +649,7 @@ kernel void transpose(float* b, float* a, int r, int c) {
         let source = "kernel void f(float* x, int n) { x[0] = 1.0; }\n";
         let plain = preprocess("f.ck", source, &Definitions::new(), &no_headers()).unwrap();
         let mut noisy = Definitions::new();
-        noisy.define_flag("GMX_GPU_CUDA");
+        noisy.define("GMX_GPU_CUDA", "1");
         noisy.define("UNRELATED", "42");
         let with_defs = preprocess("f.ck", source, &noisy, &no_headers()).unwrap();
         assert_eq!(plain.content_hash(), with_defs.content_hash());
@@ -672,13 +667,13 @@ int backend = 0;
 #endif
 "#;
         let mut cuda = Definitions::new();
-        cuda.define_flag("USE_CUDA");
+        cuda.define("USE_CUDA", "1");
         assert!(preprocess("b.ck", source, &cuda, &no_headers())
             .unwrap()
             .text
             .contains("backend = 1"));
         let mut hip = Definitions::new();
-        hip.define_flag("USE_HIP");
+        hip.define("USE_HIP", "1");
         assert!(preprocess("b.ck", source, &hip, &no_headers())
             .unwrap()
             .text
@@ -763,14 +758,14 @@ int path = 0;
 #endif
 "#;
         let mut both = Definitions::new();
-        both.define_flag("GPU");
-        both.define_flag("CUDA");
+        both.define("GPU", "1");
+        both.define("CUDA", "1");
         assert!(preprocess("n.ck", source, &both, &no_headers())
             .unwrap()
             .text
             .contains("path = 11"));
         let mut gpu_only = Definitions::new();
-        gpu_only.define_flag("GPU");
+        gpu_only.define("GPU", "1");
         assert!(preprocess("n.ck", source, &gpu_only, &no_headers())
             .unwrap()
             .text
@@ -789,7 +784,7 @@ int path = 0;
                       #ifndef Y /* absent */\nint y_absent;\n#endif\n\
                       #define Z 1\n#undef Z trailing\n#ifdef Z\nint z;\n#endif\n";
         let mut x = Definitions::new();
-        x.define_flag("X");
+        x.define("X", "1");
         let unit = preprocess("n.ck", source, &x, &no_headers()).unwrap();
         assert_eq!(unit.text, "int on;\nint y_absent;");
         assert_eq!(unit.used_definitions, ["X", "Y", "Z"]);

@@ -296,7 +296,8 @@ impl MachineModule {
     }
 
     /// Total instruction count estimate.
-    pub fn instruction_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn instruction_count(&self) -> usize {
         self.functions.iter().map(|f| f.instruction_count).sum()
     }
 

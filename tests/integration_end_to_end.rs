@@ -84,7 +84,7 @@ fn registry_stores_one_xaas_image_instead_of_one_per_configuration() {
         .submit(&Orchestrator::uncached(&store))
         .unwrap();
     registry.push(&store, "spcl/gmx:ir").unwrap();
-    assert_eq!(registry.tags_of("spcl/gmx").len(), 2);
+    assert_eq!(registry.store().references().len(), 2);
 
     // The IR container alone serves all four configurations on the target system.
     let system = SystemModel::ault23();
@@ -106,7 +106,7 @@ fn registry_stores_one_xaas_image_instead_of_one_per_configuration() {
         assert!(store.load(&deployment.reference).is_ok());
     }
     // Four deployed images now exist locally, but the registry still holds only two.
-    assert_eq!(registry.tags_of("spcl/gmx").len(), 2);
+    assert_eq!(registry.store().references().len(), 2);
     assert!(store.references().len() >= 6);
 }
 

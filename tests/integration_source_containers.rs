@@ -23,6 +23,7 @@ fn publish_pull_and_deploy_on_every_evaluation_system() {
 
     for system in SystemModel::all_evaluation_systems() {
         let system_store = ImageStore::new();
+        let published = registry.store().resolve("spcl/mini-gromacs:src").unwrap();
         let (pulled, _) = registry
             .pull(&system_store, "spcl/mini-gromacs:src")
             .unwrap();
@@ -37,11 +38,8 @@ fn publish_pull_and_deploy_on_every_evaluation_system() {
             .contains(&system.name.to_ascii_lowercase()));
         // The registry image is untouched: deployment produces a *new* image.
         assert_eq!(
-            registry.pull_count(&Reference::parse("spcl/mini-gromacs:src").unwrap()) as usize,
-            1 + SystemModel::all_evaluation_systems()
-                .iter()
-                .position(|s| s.name == system.name)
-                .unwrap()
+            registry.store().resolve("spcl/mini-gromacs:src").unwrap(),
+            published
         );
         // Performance: the deployment never loses to the naive build.
         let engine = ExecutionEngine::new(&system);

@@ -169,10 +169,9 @@ fn real_documents_are_byte_identical_and_round_trip() {
         assert_eq!(&bitcode::content_id_of(&bytes), id);
     }
 
-    // The committed images' manifests, configs and an index over them, read
-    // back from the store: the stored bytes are the direct writer's.
+    // The committed images' manifests, configs and descriptors, read back from
+    // the store: the stored bytes are the direct writer's.
     let store = orch.store();
-    let mut descriptors = Vec::new();
     for reference in [
         &gromacs_build.reference,
         &lulesh_build.reference,
@@ -192,15 +191,8 @@ fn real_documents_are_byte_identical_and_round_trip() {
         assert_round_trip(&manifest);
         assert_round_trip(&config);
         let size = store.blob(&digest).unwrap().len() as u64;
-        descriptors.push(Descriptor::new(MediaType::ImageManifest, digest, size));
+        assert_round_trip(&Descriptor::new(MediaType::ImageManifest, digest, size));
     }
-    let mut annotations = BTreeMap::new();
-    annotations.insert(
-        "org.opencontainers.image.title".to_string(),
-        "apps".to_string(),
-    );
-    store.commit_index("json-codec/apps:multi", descriptors, annotations);
-    assert_round_trip(&store.load_index("json-codec/apps:multi").unwrap());
 
     for manifest in gromacs_build
         .manifests

@@ -161,13 +161,12 @@ fn deployed_object_files_alias_the_cache_artifacts() {
                 .peek(&BuildKey::new(id, &target.name, "lower", TOOLCHAIN_ID))
                 .expect("the lowered module is cached");
             let object = format!("/xaas/obj/{}.o", unit.file.replace('/', "_"));
-            match lowered[0].get(&object) {
-                Some(LayerEntry::File { content, .. }) => assert!(
-                    Blob::ptr_eq(content, &artifact),
-                    "{state}: {object} aliases the cache's artifact"
-                ),
-                other => panic!("{state}: {object} is {other:?}"),
-            }
+            let entry = lowered[0].get(&object);
+            let entry = entry.unwrap_or_else(|| panic!("{state}: {object} is missing"));
+            assert!(
+                Blob::ptr_eq(&entry.content, &artifact),
+                "{state}: {object} aliases the cache's artifact"
+            );
             checked += 1;
         }
         assert!(checked > 0, "the configuration lowers IR units");
