@@ -604,7 +604,7 @@ pub(crate) fn fleet_specialization() -> FleetExperiment {
             .expect("cold deployment succeeds")
         })
         .collect();
-    let cold_actions: u64 = cold.iter().map(|d| d.actions.executed as u64).sum();
+    let cold_actions: u64 = cold.iter().map(|d| d.trace.summary().executed as u64).sum();
 
     // Fleet run: shared cache, deduplicated jobs, and a pinned worker count so
     // nothing the experiment reports depends on the host.
@@ -635,12 +635,12 @@ pub(crate) fn fleet_specialization() -> FleetExperiment {
             let fleet_actions = outcome
                 .deployment
                 .as_ref()
-                .map(|d| d.actions)
+                .map(|d| d.trace.summary())
                 .unwrap_or_default();
             FleetSystemRow {
                 system: request.system.name.clone(),
                 simd: cold_deployment.simd.gmx_name().to_string(),
-                cold_actions: cold_deployment.actions.executed,
+                cold_actions: cold_deployment.trace.summary().executed,
                 fleet_actions_executed: fleet_actions.executed,
                 fleet_actions_cached: fleet_actions.cached,
             }

@@ -10,8 +10,7 @@ use crate::engine::plan::{SdCompilePlanner, SharedDeployArtifacts};
 use crate::engine::{add_commit_action, ActionGraph, ActionId, ActionKind, ActionTrace, LinkSlot};
 use crate::error::PipelineError;
 use crate::ir_container::{
-    project_compiler, ActionSummary, ConfigurationManifest, IrContainerBuild, UnitAssignment,
-    TOOLCHAIN_ID,
+    project_compiler, ConfigurationManifest, IrContainerBuild, UnitAssignment, TOOLCHAIN_ID,
 };
 use crate::resolve::Resolved;
 use crate::targets::{derive_build_profile, target_isa_for};
@@ -58,10 +57,10 @@ pub struct IrDeployment {
     artifacts: Vec<DeployedArtifact>,
     /// Performance profile of the deployed build.
     pub build_profile: BuildProfile,
-    /// Lower/compile actions executed vs served from the action cache. Reported outside
-    /// [`DeploymentStats`] so warm and cold deployments stay otherwise identical.
-    pub actions: ActionSummary,
-    /// The full, deterministic action trace of the deployment.
+    /// The full, deterministic action trace of the deployment. Its
+    /// [`summary`](ActionTrace::summary) counts the lower/compile actions
+    /// executed vs served from the action cache; [`DeploymentStats`] leaves
+    /// them out, so warm and cold deployments' stats are identical.
     pub trace: ActionTrace,
 }
 
@@ -423,7 +422,6 @@ pub(crate) fn finish_ir_deploy(plan: DeployPlan<'_>, trace: ActionTrace) -> IrDe
     .with_container_overhead(1.01);
     build_profile.simd = plan.simd;
 
-    let actions = trace.summary();
     IrDeployment {
         image,
         reference: plan.reference,
@@ -431,7 +429,6 @@ pub(crate) fn finish_ir_deploy(plan: DeployPlan<'_>, trace: ActionTrace) -> IrDe
         simd: plan.simd,
         artifacts,
         build_profile,
-        actions,
         trace,
     }
 }
@@ -586,8 +583,8 @@ mod tests {
             &cache,
         )
         .unwrap();
-        assert_eq!(cold.actions.cached, 0);
-        assert!(cold.actions.executed > 0);
+        assert_eq!(cold.trace.summary().cached, 0);
+        assert!(cold.trace.summary().executed > 0);
         let warm = deploy_cached(
             &build,
             &project,
@@ -597,8 +594,12 @@ mod tests {
             &cache,
         )
         .unwrap();
-        assert_eq!(warm.actions.executed, 0, "warm deployment runs no compiler");
-        assert_eq!(warm.actions.cached, cold.actions.executed);
+        assert_eq!(
+            warm.trace.summary().executed,
+            0,
+            "warm deployment runs no compiler"
+        );
+        assert_eq!(warm.trace.summary().cached, cold.trace.summary().executed);
         let (warm_lowered, cold_lowered) = (warm.lowered().unwrap(), cold.lowered().unwrap());
         assert_eq!(warm_lowered.machine_modules, cold_lowered.machine_modules);
         assert_eq!(warm_lowered.stats, cold_lowered.stats);
@@ -640,7 +641,8 @@ mod tests {
         )
         .expect("the deploy path decodes no artifact");
         assert_eq!(
-            deployment.actions.cached, 1,
+            deployment.trace.summary().cached,
+            1,
             "the poisoned entry was served"
         );
         assert!(store.load(&deployment.reference).is_ok());

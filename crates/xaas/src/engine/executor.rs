@@ -10,13 +10,15 @@
 //! returns a [`GraphHandle`] to [`wait`](GraphHandle::wait) on later. A submission
 //! always runs to completion.
 //!
-//! The executors are the pool's workers plus every thread waiting on a
-//! submission. A waiter does not sleep while work is ready: it pops nodes of any
-//! submission in policy order and runs them as a worker would, and parks beside
-//! the idle workers only when nothing is ready. So a blocking run needs no free
-//! worker, and at most the workers plus the waiting threads run at once. A
-//! waiter returns at most one node late: it may be mid-way through another
-//! submission's node when its own completes.
+//! The executors are the pool's workers, every thread waiting on a submission,
+//! and the thread dropping the engine's last clone, and all of them run one
+//! loop, `CoreShared::run_until`: pop nodes of any submission in policy order
+//! and run them until a predicate holds (shutdown, the submission completed, no
+//! submission live), parking on the pool's `idle`/`wakeup` pair only when
+//! nothing is ready. So a blocking run needs no free worker, and at most the
+//! workers plus the waiting threads run at once. A waiter returns at most one
+//! node late: it may be mid-way through another submission's node when its own
+//! completes.
 //!
 //! Workers **never block on another action's outcome**. A keyed node routes
 //! through the cache's nonblocking flight protocol
@@ -63,7 +65,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::marker::PhantomData;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 use std::time::Instant;
 use xaas_container::{
     ActionCache, Blob, BuildKey, CacheBackend, CacheTier, FlightError, FlightId, FlightOutcome,
@@ -268,9 +270,10 @@ struct Submission {
     /// panicking action behaves like it would on a serial executor instead of
     /// killing a pool worker.
     panic_payload: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Set by the executor that retires the last node.
-    done: StdMutex<bool>,
-    done_cv: Condvar,
+    /// Set (`Release`) by the executor that retires the last node, after every
+    /// node's outcome is stored; a waiter that loads it (`Acquire`) true sees
+    /// them all.
+    done: AtomicBool,
 }
 
 impl Submission {
@@ -309,25 +312,13 @@ impl Submission {
             stage_depth,
             remaining: AtomicUsize::new(nodes.len()),
             panic_payload: Mutex::new(None),
-            done: StdMutex::new(nodes.is_empty()),
-            done_cv: Condvar::new(),
+            done: AtomicBool::new(nodes.is_empty()),
             nodes,
         }
     }
 
-    fn lock_done(&self) -> MutexGuard<'_, bool> {
-        self.done.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     fn is_done(&self) -> bool {
-        *self.lock_done()
-    }
-
-    fn wait_done(&self) {
-        let mut done = self.lock_done();
-        while !*done {
-            done = self.done_cv.wait(done).unwrap_or_else(|e| e.into_inner());
-        }
+        self.done.load(Ordering::Acquire)
     }
 
     /// Run `f`, recording a panic as the submission's payload (the first one
@@ -363,13 +354,14 @@ impl Submission {
 
 /// Waits for a submission to complete when dropped: the unwind-safety net that
 /// keeps the blocking-run lifetime erasure sound (borrowed closures can never
-/// outlive the frame that submitted them). It only sleeps: running nodes during
-/// an unwind could panic again and abort.
-struct WaitOnDrop<'a>(&'a Submission);
+/// outlive the frame that submitted them). On an unwind
+/// [`run_until`](CoreShared::run_until) only sleeps: running nodes then could
+/// panic again and abort.
+struct WaitOnDrop<'a>(&'a Arc<CoreShared>, &'a Submission);
 
 impl Drop for WaitOnDrop<'_> {
     fn drop(&mut self) {
-        self.0.wait_done();
+        self.0.run_until(|| self.1.is_done());
     }
 }
 
@@ -417,6 +409,9 @@ struct Ready {
     parks: u64,
     /// Cumulative wakes since the core started.
     wakeups: u64,
+    /// The next dispatch's `schedule_seq`: taken under the ready lock, so the
+    /// order of `schedule_seq` values is the policy's pop order.
+    seq: u64,
 }
 
 impl Ready {
@@ -430,6 +425,7 @@ impl Ready {
             parked_waiters: 0,
             parks: 0,
             wakeups: 0,
+            seq: 0,
         }
     }
 
@@ -550,9 +546,6 @@ struct CoreShared {
     policy: SchedulingPolicy,
     /// Clock origin for `enqueued_at` / queue-wait accounting.
     epoch: Instant,
-    /// Engine-global dispatch counter; assigned under the ready lock so the
-    /// relative order of `schedule_seq` values equals the policy's pop order.
-    seq: Arc<AtomicU64>,
     submission_ids: AtomicU64,
     ready: Mutex<Ready>,
     /// Idle workers and waiters park here instead of spinning; a finishing node
@@ -617,14 +610,16 @@ impl CoreShared {
     }
 
     /// Pop the next runnable node in policy order and stamp its dispatch
-    /// diagnostics (queue wait, engine-global sequence number) while the ready
+    /// diagnostics (queue wait, the core's sequence number) while the ready
     /// lock is held, so `schedule_seq` order equals pop order.
     fn pop_task(&self) -> Option<Dispatch> {
         let mut ready = self.ready.lock();
         let (item, ready_submissions) = ready.pop()?;
+        let seq = ready.seq;
+        ready.seq += 1;
         Some(Dispatch {
             wait_micros: self.now_micros().saturating_sub(item.enqueued_at),
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
+            seq,
             ready_submissions,
             item,
         })
@@ -665,15 +660,14 @@ impl CoreShared {
                 }
             }
         }
-        let last = sub.remaining.fetch_sub(1, Ordering::AcqRel) == 1;
-        if last {
+        // The last node readies nothing; `complete` wakes every executor.
+        if sub.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.complete(sub);
-        }
-        if last || made_ready > 0 {
-            // Notify under the idle lock: a parking worker re-checks the queue
+        } else if made_ready > 0 {
+            // Notify under the idle lock: a parking executor re-checks the queue
             // after acquiring it, so the notification can never land in the window
             // between a failed pop and the wait.
-            self.notify_workers(last || made_ready > 1);
+            self.notify_workers(made_ready > 1);
         }
     }
 
@@ -682,8 +676,7 @@ impl CoreShared {
     /// step that lets blocking runs borrow caller state soundly.
     fn complete(&self, sub: &Arc<Submission>) {
         self.ready.lock().close(&sub.tenant);
-        *sub.lock_done() = true;
-        sub.done_cv.notify_all();
+        sub.done.store(true, Ordering::Release);
         self.live_submissions.fetch_sub(1, Ordering::AcqRel);
         // Wake the pool and its waiters (and a core waiting to shut down in Drop).
         self.notify_workers(true);
@@ -892,135 +885,99 @@ impl CoreShared {
     }
 
     /// Run ready nodes of any submission, in policy order, on this thread until
-    /// `sub` completes: a thread waiting on a submission is one more executor.
-    /// It returns at most one node late, when it was mid-way through another
-    /// submission's node as its own completed.
-    fn run_until_done(self: &Arc<Self>, sub: &Submission) {
-        while !sub.is_done() {
-            match self.pop_task() {
-                Some(dispatch) => self.execute(dispatch),
-                None => {
-                    // Re-checking `done` under the idle lock pairs with
-                    // `complete` notifying under it, so the wakeup cannot land
-                    // between the check and the wait; the timeout is only a
-                    // backstop, as in `worker_loop`.
-                    let guard = self.idle.lock().unwrap_or_else(|e| e.into_inner());
-                    if !sub.is_done() && !self.has_ready_work() {
-                        let _ = self
-                            .wakeup
-                            .wait_timeout(guard, std::time::Duration::from_millis(10));
-                    }
+    /// `done()` holds, parking on `wakeup` while nothing is ready. Every
+    /// executor is this loop: a pool worker runs until shutdown, a thread waiting
+    /// on a submission until it completes (at most one node late, when it was
+    /// mid-way through another submission's node), and a dropping core until no
+    /// submission is live. A thread that is unwinding only sleeps: a node it ran
+    /// could panic again and abort.
+    fn run_until(self: &Arc<Self>, done: impl Fn() -> bool) {
+        let unwinding = std::thread::panicking();
+        while !done() {
+            if !unwinding {
+                if let Some(dispatch) = self.pop_task() {
+                    self.execute(dispatch);
+                    continue;
                 }
+            }
+            // Re-checking under the idle lock pairs with `submit`, `finish`,
+            // `complete` and `wake_parked` notifying under it, so a wakeup cannot
+            // land between the check and the wait; the timeout is only a backstop.
+            let guard = self.idle.lock().unwrap_or_else(|e| e.into_inner());
+            if !done() && (unwinding || !self.has_ready_work()) {
+                let _ = self
+                    .wakeup
+                    .wait_timeout(guard, std::time::Duration::from_millis(10));
             }
         }
     }
 }
 
-fn worker_loop(shared: Arc<CoreShared>) {
-    loop {
-        match shared.pop_task() {
-            Some(dispatch) => shared.execute(dispatch),
-            None => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-                // Nothing runnable right now: other workers hold the frontier.
-                // Park until new work is admitted. Re-checking readiness under the
-                // idle lock pairs with finish()/submit() notifying under it, so
-                // wakeups are not lost; the timeout is only a backstop.
-                let guard = shared.idle.lock().unwrap_or_else(|e| e.into_inner());
-                if !shared.shutdown.load(Ordering::Acquire) && !shared.has_ready_work() {
-                    let _ = shared
-                        .wakeup
-                        .wait_timeout(guard, std::time::Duration::from_millis(10));
-                }
-            }
-        }
-    }
-}
-
-/// The engine's persistent execution core: the cache, policy, dispatch counter
-/// and worker count it was built with, a lazily spawned worker pool, and the
-/// shared ready queue. Owned (behind `Arc`) by the [`Engine`](super::Engine) and
-/// its clones; dropping the last owner waits for in-flight submissions to retire,
-/// then shuts the pool down and joins it.
+/// The engine's persistent execution core: the state its executors share and
+/// a worker pool spawned on first submission. Owned (behind `Arc`) by the
+/// [`Engine`](super::Engine) and its clones; dropping the last owner runs
+/// in-flight submissions to completion on the dropping thread (beside the
+/// pool), then shuts the pool down and joins it.
 pub(crate) struct ExecutorCore {
-    pub(crate) cache: ActionCache,
-    pub(crate) policy: SchedulingPolicy,
-    /// Dispatch counter shared with every core [`reconfigured`](Self::reconfigured)
-    /// from this one, so `schedule_seq` values in merged traces preserve the
-    /// global execution order.
-    seq: Arc<AtomicU64>,
+    shared: Arc<CoreShared>,
     pub(crate) workers: usize,
-    shared: OnceLock<Arc<CoreShared>>,
-    threads: StdMutex<Vec<std::thread::JoinHandle<()>>>,
+    threads: OnceLock<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl ExecutorCore {
-    pub(crate) fn new(
-        cache: ActionCache,
-        policy: SchedulingPolicy,
-        seq: Arc<AtomicU64>,
-        workers: usize,
-    ) -> Self {
-        Self {
+    pub(crate) fn new(cache: ActionCache, policy: SchedulingPolicy, workers: usize) -> Self {
+        let shared = Arc::new(CoreShared {
             cache,
             policy,
-            seq,
+            epoch: Instant::now(),
+            submission_ids: AtomicU64::new(0),
+            ready: Mutex::new(Ready::new(policy)),
+            idle: StdMutex::new(()),
+            wakeup: Condvar::new(),
+            shutdown: AtomicBool::new(false),
+            live_submissions: AtomicUsize::new(0),
+        });
+        Self {
+            shared,
             workers,
-            shared: OnceLock::new(),
-            threads: StdMutex::new(Vec::new()),
+            threads: OnceLock::new(),
         }
     }
 
-    /// A fresh core (no pool yet) over the same cache and dispatch counter.
-    pub(crate) fn reconfigured(&self, policy: SchedulingPolicy, workers: usize) -> Self {
-        Self::new(self.cache.clone(), policy, self.seq.clone(), workers)
+    pub(crate) fn cache(&self) -> &ActionCache {
+        &self.shared.cache
+    }
+
+    pub(crate) fn policy(&self) -> SchedulingPolicy {
+        self.shared.policy
     }
 
     /// The shared state, spawning the worker pool on first use (so merely
     /// constructing an `Engine` costs no threads).
     fn shared(&self) -> &Arc<CoreShared> {
-        self.shared.get_or_init(|| {
-            let shared = Arc::new(CoreShared {
-                cache: self.cache.clone(),
-                policy: self.policy,
-                epoch: Instant::now(),
-                seq: self.seq.clone(),
-                submission_ids: AtomicU64::new(0),
-                ready: Mutex::new(Ready::new(self.policy)),
-                idle: StdMutex::new(()),
-                wakeup: Condvar::new(),
-                shutdown: AtomicBool::new(false),
-                live_submissions: AtomicUsize::new(0),
-            });
-            let mut threads = self.threads.lock().unwrap_or_else(|e| e.into_inner());
-            for index in 0..self.workers.max(1) {
-                let shared = shared.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("xaas-engine-{index}"))
-                    .spawn(move || worker_loop(shared))
-                    .expect("spawn engine worker");
-                threads.push(handle);
-            }
-            shared
-        })
+        self.threads.get_or_init(|| {
+            (0..self.workers.max(1))
+                .map(|index| {
+                    let shared = self.shared.clone();
+                    std::thread::Builder::new()
+                        .name(format!("xaas-engine-{index}"))
+                        .spawn(move || shared.run_until(|| shared.shutdown.load(Ordering::Acquire)))
+                        .expect("spawn engine worker")
+                })
+                .collect()
+        });
+        &self.shared
     }
 
     pub(crate) fn queue_stats(&self) -> QueueStats {
-        match self.shared.get() {
-            Some(shared) => {
-                let ready = shared.ready.lock();
-                QueueStats {
-                    queued_actions: ready.queued_actions,
-                    waiting_submissions: ready.waiting.len(),
-                    live_submissions: shared.live_submissions.load(Ordering::Acquire),
-                    parked_waiters: ready.parked_waiters,
-                    parks: ready.parks,
-                    wakeups: ready.wakeups,
-                }
-            }
-            None => QueueStats::default(),
+        let ready = self.shared.ready.lock();
+        QueueStats {
+            queued_actions: ready.queued_actions,
+            waiting_submissions: ready.waiting.len(),
+            live_submissions: self.shared.live_submissions.load(Ordering::Acquire),
+            parked_waiters: ready.parked_waiters,
+            parks: ready.parks,
+            wakeups: ready.wakeups,
         }
     }
 
@@ -1047,42 +1004,30 @@ impl ExecutorCore {
     ) -> GraphRun<E> {
         let stage_depth = graph.depth();
         // SAFETY: this frame runs nodes until the submission completes before
-        // returning (`run_until_done`, backstopped by `WaitOnDrop` on unwind), and a
+        // returning (`run_until`, backstopped by `WaitOnDrop` on unwind), and a
         // submission completes only once every node has retired, each having run
         // or dropped its closures first — so no borrowed closure outlives `'env`.
         #[allow(unsafe_code)]
         let nodes = unsafe { assume_static(graph.nodes) };
         let shared = self.shared();
         let sub = shared.submit(nodes, stage_depth, tenant);
-        let _wait_guard = WaitOnDrop(&sub);
-        shared.run_until_done(&sub);
+        let _wait_guard = WaitOnDrop(shared, &sub);
+        shared.run_until(|| sub.is_done());
         take_run::<E>(&sub)
     }
 }
 
 impl Drop for ExecutorCore {
     fn drop(&mut self) {
-        let Some(shared) = self.shared.get() else {
+        let Some(threads) = self.threads.take() else {
             return;
         };
-        // Detached submissions (GraphHandles) finish on their own; wait for them
-        // so no accepted work is abandoned, then stop the pool.
-        {
-            let mut guard = shared.idle.lock().unwrap_or_else(|e| e.into_inner());
-            while shared.live_submissions.load(Ordering::Acquire) != 0 {
-                let (next, _) = shared
-                    .wakeup
-                    .wait_timeout(guard, std::time::Duration::from_millis(10))
-                    .unwrap_or_else(|e| e.into_inner());
-                guard = next;
-            }
-        }
+        let shared = &self.shared;
+        // Detached submissions (GraphHandles) are accepted work: run them to
+        // completion here, beside the pool, then stop the pool.
+        shared.run_until(|| shared.live_submissions.load(Ordering::Acquire) == 0);
         shared.shutdown.store(true, Ordering::Release);
-        {
-            let _guard = shared.idle.lock().unwrap_or_else(|e| e.into_inner());
-            shared.wakeup.notify_all();
-        }
-        let threads = std::mem::take(&mut *self.threads.lock().unwrap_or_else(|e| e.into_inner()));
+        shared.notify_workers(true);
         for handle in threads {
             let _ = handle.join();
         }
@@ -1149,7 +1094,7 @@ impl<E: Send + 'static> GraphHandle<E> {
     /// closure may therefore run here: never hold a lock across `wait` that a
     /// node closure may take.
     pub fn wait(self) -> GraphRun<E> {
-        self.shared.run_until_done(&self.sub);
+        self.shared.run_until(|| self.sub.is_done());
         take_run::<E>(&self.sub)
     }
 }
@@ -1222,9 +1167,7 @@ mod tests {
 
     impl ExecutorCore {
         fn lane_count(&self) -> usize {
-            self.shared
-                .get()
-                .map_or(0, |shared| shared.ready.lock().lanes.len())
+            self.shared.ready.lock().lanes.len()
         }
     }
 
@@ -1340,9 +1283,8 @@ mod tests {
 
     #[test]
     fn a_thousand_one_shot_tenants_leave_no_lanes_behind() {
-        let engine = Engine::uncached(&ImageStore::new())
-            .with_workers(2)
-            .with_policy(WeightedFair::new());
+        let cache = ActionCache::bypass(ImageStore::new());
+        let engine = Engine::configured(cache, WeightedFair.into(), Some(2));
         let handles: Vec<_> = (0..1_000u32)
             .map(|tenant| {
                 let mut graph: ActionGraph<'static, std::convert::Infallible> = ActionGraph::new();

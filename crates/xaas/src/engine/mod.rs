@@ -78,12 +78,14 @@ use xaas_container::{ActionCache, CacheStats, ImageStore};
 /// policy, and dispatch counter) — that is how one engine serves many sessions:
 /// the [`OrchestratorService`](crate::service::OrchestratorService) hands every
 /// session a tenant-tagged clone, and all their submissions interleave through
-/// the pool's single multi-graph ready queue. Configure (workers / policy /
-/// tenant) *before* submitting work: the builder methods that change execution
-/// semantics start a fresh pool, so clones made earlier keep the old one.
+/// the pool's single multi-graph ready queue. Configure (workers / tenant)
+/// *before* submitting work: [`with_workers`](Self::with_workers) starts a
+/// fresh core (pool, queue and dispatch counter), so clones made earlier keep
+/// the old one.
 ///
 /// The pool is spawned lazily on first submission and torn down when the last
-/// clone drops (after waiting for in-flight submissions to retire).
+/// clone drops, after the dropping thread has run in-flight submissions to
+/// completion beside it.
 ///
 /// A thread waiting in [`run`](Self::run) or [`GraphHandle::wait`] is one more
 /// executor: it runs ready nodes of any submission, in policy order, until its
@@ -92,8 +94,7 @@ use xaas_container::{ActionCache, CacheStats, ImageStore};
 /// `run` or `wait` that a node closure may take.
 #[derive(Clone)]
 pub struct Engine {
-    /// The pool, with the cache, policy, dispatch counter and worker count it
-    /// was built with.
+    /// The pool, with the cache, policy and worker count it was built with.
     core: Arc<executor::ExecutorCore>,
     /// The tenant tag stamped on this clone's submissions (scheduling identity
     /// under fair queuing, attribution in traces). Per-clone: tenant clones of one
@@ -107,17 +108,24 @@ impl Engine {
     /// `[2, 8]` — actions are small compile steps) and the default [`Fifo`]
     /// policy.
     pub fn cached(cache: &ActionCache) -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-            .clamp(2, 8);
+        Self::configured(cache.clone(), SchedulingPolicy::Fifo, None)
+    }
+
+    /// An engine over `cache` under `policy`, with `workers` workers (at least
+    /// 1; by default the host parallelism clamped to `[2, 8]`).
+    pub(crate) fn configured(
+        cache: ActionCache,
+        policy: SchedulingPolicy,
+        workers: Option<usize>,
+    ) -> Self {
+        let workers = workers.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4)
+                .clamp(2, 8)
+        });
         Self {
-            core: Arc::new(executor::ExecutorCore::new(
-                cache.clone(),
-                SchedulingPolicy::Fifo,
-                Arc::default(),
-                workers,
-            )),
+            core: Arc::new(executor::ExecutorCore::new(cache, policy, workers.max(1))),
             tenant: None,
         }
     }
@@ -135,15 +143,8 @@ impl Engine {
     /// order; outputs and traces are assembled in node order regardless of
     /// schedule.) Starts a fresh pool: configure before submitting work.
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.core = Arc::new(self.core.reconfigured(self.core.policy, workers.max(1)));
-        self
-    }
-
-    /// Replace the scheduling policy (the dispatch order of the ready queue). The
-    /// policy changes *when* actions run, never what they produce. Starts a
-    /// fresh pool: configure before submitting work.
-    pub(crate) fn with_policy(mut self, policy: impl Into<SchedulingPolicy>) -> Self {
-        self.core = Arc::new(self.core.reconfigured(policy.into(), self.core.workers));
+        let (cache, policy) = (self.core.cache().clone(), self.core.policy());
+        self.core = Self::configured(cache, policy, Some(workers)).core;
         self
     }
 
@@ -169,7 +170,7 @@ impl Engine {
     /// and no submission runs it.
     pub fn analyze<E>(&self, graph: &ActionGraph<'_, E>) -> AnalysisReport {
         AnalysisReport {
-            policy: self.core.policy.name().to_string(),
+            policy: self.core.policy().name().to_string(),
             tenant: self.tenant.clone(),
             nodes: graph.len(),
             error: graph.error(),
@@ -183,22 +184,22 @@ impl Engine {
 
     /// The scheduling policy runs execute under.
     pub fn policy(&self) -> SchedulingPolicy {
-        self.core.policy
+        self.core.policy()
     }
 
     /// The cache every keyed action routes through.
     pub fn cache(&self) -> &ActionCache {
-        &self.core.cache
+        self.core.cache()
     }
 
     /// The cache's counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.core.cache.stats()
+        self.core.cache().stats()
     }
 
     /// The content-addressed store behind the cache (images are committed here).
     pub fn store(&self) -> &ImageStore {
-        self.core.cache.store()
+        self.core.cache().store()
     }
 
     /// Execute `graph` to completion: enqueue its ready frontier on the shared
@@ -259,8 +260,8 @@ impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("workers", &self.core.workers)
-            .field("policy", &self.core.policy.name())
-            .field("cache", &self.core.cache.stats())
+            .field("policy", &self.core.policy().name())
+            .field("cache", &self.core.cache().stats())
             .finish()
     }
 }

@@ -121,9 +121,11 @@ pub struct ActionRecord {
     /// Microseconds the action spent executing (or being served from the cache).
     #[serde(default)]
     pub exec_micros: u64,
-    /// Global dispatch index assigned when a worker popped the action from the
+    /// Dispatch index assigned when an executor popped the action from the
     /// engine's ready queue — the observable execution order the scheduling policy
-    /// produced. Monotone across successive submissions to the same engine.
+    /// produced. The index is per engine core: monotone across successive
+    /// submissions to the same engine and its clones, restarting at 0 on a core
+    /// built by [`Engine::with_workers`](crate::engine::Engine::with_workers).
     #[serde(default)]
     pub schedule_seq: u64,
     /// The fleet job (subgraph tag) the action was grafted under, when the graph

@@ -212,11 +212,10 @@ pub struct IrContainerBuild {
     pub manifests: Vec<ConfigurationManifest>,
     /// The deduplicated IR units keyed by content id.
     pub units: BTreeMap<String, IrUnit>,
-    /// Cache-routed actions (the `ir-lower` nodes) executed vs served from the action
-    /// cache during this build. Stage B plans one node per key, so a cold build
-    /// reports `cached == 0`.
-    pub actions: ActionSummary,
     /// The full, deterministic action trace of the build (preprocess through commit).
+    /// Its [`summary`](ActionTrace::summary) counts the cache-routed actions (the
+    /// `ir-lower` nodes) executed vs served from the action cache; stage B plans
+    /// one node per key, so a cold build reports `cached == 0`.
     pub trace: ActionTrace,
 }
 
@@ -780,14 +779,12 @@ pub(crate) fn run_ir_build(
         units,
         manifests,
     } = assembled.into_inner().expect("link action ran");
-    let actions = trace.summary();
     Ok(IrContainerBuild {
         image,
         reference: reference.to_string(),
         stats,
         manifests,
         units,
-        actions,
         trace,
     })
 }
@@ -1000,10 +997,17 @@ mod tests {
         let config = IrPipelineConfig::sweep_options(&project, &["WITH_MPI", "WITH_OPENMP"]);
         let cold = build_cached(&project, &config, &cache, "warm:a").unwrap();
         // One execution per IR unit, and no memory hit: stage B plans one node per key.
-        assert_eq!((cold.actions.executed, cold.actions.cached), (8, 0));
+        assert_eq!(
+            (cold.trace.summary().executed, cold.trace.summary().cached),
+            (8, 0)
+        );
         let warm = build_cached(&project, &config, &cache, "warm:b").unwrap();
-        assert_eq!(warm.actions.executed, 0, "warm build compiles nothing");
-        assert_eq!(warm.actions.cached, cold.actions.total());
+        assert_eq!(
+            warm.trace.summary().executed,
+            0,
+            "warm build compiles nothing"
+        );
+        assert_eq!(warm.trace.summary().cached, cold.trace.summary().total());
         // Identical artifacts: same units, same stats, same layer bytes.
         assert_eq!(warm.units, cold.units);
         assert_eq!(warm.stats, cold.stats);

@@ -220,12 +220,8 @@ impl OrchestratorBuilder {
         let cache = self
             .cache
             .unwrap_or_else(|| ActionCache::new(ImageStore::new()));
-        let mut engine = Engine::cached(&cache);
-        if let Some(workers) = self.workers {
-            engine = engine.with_workers(workers);
-        }
         Orchestrator {
-            engine: engine.with_policy(self.policy),
+            engine: Engine::configured(cache, self.policy, self.workers),
         }
     }
 }
@@ -809,13 +805,16 @@ mod tests {
             .submit(&orch)
             .unwrap();
         // The 8 ir-lower nodes are the keyed ones, one per key: a cold build hits nothing.
-        assert_eq!((cold.actions.executed, cold.actions.cached), (8, 0));
+        assert_eq!(
+            (cold.trace.summary().executed, cold.trace.summary().cached),
+            (8, 0)
+        );
         let warm = IrBuildRequest::new(&project, &config)
             .reference("orch:ir-warm")
             .submit(&orch)
             .unwrap();
-        assert_eq!(warm.actions.executed, 0, "default session memoizes");
-        assert_eq!(warm.actions.cached, cold.actions.total());
+        assert_eq!(warm.trace.summary().executed, 0, "default session memoizes");
+        assert_eq!(warm.trace.summary().cached, cold.trace.summary().total());
         assert_eq!(warm.image.layers, cold.image.layers);
         assert!(orch.cache_stats().hits > 0);
     }
@@ -1058,7 +1057,8 @@ mod tests {
             .deployment
             .as_ref()
             .unwrap()
-            .actions
+            .trace
+            .summary()
             .total() as u64;
         assert_eq!(
             report.cache.misses, per_system,

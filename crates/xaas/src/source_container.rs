@@ -9,7 +9,7 @@
 use crate::engine::plan::{SdCompilePlanner, SharedDeployArtifacts};
 use crate::engine::{add_commit_action, ActionGraph, ActionId, ActionKind, ActionTrace, LinkSlot};
 use crate::error::PipelineError;
-use crate::ir_container::{project_compiler, ActionSummary};
+use crate::ir_container::project_compiler;
 use crate::resolve::{resolve, Policy, Resolved};
 use crate::targets::{derive_build_profile, target_isa_for};
 use std::collections::{BTreeMap, BTreeSet};
@@ -94,9 +94,9 @@ pub struct SourceDeployment {
     pub build_profile: BuildProfile,
     /// Human-readable notes (fallbacks, substitutions, base-image switches).
     pub notes: Vec<String>,
-    /// Compile actions executed vs served from the action cache.
-    pub actions: ActionSummary,
-    /// The full, deterministic action trace of the deployment.
+    /// The full, deterministic action trace of the deployment. Its
+    /// [`summary`](ActionTrace::summary) counts the compile actions executed vs
+    /// served from the action cache.
     pub trace: ActionTrace,
 }
 
@@ -330,7 +330,6 @@ pub(crate) fn finish_source_deploy(
         compiled_units: plan.build.compile_db.commands.len(),
         build_profile: plan.build_profile,
         notes: plan.resolved.notes,
-        actions: trace.summary(),
         trace,
     }
 }

@@ -83,7 +83,7 @@ fn a_warm_gromacs_simd_sweep_build_stays_inside_the_allocation_budget() {
             .expect("the GROMACS IR container builds")
     };
     let cold = build();
-    assert!(cold.actions.executed > 0);
+    assert!(cold.trace.summary().executed > 0);
 
     let (calls_before, bytes_before) = (
         ALLOC_CALLS.load(Ordering::Relaxed),
@@ -92,7 +92,7 @@ fn a_warm_gromacs_simd_sweep_build_stays_inside_the_allocation_budget() {
     let warm = build();
     let calls = ALLOC_CALLS.load(Ordering::Relaxed) - calls_before;
     let bytes = ALLOC_BYTES.load(Ordering::Relaxed) - bytes_before;
-    assert_eq!(warm.actions.executed, 0, "every ir-lower node hits");
+    assert_eq!(warm.trace.summary().executed, 0, "every ir-lower node hits");
     assert_eq!(warm.image.layers, cold.image.layers);
     println!("warm GROMACS SIMD sweep build: {calls} allocator calls, {bytes} bytes");
     assert!(

@@ -6,7 +6,8 @@
 //! scenario holds flights *externally* via [`CacheBackend::try_begin`] so
 //! parking is deterministic even on a one-worker engine. A thread waiting on a
 //! submission is an executor too: a blocking run completes on its caller while
-//! the only worker is held, and a foreign node it runs keeps its panic.
+//! the only worker is held, a foreign node it runs keeps its panic, and the
+//! thread dropping the last engine clone runs the detached work it waits for.
 
 use proptest::prelude::*;
 use std::convert::Infallible;
@@ -147,6 +148,28 @@ fn a_foreign_panic_run_by_a_waiter_stays_with_its_own_submission() {
         payload.downcast_ref::<&str>(),
         Some(&"the foreign node panicked")
     );
+}
+
+/// Dropping the last engine clone runs detached work instead of only waiting
+/// for it: with the only worker held in a gate, a detached node still runs, on
+/// the thread that drops the engine.
+#[test]
+fn dropping_the_last_engine_runs_detached_work_on_the_dropping_thread() {
+    let engine = Engine::uncached(&ImageStore::new()).with_workers(1);
+    let (release, held) = hold_the_only_worker(&engine);
+    let (ran, signal) = mpsc::channel::<()>();
+    let mut detached: ActionGraph<'static, Infallible> = ActionGraph::new();
+    detached.add(ActionKind::Preprocess, "detached", &[], move |_| {
+        ran.send(()).ok();
+        Ok(Vec::new())
+    });
+    drop(engine.submit_graph(detached).expect("a well-formed graph"));
+    let dropper = std::thread::spawn(move || drop(engine));
+    let outcome = signal.recv_timeout(Duration::from_secs(10));
+    release.send(()).unwrap();
+    dropper.join().unwrap();
+    outcome.expect("the dropping thread runs the detached node");
+    assert!(held.wait().succeeded());
 }
 
 /// The tentpole pin: with ONE worker and an externally held flight, the engine

@@ -139,7 +139,7 @@ fn assert_strategy_equivalence(union: &FleetReport, sequential: &FleetReport) {
         // Per-job traces are equal traces: same records (identities and cached
         // flags), same stage depth, same policy.
         assert_eq!(u.trace, s.trace);
-        assert_eq!(u.actions, s.actions);
+        assert_eq!(u.trace.summary(), s.trace.summary());
     }
 }
 
@@ -253,10 +253,10 @@ fn shared_keys_execute_once_per_wave_in_one_submission() {
     let second = report.outcomes[1].deployment.as_ref().unwrap();
     // Same ISA: every keyed action of the second job is served by the first
     // job's compute node — executed once, observed as hits.
-    assert_eq!(report.cache.misses, first.actions.total() as u64);
-    assert_eq!(second.actions.executed, 0);
-    assert_eq!(second.actions.cached, first.actions.total());
-    assert_eq!(report.cache.hits, second.actions.cached as u64);
+    assert_eq!(report.cache.misses, first.trace.summary().total() as u64);
+    assert_eq!(second.trace.summary().executed, 0);
+    assert_eq!(second.trace.summary().cached, first.trace.summary().total());
+    assert_eq!(report.cache.hits, second.trace.summary().cached as u64);
 }
 
 /// A one-source project with a syntactically broken MPI-tagged source: the IR

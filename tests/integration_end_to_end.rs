@@ -179,7 +179,8 @@ fn fleet_specializer_never_double_builds_and_is_deterministic() {
         .deployment
         .as_ref()
         .unwrap()
-        .actions
+        .trace
+        .summary()
         .total() as u64;
     assert_eq!(stats_a.misses, 2 * actions_per_job);
 

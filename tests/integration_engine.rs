@@ -71,7 +71,7 @@ fn parallel_ir_build_is_byte_identical_to_serial_with_fewer_serial_stages() {
         executed: 10,
         cached: 0,
     };
-    assert_eq!(parallel.actions, keyed);
+    assert_eq!(parallel.trace.summary(), keyed);
     assert_eq!(parallel.stats.configurations, 4);
 }
 
@@ -96,7 +96,7 @@ fn bypass_and_warm_action_cache_builds_are_identical() {
         .expect("every orchestrator has a cache")
         .stats();
     assert_eq!(bypass.entries, 0);
-    assert_eq!(bypass.misses, uncached.actions.executed as u64);
+    assert_eq!(bypass.misses, uncached.trace.summary().executed as u64);
 
     let cached_store = ImageStore::new();
     let cache = ActionCache::new(cached_store.clone());
@@ -110,10 +110,21 @@ fn bypass_and_warm_action_cache_builds_are_identical() {
         .submit(&session)
         .unwrap();
 
-    assert_eq!(warm.actions.executed, 0, "warm build compiles nothing");
-    assert_eq!(warm.actions.cached, cold.actions.total());
-    assert_eq!(uncached.actions.cached, 0, "a bypass cache never hits");
-    assert_eq!(uncached.actions.executed, cold.actions.total());
+    assert_eq!(
+        warm.trace.summary().executed,
+        0,
+        "warm build compiles nothing"
+    );
+    assert_eq!(warm.trace.summary().cached, cold.trace.summary().total());
+    assert_eq!(
+        uncached.trace.summary().cached,
+        0,
+        "a bypass cache never hits"
+    );
+    assert_eq!(
+        uncached.trace.summary().executed,
+        cold.trace.summary().total()
+    );
     for other in [&cold, &warm] {
         assert_eq!(other.image.layers, uncached.image.layers);
         assert_eq!(other.units, uncached.units);
@@ -241,10 +252,10 @@ fn fleet_jobs_flow_through_the_shared_engine() {
             .collect()
     };
     assert_eq!(keyed(deployments[0]), keyed(deployments[1]));
-    assert_eq!(deployments[1].actions.executed, 0);
+    assert_eq!(deployments[1].trace.summary().executed, 0);
     assert_eq!(
-        deployments[1].actions.cached,
-        deployments[0].actions.total()
+        deployments[1].trace.summary().cached,
+        deployments[0].trace.summary().total()
     );
     for deployment in deployments {
         assert_eq!(deployment.trace.by_kind()[&ActionKind::Commit], 1);

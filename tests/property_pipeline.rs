@@ -348,9 +348,9 @@ proptest! {
             .reference(reference)
             .submit(&session)
             .unwrap();
-        prop_assert_eq!(warm.actions.executed, 0);
-        prop_assert_eq!(warm.actions.cached, cold.actions.total());
-        prop_assert_eq!(uncached.actions.cached, 0);
+        prop_assert_eq!(warm.trace.summary().executed, 0);
+        prop_assert_eq!(warm.trace.summary().cached, cold.trace.summary().total());
+        prop_assert_eq!(uncached.trace.summary().cached, 0);
         prop_assert_eq!(&cold.image.layers, &uncached.image.layers);
         prop_assert_eq!(&warm.image.layers, &uncached.image.layers);
         prop_assert_eq!(
@@ -478,8 +478,8 @@ proptest! {
                 .simd(simd)
                 .submit(&session)
                 .unwrap();
-            prop_assert_eq!(warm.actions.executed, 0, "warm deployment must not compile");
-            prop_assert_eq!(warm.actions.cached, primed.actions.total());
+            prop_assert_eq!(warm.trace.summary().executed, 0, "warm deployment must not compile");
+            prop_assert_eq!(warm.trace.summary().cached, primed.trace.summary().total());
             let (warm_lowered, cold_lowered) = (warm.lowered().unwrap(), cold.lowered().unwrap());
             prop_assert_eq!(&warm_lowered.stats, &cold_lowered.stats);
             prop_assert_eq!(&warm_lowered.machine_modules, &cold_lowered.machine_modules);
@@ -539,9 +539,9 @@ proptest! {
             prop_assert_eq!(deployment.trace.stage_depth, reference.trace.stage_depth);
         }
         prop_assert_eq!(&cold.0.trace.records, &reference.trace.records);
-        prop_assert_eq!(cold.0.actions.cached, 0);
-        prop_assert_eq!(warm.0.actions.executed, 0);
-        prop_assert_eq!(warm.0.actions.cached, cold.0.actions.executed);
+        prop_assert_eq!(cold.0.trace.summary().cached, 0);
+        prop_assert_eq!(warm.0.trace.summary().executed, 0);
+        prop_assert_eq!(warm.0.trace.summary().cached, cold.0.trace.summary().executed);
     }
 
     /// A failing translation unit fails the one graph the way it failed the two:

@@ -81,12 +81,16 @@ fn warm_llamacpp_source_deployments_stay_inside_the_allocation_budget() {
             .expect("the source deployment succeeds")
     };
     let cold = deploy();
-    assert!(cold.actions.executed > 0);
+    assert!(cold.trace.summary().executed > 0);
 
     let bytes_before = ALLOC_BYTES.load(Ordering::Relaxed);
     for request in 0..REQUESTS {
         let warm = deploy();
-        assert_eq!(warm.actions.executed, 0, "request {request} is warm");
+        assert_eq!(
+            warm.trace.summary().executed,
+            0,
+            "request {request} is warm"
+        );
     }
     let per_request = (ALLOC_BYTES.load(Ordering::Relaxed) - bytes_before) / REQUESTS;
     assert!(
