@@ -10,24 +10,22 @@
 //!
 //! # `BuildKey` derivation
 //!
-//! A key is the canonical tuple
+//! A key is the SHA-256 of one typed record, written by the one derivation
+//! encoder, [`Derivation`]: the action kind, then every input the action reads —
 //!
-//! ```text
-//! (tu_digest, target_isa, options, toolchain)
-//! ```
+//! * `machine-lower`: the stored IR unit's content digest and the whole target ISA
+//!   (name, vector width, FMA);
+//! * `ir-lower`: the *preprocessed* content digest (two configurations whose
+//!   definitions do not change the token stream share it, the stage-2 identity of
+//!   Figure 7), the file, the IR flags (sorted definitions, OpenMP, optimisation
+//!   level — never the delayed `-m…` flags) and the early-optimisation switch;
+//! * `sd-compile`: the path, the IR flags, the target ISA and the preprocessed digest;
 //!
-//! * `tu_digest` — content digest of the *preprocessed* translation unit (or of the
-//!   stored IR unit when lowering): two configurations whose definitions do not change
-//!   the token stream share this digest, exactly the stage-2 identity of Figure 7;
-//! * `target_isa` — the code-generation target (`xir.ir` while building
-//!   target-independent IR; the concrete ISA name when lowering at deployment);
-//! * `options` — the IR-relevant option/flag assignment (definitions, OpenMP,
-//!   optimisation level — never the delayed `-m…` flags);
-//! * `toolchain` — an identifier pinning the compiler that runs the action.
-//!
-//! The key digest is the SHA-256 of the canonical rendering, so it is stable across
-//! processes and sessions. Because every component is itself a content digest or a
-//! canonical string, a cache hit is sound: equal keys imply byte-identical outputs.
+//! each beside the toolchain id (the pipeline's key functions live in
+//! `xaas::engine::plan`). Every field is a type tag and a fixed-width value or a
+//! length and its bytes, streamed into the hasher: a record reads back as one field
+//! sequence, so no two records share a key however their strings are cut, and equal
+//! keys imply byte-identical outputs. The digest is taken once, at construction.
 //!
 //! The cache is safe for concurrent use and *single-flight*: when several workers race
 //! on the same key (the fleet specializer does this deliberately), exactly one computes
@@ -68,141 +66,99 @@
 pub mod tier;
 
 use crate::blob::Blob;
-use crate::digest::Digest;
+use crate::digest::{Digest, Sha256};
 use crate::image::{ImageStore, StoreGcReport};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use tier::{Claim, DiskLock, DiskTier, DiskTierStats, TierConfig, TierError};
 
-/// The identity of one memoizable build action. See the module docs for the derivation.
-///
-/// The components are fixed at construction, so the key digest — asked for by planning,
-/// the trace and the cache on every request — is computed once per key.
+/// The identity of one memoizable build action: the digest of its derivation record
+/// (see the module docs), computed once, at construction.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct BuildKey {
-    tu_digest: String,
-    target_isa: String,
-    options: String,
-    toolchain: String,
-    #[serde(default, skip_serializing_if = "DigestMemo::skip")]
-    digest: DigestMemo,
-}
+#[serde(transparent)]
+pub struct BuildKey(Digest);
 
 impl BuildKey {
-    /// Build a key from its four components.
+    /// The four-field derivation of kind `build`: the generic key tests and probes
+    /// use. The pipeline's keys are [`Derivation`]s of their action kinds.
     pub fn new(
-        tu_digest: impl Into<String>,
-        target_isa: impl Into<String>,
-        options: impl Into<String>,
-        toolchain: impl Into<String>,
+        tu_digest: impl AsRef<str>,
+        target_isa: impl AsRef<str>,
+        options: impl AsRef<str>,
+        toolchain: impl AsRef<str>,
     ) -> Self {
-        Self {
-            tu_digest: tu_digest.into(),
-            target_isa: target_isa.into(),
-            options: options.into(),
-            toolchain: toolchain.into(),
-            digest: DigestMemo::default(),
-        }
+        Derivation::new("build")
+            .str(tu_digest.as_ref())
+            .str(target_isa.as_ref())
+            .str(options.as_ref())
+            .str(toolchain.as_ref())
+            .finish()
     }
 
-    /// Content digest of the preprocessed translation unit or stored IR unit.
-    pub fn tu_digest(&self) -> &str {
-        &self.tu_digest
-    }
-
-    /// Code-generation target (`xir.ir` for IR builds, the ISA name for lowering).
-    #[cfg(test)]
-    pub(crate) fn target_isa(&self) -> &str {
-        &self.target_isa
-    }
-
-    /// Canonical IR-relevant option assignment (definitions, OpenMP, opt level).
-    pub fn options(&self) -> &str {
-        &self.options
-    }
-
-    /// Toolchain identifier pinning the compiler.
-    pub fn toolchain(&self) -> &str {
-        &self.toolchain
-    }
-
-    /// Canonical textual rendering (field-tagged so components can never collide by
-    /// shifting bytes between fields).
-    pub fn canonical(&self) -> String {
-        format!(
-            "tu={}\nisa={}\nopts={}\ntoolchain={}\n",
-            self.tu_digest, self.target_isa, self.options, self.toolchain
-        )
-    }
-
-    /// The stable SHA-256 digest of the canonical rendering, hashed on first use.
-    pub fn digest(&self) -> Digest {
-        self.digest
-            .0
-            .get_or_init(|| Digest::of_str(&self.canonical()))
-            .clone()
+    /// The stable SHA-256 digest of the derivation record.
+    pub fn digest(&self) -> &Digest {
+        &self.0
     }
 }
 
-/// The memoised [`BuildKey::digest`]: a cache, not data. It compares equal to every
-/// other memo, hashes to nothing and is never serialised, so the derived impls on
-/// [`BuildKey`] see the four components only; a deserialised key starts empty.
-#[derive(Clone, Default)]
-struct DigestMemo(OnceLock<Digest>);
+/// The one derivation encoder: a build action's kind, then its typed fields,
+/// streamed into SHA-256 and finished into the [`BuildKey`] they name.
+///
+/// Every field is a one-byte type tag followed by a fixed-width value or by a
+/// length and the bytes, so a record reads back as exactly one sequence of typed
+/// fields: no byte can move across a field boundary, and no value of one type can
+/// pass for another.
+pub struct Derivation(Sha256);
 
-impl DigestMemo {
-    /// Always `true`: the `skip_serializing_if` that keeps the memo out of the serde form.
-    fn skip(&self) -> bool {
-        true
+impl Derivation {
+    /// Start the record of an action of `kind`.
+    pub fn new(kind: &str) -> Self {
+        Self(Sha256::new()).str(kind)
     }
-}
 
-impl PartialEq for DigestMemo {
-    fn eq(&self, _: &Self) -> bool {
-        true
+    /// Append a string: tag `s`, its byte length, its bytes.
+    pub fn str(mut self, value: &str) -> Self {
+        self.head(b's', value.len() as u64);
+        self.0.update(value.as_bytes());
+        self
     }
-}
 
-impl Eq for DigestMemo {}
-
-impl PartialOrd for DigestMemo {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+    /// Append a list of strings: tag `l`, the count, then each as a string.
+    pub fn strs<'a, I>(mut self, values: I) -> Self
+    where
+        I: IntoIterator<Item = &'a str>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let values = values.into_iter();
+        self.head(b'l', values.len() as u64);
+        values.fold(self, Self::str)
     }
-}
 
-impl Ord for DigestMemo {
-    fn cmp(&self, _: &Self) -> std::cmp::Ordering {
-        std::cmp::Ordering::Equal
+    /// Append an unsigned integer: tag `u`, eight bytes.
+    pub fn u64(mut self, value: u64) -> Self {
+        self.head(b'u', value);
+        self
     }
-}
 
-impl std::hash::Hash for DigestMemo {
-    fn hash<H: std::hash::Hasher>(&self, _: &mut H) {}
-}
-
-impl std::fmt::Debug for DigestMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.0.get() {
-            Some(digest) => f.write_str(digest.as_str()),
-            None => f.write_str("<unhashed>"),
-        }
+    /// Append a flag: tag `b`, one byte.
+    pub fn bool(mut self, value: bool) -> Self {
+        self.0.update(&[b'b', u8::from(value)]);
+        self
     }
-}
 
-impl Serialize for DigestMemo {
-    /// Never reached (the field is always skipped); the derive needs the impl to
-    /// type-check.
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Null
+    /// The key the record names.
+    pub fn finish(self) -> BuildKey {
+        BuildKey(Digest::from_sha256(self.0.finalize()))
     }
-}
 
-impl Deserialize for DigestMemo {
-    fn from_value(_: &serde::Value) -> Result<Self, serde::Error> {
-        Ok(Self::default())
+    /// A type tag and a little-endian `u64` (a length, a count or a value).
+    fn head(&mut self, tag: u8, value: u64) {
+        let mut head = [tag; 9];
+        let [_, body @ ..] = &mut head;
+        *body = value.to_le_bytes();
+        self.0.update(&head);
     }
 }
 
@@ -481,7 +437,7 @@ impl CacheBackend for ActionCache {
             // Never a hit, never coalesced: every caller owns a private flight.
             // The ticket is unarmed (no shared flight state to poison).
             return TryBegin::Owner(FlightTicket {
-                digest,
+                digest: digest.clone(),
                 nonce: 0,
                 inner: None,
                 lock: None,
@@ -489,13 +445,13 @@ impl CacheBackend for ActionCache {
         }
         let mut ticket = {
             let mut inner = self.inner.lock();
-            if let Some(bytes) = inner.resident(&self.store, &digest) {
+            if let Some(bytes) = inner.resident(&self.store, digest) {
                 inner.stats.hits += 1;
                 return TryBegin::Hit(bytes, CacheTier::Memory);
             }
-            if let Some(flight) = inner.in_flight.get(&digest) {
+            if let Some(flight) = inner.in_flight.get(digest) {
                 return TryBegin::InFlight(FlightId {
-                    digest,
+                    digest: digest.clone(),
                     nonce: flight.nonce,
                 });
             }
@@ -509,7 +465,7 @@ impl CacheBackend for ActionCache {
                 },
             );
             FlightTicket {
-                digest,
+                digest: digest.clone(),
                 nonce,
                 inner: Some(self.inner.clone()),
                 lock: None,
@@ -775,20 +731,19 @@ impl ActionCache {
     /// [`CacheStats::stale_evictions`] — instead of lingering as a dead digest that
     /// inflates `entries` and clogs the FIFO order queue.
     pub fn peek(&self, key: &BuildKey) -> Option<Blob> {
-        let digest = key.digest();
-        self.inner.lock().resident(&self.store, &digest)
+        self.inner.lock().resident(&self.store, key.digest())
     }
 
     /// Whether the memory index currently holds an output for `key`.
     pub fn contains(&self, key: &BuildKey) -> bool {
-        self.inner.lock().entries.contains_key(&key.digest())
+        self.inner.lock().entries.contains_key(key.digest())
     }
 
     /// Index an action output produced elsewhere (memory index only; no write-through).
     pub fn insert(&self, key: &BuildKey, bytes: impl Into<Blob>) -> Digest {
         let blob = self.store.put_blob(bytes);
         let mut inner = self.inner.lock();
-        self.record_entry(&mut inner, key.digest(), blob.clone());
+        self.record_entry(&mut inner, key.digest().clone(), blob.clone());
         blob
     }
 
@@ -856,46 +811,123 @@ mod tests {
     #[test]
     fn key_digest_is_stable_and_field_sensitive() {
         let a = key(1);
-        assert_eq!(a.digest(), key(1).digest());
-        let b = BuildKey::new(a.tu_digest(), "x86-avx_512", a.options(), a.toolchain());
-        assert_eq!(b.target_isa(), "x86-avx_512");
-        assert_ne!(a.digest(), b.digest());
-        // Field-tagged canonical form: moving bytes between fields changes the digest.
+        assert_eq!(a, key(1));
+        assert_ne!(
+            a,
+            BuildKey::new("tu1", "x86-avx_512", "defs=;openmp=false;opt=O2", "xirc")
+        );
+        // Length-prefixed fields: moving bytes between fields changes the digest.
         let c = BuildKey::new("tu1x", "ir", "o", "t");
         let d = BuildKey::new("tu1", "xir", "o", "t");
-        assert_ne!(c.digest(), d.digest());
+        assert_ne!(c, d);
     }
 
+    /// A field holding another field's separator and tag cannot forge a second key:
+    /// a `tu=…\nisa=…` rendering gave these two one text.
     #[test]
-    fn memoised_digest_is_not_part_of_the_key() {
-        use std::hash::{Hash, Hasher};
-        let hash_of = |key: &BuildKey| {
-            let mut hasher = std::collections::hash_map::DefaultHasher::new();
-            key.hash(&mut hasher);
-            hasher.finish()
-        };
-        let (hashed, fresh) = (key(1), key(1));
-        let cold_json = serde_json::to_string(&hashed).unwrap();
-        assert!(format!("{hashed:?}").contains("<unhashed>"));
-        let digest = hashed.digest();
-        assert_eq!(digest, Digest::of_str(&hashed.canonical()));
-        assert!(format!("{hashed:?}").contains(digest.as_str()), "held");
-        assert!(format!("{:?}", hashed.clone()).contains(digest.as_str()));
-        assert_eq!(hashed.digest(), digest);
-
-        assert_eq!(hashed, fresh);
-        assert_eq!(hashed.cmp(&fresh), std::cmp::Ordering::Equal);
-        assert_eq!(hash_of(&hashed), hash_of(&fresh));
-        // The serde form is the four components, before and after hashing, and a key
-        // written before the memo existed reads back and hashes the same.
-        assert_eq!(serde_json::to_string(&hashed).unwrap(), cold_json);
-        assert_eq!(
-            cold_json,
-            r#"{"options":"defs=;openmp=false;opt=O2","target_isa":"xir.ir","toolchain":"xirc","tu_digest":"tu1"}"#
+    fn separator_bytes_in_a_field_cannot_forge_another_key() {
+        assert_ne!(
+            BuildKey::new("x\nisa=y", "z", "o", "t"),
+            BuildKey::new("x", "y\nisa=z", "o", "t")
         );
-        let back: BuildKey = serde_json::from_str(&cold_json).unwrap();
-        assert_eq!(back, hashed);
-        assert_eq!(back.digest(), digest);
+        assert_ne!(
+            BuildKey::new("a;b", "c", "o", "t"),
+            BuildKey::new("a", "b;c", "o", "t")
+        );
+    }
+
+    /// The record is the kind and the fields, each a type tag and a little-endian
+    /// length or value, hashed once: the key, its `Debug` and its serde form are
+    /// that digest.
+    #[test]
+    fn a_key_is_the_digest_of_its_typed_record() {
+        fn string(record: &mut Vec<u8>, value: &str) {
+            record.push(b's');
+            record.extend_from_slice(&(value.len() as u64).to_le_bytes());
+            record.extend_from_slice(value.as_bytes());
+        }
+        let mut record = Vec::new();
+        for field in [
+            "build",
+            "tu1",
+            "xir.ir",
+            "defs=;openmp=false;opt=O2",
+            "xirc",
+        ] {
+            string(&mut record, field);
+        }
+        let digest = Digest::of_bytes(&record);
+        assert_eq!(key(1).digest(), &digest);
+        assert!(format!("{:?}", key(1)).contains(digest.as_str()));
+
+        let mut record = Vec::new();
+        string(&mut record, "kind");
+        record.push(b'l');
+        record.extend_from_slice(&2u64.to_le_bytes());
+        string(&mut record, "-DA");
+        string(&mut record, "");
+        record.push(b'u');
+        record.extend_from_slice(&8u64.to_le_bytes());
+        record.extend_from_slice(&[b'b', 1]);
+        let typed = Derivation::new("kind")
+            .strs(["-DA", ""])
+            .u64(8)
+            .bool(true)
+            .finish();
+        assert_eq!(typed.digest(), &Digest::of_bytes(&record));
+
+        let json = serde_json::to_string(&key(1)).unwrap();
+        assert_eq!(json, format!("\"{digest}\""));
+        let back: BuildKey = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, key(1));
+    }
+
+    /// A value of one type never passes for another, and a list is not its items.
+    #[test]
+    fn typed_fields_do_not_collide_across_types() {
+        let kind = || Derivation::new("kind");
+        let keys = [
+            kind().u64(1).finish(),
+            kind().bool(true).finish(),
+            kind().str("\u{1}").finish(),
+            kind().strs(["a", "b"]).finish(),
+            kind().str("a").str("b").finish(),
+            kind().strs([]).finish(),
+            kind().finish(),
+            Derivation::new("other").finish(),
+        ];
+        for (i, a) in keys.iter().enumerate() {
+            for b in &keys[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Four fields drawn from separator-heavy bytes, cut again at other points:
+        /// moving any byte across a field boundary changes the key.
+        #[test]
+        fn moving_bytes_across_a_field_boundary_changes_the_key(
+            fields in proptest::collection::vec("[ab\n=;]{0,5}", 4),
+            cuts in proptest::collection::vec(0usize..=20, 3),
+        ) {
+            let whole = fields.concat();
+            let mut cuts: Vec<usize> = cuts.iter().map(|&cut| cut.min(whole.len())).collect();
+            cuts.sort_unstable();
+            let bounds = [0, cuts[0], cuts[1], cuts[2], whole.len()];
+            let moved: Vec<&str> = bounds.windows(2).map(|w| &whole[w[0]..w[1]]).collect();
+            let before = BuildKey::new(&fields[0], &fields[1], &fields[2], &fields[3]);
+            let after = BuildKey::new(moved[0], moved[1], moved[2], moved[3]);
+            proptest::prop_assert_eq!(
+                before == after,
+                moved.iter().zip(&fields).all(|(m, f)| m == f),
+                "{:?} recut as {:?}",
+                fields,
+                moved
+            );
+        }
     }
 
     #[test]
@@ -1210,7 +1242,7 @@ mod tests {
         assert!(matches!(
             backend.park(
                 &FlightId {
-                    digest: key(1).digest(),
+                    digest: key(1).digest().clone(),
                     nonce: 0
                 },
                 Box::new(|_| panic!("waker must not run"))

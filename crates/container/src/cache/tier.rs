@@ -858,7 +858,7 @@ pub(super) mod tests {
     #[test]
     fn opening_a_root_reads_the_journal_and_no_blob_file() {
         let root = TempRoot::new("no-blobs");
-        let keys: Vec<Digest> = (0..3).map(|n| key(n).digest()).collect();
+        let keys: Vec<Digest> = (0..3).map(|n| key(n).digest().clone()).collect();
         {
             let tier = DiskTier::open(DiskTierConfig::new(root.path())).unwrap();
             for (n, k) in (0u8..).zip(&keys) {
@@ -882,7 +882,7 @@ pub(super) mod tests {
     fn a_reopened_budget_evicts_by_the_files_sizes_not_the_journals() {
         let root = TempRoot::new("budget-reopen");
         let config = || DiskTierConfig::new(root.path()).capacity_bytes(64);
-        let keys: Vec<Digest> = (0..3).map(|n| key(n).digest()).collect();
+        let keys: Vec<Digest> = (0..3).map(|n| key(n).digest().clone()).collect();
         let payloads: Vec<[u8; 32]> = (0..3u8).map(|n| [n; 32]).collect();
         let store = |tier: &DiskTier, n: usize| {
             tier.store(&keys[n], &Digest::of_bytes(&payloads[n]), &payloads[n]);
@@ -1043,7 +1043,7 @@ pub(super) mod tests {
             // file holds now; `discard` quarantines it.
             let root = TempRoot::new("damaged-tier");
             let payload = b"the real artifact";
-            let (k, content) = (key(1).digest(), Digest::of_bytes(payload));
+            let (k, content) = (key(1).digest().clone(), Digest::of_bytes(payload));
             DiskTier::open(DiskTierConfig::new(root.path()))
                 .unwrap()
                 .store(&k, &content, payload);
@@ -1115,7 +1115,7 @@ pub(super) mod tests {
     fn a_journal_torn_at_any_byte_loses_only_its_tail() {
         let root = TempRoot::new("torn");
         let journal_path = root.path().join("index.log");
-        let keys: Vec<Digest> = (0..4).map(|n| key(n).digest()).collect();
+        let keys: Vec<Digest> = (0..4).map(|n| key(n).digest().clone()).collect();
         let content = Digest::of_bytes(b"payload");
         {
             let tier = DiskTier::open(DiskTierConfig::new(root.path())).unwrap();
@@ -1148,7 +1148,7 @@ pub(super) mod tests {
         let content = Digest::of_bytes(b"payload");
         fs::create_dir_all(root.path().join("blobs")).unwrap();
         fs::write(root.path().join("blobs").join(content.hex()), b"payload").unwrap();
-        let keys: Vec<Digest> = (0..3).map(|n| key(n).digest()).collect();
+        let keys: Vec<Digest> = (0..3).map(|n| key(n).digest().clone()).collect();
         let journal = format!(
             "put {} {content} 99999999999999999999999999\nput ../../etc {content} 7\nput {} {content} 7\n",
             keys[0].hex(),
@@ -1187,7 +1187,7 @@ pub(super) mod tests {
 
     #[test]
     fn the_journal_record_language_is_pinned() {
-        let keys: Vec<Digest> = (1..=3).map(|n| key(n).digest()).collect();
+        let keys: Vec<Digest> = (1..=3).map(|n| key(n).digest().clone()).collect();
         let (k, other, third) = (keys[0].hex(), keys[1].hex(), keys[2].hex());
         let content = Digest::of_bytes(b"payload");
         let holds_k = |journal: String| indexed(&opened_on(journal.as_bytes()).1, &keys[0]);
@@ -1396,7 +1396,7 @@ pub(super) mod tests {
     fn the_disk_tier_honours_its_load_store_discard_contract() {
         let root = TempRoot::new("contract");
         let disk = DiskTier::open(DiskTierConfig::new(root.path())).unwrap();
-        let (k, content) = (key(1).digest(), Digest::of_bytes(b"output"));
+        let (k, content) = (key(1).digest().clone(), Digest::of_bytes(b"output"));
         assert!(disk.load(&k).is_none(), "absent key");
         disk.store(&k, &content, b"output");
         let held = Some((content.clone(), b"output".to_vec()));
@@ -1405,7 +1405,7 @@ pub(super) mod tests {
         assert_eq!(disk.load(&k), held, "re-store is idempotent");
         let journal = fs::read_to_string(root.path().join("index.log")).unwrap();
         assert_eq!(journal.lines().count(), 1, "a re-store journals nothing");
-        assert!(disk.load(&key(2).digest()).is_none(), "other keys");
+        assert!(disk.load(key(2).digest()).is_none(), "other keys");
         disk.discard(&k);
         assert!(disk.load(&k).is_none(), "discarded");
         disk.discard(&k); // discarding an absent key is a no-op

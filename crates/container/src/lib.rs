@@ -40,8 +40,8 @@ pub mod prelude {
     pub use crate::blob::Blob;
     pub use crate::cache::tier::{DiskTier, DiskTierConfig, DiskTierStats, TierConfig, TierError};
     pub use crate::cache::{
-        ActionCache, BuildKey, CacheBackend, CacheConfigError, CacheStats, CacheTier, FlightError,
-        FlightId, FlightOutcome, FlightTicket, FlightWaker, TryBegin,
+        ActionCache, BuildKey, CacheBackend, CacheConfigError, CacheStats, CacheTier, Derivation,
+        FlightError, FlightId, FlightOutcome, FlightTicket, FlightWaker, TryBegin,
     };
     pub use crate::digest::Digest;
     pub use crate::image::{

@@ -215,9 +215,6 @@ pub struct BuildProfile {
     pub simd: SimdLevel,
     /// GPU backend compiled in, if any.
     pub gpu_backend: Option<GpuBackend>,
-    /// GPU backend efficiency override (1.0 = native backend). Used to model the SYCL
-    /// portable container penalty from Section 6.3.1.
-    pub gpu_backend_efficiency: Option<f64>,
     /// Threads used at run time.
     pub threads: u32,
     /// BLAS/LAPACK implementation quality.
@@ -237,7 +234,6 @@ impl BuildProfile {
             label: label.into(),
             simd,
             gpu_backend: None,
-            gpu_backend_efficiency: None,
             threads,
             blas: LibraryQuality::Vendor,
             fft: LibraryQuality::Vendor,
@@ -450,9 +446,7 @@ impl<'a> ExecutionEngine<'a> {
             let (seconds, on_gpu) = if gpu_usable && profile.gpu_offloadable {
                 let device = gpu.expect("gpu_usable implies a device");
                 let backend = build.gpu_backend.expect("gpu_usable implies a backend");
-                let efficiency = build
-                    .gpu_backend_efficiency
-                    .unwrap_or_else(|| backend_efficiency(backend, device.vendor));
+                let efficiency = backend_efficiency(backend, device.vendor);
                 let speed = profile.gpu_speedup * device.relative_throughput * efficiency.max(1e-6);
                 (work.scalar_reference_seconds / speed, true)
             } else {

@@ -6,20 +6,18 @@
 //! linking and installation, and commits a new, system-specialized image whose tag
 //! encodes the specialization points.
 
-use crate::engine::plan::{SdCompilePlanner, SharedDeployArtifacts};
+use crate::engine::plan::{machine_lower_key, SdCompilePlanner, SharedDeployArtifacts};
 use crate::engine::{add_commit_action, ActionGraph, ActionId, ActionKind, ActionTrace, LinkSlot};
 use crate::error::PipelineError;
 use crate::ir_container::{
-    project_compiler, ConfigurationManifest, IrContainerBuild, UnitAssignment, TOOLCHAIN_ID,
+    project_compiler, ConfigurationManifest, IrContainerBuild, UnitAssignment,
 };
 use crate::resolve::Resolved;
 use crate::targets::{derive_build_profile, target_isa_for};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use xaas_buildsys::{OptionAssignment, ProjectSpec, SourceSpec};
-use xaas_container::{
-    annotation_keys, Blob, BuildKey, DeploymentFormat, Image, ImageStore, Layer, Platform,
-};
+use xaas_container::{annotation_keys, Blob, DeploymentFormat, Image, ImageStore, Layer, Platform};
 use xaas_hpcsim::{BuildProfile, SimdLevel, SystemModel};
 use xaas_xir::{
     lower_to_machine, CompileFlags, Compiler, MachineModule, TargetIsa, VectorizationReport,
@@ -276,9 +274,8 @@ pub(crate) fn graft_ir_deploy<'env>(
                 // Code generation: vectorise and lower the stored IR for the selected
                 // ISA. The unit id *is* the content digest of the IR, so (id, target)
                 // fully determines the lowered artifact.
-                let key = BuildKey::new(*id, &plan.target.name, "lower", TOOLCHAIN_ID);
-                let identity = format!("lower|{}", key.digest().as_str());
-                let action = match shared.get(&identity) {
+                let key = machine_lower_key(id, &plan.target);
+                let action = match shared.get(&key) {
                     Some(&primary) => graph.add_cached(
                         ActionKind::MachineLower,
                         unit.source_file.clone(),
@@ -292,7 +289,7 @@ pub(crate) fn graft_ir_deploy<'env>(
                             graph.add_cached(
                                 ActionKind::MachineLower,
                                 unit.source_file.clone(),
-                                key,
+                                key.clone(),
                                 &[],
                                 move |_| {
                                     let machine = lower_to_machine(&unit.module, target);
@@ -300,7 +297,7 @@ pub(crate) fn graft_ir_deploy<'env>(
                                         .expect("machine module serialises"))
                                 },
                             );
-                        shared.insert(identity, action);
+                        shared.insert(key, action);
                         action
                     }
                 };
@@ -627,10 +624,7 @@ mod tests {
             .unwrap();
         let id = poisoned.artifact.strip_prefix("ir:").unwrap();
         let target = target_isa_for(SimdLevel::Avx512);
-        cache.insert(
-            &BuildKey::new(id, &target.name, "lower", TOOLCHAIN_ID),
-            b"not json".to_vec(),
-        );
+        cache.insert(&machine_lower_key(id, &target), b"not json".to_vec());
         let deployment = deploy_cached(
             &build,
             &project,

@@ -6,11 +6,13 @@
 //! targets reference a unit, one action per distinct text suffices), the
 //! **`sd-compile`** of a system-dependent source on the deployment target (an IR
 //! deployment contains a source deployment, Figures 6 and 8: the
-//! `SdCompilePlanner` owns the node's identity, cache key, compile closure and
-//! cross-job alias for both), and the **link → commit tail** (a typed
-//! assembled value crosses the graph boundary through a `LinkSlot`, and a Commit
-//! node publishes the image to the engine's store). This module hosts all three so a
-//! change to what keys a deployment step (ROADMAP 1(a)/(b)) or to commit semantics lands
+//! `SdCompilePlanner` owns the node's compile closure and cross-job alias for both),
+//! and the **link → commit tail** (a typed assembled value crosses the graph
+//! boundary through a `LinkSlot`, and a Commit node publishes the image to the
+//! engine's store). It also derives every step's [`BuildKey`]: one function per
+//! keyed kind ([`machine_lower_key`], `ir_lower_key`, `sd_compile_key`), each a
+//! [`Derivation`] of the kind, the toolchain and the typed inputs the step reads.
+//! So a change to what keys a step (ROADMAP 1(a)/(b)) or to commit semantics lands
 //! in one place.
 
 #![deny(clippy::unwrap_used, clippy::dbg_macro)]
@@ -21,9 +23,85 @@ use crate::ir_container::TOOLCHAIN_ID;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use xaas_buildsys::SourceSpec;
-use xaas_container::{BuildKey, Image, ImageStore};
+use xaas_container::{BuildKey, Derivation, Image, ImageStore};
 use xaas_xir::preprocess::flag_definition;
 use xaas_xir::{CompileFlags, Compiler, Observation, TargetIsa};
+
+/// The record every keyed kind starts from: the action kind and the toolchain that
+/// runs it.
+fn derivation(kind: ActionKind) -> Derivation {
+    Derivation::new(kind.as_str()).str(TOOLCHAIN_ID)
+}
+
+/// Append the flags that reach the IR: the sorted definitions, OpenMP and the
+/// optimisation level — never the delayed `-m…` flags, which only lowering reads.
+fn with_ir_flags(record: Derivation, flags: &CompileFlags) -> Derivation {
+    let mut definitions: Vec<&str> = flags.definitions.iter().map(String::as_str).collect();
+    definitions.sort_unstable();
+    record
+        .strs(definitions)
+        .bool(flags.openmp)
+        .str(flags.opt_level().as_str())
+}
+
+/// Append the whole target: its name, vector width and FMA.
+fn with_target(record: Derivation, target: &TargetIsa) -> Derivation {
+    record
+        .str(&target.name)
+        .u64(target.vector_width.into())
+        .bool(target.fma)
+}
+
+/// The key of a `machine-lower`: the stored IR unit `unit` (its content id, the
+/// digest of its bitcode) lowered for `target`.
+pub fn machine_lower_key(unit: &str, target: &TargetIsa) -> BuildKey {
+    with_target(derivation(ActionKind::MachineLower).str(unit), target).finish()
+}
+
+/// The key of an `ir-lower`: `file`, whose *preprocessed* content digest is
+/// `preprocessed`, compiled to IR under `flags`, with or without the early
+/// optimisation pass.
+pub(crate) fn ir_lower_key(
+    preprocessed: &str,
+    file: &str,
+    flags: &CompileFlags,
+    optimize_early: bool,
+) -> BuildKey {
+    let record = derivation(ActionKind::IrLower).str(preprocessed).str(file);
+    with_ir_flags(record, flags).bool(optimize_early).finish()
+}
+
+/// The key of an `sd-compile`: the source at `path`, whose *preprocessed* content
+/// digest is `preprocessed`, compiled under `flags` for `target`. The digest covers
+/// the headers the compiler resolves (the cache contract), so caches shared across
+/// projects can never serve code built against different header definitions.
+pub(crate) fn sd_compile_key(
+    preprocessed: &str,
+    path: &str,
+    flags: &CompileFlags,
+    target: &TargetIsa,
+) -> BuildKey {
+    sd_compile_record(path, flags, target)
+        .str(preprocessed)
+        .finish()
+}
+
+/// What fixes an `sd-compile` before anything ran: its key's record without the
+/// trailing preprocessed digest. A deployment plans one node per identity; a wave
+/// aliases on it.
+pub(crate) fn sd_compile_identity(
+    path: &str,
+    flags: &CompileFlags,
+    target: &TargetIsa,
+) -> BuildKey {
+    sd_compile_record(path, flags, target).finish()
+}
+
+/// The `sd-compile` record up to its preprocessed digest.
+fn sd_compile_record(path: &str, flags: &CompileFlags, target: &TargetIsa) -> Derivation {
+    let record = derivation(ActionKind::SdCompile).str(path);
+    with_target(with_ir_flags(record, flags), target)
+}
 
 /// Schedules deduplicated preprocess actions on a graph.
 ///
@@ -175,7 +253,7 @@ pub(crate) fn mentions_openmp(output: &[u8]) -> bool {
 /// exists once per wave, and the alias deterministically replays the cache hit a
 /// standalone submission of the job would have observed, so per-job traces and
 /// hit/miss deltas equal those of per-job submissions.
-pub(crate) type SharedDeployArtifacts = BTreeMap<String, ActionId>;
+pub(crate) type SharedDeployArtifacts = BTreeMap<BuildKey, ActionId>;
 
 /// The one definition of an `sd-compile`: compiling a system-dependent source from
 /// scratch for the deployment `target`, keyed by what its preprocess action outputs.
@@ -192,31 +270,6 @@ impl<'env> SdCompilePlanner<'env> {
             target,
             preprocess: PreprocessPlanner::new(),
         }
-    }
-
-    /// What fixes the artifact before anything ran: the file, the flags that reach the
-    /// IR (the key carries the sorted definitions) and the target. A deployment plans
-    /// one node per identity; a wave aliases on it.
-    pub(crate) fn identity(path: &str, flags: &CompileFlags, target: &TargetIsa) -> String {
-        format!("sd|{path}|{}|{}", flags.ir_relevant_key(), target.name)
-    }
-
-    /// The cache key of the identity once `digest`, the *preprocessed* content digest
-    /// its preprocess dependency outputs, is known. The digest covers the headers the
-    /// compiler resolves (the cache contract), so caches shared across projects can
-    /// never serve code built against different header definitions.
-    pub(crate) fn key(
-        digest: &str,
-        path: &str,
-        flags: &CompileFlags,
-        target: &TargetIsa,
-    ) -> BuildKey {
-        BuildKey::new(
-            digest,
-            &target.name,
-            format!("file={path};{}", flags.ir_relevant_key()),
-            TOOLCHAIN_ID,
-        )
     }
 
     /// The (deduplicated) preprocess action of `source` under `flags`. Drivers graft
@@ -247,9 +300,9 @@ impl<'env> SdCompilePlanner<'env> {
         let (compiler, target) = (self.compiler, self.target);
         let path = source.path.as_str();
         let key_of = move |inputs: &ActionInputs| {
-            Self::key(preprocessed_digest(inputs.dep(0)), path, flags, target)
+            sd_compile_key(preprocessed_digest(inputs.dep(0)), path, flags, target)
         };
-        let identity = Self::identity(path, flags, target);
+        let identity = sd_compile_identity(path, flags, target);
         if let Some(&primary) = shared.get(&identity) {
             return graph.add_cached_derived(
                 ActionKind::SdCompile,
@@ -292,7 +345,7 @@ impl<'env> SdCompilePlanner<'env> {
 /// stage-A outputs before the graph exists.
 #[derive(Default)]
 pub(crate) struct KeyedActionPlanner {
-    position_by_key: BTreeMap<String, usize>,
+    position_by_key: BTreeMap<BuildKey, usize>,
     actions: Vec<ActionId>,
 }
 
@@ -308,16 +361,15 @@ impl KeyedActionPlanner {
     pub(crate) fn position_for<'env, E>(
         &mut self,
         graph: &mut ActionGraph<'env, E>,
-        key: xaas_container::BuildKey,
-        schedule: impl FnOnce(&mut ActionGraph<'env, E>, xaas_container::BuildKey) -> ActionId,
+        key: BuildKey,
+        schedule: impl FnOnce(&mut ActionGraph<'env, E>, BuildKey) -> ActionId,
     ) -> usize {
-        let key_digest = key.digest().as_str().to_string();
-        if let Some(&position) = self.position_by_key.get(&key_digest) {
+        if let Some(&position) = self.position_by_key.get(&key) {
             return position;
         }
         let position = self.actions.len();
+        self.position_by_key.insert(key.clone(), position);
         let id = schedule(graph, key);
-        self.position_by_key.insert(key_digest, position);
         self.actions.push(id);
         position
     }
@@ -471,24 +523,91 @@ mod tests {
         }
     }
 
-    /// Populated disk tiers outlive the binary: the `sd-compile` key must not drift.
-    /// The hex is what the two pre-planner copies of the format produced.
+    fn flags(flags: &[&str]) -> CompileFlags {
+        CompileFlags::parse(flags.iter().map(|flag| flag.to_string()))
+    }
+
+    /// Populated disk tiers outlive the binary: no key may drift. Each pin is the
+    /// digest of its kind's typed record.
     #[test]
     fn sd_compile_key_is_pinned() {
-        let flags =
-            CompileFlags::parse(["-O2", "-DUSE_MPI=1", "-DA", "-fopenmp"].map(str::to_string));
+        let flags = flags(&["-O2", "-DUSE_MPI=1", "-DA", "-fopenmp"]);
         let target = crate::targets::target_isa_for(xaas_hpcsim::SimdLevel::Avx512);
         let digest = "sha256:0123456789abcdef";
-        let key = SdCompilePlanner::key(digest, "src/comm/halo.ck", &flags, &target);
+        let key = sd_compile_key(digest, "src/comm/halo.ck", &flags, &target);
         assert_eq!(
-            key.canonical(),
-            "tu=sha256:0123456789abcdef\nisa=x86_64-avx_512\n\
-             opts=file=src/comm/halo.ck;defs=-DA,-DUSE_MPI=1;openmp=true;opt=O2\n\
-             toolchain=xirc-19/xir.v1\n"
+            key.digest().as_str(),
+            "sha256:612f3f052f4572b2b9cea26c2d8fa850ffb39c3d7351e70de6c5207efdeb1019"
+        );
+    }
+
+    #[test]
+    fn machine_lower_key_is_pinned() {
+        let target = crate::targets::target_isa_for(xaas_hpcsim::SimdLevel::Avx2_256);
+        let key = machine_lower_key("0123456789abcdef", &target);
+        assert_eq!(
+            key.digest().as_str(),
+            "sha256:531896b31a14d8259d0526eef708a27864cc5d2b99b0a74a206e5bbb45574dfd"
+        );
+    }
+
+    #[test]
+    fn ir_lower_key_is_pinned() {
+        let flags = flags(&["-O3", "-DGMX_DOUBLE=OFF", "-fopenmp"]);
+        let key = ir_lower_key(
+            "sha256:0123456789abcdef",
+            "src/mdlib/force.ck",
+            &flags,
+            true,
         );
         assert_eq!(
             key.digest().as_str(),
-            "sha256:aa8e7673fda38421d262a4b64f9d1104280944180ffda8254ab5368e3550db24"
+            "sha256:99b1099898728e7b604ec700e9e7ea6b51ac2d415d6000af0f5f79cd70a90564"
+        );
+    }
+
+    /// A delayed `-m…` flag or the order of the definitions does not move an
+    /// `ir-lower` key; a dropped definition does.
+    #[test]
+    fn ir_lower_key_ignores_target_flags_and_definition_order() {
+        let key = |flags: &CompileFlags| ir_lower_key("sha256:0a", "f.ck", flags, false);
+        let a = flags(&["-DA", "-DB", "-O3", "-mavx2"]);
+        assert_eq!(key(&a), key(&flags(&["-DB", "-DA", "-O3", "-msse4.1"])));
+        assert_eq!(key(&a), key(&a.without_delayed_target_flags()));
+        assert_ne!(key(&a), key(&flags(&["-DA", "-O3"])));
+        assert_ne!(key(&a), key(&flags(&["-DA", "-DB", "-O2"])));
+        assert_ne!(key(&a), key(&flags(&["-DA", "-DB", "-O3", "-fopenmp"])));
+        assert_ne!(key(&a), ir_lower_key("sha256:0a", "f.ck", &a, true));
+        assert_ne!(key(&a), ir_lower_key("sha256:0b", "f.ck", &a, false));
+        assert_ne!(key(&a), ir_lower_key("sha256:0a", "g.ck", &a, false));
+    }
+
+    /// Two targets with one name but another vector width, or another FMA, lower
+    /// and compile to other code, so they get other keys.
+    #[test]
+    fn deployment_keys_name_the_whole_target() {
+        let flags = flags(&["-O2", "-DA"]);
+        let base = TargetIsa::vector("x86_64-avx_256", 8, true);
+        let wider = TargetIsa::vector("x86_64-avx_256", 16, true);
+        let no_fma = TargetIsa::vector("x86_64-avx_256", 8, false);
+        for other in [&wider, &no_fma] {
+            assert_ne!(
+                machine_lower_key("unit", &base),
+                machine_lower_key("unit", other)
+            );
+            assert_ne!(
+                sd_compile_key("sha256:0a", "a.ck", &flags, &base),
+                sd_compile_key("sha256:0a", "a.ck", &flags, other)
+            );
+            assert_ne!(
+                sd_compile_identity("a.ck", &flags, &base),
+                sd_compile_identity("a.ck", &flags, other)
+            );
+        }
+        // The alias identity is the key's record without its last field: no key.
+        assert_ne!(
+            sd_compile_identity("a.ck", &flags, &base),
+            sd_compile_key("", "a.ck", &flags, &base)
         );
     }
 

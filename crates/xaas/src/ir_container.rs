@@ -23,7 +23,7 @@
 //! source instead of IR. Everything else (`S_I`) is compiled once per unique identity and
 //! stored as XIR bitcode in the image.
 
-use crate::engine::plan::{mentions_openmp, preprocessed_digest};
+use crate::engine::plan::{ir_lower_key, mentions_openmp, preprocessed_digest};
 use crate::engine::{
     add_commit_action, ActionGraph, ActionId, ActionKind, ActionTrace, Engine, KeyedActionPlanner,
     LinkSlot, PreprocessPlanner,
@@ -34,20 +34,16 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use xaas_buildsys::{configure, CompileCommand, ConfiguredBuild, OptionAssignment, ProjectSpec};
 use xaas_container::{
-    annotation_keys, Architecture, Blob, BuildKey, DeploymentFormat, Image, Layer, Platform,
+    annotation_keys, Architecture, Blob, DeploymentFormat, Image, Layer, Platform,
 };
 use xaas_specs::from_project;
 use xaas_xir::{bitcode, CompileFlags, Compiler, IrModule, OptLevel};
 
 pub use crate::engine::ActionSummary;
 
-/// Toolchain identifier pinned into every [`BuildKey`] the pipeline derives. A toolchain
+/// Toolchain identifier pinned into every key the pipeline derives. A toolchain
 /// upgrade must change this constant so stale cache entries can never be served.
 pub const TOOLCHAIN_ID: &str = "xirc-19/xir.v1";
-
-/// The pseudo-target used in build keys while producing target-*independent* IR (the
-/// concrete ISA name is used only for deployment-time lowering).
-pub(crate) const IR_TARGET: &str = "xir.ir";
 
 /// Which of the dedup pipeline's optional stages are enabled (both on by default; the
 /// ablation benchmarks switch them off). Build-directory normalisation (stage 1) and
@@ -621,15 +617,11 @@ pub(crate) fn run_ir_build(
         } = &occurrences[first];
         // The IR is compiled without the delayed ISA flags; OpenMP stays as classified.
         let ir_flags = flags.without_delayed_target_flags();
-        let build_key = BuildKey::new(
+        let build_key = ir_lower_key(
             preprocessed_digest(&outputs_a[*preprocess_action]),
-            IR_TARGET,
-            format!(
-                "file={file};{};early_opt={}",
-                ir_flags.ir_relevant_key(),
-                config.optimize_early
-            ),
-            TOOLCHAIN_ID,
+            file,
+            &ir_flags,
+            config.optimize_early,
         );
         let compiler = &compiler;
         let optimize_early = config.optimize_early;

@@ -6,7 +6,7 @@
 //! selection, and a full build of the selected configuration, producing a *new*,
 //! system-specific image (Figure 6).
 
-use crate::engine::plan::{SdCompilePlanner, SharedDeployArtifacts};
+use crate::engine::plan::{sd_compile_identity, SdCompilePlanner, SharedDeployArtifacts};
 use crate::engine::{add_commit_action, ActionGraph, ActionId, ActionKind, ActionTrace, LinkSlot};
 use crate::error::PipelineError;
 use crate::ir_container::project_compiler;
@@ -15,7 +15,7 @@ use crate::targets::{derive_build_profile, target_isa_for};
 use std::collections::{BTreeMap, BTreeSet};
 use xaas_buildsys::{configure, ConfiguredBuild, OptionAssignment, ProjectSpec};
 use xaas_container::{
-    annotation_keys, Architecture, DeploymentFormat, Image, ImageStore, Layer, Platform,
+    annotation_keys, Architecture, BuildKey, DeploymentFormat, Image, ImageStore, Layer, Platform,
 };
 use xaas_hpcsim::{BuildProfile, SystemModel};
 use xaas_specs::from_project;
@@ -102,7 +102,7 @@ pub struct SourceDeployment {
 
 /// One `sd-compile` of a source deployment, by index into the plan's configured
 /// build: its source, and every compile command sharing its
-/// [`SdCompilePlanner::identity`] (two targets can compile the same file with the
+/// [`sd_compile_identity`] (two targets can compile the same file with the
 /// same flags), which its object file serves.
 struct SourceUnit {
     source: usize,
@@ -191,7 +191,7 @@ pub(crate) fn plan_source_deploy<'a>(
     }
 
     let mut units: Vec<SourceUnit> = Vec::new();
-    let mut unit_by_identity: BTreeMap<String, usize> = BTreeMap::new();
+    let mut unit_by_identity: BTreeMap<BuildKey, usize> = BTreeMap::new();
     for (index, command) in build.compile_db.commands.iter().enumerate() {
         let source = build
             .enabled_sources
@@ -201,7 +201,7 @@ pub(crate) fn plan_source_deploy<'a>(
                 file: command.file.clone(),
             })?;
         let flags = command.flags();
-        let identity = SdCompilePlanner::identity(&command.file, &flags, &target);
+        let identity = sd_compile_identity(&command.file, &flags, &target);
         let unit = *unit_by_identity.entry(identity).or_insert_with(|| {
             units.push(SourceUnit {
                 source,
@@ -345,6 +345,7 @@ pub fn architecture_of(system: &SystemModel) -> Architecture {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::plan::sd_compile_key;
     use crate::orchestrator::{Orchestrator, SourceDeployRequest};
     use xaas_apps::gromacs;
 
@@ -519,7 +520,7 @@ mod tests {
             .unwrap()
             .content_digest();
         cache.insert(
-            &SdCompilePlanner::key(&digest, &source.path, &unit.flags, &plan.target),
+            &sd_compile_key(&digest, &source.path, &unit.flags, &plan.target),
             b"not json".to_vec(),
         );
 

@@ -115,19 +115,6 @@ impl CompileFlags {
         result
     }
 
-    /// The flags that determine IR content (used as the identity key by the pipeline):
-    /// definitions, OpenMP, and optimisation level — *not* the delayed target flags.
-    pub fn ir_relevant_key(&self) -> String {
-        let mut defs = self.definitions.clone();
-        defs.sort();
-        format!(
-            "defs={};openmp={};opt={}",
-            defs.join(","),
-            self.openmp,
-            self.opt.unwrap_or(OptLevel::O2).as_str()
-        )
-    }
-
     /// The effective optimisation level.
     pub fn opt_level(&self) -> OptLevel {
         self.opt.unwrap_or(OptLevel::O2)
@@ -307,23 +294,6 @@ kernel void extra(float* x) { x[0] = 1.0; }
     }
 
     #[test]
-    fn ir_relevant_key_ignores_target_flags_and_flag_order() {
-        let a = CompileFlags::parse(
-            ["-DA", "-DB", "-O3", "-mavx2"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
-        let b = CompileFlags::parse(
-            ["-DB", "-DA", "-O3", "-msse4.1"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
-        assert_eq!(a.ir_relevant_key(), b.ir_relevant_key());
-        let c = CompileFlags::parse(["-DA", "-O3"].iter().map(|s| s.to_string()));
-        assert_ne!(a.ir_relevant_key(), c.ir_relevant_key());
-    }
-
-    #[test]
     fn compile_to_ir_respects_definitions_and_headers() {
         let compiler = compiler();
         let plain = compiler
@@ -416,8 +386,8 @@ kernel void extra(float* x) { x[0] = 1.0; }
         );
         let stripped = flags.without_delayed_target_flags();
         assert!(stripped.delayed_target_flags.is_empty());
-        assert_eq!(stripped.ir_relevant_key(), flags.ir_relevant_key());
         assert_eq!(stripped.definitions, flags.definitions);
         assert!(stripped.openmp);
+        assert_eq!(stripped.opt_level(), OptLevel::O3);
     }
 }

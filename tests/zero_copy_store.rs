@@ -120,7 +120,7 @@ fn concurrent_writers_store_and_hash_a_payload_exactly_once() {
 /// the layers the deployment inherits are the IR container's own sealed layers.
 #[test]
 fn deployed_object_files_alias_the_cache_artifacts() {
-    use xaas::ir_container::TOOLCHAIN_ID;
+    use xaas::engine::plan::machine_lower_key;
     use xaas::prelude::*;
     use xaas_buildsys::OptionAssignment;
     use xaas_hpcsim::{SimdLevel, SystemModel};
@@ -158,7 +158,7 @@ fn deployed_object_files_alias_the_cache_artifacts() {
                 continue;
             };
             let artifact = cache
-                .peek(&BuildKey::new(id, &target.name, "lower", TOOLCHAIN_ID))
+                .peek(&machine_lower_key(id, &target))
                 .expect("the lowered module is cached");
             let object = format!("/xaas/obj/{}.o", unit.file.replace('/', "_"));
             let entry = lowered[0].get(&object);
