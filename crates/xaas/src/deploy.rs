@@ -6,8 +6,10 @@
 //! linking and installation, and commits a new, system-specialized image whose tag
 //! encodes the specialization points.
 
-use crate::engine::plan::{machine_lower_key, SdCompilePlanner, SharedDeployArtifacts};
-use crate::engine::{add_commit_action, ActionGraph, ActionId, ActionKind, ActionTrace, LinkSlot};
+use crate::engine::plan::{MachineLower, SdCompile, SharedDeployArtifacts};
+use crate::engine::{
+    add_commit_action, ActionGraph, ActionId, ActionKind, ActionTrace, LinkSlot, PreprocessPlanner,
+};
 use crate::error::PipelineError;
 use crate::ir_container::{
     project_compiler, ConfigurationManifest, IrContainerBuild, UnitAssignment,
@@ -19,9 +21,7 @@ use std::collections::BTreeMap;
 use xaas_buildsys::{OptionAssignment, ProjectSpec, SourceSpec};
 use xaas_container::{annotation_keys, Blob, DeploymentFormat, Image, ImageStore, Layer, Platform};
 use xaas_hpcsim::{BuildProfile, SimdLevel, SystemModel};
-use xaas_xir::{
-    lower_to_machine, CompileFlags, Compiler, MachineModule, TargetIsa, VectorizationReport,
-};
+use xaas_xir::{CompileFlags, Compiler, MachineModule, TargetIsa, VectorizationReport};
 
 /// Statistics of one deployment.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -231,17 +231,17 @@ pub(crate) fn plan_ir_deploy<'a>(
 ///
 /// 1. **preprocess** (parallel): system-dependent sources, producing the content
 ///    digests their compile actions are keyed by;
-/// 2. **machine-lower + sd-compile** (parallel, cache-routed): lowering a stored
-///    IR unit is keyed on (unit content id, target ISA); compiling a
-///    system-dependent source is the [`SdCompilePlanner`]'s node, whose key is
-///    *derived* from its preprocess dependency's output at dispatch time
-///    ([`ActionGraph::add_cached_derived`]);
+/// 2. **machine-lower + sd-compile** (parallel, cache-routed): each an
+///    [`Action`](crate::engine::Action) record. A [`MachineLower`] is keyed on
+///    (unit content id, target ISA); an [`SdCompile`] reads its preprocess
+///    dependency's output into its key, so that key is derived when the node is
+///    dispatched;
 /// 3. **link + commit**: assemble and commit the system-specialized image.
 ///
-/// Keyed artifacts already in `shared` (the fleet's union-graph wave index; empty
-/// for a standalone deployment) become cache-probe aliases instead of second
-/// compute nodes: the shared `BuildKey` executes once per wave and fans out to
-/// every consuming job's Link.
+/// Records whose identity is already in `shared` (the fleet's union-graph wave
+/// index; empty for a standalone deployment) become cache-probe aliases instead
+/// of second compute nodes: the shared `BuildKey` executes once per wave and fans
+/// out to every consuming job's Link.
 ///
 /// Returns the critical-path depth of the job's own nodes (cross-job alias edges
 /// excluded) — exactly the `stage_depth` the job's standalone submission would
@@ -254,12 +254,14 @@ pub(crate) fn graft_ir_deploy<'env>(
 ) -> usize {
     // Preprocess nodes first, in task order: all preprocess records precede the
     // artifact records.
-    let mut sd_compile = SdCompilePlanner::new(&plan.compiler, &plan.target);
+    let (compiler, flags, target) = (&plan.compiler, &plan.sd_flags, &plan.target);
+    let mut preprocess = PreprocessPlanner::new();
     let mut preprocess_actions: Vec<Option<ActionId>> = Vec::with_capacity(plan.tasks.len());
     for task in &plan.tasks {
         preprocess_actions.push(match task {
             DeployTask::Compile { source, .. } => {
-                Some(sd_compile.preprocess_for(graph, source, &plan.sd_flags))
+                let SourceSpec { path, content, .. } = source;
+                Some(preprocess.action_for(graph, compiler, path, content, flags))
             }
             DeployTask::Lower { .. } => None,
         });
@@ -270,48 +272,22 @@ pub(crate) fn graft_ir_deploy<'env>(
     for (task, preprocess_action) in plan.tasks.iter().zip(&preprocess_actions) {
         match task {
             DeployTask::Lower { id, .. } => {
-                let unit = &plan.build.units[*id];
                 // Code generation: vectorise and lower the stored IR for the selected
                 // ISA. The unit id *is* the content digest of the IR, so (id, target)
                 // fully determines the lowered artifact.
-                let key = machine_lower_key(id, &plan.target);
-                let action = match shared.get(&key) {
-                    Some(&primary) => graph.add_cached(
-                        ActionKind::MachineLower,
-                        unit.source_file.clone(),
-                        key,
-                        &[primary],
-                        move |inputs| Ok(inputs.dep(0).to_vec()),
-                    ),
-                    None => {
-                        let target = &plan.target;
-                        let action =
-                            graph.add_cached(
-                                ActionKind::MachineLower,
-                                unit.source_file.clone(),
-                                key.clone(),
-                                &[],
-                                move |_| {
-                                    let machine = lower_to_machine(&unit.module, target);
-                                    Ok(serde_json::to_vec(&machine)
-                                        .expect("machine module serialises"))
-                                },
-                            );
-                        shared.insert(key, action);
-                        action
-                    }
+                let unit = &plan.build.units[*id];
+                let record = MachineLower {
+                    unit: id,
+                    module: &unit.module,
+                    target,
                 };
-                artifact_actions.push(action);
+                artifact_actions.push(shared.graft(graph, &unit.source_file, record, &[]));
                 artifact_depth = artifact_depth.max(1);
             }
             DeployTask::Compile { source, .. } => {
-                artifact_actions.push(sd_compile.action_for(
-                    graph,
-                    shared,
-                    preprocess_action.expect("compile tasks plan a preprocess action"),
-                    source,
-                    &plan.sd_flags,
-                ));
+                let preprocess = preprocess_action.expect("compile tasks plan a preprocess action");
+                let record = SdCompile::new(source, flags, target, compiler);
+                artifact_actions.push(shared.graft(graph, &source.path, record, &[preprocess]));
                 artifact_depth = artifact_depth.max(2);
             }
         }
@@ -433,6 +409,7 @@ pub(crate) fn finish_ir_deploy(plan: DeployPlan<'_>, trace: ActionTrace) -> IrDe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Action;
     use crate::ir_container::IrPipelineConfig;
     use crate::orchestrator::{IrBuildRequest, IrDeployRequest, Orchestrator};
     use xaas_apps::gromacs;
@@ -623,8 +600,12 @@ mod tests {
             .find(|unit| unit.file == "src/mdrun/integrator.ck")
             .unwrap();
         let id = poisoned.artifact.strip_prefix("ir:").unwrap();
-        let target = target_isa_for(SimdLevel::Avx512);
-        cache.insert(&machine_lower_key(id, &target), b"not json".to_vec());
+        let record = MachineLower {
+            unit: id,
+            module: &build.units[id].module,
+            target: &target_isa_for(SimdLevel::Avx512),
+        };
+        cache.insert(&record.identity(), b"not json".to_vec());
         let deployment = deploy_cached(
             &build,
             &project,

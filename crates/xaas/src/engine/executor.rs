@@ -51,12 +51,11 @@
 //! to retire, and one lock over everything that changes while it runs — its
 //! one-shot work, outcome, trace record, the flight outcome a waker stashed for
 //! it, and its wait and park clocks. Lock order is ready queue → node, never the
-//! reverse, and no node lock is held across a cache call or while a closure runs.
+//! reverse, and no node lock is held across a cache call or while a node's
+//! closure or record runs.
 
 #![deny(clippy::unwrap_used, clippy::dbg_macro)]
-use super::graph::{
-    ActionFn, ActionGraph, ActionId, ActionInputs, ActionNode, ErasedError, KeySpec,
-};
+use super::graph::{ActionGraph, ActionId, ActionInputs, ActionNode, ErasedError, Work};
 use super::policy::SchedulingPolicy;
 use super::trace::{ActionKind, ActionRecord, ActionTrace};
 use parking_lot::Mutex;
@@ -78,7 +77,7 @@ pub enum NodeOutcome<E> {
     /// The node completed (executed or cache-served) with this output blob. The
     /// handle shares its allocation with the cache/store and every dependent node.
     Output(Blob),
-    /// The node's closure returned this error.
+    /// The node's closure or record returned this error.
     Failed(E),
     /// The node was skipped because `root` (a transitive dependency) failed.
     Skipped {
@@ -206,21 +205,19 @@ impl<E> GraphRun<E> {
 /// Pretend a graph's nodes borrow nothing.
 ///
 /// # Safety
-/// The caller must guarantee every contained closure is **run or dropped before
-/// `'env` ends**. The blocking-run path upholds this by (a) running nodes until
-/// the submission completes before returning — and on unwind waiting for it, via
+/// The caller must guarantee every node's boxed work — an `add` closure or an
+/// [`Action`](super::graph::Action) record — is **run or dropped before `'env`
+/// ends**. The blocking-run path upholds this by (a) running nodes until the
+/// submission completes before returning — and on unwind waiting for it, via
 /// [`WaitOnDrop`] — and (b) a submission completing only once every node has
-/// retired, each having run or dropped its closures first (see
-/// [`CoreShared::step`]).
+/// retired, each having run or dropped its work first (see [`CoreShared::step`]).
 #[allow(unsafe_code)]
 unsafe fn assume_static(nodes: Vec<ActionNode<'_>>) -> Vec<ActionNode<'static>> {
     // SAFETY: `ActionNode<'a>` and `ActionNode<'static>` are the same type up to
-    // the trait-object lifetime bound; the caller upholds the outlives contract.
+    // the trait-object lifetime bound of the boxed work; the caller upholds the
+    // outlives contract.
     std::mem::transmute(nodes)
 }
-
-/// A node's one-shot work: its run closure and cache-key specification.
-type Work = (ActionFn<'static>, KeySpec<'static>);
 
 /// One node of a submission: the static part fixed at submission, the count of
 /// dependencies still to retire, and one lock over everything that changes.
@@ -234,12 +231,16 @@ struct Node {
 }
 
 /// What changes while a node runs. Its lock is never held across a cache call,
-/// while a closure runs or drops, or while the ready lock is taken.
+/// while its work runs or drops, or while the ready lock is taken.
 #[derive(Default)]
 struct NodeState {
-    /// Taken at every dispatch; a node parking on a flight puts it back, its key
-    /// resolved, for the re-dispatch its waker queues.
-    work: Option<Work>,
+    /// Taken at every dispatch; a node parking on a flight puts it back for the
+    /// re-dispatch its waker queues.
+    work: Option<Box<dyn Work>>,
+    /// The cache key, taken at every dispatch: fixed when the node was added, or
+    /// derived from the dependency outputs at the first dispatch and put back
+    /// when the node parks.
+    key: Option<BuildKey>,
     /// `None` until the node retires.
     outcome: Option<NodeOutcome<ErasedError>>,
     record: Option<ActionRecord>,
@@ -300,7 +301,8 @@ impl Submission {
                 deps: node.deps,
                 dependents,
                 state: Mutex::new(NodeState {
-                    work: Some((node.run, node.key)),
+                    work: Some(node.work),
+                    key: node.key,
                     ..NodeState::default()
                 }),
             })
@@ -353,8 +355,8 @@ impl Submission {
 }
 
 /// Waits for a submission to complete when dropped: the unwind-safety net that
-/// keeps the blocking-run lifetime erasure sound (borrowed closures can never
-/// outlive the frame that submitted them). On an unwind
+/// keeps the blocking-run lifetime erasure sound (borrowed work can never
+/// outlive the frame that submitted it). On an unwind
 /// [`run_until`](CoreShared::run_until) only sleeps: running nodes then could
 /// panic again and abort.
 struct WaitOnDrop<'a>(&'a Arc<CoreShared>, &'a Submission);
@@ -672,7 +674,7 @@ impl CoreShared {
     }
 
     /// Complete a submission: release its lane, then signal its waiter. Every
-    /// node has retired, so every closure has already run or been dropped — the
+    /// node has retired, so all of its work has already run or been dropped — the
     /// step that lets blocking runs borrow caller state soundly.
     fn complete(&self, sub: &Arc<Submission>) {
         self.ready.lock().close(&sub.tenant);
@@ -682,24 +684,25 @@ impl CoreShared {
         self.notify_workers(true);
     }
 
-    /// Park `node` as a continuation on `flight`: restore its one-shot work for
-    /// the wake-side retry and register a waker that re-enqueues the node when
-    /// the flight retires, so the worker moves on to the next ready action
-    /// immediately.
+    /// Park `node` as a continuation on `flight`: restore its one-shot work and
+    /// its key for the wake-side retry and register a waker that re-enqueues the
+    /// node when the flight retires, so the worker moves on to the next ready
+    /// action immediately.
     fn park_on_flight(
         self: &Arc<Self>,
         sub: &Arc<Submission>,
         node: ActionId,
-        run: ActionFn<'static>,
+        work: Box<dyn Work>,
         key: BuildKey,
         flight: FlightId,
         wait_micros: u64,
     ) {
         {
-            // Restore the work (key resolved to its static form) *before* the
-            // waker can fire: a woken re-dispatch takes it back out.
+            // Restore the work and key *before* the waker can fire: a woken
+            // re-dispatch takes them back out.
             let mut state = sub.nodes[node].state.lock();
-            state.work = Some((run, KeySpec::Static(key)));
+            state.work = Some(work);
+            state.key = Some(key);
             state.accrued_wait += wait_micros;
             state.parks += 1;
         }
@@ -761,9 +764,9 @@ impl CoreShared {
 
     /// Run one dispatched node to its outcome and trace record, or to `None`
     /// when it parked on a flight. The node's work is taken on every dispatch,
-    /// and by the time this returns its closures have run, been dropped, or been
-    /// put back for the parked node's re-dispatch: a node retires only after its
-    /// closures are gone.
+    /// and by the time this returns it has run, been dropped, or been put back
+    /// for the parked node's re-dispatch: a node retires only after its work is
+    /// gone.
     fn step(
         self: &Arc<Self>,
         sub: &Arc<Submission>,
@@ -771,11 +774,11 @@ impl CoreShared {
         dispatch: &Dispatch,
     ) -> Option<(NodeOutcome<ErasedError>, Option<ActionRecord>)> {
         let cell = &sub.nodes[node];
-        let (wake, work) = {
+        let (wake, work, key) = {
             let mut state = cell.state.lock();
-            (state.wake.take(), state.work.take())
+            (state.wake.take(), state.work.take(), state.key.take())
         };
-        let (run, key) = work.expect("a queued node holds its work");
+        let work = work.expect("a queued node holds its work");
         let started = Instant::now();
         // A served node's `(cached, hit_tier, coalesced)`.
         let (key_digest, outcome, served) = match wake {
@@ -786,10 +789,7 @@ impl CoreShared {
             // path (possibly becoming the next owner), so an upstream failure
             // never strands a waiter.
             Some(FlightOutcome::Completed(blob)) => {
-                let key_digest = match key {
-                    KeySpec::Static(key) => Some(key.digest().hex().to_string()),
-                    _ => None,
-                };
+                let key_digest = key.map(|key| key.digest().hex().to_string());
                 let served = (true, Some(CacheTier::Memory), true);
                 (key_digest, NodeOutcome::Output(blob), Some(served))
             }
@@ -799,15 +799,14 @@ impl CoreShared {
                     Ok(inputs) => inputs,
                     Err(outcome) => return Some((outcome, None)),
                 };
-                // Resolve the cache key: static keys pass through; derived keys
-                // are computed from the dependency outputs now that they exist. A
-                // panicking key derivation behaves like a panicking action
-                // (payload recorded, dependents poisoned).
+                // A key not fixed when the node was added is derived from the
+                // dependency outputs now that they exist (`None` for a closure).
+                // A panicking derivation behaves like a panicking action (payload
+                // recorded, dependents poisoned).
                 let key = match key {
-                    KeySpec::None => None,
-                    KeySpec::Static(key) => Some(key),
-                    KeySpec::Derived(key_of) => match sub.catch(|| key_of(&inputs)) {
-                        Some(key) => Some(key),
+                    Some(key) => Some(key),
+                    None => match sub.catch(|| work.key(&inputs)) {
+                        Some(key) => key,
                         None => return Some((NodeOutcome::Skipped { root: node }, None)),
                     },
                 };
@@ -821,7 +820,7 @@ impl CoreShared {
                         TryBegin::Hit(blob, tier) => {
                             (NodeOutcome::Output(blob), Some((true, Some(tier), false)))
                         }
-                        TryBegin::Owner(ticket) => match sub.catch(|| run(&inputs)) {
+                        TryBegin::Owner(ticket) => match sub.catch(|| work.run(&inputs)) {
                             Some(Ok(bytes)) => (
                                 NodeOutcome::Output(self.cache.complete(ticket, bytes)),
                                 Some((false, None, false)),
@@ -842,11 +841,11 @@ impl CoreShared {
                         TryBegin::InFlight(flight) => {
                             // Another owner is computing this key: park as a
                             // continuation and hand the worker back to the queue.
-                            self.park_on_flight(sub, node, run, key, flight, dispatch.wait_micros);
+                            self.park_on_flight(sub, node, work, key, flight, dispatch.wait_micros);
                             return None;
                         }
                     },
-                    None => match sub.catch(|| run(&inputs)) {
+                    None => match sub.catch(|| work.run(&inputs)) {
                         Some(Ok(bytes)) => (
                             NodeOutcome::Output(Blob::new(bytes)),
                             Some((false, None, false)),
@@ -996,7 +995,7 @@ impl ExecutorCore {
         }
     }
 
-    /// Blocking execution of a graph whose closures may borrow the caller's frame.
+    /// Blocking execution of a graph whose work may borrow the caller's frame.
     pub(crate) fn run_blocking<E: Send + 'static>(
         &self,
         graph: ActionGraph<'_, E>,
@@ -1006,7 +1005,8 @@ impl ExecutorCore {
         // SAFETY: this frame runs nodes until the submission completes before
         // returning (`run_until`, backstopped by `WaitOnDrop` on unwind), and a
         // submission completes only once every node has retired, each having run
-        // or dropped its closures first — so no borrowed closure outlives `'env`.
+        // or dropped its work first — so no borrowed closure or boxed record
+        // outlives `'env`.
         #[allow(unsafe_code)]
         let nodes = unsafe { assume_static(graph.nodes) };
         let shared = self.shared();

@@ -5,17 +5,18 @@
 //! dependency edges, then submit it to the [`Engine`](crate::engine::Engine). Nodes
 //! are added in topological order (an edge may only point at an already-added node),
 //! which keeps cycle detection trivial. A node that breaks that contract — a forward
-//! edge, or a commit or derived key with nothing to depend on — is recorded as a
-//! [`GraphError`] when it is added; no `add*` call panics, and the offending edge is
-//! never stored.
+//! edge, or a commit or a record whose key reads a dependency with nothing to depend
+//! on — is recorded as a [`GraphError`] when it is added; no `add*` call panics, and
+//! the offending edge is never stored. A keyed node is an [`Action`] record.
 
 #![deny(clippy::unwrap_used, clippy::dbg_macro)]
 use super::executor::NodeInfo;
 use super::trace::ActionKind;
+use crate::ir_container::TOOLCHAIN_ID;
 use serde::Serialize;
 use std::any::Any;
 use std::marker::PhantomData;
-use xaas_container::{Blob, BuildKey};
+use xaas_container::{Blob, BuildKey, Derivation};
 
 /// Index of a node inside one [`ActionGraph`] (valid only for that graph).
 pub type ActionId = usize;
@@ -58,25 +59,123 @@ impl ActionInputs {
     }
 }
 
+/// A keyed action as a record: one typed value that is both what the action's
+/// [`BuildKey`] names and everything its compute reads (the records of the
+/// pipeline are in [`plan`](super::plan)).
+///
+/// [`run`](Self::run) is a method on the record, so it captures nothing: every
+/// field it reads is keyed by [`derive`](Self::derive) or bound there as
+/// `field: _` beside the keyed field that covers it. `derive` opens with an
+/// exhaustive `let Self { .. } = self;`, so a field left out does not compile:
+///
+/// ```compile_fail,E0027
+/// use xaas::engine::{Action, ActionInputs, ActionKind};
+/// use xaas_container::Derivation;
+///
+/// struct Shout<'a> {
+///     digest: &'a str,
+///     text: &'a str,
+/// }
+///
+/// impl Action for Shout<'_> {
+///     const KIND: ActionKind = ActionKind::MachineLower;
+///     type Error = std::convert::Infallible;
+///
+///     fn derive(&self, _: Option<&ActionInputs>, record: Derivation) -> Derivation {
+///         let Self { digest } = self; // `text: _` is missing
+///         record.str(digest)
+///     }
+///
+///     fn run(&self, _: &ActionInputs) -> Result<Vec<u8>, Self::Error> {
+///         Ok(self.text.to_ascii_uppercase().into_bytes())
+///     }
+/// }
+/// ```
+pub trait Action: Send {
+    /// The pipeline stage of the record's nodes; the first field of its key.
+    const KIND: ActionKind;
+
+    /// Whether the key reads dependency outputs. Such a record is keyed when its
+    /// node is dispatched (any other when it is added), and adding it with no
+    /// dependencies is [`GraphError::DerivedKeyWithoutDeps`].
+    const KEY_READS_DEPS: bool = false;
+
+    /// What [`run`](Self::run) fails with.
+    type Error;
+
+    /// Append the keyed fields to `record`, which names [`KIND`](Self::KIND) and
+    /// the toolchain already. `deps` is `None` when the record is planned: what
+    /// it derives then is its [`identity`](Self::identity).
+    fn derive(&self, deps: Option<&ActionInputs>, record: Derivation) -> Derivation;
+
+    /// Compute the node's output from its dependency outputs, on a cache miss.
+    fn run(&self, deps: &ActionInputs) -> Result<Vec<u8>, Self::Error>;
+
+    /// What planners deduplicate the record on: its key, unless the key reads
+    /// dependency outputs.
+    fn identity(&self) -> BuildKey
+    where
+        Self: Sized,
+    {
+        derive_key(self, None)
+    }
+}
+
+/// The key `action` derives from `deps` (see [`Action::derive`]).
+pub(crate) fn derive_key<A: Action>(action: &A, deps: Option<&ActionInputs>) -> BuildKey {
+    let record = Derivation::new(A::KIND.as_str()).str(TOOLCHAIN_ID);
+    action.derive(deps, record).finish()
+}
+
 /// A driver error with its type erased, so graphs of every error type share one
 /// worker pool; the run downcasts it back to `E` when it is assembled.
 pub(crate) type ErasedError = Box<dyn Any + Send>;
 
-pub(crate) type ActionFn<'env> =
-    Box<dyn FnOnce(&ActionInputs) -> Result<Vec<u8>, ErasedError> + Send + 'env>;
+fn erase<E: Send + 'static>(error: E) -> ErasedError {
+    Box::new(error)
+}
 
-pub(crate) type KeyFn<'env> = Box<dyn FnOnce(&ActionInputs) -> BuildKey + Send + 'env>;
+/// A node's one-shot work, a closure or an [`Action`] record, with its error
+/// type erased.
+pub(crate) trait Work: Send {
+    /// The key derived from the dependency outputs (`None` for a closure), for a
+    /// node not keyed when it was added.
+    fn key(&self, inputs: &ActionInputs) -> Option<BuildKey>;
 
-/// How a node's cache identity is determined.
-pub(crate) enum KeySpec<'env> {
-    /// The node never touches the cache.
-    None,
-    /// The key is known at graph-construction time.
-    Static(BuildKey),
-    /// The key is derived from the node's dependency outputs at dispatch time
-    /// (e.g. an `sd-compile` keyed on the digest its preprocess dependency
-    /// produced — the whole deploy pipeline fits in one submission this way).
-    Derived(KeyFn<'env>),
+    fn run(self: Box<Self>, inputs: &ActionInputs) -> Result<Vec<u8>, ErasedError>;
+}
+
+impl<F: FnOnce(&ActionInputs) -> Result<Vec<u8>, ErasedError> + Send> Work for F {
+    fn key(&self, _: &ActionInputs) -> Option<BuildKey> {
+        None
+    }
+
+    fn run(self: Box<Self>, inputs: &ActionInputs) -> Result<Vec<u8>, ErasedError> {
+        self(inputs)
+    }
+}
+
+/// An [`Action`] record, or an alias of a primary node (see
+/// [`add_alias`](ActionGraph::add_alias)).
+struct Record<A> {
+    action: A,
+    alias: bool,
+}
+
+impl<A: Action> Work for Record<A>
+where
+    A::Error: Send + 'static,
+{
+    fn key(&self, inputs: &ActionInputs) -> Option<BuildKey> {
+        Some(derive_key(&self.action, Some(inputs)))
+    }
+
+    fn run(self: Box<Self>, inputs: &ActionInputs) -> Result<Vec<u8>, ErasedError> {
+        if self.alias {
+            return Ok(inputs.iter().last().unwrap_or_default().to_vec());
+        }
+        self.action.run(inputs).map_err(erase)
+    }
 }
 
 /// The first construction defect an [`ActionGraph`] recorded. A graph that holds
@@ -99,10 +198,11 @@ pub enum GraphError {
         /// The commit node.
         node: ActionId,
     },
-    /// A derived-key node with no dependencies: its dispatch-time key would be
-    /// a constant derived from no inputs.
+    /// A record whose key reads its dependencies
+    /// ([`Action::KEY_READS_DEPS`]), added with none: its key would be a
+    /// constant derived from no inputs.
     DerivedKeyWithoutDeps {
-        /// The derived-key node.
+        /// The node of the record.
         node: ActionId,
     },
 }
@@ -143,17 +243,20 @@ impl std::error::Error for GraphError {}
 /// One node as the executor runs it: its error type was erased when it was added.
 pub(crate) struct ActionNode<'env> {
     pub(crate) info: NodeInfo,
-    pub(crate) key: KeySpec<'env>,
+    /// The cache key fixed when the node was added; `None` for an unkeyed node and
+    /// for a record whose key reads its dependencies.
+    pub(crate) key: Option<BuildKey>,
     pub(crate) deps: Vec<ActionId>,
-    pub(crate) run: ActionFn<'env>,
+    pub(crate) work: Box<dyn Work + 'env>,
 }
 
 /// A DAG of actions to submit to the [`Engine`](crate::engine::Engine).
 ///
-/// `'env` is the lifetime of the data the node closures borrow (project specs, the
-/// compiler, manifest state). The executor runs the closures on its persistent
-/// worker pool; [`Engine::run`](crate::engine::Engine::run) returns only once every
-/// closure has run or been dropped, so borrowing driver locals is free, while
+/// `'env` is the lifetime of the data the node closures and records borrow
+/// (project specs, the compiler, manifest state). The executor runs them on its
+/// persistent worker pool; [`Engine::run`](crate::engine::Engine::run) returns
+/// only once every node's closure or record has run or been dropped, so
+/// borrowing driver locals is free, while
 /// [`Engine::submit_graph`](crate::engine::Engine::submit_graph) needs `'static`.
 /// `E` is the driver's typed error.
 ///
@@ -165,9 +268,7 @@ pub(crate) struct ActionNode<'env> {
 /// bytes are identical regardless of scheduling; only *which* racing record
 /// carries `cached: false` is scheduling-dependent, so drivers that assert
 /// exact trace equality across runs should still order duplicates with a
-/// dependency edge — the fleet grafter uses exactly this shape (a cache-probe
-/// "alias" that fans a shared artifact out into another job's subgraph as a
-/// deterministic hit).
+/// dependency edge, as the fleet's cache-probe aliases do.
 pub struct ActionGraph<'env, E> {
     pub(crate) nodes: Vec<ActionNode<'env>>,
     /// Job tag applied to subsequently added nodes (see [`ActionGraph::set_job`]).
@@ -247,12 +348,13 @@ impl<'env, E: Send + 'static> ActionGraph<'env, E> {
         deps: &[ActionId],
         run: impl FnOnce(&ActionInputs) -> Result<Vec<u8>, E> + Send + 'env,
     ) -> ActionId {
-        self.push(kind, label.into(), KeySpec::None, deps, run)
+        let work = Box::new(move |inputs: &ActionInputs| run(inputs).map_err(erase));
+        self.push(kind, label.into(), None, false, deps.to_vec(), work)
     }
 
-    /// Add a cache-routed action: the executor consults the engine's action cache
-    /// for `key` and only runs the closure on a miss. Defects are recorded as in
-    /// [`add`](Self::add).
+    /// Add a closure the engine's action cache serves under the opaque `key`: the
+    /// form for tests and probes, since nothing ties `key` to what the closure
+    /// reads (a pipeline step is an [`add_action`](Self::add_action) record).
     pub fn add_cached(
         &mut self,
         kind: ActionKind,
@@ -261,63 +363,92 @@ impl<'env, E: Send + 'static> ActionGraph<'env, E> {
         deps: &[ActionId],
         run: impl FnOnce(&ActionInputs) -> Result<Vec<u8>, E> + Send + 'env,
     ) -> ActionId {
-        self.push(kind, label.into(), KeySpec::Static(key), deps, run)
+        let work = Box::new(move |inputs: &ActionInputs| run(inputs).map_err(erase));
+        self.push(kind, label.into(), Some(key), false, deps.to_vec(), work)
     }
 
-    /// Add a cache-routed action whose [`BuildKey`] is *derived from its dependency
-    /// outputs* when the node is dispatched, instead of being known up front.
-    ///
-    /// This is what lets a whole deployment pipeline run as one submission: an
-    /// `sd-compile` is keyed on the preprocessed-content digest its preprocess
-    /// dependency produces, so the key cannot exist at graph-construction time.
-    /// `key_of` must be deterministic in the dependency outputs — it becomes part
-    /// of the action's cache identity and recorded `key_digest`. A derived key
-    /// with no dependencies to derive from is recorded as
-    /// [`GraphError::DerivedKeyWithoutDeps`]; other defects as in
-    /// [`add`](Self::add).
-    pub fn add_cached_derived(
+    /// Add the [`Action`] `record`, which runs only on a miss of the key it
+    /// derives (see [`Action::KEY_READS_DEPS`] for when). Defects are recorded as
+    /// in [`add`](Self::add).
+    pub fn add_action<A: Action<Error = E> + 'env>(
         &mut self,
-        kind: ActionKind,
         label: impl Into<String>,
-        key_of: impl FnOnce(&ActionInputs) -> BuildKey + Send + 'env,
+        record: A,
         deps: &[ActionId],
-        run: impl FnOnce(&ActionInputs) -> Result<Vec<u8>, E> + Send + 'env,
     ) -> ActionId {
-        self.push(
-            kind,
-            label.into(),
-            KeySpec::Derived(Box::new(key_of)),
-            deps,
-            run,
-        )
+        let key = (!A::KEY_READS_DEPS).then(|| derive_key(&record, None));
+        self.push_record(label.into(), record, key, deps.to_vec(), false)
     }
 
-    /// Record `run` with its error type erased (boxed once, here), and its
-    /// defects as [`add`](Self::add) documents.
+    /// [`add_action`](Self::add_action) for a planner that derived `record`'s
+    /// [`identity`](Action::identity) already, so the record is not hashed twice.
+    pub(crate) fn add_identified<A: Action<Error = E> + 'env>(
+        &mut self,
+        label: impl Into<String>,
+        record: A,
+        identity: &BuildKey,
+        deps: &[ActionId],
+    ) -> ActionId {
+        let key = (!A::KEY_READS_DEPS).then(|| identity.clone());
+        self.push_record(label.into(), record, key, deps.to_vec(), false)
+    }
+
+    /// Add a cache-probe alias of `primary`, a node of a record with the same
+    /// `identity`: `record`, with `primary` as its last dependency and served from
+    /// it, so a deterministic hit (or the primary's bytes, under no cache).
+    pub(crate) fn add_alias<A: Action<Error = E> + 'env>(
+        &mut self,
+        label: impl Into<String>,
+        record: A,
+        identity: BuildKey,
+        deps: &[ActionId],
+        primary: ActionId,
+    ) -> ActionId {
+        let key = (!A::KEY_READS_DEPS).then_some(identity);
+        let mut deps_then_primary = Vec::with_capacity(deps.len() + 1);
+        deps_then_primary.extend_from_slice(deps);
+        deps_then_primary.push(primary);
+        self.push_record(label.into(), record, key, deps_then_primary, true)
+    }
+
+    fn push_record<A: Action<Error = E> + 'env>(
+        &mut self,
+        label: String,
+        action: A,
+        key: Option<BuildKey>,
+        deps: Vec<ActionId>,
+        alias: bool,
+    ) -> ActionId {
+        let work = Box::new(Record { action, alias });
+        self.push(A::KIND, label, key, A::KEY_READS_DEPS, deps, work)
+    }
+
+    /// Record `work` and its defects as [`add`](Self::add) and
+    /// [`add_action`](Self::add_action) document.
     fn push(
         &mut self,
         kind: ActionKind,
         label: String,
-        key: KeySpec<'env>,
-        deps: &[ActionId],
-        run: impl FnOnce(&ActionInputs) -> Result<Vec<u8>, E> + Send + 'env,
+        key: Option<BuildKey>,
+        key_reads_deps: bool,
+        mut deps: Vec<ActionId>,
+        work: Box<dyn Work + 'env>,
     ) -> ActionId {
         let id = self.nodes.len();
         let mut defect = if deps.is_empty() && kind == ActionKind::Commit {
             Some(GraphError::CommitWithoutDeps { node: id })
-        } else if deps.is_empty() && matches!(key, KeySpec::Derived(_)) {
+        } else if deps.is_empty() && key_reads_deps {
             Some(GraphError::DerivedKeyWithoutDeps { node: id })
         } else {
             None
         };
-        let mut kept = Vec::with_capacity(deps.len());
-        for &dep in deps {
-            if dep < id {
-                kept.push(dep);
-            } else {
+        deps.retain(|&dep| {
+            let backward = dep < id;
+            if !backward {
                 defect = defect.or(Some(GraphError::ForwardEdge { node: id, dep }));
             }
-        }
+            backward
+        });
         self.error = self.error.or(defect);
         self.nodes.push(ActionNode {
             info: NodeInfo {
@@ -326,10 +457,8 @@ impl<'env, E: Send + 'static> ActionGraph<'env, E> {
                 job: self.current_job,
             },
             key,
-            deps: kept,
-            run: Box::new(move |inputs| {
-                run(inputs).map_err(|error| Box::new(error) as ErasedError)
-            }),
+            deps,
+            work,
         });
         id
     }
@@ -362,8 +491,30 @@ mod tests {
         assert_eq!(ActionGraph::<()>::new().depth(), 0);
     }
 
+    /// A record keyed by the output of its dependency 0.
+    struct KeyedByDep;
+
+    impl Action for KeyedByDep {
+        const KIND: ActionKind = ActionKind::SdCompile;
+        const KEY_READS_DEPS: bool = true;
+        type Error = ();
+
+        fn derive(&self, deps: Option<&ActionInputs>, record: Derivation) -> Derivation {
+            let Self = self;
+            match deps {
+                Some(deps) => record.str(&String::from_utf8_lossy(deps.dep(0))),
+                None => record,
+            }
+        }
+
+        fn run(&self, _: &ActionInputs) -> Result<Vec<u8>, ()> {
+            Ok(vec![])
+        }
+    }
+
     /// Adds defect `which` to `graph`: a `usize::MAX` edge (beside a valid one),
-    /// a self edge, a commit with no dependencies, a derived key with none.
+    /// a self edge, a commit with no dependencies, a record whose key reads a
+    /// dependency with none.
     fn add_defect(graph: &mut ActionGraph<'static, ()>, which: usize) -> ActionId {
         let key = || BuildKey::new("k", "xir.ir", "opts", "toolchain-test");
         let run = |_: &ActionInputs| Ok(vec![]);
@@ -371,9 +522,7 @@ mod tests {
             0 => graph.add(ActionKind::Link, "far", &[0, usize::MAX], run),
             1 => graph.add(ActionKind::Link, "self", &[graph.len()], run),
             2 => graph.add_cached(ActionKind::Commit, "commit", key(), &[], run),
-            _ => {
-                graph.add_cached_derived(ActionKind::SdCompile, "derived", move |_| key(), &[], run)
-            }
+            _ => graph.add_action("derived", KeyedByDep, &[]),
         }
     }
 
@@ -420,5 +569,27 @@ mod tests {
         for (id, node) in graph.nodes.iter().enumerate() {
             assert!(node.deps.iter().all(|&dep| dep < id));
         }
+    }
+
+    /// A record whose key reads a dependency is keyed at dispatch, not when it is
+    /// added; an alias keeps the record's deps and ends on its primary.
+    #[test]
+    fn a_record_is_keyed_when_added_unless_its_key_reads_a_dependency() {
+        let mut graph: ActionGraph<'static, ()> = ActionGraph::new();
+        let pre = graph.add(ActionKind::Preprocess, "pre", &[], |_| Ok(b"a".to_vec()));
+        let primary = graph.add_action("primary", KeyedByDep, &[pre]);
+        let alias = graph.add_alias("alias", KeyedByDep, KeyedByDep.identity(), &[pre], primary);
+        assert_eq!(graph.error(), None);
+        assert!(graph.nodes[primary].key.is_none());
+        assert_eq!(graph.nodes[alias].deps, vec![pre, primary]);
+        let inputs = ActionInputs::new(vec![Blob::new(b"a".to_vec())]);
+        assert_eq!(
+            graph.nodes[primary].work.key(&inputs),
+            graph.nodes[alias].work.key(&inputs)
+        );
+        assert_ne!(
+            graph.nodes[primary].work.key(&inputs),
+            Some(KeyedByDep.identity())
+        );
     }
 }

@@ -63,7 +63,7 @@ pub use analysis::AnalysisReport;
 pub use executor::{
     ActionOutputs, GraphHandle, GraphRun, JobFailure, NodeInfo, NodeOutcome, QueueStats,
 };
-pub use graph::{ActionGraph, ActionId, ActionInputs, GraphError};
+pub use graph::{Action, ActionGraph, ActionId, ActionInputs, GraphError};
 pub(crate) use plan::{add_commit_action, KeyedActionPlanner, LinkSlot, PreprocessPlanner};
 pub use policy::{Fifo, SchedulingPolicy, WeightedFair};
 pub use trace::{ActionKind, ActionRecord, ActionSummary, ActionTrace};
@@ -271,7 +271,7 @@ impl std::fmt::Debug for Engine {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use xaas_container::BuildKey;
+    use xaas_container::{BuildKey, Derivation};
 
     fn key(name: &str) -> BuildKey {
         BuildKey::new(name, "xir.ir", "opts", "toolchain-test")
@@ -532,10 +532,34 @@ mod tests {
         }
     }
 
+    /// A record that owns a [`Dropped`] guard, keyed by `unit`.
+    struct GuardedRecord<'a> {
+        unit: &'static str,
+        _guard: Dropped<'a>,
+    }
+
+    impl Action for GuardedRecord<'_> {
+        const KIND: ActionKind = ActionKind::IrLower;
+        type Error = String;
+
+        fn derive(&self, _: Option<&ActionInputs>, record: Derivation) -> Derivation {
+            let Self {
+                unit,
+                // Instrumentation: it counts drops and changes no output.
+                _guard: _,
+            } = self;
+            record.str(unit)
+        }
+
+        fn run(&self, _: &ActionInputs) -> Result<Vec<u8>, String> {
+            Ok(self.unit.as_bytes().to_vec())
+        }
+    }
+
     /// The contract the lifetime erasure of `Engine::run` rests on: when control
-    /// returns to the caller, every node's closure has run or been dropped —
-    /// whether the node failed, was skipped behind a failure, panicked, or was
-    /// served from the cache without running.
+    /// returns to the caller, every node's closure or record has run or been
+    /// dropped — whether the node failed, was skipped behind a failure, panicked,
+    /// or was served from the cache without running.
     #[test]
     fn every_closure_has_run_or_been_dropped_when_control_returns() {
         let engine = Engine::uncached(&ImageStore::new()).with_workers(2);
@@ -591,6 +615,12 @@ mod tests {
         // A warm rerun: every keyed node is a cache hit, so no closure runs.
         let cache = ActionCache::new(ImageStore::new());
         let cached = Engine::cached(&cache).with_workers(2);
+        let uncounted = AtomicUsize::new(0);
+        let key_of_d = GuardedRecord {
+            unit: "d",
+            _guard: Dropped(&uncounted),
+        }
+        .identity();
         for _ in 0..2 {
             let drops = AtomicUsize::new(0);
             let mut graph: ActionGraph<'_, String> = ActionGraph::new();
@@ -598,8 +628,16 @@ mod tests {
                 let run = guarded(&drops, || Ok(vec![1]));
                 graph.add_cached(ActionKind::IrLower, unit, key(unit), &[], run);
             }
+            // A record and its cache-probe alias, which never runs.
+            let record = |unit| GuardedRecord {
+                unit,
+                _guard: Dropped(&drops),
+            };
+            let primary = graph.add_action("d", record("d"), &[]);
+            let identity = key_of_d.clone();
+            graph.add_alias("d alias", record("d"), identity, &[], primary);
             assert!(cached.run(graph).unwrap().succeeded());
-            assert_eq!(drops.load(Ordering::SeqCst), 3);
+            assert_eq!(drops.load(Ordering::SeqCst), 5);
         }
     }
 }

@@ -3,34 +3,40 @@
 //! The three drivers (IR build, IR deploy, source deploy) share three graph idioms:
 //! scheduling **deduplicated preprocess actions** (preprocessing depends only on the
 //! file and the definitions it can observe, so however many configurations or
-//! targets reference a unit, one action per distinct text suffices), the
-//! **`sd-compile`** of a system-dependent source on the deployment target (an IR
-//! deployment contains a source deployment, Figures 6 and 8: the
-//! `SdCompilePlanner` owns the node's compile closure and cross-job alias for both),
-//! and the **link → commit tail** (a typed assembled value crosses the graph
-//! boundary through a `LinkSlot`, and a Commit node publishes the image to the
-//! engine's store). It also derives every step's [`BuildKey`]: one function per
-//! keyed kind ([`machine_lower_key`], `ir_lower_key`, `sd_compile_key`), each a
-//! [`Derivation`] of the kind, the toolchain and the typed inputs the step reads.
-//! So a change to what keys a step (ROADMAP 1(a)/(b)) or to commit semantics lands
-//! in one place.
+//! targets reference a unit, one action per distinct text suffices), the keyed
+//! steps as [`Action`] records — [`MachineLower`], `IrLower` and `SdCompile`, the
+//! compile of a system-dependent source that an IR deployment shares with a source
+//! deployment (Figures 6 and 8) — each `derive` the step's [`BuildKey`] and each
+//! `run` its compute, and the **link → commit tail** (a typed assembled value
+//! crosses the graph boundary through a `LinkSlot`, and a Commit node publishes
+//! the image to the engine's store). So a change to what keys a step (ROADMAP
+//! 1(a)/(b)) or to commit semantics lands in one place.
 
 #![deny(clippy::unwrap_used, clippy::dbg_macro)]
-use super::graph::{ActionGraph, ActionId, ActionInputs};
+use super::graph::{Action, ActionGraph, ActionId, ActionInputs};
 use super::trace::ActionKind;
 use crate::error::PipelineError;
-use crate::ir_container::TOOLCHAIN_ID;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use xaas_buildsys::SourceSpec;
 use xaas_container::{BuildKey, Derivation, Image, ImageStore};
 use xaas_xir::preprocess::flag_definition;
-use xaas_xir::{CompileFlags, Compiler, Observation, TargetIsa};
+use xaas_xir::{
+    bitcode, lower_to_machine, CompileError, CompileFlags, Compiler, IrModule, MachineModule,
+    Observation, TargetIsa,
+};
 
-/// The record every keyed kind starts from: the action kind and the toolchain that
-/// runs it.
-fn derivation(kind: ActionKind) -> Derivation {
-    Derivation::new(kind.as_str()).str(TOOLCHAIN_ID)
+/// A compile error in `file`.
+fn compile_error(file: &str) -> impl FnOnce(CompileError) -> PipelineError + '_ {
+    move |error| PipelineError::Compile {
+        file: file.to_string(),
+        error,
+    }
+}
+
+/// A machine module's bytes: the output of every deployment artifact.
+fn machine_bytes(machine: &MachineModule) -> Vec<u8> {
+    serde_json::to_vec(machine).expect("machine module serialises")
 }
 
 /// Append the flags that reach the IR: the sorted definitions, OpenMP and the
@@ -52,55 +58,138 @@ fn with_target(record: Derivation, target: &TargetIsa) -> Derivation {
         .bool(target.fma)
 }
 
-/// The key of a `machine-lower`: the stored IR unit `unit` (its content id, the
-/// digest of its bitcode) lowered for `target`.
-pub fn machine_lower_key(unit: &str, target: &TargetIsa) -> BuildKey {
-    with_target(derivation(ActionKind::MachineLower).str(unit), target).finish()
+/// A `machine-lower`: the stored IR unit `unit` lowered for `target`, output as
+/// `serde_json::to_vec` of the [`MachineModule`].
+pub struct MachineLower<'a> {
+    /// The unit's content id: the digest of its bitcode.
+    pub unit: &'a str,
+    /// The unit's IR.
+    pub module: &'a IrModule,
+    /// The deployment target.
+    pub target: &'a TargetIsa,
 }
 
-/// The key of an `ir-lower`: `file`, whose *preprocessed* content digest is
-/// `preprocessed`, compiled to IR under `flags`, with or without the early
-/// optimisation pass.
-pub(crate) fn ir_lower_key(
-    preprocessed: &str,
-    file: &str,
-    flags: &CompileFlags,
-    optimize_early: bool,
-) -> BuildKey {
-    let record = derivation(ActionKind::IrLower).str(preprocessed).str(file);
-    with_ir_flags(record, flags).bool(optimize_early).finish()
+impl Action for MachineLower<'_> {
+    const KIND: ActionKind = ActionKind::MachineLower;
+    type Error = PipelineError;
+
+    fn derive(&self, _: Option<&ActionInputs>, record: Derivation) -> Derivation {
+        let Self {
+            unit,
+            target,
+            // Covered by `unit`, the content id of its bitcode.
+            module: _,
+        } = self;
+        with_target(record.str(unit), target)
+    }
+
+    fn run(&self, _: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
+        Ok(machine_bytes(&lower_to_machine(self.module, self.target)))
+    }
 }
 
-/// The key of an `sd-compile`: the source at `path`, whose *preprocessed* content
-/// digest is `preprocessed`, compiled under `flags` for `target`. The digest covers
-/// the headers the compiler resolves (the cache contract), so caches shared across
-/// projects can never serve code built against different header definitions.
-pub(crate) fn sd_compile_key(
-    preprocessed: &str,
-    path: &str,
-    flags: &CompileFlags,
-    target: &TargetIsa,
-) -> BuildKey {
-    sd_compile_record(path, flags, target)
-        .str(preprocessed)
-        .finish()
+/// An `ir-lower`: `file`, whose *preprocessed* content digest is `preprocessed`,
+/// compiled to bitcode under `flags`, with or without the early optimisation pass.
+pub(crate) struct IrLower<'a> {
+    pub(crate) preprocessed: &'a str,
+    pub(crate) file: &'a str,
+    pub(crate) flags: CompileFlags,
+    pub(crate) optimize_early: bool,
+    pub(crate) source: &'a str,
+    pub(crate) compiler: &'a Compiler,
 }
 
-/// What fixes an `sd-compile` before anything ran: its key's record without the
-/// trailing preprocessed digest. A deployment plans one node per identity; a wave
-/// aliases on it.
-pub(crate) fn sd_compile_identity(
-    path: &str,
-    flags: &CompileFlags,
-    target: &TargetIsa,
-) -> BuildKey {
-    sd_compile_record(path, flags, target).finish()
+impl Action for IrLower<'_> {
+    const KIND: ActionKind = ActionKind::IrLower;
+    type Error = PipelineError;
+
+    fn derive(&self, _: Option<&ActionInputs>, record: Derivation) -> Derivation {
+        let Self {
+            preprocessed,
+            file,
+            flags,
+            optimize_early,
+            // Covered by `preprocessed`, the digest of this text preprocessed.
+            source: _,
+            // Its headers are covered by `preprocessed`, which they expand into.
+            compiler: _,
+        } = self;
+        with_ir_flags(record.str(preprocessed).str(file), flags).bool(*optimize_early)
+    }
+
+    fn run(&self, _: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
+        let mut module = self
+            .compiler
+            .compile_to_ir(self.file, self.source, &self.flags)
+            .map_err(compile_error(self.file))?;
+        if self.optimize_early {
+            xaas_xir::passes::scalar_unroll(&mut module, 4);
+        }
+        Ok(bitcode::encode(&module))
+    }
 }
 
-/// The `sd-compile` record up to its preprocessed digest.
-fn sd_compile_record(path: &str, flags: &CompileFlags, target: &TargetIsa) -> Derivation {
-    let record = derivation(ActionKind::SdCompile).str(path);
-    with_target(with_ir_flags(record, flags), target)
+/// An `sd-compile`: a system-dependent source compiled under `flags` for the
+/// deployment `target`, output as `serde_json::to_vec` of the [`MachineModule`].
+/// Its key ends on the preprocessed digest its dependency 0, the source's
+/// preprocess action, outputs: it covers the headers the compiler resolves, so no
+/// cache serves code built against other headers. Its identity is the key without
+/// that digest.
+pub(crate) struct SdCompile<'a> {
+    path: &'a str,
+    flags: &'a CompileFlags,
+    target: &'a TargetIsa,
+    source: &'a str,
+    compiler: &'a Compiler,
+}
+
+impl<'a> SdCompile<'a> {
+    pub(crate) fn new(
+        source: &'a SourceSpec,
+        flags: &'a CompileFlags,
+        target: &'a TargetIsa,
+        compiler: &'a Compiler,
+    ) -> Self {
+        let SourceSpec { path, content, .. } = source;
+        Self {
+            path,
+            flags,
+            target,
+            source: content,
+            compiler,
+        }
+    }
+}
+
+impl Action for SdCompile<'_> {
+    const KIND: ActionKind = ActionKind::SdCompile;
+    const KEY_READS_DEPS: bool = true;
+    type Error = PipelineError;
+
+    fn derive(&self, deps: Option<&ActionInputs>, record: Derivation) -> Derivation {
+        let Self {
+            path,
+            flags,
+            target,
+            // Covered by dependency 0's preprocessed digest of this text.
+            source: _,
+            // Its headers are covered by the same digest, which they expand into.
+            compiler: _,
+        } = self;
+        let record = with_target(with_ir_flags(record.str(path), flags), target);
+        match deps {
+            Some(deps) => record.str(preprocessed_digest(deps.dep(0))),
+            None => record,
+        }
+    }
+
+    fn run(&self, _: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
+        let machine = self
+            .compiler
+            .compile_to_machine(self.path, self.source, self.flags, self.target)
+            .map_err(compile_error(self.path))?;
+        Ok(machine_bytes(&machine))
+    }
 }
 
 /// Schedules deduplicated preprocess actions on a graph.
@@ -217,13 +306,9 @@ impl PreprocessPlanner {
         let content = content.to_string();
         let flags = flags.clone();
         let id = graph.add(ActionKind::Preprocess, file.clone(), &[], move |_| {
-            let preprocessed =
-                compiler
-                    .preprocess_only(&file, &content, &flags)
-                    .map_err(|error| PipelineError::Compile {
-                        file: file.clone(),
-                        error,
-                    })?;
+            let preprocessed = compiler
+                .preprocess_only(&file, &content, &flags)
+                .map_err(compile_error(&file))?;
             let mut output = preprocessed.content_digest().into_bytes();
             output.push(u8::from(preprocessed.mentions_openmp()));
             Ok(output)
@@ -245,103 +330,44 @@ pub(crate) fn mentions_openmp(output: &[u8]) -> bool {
     output.last() != Some(&0)
 }
 
-/// The keyed artifact nodes already grafted onto one graph, by static identity: the
-/// index every job of a union-graph wave shares (a standalone deployment starts from
-/// an empty one). A job whose artifact identity is already present grafts a
-/// *cache-probe alias* — a keyed node ordered after the identity's first node by a
-/// dependency edge — instead of a second compute node: the expensive closure
-/// exists once per wave, and the alias deterministically replays the cache hit a
-/// standalone submission of the job would have observed, so per-job traces and
-/// hit/miss deltas equal those of per-job submissions.
-pub(crate) type SharedDeployArtifacts = BTreeMap<BuildKey, ActionId>;
+/// The keyed artifact nodes grafted onto one graph, by record identity: the index
+/// every job of a union-graph wave shares (empty for a standalone deployment). A
+/// repeat identity grafts a cache-probe alias ([`ActionGraph::add_alias`]), so the
+/// compute runs once per wave and each job's trace shows the hit a standalone
+/// submission would have.
+#[derive(Default)]
+pub(crate) struct SharedDeployArtifacts(BTreeMap<BuildKey, ActionId>);
 
-/// The one definition of an `sd-compile`: compiling a system-dependent source from
-/// scratch for the deployment `target`, keyed by what its preprocess action outputs.
-pub(crate) struct SdCompilePlanner<'env> {
-    compiler: &'env Compiler,
-    target: &'env TargetIsa,
-    preprocess: PreprocessPlanner,
-}
-
-impl<'env> SdCompilePlanner<'env> {
-    pub(crate) fn new(compiler: &'env Compiler, target: &'env TargetIsa) -> Self {
-        Self {
-            compiler,
-            target,
-            preprocess: PreprocessPlanner::new(),
-        }
-    }
-
-    /// The (deduplicated) preprocess action of `source` under `flags`. Drivers graft
-    /// these first, so that all preprocess records precede the artifact records.
-    pub(crate) fn preprocess_for(
+impl SharedDeployArtifacts {
+    /// Graft `record` with `deps`: the first graft of its identity computes, and
+    /// a later one is an alias of that first node.
+    pub(crate) fn graft<'env, A: Action<Error = PipelineError> + 'env>(
         &mut self,
         graph: &mut ActionGraph<'env, PipelineError>,
-        source: &SourceSpec,
-        flags: &CompileFlags,
+        label: &str,
+        record: A,
+        deps: &[ActionId],
     ) -> ActionId {
-        let SourceSpec { path, content, .. } = source;
-        self.preprocess
-            .action_for(graph, self.compiler, path, content, flags)
-    }
-
-    /// Graft the `sd-compile` of `source` under `flags`, keyed at dispatch time from
-    /// the output of its `preprocess` action. The first graft of an identity computes
-    /// (`serde_json::to_vec` of the [`MachineModule`](xaas_xir::MachineModule)) and is
-    /// recorded in `shared`; a later one replays it as a cache-probe alias.
-    pub(crate) fn action_for(
-        &self,
-        graph: &mut ActionGraph<'env, PipelineError>,
-        shared: &mut SharedDeployArtifacts,
-        preprocess: ActionId,
-        source: &'env SourceSpec,
-        flags: &'env CompileFlags,
-    ) -> ActionId {
-        let (compiler, target) = (self.compiler, self.target);
-        let path = source.path.as_str();
-        let key_of = move |inputs: &ActionInputs| {
-            sd_compile_key(preprocessed_digest(inputs.dep(0)), path, flags, target)
-        };
-        let identity = sd_compile_identity(path, flags, target);
-        if let Some(&primary) = shared.get(&identity) {
-            return graph.add_cached_derived(
-                ActionKind::SdCompile,
-                path,
-                key_of,
-                &[preprocess, primary],
-                |inputs| Ok(inputs.dep(1).to_vec()),
-            );
+        let identity = record.identity();
+        if let Some(&primary) = self.0.get(&identity) {
+            return graph.add_alias(label, record, identity, deps, primary);
         }
-        let action = graph.add_cached_derived(
-            ActionKind::SdCompile,
-            path,
-            key_of,
-            &[preprocess],
-            move |_| {
-                let machine = compiler
-                    .compile_to_machine(path, &source.content, flags, target)
-                    .map_err(|error| PipelineError::Compile {
-                        file: path.to_string(),
-                        error,
-                    })?;
-                Ok(serde_json::to_vec(&machine).expect("machine module serialises"))
-            },
-        );
-        shared.insert(identity, action);
+        let action = graph.add_identified(label, record, &identity, deps);
+        self.0.insert(identity, action);
         action
     }
 }
 
-/// Schedules deduplicated cache-keyed actions on a graph.
+/// Schedules deduplicated [`Action`] records on a graph.
 ///
 /// Nodes sharing a [`BuildKey`] coalesce on one cache flight, and the first to
-/// run decides the bytes every one of them gets. Two `ir-lower` closures with
+/// run decides the bytes every one of them gets. Two `ir-lower` records with
 /// one key need not produce the same bytes — each encodes its own unit's
 /// definitions in the bitcode — so, to keep images byte-identical whatever the
 /// schedule, drivers plan one representative action per distinct key and
 /// remember, for every logical unit, the *position* of its key's action among
 /// the scheduled ones (the index of its output in a downstream Link node's
-/// inputs). The IR build plans its `ir-lower` actions with this: their keys need
+/// inputs). The IR build plans its `ir-lower` records with this: their keys need
 /// stage-A outputs before the graph exists.
 #[derive(Default)]
 pub(crate) struct KeyedActionPlanner {
@@ -355,22 +381,22 @@ impl KeyedActionPlanner {
         Self::default()
     }
 
-    /// The position of `key`'s action among the scheduled actions, calling
-    /// `schedule` (which must `add_cached` one node for `key` on `graph`) only the
-    /// first time the key is seen.
-    pub(crate) fn position_for<'env, E>(
+    /// The position of the action of `record`'s key among the scheduled actions,
+    /// adding `record` (with no dependencies) only the first time its key is seen.
+    pub(crate) fn position_for<'env, E: Send + 'static, A: Action<Error = E> + 'env>(
         &mut self,
         graph: &mut ActionGraph<'env, E>,
-        key: BuildKey,
-        schedule: impl FnOnce(&mut ActionGraph<'env, E>, BuildKey) -> ActionId,
+        label: &str,
+        record: A,
     ) -> usize {
+        let key = record.identity();
         if let Some(&position) = self.position_by_key.get(&key) {
             return position;
         }
         let position = self.actions.len();
-        self.position_by_key.insert(key.clone(), position);
-        let id = schedule(graph, key);
-        self.actions.push(id);
+        self.actions
+            .push(graph.add_identified(label, record, &key, &[]));
+        self.position_by_key.insert(key, position);
         position
     }
 
@@ -447,6 +473,7 @@ pub(crate) fn add_commit_action<'env, T: Send, E: Send + 'static>(
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::engine::graph::derive_key;
     use crate::engine::Engine;
     use xaas_container::{Architecture, Platform};
 
@@ -525,6 +552,80 @@ mod tests {
 
     fn flags(flags: &[&str]) -> CompileFlags {
         CompileFlags::parse(flags.iter().map(|flag| flag.to_string()))
+    }
+
+    /// An IR module: a `machine-lower` key does not read it.
+    fn module() -> IrModule {
+        let source = "kernel void f(float* x) { x[0] = 1.0; }";
+        let flags = CompileFlags::default();
+        Compiler::new()
+            .compile_to_ir("m.ck", source, &flags)
+            .unwrap()
+    }
+
+    fn machine_lower_key(unit: &str, target: &TargetIsa) -> BuildKey {
+        let module = &module();
+        MachineLower {
+            unit,
+            module,
+            target,
+        }
+        .identity()
+    }
+
+    fn ir_lower_key(
+        preprocessed: &str,
+        file: &str,
+        flags: &CompileFlags,
+        optimize_early: bool,
+    ) -> BuildKey {
+        IrLower {
+            preprocessed,
+            file,
+            flags: flags.clone(),
+            optimize_early,
+            source: "",
+            compiler: &Compiler::new(),
+        }
+        .identity()
+    }
+
+    /// The identity of an `sd-compile`, planned before its preprocess ran.
+    fn sd_compile_identity(
+        path: &'static str,
+        flags: &CompileFlags,
+        target: &TargetIsa,
+    ) -> BuildKey {
+        let compiler = Compiler::new();
+        let record = SdCompile {
+            path,
+            flags,
+            target,
+            source: "",
+            compiler: &compiler,
+        };
+        record.identity()
+    }
+
+    /// The key of an `sd-compile` whose preprocess dependency output `digest`.
+    fn sd_compile_key(
+        digest: &str,
+        path: &'static str,
+        flags: &CompileFlags,
+        target: &TargetIsa,
+    ) -> BuildKey {
+        let compiler = Compiler::new();
+        let record = SdCompile {
+            path,
+            flags,
+            target,
+            source: "",
+            compiler: &compiler,
+        };
+        let mut output = digest.as_bytes().to_vec();
+        output.push(1);
+        let deps = ActionInputs::new(vec![output.into()]);
+        derive_key(&record, Some(&deps))
     }
 
     /// Populated disk tiers outlive the binary: no key may drift. Each pin is the

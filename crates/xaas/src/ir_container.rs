@@ -23,7 +23,7 @@
 //! source instead of IR. Everything else (`S_I`) is compiled once per unique identity and
 //! stored as XIR bitcode in the image.
 
-use crate::engine::plan::{ir_lower_key, mentions_openmp, preprocessed_digest};
+use crate::engine::plan::{mentions_openmp, preprocessed_digest, IrLower};
 use crate::engine::{
     add_commit_action, ActionGraph, ActionId, ActionKind, ActionTrace, Engine, KeyedActionPlanner,
     LinkSlot, PreprocessPlanner,
@@ -592,8 +592,8 @@ pub(crate) fn run_ir_build(
     // the content-addressed cache: the key is derived from the preprocessed-content
     // digest and the IR-relevant flags, so a warm cache skips the compile entirely
     // while producing bit-identical bitcode.
-    // Declared before the graph: the graph's closures borrow these, so they must
-    // outlive it (drop order is reverse declaration order).
+    // Declared before the graph: the graph's closures and records borrow these, so
+    // they must outlive it (drop order is reverse declaration order).
     struct Assembled {
         image: Image,
         units: BTreeMap<String, IrUnit>,
@@ -615,32 +615,17 @@ pub(crate) fn run_ir_build(
             preprocess_action,
             ..
         } = &occurrences[first];
-        // The IR is compiled without the delayed ISA flags; OpenMP stays as classified.
-        let ir_flags = flags.without_delayed_target_flags();
-        let build_key = ir_lower_key(
-            preprocessed_digest(&outputs_a[*preprocess_action]),
+        let record = IrLower {
+            preprocessed: preprocessed_digest(&outputs_a[*preprocess_action]),
             file,
-            &ir_flags,
-            config.optimize_early,
-        );
-        let compiler = &compiler;
-        let optimize_early = config.optimize_early;
-        let position = lower_plan.position_for(&mut stage_b, build_key, |graph, key| {
-            graph.add_cached(ActionKind::IrLower, file.clone(), key, &[], move |_| {
-                let mut module =
-                    compiler
-                        .compile_to_ir(file, content, &ir_flags)
-                        .map_err(|error| PipelineError::Compile {
-                            file: file.clone(),
-                            error,
-                        })?;
-                if optimize_early {
-                    xaas_xir::passes::scalar_unroll(&mut module, 4);
-                }
-                Ok(bitcode::encode(&module))
-            })
-        });
-        key_positions.push(position);
+            // The IR is compiled without the delayed ISA flags; OpenMP stays as
+            // classified.
+            flags: flags.without_delayed_target_flags(),
+            optimize_early: config.optimize_early,
+            source: content,
+            compiler: &compiler,
+        };
+        key_positions.push(lower_plan.position_for(&mut stage_b, file, record));
     }
     let lower_actions = lower_plan.into_actions();
 

@@ -6,8 +6,11 @@
 //! selection, and a full build of the selected configuration, producing a *new*,
 //! system-specific image (Figure 6).
 
-use crate::engine::plan::{sd_compile_identity, SdCompilePlanner, SharedDeployArtifacts};
-use crate::engine::{add_commit_action, ActionGraph, ActionId, ActionKind, ActionTrace, LinkSlot};
+use crate::engine::plan::SdCompile;
+use crate::engine::{
+    add_commit_action, Action, ActionGraph, ActionId, ActionKind, ActionTrace, LinkSlot,
+    PreprocessPlanner,
+};
 use crate::error::PipelineError;
 use crate::ir_container::project_compiler;
 use crate::resolve::{resolve, Policy, Resolved};
@@ -101,9 +104,9 @@ pub struct SourceDeployment {
 }
 
 /// One `sd-compile` of a source deployment, by index into the plan's configured
-/// build: its source, and every compile command sharing its
-/// [`sd_compile_identity`] (two targets can compile the same file with the
-/// same flags), which its object file serves.
+/// build: its source, and every compile command sharing its [`SdCompile`]
+/// record's identity (two targets can compile the same file with the same
+/// flags), which its object file serves.
 struct SourceUnit {
     source: usize,
     flags: CompileFlags,
@@ -190,6 +193,7 @@ pub(crate) fn plan_source_deploy<'a>(
         ));
     }
 
+    let compiler = project_compiler(project);
     let mut units: Vec<SourceUnit> = Vec::new();
     let mut unit_by_identity: BTreeMap<BuildKey, usize> = BTreeMap::new();
     for (index, command) in build.compile_db.commands.iter().enumerate() {
@@ -201,7 +205,8 @@ pub(crate) fn plan_source_deploy<'a>(
                 file: command.file.clone(),
             })?;
         let flags = command.flags();
-        let identity = sd_compile_identity(&command.file, &flags, &target);
+        let record = SdCompile::new(&build.enabled_sources[source], &flags, &target, &compiler);
+        let identity = record.identity();
         let unit = *unit_by_identity.entry(identity).or_insert_with(|| {
             units.push(SourceUnit {
                 source,
@@ -221,7 +226,7 @@ pub(crate) fn plan_source_deploy<'a>(
         resolved,
         build_profile,
         target,
-        compiler: project_compiler(project),
+        compiler,
         build,
         units,
         assembled: LinkSlot::new(),
@@ -232,8 +237,8 @@ pub(crate) fn plan_source_deploy<'a>(
 /// — the full on-target build of Figure 6 as a DAG, in **one** submission:
 ///
 /// 1. **preprocess** (parallel): one deduplicated action per (file, observed definitions);
-/// 2. **sd-compile** (parallel, cache-routed): the [`SdCompilePlanner`]'s node per
-///    unit, so repeat deployments — including deployments of *other*
+/// 2. **sd-compile** (parallel, cache-routed): an [`SdCompile`] record per unit,
+///    so repeat deployments — including deployments of *other*
 ///    configurations whose flags do not change a unit — reuse the artifact;
 /// 3. **link + commit**: assemble and commit the system-specialized image.
 pub(crate) fn graft_source_deploy<'env>(
@@ -244,20 +249,25 @@ pub(crate) fn graft_source_deploy<'env>(
     let source_of = |unit: &SourceUnit| &plan.build.enabled_sources[unit.source];
     // Preprocess nodes first, in unit order: all preprocess records precede the
     // compile records.
-    let mut sd_compile = SdCompilePlanner::new(&plan.compiler, &plan.target);
+    let (compiler, target) = (&plan.compiler, &plan.target);
+    let mut preprocess = PreprocessPlanner::new();
     let preprocess_actions: Vec<ActionId> = plan
         .units
         .iter()
-        .map(|unit| sd_compile.preprocess_for(graph, source_of(unit), &unit.flags))
+        .map(|unit| {
+            let source = source_of(unit);
+            preprocess.action_for(graph, compiler, &source.path, &source.content, &unit.flags)
+        })
         .collect();
-    let standalone = &mut SharedDeployArtifacts::default();
+    // The plan holds one unit per identity, so no compile aliases another.
     let compile_actions: Vec<ActionId> = plan
         .units
         .iter()
         .zip(&preprocess_actions)
         .map(|(unit, &preprocess)| {
             let source = source_of(unit);
-            sd_compile.action_for(graph, standalone, preprocess, source, &unit.flags)
+            let record = SdCompile::new(source, &unit.flags, target, compiler);
+            graph.add_action(source.path.as_str(), record, &[preprocess])
         })
         .collect();
 
@@ -345,7 +355,8 @@ pub fn architecture_of(system: &SystemModel) -> Architecture {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::plan::sd_compile_key;
+    use crate::engine::graph::derive_key;
+    use crate::engine::ActionInputs;
     use crate::orchestrator::{Orchestrator, SourceDeployRequest};
     use xaas_apps::gromacs;
 
@@ -514,15 +525,16 @@ mod tests {
         let plan = plan_source_deploy(&project, &image, &system, &OptionAssignment::new()).unwrap();
         let unit = &plan.units[1];
         let source = &plan.build.enabled_sources[unit.source];
-        let digest = plan
+        let mut preprocessed = plan
             .compiler
             .preprocess_only(&source.path, &source.content, &unit.flags)
             .unwrap()
-            .content_digest();
-        cache.insert(
-            &sd_compile_key(&digest, &source.path, &unit.flags, &plan.target),
-            b"not json".to_vec(),
-        );
+            .content_digest()
+            .into_bytes();
+        preprocessed.push(1);
+        let record = SdCompile::new(source, &unit.flags, &plan.target, &plan.compiler);
+        let deps = ActionInputs::new(vec![preprocessed.into()]);
+        cache.insert(&derive_key(&record, Some(&deps)), b"not json".to_vec());
 
         let request = SourceDeployRequest::new(&project, &image, &system);
         match request.submit(&Orchestrator::with_cache(&cache)) {

@@ -9,10 +9,11 @@ use proptest::prelude::*;
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use xaas::engine::Action;
 use xaas::prelude::*;
 use xaas::service::{OrchestratorService, ServiceError, ServiceRequest};
 use xaas_apps::lulesh;
-use xaas_container::{ActionCache, BuildKey, ImageStore};
+use xaas_container::{ActionCache, BuildKey, Derivation, ImageStore};
 
 fn key(tag: &str) -> BuildKey {
     BuildKey::new(tag, "x86_64", "O2", "clang-17")
@@ -29,14 +30,42 @@ const DEFECTS: [GraphError; 3] = [
     GraphError::ForwardEdge { node: 1, dep: 3 },
 ];
 
+/// A record whose key reads its dependency 0's output, and that bumps `ran` if
+/// it ever executes.
+struct KeyedByDep {
+    ran: Arc<AtomicUsize>,
+}
+
+impl Action for KeyedByDep {
+    const KIND: ActionKind = ActionKind::SdCompile;
+    const KEY_READS_DEPS: bool = true;
+    type Error = Infallible;
+
+    fn derive(&self, deps: Option<&ActionInputs>, record: Derivation) -> Derivation {
+        let Self {
+            // Instrumentation: it counts runs and changes no output.
+            ran: _,
+        } = self;
+        match deps {
+            Some(deps) => record.str(&String::from_utf8_lossy(deps.dep(0))),
+            None => record,
+        }
+    }
+
+    fn run(&self, _: &ActionInputs) -> Result<Vec<u8>, Infallible> {
+        self.ran.fetch_add(1, Ordering::SeqCst);
+        Ok(vec![1])
+    }
+}
+
 /// Four keyed nodes, each of which would bump `ran` and insert a cache entry if
 /// it ever executed; node 1 declares `defect`.
 fn denied_graph(ran: &Arc<AtomicUsize>, defect: GraphError) -> ActionGraph<'static, Infallible> {
     let mut graph = ActionGraph::new();
     for i in 0..4u8 {
-        let ran = Arc::clone(ran);
+        let counter = Arc::clone(ran);
         let run = move |_: &ActionInputs| {
-            ran.fetch_add(1, Ordering::SeqCst);
+            counter.fetch_add(1, Ordering::SeqCst);
             Ok(vec![i])
         };
         let (label, key) = (format!("node{i}"), key(&format!("side-effect-{i}")));
@@ -45,7 +74,8 @@ fn denied_graph(ran: &Arc<AtomicUsize>, defect: GraphError) -> ActionGraph<'stat
                 graph.add_cached(ActionKind::Commit, label, key, &[], run)
             }
             (1, GraphError::DerivedKeyWithoutDeps { .. }) => {
-                graph.add_cached_derived(ActionKind::SdCompile, label, |_| key, &[], run)
+                let ran = Arc::clone(ran);
+                graph.add_action(label, KeyedByDep { ran }, &[])
             }
             (1, GraphError::ForwardEdge { dep, .. }) => {
                 graph.add_cached(ActionKind::Link, label, key, &[0, dep], run)

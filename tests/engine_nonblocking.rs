@@ -8,6 +8,8 @@
 //! submission is an executor too: a blocking run completes on its caller while
 //! the only worker is held, a foreign node it runs keeps its panic, and the
 //! thread dropping the last engine clone runs the detached work it waits for.
+//! A record whose key reads a dependency output parks on the key it derived at
+//! dispatch, and wakes and retries on it like any keyed node.
 
 use proptest::prelude::*;
 use std::convert::Infallible;
@@ -15,9 +17,11 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
+use xaas::engine::Action;
 use xaas::prelude::*;
 use xaas_container::{
-    ActionCache, BuildKey, CacheBackend, FlightError, FlightTicket, ImageStore, TryBegin,
+    ActionCache, BuildKey, CacheBackend, Derivation, FlightError, FlightTicket, ImageStore,
+    TryBegin,
 };
 
 fn key(tag: &str) -> BuildKey {
@@ -341,6 +345,133 @@ fn failed_flight_wakes_the_parked_waiter_which_retries_and_computes() {
     );
     assert!(record.parks >= 1);
     assert_eq!(cache.stats().misses, 1);
+}
+
+/// A record keyed by the bytes its dependency 0 outputs.
+struct KeyedByDep {
+    /// Signalled on entering the compute, then waited on: holds the owner in
+    /// flight.
+    hold: Option<(mpsc::Sender<()>, mpsc::Receiver<()>)>,
+    result: Result<&'static [u8], &'static str>,
+}
+
+impl Action for KeyedByDep {
+    const KIND: ActionKind = ActionKind::SdCompile;
+    const KEY_READS_DEPS: bool = true;
+    type Error = String;
+
+    fn derive(&self, deps: Option<&ActionInputs>, record: Derivation) -> Derivation {
+        let Self {
+            // Instrumentation: it only delays the compute.
+            hold: _,
+            // Unkeyed on purpose: the bytes tell which node computed.
+            result: _,
+        } = self;
+        match deps {
+            Some(deps) => record.str(&String::from_utf8_lossy(deps.dep(0))),
+            None => record,
+        }
+    }
+
+    fn run(&self, _: &ActionInputs) -> Result<Vec<u8>, String> {
+        if let Some((entered, release)) = &self.hold {
+            entered.send(()).ok();
+            release.recv().ok();
+        }
+        self.result.map(<[u8]>::to_vec).map_err(str::to_string)
+    }
+}
+
+/// Submit two [`KeyedByDep`] nodes over one dependency, so one key, to a
+/// one-worker `engine`: the worker owns the flight in node 1, held there until
+/// the returned sender sends, and node 2, dispatched by a thread waiting on the
+/// run, parks on it. Returns the sender and that thread.
+fn parked_on_a_derived_key(
+    engine: &Engine,
+    owner: Result<&'static [u8], &'static str>,
+) -> (mpsc::Sender<()>, std::thread::JoinHandle<GraphRun<String>>) {
+    let (entered, inside) = mpsc::channel();
+    let (release, gate) = mpsc::channel();
+    let mut graph: ActionGraph<'static, String> = ActionGraph::new();
+    let dep = graph.add(ActionKind::Preprocess, "dep", &[], |_| {
+        Ok(b"shared input".to_vec())
+    });
+    let held = KeyedByDep {
+        hold: Some((entered, gate)),
+        result: owner,
+    };
+    graph.add_action("owner", held, &[dep]);
+    let waiter = KeyedByDep {
+        hold: None,
+        result: Ok(b"waiter bytes"),
+    };
+    graph.add_action("waiter", waiter, &[dep]);
+    let handle = engine.submit_graph(graph).expect("a well-formed graph");
+    inside
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the owner enters its compute");
+    let waiter = std::thread::spawn(move || handle.wait());
+    wait_until(30, || engine.queue_stats().parked_waiters == 1);
+    (release, waiter)
+}
+
+/// A node whose key reads a dependency parks on the key it derived: it is
+/// woken once, and served the owner's bytes under the owner's key.
+#[test]
+fn a_parked_node_whose_key_reads_a_dependency_is_served_under_the_owner_s_key() {
+    let cache = ActionCache::new(ImageStore::new());
+    let engine = Engine::cached(&cache).with_workers(1);
+    let (release, waiter) = parked_on_a_derived_key(&engine, Ok(b"owner bytes"));
+    release.send(()).expect("the owner waits on its gate");
+    let run = waiter.join().expect("the waiter returns");
+    assert!(run.succeeded());
+    assert_eq!(run.output(2), Some(&b"owner bytes"[..]));
+
+    let (owner, parked) = (&run.trace.records[1], &run.trace.records[2]);
+    assert_eq!(owner.label, "owner");
+    assert!(!owner.cached);
+    let identity = KeyedByDep {
+        hold: None,
+        result: Ok(b""),
+    }
+    .identity();
+    assert!(
+        owner
+            .key_digest
+            .as_deref()
+            .is_some_and(|key| key != identity.digest().hex()),
+        "the key is derived from the dependency's output at dispatch"
+    );
+    assert_eq!(parked.key_digest, owner.key_digest);
+    assert!(parked.cached && parked.coalesced);
+    assert_eq!(parked.parks, 1);
+    wait_until(30, || engine.queue_stats().live_submissions == 0);
+    let quiet = engine.queue_stats();
+    assert_eq!((quiet.parks, quiet.wakeups), (1, 1), "woken once");
+}
+
+/// When the owner of a derived key fails, the parked node wakes, retries on the
+/// key, becomes the owner and computes its own bytes.
+#[test]
+fn a_parked_node_whose_key_reads_a_dependency_retries_when_the_owner_fails() {
+    let cache = ActionCache::new(ImageStore::new());
+    let engine = Engine::cached(&cache).with_workers(1);
+    let (release, waiter) = parked_on_a_derived_key(&engine, Err("owner failed"));
+    release.send(()).expect("the owner waits on its gate");
+    let run = waiter.join().expect("the waiter returns");
+    match &run.outcomes[1] {
+        NodeOutcome::Failed(error) => assert_eq!(error, "owner failed"),
+        other => panic!("the owner's error is its outcome, got {other:?}"),
+    }
+    assert_eq!(run.output(2), Some(&b"waiter bytes"[..]));
+    let parked = run.trace.records.last().expect("the waiter has a record");
+    assert_eq!(parked.label, "waiter");
+    assert!(parked.key_digest.is_some());
+    assert!(
+        !parked.cached && !parked.coalesced,
+        "the woken waiter became the owner and computed"
+    );
+    assert_eq!(parked.parks, 1);
 }
 
 /// Poisoned flights (owner dropped its ticket without redeeming it) wake — not

@@ -120,7 +120,8 @@ fn concurrent_writers_store_and_hash_a_payload_exactly_once() {
 /// the layers the deployment inherits are the IR container's own sealed layers.
 #[test]
 fn deployed_object_files_alias_the_cache_artifacts() {
-    use xaas::engine::plan::machine_lower_key;
+    use xaas::engine::plan::MachineLower;
+    use xaas::engine::Action;
     use xaas::prelude::*;
     use xaas_buildsys::OptionAssignment;
     use xaas_hpcsim::{SimdLevel, SystemModel};
@@ -157,8 +158,13 @@ fn deployed_object_files_alias_the_cache_artifacts() {
             let Some(id) = unit.artifact.strip_prefix("ir:") else {
                 continue;
             };
+            let record = MachineLower {
+                unit: id,
+                module: &build.units[id].module,
+                target: &target,
+            };
             let artifact = cache
-                .peek(&machine_lower_key(id, &target))
+                .peek(&record.identity())
                 .expect("the lowered module is cached");
             let object = format!("/xaas/obj/{}.o", unit.file.replace('/', "_"));
             let entry = lowered[0].get(&object);
