@@ -2,9 +2,9 @@
 //!
 //! Artifact bytes flow through the whole pipeline — store, action cache, engine
 //! executor, build/deploy drivers — and used to be copied at every hand-off. A
-//! [`Blob`] wraps the bytes in an `Arc<[u8]>` so a clone is a reference-count bump:
-//! the store, a cache hit, and every graph node that consumes the output all share
-//! one allocation.
+//! [`Blob`] adopts the `Vec` its producer wrote, behind an `Arc`, so the bytes are
+//! allocated once and a clone is a reference-count bump: the store, a cache hit,
+//! and every graph node that consumes the output all share that one buffer.
 
 use std::fmt;
 use std::ops::Deref;
@@ -16,17 +16,21 @@ use std::sync::Arc;
 /// mutated, which is exactly the contract a content-addressed store needs — the
 /// bytes behind a digest must not change after insertion.
 #[derive(Clone)]
-pub struct Blob(Arc<[u8]>);
+pub struct Blob(Arc<Vec<u8>>);
 
 impl Blob {
-    /// Wrap owned bytes. The `Vec`'s buffer is moved into the shared allocation.
-    pub fn new(bytes: Vec<u8>) -> Self {
-        Blob(Arc::from(bytes))
+    /// Adopt owned bytes: the blob holds the `Vec`'s own buffer, and the payload is
+    /// not copied. A buffer with spare capacity is shrunk to its length first, so
+    /// no blob holds memory beyond its bytes; a producer that writes at final size
+    /// (an exact `Vec::with_capacity`, `to_vec`) pays nothing for it.
+    pub fn new(mut bytes: Vec<u8>) -> Self {
+        bytes.shrink_to_fit();
+        Blob(Arc::new(bytes))
     }
 
-    /// Copy a borrowed slice into a new blob.
+    /// Copy a borrowed slice into a new blob. Owned bytes go to [`Blob::new`].
     pub fn copy_from_slice(bytes: &[u8]) -> Self {
-        Blob(Arc::from(bytes))
+        Blob::new(bytes.to_vec())
     }
 
     /// The payload as a slice.
@@ -131,7 +135,7 @@ impl<const N: usize> PartialEq<&[u8; N]> for Blob {
 
 impl std::hash::Hash for Blob {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.0.hash(state)
+        self.as_slice().hash(state)
     }
 }
 
@@ -183,5 +187,24 @@ mod tests {
         let empty = Blob::new(Vec::new());
         assert!(empty.is_empty());
         assert_eq!(format!("{blob:?}"), "Blob(4 bytes)");
+    }
+
+    #[test]
+    fn new_adopts_the_vec_buffer_without_copying() {
+        let bytes = b"adopted payload".to_vec();
+        let data = bytes.as_ptr();
+        let blob = Blob::new(bytes);
+        assert_eq!(blob.as_ptr(), data, "Blob::new copied its Vec");
+        assert_eq!(blob.clone().as_ptr(), data);
+        assert_eq!(blob, b"adopted payload");
+    }
+
+    #[test]
+    fn new_drops_spare_capacity() {
+        let mut bytes = Vec::with_capacity(4096);
+        bytes.extend_from_slice(b"short");
+        let blob = Blob::new(bytes);
+        assert_eq!(blob.0.capacity(), blob.len());
+        assert_eq!(blob, b"short");
     }
 }

@@ -490,8 +490,8 @@ impl CacheBackend for ActionCache {
     }
 
     fn complete(&self, mut ticket: FlightTicket, bytes: Vec<u8>) -> Blob {
-        // Convert the computed bytes into a shared handle once; the store keeps a
-        // clone of the handle (a refcount bump), not a copy of the payload.
+        // The handle adopts the computed buffer; the store keeps a clone of the
+        // handle (a refcount bump), not a copy of the payload.
         let bytes = Blob::new(bytes);
         if self.bypass {
             self.inner.lock().stats.misses += 1;
@@ -680,6 +680,7 @@ impl ActionCache {
     fn read_through(&self, ticket: &mut FlightTicket) -> Option<TryBegin> {
         let disk = self.disk.as_ref()?;
         let (recorded, bytes) = disk.load(&ticket.digest)?;
+        // The read's own buffer is what the store and every waiter share.
         let blob = Blob::new(bytes);
         // The one hash a promotion pays is also the verification.
         let content = Digest::of_bytes(&blob);

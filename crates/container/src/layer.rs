@@ -21,6 +21,7 @@
 
 use crate::blob::Blob;
 use crate::digest::Digest;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -115,8 +116,13 @@ impl Layer {
     }
 
     fn insert(&mut self, path: impl Into<String>, content: Blob, mode: u32) -> &mut Self {
+        let path = path.into();
+        let path = match normalize_path(&path) {
+            Cow::Borrowed(_) => path,
+            Cow::Owned(normal) => normal,
+        };
         self.entries_mut()
-            .insert(normalize_path(&path.into()), LayerEntry { content, mode });
+            .insert(path, LayerEntry { content, mode });
         self
     }
 
@@ -161,7 +167,7 @@ impl Layer {
 
     /// Look up an entry by path.
     pub fn get(&self, path: &str) -> Option<&LayerEntry> {
-        self.inner.entries.get(&normalize_path(path))
+        self.inner.entries.get(&*normalize_path(path))
     }
 
     /// Serialise the layer into a deterministic archive byte stream ("tarball" stand-in).
@@ -169,9 +175,18 @@ impl Layer {
     /// The format is a simple length-prefixed record stream; determinism comes from the
     /// `BTreeMap` ordering, so `diff_id` is stable for identical content. This always
     /// serialises; [`Layer::sealed`] is the memoised form.
+    ///
+    /// The buffer is allocated once, at the archive's exact length, so it enters a
+    /// [`Blob`] without growing or carrying spare capacity.
     pub fn to_archive(&self) -> Vec<u8> {
         let inner = &*self.inner;
-        let mut out = Vec::with_capacity(64 + self.size_bytes() as usize);
+        let entries: usize = inner
+            .entries
+            .iter()
+            .map(|(path, entry)| ENTRY_HEADER + path.len() + entry.content.len())
+            .sum();
+        let len = MAGIC.len() + 8 + inner.created_by.len() + 8 + entries;
+        let mut out = Vec::with_capacity(len);
         out.extend_from_slice(MAGIC);
         write_str(&mut out, &inner.created_by);
         out.extend_from_slice(&(inner.entries.len() as u64).to_le_bytes());
@@ -182,6 +197,7 @@ impl Layer {
             out.extend_from_slice(&(content.len() as u64).to_le_bytes());
             out.extend_from_slice(content);
         }
+        debug_assert_eq!(out.len(), len, "to_archive's length formula is stale");
         out
     }
 
@@ -296,6 +312,8 @@ const MAGIC: &[u8] = b"XAASLAYER1";
 /// The tag byte before every entry. Only regular files exist, so any other tag is
 /// [`LayerError::BadEntryTag`].
 const FILE_TAG: u8 = 0;
+/// An entry's fixed bytes: path length (8), tag (1), mode (4), content length (8).
+const ENTRY_HEADER: usize = 8 + 1 + 4 + 8;
 
 /// Errors while decoding layer archives.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -346,7 +364,7 @@ impl RootFs {
 
     /// Look up a path.
     pub fn get(&self, path: &str) -> Option<&LayerEntry> {
-        self.files.get(&normalize_path(path))
+        self.files.get(&*normalize_path(path))
     }
 
     /// Read a file as UTF-8 text.
@@ -385,16 +403,26 @@ impl RootFs {
     }
 }
 
-/// Normalise a path: leading `/`, no trailing `/`, collapse `//`.
-pub(crate) fn normalize_path(path: &str) -> String {
-    let mut parts: Vec<&str> = Vec::new();
-    for part in path.split('/') {
-        if part.is_empty() || part == "." {
-            continue;
-        }
-        parts.push(part);
+/// Normalise a path: leading `/`, no trailing `/`, collapse `//`, drop `.`
+/// components. An already-normal path (every path a build or deployment adds) comes
+/// back borrowed; any other is rebuilt in one allocation.
+pub(crate) fn normalize_path(path: &str) -> Cow<'_, str> {
+    let kept = |part: &str| !part.is_empty() && part != ".";
+    let normal = path
+        .strip_prefix('/')
+        .is_some_and(|rest| rest.split('/').all(kept));
+    if normal {
+        return Cow::Borrowed(path);
     }
-    format!("/{}", parts.join("/"))
+    let mut out = String::with_capacity(path.len() + 1);
+    for part in path.split('/').filter(|part| kept(part)) {
+        out.push('/');
+        out.push_str(part);
+    }
+    if out.is_empty() {
+        out.push('/');
+    }
+    Cow::Owned(out)
 }
 
 fn write_str(out: &mut Vec<u8>, s: &str) {
@@ -488,6 +516,35 @@ mod tests {
         assert_eq!(normalize_path("app//src/./x"), "/app/src/x");
         assert_eq!(normalize_path("/app/src/"), "/app/src");
         assert_eq!(normalize_path(""), "/");
+        assert_eq!(normalize_path("/"), "/");
+        assert_eq!(normalize_path("/a/../b"), "/a/../b");
+        // What a deployment's Link adds is already normal and comes back as it was,
+        // borrowed: a layer keeps the caller's own `String`.
+        for normal in [
+            "/xaas/obj/gromacs_nonbonded_avx_512.o",
+            "/opt/app/bin/gmx",
+            "/opt/deps/fftw/.provenance",
+            "/.hidden/..x",
+        ] {
+            assert!(
+                matches!(normalize_path(normal), Cow::Borrowed(p) if p == normal),
+                "{normal} was rebuilt"
+            );
+        }
+        assert!(matches!(normalize_path("/opt//app"), Cow::Owned(_)));
+    }
+
+    #[test]
+    fn to_archive_is_written_at_its_exact_length() {
+        let mut layer = Layer::new("RUN make install");
+        layer.add_text("/opt/app/bin/gmx", "binary");
+        layer.add_executable("/opt/app/lib/libgromacs.so", Blob::new(vec![7; 300]));
+        layer.add_text("/etc/empty", "");
+        for layer in [layer, Layer::new("")] {
+            let archive = layer.to_archive();
+            assert_eq!(archive.capacity(), archive.len());
+            assert_eq!(Layer::from_archive(&archive).unwrap(), layer);
+        }
     }
 
     #[test]

@@ -64,10 +64,15 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// Allocator calls of one warm build: 3,927 measured, plus 4.4 %. With strings
 /// copied per translation-unit occurrence in planning and stage 4, and the
-/// manifests printed through a `Value` tree, it made 6,926.
+/// manifests printed through a `Value` tree, it made 6,926. Later 3,737; with
+/// blobs adopting their buffers and archives and JSON written at final size,
+/// 3,593–3,605.
 const ALLOC_BUDGET_CALLS: u64 = 4_100;
-/// Bytes requested by one warm build: 426,213 measured, plus 4.9 % (542,041 before).
-const ALLOC_BUDGET_BYTES: u64 = 447_000;
+/// Bytes requested by one warm build: 426,213 measured, plus 4.9 % (542,041 before;
+/// later 408,841). With blobs adopting their buffers and archives and JSON written
+/// at final size, 338,531–346,736 over five runs (which thread first grows its JSON
+/// buffer varies), plus 10 %.
+const ALLOC_BUDGET_BYTES: u64 = 380_000;
 
 #[test]
 fn a_warm_gromacs_simd_sweep_build_stays_inside_the_allocation_budget() {

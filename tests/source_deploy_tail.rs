@@ -61,8 +61,10 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 const REQUESTS: u64 = 16;
 /// With the five objects read through a `Value` tree this deployment allocated
 /// 233 KB per request (232,985 B); read straight into typed values, 141 KB
-/// (140,878 B).
-const ALLOC_BUDGET_BYTES: u64 = 180 * 1024;
+/// (140,878 B); later 112 KB (111,937 B). With blobs adopting their buffers, the
+/// archive and JSON written at final size and normal paths kept as given, 90 KB
+/// (90,126 B).
+const ALLOC_BUDGET_BYTES: u64 = 100 * 1024;
 
 #[test]
 fn warm_llamacpp_source_deployments_stay_inside_the_allocation_budget() {
