@@ -619,13 +619,15 @@ pub(crate) fn fleet_specialization() -> FleetExperiment {
     };
     let report = fleet();
     assert!(report.all_succeeded(), "fleet specialization succeeds");
-    let fleet_stats = report.cache;
+    // The wave's compile/lower actions: its trace, not the cache counters, which
+    // also count each job's keyed Link.
+    let fleet_stats = report.trace.summary();
 
-    // Warm rerun: the cache already holds every action of the fleet (report counters
-    // are per-run deltas, so no stat reset is needed).
+    // Warm rerun: the cache already holds every action of the fleet (report traces
+    // are per run, so no stat reset is needed).
     let rerun = fleet();
     assert!(rerun.all_succeeded(), "warm rerun succeeds");
-    let rerun_stats = rerun.cache;
+    let rerun_stats = rerun.trace.summary();
 
     let systems = requests
         .iter()
@@ -650,9 +652,9 @@ pub(crate) fn fleet_specialization() -> FleetExperiment {
     FleetExperiment {
         systems,
         cold_actions,
-        fleet_actions: fleet_stats.misses,
+        fleet_actions: fleet_stats.executed as u64,
         fleet_hit_rate: fleet_stats.hit_rate(),
-        warm_rerun_actions: rerun_stats.misses,
+        warm_rerun_actions: rerun_stats.executed as u64,
         warm_rerun_hit_rate: rerun_stats.hit_rate(),
         jobs_executed: report.jobs_executed,
         jobs_deduplicated: report.jobs_deduplicated,
@@ -691,11 +693,12 @@ impl Drop for ScratchRoot {
 /// orchestrator's death and rebirth.
 #[derive(Debug, Clone, Serialize)]
 pub(crate) struct WarmRestartExperiment {
-    /// Keyed actions the cold session executed (cache misses): the build's
-    /// `ir-lower`, the fleet's `machine-lower` and `sd-compile`.
+    /// Compile/lower actions the cold session executed (cache misses): the
+    /// build's `ir-lower`, the fleet's `machine-lower` and `sd-compile`.
     pub cold_actions: u64,
-    /// Keyed actions the warm session re-executed — the headline claim is that
-    /// this is **zero**: every keyed action is served from disk.
+    /// Keyed actions the warm session re-executed, each deployment's Link among
+    /// them — the headline claim is that this is **zero**: every keyed action is
+    /// served from disk.
     pub warm_recomputes: u64,
     /// Warm-session hits served by the disk tier (first touch of each key).
     pub warm_disk_hits: u64,
@@ -767,11 +770,11 @@ fn warm_restart_over(root: &Path) -> WarmRestartExperiment {
             .submit(&orch);
         assert!(report.all_succeeded(), "{label} fleet succeeds");
         let images: Vec<_> = report.deployments().map(|d| d.image.clone()).collect();
-        (orch, images)
+        let actions = build.trace.summary().executed + report.trace.summary().executed;
+        (orch, images, actions as u64)
     };
 
-    let (cold_orch, cold_images) = session("cold");
-    let cold_stats = cold_orch.cache_stats();
+    let (cold_orch, cold_images, cold_actions) = session("cold");
     let (disk_entries, disk_bytes) = cold_orch
         .tiered_cache()
         .and_then(|t| t.disk_stats())
@@ -781,7 +784,7 @@ fn warm_restart_over(root: &Path) -> WarmRestartExperiment {
     // disk tier under `root` survives.
     drop(cold_orch);
 
-    let (warm_orch, warm_images) = session("warm");
+    let (warm_orch, warm_images, _) = session("warm");
     let warm_stats = warm_orch.cache_stats();
     let byte_identical = cold_images == warm_images;
     drop(warm_orch);
@@ -809,12 +812,12 @@ fn warm_restart_over(root: &Path) -> WarmRestartExperiment {
     std::fs::write(&blob, &bytes[..bytes.len() / 2]).expect("blob truncated");
     let damaged_entries = 1 + naming(victim);
 
-    let (damaged_orch, damaged_images) = session("damaged");
+    let (damaged_orch, damaged_images, _) = session("damaged");
     let damaged_stats = damaged_orch.cache_stats();
     drop(damaged_orch);
 
     WarmRestartExperiment {
-        cold_actions: cold_stats.misses,
+        cold_actions,
         warm_recomputes: warm_stats.misses,
         warm_disk_hits: warm_stats.disk_hits,
         warm_memory_hits: warm_stats.memory_hits(),

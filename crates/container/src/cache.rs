@@ -37,7 +37,8 @@
 //! to sleep on another worker's computation:
 //!
 //! ```text
-//! try_begin(key) ──► Hit(blob, tier)      the output already exists (in `tier`)
+//! try_begin(key) ──► Hit(blob, tier, h)   the output already exists (in `tier`),
+//!                │                        and `h` is the SHA-256 the index holds
 //!                ──► Owner(ticket)        caller computes; complete(ticket, bytes)
 //!                │                        or fail(ticket, error) retires the flight
 //!                ──► InFlight(id)         someone else is computing; park(id, waker)
@@ -66,7 +67,7 @@
 pub mod tier;
 
 use crate::blob::Blob;
-use crate::digest::{Digest, Sha256};
+use crate::digest::{sha256, Digest, Sha256};
 use crate::image::{ImageStore, StoreGcReport};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -319,8 +320,9 @@ impl FlightId {
 /// What a parked waiter is woken with when its flight retires.
 #[derive(Debug, Clone)]
 pub enum FlightOutcome {
-    /// The owner completed; the blob shares the store's allocation.
-    Completed(Blob),
+    /// The owner completed; the blob shares the store's allocation, and the
+    /// hash is its SHA-256, as the index holds it.
+    Completed(Blob, [u8; 32]),
     /// The flight retired without an output; retry [`CacheBackend::try_begin`].
     Failed(FlightError),
 }
@@ -390,8 +392,10 @@ impl std::fmt::Debug for FlightTicket {
 #[derive(Debug)]
 pub enum TryBegin {
     /// The output is cached; the handle shares the store's allocation. The tier is
-    /// the one that held it when the lookup arrived.
-    Hit(Blob, CacheTier),
+    /// the one that held it when the lookup arrived, and the hash is the output's
+    /// SHA-256 — the content digest the index already holds, handed back so a
+    /// consumer that names the output by its digest hashes nothing.
+    Hit(Blob, CacheTier, [u8; 32]),
     /// The caller owns the flight: compute, then redeem the ticket.
     Owner(FlightTicket),
     /// Another owner is computing this key; park a continuation on the id.
@@ -445,9 +449,9 @@ impl CacheBackend for ActionCache {
         }
         let mut ticket = {
             let mut inner = self.inner.lock();
-            if let Some(bytes) = inner.resident(&self.store, digest) {
+            if let Some((bytes, hash)) = inner.resident(&self.store, digest) {
                 inner.stats.hits += 1;
-                return TryBegin::Hit(bytes, CacheTier::Memory);
+                return TryBegin::Hit(bytes, CacheTier::Memory, hash);
             }
             if let Some(flight) = inner.in_flight.get(digest) {
                 return TryBegin::InFlight(FlightId {
@@ -489,20 +493,8 @@ impl CacheBackend for ActionCache {
         TryBegin::Owner(ticket)
     }
 
-    fn complete(&self, mut ticket: FlightTicket, bytes: Vec<u8>) -> Blob {
-        // The handle adopts the computed buffer; the store keeps a clone of the
-        // handle (a refcount bump), not a copy of the payload.
-        let bytes = Blob::new(bytes);
-        if self.bypass {
-            self.inner.lock().stats.misses += 1;
-            return bytes;
-        }
-        let content = Digest::of_bytes(&bytes);
-        if let Some(disk) = &self.disk {
-            disk.store(&ticket.digest, &content, &bytes);
-        }
-        self.land(&mut ticket, content, &bytes, |stats| stats.misses += 1);
-        bytes
+    fn complete(&self, ticket: FlightTicket, bytes: Vec<u8>) -> Blob {
+        self.complete_hashed(ticket, bytes).0
     }
 
     fn fail(&self, mut ticket: FlightTicket, error: FlightError) {
@@ -520,10 +512,10 @@ impl CacheBackend for ActionCache {
         // The flight retired (or was superseded) before we parked: resolve from
         // the current cache state instead of registering a waker that could never
         // fire for this generation.
-        if let Some(bytes) = inner.resident(&self.store, &flight.digest) {
+        if let Some((bytes, hash)) = inner.resident(&self.store, &flight.digest) {
             inner.stats.hits += 1;
             inner.stats.coalesced += 1;
-            return Some(FlightOutcome::Completed(bytes));
+            return Some(FlightOutcome::Completed(bytes, hash));
         }
         Some(FlightOutcome::Failed(FlightError::Retired))
     }
@@ -563,19 +555,27 @@ impl CacheInner {
         }
     }
 
-    /// The stored output the index holds for `digest`. An entry whose blob `store`
-    /// no longer holds (store-level GC ran, or the store was swapped) is evicted —
-    /// keeping `entries`, the FIFO `order` queue and the stale-eviction counter
+    /// The stored output the index holds for `digest`, with its SHA-256 read off
+    /// the content digest the index keeps. An entry whose blob `store` no longer
+    /// holds (store-level GC ran, or the store was swapped) is evicted — keeping
+    /// `entries`, the FIFO `order` queue and the stale-eviction counter
     /// consistent — instead of lingering as a dead digest.
-    fn resident(&mut self, store: &ImageStore, digest: &Digest) -> Option<Blob> {
-        let bytes = store.blob(self.entries.get(digest)?);
-        if bytes.is_err() {
-            self.entries.remove(digest);
-            self.order.retain(|d| d != digest);
-            self.stats.stale_evictions += 1;
-            self.stats.entries = self.entries.len();
+    fn resident(&mut self, store: &ImageStore, digest: &Digest) -> Option<(Blob, [u8; 32])> {
+        let content = self.entries.get(digest)?;
+        match store.blob(content) {
+            Ok(bytes) => {
+                // Every indexed digest is written by `Digest::of_bytes`.
+                let hash = content.sha256_bytes().unwrap_or_else(|| sha256(&bytes));
+                Some((bytes, hash))
+            }
+            Err(_) => {
+                self.entries.remove(digest);
+                self.order.retain(|d| d != digest);
+                self.stats.stale_evictions += 1;
+                self.stats.entries = self.entries.len();
+                None
+            }
         }
-        bytes.ok()
     }
 }
 
@@ -673,6 +673,32 @@ impl ActionCache {
         self.store.collect_garbage(&self.indexed_blobs())
     }
 
+    /// [`CacheBackend::complete`], also handing back the output's SHA-256 — the
+    /// content digest the index now holds — or `None` from a bypass cache, which
+    /// hashes nothing.
+    pub fn complete_hashed(
+        &self,
+        mut ticket: FlightTicket,
+        bytes: Vec<u8>,
+    ) -> (Blob, Option<[u8; 32]>) {
+        // The handle adopts the computed buffer; the store keeps a clone of the
+        // handle (a refcount bump), not a copy of the payload.
+        let bytes = Blob::new(bytes);
+        if self.bypass {
+            self.inner.lock().stats.misses += 1;
+            return (bytes, None);
+        }
+        let hash = sha256(&bytes);
+        let content = Digest::from_sha256(hash);
+        if let Some(disk) = &self.disk {
+            disk.store(&ticket.digest, &content, &bytes);
+        }
+        self.land(&mut ticket, content, hash, &bytes, |stats| {
+            stats.misses += 1
+        });
+        (bytes, Some(hash))
+    }
+
     /// Read the ticket's key through the disk tier. Bytes that hash to the digest
     /// the journal recorded are promoted into the memory index and landed as the
     /// flight's output; a mismatch is discarded from the tier — a damaged blob is
@@ -683,26 +709,28 @@ impl ActionCache {
         // The read's own buffer is what the store and every waiter share.
         let blob = Blob::new(bytes);
         // The one hash a promotion pays is also the verification.
-        let content = Digest::of_bytes(&blob);
-        if content != recorded {
+        let hash = sha256(&blob);
+        if recorded.sha256_bytes() != Some(hash) {
             disk.discard(&ticket.digest);
             return None;
         }
-        self.land(ticket, content, &blob, |stats| {
+        self.land(ticket, recorded, hash, &blob, |stats| {
             stats.hits += 1;
             stats.disk_hits += 1;
             stats.promotions += 1;
         });
-        Some(TryBegin::Hit(blob, CacheTier::Disk))
+        Some(TryBegin::Hit(blob, CacheTier::Disk, hash))
     }
 
-    /// Redeem the ticket with `blob` (content digest `content`): store and index it,
-    /// retire the flight, and wake every parked waiter — each a coalesced hit —
-    /// once all locks are released. `book` counts the event itself under the lock.
+    /// Redeem the ticket with `blob` (content digest `content`, whose raw hash is
+    /// `hash`): store and index it, retire the flight, and wake every parked
+    /// waiter — each a coalesced hit — once all locks are released. `book` counts
+    /// the event itself under the lock.
     fn land(
         &self,
         ticket: &mut FlightTicket,
         content: Digest,
+        hash: [u8; 32],
         blob: &Blob,
         book: impl FnOnce(&mut CacheStats),
     ) {
@@ -719,7 +747,7 @@ impl ActionCache {
         };
         // Wake outside the lock: wakers may re-enter the cache or an executor.
         for waker in waiters {
-            waker(FlightOutcome::Completed(blob.clone()));
+            waker(FlightOutcome::Completed(blob.clone(), hash));
         }
     }
 
@@ -732,7 +760,8 @@ impl ActionCache {
     /// [`CacheStats::stale_evictions`] — instead of lingering as a dead digest that
     /// inflates `entries` and clogs the FIFO order queue.
     pub fn peek(&self, key: &BuildKey) -> Option<Blob> {
-        self.inner.lock().resident(&self.store, key.digest())
+        let resident = self.inner.lock().resident(&self.store, key.digest());
+        resident.map(|(blob, _)| blob)
     }
 
     /// Whether the memory index currently holds an output for `key`.
@@ -1048,7 +1077,7 @@ mod tests {
         output: Option<Vec<u8>>,
     ) -> Option<(Blob, bool)> {
         match backend.try_begin(key) {
-            TryBegin::Hit(blob, _) => Some((blob, true)),
+            TryBegin::Hit(blob, _, _) => Some((blob, true)),
             TryBegin::Owner(ticket) => match output {
                 Some(bytes) => Some((backend.complete(ticket, bytes), false)),
                 None => {
@@ -1119,7 +1148,7 @@ mod tests {
         assert_eq!(blob, b"flown");
         // Retired flight: the key now hits.
         match cache.try_begin(&key(1)) {
-            TryBegin::Hit(bytes, tier) => {
+            TryBegin::Hit(bytes, tier, _) => {
                 assert!(Blob::ptr_eq(&bytes, &blob) || bytes == blob);
                 assert_eq!(tier, CacheTier::Memory);
             }
@@ -1149,7 +1178,7 @@ mod tests {
         assert!(woken.lock().is_none(), "waker must not fire before retire");
         let blob = cache.complete(ticket, b"woken".to_vec());
         match woken.lock().take() {
-            Some(FlightOutcome::Completed(bytes)) => assert_eq!(bytes, blob),
+            Some(FlightOutcome::Completed(bytes, _)) => assert_eq!(bytes, blob),
             other => panic!("expected Completed wake, got {other:?}"),
         }
         // The waiter counted as a coalesced hit.
@@ -1208,7 +1237,7 @@ mod tests {
         let blob = cache.complete(ticket, b"late".to_vec());
         // The flight retired before we parked: the outcome comes back inline.
         match cache.park(&flight, Box::new(|_| panic!("waker must not run"))) {
-            Some(FlightOutcome::Completed(bytes)) => assert_eq!(bytes, blob),
+            Some(FlightOutcome::Completed(bytes, _)) => assert_eq!(bytes, blob),
             other => panic!("expected inline Completed, got {other:?}"),
         }
         // A failed flight's late parker is told to retry.

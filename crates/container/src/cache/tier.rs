@@ -79,7 +79,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::fs;
-use std::io::Write as _;
+use std::io::{Read, Write as _};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -288,6 +288,53 @@ impl DiskState {
         }
     }
 
+    /// Replay the journal text `reader` yields through a buffer of `capacity`
+    /// bytes, whole lines at a time: a line the buffer's end cuts is carried
+    /// forward to the front, and a line longer than the whole buffer grows it, so
+    /// every line is judged exactly as a whole-text [`replay`](Self::replay)
+    /// judges it. Returns how many bytes were read and the fragment after the last
+    /// newline, unreplayed — empty when the text ends in one — for the caller to
+    /// judge or leave. A read error ends the text where it happened.
+    fn replay_lines(&mut self, mut reader: impl Read, capacity: usize) -> (u64, Vec<u8>) {
+        let mut buffer = vec![0u8; capacity.max(1)];
+        let (mut filled, mut read) = (0usize, 0u64);
+        loop {
+            if filled == buffer.len() {
+                buffer.resize(buffer.len() * 2, 0);
+            }
+            let Some(free) = buffer.get_mut(filled..) else {
+                break;
+            };
+            let fresh = match reader.read(free) {
+                Ok(0) => break,
+                Ok(fresh) => fresh,
+                Err(error) if error.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => break,
+            };
+            read += fresh as u64;
+            let scanned = filled;
+            filled += fresh;
+            let Some(text) = buffer.get(..filled) else {
+                break;
+            };
+            // Only the fresh bytes can hold the first newline of the carried line.
+            let Some(end) = text
+                .iter()
+                .skip(scanned)
+                .rposition(|&byte| byte == b'\n')
+                .map(|at| scanned + at)
+            else {
+                continue;
+            };
+            let (lines, _) = text.split_at(end);
+            self.replay(lines);
+            buffer.copy_within(end + 1..filled, 0);
+            filled -= end + 1;
+        }
+        buffer.truncate(filled);
+        (read, buffer)
+    }
+
     /// Apply one journal line, in the record language of the module docs; any
     /// other line is skipped. A `put` of the content a key already holds is a
     /// no-op (a catch-up re-reading our own append); a `put` of new content
@@ -328,6 +375,11 @@ impl DiskState {
         }
     }
 }
+
+/// The bytes of journal text [`DiskTier::open`] and a journal catch-up read at a
+/// time: about fifty records, so opening a root holds this much of its journal in
+/// memory, not all of it.
+const REPLAY_BUFFER: usize = 8 * 1024;
 
 /// The persistent on-disk CAS tier: digest-named blob files plus an append-only
 /// index journal, surviving process restarts. See the module docs for the layout.
@@ -379,7 +431,7 @@ impl DiskTier {
         fs::create_dir_all(&blobs).map_err(|e| io_err(&blobs, e))?;
         fs::create_dir_all(&locks).map_err(|e| io_err(&locks, e))?;
         let journal_path = config.root.join("index.log");
-        let text = fs::read(&journal_path).unwrap_or_default();
+        let replayed = fs::File::open(&journal_path);
         let journal = fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -394,18 +446,22 @@ impl DiskTier {
             journal_offset: 0,
             stats: DiskTierStats::default(),
         };
-        state.replay(&text);
+        let (read, fragment) = match replayed {
+            Ok(file) => state.replay_lines(file, REPLAY_BUFFER),
+            Err(_) => (0, Vec::new()),
+        };
+        state.apply_journal_line(&fragment);
         // A crash mid-append leaves a fragment with no newline. Terminate it, or
         // our first append lands on the same line and is lost with it; terminated,
         // the fragment is one more (usually malformed) line that replay judged.
-        let torn = text.last().is_some_and(|&byte| byte != b'\n');
+        let torn = !fragment.is_empty();
         if torn {
             state
                 .journal
                 .write_all(b"\n")
                 .map_err(|e| io_err(&journal_path, e))?;
         }
-        state.journal_offset = text.len() as u64 + u64::from(torn);
+        state.journal_offset = read + u64::from(torn);
         Ok(Self {
             config,
             state: Mutex::new(state),
@@ -423,7 +479,7 @@ impl DiskTier {
     /// our own already-applied lines re-apply as no-ops (the put/del sequence in
     /// the journal is exactly the sequence our in-memory index followed).
     fn refresh_from_journal(&self, state: &mut DiskState) {
-        use std::io::{Read as _, Seek as _, SeekFrom};
+        use std::io::{Seek as _, SeekFrom};
         let path = self.config.root.join("index.log");
         let Ok(mut file) = fs::File::open(&path) else {
             return;
@@ -431,19 +487,14 @@ impl DiskTier {
         if file.seek(SeekFrom::Start(state.journal_offset)).is_err() {
             return;
         }
-        let mut text = Vec::new();
-        if file.read_to_end(&mut text).is_err() {
-            return;
-        }
-        // Complete lines only: a tail still being written is left before the
+        // Complete lines only: a tail still being written is left after the
         // offset so a later catch-up re-reads it once finished.
-        let complete = text.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        let (read, fragment) = state.replay_lines(file, REPLAY_BUFFER);
+        let complete = read - fragment.len() as u64;
         if complete == 0 {
             return;
         }
-        text.truncate(complete);
-        state.replay(&text);
-        state.journal_offset += complete as u64;
+        state.journal_offset += complete;
         state.bytes = Self::total_bytes(&state.index);
     }
 
@@ -771,7 +822,7 @@ pub(super) mod tests {
         payload: &[u8],
     ) -> (Blob, Option<CacheTier>) {
         match cache.try_begin(key) {
-            TryBegin::Hit(blob, tier) => (blob, Some(tier)),
+            TryBegin::Hit(blob, tier, _) => (blob, Some(tier)),
             TryBegin::Owner(ticket) => (cache.complete(ticket, payload.to_vec()), None),
             TryBegin::InFlight(_) => panic!("no concurrent flights in this test"),
         }
@@ -937,7 +988,7 @@ pub(super) mod tests {
             std::thread::sleep(Duration::from_millis(20));
             let count_b = computed.clone();
             let waiter = scope.spawn(move || match b.try_begin(&key(3)) {
-                TryBegin::Hit(blob, tier) => {
+                TryBegin::Hit(blob, tier, _) => {
                     assert_eq!(tier, CacheTier::Disk, "served behind A's lock");
                     let stats = b.stats();
                     assert_eq!(stats.disk_hits, 1);
@@ -1183,6 +1234,66 @@ pub(super) mod tests {
         fs::write(root.path().join("index.log"), journal).unwrap();
         let tier = DiskTier::open(DiskTierConfig::new(root.path())).unwrap();
         (root, tier)
+    }
+
+    /// The index as `(key, content, stamp)` triples, and the replay offset.
+    fn replayed(tier: &DiskTier) -> (Vec<(Hash, Hash, u64)>, u64) {
+        let state = tier.state.lock();
+        let index = state.index.iter();
+        let index = index.map(|(key, e)| (*key, e.content, e.stamp)).collect();
+        (index, state.journal_offset)
+    }
+
+    /// Opening replays the journal through a fixed buffer, carrying a line the
+    /// buffer's end cuts forward: over a journal several buffers long, with a
+    /// record split across a buffer boundary, tombstones and a torn last line, it
+    /// reaches the index and offset a whole-text replay reaches — and so it does
+    /// through buffers smaller than one record, which grow.
+    #[test]
+    fn replay_through_a_fixed_buffer_equals_a_whole_text_replay() {
+        let content = Digest::of_bytes(b"payload");
+        let mut text = String::new();
+        for n in 0..3 * REPLAY_BUFFER / 100 {
+            let key = key(n as u32 % 97);
+            text += &format!("put {} {content} {n}\n", key.digest().hex());
+            if n % 13 == 0 {
+                text += &format!("del {}\n", key.digest().hex());
+            }
+        }
+        let line_start = |at: usize| text[..at].rfind('\n').map_or(0, |i| i + 1);
+        assert_ne!(
+            line_start(REPLAY_BUFFER),
+            REPLAY_BUFFER,
+            "a record straddles the first buffer boundary"
+        );
+        let torn = format!("{text}put {} {content}", key(500).digest().hex());
+
+        for journal in [&text, &torn] {
+            let (root, tier) = opened_on(journal.as_bytes());
+            // The reference: the whole text replayed at once into a fresh index.
+            let (_empty, whole) = opened_on(b"");
+            let ends_torn = !journal.ends_with('\n');
+            {
+                let mut state = whole.state.lock();
+                state.replay(journal.as_bytes());
+                state.journal_offset = journal.len() as u64 + u64::from(ends_torn);
+            }
+            assert_eq!(replayed(&tier), replayed(&whole));
+            let written = fs::read(root.path().join("index.log")).unwrap();
+            assert_eq!(written.len() as u64, replayed(&tier).1);
+
+            for capacity in [1, 100, 149, 4096] {
+                let (_small, small) = opened_on(b"");
+                let mut state = small.state.lock();
+                let (read, fragment) = state.replay_lines(journal.as_bytes(), capacity);
+                state.apply_journal_line(&fragment);
+                assert_eq!(read, journal.len() as u64);
+                assert_eq!(fragment.is_empty(), !ends_torn, "capacity {capacity}");
+                state.journal_offset = read + u64::from(ends_torn);
+                drop(state);
+                assert_eq!(replayed(&small), replayed(&whole), "capacity {capacity}");
+            }
+        }
     }
 
     #[test]

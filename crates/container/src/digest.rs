@@ -357,7 +357,7 @@ impl Digest {
     }
 
     /// The `sha256:` digest whose raw hash is `bytes`.
-    pub(crate) fn from_sha256(bytes: [u8; 32]) -> Self {
+    pub fn from_sha256(bytes: [u8; 32]) -> Self {
         // Laid out on the stack and copied into one exact-size allocation.
         let mut text = [0u8; 7 + 64];
         text[..7].copy_from_slice(b"sha256:");

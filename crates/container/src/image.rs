@@ -147,6 +147,117 @@ impl Image {
     }
 }
 
+/// The [`ImageConfig`] of `image`, with every layer sealed: what
+/// [`ImageStore::commit`] writes, as an owned value.
+fn image_config(image: &Image) -> ImageConfig {
+    ImageConfig {
+        platform: image.platform.clone(),
+        config: image.runtime.clone(),
+        rootfs_diff_ids: image.layers.iter().map(Layer::diff_id).collect(),
+        history: image
+            .layers
+            .iter()
+            .map(|layer| HistoryEntry {
+                created_by: layer.created_by().to_string(),
+                empty_layer: layer.is_empty(),
+            })
+            .collect(),
+    }
+}
+
+/// A comma before every item but the first of a JSON array or object.
+fn comma(out: &mut String, index: usize) {
+    if index > 0 {
+        out.push(',');
+    }
+}
+
+/// The config blob of an image whose layers are sealed, written from borrowed
+/// parts. The vendored derive takes no lifetimes, so this writes by hand exactly
+/// the bytes the derived `Serialize` of [`image_config`]'s value writes: fields
+/// sorted by key.
+struct ConfigJson<'a>(&'a Image);
+
+impl Serialize for ConfigJson<'_> {
+    fn to_value(&self) -> serde::Value {
+        image_config(self.0).to_value()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        let Image {
+            platform,
+            layers,
+            runtime,
+            ..
+        } = self.0;
+        out.push_str("{\"config\":");
+        runtime.write_json(out);
+        out.push_str(",\"history\":[");
+        for (index, layer) in layers.iter().enumerate() {
+            comma(out, index);
+            out.push_str("{\"created_by\":");
+            layer.created_by().write_json(out);
+            out.push_str(",\"empty_layer\":");
+            layer.is_empty().write_json(out);
+            out.push('}');
+        }
+        out.push_str("],\"platform\":");
+        platform.write_json(out);
+        out.push_str(",\"rootfs_diff_ids\":[");
+        for (index, layer) in layers.iter().enumerate() {
+            comma(out, index);
+            layer.sealed().1.write_json(out);
+        }
+        out.push_str("]}");
+    }
+}
+
+/// The manifest of an image whose layers are sealed, under its config's
+/// descriptor, written from borrowed parts as [`ConfigJson`] is: the bytes of
+/// [`Manifest`]'s derived `Serialize`.
+struct ManifestJson<'a> {
+    image: &'a Image,
+    config: &'a Descriptor,
+}
+
+impl Serialize for ManifestJson<'_> {
+    fn to_value(&self) -> serde::Value {
+        let layers = self.image.layers.iter().map(|layer| {
+            let (archive, digest) = layer.sealed();
+            Descriptor::new(MediaType::Layer, digest.clone(), archive.len() as u64)
+        });
+        Manifest {
+            media_type: MediaType::ImageManifest,
+            config: self.config.clone(),
+            layers: layers.collect(),
+            annotations: self.image.annotations.clone(),
+        }
+        .to_value()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"annotations\":");
+        self.image.annotations.write_json(out);
+        out.push_str(",\"config\":");
+        self.config.write_json(out);
+        out.push_str(",\"layers\":[");
+        for (index, layer) in self.image.layers.iter().enumerate() {
+            let (archive, digest) = layer.sealed();
+            comma(out, index);
+            out.push_str("{\"digest\":");
+            digest.write_json(out);
+            out.push_str(",\"media_type\":");
+            MediaType::Layer.write_json(out);
+            out.push_str(",\"size\":");
+            (archive.len() as u64).write_json(out);
+            out.push('}');
+        }
+        out.push_str("],\"media_type\":");
+        MediaType::ImageManifest.write_json(out);
+        out.push('}');
+    }
+}
+
 /// Errors from the image store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ImageError {
@@ -399,14 +510,15 @@ impl ImageStore {
     ///
     /// A layer is serialised and hashed only if nothing sealed it before
     /// ([`Layer::sealed`]); its digest is both the blob digest and the diff ID, which
-    /// name the same uncompressed archive. Everything is hashed before the store's
-    /// write lock is taken, once, for all blobs and the tag. The manifest's children are
+    /// name the same uncompressed archive. The config and manifest JSON are written
+    /// from borrowed views of the image (the bytes [`ImageConfig`]'s and
+    /// [`Manifest`]'s `Serialize` write), so no layer's note, digest or annotation
+    /// is copied to describe it. Everything is hashed before the store's write lock
+    /// is taken, once, for all blobs and the tag. The manifest's children are
     /// recorded only if none are recorded for its digest yet, so a repeated commit
     /// clones nothing.
     pub fn commit(&self, image: &Image) -> Descriptor {
         let mut hashed = 2u64; // config + manifest
-        let mut layer_descriptors = Vec::with_capacity(image.layers.len());
-        let mut history = Vec::with_capacity(image.layers.len());
         for layer in &image.layers {
             let ((archive, digest), sealed_now) = layer.seal();
             hashed += u64::from(sealed_now);
@@ -415,51 +527,41 @@ impl ImageStore {
                 digest,
                 "a sealed layer's digest does not match its archive"
             );
-            history.push(HistoryEntry {
-                created_by: layer.created_by().to_string(),
-                empty_layer: layer.is_empty(),
-            });
-            layer_descriptors.push(Descriptor::new(
-                MediaType::Layer,
-                digest.clone(),
-                archive.len() as u64,
-            ));
         }
-        let config = ImageConfig {
-            platform: image.platform.clone(),
-            config: image.runtime.clone(),
-            rootfs_diff_ids: layer_descriptors.iter().map(|d| d.digest.clone()).collect(),
-            history,
-        };
-        let config_blob = Blob::new(serde_json::to_vec(&config).expect("config serialises"));
-        let manifest = Manifest {
-            media_type: MediaType::ImageManifest,
-            config: Descriptor::new(
-                MediaType::ImageConfig,
-                Digest::of_bytes(&config_blob),
-                config_blob.len() as u64,
-            ),
-            layers: layer_descriptors,
-            annotations: image.annotations.clone(),
+        let config_blob =
+            Blob::new(serde_json::to_vec(&ConfigJson(image)).expect("config serialises"));
+        let config = Descriptor::new(
+            MediaType::ImageConfig,
+            Digest::of_bytes(&config_blob),
+            config_blob.len() as u64,
+        );
+        let manifest = ManifestJson {
+            image,
+            config: &config,
         };
         let manifest_blob = Blob::new(serde_json::to_vec(&manifest).expect("manifest serialises"));
         let manifest_digest = Digest::of_bytes(&manifest_blob);
         {
             let mut inner = self.inner.write();
             inner.digests_computed += hashed;
-            for (layer, descriptor) in image.layers.iter().zip(&manifest.layers) {
-                inner.insert(&descriptor.digest, layer.sealed().0);
+            for layer in &image.layers {
+                let (archive, digest) = layer.sealed();
+                inner.insert(digest, archive);
             }
-            inner.insert(&manifest.config.digest, &config_blob);
+            inner.insert(&config.digest, &config_blob);
             inner.insert(&manifest_digest, &manifest_blob);
             if !inner.edges.contains_key(&manifest_digest) {
-                let children = std::iter::once(&manifest.config).chain(&manifest.layers);
-                let children = children.map(|d| d.digest.clone()).collect();
+                let layers = image.layers.iter().map(|layer| layer.sealed().1.clone());
+                let children = std::iter::once(config.digest).chain(layers).collect();
                 inner.edges.insert(manifest_digest.clone(), children);
             }
-            inner
-                .tags
-                .insert(image.reference.clone(), manifest_digest.clone());
+            match inner.tags.get_mut(&image.reference) {
+                Some(tagged) => *tagged = manifest_digest.clone(),
+                None => {
+                    let tag = image.reference.clone();
+                    inner.tags.insert(tag, manifest_digest.clone());
+                }
+            }
         }
         Descriptor::new(
             MediaType::ImageManifest,
@@ -583,6 +685,36 @@ mod tests {
         img.push_layer(base).push_layer(clang);
         img.runtime.env.push("PATH=/usr/bin".to_string());
         img
+    }
+
+    /// The config and manifest written from borrowed views are byte for byte what
+    /// the derived `Serialize` of the owned values writes, through `write_json` and
+    /// through the `Value` tree, for images with and without layers, notes that
+    /// need escaping, empty layers and annotations.
+    #[test]
+    fn commit_writes_the_bytes_the_derived_serialize_writes() {
+        let store = ImageStore::new();
+        let mut full = toolchain_image();
+        full.push_layer(Layer::new("ENV A=\"1\" \\ é"));
+        full.annotate("org.opencontainers.image.title", "a \"quoted\" name");
+        full.runtime.labels.insert("k".into(), "v\n".into());
+        full.runtime.working_dir = Some("/work".into());
+        let bare = Image::new("bare:1", Platform::linux(Architecture::Arm64));
+        for image in [full, bare] {
+            let descriptor = store.commit(&image);
+            let manifest = store.manifest(&descriptor.digest).unwrap();
+            let stored = store.blob(&descriptor.digest).unwrap();
+            assert_eq!(stored, serde_json::to_vec(&manifest).unwrap());
+            let config = store.blob(&manifest.config.digest).unwrap();
+            assert_eq!(config, serde_json::to_vec(&image_config(&image)).unwrap());
+            let view = ManifestJson {
+                image: &image,
+                config: &manifest.config,
+            };
+            assert_eq!(stored, view.to_value().to_string().into_bytes());
+            let view = ConfigJson(&image);
+            assert_eq!(config, view.to_value().to_string().into_bytes());
+        }
     }
 
     #[test]

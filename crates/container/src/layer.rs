@@ -18,6 +18,15 @@
 //! (`Layer::entries_mut`) that copies the layer if it is shared and drops the memo —
 //! the "invalidation by construction" rule of `xaas_xir::memo::DigestCell`. For every
 //! value of the type, `sealed() == (to_archive(), Digest::of_bytes(&to_archive()))`.
+//!
+//! # A layer read from its archive decodes lazily
+//!
+//! [`Layer::from_archive_blob`] validates a stored archive in one pass that
+//! allocates nothing and, when the bytes are canonical, hands back a layer sealed
+//! with that very blob whose entries are decoded by the first read of them
+//! ([`Layer::iter`], [`Layer::get`]). [`Layer::len`], [`Layer::is_empty`],
+//! [`Layer::sealed`] and [`Layer::to_archive`] read the archive itself, so
+//! committing such a layer decodes nothing.
 
 use crate::blob::Blob;
 use crate::digest::Digest;
@@ -50,32 +59,79 @@ pub struct Layer {
     inner: Arc<LayerInner>,
 }
 
-#[derive(Default)]
 struct LayerInner {
+    /// The history note; empty for a layer read from its archive, which holds it.
     created_by: String,
-    entries: BTreeMap<String, LayerEntry>,
+    /// The entries: set when the layer is built, and decoded from the sealed
+    /// archive by the first read for a layer read from one.
+    entries: OnceLock<BTreeMap<String, LayerEntry>>,
+    /// For a layer read from its archive, the entry count the archive declares:
+    /// the archive is canonical, so it names that many distinct paths.
+    archived: Option<usize>,
     /// The archive and its digest, filled by the first [`Layer::sealed`].
     sealed: OnceLock<(Blob, Digest)>,
 }
 
-impl Clone for LayerInner {
-    /// Only [`Arc::make_mut`] in [`Layer::entries_mut`] clones the inner value, to
-    /// mutate the copy: it starts unsealed.
-    fn clone(&self) -> Self {
+impl Default for LayerInner {
+    fn default() -> Self {
         Self {
-            created_by: self.created_by.clone(),
-            entries: self.entries.clone(),
+            created_by: String::new(),
+            entries: OnceLock::from(BTreeMap::new()),
+            archived: None,
             sealed: OnceLock::new(),
         }
     }
 }
 
+impl Clone for LayerInner {
+    /// Only [`Arc::make_mut`] in [`Layer::entries_mut`] clones the inner value, to
+    /// mutate the copy: it starts unsealed, so it owns its note and entries.
+    fn clone(&self) -> Self {
+        Self {
+            created_by: self.created_by().to_string(),
+            entries: OnceLock::from(self.entries().clone()),
+            archived: None,
+            sealed: OnceLock::new(),
+        }
+    }
+}
+
+impl LayerInner {
+    /// The sealed archive of a layer read from one.
+    fn archive(&self) -> Option<&Blob> {
+        self.archived?;
+        self.sealed.get().map(|(archive, _)| archive)
+    }
+
+    fn created_by(&self) -> &str {
+        match self.archive() {
+            Some(archive) => Cursor::new(archive).header().map_or("", |(note, _)| note),
+            None => &self.created_by,
+        }
+    }
+
+    /// The entries, decoding the archive of a layer read from one at first use.
+    /// The archive was validated when it was adopted, so the decode cannot fail.
+    fn entries(&self) -> &BTreeMap<String, LayerEntry> {
+        self.entries.get_or_init(|| {
+            let mut entries = BTreeMap::new();
+            if let Some(archive) = self.archive() {
+                let _ = walk(archive, |path, mode, content| {
+                    let content = Blob::copy_from_slice(content);
+                    entries.insert(path.to_string(), LayerEntry { content, mode });
+                });
+            }
+            entries
+        })
+    }
+}
+
 impl PartialEq for Layer {
-    /// Content only: whether either side is sealed never matters.
+    /// Content only: whether either side is sealed or decoded never matters.
     fn eq(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
-            || (self.inner.created_by == other.inner.created_by
-                && self.inner.entries == other.inner.entries)
+            || (self.created_by() == other.created_by()
+                && self.inner.entries() == other.inner.entries())
     }
 }
 
@@ -84,8 +140,8 @@ impl Eq for Layer {}
 impl fmt::Debug for Layer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Layer")
-            .field("created_by", &self.inner.created_by)
-            .field("entries", &self.inner.entries)
+            .field("created_by", &self.created_by())
+            .field("entries", self.inner.entries())
             .finish()
     }
 }
@@ -103,16 +159,24 @@ impl Layer {
 
     /// Human-readable description, recorded in the image history.
     pub(crate) fn created_by(&self) -> &str {
-        &self.inner.created_by
+        self.inner.created_by()
     }
 
     /// The one entrance every mutator takes: un-share the layer if a clone still
     /// points at it, and drop the sealed archive so it can never describe other
-    /// entries than the current ones.
+    /// entries than the current ones. A layer read from its archive decodes it
+    /// and takes its note out of it first.
     fn entries_mut(&mut self) -> &mut BTreeMap<String, LayerEntry> {
+        if self.inner.archived.is_some() {
+            self.inner = Arc::new(LayerInner::clone(&self.inner));
+        }
         let inner = Arc::make_mut(&mut self.inner);
         inner.sealed.take();
-        &mut inner.entries
+        inner.entries.get_or_init(BTreeMap::new);
+        inner
+            .entries
+            .get_mut()
+            .expect("a layer owning its entries has them set")
     }
 
     fn insert(&mut self, path: impl Into<String>, content: Blob, mode: u32) -> &mut Self {
@@ -145,29 +209,39 @@ impl Layer {
         self.add_file(path, content.into())
     }
 
-    /// Number of entries in this layer.
+    /// Number of entries in this layer (read from the archive's header, for a
+    /// layer read from one).
     pub fn len(&self) -> usize {
-        self.inner.entries.len()
+        match self.inner.archived {
+            Some(count) => count,
+            None => self.inner.entries().len(),
+        }
     }
 
     /// True when the layer carries no entries.
     pub fn is_empty(&self) -> bool {
-        self.inner.entries.is_empty()
+        self.len() == 0
+    }
+
+    /// Whether the entries are in memory: always for a built layer, and for a
+    /// layer read from its archive once something read an entry.
+    pub fn is_decoded(&self) -> bool {
+        self.inner.entries.get().is_some()
     }
 
     /// Total byte size of file contents in this layer.
     pub fn size_bytes(&self) -> u64 {
-        self.inner.entries.values().map(LayerEntry::size).sum()
+        self.inner.entries().values().map(LayerEntry::size).sum()
     }
 
     /// Iterate over `(path, entry)` pairs in deterministic (sorted) order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &LayerEntry)> {
-        self.inner.entries.iter().map(|(k, v)| (k.as_str(), v))
+        self.inner.entries().iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Look up an entry by path.
     pub fn get(&self, path: &str) -> Option<&LayerEntry> {
-        self.inner.entries.get(&*normalize_path(path))
+        self.inner.entries().get(&*normalize_path(path))
     }
 
     /// Serialise the layer into a deterministic archive byte stream ("tarball" stand-in).
@@ -178,19 +252,23 @@ impl Layer {
     ///
     /// The buffer is allocated once, at the archive's exact length, so it enters a
     /// [`Blob`] without growing or carrying spare capacity.
+    /// A layer read from its archive is canonical, so it copies that archive and
+    /// decodes nothing.
     pub fn to_archive(&self) -> Vec<u8> {
-        let inner = &*self.inner;
-        let entries: usize = inner
-            .entries
+        if let Some(archive) = self.inner.archive() {
+            return archive.to_vec();
+        }
+        let (created_by, entries) = (self.created_by(), self.inner.entries());
+        let entry_bytes: usize = entries
             .iter()
             .map(|(path, entry)| ENTRY_HEADER + path.len() + entry.content.len())
             .sum();
-        let len = MAGIC.len() + 8 + inner.created_by.len() + 8 + entries;
+        let len = MAGIC.len() + 8 + created_by.len() + 8 + entry_bytes;
         let mut out = Vec::with_capacity(len);
         out.extend_from_slice(MAGIC);
-        write_str(&mut out, &inner.created_by);
-        out.extend_from_slice(&(inner.entries.len() as u64).to_le_bytes());
-        for (path, LayerEntry { content, mode }) in &inner.entries {
+        write_str(&mut out, created_by);
+        out.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+        for (path, LayerEntry { content, mode }) in entries {
             write_str(&mut out, path);
             out.push(FILE_TAG);
             out.extend_from_slice(&mode.to_le_bytes());
@@ -232,80 +310,101 @@ impl Layer {
         self.sealed().1.clone()
     }
 
-    /// Parse an archive produced by [`Layer::to_archive`]. The result is unsealed.
+    /// Parse an archive produced by [`Layer::to_archive`], decoding every entry.
+    /// The result is unsealed.
     pub fn from_archive(bytes: &[u8]) -> Result<Self, LayerError> {
-        Ok(Self::parse(bytes)?.0)
-    }
-
-    /// Parse a stored archive whose `digest` the caller already knows (a store key, a
-    /// manifest descriptor), handing back the layer sealed with exactly that blob and
-    /// digest, so committing it again serialises and hashes nothing.
-    ///
-    /// The memo is seeded only when the parse proves `archive` is byte for byte what
-    /// [`Layer::to_archive`] writes for the parsed entries. A readable but
-    /// non-canonical archive (paths out of order or repeated, bytes after the last
-    /// entry) comes back unsealed and will be re-serialised under its own digest. The
-    /// digest/payload correspondence is the caller's contract; debug builds verify it
-    /// where the digest is adopted.
-    pub fn from_archive_blob(archive: Blob, digest: Digest) -> Result<Self, LayerError> {
-        let (layer, canonical) = Self::parse(&archive)?;
-        if canonical {
-            debug_assert_eq!(
-                Digest::of_bytes(&archive),
-                digest,
-                "from_archive_blob called with a digest that does not match the archive"
-            );
-            debug_assert_eq!(
-                archive,
-                layer.to_archive(),
-                "canonical archive re-serialises"
-            );
-            layer
-                .inner
-                .sealed
-                .set((archive, digest))
-                .expect("a freshly parsed layer is unsealed");
-        }
-        Ok(layer)
-    }
-
-    /// Decode `bytes`; the flag says whether they are the canonical serialisation of
-    /// the decoded layer (paths strictly ascending, nothing trailing).
-    #[deny(clippy::indexing_slicing, clippy::unwrap_used)]
-    fn parse(bytes: &[u8]) -> Result<(Self, bool), LayerError> {
-        let mut cur = Cursor { rest: bytes };
-        if cur.take(MAGIC.len())? != MAGIC {
-            return Err(LayerError::BadMagic);
-        }
-        let created_by = cur.read_str()?;
-        let count = cur.read_u64()?;
-        let mut entries: BTreeMap<String, LayerEntry> = BTreeMap::new();
-        let mut canonical = true;
-        for _ in 0..count {
-            let path = cur.read_str()?;
-            let tag = cur.read_u8()?;
-            if tag != FILE_TAG {
-                return Err(LayerError::BadEntryTag(tag));
-            }
-            let mode = cur.read_u32()?;
-            let len = cur.read_len()?;
-            let entry = LayerEntry {
-                content: Blob::copy_from_slice(cur.take(len)?),
-                mode,
-            };
-            canonical &= entries.keys().next_back().is_none_or(|last| *last < path);
-            entries.insert(path, entry);
-        }
-        canonical &= cur.rest.is_empty();
-        let layer = Layer {
+        let mut entries = BTreeMap::new();
+        let walked = walk(bytes, |path, mode, content| {
+            let content = Blob::copy_from_slice(content);
+            entries.insert(path.to_string(), LayerEntry { content, mode });
+        })?;
+        Ok(Layer {
             inner: Arc::new(LayerInner {
-                created_by,
-                entries,
+                created_by: walked.created_by.to_string(),
+                entries: OnceLock::from(entries),
+                archived: None,
                 sealed: OnceLock::new(),
             }),
-        };
-        Ok((layer, canonical))
+        })
     }
+
+    /// Adopt a stored archive whose `digest` the caller already knows (a store key,
+    /// a manifest descriptor, an action cache entry), so committing it again
+    /// serialises and hashes nothing.
+    ///
+    /// The archive is validated in one pass that allocates nothing. When it is
+    /// byte for byte what [`Layer::to_archive`] writes for its entries (paths
+    /// strictly ascending, nothing trailing), the layer comes back sealed with
+    /// exactly that blob and digest, and its entries are decoded by the first read
+    /// of them. A readable but non-canonical archive is decoded now and comes back
+    /// unsealed, to be re-serialised under its own digest. An archive
+    /// [`Layer::from_archive`] refuses is refused with the same error. The
+    /// digest/payload correspondence is the caller's contract; debug builds verify
+    /// it where the digest is adopted.
+    pub fn from_archive_blob(archive: Blob, digest: Digest) -> Result<Self, LayerError> {
+        let walked = walk(&archive, |_, _, _| {})?;
+        if !walked.canonical {
+            return Self::from_archive(&archive);
+        }
+        debug_assert_eq!(
+            Digest::of_bytes(&archive),
+            digest,
+            "from_archive_blob called with a digest that does not match the archive"
+        );
+        Ok(Layer {
+            inner: Arc::new(LayerInner {
+                created_by: String::new(),
+                entries: OnceLock::new(),
+                archived: Some(walked.count),
+                sealed: OnceLock::from((archive, digest)),
+            }),
+        })
+    }
+}
+
+/// What one [`walk`] over an archive found besides its entries.
+struct Walked<'a> {
+    created_by: &'a str,
+    /// Entries read (every one the header declares).
+    count: usize,
+    /// Whether the bytes are the canonical serialisation of the entries read: paths
+    /// strictly ascending, nothing trailing.
+    canonical: bool,
+}
+
+/// Read an archive front to back, handing each entry's path, mode and content to
+/// `visit` as borrowed slices. The walk allocates nothing; the first malformed
+/// field ends it with its error.
+#[deny(clippy::indexing_slicing, clippy::unwrap_used)]
+fn walk<'a>(
+    bytes: &'a [u8],
+    mut visit: impl FnMut(&'a str, u32, &'a [u8]),
+) -> Result<Walked<'a>, LayerError> {
+    let mut cur = Cursor::new(bytes);
+    let (created_by, count) = cur.header()?;
+    let mut canonical = true;
+    let mut last: Option<&str> = None;
+    let mut read = 0usize;
+    while (read as u64) < count {
+        let path = cur.read_str()?;
+        let tag = cur.read_u8()?;
+        if tag != FILE_TAG {
+            return Err(LayerError::BadEntryTag(tag));
+        }
+        let mode = cur.read_u32()?;
+        let len = cur.read_len()?;
+        let content = cur.take(len)?;
+        canonical &= last.is_none_or(|last| last < path);
+        last = Some(path);
+        visit(path, mode, content);
+        read += 1;
+    }
+    canonical &= cur.rest.is_empty();
+    Ok(Walked {
+        created_by,
+        count: read,
+        canonical,
+    })
 }
 
 const MAGIC: &[u8] = b"XAASLAYER1";
@@ -438,6 +537,17 @@ struct Cursor<'a> {
 
 #[deny(clippy::indexing_slicing, clippy::unwrap_used)]
 impl<'a> Cursor<'a> {
+    fn new(bytes: &'a [u8]) -> Self {
+        Self { rest: bytes }
+    }
+    /// The magic, the history note and the declared entry count.
+    fn header(&mut self) -> Result<(&'a str, u64), LayerError> {
+        if self.take(MAGIC.len())? != MAGIC {
+            return Err(LayerError::BadMagic);
+        }
+        let created_by = self.read_str()?;
+        Ok((created_by, self.read_u64()?))
+    }
     /// The next `n` bytes; `n` comes from the archive, so it may be anything.
     fn take(&mut self, n: usize) -> Result<&'a [u8], LayerError> {
         let (head, rest) = self.rest.split_at_checked(n).ok_or(LayerError::Truncated)?;
@@ -464,10 +574,10 @@ impl<'a> Cursor<'a> {
     fn read_len(&mut self) -> Result<usize, LayerError> {
         usize::try_from(self.read_u64()?).map_err(|_| LayerError::Truncated)
     }
-    fn read_str(&mut self) -> Result<String, LayerError> {
+    fn read_str(&mut self) -> Result<&'a str, LayerError> {
         let len = self.read_len()?;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| LayerError::BadString)
+        std::str::from_utf8(bytes).map_err(|_| LayerError::BadString)
     }
 }
 
@@ -769,6 +879,42 @@ mod tests {
         assert!(Blob::ptr_eq(layer.sealed().0, &archive));
         assert_eq!(layer.sealed().1, &digest);
         assert_eq!(layer.to_archive(), archive.to_vec());
+    }
+
+    /// A layer adopted from a canonical archive reads its count, note and archive
+    /// without decoding; the first entry read decodes, and a mutation decodes,
+    /// takes the note out of the archive and drops the memo, leaving clones alone.
+    #[test]
+    fn an_adopted_archive_decodes_on_first_read_and_mutates_like_a_built_layer() {
+        let built = sample_layer();
+        let archive = Blob::new(built.to_archive());
+        let digest = Digest::of_bytes(&archive);
+        let adopted = Layer::from_archive_blob(archive.clone(), digest.clone()).unwrap();
+        assert!(!adopted.is_decoded());
+        assert_eq!((adopted.len(), adopted.is_empty()), (4, false));
+        assert_eq!(adopted.created_by(), "COPY src /app/src");
+        assert_eq!(adopted.to_archive(), archive.to_vec());
+        assert!(Blob::ptr_eq(adopted.sealed().0, &archive));
+        assert!(!adopted.is_decoded(), "nothing above read an entry");
+
+        let clone = adopted.clone();
+        assert_eq!(adopted.get("/usr/bin/xirc").unwrap().mode, 0o755);
+        assert!(
+            adopted.is_decoded() && clone.is_decoded(),
+            "clones share the decode"
+        );
+        assert_eq!(adopted, built);
+
+        let mut mutated = Layer::from_archive_blob(archive.clone(), digest.clone()).unwrap();
+        let untouched = mutated.clone();
+        mutated.add_text("/new", "x");
+        assert_eq!(mutated.created_by(), "COPY src /app/src");
+        assert_eq!(mutated.len(), 5);
+        assert!(!mutated.is_sealed());
+        assert_eq!(mutated.sealed().1, &from_scratch(&mutated).1);
+        assert!(untouched.is_sealed(), "the clone keeps its archive");
+        assert_eq!(untouched.sealed().1, &digest);
+        assert_eq!(untouched, built);
     }
 
     #[test]

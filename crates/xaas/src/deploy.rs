@@ -6,9 +6,9 @@
 //! linking and installation, and commits a new, system-specialized image whose tag
 //! encodes the specialization points.
 
-use crate::engine::plan::{MachineLower, SdCompile, SharedDeployArtifacts};
+use crate::engine::plan::{add_deploy_commit, MachineLower, SdCompile, SharedDeployArtifacts};
 use crate::engine::{
-    add_commit_action, ActionGraph, ActionId, ActionKind, ActionTrace, LinkSlot, PreprocessPlanner,
+    Action, ActionGraph, ActionId, ActionInputs, ActionKind, ActionTrace, PreprocessPlanner,
 };
 use crate::error::PipelineError;
 use crate::ir_container::{
@@ -18,8 +18,11 @@ use crate::resolve::Resolved;
 use crate::targets::{derive_build_profile, target_isa_for};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use xaas_buildsys::{OptionAssignment, ProjectSpec, SourceSpec};
-use xaas_container::{annotation_keys, Blob, DeploymentFormat, Image, ImageStore, Layer, Platform};
+use std::sync::OnceLock;
+use xaas_buildsys::{OptionAssignment, ProjectSpec, SourceSpec, TargetSpec};
+use xaas_container::{
+    annotation_keys, Blob, DeploymentFormat, Derivation, Image, ImageStore, Layer, Platform,
+};
 use xaas_hpcsim::{BuildProfile, SimdLevel, SystemModel};
 use xaas_xir::{CompileFlags, Compiler, MachineModule, TargetIsa, VectorizationReport};
 
@@ -63,8 +66,8 @@ pub struct IrDeployment {
 }
 
 /// What one lower/compile task contributed to a deployment: the serialised
-/// [`MachineModule`] exactly as the keyed action (or the cache) produced it, shared
-/// with the deployed layer's object files, and the manifest units it serves.
+/// [`MachineModule`] exactly as the keyed action (or the cache) produced it, and
+/// the manifest units it serves.
 #[derive(Debug, Clone)]
 struct DeployedArtifact {
     /// Every manifest unit served by the artifact (several units can share one).
@@ -135,10 +138,93 @@ enum DeployTask<'plan> {
     },
 }
 
-/// What a deployment's Link action assembles for the driver.
-struct Assembled {
-    image: Image,
-    artifacts: Vec<DeployedArtifact>,
+impl DeployTask<'_> {
+    /// Every manifest unit the task's artifact serves.
+    fn files(&self) -> &[&str] {
+        match self {
+            DeployTask::Lower { files, .. } | DeployTask::Compile { files, .. } => files,
+        }
+    }
+}
+
+/// The Link of an IR deployment: the deployed layer — an object file per
+/// manifest unit, the linked executables and the dependency provenance — output
+/// as its sealed archive. Its key reads each task's artifact by content digest,
+/// not by key, so two artifact nodes with other keys and the same bytes link to
+/// the same layer (an early cutoff), and a warm deployment's Link is a hit.
+struct IrDeployLink<'a> {
+    /// The deployment target's name: the layer's note and executables name it.
+    target: &'a str,
+    system: &'a str,
+    /// The selected configuration's label, which the provenance files name.
+    label: &'a str,
+    dependencies: &'a [String],
+    /// The project's targets, linked by name.
+    targets: &'a [TargetSpec],
+    /// One task per dependency, in order: its artifact is that dependency's output.
+    tasks: &'a [DeployTask<'a>],
+}
+
+impl Action for IrDeployLink<'_> {
+    const KIND: ActionKind = ActionKind::Link;
+    const KEY_READS_DEPS: bool = true;
+    const READS_DEP_DIGESTS: bool = true;
+    type Error = PipelineError;
+
+    fn derive(&self, deps: Option<&ActionInputs>, record: Derivation) -> Derivation {
+        let Self {
+            target,
+            system,
+            label,
+            dependencies,
+            targets,
+            tasks,
+        } = self;
+        let record = record
+            .str(target)
+            .str(system)
+            .str(label)
+            .strs(dependencies.iter().map(String::as_str))
+            .strs(targets.iter().map(|spec| spec.name.as_str()))
+            .u64(tasks.len() as u64);
+        tasks
+            .iter()
+            .enumerate()
+            .fold(record, |record, (index, task)| {
+                let record = record.strs(task.files().iter().copied());
+                match deps {
+                    Some(deps) => record.str(deps.dep_digest(index).as_str()),
+                    None => record,
+                }
+            })
+    }
+
+    fn run(&self, deps: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
+        // Linking and installation. The artifact actions emit exactly the
+        // serialised machine module, so the object files are those bytes,
+        // decoded by nobody (`IrDeployment::lowered` decodes them on request).
+        let mut layer = Layer::new(format!("RUN xaas lower --target {}", self.target));
+        for (index, task) in self.tasks.iter().enumerate() {
+            for file in task.files() {
+                let object = format!("/xaas/obj/{}.o", file.replace('/', "_"));
+                layer.add_file(object, deps.dep_blob(index).clone());
+            }
+        }
+        for TargetSpec { name, .. } in self.targets {
+            layer.add_executable(
+                format!("/opt/app/bin/{name}"),
+                format!("linked {name} for {} ({})", self.system, self.target).into_bytes(),
+            );
+        }
+        // Dependency layers are reassembled for the selected configuration only.
+        for dependency in self.dependencies {
+            layer.add_text(
+                format!("/opt/deps/{dependency}/.provenance"),
+                format!("dependency layer {dependency} for {}", self.label),
+            );
+        }
+        Ok(layer.to_archive())
+    }
 }
 
 /// The plan phase of one IR deployment: everything validated and owned, but no
@@ -146,6 +232,7 @@ struct Assembled {
 /// [`graft_ir_deploy`] (into a private graph for a standalone deployment, or into
 /// the fleet's union graph), and consumed by [`finish_ir_deploy`] once the nodes
 /// have run; the [`orchestrator`](crate::orchestrator) requests drive the phases.
+/// The commit node leaves the committed image in `committed`.
 pub(crate) struct DeployPlan<'a> {
     build: &'a IrContainerBuild,
     project: &'a ProjectSpec,
@@ -157,7 +244,15 @@ pub(crate) struct DeployPlan<'a> {
     sd_flags: CompileFlags,
     tasks: Vec<DeployTask<'a>>,
     reference: String,
-    assembled: LinkSlot<Assembled>,
+    committed: OnceLock<Image>,
+}
+
+/// The nodes [`graft_ir_deploy`] added that [`finish_ir_deploy`] reads.
+pub(crate) struct GraftedDeploy {
+    /// The critical-path depth of the job's own nodes.
+    pub(crate) depth: usize,
+    /// The artifact node of each task, in task order.
+    artifacts: Vec<ActionId>,
 }
 
 /// Plan one resolved deployment (Figure 8's *select* step is `resolve`): find
@@ -222,7 +317,7 @@ pub(crate) fn plan_ir_deploy<'a>(
         sd_flags,
         tasks,
         reference: resolved.reference(project, system),
-        assembled: LinkSlot::new(),
+        committed: OnceLock::new(),
     })
 }
 
@@ -236,22 +331,26 @@ pub(crate) fn plan_ir_deploy<'a>(
 ///    (unit content id, target ISA); an [`SdCompile`] reads its preprocess
 ///    dependency's output into its key, so that key is derived when the node is
 ///    dispatched;
-/// 3. **link + commit**: assemble and commit the system-specialized image.
+/// 3. **link + commit**: an [`IrDeployLink`] record, keyed on its artifacts'
+///    content digests, outputs the deployed layer's archive (a warm deployment's
+///    Link is a hit), and the commit derives the system-specialized image from
+///    the IR container's, adopts that archive as its last layer and commits it.
 ///
 /// Records whose identity is already in `shared` (the fleet's union-graph wave
 /// index; empty for a standalone deployment) become cache-probe aliases instead
 /// of second compute nodes: the shared `BuildKey` executes once per wave and fans
 /// out to every consuming job's Link.
 ///
-/// Returns the critical-path depth of the job's own nodes (cross-job alias edges
-/// excluded) — exactly the `stage_depth` the job's standalone submission would
-/// record, so union-graph per-job traces stay comparable.
+/// The returned depth is the critical-path depth of the job's own nodes
+/// (cross-job alias edges excluded) — exactly the `stage_depth` the job's
+/// standalone submission would record, so union-graph per-job traces stay
+/// comparable.
 pub(crate) fn graft_ir_deploy<'env>(
     plan: &'env DeployPlan<'env>,
     graph: &mut ActionGraph<'env, PipelineError>,
     store: &'env ImageStore,
     shared: &mut SharedDeployArtifacts,
-) -> usize {
+) -> GraftedDeploy {
     // Preprocess nodes first, in task order: all preprocess records precede the
     // artifact records.
     let (compiler, flags, target) = (&plan.compiler, &plan.sd_flags, &plan.target);
@@ -293,97 +392,65 @@ pub(crate) fn graft_ir_deploy<'env>(
         }
     }
 
-    let link_action = {
-        let reference = plan.reference.as_str();
-        graph.add(
-            ActionKind::Link,
-            format!("{reference} image"),
-            &artifact_actions,
-            move |inputs| {
-                // The artifact actions emit exactly the serialised machine module, so
-                // Link hands those bytes on — to the layer below and to the deployment
-                // record — and decodes none of them (`IrDeployment::lowered` does).
-                let artifacts: Vec<DeployedArtifact> = plan
-                    .tasks
-                    .iter()
-                    .enumerate()
-                    .map(|(index, task)| {
-                        let (files, lowered) = match task {
-                            DeployTask::Lower { files, .. } => (files, true),
-                            DeployTask::Compile { files, .. } => (files, false),
-                        };
-                        DeployedArtifact {
-                            files: files.iter().map(|file| file.to_string()).collect(),
-                            lowered,
-                            bytes: inputs.dep_blob(index).clone(),
-                        }
-                    })
-                    .collect();
-
-                // Linking and installation: assemble the deployed image from the IR
-                // container image.
-                let mut image = Image::derive_from(&plan.build.image, reference);
-                image.platform =
-                    Platform::linux(crate::source_container::architecture_of(plan.system));
-                image.set_deployment_format(DeploymentFormat::Binary);
-                image.annotate(
-                    annotation_keys::SELECTED_CONFIGURATION,
-                    plan.manifest.label.clone(),
-                );
-                image.annotate(annotation_keys::TARGET_SYSTEM, plan.system.name.clone());
-                image.annotate("dev.xaas.simd", plan.simd.gmx_name());
-
-                let mut lowered =
-                    Layer::new(format!("RUN xaas lower --target {}", plan.target.name));
-                for artifact in &artifacts {
-                    for file in &artifact.files {
-                        lowered.add_file(
-                            format!("/xaas/obj/{}.o", file.replace('/', "_")),
-                            artifact.bytes.clone(),
-                        );
-                    }
-                }
-                for target_spec in &plan.project.targets {
-                    lowered.add_executable(
-                        format!("/opt/app/bin/{}", target_spec.name),
-                        format!(
-                            "linked {} for {} ({})",
-                            target_spec.name, plan.system.name, plan.target.name
-                        )
-                        .into_bytes(),
-                    );
-                }
-                // Dependency layers are reassembled for the selected configuration only.
-                for dependency in &plan.manifest.dependencies {
-                    lowered.add_text(
-                        format!("/opt/deps/{dependency}/.provenance"),
-                        format!("dependency layer {dependency} for {}", plan.manifest.label),
-                    );
-                }
-                image.push_layer(lowered);
-                plan.assembled.put(Assembled { image, artifacts });
-                Ok(Vec::new())
-            },
-        )
+    let reference = plan.reference.as_str();
+    let link = IrDeployLink {
+        target: &plan.target.name,
+        system: &plan.system.name,
+        label: &plan.manifest.label,
+        dependencies: &plan.manifest.dependencies,
+        targets: &plan.project.targets,
+        tasks: &plan.tasks,
     };
-    add_commit_action(
+    let link = graph.add_action(format!("{reference} image"), link, &artifact_actions);
+    add_deploy_commit(
         graph,
-        format!("{} commit", plan.reference),
+        reference,
         store,
-        &plan.assembled,
-        |assembled| &assembled.image,
-        link_action,
+        &plan.committed,
+        link,
+        move |layer| {
+            let mut image = Image::derive_from(&plan.build.image, reference);
+            image.platform = Platform::linux(crate::source_container::architecture_of(plan.system));
+            image.set_deployment_format(DeploymentFormat::Binary);
+            image.annotate(
+                annotation_keys::SELECTED_CONFIGURATION,
+                plan.manifest.label.clone(),
+            );
+            image.annotate(annotation_keys::TARGET_SYSTEM, plan.system.name.clone());
+            image.annotate("dev.xaas.simd", plan.simd.gmx_name());
+            image.push_layer(layer);
+            image
+        },
     );
 
-    artifact_depth + 2
+    GraftedDeploy {
+        depth: artifact_depth + 2,
+        artifacts: artifact_actions,
+    }
 }
 
 /// The finish phase: consume the plan after its subgraph ran, returning the
 /// [`IrDeployment`] carrying `trace` (the job's own trace — the full run for a
 /// standalone submission, the job's split of the wave trace for a union-graph
-/// fleet).
-pub(crate) fn finish_ir_deploy(plan: DeployPlan<'_>, trace: ActionTrace) -> IrDeployment {
-    let Assembled { image, artifacts } = plan.assembled.into_inner().expect("link action ran");
+/// fleet). `output` hands back a node's output: each of `grafted`'s artifacts
+/// completed.
+pub(crate) fn finish_ir_deploy<'run>(
+    plan: DeployPlan<'_>,
+    grafted: &GraftedDeploy,
+    output: impl Fn(ActionId) -> &'run Blob,
+    trace: ActionTrace,
+) -> IrDeployment {
+    let image = plan.committed.into_inner().expect("the commit action ran");
+    let artifacts = plan
+        .tasks
+        .iter()
+        .zip(&grafted.artifacts)
+        .map(|(task, &node)| DeployedArtifact {
+            files: task.files().iter().map(|file| file.to_string()).collect(),
+            lowered: matches!(task, DeployTask::Lower { .. }),
+            bytes: output(node).clone(),
+        })
+        .collect();
 
     let threads = plan.system.cpu.total_cores().min(36);
     let mut build_profile = derive_build_profile(
@@ -409,11 +476,11 @@ pub(crate) fn finish_ir_deploy(plan: DeployPlan<'_>, trace: ActionTrace) -> IrDe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Action;
+    use crate::engine::graph::derive_key;
     use crate::ir_container::IrPipelineConfig;
     use crate::orchestrator::{IrBuildRequest, IrDeployRequest, Orchestrator};
     use xaas_apps::gromacs;
-    use xaas_container::ActionCache;
+    use xaas_container::{ActionCache, BuildKey};
     use xaas_xir::{Interpreter, Value};
 
     /// Old free-function deployment shape, routed through the orchestrator (uncached).
@@ -627,6 +694,198 @@ mod tests {
             }
             other => panic!("expected PipelineError::Cache, got {other:?}"),
         }
+    }
+
+    /// A named change to one field of [`LinkFields`].
+    type Change = (&'static str, fn(&mut LinkFields));
+
+    /// Everything an [`IrDeployLink`] keys, owned, so a test can change one field.
+    #[derive(Clone)]
+    struct LinkFields {
+        target: String,
+        system: String,
+        label: String,
+        dependencies: Vec<String>,
+        targets: Vec<String>,
+        /// Each task's files; task `i` lowers unit `u{i}`.
+        files: Vec<Vec<&'static str>>,
+        /// Each task's artifact bytes.
+        outputs: Vec<&'static [u8]>,
+    }
+
+    impl LinkFields {
+        fn base() -> Self {
+            Self {
+                target: "x86_64-avx_512".into(),
+                system: "Ault23".into(),
+                label: "GMX_GPU=OFF,GMX_SIMD=AVX_512".into(),
+                dependencies: vec!["fftw".into(), "mpich".into()],
+                targets: vec!["gmx".into(), "libgromacs".into()],
+                files: vec![vec!["src/a.ck"], vec!["src/b.ck", "src/c.ck"]],
+                outputs: vec![b"module a", b"module bc"],
+            }
+        }
+
+        /// The record's key once its artifacts output `outputs`.
+        fn key(&self) -> BuildKey {
+            let units = ["u0", "u1", "u2"];
+            let tasks: Vec<DeployTask<'_>> = self
+                .files
+                .iter()
+                .zip(units)
+                .map(|(files, id)| DeployTask::Lower {
+                    id,
+                    files: files.clone(),
+                })
+                .collect();
+            let targets: Vec<TargetSpec> = self
+                .targets
+                .iter()
+                .map(|name| TargetSpec::new(name, xaas_buildsys::TargetKind::Executable, vec![]))
+                .collect();
+            let record = IrDeployLink {
+                target: &self.target,
+                system: &self.system,
+                label: &self.label,
+                dependencies: &self.dependencies,
+                targets: &targets,
+                tasks: &tasks,
+            };
+            let outputs = self
+                .outputs
+                .iter()
+                .map(|&bytes| Blob::from(bytes))
+                .collect();
+            derive_key(&record, Some(&ActionInputs::new(outputs)))
+        }
+    }
+
+    /// Populated disk tiers outlive the binary: the Link key may not drift.
+    #[test]
+    fn ir_deploy_link_key_is_pinned() {
+        assert_eq!(
+            LinkFields::base().key().digest().as_str(),
+            "sha256:b564d1a1a6ae39753e03cbb81c66af9765fe455ceaaba2fbac2b0fac4771ce0e"
+        );
+    }
+
+    /// Everything the deployed layer is made of moves the Link key: the target
+    /// (its note and executables), the system, the configuration label and its
+    /// dependencies (the provenance files), a target name, a file name (an object
+    /// path) and one artifact's bytes.
+    #[test]
+    fn ir_deploy_link_key_reads_every_input_of_the_layer() {
+        let base = LinkFields::base();
+        let changes: [Change; 8] = [
+            ("target", |f| f.target = "x86_64-avx2_256".into()),
+            ("system", |f| f.system = "Ault01-04".into()),
+            ("label", |f| {
+                f.label = "GMX_GPU=CUDA,GMX_SIMD=AVX_512".into()
+            }),
+            ("dependencies", |f| f.dependencies.push("cuda".into())),
+            ("a target name", |f| f.targets[1] = "libmd".into()),
+            ("a file name", |f| f.files[1][1] = "src/d.ck"),
+            ("a file moved between tasks", |f| {
+                let moved = f.files[1].remove(0);
+                f.files[0].push(moved);
+            }),
+            ("one artifact's bytes", |f| f.outputs[1] = b"module bc'"),
+        ];
+        for (what, change) in changes {
+            let mut changed = base.clone();
+            change(&mut changed);
+            assert_ne!(changed.key(), base.key(), "{what} moves the key");
+        }
+    }
+
+    /// The early cutoff: a Link keys its artifacts by content digest, so two
+    /// artifact nodes with other keys and the same bytes give one Link key, and
+    /// the second Link is a hit through a cached engine.
+    #[test]
+    fn ir_deploy_link_keys_its_artifacts_by_content() {
+        let fields = LinkFields::base();
+        let cache = ActionCache::new(ImageStore::new());
+        let engine = crate::engine::Engine::cached(&cache).with_workers(1);
+        let targets = vec![TargetSpec::new(
+            "gmx",
+            xaas_buildsys::TargetKind::Executable,
+            vec![],
+        )];
+        let tasks = [DeployTask::Lower {
+            id: "u0",
+            files: vec!["src/a.ck"],
+        }];
+        let mut links = Vec::new();
+        for artifact_key in ["first artifact", "other artifact"] {
+            let mut graph: ActionGraph<'_, PipelineError> = ActionGraph::new();
+            let key = xaas_container::Derivation::new(artifact_key).finish();
+            let artifact = graph.add_cached(ActionKind::MachineLower, "a", key, &[], |_| {
+                Ok(b"the same module".to_vec())
+            });
+            let record = IrDeployLink {
+                target: &fields.target,
+                system: &fields.system,
+                label: &fields.label,
+                dependencies: &fields.dependencies,
+                targets: &targets,
+                tasks: &tasks,
+            };
+            let link = graph.add_action("link", record, &[artifact]);
+            let run = engine.run(graph).unwrap();
+            let record = run.trace.records[link].clone();
+            // One object, one executable and two provenance files.
+            let layer = Layer::from_archive(run.output(link).unwrap()).unwrap();
+            assert_eq!(layer.len(), 4);
+            links.push(record);
+        }
+        assert_ne!(links[0].key_digest, None);
+        assert_eq!(links[0].key_digest, links[1].key_digest);
+        assert_eq!((links[0].cached, links[1].cached), (false, true));
+    }
+
+    /// A cache entry under a Link key that is no layer archive fails the
+    /// deployment with a typed cache error naming the image, and tags nothing.
+    #[test]
+    fn a_poisoned_link_entry_is_a_cache_error_and_commits_nothing() {
+        let store = ImageStore::new();
+        let (project, build) = gromacs_ir_build(&store);
+        let system = SystemModel::ault23();
+        let selection = OptionAssignment::new()
+            .with("GMX_SIMD", "AVX_512")
+            .with("GMX_GPU", "OFF");
+        let deploy = |cache: &ActionCache| {
+            deploy_cached(
+                &build,
+                &project,
+                &system,
+                &selection,
+                SimdLevel::Avx512,
+                cache,
+            )
+        };
+        // Learn the Link's key from a deployment over another store.
+        let cold = deploy(&ActionCache::new(ImageStore::new())).unwrap();
+        let link = cold
+            .trace
+            .records
+            .iter()
+            .find(|r| r.kind == ActionKind::Link);
+        let key = format!(
+            "\"sha256:{}\"",
+            link.unwrap().key_digest.as_deref().unwrap()
+        );
+        let key: BuildKey = serde_json::from_str(&key).unwrap();
+
+        let poisoned = ImageStore::new();
+        let cache = ActionCache::new(poisoned.clone());
+        cache.insert(&key, b"not an archive".to_vec());
+        match deploy(&cache) {
+            Err(PipelineError::Cache(detail)) => {
+                assert!(detail.contains(&cold.reference), "{detail}")
+            }
+            other => panic!("expected PipelineError::Cache, got {other:?}"),
+        }
+        assert!(poisoned.references().is_empty(), "nothing is tagged");
     }
 
     #[test]

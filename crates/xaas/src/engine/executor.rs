@@ -181,6 +181,14 @@ impl<E> GraphRun<E> {
         self.outcomes.get(id).and_then(NodeOutcome::output)
     }
 
+    /// The output handle of one node, if it completed.
+    pub(crate) fn blob(&self, id: ActionId) -> Option<&Blob> {
+        match self.outcomes.get(id) {
+            Some(NodeOutcome::Output(blob)) => Some(blob),
+            _ => None,
+        }
+    }
+
     /// All outputs in node order, or the error of the first (lowest node id)
     /// failed node.
     ///
@@ -225,6 +233,11 @@ struct Node {
     info: NodeInfo,
     deps: Vec<ActionId>,
     dependents: Vec<ActionId>,
+    /// Whether the work reads its dependencies' digests.
+    reads_dep_digests: bool,
+    /// Whether a dependent reads this node's digest, so the node keeps the one
+    /// the cache holds for its output.
+    keeps_digest: bool,
     /// Dependencies not yet retired; the node is queued when this reaches zero.
     pending: AtomicUsize,
     state: Mutex<NodeState>,
@@ -243,6 +256,10 @@ struct NodeState {
     key: Option<BuildKey>,
     /// `None` until the node retires.
     outcome: Option<NodeOutcome<ErasedError>>,
+    /// The SHA-256 the cache holds for the output, kept (before the node
+    /// retires) only when a dependent reads it: boxed, so the other nodes pay
+    /// one word for it.
+    digest: Option<Box<[u8; 32]>>,
     record: Option<ActionRecord>,
     /// The flight outcome a waker stashed for the node's re-dispatch.
     wake: Option<FlightOutcome>,
@@ -287,19 +304,24 @@ impl Submission {
         nodes: Vec<ActionNode<'static>>,
     ) -> Self {
         let mut dependents: Vec<Vec<ActionId>> = vec![Vec::new(); nodes.len()];
+        let mut keeps_digest = vec![false; nodes.len()];
         for (node_id, node) in nodes.iter().enumerate() {
             for &dep in &node.deps {
                 dependents[dep].push(node_id);
+                keeps_digest[dep] |= node.reads_dep_digests;
             }
         }
         let nodes: Vec<Node> = nodes
             .into_iter()
             .zip(dependents)
-            .map(|(node, dependents)| Node {
+            .zip(keeps_digest)
+            .map(|((node, dependents), keeps_digest)| Node {
                 pending: AtomicUsize::new(node.deps.len()),
                 info: node.info,
                 deps: node.deps,
                 dependents,
+                reads_dep_digests: node.reads_dep_digests,
+                keeps_digest,
                 state: Mutex::new(NodeState {
                     work: Some(node.work),
                     key: node.key,
@@ -335,13 +357,20 @@ impl Submission {
         }
     }
 
-    /// The outputs of `node`'s dependencies, or the skip the first failed or
-    /// skipped one passes on to it.
+    /// The outputs of `node`'s dependencies — with the digests they kept, when
+    /// `node` reads them — or the skip the first failed or skipped one passes on
+    /// to it.
     fn inputs(&self, node: ActionId) -> Result<ActionInputs, NodeOutcome<ErasedError>> {
-        let deps = &self.nodes[node].deps;
+        let Node {
+            deps,
+            reads_dep_digests,
+            ..
+        } = &self.nodes[node];
         let mut inputs = Vec::with_capacity(deps.len());
+        let mut digests = Vec::with_capacity(if *reads_dep_digests { deps.len() } else { 0 });
         for &dep in deps {
-            match &self.nodes[dep].state.lock().outcome {
+            let state = self.nodes[dep].state.lock();
+            match &state.outcome {
                 Some(NodeOutcome::Output(blob)) => inputs.push(blob.clone()),
                 Some(NodeOutcome::Failed(_)) => return Err(NodeOutcome::Skipped { root: dep }),
                 Some(NodeOutcome::Skipped { root }) => {
@@ -349,8 +378,11 @@ impl Submission {
                 }
                 None => unreachable!("node scheduled before dependency finished"),
             }
+            if *reads_dep_digests {
+                digests.push(state.digest.as_deref().copied());
+            }
         }
-        Ok(ActionInputs::new(inputs))
+        Ok(ActionInputs::digested(inputs, digests))
     }
 }
 
@@ -780,6 +812,13 @@ impl CoreShared {
         };
         let work = work.expect("a queued node holds its work");
         let started = Instant::now();
+        // Keep the digest the cache holds for the output when a dependent reads
+        // it; it is stored before the node retires, so every dependent sees it.
+        let keep = |hash: Option<[u8; 32]>| {
+            if let Some(hash) = hash.filter(|_| cell.keeps_digest) {
+                cell.state.lock().digest = Some(Box::new(hash));
+            }
+        };
         // A served node's `(cached, hit_tier, coalesced)`.
         let (key_digest, outcome, served) = match wake {
             // A parked node re-dispatched after its flight retired: a completed
@@ -788,7 +827,8 @@ impl CoreShared {
             // fires. A failed or poisoned one falls through and retries the keyed
             // path (possibly becoming the next owner), so an upstream failure
             // never strands a waiter.
-            Some(FlightOutcome::Completed(blob)) => {
+            Some(FlightOutcome::Completed(blob, hash)) => {
+                keep(Some(hash));
                 let key_digest = key.map(|key| key.digest().hex().to_string());
                 let served = (true, Some(CacheTier::Memory), true);
                 (key_digest, NodeOutcome::Output(blob), Some(served))
@@ -817,14 +857,16 @@ impl CoreShared {
                         // shares the store's allocation with every consumer. The
                         // hit names the tier that served it, so a stack's
                         // disk promotions show up in the trace.
-                        TryBegin::Hit(blob, tier) => {
+                        TryBegin::Hit(blob, tier, hash) => {
+                            keep(Some(hash));
                             (NodeOutcome::Output(blob), Some((true, Some(tier), false)))
                         }
                         TryBegin::Owner(ticket) => match sub.catch(|| work.run(&inputs)) {
-                            Some(Ok(bytes)) => (
-                                NodeOutcome::Output(self.cache.complete(ticket, bytes)),
-                                Some((false, None, false)),
-                            ),
+                            Some(Ok(bytes)) => {
+                                let (blob, hash) = self.cache.complete_hashed(ticket, bytes);
+                                keep(hash);
+                                (NodeOutcome::Output(blob), Some((false, None, false)))
+                            }
                             Some(Err(error)) => {
                                 self.cache.fail(ticket, FlightError::Failed);
                                 (NodeOutcome::Failed(error), None)

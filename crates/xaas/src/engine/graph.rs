@@ -16,7 +16,7 @@ use crate::ir_container::TOOLCHAIN_ID;
 use serde::Serialize;
 use std::any::Any;
 use std::marker::PhantomData;
-use xaas_container::{Blob, BuildKey, Derivation};
+use xaas_container::{Blob, BuildKey, Derivation, Digest};
 
 /// Index of a node inside one [`ActionGraph`] (valid only for that graph).
 pub type ActionId = usize;
@@ -25,16 +25,41 @@ pub type ActionId = usize;
 #[derive(Debug, Clone, Default)]
 pub struct ActionInputs {
     outputs: Vec<Blob>,
+    /// For a node that reads its dependencies' digests, the SHA-256 the action
+    /// cache holds for each output, where one does; empty for any other node.
+    digests: Vec<Option<[u8; 32]>>,
 }
 
 impl ActionInputs {
+    #[cfg(test)]
     pub(crate) fn new(outputs: Vec<Blob>) -> Self {
-        Self { outputs }
+        Self {
+            outputs,
+            digests: Vec::new(),
+        }
+    }
+
+    /// Inputs whose outputs come with the hashes a cache holds for them.
+    pub(crate) fn digested(outputs: Vec<Blob>, digests: Vec<Option<[u8; 32]>>) -> Self {
+        Self { outputs, digests }
     }
 
     /// The output bytes of the `index`-th declared dependency.
     pub fn dep(&self, index: usize) -> &[u8] {
         &self.outputs[index]
+    }
+
+    /// The content digest of the `index`-th dependency's output. For a node that
+    /// reads digests ([`Action::READS_DEP_DIGESTS`], or a
+    /// [`Commit`](ActionKind::Commit)) it is the one the action cache indexed
+    /// the output under, on a hit or a completion, so reading it hashes nothing;
+    /// an output no cache digested (an unkeyed node's, or any under an uncached
+    /// engine) is hashed here.
+    pub fn dep_digest(&self, index: usize) -> Digest {
+        match self.digests.get(index).copied().flatten() {
+            Some(hash) => Digest::from_sha256(hash),
+            None => Digest::of_bytes(&self.outputs[index]),
+        }
     }
 
     /// The `index`-th dependency output as a shared [`Blob`] handle — clone it to
@@ -99,6 +124,15 @@ pub trait Action: Send {
     /// node is dispatched (any other when it is added), and adding it with no
     /// dependencies is [`GraphError::DerivedKeyWithoutDeps`].
     const KEY_READS_DEPS: bool = false;
+
+    /// Whether the record reads its dependencies' content digests
+    /// ([`ActionInputs::dep_digest`]): the executor then keeps the digest the
+    /// action cache holds for each dependency's output and hands it over, so
+    /// naming an output by its digest hashes nothing. A record that keys on its
+    /// dependencies' digests (an early cutoff: dependencies with other keys but
+    /// the same bytes give the same key) sets this and
+    /// [`KEY_READS_DEPS`](Self::KEY_READS_DEPS).
+    const READS_DEP_DIGESTS: bool = false;
 
     /// What [`run`](Self::run) fails with.
     type Error;
@@ -246,6 +280,8 @@ pub(crate) struct ActionNode<'env> {
     /// The cache key fixed when the node was added; `None` for an unkeyed node and
     /// for a record whose key reads its dependencies.
     pub(crate) key: Option<BuildKey>,
+    /// Whether the work reads [`ActionInputs::dep_digest`].
+    pub(crate) reads_dep_digests: bool,
     pub(crate) deps: Vec<ActionId>,
     pub(crate) work: Box<dyn Work + 'env>,
 }
@@ -336,6 +372,8 @@ impl<'env, E> ActionGraph<'env, E> {
 /// Adding nodes: a node's error is boxed as `dyn Any`, hence the bound on `E`.
 impl<'env, E: Send + 'static> ActionGraph<'env, E> {
     /// Add an uncached action: it always executes, and its record carries no key.
+    /// A [`Commit`](ActionKind::Commit) reads its dependencies' digests
+    /// ([`ActionInputs::dep_digest`]) without hashing what a cache digested.
     ///
     /// Graphs are built in topological order: a dependency on a node not yet
     /// added is dropped and recorded as [`GraphError::ForwardEdge`], and a
@@ -349,7 +387,8 @@ impl<'env, E: Send + 'static> ActionGraph<'env, E> {
         run: impl FnOnce(&ActionInputs) -> Result<Vec<u8>, E> + Send + 'env,
     ) -> ActionId {
         let work = Box::new(move |inputs: &ActionInputs| run(inputs).map_err(erase));
-        self.push(kind, label.into(), None, false, deps.to_vec(), work)
+        let reads = (false, kind == ActionKind::Commit);
+        self.push(kind, label.into(), None, reads, deps.to_vec(), work)
     }
 
     /// Add a closure the engine's action cache serves under the opaque `key`: the
@@ -364,7 +403,14 @@ impl<'env, E: Send + 'static> ActionGraph<'env, E> {
         run: impl FnOnce(&ActionInputs) -> Result<Vec<u8>, E> + Send + 'env,
     ) -> ActionId {
         let work = Box::new(move |inputs: &ActionInputs| run(inputs).map_err(erase));
-        self.push(kind, label.into(), Some(key), false, deps.to_vec(), work)
+        self.push(
+            kind,
+            label.into(),
+            Some(key),
+            (false, false),
+            deps.to_vec(),
+            work,
+        )
     }
 
     /// Add the [`Action`] `record`, which runs only on a miss of the key it
@@ -420,17 +466,20 @@ impl<'env, E: Send + 'static> ActionGraph<'env, E> {
         alias: bool,
     ) -> ActionId {
         let work = Box::new(Record { action, alias });
-        self.push(A::KIND, label, key, A::KEY_READS_DEPS, deps, work)
+        let reads = (A::KEY_READS_DEPS, A::READS_DEP_DIGESTS);
+        self.push(A::KIND, label, key, reads, deps, work)
     }
 
     /// Record `work` and its defects as [`add`](Self::add) and
     /// [`add_action`](Self::add_action) document.
+    /// `reads` is (whether the key reads dependency outputs, whether the work
+    /// reads dependency digests).
     fn push(
         &mut self,
         kind: ActionKind,
         label: String,
         key: Option<BuildKey>,
-        key_reads_deps: bool,
+        (key_reads_deps, reads_dep_digests): (bool, bool),
         mut deps: Vec<ActionId>,
         work: Box<dyn Work + 'env>,
     ) -> ActionId {
@@ -457,6 +506,7 @@ impl<'env, E: Send + 'static> ActionGraph<'env, E> {
                 job: self.current_job,
             },
             key,
+            reads_dep_digests,
             deps,
             work,
         });

@@ -7,10 +7,13 @@
 //! steps as [`Action`] records — [`MachineLower`], `IrLower` and `SdCompile`, the
 //! compile of a system-dependent source that an IR deployment shares with a source
 //! deployment (Figures 6 and 8) — each `derive` the step's [`BuildKey`] and each
-//! `run` its compute, and the **link → commit tail** (a typed assembled value
-//! crosses the graph boundary through a `LinkSlot`, and a Commit node publishes
-//! the image to the engine's store). So a change to what keys a step (ROADMAP
-//! 1(a)/(b)) or to commit semantics lands in one place.
+//! `run` its compute, and the **link → commit tail**. A deployment's Link is a
+//! keyed record whose output is the new layer's archive, and its commit
+//! (`add_deploy_commit`) adopts that archive into the derived image; the IR
+//! build's Link hands its assembled value across the graph boundary through a
+//! `LinkSlot`. Either way a Commit node publishes the image to the engine's
+//! store. So a change to what keys a step or to commit semantics lands in one
+//! place.
 
 #![deny(clippy::unwrap_used, clippy::dbg_macro)]
 use super::graph::{Action, ActionGraph, ActionId, ActionInputs};
@@ -18,8 +21,9 @@ use super::trace::ActionKind;
 use crate::error::PipelineError;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 use xaas_buildsys::SourceSpec;
-use xaas_container::{BuildKey, Derivation, Image, ImageStore};
+use xaas_container::{BuildKey, Derivation, Image, ImageStore, Layer};
 use xaas_xir::preprocess::flag_definition;
 use xaas_xir::{
     bitcode, lower_to_machine, CompileError, CompileFlags, Compiler, IrModule, MachineModule,
@@ -406,11 +410,12 @@ impl KeyedActionPlanner {
     }
 }
 
-/// A typed slot a Link action uses to hand its assembled result to the driver.
+/// A typed slot the IR build's Link action uses to hand its assembled result to the
+/// driver.
 ///
 /// Graph nodes exchange bytes; the assembled `Image` (plus whatever the driver needs
-/// back — IR units, manifests, the deployed artifact blobs) crosses the graph boundary
-/// through this slot instead of being serialised. The Commit action seals the image's
+/// back — IR units, manifests) crosses the graph boundary through this slot instead
+/// of being serialised. The Commit action seals the image's
 /// layers in place, so the image the driver takes out carries their archives and
 /// digests, and whatever derives from it later inherits them.
 pub(crate) struct LinkSlot<T> {
@@ -466,6 +471,35 @@ pub(crate) fn add_commit_action<'env, T: Send, E: Send + 'static>(
             })
             .expect("link action stored the assembled image");
         Ok(digest)
+    })
+}
+
+/// Append a deployment's commit: a [`ActionKind::Commit`] node depending on
+/// `link`, a Link record whose output is the deployed layer's archive. It adopts
+/// that archive under the digest the cache holds for it (hashing, decoding and
+/// copying nothing), lets `image` derive the deployed image around it, commits
+/// that image to `store` as `reference` and leaves it in `committed`, and outputs
+/// the committed manifest digest. An output that is no layer archive (a damaged
+/// cache entry) is a [`PipelineError::Cache`] naming `reference`, and nothing is
+/// committed.
+pub(crate) fn add_deploy_commit<'env>(
+    graph: &mut ActionGraph<'env, PipelineError>,
+    reference: &'env str,
+    store: &'env ImageStore,
+    committed: &'env OnceLock<Image>,
+    link: ActionId,
+    image: impl FnOnce(Layer) -> Image + Send + 'env,
+) -> ActionId {
+    let label = format!("{reference} commit");
+    graph.add(ActionKind::Commit, label, &[link], move |inputs| {
+        let archive = inputs.dep_blob(0).clone();
+        let layer = Layer::from_archive_blob(archive, inputs.dep_digest(0))
+            .map_err(|e| PipelineError::Cache(format!("deployed layer of {reference}: {e}")))?;
+        let image = image(layer);
+        let descriptor = store.commit(&image);
+        // One commit node per plan: the slot is empty.
+        let _ = committed.set(image);
+        Ok(descriptor.digest.as_str().as_bytes().to_vec())
     })
 }
 

@@ -186,10 +186,11 @@ impl ActionRecord {
     }
 }
 
-/// How many cache-routed actions ran versus how many were served from the cache.
-/// Reported next to (never inside) the artifacts, so cached and uncached builds stay
-/// byte-identical. An IR build counts its `ir-lower` nodes, one per key, so a cold
-/// IR build reports `cached == 0`.
+/// How many cache-routed lower/compile actions ran versus how many were served
+/// from the cache. Reported next to (never inside) the artifacts, so cached and
+/// uncached builds stay byte-identical. An IR build counts its `ir-lower` nodes,
+/// one per key, so a cold IR build reports `cached == 0`; a deployment counts its
+/// `machine-lower` and `sd-compile` nodes, not the keyed Link they feed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ActionSummary {
     /// Actions that actually executed (cache misses).
@@ -202,6 +203,14 @@ impl ActionSummary {
     /// Total actions routed through the cache.
     pub fn total(&self) -> usize {
         self.executed + self.cached
+    }
+
+    /// The share of the actions served from the cache (0 when there were none).
+    pub fn hit_rate(&self) -> f64 {
+        match self.total() {
+            0 => 0.0,
+            total => self.cached as f64 / total as f64,
+        }
     }
 }
 
@@ -260,11 +269,14 @@ impl ActionTrace {
         }
     }
 
-    /// Executed-vs-cached counts over the *cache-routed* actions only, matching the
-    /// pipeline's historical [`ActionSummary`] reporting.
+    /// Executed-vs-cached counts over the *cache-routed* lower/compile actions,
+    /// matching the pipeline's historical [`ActionSummary`] reporting: a keyed
+    /// [`Link`](ActionKind::Link), whose output is the layer those actions feed,
+    /// is not one of them.
     pub fn summary(&self) -> ActionSummary {
         let mut summary = ActionSummary::default();
-        for record in self.records.iter().filter(|r| r.key_digest.is_some()) {
+        let counted = |r: &&ActionRecord| r.key_digest.is_some() && r.kind != ActionKind::Link;
+        for record in self.records.iter().filter(counted) {
             if record.cached {
                 summary.cached += 1;
             } else {
@@ -437,6 +449,7 @@ mod tests {
                 record(ActionKind::Preprocess, "a.ck", None, false),
                 record(ActionKind::IrLower, "a.ck", Some("ab12"), false),
                 record(ActionKind::IrLower, "b.ck", Some("cd34"), true),
+                record(ActionKind::Link, "img", Some("ef56"), true),
                 record(ActionKind::Commit, "img", None, false),
             ],
             stage_depth: 3,
@@ -450,8 +463,8 @@ mod tests {
                 cached: 1
             }
         );
-        assert_eq!(trace.summary().total(), 2);
-        assert_eq!(trace.len(), 4);
+        assert_eq!(trace.summary().total(), 2, "a keyed Link is not counted");
+        assert_eq!(trace.len(), 5);
     }
 
     #[test]

@@ -46,7 +46,9 @@
 // once per failed job, off the request's hot path, so it is not boxed.
 #![allow(clippy::result_large_err)]
 
-use crate::deploy::{finish_ir_deploy, graft_ir_deploy, plan_ir_deploy, DeployPlan, IrDeployment};
+use crate::deploy::{
+    finish_ir_deploy, graft_ir_deploy, plan_ir_deploy, DeployPlan, GraftedDeploy, IrDeployment,
+};
 use crate::engine::plan::SharedDeployArtifacts;
 use crate::engine::{ActionGraph, ActionTrace, AnalysisReport, Engine, SchedulingPolicy};
 use crate::error::PipelineError;
@@ -348,9 +350,14 @@ impl<'a> IrDeployRequest<'a> {
         let plan = self.plan()?;
         let mut graph = ActionGraph::new();
         let standalone = &mut SharedDeployArtifacts::default();
-        graft_ir_deploy(&plan, &mut graph, engine.store(), standalone);
-        let (_, trace) = engine.run(graph)?.into_outputs()?;
-        Ok(finish_ir_deploy(plan, trace))
+        let grafted = graft_ir_deploy(&plan, &mut graph, engine.store(), standalone);
+        let (outputs, trace) = engine.run(graph)?.into_outputs()?;
+        Ok(finish_ir_deploy(
+            plan,
+            &grafted,
+            |node| &outputs[node],
+            trace,
+        ))
     }
 
     /// Report on the exact action graph this deployment would submit — planned
@@ -710,23 +717,23 @@ fn plan_jobs<'a>(
 }
 
 /// Graft phase of a wave: one union graph, every planned job a tagged subgraph
-/// sharing keyed artifacts through the wave index. Returns the graph and each
-/// grafted job's own stage depth.
+/// sharing keyed artifacts through the wave index. Returns the graph and what
+/// each planned job grafted (its own stage depth among it).
 fn graft_jobs<'env>(
     plans: &'env [Result<DeployPlan<'env>, FleetError>],
     store: &'env ImageStore,
-) -> (ActionGraph<'env, PipelineError>, Vec<Option<usize>>) {
+) -> (ActionGraph<'env, PipelineError>, Vec<Option<GraftedDeploy>>) {
     let mut graph: ActionGraph<'_, PipelineError> = ActionGraph::new();
     let mut shared = SharedDeployArtifacts::default();
-    let mut stage_depths: Vec<Option<usize>> = Vec::with_capacity(plans.len());
+    let mut grafted: Vec<Option<GraftedDeploy>> = Vec::with_capacity(plans.len());
     for (job_index, plan) in plans.iter().enumerate() {
-        stage_depths.push(plan.as_ref().ok().map(|plan| {
+        grafted.push(plan.as_ref().ok().map(|plan| {
             graph.set_job(Some(job_index));
             graft_ir_deploy(plan, &mut graph, store, &mut shared)
         }));
     }
     graph.set_job(None);
-    (graph, stage_depths)
+    (graph, grafted)
 }
 
 /// The union-graph wave: graft every job's plan into one
@@ -742,7 +749,7 @@ fn run_union_wave(
     ActionTrace,
     bool,
 ) {
-    let (graph, stage_depths) = graft_jobs(&plans, engine.store());
+    let (graph, grafted) = graft_jobs(&plans, engine.store());
 
     // Run phase: exactly one engine submission for the whole wave. A graph
     // the engine refuses fails every planned job before any node executes
@@ -775,10 +782,12 @@ fn run_union_wave(
                     action: Some(failure.info.label.clone()),
                 });
             }
+            let grafted = grafted[job_index].as_ref().expect("a planned job grafted");
             let mut job_trace = splits.remove(&job_index).unwrap_or_default();
             job_trace.policy = wave_trace.policy.clone();
-            job_trace.stage_depth = stage_depths[job_index].unwrap_or_default();
-            Ok(Arc::new(finish_ir_deploy(plan, job_trace)))
+            job_trace.stage_depth = grafted.depth;
+            let output = |node| run.blob(node).expect("a job that did not fail completed");
+            Ok(Arc::new(finish_ir_deploy(plan, grafted, output, job_trace)))
         })
         .collect();
     (results, wave_trace, ran)
@@ -1060,8 +1069,11 @@ mod tests {
             .trace
             .summary()
             .total() as u64;
+        // Each system's keyed Link misses on its own: the system name is in
+        // the layer.
         assert_eq!(
-            report.cache.misses, per_system,
+            report.cache.misses,
+            per_system + 2,
             "every action of the second system is served from the cache"
         );
         assert_eq!(report.cache.hits, per_system);

@@ -6,19 +6,20 @@
 //! selection, and a full build of the selected configuration, producing a *new*,
 //! system-specific image (Figure 6).
 
-use crate::engine::plan::SdCompile;
+use crate::engine::plan::{add_deploy_commit, SdCompile};
 use crate::engine::{
-    add_commit_action, Action, ActionGraph, ActionId, ActionKind, ActionTrace, LinkSlot,
-    PreprocessPlanner,
+    Action, ActionGraph, ActionId, ActionInputs, ActionKind, ActionTrace, PreprocessPlanner,
 };
 use crate::error::PipelineError;
 use crate::ir_container::project_compiler;
 use crate::resolve::{resolve, Policy, Resolved};
 use crate::targets::{derive_build_profile, target_isa_for};
 use std::collections::{BTreeMap, BTreeSet};
-use xaas_buildsys::{configure, ConfiguredBuild, OptionAssignment, ProjectSpec};
+use std::sync::OnceLock;
+use xaas_buildsys::{configure, ConfiguredBuild, OptionAssignment, ProjectSpec, TargetSpec};
 use xaas_container::{
-    annotation_keys, Architecture, BuildKey, DeploymentFormat, Image, ImageStore, Layer, Platform,
+    annotation_keys, Architecture, BuildKey, DeploymentFormat, Derivation, Image, ImageStore,
+    Layer, Platform,
 };
 use xaas_hpcsim::{BuildProfile, SystemModel};
 use xaas_specs::from_project;
@@ -113,23 +114,117 @@ struct SourceUnit {
     commands: Vec<usize>,
 }
 
+/// The Link of a source deployment: the build layer — each unit's object file
+/// under every compile command it serves and the linked executables — output as
+/// its sealed archive. Its key reads each unit's object by content digest, not
+/// by key, so a warm deployment's Link is a hit. Its `run` first decodes every
+/// object as a [`MachineModule`] (an undecodable one is a
+/// [`PipelineError::Cache`] naming its source): only validated bytes are linked,
+/// so a hit proves its objects were validated when the layer was built.
+struct SourceDeployLink<'a> {
+    /// The selected configuration's label, which the layer's note names.
+    label: &'a str,
+    /// One unit per dependency, in order: its object is that dependency's output.
+    units: &'a [SourceUnit],
+    build: &'a ConfiguredBuild,
+    /// The project's targets, linked by name.
+    targets: &'a [TargetSpec],
+    system: &'a str,
+    /// The deployment target's name, which the executables name.
+    target: &'a str,
+}
+
+impl SourceDeployLink<'_> {
+    /// Where each compile command of `unit` puts its object file, configured
+    /// under `paths::BUILD_ROOT`: `<root>/<target>/<file>.o`.
+    fn objects<'a>(&'a self, unit: &'a SourceUnit) -> impl ExactSizeIterator<Item = &'a str> {
+        let commands = &self.build.compile_db.commands;
+        unit.commands
+            .iter()
+            .map(|&command| commands[command].output.as_str())
+    }
+}
+
+impl Action for SourceDeployLink<'_> {
+    const KIND: ActionKind = ActionKind::Link;
+    const KEY_READS_DEPS: bool = true;
+    const READS_DEP_DIGESTS: bool = true;
+    type Error = PipelineError;
+
+    fn derive(&self, deps: Option<&ActionInputs>, record: Derivation) -> Derivation {
+        let Self {
+            label,
+            units,
+            // Read for each unit's object paths (keyed below) and its source's
+            // path, which only an error names.
+            build: _,
+            targets,
+            system,
+            target,
+        } = self;
+        let record = record
+            .str(label)
+            .strs(targets.iter().map(|spec| spec.name.as_str()))
+            .str(system)
+            .str(target)
+            .u64(units.len() as u64);
+        units
+            .iter()
+            .enumerate()
+            .fold(record, |record, (index, unit)| {
+                let record = record.strs(self.objects(unit));
+                match deps {
+                    Some(deps) => record.str(deps.dep_digest(index).as_str()),
+                    None => record,
+                }
+            })
+    }
+
+    fn run(&self, deps: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
+        // The cached bytes *are* the canonical object serialisation; decode only
+        // to validate them before linking.
+        for (index, unit) in self.units.iter().enumerate() {
+            serde_json::from_slice::<MachineModule>(deps.dep(index)).map_err(|e| {
+                let file = &self.build.enabled_sources[unit.source].path;
+                PipelineError::Cache(format!("machine module for {file}: {e}"))
+            })?;
+        }
+        let mut layer = Layer::new(format!("RUN xmake build ({})", self.label));
+        for (index, unit) in self.units.iter().enumerate() {
+            for object in self.objects(unit) {
+                layer.add_file(object, deps.dep_blob(index).clone());
+            }
+        }
+        for TargetSpec { name, .. } in self.targets {
+            layer.add_executable(
+                format!("{}/bin/{name}", paths::INSTALL_ROOT),
+                format!("linked for {} ({})", self.system, self.target).into_bytes(),
+            );
+        }
+        Ok(layer.to_archive())
+    }
+}
+
 /// The plan phase of one source deployment (Figure 6's discovery → intersection →
 /// selection → configure): everything validated and owned, but no graph built yet.
 /// [`plan_source_deploy`], [`graft_source_deploy`] and [`finish_source_deploy`] are
 /// the three phases of an IR deployment ([`crate::deploy`]), driven by
-/// [`SourceDeployRequest`](crate::orchestrator::SourceDeployRequest).
+/// [`SourceDeployRequest`](crate::orchestrator::SourceDeployRequest). The commit
+/// node leaves the committed image in `committed`.
 pub(crate) struct SourceDeployPlan<'a> {
     project: &'a ProjectSpec,
     source_image: &'a Image,
     system: &'a SystemModel,
     resolved: Resolved,
+    /// The selection's label.
+    label: String,
     build_profile: BuildProfile,
     target: TargetIsa,
     compiler: Compiler,
     build: ConfiguredBuild,
     units: Vec<SourceUnit>,
     reference: String,
-    assembled: LinkSlot<Image>,
+    committed: OnceLock<Image>,
 }
 
 /// Select and configure one source deployment, serially (both are cheap and
@@ -223,13 +318,14 @@ pub(crate) fn plan_source_deploy<'a>(
         source_image,
         system,
         reference: resolved.reference(project, system),
+        label: resolved.selection.label(),
         resolved,
         build_profile,
         target,
         compiler,
         build,
         units,
-        assembled: LinkSlot::new(),
+        committed: OnceLock::new(),
     })
 }
 
@@ -240,7 +336,11 @@ pub(crate) fn plan_source_deploy<'a>(
 /// 2. **sd-compile** (parallel, cache-routed): an [`SdCompile`] record per unit,
 ///    so repeat deployments — including deployments of *other*
 ///    configurations whose flags do not change a unit — reuse the artifact;
-/// 3. **link + commit**: assemble and commit the system-specialized image.
+/// 3. **link + commit**: a [`SourceDeployLink`] record, keyed on its objects'
+///    content digests, validates the objects and outputs the build layer's
+///    archive (a warm deployment's Link is a hit), and the commit derives the
+///    system-specialized image from the source image, adopts that archive as its
+///    last layer and commits it.
 pub(crate) fn graft_source_deploy<'env>(
     plan: &'env SourceDeployPlan<'env>,
     graph: &mut ActionGraph<'env, PipelineError>,
@@ -272,58 +372,36 @@ pub(crate) fn graft_source_deploy<'env>(
         .collect();
 
     let reference = plan.reference.as_str();
-    let link_action = graph.add(
-        ActionKind::Link,
-        format!("{reference} image"),
-        &compile_actions,
-        move |inputs| {
-            // The cached bytes *are* the canonical object serialisation; decode
-            // only to validate them before shipping.
-            for (index, unit) in plan.units.iter().enumerate() {
-                serde_json::from_slice::<MachineModule>(inputs.dep(index)).map_err(|e| {
-                    let file = &source_of(unit).path;
-                    PipelineError::Cache(format!("machine module for {file}: {e}"))
-                })?;
-            }
-
-            let (system, assignment) = (plan.system, &plan.resolved.selection);
+    let link = SourceDeployLink {
+        label: &plan.label,
+        units: &plan.units,
+        build: &plan.build,
+        targets: &plan.project.targets,
+        system: &plan.system.name,
+        target: &plan.target.name,
+    };
+    let link = graph.add_action(format!("{reference} image"), link, &compile_actions);
+    add_deploy_commit(
+        graph,
+        reference,
+        store,
+        &plan.committed,
+        link,
+        move |layer| {
+            let system = plan.system;
             let mut deployed = Image::derive_from(plan.source_image, reference);
             deployed.platform = Platform::linux(architecture_of(system));
             deployed.set_deployment_format(DeploymentFormat::Binary);
-            deployed.annotate(annotation_keys::SELECTED_CONFIGURATION, assignment.label());
+            deployed.annotate(annotation_keys::SELECTED_CONFIGURATION, plan.label.clone());
             deployed.annotate(annotation_keys::TARGET_SYSTEM, system.name.clone());
             let base_reference = system
                 .recommended_base_image
                 .as_ref()
                 .unwrap_or(&plan.source_image.reference);
             deployed.annotate("dev.xaas.base-image", base_reference.clone());
-
-            let mut build_layer = Layer::new(format!("RUN xmake build ({})", assignment.label()));
-            for (index, unit) in plan.units.iter().enumerate() {
-                for &command in &unit.commands {
-                    // Configured under `paths::BUILD_ROOT`: `<root>/<target>/<file>.o`.
-                    let object = &plan.build.compile_db.commands[command].output;
-                    build_layer.add_file(object.clone(), inputs.dep_blob(index).clone());
-                }
-            }
-            for target_spec in &plan.project.targets {
-                build_layer.add_executable(
-                    format!("{}/bin/{}", paths::INSTALL_ROOT, target_spec.name),
-                    format!("linked for {} ({})", system.name, plan.target.name).into_bytes(),
-                );
-            }
-            deployed.push_layer(build_layer);
-            plan.assembled.put(deployed);
-            Ok(Vec::new())
+            deployed.push_layer(layer);
+            deployed
         },
-    );
-    add_commit_action(
-        graph,
-        format!("{reference} commit"),
-        store,
-        &plan.assembled,
-        |image| image,
-        link_action,
     );
 }
 
@@ -334,7 +412,7 @@ pub(crate) fn finish_source_deploy(
     trace: ActionTrace,
 ) -> SourceDeployment {
     SourceDeployment {
-        image: plan.assembled.into_inner().expect("link action ran"),
+        image: plan.committed.into_inner().expect("the commit action ran"),
         reference: plan.reference,
         assignment: plan.resolved.selection,
         compiled_units: plan.build.compile_db.commands.len(),
@@ -359,6 +437,7 @@ mod tests {
     use crate::engine::ActionInputs;
     use crate::orchestrator::{Orchestrator, SourceDeployRequest};
     use xaas_apps::gromacs;
+    use xaas_container::ActionCache;
 
     /// Old free-function shape, routed through the orchestrator (uncached).
     fn deploy_source(
@@ -540,6 +619,130 @@ mod tests {
         match request.submit(&Orchestrator::with_cache(&cache)) {
             Err(PipelineError::Cache(detail)) => {
                 assert!(detail.contains(&source.path), "{detail}")
+            }
+            other => panic!("expected PipelineError::Cache, got {other:?}"),
+        }
+        assert_eq!(store.references().len(), 1, "only the source image");
+    }
+
+    /// A named change to one field of [`LinkFields`].
+    type Change = (&'static str, fn(&mut LinkFields));
+
+    /// Everything a [`SourceDeployLink`] keys, owned, so a test can change one
+    /// field: taken from the GROMACS/Ault23 plan, with made-up object bytes.
+    #[derive(Clone)]
+    struct LinkFields {
+        label: String,
+        build: ConfiguredBuild,
+        targets: Vec<TargetSpec>,
+        system: String,
+        target: String,
+        outputs: Vec<Vec<u8>>,
+    }
+
+    impl LinkFields {
+        fn key(&self, units: &[SourceUnit]) -> BuildKey {
+            let record = SourceDeployLink {
+                label: &self.label,
+                units,
+                build: &self.build,
+                targets: &self.targets,
+                system: &self.system,
+                target: &self.target,
+            };
+            let outputs = self.outputs.iter().map(|o| o.clone().into()).collect();
+            derive_key(&record, Some(&ActionInputs::new(outputs)))
+        }
+    }
+
+    fn link_fields(plan: &SourceDeployPlan<'_>) -> LinkFields {
+        LinkFields {
+            label: plan.label.clone(),
+            build: plan.build.clone(),
+            targets: plan.project.targets.clone(),
+            system: plan.system.name.clone(),
+            target: plan.target.name.clone(),
+            outputs: (0..plan.units.len())
+                .map(|unit| format!("object {unit}").into_bytes())
+                .collect(),
+        }
+    }
+
+    /// Populated disk tiers outlive the binary: the Link key may not drift.
+    #[test]
+    fn source_deploy_link_key_is_pinned() {
+        let (project, _, image) = setup();
+        let system = SystemModel::ault23();
+        let plan = plan_source_deploy(&project, &image, &system, &OptionAssignment::new()).unwrap();
+        assert_eq!(
+            link_fields(&plan).key(&plan.units).digest().as_str(),
+            "sha256:bf5290ccbff7970809f33fb5666b92741db00d95bad879fc5c038c8900a9364e"
+        );
+    }
+
+    /// Everything the build layer is made of moves the Link key — the label (its
+    /// note), the system and target (the executables), a target name, an object
+    /// path and one object's bytes — and nothing but bytes: objects with the same
+    /// bytes from elsewhere give the same key (the early cutoff).
+    #[test]
+    fn source_deploy_link_key_reads_every_input_of_the_layer() {
+        let (project, _, image) = setup();
+        let system = SystemModel::ault23();
+        let plan = plan_source_deploy(&project, &image, &system, &OptionAssignment::new()).unwrap();
+        let base = link_fields(&plan);
+        let key = |fields: &LinkFields| fields.key(&plan.units);
+        let changes: [Change; 6] = [
+            ("label", |f| f.label.push_str(",X=1")),
+            ("system", |f| f.system = "Clariden".into()),
+            ("target", |f| f.target = "x86_64-avx2_256".into()),
+            ("a target name", |f| f.targets[0].name.push('2')),
+            ("an object path", |f| {
+                f.build.compile_db.commands[0].output.push_str(".moved")
+            }),
+            ("one object's bytes", |f| f.outputs[1].push(b'!')),
+        ];
+        for (what, change) in changes {
+            let mut changed = base.clone();
+            change(&mut changed);
+            assert_ne!(key(&changed), key(&base), "{what} moves the key");
+        }
+        // The source path only names an undecodable object in an error.
+        let mut renamed = base.clone();
+        renamed.build.enabled_sources[plan.units[0].source].path += ".elsewhere";
+        assert_eq!(key(&renamed), key(&base));
+        let copied = LinkFields {
+            outputs: base.outputs.iter().map(|o| o.to_vec()).collect(),
+            ..base.clone()
+        };
+        assert_eq!(key(&copied), key(&base), "the same bytes, the same key");
+    }
+
+    /// A cache entry under the Link key that is no layer archive fails the
+    /// deployment with a typed cache error naming the image, and tags nothing.
+    #[test]
+    fn a_poisoned_link_entry_is_a_cache_error_and_commits_nothing() {
+        let (project, store, image) = setup();
+        let system = SystemModel::ault23();
+        let request = || SourceDeployRequest::new(&project, &image, &system);
+        // Learn the Link's key from a deployment over another store.
+        let elsewhere = Orchestrator::with_cache(&ActionCache::new(ImageStore::new()));
+        let cold = request().submit(&elsewhere).unwrap();
+        let link = cold
+            .trace
+            .records
+            .iter()
+            .find(|r| r.kind == ActionKind::Link);
+        let key = format!(
+            "\"sha256:{}\"",
+            link.unwrap().key_digest.as_deref().unwrap()
+        );
+        let key: BuildKey = serde_json::from_str(&key).unwrap();
+
+        let cache = ActionCache::new(store.clone());
+        cache.insert(&key, b"not an archive".to_vec());
+        match request().submit(&Orchestrator::with_cache(&cache)) {
+            Err(PipelineError::Cache(detail)) => {
+                assert!(detail.contains(&cold.reference), "{detail}")
             }
             other => panic!("expected PipelineError::Cache, got {other:?}"),
         }

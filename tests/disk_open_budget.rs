@@ -1,11 +1,11 @@
 //! Allocation budget for reopening a disk tier.
 //!
 //! A restart replays the tier's journal before it serves anything, so what
-//! replay costs per record is paid by every restarted process. Replay decodes
-//! each record's digests into raw keys in one pass over the journal's bytes;
-//! the only allocations that grow with the journal are the index's own tree
-//! nodes. This test keeps it so: the allocation calls an open makes per extra
-//! `put` record stay under a budget.
+//! replay costs per record is paid by every restarted process. Replay streams
+//! the journal through a fixed buffer and decodes each record's digests into raw
+//! keys in one pass; the only allocations that grow with the journal are the
+//! index's own tree nodes. This test keeps it so: the allocation calls and the
+//! bytes an open allocates per extra `put` record stay under budgets.
 //!
 //! The file holds a single test on purpose: the counting allocator is process-wide,
 //! and a second test running beside it would be counted too.
@@ -16,11 +16,12 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use xaas_container::{Digest, DiskTier, DiskTierConfig};
 
-/// The system allocator with a relaxed call counter in front of it. The counter
-/// publishes no other data, so `Relaxed` is enough.
+/// The system allocator with relaxed call and byte counters in front of it. The
+/// counters publish no other data, so `Relaxed` is enough.
 struct CountingAllocator;
 
 static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: every method forwards to `System` with the caller's arguments unchanged,
 // so `System`'s guarantees are this allocator's; the counter touches no allocator
@@ -28,6 +29,7 @@ static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for `layout`.
         unsafe { System.alloc(layout) }
     }
@@ -39,12 +41,18 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        // Only growth is new memory asked of the system.
+        ALLOC_BYTES.fetch_add(
+            new_size.saturating_sub(layout.size()) as u64,
+            Ordering::Relaxed,
+        );
         // SAFETY: `ptr`/`layout` describe a live `System` block; the caller upholds
         // `GlobalAlloc::realloc`'s contract for `new_size`.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -60,6 +68,10 @@ const LARGE: usize = 2_000;
 /// When replay parsed each line through `String`s, an open made 5.14 allocation
 /// calls per `put` record; decoding into raw keys left the index's tree nodes.
 const CALLS_PER_RECORD_BUDGET: f64 = 0.25;
+/// While open read the whole journal into memory, an open allocated 283 bytes
+/// per record (its ~147 bytes of text plus the tree nodes); streamed through a
+/// fixed buffer, the index's tree nodes (~138 B).
+const BYTES_PER_RECORD_BUDGET: f64 = 160.0;
 
 /// A disk root holding `records` journal records, removed on drop.
 struct Root {
@@ -94,32 +106,49 @@ fn root_with_puts(records: usize) -> Root {
     root
 }
 
-/// Allocation calls the second of two opens of `root` makes: the first also pays
-/// for anything initialised once per process. The tiers are dropped uncounted.
-fn open_calls(root: &Root) -> u64 {
-    let mut calls = 0;
+/// Allocation calls and bytes the second of two opens of `root` makes: the first
+/// also pays for anything initialised once per process. The tiers are dropped
+/// uncounted.
+fn open_cost(root: &Root) -> (u64, u64) {
+    let mut cost = (0, 0);
     for _ in 0..2 {
-        let before = ALLOC_CALLS.load(Ordering::Relaxed);
+        let before = (
+            ALLOC_CALLS.load(Ordering::Relaxed),
+            ALLOC_BYTES.load(Ordering::Relaxed),
+        );
         let tier = DiskTier::open(DiskTierConfig::new(&root.path)).expect("the root opens");
-        calls = ALLOC_CALLS.load(Ordering::Relaxed) - before;
+        cost = (
+            ALLOC_CALLS.load(Ordering::Relaxed) - before.0,
+            ALLOC_BYTES.load(Ordering::Relaxed) - before.1,
+        );
         assert_eq!(tier.stats().entries, root.records, "every record replayed");
     }
-    calls
+    cost
 }
 
 #[test]
 fn opening_a_disk_root_allocates_under_a_quarter_call_per_record() {
-    let small_calls = open_calls(&root_with_puts(SMALL));
-    let large_calls = open_calls(&root_with_puts(LARGE));
-    let per_record = large_calls.saturating_sub(small_calls) as f64 / (LARGE - SMALL) as f64;
+    let (small_calls, small_bytes) = open_cost(&root_with_puts(SMALL));
+    let (large_calls, large_bytes) = open_cost(&root_with_puts(LARGE));
+    let per_extra =
+        |small: u64, large: u64| large.saturating_sub(small) as f64 / (LARGE - SMALL) as f64;
+    let per_record = per_extra(small_calls, large_calls);
+    let bytes_per_record = per_extra(small_bytes, large_bytes);
     assert!(
         per_record < CALLS_PER_RECORD_BUDGET,
         "opening a disk root made {per_record:.3} allocation calls per extra journal record \
          ({small_calls} for {SMALL} records, {large_calls} for {LARGE}; budget \
          {CALLS_PER_RECORD_BUDGET}): replay is allocating per record again"
     );
+    assert!(
+        bytes_per_record <= BYTES_PER_RECORD_BUDGET,
+        "opening a disk root allocated {bytes_per_record:.1} bytes per extra journal record \
+         ({small_bytes} for {SMALL} records, {large_bytes} for {LARGE}; budget \
+         {BYTES_PER_RECORD_BUDGET}): replay is holding the journal in memory again"
+    );
     println!(
-        "disk tier open: {per_record:.3} allocation calls per record \
-         ({small_calls} for {SMALL} records, {large_calls} for {LARGE})"
+        "disk tier open: {per_record:.3} allocation calls and {bytes_per_record:.1} bytes \
+         per record ({small_calls} calls and {small_bytes} B for {SMALL} records, \
+         {large_calls} and {large_bytes} B for {LARGE})"
     );
 }

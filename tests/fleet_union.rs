@@ -252,8 +252,12 @@ fn shared_keys_execute_once_per_wave_in_one_submission() {
     let first = report.outcomes[0].deployment.as_ref().unwrap();
     let second = report.outcomes[1].deployment.as_ref().unwrap();
     // Same ISA: every keyed action of the second job is served by the first
-    // job's compute node — executed once, observed as hits.
-    assert_eq!(report.cache.misses, first.trace.summary().total() as u64);
+    // job's compute node — executed once, observed as hits. Each job's keyed
+    // Link misses on its own (the system name is in the layer): two more misses.
+    assert_eq!(
+        report.cache.misses,
+        first.trace.summary().total() as u64 + 2
+    );
     assert_eq!(second.trace.summary().executed, 0);
     assert_eq!(second.trace.summary().cached, first.trace.summary().total());
     assert_eq!(report.cache.hits, second.trace.summary().cached as u64);

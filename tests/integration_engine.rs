@@ -240,14 +240,15 @@ fn fleet_jobs_flow_through_the_shared_engine() {
     assert!(report.all_succeeded());
     let deployments: Vec<_> = report.deployments().collect();
     assert_eq!(deployments.len(), 2);
-    // Same ISA ⇒ identical lower/compile action identities (link/commit identities
-    // differ: they carry the system-specific image reference), second job all-cached.
+    // Same ISA ⇒ identical lower/compile action identities (the keyed Link's
+    // differs: its layer names the system, its label the image reference), second
+    // job all-cached.
     let keyed = |deployment: &IrDeployment| -> std::collections::BTreeSet<String> {
         deployment
             .trace
             .records
             .iter()
-            .filter(|r| r.key_digest.is_some())
+            .filter(|r| r.key_digest.is_some() && r.kind != ActionKind::Link)
             .map(|r| r.identity())
             .collect()
     };

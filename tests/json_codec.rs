@@ -18,7 +18,8 @@ use std::fmt;
 use std::fmt::Debug;
 use std::sync::LazyLock;
 use xaas::prelude::*;
-use xaas_apps::{gromacs, lulesh};
+use xaas::source_container::architecture_of;
+use xaas_apps::{gromacs, llamacpp, lulesh};
 use xaas_hpcsim::{discover, IsaFamily, SimdLevel, SystemFeatures, SystemModel};
 use xaas_xir::{bitcode, lower_to_machine, IrModule, MachineModule};
 
@@ -135,11 +136,24 @@ fn real_documents_are_byte_identical_and_round_trip() {
     let lulesh_build = IrBuildRequest::new(&lulesh_project, &lulesh_config)
         .submit(&orch)
         .expect("the LULESH IR container builds");
-    let deployment = IrDeployRequest::new(&gromacs_build, &gromacs_project, &SystemModel::ault23())
+    IrDeployRequest::new(&gromacs_build, &gromacs_project, &SystemModel::ault23())
         .select("GMX_SIMD", "AVX_512")
         .simd(SimdLevel::Avx512)
         .submit(&orch)
         .expect("the GROMACS deployment succeeds");
+    IrDeployRequest::new(&lulesh_build, &lulesh_project, &SystemModel::clariden())
+        .select("WITH_OPENMP", "ON")
+        .submit(&orch)
+        .expect("the LULESH deployment succeeds");
+    for project in [gromacs::project(), llamacpp::project()] {
+        let system = SystemModel::ault23();
+        let reference = format!("{}:src", project.name);
+        let image =
+            build_source_container(&project, architecture_of(&system), orch.store(), &reference);
+        SourceDeployRequest::new(&project, &image, &system)
+            .submit(&orch)
+            .expect("the source deployment succeeds");
+    }
 
     // IR modules and their machine modules for every SIMD target.
     let modules: Vec<&IrModule> = gromacs_build
@@ -169,14 +183,14 @@ fn real_documents_are_byte_identical_and_round_trip() {
         assert_eq!(&bitcode::content_id_of(&bytes), id);
     }
 
-    // The committed images' manifests, configs and descriptors, read back from
-    // the store: the stored bytes are the direct writer's.
+    // Every committed image's manifest, config and descriptor — the IR builds,
+    // the source containers and the deployments of every application — read back
+    // from the store: the stored bytes, which commit writes from borrowed views
+    // of the image, are the derived writer's bytes for the typed values.
     let store = orch.store();
-    for reference in [
-        &gromacs_build.reference,
-        &lulesh_build.reference,
-        &deployment.image.reference,
-    ] {
+    let references = store.references();
+    assert_eq!(references.len(), 8, "{references:?}");
+    for (reference, _) in &references {
         let digest = store.resolve(reference).unwrap();
         let manifest = store.manifest(&digest).unwrap();
         assert_eq!(

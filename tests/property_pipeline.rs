@@ -105,7 +105,10 @@ proptest! {
 
     /// Layer archives are outside input (a registry, a disk): whatever bytes of a valid
     /// archive are damaged, `from_archive` answers with a layer or a typed error, never a
-    /// panic, and a layer it does return re-serialises consistently.
+    /// panic, and a layer it does return re-serialises consistently. The lazily decoded
+    /// layer `from_archive_blob` adopts stays total: it refuses exactly what the eager
+    /// decode refuses, with the same error, and otherwise its first read — and every
+    /// read after — sees the eager decode's entries.
     #[test]
     fn from_archive_never_panics_on_a_mutated_archive(
         files in proptest::collection::btree_map("[a-z]{1,6}(/[a-z]{1,6}){0,1}", "[ -~]{0,24}", 1..6),
@@ -134,16 +137,36 @@ proptest! {
         if truncate.is_multiple_of(3) {
             archive.truncate(truncate as usize % (archive.len() + 1));
         }
-        if let Ok(parsed) = Layer::from_archive(&archive) {
-            prop_assert!(!parsed.is_sealed());
-            let digest = Digest::of_bytes(&archive);
-            let adopted = Layer::from_archive_blob(Blob::new(archive.clone()), digest.clone()).unwrap();
-            prop_assert_eq!(&adopted, &parsed);
-            let reserialised = parsed.to_archive();
-            // The memo is seeded exactly when the bytes are what the layer serialises to.
-            prop_assert_eq!(adopted.is_sealed(), reserialised == archive);
-            prop_assert_eq!(adopted.sealed().0, &reserialised);
-            prop_assert_eq!(adopted.sealed().1, &Digest::of_bytes(&reserialised));
+        let digest = Digest::of_bytes(&archive);
+        let adopted = Layer::from_archive_blob(Blob::new(archive.clone()), digest.clone());
+        match Layer::from_archive(&archive) {
+            Err(error) => prop_assert_eq!(adopted.unwrap_err(), error),
+            Ok(parsed) => {
+                prop_assert!(!parsed.is_sealed());
+                let adopted = adopted.unwrap();
+                let reserialised = parsed.to_archive();
+                let canonical = reserialised == archive;
+                // The memo is seeded exactly when the bytes are what the layer
+                // serialises to, and only then are the entries left undecoded, with
+                // the count the header declares.
+                prop_assert_eq!(adopted.is_sealed(), canonical);
+                prop_assert_eq!(adopted.len(), parsed.len());
+                prop_assert_eq!(adopted.is_empty(), parsed.is_empty());
+                prop_assert_eq!(adopted.is_decoded(), !canonical, "len reads the header");
+                if canonical {
+                    prop_assert_eq!(adopted.to_archive(), archive.clone());
+                }
+                // The first read decodes, never panics, and sees the eager decode.
+                let first_path = parsed.iter().next().map(|(path, _)| path.to_string());
+                if let Some(path) = &first_path {
+                    prop_assert_eq!(adopted.get(path), parsed.get(path));
+                }
+                prop_assert!(adopted.is_decoded());
+                prop_assert!(adopted.iter().eq(parsed.iter()));
+                prop_assert_eq!(&adopted, &parsed);
+                prop_assert_eq!(adopted.sealed().0, &reserialised);
+                prop_assert_eq!(adopted.sealed().1, &Digest::of_bytes(&reserialised));
+            }
         }
     }
 

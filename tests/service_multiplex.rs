@@ -577,14 +577,22 @@ fn per_request_cache_deltas_are_scoped_under_two_session_interleaving() {
             for (tenant, report, expect) in [("a", &report_a, expect_a), ("b", &report_b, expect_b)]
             {
                 // Internal consistency: the delta is derived from this
-                // request's own trace records, nothing else.
-                let summary = report.trace.summary();
+                // request's own keyed trace records (its Link among them),
+                // nothing else.
+                let keyed = |cached: bool| {
+                    let records = report.trace.records.iter();
+                    records
+                        .filter(|r| r.key_digest.is_some() && r.cached == cached)
+                        .count() as u64
+                };
                 assert_eq!(
-                    report.cache.hits, summary.cached as u64,
+                    report.cache.hits,
+                    keyed(true),
                     "round {round} tenant {tenant}: hits beyond own trace"
                 );
                 assert_eq!(
-                    report.cache.misses, summary.executed as u64,
+                    report.cache.misses,
+                    keyed(false),
                     "round {round} tenant {tenant}: misses beyond own trace"
                 );
                 // Cross-run determinism: interleaving with the other tenant

@@ -1,16 +1,20 @@
 //! Budget guard for the warm source deployment.
 //!
 //! A warm llama.cpp source deployment on Ault23 hits the cache for every
-//! `sd-compile` node, but its Link still reads every compiled object back as a
-//! `MachineModule` to validate it before shipping. That read is JSON text straight
-//! into typed values; this test keeps it so: bytes allocated per request stay under
-//! a budget that a read through a `Value` tree exceeds.
+//! `sd-compile` node and for its Link, whose output is the build layer's archive,
+//! keyed on the objects' content digests. The Link's `run` — the one place that
+//! reads the compiled objects back as `MachineModule`s to validate them — ran when
+//! that archive was first built, so a warm deployment reads no object back: it
+//! decodes no machine module and no layer entry, and its commit adopts the cached
+//! archive. This test keeps it so: the Link is a hit, the deployed layer is never
+//! decoded, and bytes allocated per request stay under a budget.
 //!
 //! The file holds a single test on purpose: the counting allocator is process-wide,
 //! and a second test running beside it would be counted too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use xaas::engine::ActionKind;
 use xaas::prelude::*;
 use xaas::source_container::architecture_of;
 use xaas_apps::llamacpp;
@@ -63,8 +67,9 @@ const REQUESTS: u64 = 16;
 /// 233 KB per request (232,985 B); read straight into typed values, 141 KB
 /// (140,878 B); later 112 KB (111,937 B). With blobs adopting their buffers, the
 /// archive and JSON written at final size and normal paths kept as given, 90 KB
-/// (90,126 B).
-const ALLOC_BUDGET_BYTES: u64 = 100 * 1024;
+/// (90,126 B). With the Link a cache hit, so no object is read back, and its
+/// archive adopted undecoded, 67 KB (66,483–66,611 B over six runs).
+const ALLOC_BUDGET_BYTES: u64 = 72 * 1024;
 
 #[test]
 fn warm_llamacpp_source_deployments_stay_inside_the_allocation_budget() {
@@ -93,12 +98,26 @@ fn warm_llamacpp_source_deployments_stay_inside_the_allocation_budget() {
             0,
             "request {request} is warm"
         );
+        let link = warm
+            .trace
+            .records
+            .iter()
+            .find(|r| r.kind == ActionKind::Link);
+        assert!(
+            link.is_some_and(|link| link.cached),
+            "request {request}: the keyed Link is a hit, so no object is read back"
+        );
+        let deployed = warm.image.layers.last().expect("a deployed layer");
+        assert!(
+            !deployed.is_decoded(),
+            "request {request}: a warm deployment decodes no layer entry"
+        );
     }
     let per_request = (ALLOC_BYTES.load(Ordering::Relaxed) - bytes_before) / REQUESTS;
     assert!(
         per_request <= ALLOC_BUDGET_BYTES,
         "a warm llama.cpp source deployment allocated {per_request} bytes per request \
-         (budget {ALLOC_BUDGET_BYTES}): its Link's validation read is building a tree again"
+         (budget {ALLOC_BUDGET_BYTES}): the deployment tail is reading or copying again"
     );
     println!("warm llama.cpp source deployment: {per_request} bytes allocated per request");
 }

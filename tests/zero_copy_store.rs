@@ -52,7 +52,7 @@ proptest! {
             other => panic!("a fresh key is a miss, got {other:?}"),
         };
         let warm = match cache.try_begin(&key) {
-            TryBegin::Hit(blob, _) => blob,
+            TryBegin::Hit(blob, _, _) => blob,
             other => panic!("a completed key is a hit, got {other:?}"),
         };
         let peeked = cache.peek(&key).unwrap();
@@ -114,14 +114,16 @@ fn concurrent_writers_store_and_hash_a_payload_exactly_once() {
     }
 }
 
-/// The deployment tail copies no artifact: every `/xaas/obj/*.o` of a deployed layer
-/// is the very allocation the action cache holds for the unit's lowered module, on
-/// the cold deployment that computes it and on the warm one that is served it, and
-/// the layers the deployment inherits are the IR container's own sealed layers.
+/// The deployment tail copies no layer: the deployed layer's sealed archive is the
+/// very allocation the action cache holds for the deployment's keyed Link, on the
+/// cold deployment that links it and on the warm one that is served it (and
+/// decodes none of it), its object files are the bytes the cache holds for each
+/// unit's lowered module, and the layers the deployment inherits are the IR
+/// container's own sealed layers.
 #[test]
-fn deployed_object_files_alias_the_cache_artifacts() {
+fn deployed_layers_alias_the_link_cache_entry() {
     use xaas::engine::plan::MachineLower;
-    use xaas::engine::Action;
+    use xaas::engine::{Action, ActionKind};
     use xaas::prelude::*;
     use xaas_buildsys::OptionAssignment;
     use xaas_hpcsim::{SimdLevel, SystemModel};
@@ -153,6 +155,28 @@ fn deployed_object_files_alias_the_cache_artifacts() {
                 "{state}: inherited layers share the IR container's sealed archive"
             );
         }
+        let link = deployment.trace.records.iter();
+        let link = link
+            .filter(|r| r.kind == ActionKind::Link)
+            .collect::<Vec<_>>();
+        assert_eq!(link.len(), 1, "{state}: one keyed Link");
+        assert_eq!(
+            link[0].cached,
+            state == "warm",
+            "{state}: a warm Link is a hit"
+        );
+        let key = format!("\"sha256:{}\"", link[0].key_digest.as_deref().unwrap());
+        let key: BuildKey = serde_json::from_str(&key).unwrap();
+        let entry = cache.peek(&key).expect("the deployed layer is cached");
+        assert!(
+            Blob::ptr_eq(lowered[0].sealed().0, &entry),
+            "{state}: the deployed layer's archive is the Link's cache entry"
+        );
+        assert!(
+            !lowered[0].is_decoded(),
+            "{state}: the commit decoded nothing"
+        );
+
         let mut checked = 0;
         for unit in &manifest.units {
             let Some(id) = unit.artifact.strip_prefix("ir:") else {
@@ -169,10 +193,7 @@ fn deployed_object_files_alias_the_cache_artifacts() {
             let object = format!("/xaas/obj/{}.o", unit.file.replace('/', "_"));
             let entry = lowered[0].get(&object);
             let entry = entry.unwrap_or_else(|| panic!("{state}: {object} is missing"));
-            assert!(
-                Blob::ptr_eq(&entry.content, &artifact),
-                "{state}: {object} aliases the cache's artifact"
-            );
+            assert_eq!(entry.content, artifact, "{state}: {object} is the artifact");
             checked += 1;
         }
         assert!(checked > 0, "the configuration lowers IR units");
