@@ -713,7 +713,7 @@ pub(crate) struct WarmRestartExperiment {
     /// Blob bytes the disk tier held when the cold session exited.
     pub disk_bytes: u64,
     /// Index entries the damage before the third session can cost: the record
-    /// the journal cut tore, plus the one record naming the truncated blob.
+    /// the journal cut tore, plus the one whose segment range was overwritten.
     pub damaged_entries: u64,
     /// Keyed actions the session over the damaged root re-executed.
     pub damaged_recomputes: u64,
@@ -739,8 +739,8 @@ impl WarmRestartExperiment {
 /// the same cache root, and replay the identical IR build + fleet. The replay
 /// must produce byte-identical images with zero compile/lower actions
 /// re-executed, every keyed action read through the disk tier. A third session
-/// then runs over the same root *damaged* — one blob truncated, the journal cut
-/// mid-record — and must still be byte-identical, recomputing only what the
+/// then runs over the same root *damaged* — one segment range overwritten, the
+/// journal cut mid-record — and must still be byte-identical, recomputing only what the
 /// damage cost.
 pub(crate) fn warm_restart() -> WarmRestartExperiment {
     let root = ScratchRoot::at(scratch_path("warm-restart"));
@@ -790,27 +790,26 @@ fn warm_restart_over(root: &Path) -> WarmRestartExperiment {
     drop(warm_orch);
 
     // Damage the root the way a crash and a bad disk would: tear the journal's
-    // last record, and cut down to half the first blob only one record names. (A
-    // blob several keys share would make the recompute count depend on how the
-    // sharers' reads interleave.)
+    // last record, and overwrite the second half of the segment range the first
+    // record names.
     let journal_path = root.join("index.log");
     let journal = std::fs::read_to_string(&journal_path).expect("the journal is readable");
     std::fs::write(&journal_path, &journal[..journal.len() - 10]).expect("journal cut");
-    fn content(record: &str) -> Option<&str> {
-        record.split(' ').nth(2)
-    }
-    let naming = |blob: &str| journal.lines().filter(|r| content(r) == Some(blob)).count() as u64;
-    let victim = journal
+    let first: Vec<&str> = journal
         .lines()
-        .filter_map(content)
-        .find(|&blob| naming(blob) == 1)
-        .expect("a blob only one record names");
-    let blob = root
-        .join("blobs")
-        .join(victim.trim_start_matches("sha256:"));
-    let bytes = std::fs::read(&blob).expect("the blob is readable");
-    std::fs::write(&blob, &bytes[..bytes.len() / 2]).expect("blob truncated");
-    let damaged_entries = 1 + naming(victim);
+        .next()
+        .expect("a record")
+        .split(' ')
+        .collect();
+    let field = |n: usize| first[n].parse::<usize>().expect("a numeric field");
+    let (len, offset) = (field(3), field(5));
+    let segment = root.join(format!("{}.seg", first[4]));
+    let mut bytes = std::fs::read(&segment).expect("the segment is readable");
+    for byte in &mut bytes[offset + len / 2..offset + len] {
+        *byte ^= 0xff;
+    }
+    std::fs::write(&segment, bytes).expect("range overwritten");
+    let damaged_entries = 2;
 
     let (damaged_orch, damaged_images, _) = session("damaged");
     let damaged_stats = damaged_orch.cache_stats();

@@ -59,7 +59,7 @@
 //! [`ActionCache::bypass`] is the always-compute cache an uncached engine runs on:
 //! every caller owns a private flight and nothing is retained.
 //!
-//! What the disk tier reads back (journal records, blob files) is outside input,
+//! What the disk tier reads back (journal records, segment ranges) is outside input,
 //! so the module denies the lints that let a decoder panic on it.
 
 #![deny(clippy::unwrap_used, clippy::indexing_slicing, clippy::dbg_macro)]
@@ -73,7 +73,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
-use tier::{Claim, DiskLock, DiskTier, DiskTierStats, TierConfig, TierError};
+use tier::{Claim, DiskClaim, DiskTier, DiskTierStats, TierConfig, TierError};
 
 /// The identity of one memoizable build action: the digest of its derivation record
 /// (see the module docs), computed once, at construction.
@@ -344,8 +344,8 @@ pub struct FlightTicket {
     inner: Option<Arc<Mutex<CacheInner>>>,
     /// The cross-process claim on the key, when a disk tier took one. It lives
     /// exactly as long as the ticket: completing, failing or dropping the ticket
-    /// releases the lock file.
-    lock: Option<DiskLock>,
+    /// appends its release.
+    claim: Option<DiskClaim>,
 }
 
 impl FlightTicket {
@@ -361,7 +361,7 @@ impl FlightTicket {
     /// `error`. A no-op on a disarmed ticket.
     fn abandon(&mut self, error: FlightError) {
         // Released before the wake: a woken waiter may claim the key at once.
-        self.lock = None;
+        self.claim = None;
         if let Some(inner) = self.inner.take() {
             let waiters = inner.lock().retire_flight(&self.digest, self.nonce);
             // Wake outside the lock: wakers may re-enter the cache or an executor.
@@ -444,7 +444,7 @@ impl CacheBackend for ActionCache {
                 digest: digest.clone(),
                 nonce: 0,
                 inner: None,
-                lock: None,
+                claim: None,
             });
         }
         let mut ticket = {
@@ -472,7 +472,7 @@ impl CacheBackend for ActionCache {
                 digest: digest.clone(),
                 nonce,
                 inner: Some(self.inner.clone()),
-                lock: None,
+                claim: None,
             }
         };
         // We own the flight, so same-process racers park on it while the disk
@@ -482,7 +482,7 @@ impl CacheBackend for ActionCache {
         }
         if let Some(disk) = &self.disk {
             match disk.claim_or_wait(&ticket.digest) {
-                Claim::Owner(lock) => ticket.lock = lock,
+                Claim::Owner(claim) => ticket.claim = claim,
                 Claim::Published => {
                     if let Some(hit) = self.read_through(&mut ticket) {
                         return hit;
@@ -1188,14 +1188,12 @@ mod tests {
 
     #[test]
     fn dropping_an_unredeemed_ticket_poisons_the_flight() {
-        // Over a disk tier, so the flight also holds the key's cross-process lock.
-        let root = tier::tests::TempRoot::new("poisoned-lock");
+        // Over a disk tier, so the flight also holds the key's cross-process claim.
+        let root = tier::tests::TempRoot::new("poisoned-claim");
         let config = TierConfig::new().disk_root(root.path());
         let cache = ActionCache::with_tiers(ImageStore::new(), config).unwrap();
-        let lock_file = root
-            .path()
-            .join("locks")
-            .join(format!("{}.lock", key(3).digest().hex()));
+        let claims = || std::fs::read_to_string(root.path().join("claims.log")).unwrap();
+        let key_hex = key(3).digest().hex().to_string();
         let ticket = match cache.try_begin(&key(3)) {
             TryBegin::Owner(ticket) => ticket,
             other => panic!("expected Owner, got {other:?}"),
@@ -1211,15 +1209,19 @@ mod tests {
                 })
             )
             .is_none());
-        assert!(lock_file.exists(), "the open flight holds the lock file");
+        let open = claims();
+        assert!(
+            open.starts_with(&format!("claim {key_hex} ")) && !open.contains("release"),
+            "the open flight holds the claim: {open}"
+        );
         drop(ticket); // The owner unwound without redeeming.
         assert!(matches!(
             woken.lock().take(),
             Some(FlightOutcome::Failed(FlightError::Poisoned))
         ));
         assert!(
-            !lock_file.exists(),
-            "the lock rides in the ticket: a second process must not wait for nobody"
+            claims().contains(&format!("release {key_hex} ")),
+            "the claim rides in the ticket: a second process must not wait for nobody"
         );
         // Nothing was cached and the key is free again: the waiter can own it.
         assert!(!cache.contains(&key(3)));

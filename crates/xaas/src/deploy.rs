@@ -12,7 +12,7 @@ use crate::engine::{
 };
 use crate::error::PipelineError;
 use crate::ir_container::{
-    project_compiler, ConfigurationManifest, IrContainerBuild, UnitAssignment,
+    paths, project_compiler, sanitize, ConfigurationManifest, IrContainerBuild, UnitAssignment,
 };
 use crate::resolve::Resolved;
 use crate::targets::{derive_build_profile, target_isa_for};
@@ -66,12 +66,10 @@ pub struct IrDeployment {
 }
 
 /// What one lower/compile task contributed to a deployment: the serialised
-/// [`MachineModule`] exactly as the keyed action (or the cache) produced it, and
-/// the manifest units it serves.
+/// [`MachineModule`] exactly as the keyed action (or the cache) produced it. The
+/// manifest units it serves are read back by [`IrDeployment::lowered`].
 #[derive(Debug, Clone)]
 struct DeployedArtifact {
-    /// Every manifest unit served by the artifact (several units can share one).
-    files: Vec<String>,
     /// Lowered from stored IR (`true`) or compiled from a system-dependent source.
     lowered: bool,
     /// `serde_json::to_vec(&MachineModule)`.
@@ -92,17 +90,29 @@ pub struct LoweredDeployment {
 impl IrDeployment {
     /// Decode the deployed artifacts — once per task, however many units share it —
     /// into machine modules keyed by source file, the aggregated vectorisation report
-    /// and the deployment statistics. Undecodable bytes (action-cache corruption) are
-    /// a [`PipelineError::Cache`] naming the file.
+    /// and the deployment statistics. The units each task serves come from the
+    /// configuration manifest the deployed image inherits from the IR container.
+    /// Undecodable bytes (action-cache corruption) are a [`PipelineError::Cache`]
+    /// naming the file.
     pub fn lowered(&self) -> Result<LoweredDeployment, PipelineError> {
+        // Read below the deployed layer on top, which stays undecoded.
+        let label = self.assignment.label();
+        let path = format!("{}/{}.json", paths::CONFIG_ROOT, sanitize(&label));
+        let mut inherited = self.image.layers.iter().rev().skip(1);
+        let manifest = inherited
+            .find_map(|layer| layer.get(&path))
+            .and_then(|entry| serde_json::from_slice(&entry.content).ok())
+            .filter(|manifest: &ConfigurationManifest| manifest.assignment == self.assignment)
+            .ok_or(PipelineError::UnknownConfiguration(label))?;
         let mut machine_modules: BTreeMap<String, MachineModule> = BTreeMap::new();
         let mut vectorization = VectorizationReport::default();
         let mut stats = DeploymentStats::default();
-        for artifact in &self.artifacts {
+        for ((_, files), artifact) in artifact_groups(&manifest).iter().zip(&self.artifacts) {
             let machine: MachineModule = serde_json::from_slice(&artifact.bytes).map_err(|e| {
-                PipelineError::Cache(format!("machine module for {}: {e}", artifact.files[0]))
+                let file = files.first().copied().unwrap_or_default();
+                PipelineError::Cache(format!("machine module for {file}: {e}"))
             })?;
-            for file in &artifact.files {
+            for file in files {
                 vectorization
                     .loops
                     .extend(machine.vectorization.loops.iter().cloned());
@@ -111,7 +121,7 @@ impl IrDeployment {
                 } else {
                     stats.compiled_source_units += 1;
                 }
-                machine_modules.insert(file.clone(), machine.clone());
+                machine_modules.insert(file.to_string(), machine.clone());
             }
         }
         stats.vectorized_loops = vectorization.vectorized_count();
@@ -122,6 +132,25 @@ impl IrDeployment {
             stats,
         })
     }
+}
+
+/// The manifest's units grouped by artifact, in the order of each artifact's
+/// first unit: one group per deployment task, in task order. A unit whose
+/// artifact is neither `ir:` nor `src:` is left out.
+fn artifact_groups(manifest: &ConfigurationManifest) -> Vec<(&str, Vec<&str>)> {
+    let mut groups: Vec<(&str, Vec<&str>)> = Vec::new();
+    let mut by_artifact: BTreeMap<&str, usize> = BTreeMap::new();
+    for UnitAssignment { file, artifact, .. } in &manifest.units {
+        if !(artifact.starts_with("ir:") || artifact.starts_with("src:")) {
+            continue;
+        }
+        let index = *by_artifact.entry(artifact).or_insert_with(|| {
+            groups.push((artifact, Vec::new()));
+            groups.len() - 1
+        });
+        groups[index].1.push(file);
+    }
+    groups
 }
 
 /// One planned deployment action: either lower a stored IR unit or compile a
@@ -277,34 +306,26 @@ pub(crate) fn plan_ir_deploy<'a>(
     sd_args.extend(manifest.compile_flags.iter().cloned());
     let sd_flags = CompileFlags::parse(sd_args);
 
-    // One deduplicated task per distinct IR unit / source path.
-    let mut tasks: Vec<DeployTask<'a>> = Vec::new();
-    let mut task_by_artifact: BTreeMap<&str, usize> = BTreeMap::new();
-    for UnitAssignment { file, artifact, .. } in &manifest.units {
-        let task = if let Some(id) = artifact.strip_prefix("ir:") {
-            if !build.units.contains_key(id) {
-                return Err(PipelineError::MissingUnit(id.to_string()));
-            }
-            DeployTask::Lower { id, files: vec![] }
-        } else if let Some(path) = artifact.strip_prefix("src:") {
-            let source = project
-                .source(path)
-                .ok_or_else(|| PipelineError::MissingUnit(path.to_string()))?;
-            DeployTask::Compile {
-                source,
-                files: vec![],
-            }
-        } else {
-            continue;
-        };
-        let index = *task_by_artifact.entry(artifact).or_insert_with(|| {
-            tasks.push(task);
-            tasks.len() - 1
+    // One deduplicated task per distinct IR unit / source path. A task is no
+    // larger than its group, so the collect reuses the groups' allocation.
+    let tasks = artifact_groups(manifest)
+        .into_iter()
+        .map(|(artifact, files)| {
+            Ok(match artifact.strip_prefix("ir:") {
+                Some(id) if !build.units.contains_key(id) => {
+                    return Err(PipelineError::MissingUnit(id.to_string()))
+                }
+                Some(id) => DeployTask::Lower { id, files },
+                None => {
+                    let path = artifact.strip_prefix("src:").unwrap_or(artifact);
+                    let source = project
+                        .source(path)
+                        .ok_or_else(|| PipelineError::MissingUnit(path.to_string()))?;
+                    DeployTask::Compile { source, files }
+                }
+            })
         });
-        let (DeployTask::Lower { files, .. } | DeployTask::Compile { files, .. }) =
-            &mut tasks[index];
-        files.push(file);
-    }
+    let tasks = tasks.collect::<Result<Vec<DeployTask<'a>>, PipelineError>>()?;
 
     Ok(DeployPlan {
         build,
@@ -446,7 +467,6 @@ pub(crate) fn finish_ir_deploy<'run>(
         .iter()
         .zip(&grafted.artifacts)
         .map(|(task, &node)| DeployedArtifact {
-            files: task.files().iter().map(|file| file.to_string()).collect(),
             lowered: matches!(task, DeployTask::Lower { .. }),
             bytes: output(node).clone(),
         })

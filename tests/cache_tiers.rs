@@ -248,33 +248,46 @@ fn service_limits_cap_the_disk_tier_budget() {
 enum Fault {
     /// A crash mid-append (or a lost tail): `index.log` cut at a byte offset.
     CutJournal,
-    /// A blob file cut short.
-    TruncateBlob,
-    /// One byte of a blob file flipped.
-    FlipBlobByte,
-    /// A blob file removed behind the tier's back.
-    DeleteBlob,
-    /// A crashed owner's `locks/<key>.lock`, left on every key.
-    StaleLocks,
+    /// A segment cut short inside one of its ranges.
+    TruncateSegment,
+    /// One byte of a segment range flipped.
+    FlipRangeByte,
+    /// A segment file removed behind the tier's back.
+    DeleteSegment,
+    /// A crashed owner's stale claim in `claims.log`, left on every key.
+    StaleClaims,
 }
 
-/// Apply `fault` to the cache root, steering "which byte / which blob" by
+/// Apply `fault` to the cache root, steering "which byte / which range" by
 /// `pick`. Returns how many index entries it can cost: an upper bound on the
 /// recomputes the next session may need.
 fn inject(root: &std::path::Path, fault: Fault, pick: usize) -> u64 {
+    use std::os::unix::fs::FileExt;
     let journal_path = root.join("index.log");
     let journal = std::fs::read_to_string(&journal_path).expect("journal exists");
-    let mut blobs: Vec<PathBuf> = std::fs::read_dir(root.join("blobs"))
-        .expect("blob directory exists")
-        .map(|entry| entry.expect("directory entry").path())
+    // Every `put` record's range: `(segment, offset, len)`.
+    let ranges: Vec<(u32, u64, u64)> = journal
+        .lines()
+        .filter_map(|line| {
+            let fields: Vec<&str> = line.split(' ').collect();
+            match fields[..] {
+                ["put", _, _, len, segment, offset] => Some((
+                    segment.parse().ok()?,
+                    offset.parse().ok()?,
+                    len.parse().ok()?,
+                )),
+                _ => None,
+            }
+        })
         .collect();
-    blobs.sort();
-    let blob = &blobs[pick % blobs.len()];
-    let blob_name = blob.file_name().and_then(|n| n.to_str()).expect("hex name");
-    // Index entries whose output is that blob.
-    let content = format!("sha256:{blob_name}");
-    let names_blob = |line: &&str| line.split(' ').nth(2) == Some(&content);
-    let referencing = journal.lines().filter(names_blob).count() as u64;
+    let (segment, offset, len) = ranges[pick % ranges.len()];
+    let path = root.join(format!("{segment}.seg"));
+    let at = offset + (pick / ranges.len()) as u64 % len.max(1);
+    // Records of the segment whose range `keep` leaves: those reaching past it.
+    let cut_by = |keep: u64| {
+        let reaching = |&&(s, o, l): &&(u32, u64, u64)| s == segment && o + l > keep;
+        ranges.iter().filter(reaching).count() as u64
+    };
     match fault {
         Fault::CutJournal => {
             let cut = pick % (journal.len() + 1);
@@ -282,29 +295,43 @@ fn inject(root: &std::path::Path, fault: Fault, pick: usize) -> u64 {
             let whole_lines = journal[..cut].matches('\n').count() as u64;
             journal.lines().count() as u64 - whole_lines
         }
-        Fault::TruncateBlob => {
-            let bytes = std::fs::read(blob).expect("blob readable");
-            let keep = (pick / blobs.len()) % bytes.len();
-            std::fs::write(blob, &bytes[..keep]).expect("blob truncated");
-            referencing
-        }
-        Fault::FlipBlobByte => {
-            let mut bytes = std::fs::read(blob).expect("blob readable");
-            let at = (pick / blobs.len()) % bytes.len();
-            bytes[at] ^= 0x40;
-            std::fs::write(blob, bytes).expect("blob rewritten");
-            referencing
-        }
-        Fault::DeleteBlob => {
-            std::fs::remove_file(blob).expect("blob removed");
-            referencing
-        }
-        Fault::StaleLocks => {
-            // (A journal another fault already cut may end in a keyless fragment.)
-            for key in journal.lines().filter_map(|line| line.split(' ').nth(1)) {
-                std::fs::write(root.join("locks").join(format!("{key}.lock")), "dead")
-                    .expect("lock planted");
+        Fault::TruncateSegment => {
+            if let Ok(file) = std::fs::OpenOptions::new().write(true).open(&path) {
+                file.set_len(at).expect("segment truncated");
             }
+            cut_by(at)
+        }
+        Fault::FlipRangeByte => {
+            if let Ok(file) = std::fs::OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(&path)
+            {
+                let mut byte = [0u8];
+                if file.read_exact_at(&mut byte, at).is_ok() {
+                    file.write_all_at(&[byte[0] ^ 0x40], at)
+                        .expect("byte flipped");
+                }
+            }
+            let holding = |&&(s, o, l): &&(u32, u64, u64)| s == segment && o <= at && at < o + l;
+            ranges.iter().filter(holding).count() as u64
+        }
+        Fault::DeleteSegment => {
+            let _ = std::fs::remove_file(&path);
+            cut_by(0)
+        }
+        Fault::StaleClaims => {
+            // Claimed at unix millisecond 0 by an owner that never released. (A
+            // journal another fault already cut may end in a keyless fragment.)
+            let claims: String = journal
+                .lines()
+                .filter_map(|line| line.split(' ').nth(1))
+                .map(|key| format!("claim {key} 1 0\n"))
+                .collect();
+            let mut log = std::fs::OpenOptions::new();
+            let log = log.append(true).create(true).open(root.join("claims.log"));
+            std::io::Write::write_all(&mut log.expect("claims log opens"), claims.as_bytes())
+                .expect("claims planted");
             0
         }
     }
@@ -338,8 +365,8 @@ proptest! {
             .map(|(_, s)| s.clone())
             .collect();
         let root = ScratchRoot::new("prop-restart");
-        // A short lock timeout: planted locks are consulted only for damaged
-        // keys, and must then cost milliseconds, not the 2 s default.
+        // A short claim timeout: a live claim left on a damaged key costs
+        // milliseconds, not the 2 s default.
         let config = || {
             TierConfig::new()
                 .disk(DiskTierConfig::new(root.path()).lock_timeout(Duration::from_millis(10)))
@@ -358,10 +385,10 @@ proptest! {
 
         let kinds = [
             Fault::CutJournal,
-            Fault::TruncateBlob,
-            Fault::FlipBlobByte,
-            Fault::DeleteBlob,
-            Fault::StaleLocks,
+            Fault::TruncateSegment,
+            Fault::FlipRangeByte,
+            Fault::DeleteSegment,
+            Fault::StaleClaims,
         ];
         let damaged: u64 = kinds
             .iter()
