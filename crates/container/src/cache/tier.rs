@@ -52,6 +52,8 @@
 //!     segment below `u32::MAX` and a `u64` offset: bytes
 //!     `offset..offset + len` of `<segment>.seg`. A `put` that stops after
 //!     `<len>` names no range: it is indexed, and its first load is a stale drop.
+//!     It is what a file-per-blob root's journal holds, so such a root's
+//!     entries are indexed and then counted as that layout's drops (below).
 //!   - `del <key>`, with `<key>` as above.
 //!
 //!   Every other line — malformed, torn, of an unknown kind — is skipped, so a

@@ -6,7 +6,7 @@
 //! linking and installation, and commits a new, system-specialized image whose tag
 //! encodes the specialization points.
 
-use crate::engine::plan::{add_deploy_commit, MachineLower, SdCompile, SharedDeployArtifacts};
+use crate::engine::plan::{DeployCommit, MachineLower, SdCompile, SharedDeployArtifacts};
 use crate::engine::{
     Action, ActionGraph, ActionId, ActionInputs, ActionKind, ActionTrace, PreprocessPlanner,
 };
@@ -20,9 +20,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use xaas_buildsys::{OptionAssignment, ProjectSpec, SourceSpec, TargetSpec};
-use xaas_container::{
-    annotation_keys, Blob, DeploymentFormat, Derivation, Image, ImageStore, Layer, Platform,
-};
+use xaas_container::{Blob, Derivation, Image, ImageStore, Layer};
 use xaas_hpcsim::{BuildProfile, SimdLevel, SystemModel};
 use xaas_xir::{CompileFlags, Compiler, MachineModule, TargetIsa, VectorizationReport};
 
@@ -228,7 +226,7 @@ impl Action for IrDeployLink<'_> {
             })
     }
 
-    fn run(&self, deps: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
+    fn run(self, deps: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
         // Linking and installation. The artifact actions emit exactly the
         // serialised machine module, so the object files are those bytes,
         // decoded by nobody (`IrDeployment::lowered` decodes them on request).
@@ -375,7 +373,7 @@ pub(crate) fn graft_ir_deploy<'env>(
     // Preprocess nodes first, in task order: all preprocess records precede the
     // artifact records.
     let (compiler, flags, target) = (&plan.compiler, &plan.sd_flags, &plan.target);
-    let mut preprocess = PreprocessPlanner::new();
+    let mut preprocess = PreprocessPlanner::default();
     let mut preprocess_actions: Vec<Option<ActionId>> = Vec::with_capacity(plan.tasks.len());
     for task in &plan.tasks {
         preprocess_actions.push(match task {
@@ -423,26 +421,16 @@ pub(crate) fn graft_ir_deploy<'env>(
         tasks: &plan.tasks,
     };
     let link = graph.add_action(format!("{reference} image"), link, &artifact_actions);
-    add_deploy_commit(
-        graph,
+    let commit = DeployCommit {
+        base: &plan.build.image,
         reference,
+        system: plan.system,
+        label: &plan.manifest.label,
+        annotation: ("dev.xaas.simd", plan.simd.gmx_name()),
         store,
-        &plan.committed,
-        link,
-        move |layer| {
-            let mut image = Image::derive_from(&plan.build.image, reference);
-            image.platform = Platform::linux(crate::source_container::architecture_of(plan.system));
-            image.set_deployment_format(DeploymentFormat::Binary);
-            image.annotate(
-                annotation_keys::SELECTED_CONFIGURATION,
-                plan.manifest.label.clone(),
-            );
-            image.annotate(annotation_keys::TARGET_SYSTEM, plan.system.name.clone());
-            image.annotate("dev.xaas.simd", plan.simd.gmx_name());
-            image.push_layer(layer);
-            image
-        },
-    );
+        committed: &plan.committed,
+    };
+    graph.add_action(format!("{reference} commit"), commit, &[link]);
 
     GraftedDeploy {
         depth: artifact_depth + 2,
@@ -500,7 +488,7 @@ mod tests {
     use crate::ir_container::IrPipelineConfig;
     use crate::orchestrator::{IrBuildRequest, IrDeployRequest, Orchestrator};
     use xaas_apps::gromacs;
-    use xaas_container::{ActionCache, BuildKey};
+    use xaas_container::{ActionCache, BuildKey, DeploymentFormat};
     use xaas_xir::{Interpreter, Value};
 
     /// Old free-function deployment shape, routed through the orchestrator (uncached).

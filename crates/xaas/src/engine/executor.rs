@@ -308,7 +308,7 @@ impl Submission {
         for (node_id, node) in nodes.iter().enumerate() {
             for &dep in &node.deps {
                 dependents[dep].push(node_id);
-                keeps_digest[dep] |= node.reads_dep_digests;
+                keeps_digest[dep] |= node.work.reads().1;
             }
         }
         let nodes: Vec<Node> = nodes
@@ -320,7 +320,7 @@ impl Submission {
                 info: node.info,
                 deps: node.deps,
                 dependents,
-                reads_dep_digests: node.reads_dep_digests,
+                reads_dep_digests: node.work.reads().1,
                 keeps_digest,
                 state: Mutex::new(NodeState {
                     work: Some(node.work),
@@ -840,7 +840,7 @@ impl CoreShared {
                     Err(outcome) => return Some((outcome, None)),
                 };
                 // A key not fixed when the node was added is derived from the
-                // dependency outputs now that they exist (`None` for a closure).
+                // dependency outputs now that they exist (`None` when unkeyed).
                 // A panicking derivation behaves like a panicking action (payload
                 // recorded, dependents poisoned).
                 let key = match key {

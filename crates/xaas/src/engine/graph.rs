@@ -7,7 +7,7 @@
 //! which keeps cycle detection trivial. A node that breaks that contract — a forward
 //! edge, or a commit or a record whose key reads a dependency with nothing to depend
 //! on — is recorded as a [`GraphError`] when it is added; no `add*` call panics, and
-//! the offending edge is never stored. A keyed node is an [`Action`] record.
+//! the offending edge is never stored. Every driver node is an [`Action`] record.
 
 #![deny(clippy::unwrap_used, clippy::dbg_macro)]
 use super::executor::NodeInfo;
@@ -49,12 +49,11 @@ impl ActionInputs {
         &self.outputs[index]
     }
 
-    /// The content digest of the `index`-th dependency's output. For a node that
-    /// reads digests ([`Action::READS_DEP_DIGESTS`], or a
-    /// [`Commit`](ActionKind::Commit)) it is the one the action cache indexed
-    /// the output under, on a hit or a completion, so reading it hashes nothing;
-    /// an output no cache digested (an unkeyed node's, or any under an uncached
-    /// engine) is hashed here.
+    /// The content digest of the `index`-th dependency's output. For a record
+    /// that reads digests ([`Action::READS_DEP_DIGESTS`]) it is the one the
+    /// action cache indexed the output under, on a hit or a completion, so
+    /// reading it hashes nothing; an output no cache digested (an unkeyed
+    /// node's, or any under an uncached engine) is hashed here.
     pub fn dep_digest(&self, index: usize) -> Digest {
         match self.digests.get(index).copied().flatten() {
             Some(hash) => Digest::from_sha256(hash),
@@ -84,14 +83,17 @@ impl ActionInputs {
     }
 }
 
-/// A keyed action as a record: one typed value that is both what the action's
+/// A pipeline step as a record: one typed value that is both what the step's
 /// [`BuildKey`] names and everything its compute reads (the records of the
-/// pipeline are in [`plan`](super::plan)).
+/// pipeline are in [`plan`](super::plan) and beside the drivers that add them).
 ///
-/// [`run`](Self::run) is a method on the record, so it captures nothing: every
+/// [`run`](Self::run) is a method on the record, so it captures nothing, and it
+/// takes the record by value, so owned fields move into the output: every
 /// field it reads is keyed by [`derive`](Self::derive) or bound there as
 /// `field: _` beside the keyed field that covers it. `derive` opens with an
-/// exhaustive `let Self { .. } = self;`, so a field left out does not compile:
+/// exhaustive `let Self { .. } = self;`, so a field left out does not compile.
+/// An unkeyed record ([`KEYED`](Self::KEYED) `false`) binds every field as
+/// `field: _`, so keying it later is an edit to one `derive`:
 ///
 /// ```compile_fail,E0027
 /// use xaas::engine::{Action, ActionInputs, ActionKind};
@@ -111,14 +113,18 @@ impl ActionInputs {
 ///         record.str(digest)
 ///     }
 ///
-///     fn run(&self, _: &ActionInputs) -> Result<Vec<u8>, Self::Error> {
+///     fn run(self, _: &ActionInputs) -> Result<Vec<u8>, Self::Error> {
 ///         Ok(self.text.to_ascii_uppercase().into_bytes())
 ///     }
 /// }
 /// ```
-pub trait Action: Send {
+pub trait Action: Send + Sized {
     /// The pipeline stage of the record's nodes; the first field of its key.
     const KIND: ActionKind;
+
+    /// Whether the action cache serves the record's nodes. An unkeyed record
+    /// always runs, and its trace record carries no key, as a closure's does.
+    const KEYED: bool = true;
 
     /// Whether the key reads dependency outputs. Such a record is keyed when its
     /// node is dispatched (any other when it is added), and adding it with no
@@ -142,15 +148,13 @@ pub trait Action: Send {
     /// it derives then is its [`identity`](Self::identity).
     fn derive(&self, deps: Option<&ActionInputs>, record: Derivation) -> Derivation;
 
-    /// Compute the node's output from its dependency outputs, on a cache miss.
-    fn run(&self, deps: &ActionInputs) -> Result<Vec<u8>, Self::Error>;
+    /// Compute the node's output from its dependency outputs, on a cache miss
+    /// (on every run, for an unkeyed record).
+    fn run(self, deps: &ActionInputs) -> Result<Vec<u8>, Self::Error>;
 
     /// What planners deduplicate the record on: its key, unless the key reads
     /// dependency outputs.
-    fn identity(&self) -> BuildKey
-    where
-        Self: Sized,
-    {
+    fn identity(&self) -> BuildKey {
         derive_key(self, None)
     }
 }
@@ -172,18 +176,21 @@ fn erase<E: Send + 'static>(error: E) -> ErasedError {
 /// A node's one-shot work, a closure or an [`Action`] record, with its error
 /// type erased.
 pub(crate) trait Work: Send {
-    /// The key derived from the dependency outputs (`None` for a closure), for a
-    /// node not keyed when it was added.
-    fn key(&self, inputs: &ActionInputs) -> Option<BuildKey>;
+    /// The key derived from the dependency outputs, for a node not keyed when it
+    /// was added: `None` for a closure or an unkeyed record.
+    fn key(&self, _: &ActionInputs) -> Option<BuildKey> {
+        None
+    }
+
+    /// Whether the key reads dependency outputs, and the work their digests.
+    fn reads(&self) -> (bool, bool) {
+        (false, false)
+    }
 
     fn run(self: Box<Self>, inputs: &ActionInputs) -> Result<Vec<u8>, ErasedError>;
 }
 
 impl<F: FnOnce(&ActionInputs) -> Result<Vec<u8>, ErasedError> + Send> Work for F {
-    fn key(&self, _: &ActionInputs) -> Option<BuildKey> {
-        None
-    }
-
     fn run(self: Box<Self>, inputs: &ActionInputs) -> Result<Vec<u8>, ErasedError> {
         self(inputs)
     }
@@ -201,7 +208,11 @@ where
     A::Error: Send + 'static,
 {
     fn key(&self, inputs: &ActionInputs) -> Option<BuildKey> {
-        Some(derive_key(&self.action, Some(inputs)))
+        A::KEYED.then(|| derive_key(&self.action, Some(inputs)))
+    }
+
+    fn reads(&self) -> (bool, bool) {
+        (A::KEYED && A::KEY_READS_DEPS, A::READS_DEP_DIGESTS)
     }
 
     fn run(self: Box<Self>, inputs: &ActionInputs) -> Result<Vec<u8>, ErasedError> {
@@ -280,8 +291,6 @@ pub(crate) struct ActionNode<'env> {
     /// The cache key fixed when the node was added; `None` for an unkeyed node and
     /// for a record whose key reads its dependencies.
     pub(crate) key: Option<BuildKey>,
-    /// Whether the work reads [`ActionInputs::dep_digest`].
-    pub(crate) reads_dep_digests: bool,
     pub(crate) deps: Vec<ActionId>,
     pub(crate) work: Box<dyn Work + 'env>,
 }
@@ -371,9 +380,9 @@ impl<'env, E> ActionGraph<'env, E> {
 
 /// Adding nodes: a node's error is boxed as `dyn Any`, hence the bound on `E`.
 impl<'env, E: Send + 'static> ActionGraph<'env, E> {
-    /// Add an uncached action: it always executes, and its record carries no key.
-    /// A [`Commit`](ActionKind::Commit) reads its dependencies' digests
-    /// ([`ActionInputs::dep_digest`]) without hashing what a cache digested.
+    /// Add an uncached closure: it always executes, and its record carries no
+    /// key. The form for tests and probes, since a closure's inputs are not
+    /// named (a pipeline step is an [`add_action`](Self::add_action) record).
     ///
     /// Graphs are built in topological order: a dependency on a node not yet
     /// added is dropped and recorded as [`GraphError::ForwardEdge`], and a
@@ -387,8 +396,7 @@ impl<'env, E: Send + 'static> ActionGraph<'env, E> {
         run: impl FnOnce(&ActionInputs) -> Result<Vec<u8>, E> + Send + 'env,
     ) -> ActionId {
         let work = Box::new(move |inputs: &ActionInputs| run(inputs).map_err(erase));
-        let reads = (false, kind == ActionKind::Commit);
-        self.push(kind, label.into(), None, reads, deps.to_vec(), work)
+        self.push(kind, label.into(), None, deps.to_vec(), work)
     }
 
     /// Add a closure the engine's action cache serves under the opaque `key`: the
@@ -403,26 +411,19 @@ impl<'env, E: Send + 'static> ActionGraph<'env, E> {
         run: impl FnOnce(&ActionInputs) -> Result<Vec<u8>, E> + Send + 'env,
     ) -> ActionId {
         let work = Box::new(move |inputs: &ActionInputs| run(inputs).map_err(erase));
-        self.push(
-            kind,
-            label.into(),
-            Some(key),
-            (false, false),
-            deps.to_vec(),
-            work,
-        )
+        self.push(kind, label.into(), Some(key), deps.to_vec(), work)
     }
 
     /// Add the [`Action`] `record`, which runs only on a miss of the key it
-    /// derives (see [`Action::KEY_READS_DEPS`] for when). Defects are recorded as
-    /// in [`add`](Self::add).
+    /// derives (see [`Action::KEY_READS_DEPS`] for when), or on every run when
+    /// it is unkeyed. Defects are recorded as in [`add`](Self::add).
     pub fn add_action<A: Action<Error = E> + 'env>(
         &mut self,
         label: impl Into<String>,
         record: A,
         deps: &[ActionId],
     ) -> ActionId {
-        let key = (!A::KEY_READS_DEPS).then(|| derive_key(&record, None));
+        let key = (A::KEYED && !A::KEY_READS_DEPS).then(|| derive_key(&record, None));
         self.push_record(label.into(), record, key, deps.to_vec(), false)
     }
 
@@ -435,7 +436,7 @@ impl<'env, E: Send + 'static> ActionGraph<'env, E> {
         identity: &BuildKey,
         deps: &[ActionId],
     ) -> ActionId {
-        let key = (!A::KEY_READS_DEPS).then(|| identity.clone());
+        let key = (A::KEYED && !A::KEY_READS_DEPS).then(|| identity.clone());
         self.push_record(label.into(), record, key, deps.to_vec(), false)
     }
 
@@ -450,7 +451,7 @@ impl<'env, E: Send + 'static> ActionGraph<'env, E> {
         deps: &[ActionId],
         primary: ActionId,
     ) -> ActionId {
-        let key = (!A::KEY_READS_DEPS).then_some(identity);
+        let key = (A::KEYED && !A::KEY_READS_DEPS).then_some(identity);
         let mut deps_then_primary = Vec::with_capacity(deps.len() + 1);
         deps_then_primary.extend_from_slice(deps);
         deps_then_primary.push(primary);
@@ -466,23 +467,20 @@ impl<'env, E: Send + 'static> ActionGraph<'env, E> {
         alias: bool,
     ) -> ActionId {
         let work = Box::new(Record { action, alias });
-        let reads = (A::KEY_READS_DEPS, A::READS_DEP_DIGESTS);
-        self.push(A::KIND, label, key, reads, deps, work)
+        self.push(A::KIND, label, key, deps, work)
     }
 
     /// Record `work` and its defects as [`add`](Self::add) and
     /// [`add_action`](Self::add_action) document.
-    /// `reads` is (whether the key reads dependency outputs, whether the work
-    /// reads dependency digests).
     fn push(
         &mut self,
         kind: ActionKind,
         label: String,
         key: Option<BuildKey>,
-        (key_reads_deps, reads_dep_digests): (bool, bool),
         mut deps: Vec<ActionId>,
         work: Box<dyn Work + 'env>,
     ) -> ActionId {
+        let (key_reads_deps, _) = work.reads();
         let id = self.nodes.len();
         let mut defect = if deps.is_empty() && kind == ActionKind::Commit {
             Some(GraphError::CommitWithoutDeps { node: id })
@@ -506,7 +504,6 @@ impl<'env, E: Send + 'static> ActionGraph<'env, E> {
                 job: self.current_job,
             },
             key,
-            reads_dep_digests,
             deps,
             work,
         });
@@ -557,7 +554,7 @@ mod tests {
             }
         }
 
-        fn run(&self, _: &ActionInputs) -> Result<Vec<u8>, ()> {
+        fn run(self, _: &ActionInputs) -> Result<Vec<u8>, ()> {
             Ok(vec![])
         }
     }

@@ -23,8 +23,8 @@
 //!   size and recorded construction defect, read on request
 //!   ([`Engine::analyze`]) rather than on every submission;
 //! * [`plan`] — the graph idioms the drivers share: deduplicated preprocess
-//!   actions, the one definition of an `sd-compile` node, and the link → commit
-//!   tail.
+//!   records, the keyed compile and lower records, and a deployment's commit
+//!   record.
 //!
 //! The drivers behind [`ir_container`](crate::ir_container),
 //! [`deploy`](crate::deploy), [`source_container`](crate::source_container), and
@@ -64,7 +64,7 @@ pub use executor::{
     ActionOutputs, GraphHandle, GraphRun, JobFailure, NodeInfo, NodeOutcome, QueueStats,
 };
 pub use graph::{Action, ActionGraph, ActionId, ActionInputs, GraphError};
-pub(crate) use plan::{add_commit_action, KeyedActionPlanner, LinkSlot, PreprocessPlanner};
+pub(crate) use plan::{KeyedActionPlanner, PreprocessPlanner};
 pub use policy::{Fifo, SchedulingPolicy, WeightedFair};
 pub use trace::{ActionKind, ActionRecord, ActionSummary, ActionTrace};
 
@@ -414,6 +414,50 @@ mod tests {
         );
     }
 
+    /// A record that counts its runs on `runs`, unkeyed.
+    struct Counted<'a>(&'a AtomicUsize);
+
+    impl Action for Counted<'_> {
+        const KIND: ActionKind = ActionKind::Preprocess;
+        const KEYED: bool = false;
+        type Error = String;
+
+        fn derive(&self, _: Option<&ActionInputs>, record: Derivation) -> Derivation {
+            let Self(_) = self;
+            record
+        }
+
+        fn run(self, _: &ActionInputs) -> Result<Vec<u8>, String> {
+            Ok(vec![self.0.fetch_add(1, Ordering::SeqCst) as u8])
+        }
+    }
+
+    /// An unkeyed record runs in every submission, as a closure does: the cache
+    /// neither serves nor counts it, and its trace record carries no key.
+    #[test]
+    fn an_unkeyed_record_runs_every_time_and_leaves_the_cache_alone() {
+        let cache = ActionCache::new(ImageStore::new());
+        let engine = Engine::cached(&cache).with_workers(2);
+        let mut keyed: ActionGraph<'_, String> = ActionGraph::new();
+        keyed.add_cached(ActionKind::IrLower, "keyed", key("k"), &[], |_| Ok(vec![9]));
+        assert!(engine.run(keyed).unwrap().succeeded());
+        let counts = |stats: CacheStats| (stats.entries, stats.hits, stats.misses);
+        let before = counts(cache.stats());
+        assert_eq!(before, (1, 0, 1));
+
+        let runs = AtomicUsize::new(0);
+        for round in 0..2u8 {
+            let mut graph: ActionGraph<'_, String> = ActionGraph::new();
+            let node = graph.add_action("counted", Counted(&runs), &[]);
+            let run = engine.run(graph).unwrap();
+            assert_eq!(run.output(node), Some(&[round][..]));
+            let record = &run.trace.records[node];
+            assert_eq!((record.key_digest.as_deref(), record.cached), (None, false));
+        }
+        assert_eq!(runs.load(Ordering::SeqCst), 2);
+        assert_eq!(counts(cache.stats()), before);
+    }
+
     #[test]
     fn parallel_and_serial_runs_produce_identical_outputs_and_traces() {
         fn build_graph(counter: &AtomicUsize) -> ActionGraph<'_, std::convert::Infallible> {
@@ -551,7 +595,7 @@ mod tests {
             record.str(unit)
         }
 
-        fn run(&self, _: &ActionInputs) -> Result<Vec<u8>, String> {
+        fn run(self, _: &ActionInputs) -> Result<Vec<u8>, String> {
             Ok(self.unit.as_bytes().to_vec())
         }
     }

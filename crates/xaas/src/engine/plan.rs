@@ -1,29 +1,28 @@
 //! Shared planning vocabulary for the pipeline drivers.
 //!
-//! The three drivers (IR build, IR deploy, source deploy) share three graph idioms:
-//! scheduling **deduplicated preprocess actions** (preprocessing depends only on the
-//! file and the definitions it can observe, so however many configurations or
-//! targets reference a unit, one action per distinct text suffices), the keyed
-//! steps as [`Action`] records — [`MachineLower`], `IrLower` and `SdCompile`, the
-//! compile of a system-dependent source that an IR deployment shares with a source
-//! deployment (Figures 6 and 8) — each `derive` the step's [`BuildKey`] and each
-//! `run` its compute, and the **link → commit tail**. A deployment's Link is a
-//! keyed record whose output is the new layer's archive, and its commit
-//! (`add_deploy_commit`) adopts that archive into the derived image; the IR
-//! build's Link hands its assembled value across the graph boundary through a
-//! `LinkSlot`. Either way a Commit node publishes the image to the engine's
-//! store. So a change to what keys a step or to commit semantics lands in one
-//! place.
+//! The three drivers (IR build, IR deploy, source deploy) share three graph idioms,
+//! every node an [`Action`] record: **deduplicated preprocess actions**
+//! (preprocessing depends only on the file and the definitions it can observe, so
+//! however many configurations or targets reference a unit, one unkeyed
+//! `Preprocess` per distinct text suffices), the keyed steps — [`MachineLower`],
+//! `IrLower` and `SdCompile`, the compile of a system-dependent source that an IR
+//! deployment shares with a source deployment (Figures 6 and 8) — each `derive`
+//! the step's [`BuildKey`] and each `run` its compute, and a deployment's
+//! **link → commit tail**: a keyed Link whose output is the new layer's archive,
+//! then one `DeployCommit` that adopts it into the derived image and publishes
+//! it. So a change to what keys a step or to commit semantics lands in one place.
 
 #![deny(clippy::unwrap_used, clippy::dbg_macro)]
 use super::graph::{Action, ActionGraph, ActionId, ActionInputs};
 use super::trace::ActionKind;
 use crate::error::PipelineError;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use xaas_buildsys::SourceSpec;
-use xaas_container::{BuildKey, Derivation, Image, ImageStore, Layer};
+use xaas_container::{
+    annotation_keys, BuildKey, DeploymentFormat, Derivation, Image, ImageStore, Layer, Platform,
+};
+use xaas_hpcsim::SystemModel;
 use xaas_xir::preprocess::flag_definition;
 use xaas_xir::{
     bitcode, lower_to_machine, CompileError, CompileFlags, Compiler, IrModule, MachineModule,
@@ -87,7 +86,7 @@ impl Action for MachineLower<'_> {
         with_target(record.str(unit), target)
     }
 
-    fn run(&self, _: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
+    fn run(self, _: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
         Ok(machine_bytes(&lower_to_machine(self.module, self.target)))
     }
 }
@@ -121,7 +120,7 @@ impl Action for IrLower<'_> {
         with_ir_flags(record.str(preprocessed).str(file), flags).bool(*optimize_early)
     }
 
-    fn run(&self, _: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
+    fn run(self, _: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
         let mut module = self
             .compiler
             .compile_to_ir(self.file, self.source, &self.flags)
@@ -187,12 +186,47 @@ impl Action for SdCompile<'_> {
         }
     }
 
-    fn run(&self, _: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
+    fn run(self, _: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
         let machine = self
             .compiler
             .compile_to_machine(self.path, self.source, self.flags, self.target)
             .map_err(compile_error(self.path))?;
         Ok(machine_bytes(&machine))
+    }
+}
+
+/// A `preprocess`: `file`'s `content` preprocessed under `flags`, output in the
+/// format [`PreprocessPlanner`] documents. Unkeyed: it runs wherever planned.
+struct Preprocess<'a> {
+    file: String,
+    content: String,
+    flags: CompileFlags,
+    compiler: &'a Compiler,
+}
+
+impl Action for Preprocess<'_> {
+    const KIND: ActionKind = ActionKind::Preprocess;
+    const KEYED: bool = false;
+    type Error = PipelineError;
+
+    fn derive(&self, _: Option<&ActionInputs>, record: Derivation) -> Derivation {
+        let Self {
+            file: _,
+            content: _,
+            flags: _,
+            compiler: _,
+        } = self;
+        record
+    }
+
+    fn run(self, _: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
+        let preprocessed = self
+            .compiler
+            .preprocess_only(&self.file, &self.content, &self.flags)
+            .map_err(compile_error(&self.file))?;
+        let mut output = preprocessed.content_digest().into_bytes();
+        output.push(u8::from(preprocessed.mentions_openmp()));
+        Ok(output)
     }
 }
 
@@ -265,11 +299,6 @@ impl FilePlans {
 }
 
 impl PreprocessPlanner {
-    /// An empty planner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The action producing `file`'s preprocessed-content digest under `flags`,
     /// scheduling it on `graph` at first use. A preprocessor failure is a
     /// [`PipelineError::Compile`] naming `file`. The source `content` is copied only
@@ -306,17 +335,13 @@ impl PreprocessPlanner {
             }
         }
         let identity = order.iter().map(|&i| definitions[i].clone()).collect();
-        let file = file.to_string();
-        let content = content.to_string();
-        let flags = flags.clone();
-        let id = graph.add(ActionKind::Preprocess, file.clone(), &[], move |_| {
-            let preprocessed = compiler
-                .preprocess_only(&file, &content, &flags)
-                .map_err(compile_error(&file))?;
-            let mut output = preprocessed.content_digest().into_bytes();
-            output.push(u8::from(preprocessed.mentions_openmp()));
-            Ok(output)
-        });
+        let record = Preprocess {
+            file: file.to_string(),
+            content: content.to_string(),
+            flags: flags.clone(),
+            compiler,
+        };
+        let id = graph.add_action(file, record, &[]);
         plans.plans.push((identity, id));
         id
     }
@@ -380,11 +405,6 @@ pub(crate) struct KeyedActionPlanner {
 }
 
 impl KeyedActionPlanner {
-    /// An empty planner.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// The position of the action of `record`'s key among the scheduled actions,
     /// adding `record` (with no dependencies) only the first time its key is seen.
     pub(crate) fn position_for<'env, E: Send + 'static, A: Action<Error = E> + 'env>(
@@ -410,97 +430,62 @@ impl KeyedActionPlanner {
     }
 }
 
-/// A typed slot the IR build's Link action uses to hand its assembled result to the
-/// driver.
-///
-/// Graph nodes exchange bytes; the assembled `Image` (plus whatever the driver needs
-/// back — IR units, manifests) crosses the graph boundary through this slot instead
-/// of being serialised. The Commit action seals the image's
-/// layers in place, so the image the driver takes out carries their archives and
-/// digests, and whatever derives from it later inherits them.
-pub(crate) struct LinkSlot<T> {
-    inner: Mutex<Option<T>>,
+/// A deployment's commit, the node after its Link record, whose output is the
+/// deployed layer's archive. It adopts that archive under the digest the cache
+/// holds for it (hashing, decoding and copying nothing), derives the deployed
+/// image from `base` around it, commits that image to `store` as `reference`
+/// and leaves it in `committed`, and outputs the committed manifest digest. An
+/// output that is no layer archive (a damaged cache entry) is a
+/// [`PipelineError::Cache`] naming `reference`, and nothing is committed.
+pub(crate) struct DeployCommit<'a> {
+    /// The IR or source container the deployment derives from.
+    pub(crate) base: &'a Image,
+    pub(crate) reference: &'a str,
+    pub(crate) system: &'a SystemModel,
+    /// The selected configuration.
+    pub(crate) label: &'a str,
+    /// The one annotation the routes differ in: the IR route's SIMD level, the
+    /// source route's base image.
+    pub(crate) annotation: (&'static str, &'a str),
+    pub(crate) store: &'a ImageStore,
+    pub(crate) committed: &'a OnceLock<Image>,
 }
 
-impl<T> Default for LinkSlot<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+impl Action for DeployCommit<'_> {
+    const KIND: ActionKind = ActionKind::Commit;
+    const KEYED: bool = false;
+    const READS_DEP_DIGESTS: bool = true;
+    type Error = PipelineError;
 
-impl<T> LinkSlot<T> {
-    /// An empty slot.
-    pub fn new() -> Self {
-        Self {
-            inner: Mutex::new(None),
-        }
-    }
-
-    /// Store the link action's assembled value.
-    pub fn put(&self, value: T) {
-        *self.inner.lock() = Some(value);
-    }
-
-    /// Read the assembled value in place (used by the Commit action).
-    pub fn with<R>(&self, read: impl FnOnce(&T) -> R) -> Option<R> {
-        self.inner.lock().as_ref().map(read)
+    fn derive(&self, _: Option<&ActionInputs>, record: Derivation) -> Derivation {
+        let Self {
+            base: _,
+            reference: _,
+            system: _,
+            label: _,
+            annotation: _,
+            store: _,
+            committed: _,
+        } = self;
+        record
     }
 
-    /// Take the assembled value out (used by the driver after the run).
-    pub(crate) fn into_inner(self) -> Option<T> {
-        self.inner.into_inner()
-    }
-}
-
-/// Append the standard commit tail: a [`ActionKind::Commit`] node depending on
-/// `link` that commits the image the link action stored in `slot` (located via
-/// `image_of`) to `store`, outputting the committed manifest digest.
-pub(crate) fn add_commit_action<'env, T: Send, E: Send + 'static>(
-    graph: &mut ActionGraph<'env, E>,
-    label: String,
-    store: &'env ImageStore,
-    slot: &'env LinkSlot<T>,
-    image_of: impl Fn(&T) -> &Image + Send + 'env,
-    link: ActionId,
-) -> ActionId {
-    graph.add(ActionKind::Commit, label, &[link], move |_| {
-        let digest = slot
-            .with(|assembled| {
-                let descriptor = store.commit(image_of(assembled));
-                descriptor.digest.as_str().as_bytes().to_vec()
-            })
-            .expect("link action stored the assembled image");
-        Ok(digest)
-    })
-}
-
-/// Append a deployment's commit: a [`ActionKind::Commit`] node depending on
-/// `link`, a Link record whose output is the deployed layer's archive. It adopts
-/// that archive under the digest the cache holds for it (hashing, decoding and
-/// copying nothing), lets `image` derive the deployed image around it, commits
-/// that image to `store` as `reference` and leaves it in `committed`, and outputs
-/// the committed manifest digest. An output that is no layer archive (a damaged
-/// cache entry) is a [`PipelineError::Cache`] naming `reference`, and nothing is
-/// committed.
-pub(crate) fn add_deploy_commit<'env>(
-    graph: &mut ActionGraph<'env, PipelineError>,
-    reference: &'env str,
-    store: &'env ImageStore,
-    committed: &'env OnceLock<Image>,
-    link: ActionId,
-    image: impl FnOnce(Layer) -> Image + Send + 'env,
-) -> ActionId {
-    let label = format!("{reference} commit");
-    graph.add(ActionKind::Commit, label, &[link], move |inputs| {
-        let archive = inputs.dep_blob(0).clone();
-        let layer = Layer::from_archive_blob(archive, inputs.dep_digest(0))
+    fn run(self, deps: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
+        let reference = self.reference;
+        let layer = Layer::from_archive_blob(deps.dep_blob(0).clone(), deps.dep_digest(0))
             .map_err(|e| PipelineError::Cache(format!("deployed layer of {reference}: {e}")))?;
-        let image = image(layer);
-        let descriptor = store.commit(&image);
-        // One commit node per plan: the slot is empty.
-        let _ = committed.set(image);
+        let mut image = Image::derive_from(self.base, reference);
+        image.platform = Platform::linux(crate::source_container::architecture_of(self.system));
+        image.set_deployment_format(DeploymentFormat::Binary);
+        image.annotate(annotation_keys::SELECTED_CONFIGURATION, self.label);
+        image.annotate(annotation_keys::TARGET_SYSTEM, self.system.name.as_str());
+        image.annotate(self.annotation.0, self.annotation.1);
+        image.push_layer(layer);
+        let descriptor = self.store.commit(&image);
+        // One commit node per plan: the cell is empty.
+        let _ = self.committed.set(image);
         Ok(descriptor.digest.as_str().as_bytes().to_vec())
-    })
+    }
 }
 
 #[cfg(test)]
@@ -509,12 +494,12 @@ mod tests {
     use super::*;
     use crate::engine::graph::derive_key;
     use crate::engine::Engine;
-    use xaas_container::{Architecture, Platform};
+    use xaas_container::Architecture;
 
     #[test]
     fn preprocess_planner_deduplicates_by_file_and_definitions() {
         let compiler = Compiler::new();
-        let mut planner = PreprocessPlanner::new();
+        let mut planner = PreprocessPlanner::default();
         let mut graph: ActionGraph<'_, PipelineError> = ActionGraph::new();
         let source =
             "kernel void f(float* x, int n) { for (int i = 0; i < n; i = i + 1) { x[i] = N; } }";
@@ -562,7 +547,7 @@ mod tests {
         let compiler = Compiler::new();
         let store = ImageStore::new();
         let engine = Engine::uncached(&store);
-        let mut planner = PreprocessPlanner::new();
+        let mut planner = PreprocessPlanner::default();
         let mut graph: ActionGraph<'_, PipelineError> = ActionGraph::new();
         let flags = CompileFlags::default();
         let units = [
@@ -746,34 +731,40 @@ mod tests {
         );
     }
 
+    /// A deployment's commit adopts its Link's layer archive into the image it
+    /// derives and publishes it; an output that is no archive commits nothing.
     #[test]
     fn commit_tail_publishes_the_linked_image() {
         let store = ImageStore::new();
         let engine = Engine::uncached(&store).with_workers(2);
-        let slot: LinkSlot<Image> = LinkSlot::new();
-        let mut graph: ActionGraph<'_, String> = ActionGraph::new();
-        let link = {
-            let slot = &slot;
-            graph.add(ActionKind::Link, "image", &[], move |_| {
-                slot.put(Image::new(
-                    "plan:commit",
-                    Platform::linux(Architecture::Amd64),
-                ));
-                Ok(Vec::new())
-            })
-        };
-        let commit = add_commit_action(
-            &mut graph,
-            "commit".to_string(),
-            engine.store(),
-            &slot,
-            |image| image,
-            link,
-        );
-        let run = engine.run(graph).unwrap();
-        assert!(run.succeeded());
-        let digest = String::from_utf8(run.output(commit).unwrap().to_vec()).unwrap();
-        assert_eq!(store.resolve("plan:commit").unwrap().as_str(), digest);
-        assert!(slot.into_inner().is_some());
+        let base = Image::new("plan:base", Platform::linux(Architecture::XirIr));
+        let system = SystemModel::ault23();
+        let mut layer = Layer::new("RUN link");
+        layer.add_text("/opt/app/bin/a", "linked");
+        for (reference, archive) in [("plan:commit", layer.to_archive()), ("plan:bad", vec![7])] {
+            let committed = OnceLock::new();
+            let mut graph: ActionGraph<'_, PipelineError> = ActionGraph::new();
+            let link = graph.add(ActionKind::Link, "image", &[], move |_| Ok(archive));
+            let commit = DeployCommit {
+                base: &base,
+                reference,
+                system: &system,
+                label: "default",
+                annotation: ("dev.xaas.simd", "AVX_512"),
+                store: engine.store(),
+                committed: &committed,
+            };
+            let commit = graph.add_action("commit", commit, &[link]);
+            let run = engine.run(graph).unwrap();
+            let Some(image) = committed.into_inner() else {
+                assert!(matches!(run.into_outputs(), Err(PipelineError::Cache(_))));
+                assert!(store.resolve(reference).is_err());
+                continue;
+            };
+            let digest = String::from_utf8(run.output(commit).unwrap().to_vec()).unwrap();
+            assert_eq!(store.resolve(reference).unwrap().as_str(), digest);
+            assert_eq!(image.annotations["dev.xaas.simd"], "AVX_512");
+            assert_eq!(image.layers.last().unwrap().sealed().1, layer.sealed().1);
+        }
     }
 }

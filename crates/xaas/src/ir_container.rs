@@ -25,16 +25,17 @@
 
 use crate::engine::plan::{mentions_openmp, preprocessed_digest, IrLower};
 use crate::engine::{
-    add_commit_action, ActionGraph, ActionId, ActionKind, ActionTrace, Engine, KeyedActionPlanner,
-    LinkSlot, PreprocessPlanner,
+    Action, ActionGraph, ActionId, ActionInputs, ActionKind, ActionTrace, Engine,
+    KeyedActionPlanner, PreprocessPlanner,
 };
 use crate::error::PipelineError;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use xaas_buildsys::{configure, CompileCommand, ConfiguredBuild, OptionAssignment, ProjectSpec};
 use xaas_container::{
-    annotation_keys, Architecture, Blob, DeploymentFormat, Image, Layer, Platform,
+    annotation_keys, Architecture, Blob, DeploymentFormat, Derivation, Image, ImageStore, Layer,
+    Platform,
 };
 use xaas_specs::from_project;
 use xaas_xir::{bitcode, CompileFlags, Compiler, IrModule, OptLevel};
@@ -298,7 +299,7 @@ pub(crate) struct IrBuildStageA<'env> {
     occurrences: Vec<TuOccurrence>,
 }
 
-/// The compiler every build and deployment action closes over: `project`'s headers
+/// The compiler every build and deployment record borrows: `project`'s headers
 /// loaded.
 pub(crate) fn project_compiler(project: &ProjectSpec) -> Compiler {
     let mut compiler = Compiler::new();
@@ -335,7 +336,7 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
     let mut stage_a: ActionGraph<'env, PipelineError> = ActionGraph::new();
     // Preprocessing depends only on the file and the definitions it can observe:
     // the planner schedules each distinct pair once across configurations.
-    let mut preprocess = PreprocessPlanner::new();
+    let mut preprocess = PreprocessPlanner::default();
     for requested in &assignments {
         let ConfiguredBuild {
             assignment,
@@ -592,21 +593,15 @@ pub(crate) fn run_ir_build(
     // the content-addressed cache: the key is derived from the preprocessed-content
     // digest and the IR-relevant flags, so a warm cache skips the compile entirely
     // while producing bit-identical bitcode.
-    // Declared before the graph: the graph's closures and records borrow these, so
-    // they must outlive it (drop order is reverse declaration order).
-    struct Assembled {
-        image: Image,
-        units: BTreeMap<String, IrUnit>,
-        manifests: Vec<ConfigurationManifest>,
-    }
-    let assembled: LinkSlot<Assembled> = LinkSlot::new();
-    // Position (within the planned lower actions) of the action producing each
-    // final identity's bitcode. Distinct final identities normally map to distinct
-    // BuildKeys, but the graph contract is one node per key, so identical BuildKeys
-    // share one action (the KeyedActionPlanner enforces this).
-    let mut key_positions: Vec<usize> = Vec::with_capacity(representatives.len());
+    // Declared before the graph: the graph's records borrow these, so they must
+    // outlive it (drop order is reverse declaration order).
+    let built = OnceLock::new();
+    // Each final identity's file and the position (among the planned lower
+    // actions) of the one producing its bitcode: the graph's contract is one node
+    // per key, so final identities with one BuildKey share it.
+    let mut lowered: Vec<(&str, usize)> = Vec::with_capacity(representatives.len());
     let mut stage_b: ActionGraph<'_, PipelineError> = ActionGraph::new();
-    let mut lower_plan = KeyedActionPlanner::new();
+    let mut lower_plan = KeyedActionPlanner::default();
     for &first in &representatives {
         let TuOccurrence {
             file,
@@ -625,145 +620,188 @@ pub(crate) fn run_ir_build(
             source: content,
             compiler: &compiler,
         };
-        key_positions.push(lower_plan.position_for(&mut stage_b, file, record));
+        lowered.push((file, lower_plan.position_for(&mut stage_b, file, record)));
     }
     let lower_actions = lower_plan.into_actions();
 
-    // Link: decode the lowered units, resolve manifests, and assemble the image. The
-    // assembled pieces travel to the driver through the `assembled` slot (they are
-    // typed, not bytes).
-    let link_action = {
-        let assembled = &assembled;
-        let occurrences = &occurrences;
-        let representatives = &representatives;
-        let final_of = &final_of;
-        let key_positions = &key_positions;
-        let stats = &stats;
-        stage_b.add(
-            ActionKind::Link,
-            format!("{reference} image"),
-            &lower_actions,
-            move |inputs| {
-                let mut manifests = manifests;
-                let mut units: BTreeMap<String, IrUnit> = BTreeMap::new();
-                // id → the producing action's output: the lower actions emit exactly
-                // `bitcode::encode(&module)`, so the IR layer below shares those blobs
-                // instead of re-encoding (or copying) every deduplicated unit.
-                let mut unit_bytes: BTreeMap<String, &Blob> = BTreeMap::new();
-                // The content id of each final identity's unit.
-                let mut ids: Vec<String> = Vec::with_capacity(representatives.len());
-                for (&first, &position) in representatives.iter().zip(key_positions) {
-                    let file = &occurrences[first].file;
-                    let bytes = inputs.dep(position);
-                    let module = bitcode::decode(bytes)
-                        .map_err(|e| PipelineError::Cache(format!("bitcode for {file}: {e}")))?;
-                    let id = bitcode::content_id_of(bytes);
-                    unit_bytes
-                        .entry(id.clone())
-                        .or_insert_with(|| inputs.dep_blob(position));
-                    units.entry(id.clone()).or_insert_with(|| IrUnit {
-                        id: id.clone(),
-                        source_file: file.clone(),
-                        openmp: module.metadata.openmp,
-                        module,
-                    });
-                    ids.push(id);
-                }
-
-                // Fill in the artifacts of the system-independent units: stage 1
-                // listed them, in occurrence order, without one.
-                let pending = manifests
-                    .iter_mut()
-                    .flat_map(|manifest| &mut manifest.units)
-                    .filter(|unit| unit.artifact.is_empty());
-                for (unit, &identity) in pending.zip(final_of) {
-                    unit.artifact = format!("ir:{}", ids[identity]);
-                }
-
-                // Assemble the container image.
-                let mut image = Image::new(reference, Platform::linux(Architecture::XirIr));
-                image.set_deployment_format(DeploymentFormat::Ir);
-                image.annotate(annotation_keys::IR_DIALECT, "xir.v1");
-                image.annotate(annotation_keys::TITLE, project.name.clone());
-                image.annotate(
-                    annotation_keys::SPECIALIZATION_POINTS,
-                    from_project(project).to_json_string(),
-                );
-
-                let mut toolchain = Layer::new("ADD xirc toolchain");
-                toolchain.add_executable("/usr/bin/xirc", b"xirc-driver".to_vec());
-                image.push_layer(toolchain);
-
-                let mut sources =
-                    Layer::new("COPY source tree (system-dependent files and installation)");
-                sources.add_text(
-                    format!("{}/XMakeLists.txt", paths::SOURCE_ROOT),
-                    project.build_script.clone(),
-                );
-                for (path, content) in project.source_tree() {
-                    sources.add_text(format!("{}/{}", paths::SOURCE_ROOT, path), content);
-                }
-                for (name, content) in &project.headers {
-                    sources.add_text(
-                        format!("{}/include/{}", paths::SOURCE_ROOT, name),
-                        content.clone(),
-                    );
-                }
-                image.push_layer(sources);
-
-                let mut ir_layer = Layer::new(format!("ADD {} deduplicated IR files", units.len()));
-                for (id, bytes) in &unit_bytes {
-                    ir_layer.add_file(format!("{}/{}.xbc", paths::IR_ROOT, id), Blob::clone(bytes));
-                }
-                image.push_layer(ir_layer);
-
-                let mut manifest_layer =
-                    Layer::new(format!("ADD {} configuration manifests", manifests.len()));
-                for manifest in &manifests {
-                    manifest_layer.add_text(
-                        format!("{}/{}.json", paths::CONFIG_ROOT, sanitize(&manifest.label)),
-                        serde_json::to_string_pretty(manifest).expect("manifest serialises"),
-                    );
-                }
-                manifest_layer.add_text(
-                    paths::STATS,
-                    serde_json::to_string_pretty(stats).expect("stats serialise"),
-                );
-                image.push_layer(manifest_layer);
-
-                assembled.put(Assembled {
-                    image,
-                    units,
-                    manifests,
-                });
-                Ok(Vec::new())
-            },
-        )
+    let link = IrBuildLink {
+        project,
+        reference,
+        stats,
+        manifests,
+        lowered: &lowered,
+        final_of: &final_of,
+        built: &built,
     };
-    add_commit_action(
-        &mut stage_b,
-        format!("{reference} commit"),
-        engine.store(),
-        &assembled,
-        |assembled| &assembled.image,
-        link_action,
-    );
+    let link = stage_b.add_action(format!("{reference} image"), link, &lower_actions);
+    let commit = IrBuildCommit {
+        store: engine.store(),
+        built: &built,
+    };
+    stage_b.add_action(format!("{reference} commit"), commit, &[link]);
 
     let (_, trace_b) = engine.run(stage_b)?.into_outputs()?;
     trace.merge(trace_b);
-    let Assembled {
-        image,
-        units,
-        manifests,
-    } = assembled.into_inner().expect("link action ran");
-    Ok(IrContainerBuild {
-        image,
-        reference: reference.to_string(),
-        stats,
-        manifests,
-        units,
-        trace,
-    })
+    let mut build = built.into_inner().expect("the link action ran");
+    build.trace = trace;
+    Ok(build)
+}
+
+/// The IR build's Link: decodes the lowered units, fills in the manifests' IR
+/// artifacts, assembles the image and leaves the build (all but its trace) in
+/// `built`, typed, for the commit, which seals the image's layers in place, and
+/// the driver. Unkeyed: what it reads is the whole sweep's plan.
+struct IrBuildLink<'a> {
+    project: &'a ProjectSpec,
+    reference: &'a str,
+    stats: PipelineStats,
+    /// One per configuration, the system-independent units without an artifact.
+    manifests: Vec<ConfigurationManifest>,
+    /// Per final identity: its representative's file and its bitcode's dependency.
+    lowered: &'a [(&'a str, usize)],
+    /// The final identity of each system-independent unit occurrence.
+    final_of: &'a [usize],
+    built: &'a OnceLock<IrContainerBuild>,
+}
+
+impl Action for IrBuildLink<'_> {
+    const KIND: ActionKind = ActionKind::Link;
+    const KEYED: bool = false;
+    type Error = PipelineError;
+
+    fn derive(&self, _: Option<&ActionInputs>, record: Derivation) -> Derivation {
+        let Self {
+            project: _,
+            reference: _,
+            stats: _,
+            manifests: _,
+            lowered: _,
+            final_of: _,
+            built: _,
+        } = self;
+        record
+    }
+
+    fn run(self, inputs: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
+        let (project, mut manifests) = (self.project, self.manifests);
+        let mut units: BTreeMap<String, IrUnit> = BTreeMap::new();
+        // id → the producing action's output: the lower actions emit exactly
+        // `bitcode::encode(&module)`, so the IR layer below shares those blobs
+        // instead of re-encoding (or copying) every deduplicated unit.
+        let mut unit_bytes: BTreeMap<String, &Blob> = BTreeMap::new();
+        // The content id of each final identity's unit.
+        let mut ids: Vec<String> = Vec::with_capacity(self.lowered.len());
+        for &(file, position) in self.lowered {
+            let bytes = inputs.dep(position);
+            let module = bitcode::decode(bytes)
+                .map_err(|e| PipelineError::Cache(format!("bitcode for {file}: {e}")))?;
+            let id = bitcode::content_id_of(bytes);
+            unit_bytes
+                .entry(id.clone())
+                .or_insert_with(|| inputs.dep_blob(position));
+            units.entry(id.clone()).or_insert_with(|| IrUnit {
+                id: id.clone(),
+                source_file: file.to_string(),
+                openmp: module.metadata.openmp,
+                module,
+            });
+            ids.push(id);
+        }
+
+        // Fill in the artifacts of the system-independent units: stage 1
+        // listed them, in occurrence order, without one.
+        let pending = manifests
+            .iter_mut()
+            .flat_map(|manifest| &mut manifest.units)
+            .filter(|unit| unit.artifact.is_empty());
+        for (unit, &identity) in pending.zip(self.final_of) {
+            unit.artifact = format!("ir:{}", ids[identity]);
+        }
+
+        // Assemble the container image.
+        let mut image = Image::new(self.reference, Platform::linux(Architecture::XirIr));
+        image.set_deployment_format(DeploymentFormat::Ir);
+        image.annotate(annotation_keys::IR_DIALECT, "xir.v1");
+        image.annotate(annotation_keys::TITLE, project.name.clone());
+        image.annotate(
+            annotation_keys::SPECIALIZATION_POINTS,
+            from_project(project).to_json_string(),
+        );
+
+        let mut toolchain = Layer::new("ADD xirc toolchain");
+        toolchain.add_executable("/usr/bin/xirc", b"xirc-driver".to_vec());
+        image.push_layer(toolchain);
+
+        let mut sources = Layer::new("COPY source tree (system-dependent files and installation)");
+        sources.add_text(
+            format!("{}/XMakeLists.txt", paths::SOURCE_ROOT),
+            project.build_script.clone(),
+        );
+        for (path, content) in project.source_tree() {
+            sources.add_text(format!("{}/{}", paths::SOURCE_ROOT, path), content);
+        }
+        for (name, content) in &project.headers {
+            sources.add_text(
+                format!("{}/include/{}", paths::SOURCE_ROOT, name),
+                content.clone(),
+            );
+        }
+        image.push_layer(sources);
+
+        let mut ir_layer = Layer::new(format!("ADD {} deduplicated IR files", units.len()));
+        for (id, bytes) in &unit_bytes {
+            ir_layer.add_file(format!("{}/{}.xbc", paths::IR_ROOT, id), Blob::clone(bytes));
+        }
+        image.push_layer(ir_layer);
+
+        let mut manifest_layer =
+            Layer::new(format!("ADD {} configuration manifests", manifests.len()));
+        for manifest in &manifests {
+            manifest_layer.add_text(
+                format!("{}/{}.json", paths::CONFIG_ROOT, sanitize(&manifest.label)),
+                serde_json::to_string_pretty(manifest).expect("manifest serialises"),
+            );
+        }
+        manifest_layer.add_text(
+            paths::STATS,
+            serde_json::to_string_pretty(&self.stats).expect("stats serialise"),
+        );
+        image.push_layer(manifest_layer);
+
+        // One Link per build: the cell is empty.
+        let _ = self.built.set(IrContainerBuild {
+            image,
+            reference: self.reference.to_string(),
+            stats: self.stats,
+            manifests,
+            units,
+            trace: ActionTrace::default(),
+        });
+        Ok(Vec::new())
+    }
+}
+
+/// The IR build's commit: publishes the image its Link left in `built` to
+/// `store`, outputting the committed manifest digest.
+struct IrBuildCommit<'a> {
+    store: &'a ImageStore,
+    built: &'a OnceLock<IrContainerBuild>,
+}
+
+impl Action for IrBuildCommit<'_> {
+    const KIND: ActionKind = ActionKind::Commit;
+    const KEYED: bool = false;
+    type Error = PipelineError;
+
+    fn derive(&self, _: Option<&ActionInputs>, record: Derivation) -> Derivation {
+        let Self { store: _, built: _ } = self;
+        record
+    }
+
+    fn run(self, _: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
+        let image = &self.built.get().expect("the link action ran").image;
+        Ok(self.store.commit(image).digest.as_str().as_bytes().to_vec())
+    }
 }
 
 /// Sanitise a configuration label for use as a file name.

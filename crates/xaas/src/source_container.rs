@@ -6,7 +6,7 @@
 //! selection, and a full build of the selected configuration, producing a *new*,
 //! system-specific image (Figure 6).
 
-use crate::engine::plan::{add_deploy_commit, SdCompile};
+use crate::engine::plan::{DeployCommit, SdCompile};
 use crate::engine::{
     Action, ActionGraph, ActionId, ActionInputs, ActionKind, ActionTrace, PreprocessPlanner,
 };
@@ -180,7 +180,7 @@ impl Action for SourceDeployLink<'_> {
             })
     }
 
-    fn run(&self, deps: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
+    fn run(self, deps: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
         // The cached bytes *are* the canonical object serialisation; decode only
         // to validate them before linking.
         for (index, unit) in self.units.iter().enumerate() {
@@ -350,7 +350,7 @@ pub(crate) fn graft_source_deploy<'env>(
     // Preprocess nodes first, in unit order: all preprocess records precede the
     // compile records.
     let (compiler, target) = (&plan.compiler, &plan.target);
-    let mut preprocess = PreprocessPlanner::new();
+    let mut preprocess = PreprocessPlanner::default();
     let preprocess_actions: Vec<ActionId> = plan
         .units
         .iter()
@@ -381,28 +381,18 @@ pub(crate) fn graft_source_deploy<'env>(
         target: &plan.target.name,
     };
     let link = graph.add_action(format!("{reference} image"), link, &compile_actions);
-    add_deploy_commit(
-        graph,
+    let recommended = plan.system.recommended_base_image.as_ref();
+    let base_reference = recommended.unwrap_or(&plan.source_image.reference);
+    let commit = DeployCommit {
+        base: plan.source_image,
         reference,
+        system: plan.system,
+        label: &plan.label,
+        annotation: ("dev.xaas.base-image", base_reference),
         store,
-        &plan.committed,
-        link,
-        move |layer| {
-            let system = plan.system;
-            let mut deployed = Image::derive_from(plan.source_image, reference);
-            deployed.platform = Platform::linux(architecture_of(system));
-            deployed.set_deployment_format(DeploymentFormat::Binary);
-            deployed.annotate(annotation_keys::SELECTED_CONFIGURATION, plan.label.clone());
-            deployed.annotate(annotation_keys::TARGET_SYSTEM, system.name.clone());
-            let base_reference = system
-                .recommended_base_image
-                .as_ref()
-                .unwrap_or(&plan.source_image.reference);
-            deployed.annotate("dev.xaas.base-image", base_reference.clone());
-            deployed.push_layer(layer);
-            deployed
-        },
-    );
+        committed: &plan.committed,
+    };
+    graph.add_action(format!("{reference} commit"), commit, &[link]);
 }
 
 /// The finish phase: consume the plan after its subgraph ran, returning the

@@ -52,7 +52,7 @@ impl Action for KeyedByDep {
         }
     }
 
-    fn run(&self, _: &ActionInputs) -> Result<Vec<u8>, Infallible> {
+    fn run(self, _: &ActionInputs) -> Result<Vec<u8>, Infallible> {
         self.ran.fetch_add(1, Ordering::SeqCst);
         Ok(vec![1])
     }

@@ -86,7 +86,8 @@ impl Drop for Root {
 }
 
 /// A root whose journal holds `records` `put` lines, in the text
-/// `DiskTier::store` writes. No blob file is needed: opening reads none.
+/// `DiskTier::store` writes: each names its range of segment `0.seg`, whose
+/// length covers every range. The segment is sparse: opening reads no blob byte.
 fn root_with_puts(records: usize) -> Root {
     let root = Root {
         path: std::env::temp_dir()
@@ -95,14 +96,21 @@ fn root_with_puts(records: usize) -> Root {
     };
     let _ = fs::remove_dir_all(&root.path);
     fs::create_dir_all(&root.path).expect("the scratch root is creatable");
+    let mut offset = 0u64;
     let journal: String = (0..records)
         .map(|n| {
             let key = Digest::of_str(&format!("key-{n}"));
             let content = Digest::of_str(&format!("content-{n}"));
-            format!("put {} {content} {}\n", key.hex(), 100 + n)
+            let len = 100 + n as u64;
+            let record = format!("put {} {content} {len} 0 {offset}\n", key.hex());
+            offset += len;
+            record
         })
         .collect();
     fs::write(root.path.join("index.log"), journal).expect("the journal is writable");
+    fs::File::create(root.path.join("0.seg"))
+        .and_then(|segment| segment.set_len(offset))
+        .expect("the segment is writable");
     root
 }
 

@@ -373,7 +373,7 @@ impl Action for KeyedByDep {
         }
     }
 
-    fn run(&self, _: &ActionInputs) -> Result<Vec<u8>, String> {
+    fn run(self, _: &ActionInputs) -> Result<Vec<u8>, String> {
         if let Some((entered, release)) = &self.hold {
             entered.send(()).ok();
             release.recv().ok();

@@ -205,6 +205,31 @@ fn all_pipelines_execute_through_the_engine_with_staged_traces() {
     assert!(source_kinds[&ActionKind::Preprocess] > 0);
     assert!(source_kinds[&ActionKind::SdCompile] > 0);
     assert_eq!(source_kinds[&ActionKind::Commit], 1);
+
+    // Preprocess and commit records are unkeyed, and so is the build's Link,
+    // which reads the whole sweep's plan; every other node carries its key.
+    let traces = [
+        (&build.trace, true),
+        (&deploy_serial.trace, false),
+        (&deploy_parallel.trace, false),
+        (&source_deploy.trace, false),
+    ];
+    for (trace, is_build) in traces {
+        for record in &trace.records {
+            let unkeyed = match record.kind {
+                ActionKind::Preprocess | ActionKind::Commit => true,
+                ActionKind::Link => is_build,
+                _ => false,
+            };
+            assert_eq!(
+                record.key_digest.is_none(),
+                unkeyed,
+                "{} ({})",
+                record.label,
+                record.kind
+            );
+        }
+    }
 }
 
 /// The fleet request submits every job to the shared engine: systems sharing an
