@@ -15,9 +15,8 @@
 //! and hashed once however many images are derived from it.
 //!
 //! The memo cannot go stale: every mutator goes through one private entrance
-//! (`Layer::entries_mut`) that copies the layer if it is shared and drops the memo —
-//! the "invalidation by construction" rule of `xaas_xir::memo::DigestCell`. For every
-//! value of the type, `sealed() == (to_archive(), Digest::of_bytes(&to_archive()))`.
+//! (`Layer::entries_mut`) that copies the layer if it is shared and drops the memo.
+//! For every value of the type, `sealed() == (to_archive(), Digest::of_bytes(&to_archive()))`.
 //!
 //! # A layer read from its archive decodes lazily
 //!

@@ -404,7 +404,11 @@ pub(crate) fn graft_ir_deploy<'env>(
             }
             DeployTask::Compile { source, .. } => {
                 let preprocess = preprocess_action.expect("compile tasks plan a preprocess action");
-                let record = SdCompile::new(source, flags, target, compiler);
+                let record = SdCompile {
+                    path: &source.path,
+                    flags,
+                    target,
+                };
                 artifact_actions.push(shared.graft(graph, &source.path, record, &[preprocess]));
                 artifact_depth = artifact_depth.max(2);
             }

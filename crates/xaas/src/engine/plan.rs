@@ -18,15 +18,14 @@ use super::trace::ActionKind;
 use crate::error::PipelineError;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
-use xaas_buildsys::SourceSpec;
 use xaas_container::{
     annotation_keys, BuildKey, DeploymentFormat, Derivation, Image, ImageStore, Layer, Platform,
 };
 use xaas_hpcsim::SystemModel;
 use xaas_xir::preprocess::flag_definition;
 use xaas_xir::{
-    bitcode, lower_to_machine, CompileError, CompileFlags, Compiler, IrModule, MachineModule,
-    Observation, TargetIsa,
+    bitcode, compile_preprocessed, lower_to_machine, CompileError, CompileFlags, Compiler,
+    IrModule, MachineModule, Observation, TargetIsa,
 };
 
 /// A compile error in `file`.
@@ -91,15 +90,16 @@ impl Action for MachineLower<'_> {
     }
 }
 
-/// An `ir-lower`: `file`, whose *preprocessed* content digest is `preprocessed`,
-/// compiled to bitcode under `flags`, with or without the early optimisation pass.
+/// An `ir-lower`: `file`'s preprocessed `text`, whose content digest is
+/// `preprocessed`, compiled to bitcode under `flags`, with or without the early
+/// optimisation pass.
 pub(crate) struct IrLower<'a> {
     pub(crate) preprocessed: &'a str,
     pub(crate) file: &'a str,
     pub(crate) flags: CompileFlags,
     pub(crate) optimize_early: bool,
-    pub(crate) source: &'a str,
-    pub(crate) compiler: &'a Compiler,
+    /// The text the file's preprocess node output ([`preprocessed_text`]).
+    pub(crate) text: &'a str,
 }
 
 impl Action for IrLower<'_> {
@@ -112,18 +112,14 @@ impl Action for IrLower<'_> {
             file,
             flags,
             optimize_early,
-            // Covered by `preprocessed`, the digest of this text preprocessed.
-            source: _,
-            // Its headers are covered by `preprocessed`, which they expand into.
-            compiler: _,
+            // Covered by `preprocessed`, its digest.
+            text: _,
         } = self;
         with_ir_flags(record.str(preprocessed).str(file), flags).bool(*optimize_early)
     }
 
     fn run(self, _: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
-        let mut module = self
-            .compiler
-            .compile_to_ir(self.file, self.source, &self.flags)
+        let mut module = compile_preprocessed(self.file, self.text, &self.flags)
             .map_err(compile_error(self.file))?;
         if self.optimize_early {
             xaas_xir::passes::scalar_unroll(&mut module, 4);
@@ -132,36 +128,16 @@ impl Action for IrLower<'_> {
     }
 }
 
-/// An `sd-compile`: a system-dependent source compiled under `flags` for the
-/// deployment `target`, output as `serde_json::to_vec` of the [`MachineModule`].
-/// Its key ends on the preprocessed digest its dependency 0, the source's
-/// preprocess action, outputs: it covers the headers the compiler resolves, so no
-/// cache serves code built against other headers. Its identity is the key without
-/// that digest.
+/// An `sd-compile`: the system-dependent source at `path` compiled under `flags`
+/// for the deployment `target`, output as `serde_json::to_vec` of the
+/// [`MachineModule`]. Its dependency 0 is the source's preprocess action: `run`
+/// compiles the text that node output, and the key ends on the text's digest,
+/// which covers the headers the text expanded, so no cache serves code built
+/// against other headers. Its identity is the key without that digest.
 pub(crate) struct SdCompile<'a> {
-    path: &'a str,
-    flags: &'a CompileFlags,
-    target: &'a TargetIsa,
-    source: &'a str,
-    compiler: &'a Compiler,
-}
-
-impl<'a> SdCompile<'a> {
-    pub(crate) fn new(
-        source: &'a SourceSpec,
-        flags: &'a CompileFlags,
-        target: &'a TargetIsa,
-        compiler: &'a Compiler,
-    ) -> Self {
-        let SourceSpec { path, content, .. } = source;
-        Self {
-            path,
-            flags,
-            target,
-            source: content,
-            compiler,
-        }
-    }
+    pub(crate) path: &'a str,
+    pub(crate) flags: &'a CompileFlags,
+    pub(crate) target: &'a TargetIsa,
 }
 
 impl Action for SdCompile<'_> {
@@ -174,10 +150,6 @@ impl Action for SdCompile<'_> {
             path,
             flags,
             target,
-            // Covered by dependency 0's preprocessed digest of this text.
-            source: _,
-            // Its headers are covered by the same digest, which they expand into.
-            compiler: _,
         } = self;
         let record = with_target(with_ir_flags(record.str(path), flags), target);
         match deps {
@@ -186,20 +158,19 @@ impl Action for SdCompile<'_> {
         }
     }
 
-    fn run(self, _: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
-        let machine = self
-            .compiler
-            .compile_to_machine(self.path, self.source, self.flags, self.target)
-            .map_err(compile_error(self.path))?;
-        Ok(machine_bytes(&machine))
+    fn run(self, deps: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
+        let text = preprocessed_text(deps.dep(0));
+        let module =
+            compile_preprocessed(self.path, text, self.flags).map_err(compile_error(self.path))?;
+        Ok(machine_bytes(&lower_to_machine(&module, self.target)))
     }
 }
 
 /// A `preprocess`: `file`'s `content` preprocessed under `flags`, output in the
 /// format [`PreprocessPlanner`] documents. Unkeyed: it runs wherever planned.
 struct Preprocess<'a> {
-    file: String,
-    content: String,
+    file: &'a str,
+    content: &'a str,
     flags: CompileFlags,
     compiler: &'a Compiler,
 }
@@ -220,12 +191,17 @@ impl Action for Preprocess<'_> {
     }
 
     fn run(self, _: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
-        let preprocessed = self
+        let unit = self
             .compiler
-            .preprocess_only(&self.file, &self.content, &self.flags)
-            .map_err(compile_error(&self.file))?;
-        let mut output = preprocessed.content_digest().into_bytes();
-        output.push(u8::from(preprocessed.mentions_openmp()));
+            .preprocess_only(self.file, self.content, &self.flags)
+            .map_err(compile_error(self.file))?;
+        let (digest, verdict) = (unit.content_digest(), unit.mentions_openmp());
+        // The output adopts the text's buffer.
+        let mut output = unit.text.into_bytes();
+        output.reserve_exact(1 + digest.len() + 1);
+        output.push(b'\n');
+        output.extend_from_slice(digest.as_bytes());
+        output.push(u8::from(verdict));
         Ok(output)
     }
 }
@@ -233,25 +209,27 @@ impl Action for Preprocess<'_> {
 /// Schedules deduplicated preprocess actions on a graph.
 ///
 /// Each distinct (file, sorted definitions the file can observe) pair gets one
-/// [`ActionKind::Preprocess`] node. Its output is the preprocessed-content digest (the
-/// stage-2 identity of Figure 7, and the input every compile `BuildKey` derives from)
-/// followed by one byte, the stage-3 verdict
+/// [`ActionKind::Preprocess`] node. Its output is the preprocessed text — what the
+/// file's compiles (`IrLower`, [`SdCompile`]) compile — then a newline, the text's
+/// digest (the stage-2 identity of Figure 7, and the input every compile
+/// `BuildKey` derives from) and one byte, the stage-3 verdict
 /// ([`PreprocessedUnit::mentions_openmp`](xaas_xir::PreprocessedUnit::mentions_openmp)).
-/// This module alone knows that format: its `preprocessed_digest` and
-/// `mentions_openmp` read it. A definition the file cannot observe
-/// ([`Observation`]) cannot change its text, so configurations that differ only in
-/// such definitions share the node.
+/// The text never ends in a newline and the digest holds none, so the digest is
+/// what follows the last one. This module alone knows that format: its
+/// `preprocessed_text`, `preprocessed_digest` and `mentions_openmp` read it. A
+/// definition the file cannot observe ([`Observation`]) cannot change its text, so
+/// configurations that differ only in such definitions share the node.
 ///
 /// The observation is computed lazily, at most once per file: only when the file
 /// comes back with a second definition set. A file planned under one set — every
 /// file of a deployment — is never scanned.
 ///
 /// Nodes are indexed by file, and a repeat is found by comparing borrowed
-/// definitions in identity order: the file, its content and the identity are copied
-/// only when a node is scheduled.
+/// definitions in identity order. A node borrows its file and content, which
+/// outlive the graph; only its flags and identity are copied.
 #[derive(Default)]
-pub(crate) struct PreprocessPlanner {
-    files: BTreeMap<String, FilePlans>,
+pub(crate) struct PreprocessPlanner<'env> {
+    files: BTreeMap<&'env str, FilePlans>,
     /// Scratch for the identity being looked up: positions in the flags' definitions,
     /// in identity order.
     order: Vec<usize>,
@@ -298,25 +276,21 @@ impl FilePlans {
     }
 }
 
-impl PreprocessPlanner {
-    /// The action producing `file`'s preprocessed-content digest under `flags`,
-    /// scheduling it on `graph` at first use. A preprocessor failure is a
-    /// [`PipelineError::Compile`] naming `file`. The source `content` is copied only
-    /// when a new action is actually scheduled, never for deduplicated repeats.
-    pub(crate) fn action_for<'env>(
+impl<'env> PreprocessPlanner<'env> {
+    /// The action preprocessing `file`'s `content` under `flags`, scheduling it on
+    /// `graph` at first use. A preprocessor failure is a
+    /// [`PipelineError::Compile`] naming `file`.
+    pub(crate) fn action_for(
         &mut self,
         graph: &mut ActionGraph<'env, PipelineError>,
         compiler: &'env Compiler,
-        file: &str,
-        content: &str,
+        file: &'env str,
+        content: &'env str,
         flags: &CompileFlags,
     ) -> ActionId {
         let definitions = flags.definitions.as_slice();
         let order = &mut self.order;
-        let plans = match self.files.get_mut(file) {
-            Some(plans) => plans,
-            None => self.files.entry(file.to_string()).or_default(),
-        };
+        let plans = self.files.entry(file).or_default();
         plans.identity(definitions, order);
         if let Some(id) = plans.find(definitions, order) {
             return id;
@@ -336,8 +310,8 @@ impl PreprocessPlanner {
         }
         let identity = order.iter().map(|&i| definitions[i].clone()).collect();
         let record = Preprocess {
-            file: file.to_string(),
-            content: content.to_string(),
+            file,
+            content,
             flags: flags.clone(),
             compiler,
         };
@@ -347,10 +321,24 @@ impl PreprocessPlanner {
     }
 }
 
+/// A preprocess node's `output` without its verdict byte, split at the last
+/// newline into the text and the digest (an output with none is a digest alone).
+fn text_and_digest(output: &[u8]) -> (&[u8], &[u8]) {
+    let body = output.split_last().map_or(output, |(_, body)| body);
+    match body.iter().rposition(|&byte| byte == b'\n') {
+        Some(newline) => (&body[..newline], &body[newline + 1..]),
+        None => (&[], body),
+    }
+}
+
+/// The preprocessed text in a preprocess node's `output`.
+pub(crate) fn preprocessed_text(output: &[u8]) -> &str {
+    std::str::from_utf8(text_and_digest(output).0).unwrap_or_default()
+}
+
 /// The preprocessed-content digest in a preprocess node's `output`.
 pub(crate) fn preprocessed_digest(output: &[u8]) -> &str {
-    let digest = output.split_last().map_or(output, |(_, digest)| digest);
-    std::str::from_utf8(digest).unwrap_or_default()
+    std::str::from_utf8(text_and_digest(output).1).unwrap_or_default()
 }
 
 /// Whether `-fopenmp` can change the code of the text a preprocess node's `output`
@@ -510,7 +498,7 @@ mod tests {
                     .map(String::from),
             )
         };
-        let mut plan = |file: &str, defs: &[&str]| {
+        let mut plan = |file: &'static str, defs: &[&str]| {
             planner.action_for(&mut graph, &compiler, file, source, &flags(defs))
         };
         let plain = plan("f.ck", &[]);
@@ -541,31 +529,61 @@ mod tests {
         assert_eq!(graph.len(), 6);
     }
 
-    /// A preprocess node's output reads back as its text's digest and stage-3 verdict.
+    /// A preprocess node's output reads back as its text, the text's digest and
+    /// the stage-3 verdict, and the compiles that read it produce what compiling
+    /// the source does.
     #[test]
     fn a_preprocess_output_reads_back_as_digest_and_verdict() {
-        let compiler = Compiler::new();
+        let mut compiler = Compiler::new();
+        compiler.add_header("scale.h", "#define SCALE 2.0\n");
         let store = ImageStore::new();
         let engine = Engine::uncached(&store);
         let mut planner = PreprocessPlanner::default();
         let mut graph: ActionGraph<'_, PipelineError> = ActionGraph::new();
-        let flags = CompileFlags::default();
+        let flags = flags(&["-O3", "-DN=4", "-fopenmp", "-mavx2"]);
+        let target = TargetIsa::vector("x86_64-avx2", 8, true);
         let units = [
             (
                 "omp.ck",
-                "#pragma omp parallel for\nfor (int i = 0; i < n; i = i + 1) {}",
+                "#include \"scale.h\"\nkernel void f(float* x) {\n  #pragma omp parallel for\n  \
+                 for (int i = 0; i < N; i = i + 1) { x[i] = SCALE * x[i]; }\n}\n",
                 true,
             ),
             ("plain.ck", "kernel void f(float* x) { x[0] = 1.0; }", false),
+            (
+                "empty.ck",
+                "#if 0\nkernel void f(float* x) {}\n#endif\n",
+                false,
+            ),
         ];
         let ids = units.map(|(file, source, _)| {
             planner.action_for(&mut graph, &compiler, file, source, &flags)
         });
         let (outputs, _) = engine.run(graph).unwrap().into_outputs().unwrap();
         for (id, (file, source, omp)) in ids.into_iter().zip(units) {
+            let output = &outputs[id];
             let unit = compiler.preprocess_only(file, source, &flags).unwrap();
-            assert_eq!(preprocessed_digest(&outputs[id]), unit.content_digest());
-            assert_eq!(mentions_openmp(&outputs[id]), omp);
+            assert_eq!(preprocessed_text(output), unit.text);
+            assert_eq!(preprocessed_digest(output), unit.content_digest());
+            assert_eq!(mentions_openmp(output), omp);
+
+            let module = compiler.compile_to_ir(file, source, &flags).unwrap();
+            let deps = ActionInputs::new(vec![output.clone()]);
+            let ir_lower = IrLower {
+                preprocessed: preprocessed_digest(output),
+                file,
+                flags: flags.clone(),
+                optimize_early: false,
+                text: preprocessed_text(output),
+            };
+            assert_eq!(ir_lower.run(&deps).unwrap(), bitcode::encode(&module));
+            let sd_compile = SdCompile {
+                path: file,
+                flags: &flags,
+                target: &target,
+            };
+            let machine = lower_to_machine(&module, &target);
+            assert_eq!(sd_compile.run(&deps).unwrap(), machine_bytes(&machine));
         }
     }
 
@@ -603,8 +621,7 @@ mod tests {
             file,
             flags: flags.clone(),
             optimize_early,
-            source: "",
-            compiler: &Compiler::new(),
+            text: "",
         }
         .identity()
     }
@@ -615,13 +632,10 @@ mod tests {
         flags: &CompileFlags,
         target: &TargetIsa,
     ) -> BuildKey {
-        let compiler = Compiler::new();
         let record = SdCompile {
             path,
             flags,
             target,
-            source: "",
-            compiler: &compiler,
         };
         record.identity()
     }
@@ -633,13 +647,10 @@ mod tests {
         flags: &CompileFlags,
         target: &TargetIsa,
     ) -> BuildKey {
-        let compiler = Compiler::new();
         let record = SdCompile {
             path,
             flags,
             target,
-            source: "",
-            compiler: &compiler,
         };
         let mut output = digest.as_bytes().to_vec();
         output.push(1);

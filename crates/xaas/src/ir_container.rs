@@ -23,16 +23,19 @@
 //! source instead of IR. Everything else (`S_I`) is compiled once per unique identity and
 //! stored as XIR bitcode in the image.
 
-use crate::engine::plan::{mentions_openmp, preprocessed_digest, IrLower};
+use crate::engine::plan::{mentions_openmp, preprocessed_digest, preprocessed_text, IrLower};
 use crate::engine::{
     Action, ActionGraph, ActionId, ActionInputs, ActionKind, ActionTrace, Engine,
     KeyedActionPlanner, PreprocessPlanner,
 };
 use crate::error::PipelineError;
+use crate::source_container::source_tree_layer;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, OnceLock};
-use xaas_buildsys::{configure, CompileCommand, ConfiguredBuild, OptionAssignment, ProjectSpec};
+use std::sync::OnceLock;
+use xaas_buildsys::{
+    configure, CompileCommand, ConfiguredBuild, OptionAssignment, ProjectSpec, SourceSpec,
+};
 use xaas_container::{
     annotation_keys, Architecture, Blob, DeploymentFormat, Derivation, Image, ImageStore, Layer,
     Platform,
@@ -229,8 +232,6 @@ pub mod paths {
     pub(crate) const IR_ROOT: &str = "/xaas/ir";
     /// Root of the per-configuration manifests.
     pub(crate) const CONFIG_ROOT: &str = "/xaas/configs";
-    /// Source tree (needed for system-dependent files and installation).
-    pub(crate) const SOURCE_ROOT: &str = "/xaas/src";
     /// Pipeline statistics document.
     pub(crate) const STATS: &str = "/xaas/stats.json";
 }
@@ -258,10 +259,9 @@ fn enumerate_assignments(
 
 /// One system-independent translation-unit occurrence discovered during configuration
 /// (the driver's plan entry between the configure stage and the preprocess stage).
-struct TuOccurrence {
-    file: String,
-    /// Source text, shared per file across configurations (copied once per file).
-    content: Arc<str>,
+struct TuOccurrence<'env> {
+    /// The project's path of the source.
+    file: &'env str,
     flags: CompileFlags,
     generation_key: String,
     /// Index of this unit's preprocess action in the stage-A graph.
@@ -296,7 +296,7 @@ pub(crate) struct IrBuildStageA<'env> {
     stats: PipelineStats,
     /// One per configuration. The system-independent units have no artifact yet.
     manifests: Vec<ConfigurationManifest>,
-    occurrences: Vec<TuOccurrence>,
+    occurrences: Vec<TuOccurrence<'env>>,
 }
 
 /// The compiler every build and deployment record borrows: `project`'s headers
@@ -309,11 +309,22 @@ pub(crate) fn project_compiler(project: &ProjectSpec) -> Compiler {
     compiler
 }
 
+/// The project's own path and content of a configured `source`, which configure
+/// cloned from a declared source or a custom target's product.
+fn project_text<'p>(project: &'p ProjectSpec, source: &SourceSpec) -> Option<(&'p str, &'p str)> {
+    let declared = (project.sources.iter()).map(|s| (s.path.as_str(), s.content.as_str()));
+    let generated =
+        (project.custom_targets.iter()).map(|c| (c.generates.as_str(), c.content.as_str()));
+    declared
+        .chain(generated)
+        .find(|&(path, content)| path == source.path && content == source.content)
+}
+
 /// Stage 1 (driver, serial): configure every assignment, classify its units,
-/// and plan the deduplicated stage-A graph. `compiler` must outlive the graph —
-/// the planned preprocess actions borrow it.
+/// and plan the deduplicated stage-A graph. `project` and `compiler` must
+/// outlive the graph — the planned preprocess actions borrow them.
 pub(crate) fn plan_ir_build_stage_a<'env>(
-    project: &ProjectSpec,
+    project: &'env ProjectSpec,
     config: &IrPipelineConfig,
     compiler: &'env Compiler,
 ) -> Result<IrBuildStageA<'env>, PipelineError> {
@@ -328,10 +339,8 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
     };
     let mut manifests: Vec<ConfigurationManifest> = Vec::new();
     let mut sd_files: BTreeSet<String> = BTreeSet::new();
+    let mut si_files: BTreeSet<&str> = BTreeSet::new();
     let mut occurrences: Vec<TuOccurrence> = Vec::new();
-    // Source text shared per file (the system-independent files): every
-    // configuration re-lists the same content.
-    let mut content_by_file: BTreeMap<String, Arc<str>> = BTreeMap::new();
 
     let mut stage_a: ActionGraph<'env, PipelineError> = ActionGraph::new();
     // Preprocessing depends only on the file and the definitions it can observe:
@@ -374,14 +383,11 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
                 });
                 continue;
             }
-            let content = match content_by_file.get(&source.path) {
-                Some(content) => Arc::clone(content),
-                None => {
-                    let content: Arc<str> = Arc::from(source.content.as_str());
-                    content_by_file.insert(source.path.clone(), Arc::clone(&content));
-                    content
-                }
-            };
+            let (path, content) =
+                project_text(project, source).ok_or_else(|| PipelineError::UnknownSource {
+                    file: command.file.clone(),
+                })?;
+            si_files.insert(path);
 
             let generation_key = command.canonical_key();
             let CompileCommand {
@@ -392,10 +398,9 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
             } = command;
             let flags = CompileFlags::parse(arguments);
             let preprocess_action =
-                preprocess.action_for(&mut stage_a, compiler, &file, &content, &flags);
+                preprocess.action_for(&mut stage_a, compiler, path, content, &flags);
             occurrences.push(TuOccurrence {
-                file: file.clone(),
-                content,
+                file: path,
                 flags,
                 generation_key,
                 preprocess_action,
@@ -423,7 +428,7 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
         });
     }
     stats.system_dependent_files = sd_files.len();
-    stats.system_independent_files = content_by_file.len();
+    stats.system_independent_files = si_files.len();
 
     Ok(IrBuildStageA {
         graph: stage_a,
@@ -465,7 +470,7 @@ fn derive_identities(
     let mut first_of: Vec<usize> = Vec::with_capacity(occurrences.len());
     for (index, occurrence) in occurrences.iter().enumerate() {
         let output = &outputs[occurrence.preprocess_action];
-        let (file, digest) = (occurrence.file.as_str(), preprocessed_digest(output));
+        let (file, digest) = (occurrence.file, preprocessed_digest(output));
         let flags = &occurrence.flags;
         let (opt, delayed) = (flags.opt_level(), flags.delayed_target_flags.as_slice());
         generation.insert((file, &occurrence.generation_key));
@@ -546,10 +551,11 @@ pub(crate) fn analyze_ir_build(
 ///    split system-dependent from system-independent units;
 /// 2. **preprocess** (graph A, parallel, one wave): one preprocess action per
 ///    distinct (file, definitions the file can observe) pair — so one per text when
-///    no other definition reaches the file. Each outputs its text's digest and the
-///    stage-3 OpenMP verdict, scanned from the text it already holds;
+///    no other definition reaches the file. Each outputs its text, the text's
+///    digest and the stage-3 OpenMP verdict, scanned from that text;
 /// 3. **ir-lower** (graph B, parallel, cache-routed): one action per deduplicated
-///    translation unit, keyed by the preprocessed-content digest;
+///    translation unit, keyed by the preprocessed-content digest, compiling the
+///    text its preprocess node output;
 /// 4. **link + commit** (graph B tail): assemble the image layers from the lowered
 ///    units and commit it to the engine's store.
 ///
@@ -605,20 +611,19 @@ pub(crate) fn run_ir_build(
     for &first in &representatives {
         let TuOccurrence {
             file,
-            content,
             flags,
             preprocess_action,
             ..
         } = &occurrences[first];
+        let output = &outputs_a[*preprocess_action];
         let record = IrLower {
-            preprocessed: preprocessed_digest(&outputs_a[*preprocess_action]),
+            preprocessed: preprocessed_digest(output),
             file,
             // The IR is compiled without the delayed ISA flags; OpenMP stays as
             // classified.
             flags: flags.without_delayed_target_flags(),
             optimize_early: config.optimize_early,
-            source: content,
-            compiler: &compiler,
+            text: preprocessed_text(output),
         };
         lowered.push((file, lower_plan.position_for(&mut stage_b, file, record)));
     }
@@ -732,21 +737,10 @@ impl Action for IrBuildLink<'_> {
         toolchain.add_executable("/usr/bin/xirc", b"xirc-driver".to_vec());
         image.push_layer(toolchain);
 
-        let mut sources = Layer::new("COPY source tree (system-dependent files and installation)");
-        sources.add_text(
-            format!("{}/XMakeLists.txt", paths::SOURCE_ROOT),
-            project.build_script.clone(),
-        );
-        for (path, content) in project.source_tree() {
-            sources.add_text(format!("{}/{}", paths::SOURCE_ROOT, path), content);
-        }
-        for (name, content) in &project.headers {
-            sources.add_text(
-                format!("{}/include/{}", paths::SOURCE_ROOT, name),
-                content.clone(),
-            );
-        }
-        image.push_layer(sources);
+        image.push_layer(source_tree_layer(
+            project,
+            "COPY source tree (system-dependent files and installation)",
+        ));
 
         let mut ir_layer = Layer::new(format!("ADD {} deduplicated IR files", units.len()));
         for (id, bytes) in &unit_bytes {
@@ -972,7 +966,10 @@ mod tests {
         let ir_blobs: Vec<_> = root.paths_under(paths::IR_ROOT).collect();
         assert_eq!(ir_blobs.len(), build.units.len());
         assert!(root
-            .get(&format!("{}/src/lulesh.ck", paths::SOURCE_ROOT))
+            .get(&format!(
+                "{}/src/lulesh.ck",
+                crate::source_container::paths::SOURCE_ROOT
+            ))
             .is_some());
         assert!(root.get(paths::STATS).is_some());
         let manifest_files: Vec<_> = root.paths_under(paths::CONFIG_ROOT).collect();
@@ -1197,7 +1194,7 @@ mod tests {
                 let oracle_labels: Vec<&str> = oracle
                     .representatives
                     .iter()
-                    .map(|&first| occurrences[first].file.as_str())
+                    .map(|&first| occurrences[first].file)
                     .collect();
                 assert_eq!(labels, oracle_labels);
                 // Each configuration lists its system-dependent units, then its
@@ -1232,7 +1229,10 @@ mod tests {
     /// contain a space: that is the one input where the oracle's space-joined key
     /// and the typed tuple disagree (`-ma -mb` as one flag or two), and no
     /// configuration produces it.
-    fn drawn_occurrence(rng: &mut proptest::TestRng, index: usize) -> (TuOccurrence, Blob) {
+    fn drawn_occurrence(
+        rng: &mut proptest::TestRng,
+        index: usize,
+    ) -> (TuOccurrence<'static>, Blob) {
         const FILES: &[&str] = &["src/a", "src/a.ck", "src/a.ck2", "src/b.ck"];
         const ARGS: &[&str] = &[
             "-DN=2",
@@ -1249,14 +1249,14 @@ mod tests {
             "-I/xaas/build/include",
         ];
         let mut pick = |n: usize| rng.usize_in(0, n);
-        let file = FILES[pick(FILES.len())].to_string();
+        let file = FILES[pick(FILES.len())];
         let arguments: Vec<String> = (0..pick(7))
             .map(|_| ARGS[pick(ARGS.len())].to_string())
             .collect();
         let command = CompileCommand {
             directory: "/xaas/build".to_string(),
             target: "app".to_string(),
-            file: file.clone(),
+            file: file.to_string(),
             output: format!("{file}.o"),
             arguments,
         };
@@ -1264,7 +1264,6 @@ mod tests {
         output.push(pick(2) as u8);
         let occurrence = TuOccurrence {
             file,
-            content: Arc::from(""),
             flags: command.flags(),
             generation_key: command.canonical_key(),
             preprocess_action: index,

@@ -63,15 +63,10 @@ pub fn build_source_container(
     );
     image.push_layer(toolchain);
 
-    let mut sources = Layer::new(format!("COPY {} source tree", project.name));
-    sources.add_text(paths::BUILD_SCRIPT, project.build_script.clone());
-    for (path, content) in project.source_tree() {
-        sources.add_text(format!("{}/{}", paths::SOURCE_ROOT, path), content);
-    }
-    for (name, content) in &project.headers {
-        sources.add_text(format!("{}/{}", paths::INCLUDE_ROOT, name), content.clone());
-    }
-    image.push_layer(sources);
+    image.push_layer(source_tree_layer(
+        project,
+        format!("COPY {} source tree", project.name),
+    ));
 
     let spec_points = from_project(project);
     image.annotate(
@@ -81,6 +76,20 @@ pub fn build_source_container(
     image.annotate(annotation_keys::TITLE, project.name.clone());
     store.commit(&image);
     image
+}
+
+/// The layer holding `project`'s source tree, noted `note`: the build script, the
+/// sources, then the headers. Source and IR containers both ship it.
+pub(crate) fn source_tree_layer(project: &ProjectSpec, note: impl Into<String>) -> Layer {
+    let mut layer = Layer::new(note);
+    layer.add_text(paths::BUILD_SCRIPT, project.build_script.clone());
+    for (path, content) in project.source_tree() {
+        layer.add_text(format!("{}/{}", paths::SOURCE_ROOT, path), content);
+    }
+    for (name, content) in &project.headers {
+        layer.add_text(format!("{}/{}", paths::INCLUDE_ROOT, name), content.clone());
+    }
+    layer
 }
 
 /// The result of deploying a source container to a system.
@@ -300,7 +309,11 @@ pub(crate) fn plan_source_deploy<'a>(
                 file: command.file.clone(),
             })?;
         let flags = command.flags();
-        let record = SdCompile::new(&build.enabled_sources[source], &flags, &target, &compiler);
+        let record = SdCompile {
+            path: &command.file,
+            flags: &flags,
+            target: &target,
+        };
         let identity = record.identity();
         let unit = *unit_by_identity.entry(identity).or_insert_with(|| {
             units.push(SourceUnit {
@@ -365,9 +378,13 @@ pub(crate) fn graft_source_deploy<'env>(
         .iter()
         .zip(&preprocess_actions)
         .map(|(unit, &preprocess)| {
-            let source = source_of(unit);
-            let record = SdCompile::new(source, &unit.flags, target, compiler);
-            graph.add_action(source.path.as_str(), record, &[preprocess])
+            let path = source_of(unit).path.as_str();
+            let record = SdCompile {
+                path,
+                flags: &unit.flags,
+                target,
+            };
+            graph.add_action(path, record, &[preprocess])
         })
         .collect();
 
@@ -601,7 +618,11 @@ mod tests {
             .content_digest()
             .into_bytes();
         preprocessed.push(1);
-        let record = SdCompile::new(source, &unit.flags, &plan.target, &plan.compiler);
+        let record = SdCompile {
+            path: &source.path,
+            flags: &unit.flags,
+            target: &plan.target,
+        };
         let deps = ActionInputs::new(vec![preprocessed.into()]);
         cache.insert(&derive_key(&record, Some(&deps)), b"not json".to_vec());
 

@@ -7,7 +7,6 @@
 //! must be delayed until the target is known (Section 4.3).
 
 use crate::ast::{BinOp, Type};
-use crate::memo::DigestCell;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -359,11 +358,6 @@ pub struct IrModule {
     pub functions: Vec<IrFunction>,
     /// Compilation metadata.
     pub metadata: ModuleMetadata,
-    /// Memoized [`content_digest`](IrModule::content_digest) — an identity cache,
-    /// ignored by equality and serialization; cloning resets it (see
-    /// [`crate::memo::DigestCell`]).
-    #[serde(default, skip_serializing_if = "DigestCell::skip")]
-    pub digest_memo: DigestCell,
 }
 
 impl IrModule {
@@ -381,17 +375,6 @@ impl IrModule {
     /// Number of loops across all functions.
     pub fn loop_count(&self) -> usize {
         self.functions.iter().map(|f| f.loops().len()).sum()
-    }
-
-    /// A stable hexadecimal content digest of the module (identical to the bitcode
-    /// content identity): same module → same digest, across processes and sessions.
-    /// Build caches key lowered artifacts on this without re-encoding the module.
-    ///
-    /// The digest is computed once and memoized; mutate a *clone* (which resets the
-    /// memo), never a module whose digest was already observed.
-    pub fn content_digest(&self) -> String {
-        self.digest_memo
-            .get_or_init(|| crate::bitcode::content_id(self))
     }
 
     /// Render a readable textual form (useful in tests and debugging).
@@ -514,7 +497,6 @@ mod tests {
             name: "axpy".into(),
             source_file: "axpy.ck".into(),
             metadata: ModuleMetadata::default(),
-            digest_memo: crate::memo::DigestCell::new(),
             functions: vec![IrFunction {
                 name: "axpy".into(),
                 is_kernel: true,

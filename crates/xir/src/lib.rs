@@ -21,6 +21,13 @@
 //! [`CompileFlags::parse`] classifies command-line flags the way the XaaS pipeline needs:
 //! definitions and OpenMP affect the IR, ISA flags are *delayed* until deployment.
 //!
+//! The pipeline preprocesses each translation unit once. Its preprocess node runs
+//! [`Compiler::preprocess_only`] and outputs the preprocessed text together with the
+//! text's [`PreprocessedUnit::content_digest`] (the unit's identity) and its
+//! [`PreprocessedUnit::mentions_openmp`] verdict. The compile nodes hand that text to
+//! [`compile_preprocessed`], the front end's tail; [`Compiler::compile_to_ir`] is the
+//! two steps in one call.
+//!
 //! ```
 //! use xaas_xir::{Compiler, CompileFlags};
 //!
@@ -42,7 +49,6 @@ pub mod interp;
 pub mod ir;
 pub mod lex;
 pub mod lower;
-pub mod memo;
 pub mod openmp;
 pub mod parse;
 pub mod passes;
@@ -55,7 +61,6 @@ use std::fmt;
 pub use ast::TranslationUnit;
 pub use interp::{Interpreter, RunResult, Value};
 pub use ir::{IrFunction, IrModule, IrOp, ModuleMetadata, Operand};
-pub use memo::DigestCell;
 pub use openmp::OpenMpReport;
 pub use passes::OptLevel;
 pub use preprocess::{Definitions, Observation, PreprocessedUnit};
@@ -208,7 +213,8 @@ impl Compiler {
         )?)
     }
 
-    /// Full compilation to an (optimised, target-independent) IR module.
+    /// Full compilation to an (optimised, target-independent) IR module:
+    /// [`preprocess_only`](Self::preprocess_only), then [`compile_preprocessed`].
     pub fn compile_to_ir(
         &self,
         file: &str,
@@ -216,34 +222,33 @@ impl Compiler {
         flags: &CompileFlags,
     ) -> Result<IrModule, CompileError> {
         let preprocessed = self.preprocess_only(file, source, flags)?;
-        let unit = parse::parse(file, &preprocessed.text)?;
-        let metadata = ModuleMetadata {
-            definitions: flags.definitions.clone(),
-            openmp: flags.openmp,
-            opt_level: flags.opt_level().as_str().to_string(),
-            delayed_flags: flags.delayed_target_flags.clone(),
-        };
-        let options = lower::LowerOptions {
-            openmp: flags.openmp,
-            metadata,
-        };
-        let mut module = lower::lower(&unit, &options)?;
-        passes::optimize(&mut module, flags.opt_level());
-        Ok(module)
+        compile_preprocessed(file, &preprocessed.text, flags)
     }
+}
 
-    /// Compile and immediately lower for a target (the "traditional build" path that XaaS
-    /// source containers use at deployment, and that specialized containers use up front).
-    pub fn compile_to_machine(
-        &self,
-        file: &str,
-        source: &str,
-        flags: &CompileFlags,
-        target: &TargetIsa,
-    ) -> Result<MachineModule, CompileError> {
-        let module = self.compile_to_ir(file, source, flags)?;
-        Ok(target::lower_to_machine(&module, target))
-    }
+/// Compile `file`'s already preprocessed `text` (a [`PreprocessedUnit::text`]) to an
+/// (optimised, target-independent) IR module: parse, lower, optimise. `flags` decide
+/// OpenMP lowering and the optimisation level and are recorded in the module's
+/// metadata; their definitions were applied when the text was preprocessed.
+pub fn compile_preprocessed(
+    file: &str,
+    text: &str,
+    flags: &CompileFlags,
+) -> Result<IrModule, CompileError> {
+    let unit = parse::parse(file, text)?;
+    let metadata = ModuleMetadata {
+        definitions: flags.definitions.clone(),
+        openmp: flags.openmp,
+        opt_level: flags.opt_level().as_str().to_string(),
+        delayed_flags: flags.delayed_target_flags.clone(),
+    };
+    let options = lower::LowerOptions {
+        openmp: flags.openmp,
+        metadata,
+    };
+    let mut module = lower::lower(&unit, &options)?;
+    passes::optimize(&mut module, flags.opt_level());
+    Ok(module)
 }
 
 #[cfg(test)]
@@ -332,17 +337,18 @@ kernel void extra(float* x) { x[0] = 1.0; }
     }
 
     #[test]
-    fn compile_to_machine_applies_target_width() {
+    fn a_preprocessed_text_compiles_and_lowers_to_the_target_width() {
         let compiler = compiler();
         let flags = CompileFlags::parse(["-O3", "-fopenmp"].iter().map(|s| s.to_string()));
-        let machine = compiler
-            .compile_to_machine(
-                "scale.ck",
-                SOURCE,
-                &flags,
-                &TargetIsa::vector("avx2", 8, true),
-            )
+        let unit = compiler
+            .preprocess_only("scale.ck", SOURCE, &flags)
             .unwrap();
+        let module = compile_preprocessed("scale.ck", &unit.text, &flags).unwrap();
+        assert_eq!(
+            module,
+            compiler.compile_to_ir("scale.ck", SOURCE, &flags).unwrap()
+        );
+        let machine = lower_to_machine(&module, &TargetIsa::vector("avx2", 8, true));
         assert_eq!(machine.function("scale").unwrap().loop_widths, vec![8]);
         assert_eq!(machine.vectorization.vectorized_count(), 1);
     }

@@ -62,7 +62,6 @@ pub fn lower(unit: &TranslationUnit, options: &LowerOptions) -> Result<IrModule,
         source_file: unit.file.clone(),
         functions,
         metadata,
-        digest_memo: crate::memo::DigestCell::new(),
     })
 }
 

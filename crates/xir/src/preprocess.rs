@@ -22,7 +22,6 @@
 #![deny(clippy::indexing_slicing, clippy::unwrap_used)]
 
 use crate::lex::{identifier_len, is_identifier_start};
-use crate::memo::DigestCell;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -208,10 +207,6 @@ pub struct PreprocessedUnit {
     pub used_definitions: Vec<String>,
     /// Headers that were included.
     pub included_headers: Vec<String>,
-    /// Memoized [`content_digest`](PreprocessedUnit::content_digest) — an identity
-    /// cache, ignored by equality and serialization (see [`crate::memo::DigestCell`]).
-    #[serde(default, skip_serializing_if = "DigestCell::skip")]
-    pub digest_memo: DigestCell,
 }
 
 impl PreprocessedUnit {
@@ -223,11 +218,9 @@ impl PreprocessedUnit {
 
     /// The content hash rendered as a stable hexadecimal digest, suitable as the
     /// `tu_digest` component of a build-cache key: derivable from the preprocessed text
-    /// alone, without parsing, lowering, or compiling anything. Computed once per
-    /// unit and memoized (units are frozen after construction).
+    /// alone, without parsing, lowering, or compiling anything.
     pub fn content_digest(&self) -> String {
-        self.digest_memo
-            .get_or_init(|| format!("{:016x}", self.content_hash()))
+        format!("{:016x}", self.content_hash())
     }
 
     /// Whether `-fopenmp` can change the code of this text (pipeline stage 3): one
@@ -330,7 +323,6 @@ pub(crate) fn preprocess_owned(
         text,
         used_definitions: used,
         included_headers: included,
-        digest_memo: DigestCell::new(),
     })
 }
 

@@ -7,7 +7,6 @@
 
 use crate::ast::BinOp;
 use crate::ir::{IrFunction, IrModule, IrOp, Operand};
-use crate::memo::DigestCell;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -283,10 +282,6 @@ pub struct MachineModule {
     pub functions: Vec<MachineFunction>,
     /// The vectorisation report produced during lowering.
     pub vectorization: VectorizationReport,
-    /// Memoized [`content_digest`](MachineModule::content_digest) — an identity
-    /// cache, ignored by equality and serialization (see [`crate::memo::DigestCell`]).
-    #[serde(default, skip_serializing_if = "DigestCell::skip")]
-    pub digest_memo: DigestCell,
 }
 
 impl MachineModule {
@@ -299,16 +294,6 @@ impl MachineModule {
     #[cfg(test)]
     pub(crate) fn instruction_count(&self) -> usize {
         self.functions.iter().map(|f| f.instruction_count).sum()
-    }
-
-    /// A stable hexadecimal content digest of the serialised machine module. The
-    /// serialisation is deterministic, so equal modules always share a digest.
-    /// Computed once and memoized — machine modules are frozen artifacts.
-    pub fn content_digest(&self) -> String {
-        self.digest_memo.get_or_init(|| {
-            let bytes = serde_json::to_vec(self).expect("machine modules always serialise");
-            format!("{:016x}", crate::preprocess::fnv1a(&bytes))
-        })
     }
 }
 
@@ -341,7 +326,6 @@ pub fn lower_to_machine(module: &IrModule, target: &TargetIsa) -> MachineModule 
         target: target.clone(),
         functions,
         vectorization,
-        digest_memo: crate::memo::DigestCell::new(),
     }
 }
 
@@ -410,15 +394,17 @@ kernel void axpy(float* y, float* x, float a, int n) {
 
     #[test]
     fn machine_module_digest_is_deterministic_and_target_sensitive() {
+        // What a content digest hashes: the module's serialised bytes.
+        let bytes = |machine: &MachineModule| serde_json::to_vec(machine).unwrap();
         let module = axpy_module();
-        assert_eq!(module.content_digest(), axpy_module().content_digest());
+        assert_eq!(
+            crate::bitcode::content_id(&module),
+            crate::bitcode::content_id(&axpy_module())
+        );
         let wide = lower_to_machine(&module, &avx512());
         let narrow = lower_to_machine(&module, &TargetIsa::vector("sse2", 2, false));
-        assert_eq!(
-            wide.content_digest(),
-            lower_to_machine(&module, &avx512()).content_digest()
-        );
-        assert_ne!(wide.content_digest(), narrow.content_digest());
+        assert_eq!(bytes(&wide), bytes(&lower_to_machine(&module, &avx512())));
+        assert_ne!(bytes(&wide), bytes(&narrow));
     }
 
     #[test]

@@ -13,7 +13,7 @@ use proptest::TestRng;
 use std::collections::{BTreeMap, BTreeSet};
 use xaas_xir::lex::{lex, Keyword, LexError, Punct, Token};
 use xaas_xir::preprocess::{preprocess, PreprocessError};
-use xaas_xir::{Definitions, DigestCell, Observation, PreprocessedUnit};
+use xaas_xir::{Definitions, Observation, PreprocessedUnit};
 
 fn pick<'a>(rng: &mut TestRng, items: &[&'a str]) -> &'a str {
     items[rng.usize_in(0, items.len())]
@@ -565,7 +565,6 @@ mod oracle {
             text: canonical,
             used_definitions: used,
             included_headers: included,
-            digest_memo: DigestCell::new(),
         })
     }
 
