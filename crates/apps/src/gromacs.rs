@@ -410,10 +410,11 @@ kernel void tmpi_barrier(int* state, int ranks) {
         ],
         custom_targets: vec![CustomTarget {
             name: "build_own_fftw".into(),
-            generates: "generated/own_fft.ck".into(),
-            content: md_source(
-                "built-in FFT fallback",
-                r#"
+            product: SourceSpec::new(
+                "generated/own_fft.ck",
+                md_source(
+                    "built-in FFT fallback",
+                    r#"
 kernel void fft_forward(float* re, float* im, int n) {
     for (int i = 0; i < n; i = i + 1) {
         re[i] = re[i] * 0.7 - im[i] * 0.3;
@@ -421,8 +422,9 @@ kernel void fft_forward(float* re, float* im, int n) {
     }
 }
 "#,
-            ),
-            required_tags: vec!["own_fft".into()],
+                ),
+            )
+            .with_tag("own_fft"),
         }],
         global_flags: vec!["-O3".into()],
         mpi_abi: Some("mpich".into()),
@@ -530,7 +532,7 @@ mod tests {
             .enabled_sources
             .iter()
             .any(|s| s.path == "src/parallel/mpi_halo.ck"));
-        assert!(build.compile_flags.contains(&"-fopenmp".to_string()));
+        assert!(build.compile_flags.contains(&"-fopenmp"));
     }
 
     #[test]
@@ -546,8 +548,8 @@ mod tests {
             .enabled_sources
             .iter()
             .any(|s| s.path == "src/gpu/sycl_nonbonded.ck"));
-        assert!(build.dependencies.contains(&"cuda".to_string()));
-        assert!(build.link_libraries.contains(&"cufft".to_string()));
+        assert!(build.dependencies.contains(&"cuda"));
+        assert!(build.link_libraries.contains(&"cufft"));
     }
 
     #[test]
@@ -562,15 +564,10 @@ mod tests {
             compiler.add_header(name.clone(), content.clone());
         }
         for command in &build.compile_db.commands {
-            let source = build
-                .enabled_sources
-                .iter()
-                .find(|s| s.path == command.file)
-                .unwrap_or_else(|| panic!("missing source {}", command.file));
             let flags = CompileFlags::parse(command.arguments.iter().cloned());
             let module = compiler
-                .compile_to_ir(&command.file, &source.content, &flags)
-                .unwrap_or_else(|e| panic!("{} failed: {e}", command.file));
+                .compile_to_ir(command.file(), &command.source.content, &flags)
+                .unwrap_or_else(|e| panic!("{} failed: {e}", command.file()));
             assert!(!module.functions.is_empty());
         }
     }

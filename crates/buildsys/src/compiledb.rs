@@ -6,27 +6,32 @@
 //! plus the identity that comparison uses ([`CompileCommand::canonical_key`]: flags
 //! sorted, the build directory normalised out of include paths).
 
-use serde::{Deserialize, Serialize};
+use crate::project::SourceSpec;
 use std::borrow::Cow;
 use std::collections::BTreeSet;
 use xaas_xir::CompileFlags;
 
-/// One compile command: produce `output` from `file` within `target`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CompileCommand {
+/// One compile command: produce `output` from `source` within `target`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CompileCommand<'p> {
     /// Build directory the command runs in.
     pub directory: String,
     /// Target (executable/library) the object belongs to.
     pub target: String,
-    /// Source file path.
-    pub file: String,
+    /// The project's source (or custom-target product) it compiles.
+    pub source: &'p SourceSpec,
     /// Output object path.
     pub output: String,
     /// Compiler arguments (excluding the compiler executable itself).
     pub arguments: Vec<String>,
 }
 
-impl CompileCommand {
+impl<'p> CompileCommand<'p> {
+    /// The path of the source it compiles.
+    pub fn file(&self) -> &'p str {
+        &self.source.path
+    }
+
     /// The classified view of the arguments.
     pub fn flags(&self) -> CompileFlags {
         CompileFlags::parse(self.arguments.iter().cloned())
@@ -51,9 +56,10 @@ impl CompileCommand {
             })
             .collect();
         args.sort_unstable();
-        let len = self.file.len() + 1 + args.iter().map(|a| a.len() + 1).sum::<usize>();
+        let file = self.file();
+        let len = file.len() + 1 + args.iter().map(|a| a.len() + 1).sum::<usize>();
         let mut key = String::with_capacity(len);
-        key.push_str(&self.file);
+        key.push_str(file);
         key.push('|');
         for (i, arg) in args.iter().enumerate() {
             if i > 0 {
@@ -66,15 +72,15 @@ impl CompileCommand {
 }
 
 /// A database of compile commands produced by configuring one build configuration.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CompileDatabase {
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CompileDatabase<'p> {
     /// Label of the configuration that produced this database.
     pub configuration: String,
     /// The commands.
-    pub commands: Vec<CompileCommand>,
+    pub commands: Vec<CompileCommand<'p>>,
 }
 
-impl CompileDatabase {
+impl CompileDatabase<'_> {
     /// Number of translation units (one command each).
     pub fn translation_units(&self) -> usize {
         self.commands.len()
@@ -85,37 +91,33 @@ impl CompileDatabase {
         let set: BTreeSet<String> = self.commands.iter().map(|c| c.target.clone()).collect();
         set.into_iter().collect()
     }
-
-    /// Serialise in a `compile_commands.json`-like format.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(&self.commands).expect("commands serialise")
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn command(dir: &str, file: &str, args: &[&str]) -> CompileCommand {
+    fn command<'p>(dir: &str, source: &'p SourceSpec, args: &[&str]) -> CompileCommand<'p> {
         CompileCommand {
             directory: dir.to_string(),
             target: "app".to_string(),
-            file: file.to_string(),
-            output: format!("{file}.o"),
+            source,
+            output: format!("{}.o", source.path),
             arguments: args.iter().map(|s| s.to_string()).collect(),
         }
     }
 
     #[test]
     fn canonical_key_sorts_flags_and_strips_build_dir() {
+        let a_ck = SourceSpec::new("a.ck", "");
         let a = command(
             "/build/cfg1",
-            "a.ck",
+            &a_ck,
             &["-O3", "-DGMX_MPI", "-I/build/cfg1/include"],
         );
         let b = command(
             "/build/cfg2",
-            "a.ck",
+            &a_ck,
             &["-DGMX_MPI", "-O3", "-I/build/cfg2/include"],
         );
         assert_ne!(a.arguments, b.arguments);
@@ -125,25 +127,26 @@ mod tests {
             "a.ck|-DGMX_MPI -I<build-dir>/include -O3"
         );
         // Blank arguments drop out; ISA flags and definitions stay in the identity.
-        let blank = command("/b", "a.ck", &["-O3", "  ", "-mavx512f"]);
+        let blank = command("/b", &a_ck, &["-O3", "  ", "-mavx512f"]);
         assert_eq!(blank.canonical_key(), "a.ck|-O3 -mavx512f");
-        let sse = command("/b", "a.ck", &["-O3", "-msse4.1"]);
+        let sse = command("/b", &a_ck, &["-O3", "-msse4.1"]);
         assert_ne!(blank.canonical_key(), sse.canonical_key());
-        assert_eq!(command("/b", "a.ck", &[]).canonical_key(), "a.ck|");
+        assert_eq!(command("/b", &a_ck, &[]).canonical_key(), "a.ck|");
     }
 
     #[test]
     fn database_queries() {
+        let (a_ck, b_ck) = (SourceSpec::new("a.ck", ""), SourceSpec::new("b.ck", ""));
         let mut db = CompileDatabase {
             configuration: "default".into(),
             commands: vec![],
         };
-        db.commands.push(command("/b", "a.ck", &["-O3"]));
-        let mut second = command("/b", "b.ck", &["-O3"]);
+        db.commands.push(command("/b", &a_ck, &["-O3"]));
+        let mut second = command("/b", &b_ck, &["-O3"]);
         second.target = "lib".into();
         db.commands.push(second);
         assert_eq!(db.translation_units(), 2);
         assert_eq!(db.targets(), vec!["app".to_string(), "lib".to_string()]);
-        assert!(db.to_json().contains("a.ck"));
+        assert_eq!(db.commands[1].file(), "b.ck");
     }
 }

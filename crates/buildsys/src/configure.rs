@@ -2,12 +2,13 @@
 //!
 //! This models what `cmake -D…` does for the synthetic projects: decide which sources
 //! are built, which definitions and flags every target receives, which dependencies must
-//! be present, and emit the compile-command database the XaaS pipeline analyses.
+//! be present, and emit the compile-command database the XaaS pipeline analyses. A
+//! configured build is a view of its project: it borrows the sources and the selected
+//! option values' strings instead of copying them.
 
 use crate::compiledb::{CompileCommand, CompileDatabase};
 use crate::options::{OptionAssignment, OptionEffects};
 use crate::project::{ProjectSpec, SourceSpec};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -19,6 +20,9 @@ pub enum ConfigureError {
     InvalidAssignment(String),
     /// A required dependency is missing from the provided dependency set.
     MissingDependency { option: String, dependency: String },
+    /// A target names a file that is neither a declared source nor a custom
+    /// target's product.
+    UnknownSource { target: String, file: String },
 }
 
 impl fmt::Display for ConfigureError {
@@ -31,44 +35,64 @@ impl fmt::Display for ConfigureError {
                     "option {option} requires dependency `{dependency}` which is not available"
                 )
             }
+            ConfigureError::UnknownSource { target, file } => write!(
+                f,
+                "target {target} names {file}, which is neither a source nor a custom target's product"
+            ),
         }
     }
 }
 
 impl std::error::Error for ConfigureError {}
 
-/// A configured build: everything needed to compile, link, and install.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ConfiguredBuild {
-    /// The project name.
-    pub project: String,
+/// A configured build: everything needed to compile, link, and install, borrowed
+/// from the project `'p`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ConfiguredBuild<'p> {
     /// The option assignment (completed with defaults).
     pub assignment: OptionAssignment,
-    /// Build directory used for this configuration.
-    pub build_dir: String,
     /// The `cmake`-style configure command line that reproduces this configuration.
     pub configure_command: String,
-    /// Sources that will be compiled (conditional files filtered by enabled tags).
-    pub enabled_sources: Vec<SourceSpec>,
-    /// Sources excluded by the configuration (with the tag that excluded them).
-    pub excluded_sources: Vec<(String, String)>,
+    /// Sources that will be compiled: the declared sources, then the custom targets'
+    /// products, each only when every tag it requires is enabled.
+    pub enabled_sources: Vec<&'p SourceSpec>,
     /// Global preprocessor definitions.
-    pub definitions: Vec<String>,
+    pub definitions: Vec<&'p str>,
     /// Global compile flags (includes ISA flags chosen by vectorization options).
-    pub compile_flags: Vec<String>,
-    /// External dependencies required by the chosen options.
-    pub dependencies: Vec<String>,
-    /// Libraries linked into executables.
-    pub link_libraries: Vec<String>,
+    pub compile_flags: Vec<&'p str>,
+    /// External dependencies required by the chosen options, sorted and distinct.
+    pub dependencies: Vec<&'p str>,
+    /// Libraries linked into executables, sorted and distinct.
+    pub link_libraries: Vec<&'p str>,
     /// The compile-command database.
-    pub compile_db: CompileDatabase,
+    pub compile_db: CompileDatabase<'p>,
 }
 
-impl ConfiguredBuild {
+impl ConfiguredBuild<'_> {
     /// Number of translation units this configuration compiles.
     pub fn translation_units(&self) -> usize {
         self.compile_db.translation_units()
     }
+}
+
+/// One list of every selected value's effects, in option order.
+fn gather<'p>(
+    selected: &[&'p OptionEffects],
+    list: impl Fn(&'p OptionEffects) -> &'p [String],
+) -> Vec<&'p str> {
+    let lists = selected.iter().map(|&effects| list(effects));
+    lists.flatten().map(String::as_str).collect()
+}
+
+/// [`gather`], sorted and without repeats.
+fn gather_distinct<'p>(
+    selected: &[&'p OptionEffects],
+    list: impl Fn(&'p OptionEffects) -> &'p [String],
+) -> Vec<&'p str> {
+    let mut gathered = gather(selected, list);
+    gathered.sort_unstable();
+    gathered.dedup();
+    gathered
 }
 
 /// Configure a project: validate the assignment, apply option effects, expand custom
@@ -77,94 +101,84 @@ impl ConfiguredBuild {
 /// `available_dependencies` lists dependencies present in the build environment; pass
 /// `None` to skip the check (the XaaS configuration sweep runs in a container that
 /// provides all dependency layers, Section 4.3).
-pub fn configure(
-    project: &ProjectSpec,
+pub fn configure<'p>(
+    project: &'p ProjectSpec,
     assignment: &OptionAssignment,
     build_dir: &str,
     available_dependencies: Option<&BTreeSet<String>>,
-) -> Result<ConfiguredBuild, ConfigureError> {
+) -> Result<ConfiguredBuild<'p>, ConfigureError> {
     project
         .validate_assignment(assignment)
         .map_err(ConfigureError::InvalidAssignment)?;
 
     let complete = project.complete(assignment);
 
-    // Accumulate effects of every selected option value.
-    let mut effects = OptionEffects::default();
+    // The effects of every selected option value.
+    let mut selected: Vec<&'p OptionEffects> = Vec::with_capacity(project.options.len());
     for option in &project.options {
         let value = complete
             .get(&option.name)
             .expect("completed assignment covers all options");
-        let value_effects = option.effects_of(value);
+        let effects = option.effects_of(value);
         if let Some(available) = available_dependencies {
-            for dependency in &value_effects.dependencies {
-                if !available.contains(dependency) {
-                    return Err(ConfigureError::MissingDependency {
-                        option: option.name.clone(),
-                        dependency: dependency.clone(),
-                    });
-                }
+            let missing = effects
+                .dependencies
+                .iter()
+                .find(|d| !available.contains(*d));
+            if let Some(dependency) = missing {
+                return Err(ConfigureError::MissingDependency {
+                    option: option.name.clone(),
+                    dependency: dependency.clone(),
+                });
             }
         }
-        effects.definitions.extend(value_effects.definitions);
-        effects.compile_flags.extend(value_effects.compile_flags);
-        effects.dependencies.extend(value_effects.dependencies);
-        effects.enables_tags.extend(value_effects.enables_tags);
-        effects.link_libraries.extend(value_effects.link_libraries);
+        selected.push(effects);
     }
-    let enabled_tags: BTreeSet<String> = effects.enables_tags.iter().cloned().collect();
+    let enabled_tags: BTreeSet<&str> = (selected.iter())
+        .flat_map(|effects| &effects.enables_tags)
+        .map(String::as_str)
+        .collect();
 
-    // Custom targets generate sources before analysis (Section 5.1).
-    let mut generated: Vec<SourceSpec> = Vec::new();
-    for custom in &project.custom_targets {
-        let triggered = custom.required_tags.is_empty()
-            || custom
-                .required_tags
-                .iter()
-                .all(|t| enabled_tags.contains(t));
-        if triggered {
-            generated.push(SourceSpec::new(
-                custom.generates.clone(),
-                custom.content.clone(),
-            ));
-        }
-    }
-
-    // Filter conditional sources.
-    let mut enabled_sources = Vec::new();
-    let mut excluded_sources = Vec::new();
-    for source in project.sources.iter().chain(generated.iter()) {
-        let missing_tag = source
-            .required_tags
-            .iter()
-            .find(|tag| !enabled_tags.contains(*tag));
-        match missing_tag {
-            None => enabled_sources.push(source.clone()),
-            Some(tag) => excluded_sources.push((source.path.clone(), tag.clone())),
-        }
-    }
+    // Custom targets generate sources before analysis (Section 5.1): a product is
+    // enabled by the same rule as a conditional source.
+    let products = project.custom_targets.iter().map(|custom| &custom.product);
+    let enabled_sources: Vec<&'p SourceSpec> = (project.sources.iter().chain(products))
+        .filter(|source| {
+            (source.required_tags.iter()).all(|tag| enabled_tags.contains(tag.as_str()))
+        })
+        .collect();
+    let definitions = gather(&selected, |e| &e.definitions);
+    let compile_flags = gather(&selected, |e| &e.compile_flags);
 
     // Emit compile commands: global flags + option flags + per-target + per-file flags,
     // plus a build-directory include path (the flag the paper identifies as the main
     // source of spurious differences between configurations).
     let mut commands = Vec::new();
     for target in &project.targets {
-        for source_path in &target.sources {
-            let Some(source) = enabled_sources.iter().find(|s| &s.path == source_path) else {
+        for path in &target.sources {
+            let Some(&source) = enabled_sources.iter().find(|s| s.path == *path) else {
+                if project.source(path).is_none() {
+                    return Err(ConfigureError::UnknownSource {
+                        target: target.name.clone(),
+                        file: path.clone(),
+                    });
+                }
                 continue; // excluded by configuration
             };
-            let mut arguments: Vec<String> = Vec::new();
+            let len = project.global_flags.len() + 2 + definitions.len() + compile_flags.len();
+            let len = len + target.extra_flags.len() + source.extra_flags.len();
+            let mut arguments: Vec<String> = Vec::with_capacity(len);
             arguments.extend(project.global_flags.iter().cloned());
             arguments.push(format!("-I{build_dir}/include"));
             arguments.push("-Isrc/include".to_string());
-            arguments.extend(effects.definitions.iter().cloned());
-            arguments.extend(effects.compile_flags.iter().cloned());
+            arguments.extend(definitions.iter().map(|&d| d.to_owned()));
+            arguments.extend(compile_flags.iter().map(|&f| f.to_owned()));
             arguments.extend(target.extra_flags.iter().cloned());
             arguments.extend(source.extra_flags.iter().cloned());
             commands.push(CompileCommand {
                 directory: build_dir.to_string(),
                 target: target.name.clone(),
-                file: source.path.clone(),
+                source,
                 output: format!(
                     "{build_dir}/{}/{}.o",
                     target.name,
@@ -184,28 +198,18 @@ pub fn configure(
         parts.join(" ")
     };
 
-    let mut dependencies = effects.dependencies;
-    dependencies.sort();
-    dependencies.dedup();
-    let mut link_libraries = effects.link_libraries;
-    link_libraries.sort();
-    link_libraries.dedup();
-
     Ok(ConfiguredBuild {
-        project: project.name.clone(),
-        assignment: complete.clone(),
-        build_dir: build_dir.to_string(),
-        configure_command,
-        enabled_sources,
-        excluded_sources,
-        definitions: effects.definitions,
-        compile_flags: effects.compile_flags,
-        dependencies,
-        link_libraries,
         compile_db: CompileDatabase {
             configuration: complete.label(),
             commands,
         },
+        assignment: complete,
+        configure_command,
+        enabled_sources,
+        definitions,
+        compile_flags,
+        dependencies: gather_distinct(&selected, |e| &e.dependencies),
+        link_libraries: gather_distinct(&selected, |e| &e.link_libraries),
     })
 }
 
@@ -268,9 +272,11 @@ mod tests {
             )],
             custom_targets: vec![CustomTarget {
                 name: "build_own_fft".into(),
-                generates: "generated/own_fft.ck".into(),
-                content: "kernel void fft(float* x, int n) { for (int i = 0; i < n; i = i + 1) { x[i] = x[i] * 0.5; } }".into(),
-                required_tags: vec!["own_fft".into()],
+                product: SourceSpec::new(
+                    "generated/own_fft.ck",
+                    "kernel void fft(float* x, int n) { for (int i = 0; i < n; i = i + 1) { x[i] = x[i] * 0.5; } }",
+                )
+                .with_tag("own_fft"),
             }],
             global_flags: vec!["-O3".into()],
             mpi_abi: Some("mpich".into()),
@@ -282,10 +288,14 @@ mod tests {
         let project = project();
         let build = configure(&project, &OptionAssignment::new(), "/build/default", None).unwrap();
         assert_eq!(build.translation_units(), 1);
-        assert_eq!(build.excluded_sources.len(), 1);
-        assert_eq!(build.excluded_sources[0].1, "mpi");
+        let enabled: Vec<&str> = build
+            .enabled_sources
+            .iter()
+            .map(|s| s.path.as_str())
+            .collect();
+        assert_eq!(enabled, ["src/main.ck"]);
         assert!(build.configure_command.contains("-DUSE_MPI=OFF"));
-        assert!(build.definitions.contains(&"-DHAVE_FFTW".to_string()));
+        assert_eq!(build.definitions, ["-DHAVE_FFTW"]);
     }
 
     #[test]
@@ -294,8 +304,8 @@ mod tests {
         let assignment = OptionAssignment::new().with("USE_MPI", "ON");
         let build = configure(&project, &assignment, "/build/mpi", None).unwrap();
         assert_eq!(build.translation_units(), 2);
-        assert!(build.definitions.contains(&"-DUSE_MPI".to_string()));
-        assert!(build.dependencies.contains(&"mpich".to_string()));
+        assert!(build.definitions.contains(&"-DUSE_MPI"));
+        assert_eq!(build.dependencies, ["fftw", "mpich"]);
         let cmd = &build.compile_db.commands[0];
         assert!(cmd.arguments.contains(&"-DUSE_MPI".to_string()));
         assert!(cmd.arguments.contains(&"-I/build/mpi/include".to_string()));
@@ -316,10 +326,12 @@ mod tests {
         let project = project();
         let assignment = OptionAssignment::new().with("FFT_LIBRARY", "builtin");
         let build = configure(&project, &assignment, "/b", None).unwrap();
+        let product = &project.custom_targets[0].product;
         assert!(build
             .enabled_sources
             .iter()
-            .any(|s| s.path == "generated/own_fft.ck"));
+            .any(|&s| std::ptr::eq(s, product)));
+        assert_eq!(build.compile_db.commands[1].file(), "generated/own_fft.ck");
         assert_eq!(build.translation_units(), 2);
         // With fftw3 selected the generated file does not exist and is skipped.
         let default = configure(&project, &OptionAssignment::new(), "/b", None).unwrap();
@@ -327,6 +339,21 @@ mod tests {
             .enabled_sources
             .iter()
             .any(|s| s.path == "generated/own_fft.ck"));
+    }
+
+    #[test]
+    fn a_target_naming_an_unknown_file_is_refused() {
+        let mut project = project();
+        project.targets[0].sources.push("src/typo.ck".into());
+        let error = configure(&project, &OptionAssignment::new(), "/b", None).unwrap_err();
+        assert_eq!(
+            error,
+            ConfigureError::UnknownSource {
+                target: "demo".into(),
+                file: "src/typo.ck".into(),
+            }
+        );
+        assert!(error.to_string().contains("src/typo.ck"), "{error}");
     }
 
     #[test]

@@ -214,20 +214,21 @@ impl BuildOption {
     }
 
     /// The effects of setting this option to `value` (empty effects for OFF / unknown).
-    pub(crate) fn effects_of(&self, value: &str) -> OptionEffects {
+    pub(crate) fn effects_of(&self, value: &str) -> &OptionEffects {
+        static NONE: OptionEffects = OptionEffects {
+            definitions: Vec::new(),
+            compile_flags: Vec::new(),
+            dependencies: Vec::new(),
+            enables_tags: Vec::new(),
+            link_libraries: Vec::new(),
+        };
         match &self.kind {
-            OptionKind::Bool { on_effects, .. } => {
-                if value.eq_ignore_ascii_case("ON") {
-                    on_effects.clone()
-                } else {
-                    OptionEffects::default()
-                }
-            }
+            OptionKind::Bool { on_effects, .. } if value.eq_ignore_ascii_case("ON") => on_effects,
+            OptionKind::Bool { .. } => &NONE,
             OptionKind::Choice { values, .. } => values
                 .iter()
                 .find(|v| v.name.eq_ignore_ascii_case(value))
-                .map(|v| v.effects.clone())
-                .unwrap_or_default(),
+                .map_or(&NONE, |v| &v.effects),
         }
     }
 

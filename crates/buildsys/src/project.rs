@@ -103,12 +103,9 @@ impl TargetSpec {
 pub struct CustomTarget {
     /// Name of the custom target.
     pub name: String,
-    /// Path of the file it generates.
-    pub generates: String,
-    /// Content of the generated file.
-    pub content: String,
-    /// Tags that trigger the generation (empty = always runs).
-    pub required_tags: Vec<String>,
+    /// The file it generates. Its `required_tags` trigger the generation (empty =
+    /// always runs), so configure enables a product by the same rule as a source.
+    pub product: SourceSpec,
 }
 
 /// A complete project description.
@@ -143,9 +140,10 @@ impl ProjectSpec {
         self.options.iter().find(|o| o.name == name)
     }
 
-    /// Look up a source by path.
+    /// Look up a source by path: a declared one or a custom target's product.
     pub fn source(&self, path: &str) -> Option<&SourceSpec> {
-        self.sources.iter().find(|s| s.path == path)
+        let products = self.custom_targets.iter().map(|c| &c.product);
+        self.sources.iter().chain(products).find(|s| s.path == path)
     }
 
     /// Look up a target by name.
@@ -184,14 +182,6 @@ impl ProjectSpec {
     /// Total number of source files (before configuration filtering).
     pub fn source_count(&self) -> usize {
         self.sources.len()
-    }
-
-    /// All source content keyed by path (used when copying the tree into containers).
-    pub fn source_tree(&self) -> BTreeMap<String, String> {
-        self.sources
-            .iter()
-            .map(|s| (s.path.clone(), s.content.clone()))
-            .collect()
     }
 }
 
@@ -267,11 +257,14 @@ mod tests {
     }
 
     #[test]
-    fn source_tree_and_builders() {
-        let project = tiny_project();
-        let tree = project.source_tree();
-        assert_eq!(tree.len(), 2);
-        assert!(tree["src/comm.ck"].contains("halo"));
+    fn builders_and_product_lookup() {
+        let mut project = tiny_project();
+        project.custom_targets.push(CustomTarget {
+            name: "gen".into(),
+            product: SourceSpec::new("generated/g.ck", "int g;").with_tag("gen"),
+        });
+        assert_eq!(project.source("generated/g.ck").unwrap().content, "int g;");
+        assert!(project.source("generated/other.ck").is_none());
         let spec = SourceSpec::new("a.ck", "x")
             .with_tag("gpu")
             .with_flag("-DF");

@@ -12,7 +12,7 @@ use crate::engine::{
 };
 use crate::error::PipelineError;
 use crate::ir_container::{
-    paths, project_compiler, sanitize, ConfigurationManifest, IrContainerBuild, UnitAssignment,
+    paths, sanitize, ConfigurationManifest, IrContainerBuild, UnitAssignment,
 };
 use crate::resolve::Resolved;
 use crate::targets::{derive_build_profile, target_isa_for};
@@ -22,7 +22,7 @@ use std::sync::OnceLock;
 use xaas_buildsys::{OptionAssignment, ProjectSpec, SourceSpec, TargetSpec};
 use xaas_container::{Blob, Derivation, Image, ImageStore, Layer};
 use xaas_hpcsim::{BuildProfile, SimdLevel, SystemModel};
-use xaas_xir::{CompileFlags, Compiler, MachineModule, TargetIsa, VectorizationReport};
+use xaas_xir::{CompileFlags, MachineModule, TargetIsa, VectorizationReport};
 
 /// Statistics of one deployment.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -267,7 +267,6 @@ pub(crate) struct DeployPlan<'a> {
     manifest: &'a ConfigurationManifest,
     pub(crate) simd: SimdLevel,
     target: TargetIsa,
-    compiler: Compiler,
     sd_flags: CompileFlags,
     tasks: Vec<DeployTask<'a>>,
     reference: String,
@@ -332,7 +331,6 @@ pub(crate) fn plan_ir_deploy<'a>(
         manifest,
         simd: resolved.target,
         target,
-        compiler: project_compiler(project),
         sd_flags,
         tasks,
         reference: resolved.reference(project, system),
@@ -346,7 +344,7 @@ pub(crate) fn plan_ir_deploy<'a>(
 /// 1. **preprocess** (parallel): system-dependent sources, producing the content
 ///    digests their compile actions are keyed by;
 /// 2. **machine-lower + sd-compile** (parallel, cache-routed): each an
-///    [`Action`](crate::engine::Action) record. A [`MachineLower`] is keyed on
+///    [`Action`] record. A [`MachineLower`] is keyed on
 ///    (unit content id, target ISA); an [`SdCompile`] reads its preprocess
 ///    dependency's output into its key, so that key is derived when the node is
 ///    dispatched;
@@ -372,14 +370,14 @@ pub(crate) fn graft_ir_deploy<'env>(
 ) -> GraftedDeploy {
     // Preprocess nodes first, in task order: all preprocess records precede the
     // artifact records.
-    let (compiler, flags, target) = (&plan.compiler, &plan.sd_flags, &plan.target);
-    let mut preprocess = PreprocessPlanner::default();
+    let (flags, target) = (&plan.sd_flags, &plan.target);
+    let mut preprocess = PreprocessPlanner::new(&plan.project.headers);
     let mut preprocess_actions: Vec<Option<ActionId>> = Vec::with_capacity(plan.tasks.len());
     for task in &plan.tasks {
         preprocess_actions.push(match task {
             DeployTask::Compile { source, .. } => {
                 let SourceSpec { path, content, .. } = source;
-                Some(preprocess.action_for(graph, compiler, path, content, flags))
+                Some(preprocess.action_for(graph, path, content, flags))
             }
             DeployTask::Lower { .. } => None,
         });
@@ -574,6 +572,59 @@ mod tests {
             deployment.build_profile.gpu_backend,
             Some(xaas_hpcsim::GpuBackend::Cuda)
         );
+    }
+
+    /// A custom target's product is a unit of exactly the configurations that
+    /// trigger it: sweeping `GMX_FFT_LIBRARY` over `fftw3` and `fftpack` lists
+    /// `generated/own_fft.ck`, as IR, only in the `fftpack` manifest, and
+    /// deploying that configuration lowers it.
+    #[test]
+    fn a_triggered_custom_target_product_is_stored_as_ir_and_lowered() {
+        const PRODUCT: &str = "generated/own_fft.ck";
+        fn product_artifacts<'b>(build: &'b IrContainerBuild, fft: &str) -> Vec<&'b str> {
+            let manifest = build
+                .manifests
+                .iter()
+                .find(|manifest| manifest.assignment.get("GMX_FFT_LIBRARY") == Some(fft));
+            let units = manifest.map_or(&[][..], |manifest| &manifest.units);
+            let product = units.iter().filter(|unit| unit.file == PRODUCT);
+            product.map(|unit| unit.artifact.as_str()).collect()
+        }
+        let store = ImageStore::new();
+        let project = gromacs::project();
+        let config = IrPipelineConfig::sweep_options(&project, &["GMX_FFT_LIBRARY"])
+            .with_values("GMX_FFT_LIBRARY", &["fftw3", "fftpack"]);
+        let build = IrBuildRequest::new(&project, &config)
+            .reference("spcl/mini-gromacs:fft")
+            .submit(&Orchestrator::uncached(&store))
+            .unwrap();
+        assert_eq!(build.manifests.len(), 2);
+        assert_eq!(product_artifacts(&build, "fftw3"), Vec::<&str>::new());
+        let fftpack = product_artifacts(&build, "fftpack");
+        assert_eq!(fftpack.len(), 1, "{fftpack:?}");
+        let id = fftpack[0].strip_prefix("ir:").expect("the product is IR");
+        assert_eq!(build.units[id].source_file, PRODUCT);
+
+        let selection = OptionAssignment::new().with("GMX_FFT_LIBRARY", "fftpack");
+        let system = SystemModel::ault23();
+        let deployment = deploy(
+            &build,
+            &project,
+            &system,
+            &selection,
+            SimdLevel::Avx512,
+            &store,
+        )
+        .unwrap();
+        assert_eq!(
+            deployment.assignment.get("GMX_FFT_LIBRARY"),
+            Some("fftpack")
+        );
+        let lowered = deployment.lowered().unwrap();
+        assert!(lowered.machine_modules[PRODUCT]
+            .functions
+            .iter()
+            .any(|function| function.name == "fft_forward"));
     }
 
     #[test]

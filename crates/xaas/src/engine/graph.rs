@@ -298,7 +298,7 @@ pub(crate) struct ActionNode<'env> {
 /// A DAG of actions to submit to the [`Engine`](crate::engine::Engine).
 ///
 /// `'env` is the lifetime of the data the node closures and records borrow
-/// (project specs, the compiler, manifest state). The executor runs them on its
+/// (project specs and their headers, manifest state). The executor runs them on its
 /// persistent worker pool; [`Engine::run`](crate::engine::Engine::run) returns
 /// only once every node's closure or record has run or been dropped, so
 /// borrowing driver locals is free, while

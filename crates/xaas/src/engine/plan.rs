@@ -24,7 +24,7 @@ use xaas_container::{
 use xaas_hpcsim::SystemModel;
 use xaas_xir::preprocess::flag_definition;
 use xaas_xir::{
-    bitcode, compile_preprocessed, lower_to_machine, CompileError, CompileFlags, Compiler,
+    bitcode, compile_preprocessed, lower_to_machine, preprocess_unit, CompileError, CompileFlags,
     IrModule, MachineModule, Observation, TargetIsa,
 };
 
@@ -166,13 +166,14 @@ impl Action for SdCompile<'_> {
     }
 }
 
-/// A `preprocess`: `file`'s `content` preprocessed under `flags`, output in the
-/// format [`PreprocessPlanner`] documents. Unkeyed: it runs wherever planned.
+/// A `preprocess`: `file`'s `content` preprocessed under `flags` with the project's
+/// `headers`, output in the format [`PreprocessPlanner`] documents. Unkeyed: it runs
+/// wherever planned.
 struct Preprocess<'a> {
     file: &'a str,
     content: &'a str,
     flags: CompileFlags,
-    compiler: &'a Compiler,
+    headers: &'a BTreeMap<String, String>,
 }
 
 impl Action for Preprocess<'_> {
@@ -185,15 +186,13 @@ impl Action for Preprocess<'_> {
             file: _,
             content: _,
             flags: _,
-            compiler: _,
+            headers: _,
         } = self;
         record
     }
 
     fn run(self, _: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
-        let unit = self
-            .compiler
-            .preprocess_only(self.file, self.content, &self.flags)
+        let unit = preprocess_unit(self.file, self.content, &self.flags, self.headers)
             .map_err(compile_error(self.file))?;
         let (digest, verdict) = (unit.content_digest(), unit.mentions_openmp());
         // The output adopts the text's buffer.
@@ -225,10 +224,12 @@ impl Action for Preprocess<'_> {
 /// file of a deployment — is never scanned.
 ///
 /// Nodes are indexed by file, and a repeat is found by comparing borrowed
-/// definitions in identity order. A node borrows its file and content, which
-/// outlive the graph; only its flags and identity are copied.
-#[derive(Default)]
+/// definitions in identity order. A node borrows its file, content and the
+/// project's headers, which outlive the graph; only its flags and identity are
+/// copied.
 pub(crate) struct PreprocessPlanner<'env> {
+    /// The project's headers (name → content), which every node includes from.
+    headers: &'env BTreeMap<String, String>,
     files: BTreeMap<&'env str, FilePlans>,
     /// Scratch for the identity being looked up: positions in the flags' definitions,
     /// in identity order.
@@ -277,13 +278,21 @@ impl FilePlans {
 }
 
 impl<'env> PreprocessPlanner<'env> {
+    /// A planner whose nodes include from `headers`.
+    pub(crate) fn new(headers: &'env BTreeMap<String, String>) -> Self {
+        Self {
+            headers,
+            files: BTreeMap::new(),
+            order: Vec::new(),
+        }
+    }
+
     /// The action preprocessing `file`'s `content` under `flags`, scheduling it on
     /// `graph` at first use. A preprocessor failure is a
     /// [`PipelineError::Compile`] naming `file`.
     pub(crate) fn action_for(
         &mut self,
         graph: &mut ActionGraph<'env, PipelineError>,
-        compiler: &'env Compiler,
         file: &'env str,
         content: &'env str,
         flags: &CompileFlags,
@@ -298,7 +307,7 @@ impl<'env> PreprocessPlanner<'env> {
         if plans.observation.is_none() && !plans.plans.is_empty() {
             // A second definition set: observe the file, once, and narrow both
             // identities to what it observes.
-            let observation = Observation::of(content, &compiler.headers);
+            let observation = Observation::of(content, self.headers);
             for (planned, _) in &mut plans.plans {
                 planned.retain(|flag| observation.observes_flag(flag));
             }
@@ -313,7 +322,7 @@ impl<'env> PreprocessPlanner<'env> {
             file,
             content,
             flags: flags.clone(),
-            compiler,
+            headers: self.headers,
         };
         let id = graph.add_action(file, record, &[]);
         plans.plans.push((identity, id));
@@ -483,11 +492,12 @@ mod tests {
     use crate::engine::graph::derive_key;
     use crate::engine::Engine;
     use xaas_container::Architecture;
+    use xaas_xir::Compiler;
 
     #[test]
     fn preprocess_planner_deduplicates_by_file_and_definitions() {
-        let compiler = Compiler::new();
-        let mut planner = PreprocessPlanner::default();
+        let headers = BTreeMap::new();
+        let mut planner = PreprocessPlanner::new(&headers);
         let mut graph: ActionGraph<'_, PipelineError> = ActionGraph::new();
         let source =
             "kernel void f(float* x, int n) { for (int i = 0; i < n; i = i + 1) { x[i] = N; } }";
@@ -499,7 +509,7 @@ mod tests {
             )
         };
         let mut plan = |file: &'static str, defs: &[&str]| {
-            planner.action_for(&mut graph, &compiler, file, source, &flags(defs))
+            planner.action_for(&mut graph, file, source, &flags(defs))
         };
         let plain = plan("f.ck", &[]);
         assert_eq!(
@@ -538,7 +548,7 @@ mod tests {
         compiler.add_header("scale.h", "#define SCALE 2.0\n");
         let store = ImageStore::new();
         let engine = Engine::uncached(&store);
-        let mut planner = PreprocessPlanner::default();
+        let mut planner = PreprocessPlanner::new(&compiler.headers);
         let mut graph: ActionGraph<'_, PipelineError> = ActionGraph::new();
         let flags = flags(&["-O3", "-DN=4", "-fopenmp", "-mavx2"]);
         let target = TargetIsa::vector("x86_64-avx2", 8, true);
@@ -556,9 +566,8 @@ mod tests {
                 false,
             ),
         ];
-        let ids = units.map(|(file, source, _)| {
-            planner.action_for(&mut graph, &compiler, file, source, &flags)
-        });
+        let ids =
+            units.map(|(file, source, _)| planner.action_for(&mut graph, file, source, &flags));
         let (outputs, _) = engine.run(graph).unwrap().into_outputs().unwrap();
         for (id, (file, source, omp)) in ids.into_iter().zip(units) {
             let output = &outputs[id];

@@ -90,9 +90,14 @@ impl From<GraphError> for PipelineError {
     }
 }
 
+/// A target naming an unknown file is this crate's [`PipelineError::UnknownSource`];
+/// every other configure error keeps its own type.
 impl From<ConfigureError> for PipelineError {
     fn from(value: ConfigureError) -> Self {
-        PipelineError::Configure(value)
+        match value {
+            ConfigureError::UnknownSource { file, .. } => PipelineError::UnknownSource { file },
+            other => PipelineError::Configure(other),
+        }
     }
 }
 

@@ -41,7 +41,7 @@ use xaas_container::{
     Platform,
 };
 use xaas_specs::from_project;
-use xaas_xir::{bitcode, CompileFlags, Compiler, IrModule, OptLevel};
+use xaas_xir::{bitcode, CompileFlags, IrModule, OptLevel};
 
 pub use crate::engine::ActionSummary;
 
@@ -268,25 +268,6 @@ struct TuOccurrence<'env> {
     preprocess_action: ActionId,
 }
 
-/// Every source path the project can legitimately compile: declared sources plus
-/// custom-target products. A target referencing anything else is malformed — the
-/// drivers surface it as a typed `UnknownSource` error instead of silently skipping
-/// the unit.
-pub(crate) fn unknown_target_source(project: &ProjectSpec) -> Option<String> {
-    let known: BTreeSet<&str> = project
-        .sources
-        .iter()
-        .map(|s| s.path.as_str())
-        .chain(project.custom_targets.iter().map(|c| c.generates.as_str()))
-        .collect();
-    project
-        .targets
-        .iter()
-        .flat_map(|target| &target.sources)
-        .find(|path| !known.contains(path.as_str()))
-        .cloned()
-}
-
 /// The serial stage-1 plan: the stage-A action graph (one wave of preprocess nodes,
 /// each also deciding stage 3) plus the bookkeeping the later serial stages fold
 /// over. Building it runs no actions — this is the
@@ -299,38 +280,13 @@ pub(crate) struct IrBuildStageA<'env> {
     occurrences: Vec<TuOccurrence<'env>>,
 }
 
-/// The compiler every build and deployment record borrows: `project`'s headers
-/// loaded.
-pub(crate) fn project_compiler(project: &ProjectSpec) -> Compiler {
-    let mut compiler = Compiler::new();
-    for (name, content) in &project.headers {
-        compiler.add_header(name.clone(), content.clone());
-    }
-    compiler
-}
-
-/// The project's own path and content of a configured `source`, which configure
-/// cloned from a declared source or a custom target's product.
-fn project_text<'p>(project: &'p ProjectSpec, source: &SourceSpec) -> Option<(&'p str, &'p str)> {
-    let declared = (project.sources.iter()).map(|s| (s.path.as_str(), s.content.as_str()));
-    let generated =
-        (project.custom_targets.iter()).map(|c| (c.generates.as_str(), c.content.as_str()));
-    declared
-        .chain(generated)
-        .find(|&(path, content)| path == source.path && content == source.content)
-}
-
 /// Stage 1 (driver, serial): configure every assignment, classify its units,
-/// and plan the deduplicated stage-A graph. `project` and `compiler` must
-/// outlive the graph — the planned preprocess actions borrow them.
+/// and plan the deduplicated stage-A graph. `project` must outlive the graph —
+/// the planned preprocess actions borrow its sources and headers.
 pub(crate) fn plan_ir_build_stage_a<'env>(
     project: &'env ProjectSpec,
     config: &IrPipelineConfig,
-    compiler: &'env Compiler,
 ) -> Result<IrBuildStageA<'env>, PipelineError> {
-    if let Some(file) = unknown_target_source(project) {
-        return Err(PipelineError::UnknownSource { file });
-    }
     let assignments = enumerate_assignments(project, config)?;
 
     let mut stats = PipelineStats {
@@ -338,19 +294,18 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
         ..Default::default()
     };
     let mut manifests: Vec<ConfigurationManifest> = Vec::new();
-    let mut sd_files: BTreeSet<String> = BTreeSet::new();
+    let mut sd_files: BTreeSet<&str> = BTreeSet::new();
     let mut si_files: BTreeSet<&str> = BTreeSet::new();
     let mut occurrences: Vec<TuOccurrence> = Vec::new();
 
     let mut stage_a: ActionGraph<'env, PipelineError> = ActionGraph::new();
     // Preprocessing depends only on the file and the definitions it can observe:
     // the planner schedules each distinct pair once across configurations.
-    let mut preprocess = PreprocessPlanner::default();
+    let mut preprocess = PreprocessPlanner::new(&project.headers);
     for requested in &assignments {
         let ConfiguredBuild {
             assignment,
             configure_command,
-            enabled_sources,
             definitions,
             compile_flags,
             dependencies,
@@ -359,46 +314,35 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
         } = configure(project, requested, &config.build_dir, None)?;
         // The configuration's units: the system-dependent ones, then the
         // system-independent ones in occurrence order, whose artifacts the Link
-        // fills in. Each takes its command's strings.
+        // fills in. Each takes its command's target.
         let mut units: Vec<UnitAssignment> = Vec::new();
         let mut system_independent: Vec<UnitAssignment> = Vec::new();
         for command in compile_db.commands {
             stats.total_translation_units += 1;
-            let source = enabled_sources
-                .iter()
-                .find(|s| s.path == command.file)
-                .ok_or_else(|| PipelineError::UnknownSource {
-                    file: command.file.clone(),
-                })?;
-            let is_system_dependent = source.required_tags.iter().any(|t| t == "mpi");
-            if is_system_dependent {
+            let SourceSpec {
+                path,
+                content,
+                required_tags,
+                ..
+            } = command.source;
+            if required_tags.iter().any(|t| t == "mpi") {
                 stats.system_dependent_units += 1;
-                if !sd_files.contains(&source.path) {
-                    sd_files.insert(source.path.clone());
-                }
+                sd_files.insert(path);
                 units.push(UnitAssignment {
-                    artifact: format!("src:{}", command.file),
+                    artifact: format!("src:{path}"),
                     target: command.target,
-                    file: command.file,
+                    file: path.clone(),
                 });
                 continue;
             }
-            let (path, content) =
-                project_text(project, source).ok_or_else(|| PipelineError::UnknownSource {
-                    file: command.file.clone(),
-                })?;
             si_files.insert(path);
 
             let generation_key = command.canonical_key();
             let CompileCommand {
-                target,
-                file,
-                arguments,
-                ..
+                target, arguments, ..
             } = command;
             let flags = CompileFlags::parse(arguments);
-            let preprocess_action =
-                preprocess.action_for(&mut stage_a, compiler, path, content, &flags);
+            let preprocess_action = preprocess.action_for(&mut stage_a, path, content, &flags);
             occurrences.push(TuOccurrence {
                 file: path,
                 flags,
@@ -407,21 +351,23 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
             });
             system_independent.push(UnitAssignment {
                 target,
-                file,
+                file: path.clone(),
                 artifact: String::new(),
             });
         }
         units.append(&mut system_independent);
-        let mut common_flags: Vec<String> = project.global_flags.clone();
-        common_flags.extend(compile_flags);
-        let (delayed_flags, compile_flags): (Vec<String>, Vec<String>) =
-            common_flags.into_iter().partition(|f| f.starts_with("-m"));
+        let common_flags = project.global_flags.iter().map(String::as_str);
+        let (delayed_flags, compile_flags): (Vec<String>, Vec<String>) = (common_flags
+            .chain(compile_flags))
+        .map(str::to_owned)
+        .partition(|f| f.starts_with("-m"));
+        let owned = |strs: Vec<&str>| strs.into_iter().map(str::to_owned).collect();
         manifests.push(ConfigurationManifest {
             label: assignment.label(),
             assignment,
             configure_command,
-            definitions,
-            dependencies,
+            definitions: owned(definitions),
+            dependencies: owned(dependencies),
             units,
             compile_flags,
             delayed_flags,
@@ -536,8 +482,7 @@ pub(crate) fn analyze_ir_build(
     config: &IrPipelineConfig,
     engine: &Engine,
 ) -> Result<crate::engine::AnalysisReport, PipelineError> {
-    let compiler = project_compiler(project);
-    let planned = plan_ir_build_stage_a(project, config, &compiler)?;
+    let planned = plan_ir_build_stage_a(project, config)?;
     Ok(engine.analyze(&planned.graph))
 }
 
@@ -560,23 +505,21 @@ pub(crate) fn analyze_ir_build(
 ///    units and commit it to the engine's store.
 ///
 /// The resulting image is byte-identical for any worker count, scheduling policy,
-/// and whether actions hit or miss the cache; only
-/// [`IrContainerBuild::actions`]/[`IrContainerBuild::trace`] differ in their
-/// `cached` flags.
+/// and whether actions hit or miss the cache; only [`IrContainerBuild::trace`]
+/// differs, in its `cached` flags.
 pub(crate) fn run_ir_build(
     project: &ProjectSpec,
     config: &IrPipelineConfig,
     engine: &Engine,
     reference: &str,
 ) -> Result<IrContainerBuild, PipelineError> {
-    let compiler = project_compiler(project);
     // ---- Stage 1 (driver, serial): configure and plan the stage-A graph ----
     let IrBuildStageA {
         graph: stage_a,
         mut stats,
         manifests,
         occurrences,
-    } = plan_ir_build_stage_a(project, config, &compiler)?;
+    } = plan_ir_build_stage_a(project, config)?;
 
     // ---- Stage 2+3 (graph A): preprocess, deciding OpenMP from the text ----
     let (outputs_a, mut trace) = engine.run(stage_a)?.into_outputs()?;
@@ -989,8 +932,7 @@ mod tests {
             "GMX_SIMD",
             &["SSE4.1", "AVX2_256", "AVX_512", "ARM_NEON_ASIMD"],
         );
-        let compiler = project_compiler(&project);
-        let stage_a = plan_ir_build_stage_a(&project, &config, &compiler).unwrap();
+        let stage_a = plan_ir_build_stage_a(&project, &config).unwrap();
         let preprocess: BTreeSet<ActionId> = stage_a
             .occurrences
             .iter()
@@ -1152,7 +1094,6 @@ mod tests {
         let engine = Engine::uncached(&store);
         let mut compared = 0;
         for (project, sweep) in &sweeps {
-            let compiler = project_compiler(project);
             let settings = every_stage_setting()
                 .map(|stages| (stages, false))
                 .chain([(PipelineStages::default(), true)]);
@@ -1162,7 +1103,7 @@ mod tests {
                     optimize_early,
                     ..sweep.clone()
                 };
-                let planned = plan_ir_build_stage_a(project, &config, &compiler).unwrap();
+                let planned = plan_ir_build_stage_a(project, &config).unwrap();
                 let occurrences = planned.occurrences;
                 let (outputs, _) = engine.run(planned.graph).unwrap().into_outputs().unwrap();
                 let oracle = string_keyed_identities(&occurrences, &outputs, stages);
@@ -1253,10 +1194,11 @@ mod tests {
         let arguments: Vec<String> = (0..pick(7))
             .map(|_| ARGS[pick(ARGS.len())].to_string())
             .collect();
+        let source = SourceSpec::new(file, "");
         let command = CompileCommand {
             directory: "/xaas/build".to_string(),
             target: "app".to_string(),
-            file: file.to_string(),
+            source: &source,
             output: format!("{file}.o"),
             arguments,
         };

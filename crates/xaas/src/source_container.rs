@@ -11,19 +11,21 @@ use crate::engine::{
     Action, ActionGraph, ActionId, ActionInputs, ActionKind, ActionTrace, PreprocessPlanner,
 };
 use crate::error::PipelineError;
-use crate::ir_container::project_compiler;
 use crate::resolve::{resolve, Policy, Resolved};
 use crate::targets::{derive_build_profile, target_isa_for};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
-use xaas_buildsys::{configure, ConfiguredBuild, OptionAssignment, ProjectSpec, TargetSpec};
+use xaas_buildsys::{
+    configure, CompileCommand, ConfiguredBuild, OptionAssignment, ProjectSpec, SourceSpec,
+    TargetSpec,
+};
 use xaas_container::{
     annotation_keys, Architecture, BuildKey, DeploymentFormat, Derivation, Image, ImageStore,
     Layer, Platform,
 };
 use xaas_hpcsim::{BuildProfile, SystemModel};
 use xaas_specs::from_project;
-use xaas_xir::{CompileFlags, Compiler, MachineModule, TargetIsa};
+use xaas_xir::{CompileFlags, MachineModule, TargetIsa};
 
 /// Paths used inside source containers.
 pub mod paths {
@@ -79,12 +81,14 @@ pub fn build_source_container(
 }
 
 /// The layer holding `project`'s source tree, noted `note`: the build script, the
-/// sources, then the headers. Source and IR containers both ship it.
+/// sources, then the headers. Source and IR containers both ship it. A layer keeps
+/// its entries in path order, so the sources are listed by path whatever order
+/// the project declares them in.
 pub(crate) fn source_tree_layer(project: &ProjectSpec, note: impl Into<String>) -> Layer {
     let mut layer = Layer::new(note);
     layer.add_text(paths::BUILD_SCRIPT, project.build_script.clone());
-    for (path, content) in project.source_tree() {
-        layer.add_text(format!("{}/{}", paths::SOURCE_ROOT, path), content);
+    for SourceSpec { path, content, .. } in &project.sources {
+        layer.add_text(format!("{}/{path}", paths::SOURCE_ROOT), content.clone());
     }
     for (name, content) in &project.headers {
         layer.add_text(format!("{}/{}", paths::INCLUDE_ROOT, name), content.clone());
@@ -113,12 +117,12 @@ pub struct SourceDeployment {
     pub trace: ActionTrace,
 }
 
-/// One `sd-compile` of a source deployment, by index into the plan's configured
-/// build: its source, and every compile command sharing its [`SdCompile`]
-/// record's identity (two targets can compile the same file with the same
-/// flags), which its object file serves.
-struct SourceUnit {
-    source: usize,
+/// One `sd-compile` of a source deployment: its source, and every compile command
+/// (by index into the plan's configured build) sharing its [`SdCompile`] record's
+/// identity (two targets can compile the same file with the same flags), which
+/// its object file serves.
+struct SourceUnit<'p> {
+    source: &'p SourceSpec,
     flags: CompileFlags,
     commands: Vec<usize>,
 }
@@ -134,8 +138,9 @@ struct SourceDeployLink<'a> {
     /// The selected configuration's label, which the layer's note names.
     label: &'a str,
     /// One unit per dependency, in order: its object is that dependency's output.
-    units: &'a [SourceUnit],
-    build: &'a ConfiguredBuild,
+    units: &'a [SourceUnit<'a>],
+    /// The configured build's commands, which place each unit's objects.
+    commands: &'a [CompileCommand<'a>],
     /// The project's targets, linked by name.
     targets: &'a [TargetSpec],
     system: &'a str,
@@ -147,7 +152,7 @@ impl SourceDeployLink<'_> {
     /// Where each compile command of `unit` puts its object file, configured
     /// under `paths::BUILD_ROOT`: `<root>/<target>/<file>.o`.
     fn objects<'a>(&'a self, unit: &'a SourceUnit) -> impl ExactSizeIterator<Item = &'a str> {
-        let commands = &self.build.compile_db.commands;
+        let commands = self.commands;
         unit.commands
             .iter()
             .map(|&command| commands[command].output.as_str())
@@ -164,9 +169,8 @@ impl Action for SourceDeployLink<'_> {
         let Self {
             label,
             units,
-            // Read for each unit's object paths (keyed below) and its source's
-            // path, which only an error names.
-            build: _,
+            // Read for each unit's object paths, keyed below.
+            commands: _,
             targets,
             system,
             target,
@@ -194,7 +198,7 @@ impl Action for SourceDeployLink<'_> {
         // to validate them before linking.
         for (index, unit) in self.units.iter().enumerate() {
             serde_json::from_slice::<MachineModule>(deps.dep(index)).map_err(|e| {
-                let file = &self.build.enabled_sources[unit.source].path;
+                let file = &unit.source.path;
                 PipelineError::Cache(format!("machine module for {file}: {e}"))
             })?;
         }
@@ -229,9 +233,9 @@ pub(crate) struct SourceDeployPlan<'a> {
     label: String,
     build_profile: BuildProfile,
     target: TargetIsa,
-    compiler: Compiler,
-    build: ConfiguredBuild,
-    units: Vec<SourceUnit>,
+    /// The configured build's compile commands.
+    commands: Vec<CompileCommand<'a>>,
+    units: Vec<SourceUnit<'a>>,
     reference: String,
     committed: OnceLock<Image>,
 }
@@ -245,9 +249,6 @@ pub(crate) fn plan_source_deploy<'a>(
     system: &'a SystemModel,
     preferences: &OptionAssignment,
 ) -> Result<SourceDeployPlan<'a>, PipelineError> {
-    if let Some(file) = crate::ir_container::unknown_target_source(project) {
-        return Err(PipelineError::UnknownSource { file });
-    }
     // 1.–2. Discovery, intersection and selection.
     let mut resolved = resolve(project, system, preferences, None, Policy::BestAvailable)?;
 
@@ -272,12 +273,13 @@ pub(crate) fn plan_source_deploy<'a>(
             available.insert("rocm".into());
         }
     }
-    let build = configure(
+    let ConfiguredBuild { compile_db, .. } = configure(
         project,
         &resolved.selection,
         paths::BUILD_ROOT,
         Some(&available),
     )?;
+    let commands = compile_db.commands;
 
     // 4. The on-target build compiles every enabled translation unit for the
     //    resolved SIMD level.
@@ -297,20 +299,13 @@ pub(crate) fn plan_source_deploy<'a>(
         ));
     }
 
-    let compiler = project_compiler(project);
     let mut units: Vec<SourceUnit> = Vec::new();
     let mut unit_by_identity: BTreeMap<BuildKey, usize> = BTreeMap::new();
-    for (index, command) in build.compile_db.commands.iter().enumerate() {
-        let source = build
-            .enabled_sources
-            .iter()
-            .position(|s| s.path == command.file)
-            .ok_or_else(|| PipelineError::UnknownSource {
-                file: command.file.clone(),
-            })?;
+    for (index, command) in commands.iter().enumerate() {
+        let source = command.source;
         let flags = command.flags();
         let record = SdCompile {
-            path: &command.file,
+            path: &source.path,
             flags: &flags,
             target: &target,
         };
@@ -335,8 +330,7 @@ pub(crate) fn plan_source_deploy<'a>(
         resolved,
         build_profile,
         target,
-        compiler,
-        build,
+        commands,
         units,
         committed: OnceLock::new(),
     })
@@ -359,17 +353,16 @@ pub(crate) fn graft_source_deploy<'env>(
     graph: &mut ActionGraph<'env, PipelineError>,
     store: &'env ImageStore,
 ) {
-    let source_of = |unit: &SourceUnit| &plan.build.enabled_sources[unit.source];
     // Preprocess nodes first, in unit order: all preprocess records precede the
     // compile records.
-    let (compiler, target) = (&plan.compiler, &plan.target);
-    let mut preprocess = PreprocessPlanner::default();
+    let target = &plan.target;
+    let mut preprocess = PreprocessPlanner::new(&plan.project.headers);
     let preprocess_actions: Vec<ActionId> = plan
         .units
         .iter()
         .map(|unit| {
-            let source = source_of(unit);
-            preprocess.action_for(graph, compiler, &source.path, &source.content, &unit.flags)
+            let SourceSpec { path, content, .. } = unit.source;
+            preprocess.action_for(graph, path, content, &unit.flags)
         })
         .collect();
     // The plan holds one unit per identity, so no compile aliases another.
@@ -378,7 +371,7 @@ pub(crate) fn graft_source_deploy<'env>(
         .iter()
         .zip(&preprocess_actions)
         .map(|(unit, &preprocess)| {
-            let path = source_of(unit).path.as_str();
+            let path = unit.source.path.as_str();
             let record = SdCompile {
                 path,
                 flags: &unit.flags,
@@ -392,7 +385,7 @@ pub(crate) fn graft_source_deploy<'env>(
     let link = SourceDeployLink {
         label: &plan.label,
         units: &plan.units,
-        build: &plan.build,
+        commands: &plan.commands,
         targets: &plan.project.targets,
         system: &plan.system.name,
         target: &plan.target.name,
@@ -422,7 +415,7 @@ pub(crate) fn finish_source_deploy(
         image: plan.committed.into_inner().expect("the commit action ran"),
         reference: plan.reference,
         assignment: plan.resolved.selection,
-        compiled_units: plan.build.compile_db.commands.len(),
+        compiled_units: plan.commands.len(),
         build_profile: plan.build_profile,
         notes: plan.resolved.notes,
         trace,
@@ -610,13 +603,12 @@ mod tests {
         let cache = xaas_container::ActionCache::new(store.clone());
         let plan = plan_source_deploy(&project, &image, &system, &OptionAssignment::new()).unwrap();
         let unit = &plan.units[1];
-        let source = &plan.build.enabled_sources[unit.source];
-        let mut preprocessed = plan
-            .compiler
-            .preprocess_only(&source.path, &source.content, &unit.flags)
-            .unwrap()
-            .content_digest()
-            .into_bytes();
+        let source = unit.source;
+        let mut preprocessed =
+            xaas_xir::preprocess_unit(&source.path, &source.content, &unit.flags, &project.headers)
+                .unwrap()
+                .content_digest()
+                .into_bytes();
         preprocessed.push(1);
         let record = SdCompile {
             path: &source.path,
@@ -637,26 +629,26 @@ mod tests {
     }
 
     /// A named change to one field of [`LinkFields`].
-    type Change = (&'static str, fn(&mut LinkFields));
+    type Change = (&'static str, fn(&mut LinkFields<'_>));
 
     /// Everything a [`SourceDeployLink`] keys, owned, so a test can change one
     /// field: taken from the GROMACS/Ault23 plan, with made-up object bytes.
     #[derive(Clone)]
-    struct LinkFields {
+    struct LinkFields<'p> {
         label: String,
-        build: ConfiguredBuild,
+        commands: Vec<CompileCommand<'p>>,
         targets: Vec<TargetSpec>,
         system: String,
         target: String,
         outputs: Vec<Vec<u8>>,
     }
 
-    impl LinkFields {
+    impl LinkFields<'_> {
         fn key(&self, units: &[SourceUnit]) -> BuildKey {
             let record = SourceDeployLink {
                 label: &self.label,
                 units,
-                build: &self.build,
+                commands: &self.commands,
                 targets: &self.targets,
                 system: &self.system,
                 target: &self.target,
@@ -666,10 +658,10 @@ mod tests {
         }
     }
 
-    fn link_fields(plan: &SourceDeployPlan<'_>) -> LinkFields {
+    fn link_fields<'p>(plan: &SourceDeployPlan<'p>) -> LinkFields<'p> {
         LinkFields {
             label: plan.label.clone(),
-            build: plan.build.clone(),
+            commands: plan.commands.clone(),
             targets: plan.project.targets.clone(),
             system: plan.system.name.clone(),
             target: plan.target.name.clone(),
@@ -708,7 +700,7 @@ mod tests {
             ("target", |f| f.target = "x86_64-avx2_256".into()),
             ("a target name", |f| f.targets[0].name.push('2')),
             ("an object path", |f| {
-                f.build.compile_db.commands[0].output.push_str(".moved")
+                f.commands[0].output.push_str(".moved")
             }),
             ("one object's bytes", |f| f.outputs[1].push(b'!')),
         ];
@@ -718,9 +710,23 @@ mod tests {
             assert_ne!(key(&changed), key(&base), "{what} moves the key");
         }
         // The source path only names an undecodable object in an error.
-        let mut renamed = base.clone();
-        renamed.build.enabled_sources[plan.units[0].source].path += ".elsewhere";
-        assert_eq!(key(&renamed), key(&base));
+        let first = plan.units[0].source;
+        let elsewhere = SourceSpec {
+            path: format!("{}.elsewhere", first.path),
+            ..first.clone()
+        };
+        let renamed: Vec<SourceUnit> = (plan.units.iter())
+            .map(|unit| SourceUnit {
+                source: if std::ptr::eq(unit.source, first) {
+                    &elsewhere
+                } else {
+                    unit.source
+                },
+                flags: unit.flags.clone(),
+                commands: unit.commands.clone(),
+            })
+            .collect();
+        assert_eq!(base.key(&renamed), key(&base));
         let copied = LinkFields {
             outputs: base.outputs.iter().map(|o| o.to_vec()).collect(),
             ..base.clone()

@@ -22,11 +22,11 @@
 //! definitions and OpenMP affect the IR, ISA flags are *delayed* until deployment.
 //!
 //! The pipeline preprocesses each translation unit once. Its preprocess node runs
-//! [`Compiler::preprocess_only`] and outputs the preprocessed text together with the
-//! text's [`PreprocessedUnit::content_digest`] (the unit's identity) and its
-//! [`PreprocessedUnit::mentions_openmp`] verdict. The compile nodes hand that text to
-//! [`compile_preprocessed`], the front end's tail; [`Compiler::compile_to_ir`] is the
-//! two steps in one call.
+//! [`preprocess_unit`] over the project's own header map and outputs the
+//! preprocessed text together with the text's [`PreprocessedUnit::content_digest`]
+//! (the unit's identity) and its [`PreprocessedUnit::mentions_openmp`] verdict.
+//! The compile nodes hand that text to [`compile_preprocessed`], the front end's
+//! tail; [`Compiler::compile_to_ir`] is the two steps in one call.
 //!
 //! ```
 //! use xaas_xir::{Compiler, CompileFlags};
@@ -198,19 +198,15 @@ impl Compiler {
         self
     }
 
-    /// Run only the preprocessor (`xirc -E`).
+    /// Run only the preprocessor (`xirc -E`): [`preprocess_unit`] over this
+    /// compiler's headers.
     pub fn preprocess_only(
         &self,
         file: &str,
         source: &str,
         flags: &CompileFlags,
     ) -> Result<PreprocessedUnit, CompileError> {
-        Ok(preprocess::preprocess_owned(
-            file,
-            source,
-            flags.definition_set(),
-            &self.headers,
-        )?)
+        preprocess_unit(file, source, flags, &self.headers)
     }
 
     /// Full compilation to an (optimised, target-independent) IR module:
@@ -224,6 +220,24 @@ impl Compiler {
         let preprocessed = self.preprocess_only(file, source, flags)?;
         compile_preprocessed(file, &preprocessed.text, flags)
     }
+}
+
+/// Preprocess `file`'s `source` under the definitions of `flags`, resolving
+/// `#include "name"` from `headers` (name → content), which the caller keeps: a
+/// driver passes its project's header map instead of copying it into a
+/// [`Compiler`].
+pub fn preprocess_unit(
+    file: &str,
+    source: &str,
+    flags: &CompileFlags,
+    headers: &BTreeMap<String, String>,
+) -> Result<PreprocessedUnit, CompileError> {
+    Ok(preprocess::preprocess_owned(
+        file,
+        source,
+        flags.definition_set(),
+        headers,
+    )?)
 }
 
 /// Compile `file`'s already preprocessed `text` (a [`PreprocessedUnit::text`]) to an

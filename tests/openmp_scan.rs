@@ -9,7 +9,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use xaas_buildsys::options::all_combinations;
 use xaas_buildsys::{configure, OptionAssignment, ProjectSpec};
 use xaas_xir::preprocess::preprocess;
-use xaas_xir::{openmp, parse::parse, Compiler, Definitions, PreprocessedUnit};
+use xaas_xir::{openmp, parse::parse, preprocess_unit, Definitions, PreprocessedUnit};
 
 fn pick<'a>(rng: &mut TestRng, items: &[&'a str]) -> &'a str {
     items[rng.usize_in(0, items.len())]
@@ -193,24 +193,15 @@ fn preprocessed_texts(
     project: &ProjectSpec,
     assignments: Vec<OptionAssignment>,
 ) -> Vec<PreprocessedUnit> {
-    let mut compiler = Compiler::new();
-    for (name, content) in &project.headers {
-        compiler.add_header(name.clone(), content.clone());
-    }
     let mut seen = BTreeSet::new();
     let mut units = Vec::new();
     for assignment in assignments {
         let build = configure(project, &assignment, "/xaas/build", None).expect("configures");
         for command in &build.compile_db.commands {
-            let source = build
-                .enabled_sources
-                .iter()
-                .find(|source| source.path == command.file)
-                .expect("an enabled source");
-            let unit = compiler
-                .preprocess_only(&command.file, &source.content, &command.flags())
+            let (file, source) = (command.file(), &command.source.content);
+            let unit = preprocess_unit(file, source, &command.flags(), &project.headers)
                 .expect("every configured unit preprocesses");
-            if seen.insert((command.file.clone(), unit.content_hash())) {
+            if seen.insert((file, unit.content_hash())) {
                 units.push(unit);
             }
         }

@@ -68,8 +68,10 @@ const REQUESTS: u64 = 16;
 /// (140,878 B); later 112 KB (111,937 B). With blobs adopting their buffers, the
 /// archive and JSON written at final size and normal paths kept as given, 90 KB
 /// (90,126 B). With the Link a cache hit, so no object is read back, and its
-/// archive adopted undecoded, 67 KB (66,483–66,611 B over six runs).
-const ALLOC_BUDGET_BYTES: u64 = 72 * 1024;
+/// archive adopted undecoded, 67 KB (66,483–66,611 B over six runs). With the
+/// configured build borrowing its sources and option values and the preprocess
+/// nodes the project's headers, 58 KB (59,428–59,904 B over eight release and debug runs).
+const ALLOC_BUDGET_BYTES: u64 = 65 * 1024;
 
 #[test]
 fn warm_llamacpp_source_deployments_stay_inside_the_allocation_budget() {
