@@ -15,9 +15,9 @@ use xaas_xir::CompileFlags;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompileCommand<'p> {
     /// Build directory the command runs in.
-    pub directory: String,
+    pub directory: &'p str,
     /// Target (executable/library) the object belongs to.
-    pub target: String,
+    pub target: &'p str,
     /// The project's source (or custom-target product) it compiles.
     pub source: &'p SourceSpec,
     /// Output object path.
@@ -42,7 +42,7 @@ impl<'p> CompileCommand<'p> {
     /// `<build-dir>` wherever an argument contains it (configurations built in
     /// different directories compare equal). Only a rewritten argument is copied.
     pub fn canonical_key(&self) -> String {
-        let directory = self.directory.as_str();
+        let directory = self.directory;
         let mut args: Vec<Cow<'_, str>> = self
             .arguments
             .iter()
@@ -88,8 +88,8 @@ impl CompileDatabase<'_> {
 
     /// All distinct target names.
     pub fn targets(&self) -> Vec<String> {
-        let set: BTreeSet<String> = self.commands.iter().map(|c| c.target.clone()).collect();
-        set.into_iter().collect()
+        let set: BTreeSet<&str> = self.commands.iter().map(|c| c.target).collect();
+        set.into_iter().map(str::to_owned).collect()
     }
 }
 
@@ -97,10 +97,10 @@ impl CompileDatabase<'_> {
 mod tests {
     use super::*;
 
-    fn command<'p>(dir: &str, source: &'p SourceSpec, args: &[&str]) -> CompileCommand<'p> {
+    fn command<'p>(dir: &'p str, source: &'p SourceSpec, args: &[&str]) -> CompileCommand<'p> {
         CompileCommand {
-            directory: dir.to_string(),
-            target: "app".to_string(),
+            directory: dir,
+            target: "app",
             source,
             output: format!("{}.o", source.path),
             arguments: args.iter().map(|s| s.to_string()).collect(),
@@ -143,7 +143,7 @@ mod tests {
         };
         db.commands.push(command("/b", &a_ck, &["-O3"]));
         let mut second = command("/b", &b_ck, &["-O3"]);
-        second.target = "lib".into();
+        second.target = "lib";
         db.commands.push(second);
         assert_eq!(db.translation_units(), 2);
         assert_eq!(db.targets(), vec!["app".to_string(), "lib".to_string()]);

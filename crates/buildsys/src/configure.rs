@@ -95,6 +95,18 @@ fn gather_distinct<'p>(
     gathered
 }
 
+/// `{build_dir}/{target}/{path}.o`, with every `/` of `path` an `_`, built in one
+/// allocation.
+fn object_path(build_dir: &str, target: &str, path: &str) -> String {
+    let mut output = String::with_capacity(build_dir.len() + target.len() + path.len() + 4);
+    for part in [build_dir, "/", target, "/"] {
+        output.push_str(part);
+    }
+    output.extend(path.chars().map(|c| if c == '/' { '_' } else { c }));
+    output.push_str(".o");
+    output
+}
+
 /// Configure a project: validate the assignment, apply option effects, expand custom
 /// targets, and emit compile commands.
 ///
@@ -104,7 +116,7 @@ fn gather_distinct<'p>(
 pub fn configure<'p>(
     project: &'p ProjectSpec,
     assignment: &OptionAssignment,
-    build_dir: &str,
+    build_dir: &'p str,
     available_dependencies: Option<&BTreeSet<String>>,
 ) -> Result<ConfiguredBuild<'p>, ConfigureError> {
     project
@@ -176,14 +188,10 @@ pub fn configure<'p>(
             arguments.extend(target.extra_flags.iter().cloned());
             arguments.extend(source.extra_flags.iter().cloned());
             commands.push(CompileCommand {
-                directory: build_dir.to_string(),
-                target: target.name.clone(),
+                directory: build_dir,
+                target: &target.name,
                 source,
-                output: format!(
-                    "{build_dir}/{}/{}.o",
-                    target.name,
-                    source.path.replace('/', "_")
-                ),
+                output: object_path(build_dir, &target.name, &source.path),
                 arguments,
             });
         }

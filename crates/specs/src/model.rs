@@ -212,9 +212,107 @@ impl SpecializationDocument {
         Value::Object(root)
     }
 
-    /// Pretty-printed schema JSON.
+    /// Pretty-printed schema JSON: the text `serde_json::to_string_pretty` prints
+    /// from [`to_schema_json`](Self::to_schema_json)'s tree, written from the
+    /// document itself without building the tree.
     pub fn to_json_string(&self) -> String {
-        serde_json::to_string_pretty(&self.to_schema_json()).expect("document serialises")
+        serde_json::to_string_pretty(&SchemaJson(self)).expect("document serialises")
+    }
+}
+
+/// A `,` before every element but the first.
+fn comma(index: usize, out: &mut String) {
+    if index > 0 {
+        out.push(',');
+    }
+}
+
+/// The Appendix-B document of a borrowed [`SpecializationDocument`], written
+/// straight to compact text in the tree's key order: every object's keys sorted
+/// byte-wise, and the last of two entries with one name in a category winning,
+/// as the tree's maps keep them.
+struct SchemaJson<'a>(&'a SpecializationDocument);
+
+impl SchemaJson<'_> {
+    /// The top-level members in key order: the `gpu_build` and `build_system`
+    /// objects (`None`), and one per category but the build system.
+    fn members() -> [(&'static str, Option<SpecCategory>); 12] {
+        let mut members = [("gpu_build", None); 12];
+        members[1] = ("build_system", None);
+        let categories = (SpecCategory::all().iter()).filter(|c| **c != SpecCategory::BuildSystem);
+        for (member, category) in members[2..].iter_mut().zip(categories) {
+            *member = (category.json_key(), Some(*category));
+        }
+        members.sort_unstable_by_key(|&(key, _)| key);
+        members
+    }
+}
+
+impl Serialize for SchemaJson<'_> {
+    fn to_value(&self) -> Value {
+        self.0.to_schema_json()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        let doc = self.0;
+        // The entries by category, then name, each repeated name's last entry
+        // alone: a category's map is one run of them.
+        let mut named: Vec<(usize, &SpecEntry)> = doc.entries.iter().enumerate().collect();
+        named.sort_unstable_by(|(i, a), (j, b)| {
+            (a.category, &a.name, j).cmp(&(b.category, &b.name, i))
+        });
+        named.dedup_by(|(_, repeat), (_, kept)| {
+            (repeat.category, &repeat.name) == (kept.category, &kept.name)
+        });
+        out.push('{');
+        for (index, (key, category)) in Self::members().into_iter().enumerate() {
+            comma(index, out);
+            key.write_json(out);
+            out.push(':');
+            match category {
+                None if key == "gpu_build" => {
+                    out.push_str("{\"build_flag\":");
+                    doc.gpu_build_flag.write_json(out);
+                    out.push_str(",\"value\":");
+                    doc.gpu_build.write_json(out);
+                    out.push('}');
+                }
+                None => {
+                    out.push_str("{\"minimum_version\":");
+                    doc.build_system_min_version.write_json(out);
+                    out.push_str(",\"type\":");
+                    doc.build_system.write_json(out);
+                    out.push('}');
+                }
+                Some(category @ (SpecCategory::Architecture | SpecCategory::Optimization)) => {
+                    out.push('[');
+                    let names = doc.entries.iter().filter(|e| e.category == category);
+                    for (index, entry) in names.enumerate() {
+                        comma(index, out);
+                        entry.name.write_json(out);
+                    }
+                    out.push(']');
+                }
+                Some(category) => {
+                    let start = named.partition_point(|(_, e)| e.category < category);
+                    let end = named.partition_point(|(_, e)| e.category <= category);
+                    out.push('{');
+                    for (index, (_, entry)) in named[start..end].iter().enumerate() {
+                        comma(index, out);
+                        entry.name.write_json(out);
+                        out.push_str(":{\"build_flag\":");
+                        entry.build_flag.write_json(out);
+                        out.push_str(",\"minimum_version\":");
+                        entry.minimum_version.write_json(out);
+                        out.push_str(",\"used_as_default\":");
+                        entry.default.write_json(out);
+                        out.push('}');
+                    }
+                    out.push('}');
+                }
+            }
+        }
+        out.push('}');
     }
 }
 

@@ -392,11 +392,7 @@ pub(crate) fn graft_ir_deploy<'env>(
                 // ISA. The unit id *is* the content digest of the IR, so (id, target)
                 // fully determines the lowered artifact.
                 let unit = &plan.build.units[*id];
-                let record = MachineLower {
-                    unit: id,
-                    module: &unit.module,
-                    target,
-                };
+                let record = MachineLower { unit, target };
                 artifact_actions.push(shared.graft(graph, &unit.source_file, record, &[]));
                 artifact_depth = artifact_depth.max(1);
             }
@@ -731,8 +727,7 @@ mod tests {
             .unwrap();
         let id = poisoned.artifact.strip_prefix("ir:").unwrap();
         let record = MachineLower {
-            unit: id,
-            module: &build.units[id].module,
+            unit: &build.units[id],
             target: &target_isa_for(SimdLevel::Avx512),
         };
         cache.insert(&record.identity(), b"not json".to_vec());
@@ -757,6 +752,70 @@ mod tests {
             }
             other => panic!("expected PipelineError::Cache, got {other:?}"),
         }
+    }
+
+    /// The IR build's Link ships `ir-lower` outputs undecoded, so a damaged
+    /// entry does not fail the build: its bytes are committed as the unit's
+    /// bitcode, and the first `machine-lower` of the unit fails, naming its file,
+    /// without caching an output.
+    #[test]
+    fn a_forged_ir_lower_entry_is_committed_undecoded_and_fails_its_machine_lower() {
+        const FORGED: &str = "src/mdrun/integrator.ck";
+        let project = gromacs::project();
+        let config = IrPipelineConfig::sweep_options(&project, &["GMX_SIMD"])
+            .with_values("GMX_SIMD", &["SSE4.1", "AVX_512"]);
+        let build = |cache: &ActionCache| {
+            IrBuildRequest::new(&project, &config)
+                .reference("spcl/mini-gromacs:forged")
+                .submit(&Orchestrator::with_cache(cache))
+        };
+        // The unit's `ir-lower` key, from a clean build's trace.
+        let clean = build(&ActionCache::new(ImageStore::new())).unwrap();
+        let lower = clean.trace.records.iter();
+        let lower = lower
+            .filter(|record| record.kind == ActionKind::IrLower && record.label == FORGED)
+            .collect::<Vec<_>>();
+        assert_eq!(lower.len(), 1, "one ir-lower of {FORGED}");
+        let key = format!("\"sha256:{}\"", lower[0].key_digest.as_deref().unwrap());
+        let key: BuildKey = serde_json::from_str(&key).unwrap();
+
+        let store = ImageStore::new();
+        let cache = ActionCache::new(store.clone());
+        let forged = b"XBC1 not an IR module".to_vec();
+        cache.insert(&key, forged.clone());
+        let build = build(&cache).expect("the Link decodes no unit");
+        let unit = (build.units.values())
+            .find(|unit| unit.source_file == FORGED)
+            .unwrap();
+        assert_eq!(unit.bitcode, forged);
+        let root = build.image.rootfs();
+        let shipped = root.get(&format!("/xaas/ir/{}.xbc", unit.id)).unwrap();
+        assert_eq!(
+            shipped.content, forged,
+            "the IR layer ships the forged bytes"
+        );
+
+        let selection = project.complete(&OptionAssignment::new().with("GMX_SIMD", "AVX_512"));
+        let deployed = deploy_cached(
+            &build,
+            &project,
+            &SystemModel::ault23(),
+            &selection,
+            SimdLevel::Avx512,
+            &cache,
+        );
+        match deployed {
+            Err(PipelineError::Cache(detail)) => assert!(detail.contains(FORGED), "{detail}"),
+            other => panic!("expected PipelineError::Cache, got {other:?}"),
+        }
+        let record = MachineLower {
+            unit,
+            target: &target_isa_for(SimdLevel::Avx512),
+        };
+        assert!(
+            !cache.contains(&record.identity()),
+            "no machine-lower output is cached for the forged unit"
+        );
     }
 
     /// A named change to one field of [`LinkFields`].

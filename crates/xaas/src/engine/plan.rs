@@ -19,9 +19,11 @@ use crate::error::PipelineError;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use xaas_container::{
-    annotation_keys, BuildKey, DeploymentFormat, Derivation, Image, ImageStore, Layer, Platform,
+    annotation_keys, Blob, BuildKey, DeploymentFormat, Derivation, Image, ImageStore, Layer,
+    Platform,
 };
 use xaas_hpcsim::SystemModel;
+use xaas_xir::bitcode::BitcodeError;
 use xaas_xir::preprocess::flag_definition;
 use xaas_xir::{
     bitcode, compile_preprocessed, lower_to_machine, preprocess_unit, CompileError, CompileFlags,
@@ -60,13 +62,69 @@ fn with_target(record: Derivation, target: &TargetIsa) -> Derivation {
         .bool(target.fma)
 }
 
+/// A deduplicated IR unit an IR container stores: its bitcode, the very
+/// `ir-lower` output the image's IR layer ships, and the module it encodes,
+/// decoded the first time a [`MachineLower`] runs on it. A build holds one per
+/// content id, so a unit that several targets lower is decoded once, and a warm
+/// deployment, whose `machine-lower`s all hit, decodes none.
+#[derive(Debug, Clone)]
+pub struct IrUnit {
+    /// Content identity (hex of the bitcode hash).
+    pub id: String,
+    /// Source file the unit was produced from.
+    pub source_file: String,
+    /// Whether `-fopenmp` was in effect when producing this unit.
+    pub openmp: bool,
+    /// The unit's bitcode.
+    pub bitcode: Blob,
+    /// `bitcode` decoded, once, on first use.
+    module: OnceLock<Result<IrModule, BitcodeError>>,
+}
+
+impl IrUnit {
+    /// A unit of `bitcode`, produced from `source_file`, not decoded yet.
+    pub(crate) fn new(id: String, source_file: &str, openmp: bool, bitcode: Blob) -> Self {
+        Self {
+            id,
+            source_file: source_file.to_string(),
+            openmp,
+            bitcode,
+            module: OnceLock::new(),
+        }
+    }
+
+    /// The IR module, decoded from [`bitcode`](IrUnit::bitcode) on the first
+    /// call. Bytes that do not decode (a damaged `ir-lower` cache entry) are a
+    /// [`PipelineError::Cache`] naming the unit's source file.
+    pub fn module(&self) -> Result<&IrModule, PipelineError> {
+        let decoded = self.module.get_or_init(|| bitcode::decode(&self.bitcode));
+        decoded
+            .as_ref()
+            .map_err(|e| PipelineError::Cache(format!("bitcode for {}: {e}", self.source_file)))
+    }
+}
+
+/// Units are equal when their bytes are: whether either was decoded yet does
+/// not matter.
+impl PartialEq for IrUnit {
+    fn eq(&self, other: &Self) -> bool {
+        let Self {
+            id,
+            source_file,
+            openmp,
+            bitcode,
+            module: _,
+        } = self;
+        (id, source_file, openmp, bitcode)
+            == (&other.id, &other.source_file, &other.openmp, &other.bitcode)
+    }
+}
+
 /// A `machine-lower`: the stored IR unit `unit` lowered for `target`, output as
 /// `serde_json::to_vec` of the [`MachineModule`].
 pub struct MachineLower<'a> {
-    /// The unit's content id: the digest of its bitcode.
-    pub unit: &'a str,
-    /// The unit's IR.
-    pub module: &'a IrModule,
+    /// The unit: its content id keys the node, and a miss lowers its module.
+    pub unit: &'a IrUnit,
     /// The deployment target.
     pub target: &'a TargetIsa,
 }
@@ -76,17 +134,16 @@ impl Action for MachineLower<'_> {
     type Error = PipelineError;
 
     fn derive(&self, _: Option<&ActionInputs>, record: Derivation) -> Derivation {
-        let Self {
-            unit,
-            target,
-            // Covered by `unit`, the content id of its bitcode.
-            module: _,
-        } = self;
-        with_target(record.str(unit), target)
+        let Self { unit, target } = self;
+        // The content id of the unit's bitcode covers the rest of it.
+        with_target(record.str(&unit.id), target)
     }
 
     fn run(self, _: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
-        Ok(machine_bytes(&lower_to_machine(self.module, self.target)))
+        Ok(machine_bytes(&lower_to_machine(
+            self.unit.module()?,
+            self.target,
+        )))
     }
 }
 
@@ -600,20 +657,12 @@ mod tests {
         CompileFlags::parse(flags.iter().map(|flag| flag.to_string()))
     }
 
-    /// An IR module: a `machine-lower` key does not read it.
-    fn module() -> IrModule {
-        let source = "kernel void f(float* x) { x[0] = 1.0; }";
-        let flags = CompileFlags::default();
-        Compiler::new()
-            .compile_to_ir("m.ck", source, &flags)
-            .unwrap()
-    }
-
-    fn machine_lower_key(unit: &str, target: &TargetIsa) -> BuildKey {
-        let module = &module();
+    /// The key of a `machine-lower` of the unit `id`: it reads only the id,
+    /// not the bitcode.
+    fn machine_lower_key(id: &str, target: &TargetIsa) -> BuildKey {
+        let unit = IrUnit::new(id.to_string(), "m.ck", false, Blob::from(&b"XBC1"[..]));
         MachineLower {
-            unit,
-            module,
+            unit: &unit,
             target,
         }
         .identity()

@@ -23,6 +23,7 @@
 //! source instead of IR. Everything else (`S_I`) is compiled once per unique identity and
 //! stored as XIR bitcode in the image.
 
+pub use crate::engine::plan::IrUnit;
 use crate::engine::plan::{mentions_openmp, preprocessed_digest, preprocessed_text, IrLower};
 use crate::engine::{
     Action, ActionGraph, ActionId, ActionInputs, ActionKind, ActionTrace, Engine,
@@ -41,7 +42,7 @@ use xaas_container::{
     Platform,
 };
 use xaas_specs::from_project;
-use xaas_xir::{bitcode, CompileFlags, IrModule, OptLevel};
+use xaas_xir::{bitcode, CompileFlags, OptLevel};
 
 pub use crate::engine::ActionSummary;
 
@@ -186,19 +187,6 @@ pub struct ConfigurationManifest {
     pub delayed_flags: Vec<String>,
 }
 
-/// A deduplicated IR unit stored in the container.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct IrUnit {
-    /// Content identity (hex of the bitcode hash).
-    pub id: String,
-    /// Source file the unit was produced from.
-    pub source_file: String,
-    /// Whether `-fopenmp` was in effect when producing this unit.
-    pub openmp: bool,
-    /// The IR module.
-    pub module: IrModule,
-}
-
 /// The result of building an IR container.
 #[derive(Debug, Clone)]
 pub struct IrContainerBuild {
@@ -281,11 +269,12 @@ pub(crate) struct IrBuildStageA<'env> {
 }
 
 /// Stage 1 (driver, serial): configure every assignment, classify its units,
-/// and plan the deduplicated stage-A graph. `project` must outlive the graph —
-/// the planned preprocess actions borrow its sources and headers.
+/// and plan the deduplicated stage-A graph. `project` and `config` must outlive
+/// the graph — the planned preprocess actions borrow the project's sources and
+/// headers, and each configured build borrows the config's build directory.
 pub(crate) fn plan_ir_build_stage_a<'env>(
     project: &'env ProjectSpec,
-    config: &IrPipelineConfig,
+    config: &'env IrPipelineConfig,
 ) -> Result<IrBuildStageA<'env>, PipelineError> {
     let assignments = enumerate_assignments(project, config)?;
 
@@ -330,7 +319,7 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
                 sd_files.insert(path);
                 units.push(UnitAssignment {
                     artifact: format!("src:{path}"),
-                    target: command.target,
+                    target: command.target.to_owned(),
                     file: path.clone(),
                 });
                 continue;
@@ -350,7 +339,7 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
                 preprocess_action,
             });
             system_independent.push(UnitAssignment {
-                target,
+                target: target.to_owned(),
                 file: path.clone(),
                 artifact: String::new(),
             });
@@ -501,8 +490,11 @@ pub(crate) fn analyze_ir_build(
 /// 3. **ir-lower** (graph B, parallel, cache-routed): one action per deduplicated
 ///    translation unit, keyed by the preprocessed-content digest, compiling the
 ///    text its preprocess node output;
-/// 4. **link + commit** (graph B tail): assemble the image layers from the lowered
-///    units and commit it to the engine's store.
+/// 4. **link + commit** (graph B tail): the Link keeps each lowered unit's bitcode
+///    as it came out of its `ir-lower` node, decoding none of it (a deployment
+///    decodes a unit only when a `machine-lower` of it misses), fills in the
+///    manifests' IR artifacts and assembles the image layers, sharing those
+///    bytes; the commit publishes the image to the engine's store.
 ///
 /// The resulting image is byte-identical for any worker count, scheduling policy,
 /// and whether actions hit or miss the cache; only [`IrContainerBuild::trace`]
@@ -545,10 +537,9 @@ pub(crate) fn run_ir_build(
     // Declared before the graph: the graph's records borrow these, so they must
     // outlive it (drop order is reverse declaration order).
     let built = OnceLock::new();
-    // Each final identity's file and the position (among the planned lower
-    // actions) of the one producing its bitcode: the graph's contract is one node
-    // per key, so final identities with one BuildKey share it.
-    let mut lowered: Vec<(&str, usize)> = Vec::with_capacity(representatives.len());
+    // One per final identity. The graph's contract is one node per key, so final
+    // identities with one BuildKey share a lower action's position.
+    let mut lowered: Vec<Lowered> = Vec::with_capacity(representatives.len());
     let mut stage_b: ActionGraph<'_, PipelineError> = ActionGraph::new();
     let mut lower_plan = KeyedActionPlanner::default();
     for &first in &representatives {
@@ -568,7 +559,12 @@ pub(crate) fn run_ir_build(
             optimize_early: config.optimize_early,
             text: preprocessed_text(output),
         };
-        lowered.push((file, lower_plan.position_for(&mut stage_b, file, record)));
+        lowered.push(Lowered {
+            file,
+            // What the compile writes into the module's `metadata.openmp`.
+            openmp: flags.openmp,
+            position: lower_plan.position_for(&mut stage_b, file, record),
+        });
     }
     let lower_actions = lower_plan.into_actions();
 
@@ -595,18 +591,27 @@ pub(crate) fn run_ir_build(
     Ok(build)
 }
 
-/// The IR build's Link: decodes the lowered units, fills in the manifests' IR
-/// artifacts, assembles the image and leaves the build (all but its trace) in
-/// `built`, typed, for the commit, which seals the image's layers in place, and
-/// the driver. Unkeyed: what it reads is the whole sweep's plan.
+/// One final identity's lowered unit: its representative's file, whether its IR
+/// was compiled with `-fopenmp`, and the position (among the planned lower
+/// actions) of the one producing its bitcode, the Link's dependency.
+struct Lowered<'a> {
+    file: &'a str,
+    openmp: bool,
+    position: usize,
+}
+
+/// The IR build's Link: collects the lowered units' bitcode undecoded, fills in
+/// the manifests' IR artifacts, assembles the image and leaves the build (all but
+/// its trace) in `built`, typed, for the commit, which seals the image's layers in
+/// place, and the driver. Unkeyed: what it reads is the whole sweep's plan.
 struct IrBuildLink<'a> {
     project: &'a ProjectSpec,
     reference: &'a str,
     stats: PipelineStats,
     /// One per configuration, the system-independent units without an artifact.
     manifests: Vec<ConfigurationManifest>,
-    /// Per final identity: its representative's file and its bitcode's dependency.
-    lowered: &'a [(&'a str, usize)],
+    /// Per final identity, its lowered unit.
+    lowered: &'a [Lowered<'a>],
     /// The final identity of each system-independent unit occurrence.
     final_of: &'a [usize],
     built: &'a OnceLock<IrContainerBuild>,
@@ -632,26 +637,21 @@ impl Action for IrBuildLink<'_> {
 
     fn run(self, inputs: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
         let (project, mut manifests) = (self.project, self.manifests);
+        // Each unit keeps the producing action's output as its bitcode, and the
+        // IR layer below shares those blobs: nothing is decoded, re-encoded or
+        // copied. A deployment decodes a unit only when it lowers it.
         let mut units: BTreeMap<String, IrUnit> = BTreeMap::new();
-        // id → the producing action's output: the lower actions emit exactly
-        // `bitcode::encode(&module)`, so the IR layer below shares those blobs
-        // instead of re-encoding (or copying) every deduplicated unit.
-        let mut unit_bytes: BTreeMap<String, &Blob> = BTreeMap::new();
         // The content id of each final identity's unit.
         let mut ids: Vec<String> = Vec::with_capacity(self.lowered.len());
-        for &(file, position) in self.lowered {
-            let bytes = inputs.dep(position);
-            let module = bitcode::decode(bytes)
-                .map_err(|e| PipelineError::Cache(format!("bitcode for {file}: {e}")))?;
-            let id = bitcode::content_id_of(bytes);
-            unit_bytes
-                .entry(id.clone())
-                .or_insert_with(|| inputs.dep_blob(position));
-            units.entry(id.clone()).or_insert_with(|| IrUnit {
-                id: id.clone(),
-                source_file: file.to_string(),
-                openmp: module.metadata.openmp,
-                module,
+        for &Lowered {
+            file,
+            openmp,
+            position,
+        } in self.lowered
+        {
+            let id = bitcode::content_id_of(inputs.dep(position));
+            units.entry(id.clone()).or_insert_with(|| {
+                IrUnit::new(id.clone(), file, openmp, inputs.dep_blob(position).clone())
             });
             ids.push(id);
         }
@@ -686,8 +686,11 @@ impl Action for IrBuildLink<'_> {
         ));
 
         let mut ir_layer = Layer::new(format!("ADD {} deduplicated IR files", units.len()));
-        for (id, bytes) in &unit_bytes {
-            ir_layer.add_file(format!("{}/{}.xbc", paths::IR_ROOT, id), Blob::clone(bytes));
+        for (id, unit) in &units {
+            ir_layer.add_file(
+                format!("{}/{}.xbc", paths::IR_ROOT, id),
+                unit.bitcode.clone(),
+            );
         }
         image.push_layer(ir_layer);
 
@@ -1196,8 +1199,8 @@ mod tests {
             .collect();
         let source = SourceSpec::new(file, "");
         let command = CompileCommand {
-            directory: "/xaas/build".to_string(),
-            target: "app".to_string(),
+            directory: "/xaas/build",
+            target: "app",
             source: &source,
             output: format!("{file}.o"),
             arguments,

@@ -5,7 +5,7 @@ use xaas_buildsys::parse_script;
 use xaas_hpcsim::{discover, SystemModel};
 use xaas_specs::{
     analyze, from_project, from_script, intersect, score, AnalysisConfig, SimulatedLlm,
-    SpecCategory,
+    SpecCategory, SpecEntry, SpecializationDocument,
 };
 
 /// The rule-based extractor recovers most of the ground truth from the build-script text
@@ -124,5 +124,79 @@ fn specialization_documents_serialise_in_schema_shape() {
                 project.name
             );
         }
+    }
+}
+
+/// The pretty text the `Value` tree prints: the oracle of
+/// `SpecializationDocument::to_json_string`, which writes without the tree.
+fn tree_text(doc: &SpecializationDocument) -> String {
+    let mut out = String::new();
+    serde_json::write_pretty(&doc.to_schema_json(), 0, &mut out);
+    out
+}
+
+/// Every application's specialisation-points annotation (what both container
+/// kinds carry) is the tree printer's text, byte for byte.
+#[test]
+fn the_typed_annotation_is_the_tree_text_for_every_application() {
+    for project in [gromacs::project(), lulesh::project(), llamacpp::project()] {
+        let doc = from_project(&project);
+        assert!(!doc.is_empty(), "{}", project.name);
+        assert_eq!(doc.to_json_string(), tree_text(&doc), "{}", project.name);
+    }
+}
+
+/// A drawn string: plain names, names that repeat across draws, and names that
+/// need JSON escapes (quotes, backslashes, control characters) or are not ASCII.
+fn drawn_name(rng: &mut proptest::TestRng) -> String {
+    const NAMES: &[&str] = &[
+        "CUDA",
+        "cuda",
+        "AVX_512",
+        "",
+        "a\"b",
+        "back\\slash",
+        "tab\there",
+        "line\nbreak",
+        "\u{1}ctl",
+        "ünï",
+        "日本",
+        "{[,:]}",
+    ];
+    NAMES[rng.usize_in(0, NAMES.len())].to_string()
+}
+
+fn drawn_flag(rng: &mut proptest::TestRng) -> Option<String> {
+    (rng.usize_in(0, 2) == 1).then(|| format!("-D{}", drawn_name(rng)))
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+    /// Generated documents — repeated names within a category (the last one
+    /// wins in a map, every one stays in a list), absent and present flags and
+    /// versions, names that need escapes — write the tree printer's text.
+    #[test]
+    fn the_typed_annotation_is_the_tree_text_for_generated_documents(
+        seed in proptest::prelude::any::<u64>(),
+        count in 0usize..24,
+    ) {
+        let mut rng = proptest::TestRng::from_name(&seed.to_string());
+        let mut doc = SpecializationDocument::new(drawn_name(&mut rng));
+        doc.gpu_build = rng.usize_in(0, 2) == 1;
+        doc.gpu_build_flag = drawn_flag(&mut rng);
+        doc.build_system = drawn_name(&mut rng);
+        doc.build_system_min_version = drawn_flag(&mut rng);
+        let categories = SpecCategory::all();
+        for _ in 0..count {
+            let category = categories[rng.usize_in(0, categories.len())];
+            doc.push(SpecEntry {
+                build_flag: drawn_flag(&mut rng),
+                default: rng.usize_in(0, 2) == 1,
+                minimum_version: drawn_flag(&mut rng),
+                ..SpecEntry::new(category, drawn_name(&mut rng))
+            });
+        }
+        proptest::prop_assert_eq!(doc.to_json_string(), tree_text(&doc));
     }
 }

@@ -160,7 +160,7 @@ fn real_documents_are_byte_identical_and_round_trip() {
         .units
         .values()
         .chain(lulesh_build.units.values())
-        .map(|unit| &unit.module)
+        .map(|unit| unit.module().expect("built units decode"))
         .collect();
     assert!(modules.len() > 9, "both applications contribute IR units");
     let levels = all_simd_levels();
@@ -172,9 +172,11 @@ fn real_documents_are_byte_identical_and_round_trip() {
         }
     }
     // A unit's id is the content identity of the bytes that encode it, so the
-    // IR-build Link can take it from the bitcode it holds without re-encoding.
+    // IR-build Link can take it from the bitcode it holds without decoding, and
+    // those bytes are its module's encoding.
     for (id, unit) in gromacs_build.units.iter().chain(&lulesh_build.units) {
-        let bytes = bitcode::encode(&unit.module);
+        let bytes = bitcode::encode(unit.module().unwrap());
+        assert_eq!(unit.bitcode, bytes);
         let decoded = bitcode::decode(&bytes).unwrap();
         assert_eq!(
             bitcode::content_id_of(&bytes),
@@ -265,7 +267,7 @@ static DOCUMENTS: LazyLock<Vec<(String, Check)>> = LazyLock::new(|| {
     let build = IrBuildRequest::new(&project, &config)
         .submit(&orch)
         .expect("the LULESH IR container builds");
-    let module = &build.units.values().next().unwrap().module;
+    let module = build.units.values().next().unwrap().module().unwrap();
     let machine = lower_to_machine(module, &target_isa_for(SimdLevel::Avx512));
     let store = orch.store();
     let manifest = store

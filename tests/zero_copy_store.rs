@@ -183,8 +183,7 @@ fn deployed_layers_alias_the_link_cache_entry() {
                 continue;
             };
             let record = MachineLower {
-                unit: id,
-                module: &build.units[id].module,
+                unit: &build.units[id],
                 target: &target,
             };
             let artifact = cache
