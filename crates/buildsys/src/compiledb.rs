@@ -9,6 +9,7 @@
 use crate::project::SourceSpec;
 use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use xaas_xir::CompileFlags;
 
 /// One compile command: produce `output` from `source` within `target`.
@@ -22,8 +23,10 @@ pub struct CompileCommand<'p> {
     pub source: &'p SourceSpec,
     /// Output object path.
     pub output: String,
-    /// Compiler arguments (excluding the compiler executable itself).
-    pub arguments: Vec<String>,
+    /// Compiler arguments (excluding the compiler executable itself). The commands of
+    /// one configuration whose target and source add the same extra flags share one
+    /// list; an argument the project holds is borrowed from it.
+    pub arguments: Arc<[Cow<'p, str>]>,
 }
 
 impl<'p> CompileCommand<'p> {
@@ -34,14 +37,15 @@ impl<'p> CompileCommand<'p> {
 
     /// The classified view of the arguments.
     pub fn flags(&self) -> CompileFlags {
-        CompileFlags::parse(self.arguments.iter().cloned())
+        CompileFlags::parse(self.arguments.iter().map(|argument| argument.as_ref()))
     }
 
-    /// The canonical identity of this command for exact comparison: the file, then
-    /// its non-blank arguments sorted, with the build directory rewritten to
-    /// `<build-dir>` wherever an argument contains it (configurations built in
-    /// different directories compare equal). Only a rewritten argument is copied.
-    pub fn canonical_key(&self) -> String {
+    /// The canonical identity of the arguments: the non-blank ones sorted, with the
+    /// build directory rewritten to `<build-dir>` wherever an argument contains it
+    /// (configurations built in different directories compare equal), joined by
+    /// spaces. Only a rewritten argument is copied. It depends on the directory and
+    /// the argument list alone, so commands sharing both share it.
+    pub fn canonical_arguments(&self) -> String {
         let directory = self.directory;
         let mut args: Vec<Cow<'_, str>> = self
             .arguments
@@ -51,23 +55,18 @@ impl<'p> CompileCommand<'p> {
                 if a.contains(directory) {
                     Cow::Owned(a.replace(directory, "<build-dir>"))
                 } else {
-                    Cow::Borrowed(a.as_str())
+                    Cow::Borrowed(a.as_ref())
                 }
             })
             .collect();
         args.sort_unstable();
-        let file = self.file();
-        let len = file.len() + 1 + args.iter().map(|a| a.len() + 1).sum::<usize>();
-        let mut key = String::with_capacity(len);
-        key.push_str(file);
-        key.push('|');
-        for (i, arg) in args.iter().enumerate() {
-            if i > 0 {
-                key.push(' ');
-            }
-            key.push_str(arg);
-        }
-        key
+        args.join(" ")
+    }
+
+    /// The canonical identity of this command for exact comparison:
+    /// `{file}|{canonical_arguments}`.
+    pub fn canonical_key(&self) -> String {
+        format!("{}|{}", self.file(), self.canonical_arguments())
     }
 }
 
@@ -80,10 +79,29 @@ pub struct CompileDatabase<'p> {
     pub commands: Vec<CompileCommand<'p>>,
 }
 
-impl CompileDatabase<'_> {
+impl<'p> CompileDatabase<'p> {
     /// Number of translation units (one command each).
     pub fn translation_units(&self) -> usize {
         self.commands.len()
+    }
+
+    /// Classify each distinct argument list of the database once: `classify` is
+    /// called with the first command of each list, in command order, and each
+    /// command's list comes back as its position among those calls. Commands share
+    /// a list when their arguments are equal; [`configure`](crate::configure())
+    /// builds each such list once, so most compare by address.
+    pub fn classify_lists(&self, mut classify: impl FnMut(&CompileCommand<'p>)) -> Vec<usize> {
+        let mut firsts: Vec<&CompileCommand<'p>> = Vec::new();
+        (self.commands.iter())
+            .map(|command| {
+                let shared = (firsts.iter()).position(|first| first.arguments == command.arguments);
+                shared.unwrap_or_else(|| {
+                    classify(command);
+                    firsts.push(command);
+                    firsts.len() - 1
+                })
+            })
+            .collect()
     }
 
     /// All distinct target names.
@@ -97,13 +115,13 @@ impl CompileDatabase<'_> {
 mod tests {
     use super::*;
 
-    fn command<'p>(dir: &'p str, source: &'p SourceSpec, args: &[&str]) -> CompileCommand<'p> {
+    fn command<'p>(dir: &'p str, source: &'p SourceSpec, args: &[&'p str]) -> CompileCommand<'p> {
         CompileCommand {
             directory: dir,
             target: "app",
             source,
             output: format!("{}.o", source.path),
-            arguments: args.iter().map(|s| s.to_string()).collect(),
+            arguments: args.iter().map(|&s| Cow::Borrowed(s)).collect(),
         }
     }
 
@@ -122,6 +140,10 @@ mod tests {
         );
         assert_ne!(a.arguments, b.arguments);
         assert_eq!(a.canonical_key(), b.canonical_key());
+        assert_eq!(
+            a.canonical_arguments(),
+            "-DGMX_MPI -I<build-dir>/include -O3"
+        );
         assert_eq!(
             a.canonical_key(),
             "a.ck|-DGMX_MPI -I<build-dir>/include -O3"

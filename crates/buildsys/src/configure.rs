@@ -9,8 +9,10 @@
 use crate::compiledb::{CompileCommand, CompileDatabase};
 use crate::options::{OptionAssignment, OptionEffects};
 use crate::project::{ProjectSpec, SourceSpec};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors from configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -164,8 +166,14 @@ pub fn configure<'p>(
 
     // Emit compile commands: global flags + option flags + per-target + per-file flags,
     // plus a build-directory include path (the flag the paper identifies as the main
-    // source of spurious differences between configurations).
-    let mut commands = Vec::new();
+    // source of spurious differences between configurations). Commands differ only in
+    // their target's and source's extra flags, so each distinct list is built once
+    // and shared; all but the build-directory include path are borrowed.
+    let common = project.global_flags.len() + 2 + definitions.len() + compile_flags.len();
+    let borrowed = |flags: &'p [String]| flags.iter().map(|flag| Cow::Borrowed(flag.as_str()));
+    let mut lists: Vec<Arc<[Cow<'p, str>]>> = Vec::new();
+    let planned = project.targets.iter().map(|target| target.sources.len());
+    let mut commands = Vec::with_capacity(planned.sum());
     for target in &project.targets {
         for path in &target.sources {
             let Some(&source) = enabled_sources.iter().find(|s| s.path == *path) else {
@@ -177,16 +185,29 @@ pub fn configure<'p>(
                 }
                 continue; // excluded by configuration
             };
-            let len = project.global_flags.len() + 2 + definitions.len() + compile_flags.len();
-            let len = len + target.extra_flags.len() + source.extra_flags.len();
-            let mut arguments: Vec<String> = Vec::with_capacity(len);
-            arguments.extend(project.global_flags.iter().cloned());
-            arguments.push(format!("-I{build_dir}/include"));
-            arguments.push("-Isrc/include".to_string());
-            arguments.extend(definitions.iter().map(|&d| d.to_owned()));
-            arguments.extend(compile_flags.iter().map(|&f| f.to_owned()));
-            arguments.extend(target.extra_flags.iter().cloned());
-            arguments.extend(source.extra_flags.iter().cloned());
+            let extras = || target.extra_flags.iter().chain(&source.extra_flags);
+            let shared = lists.iter().find(|list| {
+                let tail = list[common..].iter().map(|flag| flag.as_ref());
+                tail.eq(extras().map(String::as_str))
+            });
+            let arguments = match shared {
+                Some(list) => Arc::clone(list),
+                None => {
+                    let include = [
+                        Cow::Owned(format!("-I{build_dir}/include")),
+                        Cow::Borrowed("-Isrc/include"),
+                    ];
+                    let options = definitions.iter().chain(&compile_flags);
+                    let list: Arc<[Cow<'p, str>]> = borrowed(&project.global_flags)
+                        .chain(include)
+                        .chain(options.map(|&flag| Cow::Borrowed(flag)))
+                        .chain(borrowed(&target.extra_flags))
+                        .chain(borrowed(&source.extra_flags))
+                        .collect();
+                    lists.push(Arc::clone(&list));
+                    list
+                }
+            };
             commands.push(CompileCommand {
                 directory: build_dir,
                 target: &target.name,
@@ -197,14 +218,12 @@ pub fn configure<'p>(
         }
     }
 
-    let configure_command = {
-        let mut parts = vec![format!("xmake -S . -B {build_dir}")];
-        for option in &project.options {
-            let value = complete.get(&option.name).unwrap();
-            parts.push(option.configure_flag(value));
-        }
-        parts.join(" ")
-    };
+    let mut configure_command = format!("xmake -S . -B {build_dir}");
+    for option in &project.options {
+        let value = complete.get(&option.name).unwrap();
+        configure_command.push(' ');
+        configure_command.extend(option.configure_flag(value));
+    }
 
     Ok(ConfiguredBuild {
         compile_db: CompileDatabase {
@@ -315,8 +334,8 @@ mod tests {
         assert!(build.definitions.contains(&"-DUSE_MPI"));
         assert_eq!(build.dependencies, ["fftw", "mpich"]);
         let cmd = &build.compile_db.commands[0];
-        assert!(cmd.arguments.contains(&"-DUSE_MPI".to_string()));
-        assert!(cmd.arguments.contains(&"-I/build/mpi/include".to_string()));
+        assert!(cmd.arguments.contains(&"-DUSE_MPI".into()));
+        assert!(cmd.arguments.contains(&"-I/build/mpi/include".into()));
     }
 
     #[test]
@@ -325,8 +344,57 @@ mod tests {
         let assignment = OptionAssignment::new().with("SIMD", "AVX_512");
         let build = configure(&project, &assignment, "/b", None).unwrap();
         for cmd in &build.compile_db.commands {
-            assert!(cmd.arguments.contains(&"-mavx512f".to_string()));
+            assert!(cmd.arguments.contains(&"-mavx512f".into()));
         }
+    }
+
+    #[test]
+    fn commands_share_one_argument_list_per_distinct_extra_flags() {
+        let mut project = project();
+        project.targets.push(TargetSpec::new(
+            "tool",
+            TargetKind::Executable,
+            vec!["src/main.ck".into()],
+        ));
+        let assignment = OptionAssignment::new().with("USE_MPI", "ON");
+        let plain = configure(&project, &assignment, "/b", None).unwrap();
+        let commands = &plain.compile_db.commands;
+        assert_eq!(commands.len(), 3);
+        let first = &commands[0].arguments;
+        assert!(commands.iter().all(|c| Arc::ptr_eq(&c.arguments, first)));
+        let mut files = Vec::new();
+        let list_of = plain.compile_db.classify_lists(|c| files.push(c.file()));
+        assert_eq!((files, list_of), (vec!["src/main.ck"], vec![0, 0, 0]));
+
+        // A target's and a source's extra flags each start a list of their own.
+        let mut extra = project.clone();
+        extra.targets[1].extra_flags.push("-DTOOL".into());
+        extra.sources[1].extra_flags.push("-DHALO".into());
+        let build = configure(&extra, &assignment, "/b", None).unwrap();
+        let commands = &build.compile_db.commands;
+        let extras: Vec<Vec<&str>> = (commands.iter())
+            .map(|c| {
+                c.arguments[first.len()..]
+                    .iter()
+                    .map(|a| a.as_ref())
+                    .collect()
+            })
+            .collect();
+        assert_eq!(extras, [vec![], vec!["-DHALO"], vec!["-DTOOL"]]);
+        assert!(commands
+            .iter()
+            .all(|c| c.arguments[..first.len()] == first[..]));
+        for (i, a) in commands.iter().enumerate() {
+            assert!(commands[i + 1..]
+                .iter()
+                .all(|b| !Arc::ptr_eq(&a.arguments, &b.arguments)));
+        }
+        let mut targets = Vec::new();
+        let list_of = build.compile_db.classify_lists(|c| targets.push(c.target));
+        assert_eq!(
+            (targets, list_of),
+            (vec!["demo", "demo", "tool"], vec![0, 1, 2])
+        );
     }
 
     #[test]

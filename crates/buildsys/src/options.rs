@@ -232,9 +232,9 @@ impl BuildOption {
         }
     }
 
-    /// The configure-line form `-DNAME=VALUE`.
-    pub(crate) fn configure_flag(&self, value: &str) -> String {
-        format!("{}{}", self.flag, value)
+    /// The configure-line form `-DNAME=VALUE`, as its two parts.
+    pub(crate) fn configure_flag<'a>(&'a self, value: &'a str) -> [&'a str; 2] {
+        [&self.flag, value]
     }
 }
 
@@ -363,7 +363,7 @@ mod tests {
         assert!(opt.accepts("on"));
         assert!(opt.effects_of("OFF").definitions.is_empty());
         assert_eq!(opt.effects_of("ON").definitions, vec!["-DGMX_MPI"]);
-        assert_eq!(opt.configure_flag("ON"), "-DGMX_MPI=ON");
+        assert_eq!(opt.configure_flag("ON").concat(), "-DGMX_MPI=ON");
     }
 
     #[test]

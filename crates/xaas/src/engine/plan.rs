@@ -153,7 +153,7 @@ impl Action for MachineLower<'_> {
 pub(crate) struct IrLower<'a> {
     pub(crate) preprocessed: &'a str,
     pub(crate) file: &'a str,
-    pub(crate) flags: CompileFlags,
+    pub(crate) flags: &'a CompileFlags,
     pub(crate) optimize_early: bool,
     /// The text the file's preprocess node output ([`preprocessed_text`]).
     pub(crate) text: &'a str,
@@ -176,7 +176,7 @@ impl Action for IrLower<'_> {
     }
 
     fn run(self, _: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
-        let mut module = compile_preprocessed(self.file, self.text, &self.flags)
+        let mut module = compile_preprocessed(self.file, self.text, self.flags)
             .map_err(compile_error(self.file))?;
         if self.optimize_early {
             xaas_xir::passes::scalar_unroll(&mut module, 4);
@@ -229,7 +229,7 @@ impl Action for SdCompile<'_> {
 struct Preprocess<'a> {
     file: &'a str,
     content: &'a str,
-    flags: CompileFlags,
+    flags: &'a CompileFlags,
     headers: &'a BTreeMap<String, String>,
 }
 
@@ -249,7 +249,7 @@ impl Action for Preprocess<'_> {
     }
 
     fn run(self, _: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
-        let unit = preprocess_unit(self.file, self.content, &self.flags, self.headers)
+        let unit = preprocess_unit(self.file, self.content, self.flags, self.headers)
             .map_err(compile_error(self.file))?;
         let (digest, verdict) = (unit.content_digest(), unit.mentions_openmp());
         // The output adopts the text's buffer.
@@ -281,13 +281,13 @@ impl Action for Preprocess<'_> {
 /// file of a deployment — is never scanned.
 ///
 /// Nodes are indexed by file, and a repeat is found by comparing borrowed
-/// definitions in identity order. A node borrows its file, content and the
-/// project's headers, which outlive the graph; only its flags and identity are
-/// copied.
+/// definitions in identity order. A node borrows its file, content, flags and the
+/// project's headers, which outlive the graph, and its identity borrows the
+/// flags' definitions: planning copies no string.
 pub(crate) struct PreprocessPlanner<'env> {
     /// The project's headers (name → content), which every node includes from.
     headers: &'env BTreeMap<String, String>,
-    files: BTreeMap<&'env str, FilePlans>,
+    files: BTreeMap<&'env str, FilePlans<'env>>,
     /// Scratch for the identity being looked up: positions in the flags' definitions,
     /// in identity order.
     order: Vec<usize>,
@@ -295,15 +295,15 @@ pub(crate) struct PreprocessPlanner<'env> {
 
 /// The preprocess nodes planned for one file.
 #[derive(Default)]
-struct FilePlans {
+struct FilePlans<'env> {
     /// What the file observes, once it is planned under a second definition set.
     observation: Option<Observation>,
     /// (sorted `-D` flags, node). Until the file is observed there is one, carrying
     /// all of its flags; then each carries only the flags the file observes.
-    plans: Vec<(Vec<String>, ActionId)>,
+    plans: Vec<(Vec<&'env str>, ActionId)>,
 }
 
-impl FilePlans {
+impl FilePlans<'_> {
     /// Fill `order` with the identity of `definitions`: the positions of the ones
     /// the file's observation keeps (all, before there is one), sorted by name. The
     /// sort is stable, so repeated flags for one name keep the order that decides
@@ -352,7 +352,7 @@ impl<'env> PreprocessPlanner<'env> {
         graph: &mut ActionGraph<'env, PipelineError>,
         file: &'env str,
         content: &'env str,
-        flags: &CompileFlags,
+        flags: &'env CompileFlags,
     ) -> ActionId {
         let definitions = flags.definitions.as_slice();
         let order = &mut self.order;
@@ -374,11 +374,11 @@ impl<'env> PreprocessPlanner<'env> {
                 return id;
             }
         }
-        let identity = order.iter().map(|&i| definitions[i].clone()).collect();
+        let identity = order.iter().map(|&i| definitions[i].as_str()).collect();
         let record = Preprocess {
             file,
             content,
-            flags: flags.clone(),
+            flags,
             headers: self.headers,
         };
         let id = graph.add_action(file, record, &[]);
@@ -554,19 +554,26 @@ mod tests {
     #[test]
     fn preprocess_planner_deduplicates_by_file_and_definitions() {
         let headers = BTreeMap::new();
-        let mut planner = PreprocessPlanner::new(&headers);
-        let mut graph: ActionGraph<'_, PipelineError> = ActionGraph::new();
         let source =
             "kernel void f(float* x, int n) { for (int i = 0; i < n; i = i + 1) { x[i] = N; } }";
-        let flags = |defs: &[&str]| {
-            CompileFlags::parse(
-                std::iter::once("-O2")
-                    .chain(defs.iter().copied())
-                    .map(String::from),
-            )
-        };
+        // Nodes borrow their flags, so every set outlives the graph.
+        let sets: &[&[&str]] = &[
+            &[],
+            &["-DX=1"],
+            &["-DN=2"],
+            &["-DX=1", "-DN=2"],
+            &["-DN(a)=a"],
+            &["-DN=2", "-DN=3"],
+            &["-DN=3", "-DN=2"],
+        ];
+        let parsed: Vec<CompileFlags> = (sets.iter())
+            .map(|defs| CompileFlags::parse(std::iter::once(&"-O2").chain(*defs).copied()))
+            .collect();
+        let mut planner = PreprocessPlanner::new(&headers);
+        let mut graph: ActionGraph<'_, PipelineError> = ActionGraph::new();
         let mut plan = |file: &'static str, defs: &[&str]| {
-            planner.action_for(&mut graph, file, source, &flags(defs))
+            let set = sets.iter().position(|set| *set == defs).unwrap();
+            planner.action_for(&mut graph, file, source, &parsed[set])
         };
         let plain = plan("f.ck", &[]);
         assert_eq!(
@@ -605,9 +612,9 @@ mod tests {
         compiler.add_header("scale.h", "#define SCALE 2.0\n");
         let store = ImageStore::new();
         let engine = Engine::uncached(&store);
+        let flags = flags(&["-O3", "-DN=4", "-fopenmp", "-mavx2"]);
         let mut planner = PreprocessPlanner::new(&compiler.headers);
         let mut graph: ActionGraph<'_, PipelineError> = ActionGraph::new();
-        let flags = flags(&["-O3", "-DN=4", "-fopenmp", "-mavx2"]);
         let target = TargetIsa::vector("x86_64-avx2", 8, true);
         let units = [
             (
@@ -638,7 +645,7 @@ mod tests {
             let ir_lower = IrLower {
                 preprocessed: preprocessed_digest(output),
                 file,
-                flags: flags.clone(),
+                flags: &flags,
                 optimize_early: false,
                 text: preprocessed_text(output),
             };
@@ -677,7 +684,7 @@ mod tests {
         IrLower {
             preprocessed,
             file,
-            flags: flags.clone(),
+            flags,
             optimize_early,
             text: "",
         }

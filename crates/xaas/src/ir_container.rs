@@ -245,52 +245,73 @@ fn enumerate_assignments(
     Ok(assignments)
 }
 
+/// One distinct argument list of a configuration, classified once for every
+/// compile command that shares it.
+struct ArgumentList {
+    /// The arguments, classified.
+    flags: CompileFlags,
+    /// `flags` without the delayed ISA/tuning flags: what an `ir-lower` compiles
+    /// under (the delayed flags are applied at deployment).
+    ir_flags: CompileFlags,
+    /// Stage 1's identity of the list: [`CompileCommand::canonical_arguments`].
+    generation: String,
+}
+
+impl ArgumentList {
+    /// The list of `command`, classified.
+    fn of(command: &CompileCommand) -> Self {
+        let flags = command.flags();
+        Self {
+            ir_flags: flags.without_delayed_target_flags(),
+            flags,
+            generation: command.canonical_arguments(),
+        }
+    }
+}
+
 /// One system-independent translation-unit occurrence discovered during configuration
 /// (the driver's plan entry between the configure stage and the preprocess stage).
 struct TuOccurrence<'env> {
     /// The project's path of the source.
     file: &'env str,
-    flags: CompileFlags,
-    generation_key: String,
+    /// Index of its command's list in the plan's [`ArgumentList`]s.
+    list: usize,
     /// Index of this unit's preprocess action in the stage-A graph.
     preprocess_action: ActionId,
 }
 
-/// The serial stage-1 plan: the stage-A action graph (one wave of preprocess nodes,
-/// each also deciding stage 3) plus the bookkeeping the later serial stages fold
-/// over. Building it runs no actions — this is the
-/// graph [`analyze_ir_build`] reports on without executing anything.
-pub(crate) struct IrBuildStageA<'env> {
-    pub(crate) graph: ActionGraph<'env, PipelineError>,
+/// The serial stage-1 plan: every configuration's manifest, the distinct argument
+/// lists and the system-independent unit occurrences, which the stage-A graph
+/// ([`plan_stage_a`]), stage 4 and the Link read. Planning it runs no actions.
+struct IrBuildPlan<'env> {
     stats: PipelineStats,
     /// One per configuration. The system-independent units have no artifact yet.
     manifests: Vec<ConfigurationManifest>,
-    occurrences: Vec<TuOccurrence<'env>>,
+    /// Each distinct argument list of each configuration, classified once.
+    lists: Vec<ArgumentList>,
+    /// Each system-independent unit occurrence, in order: its source and the index
+    /// of its command's argument list.
+    sources: Vec<(&'env SourceSpec, usize)>,
 }
 
-/// Stage 1 (driver, serial): configure every assignment, classify its units,
-/// and plan the deduplicated stage-A graph. `project` and `config` must outlive
-/// the graph — the planned preprocess actions borrow the project's sources and
-/// headers, and each configured build borrows the config's build directory.
-pub(crate) fn plan_ir_build_stage_a<'env>(
+/// Stage 1 (driver, serial): configure every assignment and classify its units,
+/// once per argument list. `project` and `config` must outlive the plan — each
+/// configured build borrows the project and the config's build directory.
+fn plan_ir_build<'env>(
     project: &'env ProjectSpec,
     config: &'env IrPipelineConfig,
-) -> Result<IrBuildStageA<'env>, PipelineError> {
+) -> Result<IrBuildPlan<'env>, PipelineError> {
     let assignments = enumerate_assignments(project, config)?;
 
     let mut stats = PipelineStats {
         configurations: assignments.len(),
         ..Default::default()
     };
-    let mut manifests: Vec<ConfigurationManifest> = Vec::new();
+    let mut manifests: Vec<ConfigurationManifest> = Vec::with_capacity(assignments.len());
     let mut sd_files: BTreeSet<&str> = BTreeSet::new();
     let mut si_files: BTreeSet<&str> = BTreeSet::new();
-    let mut occurrences: Vec<TuOccurrence> = Vec::new();
-
-    let mut stage_a: ActionGraph<'env, PipelineError> = ActionGraph::new();
-    // Preprocessing depends only on the file and the definitions it can observe:
-    // the planner schedules each distinct pair once across configurations.
-    let mut preprocess = PreprocessPlanner::new(&project.headers);
+    let mut lists: Vec<ArgumentList> = Vec::new();
+    let mut sources: Vec<(&'env SourceSpec, usize)> = Vec::new();
     for requested in &assignments {
         let ConfiguredBuild {
             assignment,
@@ -301,16 +322,17 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
             compile_db,
             ..
         } = configure(project, requested, &config.build_dir, None)?;
+        let first_list = lists.len();
+        let list_of = compile_db.classify_lists(|command| lists.push(ArgumentList::of(command)));
         // The configuration's units: the system-dependent ones, then the
         // system-independent ones in occurrence order, whose artifacts the Link
         // fills in. Each takes its command's target.
         let mut units: Vec<UnitAssignment> = Vec::new();
         let mut system_independent: Vec<UnitAssignment> = Vec::new();
-        for command in compile_db.commands {
+        for (command, list) in compile_db.commands.iter().zip(list_of) {
             stats.total_translation_units += 1;
             let SourceSpec {
                 path,
-                content,
                 required_tags,
                 ..
             } = command.source;
@@ -326,20 +348,9 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
             }
             si_files.insert(path);
 
-            let generation_key = command.canonical_key();
-            let CompileCommand {
-                target, arguments, ..
-            } = command;
-            let flags = CompileFlags::parse(arguments);
-            let preprocess_action = preprocess.action_for(&mut stage_a, path, content, &flags);
-            occurrences.push(TuOccurrence {
-                file: path,
-                flags,
-                generation_key,
-                preprocess_action,
-            });
+            sources.push((command.source, first_list + list));
             system_independent.push(UnitAssignment {
-                target: target.to_owned(),
+                target: command.target.to_owned(),
                 file: path.clone(),
                 artifact: String::new(),
             });
@@ -365,12 +376,43 @@ pub(crate) fn plan_ir_build_stage_a<'env>(
     stats.system_dependent_files = sd_files.len();
     stats.system_independent_files = si_files.len();
 
-    Ok(IrBuildStageA {
-        graph: stage_a,
+    Ok(IrBuildPlan {
         stats,
         manifests,
-        occurrences,
+        lists,
+        sources,
     })
+}
+
+/// The stage-A graph (one wave of preprocess nodes, each also deciding stage 3)
+/// and the occurrences whose preprocess nodes it holds — the graph
+/// [`analyze_ir_build`] reports on without executing anything.
+struct IrBuildStageA<'env> {
+    graph: ActionGraph<'env, PipelineError>,
+    occurrences: Vec<TuOccurrence<'env>>,
+}
+
+/// Plan the deduplicated stage-A graph over a plan's unit occurrences, given as
+/// its `lists` and `sources`. Its preprocess nodes borrow the sources, their
+/// lists' flags and `headers`.
+fn plan_stage_a<'env>(
+    headers: &'env BTreeMap<String, String>,
+    lists: &'env [ArgumentList],
+    sources: &[(&'env SourceSpec, usize)],
+) -> IrBuildStageA<'env> {
+    let mut graph: ActionGraph<'env, PipelineError> = ActionGraph::new();
+    // Preprocessing depends only on the file and the definitions it can observe:
+    // the planner schedules each distinct pair once across configurations.
+    let mut preprocess = PreprocessPlanner::new(headers);
+    let occurrences = sources
+        .iter()
+        .map(|&(SourceSpec { path, content, .. }, list)| TuOccurrence {
+            file: path,
+            list,
+            preprocess_action: preprocess.action_for(&mut graph, path, content, &lists[list].flags),
+        })
+        .collect();
+    IrBuildStageA { graph, occurrences }
 }
 
 /// Stage 4's result: how many identities each stage of Figure 7 leaves, and the
@@ -388,10 +430,11 @@ struct Identities {
 }
 
 /// Stage 4 (driver, serial): derive the dedup identities of Figure 7 from the
-/// occurrences and the stage-A `outputs`. Every stage counts borrowed tuples; only
-/// the final identities are named, to order them.
+/// occurrences, their argument `lists` and the stage-A `outputs`. Every stage
+/// counts borrowed tuples; only the final identities are named, to order them.
 fn derive_identities(
     occurrences: &[TuOccurrence],
+    lists: &[ArgumentList],
     outputs: &[Blob],
     stages: PipelineStages,
 ) -> Identities {
@@ -406,9 +449,13 @@ fn derive_identities(
     for (index, occurrence) in occurrences.iter().enumerate() {
         let output = &outputs[occurrence.preprocess_action];
         let (file, digest) = (occurrence.file, preprocessed_digest(output));
-        let flags = &occurrence.flags;
+        let ArgumentList {
+            flags,
+            generation: arguments,
+            ..
+        } = &lists[occurrence.list];
         let (opt, delayed) = (flags.opt_level(), flags.delayed_target_flags.as_slice());
-        generation.insert((file, &occurrence.generation_key));
+        generation.insert((file, arguments));
         preprocessing.insert((file, digest, flags.openmp, opt, delayed));
         // Stage 3: `-fopenmp` stays only where the text can see it.
         let openmp_flag = flags.openmp && (!stages.openmp_detection || mentions_openmp(output));
@@ -471,8 +518,9 @@ pub(crate) fn analyze_ir_build(
     config: &IrPipelineConfig,
     engine: &Engine,
 ) -> Result<crate::engine::AnalysisReport, PipelineError> {
-    let planned = plan_ir_build_stage_a(project, config)?;
-    Ok(engine.analyze(&planned.graph))
+    let plan = plan_ir_build(project, config)?;
+    let stage_a = plan_stage_a(&project.headers, &plan.lists, &plan.sources);
+    Ok(engine.analyze(&stage_a.graph))
 }
 
 /// Build an IR container by constructing staged action graphs and submitting them to
@@ -482,7 +530,8 @@ pub(crate) fn analyze_ir_build(
 /// The build runs as an explicit pipeline over the engine's worker pool:
 ///
 /// 1. **configure** (driver, serial — cheap): enumerate the sweep, emit compile DBs,
-///    split system-dependent from system-independent units;
+///    classify each distinct argument list once, and split system-dependent from
+///    system-independent units;
 /// 2. **preprocess** (graph A, parallel, one wave): one preprocess action per
 ///    distinct (file, definitions the file can observe) pair — so one per text when
 ///    no other definition reaches the file. Each outputs its text, the text's
@@ -506,12 +555,16 @@ pub(crate) fn run_ir_build(
     reference: &str,
 ) -> Result<IrContainerBuild, PipelineError> {
     // ---- Stage 1 (driver, serial): configure and plan the stage-A graph ----
-    let IrBuildStageA {
-        graph: stage_a,
+    let IrBuildPlan {
         mut stats,
         manifests,
+        lists,
+        sources,
+    } = plan_ir_build(project, config)?;
+    let IrBuildStageA {
+        graph: stage_a,
         occurrences,
-    } = plan_ir_build_stage_a(project, config)?;
+    } = plan_stage_a(&project.headers, &lists, &sources);
 
     // ---- Stage 2+3 (graph A): preprocess, deciding OpenMP from the text ----
     let (outputs_a, mut trace) = engine.run(stage_a)?.into_outputs()?;
@@ -523,7 +576,7 @@ pub(crate) fn run_ir_build(
         unique_after_openmp,
         representatives,
         final_of,
-    } = derive_identities(&occurrences, &outputs_a, config.stages);
+    } = derive_identities(&occurrences, &lists, &outputs_a, config.stages);
     stats.unique_after_generation = unique_after_generation;
     stats.unique_after_preprocessing = unique_after_preprocessing;
     stats.unique_after_openmp = unique_after_openmp;
@@ -545,17 +598,19 @@ pub(crate) fn run_ir_build(
     for &first in &representatives {
         let TuOccurrence {
             file,
-            flags,
+            list,
             preprocess_action,
-            ..
-        } = &occurrences[first];
-        let output = &outputs_a[*preprocess_action];
+        } = occurrences[first];
+        let output = &outputs_a[preprocess_action];
+        let ArgumentList {
+            flags, ir_flags, ..
+        } = &lists[list];
         let record = IrLower {
             preprocessed: preprocessed_digest(output),
             file,
             // The IR is compiled without the delayed ISA flags; OpenMP stays as
             // classified.
-            flags: flags.without_delayed_target_flags(),
+            flags: ir_flags,
             optimize_early: config.optimize_early,
             text: preprocessed_text(output),
         };
@@ -757,6 +812,8 @@ mod tests {
     use super::*;
     use crate::engine::Engine;
     use crate::orchestrator::{IrBuildRequest, Orchestrator};
+    use std::borrow::Cow;
+    use std::sync::Arc;
     use xaas_apps::{gromacs, lulesh};
     use xaas_container::{ActionCache, ImageStore};
 
@@ -927,7 +984,8 @@ mod tests {
 
     /// Stage A's budget on the 4-value GROMACS SIMD sweep: its 36 system-independent
     /// units preprocess to 9 texts (no file observes a `GMX_SIMD_*` definition), so
-    /// the graph plans 9 preprocess nodes, and nothing else.
+    /// the graph plans 9 preprocess nodes, and nothing else. Stage 1 classifies one
+    /// argument list per configuration: GROMACS adds no per-target or per-file flags.
     #[test]
     fn stage_a_of_the_simd_sweep_plans_each_preprocessed_text_once() {
         let project = gromacs::project();
@@ -935,7 +993,9 @@ mod tests {
             "GMX_SIMD",
             &["SSE4.1", "AVX2_256", "AVX_512", "ARM_NEON_ASIMD"],
         );
-        let stage_a = plan_ir_build_stage_a(&project, &config).unwrap();
+        let plan = plan_ir_build(&project, &config).unwrap();
+        assert_eq!(plan.lists.len(), 4);
+        let stage_a = plan_stage_a(&project.headers, &plan.lists, &plan.sources);
         let preprocess: BTreeSet<ActionId> = stage_a
             .occurrences
             .iter()
@@ -944,6 +1004,124 @@ mod tests {
         assert_eq!(stage_a.occurrences.len(), 36);
         assert_eq!(preprocess.len(), 9);
         assert_eq!(stage_a.graph.len(), 9);
+    }
+
+    /// A project whose `tool` target and whose `src/a.ck` add extra flags, so
+    /// every configuration has four argument lists: `app`'s `a.ck` adds
+    /// `-DSRC_EXTRA`, `tool`'s commands add `-DTGT_EXTRA` and `tool`'s `a.ck`
+    /// both. `a.ck` reads both definitions, `b.ck` reads `TGT_EXTRA` and `c.ck`
+    /// neither; `SCALE`, the swept option, is read by `a.ck` and `b.ck`.
+    fn extra_flags_project() -> ProjectSpec {
+        use xaas_buildsys::{BuildOption, OptionCategory, OptionValue, TargetKind, TargetSpec};
+        let kernel = |name: &str, reads: &[&str]| {
+            let mut text = format!("kernel void {name}(float* x, int n) {{\n");
+            for extra in reads {
+                text.push_str(&format!("#ifdef {extra}\n    x[0] = {extra};\n#endif\n"));
+            }
+            text + "    for (int i = 0; i < n; i = i + 1) { x[i] = x[i] * SCALE; }\n}\n"
+        };
+        let scale = BuildOption::choice(
+            "SCALE",
+            "Kernel scale",
+            OptionCategory::Other,
+            vec![
+                OptionValue::plain("one").with_definition("-DSCALE=1.0"),
+                OptionValue::plain("two").with_definition("-DSCALE=2.0"),
+            ],
+            "one",
+        );
+        let files: Vec<String> = ["src/a.ck", "src/b.ck", "src/c.ck"]
+            .map(String::from)
+            .into();
+        ProjectSpec {
+            name: "extra-flags".into(),
+            version: "1.0".into(),
+            build_script: String::new(),
+            options: vec![scale],
+            sources: vec![
+                SourceSpec::new("src/a.ck", kernel("a", &["SRC_EXTRA", "TGT_EXTRA"]))
+                    .with_flag("-DSRC_EXTRA=3.0"),
+                SourceSpec::new("src/b.ck", kernel("b", &["TGT_EXTRA"])),
+                SourceSpec::new(
+                    "src/c.ck",
+                    "kernel void c(float* x, int n) {\n    \
+                     for (int i = 0; i < n; i = i + 1) { x[i] = x[i] * 0.5; }\n}\n",
+                ),
+            ],
+            headers: BTreeMap::new(),
+            targets: vec![
+                TargetSpec::new("app", TargetKind::Executable, files.clone()),
+                TargetSpec::new("tool", TargetKind::Executable, files).with_flag("-DTGT_EXTRA=4.0"),
+            ],
+            custom_targets: vec![],
+            global_flags: vec!["-O3".into()],
+            mpi_abi: None,
+        }
+    }
+
+    /// A configuration with several argument lists: each list is classified once,
+    /// yet stage 1 counts what the per-command oracle
+    /// ([`CompileCommand::canonical_key`]) counts, each occurrence's preprocess node
+    /// outputs the text its own command preprocesses to (so units whose extra flags
+    /// differ in a definition the file reads never share a node), and the manifests
+    /// are the bytes the per-command planner wrote (pinned).
+    #[test]
+    fn extra_flags_split_argument_lists_and_match_the_per_command_oracle() {
+        let project = extra_flags_project();
+        let config = IrPipelineConfig::sweep_options(&project, &["SCALE"]);
+        let mut commands: Vec<CompileCommand> = Vec::new();
+        for assignment in enumerate_assignments(&project, &config).unwrap() {
+            let configured = configure(&project, &assignment, &config.build_dir, None).unwrap();
+            commands.extend(configured.compile_db.commands);
+        }
+        let keys: BTreeSet<String> = commands.iter().map(|c| c.canonical_key()).collect();
+        assert_eq!(keys.len(), 12);
+
+        let plan = plan_ir_build(&project, &config).unwrap();
+        let stage_a = plan_stage_a(&project.headers, &plan.lists, &plan.sources);
+        let store = ImageStore::new();
+        let engine = Engine::uncached(&store);
+        let (outputs, _) = engine.run(stage_a.graph).unwrap().into_outputs().unwrap();
+        let occurrences = stage_a.occurrences;
+        assert_eq!(occurrences.len(), commands.len());
+        let mut node_of: BTreeMap<(&str, &str), ActionId> = BTreeMap::new();
+        for (occurrence, command) in occurrences.iter().zip(&commands) {
+            assert_eq!(occurrence.file, command.file());
+            let SourceSpec { path, content, .. } = command.source;
+            let expected =
+                xaas_xir::preprocess_unit(path, content, &command.flags(), &project.headers)
+                    .unwrap();
+            let output = &outputs[occurrence.preprocess_action];
+            assert_eq!(
+                preprocessed_text(output),
+                expected.text,
+                "{}",
+                command.target
+            );
+            if command.arguments.iter().any(|a| a.starts_with("-DSCALE=1")) {
+                node_of.insert((path, command.target), occurrence.preprocess_action);
+            }
+        }
+        // `tool` adds `-DTGT_EXTRA`: a split for the files that read it, a share
+        // for `c.ck`, which reads no extra.
+        let node = |file, target| node_of[&(file, target)];
+        assert_ne!(node("src/a.ck", "app"), node("src/a.ck", "tool"));
+        assert_ne!(node("src/b.ck", "app"), node("src/b.ck", "tool"));
+        assert_eq!(node("src/c.ck", "app"), node("src/c.ck", "tool"));
+        let nodes: BTreeSet<ActionId> = occurrences.iter().map(|o| o.preprocess_action).collect();
+        assert_eq!(nodes.len(), 9);
+
+        let built = build(&project, &config, &store, "extra:ir").unwrap();
+        assert_eq!(built.stats.unique_after_generation, keys.len());
+        assert_eq!(built.stats.unique_after_preprocessing, 9);
+        let manifests: String = (built.manifests.iter())
+            .map(|manifest| serde_json::to_string_pretty(manifest).unwrap())
+            .collect();
+        assert_eq!(
+            xaas_container::Digest::of_str(&manifests).as_str(),
+            "sha256:a9d8686b4c7cfbf7ba8123f8e777d9cddc6602c28c0d5ff6a9ea6ddf1bdf469a"
+        );
+        assert_eq!(plan.lists.len(), 2 * 4, "four lists per configuration");
     }
 
     #[test]
@@ -977,6 +1155,7 @@ mod tests {
     /// text. `derive_identities` must agree with it exactly.
     fn string_keyed_identities(
         occurrences: &[TuOccurrence],
+        lists: &[ArgumentList],
         outputs: &[Blob],
         stages: PipelineStages,
     ) -> Identities {
@@ -988,15 +1167,16 @@ mod tests {
         for (index, occurrence) in occurrences.iter().enumerate() {
             let TuOccurrence {
                 file,
-                flags,
-                generation_key,
+                list,
                 preprocess_action,
-                ..
             } = occurrence;
+            let ArgumentList {
+                flags, generation, ..
+            } = &lists[*list];
             let output = &outputs[*preprocess_action];
             let digest = preprocessed_digest(output).to_string();
             let delayed = flags.delayed_target_flags.join(" ");
-            generation_keys.insert(format!("{file}|{generation_key}"));
+            generation_keys.insert(format!("{file}|{generation}"));
             let stage2_key = format!(
                 "{file}|{digest}|omp={}|opt={}|isa={delayed}",
                 flags.openmp,
@@ -1106,11 +1286,16 @@ mod tests {
                     optimize_early,
                     ..sweep.clone()
                 };
-                let planned = plan_ir_build_stage_a(project, &config).unwrap();
-                let occurrences = planned.occurrences;
-                let (outputs, _) = engine.run(planned.graph).unwrap().into_outputs().unwrap();
-                let oracle = string_keyed_identities(&occurrences, &outputs, stages);
-                assert_eq!(derive_identities(&occurrences, &outputs, stages), oracle);
+                let plan = plan_ir_build(project, &config).unwrap();
+                let lists = &plan.lists;
+                let stage_a = plan_stage_a(&project.headers, lists, &plan.sources);
+                let occurrences = stage_a.occurrences;
+                let (outputs, _) = engine.run(stage_a.graph).unwrap().into_outputs().unwrap();
+                let oracle = string_keyed_identities(&occurrences, lists, &outputs, stages);
+                assert_eq!(
+                    derive_identities(&occurrences, lists, &outputs, stages),
+                    oracle
+                );
 
                 let built = build(project, &config, &store, "oracle:ir").unwrap();
                 let stats = built.stats;
@@ -1176,7 +1361,7 @@ mod tests {
     fn drawn_occurrence(
         rng: &mut proptest::TestRng,
         index: usize,
-    ) -> (TuOccurrence<'static>, Blob) {
+    ) -> (TuOccurrence<'static>, ArgumentList, Blob) {
         const FILES: &[&str] = &["src/a", "src/a.ck", "src/a.ck2", "src/b.ck"];
         const ARGS: &[&str] = &[
             "-DN=2",
@@ -1194,8 +1379,8 @@ mod tests {
         ];
         let mut pick = |n: usize| rng.usize_in(0, n);
         let file = FILES[pick(FILES.len())];
-        let arguments: Vec<String> = (0..pick(7))
-            .map(|_| ARGS[pick(ARGS.len())].to_string())
+        let arguments: Arc<[Cow<str>]> = (0..pick(7))
+            .map(|_| Cow::Borrowed(ARGS[pick(ARGS.len())]))
             .collect();
         let source = SourceSpec::new(file, "");
         let command = CompileCommand {
@@ -1209,11 +1394,10 @@ mod tests {
         output.push(pick(2) as u8);
         let occurrence = TuOccurrence {
             file,
-            flags: command.flags(),
-            generation_key: command.canonical_key(),
+            list: index,
             preprocess_action: index,
         };
-        (occurrence, Blob::from(output))
+        (occurrence, ArgumentList::of(&command), Blob::from(output))
     }
 
     proptest::proptest! {
@@ -1229,12 +1413,18 @@ mod tests {
             count in 1usize..40,
         ) {
             let mut rng = proptest::TestRng::from_name(&seed.to_string());
-            let (occurrences, outputs): (Vec<TuOccurrence>, Vec<Blob>) =
-                (0..count).map(|index| drawn_occurrence(&mut rng, index)).unzip();
+            let mut occurrences: Vec<TuOccurrence> = Vec::new();
+            let (mut lists, mut outputs) = (Vec::new(), Vec::new());
+            for index in 0..count {
+                let (occurrence, list, output) = drawn_occurrence(&mut rng, index);
+                occurrences.push(occurrence);
+                lists.push(list);
+                outputs.push(output);
+            }
             for stages in every_stage_setting() {
                 proptest::prop_assert_eq!(
-                    derive_identities(&occurrences, &outputs, stages),
-                    string_keyed_identities(&occurrences, &outputs, stages)
+                    derive_identities(&occurrences, &lists, &outputs, stages),
+                    string_keyed_identities(&occurrences, &lists, &outputs, stages)
                 );
             }
         }

@@ -755,7 +755,7 @@ fn run_union_wave(
     // the engine refuses fails every planned job before any node executes
     // (plan-time failures already claimed theirs).
     let ran = !graph.is_empty();
-    let run = match engine.run(graph) {
+    let mut run = match engine.run(graph) {
         Ok(run) => run,
         Err(error) => {
             let results = plans
@@ -765,8 +765,9 @@ fn run_union_wave(
             return (results, ActionTrace::default(), false);
         }
     };
-    let wave_trace = run.trace.clone();
-    let mut splits = run.trace.split_by_job();
+    // The run's trace is the wave's; each job's is split from it, once.
+    let wave_trace = std::mem::take(&mut run.trace);
+    let mut splits = wave_trace.split_by_job();
 
     // Finish phase: attribute failures per job, finish the survivors with their
     // slice of the wave trace.
@@ -783,8 +784,11 @@ fn run_union_wave(
                 });
             }
             let grafted = grafted[job_index].as_ref().expect("a planned job grafted");
-            let mut job_trace = splits.remove(&job_index).unwrap_or_default();
-            job_trace.policy = wave_trace.policy.clone();
+            // A split carries the wave's policy already.
+            let mut job_trace = splits.remove(&job_index).unwrap_or_else(|| ActionTrace {
+                policy: wave_trace.policy.clone(),
+                ..ActionTrace::default()
+            });
             job_trace.stage_depth = grafted.depth;
             let output = |node| run.blob(node).expect("a job that did not fail completed");
             Ok(Arc::new(finish_ir_deploy(plan, grafted, output, job_trace)))

@@ -117,13 +117,14 @@ pub struct SourceDeployment {
     pub trace: ActionTrace,
 }
 
-/// One `sd-compile` of a source deployment: its source, and every compile command
-/// (by index into the plan's configured build) sharing its [`SdCompile`] record's
+/// One `sd-compile` of a source deployment: its source, the index of its flags
+/// among the plan's classified argument lists, and every compile command (by
+/// index into the plan's configured build) sharing its [`SdCompile`] record's
 /// identity (two targets can compile the same file with the same flags), which
 /// its object file serves.
 struct SourceUnit<'p> {
     source: &'p SourceSpec,
-    flags: CompileFlags,
+    list: usize,
     commands: Vec<usize>,
 }
 
@@ -235,6 +236,8 @@ pub(crate) struct SourceDeployPlan<'a> {
     target: TargetIsa,
     /// The configured build's compile commands.
     commands: Vec<CompileCommand<'a>>,
+    /// Each distinct argument list of the commands, classified once.
+    flags: Vec<CompileFlags>,
     units: Vec<SourceUnit<'a>>,
     reference: String,
     committed: OnceLock<Image>,
@@ -279,6 +282,8 @@ pub(crate) fn plan_source_deploy<'a>(
         paths::BUILD_ROOT,
         Some(&available),
     )?;
+    let mut flags: Vec<CompileFlags> = Vec::new();
+    let list_of = compile_db.classify_lists(|command| flags.push(command.flags()));
     let commands = compile_db.commands;
 
     // 4. The on-target build compiles every enabled translation unit for the
@@ -301,19 +306,18 @@ pub(crate) fn plan_source_deploy<'a>(
 
     let mut units: Vec<SourceUnit> = Vec::new();
     let mut unit_by_identity: BTreeMap<BuildKey, usize> = BTreeMap::new();
-    for (index, command) in commands.iter().enumerate() {
+    for (index, (command, list)) in commands.iter().zip(list_of).enumerate() {
         let source = command.source;
-        let flags = command.flags();
         let record = SdCompile {
             path: &source.path,
-            flags: &flags,
+            flags: &flags[list],
             target: &target,
         };
         let identity = record.identity();
         let unit = *unit_by_identity.entry(identity).or_insert_with(|| {
             units.push(SourceUnit {
                 source,
-                flags,
+                list,
                 commands: Vec::new(),
             });
             units.len() - 1
@@ -331,6 +335,7 @@ pub(crate) fn plan_source_deploy<'a>(
         build_profile,
         target,
         commands,
+        flags,
         units,
         committed: OnceLock::new(),
     })
@@ -362,7 +367,7 @@ pub(crate) fn graft_source_deploy<'env>(
         .iter()
         .map(|unit| {
             let SourceSpec { path, content, .. } = unit.source;
-            preprocess.action_for(graph, path, content, &unit.flags)
+            preprocess.action_for(graph, path, content, &plan.flags[unit.list])
         })
         .collect();
     // The plan holds one unit per identity, so no compile aliases another.
@@ -374,7 +379,7 @@ pub(crate) fn graft_source_deploy<'env>(
             let path = unit.source.path.as_str();
             let record = SdCompile {
                 path,
-                flags: &unit.flags,
+                flags: &plan.flags[unit.list],
                 target,
             };
             graph.add_action(path, record, &[preprocess])
@@ -603,16 +608,16 @@ mod tests {
         let cache = xaas_container::ActionCache::new(store.clone());
         let plan = plan_source_deploy(&project, &image, &system, &OptionAssignment::new()).unwrap();
         let unit = &plan.units[1];
-        let source = unit.source;
+        let (source, flags) = (unit.source, &plan.flags[unit.list]);
         let mut preprocessed =
-            xaas_xir::preprocess_unit(&source.path, &source.content, &unit.flags, &project.headers)
+            xaas_xir::preprocess_unit(&source.path, &source.content, flags, &project.headers)
                 .unwrap()
                 .content_digest()
                 .into_bytes();
         preprocessed.push(1);
         let record = SdCompile {
             path: &source.path,
-            flags: &unit.flags,
+            flags,
             target: &plan.target,
         };
         let deps = ActionInputs::new(vec![preprocessed.into()]);
@@ -722,7 +727,7 @@ mod tests {
                 } else {
                     unit.source
                 },
-                flags: unit.flags.clone(),
+                list: unit.list,
                 commands: unit.commands.clone(),
             })
             .collect();

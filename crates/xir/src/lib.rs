@@ -88,11 +88,12 @@ pub struct CompileFlags {
 }
 
 impl CompileFlags {
-    /// Parse a flag list (order preserved within each category). Each flag keeps the
-    /// `String` it arrived in, trimmed in place.
-    pub fn parse(flags: impl IntoIterator<Item = String>) -> Self {
+    /// Parse a flag list (order preserved within each category). A flag that arrives
+    /// as a `String` is kept in it, trimmed in place; a borrowed one is copied once.
+    pub fn parse<S: Into<String>>(flags: impl IntoIterator<Item = S>) -> Self {
         let mut result = CompileFlags::default();
-        for mut flag in flags {
+        for flag in flags {
+            let mut flag: String = flag.into();
             flag.truncate(flag.trim_end().len());
             let leading = flag.len() - flag.trim_start().len();
             flag.drain(..leading);

@@ -70,16 +70,20 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 /// 3,141–3,155 over eight release and debug runs. With the Link keeping each
 /// unit's bitcode undecoded, the annotation written without a `Value` tree and
 /// each compile command borrowing its directory and target name, 2,312–2,323
-/// over eleven release and debug runs, plus 4.6 %.
-const ALLOC_BUDGET_CALLS: u64 = 2_430;
+/// over eleven release and debug runs. With each configuration's commands sharing
+/// one argument list that stage 1 classifies once, and the planned preprocess and
+/// `ir-lower` records borrowing its flags, 1,391–1,397 over eight release and
+/// debug runs, plus 4.6 %.
+const ALLOC_BUDGET_CALLS: u64 = 1_462;
 /// Bytes requested by one warm build: 542,041, then 426,213 and 408,841; with
 /// blobs adopting their buffers and archives and JSON written at final size,
 /// 338,531–346,736 over five runs (which thread first grows its JSON buffer
 /// varies). With each configuration borrowing its sources and option values from
 /// the project, 294,072–300,500 over eight release and debug runs. With the Link
 /// decoding no unit and the annotation written typed, 228,507–234,935 over
-/// eleven release and debug runs, plus 9.8 %.
-const ALLOC_BUDGET_BYTES: u64 = 258_000;
+/// eleven release and debug runs. With one argument list per configuration,
+/// classified once, 169,485–175,913 over eight release and debug runs, plus 9.8 %.
+const ALLOC_BUDGET_BYTES: u64 = 193_200;
 
 #[test]
 fn a_warm_gromacs_simd_sweep_build_stays_inside_the_allocation_budget() {
