@@ -16,7 +16,7 @@ use xaas_specs::{
 };
 
 /// One bar of a timing figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct TimingBar {
     /// Bar label (build variant).
     pub label: String,
@@ -29,7 +29,7 @@ pub(crate) struct TimingBar {
 }
 
 /// A panel of a figure: one system (or device) with several bars.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct FigurePanel {
     /// Panel title (system or device name plus workload).
     pub title: String,
@@ -130,7 +130,7 @@ pub(crate) fn figure2() -> Vec<FigurePanel> {
 }
 
 /// One row of Table 4.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct Table4Row {
     /// Model name.
     pub model: String,
@@ -196,7 +196,7 @@ pub(crate) fn table4(runs: u64) -> Vec<Table4Row> {
 
 /// One row of the Section 6.2 generalization experiment (llama.cpp, no in-context
 /// examples): raw vs normalised F1.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct GeneralizationRow {
     /// Model name.
     pub model: String,
@@ -435,7 +435,7 @@ pub(crate) fn figure12_gpu() -> Vec<FigurePanel> {
 }
 
 /// One row of the translation-unit reduction study (Section 6.4).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct ReductionRow {
     /// Which sweep this row describes.
     pub sweep: String,
@@ -831,7 +831,7 @@ fn warm_restart_over(root: &Path) -> WarmRestartExperiment {
 }
 
 /// One row of the Section 6.5 network comparison.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct NetworkRow {
     /// Configuration label.
     pub configuration: String,
@@ -892,7 +892,7 @@ pub fn network() -> Vec<NetworkRow> {
 
 /// GPU compatibility matrix (Figure 9): which shipped device-code bundles run on which
 /// devices, and how.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct GpuCompatRow {
     /// Bundle description.
     pub bundle: String,

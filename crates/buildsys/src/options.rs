@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// The category a specialization point belongs to (mirrors the paper's taxonomy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OptionCategory {
     /// GPU acceleration backends.
     GpuBackend,
@@ -45,7 +45,7 @@ impl fmt::Display for OptionCategory {
 }
 
 /// Effects of selecting a particular option value.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OptionEffects {
     /// Preprocessor definitions added to every target (e.g. `-DGMX_GPU_CUDA`).
     pub definitions: Vec<String>,
@@ -60,7 +60,7 @@ pub struct OptionEffects {
 }
 
 /// One selectable value of an option.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OptionValue {
     /// Value name as written on the configure command line (e.g. `CUDA`, `AVX_512`, `ON`).
     pub name: String,
@@ -109,7 +109,7 @@ impl OptionValue {
 }
 
 /// The kind of an option.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OptionKind {
     /// ON/OFF boolean.
     Bool {
@@ -128,7 +128,7 @@ pub enum OptionKind {
 }
 
 /// A build option (one specialization point).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BuildOption {
     /// Option name as used on the configure line (e.g. `GMX_GPU`).
     pub name: String,
@@ -412,11 +412,16 @@ mod tests {
         assert_eq!(all_combinations(&[&omp, &mpi2]).len(), 4);
     }
 
+    /// An assignment is the option part of a configuration manifest: it is written
+    /// as one JSON object of option names to values and reads back equal.
     #[test]
     fn option_serde_roundtrip() {
-        let opt = gpu_option();
-        let json = serde_json::to_string(&opt).unwrap();
-        let back: BuildOption = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, opt);
+        let assignment = OptionAssignment::new()
+            .with("GPU", "CUDA")
+            .with("MPI", "OFF");
+        let json = serde_json::to_string(&assignment).unwrap();
+        assert_eq!(json, r#"{"values":{"GPU":"CUDA","MPI":"OFF"}}"#);
+        let back: OptionAssignment = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, assignment);
     }
 }

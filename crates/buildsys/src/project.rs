@@ -6,11 +6,10 @@
 //! enable (the "code modules that can be excluded during configuration" of Section 4.3).
 
 use crate::options::{BuildOption, OptionAssignment};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A source file in the project tree.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SourceSpec {
     /// Repository-relative path (e.g. `src/nonbonded.ck`).
     pub path: String,
@@ -47,7 +46,7 @@ impl SourceSpec {
 }
 
 /// Kind of build target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TargetKind {
     /// An executable.
     Executable,
@@ -56,7 +55,7 @@ pub enum TargetKind {
 }
 
 /// A build target: a named collection of sources plus link dependencies.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TargetSpec {
     /// Target name (e.g. `gmx`, `libgromacs`).
     pub name: String,
@@ -99,7 +98,7 @@ impl TargetSpec {
 /// A custom target that generates a source file at build time (Section 5.1: "How to
 /// handle custom targets?" — e.g. GROMACS building its own FFT implementation when none
 /// is selected). The pipeline executes these before analysing build configurations.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CustomTarget {
     /// Name of the custom target.
     pub name: String,
@@ -109,7 +108,7 @@ pub struct CustomTarget {
 }
 
 /// A complete project description.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProjectSpec {
     /// Project name (e.g. `mini-gromacs`).
     pub name: String,
@@ -274,13 +273,5 @@ mod tests {
             .linking("core")
             .with_flag("-DLIB");
         assert_eq!(target.link_targets, vec!["core"]);
-    }
-
-    #[test]
-    fn project_serde_roundtrip() {
-        let project = tiny_project();
-        let json = serde_json::to_string(&project).unwrap();
-        let back: ProjectSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, project);
     }
 }

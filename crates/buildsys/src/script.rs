@@ -18,11 +18,10 @@
 //! # comments
 //! ```
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A declaration extracted from a build script.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ScriptItem {
     /// `project(NAME)`
     Project {
@@ -77,7 +76,7 @@ pub enum ScriptItem {
 }
 
 /// A parsed build script.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BuildScript {
     /// Items in file order.
     pub items: Vec<ScriptItem>,

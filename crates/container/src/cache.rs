@@ -67,18 +67,16 @@
 pub mod tier;
 
 use crate::blob::Blob;
-use crate::digest::{sha256, Digest, Sha256};
+use crate::digest::{sha256, Digest, DigestError, Sha256};
 use crate::image::{ImageStore, StoreGcReport};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use tier::{Claim, DiskClaim, DiskTier, DiskTierStats, TierConfig, TierError};
 
 /// The identity of one memoizable build action: the digest of its derivation record
 /// (see the module docs), computed once, at construction.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BuildKey(Digest);
 
 impl BuildKey {
@@ -101,6 +99,12 @@ impl BuildKey {
     /// The stable SHA-256 digest of the derivation record.
     pub fn digest(&self) -> &Digest {
         &self.0
+    }
+
+    /// Read a key back from its digest's text (`sha256:` and 64 hex digits), as a
+    /// trace prints it; the one way to name a key without its derivation record.
+    pub fn parse(text: &str) -> Result<Self, DigestError> {
+        Digest::parse(text).map(Self)
     }
 }
 
@@ -167,9 +171,7 @@ impl Derivation {
 ///
 /// The disk-tier counters (`disk_hits`, `promotions`) stay zero for a memory-only
 /// cache; an [`ActionCache::with_tiers`] stack with a disk root populates them.
-/// They are `#[serde(default)]` so snapshots serialized before the disk tier
-/// existed still deserialize.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache (any tier).
     pub hits: u64,
@@ -183,17 +185,14 @@ pub struct CacheStats {
     /// Live entries currently in the cache.
     pub entries: usize,
     /// Hits served by the persistent disk tier (counted in `hits` as well).
-    #[serde(default)]
     pub disk_hits: u64,
     /// Disk hits copied up into the memory index: one per disk hit, so always
     /// equal to `disk_hits`.
-    #[serde(default)]
     pub promotions: u64,
     /// Index entries evicted because the backing store no longer held their blob
     /// (stale entries surfaced by store-level GC or a swapped store), plus the
     /// disk tier's [`stale_drops`](DiskTierStats::stale_drops) and
     /// [`corrupt_drops`](DiskTierStats::corrupt_drops).
-    #[serde(default)]
     pub stale_evictions: u64,
 }
 
@@ -228,7 +227,7 @@ impl CacheStats {
 
 /// Which tier of a cache stack served a hit: the memory index, or the disk tier
 /// that held the output before it was promoted into memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CacheTier {
     /// The in-memory [`ActionCache`] index.
     Memory,
@@ -867,8 +866,8 @@ mod tests {
     }
 
     /// The record is the kind and the fields, each a type tag and a little-endian
-    /// length or value, hashed once: the key, its `Debug` and its serde form are
-    /// that digest.
+    /// length or value, hashed once: the key and its `Debug` are that digest, and
+    /// the digest's text parses back to the key.
     #[test]
     fn a_key_is_the_digest_of_its_typed_record() {
         fn string(record: &mut Vec<u8>, value: &str) {
@@ -906,10 +905,15 @@ mod tests {
             .finish();
         assert_eq!(typed.digest(), &Digest::of_bytes(&record));
 
-        let json = serde_json::to_string(&key(1)).unwrap();
-        assert_eq!(json, format!("\"{digest}\""));
-        let back: BuildKey = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, key(1));
+        assert_eq!(BuildKey::parse(digest.as_str()).unwrap(), key(1));
+        assert_eq!(
+            BuildKey::parse(digest.hex()),
+            Err(DigestError::MissingSeparator)
+        );
+        assert_eq!(
+            BuildKey::parse(&digest.as_str()[..70]),
+            Err(DigestError::InvalidHex)
+        );
     }
 
     /// A value of one type never passes for another, and a list is not its items.

@@ -79,7 +79,6 @@
 use super::CacheConfigError;
 use crate::digest::{decode_hex32, hex, Digest};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -170,7 +169,7 @@ impl DiskTierConfig {
 }
 
 /// Counters for the disk tier.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiskTierStats {
     /// Keys currently indexed on disk: every entry the journal replay accepted,
     /// whether or not this process has read its range yet.
@@ -186,7 +185,6 @@ pub struct DiskTierStats {
     pub stale_drops: u64,
     /// Entries dropped because the bytes read back did not hash to the content
     /// digest the journal recorded (an overwritten range).
-    #[serde(default)]
     pub corrupt_drops: u64,
     /// Misses that were answered by waiting on another tier's claim and then
     /// reading what it published instead of recomputing.
@@ -195,7 +193,6 @@ pub struct DiskTierStats {
     pub locks_broken: u64,
     /// Entries of a root in the file-per-blob layout, dropped unread when it
     /// was opened.
-    #[serde(default)]
     pub legacy_drops: u64,
 }
 

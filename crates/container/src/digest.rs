@@ -347,7 +347,6 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 
 /// A content digest in the OCI `algorithm:hex` notation, e.g. `sha256:abcd…`.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-#[serde(transparent)]
 pub struct Digest(String);
 
 impl Digest {

@@ -320,7 +320,7 @@ impl StoreInner {
 }
 
 /// Blob-level statistics of an [`ImageStore`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Distinct blobs held.
     pub blob_count: usize,
@@ -340,15 +340,13 @@ pub struct StoreStats {
     /// lowers it.
     pub digests_computed: u64,
     /// Blobs reclaimed by [`ImageStore::collect_garbage`] over the store's lifetime.
-    #[serde(default)]
     pub gc_blobs_removed: u64,
     /// Bytes reclaimed by [`ImageStore::collect_garbage`] over the store's lifetime.
-    #[serde(default)]
     pub gc_bytes_reclaimed: u64,
 }
 
 /// The result of one [`ImageStore::collect_garbage`] sweep.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreGcReport {
     /// Unreachable blobs removed by this sweep.
     pub blobs_removed: usize,

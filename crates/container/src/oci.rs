@@ -144,7 +144,7 @@ pub mod annotation_keys {
 }
 
 /// Deployment format recorded in the `dev.xaas.deployment-format` annotation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeploymentFormat {
     /// Conventional container: fully compiled binaries.
     Binary,
@@ -206,12 +206,19 @@ mod tests {
 
     #[test]
     fn descriptor_annotations_roundtrip_through_json() {
+        // Without annotations the key is not written, and its absence reads back
+        // as the empty map.
         let mut d = Descriptor::new(MediaType::Layer, Digest::of_str("blob"), 4);
+        let json = serde_json::to_string(&d).unwrap();
+        assert!(!json.contains("annotations"), "{json}");
+        assert_eq!(serde_json::from_str::<Descriptor>(&json).unwrap(), d);
+
         d.annotations.insert(
             annotation_keys::DEPLOYMENT_FORMAT.to_string(),
             DeploymentFormat::Ir.as_str().to_string(),
         );
         let json = serde_json::to_string(&d).unwrap();
+        assert!(json.contains("\"annotations\":{"), "{json}");
         let back: Descriptor = serde_json::from_str(&json).unwrap();
         assert_eq!(back, d);
         assert_eq!(

@@ -1,11 +1,11 @@
 //! GPU models: vendors, programming backends, compute capabilities, and the CUDA
 //! compatibility rules of Figure 9 (driver vs runtime vs PTX vs cubin).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// GPU programming backends an application may support (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum GpuBackend {
     /// NVIDIA CUDA.
     Cuda,
@@ -51,7 +51,7 @@ impl fmt::Display for GpuBackend {
 }
 
 /// GPU hardware vendor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum GpuVendor {
     /// NVIDIA.
     Nvidia,
@@ -62,7 +62,7 @@ pub enum GpuVendor {
 }
 
 /// A semantic version with major/minor parts (CUDA runtime, driver, ROCm, Level Zero).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct Version {
     /// Major component.
     pub major: u32,
@@ -92,7 +92,7 @@ impl fmt::Display for Version {
 }
 
 /// Compute capability of an NVIDIA device (or the analogous generation id for others).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct ComputeCapability {
     /// Major generation (7 = Volta, 8 = Ampere, 9 = Hopper, …).
     pub major: u32,
@@ -124,7 +124,7 @@ impl fmt::Display for ComputeCapability {
 }
 
 /// A GPU device model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GpuModel {
     /// Marketing name.
     pub name: String,
@@ -208,7 +208,7 @@ impl GpuModel {
 }
 
 /// How device code is shipped inside a container image (Figure 9).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeviceCode {
     /// A compiled binary (`cubin`/`hsaco`) for one exact compute capability.
     Cubin(ComputeCapability),
@@ -218,7 +218,7 @@ pub enum DeviceCode {
 }
 
 /// Outcome of checking whether shipped device code can execute on a device.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GpuCompatibility {
     /// Runs natively (exact cubin match).
     Native,

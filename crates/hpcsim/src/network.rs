@@ -7,12 +7,12 @@
 //! path for co-located ranks (23.5 GB/s instead of 64 GB/s on Clariden) unless an
 //! aggregating provider such as LinkX is used.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// libfabric providers considered in Table 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum Provider {
     /// TCP sockets provider.
     Tcp,
@@ -52,7 +52,7 @@ impl fmt::Display for Provider {
 }
 
 /// Feature rows of Table 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Feature {
     /// FI_MSG.
     Message,
@@ -131,7 +131,7 @@ impl Feature {
 }
 
 /// Support level in the capability matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Support {
     /// Fully supported (✔).
     Full,
@@ -269,7 +269,7 @@ pub(crate) fn feature_divergence(a: Provider, b: Provider) -> usize {
 }
 
 /// MPI implementations considered by the bandwidth model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MpiFlavor {
     /// Vendor MPI on bare metal (Cray MPICH).
     CrayMpich,
@@ -280,7 +280,7 @@ pub enum MpiFlavor {
 }
 
 /// Paths intra-node traffic can take.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum IntraNodePath {
     /// Shared-memory transport (xpmem/CMA): the bare-metal fast path.
     SharedMemory,
@@ -291,7 +291,7 @@ pub(crate) enum IntraNodePath {
 }
 
 /// Intra-node bandwidth configuration on a Clariden-like GH200 node (Section 6.5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandwidthModel {
     /// Peak shared-memory bandwidth in GB/s (same socket).
     pub shm_peak_gbs: f64,

@@ -15,11 +15,10 @@
 use crate::cpu::{IsaFamily, SimdLevel};
 use crate::gpu::{GpuBackend, GpuVendor};
 use crate::system::SystemModel;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Classes of computational kernels found in the paper's applications.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelClass {
     /// Short-range non-bonded interactions (GROMACS): highly vectorisable, GPU-offloadable.
     MdNonbonded,
@@ -45,7 +44,7 @@ pub enum KernelClass {
 }
 
 /// Performance-relevant properties of a kernel class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelProfile {
     /// Fraction of the kernel's work that the vectoriser can cover.
     pub vector_fraction: f64,
@@ -163,7 +162,7 @@ impl KernelClass {
 }
 
 /// Quality tier of a numerical library implementation selected at build time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LibraryQuality {
     /// Vendor-tuned library (MKL, cuFFT, rocBLAS): the fastest option.
     Vendor,
@@ -185,7 +184,7 @@ impl LibraryQuality {
 }
 
 /// Compiler optimisation level of the build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum OptLevel {
     /// No optimisation.
     O0,
@@ -207,7 +206,7 @@ impl OptLevel {
 }
 
 /// How a binary was produced, as far as performance is concerned.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BuildProfile {
     /// Human-readable label (shown in figures: "Naive Build", "XaaS Source", …).
     pub label: String,
@@ -269,7 +268,7 @@ impl BuildProfile {
 }
 
 /// One kernel's share of a workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelWork {
     /// Name shown in reports.
     pub name: String,
@@ -280,7 +279,7 @@ pub struct KernelWork {
 }
 
 /// A workload: a named set of kernels plus an I/O component.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     /// Workload name (e.g. "GROMACS UEABS Test A, 200 steps").
     pub name: String,
@@ -301,7 +300,7 @@ impl Workload {
 }
 
 /// Per-kernel timing in an execution report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelTiming {
     /// Kernel name.
     pub name: String,
@@ -312,7 +311,7 @@ pub struct KernelTiming {
 }
 
 /// Result of executing a workload under the model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionReport {
     /// The build profile label.
     pub build: String,

@@ -5,10 +5,8 @@
 //! table1` harness prints it, and tests use it to check that the synthetic applications
 //! in `xaas-apps` cover the same categories as their real counterparts.
 
-use serde::Serialize;
-
 /// One row of Table 1.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CatalogEntry {
     /// Scientific domain.
     pub domain: &'static str,

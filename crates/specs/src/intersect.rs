@@ -3,11 +3,10 @@
 //! from plus the list of options excluded with reasons.
 
 use crate::model::{SpecCategory, SpecializationDocument};
-use serde::{Deserialize, Serialize};
 use xaas_hpcsim::discovery::SystemFeatures;
 
 /// An excluded specialization point and why it is unavailable on the system.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Exclusion {
     /// Category of the excluded entry.
     pub category: SpecCategory,
@@ -18,7 +17,7 @@ pub struct Exclusion {
 }
 
 /// The result of intersecting application specialization points with system features.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CommonSpecialization {
     /// The application.
     pub application: String,

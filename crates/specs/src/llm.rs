@@ -11,10 +11,9 @@
 use crate::model::{SpecCategory, SpecEntry, SpecializationDocument};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Error characteristics of a simulated model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorProfile {
     /// Probability of dropping a ground-truth entry (false negative).
     pub miss_rate: f64,
@@ -32,7 +31,7 @@ pub struct ErrorProfile {
 }
 
 /// Performance/cost characteristics of a simulated model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimulatedLlm {
     /// Model identifier as reported in Table 4.
     pub name: String,
@@ -188,7 +187,7 @@ impl SimulatedLlm {
 }
 
 /// Configuration of a discovery run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnalysisConfig {
     /// Whether in-context examples are included in the prompt (Section 6.2: without them,
     /// extraction quality drops — the llama.cpp generalization experiment).
@@ -204,7 +203,7 @@ impl Default for AnalysisConfig {
 }
 
 /// The result of one simulated discovery run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LlmRunResult {
     /// Model name.
     pub model: String,

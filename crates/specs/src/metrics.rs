@@ -7,10 +7,9 @@
 //! hyphen/underscore, missing `-D` prefix, case) stop counting as errors.
 
 use crate::model::{SpecCategory, SpecializationDocument};
-use serde::{Deserialize, Serialize};
 
 /// Classification counts and derived metrics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Metrics {
     /// True positives.
     pub true_positives: usize,
@@ -125,7 +124,7 @@ pub fn score(
 }
 
 /// Aggregate of repeated runs: min / median / max of a metric, as reported in Table 4.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MinMedMax {
     /// Minimum.
     pub min: f64,

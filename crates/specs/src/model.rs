@@ -5,13 +5,13 @@
 //! build flag + metadata), which makes precision/recall scoring straightforward; the
 //! Appendix-B-shaped JSON rendering groups entries by category.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use serde_json::{json, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Categories of specialization points (the top-level keys of the Appendix B schema).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SpecCategory {
     /// GPU build switch / GPU backends.
     GpuBackend,
@@ -80,7 +80,7 @@ impl fmt::Display for SpecCategory {
 }
 
 /// One specialization-point fact.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SpecEntry {
     /// Category.
     pub category: SpecCategory,
@@ -114,7 +114,7 @@ impl SpecEntry {
 }
 
 /// A specialization-point document: the output of discovery for one application.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SpecializationDocument {
     /// The application the document describes.
     pub application: String,
@@ -377,12 +377,13 @@ mod tests {
         assert!(json.get("internal_build").is_some());
     }
 
+    /// The document crosses the image boundary as its specialisation-points
+    /// annotation: the written text reads back as the schema tree.
     #[test]
     fn document_serde_roundtrip() {
         let doc = sample();
-        let text = serde_json::to_string(&doc).unwrap();
-        let back: SpecializationDocument = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, doc);
+        let back: Value = serde_json::from_str(&doc.to_json_string()).unwrap();
+        assert_eq!(back, doc.to_schema_json());
     }
 
     #[test]

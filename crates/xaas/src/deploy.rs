@@ -16,16 +16,15 @@ use crate::ir_container::{
 };
 use crate::resolve::Resolved;
 use crate::targets::{derive_build_profile, target_isa_for};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 use xaas_buildsys::{OptionAssignment, ProjectSpec, SourceSpec, TargetSpec};
-use xaas_container::{Blob, Derivation, Image, ImageStore, Layer};
+use xaas_container::{Blob, Derivation, Image, ImageError, ImageStore, Layer};
 use xaas_hpcsim::{BuildProfile, SimdLevel, SystemModel};
 use xaas_xir::{CompileFlags, MachineModule, TargetIsa, VectorizationReport};
 
 /// Statistics of one deployment.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeploymentStats {
     /// IR units lowered to machine code.
     pub lowered_units: usize,
@@ -89,19 +88,24 @@ impl IrDeployment {
     /// Decode the deployed artifacts — once per task, however many units share it —
     /// into machine modules keyed by source file, the aggregated vectorisation report
     /// and the deployment statistics. The units each task serves come from the
-    /// configuration manifest the deployed image inherits from the IR container.
-    /// Undecodable bytes (action-cache corruption) are a [`PipelineError::Cache`]
-    /// naming the file.
+    /// configuration manifest the deployed image inherits from the IR container:
+    /// an absent or mismatched manifest is a [`PipelineError::UnknownConfiguration`],
+    /// one that does not decode a [`PipelineError::Store`] naming its path.
+    /// Undecodable artifact bytes (action-cache corruption) are a
+    /// [`PipelineError::Cache`] naming the file.
     pub fn lowered(&self) -> Result<LoweredDeployment, PipelineError> {
         // Read below the deployed layer on top, which stays undecoded.
         let label = self.assignment.label();
         let path = format!("{}/{}.json", paths::CONFIG_ROOT, sanitize(&label));
         let mut inherited = self.image.layers.iter().rev().skip(1);
-        let manifest = inherited
-            .find_map(|layer| layer.get(&path))
-            .and_then(|entry| serde_json::from_slice(&entry.content).ok())
-            .filter(|manifest: &ConfigurationManifest| manifest.assignment == self.assignment)
-            .ok_or(PipelineError::UnknownConfiguration(label))?;
+        let Some(entry) = inherited.find_map(|layer| layer.get(&path)) else {
+            return Err(PipelineError::UnknownConfiguration(label));
+        };
+        let manifest: ConfigurationManifest = serde_json::from_slice(&entry.content)
+            .map_err(|e| PipelineError::Store(ImageError::Corrupt(format!("{path}: {e}"))))?;
+        if manifest.assignment != self.assignment {
+            return Err(PipelineError::UnknownConfiguration(label));
+        }
         let mut machine_modules: BTreeMap<String, MachineModule> = BTreeMap::new();
         let mut vectorization = VectorizationReport::default();
         let mut stats = DeploymentStats::default();
@@ -776,8 +780,8 @@ mod tests {
             .filter(|record| record.kind == ActionKind::IrLower && record.label == FORGED)
             .collect::<Vec<_>>();
         assert_eq!(lower.len(), 1, "one ir-lower of {FORGED}");
-        let key = format!("\"sha256:{}\"", lower[0].key_digest.as_deref().unwrap());
-        let key: BuildKey = serde_json::from_str(&key).unwrap();
+        let hex = lower[0].key_digest.as_deref().unwrap();
+        let key = BuildKey::parse(&format!("sha256:{hex}")).unwrap();
 
         let store = ImageStore::new();
         let cache = ActionCache::new(store.clone());
@@ -992,11 +996,8 @@ mod tests {
             .records
             .iter()
             .find(|r| r.kind == ActionKind::Link);
-        let key = format!(
-            "\"sha256:{}\"",
-            link.unwrap().key_digest.as_deref().unwrap()
-        );
-        let key: BuildKey = serde_json::from_str(&key).unwrap();
+        let hex = link.unwrap().key_digest.as_deref().unwrap();
+        let key = BuildKey::parse(&format!("sha256:{hex}")).unwrap();
 
         let poisoned = ImageStore::new();
         let cache = ActionCache::new(poisoned.clone());
@@ -1044,6 +1045,51 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(error, PipelineError::UnknownConfiguration(_)));
+    }
+
+    /// The configuration manifest `lowered` reads is image content: one that does
+    /// not decode is a corrupt store entry naming its path, and one decoding to
+    /// another configuration leaves the deployment's configuration unknown.
+    #[test]
+    fn a_corrupt_configuration_manifest_is_a_store_error() {
+        let store = ImageStore::new();
+        let (project, build) = gromacs_ir_build(&store);
+        let selection = OptionAssignment::new()
+            .with("GMX_SIMD", "AVX_512")
+            .with("GMX_GPU", "OFF");
+        let deployment = deploy(
+            &build,
+            &project,
+            &SystemModel::ault23(),
+            &selection,
+            SimdLevel::Avx512,
+            &store,
+        )
+        .unwrap();
+        let label = deployment.assignment.label();
+        let path = format!("{}/{}.json", paths::CONFIG_ROOT, sanitize(&label));
+        // A layer just below the deployed one shadows the IR container's manifest.
+        let shadowed = |content: Vec<u8>| {
+            let mut shadowed = deployment.clone();
+            let mut layer = Layer::new("test");
+            layer.add_file(path.clone(), content);
+            let below_top = shadowed.image.layers.len() - 1;
+            shadowed.image.layers.insert(below_top, layer);
+            shadowed.lowered()
+        };
+        match shadowed(b"{\"assignment\":".to_vec()) {
+            Err(PipelineError::Store(ImageError::Corrupt(what))) => {
+                assert!(what.contains(&path), "{what}")
+            }
+            other => panic!("expected a corrupt manifest, got {other:?}"),
+        }
+        let other = project.complete(&selection.clone().with("GMX_SIMD", "SSE4.1"));
+        let other = serde_json::to_vec(build.manifest_for(&other).unwrap()).unwrap();
+        assert!(matches!(
+            shadowed(other),
+            Err(PipelineError::UnknownConfiguration(_))
+        ));
+        assert!(deployment.lowered().is_ok());
     }
 
     #[test]

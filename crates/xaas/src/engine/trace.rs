@@ -9,14 +9,13 @@
 //! same action set.
 
 #![deny(clippy::unwrap_used, clippy::dbg_macro)]
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use xaas_container::{CacheStats, CacheTier};
 
 /// The pipeline stage an action belongs to. One variant per stage of the paper's
 /// build/deploy pipeline (Figures 7–8), plus the image-assembly tail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ActionKind {
     /// Run the preprocessor over one translation unit (stage 2 identity input).
     Preprocess,
@@ -88,7 +87,7 @@ impl std::fmt::Display for ActionKind {
 /// (`queue_wait_micros`, `exec_micros`, `schedule_seq`): two runs of the same build
 /// produce *equal* traces even though their wall-clock behaviour differs, which is
 /// what the schedule-independence property tests assert.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ActionRecord {
     /// The pipeline stage.
     pub kind: ActionKind,
@@ -105,28 +104,23 @@ pub struct ActionRecord {
     /// from its disk tier). `None` for executed or cache-exempt actions. Like the
     /// clocks, excluded from equality: *which* tier answers depends on the
     /// cache's starting state, not on what the build ran.
-    #[serde(default)]
     pub hit_tier: Option<CacheTier>,
     /// Whether the hit was *coalesced*: the action parked as a continuation on
     /// another worker's in-flight computation of the same key and reused its
     /// result, rather than finding the value already resident. Scheduling
     /// diagnostic, excluded from equality.
-    #[serde(default)]
     pub coalesced: bool,
     /// Microseconds the action spent in the ready queue (from becoming runnable —
     /// dependencies satisfied — to a worker dispatching it). Scheduling-policy
     /// effects (which tenant lane dispatches first) show up here.
-    #[serde(default)]
     pub queue_wait_micros: u64,
     /// Microseconds the action spent executing (or being served from the cache).
-    #[serde(default)]
     pub exec_micros: u64,
     /// Dispatch index assigned when an executor popped the action from the
     /// engine's ready queue — the observable execution order the scheduling policy
     /// produced. The index is per engine core: monotone across successive
     /// submissions to the same engine and its clones, restarting at 0 on a core
     /// built by [`Engine::with_workers`](crate::engine::Engine::with_workers).
-    #[serde(default)]
     pub schedule_seq: u64,
     /// The fleet job (subgraph tag) the action was grafted under, when the graph
     /// carried several logical subgraphs (see
@@ -134,30 +128,25 @@ pub struct ActionRecord {
     /// single-pipeline submissions. Attribution metadata — like the timing
     /// diagnostics, it is excluded from equality so a job's slice of a union-graph
     /// trace compares equal to the same job run standalone.
-    #[serde(default)]
     pub job: Option<usize>,
     /// The tenant the submitting engine was tagged with (a
     /// [`Session`](crate::service::Session)'s tenant); `None` for untenanted
     /// submissions. Attribution metadata, excluded from equality so a
     /// tenant's build compares equal to the same build run untenanted.
-    #[serde(default)]
     pub tenant: Option<String>,
     /// Number of distinct submissions with actions waiting in the engine's shared
     /// ready queue at the moment this action was dispatched (including this
     /// one). A value above 1 is the trace-level proof that the engine interleaved
     /// actions from concurrent submissions. Scheduling diagnostic, excluded from
     /// equality.
-    #[serde(default)]
     pub ready_submissions: u64,
     /// Microseconds this action spent *parked* as a continuation on another
     /// worker's single-flight computation of the same key. A subset of
     /// `queue_wait_micros`'s story told separately:
     /// parked time is contention, plain queue wait is backlog. Scheduling
     /// diagnostic, excluded from equality like the other clocks.
-    #[serde(default)]
     pub parked_micros: u64,
     /// How many times this action parked on a cache flight before completing. Scheduling diagnostic, excluded from equality.
-    #[serde(default)]
     pub parks: u64,
 }
 
@@ -191,7 +180,7 @@ impl ActionRecord {
 /// uncached builds stay byte-identical. An IR build counts its `ir-lower` nodes,
 /// one per key, so a cold IR build reports `cached == 0`; a deployment counts its
 /// `machine-lower` and `sd-compile` nodes, not the keyed Link they feed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ActionSummary {
     /// Actions that actually executed (cache misses).
     pub executed: usize,
@@ -220,7 +209,7 @@ impl ActionSummary {
 /// so a tenant session's trace compares equal to the same build run untenanted —
 /// which is how the multi-tenant determinism tests phrase "the service changes
 /// *who* ran it, never *what* ran".
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ActionTrace {
     /// One record per completed action, in graph-node order (scheduling-independent).
     pub records: Vec<ActionRecord>,
@@ -230,11 +219,9 @@ pub struct ActionTrace {
     pub stage_depth: usize,
     /// Name of the [`SchedulingPolicy`](crate::engine::SchedulingPolicy) the engine
     /// scheduled the run under (`"fifo"`, `"weighted-fair"`, …).
-    #[serde(default)]
     pub policy: String,
     /// The tenant the submitting engine was tagged with, if any (attribution
     /// metadata, excluded from equality).
-    #[serde(default)]
     pub tenant: Option<String>,
 }
 

@@ -5,13 +5,12 @@
 //! known at container-build time plus PTX for the newest compute capability, so newer
 //! devices can still JIT-compile the kernels.
 
-use serde::{Deserialize, Serialize};
 use xaas_hpcsim::{
     check_gpu_compatibility, ComputeCapability, DeviceCode, GpuCompatibility, GpuModel, Version,
 };
 
 /// How the application constrains the CUDA runtime version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RuntimeRequirement {
     /// No conditional use of runtime-version macros detected: any minor version works.
     AnyMinorVersion,
@@ -21,7 +20,7 @@ pub enum RuntimeRequirement {
 }
 
 /// The device-code bundle XaaS ships inside an IR container.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeviceCodeBundle {
     /// CUDA runtime version the container is built against.
     pub runtime: Version,

@@ -7,11 +7,10 @@
 //!   pipeline would not be worth it and source containers are the better fallback.
 
 use crate::ir_container::PipelineStats;
-use serde::{Deserialize, Serialize};
 use xaas_buildsys::ProjectSpec;
 
 /// Result of checking Hypothesis 1 on a pipeline run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Hypothesis1Report {
     /// ΣTᵢ: translation units summed over all configurations.
     pub total_translation_units: usize,
@@ -36,7 +35,7 @@ pub fn hypothesis1(stats: &PipelineStats) -> Hypothesis1Report {
 }
 
 /// Result of checking Hypothesis 2 on a project.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Hypothesis2Report {
     /// Number of system-independent source files (compilable to shared IR).
     pub system_independent: usize,

@@ -53,7 +53,7 @@ pub const TOOLCHAIN_ID: &str = "xirc-19/xir.v1";
 /// Which of the dedup pipeline's optional stages are enabled (both on by default; the
 /// ablation benchmarks switch them off). Build-directory normalisation (stage 1) and
 /// preprocessed-content identity (stage 2) always run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineStages {
     /// Collapse `-fopenmp`-only differences for OpenMP-free files.
     pub openmp_detection: bool,
@@ -71,7 +71,7 @@ impl Default for PipelineStages {
 }
 
 /// Configuration of an IR-container build.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IrPipelineConfig {
     /// The specialization points to sweep: option name → values to enumerate. Options not
     /// listed stay at their defaults.
@@ -116,7 +116,7 @@ impl IrPipelineConfig {
 }
 
 /// Counters describing the deduplication result (the Section 6.4 statistics).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct PipelineStats {
     /// Number of build configurations generated.
     pub configurations: usize,

@@ -1,10 +1,8 @@
 //! The portability-layer taxonomy of Table 2: at which point of the toolchain each
 //! existing approach applies, and what it requires from the system.
 
-use serde::Serialize;
-
 /// The stage of the build pipeline at which a portability approach operates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PortabilityLevel {
     /// Full from-source build on the destination system.
     Building,
@@ -17,7 +15,7 @@ pub enum PortabilityLevel {
 }
 
 /// One row of Table 2.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PortabilityEntry {
     /// Level at which the technology operates.
     pub level: PortabilityLevel,

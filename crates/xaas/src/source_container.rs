@@ -754,11 +754,8 @@ mod tests {
             .records
             .iter()
             .find(|r| r.kind == ActionKind::Link);
-        let key = format!(
-            "\"sha256:{}\"",
-            link.unwrap().key_digest.as_deref().unwrap()
-        );
-        let key: BuildKey = serde_json::from_str(&key).unwrap();
+        let hex = link.unwrap().key_digest.as_deref().unwrap();
+        let key = BuildKey::parse(&format!("sha256:{hex}")).unwrap();
 
         let cache = ActionCache::new(store.clone());
         cache.insert(&key, b"not an archive".to_vec());

@@ -96,7 +96,7 @@ impl BinOp {
 }
 
 /// Expressions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Integer literal.
     IntLit(i64),
@@ -181,7 +181,7 @@ impl Expr {
 }
 
 /// The target of an assignment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LValue {
     /// Scalar variable.
     Var(String),
@@ -195,7 +195,7 @@ pub enum LValue {
 }
 
 /// Statements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     /// Variable declaration with optional initialiser.
     Decl {
@@ -251,7 +251,7 @@ pub enum Stmt {
 }
 
 /// A function parameter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Param {
     /// Parameter name.
     pub name: String,
@@ -260,7 +260,7 @@ pub struct Param {
 }
 
 /// A function definition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Function {
     /// Function name.
     pub name: String,
@@ -275,7 +275,7 @@ pub struct Function {
 }
 
 /// A translation unit: the functions defined in one preprocessed source file.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TranslationUnit {
     /// Source file name (for diagnostics and provenance).
     pub file: String,
@@ -472,13 +472,5 @@ mod tests {
         assert!(BinOp::Lt.is_comparison());
         assert!(BinOp::And.is_comparison());
         assert!(!BinOp::Add.is_comparison());
-    }
-
-    #[test]
-    fn ast_serializes_roundtrip() {
-        let unit = sample_unit();
-        let json = serde_json::to_string(&unit).unwrap();
-        let back: TranslationUnit = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, unit);
     }
 }

@@ -12,11 +12,10 @@
 //! a slice cut inside a `char` would panic.
 #![deny(clippy::indexing_slicing, clippy::unwrap_used)]
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A lexical token.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Token {
     /// Identifier (variable, function, type name).
     Ident(String),
@@ -33,7 +32,7 @@ pub enum Token {
 }
 
 /// Reserved keywords.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Keyword {
     /// `kernel` — marks an exported function.
     Kernel,
@@ -76,7 +75,7 @@ impl Keyword {
 }
 
 /// Punctuation and operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Punct {
     /// `(`
     LParen,

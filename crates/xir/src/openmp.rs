@@ -12,10 +12,9 @@
 //! which says yes whenever this pass does; this pass stays as its test oracle.
 
 use crate::ast::{Stmt, TranslationUnit};
-use serde::{Deserialize, Serialize};
 
 /// Summary of OpenMP usage in a translation unit.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OpenMpReport {
     /// Number of `omp parallel` loop constructs.
     pub parallel_loops: usize,

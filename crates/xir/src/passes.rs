@@ -11,11 +11,10 @@
 
 use crate::ast::BinOp;
 use crate::ir::{IrFunction, IrModule, IrOp, Operand};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Optimisation level for target-independent passes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum OptLevel {
     /// No optimisation.
     O0,
@@ -47,7 +46,7 @@ impl OptLevel {
 }
 
 /// Statistics reported by the optimisation pipeline.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PassStats {
     /// Number of binary operations folded to constants.
     pub constants_folded: usize,

@@ -22,12 +22,11 @@
 #![deny(clippy::indexing_slicing, clippy::unwrap_used)]
 
 use crate::lex::{identifier_len, is_identifier_start};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A set of preprocessor definitions (name → optional value).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Definitions {
     defines: BTreeMap<String, String>,
 }
@@ -197,7 +196,7 @@ impl fmt::Display for PreprocessError {
 impl std::error::Error for PreprocessError {}
 
 /// The result of preprocessing a file.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PreprocessedUnit {
     /// Origin file name.
     pub file: String,

@@ -165,8 +165,8 @@ fn deployed_layers_alias_the_link_cache_entry() {
             state == "warm",
             "{state}: a warm Link is a hit"
         );
-        let key = format!("\"sha256:{}\"", link[0].key_digest.as_deref().unwrap());
-        let key: BuildKey = serde_json::from_str(&key).unwrap();
+        let hex = link[0].key_digest.as_deref().unwrap();
+        let key = BuildKey::parse(&format!("sha256:{hex}")).unwrap();
         let entry = cache.peek(&key).expect("the deployed layer is cached");
         assert!(
             Blob::ptr_eq(lowered[0].sealed().0, &entry),
