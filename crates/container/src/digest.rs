@@ -5,7 +5,7 @@
 //! no external cryptography dependency; the values are bit-exact with any other SHA-256
 //! implementation, which the unit tests verify against published test vectors.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize, Value};
 use std::fmt;
 
 /// SHA-256 round constants (first 32 bits of the fractional parts of the cube roots of the
@@ -346,7 +346,10 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 }
 
 /// A content digest in the OCI `algorithm:hex` notation, e.g. `sha256:abcd…`.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+///
+/// A digest read from JSON is parsed ([`Digest::parse`]): text that is no
+/// `sha256:` digest is a read error, and upper-case hex reads as lower-case.
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct Digest(String);
 
 impl Digest {
@@ -387,10 +390,13 @@ impl Digest {
         if algo != "sha256" {
             return Err(DigestError::UnsupportedAlgorithm(algo.to_string()));
         }
-        if hexpart.len() != 64 || !hexpart.chars().all(|c| c.is_ascii_hexdigit()) {
+        if hexpart.len() != 64 || !hexpart.bytes().all(|c| c.is_ascii_hexdigit()) {
             return Err(DigestError::InvalidHex);
         }
-        Ok(Digest(format!("sha256:{}", hexpart.to_ascii_lowercase())))
+        let mut text = String::with_capacity(text.len());
+        text.push_str("sha256:");
+        text.extend(hexpart.chars().map(|c| c.to_ascii_lowercase()));
+        Ok(Digest(text))
     }
 
     /// The algorithm prefix (always `sha256` in this substrate).
@@ -412,6 +418,19 @@ impl Digest {
     /// A short (12 hex character) prefix, convenient for image tags and logs.
     pub fn short(&self) -> &str {
         &self.hex()[..12.min(self.hex().len())]
+    }
+}
+
+impl Deserialize for Digest {
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        Digest::parse(&String::from_value(value)?).map_err(serde::Error::custom)
+    }
+
+    fn read_json(reader: &mut Reader<'_>) -> Result<Self, serde::Error> {
+        match reader.peek() {
+            Some(b'"') => Digest::parse(&reader.string()?).map_err(serde::Error::custom),
+            _ => reader.mismatch("string"),
+        }
     }
 }
 

@@ -715,6 +715,46 @@ mod tests {
         }
     }
 
+    /// The blob at `digest` with the text of `from` replaced by `to`, stored.
+    fn edited(store: &ImageStore, digest: &Digest, from: &Digest, to: &str) -> Digest {
+        let text = String::from_utf8(store.blob(digest).unwrap().to_vec()).unwrap();
+        assert!(text.contains(from.as_str()));
+        store.put_blob(text.replace(from.as_str(), to).into_bytes())
+    }
+
+    /// A stored manifest naming a digest that is not a `sha256:` digest is
+    /// corrupt, not a manifest naming `md5:x`; upper-case hex reads as lower-case.
+    #[test]
+    fn a_manifest_naming_a_foreign_digest_does_not_read() {
+        let store = ImageStore::new();
+        let descriptor = store.commit(&toolchain_image());
+        let manifest = store.manifest(&descriptor.digest).unwrap();
+        let config = &manifest.config.digest;
+        let foreign = edited(&store, &descriptor.digest, config, "md5:x");
+        assert!(matches!(
+            store.manifest(&foreign),
+            Err(ImageError::Corrupt(_))
+        ));
+        let upper = format!("sha256:{}", config.hex().to_uppercase());
+        let upper = edited(&store, &descriptor.digest, config, &upper);
+        assert_eq!(store.manifest(&upper).unwrap(), manifest);
+    }
+
+    /// A stored config naming a layer diff id that is not a `sha256:` digest is
+    /// corrupt.
+    #[test]
+    fn a_config_naming_a_foreign_digest_does_not_read() {
+        let store = ImageStore::new();
+        let descriptor = store.commit(&toolchain_image());
+        let config = store.manifest(&descriptor.digest).unwrap().config.digest;
+        let diff_id = &store.config(&config).unwrap().rootfs_diff_ids[0];
+        let foreign = edited(&store, &config, diff_id, "md5:x");
+        assert!(matches!(
+            store.config(&foreign),
+            Err(ImageError::Corrupt(_))
+        ));
+    }
+
     #[test]
     fn commit_and_load_roundtrip() {
         let store = ImageStore::new();

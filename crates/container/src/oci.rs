@@ -185,6 +185,27 @@ impl fmt::Display for DeploymentFormat {
 mod tests {
     use super::*;
 
+    /// A descriptor's digest is parsed: `md5:x` or a short hex payload is a read
+    /// error on the text path and on the tree path alike.
+    #[test]
+    fn a_descriptor_naming_a_foreign_digest_does_not_read() {
+        let descriptor = Descriptor::new(MediaType::Layer, Digest::of_str("layer"), 5);
+        let text = serde_json::to_string(&descriptor).unwrap();
+        assert_eq!(
+            serde_json::from_str::<Descriptor>(&text).unwrap(),
+            descriptor
+        );
+        for foreign in ["md5:x", "sha256:abc", "sha256"] {
+            let text = text.replace(descriptor.digest.as_str(), foreign);
+            assert!(serde_json::from_str::<Descriptor>(&text).is_err(), "{text}");
+            let tree = serde_json::parse(&text).unwrap();
+            assert!(
+                serde_json::from_value::<Descriptor>(&tree).is_err(),
+                "{text}"
+            );
+        }
+    }
+
     #[test]
     fn media_type_strings_are_stable() {
         assert_eq!(

@@ -43,13 +43,12 @@ fn machine_bytes(machine: &MachineModule) -> Vec<u8> {
     serde_json::to_vec(machine).expect("machine module serialises")
 }
 
-/// Append the flags that reach the IR: the sorted definitions, OpenMP and the
-/// optimisation level — never the delayed `-m…` flags, which only lowering reads.
+/// Append the flags that reach the IR: the definitions in their given order (the
+/// order the module's metadata records them in), OpenMP and the optimisation
+/// level — never the delayed `-m…` flags, which only lowering reads.
 fn with_ir_flags(record: Derivation, flags: &CompileFlags) -> Derivation {
-    let mut definitions: Vec<&str> = flags.definitions.iter().map(String::as_str).collect();
-    definitions.sort_unstable();
     record
-        .strs(definitions)
+        .strs(flags.definitions.iter().map(String::as_str))
         .bool(flags.openmp)
         .str(flags.opt_level().as_str())
 }
@@ -733,7 +732,7 @@ mod tests {
         let key = sd_compile_key(digest, "src/comm/halo.ck", &flags, &target);
         assert_eq!(
             key.digest().as_str(),
-            "sha256:612f3f052f4572b2b9cea26c2d8fa850ffb39c3d7351e70de6c5207efdeb1019"
+            "sha256:cbb95f666509400d67a0d45f72117551fec7f288e5fe14f075fd76188720990e"
         );
     }
 
@@ -762,13 +761,15 @@ mod tests {
         );
     }
 
-    /// A delayed `-m…` flag or the order of the definitions does not move an
-    /// `ir-lower` key; a dropped definition does.
+    /// A delayed `-m…` flag does not move an `ir-lower` key; a dropped definition
+    /// does, and so does the order of the definitions, which the module's
+    /// metadata records.
     #[test]
-    fn ir_lower_key_ignores_target_flags_and_definition_order() {
+    fn ir_lower_key_ignores_target_flags_but_not_definition_order() {
         let key = |flags: &CompileFlags| ir_lower_key("sha256:0a", "f.ck", flags, false);
         let a = flags(&["-DA", "-DB", "-O3", "-mavx2"]);
-        assert_eq!(key(&a), key(&flags(&["-DB", "-DA", "-O3", "-msse4.1"])));
+        assert_eq!(key(&a), key(&flags(&["-DA", "-DB", "-O3", "-msse4.1"])));
+        assert_ne!(key(&a), key(&flags(&["-DB", "-DA", "-O3", "-mavx2"])));
         assert_eq!(key(&a), key(&a.without_delayed_target_flags()));
         assert_ne!(key(&a), key(&flags(&["-DA", "-O3"])));
         assert_ne!(key(&a), key(&flags(&["-DA", "-DB", "-O2"])));

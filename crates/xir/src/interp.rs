@@ -6,7 +6,7 @@
 //! instruction counts and the modelled execution time change.
 
 use crate::ast::{BinOp, Type};
-use crate::ir::{IrModule, IrOp, Operand};
+use crate::ir::{IrModule, IrOp, Operand, Registers};
 use crate::target::MachineModule;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -125,62 +125,87 @@ enum Slot {
     IntBuf(Vec<i64>),
 }
 
-struct Frame {
-    slots: BTreeMap<String, Slot>,
+/// A call's registers: slot `r` holds register `r`, `None` until it is written.
+struct Frame<'a> {
+    slots: Vec<Option<Slot>>,
+    names: &'a Registers,
+}
+
+impl<'a> Frame<'a> {
+    fn new(view: &FunctionView<'a>) -> Self {
+        let mut slots = Vec::with_capacity(view.names.len());
+        slots.resize_with(view.names.len(), || None);
+        Frame {
+            slots,
+            names: view.names,
+        }
+    }
+
+    fn set(&mut self, r: u32, slot: Slot) {
+        self.slots[r as usize] = Some(slot);
+    }
+
+    fn get(&self, r: u32) -> Option<&Slot> {
+        self.slots[r as usize].as_ref()
+    }
+
+    fn name(&self, r: u32) -> String {
+        self.names[r].to_string()
+    }
+
+    /// The scalar register `r` holds.
+    fn scalar(&self, r: u32) -> Result<Scalar, InterpError> {
+        match self.get(r) {
+            Some(Slot::Scalar(s)) => Ok(*s),
+            _ => Err(InterpError::UndefinedRegister(self.name(r))),
+        }
+    }
 }
 
 /// The interpreter. Construct it over an [`IrModule`] (or via [`Interpreter::for_machine`]
 /// over a lowered [`MachineModule`]) and invoke kernels by name.
 pub struct Interpreter<'a> {
-    functions: BTreeMap<String, FunctionView<'a>>,
+    functions: BTreeMap<&'a str, FunctionView<'a>>,
     /// Maximum interpreted operations before aborting (guards against runaway loops).
     pub step_budget: u64,
 }
 
 struct FunctionView<'a> {
-    params: &'a [(String, Type)],
+    /// Parameter types: parameter `i` is register `i`.
+    params: &'a [Type],
     body: &'a [IrOp],
+    names: &'a Registers,
 }
 
 impl<'a> Interpreter<'a> {
     /// Build an interpreter over an IR module.
     pub fn new(module: &'a IrModule) -> Self {
-        let functions = module
-            .functions
-            .iter()
-            .map(|f| {
-                (
-                    f.name.clone(),
-                    FunctionView {
-                        params: &f.params,
-                        body: &f.body,
-                    },
-                )
-            })
-            .collect();
+        let functions = module.functions.iter().map(|f| {
+            let view = FunctionView {
+                params: &f.params,
+                body: &f.body,
+                names: &f.registers,
+            };
+            (f.name.as_str(), view)
+        });
         Self {
-            functions,
+            functions: functions.collect(),
             step_budget: 200_000_000,
         }
     }
 
     /// Build an interpreter over a lowered machine module.
     pub fn for_machine(module: &'a MachineModule) -> Self {
-        let functions = module
-            .functions
-            .iter()
-            .map(|f| {
-                (
-                    f.name.clone(),
-                    FunctionView {
-                        params: &f.params,
-                        body: &f.body,
-                    },
-                )
-            })
-            .collect();
+        let functions = module.functions.iter().map(|f| {
+            let view = FunctionView {
+                params: &f.params,
+                body: &f.body,
+                names: &f.registers,
+            };
+            (f.name.as_str(), view)
+        });
         Self {
-            functions,
+            functions: functions.collect(),
             step_budget: 200_000_000,
         }
     }
@@ -201,10 +226,8 @@ impl<'a> Interpreter<'a> {
                 ),
             });
         }
-        let mut frame = Frame {
-            slots: BTreeMap::new(),
-        };
-        for ((name, ty), value) in view.params.iter().zip(args) {
+        let mut frame = Frame::new(view);
+        for ((r, ty), value) in (0..).zip(view.params).zip(args) {
             let slot = match (ty, value) {
                 (Type::Int, Value::Int(v)) => Slot::Scalar(Scalar::Int(v)),
                 (Type::Int, Value::Float(v)) => Slot::Scalar(Scalar::Int(v as i64)),
@@ -215,11 +238,14 @@ impl<'a> Interpreter<'a> {
                 (expected, got) => {
                     return Err(InterpError::ArgumentMismatch {
                         function: function.to_string(),
-                        detail: format!("parameter `{name}` expects {expected}, got {got:?}"),
+                        detail: format!(
+                            "parameter `{}` expects {expected}, got {got:?}",
+                            &frame.names[r]
+                        ),
                     })
                 }
             };
-            frame.slots.insert(name.clone(), slot);
+            frame.set(r, slot);
         }
         let mut ops_executed = 0u64;
         let flow = self.exec_block(view.body, &mut frame, &mut ops_executed)?;
@@ -231,14 +257,18 @@ impl<'a> Interpreter<'a> {
             _ => None,
         };
         let mut buffers = BTreeMap::new();
-        for (name, ty) in view.params {
+        for (slot, (ty, name)) in frame
+            .slots
+            .iter_mut()
+            .zip(view.params.iter().zip(view.names.iter()))
+        {
             if ty.is_pointer() {
-                match frame.slots.remove(name) {
+                match slot.take() {
                     Some(Slot::FloatBuf(buf)) => {
-                        buffers.insert(name.clone(), Value::FloatBuffer(buf));
+                        buffers.insert(name.to_string(), Value::FloatBuffer(buf));
                     }
                     Some(Slot::IntBuf(buf)) => {
-                        buffers.insert(name.clone(), Value::IntBuffer(buf));
+                        buffers.insert(name.to_string(), Value::IntBuffer(buf));
                     }
                     _ => {}
                 }
@@ -265,14 +295,12 @@ impl<'a> Interpreter<'a> {
             match op {
                 IrOp::Const { dest, value } | IrOp::Move { dest, src: value } => {
                     let v = self.operand(value, frame)?;
-                    frame.slots.insert(dest.clone(), Slot::Scalar(v));
+                    frame.set(*dest, Slot::Scalar(v));
                 }
                 IrOp::Bin { dest, op, lhs, rhs } => {
                     let a = self.operand(lhs, frame)?;
                     let b = self.operand(rhs, frame)?;
-                    frame
-                        .slots
-                        .insert(dest.clone(), Slot::Scalar(apply_bin(*op, a, b)));
+                    frame.set(*dest, Slot::Scalar(apply_bin(*op, a, b)));
                 }
                 IrOp::Un { dest, not, operand } => {
                     let v = self.operand(operand, frame)?;
@@ -284,56 +312,49 @@ impl<'a> Interpreter<'a> {
                             Scalar::Float(f) => Scalar::Float(-f),
                         }
                     };
-                    frame.slots.insert(dest.clone(), Slot::Scalar(result));
+                    frame.set(*dest, Slot::Scalar(result));
                 }
                 IrOp::Load { dest, base, index } => {
                     let idx = self.operand(index, frame)?.as_i64();
-                    let value = match frame.slots.get(base) {
-                        Some(Slot::FloatBuf(buf)) => {
-                            let v = *buf.get(idx as usize).ok_or(InterpError::OutOfBounds {
-                                buffer: base.clone(),
-                                index: idx,
-                                len: buf.len(),
-                            })?;
-                            Scalar::Float(v)
-                        }
-                        Some(Slot::IntBuf(buf)) => {
-                            let v = *buf.get(idx as usize).ok_or(InterpError::OutOfBounds {
-                                buffer: base.clone(),
-                                index: idx,
-                                len: buf.len(),
-                            })?;
-                            Scalar::Int(v)
-                        }
-                        _ => return Err(InterpError::UndefinedRegister(base.clone())),
+                    let out_of_bounds = |len| InterpError::OutOfBounds {
+                        buffer: frame.name(*base),
+                        index: idx,
+                        len,
                     };
-                    frame.slots.insert(dest.clone(), Slot::Scalar(value));
+                    let value = match frame.get(*base) {
+                        Some(Slot::FloatBuf(buf)) => Scalar::Float(
+                            *buf.get(idx as usize)
+                                .ok_or_else(|| out_of_bounds(buf.len()))?,
+                        ),
+                        Some(Slot::IntBuf(buf)) => Scalar::Int(
+                            *buf.get(idx as usize)
+                                .ok_or_else(|| out_of_bounds(buf.len()))?,
+                        ),
+                        _ => return Err(InterpError::UndefinedRegister(frame.name(*base))),
+                    };
+                    frame.set(*dest, Slot::Scalar(value));
                 }
                 IrOp::Store { base, index, value } => {
                     let idx = self.operand(index, frame)?.as_i64();
                     let v = self.operand(value, frame)?;
-                    match frame.slots.get_mut(base) {
+                    let name = &frame.names[*base];
+                    let out_of_bounds = |len| InterpError::OutOfBounds {
+                        buffer: name.to_string(),
+                        index: idx,
+                        len,
+                    };
+                    match frame.slots[*base as usize].as_mut() {
                         Some(Slot::FloatBuf(buf)) => {
                             let len = buf.len();
-                            let slot =
-                                buf.get_mut(idx as usize).ok_or(InterpError::OutOfBounds {
-                                    buffer: base.clone(),
-                                    index: idx,
-                                    len,
-                                })?;
-                            *slot = v.as_f64();
+                            *buf.get_mut(idx as usize)
+                                .ok_or_else(|| out_of_bounds(len))? = v.as_f64();
                         }
                         Some(Slot::IntBuf(buf)) => {
                             let len = buf.len();
-                            let slot =
-                                buf.get_mut(idx as usize).ok_or(InterpError::OutOfBounds {
-                                    buffer: base.clone(),
-                                    index: idx,
-                                    len,
-                                })?;
-                            *slot = v.as_i64();
+                            *buf.get_mut(idx as usize)
+                                .ok_or_else(|| out_of_bounds(len))? = v.as_i64();
                         }
-                        _ => return Err(InterpError::UndefinedRegister(base.clone())),
+                        _ => return Err(InterpError::UndefinedRegister(name.to_string())),
                     }
                 }
                 IrOp::Call { dest, callee, args } => {
@@ -343,7 +364,7 @@ impl<'a> Interpreter<'a> {
                     }
                     let result = self.call(callee, &arg_values, counter)?;
                     if let (Some(dest), Some(value)) = (dest, result) {
-                        frame.slots.insert(dest.clone(), Slot::Scalar(value));
+                        frame.set(*dest, Slot::Scalar(value));
                     }
                 }
                 IrOp::Loop {
@@ -358,9 +379,7 @@ impl<'a> Interpreter<'a> {
                     let end_value = self.operand(end, frame)?.as_i64();
                     let mut i = start_value;
                     while i < end_value {
-                        frame
-                            .slots
-                            .insert(var.clone(), Slot::Scalar(Scalar::Int(i)));
+                        frame.set(*var, Slot::Scalar(Scalar::Int(i)));
                         match self.exec_block(body, frame, counter)? {
                             Flow::Return(v) => return Ok(Flow::Return(v)),
                             Flow::Continue => {}
@@ -377,11 +396,7 @@ impl<'a> Interpreter<'a> {
                         Flow::Return(v) => return Ok(Flow::Return(v)),
                         Flow::Continue => {}
                     }
-                    let value = match frame.slots.get(cond) {
-                        Some(Slot::Scalar(s)) => *s,
-                        _ => return Err(InterpError::UndefinedRegister(cond.clone())),
-                    };
-                    if !value.truthy() {
+                    if !frame.scalar(*cond)?.truthy() {
                         break;
                     }
                     match self.exec_block(body, frame, counter)? {
@@ -394,11 +409,11 @@ impl<'a> Interpreter<'a> {
                     then_body,
                     else_body,
                 } => {
-                    let value = match frame.slots.get(cond) {
-                        Some(Slot::Scalar(s)) => *s,
-                        _ => return Err(InterpError::UndefinedRegister(cond.clone())),
+                    let branch = if frame.scalar(*cond)?.truthy() {
+                        then_body
+                    } else {
+                        else_body
                     };
-                    let branch = if value.truthy() { then_body } else { else_body };
                     match self.exec_block(branch, frame, counter)? {
                         Flow::Return(v) => return Ok(Flow::Return(v)),
                         Flow::Continue => {}
@@ -417,13 +432,10 @@ impl<'a> Interpreter<'a> {
     }
 
     fn operand(&self, operand: &Operand, frame: &Frame) -> Result<Scalar, InterpError> {
-        match operand {
-            Operand::ImmInt(v) => Ok(Scalar::Int(*v)),
-            Operand::ImmFloat(v) => Ok(Scalar::Float(*v)),
-            Operand::Reg(name) => match frame.slots.get(name) {
-                Some(Slot::Scalar(s)) => Ok(*s),
-                _ => Err(InterpError::UndefinedRegister(name.clone())),
-            },
+        match *operand {
+            Operand::ImmInt(v) => Ok(Scalar::Int(v)),
+            Operand::ImmFloat(v) => Ok(Scalar::Float(v)),
+            Operand::Reg(r) => frame.scalar(r),
         }
     }
 
@@ -449,21 +461,19 @@ impl<'a> Interpreter<'a> {
         let Some(view) = self.functions.get(callee) else {
             return Err(InterpError::UnknownCallee(callee.to_string()));
         };
-        if view.params.len() != args.len() || view.params.iter().any(|(_, t)| t.is_pointer()) {
+        if view.params.len() != args.len() || view.params.iter().any(|t| t.is_pointer()) {
             return Err(InterpError::ArgumentMismatch {
                 function: callee.to_string(),
                 detail: "nested calls support scalar parameters only".to_string(),
             });
         }
-        let mut frame = Frame {
-            slots: BTreeMap::new(),
-        };
-        for ((name, ty), value) in view.params.iter().zip(args) {
+        let mut frame = Frame::new(view);
+        for ((r, ty), value) in (0..).zip(view.params).zip(args) {
             let scalar = match ty {
                 Type::Int => Scalar::Int(value.as_i64()),
                 _ => Scalar::Float(value.as_f64()),
             };
-            frame.slots.insert(name.clone(), Slot::Scalar(scalar));
+            frame.set(r, Slot::Scalar(scalar));
         }
         match self.exec_block(view.body, &mut frame, counter)? {
             Flow::Return(v) => Ok(v),

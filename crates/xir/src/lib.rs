@@ -60,7 +60,7 @@ use std::fmt;
 
 pub use ast::TranslationUnit;
 pub use interp::{Interpreter, RunResult, Value};
-pub use ir::{IrFunction, IrModule, IrOp, ModuleMetadata, Operand};
+pub use ir::{IrFunction, IrModule, IrOp, ModuleMetadata, Operand, Registers};
 pub use openmp::OpenMpReport;
 pub use passes::OptLevel;
 pub use preprocess::{Definitions, Observation, PreprocessedUnit};
@@ -251,17 +251,17 @@ pub fn compile_preprocessed(
     flags: &CompileFlags,
 ) -> Result<IrModule, CompileError> {
     let unit = parse::parse(file, text)?;
-    let metadata = ModuleMetadata {
-        definitions: flags.definitions.clone(),
-        openmp: flags.openmp,
-        opt_level: flags.opt_level().as_str().to_string(),
-        delayed_flags: flags.delayed_target_flags.clone(),
-    };
     let options = lower::LowerOptions {
         openmp: flags.openmp,
-        metadata,
+        metadata: ModuleMetadata::default(),
     };
-    let mut module = lower::lower(&unit, &options)?;
+    let mut module = lower::lower_unnumbered(&unit, &options)?;
+    module.metadata = ModuleMetadata {
+        definitions: flags.definitions.clone(),
+        openmp: flags.openmp,
+        opt_level: String::new(),
+        delayed_flags: flags.delayed_target_flags.clone(),
+    };
     passes::optimize(&mut module, flags.opt_level());
     Ok(module)
 }

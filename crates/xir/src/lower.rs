@@ -6,8 +6,9 @@
 //! stage can drop the flag when a file contains no OpenMP constructs).
 
 use crate::ast::{BinOp, Expr, Function, LValue, Stmt, TranslationUnit, Type};
-use crate::ir::{IrFunction, IrModule, IrOp, ModuleMetadata, Operand};
+use crate::ir::{Interner, IrFunction, IrModule, IrOp, ModuleMetadata, Operand};
 use std::fmt;
+use std::sync::Arc;
 
 /// Options controlling AST → IR lowering.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -49,11 +50,23 @@ impl fmt::Display for LowerError {
 
 impl std::error::Error for LowerError {}
 
-/// Lower a translation unit to an IR module.
+/// Lower a translation unit to an IR module, its registers numbered canonically.
 pub fn lower(unit: &TranslationUnit, options: &LowerOptions) -> Result<IrModule, LowerError> {
+    let mut module = lower_unnumbered(unit, options)?;
+    module.functions.iter_mut().for_each(IrFunction::renumber);
+    Ok(module)
+}
+
+/// [`lower`], each function's registers numbered as the lowering first met them:
+/// the parameters, then the rest. [`IrFunction::renumber`] numbers them
+/// canonically, once the passes are done.
+pub(crate) fn lower_unnumbered(
+    unit: &TranslationUnit,
+    options: &LowerOptions,
+) -> Result<IrModule, LowerError> {
     let mut functions = Vec::with_capacity(unit.functions.len());
     for function in &unit.functions {
-        functions.push(lower_function(function, options)?);
+        functions.push(lower_function(function, options.openmp)?);
     }
     let mut metadata = options.metadata.clone();
     metadata.openmp = options.openmp;
@@ -65,37 +78,50 @@ pub fn lower(unit: &TranslationUnit, options: &LowerOptions) -> Result<IrModule,
     })
 }
 
-struct FnLowerer {
+struct FnLowerer<'f> {
+    /// The registers, numbered by name as they are first met.
+    regs: Interner,
     temp_counter: usize,
-    function_name: String,
+    /// Where a temporary's name `t{n}` is formatted before it is numbered.
+    temp_name: String,
+    function_name: &'f str,
     openmp: bool,
 }
 
-impl FnLowerer {
-    fn fresh(&mut self) -> String {
-        let name = format!("t{}", self.temp_counter);
+impl FnLowerer<'_> {
+    /// The next temporary `t{n}`. A variable of the same name is the same register.
+    fn fresh(&mut self) -> u32 {
+        use std::fmt::Write;
+        self.temp_name.clear();
+        let _ = write!(self.temp_name, "t{}", self.temp_counter);
         self.temp_counter += 1;
-        name
+        self.regs.intern(&self.temp_name)
+    }
+
+    fn reg(&mut self, name: &str) -> u32 {
+        self.regs.intern(name)
     }
 }
 
-fn lower_function(function: &Function, options: &LowerOptions) -> Result<IrFunction, LowerError> {
+fn lower_function(function: &Function, openmp: bool) -> Result<IrFunction, LowerError> {
     let mut lowerer = FnLowerer {
+        regs: Interner::default(),
         temp_counter: 0,
-        function_name: function.name.clone(),
-        openmp: options.openmp,
+        temp_name: String::new(),
+        function_name: &function.name,
+        openmp,
     };
+    for param in &function.params {
+        lowerer.regs.param(&param.name);
+    }
     let body = lower_block(&function.body, &mut lowerer)?;
     Ok(IrFunction {
         name: function.name.clone(),
         is_kernel: function.is_kernel,
         return_type: function.return_type,
-        params: function
-            .params
-            .iter()
-            .map(|p| (p.name.clone(), p.ty))
-            .collect(),
+        params: function.params.iter().map(|p| p.ty).collect(),
         body,
+        registers: Arc::new(lowerer.regs.into_names()),
     })
 }
 
@@ -105,6 +131,19 @@ fn lower_block(stmts: &[Stmt], lowerer: &mut FnLowerer) -> Result<Vec<IrOp>, Low
         lower_stmt(stmt, lowerer, &mut ops)?;
     }
     Ok(ops)
+}
+
+/// The register holding `operand`: itself if it is one, else a fresh temporary
+/// that `ops` moves the immediate into.
+fn in_register(operand: Operand, lowerer: &mut FnLowerer, ops: &mut Vec<IrOp>) -> u32 {
+    match operand {
+        Operand::Reg(r) => r,
+        imm => {
+            let dest = lowerer.fresh();
+            ops.push(IrOp::Move { dest, src: imm });
+            dest
+        }
+    }
 }
 
 fn lower_stmt(stmt: &Stmt, lowerer: &mut FnLowerer, ops: &mut Vec<IrOp>) -> Result<(), LowerError> {
@@ -121,7 +160,7 @@ fn lower_stmt(stmt: &Stmt, lowerer: &mut FnLowerer, ops: &mut Vec<IrOp>) -> Resu
                 }
             };
             ops.push(IrOp::Move {
-                dest: name.clone(),
+                dest: lowerer.reg(name),
                 src: value,
             });
         }
@@ -129,13 +168,13 @@ fn lower_stmt(stmt: &Stmt, lowerer: &mut FnLowerer, ops: &mut Vec<IrOp>) -> Resu
             let value_op = lower_expr(value, lowerer, ops);
             match target {
                 LValue::Var(name) => ops.push(IrOp::Move {
-                    dest: name.clone(),
+                    dest: lowerer.reg(name),
                     src: value_op,
                 }),
                 LValue::Index { base, index } => {
                     let index_op = lower_expr(index, lowerer, ops);
                     ops.push(IrOp::Store {
-                        base: base.clone(),
+                        base: lowerer.reg(base),
                         index: index_op,
                         value: value_op,
                     });
@@ -153,16 +192,16 @@ fn lower_stmt(stmt: &Stmt, lowerer: &mut FnLowerer, ops: &mut Vec<IrOp>) -> Resu
             let start = lower_expr(init, lowerer, ops);
             let (end, inclusive) =
                 extract_bound(cond, var).ok_or_else(|| LowerError::UnsupportedLoopCondition {
-                    function: lowerer.function_name.clone(),
+                    function: lowerer.function_name.to_string(),
                     variable: var.clone(),
                 })?;
             let end_op = {
-                let bound = lower_expr(&end, lowerer, ops);
+                let bound = lower_expr(end, lowerer, ops);
                 if inclusive {
                     // Convert `<=` into an exclusive bound by adding one.
                     let dest = lowerer.fresh();
                     ops.push(IrOp::Bin {
-                        dest: dest.clone(),
+                        dest,
                         op: BinOp::Add,
                         lhs: bound,
                         rhs: Operand::ImmInt(1),
@@ -174,7 +213,7 @@ fn lower_stmt(stmt: &Stmt, lowerer: &mut FnLowerer, ops: &mut Vec<IrOp>) -> Resu
             };
             let step_value =
                 extract_step(step, var).ok_or_else(|| LowerError::UnsupportedLoopStep {
-                    function: lowerer.function_name.clone(),
+                    function: lowerer.function_name.to_string(),
                     variable: var.clone(),
                 })?;
             let parallel = lowerer.openmp
@@ -184,9 +223,10 @@ fn lower_stmt(stmt: &Stmt, lowerer: &mut FnLowerer, ops: &mut Vec<IrOp>) -> Resu
             let simd_hint = pragmas
                 .iter()
                 .any(|p| p.contains("omp") && p.contains("simd"));
+            let var = lowerer.reg(var);
             let body_ops = lower_block(body, lowerer)?;
             ops.push(IrOp::Loop {
-                var: var.clone(),
+                var,
                 start,
                 end: end_op,
                 step: step_value,
@@ -200,21 +240,11 @@ fn lower_stmt(stmt: &Stmt, lowerer: &mut FnLowerer, ops: &mut Vec<IrOp>) -> Resu
         Stmt::While { cond, body } => {
             let mut cond_ops = Vec::new();
             let cond_operand = lower_expr(cond, lowerer, &mut cond_ops);
-            let cond_reg = match cond_operand {
-                Operand::Reg(name) => name,
-                imm => {
-                    let dest = lowerer.fresh();
-                    cond_ops.push(IrOp::Move {
-                        dest: dest.clone(),
-                        src: imm,
-                    });
-                    dest
-                }
-            };
+            let cond = in_register(cond_operand, lowerer, &mut cond_ops);
             let body_ops = lower_block(body, lowerer)?;
             ops.push(IrOp::While {
                 cond_ops,
-                cond: cond_reg,
+                cond,
                 body: body_ops,
             });
         }
@@ -224,21 +254,11 @@ fn lower_stmt(stmt: &Stmt, lowerer: &mut FnLowerer, ops: &mut Vec<IrOp>) -> Resu
             else_body,
         } => {
             let cond_operand = lower_expr(cond, lowerer, ops);
-            let cond_reg = match cond_operand {
-                Operand::Reg(name) => name,
-                imm => {
-                    let dest = lowerer.fresh();
-                    ops.push(IrOp::Move {
-                        dest: dest.clone(),
-                        src: imm,
-                    });
-                    dest
-                }
-            };
+            let cond = in_register(cond_operand, lowerer, ops);
             let then_ops = lower_block(then_body, lowerer)?;
             let else_ops = lower_block(else_body, lowerer)?;
             ops.push(IrOp::If {
-                cond: cond_reg,
+                cond,
                 then_body: then_ops,
                 else_body: else_ops,
             });
@@ -268,13 +288,13 @@ fn lower_expr(expr: &Expr, lowerer: &mut FnLowerer, ops: &mut Vec<IrOp>) -> Oper
     match expr {
         Expr::IntLit(v) => Operand::ImmInt(*v),
         Expr::FloatLit(v) => Operand::ImmFloat(*v),
-        Expr::Var(name) => Operand::Reg(name.clone()),
+        Expr::Var(name) => Operand::Reg(lowerer.reg(name)),
         Expr::Index { base, index } => {
             let index_op = lower_expr(index, lowerer, ops);
             let dest = lowerer.fresh();
             ops.push(IrOp::Load {
-                dest: dest.clone(),
-                base: base.clone(),
+                dest,
+                base: lowerer.reg(base),
                 index: index_op,
             });
             Operand::Reg(dest)
@@ -284,7 +304,7 @@ fn lower_expr(expr: &Expr, lowerer: &mut FnLowerer, ops: &mut Vec<IrOp>) -> Oper
             let rhs_op = lower_expr(rhs, lowerer, ops);
             let dest = lowerer.fresh();
             ops.push(IrOp::Bin {
-                dest: dest.clone(),
+                dest,
                 op: *op,
                 lhs: lhs_op,
                 rhs: rhs_op,
@@ -295,7 +315,7 @@ fn lower_expr(expr: &Expr, lowerer: &mut FnLowerer, ops: &mut Vec<IrOp>) -> Oper
             let inner = lower_expr(operand, lowerer, ops);
             let dest = lowerer.fresh();
             ops.push(IrOp::Un {
-                dest: dest.clone(),
+                dest,
                 not: *not,
                 operand: inner,
             });
@@ -305,7 +325,7 @@ fn lower_expr(expr: &Expr, lowerer: &mut FnLowerer, ops: &mut Vec<IrOp>) -> Oper
             let arg_ops: Vec<Operand> = args.iter().map(|a| lower_expr(a, lowerer, ops)).collect();
             let dest = lowerer.fresh();
             ops.push(IrOp::Call {
-                dest: Some(dest.clone()),
+                dest: Some(dest),
                 callee: callee.clone(),
                 args: arg_ops,
             });
@@ -316,13 +336,13 @@ fn lower_expr(expr: &Expr, lowerer: &mut FnLowerer, ops: &mut Vec<IrOp>) -> Oper
 
 /// Extract the loop bound from a condition of the form `var < bound` or `var <= bound`.
 /// Returns the bound expression and whether the comparison was inclusive.
-fn extract_bound(cond: &Expr, var: &str) -> Option<(Expr, bool)> {
+fn extract_bound<'e>(cond: &'e Expr, var: &str) -> Option<(&'e Expr, bool)> {
     if let Expr::Binary { op, lhs, rhs } = cond {
         if let Expr::Var(name) = lhs.as_ref() {
             if name == var {
                 return match op {
-                    BinOp::Lt => Some(((**rhs).clone(), false)),
-                    BinOp::Le => Some(((**rhs).clone(), true)),
+                    BinOp::Lt => Some((rhs, false)),
+                    BinOp::Le => Some((rhs, true)),
                     _ => None,
                 };
             }

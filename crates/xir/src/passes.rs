@@ -10,8 +10,7 @@
 //!   `fig13_tu_reduction` / the `OptimizeEarly` pipeline).
 
 use crate::ast::BinOp;
-use crate::ir::{IrFunction, IrModule, IrOp, Operand};
-use std::collections::BTreeSet;
+use crate::ir::{visit_loops_mut, IrFunction, IrModule, IrOp, Operand, RegSet};
 
 /// Optimisation level for target-independent passes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -56,16 +55,16 @@ pub struct PassStats {
     pub loops_unrolled: usize,
 }
 
-/// Run the target-independent optimisation pipeline in place.
+/// Run the target-independent optimisation pipeline in place, then number every
+/// function's registers canonically ([`IrFunction::renumber`]).
 pub(crate) fn optimize(module: &mut IrModule, level: OptLevel) -> PassStats {
     let mut stats = PassStats::default();
-    if level == OptLevel::O0 {
-        module.metadata.opt_level = level.as_str().to_string();
-        return stats;
-    }
     for function in &mut module.functions {
-        stats.constants_folded += fold_constants(&mut function.body);
-        stats.dead_ops_removed += eliminate_dead_code(function);
+        if level != OptLevel::O0 {
+            stats.constants_folded += fold_constants(&mut function.body);
+            stats.dead_ops_removed += eliminate_dead_code(function);
+        }
+        function.renumber();
     }
     module.metadata.opt_level = level.as_str().to_string();
     stats
@@ -84,10 +83,7 @@ pub(crate) fn fold_constants(ops: &mut [IrOp]) -> usize {
             } => {
                 if let Some(value) = eval_const(*bin_op, lhs, rhs) {
                     folded += 1;
-                    *op = IrOp::Const {
-                        dest: dest.clone(),
-                        value,
-                    };
+                    *op = IrOp::Const { dest: *dest, value };
                 }
             }
             IrOp::Loop { body, .. } => folded += fold_constants(body),
@@ -149,33 +145,33 @@ fn eval_const(op: BinOp, lhs: &Operand, rhs: &Operand) -> Option<Operand> {
     }
 }
 
-/// Remove value-producing operations whose results are never used. Returns removal count.
+/// Remove value-producing operations whose results are never used. Returns the
+/// removal count. The names of registers no op names any more stay until the
+/// function is renumbered.
 pub(crate) fn eliminate_dead_code(function: &mut IrFunction) -> usize {
-    // Collect every register read anywhere in the function (conservatively including regions).
-    fn collect_uses(ops: &[IrOp], used: &mut BTreeSet<String>) {
+    // Mark every register read anywhere in the function (conservatively including regions).
+    fn mark_uses(ops: &[IrOp], used: &mut RegSet) {
         for op in ops {
-            let mut uses = Vec::new();
-            op.uses(&mut uses);
-            used.extend(uses);
+            op.uses().for_each(|r| used.insert(r));
             match op {
-                IrOp::Loop { body, .. } => collect_uses(body, used),
+                IrOp::Loop { body, .. } => mark_uses(body, used),
                 IrOp::While { cond_ops, body, .. } => {
-                    collect_uses(cond_ops, used);
-                    collect_uses(body, used);
+                    mark_uses(cond_ops, used);
+                    mark_uses(body, used);
                 }
                 IrOp::If {
                     then_body,
                     else_body,
                     ..
                 } => {
-                    collect_uses(then_body, used);
-                    collect_uses(else_body, used);
+                    mark_uses(then_body, used);
+                    mark_uses(else_body, used);
                 }
                 _ => {}
             }
         }
     }
-    fn sweep(ops: &mut Vec<IrOp>, used: &BTreeSet<String>) -> usize {
+    fn sweep(ops: &mut Vec<IrOp>, used: &RegSet) -> usize {
         let mut removed = 0;
         ops.retain(|op| {
             if op.has_side_effects() {
@@ -209,8 +205,8 @@ pub(crate) fn eliminate_dead_code(function: &mut IrFunction) -> usize {
         }
         removed
     }
-    let mut used = BTreeSet::new();
-    collect_uses(&function.body, &mut used);
+    let mut used = RegSet::new(function.registers.len());
+    mark_uses(&function.body, &mut used);
     sweep(&mut function.body, &used)
 }
 
@@ -225,7 +221,7 @@ pub fn scalar_unroll(module: &mut IrModule, factor: u32) -> PassStats {
         return stats;
     }
     for function in &mut module.functions {
-        function.visit_loops_mut(&mut |op| {
+        visit_loops_mut(&mut function.body, &mut |op| {
             if let IrOp::Loop {
                 body,
                 step,
@@ -273,7 +269,7 @@ mod tests {
     #[test]
     fn integer_folding_keeps_integer_type() {
         let mut ops = vec![IrOp::Bin {
-            dest: "t".into(),
+            dest: 0,
             op: BinOp::Add,
             lhs: Operand::ImmInt(2),
             rhs: Operand::ImmInt(3),
@@ -282,7 +278,7 @@ mod tests {
         assert_eq!(
             ops[0],
             IrOp::Const {
-                dest: "t".into(),
+                dest: 0,
                 value: Operand::ImmInt(5)
             }
         );
@@ -291,7 +287,7 @@ mod tests {
     #[test]
     fn division_by_zero_is_not_folded() {
         let mut ops = vec![IrOp::Bin {
-            dest: "t".into(),
+            dest: 0,
             op: BinOp::Div,
             lhs: Operand::ImmInt(2),
             rhs: Operand::ImmInt(0),

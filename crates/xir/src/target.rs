@@ -5,11 +5,14 @@
 //! pick the vector width, run the loop vectoriser, and freeze a [`MachineModule`]
 //! (Section 4.3.1, "Code Generation").
 
-use crate::ast::BinOp;
-use crate::ir::{IrFunction, IrModule, IrOp, Operand};
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use crate::ast::{BinOp, Type};
+use crate::ir::{
+    fill, need, ops_value, params_value, read_code, visit_loops_mut, write_ops, write_params,
+    IrModule, IrOp, Operand, RegSet, Registers, Source, Tree,
+};
+use serde::{Deserialize, Error, Map, Reader, Serialize, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// A code-generation target: named ISA plus its vector width in f64 lanes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -101,62 +104,61 @@ impl VectorizationReport {
 pub fn vectorize(module: &mut IrModule, target: &TargetIsa) -> VectorizationReport {
     let mut report = VectorizationReport::default();
     for function in &mut module.functions {
-        let fname = function.name.clone();
-        let param_names: BTreeSet<String> =
-            function.params.iter().map(|(n, _)| n.clone()).collect();
-        function.visit_loops_mut(&mut |op| {
-            if let IrOp::Loop {
-                var,
-                step,
-                body,
-                vector_width,
-                prevectorization_blocked,
-                ..
-            } = op
-            {
-                let decision = decide(
-                    var,
-                    *step,
-                    body,
-                    *prevectorization_blocked,
-                    &param_names,
-                    target,
-                );
-                match decision {
-                    Ok(width) => {
-                        *vector_width = Some(width);
-                        report.loops.push(LoopVectorization {
-                            function: fname.clone(),
-                            loop_var: var.clone(),
-                            width,
-                            blocked: None,
-                        });
-                    }
-                    Err(block) => {
-                        *vector_width = Some(1);
-                        report.loops.push(LoopVectorization {
-                            function: fname.clone(),
-                            loop_var: var.clone(),
-                            width: 1,
-                            blocked: Some(block),
-                        });
-                    }
-                }
-            }
-        });
+        vectorize_body(
+            &function.name,
+            &function.registers,
+            &mut function.body,
+            target,
+            &mut report,
+        );
     }
     report
+}
+
+/// Vectorise the counted loops of one function's `body`, whose registers are named
+/// by `names`, adding an entry per loop to `report`.
+fn vectorize_body(
+    function: &str,
+    names: &Registers,
+    body: &mut [IrOp],
+    target: &TargetIsa,
+    report: &mut VectorizationReport,
+) {
+    visit_loops_mut(body, &mut |op| {
+        if let IrOp::Loop {
+            var,
+            step,
+            body,
+            vector_width,
+            prevectorization_blocked,
+            ..
+        } = op
+        {
+            let decision = decide(*var, *step, body, *prevectorization_blocked, names, target);
+            let (width, blocked) = match decision {
+                Ok(width) => (width, None),
+                Err(block) => (1, Some(block)),
+            };
+            *vector_width = Some(width);
+            report.loops.push(LoopVectorization {
+                function: function.to_string(),
+                loop_var: names[*var].to_string(),
+                width,
+                blocked,
+            });
+        }
+    });
 }
 
 /// Known pure math intrinsics that do not block vectorisation.
 const VECTORIZABLE_INTRINSICS: &[&str] = &["sqrt", "fabs", "fmin", "fmax", "exp", "log", "floor"];
 
 fn decide(
-    var: &str,
+    var: u32,
     step: i64,
     body: &[IrOp],
     prevectorization_blocked: bool,
-    params: &BTreeSet<String>,
+    names: &Registers,
     target: &TargetIsa,
 ) -> Result<u32, VectorizationBlock> {
     if prevectorization_blocked {
@@ -174,7 +176,6 @@ fn decide(
     if target.vector_width <= 1 {
         return Ok(1);
     }
-    let _ = params;
     // Inspect the body: reject calls (except intrinsics) and nested control flow.
     for op in body {
         match op {
@@ -191,38 +192,36 @@ fn decide(
     // written* within the body and is also written carries a value across iterations.
     // The recognised exception is a reduction `acc = acc <op> expr` (sum/product), which
     // vector hardware handles with lane-wise partial accumulators.
-    let mut first_read: BTreeSet<String> = BTreeSet::new();
-    let mut written: BTreeSet<String> = BTreeSet::new();
+    let mut first_read = RegSet::new(names.len());
+    let mut written = RegSet::new(names.len());
     for op in body {
-        let mut uses = Vec::new();
-        op.uses(&mut uses);
-        for used in uses {
-            if used != var && !written.contains(&used) {
+        for used in op.uses() {
+            if used != var && !written.contains(used) {
                 first_read.insert(used);
             }
         }
         if let Some(dest) = op.dest() {
-            written.insert(dest.to_string());
+            written.insert(dest);
         }
     }
-    for carried in first_read.intersection(&written) {
-        if !is_reduction_of(carried, body) {
-            return Err(VectorizationBlock::LoopCarriedDependence(carried.clone()));
-        }
+    // The report names the carried register whose name sorts first.
+    let carried = first_read
+        .intersection(&written)
+        .filter(|&carried| !is_reduction_of(carried, body))
+        .map(|carried| &names[carried])
+        .min();
+    match carried {
+        Some(name) => Err(VectorizationBlock::LoopCarriedDependence(name.to_string())),
+        None => Ok(target.vector_width),
     }
-    Ok(target.vector_width)
 }
 
 /// Whether every write to `variable` inside `body` is a reduction update of the form
 /// `variable = variable <op> expr` (possibly through one intermediate temporary).
-fn is_reduction_of(variable: &str, body: &[IrOp]) -> bool {
-    // Map from temporary name to the op producing it, for one-level lookups.
-    let producer = |name: &str| body.iter().find(|op| op.dest() == Some(name));
-    let reads_variable = |op: &IrOp| -> bool {
-        let mut uses = Vec::new();
-        op.uses(&mut uses);
-        uses.iter().any(|u| u == variable)
-    };
+fn is_reduction_of(variable: u32, body: &[IrOp]) -> bool {
+    // Map from temporary to the op producing it, for one-level lookups.
+    let producer = |r: u32| body.iter().find(|op| op.dest() == Some(r));
+    let reads_variable = |op: &IrOp| op.uses().any(|u| u == variable);
     for op in body {
         if op.dest() != Some(variable) {
             continue;
@@ -235,7 +234,7 @@ fn is_reduction_of(variable: &str, body: &[IrOp]) -> bool {
             IrOp::Move {
                 src: Operand::Reg(temp),
                 ..
-            } => match producer(temp) {
+            } => match producer(*temp) {
                 Some(
                     def @ IrOp::Bin {
                         op: BinOp::Add | BinOp::Mul | BinOp::Sub,
@@ -254,7 +253,7 @@ fn is_reduction_of(variable: &str, body: &[IrOp]) -> bool {
 }
 
 /// A machine function: the (possibly vectorised) body frozen for one target.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineFunction {
     /// Function name.
     pub name: String,
@@ -266,8 +265,76 @@ pub struct MachineFunction {
     pub loop_widths: Vec<u32>,
     /// The lowered body (shared representation with the IR; the interpreter executes it).
     pub body: Vec<IrOp>,
-    /// Parameters (name, type) copied from the IR function.
-    pub params: Vec<(String, crate::ast::Type)>,
+    /// Parameter types, as in the IR function: parameter `i` is register `i`.
+    pub params: Vec<Type>,
+    /// The name of each register, shared with the IR function lowered.
+    pub registers: Arc<Registers>,
+}
+
+impl Serialize for MachineFunction {
+    fn to_value(&self) -> Value {
+        let mut object = Map::new();
+        let names = &self.registers;
+        object.insert("body".to_string(), ops_value(&self.body, names));
+        object.insert(
+            "instruction_count".to_string(),
+            self.instruction_count.to_value(),
+        );
+        object.insert("is_kernel".to_string(), self.is_kernel.to_value());
+        object.insert("loop_widths".to_string(), self.loop_widths.to_value());
+        object.insert("name".to_string(), self.name.to_value());
+        object.insert("params".to_string(), params_value(&self.params, names));
+        Value::Object(object)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"body\":");
+        write_ops(&self.body, &self.registers, out);
+        out.push_str(",\"instruction_count\":");
+        self.instruction_count.write_json(out);
+        out.push_str(",\"is_kernel\":");
+        self.is_kernel.write_json(out);
+        out.push_str(",\"loop_widths\":");
+        self.loop_widths.write_json(out);
+        out.push_str(",\"name\":");
+        self.name.write_json(out);
+        out.push_str(",\"params\":");
+        write_params(&self.params, &self.registers, out);
+        out.push('}');
+    }
+}
+
+impl MachineFunction {
+    fn read<S: Source>(s: &mut S) -> Result<Self, Error> {
+        let (mut instruction_count, mut is_kernel, mut loop_widths, mut name) =
+            (None, None, None, None);
+        let code = read_code(s, "object for `MachineFunction`", |key, s| match key {
+            "instruction_count" => fill(&mut instruction_count, s, S::read),
+            "is_kernel" => fill(&mut is_kernel, s, S::read),
+            "loop_widths" => fill(&mut loop_widths, s, S::read),
+            "name" => fill(&mut name, s, S::read),
+            _ => Ok(false),
+        })?;
+        Ok(MachineFunction {
+            name: need(name, "name")?,
+            is_kernel: need(is_kernel, "is_kernel")?,
+            instruction_count: need(instruction_count, "instruction_count")?,
+            loop_widths: need(loop_widths, "loop_widths")?,
+            body: code.body,
+            params: code.params,
+            registers: code.registers,
+        })
+    }
+}
+
+impl Deserialize for MachineFunction {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        Self::read(&mut Tree(value))
+    }
+
+    fn read_json(reader: &mut Reader<'_>) -> Result<Self, Error> {
+        Self::read(reader)
+    }
 }
 
 /// The product of lowering an IR module for a target — the artifact a deployed container
@@ -297,27 +364,35 @@ impl MachineModule {
     }
 }
 
-/// Lower an IR module to a machine module for `target`: run the vectoriser, then freeze.
+/// Lower an IR module to a machine module for `target`: vectorise one copy of the
+/// functions, then move their bodies into the machine functions, which share the IR
+/// functions' register names.
 pub fn lower_to_machine(module: &IrModule, target: &TargetIsa) -> MachineModule {
-    let mut working = module.clone();
-    let vectorization = vectorize(&mut working, target);
-    let functions = working
+    let mut vectorization = VectorizationReport::default();
+    let functions = module
         .functions
         .iter()
-        .map(|f| {
-            let mut loop_widths = Vec::new();
-            for op in f.loops() {
-                if let IrOp::Loop { vector_width, .. } = op {
-                    loop_widths.push(vector_width.unwrap_or(1));
-                }
-            }
+        .cloned()
+        .map(|mut f| {
+            let first_loop = vectorization.loops.len();
+            vectorize_body(
+                &f.name,
+                &f.registers,
+                &mut f.body,
+                target,
+                &mut vectorization,
+            );
             MachineFunction {
-                name: f.name.clone(),
+                instruction_count: estimate_instructions(&f.body, target),
+                loop_widths: vectorization.loops[first_loop..]
+                    .iter()
+                    .map(|l| l.width)
+                    .collect(),
+                name: f.name,
                 is_kernel: f.is_kernel,
-                instruction_count: estimate_instructions(f, target),
-                loop_widths,
-                body: f.body.clone(),
-                params: f.params.clone(),
+                body: f.body,
+                params: f.params,
+                registers: f.registers,
             }
         })
         .collect();
@@ -331,7 +406,7 @@ pub fn lower_to_machine(module: &IrModule, target: &TargetIsa) -> MachineModule 
 
 /// Estimate the lowered instruction count: vectorised loop bodies issue one instruction
 /// per `width` lanes, FMA fuses multiply-add pairs.
-fn estimate_instructions(function: &IrFunction, target: &TargetIsa) -> usize {
+fn estimate_instructions(body: &[IrOp], target: &TargetIsa) -> usize {
     fn count(ops: &[IrOp], fma: bool) -> usize {
         let mut total = 0usize;
         let mut iter = ops.iter().peekable();
@@ -366,7 +441,7 @@ fn estimate_instructions(function: &IrFunction, target: &TargetIsa) -> usize {
         }
         total
     }
-    count(&function.body, target.fma)
+    count(body, target.fma)
 }
 
 #[cfg(test)]

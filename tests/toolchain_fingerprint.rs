@@ -15,8 +15,8 @@ use xaas::prelude::*;
 use xaas_apps::{gromacs, llamacpp, lulesh};
 use xaas_buildsys::ProjectSpec;
 use xaas_container::Digest;
-use xaas_hpcsim::SimdLevel;
-use xaas_xir::lower_to_machine;
+use xaas_hpcsim::{IsaFamily, SimdLevel};
+use xaas_xir::{bitcode, lower_to_machine, IrModule, MachineModule};
 
 /// Every toolchain id with the fingerprint of what it produced. Append a pair
 /// when codegen changes; never edit or reuse an id.
@@ -87,4 +87,44 @@ fn every_toolchain_id_pins_the_fingerprint_of_its_codegen() {
          a new TOOLCHAIN_ID and append (new id, {:?}) to FINGERPRINTS",
         fingerprint.as_str()
     );
+}
+
+/// The codec round-trips what the toolchain produces: every unit of the sweeps
+/// decodes to a module that encodes back to its bitcode byte for byte, and each
+/// unit's machine module on every SIMD level reads back from its bytes, through
+/// the text and through the `Value` tree, as itself and writes the same bytes.
+#[test]
+fn every_unit_and_machine_module_round_trips_through_its_bytes() {
+    let orch = Orchestrator::builder().workers(1).build();
+    let mut levels: Vec<SimdLevel> = [IsaFamily::X86_64, IsaFamily::Aarch64]
+        .iter()
+        .flat_map(|family| SimdLevel::levels_for(*family).iter().copied())
+        .collect();
+    levels.sort();
+    levels.dedup();
+    assert_eq!(levels.len(), 9);
+    for (project, config) in sweeps() {
+        let build = IrBuildRequest::new(&project, &config)
+            .submit(&orch)
+            .expect("the sweep builds");
+        for unit in build.units.values() {
+            let module = bitcode::decode(&unit.bitcode).expect("the unit's bitcode decodes");
+            assert_eq!(bitcode::encode(&module), &unit.bitcode[..]);
+            assert_eq!(bitcode::decode(&bitcode::encode(&module)).unwrap(), module);
+            let tree = serde_json::to_value(&module);
+            assert_eq!(serde_json::from_value::<IrModule>(&tree).unwrap(), module);
+            for level in &levels {
+                let machine = lower_to_machine(&module, &target_isa_for(*level));
+                let bytes = serde_json::to_vec(&machine).unwrap();
+                let read: MachineModule = serde_json::from_slice(&bytes).unwrap();
+                assert_eq!(read, machine);
+                assert_eq!(serde_json::to_vec(&read).unwrap(), bytes);
+                let tree = serde_json::to_value(&machine);
+                assert_eq!(
+                    serde_json::from_value::<MachineModule>(&tree).unwrap(),
+                    machine
+                );
+            }
+        }
+    }
 }

@@ -1,0 +1,164 @@
+//! Budget guard for the compiler's two stages over GROMACS.
+//!
+//! An IR container is compiled once and lowered on every target (paper §4.3), so
+//! the compiler's allocations are the CI side's and every deployment's bill. Here
+//! every GROMACS translation unit, preprocessed under the project's global flags,
+//! is compiled with `compile_preprocessed`, and each module is lowered with
+//! `lower_to_machine` for the four fleet SIMD targets. The test holds the
+//! allocator calls and bytes per unit (compile) and per unit and target (lower)
+//! under a budget.
+//!
+//! The file holds a single test on purpose: the counting allocator is process-wide,
+//! and a second test running beside it would be counted too.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use xaas::prelude::*;
+use xaas_apps::gromacs;
+use xaas_hpcsim::SimdLevel;
+use xaas_xir::{compile_preprocessed, lower_to_machine, preprocess_unit, CompileFlags};
+
+/// The system allocator with relaxed call and byte counters in front of it. The
+/// counters publish no other data, so `Relaxed` is enough.
+struct CountingAllocator;
+
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards to `System` with the caller's arguments unchanged,
+// so `System`'s guarantees are this allocator's; the counters touch no allocator
+// state.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for `layout`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System` for this `layout` (see `alloc`).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // Only growth is new memory asked of the system.
+        ALLOC_BYTES.fetch_add(
+            new_size.saturating_sub(layout.size()) as u64,
+            Ordering::Relaxed,
+        );
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr`/`layout` describe a live `System` block; the caller upholds
+        // `GlobalAlloc::realloc`'s contract for `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Allocator calls of `compile_preprocessed` per GROMACS unit. With every register
+/// a heap `String` — each name copied per occurrence, DCE's use set a tree of
+/// names, a dead name renumbered away op by op — 88 at PR 60, and 81.8 with this
+/// test just before registers became numbers. With numbered registers, one packed
+/// name table per function and one numbering pass, 52.5 in release and debug, plus
+/// 5 %. Of those, 35.3 are the front end's (the lexer's identifier strings and
+/// token vector, the parser's boxes and vectors), which registers do not touch.
+const COMPILE_CALLS_PER_UNIT: f64 = 55.1;
+/// Bytes of `compile_preprocessed` per GROMACS unit: 7,486 with string registers,
+/// 6,403 with numbered ones, plus 10 %.
+const COMPILE_BYTES_PER_UNIT: f64 = 7_043.0;
+/// Allocator calls of `lower_to_machine` per GROMACS unit and target. With the
+/// module cloned, every body and parameter list cloned again and every name
+/// copied, 80 at PR 60, and 76.9 with this test just before registers became
+/// numbers. Cloning each function once and sharing its name table, 12.1 in release
+/// and debug, plus 5 %.
+const LOWER_CALLS_PER_UNIT: f64 = 12.7;
+/// Bytes of `lower_to_machine` per GROMACS unit and target: 3,443 with string
+/// registers, 1,001 with numbered ones, plus 10 %.
+const LOWER_BYTES_PER_UNIT: f64 = 1_101.0;
+
+/// Allocator calls and bytes of `run`.
+fn counted(run: impl FnOnce()) -> (u64, u64) {
+    let (calls, bytes) = (
+        ALLOC_CALLS.load(Ordering::Relaxed),
+        ALLOC_BYTES.load(Ordering::Relaxed),
+    );
+    run();
+    (
+        ALLOC_CALLS.load(Ordering::Relaxed) - calls,
+        ALLOC_BYTES.load(Ordering::Relaxed) - bytes,
+    )
+}
+
+#[test]
+fn compiling_and_lowering_gromacs_stays_inside_the_allocation_budget() {
+    let project = gromacs::project();
+    let flags = CompileFlags::parse(project.global_flags.iter().map(String::as_str));
+    let units: Vec<(&str, String)> = project
+        .sources
+        .iter()
+        .map(|source| {
+            let unit = preprocess_unit(&source.path, &source.content, &flags, &project.headers)
+                .expect("every GROMACS unit preprocesses");
+            (source.path.as_str(), unit.text)
+        })
+        .collect();
+    let count = units.len() as f64;
+    let targets = [
+        SimdLevel::Sse41,
+        SimdLevel::Avx2_256,
+        SimdLevel::Avx512,
+        SimdLevel::NeonAsimd,
+    ]
+    .map(target_isa_for);
+
+    let mut modules = Vec::with_capacity(units.len());
+    let (calls, bytes) = counted(|| {
+        for (path, text) in &units {
+            modules.push(compile_preprocessed(path, text, &flags).expect("GROMACS compiles"));
+        }
+    });
+    let (compile_calls, compile_bytes) = (calls as f64 / count, bytes as f64 / count);
+    let (calls, bytes) = counted(|| {
+        for module in &modules {
+            for target in &targets {
+                drop(lower_to_machine(module, target));
+            }
+        }
+    });
+    let lowerings = count * targets.len() as f64;
+    let (lower_calls, lower_bytes) = (calls as f64 / lowerings, bytes as f64 / lowerings);
+    println!(
+        "GROMACS, {count} units: compile_preprocessed {compile_calls:.1} allocator calls and \
+         {compile_bytes:.0} bytes per unit; lower_to_machine {lower_calls:.1} calls and \
+         {lower_bytes:.0} bytes per unit and target"
+    );
+    assert!(
+        compile_calls <= COMPILE_CALLS_PER_UNIT,
+        "compile_preprocessed made {compile_calls:.1} allocator calls per unit \
+         (budget {COMPILE_CALLS_PER_UNIT}): registers are copied as names again"
+    );
+    assert!(
+        compile_bytes <= COMPILE_BYTES_PER_UNIT,
+        "compile_preprocessed allocated {compile_bytes:.0} bytes per unit \
+         (budget {COMPILE_BYTES_PER_UNIT})"
+    );
+    assert!(
+        lower_calls <= LOWER_CALLS_PER_UNIT,
+        "lower_to_machine made {lower_calls:.1} allocator calls per unit and target \
+         (budget {LOWER_CALLS_PER_UNIT}): lowering clones the module or its names again"
+    );
+    assert!(
+        lower_bytes <= LOWER_BYTES_PER_UNIT,
+        "lower_to_machine allocated {lower_bytes:.0} bytes per unit and target \
+         (budget {LOWER_BYTES_PER_UNIT})"
+    );
+}
