@@ -1,4 +1,7 @@
 //! Abstract syntax tree of the CK kernel language.
+//!
+//! The tree borrows the preprocessed text it was parsed from: every name, callee and
+//! pragma is a slice of it.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -97,53 +100,53 @@ impl BinOp {
 
 /// Expressions.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub enum Expr<'a> {
     /// Integer literal.
     IntLit(i64),
     /// Float literal.
     FloatLit(f64),
     /// Variable reference.
-    Var(String),
+    Var(&'a str),
     /// Array index `base[index]`.
     Index {
         /// The pointer variable.
-        base: String,
+        base: &'a str,
         /// The index expression.
-        index: Box<Expr>,
+        index: Box<Expr<'a>>,
     },
     /// Binary operation.
     Binary {
         /// Operator.
         op: BinOp,
         /// Left operand.
-        lhs: Box<Expr>,
+        lhs: Box<Expr<'a>>,
         /// Right operand.
-        rhs: Box<Expr>,
+        rhs: Box<Expr<'a>>,
     },
     /// Unary negation `-x` or logical not `!x`.
     Unary {
         /// True for logical not, false for arithmetic negation.
         not: bool,
         /// Operand.
-        operand: Box<Expr>,
+        operand: Box<Expr<'a>>,
     },
     /// Function call.
     Call {
         /// Callee name.
-        callee: String,
+        callee: &'a str,
         /// Arguments.
-        args: Vec<Expr>,
+        args: Vec<Expr<'a>>,
     },
 }
 
-impl Expr {
+impl<'a> Expr<'a> {
     /// Variables read by this expression.
     #[cfg(test)]
-    pub(crate) fn referenced_vars(&self, out: &mut Vec<String>) {
+    pub(crate) fn referenced_vars(&self, out: &mut Vec<&'a str>) {
         match self {
-            Expr::Var(name) => out.push(name.clone()),
+            Expr::Var(name) => out.push(name),
             Expr::Index { base, index } => {
-                out.push(base.clone());
+                out.push(base);
                 index.referenced_vars(out);
             }
             Expr::Binary { lhs, rhs, .. } => {
@@ -161,10 +164,10 @@ impl Expr {
     }
 
     /// Functions called (transitively within this expression).
-    pub(crate) fn called_functions(&self, out: &mut Vec<String>) {
+    pub(crate) fn called_functions(&self, out: &mut Vec<&'a str>) {
         match self {
             Expr::Call { callee, args } => {
-                out.push(callee.clone());
+                out.push(callee);
                 for a in args {
                     a.called_functions(out);
                 }
@@ -182,110 +185,110 @@ impl Expr {
 
 /// The target of an assignment.
 #[derive(Debug, Clone, PartialEq)]
-pub enum LValue {
+pub enum LValue<'a> {
     /// Scalar variable.
-    Var(String),
+    Var(&'a str),
     /// Array element.
     Index {
         /// The pointer variable.
-        base: String,
+        base: &'a str,
         /// The index expression.
-        index: Expr,
+        index: Expr<'a>,
     },
 }
 
 /// Statements.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Stmt {
+pub enum Stmt<'a> {
     /// Variable declaration with optional initialiser.
     Decl {
         /// Declared type.
         ty: Type,
         /// Variable name.
-        name: String,
+        name: &'a str,
         /// Initialiser.
-        init: Option<Expr>,
+        init: Option<Expr<'a>>,
     },
     /// Assignment.
     Assign {
         /// Target.
-        target: LValue,
+        target: LValue<'a>,
         /// Value.
-        value: Expr,
+        value: Expr<'a>,
     },
     /// `for (init; cond; step) body` — the canonical counted loop.
     For {
         /// Loop variable name (declared by the init clause).
-        var: String,
+        var: &'a str,
         /// Initial value.
-        init: Expr,
+        init: Expr<'a>,
         /// Condition (must be a comparison involving the loop variable).
-        cond: Expr,
+        cond: Expr<'a>,
         /// Step expression assigned back to the loop variable.
-        step: Expr,
+        step: Expr<'a>,
         /// Body.
-        body: Vec<Stmt>,
+        body: Vec<Stmt<'a>>,
         /// Pragmas attached to this loop (e.g. `omp parallel for`, `omp simd`).
-        pragmas: Vec<String>,
+        pragmas: Vec<&'a str>,
     },
     /// `while (cond) body`.
     While {
         /// Condition.
-        cond: Expr,
+        cond: Expr<'a>,
         /// Body.
-        body: Vec<Stmt>,
+        body: Vec<Stmt<'a>>,
     },
     /// `if (cond) then else`.
     If {
         /// Condition.
-        cond: Expr,
+        cond: Expr<'a>,
         /// Then branch.
-        then_body: Vec<Stmt>,
+        then_body: Vec<Stmt<'a>>,
         /// Else branch.
-        else_body: Vec<Stmt>,
+        else_body: Vec<Stmt<'a>>,
     },
     /// `return expr;`
-    Return(Option<Expr>),
+    Return(Option<Expr<'a>>),
     /// Expression statement (usually a call).
-    ExprStmt(Expr),
+    ExprStmt(Expr<'a>),
 }
 
 /// A function parameter.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Param {
+pub struct Param<'a> {
     /// Parameter name.
-    pub name: String,
+    pub name: &'a str,
     /// Parameter type.
     pub ty: Type,
 }
 
 /// A function definition.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Function {
+pub struct Function<'a> {
     /// Function name.
-    pub name: String,
+    pub name: &'a str,
     /// Whether the function is a `kernel` (exported entry point).
     pub is_kernel: bool,
     /// Return type.
     pub return_type: Type,
     /// Parameters.
-    pub params: Vec<Param>,
+    pub params: Vec<Param<'a>>,
     /// Body.
-    pub body: Vec<Stmt>,
+    pub body: Vec<Stmt<'a>>,
 }
 
 /// A translation unit: the functions defined in one preprocessed source file.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct TranslationUnit {
+pub struct TranslationUnit<'a> {
     /// Source file name (for diagnostics and provenance).
-    pub file: String,
+    pub file: &'a str,
     /// Functions in definition order.
-    pub functions: Vec<Function>,
+    pub functions: Vec<Function<'a>>,
 }
 
-impl TranslationUnit {
+impl<'a> TranslationUnit<'a> {
     /// Find a function by name.
-    pub fn function(&self, name: &str) -> Option<&Function> {
+    pub fn function(&self, name: &str) -> Option<&Function<'a>> {
         self.functions.iter().find(|f| f.name == name)
     }
 
@@ -295,27 +298,27 @@ impl TranslationUnit {
         self.functions
             .iter()
             .filter(|f| f.is_kernel)
-            .map(|f| f.name.as_str())
+            .map(|f| f.name)
             .collect()
     }
 
     /// All external functions called but not defined in this unit.
-    pub(crate) fn external_calls(&self) -> Vec<String> {
-        let defined: Vec<&str> = self.functions.iter().map(|f| f.name.as_str()).collect();
+    pub(crate) fn external_calls(&self) -> Vec<&'a str> {
+        let defined: Vec<&str> = self.functions.iter().map(|f| f.name).collect();
         let mut calls = Vec::new();
         for f in &self.functions {
             for stmt in &f.body {
                 collect_calls_stmt(stmt, &mut calls);
             }
         }
-        calls.retain(|c| !defined.contains(&c.as_str()));
+        calls.retain(|c| !defined.contains(c));
         calls.sort();
         calls.dedup();
         calls
     }
 }
 
-fn collect_calls_stmt(stmt: &Stmt, out: &mut Vec<String>) {
+fn collect_calls_stmt<'a>(stmt: &Stmt<'a>, out: &mut Vec<&'a str>) {
     match stmt {
         Stmt::Decl { init: Some(e), .. } => e.called_functions(out),
         Stmt::Decl { .. } => {}
@@ -365,66 +368,66 @@ fn collect_calls_stmt(stmt: &Stmt, out: &mut Vec<String>) {
 mod tests {
     use super::*;
 
-    fn sample_unit() -> TranslationUnit {
+    fn sample_unit() -> TranslationUnit<'static> {
         TranslationUnit {
-            file: "axpy.ck".into(),
+            file: "axpy.ck",
             functions: vec![Function {
-                name: "axpy".into(),
+                name: "axpy",
                 is_kernel: true,
                 return_type: Type::Void,
                 params: vec![
                     Param {
-                        name: "y".into(),
+                        name: "y",
                         ty: Type::FloatPtr,
                     },
                     Param {
-                        name: "x".into(),
+                        name: "x",
                         ty: Type::FloatPtr,
                     },
                     Param {
-                        name: "a".into(),
+                        name: "a",
                         ty: Type::Float,
                     },
                     Param {
-                        name: "n".into(),
+                        name: "n",
                         ty: Type::Int,
                     },
                 ],
                 body: vec![Stmt::For {
-                    var: "i".into(),
+                    var: "i",
                     init: Expr::IntLit(0),
                     cond: Expr::Binary {
                         op: BinOp::Lt,
-                        lhs: Box::new(Expr::Var("i".into())),
-                        rhs: Box::new(Expr::Var("n".into())),
+                        lhs: Box::new(Expr::Var("i")),
+                        rhs: Box::new(Expr::Var("n")),
                     },
                     step: Expr::Binary {
                         op: BinOp::Add,
-                        lhs: Box::new(Expr::Var("i".into())),
+                        lhs: Box::new(Expr::Var("i")),
                         rhs: Box::new(Expr::IntLit(1)),
                     },
                     body: vec![Stmt::Assign {
                         target: LValue::Index {
-                            base: "y".into(),
-                            index: Expr::Var("i".into()),
+                            base: "y",
+                            index: Expr::Var("i"),
                         },
                         value: Expr::Binary {
                             op: BinOp::Add,
                             lhs: Box::new(Expr::Index {
-                                base: "y".into(),
-                                index: Box::new(Expr::Var("i".into())),
+                                base: "y",
+                                index: Box::new(Expr::Var("i")),
                             }),
                             rhs: Box::new(Expr::Binary {
                                 op: BinOp::Mul,
-                                lhs: Box::new(Expr::Var("a".into())),
+                                lhs: Box::new(Expr::Var("a")),
                                 rhs: Box::new(Expr::Call {
-                                    callee: "fetch".into(),
-                                    args: vec![Expr::Var("i".into())],
+                                    callee: "fetch",
+                                    args: vec![Expr::Var("i")],
                                 }),
                             }),
                         },
                     }],
-                    pragmas: vec!["omp parallel for".into()],
+                    pragmas: vec!["omp parallel for"],
                 }],
             }],
         }
@@ -449,7 +452,7 @@ mod tests {
     #[test]
     fn external_calls_are_collected() {
         let unit = sample_unit();
-        assert_eq!(unit.external_calls(), vec!["fetch".to_string()]);
+        assert_eq!(unit.external_calls(), vec!["fetch"]);
     }
 
     #[test]
@@ -457,10 +460,10 @@ mod tests {
         let expr = Expr::Binary {
             op: BinOp::Add,
             lhs: Box::new(Expr::Index {
-                base: "x".into(),
-                index: Box::new(Expr::Var("i".into())),
+                base: "x",
+                index: Box::new(Expr::Var("i")),
             }),
-            rhs: Box::new(Expr::Var("a".into())),
+            rhs: Box::new(Expr::Var("a")),
         };
         let mut vars = Vec::new();
         expr.referenced_vars(&mut vars);

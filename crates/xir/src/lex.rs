@@ -5,20 +5,22 @@
 //! functions over scalars and pointers, `for` loops, `if`/`else`, arithmetic, array
 //! indexing, calls, and `#pragma omp` annotations.
 //!
-//! [`lex`] scans the source's bytes in place: a token's text is a slice of the
-//! source, and only an identifier or a pragma is copied out (into its token). The
-//! identifier rule lives here once; the preprocessor splits lines with it too. The
-//! source may come from a pulled image, so this module neither indexes nor unwraps:
-//! a slice cut inside a `char` would panic.
+//! A [`Lexer`] is a `Copy` cursor over the source's bytes that yields one token at a
+//! time; the parser pulls its tokens from one and reads ahead on a copy, so no token
+//! vector is built. A token borrows its text: an identifier or a pragma is a slice of
+//! the source, never a copy. [`lex`] collects a lexer's tokens, for tests and tools.
+//! The identifier rule lives here once; the preprocessor splits lines with it too.
+//! The source may come from a pulled image, so this module neither indexes nor
+//! unwraps: a slice cut inside a `char` would panic.
 #![deny(clippy::indexing_slicing, clippy::unwrap_used)]
 
 use std::fmt;
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+/// A lexical token; an identifier or a pragma is a slice of the source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Token<'a> {
     /// Identifier (variable, function, type name).
-    Ident(String),
+    Ident(&'a str),
     /// Integer literal.
     IntLit(i64),
     /// Floating-point literal.
@@ -27,8 +29,8 @@ pub enum Token {
     Keyword(Keyword),
     /// Punctuation / operator.
     Punct(Punct),
-    /// A `#pragma …` line, carried whole.
-    Pragma(String),
+    /// A `#pragma …` line: the text after `pragma`, trimmed.
+    Pragma(&'a str),
 }
 
 /// Reserved keywords.
@@ -125,7 +127,7 @@ pub enum Punct {
     Not,
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Ident(s) => write!(f, "{s}"),
@@ -214,126 +216,168 @@ fn one_char_punct(byte: u8) -> Option<Punct> {
     })
 }
 
-/// Tokenise CK source text (already preprocessed — no `#if`/`#define` directives except
-/// `#pragma`, which is preserved as a token).
+/// A cursor over CK source text (already preprocessed — no `#if`/`#define` directives
+/// except `#pragma`, which is kept as a token) that yields one token at a time.
 ///
-/// One pass over the source's bytes: identifiers, numbers and pragmas are sliced out of
-/// `source`, and a `char` is decoded only at a non-ASCII byte (Unicode whitespace is
+/// One pass over the source's bytes: a token's identifier or pragma is a slice of the
+/// source, and a `char` is decoded only at a non-ASCII byte (Unicode whitespace is
 /// skipped; any other non-ASCII character is an error). Every cut falls after an ASCII
-/// byte or a whole `char`, so each slice lies on `char` boundaries.
-pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
-    let bytes = source.as_bytes();
-    let text = |start: usize, end: usize| source.get(start..end).unwrap_or_default();
-    let at = |i: usize| bytes.get(i).copied();
-    let mut tokens = Vec::new();
-    let mut line = 1usize;
-    let mut i = 0usize;
-    while let Some(byte) = at(i) {
-        match byte {
-            b'\n' => {
-                line += 1;
-                i += 1;
-            }
-            b'/' if at(i + 1) == Some(b'/') => {
-                i = line_end(bytes, i);
-            }
-            b'/' if at(i + 1) == Some(b'*') => {
-                i += 2;
-                while let Some(byte) = at(i) {
-                    if byte == b'*' && at(i + 1) == Some(b'/') {
-                        break;
-                    }
-                    if byte == b'\n' {
-                        line += 1;
-                    }
-                    i += 1;
-                }
-                i = (i + 2).min(bytes.len());
-            }
-            b'#' => {
-                // Only #pragma is allowed after preprocessing.
-                let start = i;
-                i = line_end(bytes, i);
-                let directive = text(start, i);
-                let trimmed = directive.trim_start_matches('#').trim();
-                if let Some(rest) = trimmed.strip_prefix("pragma") {
-                    tokens.push(Token::Pragma(rest.trim().to_string()));
-                } else {
-                    return Err(LexError {
-                        line,
-                        message: format!(
-                            "unexpected preprocessor directive after preprocessing: {directive}"
-                        ),
-                    });
-                }
-            }
-            byte if is_identifier_start(byte) => {
-                let start = i;
-                i += identifier_len(bytes.get(i..).unwrap_or_default());
-                let word = text(start, i);
-                match Keyword::from_str(word) {
-                    Some(kw) => tokens.push(Token::Keyword(kw)),
-                    None => tokens.push(Token::Ident(word.to_string())),
-                }
-            }
-            byte if byte.is_ascii_digit() => {
-                let start = i;
-                let mut is_float = false;
-                while let Some(byte) = at(i) {
-                    let point_or_exponent = matches!(byte, b'.' | b'e' | b'E');
-                    let exponent_sign = matches!(byte, b'+' | b'-')
-                        && i > start
-                        && matches!(at(i - 1), Some(b'e' | b'E'));
-                    if !(byte.is_ascii_digit() || point_or_exponent || exponent_sign) {
-                        break;
-                    }
-                    is_float |= point_or_exponent;
-                    i += 1;
-                }
-                let number = text(start, i);
-                // Allow a trailing `f` suffix on float literals.
-                if at(i) == Some(b'f') {
-                    is_float = true;
-                    i += 1;
-                }
-                if is_float {
-                    let value = number.parse::<f64>().map_err(|_| LexError {
-                        line,
-                        message: format!("invalid float literal: {number}"),
-                    })?;
-                    tokens.push(Token::FloatLit(value));
-                } else {
-                    let value = number.parse::<i64>().map_err(|_| LexError {
-                        line,
-                        message: format!("invalid integer literal: {number}"),
-                    })?;
-                    tokens.push(Token::IntLit(value));
-                }
-            }
-            byte if byte.is_ascii() => {
-                if char::from(byte).is_whitespace() {
-                    i += 1;
-                } else if let Some(punct) = at(i + 1).and_then(|next| two_char_punct(byte, next)) {
-                    tokens.push(Token::Punct(punct));
-                    i += 2;
-                } else if let Some(punct) = one_char_punct(byte) {
-                    tokens.push(Token::Punct(punct));
-                    i += 1;
-                } else {
-                    return Err(unexpected_character(line, char::from(byte)));
-                }
-            }
-            _ => {
-                // A non-ASCII byte starts a multi-byte `char`: decode that one.
-                let c = text(i, bytes.len()).chars().next().unwrap_or_default();
-                if !c.is_whitespace() {
-                    return Err(unexpected_character(line, c));
-                }
-                i += c.len_utf8();
-            }
+/// byte or a whole `char`, so each slice lies on `char` boundaries. The cursor is
+/// `Copy`, so reading ahead is scanning a copy. After an error it yields nothing more.
+#[derive(Debug, Clone, Copy)]
+pub struct Lexer<'a> {
+    source: &'a str,
+    /// Byte offset of the next unread byte.
+    pos: usize,
+    /// 1-based line of `pos`.
+    line: usize,
+}
+
+impl<'a> Lexer<'a> {
+    /// A cursor at the start of `source`.
+    pub fn new(source: &'a str) -> Self {
+        Lexer {
+            source,
+            pos: 0,
+            line: 1,
         }
     }
-    Ok(tokens)
+
+    /// The next token, or `None` at the end of the source.
+    fn next_token(&mut self) -> Result<Option<Token<'a>>, LexError> {
+        let source = self.source;
+        let bytes = source.as_bytes();
+        let text = move |start: usize, end: usize| source.get(start..end).unwrap_or_default();
+        let at = |i: usize| bytes.get(i).copied();
+        while let Some(byte) = at(self.pos) {
+            let start = self.pos;
+            match byte {
+                b'\n' => {
+                    self.line += 1;
+                    self.pos += 1;
+                }
+                b'/' if at(start + 1) == Some(b'/') => {
+                    self.pos = line_end(bytes, start);
+                }
+                b'/' if at(start + 1) == Some(b'*') => {
+                    let mut i = start + 2;
+                    while let Some(byte) = at(i) {
+                        if byte == b'*' && at(i + 1) == Some(b'/') {
+                            break;
+                        }
+                        if byte == b'\n' {
+                            self.line += 1;
+                        }
+                        i += 1;
+                    }
+                    self.pos = (i + 2).min(bytes.len());
+                }
+                b'#' => {
+                    // Only #pragma is allowed after preprocessing.
+                    self.pos = line_end(bytes, start);
+                    let directive = text(start, self.pos);
+                    let trimmed = directive.trim_start_matches('#').trim();
+                    return match trimmed.strip_prefix("pragma") {
+                        Some(rest) => Ok(Some(Token::Pragma(rest.trim()))),
+                        None => Err(LexError {
+                            line: self.line,
+                            message: format!(
+                                "unexpected preprocessor directive after preprocessing: {directive}"
+                            ),
+                        }),
+                    };
+                }
+                byte if is_identifier_start(byte) => {
+                    self.pos += identifier_len(bytes.get(start..).unwrap_or_default());
+                    let word = text(start, self.pos);
+                    return Ok(Some(
+                        Keyword::from_str(word).map_or(Token::Ident(word), Token::Keyword),
+                    ));
+                }
+                byte if byte.is_ascii_digit() => return self.number().map(Some),
+                byte if byte.is_ascii() && char::from(byte).is_whitespace() => self.pos += 1,
+                byte if byte.is_ascii() => {
+                    if let Some(punct) = at(start + 1).and_then(|next| two_char_punct(byte, next)) {
+                        self.pos += 2;
+                        return Ok(Some(Token::Punct(punct)));
+                    }
+                    let punct = one_char_punct(byte)
+                        .ok_or_else(|| unexpected_character(self.line, char::from(byte)))?;
+                    self.pos += 1;
+                    return Ok(Some(Token::Punct(punct)));
+                }
+                _ => {
+                    // A non-ASCII byte starts a multi-byte `char`: decode that one.
+                    let c = text(start, bytes.len()).chars().next().unwrap_or_default();
+                    if !c.is_whitespace() {
+                        return Err(unexpected_character(self.line, c));
+                    }
+                    self.pos += c.len_utf8();
+                }
+            }
+        }
+        Ok(None)
+    }
+
+    /// The integer or float literal at `pos`, which is a digit.
+    fn number(&mut self) -> Result<Token<'a>, LexError> {
+        let bytes = self.source.as_bytes();
+        let at = |i: usize| bytes.get(i).copied();
+        let start = self.pos;
+        let mut i = start;
+        let mut is_float = false;
+        while let Some(byte) = at(i) {
+            let point_or_exponent = matches!(byte, b'.' | b'e' | b'E');
+            let exponent_sign =
+                matches!(byte, b'+' | b'-') && i > start && matches!(at(i - 1), Some(b'e' | b'E'));
+            if !(byte.is_ascii_digit() || point_or_exponent || exponent_sign) {
+                break;
+            }
+            is_float |= point_or_exponent;
+            i += 1;
+        }
+        let number = self.source.get(start..i).unwrap_or_default();
+        // Allow a trailing `f` suffix on float literals.
+        if at(i) == Some(b'f') {
+            is_float = true;
+            i += 1;
+        }
+        self.pos = i;
+        if is_float {
+            number
+                .parse::<f64>()
+                .map(Token::FloatLit)
+                .map_err(|_| LexError {
+                    line: self.line,
+                    message: format!("invalid float literal: {number}"),
+                })
+        } else {
+            number
+                .parse::<i64>()
+                .map(Token::IntLit)
+                .map_err(|_| LexError {
+                    line: self.line,
+                    message: format!("invalid integer literal: {number}"),
+                })
+        }
+    }
+}
+
+impl<'a> Iterator for Lexer<'a> {
+    type Item = Result<Token<'a>, LexError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let next = self.next_token().transpose();
+        if let Some(Err(_)) = next {
+            self.pos = self.source.len();
+        }
+        next
+    }
+}
+
+/// Tokenise CK source text: every token of a [`Lexer`], or its error.
+pub fn lex(source: &str) -> Result<Vec<Token<'_>>, LexError> {
+    Lexer::new(source).collect()
 }
 
 /// The position of the first `\n` at or after `from`, or the end of `bytes`.
@@ -362,7 +406,7 @@ mod tests {
         let tokens = lex(src).unwrap();
         assert_eq!(tokens[0], Token::Keyword(Keyword::Kernel));
         assert_eq!(tokens[1], Token::Keyword(Keyword::Void));
-        assert_eq!(tokens[2], Token::Ident("axpy".into()));
+        assert_eq!(tokens[2], Token::Ident("axpy"));
         assert!(tokens.contains(&Token::Punct(Punct::Star)));
         assert!(tokens.contains(&Token::Punct(Punct::LBracket)));
     }
@@ -399,7 +443,7 @@ mod tests {
         let idents: Vec<_> = tokens
             .iter()
             .filter_map(|t| match t {
-                Token::Ident(s) => Some(s.as_str()),
+                Token::Ident(s) => Some(*s),
                 _ => None,
             })
             .collect();
@@ -410,7 +454,7 @@ mod tests {
     fn keeps_pragmas_as_tokens() {
         let src = "#pragma omp parallel for\nfor (int i = 0; i < n; i = i + 1) {}";
         let tokens = lex(src).unwrap();
-        assert_eq!(tokens[0], Token::Pragma("omp parallel for".into()));
+        assert_eq!(tokens[0], Token::Pragma("omp parallel for"));
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl fmt::Display for LowerError {
 impl std::error::Error for LowerError {}
 
 /// Lower a translation unit to an IR module, its registers numbered canonically.
-pub fn lower(unit: &TranslationUnit, options: &LowerOptions) -> Result<IrModule, LowerError> {
+pub fn lower(unit: &TranslationUnit<'_>, options: &LowerOptions) -> Result<IrModule, LowerError> {
     let mut module = lower_unnumbered(unit, options)?;
     module.functions.iter_mut().for_each(IrFunction::renumber);
     Ok(module)
@@ -61,7 +61,7 @@ pub fn lower(unit: &TranslationUnit, options: &LowerOptions) -> Result<IrModule,
 /// the parameters, then the rest. [`IrFunction::renumber`] numbers them
 /// canonically, once the passes are done.
 pub(crate) fn lower_unnumbered(
-    unit: &TranslationUnit,
+    unit: &TranslationUnit<'_>,
     options: &LowerOptions,
 ) -> Result<IrModule, LowerError> {
     let mut functions = Vec::with_capacity(unit.functions.len());
@@ -71,8 +71,8 @@ pub(crate) fn lower_unnumbered(
     let mut metadata = options.metadata.clone();
     metadata.openmp = options.openmp;
     Ok(IrModule {
-        name: unit.file.clone(),
-        source_file: unit.file.clone(),
+        name: unit.file.to_string(),
+        source_file: unit.file.to_string(),
         functions,
         metadata,
     })
@@ -103,20 +103,20 @@ impl FnLowerer<'_> {
     }
 }
 
-fn lower_function(function: &Function, openmp: bool) -> Result<IrFunction, LowerError> {
+fn lower_function(function: &Function<'_>, openmp: bool) -> Result<IrFunction, LowerError> {
     let mut lowerer = FnLowerer {
         regs: Interner::default(),
         temp_counter: 0,
         temp_name: String::new(),
-        function_name: &function.name,
+        function_name: function.name,
         openmp,
     };
     for param in &function.params {
-        lowerer.regs.param(&param.name);
+        lowerer.regs.param(param.name);
     }
     let body = lower_block(&function.body, &mut lowerer)?;
     Ok(IrFunction {
-        name: function.name.clone(),
+        name: function.name.to_string(),
         is_kernel: function.is_kernel,
         return_type: function.return_type,
         params: function.params.iter().map(|p| p.ty).collect(),
@@ -125,7 +125,7 @@ fn lower_function(function: &Function, openmp: bool) -> Result<IrFunction, Lower
     })
 }
 
-fn lower_block(stmts: &[Stmt], lowerer: &mut FnLowerer) -> Result<Vec<IrOp>, LowerError> {
+fn lower_block(stmts: &[Stmt<'_>], lowerer: &mut FnLowerer) -> Result<Vec<IrOp>, LowerError> {
     let mut ops = Vec::new();
     for stmt in stmts {
         lower_stmt(stmt, lowerer, &mut ops)?;
@@ -146,7 +146,11 @@ fn in_register(operand: Operand, lowerer: &mut FnLowerer, ops: &mut Vec<IrOp>) -
     }
 }
 
-fn lower_stmt(stmt: &Stmt, lowerer: &mut FnLowerer, ops: &mut Vec<IrOp>) -> Result<(), LowerError> {
+fn lower_stmt(
+    stmt: &Stmt<'_>,
+    lowerer: &mut FnLowerer,
+    ops: &mut Vec<IrOp>,
+) -> Result<(), LowerError> {
     match stmt {
         Stmt::Decl { name, init, ty } => {
             let value = match init {
@@ -193,7 +197,7 @@ fn lower_stmt(stmt: &Stmt, lowerer: &mut FnLowerer, ops: &mut Vec<IrOp>) -> Resu
             let (end, inclusive) =
                 extract_bound(cond, var).ok_or_else(|| LowerError::UnsupportedLoopCondition {
                     function: lowerer.function_name.to_string(),
-                    variable: var.clone(),
+                    variable: var.to_string(),
                 })?;
             let end_op = {
                 let bound = lower_expr(end, lowerer, ops);
@@ -214,7 +218,7 @@ fn lower_stmt(stmt: &Stmt, lowerer: &mut FnLowerer, ops: &mut Vec<IrOp>) -> Resu
             let step_value =
                 extract_step(step, var).ok_or_else(|| LowerError::UnsupportedLoopStep {
                     function: lowerer.function_name.to_string(),
-                    variable: var.clone(),
+                    variable: var.to_string(),
                 })?;
             let parallel = lowerer.openmp
                 && pragmas
@@ -273,7 +277,7 @@ fn lower_stmt(stmt: &Stmt, lowerer: &mut FnLowerer, ops: &mut Vec<IrOp>) -> Resu
                     args.iter().map(|a| lower_expr(a, lowerer, ops)).collect();
                 ops.push(IrOp::Call {
                     dest: None,
-                    callee: callee.clone(),
+                    callee: callee.to_string(),
                     args: arg_ops,
                 });
             } else {
@@ -284,7 +288,7 @@ fn lower_stmt(stmt: &Stmt, lowerer: &mut FnLowerer, ops: &mut Vec<IrOp>) -> Resu
     Ok(())
 }
 
-fn lower_expr(expr: &Expr, lowerer: &mut FnLowerer, ops: &mut Vec<IrOp>) -> Operand {
+fn lower_expr(expr: &Expr<'_>, lowerer: &mut FnLowerer, ops: &mut Vec<IrOp>) -> Operand {
     match expr {
         Expr::IntLit(v) => Operand::ImmInt(*v),
         Expr::FloatLit(v) => Operand::ImmFloat(*v),
@@ -326,7 +330,7 @@ fn lower_expr(expr: &Expr, lowerer: &mut FnLowerer, ops: &mut Vec<IrOp>) -> Oper
             let dest = lowerer.fresh();
             ops.push(IrOp::Call {
                 dest: Some(dest),
-                callee: callee.clone(),
+                callee: callee.to_string(),
                 args: arg_ops,
             });
             Operand::Reg(dest)
@@ -336,10 +340,10 @@ fn lower_expr(expr: &Expr, lowerer: &mut FnLowerer, ops: &mut Vec<IrOp>) -> Oper
 
 /// Extract the loop bound from a condition of the form `var < bound` or `var <= bound`.
 /// Returns the bound expression and whether the comparison was inclusive.
-fn extract_bound<'e>(cond: &'e Expr, var: &str) -> Option<(&'e Expr, bool)> {
+fn extract_bound<'e, 'a>(cond: &'e Expr<'a>, var: &str) -> Option<(&'e Expr<'a>, bool)> {
     if let Expr::Binary { op, lhs, rhs } = cond {
         if let Expr::Var(name) = lhs.as_ref() {
-            if name == var {
+            if *name == var {
                 return match op {
                     BinOp::Lt => Some((rhs, false)),
                     BinOp::Le => Some((rhs, true)),
@@ -352,7 +356,7 @@ fn extract_bound<'e>(cond: &'e Expr, var: &str) -> Option<(&'e Expr, bool)> {
 }
 
 /// Extract the constant step from `var = var + <const>` (or `<const> + var`).
-fn extract_step(step: &Expr, var: &str) -> Option<i64> {
+fn extract_step(step: &Expr<'_>, var: &str) -> Option<i64> {
     if let Expr::Binary {
         op: BinOp::Add,
         lhs,
@@ -360,8 +364,8 @@ fn extract_step(step: &Expr, var: &str) -> Option<i64> {
     } = step
     {
         let step_value = match (lhs.as_ref(), rhs.as_ref()) {
-            (Expr::Var(name), Expr::IntLit(v)) if name == var => Some(*v),
-            (Expr::IntLit(v), Expr::Var(name)) if name == var => Some(*v),
+            (Expr::Var(name), Expr::IntLit(v)) if *name == var => Some(*v),
+            (Expr::IntLit(v), Expr::Var(name)) if *name == var => Some(*v),
             _ => None,
         }?;
         if step_value > 0 {

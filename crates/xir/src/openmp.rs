@@ -38,7 +38,7 @@ impl OpenMpReport {
 }
 
 /// Analyse a translation unit for OpenMP constructs.
-pub fn analyze(unit: &TranslationUnit) -> OpenMpReport {
+pub fn analyze(unit: &TranslationUnit<'_>) -> OpenMpReport {
     let mut report = OpenMpReport::default();
     for function in &unit.functions {
         analyze_block(&function.body, &mut report);
@@ -51,7 +51,7 @@ pub fn analyze(unit: &TranslationUnit) -> OpenMpReport {
     report
 }
 
-fn analyze_block(stmts: &[Stmt], report: &mut OpenMpReport) {
+fn analyze_block(stmts: &[Stmt<'_>], report: &mut OpenMpReport) {
     for stmt in stmts {
         match stmt {
             Stmt::For { pragmas, body, .. } => {

@@ -7,11 +7,15 @@
 //! non-ASCII letters and whitespace, CRLF, a `//` or an unterminated `/*` at the end,
 //! half-formed numbers, digits glued to identifiers, pragma and stray directive lines —
 //! both sides must give the same tokens or the same `LexError`, the same preprocessed
-//! unit or the same error, and the same `Observation::observes` answers.
+//! unit or the same error, and the same `Observation::observes` answers. The oracle
+//! lexer keeps its owned tokens; the lexer's borrowed ones are compared with them
+//! field by field. The parser pulls its tokens lazily, so a lexer error must still
+//! fail the parse, however late in the text it comes.
 
 use proptest::TestRng;
 use std::collections::{BTreeMap, BTreeSet};
 use xaas_xir::lex::{lex, Keyword, LexError, Punct, Token};
+use xaas_xir::parse::{parse, ParseError};
 use xaas_xir::preprocess::{preprocess, PreprocessError};
 use xaas_xir::{Definitions, Observation, PreprocessedUnit};
 
@@ -180,7 +184,7 @@ fn lexing_bytes_matches_lexing_chars() {
     let mut coverage = LexCoverage::default();
     for case in 0..1024 {
         let text = lexer_text(&mut rng);
-        let bytes = lex(&text);
+        let bytes = owned(lex(&text));
         assert_eq!(bytes, oracle::lex(&text), "case {case}: {text:?}");
         match &bytes {
             Ok(_) => {
@@ -237,8 +241,61 @@ fn lexing_edge_texts_matches_lexing_chars() {
         "a // é",
         "/* \n é",
     ] {
-        assert_eq!(lex(text), oracle::lex(text), "{text:?}");
+        assert_eq!(owned(lex(text)), oracle::lex(text), "{text:?}");
     }
+}
+
+/// A whole definition: a lexer error behind it is met only after it has parsed.
+const COMPLETE_FUNCTION: &str = "kernel void f(float* x) { x[0] = 1.0; }\n";
+
+#[test]
+fn whenever_lexing_fails_parsing_fails() {
+    let mut rng = TestRng::from_name("front_end_differential::parse");
+    let (mut lex_errors, mut behind_a_function) = (0, 0);
+    for case in 0..1024 {
+        let text = lexer_text(&mut rng);
+        let Err(lexed) = lex(&text) else {
+            continue;
+        };
+        lex_errors += 1;
+        assert!(parse("t.ck", &text).is_err(), "case {case}: {text:?}");
+        let text = format!("{COMPLETE_FUNCTION}{text}");
+        match parse("t.ck", &text) {
+            Ok(unit) => panic!("case {case}: {text:?} lexes as {lexed} but parses as {unit:?}"),
+            Err(ParseError::Lex(parsed)) => {
+                // The lexer stops at its first error, wherever the parser reaches it.
+                assert_eq!(Some(parsed), lex(&text).err(), "case {case}: {text:?}");
+                behind_a_function += 1;
+            }
+            Err(_) => {}
+        }
+    }
+    println!("{lex_errors} texts fail to lex, {behind_a_function} behind a whole function");
+    assert!(
+        lex_errors >= 300,
+        "only {lex_errors} of 1024 texts fail to lex"
+    );
+    assert!(
+        behind_a_function >= 50,
+        "only {behind_a_function} lexer errors are met behind a whole function"
+    );
+}
+
+/// The lexer's borrowed tokens as the oracle's owned ones, field by field.
+fn owned(lexed: Result<Vec<Token<'_>>, LexError>) -> Result<Vec<oracle::Token>, LexError> {
+    lexed.map(|tokens| {
+        tokens
+            .into_iter()
+            .map(|token| match token {
+                Token::Ident(name) => oracle::Token::Ident(name.to_string()),
+                Token::IntLit(value) => oracle::Token::IntLit(value),
+                Token::FloatLit(value) => oracle::Token::FloatLit(value),
+                Token::Keyword(keyword) => oracle::Token::Keyword(keyword),
+                Token::Punct(punct) => oracle::Token::Punct(punct),
+                Token::Pragma(pragma) => oracle::Token::Pragma(pragma.to_string()),
+            })
+            .collect()
+    })
 }
 
 #[test]
@@ -310,6 +367,17 @@ fn preprocessing_bytes_matches_preprocessing_chars() {
 /// The char-based scanners the byte scanners replaced.
 mod oracle {
     use super::*;
+
+    /// The token the char lexer produced: identifiers and pragmas are copied out.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Token {
+        Ident(String),
+        IntLit(i64),
+        FloatLit(f64),
+        Keyword(Keyword),
+        Punct(Punct),
+        Pragma(String),
+    }
 
     fn keyword(word: &str) -> Option<Keyword> {
         Some(match word {
