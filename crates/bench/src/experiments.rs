@@ -962,7 +962,7 @@ pub(crate) fn intersection_summary() -> BTreeMap<String, Vec<String>> {
             common
                 .excluded
                 .iter()
-                .map(|e| format!("{} ({})", e.name, e.reason))
+                .map(|e| format!("{}/{} ({})", e.category, e.name, e.reason))
                 .collect::<Vec<_>>()
                 .join("; ")
         ));

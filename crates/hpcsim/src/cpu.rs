@@ -21,6 +21,13 @@ pub enum IsaFamily {
 }
 
 impl IsaFamily {
+    /// Parse a name as [`IsaFamily::as_str`] spells it.
+    pub fn parse(name: &str) -> Option<Self> {
+        [Self::X86_64, Self::Aarch64, Self::Ppc64le]
+            .into_iter()
+            .find(|family| family.as_str() == name)
+    }
+
     /// Lower-case name as used in system specifications.
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -136,16 +143,31 @@ impl SimdLevel {
         }
     }
 
+    /// The CPU feature flags (as discovery spells them) a CPU must expose to run
+    /// code built for this level: the one table of SIMD capability.
+    pub fn required_flags(&self) -> &'static [&'static str] {
+        match self {
+            SimdLevel::None => &[],
+            SimdLevel::Sse2 => &["sse2"],
+            SimdLevel::Sse41 => &["sse4_1"],
+            SimdLevel::Avx2_128 => &["avx2", "fma"],
+            SimdLevel::Avx256 => &["avx"],
+            SimdLevel::Avx2_256 => &["avx2"],
+            SimdLevel::Avx512 => &["avx512f"],
+            SimdLevel::NeonAsimd => &["asimd"],
+            SimdLevel::Sve => &["sve"],
+        }
+    }
+
     /// Parse a GROMACS-style name (tolerates case and `-`/`_` differences).
     pub fn parse(text: &str) -> Option<Self> {
         let norm: String = text
             .trim()
-            .to_ascii_uppercase()
             .chars()
             .map(|c| if c == '-' { '_' } else { c })
+            .map(|c| c.to_ascii_uppercase())
             .collect();
-        let norm = norm.trim_start_matches("ARM_").to_string();
-        match norm.as_str() {
+        match norm.trim_start_matches("ARM_") {
             "NONE" => Some(SimdLevel::None),
             "SSE2" => Some(SimdLevel::Sse2),
             "SSE4.1" | "SSE4_1" | "SSE41" => Some(SimdLevel::Sse41),
@@ -182,8 +204,6 @@ pub struct CpuModel {
     pub sockets: u32,
     /// Nominal clock in GHz.
     pub clock_ghz: f64,
-    /// Highest SIMD level the hardware supports.
-    pub max_simd: SimdLevel,
     /// Relative scalar throughput per core (1.0 = Skylake-era reference core).
     pub scalar_throughput: f64,
     /// Feature flag strings exposed by system discovery (`avx512f`, `sve`, …).
@@ -196,25 +216,25 @@ impl CpuModel {
         self.cores_per_socket * self.sockets
     }
 
-    /// Whether the CPU can execute code built for `level`.
+    /// Whether the CPU can execute code built for `level`: a level of its family
+    /// whose every [required flag](SimdLevel::required_flags) it exposes.
     pub fn supports(&self, level: SimdLevel) -> bool {
-        if level == SimdLevel::None {
-            return true;
-        }
-        if level.family() != self.family {
-            return false;
-        }
-        let order = SimdLevel::levels_for(self.family);
-        let pos_of = |l: SimdLevel| order.iter().position(|&x| x == l);
-        match (pos_of(level), pos_of(self.max_simd)) {
-            (Some(a), Some(b)) => a <= b,
-            _ => false,
-        }
+        SimdLevel::levels_for(self.family).contains(&level)
+            && level.required_flags().iter().all(|flag| {
+                self.feature_flags
+                    .iter()
+                    .any(|f| f.eq_ignore_ascii_case(flag))
+            })
     }
 
-    /// The best (highest) supported SIMD level.
+    /// The best (highest) supported SIMD level: the last of its family's levels
+    /// it supports.
     pub fn best_simd(&self) -> SimdLevel {
-        self.max_simd
+        SimdLevel::levels_for(self.family)
+            .iter()
+            .copied()
+            .rfind(|&level| self.supports(level))
+            .unwrap_or(SimdLevel::None)
     }
 
     /// Thread scaling factor: parallel efficiency for `threads` over the node.
@@ -235,7 +255,6 @@ impl CpuModel {
             cores_per_socket: 16,
             sockets: 2,
             clock_ghz: 2.1,
-            max_simd: SimdLevel::Avx512,
             scalar_throughput: 1.0,
             feature_flags: vec![
                 "sse2".into(),
@@ -267,7 +286,6 @@ impl CpuModel {
             cores_per_socket: 64,
             sockets: 2,
             clock_ghz: 2.25,
-            max_simd: SimdLevel::Avx2_256,
             scalar_throughput: 1.05,
             feature_flags: vec![
                 "sse2".into(),
@@ -288,7 +306,6 @@ impl CpuModel {
             cores_per_socket: 72,
             sockets: 1,
             clock_ghz: 3.1,
-            max_simd: SimdLevel::NeonAsimd,
             scalar_throughput: 1.35,
             feature_flags: vec!["asimd".into(), "neon".into(), "sve".into()],
         }
@@ -303,7 +320,6 @@ impl CpuModel {
             cores_per_socket: 52,
             sockets: 2,
             clock_ghz: 2.0,
-            max_simd: SimdLevel::Avx512,
             scalar_throughput: 1.25,
             feature_flags: vec![
                 "sse2".into(),
@@ -381,6 +397,24 @@ mod tests {
         assert!(cpu.supports(SimdLevel::Sve));
         assert!(!cpu.supports(SimdLevel::Avx2_256));
         assert!(cpu.supports(SimdLevel::None));
+    }
+
+    /// Support is read off the feature flags: a Skylake without `avx512f`
+    /// tops out at AVX2, and one without `fma` loses only the FMA level.
+    #[test]
+    fn support_follows_the_required_flags() {
+        let without = |flag: &str| {
+            let mut cpu = CpuModel::intel_xeon_gold_6130();
+            cpu.feature_flags.retain(|f| f != flag);
+            cpu
+        };
+        let no_avx512 = without("avx512f");
+        assert!(!no_avx512.supports(SimdLevel::Avx512));
+        assert_eq!(no_avx512.best_simd(), SimdLevel::Avx2_256);
+        let no_fma = without("fma");
+        assert!(!no_fma.supports(SimdLevel::Avx2_128));
+        assert!(no_fma.supports(SimdLevel::Avx2_256));
+        assert_eq!(no_fma.best_simd(), SimdLevel::Avx512);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! System discovery: produce the "System Features" document of Figure 4(b) from a
 //! [`SystemModel`], including the paper's augmentation rules ("when a ROCm or CUDA
-//! installation is discovered, we assume the availability of rocFFT and cuFFT").
+//! installation is discovered, we assume the availability of rocFFT and cuFFT") and
+//! their MKL analogue (an MKL BLAS module also provides FFT).
 
 use crate::gpu::GpuBackend;
 use crate::system::{ContainerRuntimeFlavor, ModuleKind, SystemModel};
@@ -150,7 +151,14 @@ pub fn discover(system: &SystemModel) -> SystemFeatures {
                     module.abi.clone().unwrap_or_else(|| "unknown".into()),
                 );
             }
-            ModuleKind::Blas => features.linear_algebra.push(module.name.clone()),
+            ModuleKind::Blas => {
+                // Augmentation rule: MKL (DFTI, FFTW3 interfaces) also provides FFT.
+                let lower = module.name.to_ascii_lowercase();
+                if lower.contains("mkl") || lower.contains("oneapi") {
+                    features.fft.push(module.name.clone());
+                }
+                features.linear_algebra.push(module.name.clone());
+            }
             ModuleKind::Fft => features.fft.push(module.name.clone()),
             ModuleKind::Compiler => features
                 .compilers

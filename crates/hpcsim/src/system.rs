@@ -128,11 +128,6 @@ impl SystemModel {
         self.gpus.first()
     }
 
-    /// Find a module by kind.
-    pub fn module_of_kind(&self, kind: ModuleKind) -> Option<&SoftwareModule> {
-        self.modules.iter().find(|m| m.kind == kind)
-    }
-
     /// Whether a vendor BLAS (MKL) is present in the module environment.
     pub fn has_vendor_blas(&self) -> bool {
         self.modules
@@ -321,7 +316,11 @@ mod tests {
         let ault23 = SystemModel::ault23();
         assert!(ault23.has_vendor_blas());
         assert!(!SystemModel::ault25().has_vendor_blas());
-        let mpi = ault23.module_of_kind(ModuleKind::Mpi).unwrap();
+        let mpi = ault23
+            .modules
+            .iter()
+            .find(|m| m.kind == ModuleKind::Mpi)
+            .unwrap();
         assert_eq!(mpi.abi.as_deref(), Some("openmpi"));
         let compilers = ault23
             .modules

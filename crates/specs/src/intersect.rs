@@ -4,6 +4,7 @@
 
 use crate::model::{SpecCategory, SpecializationDocument};
 use xaas_hpcsim::discovery::SystemFeatures;
+use xaas_hpcsim::SimdLevel;
 
 /// An excluded specialization point and why it is unavailable on the system.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,23 +41,6 @@ impl CommonSpecialization {
     }
 }
 
-/// SIMD level name → CPU feature flags that must be present.
-fn simd_required_flags(level: &str) -> Vec<&'static str> {
-    let upper = level.to_ascii_uppercase().replace('-', "_");
-    match upper.as_str() {
-        "SSE2" => vec!["sse2"],
-        "SSE4.1" | "SSE4_1" => vec!["sse4_1"],
-        "AVX_128_FMA" | "AVX2_128" => vec!["avx2", "fma"],
-        "AVX_256" => vec!["avx"],
-        "AVX2_256" => vec!["avx2"],
-        "AVX_512" | "AVX512" => vec!["avx512f"],
-        "ARM_NEON_ASIMD" | "NEON_ASIMD" | "NEON" => vec!["asimd"],
-        "ARM_SVE" | "SVE" => vec!["sve"],
-        "NONE" => vec![],
-        _ => vec!["__unknown__"],
-    }
-}
-
 /// Intersect application specialization points with system features.
 pub fn intersect(
     document: &SpecializationDocument,
@@ -69,79 +53,56 @@ pub fn intersect(
     let mut excluded = Vec::new();
 
     for entry in &document.entries {
-        let keep = match entry.category {
-            SpecCategory::GpuBackend => {
-                if system.has_gpu_backend(&entry.name) {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "system {} exposes no {} runtime",
-                        system.system, entry.name
-                    ))
-                }
-            }
+        let reason = match entry.category {
+            SpecCategory::GpuBackend => (!system.has_gpu_backend(&entry.name))
+                .then(|| format!("system {} exposes no {} runtime", system.system, entry.name)),
             SpecCategory::Vectorization => {
-                let required = simd_required_flags(&entry.name);
-                if required.iter().all(|flag| system.has_vector_flag(flag)) {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "CPU {} lacks {}",
-                        system.microarchitecture,
-                        required.join("+")
-                    ))
-                }
+                // A name that is no SIMD level (llama.cpp's `NATIVE`) restricts nothing.
+                let required =
+                    SimdLevel::parse(&entry.name).map_or(&[][..], |l| l.required_flags());
+                let cpu = &system.microarchitecture;
+                let lacks = !required.iter().all(|flag| system.has_vector_flag(flag));
+                lacks.then(|| format!("CPU {cpu} lacks {}", required.join("+")))
             }
             SpecCategory::Parallelism => {
-                let lower = entry.name.to_ascii_lowercase();
-                if lower.contains("mpi") && !lower.contains("thread") {
-                    if system.mpi.is_empty() {
-                        Err("no MPI implementation available".to_string())
-                    } else {
-                        Ok(())
-                    }
+                // OpenMP, threads and thread-MPI are built in. `GMX_MPI` and
+                // `GMX_THREAD_MPI` are both named `MPI`, so the flag tells them apart.
+                let text = entry.build_flag.as_deref().unwrap_or(&entry.name);
+                let text = text.to_ascii_lowercase();
+                if !text.contains("mpi") || text.contains("thread") {
+                    None
+                } else if system.mpi.is_empty() {
+                    Some(format!("no MPI module on {}", system.system))
+                } else if !system.container_runtime.mpi_functional() {
+                    let (runtime, name) = (system.container_runtime, &system.system);
+                    Some(format!("MPI not functional under {runtime} on {name}"))
                 } else {
-                    Ok(()) // OpenMP / threads / thread-MPI are always available.
+                    None
                 }
             }
-            SpecCategory::LinearAlgebra => {
-                let available = system
-                    .linear_algebra
-                    .iter()
-                    .any(|lib| lib_matches(lib, &entry.name));
-                if available || builtin(&entry.name) {
-                    Ok(())
-                } else {
-                    Err(format!("no {} module on {}", entry.name, system.system))
-                }
+            SpecCategory::LinearAlgebra | SpecCategory::Fft => {
+                let (libraries, what) = match entry.category {
+                    SpecCategory::Fft => (&system.fft, "installation"),
+                    _ => (&system.linear_algebra, "module"),
+                };
+                let available = libraries.iter().any(|l| lib_matches(l, &entry.name));
+                (!available && !builtin(&entry.name))
+                    .then(|| format!("no {} {what} on {}", entry.name, system.system))
             }
-            SpecCategory::Fft => {
-                let available = system.fft.iter().any(|lib| lib_matches(lib, &entry.name));
-                if available || builtin(&entry.name) {
-                    Ok(())
-                } else {
-                    Err(format!(
-                        "no {} installation on {}",
-                        entry.name, system.system
-                    ))
-                }
-            }
-            SpecCategory::Architecture => {
-                if entry.name.eq_ignore_ascii_case(&system.architecture) {
-                    Ok(())
-                } else {
-                    Err(format!("system architecture is {}", system.architecture))
-                }
-            }
+            SpecCategory::Architecture => (!entry.name.eq_ignore_ascii_case(&system.architecture))
+                .then(|| format!("system architecture is {}", system.architecture)),
             // Compilers, build-system facts, optimisation flags, internal builds and other
             // libraries do not restrict deployment in the model.
-            _ => Ok(()),
+            _ => None,
         };
-        match keep {
-            Ok(()) => {
+        let listed = |e: &Exclusion| e.category == entry.category && e.name == entry.name;
+        match reason {
+            None => {
                 common.push(entry.clone());
             }
-            Err(reason) => excluded.push(Exclusion {
+            // An excluded point is listed once per category and name.
+            Some(_) if excluded.iter().any(listed) => {}
+            Some(reason) => excluded.push(Exclusion {
                 category: entry.category,
                 name: entry.name.clone(),
                 reason,
@@ -201,9 +162,118 @@ mod tests {
         }
         doc.push(SpecEntry::new(SpecCategory::LinearAlgebra, "mkl"));
         doc.push(SpecEntry::new(SpecCategory::LinearAlgebra, "openblas"));
-        doc.push(SpecEntry::new(SpecCategory::Parallelism, "MPI"));
+        // Both MPI options are named `MPI`, as `from_project` names them.
+        for option in ["GMX_MPI", "GMX_THREAD_MPI"] {
+            doc.push(
+                SpecEntry::new(SpecCategory::Parallelism, "MPI")
+                    .with_flag(format!("-D{option}=ON")),
+            );
+        }
         doc.push(SpecEntry::new(SpecCategory::Parallelism, "OpenMP"));
         doc
+    }
+
+    /// The exclusion of the entry with `flag`, if it is excluded.
+    fn excluded_reason<'a>(
+        result: &'a CommonSpecialization,
+        doc: &SpecializationDocument,
+        flag: &str,
+    ) -> Option<&'a str> {
+        let entry = doc
+            .entries
+            .iter()
+            .find(|e| e.build_flag.as_deref() == Some(flag))?;
+        result
+            .excluded
+            .iter()
+            .find(|e| e.category == entry.category && e.name == entry.name)
+            .map(|e| e.reason.as_str())
+    }
+
+    #[test]
+    fn ault23_keeps_mkl_for_fft_because_the_mkl_module_provides_it() {
+        let result = intersect(&gromacs_like(), &discover(&SystemModel::ault23()));
+        assert!(result.choices(SpecCategory::Fft).contains(&"mkl"));
+        assert!(
+            result.excluded.iter().all(|e| e.name != "mkl"),
+            "{:?}",
+            result.excluded
+        );
+    }
+
+    #[test]
+    fn ault01_04_keeps_thread_mpi_and_names_the_missing_module() {
+        let doc = gromacs_like();
+        let result = intersect(&doc, &discover(&SystemModel::ault01_04()));
+        assert!(result
+            .common
+            .entries
+            .iter()
+            .any(|e| e.build_flag.as_deref() == Some("-DGMX_THREAD_MPI=ON")));
+        assert_eq!(
+            excluded_reason(&result, &doc, "-DGMX_MPI=ON"),
+            Some("no MPI module on Ault01-04")
+        );
+    }
+
+    #[test]
+    fn aurora_excludes_real_mpi_because_apptainer_runs_no_mpi() {
+        let doc = gromacs_like();
+        let result = intersect(&doc, &discover(&SystemModel::aurora()));
+        assert_eq!(
+            excluded_reason(&result, &doc, "-DGMX_MPI=ON"),
+            Some("MPI not functional under Apptainer on Aurora")
+        );
+        let kept: Vec<_> = result
+            .common
+            .entries
+            .iter()
+            .filter_map(|e| e.build_flag.as_deref())
+            .collect();
+        assert!(kept.contains(&"-DGMX_THREAD_MPI=ON"), "{kept:?}");
+        assert!(!kept.contains(&"-DGMX_MPI=ON"), "{kept:?}");
+    }
+
+    #[test]
+    fn a_vectorization_entry_naming_no_simd_level_restricts_nothing() {
+        let mut doc = SpecializationDocument::new("mini-llamacpp");
+        doc.push(
+            SpecEntry::new(SpecCategory::Vectorization, "NATIVE").with_flag("-DGGML_NATIVE=ON"),
+        );
+        doc.push(
+            SpecEntry::new(SpecCategory::Vectorization, "AVX512").with_flag("-DGGML_AVX512=ON"),
+        );
+        for system in SystemModel::all_evaluation_systems() {
+            let result = intersect(&doc, &discover(&system));
+            let simd = result.choices(SpecCategory::Vectorization);
+            assert!(simd.contains(&"NATIVE"), "{}: {simd:?}", system.name);
+            assert_eq!(
+                simd.contains(&"AVX512"),
+                system.cpu.supports(SimdLevel::Avx512),
+                "{}",
+                system.name
+            );
+        }
+    }
+
+    /// Each excluded point is listed once per category and name: the two MPI
+    /// entries and the FFT and BLAS `mkl` entries never read as duplicates.
+    #[test]
+    fn each_excluded_point_is_listed_once_per_category_and_name() {
+        let mut doc = gromacs_like();
+        // A second entry of one category and name, as a heuristic extraction can produce.
+        doc.push(SpecEntry::new(SpecCategory::GpuBackend, "HIP").with_flag("-DGMX_GPU_HIP=ON"));
+        for system in SystemModel::all_evaluation_systems() {
+            let result = intersect(&doc, &discover(&system));
+            let mut seen = std::collections::BTreeSet::new();
+            for e in &result.excluded {
+                assert!(
+                    seen.insert((e.category, e.name.as_str())),
+                    "{}: {e:?} twice",
+                    system.name
+                );
+            }
+        }
     }
 
     #[test]

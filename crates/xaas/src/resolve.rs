@@ -5,9 +5,9 @@
 use crate::error::PipelineError;
 use crate::ir_container::sanitize;
 use crate::targets::derive_build_profile;
-use xaas_buildsys::{OptionAssignment, OptionCategory, ProjectSpec};
-use xaas_hpcsim::{discover, ModuleKind, SimdLevel, SoftwareModule, SystemModel};
-use xaas_specs::{from_project, intersect, SpecCategory};
+use xaas_buildsys::{BuildOption, OptionAssignment, OptionCategory, OptionKind, ProjectSpec};
+use xaas_hpcsim::{discover, IsaFamily, SimdLevel, SystemFeatures, SystemModel};
+use xaas_specs::{from_project, intersect, CommonSpecialization, Exclusion, SpecEntry};
 
 /// What a deployment is.
 #[derive(Debug)]
@@ -56,7 +56,7 @@ pub(crate) fn resolve(
     let selection = match policy {
         Policy::ProjectDefault => project.complete(preferences),
         Policy::BestAvailable => {
-            let mut chosen = best_available(project, system, &mut notes);
+            let mut chosen = best_available(project, &discover(system), &mut notes);
             for (option, value) in preferences.iter() {
                 chosen.set(option, value);
             }
@@ -104,80 +104,92 @@ impl Resolved {
     }
 }
 
-/// Discovery, intersection with the project's specialisation points, and the
-/// best available value for each option with a rule; an option with no rule or
-/// no usable value is left out, and so keeps its default.
+/// Preference lists, best first, spelled as a selection writes the value.
+const GPU_BACKENDS: [&str; 5] = ["CUDA", "HIP", "SYCL", "OpenCL", "Vulkan"];
+const LIBRARIES: [&str; 4] = ["mkl", "fftw3", "openblas", "fftpack"];
+
+/// The select step: the intersection of the project's specialisation points
+/// with the system's `features` (Figure 4c) decides each option of a category
+/// it restricts. A bool is ON if its entry is kept and OFF otherwise; a choice
+/// takes the first value of its category's preference list that it accepts and
+/// the intersection keeps, or else its default (SIMD levels are preferred best
+/// first). An option left OFF or at its default notes the exclusion of the
+/// value it passed over.
 fn best_available(
     project: &ProjectSpec,
-    system: &SystemModel,
+    features: &SystemFeatures,
     notes: &mut Vec<String>,
 ) -> OptionAssignment {
-    let intersection = intersect(&from_project(project), &discover(system));
+    let document = from_project(project);
+    let intersection = intersect(&document, features);
+    let simd = IsaFamily::parse(&features.architecture).map_or(&[][..], SimdLevel::levels_for);
     let mut assignment = OptionAssignment::new();
     for option in &project.options {
-        let name = option.name.clone();
-        match option.category {
-            OptionCategory::GpuBackend => {
-                let choices = intersection.choices(SpecCategory::GpuBackend);
-                let offered = |value: &&str| {
-                    choices.iter().any(|c| c.eq_ignore_ascii_case(value)) && option.accepts(value)
-                };
-                let preferred = xaas_apps::preferred_gpu_backend(system).map(|b| b.as_str());
-                let fallback = || choices.iter().copied().find(|c| option.accepts(c));
-                match preferred.filter(offered).or_else(fallback) {
-                    Some(value) => {
-                        assignment.set(name, value);
-                    }
-                    None => notes.push(format!(
-                        "no usable GPU backend on {}; staying CPU-only",
-                        system.name
-                    )),
-                }
+        let chosen = match (&option.kind, option.category) {
+            (_, OptionCategory::Network | OptionCategory::Other)
+            | (OptionKind::Choice { .. }, OptionCategory::Parallelism) => continue,
+            (OptionKind::Bool { .. }, _) => choose(["ON"], option, &intersection),
+            (_, OptionCategory::GpuBackend) => choose(GPU_BACKENDS, option, &intersection),
+            (_, OptionCategory::Vectorization) => choose(
+                simd.iter().rev().map(SimdLevel::gmx_name),
+                option,
+                &intersection,
+            ),
+            (_, OptionCategory::Fft | OptionCategory::LinearAlgebra) => {
+                choose(LIBRARIES, option, &intersection)
             }
-            OptionCategory::Vectorization => {
-                let best = system.cpu.best_simd();
-                if option.accepts(best.gmx_name()) {
-                    assignment.set(name, best.gmx_name());
-                } else if option.accepts("ON") && best != SimdLevel::None {
-                    assignment.set(name, "ON");
-                }
+        };
+        let value = chosen.unwrap_or_else(|passed_over| {
+            let value = match &option.kind {
+                OptionKind::Bool { .. } => "OFF",
+                OptionKind::Choice { default, .. } => default,
+            };
+            let excluded = passed_over
+                .and_then(|v| entry(&document.entries, option, v))
+                .and_then(|e| {
+                    let same = |x: &&Exclusion| x.category == e.category && x.name == e.name;
+                    intersection.excluded.iter().find(same)
+                });
+            if let Some(Exclusion { reason, .. }) = excluded {
+                notes.push(match option.category {
+                    OptionCategory::GpuBackend => format!("{reason}; staying CPU-only"),
+                    OptionCategory::Parallelism => format!("{reason}; using thread-MPI"),
+                    _ => format!("{reason}; {}={value}", option.name),
+                });
             }
-            OptionCategory::Fft | OptionCategory::LinearAlgebra => {
-                let mkl = |m: &SoftwareModule| m.name.to_ascii_lowercase().contains("mkl");
-                let vendor = system.has_vendor_blas() || system.modules.iter().any(mkl);
-                let picks = [("mkl", vendor), ("fftw3", true), ("openblas", true)];
-                let pick = picks
-                    .into_iter()
-                    .find(|&(value, usable)| usable && option.accepts(value));
-                if let Some((value, _)) = pick {
-                    assignment.set(name, value);
-                }
-            }
-            OptionCategory::Parallelism => {
-                let upper = name.to_ascii_uppercase();
-                if upper.contains("MPI") && !upper.contains("THREAD") {
-                    let value = if system.module_of_kind(ModuleKind::Mpi).is_none() {
-                        notes.push(format!(
-                            "no MPI module on {}; using thread-MPI",
-                            system.name
-                        ));
-                        "OFF"
-                    } else if !system.container_runtime.mpi_functional() {
-                        notes.push(format!(
-                            "MPI not functional under {} on {}; using thread-MPI",
-                            system.container_runtime, system.name
-                        ));
-                        "OFF"
-                    } else {
-                        "ON"
-                    };
-                    assignment.set(name, value);
-                }
-            }
-            _ => {}
-        }
+            value
+        });
+        assignment.set(option.name.as_str(), value);
     }
     assignment
+}
+
+/// The first of `preferred` that `option` accepts and `intersection` keeps, or
+/// else the first it accepts (the value passed over), if any.
+fn choose<'v>(
+    preferred: impl IntoIterator<Item = &'v str>,
+    option: &BuildOption,
+    intersection: &CommonSpecialization,
+) -> Result<&'v str, Option<&'v str>> {
+    let mut accepted = preferred
+        .into_iter()
+        .filter(|v| option.accepts(v))
+        .peekable();
+    let first = accepted.peek().copied();
+    accepted
+        .find(|v| entry(&intersection.common.entries, option, v).is_some())
+        .ok_or(first)
+}
+
+/// The entry of `entries` that sets `option` to `value`: its build flag is
+/// `-D{option}={value}`, the value in any case.
+fn entry<'e>(entries: &'e [SpecEntry], option: &BuildOption, value: &str) -> Option<&'e SpecEntry> {
+    entries.iter().find(|e| {
+        e.build_flag
+            .as_deref()
+            .and_then(|flag| flag.strip_prefix(option.flag.as_str()))
+            .is_some_and(|v| v.eq_ignore_ascii_case(value))
+    })
 }
 
 #[cfg(test)]
@@ -195,22 +207,125 @@ mod tests {
         ]
     }
 
+    fn projects() -> [ProjectSpec; 3] {
+        [gromacs::project(), lulesh::project(), llamacpp::project()]
+    }
+
+    fn best(project: &ProjectSpec, system: &SystemModel) -> Resolved {
+        resolve(
+            project,
+            system,
+            &OptionAssignment::new(),
+            None,
+            Policy::BestAvailable,
+        )
+        .unwrap()
+    }
+
+    /// The selection reads the intersection and nothing else: for every app on
+    /// every paper system, each option of a category the intersection restricts
+    /// takes a value the intersection keeps (a bool is ON exactly when its entry
+    /// is kept), or else the default of an option none of whose entries is kept.
+    #[test]
+    fn every_selected_value_is_offered_by_the_intersection() {
+        for project in projects() {
+            let document = from_project(&project);
+            for system in systems() {
+                let intersection = intersect(&document, &discover(&system));
+                let kept = |option: &BuildOption, value: &str| {
+                    entry(&intersection.common.entries, option, value).is_some()
+                };
+                let resolved = best(&project, &system);
+                for option in &project.options {
+                    if matches!(
+                        option.category,
+                        OptionCategory::Network | OptionCategory::Other
+                    ) {
+                        continue;
+                    }
+                    let value = resolved.selection.get(&option.name).unwrap();
+                    let at = format!("{}={value} on {}", option.name, system.name);
+                    match &option.kind {
+                        OptionKind::Bool { .. } => {
+                            assert_eq!(value == "ON", kept(option, "ON"), "{at}")
+                        }
+                        OptionKind::Choice { values, default } => {
+                            let none_kept = !values.iter().any(|v| kept(option, &v.name));
+                            assert!(
+                                kept(option, value) || (none_kept && value == default),
+                                "{at}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// llama.cpp's AVX-512 intrinsics are selected only where the CPU has
+    /// `avx512f`: the intersection excludes them on Ault25 (zen2) and Clariden
+    /// (Grace), and the note says so.
+    #[test]
+    fn llamacpp_leaves_avx512_off_where_the_cpu_lacks_avx512f() {
+        let project = llamacpp::project();
+        for (system, cpu) in [
+            (SystemModel::ault25(), "zen2"),
+            (SystemModel::clariden(), "neoverse_v2"),
+        ] {
+            let resolved = best(&project, &system);
+            assert_eq!(resolved.selection.get("GGML_AVX512"), Some("OFF"));
+            assert_eq!(resolved.target, system.cpu.best_simd());
+            assert_eq!(
+                resolved.notes,
+                [format!("CPU {cpu} lacks avx512f; GGML_AVX512=OFF")]
+            );
+        }
+    }
+
+    /// The benchmarked llama.cpp source deployment on Ault23: its label is
+    /// written into the image, so this pin holds the image digests.
+    #[test]
+    fn llamacpp_on_ault23_selects_the_pinned_label() {
+        let resolved = best(&llamacpp::project(), &SystemModel::ault23());
+        assert_eq!(
+            resolved.selection.label(),
+            "GGML_AVX512=ON,GGML_BLAS_VENDOR=mkl,GGML_GPU_BACKEND=CUDA,GGML_NATIVE=ON,\
+             GGML_OPENMP=ON,GGML_QUANT_DEFAULT=Q4_K"
+        );
+        assert_eq!(resolved.target, SimdLevel::Avx512);
+        assert!(resolved.notes.is_empty(), "{:?}", resolved.notes);
+    }
+
+    /// The features document (Figure 4b) is enough to select: the document
+    /// read back from its JSON selects and notes what discovery's does.
+    #[test]
+    fn the_features_document_read_back_selects_the_same() {
+        for project in projects() {
+            for system in systems() {
+                let features = discover(&system);
+                let read = SystemFeatures::from_json(&features.to_json()).unwrap();
+                let (mut notes, mut read_notes) = (Vec::new(), Vec::new());
+                assert_eq!(
+                    best_available(&project, &read, &mut read_notes),
+                    best_available(&project, &features, &mut notes),
+                    "{} on {}",
+                    project.name,
+                    system.name
+                );
+                assert_eq!(read_notes, notes);
+            }
+        }
+    }
+
     /// For every app on every paper system, resolving the best available
     /// configuration and then resolving again with every option and the target
     /// pinned to that answer returns the same answer under either policy: a
     /// fully pinned resolution ignores the policy.
     #[test]
     fn a_pinned_resolution_is_a_fixed_point_under_either_policy() {
-        for project in [gromacs::project(), lulesh::project(), llamacpp::project()] {
+        for project in projects() {
             for system in systems() {
-                let best = resolve(
-                    &project,
-                    &system,
-                    &OptionAssignment::new(),
-                    None,
-                    Policy::BestAvailable,
-                )
-                .unwrap();
+                let best = best(&project, &system);
                 for policy in [Policy::ProjectDefault, Policy::BestAvailable] {
                     let pinned = resolve(
                         &project,

@@ -352,9 +352,11 @@ fn process_text(
         });
     }
     let mut stack: Vec<CondState> = Vec::new();
+    // How many entries of `stack` are not `Active`: a line is emitted when none is.
+    let mut inactive = 0usize;
     for (line_index, raw_line) in source.lines().enumerate() {
         let line_no = line_index + 1;
-        let emitting = stack.iter().all(|s| *s == CondState::Active);
+        let emitting = inactive == 0;
         if let Some((keyword, rest)) = split_directive(raw_line) {
             match keyword {
                 "pragma" => {
@@ -404,62 +406,47 @@ fn process_text(
                         used.push(name.to_string());
                     }
                 }
-                "ifdef" => {
-                    let name = macro_name(rest);
-                    used.push(name.to_string());
-                    stack.push(if definitions.is_defined(name) {
+                "ifdef" | "ifndef" | "if" => {
+                    let active = if keyword == "if" {
+                        eval_condition(rest, definitions, used)
+                    } else {
+                        let name = macro_name(rest);
+                        used.push(name.to_string());
+                        definitions.is_defined(name) == (keyword == "ifdef")
+                    };
+                    inactive += usize::from(!active);
+                    stack.push(if active {
                         CondState::Active
                     } else {
                         CondState::InactivePending
                     });
                 }
-                "ifndef" => {
-                    let name = macro_name(rest);
-                    used.push(name.to_string());
-                    stack.push(if definitions.is_defined(name) {
-                        CondState::InactivePending
-                    } else {
-                        CondState::Active
-                    });
-                }
-                "if" => {
-                    let value = eval_condition(rest, definitions, used);
-                    stack.push(if value {
-                        CondState::Active
-                    } else {
-                        CondState::InactivePending
-                    });
-                }
-                "elif" => {
+                "elif" | "else" => {
                     let Some(top) = stack.last_mut() else {
                         return Err(PreprocessError::UnbalancedConditional { line: line_no });
                     };
-                    *top = match *top {
-                        CondState::Active => CondState::InactiveDone,
-                        CondState::InactivePending => {
-                            if eval_condition(rest, definitions, used) {
-                                CondState::Active
-                            } else {
-                                CondState::InactivePending
-                            }
+                    let next = match *top {
+                        CondState::Active | CondState::InactiveDone => CondState::InactiveDone,
+                        CondState::InactivePending
+                            if keyword == "else" || eval_condition(rest, definitions, used) =>
+                        {
+                            CondState::Active
                         }
-                        CondState::InactiveDone => CondState::InactiveDone,
+                        CondState::InactivePending => CondState::InactivePending,
                     };
-                }
-                "else" => {
-                    let Some(top) = stack.last_mut() else {
-                        return Err(PreprocessError::UnbalancedConditional { line: line_no });
-                    };
-                    *top = match *top {
-                        CondState::Active => CondState::InactiveDone,
-                        CondState::InactivePending => CondState::Active,
-                        CondState::InactiveDone => CondState::InactiveDone,
-                    };
+                    // Only an active branch stops, and only a pending one starts.
+                    if *top == CondState::Active {
+                        inactive += 1;
+                    } else if next == CondState::Active {
+                        inactive -= 1;
+                    }
+                    *top = next;
                 }
                 "endif" => {
-                    if stack.pop().is_none() {
+                    let Some(top) = stack.pop() else {
                         return Err(PreprocessError::UnbalancedConditional { line: line_no });
-                    }
+                    };
+                    inactive -= usize::from(top != CondState::Active);
                 }
                 other => {
                     return Err(PreprocessError::BadDirective {
@@ -599,6 +586,41 @@ mod tests {
 
     fn no_headers() -> BTreeMap<String, String> {
         BTreeMap::new()
+    }
+
+    /// Deeply nested `#if 1` / `#if 0` / `#else`: level `i` opens a sibling
+    /// `#if {d_i}` (`s{i}`, else `t{i}`) and then nests `#if {c_i}` (`a{i}`,
+    /// else after the deeper levels `b{i}`). A line is emitted exactly when
+    /// every enclosing branch is live, down to 400 levels and back out.
+    #[test]
+    fn deep_mixed_nesting_emits_exactly_the_live_branches() {
+        let depth = 400;
+        let c = |i: usize| i != 250;
+        let d = |i: usize| !i.is_multiple_of(3);
+        let mut source = String::new();
+        let (mut expected, mut closing) = (Vec::new(), Vec::new());
+        for i in 0..depth {
+            let live = (0..i).all(c);
+            let (s, t) = (u8::from(d(i)), u8::from(c(i)));
+            source.push_str(&format!("#if {s}\nint s{i};\n#else\nint t{i};\n#endif\n"));
+            source.push_str(&format!("#if {t}\nint a{i};\n"));
+            if live {
+                expected.push(format!("int {}{i};", if d(i) { 's' } else { 't' }));
+                if c(i) {
+                    expected.push(format!("int a{i};"));
+                } else {
+                    closing.push(format!("int b{i};"));
+                }
+            }
+        }
+        for i in (0..depth).rev() {
+            source.push_str(&format!("#else\nint b{i};\n#endif\n"));
+        }
+        source.push_str("int tail;\n");
+        expected.extend(closing);
+        expected.push("int tail;".to_string());
+        let unit = preprocess("t.ck", &source, &Definitions::new(), &no_headers()).unwrap();
+        assert_eq!(unit.text.lines().collect::<Vec<_>>(), expected);
     }
 
     #[test]
