@@ -293,7 +293,7 @@ struct StoreInner {
     /// The children (config + layers) of every manifest the store committed, recorded
     /// at insertion. The only edges reachability follows.
     edges: BTreeMap<Digest, Arc<[Digest]>>,
-    tags: BTreeMap<String, Digest>,
+    tags: BTreeMap<String, Tag>,
     dedup_hits: u64,
     dedup_bytes: u64,
     digests_computed: u64,
@@ -301,7 +301,65 @@ struct StoreInner {
     gc_bytes_reclaimed: u64,
 }
 
+/// What a tag names, and what a re-commit under it is compared with.
+struct Tag {
+    digest: Digest,
+    /// Set by a commit that found the tag already naming the manifest it wrote,
+    /// and gone with any commit or copy that moves the tag.
+    memo: Option<Box<CommitMemo>>,
+}
+
+impl Tag {
+    fn new(digest: Digest) -> Self {
+        Self { digest, memo: None }
+    }
+}
+
+/// The parts of a committed image its config and manifest are written from,
+/// besides its layers: their digests are the tagged manifest's recorded edges,
+/// which also name everything else those blobs hold. Two lengths complete the
+/// descriptor and the dedup booking a memo hit returns in place of the puts.
+struct CommitMemo {
+    platform: Platform,
+    runtime: ImageRuntimeConfig,
+    annotations: BTreeMap<String, String>,
+    config_len: u64,
+    manifest_len: u64,
+}
+
 impl StoreInner {
+    /// The descriptor of the manifest `image`'s tag names, if its memo says a commit
+    /// of `image` would write exactly that manifest: same platform, runtime config
+    /// and annotations, and the same sealed layer digests in order. A hit books the
+    /// puts it skips — each layer, the config and the manifest, all present since
+    /// the tag reaches them — as the dedup hits they would have been, and the
+    /// `sealed` layer hashes the caller paid for.
+    fn recommit(&mut self, image: &Image, sealed: u64) -> Option<Descriptor> {
+        let tag = self.tags.get(&image.reference)?;
+        let memo = tag.memo.as_deref()?;
+        let (_config, layers) = self.edges.get(&tag.digest)?.split_first()?;
+        let same = memo.platform == image.platform
+            && memo.runtime == image.runtime
+            && memo.annotations == image.annotations
+            && layers.len() == image.layers.len()
+            && layers
+                .iter()
+                .zip(&image.layers)
+                .all(|(d, l)| d == l.sealed().1);
+        if !same {
+            return None;
+        }
+        let layer_bytes: u64 = image.layers.iter().map(|l| l.sealed().0.len() as u64).sum();
+        self.digests_computed += sealed;
+        self.dedup_hits += image.layers.len() as u64 + 2;
+        self.dedup_bytes += layer_bytes + memo.config_len + memo.manifest_len;
+        Some(Descriptor::new(
+            MediaType::ImageManifest,
+            tag.digest.clone(),
+            memo.manifest_len,
+        ))
+    }
+
     /// Bytes held, deduplicated by digest.
     fn bytes(&self) -> u64 {
         self.blobs.values().map(|b| b.len() as u64).sum()
@@ -326,15 +384,19 @@ pub struct StoreStats {
     pub blob_count: usize,
     /// Bytes held, deduplicated by digest.
     pub total_bytes: u64,
-    /// Puts that were short-circuited because the digest was already present.
+    /// Puts that were short-circuited because the digest was already present. A
+    /// re-commit its tag's memo serves (see [`ImageStore::commit`]) puts nothing
+    /// but counts here as its puts would have: one per layer, config and manifest.
     pub dedup_hits: u64,
-    /// Bytes of those short-circuited puts — storage the content addressing saved.
+    /// Bytes of those short-circuited puts — storage the content addressing saved —
+    /// a memo-served re-commit's layer, config and manifest bytes included.
     pub dedup_bytes: u64,
     /// SHA-256 digests paid for through the store: one per [`ImageStore::put_blob`],
-    /// and per [`ImageStore::commit`] one for the config, one for the manifest and one
-    /// for each layer that commit had to seal. A layer already sealed — inherited from
-    /// a committed base, loaded or pulled, or being sealed by a concurrent commit —
-    /// costs no hash and is not counted, and neither are insertions through
+    /// and per [`ImageStore::commit`] one for each layer that commit had to seal,
+    /// plus one for the config and one for the manifest unless the tag's memo
+    /// served the commit. A layer already sealed — inherited from a committed base,
+    /// loaded or pulled, or being sealed by a concurrent commit — costs no hash and
+    /// is not counted, and neither are insertions through
     /// [`ImageStore::put_blob_with_digest`]. It counts passes over a payload, not the
     /// time they take: a faster digest kernel leaves it where it is, a skipped hash
     /// lowers it.
@@ -488,7 +550,8 @@ impl ImageStore {
         let mut guard = self.inner.write();
         let inner = &mut *guard;
         let (count, bytes) = (inner.blobs.len(), inner.bytes());
-        let live = reachable(&inner.edges, pinned.iter().chain(inner.tags.values()));
+        let tagged = inner.tags.values().map(|tag| &tag.digest);
+        let live = reachable(&inner.edges, pinned.iter().chain(tagged));
         inner.blobs.retain(|digest, _| live.contains(digest));
         inner
             .edges
@@ -515,16 +578,30 @@ impl ImageStore {
     /// is taken, once, for all blobs and the tag. The manifest's children are
     /// recorded only if none are recorded for its digest yet, so a repeated commit
     /// clones nothing.
+    ///
+    /// A re-commit is compared, not rewritten. A commit that finds its tag already
+    /// naming the manifest it wrote keeps, in the tag's entry, the image's platform,
+    /// runtime config and annotations (no layer and no image). A later commit under
+    /// that tag whose image equals those parts, with the same sealed layer digests
+    /// in order as the tagged manifest's recorded children, returns that manifest's
+    /// descriptor: it writes no JSON, hashes nothing but layers it had to seal,
+    /// inserts nothing, and books the puts it skipped as dedup hits. Any other
+    /// commit takes the path above, and one that moves the tag drops the memo; so
+    /// does [`Registry::pull`](crate::registry::Registry::pull) into the tag. A
+    /// tag's first commit keeps nothing.
     pub fn commit(&self, image: &Image) -> Descriptor {
-        let mut hashed = 2u64; // config + manifest
+        let mut sealed = 0u64;
         for layer in &image.layers {
             let ((archive, digest), sealed_now) = layer.seal();
-            hashed += u64::from(sealed_now);
+            sealed += u64::from(sealed_now);
             debug_assert_eq!(
                 &Digest::of_bytes(archive),
                 digest,
                 "a sealed layer's digest does not match its archive"
             );
+        }
+        if let Some(descriptor) = self.inner.write().recommit(image, sealed) {
+            return descriptor;
         }
         let config_blob =
             Blob::new(serde_json::to_vec(&ConfigJson(image)).expect("config serialises"));
@@ -541,7 +618,7 @@ impl ImageStore {
         let manifest_digest = Digest::of_bytes(&manifest_blob);
         {
             let mut inner = self.inner.write();
-            inner.digests_computed += hashed;
+            inner.digests_computed += sealed + 2; // config + manifest
             for layer in &image.layers {
                 let (archive, digest) = layer.sealed();
                 inner.insert(digest, archive);
@@ -554,10 +631,21 @@ impl ImageStore {
                 inner.edges.insert(manifest_digest.clone(), children);
             }
             match inner.tags.get_mut(&image.reference) {
-                Some(tagged) => *tagged = manifest_digest.clone(),
+                Some(tag) => {
+                    tag.memo = (tag.digest == manifest_digest).then(|| {
+                        Box::new(CommitMemo {
+                            platform: image.platform.clone(),
+                            runtime: image.runtime.clone(),
+                            annotations: image.annotations.clone(),
+                            config_len: config_blob.len() as u64,
+                            manifest_len: manifest_blob.len() as u64,
+                        })
+                    });
+                    tag.digest = manifest_digest.clone();
+                }
                 None => {
                     let tag = image.reference.clone();
-                    inner.tags.insert(tag, manifest_digest.clone());
+                    inner.tags.insert(tag, Tag::new(manifest_digest.clone()));
                 }
             }
         }
@@ -574,7 +662,7 @@ impl ImageStore {
             .read()
             .tags
             .get(reference)
-            .cloned()
+            .map(|tag| tag.digest.clone())
             .ok_or_else(|| ImageError::UnknownReference(reference.to_string()))
     }
 
@@ -584,7 +672,7 @@ impl ImageStore {
             .read()
             .tags
             .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
+            .map(|(k, tag)| (k.clone(), tag.digest.clone()))
             .collect()
     }
 
@@ -629,6 +717,7 @@ impl ImageStore {
     /// edges into this store, edges included, and tag it `tag` here: `from` is read
     /// under its read lock, then blobs, edges and tag go in under one write lock of
     /// this store. Blobs move as shared handles; nothing is parsed, hashed or copied.
+    /// The tag starts without a commit memo, whatever it named before.
     pub(crate) fn copy_from(
         &self,
         from: &ImageStore,
@@ -637,7 +726,7 @@ impl ImageStore {
     ) -> Result<TransferStats, ImageError> {
         let (root, closure) = {
             let source = from.inner.read();
-            let root = source.tags.get(reference);
+            let root = source.tags.get(reference).map(|tag| &tag.digest);
             let root = root.ok_or_else(|| ImageError::UnknownReference(reference.to_string()))?;
             let mut closure = Vec::new();
             for digest in reachable(&source.edges, [root]) {
@@ -663,7 +752,7 @@ impl ImageStore {
                 }
             }
         }
-        inner.tags.insert(tag.to_string(), root);
+        inner.tags.insert(tag.to_string(), Tag::new(root));
         Ok(stats)
     }
 }
@@ -842,6 +931,113 @@ mod tests {
         let d1 = store.commit(&img);
         let d2 = store.commit(&img);
         assert_eq!(d1.digest, d2.digest);
+    }
+
+    /// Commits `image` until its tag keeps a memo of it, and checks that the
+    /// memo then serves a re-commit: no hash, nothing inserted, and the dedup
+    /// booking a rewriting re-commit makes.
+    fn memoise(store: &ImageStore, image: &Image) -> Descriptor {
+        store.commit(image);
+        let before = store.stats();
+        let rewritten = store.commit(image);
+        let rewrite = store.stats();
+        let served = store.commit(image);
+        let after = store.stats();
+        assert_eq!(served, rewritten);
+        assert_eq!(store.resolve(&image.reference).unwrap(), served.digest);
+        assert_eq!(after.digests_computed, rewrite.digests_computed, "no hash");
+        assert_eq!(after.blob_count, rewrite.blob_count);
+        assert_eq!(
+            after.dedup_hits - rewrite.dedup_hits,
+            rewrite.dedup_hits - before.dedup_hits
+        );
+        assert_eq!(
+            after.dedup_bytes - rewrite.dedup_bytes,
+            rewrite.dedup_bytes - before.dedup_bytes
+        );
+        served
+    }
+
+    /// A commit under a memoised tag stores what a fresh store commits for the
+    /// same image: every field the config or manifest is written from moves the
+    /// digest past the memo, and a pull into the tag or a sweep leaves no memo
+    /// that serves a wrong answer.
+    #[test]
+    fn a_recommit_is_served_only_when_the_image_is_the_memoised_one() {
+        let store = ImageStore::new();
+        let mut image = toolchain_image();
+        image.annotate("org.example.kept", "1");
+        image.annotate("org.example.changed", "a");
+        image.runtime.entrypoint.push("/usr/bin/xirc".into());
+        image.runtime.working_dir = Some("/work".into());
+        image.runtime.labels.insert("k".into(), "v".into());
+        let mut other = Layer::new("RUN other");
+        other.add_text("/other", "other");
+        let with = |edit: &dyn Fn(&mut Image)| {
+            let mut variant = image.clone();
+            edit(&mut variant);
+            variant
+        };
+        let variants = [
+            with(&|i| {
+                i.annotate("org.example.changed", "b");
+            }),
+            with(&|i| {
+                i.annotate("org.example.added", "c");
+            }),
+            with(&|i| {
+                i.annotations.remove("org.example.kept");
+            }),
+            with(&|i| i.platform.architecture = Architecture::Arm64),
+            with(&|i| i.platform.os = "freebsd".into()),
+            with(&|i| i.runtime.env.push("EXTRA=1".into())),
+            with(&|i| i.runtime.entrypoint.clear()),
+            with(&|i| i.runtime.working_dir = None),
+            with(&|i| {
+                i.runtime.labels.insert("k".into(), "w".into());
+            }),
+            with(&|i| i.layers[1] = other.clone()),
+            with(&|i| i.layers.push(other.clone())),
+            with(&|i| {
+                i.layers.pop();
+            }),
+            with(&|i| i.layers.swap(0, 1)),
+        ];
+        for variant in &variants {
+            let memoised = memoise(&store, &image);
+            let committed = store.commit(variant);
+            let fresh = ImageStore::new().commit(variant);
+            assert_ne!(committed.digest, memoised.digest, "{variant:?}");
+            assert_eq!(committed, fresh, "{variant:?}");
+            assert_eq!(store.resolve(&image.reference).unwrap(), fresh.digest);
+            assert_eq!(&store.load(&image.reference).unwrap(), variant);
+        }
+
+        // A pull into the tag drops its memo: the image pulled here has the
+        // memoised image's layers, so a kept memo would serve its digest.
+        let memoised = memoise(&store, &image);
+        let remote = ImageStore::new();
+        remote.commit(&with(&|i| {
+            i.annotate("org.example.changed", "pulled");
+        }));
+        let registry = crate::registry::Registry::new();
+        registry.push(&remote, &image.reference).unwrap();
+        let (pulled, _) = registry.pull(&store, &image.reference).unwrap();
+        assert_ne!(store.resolve(&image.reference).unwrap(), memoised.digest);
+        assert_eq!(pulled.layers, image.layers);
+        assert_eq!(store.commit(&image), memoised);
+        assert_eq!(store.resolve(&image.reference).unwrap(), memoised.digest);
+        assert_eq!(store.load(&image.reference).unwrap(), image);
+
+        // A sweep keeps what the memoised tag reaches, so a re-commit after it
+        // is still served, and still loads.
+        memoise(&store, &image);
+        assert!(store.collect_garbage(&[]).blobs_removed > 0);
+        let before = store.stats();
+        assert_eq!(store.commit(&image), memoised);
+        assert_eq!(store.stats().digests_computed, before.digests_computed);
+        assert_eq!(store.stats().blob_count, before.blob_count);
+        assert_eq!(store.load(&image.reference).unwrap(), image);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::error::PipelineError;
 use crate::ir_container::sanitize;
-use crate::targets::derive_build_profile;
+use crate::targets::named_simd;
 use xaas_buildsys::{BuildOption, OptionAssignment, OptionCategory, OptionKind, ProjectSpec};
 use xaas_hpcsim::{discover, IsaFamily, SimdLevel, SystemFeatures, SystemModel};
 use xaas_specs::{from_project, intersect, CommonSpecialization, Exclusion, SpecEntry};
@@ -34,8 +34,8 @@ pub(crate) enum Policy {
 /// which must be a value its option accepts (`UnsupportedPreference`). The
 /// target is the pinned `simd`, which the system must support
 /// (`UnsupportedSimd`); else, under [`Policy::BestAvailable`], the level the
-/// selection names as [`derive_build_profile`] reads it, or the system's best
-/// with a note when the system lacks that level; else the system's best.
+/// selection names ([`named_simd`]), or the system's best with a note when the
+/// system lacks that level; else the system's best.
 pub(crate) fn resolve(
     project: &ProjectSpec,
     system: &SystemModel,
@@ -69,18 +69,17 @@ pub(crate) fn resolve(
             let system = system.name.clone();
             return Err(PipelineError::UnsupportedSimd { level, system });
         }
-        None if policy == Policy::BestAvailable => {
-            let named = derive_build_profile("", &selection, system, 1).simd;
-            if system.cpu.supports(named) {
-                named
-            } else {
+        None if policy == Policy::BestAvailable => match named_simd(&selection, system) {
+            Some(named) if system.cpu.supports(named) => named,
+            Some(named) => {
                 notes.push(format!(
                     "selected SIMD level {named} unsupported on {}; falling back to the best supported level",
                     system.name
                 ));
                 system.cpu.best_simd()
             }
-        }
+            None => system.cpu.best_simd(),
+        },
         None => system.cpu.best_simd(),
     };
     Ok(Resolved {
@@ -114,7 +113,8 @@ const LIBRARIES: [&str; 4] = ["mkl", "fftw3", "openblas", "fftpack"];
 /// takes the first value of its category's preference list that it accepts and
 /// the intersection keeps, or else its default (SIMD levels are preferred best
 /// first). An option left OFF or at its default notes the exclusion of the
-/// value it passed over.
+/// value it passed over: an excluded MPI falls back to thread-MPI where the
+/// project has it, and is noted OFF otherwise.
 fn best_available(
     project: &ProjectSpec,
     features: &SystemFeatures,
@@ -123,6 +123,12 @@ fn best_available(
     let document = from_project(project);
     let intersection = intersect(&document, features);
     let simd = IsaFamily::parse(&features.architecture).map_or(&[][..], SimdLevel::levels_for);
+    // A project with an option whose flag names threads (GROMACS's
+    // `GMX_THREAD_MPI`) falls back to it; `intersect` tells them apart so too.
+    let thread_mpi = project
+        .options
+        .iter()
+        .any(|o| o.flag.to_ascii_lowercase().contains("thread"));
     let mut assignment = OptionAssignment::new();
     for option in &project.options {
         let chosen = match (&option.kind, option.category) {
@@ -153,7 +159,9 @@ fn best_available(
             if let Some(Exclusion { reason, .. }) = excluded {
                 notes.push(match option.category {
                     OptionCategory::GpuBackend => format!("{reason}; staying CPU-only"),
-                    OptionCategory::Parallelism => format!("{reason}; using thread-MPI"),
+                    OptionCategory::Parallelism if thread_mpi => {
+                        format!("{reason}; using thread-MPI")
+                    }
                     _ => format!("{reason}; {}={value}", option.name),
                 });
             }
@@ -389,6 +397,43 @@ mod tests {
             })
             .collect();
         assert_eq!(differing, ["GMX_BLAS_LIBRARY", "GMX_FFT_LIBRARY"]);
+    }
+
+    /// A project whose selection names no SIMD level (LULESH has no
+    /// vectorisation option) targets the system's best level, with no note.
+    #[test]
+    fn a_selection_naming_no_level_targets_the_system_best() {
+        let project = lulesh::project();
+        for system in systems() {
+            let resolved = best(&project, &system);
+            assert_eq!(named_simd(&resolved.selection, &system), None);
+            assert_eq!(resolved.target, system.cpu.best_simd(), "{}", system.name);
+            assert!(
+                !resolved.notes.iter().any(|n| n.contains("unsupported")),
+                "{}: {:?}",
+                system.name,
+                resolved.notes
+            );
+        }
+        let ault23 = best(&project, &SystemModel::ault23());
+        assert_eq!(ault23.target, SimdLevel::Avx512);
+    }
+
+    /// An excluded MPI falls back to thread-MPI only in a project that has it.
+    #[test]
+    fn the_mpi_note_names_thread_mpi_only_where_the_project_has_it() {
+        let system = SystemModel::ault01_04();
+        let lulesh = best(&lulesh::project(), &system);
+        assert_eq!(lulesh.notes, ["no MPI module on Ault01-04; WITH_MPI=OFF"]);
+        let gromacs = best(&gromacs::project(), &system);
+        assert!(
+            gromacs
+                .notes
+                .iter()
+                .any(|n| n == "no MPI module on Ault01-04; using thread-MPI"),
+            "{:?}",
+            gromacs.notes
+        );
     }
 
     /// Under the best-available policy an unsupported named level falls back

@@ -31,12 +31,37 @@ pub fn target_isa_for(level: SimdLevel) -> TargetIsa {
 
 /// Interpret an option assignment (of any of the synthetic applications) as a performance
 /// build profile on a given system: SIMD level, GPU backend, library qualities, OpenMP.
+/// An assignment that names no SIMD level builds for SSE2.
 pub(crate) fn derive_build_profile(
     label: impl Into<String>,
     assignment: &OptionAssignment,
     system: &SystemModel,
     threads: u32,
 ) -> BuildProfile {
+    let read = read_assignment(assignment, system);
+    let mut profile = BuildProfile::new(label, read.simd.unwrap_or(SimdLevel::Sse2), threads)
+        .with_libraries(read.blas, read.fft);
+    if let Some(backend) = read.gpu {
+        profile = profile.with_gpu(backend);
+    }
+    profile
+}
+
+/// The SIMD level `assignment` names on `system`, as [`derive_build_profile`]
+/// reads it, or `None` when no option names one.
+pub(crate) fn named_simd(assignment: &OptionAssignment, system: &SystemModel) -> Option<SimdLevel> {
+    read_assignment(assignment, system).simd
+}
+
+/// What [`derive_build_profile`] reads from an assignment.
+struct ReadAssignment {
+    simd: Option<SimdLevel>,
+    gpu: Option<GpuBackend>,
+    fft: LibraryQuality,
+    blas: LibraryQuality,
+}
+
+fn read_assignment(assignment: &OptionAssignment, system: &SystemModel) -> ReadAssignment {
     let mut simd: Option<SimdLevel> = None;
     let mut gpu: Option<GpuBackend> = None;
     let mut fft = LibraryQuality::Generic;
@@ -62,13 +87,12 @@ pub(crate) fn derive_build_profile(
             simd = Some(SimdLevel::Avx512);
         }
     }
-
-    let mut profile = BuildProfile::new(label, simd.unwrap_or(SimdLevel::Sse2), threads)
-        .with_libraries(blas, fft);
-    if let Some(backend) = gpu {
-        profile = profile.with_gpu(backend);
+    ReadAssignment {
+        simd,
+        gpu,
+        fft,
+        blas,
     }
-    profile
 }
 
 /// Classify a library option value into a quality tier.
