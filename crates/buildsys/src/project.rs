@@ -43,6 +43,13 @@ impl SourceSpec {
         self.extra_flags.push(flag.into());
         self
     }
+
+    /// Whether the source is system-dependent (S_D of Hypothesis 2): it is built
+    /// only with MPI, whose runtime has no stable ABI, so it ships as source and
+    /// compiles on the target.
+    pub fn is_system_dependent(&self) -> bool {
+        self.required_tags.iter().any(|tag| tag == "mpi")
+    }
 }
 
 /// Kind of build target.

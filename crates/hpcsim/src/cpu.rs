@@ -6,11 +6,10 @@
 //! that the *relative* speedups between levels track the measurements reported in the
 //! paper (e.g. None → SSE2 ≈ 5×, SSE2 → AVX-512 ≈ 1.6× for the MD kernel class).
 
-use serde::Serialize;
 use std::fmt;
 
 /// Top-level instruction-set architecture family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum IsaFamily {
     /// 64-bit x86 (Intel / AMD).
     X86_64,
@@ -45,7 +44,7 @@ impl fmt::Display for IsaFamily {
 }
 
 /// SIMD instruction-set level, named after the GROMACS configuration values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SimdLevel {
     /// Plain C reference kernels, no SIMD specialization.
     None,
@@ -190,7 +189,7 @@ impl fmt::Display for SimdLevel {
 
 /// A CPU model: microarchitecture, core counts, supported SIMD levels and baseline
 /// scalar throughput used by the performance model.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuModel {
     /// Marketing name, e.g. "Intel Xeon Gold 6130".
     pub name: String,

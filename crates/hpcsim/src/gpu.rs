@@ -1,11 +1,10 @@
 //! GPU models: vendors, programming backends, compute capabilities, and the CUDA
 //! compatibility rules of Figure 9 (driver vs runtime vs PTX vs cubin).
 
-use serde::Serialize;
 use std::fmt;
 
 /// GPU programming backends an application may support (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum GpuBackend {
     /// NVIDIA CUDA.
     Cuda,
@@ -51,7 +50,7 @@ impl fmt::Display for GpuBackend {
 }
 
 /// GPU hardware vendor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GpuVendor {
     /// NVIDIA.
     Nvidia,
@@ -62,7 +61,7 @@ pub enum GpuVendor {
 }
 
 /// A semantic version with major/minor parts (CUDA runtime, driver, ROCm, Level Zero).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Version {
     /// Major component.
     pub major: u32,
@@ -92,7 +91,7 @@ impl fmt::Display for Version {
 }
 
 /// Compute capability of an NVIDIA device (or the analogous generation id for others).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ComputeCapability {
     /// Major generation (7 = Volta, 8 = Ampere, 9 = Hopper, …).
     pub major: u32,
@@ -124,7 +123,7 @@ impl fmt::Display for ComputeCapability {
 }
 
 /// A GPU device model.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GpuModel {
     /// Marketing name.
     pub name: String,

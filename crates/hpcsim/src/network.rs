@@ -7,12 +7,11 @@
 //! path for co-located ranks (23.5 GB/s instead of 64 GB/s on Clariden) unless an
 //! aggregating provider such as LinkX is used.
 
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// libfabric providers considered in Table 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Provider {
     /// TCP sockets provider.
     Tcp,

@@ -46,7 +46,7 @@ impl fmt::Display for ContainerRuntimeFlavor {
 }
 
 /// Kind of a software module provided by the system's module environment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModuleKind {
     /// A compiler toolchain (GCC, oneAPI, Cray CE).
     Compiler,
@@ -63,7 +63,7 @@ pub enum ModuleKind {
 }
 
 /// One module available through `module load`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SoftwareModule {
     /// Module name, e.g. `intel-oneapi-mkl`.
     pub name: String,
@@ -94,7 +94,7 @@ impl SoftwareModule {
 }
 
 /// A complete system model.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemModel {
     /// System name as used in the paper (Ault23, Ault25, Clariden, Aurora, …).
     pub name: String,
@@ -342,16 +342,5 @@ mod tests {
         assert!(SystemModel::local_dev_machine().supports_container_build);
         assert!(!SystemModel::ault23().supports_container_build);
         assert!(!SystemModel::aurora().supports_container_build);
-    }
-
-    /// A system's JSON is written only, as the input a fleet job's key digests:
-    /// the same system writes the same text, and distinct systems distinct text.
-    #[test]
-    fn systems_serialize_to_json() {
-        let json = |system: &SystemModel| serde_json::to_string(system).unwrap();
-        let clariden = json(&SystemModel::clariden());
-        assert_eq!(clariden, json(&SystemModel::clariden()));
-        assert!(clariden.contains(r#""name":"Clariden""#), "{clariden}");
-        assert_ne!(clariden, json(&SystemModel::ault23()));
     }
 }

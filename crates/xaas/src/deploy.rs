@@ -465,6 +465,7 @@ pub(crate) fn finish_ir_deploy<'run>(
     let threads = plan.system.cpu.total_cores().min(36);
     let mut build_profile = derive_build_profile(
         format!("XaaS IR ({} {})", plan.system.name, plan.simd.gmx_name()),
+        plan.project,
         &plan.manifest.assignment,
         plan.system,
         threads,

@@ -147,13 +147,11 @@ impl Action for MachineLower<'_> {
 }
 
 /// An `ir-lower`: `file`'s preprocessed `text`, whose content digest is
-/// `preprocessed`, compiled to bitcode under `flags`, with or without the early
-/// optimisation pass.
+/// `preprocessed`, compiled to bitcode under `flags`.
 pub(crate) struct IrLower<'a> {
     pub(crate) preprocessed: &'a str,
     pub(crate) file: &'a str,
     pub(crate) flags: &'a CompileFlags,
-    pub(crate) optimize_early: bool,
     /// The text the file's preprocess node output ([`preprocessed_text`]).
     pub(crate) text: &'a str,
 }
@@ -167,19 +165,15 @@ impl Action for IrLower<'_> {
             preprocessed,
             file,
             flags,
-            optimize_early,
             // Covered by `preprocessed`, its digest.
             text: _,
         } = self;
-        with_ir_flags(record.str(preprocessed).str(file), flags).bool(*optimize_early)
+        with_ir_flags(record.str(preprocessed).str(file), flags)
     }
 
     fn run(self, _: &ActionInputs) -> Result<Vec<u8>, PipelineError> {
-        let mut module = compile_preprocessed(self.file, self.text, self.flags)
+        let module = compile_preprocessed(self.file, self.text, self.flags)
             .map_err(compile_error(self.file))?;
-        if self.optimize_early {
-            xaas_xir::passes::scalar_unroll(&mut module, 4);
-        }
         Ok(bitcode::encode(&module))
     }
 }
@@ -645,7 +639,6 @@ mod tests {
                 preprocessed: preprocessed_digest(output),
                 file,
                 flags: &flags,
-                optimize_early: false,
                 text: preprocessed_text(output),
             };
             assert_eq!(ir_lower.run(&deps).unwrap(), bitcode::encode(&module));
@@ -674,17 +667,11 @@ mod tests {
         .identity()
     }
 
-    fn ir_lower_key(
-        preprocessed: &str,
-        file: &str,
-        flags: &CompileFlags,
-        optimize_early: bool,
-    ) -> BuildKey {
+    fn ir_lower_key(preprocessed: &str, file: &str, flags: &CompileFlags) -> BuildKey {
         IrLower {
             preprocessed,
             file,
             flags,
-            optimize_early,
             text: "",
         }
         .identity()
@@ -749,15 +736,10 @@ mod tests {
     #[test]
     fn ir_lower_key_is_pinned() {
         let flags = flags(&["-O3", "-DGMX_DOUBLE=OFF", "-fopenmp"]);
-        let key = ir_lower_key(
-            "sha256:0123456789abcdef",
-            "src/mdlib/force.ck",
-            &flags,
-            true,
-        );
+        let key = ir_lower_key("sha256:0123456789abcdef", "src/mdlib/force.ck", &flags);
         assert_eq!(
             key.digest().as_str(),
-            "sha256:99b1099898728e7b604ec700e9e7ea6b51ac2d415d6000af0f5f79cd70a90564"
+            "sha256:c77d1b24e5f0460071e9605ada49a45ba1ca94a51d2a908d36c69243d00cd0a8"
         );
     }
 
@@ -766,7 +748,7 @@ mod tests {
     /// metadata records.
     #[test]
     fn ir_lower_key_ignores_target_flags_but_not_definition_order() {
-        let key = |flags: &CompileFlags| ir_lower_key("sha256:0a", "f.ck", flags, false);
+        let key = |flags: &CompileFlags| ir_lower_key("sha256:0a", "f.ck", flags);
         let a = flags(&["-DA", "-DB", "-O3", "-mavx2"]);
         assert_eq!(key(&a), key(&flags(&["-DA", "-DB", "-O3", "-msse4.1"])));
         assert_ne!(key(&a), key(&flags(&["-DB", "-DA", "-O3", "-mavx2"])));
@@ -774,9 +756,8 @@ mod tests {
         assert_ne!(key(&a), key(&flags(&["-DA", "-O3"])));
         assert_ne!(key(&a), key(&flags(&["-DA", "-DB", "-O2"])));
         assert_ne!(key(&a), key(&flags(&["-DA", "-DB", "-O3", "-fopenmp"])));
-        assert_ne!(key(&a), ir_lower_key("sha256:0a", "f.ck", &a, true));
-        assert_ne!(key(&a), ir_lower_key("sha256:0b", "f.ck", &a, false));
-        assert_ne!(key(&a), ir_lower_key("sha256:0a", "g.ck", &a, false));
+        assert_ne!(key(&a), ir_lower_key("sha256:0b", "f.ck", &a));
+        assert_ne!(key(&a), ir_lower_key("sha256:0a", "g.ck", &a));
     }
 
     /// Two targets with one name but another vector width, or another FMA, lower

@@ -39,7 +39,7 @@ pub fn hypothesis1(stats: &PipelineStats) -> Hypothesis1Report {
 pub struct Hypothesis2Report {
     /// Number of system-independent source files (compilable to shared IR).
     pub system_independent: usize,
-    /// Number of system-dependent source files (MPI ABI, vendor-only compilers, …).
+    /// Number of system-dependent source files (built only with MPI).
     pub system_dependent: usize,
     /// |S_I| / (|S_I| + |S_D|).
     pub independent_fraction: f64,
@@ -49,17 +49,13 @@ pub struct Hypothesis2Report {
 
 /// Classify a project's sources into S_I and S_D and check Hypothesis 2.
 ///
-/// In this substrate the system-dependent markers are MPI usage (no ABI-stable runtime)
-/// and sources requiring a vendor-only compiler (tagged `vendor_compiler`).
+/// A source is system-dependent as the IR build classifies it
+/// ([`SourceSpec::is_system_dependent`](xaas_buildsys::SourceSpec::is_system_dependent)).
 pub fn hypothesis2(project: &ProjectSpec) -> Hypothesis2Report {
     let mut system_dependent = 0usize;
     let mut system_independent = 0usize;
     for source in &project.sources {
-        let is_sd = source
-            .required_tags
-            .iter()
-            .any(|tag| tag == "mpi" || tag == "vendor_compiler");
-        if is_sd {
+        if source.is_system_dependent() {
             system_dependent += 1;
         } else {
             system_independent += 1;

@@ -30,7 +30,7 @@ use crate::engine::{
     KeyedActionPlanner, PreprocessPlanner,
 };
 use crate::error::PipelineError;
-use crate::source_container::source_tree_layer;
+use crate::source_container::{paths::BUILD_ROOT, source_tree_layer};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::OnceLock;
@@ -76,13 +76,8 @@ pub struct IrPipelineConfig {
     /// The specialization points to sweep: option name → values to enumerate. Options not
     /// listed stay at their defaults.
     pub sweep: Vec<(String, Vec<String>)>,
-    /// The pinned build directory mounted identically in every configuration container.
-    pub build_dir: String,
     /// Stage switches.
     pub stages: PipelineStages,
-    /// Apply aggressive scalar optimisation *before* storing IR (the harmful early
-    /// optimisation the paper warns about; off by default, used by the ablation bench).
-    pub optimize_early: bool,
 }
 
 impl IrPipelineConfig {
@@ -98,9 +93,7 @@ impl IrPipelineConfig {
             .collect();
         Self {
             sweep,
-            build_dir: "/xaas/build".to_string(),
             stages: PipelineStages::default(),
-            optimize_early: false,
         }
     }
 
@@ -321,7 +314,7 @@ fn plan_ir_build<'env>(
             dependencies,
             compile_db,
             ..
-        } = configure(project, requested, &config.build_dir, None)?;
+        } = configure(project, requested, BUILD_ROOT, None)?;
         let first_list = lists.len();
         let list_of = compile_db.classify_lists(|command| lists.push(ArgumentList::of(command)));
         // The configuration's units: the system-dependent ones, then the
@@ -331,12 +324,8 @@ fn plan_ir_build<'env>(
         let mut system_independent: Vec<UnitAssignment> = Vec::new();
         for (command, list) in compile_db.commands.iter().zip(list_of) {
             stats.total_translation_units += 1;
-            let SourceSpec {
-                path,
-                required_tags,
-                ..
-            } = command.source;
-            if required_tags.iter().any(|t| t == "mpi") {
+            let path = &command.source.path;
+            if command.source.is_system_dependent() {
                 stats.system_dependent_units += 1;
                 sd_files.insert(path);
                 units.push(UnitAssignment {
@@ -611,7 +600,6 @@ pub(crate) fn run_ir_build(
             // The IR is compiled without the delayed ISA flags; OpenMP stays as
             // classified.
             flags: ir_flags,
-            optimize_early: config.optimize_early,
             text: preprocessed_text(output),
         };
         lowered.push(Lowered {
@@ -1071,7 +1059,7 @@ mod tests {
         let config = IrPipelineConfig::sweep_options(&project, &["SCALE"]);
         let mut commands: Vec<CompileCommand> = Vec::new();
         for assignment in enumerate_assignments(&project, &config).unwrap() {
-            let configured = configure(&project, &assignment, &config.build_dir, None).unwrap();
+            let configured = configure(&project, &assignment, BUILD_ROOT, None).unwrap();
             commands.extend(configured.compile_db.commands);
         }
         let keys: BTreeSet<String> = commands.iter().map(|c| c.canonical_key()).collect();
@@ -1231,10 +1219,10 @@ mod tests {
     }
 
     /// The typed stage 4 against the string-keyed oracle on every sweep `reproduce`
-    /// builds, under every stage setting and with `optimize_early` on: the same
-    /// identities, and through them the same build — `PipelineStats`, the `ir-lower`
-    /// labels in node order (one per final identity, labelled by its first
-    /// occurrence's file) and the manifests' units, in order.
+    /// builds, under every stage setting: the same identities, and through them
+    /// the same build — `PipelineStats`, the `ir-lower` labels in node order (one
+    /// per final identity, labelled by its first occurrence's file) and the
+    /// manifests' units, in order.
     #[test]
     fn typed_stage_4_matches_the_string_keyed_oracle_on_every_reproduce_sweep() {
         let gromacs = gromacs::project();
@@ -1277,13 +1265,9 @@ mod tests {
         let engine = Engine::uncached(&store);
         let mut compared = 0;
         for (project, sweep) in &sweeps {
-            let settings = every_stage_setting()
-                .map(|stages| (stages, false))
-                .chain([(PipelineStages::default(), true)]);
-            for (stages, optimize_early) in settings {
+            for stages in every_stage_setting() {
                 let config = IrPipelineConfig {
                     stages,
-                    optimize_early,
                     ..sweep.clone()
                 };
                 let plan = plan_ir_build(project, &config).unwrap();
@@ -1351,7 +1335,7 @@ mod tests {
                 compared += 1;
             }
         }
-        assert_eq!(compared, sweeps.len() * 5);
+        assert_eq!(compared, sweeps.len() * 4);
     }
 
     /// A generated unit occurrence for the stage-4 property. Delayed flags never
@@ -1436,9 +1420,7 @@ mod tests {
         let store = ImageStore::new();
         let config = IrPipelineConfig {
             sweep: vec![("NOT_AN_OPTION".into(), vec!["ON".into()])],
-            build_dir: "/xaas/build".into(),
             stages: PipelineStages::default(),
-            optimize_early: false,
         };
         assert!(matches!(
             build(&project, &config, &store, "x:1"),

@@ -58,11 +58,10 @@ use crate::source_container::{
     finish_source_deploy, graft_source_deploy, plan_source_deploy, SourceDeployPlan,
     SourceDeployment,
 };
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 use xaas_buildsys::{OptionAssignment, ProjectSpec};
-use xaas_container::{ActionCache, CacheStats, Digest, Image, ImageStore, TierConfig, TierError};
+use xaas_container::{ActionCache, CacheStats, Image, ImageStore, TierConfig, TierError};
 use xaas_hpcsim::{SimdLevel, SystemModel};
 
 /// The session object every pipeline goes through: one engine, one cache, one
@@ -468,34 +467,6 @@ impl FleetTarget {
             simd: None,
         }
     }
-
-    /// The deduplication identity of the target within a fleet over `project`:
-    /// two targets with the same job key are served by a single deployment job.
-    /// It digests the *entire* system model, so differently-configured systems
-    /// sharing a name never alias, and names the target's resolution, so a target
-    /// spelling out a default is the same job as one leaving it out (targets that
-    /// fail to resolve share a job when they fail alike on one system).
-    pub fn job_key(&self, project: &ProjectSpec) -> String {
-        self.resolve(project).0
-    }
-
-    /// The target's job key and its resolution.
-    fn resolve(&self, project: &ProjectSpec) -> (String, Result<Resolved, PipelineError>) {
-        let resolved = resolve(
-            project,
-            &self.system,
-            &self.selection,
-            self.simd,
-            Policy::ProjectDefault,
-        );
-        let system = serde_json::to_vec(&self.system).expect("system models serialise");
-        let system = Digest::of_bytes(&system);
-        let key = match &resolved {
-            Ok(r) => format!("{system}|{}|{}", r.selection.label(), r.target.gmx_name()),
-            Err(error) => format!("{system}|error|{error}"),
-        };
-        (key, resolved)
-    }
 }
 
 /// A failed fleet job (cloneable so deduplicated targets can share it).
@@ -691,8 +662,12 @@ impl<'a> FleetRequest<'a> {
 }
 
 /// Plan phase of a wave: resolve each target once, keep one job per distinct
-/// [`FleetTarget::job_key`] in request order, and plan it (failures claim no
+/// system and resolution in request order, and plan it (failures claim no
 /// graph nodes); per target, its job's index and whether it was deduplicated.
+/// A system is compared by value, so differently-configured systems sharing a
+/// name never share a job. A fleet resolves under the project's defaults,
+/// which note nothing, so equal resolutions are an equal completed selection
+/// and target, or an equal error.
 #[allow(clippy::type_complexity)]
 fn plan_jobs<'a>(
     build: &'a IrContainerBuild,
@@ -700,18 +675,29 @@ fn plan_jobs<'a>(
     targets: &'a [FleetTarget],
 ) -> (Vec<Result<DeployPlan<'a>, FleetError>>, Vec<(usize, bool)>) {
     let mut job_of_target: Vec<(usize, bool)> = Vec::with_capacity(targets.len());
-    let mut job_index_by_key: BTreeMap<String, usize> = BTreeMap::new();
+    let mut jobs: Vec<(&SystemModel, Result<Resolved, PipelineError>)> = Vec::new();
     let mut plans = Vec::new();
     for target in targets {
-        let (key, resolved) = target.resolve(project);
-        let fresh = plans.len();
-        let index = *job_index_by_key.entry(key).or_insert(fresh);
-        if index == fresh {
-            let system = &target.system;
-            let plan = resolved.and_then(|r| plan_ir_deploy(build, project, system, &r));
-            plans.push(plan.map_err(|error| FleetError::before_run(system, error)));
+        let FleetTarget {
+            system,
+            selection,
+            simd,
+        } = target;
+        let resolved = resolve(project, system, selection, *simd, Policy::ProjectDefault);
+        let job = jobs
+            .iter()
+            .position(|job| job.1 == resolved && job.0 == system);
+        if let Some(index) = job {
+            job_of_target.push((index, true));
+            continue;
         }
-        job_of_target.push((index, index != fresh));
+        let plan = resolved
+            .as_ref()
+            .map_err(Clone::clone)
+            .and_then(|r| plan_ir_deploy(build, project, system, r));
+        plans.push(plan.map_err(|error| FleetError::before_run(system, error)));
+        job_of_target.push((jobs.len(), false));
+        jobs.push((system, resolved));
     }
     (plans, job_of_target)
 }
@@ -1010,6 +996,28 @@ mod tests {
         assert_eq!(report.jobs_executed, 1);
         assert_eq!(report.jobs_deduplicated, 1);
         assert!(report.outcomes[1].deduplicated);
+    }
+
+    /// Two systems that share a name and resolve alike but differ in one module
+    /// version are two jobs: a system is compared by value, not by name.
+    #[test]
+    fn fleet_systems_sharing_a_name_differ_by_value() {
+        let orch = Orchestrator::new();
+        let (project, build) = gromacs_fleet_build(&orch);
+        let system = SystemModel::ault23();
+        let mut upgraded = system.clone();
+        upgraded.modules[0].version.push_str(".1");
+        assert_eq!(upgraded.name, system.name);
+        let report = FleetRequest::new(&build, &project)
+            .targets(
+                [system, upgraded]
+                    .map(|system| FleetTarget::new(system, gmx_simd("AVX_512"), SimdLevel::Avx512)),
+            )
+            .submit(&orch);
+        assert!(report.all_succeeded());
+        assert_eq!(report.jobs_executed, 2);
+        assert_eq!(report.jobs_deduplicated, 0);
+        assert!(!report.outcomes[1].deduplicated);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use xaas_hpcsim::{discover, IsaFamily, SimdLevel, SystemFeatures, SystemModel};
 use xaas_specs::{from_project, intersect, CommonSpecialization, Exclusion, SpecEntry};
 
 /// What a deployment is.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct Resolved {
     /// Every project option's value, plus any preference naming no option.
     pub(crate) selection: OptionAssignment,
@@ -69,7 +69,7 @@ pub(crate) fn resolve(
             let system = system.name.clone();
             return Err(PipelineError::UnsupportedSimd { level, system });
         }
-        None if policy == Policy::BestAvailable => match named_simd(&selection, system) {
+        None if policy == Policy::BestAvailable => match named_simd(project, &selection, system) {
             Some(named) if system.cpu.supports(named) => named,
             Some(named) => {
                 notes.push(format!(
@@ -406,7 +406,7 @@ mod tests {
         let project = lulesh::project();
         for system in systems() {
             let resolved = best(&project, &system);
-            assert_eq!(named_simd(&resolved.selection, &system), None);
+            assert_eq!(named_simd(&project, &resolved.selection, &system), None);
             assert_eq!(resolved.target, system.cpu.best_simd(), "{}", system.name);
             assert!(
                 !resolved.notes.iter().any(|n| n.contains("unsupported")),

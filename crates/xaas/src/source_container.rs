@@ -37,7 +37,8 @@ pub mod paths {
     pub(crate) const INCLUDE_ROOT: &str = "/xaas/src/include";
     /// The toolchain compiler binary.
     pub(crate) const COMPILER: &str = "/usr/bin/xirc";
-    /// Deployment build outputs.
+    /// The build directory: where a source deployment builds, and where every
+    /// configuration of an IR build is configured.
     pub(crate) const BUILD_ROOT: &str = "/xaas/build";
     /// Installed binaries.
     pub(crate) const INSTALL_ROOT: &str = "/opt/app";
@@ -291,6 +292,7 @@ pub(crate) fn plan_source_deploy<'a>(
     let threads = system.cpu.total_cores().min(36);
     let mut build_profile = derive_build_profile(
         format!("XaaS Source ({})", system.name),
+        project,
         &resolved.selection,
         system,
         threads,

@@ -10,57 +10,14 @@
 //! The file holds a single test on purpose: the counting allocator is process-wide,
 //! and a second test running beside it would be counted too.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fs;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use xaas_container::{Digest, DiskTier, DiskTierConfig};
 
-/// The system allocator with relaxed call and byte counters in front of it. The
-/// counters publish no other data, so `Relaxed` is enough.
-struct CountingAllocator;
-
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards to `System` with the caller's arguments unchanged,
-// so `System`'s guarantees are this allocator's; the counter touches no allocator
-// state.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for `layout`.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by `System` for this `layout` (see `alloc`).
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        // Only growth is new memory asked of the system.
-        ALLOC_BYTES.fetch_add(
-            new_size.saturating_sub(layout.size()) as u64,
-            Ordering::Relaxed,
-        );
-        // SAFETY: `ptr`/`layout` describe a live `System` block; the caller upholds
-        // `GlobalAlloc::realloc`'s contract for `new_size`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+mod common;
 
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+static GLOBAL: common::CountingAllocator = common::CountingAllocator;
 
 /// The two journal sizes whose difference is measured.
 const SMALL: usize = 200;
@@ -120,15 +77,10 @@ fn root_with_puts(records: usize) -> Root {
 fn open_cost(root: &Root) -> (u64, u64) {
     let mut cost = (0, 0);
     for _ in 0..2 {
-        let before = (
-            ALLOC_CALLS.load(Ordering::Relaxed),
-            ALLOC_BYTES.load(Ordering::Relaxed),
-        );
-        let tier = DiskTier::open(DiskTierConfig::new(&root.path)).expect("the root opens");
-        cost = (
-            ALLOC_CALLS.load(Ordering::Relaxed) - before.0,
-            ALLOC_BYTES.load(Ordering::Relaxed) - before.1,
-        );
+        let (tier, calls, bytes) = common::counted(|| {
+            DiskTier::open(DiskTierConfig::new(&root.path)).expect("the root opens")
+        });
+        cost = (calls, bytes);
         assert_eq!(tier.stats().entries, root.records, "every record replayed");
     }
     cost

@@ -55,10 +55,16 @@ fn submit_per_job(
         submissions: 0,
         trace: Default::default(),
     };
-    let mut outcome_by_job_key: BTreeMap<String, FleetOutcome> = BTreeMap::new();
+    // Two targets are one job when their systems are equal and they resolve to
+    // one completed selection and one SIMD level.
+    let mut jobs: Vec<((&SystemModel, OptionAssignment, SimdLevel), FleetOutcome)> = Vec::new();
     for target in targets {
-        let job_key = target.job_key(project);
-        if let Some(outcome) = outcome_by_job_key.get(&job_key) {
+        let resolution = (
+            &target.system,
+            project.complete(&target.selection),
+            target.simd.unwrap_or(target.system.cpu.best_simd()),
+        );
+        if let Some((_, outcome)) = jobs.iter().find(|(job, _)| *job == resolution) {
             sequential.jobs_deduplicated += 1;
             sequential.outcomes.push(FleetOutcome {
                 deduplicated: true,
@@ -70,7 +76,7 @@ fn submit_per_job(
             .target(target.clone())
             .submit(orch);
         let outcome = report.outcomes.remove(0);
-        outcome_by_job_key.insert(job_key, outcome.clone());
+        jobs.push((resolution, outcome.clone()));
         sequential.outcomes.push(outcome);
         sequential.jobs_executed += 1;
         sequential.submissions += report.submissions;

@@ -152,46 +152,3 @@ fn lulesh_section_4_3_walkthrough() {
     assert!(lowered.machine_modules.contains_key("src/lulesh_comm.ck"));
     assert_eq!(lowered.stats.lowered_units, 5);
 }
-
-/// Early optimisation of stored IR (the ablation) caps the vector width achieved at
-/// deployment — the reason the paper delays optimisation until the target is known.
-#[test]
-fn premature_optimization_hurts_deployment_vectorization() {
-    let project = gromacs::project();
-    let store = ImageStore::new();
-    let mut delayed = IrPipelineConfig::sweep_options(&project, &["GMX_SIMD"])
-        .with_values("GMX_SIMD", &["AVX_512"]);
-    delayed.optimize_early = false;
-    let mut early = delayed.clone();
-    early.optimize_early = true;
-
-    let system = SystemModel::ault01_04();
-    let selection = OptionAssignment::new().with("GMX_SIMD", "AVX_512");
-    let orch = Orchestrator::uncached(&store);
-    let width_of = |config: &IrPipelineConfig, tag: &str| {
-        let build = IrBuildRequest::new(&project, config)
-            .reference(tag)
-            .submit(&orch)
-            .unwrap();
-        let deployment = IrDeployRequest::new(&build, &project, &system)
-            .selection(selection.clone())
-            .simd(SimdLevel::Avx512)
-            .submit(&orch)
-            .unwrap();
-        deployment
-            .lowered()
-            .unwrap()
-            .machine_modules
-            .values()
-            .flat_map(|m| m.functions.iter().flat_map(|f| f.loop_widths.clone()))
-            .max()
-            .unwrap_or(1)
-    };
-    let delayed_width = width_of(&delayed, "delayed:ir");
-    let early_width = width_of(&early, "early:ir");
-    assert_eq!(delayed_width, 16);
-    assert!(
-        early_width <= 2,
-        "early optimisation blocks re-vectorisation, got {early_width}"
-    );
-}

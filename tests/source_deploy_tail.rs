@@ -14,55 +14,16 @@
 //! The file holds a single test on purpose: the counting allocator is process-wide,
 //! and a second test running beside it would be counted too.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use xaas::engine::ActionKind;
 use xaas::prelude::*;
 use xaas::source_container::architecture_of;
 use xaas_apps::llamacpp;
 use xaas_hpcsim::SystemModel;
 
-/// The system allocator with a relaxed byte counter in front of it. The counter
-/// publishes no other data, so `Relaxed` is enough.
-struct CountingAllocator;
-
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards to `System` with the caller's arguments unchanged,
-// so `System`'s guarantees are this allocator's; the counter touches no allocator
-// state.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for `layout`.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by `System` for this `layout` (see `alloc`).
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // Only growth is new memory asked of the system.
-        ALLOC_BYTES.fetch_add(
-            new_size.saturating_sub(layout.size()) as u64,
-            Ordering::Relaxed,
-        );
-        // SAFETY: `ptr`/`layout` describe a live `System` block; the caller upholds
-        // `GlobalAlloc::realloc`'s contract for `new_size`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+mod common;
 
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+static GLOBAL: common::CountingAllocator = common::CountingAllocator;
 
 const REQUESTS: u64 = 16;
 /// With the five objects read through a `Value` tree this deployment allocated
@@ -103,30 +64,31 @@ fn warm_llamacpp_source_deployments_stay_inside_the_allocation_budget() {
     deploy();
 
     let digests_before = orch.store().stats().digests_computed;
-    let bytes_before = ALLOC_BYTES.load(Ordering::Relaxed);
-    for request in 0..REQUESTS {
-        let warm = deploy();
-        assert_eq!(
-            warm.trace.summary().executed,
-            0,
-            "request {request} is warm"
-        );
-        let link = warm
-            .trace
-            .records
-            .iter()
-            .find(|r| r.kind == ActionKind::Link);
-        assert!(
-            link.is_some_and(|link| link.cached),
-            "request {request}: the keyed Link is a hit, so no object is read back"
-        );
-        let deployed = warm.image.layers.last().expect("a deployed layer");
-        assert!(
-            !deployed.is_decoded(),
-            "request {request}: a warm deployment decodes no layer entry"
-        );
-    }
-    let per_request = (ALLOC_BYTES.load(Ordering::Relaxed) - bytes_before) / REQUESTS;
+    let ((), _, bytes) = common::counted(|| {
+        for request in 0..REQUESTS {
+            let warm = deploy();
+            assert_eq!(
+                warm.trace.summary().executed,
+                0,
+                "request {request} is warm"
+            );
+            let link = warm
+                .trace
+                .records
+                .iter()
+                .find(|r| r.kind == ActionKind::Link);
+            assert!(
+                link.is_some_and(|link| link.cached),
+                "request {request}: the keyed Link is a hit, so no object is read back"
+            );
+            let deployed = warm.image.layers.last().expect("a deployed layer");
+            assert!(
+                !deployed.is_decoded(),
+                "request {request}: a warm deployment decodes no layer entry"
+            );
+        }
+    });
+    let per_request = bytes / REQUESTS;
     assert_eq!(
         orch.store().stats().digests_computed,
         digests_before,

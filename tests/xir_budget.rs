@@ -11,58 +11,15 @@
 //! The file holds a single test on purpose: the counting allocator is process-wide,
 //! and a second test running beside it would be counted too.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use xaas::prelude::*;
 use xaas_apps::gromacs;
 use xaas_hpcsim::SimdLevel;
 use xaas_xir::{compile_preprocessed, lower_to_machine, preprocess_unit, CompileFlags};
 
-/// The system allocator with relaxed call and byte counters in front of it. The
-/// counters publish no other data, so `Relaxed` is enough.
-struct CountingAllocator;
-
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards to `System` with the caller's arguments unchanged,
-// so `System`'s guarantees are this allocator's; the counters touch no allocator
-// state.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for `layout`.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was returned by `System` for this `layout` (see `alloc`).
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // Only growth is new memory asked of the system.
-        ALLOC_BYTES.fetch_add(
-            new_size.saturating_sub(layout.size()) as u64,
-            Ordering::Relaxed,
-        );
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr`/`layout` describe a live `System` block; the caller upholds
-        // `GlobalAlloc::realloc`'s contract for `new_size`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+mod common;
 
 #[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+static GLOBAL: common::CountingAllocator = common::CountingAllocator;
 
 /// Allocator calls of `compile_preprocessed` per GROMACS unit. With every register
 /// a heap `String` — each name copied per occurrence, DCE's use set a tree of
@@ -85,19 +42,6 @@ const LOWER_CALLS_PER_UNIT: f64 = 12.7;
 /// Bytes of `lower_to_machine` per GROMACS unit and target: 3,443 with string
 /// registers, 1,001 with numbered ones, plus 10 %.
 const LOWER_BYTES_PER_UNIT: f64 = 1_101.0;
-
-/// Allocator calls and bytes of `run`.
-fn counted(run: impl FnOnce()) -> (u64, u64) {
-    let (calls, bytes) = (
-        ALLOC_CALLS.load(Ordering::Relaxed),
-        ALLOC_BYTES.load(Ordering::Relaxed),
-    );
-    run();
-    (
-        ALLOC_CALLS.load(Ordering::Relaxed) - calls,
-        ALLOC_BYTES.load(Ordering::Relaxed) - bytes,
-    )
-}
 
 #[test]
 fn compiling_and_lowering_gromacs_stays_inside_the_allocation_budget() {
@@ -122,13 +66,13 @@ fn compiling_and_lowering_gromacs_stays_inside_the_allocation_budget() {
     .map(target_isa_for);
 
     let mut modules = Vec::with_capacity(units.len());
-    let (calls, bytes) = counted(|| {
+    let ((), calls, bytes) = common::counted(|| {
         for (path, text) in &units {
             modules.push(compile_preprocessed(path, text, &flags).expect("GROMACS compiles"));
         }
     });
     let (compile_calls, compile_bytes) = (calls as f64 / count, bytes as f64 / count);
-    let (calls, bytes) = counted(|| {
+    let ((), calls, bytes) = common::counted(|| {
         for module in &modules {
             for target in &targets {
                 drop(lower_to_machine(module, target));
